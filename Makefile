@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench-smoke check bench-snapshot scale-smoke scale-snapshot trace-snapshot trace-smoke fuzz wheel-snapshot bench-regress adversary-smoke transport-smoke campaign-smoke timeline-smoke report-regress observe-snapshot regen-tables size-guard
+.PHONY: all build test vet race bench-smoke check scale-smoke trace-smoke fuzz adversary-smoke transport-smoke campaign-smoke timeline-smoke report-regress regen-tables size-guard
 
 all: check
 
@@ -32,18 +32,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackUnpackRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz '^FuzzMasterFile$$' -fuzztime $(FUZZTIME) ./internal/zone
 
-# Writes BENCH_parallel.json (benchmark name -> ns/op, B/op, allocs/op)
-# for the hot-path micro-benchmarks. See scripts/bench_snapshot.sh.
-bench-snapshot:
-	./scripts/bench_snapshot.sh
-
 # Sharded-engine scale gate: one 100k-probe 4-shard DDoS run (spec H)
 # under the race detector with a peak-RSS ceiling. Small cells keep the
 # resident set inside CI-runner memory even with the race detector's
 # shadow overhead. The ceiling tightened 6144 -> 4096 with the
 # timing-wheel engine (DESIGN.md §13): this configuration peaked at
-# ~1.9 GiB pre-wheel, and a 10^6-probe 8-shard run without the race
-# detector peaks at ~2.9 GiB (BENCH_wheel.json).
+# ~1.9 GiB pre-wheel.
 SCALE_PROBES ?= 100000
 SCALE_SHARDS ?= 4
 SCALE_SHARD_PROBES ?= 2048
@@ -52,34 +46,6 @@ scale-smoke:
 	SCALE_SMOKE=1 SCALE_PROBES=$(SCALE_PROBES) SCALE_SHARDS=$(SCALE_SHARDS) \
 	SCALE_SHARD_PROBES=$(SCALE_SHARD_PROBES) SCALE_RSS_MB=$(SCALE_RSS_MB) \
 	$(GO) test -race -run '^TestScaleSmoke$$' -timeout 60m -v .
-
-# Writes BENCH_scale.json (probes/shards -> wall time, peak_rss_mb, vps)
-# for the sharded engine, one process per configuration.
-scale-snapshot:
-	./scripts/bench_snapshot.sh scale
-
-# Writes BENCH_wheel.json: the timing-wheel engine's committed baseline —
-# hot-path micro-benchmarks plus the 10^6/10^7-probe sharded acceptance
-# runs (peak_rss_mb, vps). Refresh it on the machine class CI uses when a
-# deliberate perf change lands; the bench-regress gate diffs against it.
-wheel-snapshot:
-	./scripts/bench_snapshot.sh wheel
-
-# Benchmark regression gate: re-runs the hot-path benches and fails if
-# ns/op or allocs/op regressed beyond the tolerance vs BENCH_wheel.json
-# (scale rows in the snapshot have no fresh counterpart and are skipped).
-BENCH_REGRESS_TOL ?= 10%
-bench-regress:
-	$(GO) test -run '^$$' \
-	    -bench '^Benchmark(WirePack|WireUnpack|CachePutGet|CachePutPeek|NetworkDelivery|ResolveThroughSim)$$' \
-	    -benchmem -benchtime 1s . | \
-	    $(GO) run ./cmd/benchsnap -compare BENCH_wheel.json -max-regress $(BENCH_REGRESS_TOL) >/dev/null
-
-# Writes BENCH_trace.json: sharded spec-H runs with tracing off, sampled,
-# and full. The "off" row is the nil-check-only baseline production runs
-# pay; it must stay within 2% of the untraced engine's snapshot.
-trace-snapshot:
-	./scripts/bench_snapshot.sh trace
 
 # End-to-end trace pipeline check: record a small traced DDoS run, then
 # validate, analyze, and convert it. See scripts/trace_smoke.sh.
@@ -108,7 +74,7 @@ transport-smoke:
 # of the staged multi-phase spec.
 campaign-smoke:
 	$(GO) test -race -v ./internal/spec
-	$(GO) test -race -run '^TestCampaign|^TestMatrixCtx' -v ./internal/experiment
+	$(GO) test -race -run '^TestCampaign' -v ./internal/experiment
 	$(GO) run ./cmd/dikes -probes 60 campaign examples/specs/staged.json >/dev/null
 
 # Observability gate: the timeline pipeline (collection, exact merge,
@@ -140,13 +106,6 @@ report-regress:
 	        -bucket 10m -json $$tmp/tl.json >/dev/null && \
 	    $(GO) run ./cmd/dikes diff testdata/regress/timeline_H.json $$tmp/tl.json && \
 	    rm -rf $$tmp
-
-# Writes BENCH_observe.json: sharded spec-H runs with timeline
-# collection off and on. The "off" row is the nil-check-only baseline;
-# the "on" row must stay within ~2% of it (the series is fixed-size
-# integer buckets, far off the hot path).
-observe-snapshot:
-	./scripts/bench_snapshot.sh observe
 
 # Regenerates the committed report tables (paper_run*.txt) from
 # examples/specs/ via the campaign runner, verifying -shards 1 and

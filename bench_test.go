@@ -32,13 +32,49 @@ func printOnce(b *testing.B, i int, title, body string) {
 	}
 }
 
+// mustRun executes one scenario to completion; the paper specs and
+// context.Background leave Run nothing to fail on.
+func mustRun(sc dikes.Scenario, cfg dikes.RunConfig) *dikes.Outcome {
+	out, err := dikes.Run(context.Background(), sc, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// runDDoS runs one attack spec at the benchmarks' fixed seed.
+func runDDoS(spec dikes.DDoSSpec, probes int, pop dikes.PopulationConfig) *dikes.DDoSResult {
+	return mustRun(dikes.DDoSScenario(spec), dikes.RunConfig{Probes: probes, Seed: 7, Population: pop}).DDoS
+}
+
+// runMatrix runs one attack per spec as a campaign on workers goroutines.
+func runMatrix(specs []dikes.DDoSSpec, probes, workers int) []*dikes.DDoSResult {
+	items := make([]dikes.CampaignItem, len(specs))
+	for i, spec := range specs {
+		items[i] = dikes.CampaignItem{Name: spec.Name, Scenario: dikes.DDoSScenario(spec),
+			Config: dikes.RunConfig{Probes: probes, Seed: 7}}
+	}
+	results, err := dikes.RunCampaign(context.Background(), items, workers)
+	if err != nil {
+		panic(err)
+	}
+	out := make([]*dikes.DDoSResult, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			panic(r.Err)
+		}
+		out[i] = r.Outcome.DDoS
+	}
+	return out
+}
+
 // --- §3 caching baseline: Tables 1-3, Figures 3 and 13 ---
 
 func runCachingTTL(seed int64, ttl uint32, interval time.Duration) *dikes.CachingResult {
-	return dikes.RunCaching(dikes.CachingConfig{
+	return mustRun(dikes.CachingScenario(), dikes.RunConfig{
 		Probes: benchProbes, TTL: ttl, ProbeInterval: interval,
 		Rounds: 6, Seed: seed,
-	})
+	}).Caching
 }
 
 func BenchmarkTable1CachingBaseline(b *testing.B) {
@@ -153,12 +189,12 @@ func runSpec(b *testing.B, name string) *dikes.DDoSResult {
 	if !ok {
 		b.Fatalf("unknown experiment %q", name)
 	}
-	return dikes.RunDDoS(spec, benchProbes, 7, dikes.PopulationConfig{})
+	return runDDoS(spec, benchProbes, dikes.PopulationConfig{})
 }
 
 func BenchmarkTable4DDoSMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := dikes.RunDDoSMatrix(dikes.PaperExperiments, benchProbes/2, 7, dikes.PopulationConfig{}, 0)
+		results := runMatrix(dikes.PaperExperiments, benchProbes/2, 0)
 		printOnce(b, i, "Table 4: DDoS experiment matrix A-I", dikes.RenderTable4(results))
 	}
 }
@@ -167,7 +203,7 @@ func BenchmarkTable4DDoSMatrix(b *testing.B) {
 // worker — the benchstat baseline for the parallel speedup.
 func BenchmarkTable4DDoSMatrixSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := dikes.RunDDoSMatrix(dikes.PaperExperiments, benchProbes/2, 7, dikes.PopulationConfig{}, 1)
+		results := runMatrix(dikes.PaperExperiments, benchProbes/2, 1)
 		printOnce(b, i, "Table 4 (sequential): DDoS experiment matrix A-I", dikes.RenderTable4(results))
 	}
 }
@@ -184,7 +220,7 @@ func BenchmarkParallelMatrix(b *testing.B) {
 		specs = append(specs, spec)
 	}
 	for i := 0; i < b.N; i++ {
-		results := dikes.RunDDoSMatrix(specs, benchProbes/4, 7, dikes.PopulationConfig{}, 0)
+		results := runMatrix(specs, benchProbes/4, 0)
 		if len(results) != len(specs) {
 			b.Fatalf("got %d results for %d specs", len(results), len(specs))
 		}
@@ -263,7 +299,7 @@ func runSpecFullHarvest(b *testing.B, name string) *dikes.DDoSResult {
 	if !ok {
 		b.Fatalf("unknown experiment %q", name)
 	}
-	return dikes.RunDDoS(spec, benchProbes, 7, dikes.PopulationConfig{Harvest: dikes.HarvestFull})
+	return runDDoS(spec, benchProbes, dikes.PopulationConfig{Harvest: dikes.HarvestFull})
 }
 
 func BenchmarkFigure10AuthLoad(b *testing.B) {
@@ -326,11 +362,13 @@ func BenchmarkFigure16SoftwareRetries(b *testing.B) {
 func BenchmarkTable7PerProbe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		spec, _ := dikes.SpecByName("I")
-		res, tb := dikes.RunDDoSWithTestbed(spec, benchProbes, 7,
-			dikes.PopulationConfig{Harvest: dikes.HarvestFull})
-		probe := dikes.BusiestProbe(tb)
+		out := mustRun(dikes.DDoSScenario(spec), dikes.RunConfig{
+			Probes: benchProbes, Seed: 7, KeepWorlds: true,
+			Population: dikes.PopulationConfig{Harvest: dikes.HarvestFull},
+		})
+		probe := out.Worlds.BusiestProbe()
 		printOnce(b, i, "Table 7: per-probe client vs authoritative view (exp I)",
-			dikes.RenderTable7(dikes.PerProbe(tb, res, probe)))
+			dikes.RenderTable7(out.Worlds.PerProbe(out.DDoS, probe)))
 	}
 }
 
@@ -338,7 +376,7 @@ func BenchmarkTable7PerProbe(b *testing.B) {
 
 func BenchmarkTable5GlueVsAuth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := dikes.RunGlueVsAuth(benchProbes, 7, dikes.PopulationConfig{})
+		res := mustRun(dikes.GlueScenario(), dikes.RunConfig{Probes: benchProbes, Seed: 7}).Glue
 		printOnce(b, i, "Table 5: glue vs authoritative TTL in answers", dikes.RenderTable5(res))
 		b.ReportMetric(100*res.NS.AuthoritativeShare(), "child_share_pct")
 	}
@@ -391,12 +429,12 @@ func BenchmarkAblationServeStale(b *testing.B) {
 		var base, stale *dikes.DDoSResult
 		parallel.Do(
 			func() {
-				base = dikes.RunDDoS(spec, benchProbes, 7, dikes.PopulationConfig{
+				base = runDDoS(spec, benchProbes, dikes.PopulationConfig{
 					FracFarmOther: 0.0001, // effectively no serve-stale farms
 				})
 			},
 			func() {
-				stale = dikes.RunDDoS(spec, benchProbes, 7, dikes.PopulationConfig{
+				stale = runDDoS(spec, benchProbes, dikes.PopulationConfig{
 					ServeStaleDirect: true, // universal serve-stale adoption
 				})
 			},
@@ -410,16 +448,16 @@ func BenchmarkAblationServeStale(b *testing.B) {
 
 func BenchmarkAblationCacheFragmentation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mono := dikes.RunCaching(dikes.CachingConfig{
+		mono := mustRun(dikes.CachingScenario(), dikes.RunConfig{
 			Probes: benchProbes, TTL: 3600, ProbeInterval: 20 * time.Minute,
 			Rounds: 5, Seed: 7,
 			Population: dikes.PopulationConfig{GoogleBackends: 1, OtherBackends: 1},
-		})
-		frag := dikes.RunCaching(dikes.CachingConfig{
+		}).Caching
+		frag := mustRun(dikes.CachingScenario(), dikes.RunConfig{
 			Probes: benchProbes, TTL: 3600, ProbeInterval: 20 * time.Minute,
 			Rounds: 5, Seed: 7,
 			Population: dikes.PopulationConfig{GoogleBackends: 32, OtherBackends: 16},
-		})
+		}).Caching
 		body := fmt.Sprintf("miss rate: 1-backend farms=%.1f%% vs 32-backend farms=%.1f%%\n",
 			100*mono.MissRate, 100*frag.MissRate)
 		printOnce(b, i, "Ablation: cache fragmentation vs miss rate", body)
@@ -435,8 +473,8 @@ func BenchmarkAblationTTLUnderAttack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var long, short *dikes.DDoSResult
 		parallel.Do(
-			func() { long = dikes.RunDDoS(specH, benchProbes, 7, dikes.PopulationConfig{}) },
-			func() { short = dikes.RunDDoS(specI, benchProbes, 7, dikes.PopulationConfig{}) },
+			func() { long = runDDoS(specH, benchProbes, dikes.PopulationConfig{}) },
+			func() { short = runDDoS(specI, benchProbes, dikes.PopulationConfig{}) },
 		)
 		body := fmt.Sprintf("failure under 90%% loss: TTL1800=%.1f%% TTL60=%.1f%%\n",
 			100*long.FailureRate(9), 100*short.FailureRate(9))
@@ -472,7 +510,7 @@ func BenchmarkAblationOverprovisioning(b *testing.B) {
 			s := spec
 			s.Name = fmt.Sprintf("cap-%gx", capacity)
 			s.Loss = flood.LossRate()
-			res := dikes.RunDDoS(s, benchProbes/2, 7, dikes.PopulationConfig{})
+			res := runDDoS(s, benchProbes/2, dikes.PopulationConfig{})
 			body += fmt.Sprintf("%11gx %9.0f%% %9.1f%%\n",
 				capacity, 100*flood.LossRate(), 100*res.FailureRate(9))
 		}
@@ -489,8 +527,8 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var base, pre *dikes.DDoSResult
 		parallel.Do(
-			func() { base = dikes.RunDDoS(spec, benchProbes, 7, dikes.PopulationConfig{}) },
-			func() { pre = dikes.RunDDoS(spec, benchProbes, 7, dikes.PopulationConfig{PrefetchDirect: 0.9}) },
+			func() { base = runDDoS(spec, benchProbes, dikes.PopulationConfig{}) },
+			func() { pre = runDDoS(spec, benchProbes, dikes.PopulationConfig{PrefetchDirect: 0.9}) },
 		)
 		body := fmt.Sprintf("failure 30min into the outage: plain=%.1f%% prefetch=%.1f%%\n",
 			100*base.FailureRate(9), 100*pre.FailureRate(9))

@@ -27,7 +27,7 @@ import (
 // campaignErrs counts failed campaign runs; main exits non-zero when set.
 var campaignErrs int
 
-func runCampaignCmd(ctx context.Context, args []string, shards int, shardsSet bool, workers int) {
+func runCampaignCmd(ctx context.Context, args []string, o options, shardsSet bool) {
 	if len(args) == 0 {
 		fmt.Fprintf(os.Stderr, "usage: dikes campaign <spec.json|dir> ...\n")
 		os.Exit(2)
@@ -56,9 +56,9 @@ func runCampaignCmd(ctx context.Context, args []string, shards int, shardsSet bo
 		}
 		items = append(items, its...)
 	}
-	if shardsSet && shards > 0 {
+	if shardsSet {
 		for i := range items {
-			items[i].Config.Shards = shards
+			items[i].Config.Shards = o.shards
 		}
 	}
 
@@ -69,10 +69,10 @@ func runCampaignCmd(ctx context.Context, args []string, shards int, shardsSet bo
 	// run ticks once, so -progress shows runs-done/total plus an aggregate
 	// event rate and ETA across the batch.
 	var prog *dikes.Progress
-	if progressOn {
+	if o.progress {
 		prog = dikes.NewProgress(nil, "campaign", len(items), 0)
 	}
-	results, err := dikes.RunCampaignWithProgress(ctx, items, workers, prog)
+	results, err := dikes.RunCampaignWithProgress(ctx, items, o.workers, prog)
 	prog.Finish()
 	if err != nil {
 		exitCancelled(err)

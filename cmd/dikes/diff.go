@@ -1,17 +1,15 @@
 package main
 
 // The diff subcommand: offline comparison of two observability documents
-// — run reports (-report JSON), timelines (dikes timeline -json), or
-// bench snapshots (cmd/benchsnap) — with per-metric tolerances. Exits 1
-// when any metric regressed, which makes it a CI gate:
+// — run reports (-report JSON) or timelines (dikes timeline -json) —
+// with per-metric tolerances. Exits 1 when any metric regressed, which
+// makes it a CI gate:
 //
 //	dikes diff old-report.json new-report.json
-//	dikes diff -tol 2% BENCH_observe.json new-bench.json
 //	dikes diff -tol 0 -key-tol 'rtt_ms=5%' old.json new.json
 //
-// Reports and timelines are deterministic, so their default tolerance is
-// 0 (any change in either direction regresses); bench snapshots flag
-// increases only.
+// Both formats are deterministic, so the default tolerance is 0: any
+// change in either direction regresses.
 
 import (
 	"flag"
@@ -26,7 +24,7 @@ import (
 func runDiffCmd(args []string) {
 	var keyTols multiFlag
 	fs := flag.NewFlagSet("dikes diff", flag.ExitOnError)
-	tol := fs.String("tol", "0", "tolerated relative change (e.g. 2% or 0.02); bench snapshots flag increases only, reports/timelines any direction")
+	tol := fs.String("tol", "0", "tolerated relative change in either direction (e.g. 2% or 0.02)")
 	fs.Var(&keyTols, "key-tol", "per-metric override as substring=tolerance (repeatable, longest substring wins)")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dikes diff [-tol 2%%] [-key-tol pat=tol ...] <old.json> <new.json>\n")

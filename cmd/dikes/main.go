@@ -13,8 +13,8 @@
 //	dikes campaign  — run declarative scenario-spec files (examples/specs/)
 //	dikes timeline  — per-bucket series over the attack event (tables,
 //	                  CSV/JSON export, answer-rate sparklines)
-//	dikes diff      — compare two run reports / timelines / bench
-//	                  snapshots; non-zero exit on regression
+//	dikes diff      — compare two run reports or timelines; non-zero
+//	                  exit on regression
 //	dikes all       — everything above
 //
 // Scale with -probes (the paper used ~9200; the default keeps runs quick).
@@ -35,21 +35,37 @@ import (
 	dikes "repro"
 )
 
+// options is what the simulation subcommands take from the global flags.
+type options struct {
+	probes  int
+	seed    int64
+	shards  int
+	workers int
+	exps    string
+	pop     dikes.PopulationConfig
+
+	tracePath   string // -trace: JSONL trace of each ddos/adversary/transport run
+	traceChrome string // -trace-chrome: Chrome trace_event export beside it
+	traceSample int
+	progress    bool
+}
+
 func main() {
-	probes := flag.Int("probes", 1500, "number of emulated Atlas probes (paper: ~9200; with -shards the engine streams populations up to 1e6)")
-	seed := flag.Int64("seed", 42, "simulation seed (runs are deterministic per seed)")
-	shards := flag.Int("shards", 0, "concurrent population cells per run (0 = monolithic engine); results are byte-identical for any value")
-	exps := flag.String("exp", "A,B,C,D,E,F,G,H,I", "comma-separated DDoS experiments for the ddos subcommand")
-	flag.StringVar(exps, "experiment", "A,B,C,D,E,F,G,H,I", "alias for -exp")
+	var o options
+	flag.IntVar(&o.probes, "probes", 1500, "number of emulated Atlas probes (paper: ~9200; larger populations stream through 4096-probe cells)")
+	flag.Int64Var(&o.seed, "seed", 42, "simulation seed (runs are deterministic per seed)")
+	flag.IntVar(&o.shards, "shards", 1, "population cells of one run in flight at once (0 means 1); results are byte-identical for any value")
+	flag.StringVar(&o.exps, "exp", "A,B,C,D,E,F,G,H,I", "comma-separated DDoS experiments for the ddos subcommand")
+	flag.StringVar(&o.exps, "experiment", "A,B,C,D,E,F,G,H,I", "alias for -exp")
 	harvest := flag.Bool("harvest", true, "enable NS-record harvesting (Unbound-like population)")
 	csvDir := flag.String("csv", "", "also write each figure's data as CSV files into this directory")
-	workers := flag.Int("workers", 0, "experiment runs in flight at once (0 = one per core); results are identical for any value")
+	flag.IntVar(&o.workers, "workers", 0, "experiment runs in flight at once (0 = one per core); results are identical for any value")
 	reportPath := flag.String("report", "", "write every run's metrics + invariant report as JSON to this file; a failed invariant exits non-zero")
-	tracePath := flag.String("trace", "", "record a deterministic query-lifecycle trace of each ddos run as JSONL to this file; implies -shards 1 when -shards is 0")
-	traceSample := flag.Int("trace-sample", 0, "trace every Nth probe only (0 or 1 = all probes); SERVFAIL chains are always recorded")
-	traceChrome := flag.String("trace-chrome", "", "also export each ddos run's trace as Chrome trace_event JSON (Perfetto-loadable)")
+	flag.StringVar(&o.tracePath, "trace", "", "record a deterministic query-lifecycle trace of each ddos, adversary or transport run as JSONL to this file")
+	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace every Nth probe only (0 or 1 = all probes); SERVFAIL chains are always recorded")
+	flag.StringVar(&o.traceChrome, "trace-chrome", "", "also export each traced run as Chrome trace_event JSON (Perfetto-loadable)")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
-	progress := flag.Bool("progress", false, "print live run telemetry (cells done, events/s, peak rss, eta) to stderr")
+	flag.BoolVar(&o.progress, "progress", false, "print live run telemetry (cells done, events/s, peak rss, eta) to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dikes [flags] <caching|ddos|glue|adversary|transport|passive|retries|implications|check|campaign|timeline|trace|diff|all>\n")
 		flag.PrintDefaults()
@@ -82,14 +98,13 @@ func main() {
 		return
 	}
 	if cmd == "diff" {
-		// Offline report/timeline/bench comparison: no simulation.
+		// Offline report/timeline comparison: no simulation.
 		runDiffCmd(flag.Args()[1:])
 		return
 	}
 
-	pop := dikes.PopulationConfig{}
 	if *harvest {
-		pop.Harvest = dikes.HarvestFull
+		o.pop.Harvest = dikes.HarvestFull
 	}
 	if *pprofAddr != "" {
 		addr, _, err := dikes.ServeTelemetry(*pprofAddr, nil)
@@ -99,15 +114,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics, /debug/pprof/, /debug/vars\n", addr)
 	}
-	if *tracePath != "" {
-		traceOut, traceChromeOut, traceSampleN = *tracePath, *traceChrome, *traceSample
-		if *shards == 0 {
-			// Tracing records per-cell ring buffers, so it always runs on
-			// the sharded engine; one cell preserves the monolithic scale.
-			*shards = 1
-		}
-	}
-	progressOn = *progress
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "dikes: %v\n", err)
@@ -125,25 +131,25 @@ func main() {
 	start := time.Now()
 	switch cmd {
 	case "caching":
-		runCaching(ctx, *probes, *seed, *workers, *shards)
+		runCaching(ctx, o)
 	case "ddos":
-		runDDoS(ctx, *probes, *seed, *exps, pop, *workers, *shards)
+		runDDoS(ctx, o)
 	case "glue":
-		runGlue(ctx, *probes, *seed, *shards)
+		runGlue(ctx, o)
 	case "adversary":
-		runAdversary(ctx, *probes, *seed, *shards)
+		runAdversary(ctx, o)
 	case "transport":
-		runTransport(ctx, *probes, *seed, *shards)
+		runTransport(ctx, o)
 	case "passive":
-		runPassive(*seed)
+		runPassive(o.seed)
 	case "retries":
-		runRetries(*seed)
+		runRetries(o.seed)
 	case "implications":
-		runImplications(*seed)
+		runImplications(o.seed)
 	case "check":
-		runCheck(ctx, *probes, *seed, *shards, *workers)
+		runCheck(ctx, o)
 	case "timeline":
-		runTimelineCmd(ctx, flag.Args()[1:], *probes, *seed, *shards, pop)
+		runTimelineCmd(ctx, flag.Args()[1:], o)
 	case "campaign":
 		shardsSet := false
 		flag.Visit(func(f *flag.Flag) {
@@ -151,16 +157,16 @@ func main() {
 				shardsSet = true
 			}
 		})
-		runCampaignCmd(ctx, flag.Args()[1:], *shards, shardsSet, *workers)
+		runCampaignCmd(ctx, flag.Args()[1:], o, shardsSet)
 	case "all":
-		runCaching(ctx, *probes, *seed, *workers, *shards)
-		runDDoS(ctx, *probes, *seed, *exps, pop, *workers, *shards)
-		runGlue(ctx, *probes, *seed, *shards)
-		runAdversary(ctx, *probes, *seed, *shards)
-		runTransport(ctx, *probes, *seed, *shards)
-		runPassive(*seed)
-		runRetries(*seed)
-		runImplications(*seed)
+		runCaching(ctx, o)
+		runDDoS(ctx, o)
+		runGlue(ctx, o)
+		runAdversary(ctx, o)
+		runTransport(ctx, o)
+		runPassive(o.seed)
+		runRetries(o.seed)
+		runImplications(o.seed)
 	default:
 		fmt.Fprintf(os.Stderr, "dikes: unknown subcommand %q\n", cmd)
 		flag.Usage()
@@ -185,6 +191,62 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dikes: %d campaign run(s) FAILED\n", campaignErrs)
 		os.Exit(1)
 	}
+}
+
+// config is the engine part of every run's RunConfig.
+func (o options) config() dikes.RunConfig {
+	return dikes.RunConfig{Probes: o.probes, Seed: o.seed, Shards: o.shards}
+}
+
+// traced is config plus the -trace settings, for the families that
+// record traces.
+func (o options) traced() dikes.RunConfig {
+	cfg := o.config()
+	if o.tracePath != "" {
+		cfg.Trace = &dikes.TraceConfig{SampleEvery: o.traceSample}
+	}
+	return cfg
+}
+
+// run executes items as one campaign, at most -workers runs in flight,
+// and returns their outcomes in item order. It owns what every
+// subcommand shares: -progress (one tracker over every planned cell),
+// Ctrl-C handling, per-run trace files and report collection. A failed
+// run is fatal.
+func (o options) run(ctx context.Context, label string, items []dikes.CampaignItem) []*dikes.Outcome {
+	var prog *dikes.Progress
+	if o.progress {
+		cells := 0
+		for _, it := range items {
+			cells += (it.Config.Probes + dikes.DefaultShardProbes - 1) / dikes.DefaultShardProbes
+		}
+		prog = dikes.NewProgress(nil, label, cells, 0)
+		for i := range items {
+			items[i].Config.Progress = prog
+		}
+	}
+	results, err := dikes.RunCampaign(ctx, items, o.workers)
+	prog.Finish()
+	if err != nil {
+		exitCancelled(err)
+	}
+	outs := make([]*dikes.Outcome, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			exitCancelled(fmt.Errorf("%s: %w", r.Item.Name, r.Err))
+		}
+		if r.Item.Config.Trace != nil {
+			o.writeTrace(r.Outcome.Trace, r.Item.Name, len(items) > 1)
+		}
+		collectReport(r.Outcome.Report)
+		outs[i] = r.Outcome
+	}
+	return outs
+}
+
+// item names one scenario run after the scenario.
+func item(sc dikes.Scenario, cfg dikes.RunConfig) dikes.CampaignItem {
+	return dikes.CampaignItem{Name: sc.Name(), Scenario: sc, Config: cfg}
 }
 
 // exitCancelled reports a context-cancelled run and exits with the
@@ -237,32 +299,21 @@ func header(s string) { fmt.Printf("\n================ %s ================\n", s
 // csvOut, when set, receives one CSV file per figure.
 var csvOut string
 
-// Trace/telemetry settings for the ddos runs (set from flags).
-var (
-	traceOut       string
-	traceChromeOut string
-	traceSampleN   int
-	progressOn     bool
-)
-
-// tracePathFor derives the output path of one experiment's trace: the
-// configured path as-is for a single experiment, with "-<name>" spliced
-// in before the extension when several run.
-func tracePathFor(base, spec string, multi bool) string {
+// tracePathFor derives the output path of one run's trace: the
+// configured path as-is for a single run, with "-<name>" spliced in
+// before the extension when several run.
+func tracePathFor(base, name string, multi bool) string {
 	if !multi {
 		return base
 	}
 	ext := filepath.Ext(base)
-	return strings.TrimSuffix(base, ext) + "-" + spec + ext
+	return strings.TrimSuffix(base, ext) + "-" + name + ext
 }
 
 // writeTrace exports one run's trace as JSONL (and optionally Chrome
 // trace_event JSON).
-func writeTrace(td *dikes.TraceData, spec string, multi bool) {
-	if td == nil {
-		return
-	}
-	path := tracePathFor(traceOut, spec, multi)
+func (o options) writeTrace(td *dikes.TraceData, name string, multi bool) {
+	path := tracePathFor(o.tracePath, name, multi)
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dikes: %v\n", err)
@@ -276,10 +327,10 @@ func writeTrace(td *dikes.TraceData, spec string, multi bool) {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d trace events)\n", path, td.Len())
-	if traceChromeOut == "" {
+	if o.traceChrome == "" {
 		return
 	}
-	cpath := tracePathFor(traceChromeOut, spec, multi)
+	cpath := tracePathFor(o.traceChrome, name, multi)
 	cf, err := os.Create(cpath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dikes: %v\n", err)
@@ -295,19 +346,6 @@ func writeTrace(td *dikes.TraceData, spec string, multi bool) {
 	fmt.Printf("wrote %s\n", cpath)
 }
 
-// newProgress builds the live telemetry tracker of one sharded run;
-// nil (telemetry off) unless -progress was given.
-func newProgress(label string, probes int) *dikes.Progress {
-	if !progressOn {
-		return nil
-	}
-	cells := (probes + dikes.DefaultShardProbes - 1) / dikes.DefaultShardProbes
-	if cells < 1 {
-		cells = 1
-	}
-	return dikes.NewProgress(nil, label, cells, 0)
-}
-
 func writeCSV(name, content string) {
 	if csvOut == "" {
 		return
@@ -320,9 +358,10 @@ func writeCSV(name, content string) {
 	fmt.Printf("wrote %s\n", path)
 }
 
-func runCaching(ctx context.Context, probes int, seed int64, workers, shards int) {
+func runCaching(ctx context.Context, o options) {
 	header("§3 caching baseline (Tables 1-3, Figures 3/13)")
-	configs := []struct {
+	var items []dikes.CampaignItem
+	for _, c := range []struct {
 		ttl      uint32
 		interval time.Duration
 	}{
@@ -331,42 +370,15 @@ func runCaching(ctx context.Context, probes int, seed int64, workers, shards int
 		{3600, 20 * time.Minute},
 		{86400, 20 * time.Minute},
 		{3600, 10 * time.Minute},
+	} {
+		fmt.Printf("running TTL=%d interval=%v ...\n", c.ttl, c.interval)
+		cfg := o.config()
+		cfg.TTL, cfg.ProbeInterval, cfg.Rounds = c.ttl, c.interval, 6
+		items = append(items, item(dikes.CachingScenario(), cfg))
 	}
 	var results []*dikes.CachingResult
-	if shards > 0 {
-		// Sharded engine: parallelism lives inside each run (cells fan
-		// out across cores), so the configs themselves run in sequence.
-		for _, c := range configs {
-			fmt.Printf("running TTL=%d interval=%v ...\n", c.ttl, c.interval)
-			prog := newProgress(fmt.Sprintf("caching-ttl%d", c.ttl), probes)
-			out, err := dikes.Run(ctx, dikes.CachingScenario(), dikes.RunConfig{
-				Probes: probes, Seed: seed, Shards: shards,
-				TTL: c.ttl, ProbeInterval: c.interval, Rounds: 6,
-				Progress: prog,
-			})
-			prog.Finish()
-			if err != nil {
-				exitCancelled(err)
-			}
-			results = append(results, out.Caching)
-		}
-	} else {
-		var cfgs []dikes.CachingConfig
-		for _, c := range configs {
-			fmt.Printf("running TTL=%d interval=%v ...\n", c.ttl, c.interval)
-			cfgs = append(cfgs, dikes.CachingConfig{
-				Probes: probes, TTL: c.ttl, ProbeInterval: c.interval,
-				Rounds: 6, Seed: seed,
-			})
-		}
-		var err error
-		results, err = dikes.RunCachingSweepCtx(ctx, cfgs, dikes.RunConfig{Workers: workers})
-		if err != nil {
-			exitCancelled(err)
-		}
-	}
-	for _, res := range results {
-		collectReport(res.Report)
+	for _, out := range o.run(ctx, "caching", items) {
+		results = append(results, out.Caching)
 	}
 	fmt.Printf("\nTable 1: caching baseline\n%s", dikes.RenderTable1(results))
 	fmt.Printf("\nTable 2: answer classification\n%s", dikes.RenderTable2(results))
@@ -375,10 +387,10 @@ func runCaching(ctx context.Context, probes int, seed int64, workers, shards int
 		results[1].Fig13.Table([]string{"AA", "CC", "AC", "CA", "Warmup"}))
 }
 
-func runDDoS(ctx context.Context, probes int, seed int64, exps string, pop dikes.PopulationConfig, workers, shards int) {
+func runDDoS(ctx context.Context, o options) {
 	header("§5-6 DDoS emulations (Table 4, Figures 6-12, 14-15)")
-	var specs []dikes.DDoSSpec
-	for _, name := range strings.Split(exps, ",") {
+	var items []dikes.CampaignItem
+	for _, name := range strings.Split(o.exps, ",") {
 		name = strings.TrimSpace(name)
 		spec, ok := dikes.SpecByName(name)
 		if !ok {
@@ -387,164 +399,89 @@ func runDDoS(ctx context.Context, probes int, seed int64, exps string, pop dikes
 		}
 		fmt.Printf("running experiment %s (TTL %d, %.0f%% loss) ...\n",
 			spec.Name, spec.TTL, spec.Loss*100)
-		specs = append(specs, spec)
+		cfg := o.traced()
+		cfg.Population = o.pop
+		// Worlds are retained only where the drill-down needs them.
+		cfg.KeepWorlds = spec.Name == "I"
+		items = append(items, dikes.CampaignItem{
+			Name: spec.Name, Scenario: dikes.DDoSScenario(spec), Config: cfg,
+		})
 	}
 	var results []*dikes.DDoSResult
-	var worlds []*dikes.ShardedTestbed
-	if shards > 0 {
-		// Sharded engine: run specs in sequence; each run fans its cells
-		// across cores and streams them into bounded-memory accumulators.
-		// Worlds are retained only where the drill-down needs them.
-		for _, spec := range specs {
-			cfg := dikes.RunConfig{
-				Probes: probes, Seed: seed, Population: pop,
-				Shards: shards, KeepWorlds: spec.Name == "I",
-			}
-			if traceOut != "" {
-				cfg.Trace = &dikes.TraceConfig{SampleEvery: traceSampleN}
-			}
-			prog := newProgress("ddos-"+spec.Name, probes)
-			cfg.Progress = prog
-			out, err := dikes.Run(ctx, dikes.DDoSScenario(spec), cfg)
-			prog.Finish()
-			if err != nil {
-				exitCancelled(err)
-			}
-			if traceOut != "" {
-				writeTrace(out.Trace, spec.Name, len(specs) > 1)
-			}
-			results = append(results, out.DDoS)
-			worlds = append(worlds, out.Worlds)
-		}
-	} else {
-		var testbeds []*dikes.Testbed
-		results, testbeds = dikes.RunDDoSMatrixWithTestbeds(specs, probes, seed, pop, workers)
-		for _, tb := range testbeds {
-			worlds = append(worlds, &dikes.ShardedTestbed{
-				ShardProbes: probes, Shards: []*dikes.Testbed{tb},
-			})
-		}
-	}
-	for _, res := range results {
-		collectReport(res.Report)
-	}
-	for i, res := range results {
-		spec := specs[i]
+	for _, out := range o.run(ctx, "ddos", items) {
+		res, name := out.DDoS, out.DDoS.Spec.Name
+		results = append(results, res)
 
-		fmt.Printf("\nFigure 6/8/14 (exp %s): answers per round\n%s", spec.Name,
+		fmt.Printf("\nFigure 6/8/14 (exp %s): answers per round\n%s", name,
 			res.Answers.Table([]string{"OK", "SERVFAIL", "NoAnswer"}))
-		fmt.Printf("Figure 9/15 (exp %s): latency quantiles\n%s", spec.Name, dikes.RenderLatency(res))
-		fmt.Printf("Figure 7 (exp %s): answer classes\n%s", spec.Name,
+		fmt.Printf("Figure 9/15 (exp %s): latency quantiles\n%s", name, dikes.RenderLatency(res))
+		fmt.Printf("Figure 7 (exp %s): answer classes\n%s", name,
 			res.Classes.Table([]string{"AA", "CC", "CA", "AC"}))
-		fmt.Printf("Figure 10 (exp %s): queries at the authoritatives\n%s", spec.Name,
+		fmt.Printf("Figure 10 (exp %s): queries at the authoritatives\n%s", name,
 			res.AuthQueries.Table([]string{"NS", "A-for-NS", "AAAA-for-NS", "AAAA-for-PID"}))
-		fmt.Printf("Figure 11 (exp %s): per-probe amplification\n%s", spec.Name,
+		fmt.Printf("Figure 11 (exp %s): per-probe amplification\n%s", name,
 			dikes.RenderAmplification(res))
-		fmt.Printf("Figure 12 (exp %s): unique Rn\n%s", spec.Name, dikes.RenderUniqueRn(res))
-		writeCSV("fig-answers-exp"+spec.Name+".csv",
+		fmt.Printf("Figure 12 (exp %s): unique Rn\n%s", name, dikes.RenderUniqueRn(res))
+		writeCSV("fig-answers-exp"+name+".csv",
 			dikes.SeriesCSV(res.Answers, []string{"OK", "SERVFAIL", "NoAnswer"}))
-		writeCSV("fig9-latency-exp"+spec.Name+".csv", dikes.LatencyCSV(res))
-		writeCSV("fig10-authload-exp"+spec.Name+".csv",
+		writeCSV("fig9-latency-exp"+name+".csv", dikes.LatencyCSV(res))
+		writeCSV("fig10-authload-exp"+name+".csv",
 			dikes.SeriesCSV(res.AuthQueries, []string{"NS", "A-for-NS", "AAAA-for-NS", "AAAA-for-PID"}))
-		writeCSV("fig11-amplification-exp"+spec.Name+".csv", dikes.AmplificationCSV(res))
-		writeCSV("fig12-uniquern-exp"+spec.Name+".csv", dikes.UniqueRnCSV(res))
-		if spec.Name == "I" && worlds[i] != nil {
-			ref := worlds[i].BusiestProbe()
+		writeCSV("fig11-amplification-exp"+name+".csv", dikes.AmplificationCSV(res))
+		writeCSV("fig12-uniquern-exp"+name+".csv", dikes.UniqueRnCSV(res))
+		if out.Worlds != nil {
+			ref := out.Worlds.BusiestProbe()
 			fmt.Printf("Table 7 (exp I): per-probe drill-down\n%s",
-				dikes.RenderTable7(worlds[i].PerProbe(res, ref)))
+				dikes.RenderTable7(out.Worlds.PerProbe(res, ref)))
 		}
 	}
 	fmt.Printf("\nTable 4: experiment matrix\n%s", dikes.RenderTable4(results))
 }
 
-func runGlue(ctx context.Context, probes int, seed int64, shards int) {
+func runGlue(ctx context.Context, o options) {
 	header("Appendix A: glue vs authoritative TTL (Table 5)")
-	prog := newProgress("glue", probes)
-	out, err := dikes.Run(ctx, dikes.GlueScenario(), dikes.RunConfig{
-		Probes: probes, Seed: seed, Shards: shards, Progress: prog,
-	})
-	prog.Finish()
-	if err != nil {
-		exitCancelled(err)
-	}
-	collectReport(out.Report)
+	out := o.run(ctx, "glue", []dikes.CampaignItem{item(dikes.GlueScenario(), o.config())})[0]
 	fmt.Print(dikes.RenderTable5(out.Glue))
 }
 
-func runAdversary(ctx context.Context, probes int, seed int64, shards int) {
+func runAdversary(ctx context.Context, o options) {
 	header("adversary family: NXNS amplification, off-path poisoning, reflection")
-
-	// One sharded (or monolithic, shards=0) run per scenario; each gets
-	// its own trace file when -trace is set, named after the scenario.
-	run := func(sc dikes.Scenario) *dikes.Outcome {
-		cfg := dikes.RunConfig{Probes: probes, Seed: seed, Shards: shards}
-		if traceOut != "" {
-			cfg.Trace = &dikes.TraceConfig{SampleEvery: traceSampleN}
-		}
-		prog := newProgress(sc.Name(), probes)
-		cfg.Progress = prog
-		out, err := dikes.Run(ctx, sc, cfg)
-		prog.Finish()
-		if err != nil {
-			exitCancelled(err)
-		}
-		if traceOut != "" {
-			writeTrace(out.Trace, sc.Name(), true)
-		}
-		collectReport(out.Report)
-		return out
-	}
+	cfg := o.traced()
+	outs := o.run(ctx, "adversary", []dikes.CampaignItem{
+		item(dikes.NXNSScenario(dikes.NXNSSpec{}), cfg),
+		item(dikes.NXNSScenario(dikes.NXNSSpec{MaxFetch: 5}), cfg),
+		item(dikes.PoisonScenario(dikes.PoisonSpec{NoBailiwick: true}), cfg),
+		item(dikes.PoisonScenario(dikes.PoisonSpec{}), cfg),
+		item(dikes.PoisonScenario(dikes.PoisonSpec{RandomIDs: true, NoBailiwick: true}), cfg),
+		item(dikes.PoisonScenario(dikes.PoisonSpec{RandomIDs: true}), cfg),
+		item(dikes.ReflectScenario(dikes.ReflectSpec{}), cfg),
+	})
 
 	fmt.Printf("\nNXNS-style referral amplification vs delegation width\n")
-	for _, k := range []int{0, 5} {
-		out := run(dikes.NXNSScenario(dikes.NXNSSpec{MaxFetch: k}))
+	for _, out := range outs[:2] {
 		fmt.Print(dikes.RenderNXNS(out.NXNS))
 		fmt.Println()
 	}
 
 	fmt.Printf("off-path poisoning: success vs query-ID entropy and bailiwick checking\n")
 	var poisons []*dikes.PoisonResult
-	for _, spec := range []dikes.PoisonSpec{
-		{NoBailiwick: true},
-		{},
-		{RandomIDs: true, NoBailiwick: true},
-		{RandomIDs: true},
-	} {
-		out := run(dikes.PoisonScenario(spec))
+	for _, out := range outs[2:6] {
 		poisons = append(poisons, out.Poison)
 	}
 	fmt.Print(dikes.RenderPoison(poisons))
 
 	fmt.Printf("\nreflection: victim-side amplification by query shape\n")
-	out := run(dikes.ReflectScenario(dikes.ReflectSpec{}))
-	fmt.Print(dikes.RenderReflect(out.Reflect))
+	fmt.Print(dikes.RenderReflect(outs[6].Reflect))
 }
 
-func runTransport(ctx context.Context, probes int, seed int64, shards int) {
+func runTransport(ctx context.Context, o options) {
 	header("transport family: EDNS0 buffers, truncation, and DoTCP fallback")
-
-	run := func(sc dikes.Scenario) *dikes.Outcome {
-		cfg := dikes.RunConfig{Probes: probes, Seed: seed, Shards: shards}
-		if traceOut != "" {
-			cfg.Trace = &dikes.TraceConfig{SampleEvery: traceSampleN}
-		}
-		prog := newProgress(sc.Name(), probes)
-		cfg.Progress = prog
-		out, err := dikes.Run(ctx, sc, cfg)
-		prog.Finish()
-		if err != nil {
-			exitCancelled(err)
-		}
-		if traceOut != "" {
-			writeTrace(out.Trace, sc.Name(), true)
-		}
-		collectReport(out.Report)
-		return out
-	}
-
-	fmt.Printf("\nanswer rate per (EDNS0 buffer, fallback coverage) population\n")
+	var items []dikes.CampaignItem
 	for _, flood := range []float64{0, 0.5, 0.9} {
-		out := run(dikes.TransportScenario(dikes.TransportSpec{Flood: flood}))
+		items = append(items, item(dikes.TransportScenario(dikes.TransportSpec{Flood: flood}), o.traced()))
+	}
+	fmt.Printf("\nanswer rate per (EDNS0 buffer, fallback coverage) population\n")
+	for _, out := range o.run(ctx, "transport", items) {
 		fmt.Print(dikes.RenderTransport(out.Transport))
 		fmt.Println()
 	}
@@ -572,14 +509,11 @@ func runPassive(seed int64) {
 	}
 }
 
-func runCheck(ctx context.Context, probes int, seed int64, shards, workers int) {
+func runCheck(ctx context.Context, o options) {
 	header("reproduction self-test (paper claims vs this run)")
-	out, err := dikes.Run(ctx, dikes.CheckScenario(), dikes.RunConfig{
-		Probes: probes, Seed: seed, Shards: shards, Workers: workers,
-	})
-	if err != nil {
-		exitCancelled(err)
-	}
+	cfg := o.config()
+	cfg.Workers = o.workers
+	out := o.run(ctx, "check", []dikes.CampaignItem{item(dikes.CheckScenario(), cfg)})[0]
 	table, ok := dikes.RenderCheck(out.Check)
 	fmt.Print(table)
 	if !ok {

@@ -22,7 +22,7 @@ import (
 	dikes "repro"
 )
 
-func runTimelineCmd(ctx context.Context, args []string, probes int, seed int64, shards int, pop dikes.PopulationConfig) {
+func runTimelineCmd(ctx context.Context, args []string, o options) {
 	fs := flag.NewFlagSet("dikes timeline", flag.ExitOnError)
 	exps := fs.String("exp", "H", "comma-separated DDoS experiments (A-I)")
 	bucket := fs.Duration("bucket", time.Minute, "series bin width in simulated time")
@@ -36,35 +36,24 @@ func runTimelineCmd(ctx context.Context, args []string, probes int, seed int64, 
 
 	names := strings.Split(*exps, ",")
 	header("timeline: per-bucket series over the attack event")
+	var items []dikes.CampaignItem
 	for _, name := range names {
-		name = strings.TrimSpace(name)
-		spec, ok := dikes.SpecByName(name)
+		spec, ok := dikes.SpecByName(strings.TrimSpace(name))
 		if !ok {
 			fmt.Fprintf(os.Stderr, "dikes: unknown experiment %q\n", name)
 			os.Exit(2)
 		}
 		fmt.Printf("running experiment %s (TTL %d, %.0f%% loss) ...\n",
 			spec.Name, spec.TTL, spec.Loss*100)
-		cfg := dikes.RunConfig{
-			Probes: probes, Seed: seed, Population: pop,
-			Timeline: &dikes.TimelineConfig{Bucket: *bucket},
-		}
-		if shards > 0 {
-			cfg.Shards = shards
-		}
-		prog := newProgress("timeline-"+spec.Name, probes)
-		cfg.Progress = prog
-		out, err := dikes.Run(ctx, dikes.DDoSScenario(spec), cfg)
-		prog.Finish()
-		if err != nil {
-			exitCancelled(err)
-		}
-		collectReport(out.Report)
-		tl := out.Timeline
-		if tl == nil {
-			fmt.Fprintf(os.Stderr, "dikes: experiment %s produced no timeline\n", spec.Name)
-			os.Exit(1)
-		}
+		cfg := o.config()
+		cfg.Population = o.pop
+		cfg.Timeline = &dikes.TimelineConfig{Bucket: *bucket}
+		items = append(items, dikes.CampaignItem{
+			Name: spec.Name, Scenario: dikes.DDoSScenario(spec), Config: cfg,
+		})
+	}
+	for _, out := range o.run(ctx, "timeline", items) {
+		spec, tl := out.DDoS.Spec, out.Timeline
 
 		fmt.Printf("\nTimeline (exp %s): per-%s series\n%s", spec.Name, tl.Bucket, tl.Table())
 		fmt.Printf("%s\n", tl.Sparkline())

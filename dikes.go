@@ -15,28 +15,31 @@
 //     inbound loss (the DDoS emulation dial),
 //   - an Atlas-like vantage-point fleet and the paper's AA/CC/AC/CA answer
 //     classifier,
-//   - experiment runners for every table and figure in the paper.
+//   - a Scenario for every table and figure in the paper.
 //
-// Most users start from the experiment runners:
+// There are two ways to run anything: Run executes one Scenario,
+// RunCampaign executes many. The §3 caching baseline:
 //
-//	res := dikes.RunCaching(dikes.CachingConfig{Probes: 1000, TTL: 3600})
-//	fmt.Print(dikes.RenderTable2([]*dikes.CachingResult{res}))
+//	out, err := dikes.Run(ctx, dikes.CachingScenario(),
+//		dikes.RunConfig{Probes: 1000, TTL: 3600})
+//	fmt.Print(dikes.RenderTable2([]*dikes.CachingResult{out.Caching}))
 //
-// or emulate an attack:
+// or an emulated attack:
 //
 //	spec, _ := dikes.SpecByName("H") // 90% loss, TTL 1800
-//	res := dikes.RunDDoS(spec, 1000, 42, dikes.PopulationConfig{})
-//	fmt.Printf("failure rate under attack: %.0f%%\n", 100*res.FailureRate(9))
+//	out, err := dikes.Run(ctx, dikes.DDoSScenario(spec),
+//		dikes.RunConfig{Probes: 1000, Seed: 42})
+//	fmt.Printf("failure rate under attack: %.0f%%\n", 100*out.DDoS.FailureRate(9))
 //
-// For custom topologies, the engine types (Resolver, Authoritative, Stub,
-// Network, virtual Clock, Zone) are exported below; see the examples/
-// directory.
+// This facade re-exports what cmd/, examples/ and the root tests use;
+// for custom topologies the engine constructors (NewResolver,
+// NewAuthoritative, NewStub, NewNetwork, NewVirtualClock) are exported
+// below; see the examples/ directory.
 package dikes
 
 import (
 	"repro/internal/authoritative"
 	"repro/internal/cache"
-	"repro/internal/classify"
 	"repro/internal/clock"
 	"repro/internal/ddos"
 	"repro/internal/dnssec"
@@ -48,12 +51,10 @@ import (
 	"repro/internal/recursive"
 	"repro/internal/retrymodel"
 	"repro/internal/spec"
-	"repro/internal/stats"
 	"repro/internal/stub"
 	"repro/internal/telemetry"
 	"repro/internal/timeline"
 	"repro/internal/trace"
-	"repro/internal/vantage"
 	"repro/internal/zone"
 )
 
@@ -61,31 +62,19 @@ import (
 type (
 	// Message is a DNS message.
 	Message = dnswire.Message
-	// Question is a DNS question-section entry.
-	Question = dnswire.Question
 	// RR is a resource record.
 	RR = dnswire.RR
-	// RData is typed record data.
-	RData = dnswire.RData
 	// Type is a record type.
 	Type = dnswire.Type
-	// RCode is a response code.
-	RCode = dnswire.RCode
 )
 
 // Commonly used record types and response codes.
 const (
-	TypeA     = dnswire.TypeA
-	TypeAAAA  = dnswire.TypeAAAA
-	TypeNS    = dnswire.TypeNS
-	TypeCNAME = dnswire.TypeCNAME
-	TypeSOA   = dnswire.TypeSOA
-	TypeTXT   = dnswire.TypeTXT
-	TypeDS    = dnswire.TypeDS
+	TypeA    = dnswire.TypeA
+	TypeAAAA = dnswire.TypeAAAA
+	TypeNS   = dnswire.TypeNS
 
-	RCodeNoError  = dnswire.RCodeNoError
-	RCodeServFail = dnswire.RCodeServFail
-	RCodeNXDomain = dnswire.RCodeNXDomain
+	RCodeNoError = dnswire.RCodeNoError
 )
 
 // Wire helpers.
@@ -103,18 +92,8 @@ var (
 
 // Simulation substrate.
 type (
-	// Clock abstracts time for the engines.
-	Clock = clock.Clock
-	// VirtualClock is the deterministic event-loop clock.
-	VirtualClock = clock.Virtual
-	// RealClock is the wall clock.
-	RealClock = clock.Real
-	// Network is the lossy message-level network simulator.
-	Network = netsim.Network
 	// Addr identifies a simulated host.
 	Addr = netsim.Addr
-	// Conn is the transport contract engines program against.
-	Conn = netsim.Conn
 	// Attack is a scheduled DDoS (inbound loss window).
 	Attack = ddos.Attack
 	// Flood is a volumetric attack expressed as offered load vs capacity.
@@ -129,66 +108,37 @@ var (
 	NewNetwork = netsim.New
 	// ScheduleAttack arms a DDoS on a network.
 	ScheduleAttack = ddos.Schedule
-	// ScheduleFlood arms a capacity-based volumetric attack.
-	ScheduleFlood = ddos.ScheduleFlood
 )
 
-// Zone data.
-type (
-	// Zone stores one DNS zone.
-	Zone = zone.Zone
-	// ZoneResult is a zone lookup outcome.
-	ZoneResult = zone.Result
-)
+// Zone stores one DNS zone.
+type Zone = zone.Zone
 
-// Zone constructors.
-var (
-	// NewZone creates an empty zone.
-	NewZone = zone.New
-	// ParseZone reads RFC 1035 master-file format.
-	ParseZone = zone.Parse
-	// ParseZoneString is ParseZone on a string.
-	ParseZoneString = zone.ParseString
-)
+// ParseZoneString reads a zone in RFC 1035 master-file format.
+var ParseZoneString = zone.ParseString
 
 // Server and resolver engines.
 type (
-	// Authoritative is the authoritative server engine.
-	Authoritative = authoritative.Server
 	// Resolver is the caching recursive resolver engine.
 	Resolver = recursive.Resolver
 	// ResolverConfig tunes a Resolver.
 	ResolverConfig = recursive.Config
 	// ServerHint names a root or forwarder server.
 	ServerHint = recursive.ServerHint
-	// HarvestMode selects NS-record background fetching behavior.
-	HarvestMode = recursive.HarvestMode
 	// ResolveResult is the outcome of a Resolver.Resolve call.
 	ResolveResult = recursive.Result
 	// CacheConfig tunes the resolver cache.
 	CacheConfig = cache.Config
-	// Stub is the client-side stub resolver.
-	Stub = stub.Client
 	// StubConfig tunes a Stub.
 	StubConfig = stub.Config
 	// StubResult is a stub query outcome.
 	StubResult = stub.Result
 )
 
-// Harvest modes.
-const (
-	HarvestNone = recursive.HarvestNone
-	HarvestAAAA = recursive.HarvestAAAA
-	HarvestFull = recursive.HarvestFull
-)
+// HarvestFull makes iterative resolvers harvest NS records in the
+// background (the Unbound-like population of Figure 10).
+const HarvestFull = recursive.HarvestFull
 
-// DNSSEC (Ed25519, RFC 8080).
-type (
-	// SigningKey is a zone signing key pair.
-	SigningKey = dnssec.Key
-)
-
-// DNSSEC helpers.
+// DNSSEC helpers (Ed25519, RFC 8080).
 var (
 	// GenerateKey creates an Ed25519 zone key.
 	GenerateKey = dnssec.GenerateKey
@@ -196,16 +146,10 @@ var (
 	SignZone = dnssec.SignZone
 	// VerifyRRSet checks an RRSIG over an RRset.
 	VerifyRRSet = dnssec.Verify
-	// VerifyDS checks a DNSKEY against its parent-side DS.
-	VerifyDS = dnssec.VerifyDS
 )
 
-// DNSSEC constants.
-const (
-	AlgorithmEd25519 = dnssec.AlgorithmEd25519
-	FlagZone         = dnssec.FlagZone
-	FlagSEP          = dnssec.FlagSEP
-)
+// FlagZone is the DNSKEY zone-key flag.
+const FlagZone = dnssec.FlagZone
 
 // Engine constructors.
 var (
@@ -217,31 +161,19 @@ var (
 	NewStub = stub.New
 )
 
-// Measurement and classification.
-type (
-	// Probe is an Atlas-like vantage-point probe.
-	Probe = vantage.Probe
-	// ProbeAnswer is one vantage-point observation.
-	ProbeAnswer = vantage.Answer
-	// Category is the paper's AA/CC/AC/CA answer class.
-	Category = classify.Category
-	// ClassifyTracker classifies one vantage point's answer stream.
-	ClassifyTracker = classify.Tracker
-)
-
-// Scenario API — the unified, cancellable, shard-capable entry point for
-// every experiment family (DESIGN.md §11). Construct a Scenario, describe
-// the run with a RunConfig, and execute it with Run:
+// Scenario API — the unified, cancellable entry point for every
+// experiment family (DESIGN.md §11). Construct a Scenario, describe the
+// run with a RunConfig, and execute it with Run:
 //
 //	spec, _ := dikes.SpecByName("H")
 //	out, err := dikes.Run(ctx, dikes.DDoSScenario(spec), dikes.RunConfig{
 //		Probes: 1_000_000, Seed: 42, Shards: 8,
 //	})
 //
-// Shards > 0 selects the sharded streaming engine: the population is
-// split into fixed-size cells that run concurrently and merge into
-// bounded-memory accumulators; results are byte-identical for every
-// shard count. Shards == 0 runs the legacy monolithic engine.
+// The population is split into fixed-size cells (RunConfig.ShardProbes,
+// default 4096) that merge into bounded-memory accumulators; Shards is
+// how many cells run at once, and results are byte-identical for every
+// value.
 type (
 	// Scenario is a runnable experiment family.
 	Scenario = experiment.Scenario
@@ -251,10 +183,6 @@ type (
 	// Outcome bundles whichever results the scenario produced plus the
 	// merged run report.
 	Outcome = experiment.Outcome
-	// ShardedTestbed is the retained per-cell worlds of a KeepWorlds run.
-	ShardedTestbed = experiment.ShardedTestbed
-	// ProbeRef addresses one probe inside a sharded run.
-	ProbeRef = experiment.ProbeRef
 )
 
 // Scenario constructors and the runner.
@@ -279,74 +207,28 @@ var (
 	// TransportScenario is the DoTCP-fallback resiliency study (buffer
 	// size × TCP fallback × flood).
 	TransportScenario = experiment.TransportScenario
-	// RunDDoSMatrixCtx is the cancellable Table 4 matrix runner.
-	RunDDoSMatrixCtx = experiment.RunDDoSMatrixCtx
-	// RunCachingSweepCtx is the cancellable §3 sweep runner.
-	RunCachingSweepCtx = experiment.RunCachingSweepCtx
-	// ReplicateCtx is the cancellable multi-seed replicator.
-	ReplicateCtx = experiment.ReplicateCtx
 )
 
-// ErrCancelled is returned (wrapped) by Run and the *Ctx fan-outs when
-// the context fires; partial results accompany it where possible.
+// ErrCancelled is returned (wrapped) by Run and RunCampaign when the
+// context fires; partial results accompany it where possible.
 var ErrCancelled = experiment.ErrCancelled
 
-// Sharding limits.
-const (
-	// DefaultShardProbes is the cell size used when Shards > 0 and
-	// ShardProbes is left zero.
-	DefaultShardProbes = experiment.DefaultShardProbes
-	// MaxShardProbes is the largest allowed cell (probe IDs are
-	// cell-local uint16s).
-	MaxShardProbes = experiment.MaxShardProbes
-)
+// DefaultShardProbes is the cell size used when RunConfig.ShardProbes is
+// left zero.
+const DefaultShardProbes = experiment.DefaultShardProbes
 
 // Declarative spec + campaign layer: JSON scenario specs (internal/spec)
 // compile onto the Scenario API and run as one campaign with a
 // consolidated cross-scenario report. `dikes campaign` is the CLI front
 // door; examples/specs/ holds the committed paper campaigns.
-type (
-	// ScenarioSpec is one declarative scenario-spec document.
-	ScenarioSpec = spec.Spec
-	// CampaignItem is one compiled run of a campaign.
-	CampaignItem = experiment.CampaignItem
-	// CampaignResult pairs a campaign item with its outcome or error.
-	CampaignResult = experiment.CampaignResult
-	// PassiveResult bundles the §4 production-zone models.
-	PassiveResult = experiment.PassiveResult
-	// RetriesResult is the §6.2/Appendix E software-retry matrix.
-	RetriesResult = experiment.RetriesResult
-	// RetryRow is one profile/state line of the retry study.
-	RetryRow = experiment.RetryRow
-	// AttackPhase is one time-windowed disruption phase (staged attacks).
-	AttackPhase = ddos.Phase
-	// AttackPlan schedules a phase list against a testbed's targets.
-	AttackPlan = ddos.Plan
-	// FailureMode selects a phase's failure mode.
-	FailureMode = ddos.FailureMode
-)
 
-// Failure modes for staged attack phases.
-const (
-	// ModeDrop silently drops queries (packet loss).
-	ModeDrop = ddos.ModeDrop
-	// ModeNXDomain forces NXDOMAIN answers (hijack/poisoning-style).
-	ModeNXDomain = ddos.ModeNXDomain
-	// ModeServFail forces SERVFAIL answers (broken-resolution-style).
-	ModeServFail = ddos.ModeServFail
-)
+// CampaignItem is one compiled run of a campaign.
+type CampaignItem = experiment.CampaignItem
 
+// Spec loading and the campaign runner.
 var (
 	// LoadSpec reads and strict-parses one spec file.
 	LoadSpec = spec.Load
-	// ParseSpec strict-parses one spec document.
-	ParseSpec = spec.Parse
-	// ValidateSpec checks a spec against the schema rules.
-	ValidateSpec = spec.Validate
-	// ExpandSpec matrix-expands sweep axes into one spec per point.
-	ExpandSpec = spec.Expand
-	// CompileSpec lowers one expanded spec onto (Scenario, RunConfig).
-	CompileSpec = spec.Compile
 	// CompileSpecAll expands and compiles a spec into campaign items.
 	CompileSpecAll = spec.CompileAll
 	// RunCampaign executes campaign items with fan-out + cancellation.
@@ -358,22 +240,10 @@ var (
 	RenderCampaign = experiment.RenderCampaign
 	// CampaignCSV renders the campaign summary as CSV.
 	CampaignCSV = experiment.CampaignCSV
-	// PassiveScenario, RetriesScenario, and ImplicationsScenario wrap
-	// the remaining paper families as Scenarios.
-	PassiveScenario      = experiment.PassiveScenario
-	RetriesScenario      = experiment.RetriesScenario
-	ImplicationsScenario = experiment.ImplicationsScenario
-	// RenderPassive and RenderRetries format those families' figures.
-	RenderPassive = experiment.RenderPassive
-	RenderRetries = experiment.RenderRetries
-	// SchedulePhases arms a staged multi-phase disruption on a network.
-	SchedulePhases = ddos.SchedulePhases
 )
 
 // Experiment runners — one per paper table/figure family.
 type (
-	// CachingConfig parameterizes a §3 caching baseline run.
-	CachingConfig = experiment.CachingConfig
 	// CachingResult bundles Tables 1–3 and Figure 3/13 data.
 	CachingResult = experiment.CachingResult
 	// DDoSSpec is a row of Table 4 (an emulated attack).
@@ -382,110 +252,45 @@ type (
 	DDoSResult = experiment.DDoSResult
 	// PopulationConfig tunes the resolver-population mix.
 	PopulationConfig = experiment.PopulationConfig
-	// Testbed is the assembled simulated ecosystem.
-	Testbed = experiment.Testbed
 	// TestbedConfig sizes a testbed.
 	TestbedConfig = experiment.TestbedConfig
-	// GlueResult is the Appendix A Table 5 outcome.
-	GlueResult = experiment.GlueResult
-	// Table7 is the Appendix F per-probe drill-down.
-	Table7 = experiment.Table7
 	// ImplicationsConfig parameterizes the §8 root-vs-CDN scenario.
 	ImplicationsConfig = experiment.ImplicationsConfig
-	// ImplicationsResult is the §8 scenario outcome.
-	ImplicationsResult = experiment.ImplicationsResult
 	// NlSimConfig parameterizes the simulation-derived Figure 4 variant.
 	NlSimConfig = experiment.NlSimConfig
-	// NlSimResult is its outcome.
-	NlSimResult = experiment.NlSimResult
 	// NXNSSpec shapes the NXNS amplification experiment.
 	NXNSSpec = experiment.NXNSSpec
-	// NXNSResult is its amplification-vs-width outcome.
-	NXNSResult = experiment.NXNSResult
 	// PoisonSpec shapes the off-path poisoning experiment.
 	PoisonSpec = experiment.PoisonSpec
 	// PoisonResult is one defense combo's poisoning outcome.
 	PoisonResult = experiment.PoisonResult
 	// ReflectSpec shapes the reflection/amplification experiment.
 	ReflectSpec = experiment.ReflectSpec
-	// ReflectResult is its per-shape amplification outcome.
-	ReflectResult = experiment.ReflectResult
 	// TransportSpec shapes the DoTCP-fallback transport experiment.
 	TransportSpec = experiment.TransportSpec
-	// TransportResult is its answer-rate-per-population outcome.
-	TransportResult = experiment.TransportResult
-	// TransportRow is one (buffer, fallback) population of the result.
-	TransportRow = experiment.TransportRow
-	// FallbackMode says which legs of the path may retry over TCP.
-	FallbackMode = experiment.FallbackMode
-	// NlConfig and RootConfig parameterize the §4 passive analyses.
+	// NlConfig parameterizes the Figure 4 synthesis.
 	NlConfig = passive.NlConfig
-	// NlResult is the Figure 4 outcome.
-	NlResult = passive.NlResult
 	// RootConfig parameterizes the Figure 5 synthesis.
 	RootConfig = passive.RootConfig
-	// RootResult is the Figure 5 outcome.
-	RootResult = passive.RootResult
 	// RetryProfile models a resolver implementation (§6.2).
 	RetryProfile = retrymodel.Profile
-	// RetryResult summarizes retry-count trials (Figure 16).
-	RetryResult = retrymodel.Result
-	// Summary holds latency quantiles (Figure 9).
-	Summary = stats.Summary
-	// RoundSeries is a per-round labeled counter series.
-	RoundSeries = stats.RoundSeries
 	// Report is one run's metrics snapshot plus invariant verdicts
 	// (DESIGN.md §9); experiment results carry one in their Report field.
 	Report = metrics.Report
-	// Invariant is a single cross-component accounting check.
-	Invariant = metrics.Invariant
-	// MetricsSnapshot is a registry snapshot (scopes sorted by name).
-	MetricsSnapshot = metrics.Snapshot
-	// MetricsRegistry is a named-scope metrics registry.
-	MetricsRegistry = metrics.Registry
 	// Histogram is a fixed-bounds histogram metric.
 	Histogram = metrics.Histogram
-	// HistogramSnapshot is a point-in-time histogram view with quantile
-	// estimation.
-	HistogramSnapshot = metrics.HistogramSnapshot
-	// HistogramSummary is the count/mean/P50/P90/P99 digest of a snapshot.
-	HistogramSummary = metrics.HistogramSummary
 )
 
 // Experiment entry points.
 var (
-	// RunCaching executes one §3 caching baseline (Tables 1–3).
-	RunCaching = experiment.RunCaching
-	// RunCachingSweep executes several §3 baselines concurrently.
-	RunCachingSweep = experiment.RunCachingSweep
-	// RunDDoS executes one Table 4 attack emulation.
-	RunDDoS = experiment.RunDDoS
-	// RunDDoSWithTestbed also returns the testbed for drill-downs.
-	RunDDoSWithTestbed = experiment.RunDDoSWithTestbed
-	// RunDDoSMatrix executes several Table 4 attacks concurrently.
-	RunDDoSMatrix = experiment.RunDDoSMatrix
-	// RunDDoSMatrixWithTestbeds is RunDDoSMatrix plus drill-down testbeds.
-	RunDDoSMatrixWithTestbeds = experiment.RunDDoSMatrixWithTestbeds
-	// Replicate runs a metric across seeds in parallel and summarizes it.
-	Replicate = experiment.Replicate
-	// ReplicateWithReports is Replicate plus each seed's run report.
-	ReplicateWithReports = experiment.ReplicateWithReports
 	// WriteReportsJSON writes run reports as one JSON document.
 	WriteReportsJSON = metrics.WriteReportsJSON
-	// RunGlueVsAuth executes the Appendix A TTL-trust experiment.
-	RunGlueVsAuth = experiment.RunGlueVsAuth
-	// PerProbe computes the Appendix F Table 7 for one probe.
-	PerProbe = experiment.PerProbe
-	// BusiestProbe picks a drill-down subject.
-	BusiestProbe = experiment.BusiestProbe
 	// SpecByName returns a paper experiment (A–I) by name.
 	SpecByName = experiment.SpecByName
 	// NewTestbed assembles a simulated ecosystem for custom studies.
 	NewTestbed = experiment.NewTestbed
 	// RunImplications executes the §8 root-vs-CDN attack comparison.
 	RunImplications = experiment.RunImplications
-	// Check runs the reproduction self-test against the paper's claims.
-	Check = experiment.Check
 	// RenderCheck prints a Check result table.
 	RenderCheck = experiment.RenderCheck
 	// RunNl executes the §4.1 .nl inter-arrival analysis (Figure 4).
@@ -528,13 +333,6 @@ var (
 	RenderTransport     = experiment.RenderTransport
 )
 
-// Fallback modes of the transport scenario.
-const (
-	FallbackNone     = experiment.FallbackNone
-	FallbackResolver = experiment.FallbackResolver
-	FallbackFull     = experiment.FallbackFull
-)
-
 // Tracing and telemetry (DESIGN.md §12). Set RunConfig.Trace to record a
 // deterministic query-lifecycle trace; the Outcome's Trace data exports
 // to JSONL or Chrome trace_event format and reconstructs per-VP query
@@ -545,42 +343,18 @@ type (
 	TraceConfig = trace.Config
 	// TraceData is a run's merged per-cell trace.
 	TraceData = trace.Data
-	// TraceEvent is one lifecycle event.
-	TraceEvent = trace.Event
-	// TraceSpan is one reconstructed stub query span.
-	TraceSpan = trace.Span
-	// TraceBuffer is one cell's event ring (for custom topologies: every
-	// engine has a SetTrace method accepting one).
-	TraceBuffer = trace.Buffer
 	// Progress is the live telemetry tracker of a sharded run.
 	Progress = telemetry.Progress
 	// TimelineConfig sizes per-bucket simulated-time series collection
 	// (RunConfig.Timeline).
 	TimelineConfig = timeline.Config
-	// Timeline is a run's merged per-bucket series (Outcome.Timeline).
-	Timeline = timeline.Timeline
-	// TimelineMark is one attack-phase boundary annotation.
-	TimelineMark = timeline.Mark
-	// TimelineMetric indexes one of the tracked per-bucket series.
-	TimelineMetric = timeline.Metric
 )
 
-// Timeline series indices (see timeline.Metric).
-const (
-	TimelineAnswered        = timeline.Answered
-	TimelineFailed          = timeline.Failed
-	TimelineServFail        = timeline.ServFail
-	TimelineStaleServed     = timeline.StaleServed
-	TimelineCacheHit        = timeline.CacheHit
-	TimelineRetry           = timeline.Retry
-	TimelineTCPFallback     = timeline.TCPFallback
-	TimelineUpstreamTimeout = timeline.UpstreamTimeout
-)
+// TimelineAnswered indexes the answered-queries series of a Timeline.
+const TimelineAnswered = timeline.Answered
 
 // Tracing and telemetry helpers.
 var (
-	// NewTraceBuffer creates an event ring on a clock.
-	NewTraceBuffer = trace.NewBuffer
 	// ReadTraceJSONL parses a trace written by TraceData.WriteJSONL.
 	ReadTraceJSONL = trace.ReadJSONL
 	// ValidateChromeTrace checks an exported Chrome trace_event document.
@@ -592,14 +366,8 @@ var (
 	// ServeTelemetry starts the expvar + pprof + OpenMetrics HTTP
 	// endpoint; it returns (addr, shutdown, error).
 	ServeTelemetry = telemetry.Serve
-	// WriteOpenMetrics renders a metrics snapshot in OpenMetrics text
-	// format.
-	WriteOpenMetrics = telemetry.WriteOpenMetrics
 )
-
-// MustA builds A record data from an IPv4 literal, panicking on bad input.
-func MustA(s string) RData { return dnswire.A{Addr: dnswire.MustAddr(s)} }
 
 // MustAAAA builds AAAA record data from an IPv6 literal, panicking on bad
 // input.
-func MustAAAA(s string) RData { return dnswire.AAAA{Addr: dnswire.MustAddr(s)} }
+func MustAAAA(s string) dnswire.RData { return dnswire.AAAA{Addr: dnswire.MustAddr(s)} }

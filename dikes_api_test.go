@@ -1,6 +1,7 @@
 package dikes_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -84,9 +85,10 @@ func TestFacadeExperimentEntryPoints(t *testing.T) {
 	if len(dikes.PaperExperiments) != 9 {
 		t.Fatalf("PaperExperiments = %d, want 9 (A-I)", len(dikes.PaperExperiments))
 	}
-	caching := dikes.RunCaching(dikes.CachingConfig{Probes: 40, Rounds: 3, Seed: 1})
-	if caching.Table1.Queries == 0 {
-		t.Error("RunCaching produced nothing")
+	caching, err := dikes.Run(context.Background(), dikes.CachingScenario(),
+		dikes.RunConfig{Probes: 40, Rounds: 3, Seed: 1})
+	if err != nil || caching.Caching.Table1.Queries == 0 {
+		t.Errorf("CachingScenario produced nothing (err %v)", err)
 	}
 	nl := dikes.RunNl(dikes.NlConfig{Resolvers: 200, Seed: 1})
 	if nl.ECDF.Len() == 0 {
@@ -100,11 +102,12 @@ func TestFacadeExperimentEntryPoints(t *testing.T) {
 	if retr.Answered != 3 {
 		t.Errorf("retry trials answered %d/3", retr.Answered)
 	}
-	glue := dikes.RunGlueVsAuth(30, 1, dikes.PopulationConfig{})
-	if glue.NS.Total == 0 {
-		t.Error("RunGlueVsAuth produced nothing")
+	glue, err := dikes.Run(context.Background(), dikes.GlueScenario(),
+		dikes.RunConfig{Probes: 30, Seed: 1})
+	if err != nil || glue.Glue.NS.Total == 0 {
+		t.Errorf("GlueScenario produced nothing (err %v)", err)
 	}
-	if out := dikes.RenderTable5(glue); !strings.Contains(out, "child share") {
+	if out := dikes.RenderTable5(glue.Glue); !strings.Contains(out, "child share") {
 		t.Error("RenderTable5 broken")
 	}
 }

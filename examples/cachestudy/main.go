@@ -4,7 +4,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"time"
 
 	dikes "repro"
@@ -17,10 +19,14 @@ func main() {
 
 	var results []*dikes.CachingResult
 	for _, ttl := range []uint32{60, 1800, 3600, 86400} {
-		res := dikes.RunCaching(dikes.CachingConfig{
+		out, err := dikes.Run(context.Background(), dikes.CachingScenario(), dikes.RunConfig{
 			Probes: 600, TTL: ttl,
 			ProbeInterval: 20 * time.Minute, Rounds: 6, Seed: 7,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res := out.Caching
 		results = append(results, res)
 		warm := res.Table2.WarmupTTLZone + res.Table2.WarmupTTLAltered
 		altered := 0.0

@@ -5,10 +5,22 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	dikes "repro"
 )
+
+// run emulates one attack on a population of probes vantage probes.
+func run(spec dikes.DDoSSpec, probes int) *dikes.DDoSResult {
+	out, err := dikes.Run(context.Background(), dikes.DDoSScenario(spec),
+		dikes.RunConfig{Probes: probes, Seed: 42})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return out.DDoS
+}
 
 func main() {
 	spec, ok := dikes.SpecByName("H")
@@ -20,7 +32,7 @@ func main() {
 	fmt.Printf("attack from minute %.0f for %.0f minutes\n\n",
 		spec.DDoSStart.Minutes(), spec.DDoSDur.Minutes())
 
-	res := dikes.RunDDoS(spec, 600, 42, dikes.PopulationConfig{})
+	res := run(spec, 600)
 
 	fmt.Println("client-side answers per 10-minute round:")
 	fmt.Print(res.Answers.Table([]string{"OK", "SERVFAIL", "NoAnswer"}))
@@ -40,7 +52,7 @@ func main() {
 		s := spec
 		s.Name = fmt.Sprintf("sweep-%.0f", loss*100)
 		s.Loss = loss
-		r := dikes.RunDDoS(s, 400, 42, dikes.PopulationConfig{})
+		r := run(s, 400)
 		fmt.Printf("%7.0f%% %11.1f%%\n", loss*100, 100*r.FailureRate(9))
 	}
 }

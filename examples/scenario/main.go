@@ -1,6 +1,6 @@
 // Scenario API tour: run the paper's experiment families through the
 // unified entry point — one config shape, cooperative cancellation, and
-// the sharded streaming engine behind a single knob.
+// the cell-streaming engine's concurrency behind a single knob.
 package main
 
 import (
@@ -16,11 +16,11 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// A Table 4 attack through the sharded engine: the population splits
+	// A Table 4 attack: the population splits
 	// into 32-probe cells (default 4096 — tiny here so several cells
 	// exist at this scale), 4 run concurrently, and the per-cell results
 	// stream into mergeable accumulators. Byte-identical for any Shards
-	// value >= 1.
+	// value.
 	spec, _ := dikes.SpecByName("H")
 	out, err := dikes.Run(ctx, dikes.DDoSScenario(spec), dikes.RunConfig{
 		Probes: 120, Seed: 42, Shards: 4, ShardProbes: 32,

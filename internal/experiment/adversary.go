@@ -36,7 +36,6 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/parallel"
 	"repro/internal/recursive"
 	"repro/internal/stub"
 	"repro/internal/trace"
@@ -326,92 +325,24 @@ func (s nxnsScenario) labels(cfg RunConfig) map[string]string {
 }
 
 func (s nxnsScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{Scenario: s.Name(), Config: cfg}
-
-	if !cfg.sharded() {
-		if err := ctx.Err(); err != nil {
-			return out, cancelErr(err)
-		}
-		res, tb := runNXNSTestbed(s.spec, cfg.Probes, cfg.Seed, cfg.Trace, 0)
-		snap := tb.CollectMetrics().Snapshot()
-		res.Report = &metrics.Report{
-			Name:       s.Name(),
-			Labels:     s.labels(cfg),
-			Metrics:    snap,
-			Invariants: nxnsInvariants(s.spec, res, snap),
-		}
-		out.NXNS = res
-		out.Report = res.Report
-		if ct := captureCellTrace(tb, 0); ct != nil {
-			out.Trace = &trace.Data{SampleEvery: cfg.Trace.SampleEvery, Cells: []trace.CellTrace{*ct}}
-		}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			out.Worlds = &ShardedTestbed{ShardProbes: cfg.Probes, Shards: []*Testbed{tb}}
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(0)
-		}
-		return out, nil
-	}
-
-	cells := planCells(cfg.Probes, cfg.ShardProbes)
-	type cellResult struct {
-		res  *NXNSResult
-		snap metrics.Snapshot
-		tb   *Testbed
-		ct   *trace.CellTrace
-	}
-	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i int, n int) *cellResult {
-		res, tb := runNXNSTestbed(s.spec, n, mixSeed(cfg.Seed, i), cfg.Trace, i)
-		cr := &cellResult{res: res, snap: tb.CollectMetrics().Snapshot(),
-			ct: captureCellTrace(tb, i)}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			cr.tb = tb
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(i)
-		}
-		return cr
+	total := newNXNSAccum(s.spec)
+	return runCells(ctx, s.Name(), cfg, cellRun[*NXNSResult]{
+		cell: func(cell, probes int, seed int64) (*NXNSResult, *Testbed) {
+			return runNXNSTestbed(s.spec, probes, seed, cfg.Trace, cell)
+		},
+		fold: total.absorb,
+		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
+			res := total.finalize()
+			res.Report = &metrics.Report{
+				Name:       s.Name(),
+				Labels:     s.labels(cfg),
+				Metrics:    snap,
+				Invariants: nxnsInvariants(s.spec, res, snap),
+			}
+			out.NXNS = res
+			return res.Report
+		},
 	})
-
-	ac := newNXNSAccum(s.spec)
-	var snaps []metrics.Snapshot
-	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
-	var traced *trace.Data
-	if cfg.Trace != nil {
-		traced = &trace.Data{SampleEvery: cfg.Trace.SampleEvery}
-	}
-	for i, cr := range results {
-		if cr == nil {
-			continue
-		}
-		ac.absorb(cr.res)
-		snaps = append(snaps, cr.snap)
-		worlds.Shards[i] = cr.tb
-		if traced != nil && cr.ct != nil {
-			traced.Cells = append(traced.Cells, *cr.ct)
-		}
-	}
-	res := ac.finalize()
-	snap := metrics.MergeSnapshots(snaps...)
-	res.Report = &metrics.Report{
-		Name:       s.Name(),
-		Labels:     shardLabels(s.labels(cfg), cfg, len(cells)),
-		Metrics:    snap,
-		Invariants: nxnsInvariants(s.spec, res, snap),
-	}
-	out.NXNS = res
-	out.Report = res.Report
-	out.Trace = traced
-	if runErr != nil {
-		return out, cancelErr(runErr)
-	}
-	if cfg.KeepWorlds {
-		out.Worlds = worlds
-	}
-	return out, nil
 }
 
 // ---- Poisoning ----
@@ -586,6 +517,14 @@ func runPoisonTestbed(spec PoisonSpec, probes int, seed int64, trCfg *trace.Conf
 	})
 }
 
+// absorb adds one cell's integer tallies into the run total.
+func (r *PoisonResult) absorb(cell *PoisonResult) {
+	r.Attempts += cell.Attempts
+	r.Hijacked += cell.Hijacked
+	r.CachePoisoned += cell.CachePoisoned
+	r.OOBWrites += cell.OOBWrites
+}
+
 // poisonInvariants checks the spray's packet conservation and, with the
 // full defense stack on, that poisoning stayed (near) impossible.
 func poisonInvariants(spec PoisonSpec, res *PoisonResult, snap metrics.Snapshot) []metrics.Invariant {
@@ -643,94 +582,23 @@ func (s poisonScenario) labels(cfg RunConfig) map[string]string {
 }
 
 func (s poisonScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{Scenario: s.Name(), Config: cfg}
-
-	if !cfg.sharded() {
-		if err := ctx.Err(); err != nil {
-			return out, cancelErr(err)
-		}
-		res, tb := runPoisonTestbed(s.spec, cfg.Probes, cfg.Seed, cfg.Trace, 0)
-		snap := tb.CollectMetrics().Snapshot()
-		res.Report = &metrics.Report{
-			Name:       s.Name(),
-			Labels:     s.labels(cfg),
-			Metrics:    snap,
-			Invariants: poisonInvariants(s.spec, res, snap),
-		}
-		out.Poison = res
-		out.Report = res.Report
-		if ct := captureCellTrace(tb, 0); ct != nil {
-			out.Trace = &trace.Data{SampleEvery: cfg.Trace.SampleEvery, Cells: []trace.CellTrace{*ct}}
-		}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			out.Worlds = &ShardedTestbed{ShardProbes: cfg.Probes, Shards: []*Testbed{tb}}
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(0)
-		}
-		return out, nil
-	}
-
-	cells := planCells(cfg.Probes, cfg.ShardProbes)
-	type cellResult struct {
-		res  *PoisonResult
-		snap metrics.Snapshot
-		tb   *Testbed
-		ct   *trace.CellTrace
-	}
-	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i int, n int) *cellResult {
-		res, tb := runPoisonTestbed(s.spec, n, mixSeed(cfg.Seed, i), cfg.Trace, i)
-		cr := &cellResult{res: res, snap: tb.CollectMetrics().Snapshot(),
-			ct: captureCellTrace(tb, i)}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			cr.tb = tb
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(i)
-		}
-		return cr
-	})
-
 	total := &PoisonResult{RandomIDs: s.spec.RandomIDs, NoBailiwick: s.spec.NoBailiwick}
-	var snaps []metrics.Snapshot
-	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
-	var traced *trace.Data
-	if cfg.Trace != nil {
-		traced = &trace.Data{SampleEvery: cfg.Trace.SampleEvery}
-	}
-	for i, cr := range results {
-		if cr == nil {
-			continue
-		}
-		total.Attempts += cr.res.Attempts
-		total.Hijacked += cr.res.Hijacked
-		total.CachePoisoned += cr.res.CachePoisoned
-		total.OOBWrites += cr.res.OOBWrites
-		snaps = append(snaps, cr.snap)
-		worlds.Shards[i] = cr.tb
-		if traced != nil && cr.ct != nil {
-			traced.Cells = append(traced.Cells, *cr.ct)
-		}
-	}
-	snap := metrics.MergeSnapshots(snaps...)
-	total.Report = &metrics.Report{
-		Name:       s.Name(),
-		Labels:     shardLabels(s.labels(cfg), cfg, len(cells)),
-		Metrics:    snap,
-		Invariants: poisonInvariants(s.spec, total, snap),
-	}
-	out.Poison = total
-	out.Report = total.Report
-	out.Trace = traced
-	if runErr != nil {
-		return out, cancelErr(runErr)
-	}
-	if cfg.KeepWorlds {
-		out.Worlds = worlds
-	}
-	return out, nil
+	return runCells(ctx, s.Name(), cfg, cellRun[*PoisonResult]{
+		cell: func(cell, probes int, seed int64) (*PoisonResult, *Testbed) {
+			return runPoisonTestbed(s.spec, probes, seed, cfg.Trace, cell)
+		},
+		fold: total.absorb,
+		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
+			total.Report = &metrics.Report{
+				Name:       s.Name(),
+				Labels:     s.labels(cfg),
+				Metrics:    snap,
+				Invariants: poisonInvariants(s.spec, total, snap),
+			}
+			out.Poison = total
+			return total.Report
+		},
+	})
 }
 
 // ---- Reflection ----
@@ -871,6 +739,25 @@ func runReflectTestbed(spec ReflectSpec, probes int, seed int64, trCfg *trace.Co
 	})
 }
 
+// absorb adds one cell's rows (aligned by shape index) and flood totals
+// into the run total.
+func (r *ReflectResult) absorb(cell *ReflectResult) {
+	if r.Rows == nil {
+		r.Rows = make([]ReflectRow, len(cell.Rows))
+		for j := range cell.Rows {
+			r.Rows[j].Shape = cell.Rows[j].Shape
+		}
+	}
+	for j, row := range cell.Rows {
+		r.Rows[j].Queries += row.Queries
+		r.Rows[j].RequestBytes += row.RequestBytes
+		r.Rows[j].Packets += row.Packets
+		r.Rows[j].ResponseBytes += row.ResponseBytes
+	}
+	r.VictimPackets += cell.VictimPackets
+	r.VictimBytes += cell.VictimBytes
+}
+
 // reflectFinalize computes the rate figure from the exact-merged
 // integers: the attack window is Probes*Every per definition of the
 // spray schedule, so the value is a pure function of config and totals.
@@ -922,106 +809,24 @@ func (s reflectScenario) labels(cfg RunConfig) map[string]string {
 }
 
 func (s reflectScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{Scenario: "reflect", Config: cfg}
-
-	if !cfg.sharded() {
-		if err := ctx.Err(); err != nil {
-			return out, cancelErr(err)
-		}
-		res, tb := runReflectTestbed(s.spec, cfg.Probes, cfg.Seed, cfg.Trace, 0)
-		res = reflectFinalize(s.spec, res, cfg.Probes)
-		snap := tb.CollectMetrics().Snapshot()
-		res.Report = &metrics.Report{
-			Name:       "reflect",
-			Labels:     s.labels(cfg),
-			Metrics:    snap,
-			Invariants: reflectInvariants(res, snap),
-		}
-		out.Reflect = res
-		out.Report = res.Report
-		if ct := captureCellTrace(tb, 0); ct != nil {
-			out.Trace = &trace.Data{SampleEvery: cfg.Trace.SampleEvery, Cells: []trace.CellTrace{*ct}}
-		}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			out.Worlds = &ShardedTestbed{ShardProbes: cfg.Probes, Shards: []*Testbed{tb}}
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(0)
-		}
-		return out, nil
-	}
-
-	cells := planCells(cfg.Probes, cfg.ShardProbes)
-	type cellResult struct {
-		res  *ReflectResult
-		snap metrics.Snapshot
-		tb   *Testbed
-		ct   *trace.CellTrace
-	}
-	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i int, n int) *cellResult {
-		res, tb := runReflectTestbed(s.spec, n, mixSeed(cfg.Seed, i), cfg.Trace, i)
-		cr := &cellResult{res: res, snap: tb.CollectMetrics().Snapshot(),
-			ct: captureCellTrace(tb, i)}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			cr.tb = tb
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(i)
-		}
-		return cr
-	})
-
 	total := &ReflectResult{}
-	var snaps []metrics.Snapshot
-	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
-	var traced *trace.Data
-	if cfg.Trace != nil {
-		traced = &trace.Data{SampleEvery: cfg.Trace.SampleEvery}
-	}
-	for i, cr := range results {
-		if cr == nil {
-			continue
-		}
-		if total.Rows == nil {
-			total.Rows = make([]ReflectRow, len(cr.res.Rows))
-			for j := range cr.res.Rows {
-				total.Rows[j].Shape = cr.res.Rows[j].Shape
+	return runCells(ctx, "reflect", cfg, cellRun[*ReflectResult]{
+		cell: func(cell, probes int, seed int64) (*ReflectResult, *Testbed) {
+			return runReflectTestbed(s.spec, probes, seed, cfg.Trace, cell)
+		},
+		fold: total.absorb,
+		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
+			res := reflectFinalize(s.spec, total, cfg.Probes)
+			res.Report = &metrics.Report{
+				Name:       "reflect",
+				Labels:     s.labels(cfg),
+				Metrics:    snap,
+				Invariants: reflectInvariants(res, snap),
 			}
-		}
-		for j := range cr.res.Rows {
-			total.Rows[j].Queries += cr.res.Rows[j].Queries
-			total.Rows[j].RequestBytes += cr.res.Rows[j].RequestBytes
-			total.Rows[j].Packets += cr.res.Rows[j].Packets
-			total.Rows[j].ResponseBytes += cr.res.Rows[j].ResponseBytes
-		}
-		total.VictimPackets += cr.res.VictimPackets
-		total.VictimBytes += cr.res.VictimBytes
-		snaps = append(snaps, cr.snap)
-		worlds.Shards[i] = cr.tb
-		if traced != nil && cr.ct != nil {
-			traced.Cells = append(traced.Cells, *cr.ct)
-		}
-	}
-	total = reflectFinalize(s.spec, total, cfg.Probes)
-	snap := metrics.MergeSnapshots(snaps...)
-	total.Report = &metrics.Report{
-		Name:       "reflect",
-		Labels:     shardLabels(s.labels(cfg), cfg, len(cells)),
-		Metrics:    snap,
-		Invariants: reflectInvariants(total, snap),
-	}
-	out.Reflect = total
-	out.Report = total.Report
-	out.Trace = traced
-	if runErr != nil {
-		return out, cancelErr(runErr)
-	}
-	if cfg.KeepWorlds {
-		out.Worlds = worlds
-	}
-	return out, nil
+			out.Reflect = res
+			return res.Report
+		},
+	})
 }
 
 // ---- Rendering ----

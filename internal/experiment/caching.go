@@ -75,23 +75,8 @@ type CachingResult struct {
 	Report *metrics.Report
 }
 
-// RunCaching executes one caching baseline experiment. For sharded,
-// cancellable runs route through Run with CachingScenario instead.
-func RunCaching(cfg CachingConfig) *CachingResult {
-	res, _ := runCachingTestbed(cfg.withDefaults())
-	return res
-}
-
-// runCachingTestbed builds and runs one caching world — the whole
-// monolithic population or one cell — and analyzes it.
-func runCachingTestbed(cfg CachingConfig) (*CachingResult, *Testbed) {
-	tb := runCachingWorld(cfg)
-	return analyzeCaching(cfg, tb), tb
-}
-
-// runCachingWorld builds, schedules, and runs one caching testbed
-// without analyzing it (the sharded engine analyzes into an
-// accumulator instead).
+// runCachingWorld builds, schedules, and runs one cell's caching
+// testbed; the caller absorbs it into an accumulator.
 func runCachingWorld(cfg CachingConfig) *Testbed {
 	tb := NewTestbed(TestbedConfig{
 		Probes:      cfg.Probes,
@@ -105,16 +90,6 @@ func runCachingWorld(cfg CachingConfig) *Testbed {
 	tb.Fleet.Schedule(tb.Start, cfg.ProbeInterval, 5*time.Minute, cfg.Rounds)
 	tb.Clk.RunUntil(tb.Start.Add(total + 10*time.Minute))
 	return tb
-}
-
-// analyzeCaching runs the shared accumulator pipeline over one testbed
-// (see stream.go) and attaches the run report.
-func analyzeCaching(cfg CachingConfig, tb *Testbed) *CachingResult {
-	ac := newCachingAccum(cfg, tb.Start)
-	ac.absorb(tb)
-	res := ac.finalize()
-	res.Report = buildCachingReport(cfg, tb, res)
-	return res
 }
 
 // fetcherKey identifies one probe's name in one zone round.

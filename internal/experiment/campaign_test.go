@@ -157,9 +157,10 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
-// TestMatrixCtxSurfacesErrors pins the RunDDoSMatrixCtx fix: invalid
-// specs must yield a joined error, not silent nil slots.
-func TestMatrixCtxSurfacesErrors(t *testing.T) {
+// TestCampaignInvalidSpecKeepsSiblings: a DDoS spec the engine rejects
+// must yield a per-run error, not a silent nil slot, while the valid
+// spec beside it still produces its result.
+func TestCampaignInvalidSpecKeepsSiblings(t *testing.T) {
 	t.Parallel()
 	good, ok := SpecByName("B")
 	if !ok {
@@ -171,18 +172,24 @@ func TestMatrixCtxSurfacesErrors(t *testing.T) {
 	good.QueriesBefore = 2
 	bad := good
 	bad.ProbeInterval = 0 // division by zero round count → run error
-	results, err := RunDDoSMatrixCtx(context.Background(),
-		[]DDoSSpec{good, bad}, RunConfig{Probes: 40, Seed: 5, Shards: 1, ShardProbes: 16})
-	if err == nil {
-		t.Fatal("matrix with an invalid spec returned nil error")
+	cfg := RunConfig{Probes: 40, Seed: 5, Shards: 1, ShardProbes: 16}
+	results, err := RunCampaign(context.Background(), []CampaignItem{
+		{Name: "good", Scenario: DDoSScenario(good), Config: cfg},
+		{Name: "bad", Scenario: DDoSScenario(bad), Config: cfg},
+	}, 2)
+	if err != nil {
+		t.Fatalf("per-run failure reported as a campaign-level error: %v", err)
 	}
-	if errors.Is(err, ErrCancelled) {
-		t.Fatalf("non-cancellation failure misreported as cancellation: %v", err)
+	if results[1].Err == nil {
+		t.Fatal("invalid spec returned nil error")
 	}
-	if results[0] == nil {
+	if errors.Is(results[1].Err, ErrCancelled) {
+		t.Fatalf("non-cancellation failure misreported as cancellation: %v", results[1].Err)
+	}
+	if results[0].Err != nil || results[0].Outcome.DDoS == nil {
 		t.Error("valid spec's result dropped alongside the failing one")
 	}
-	if results[1] != nil {
+	if results[1].Outcome.DDoS != nil {
 		t.Error("failing spec produced a result")
 	}
 }

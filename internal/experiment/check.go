@@ -1,15 +1,14 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
 )
 
-// Check runs a scaled-down version of every headline experiment and
-// compares the results against qualitative bands derived from the paper.
-// It is the repository's one-shot reproduction self-test
-// (`dikes check`).
+// CheckScenario (scenario.go) runs a scaled-down version of every
+// headline experiment and compares the results against qualitative bands
+// derived from the paper. It is the repository's one-shot reproduction
+// self-test (`dikes check`).
 
 // CheckResult is one verified claim.
 type CheckResult struct {
@@ -17,18 +16,6 @@ type CheckResult struct {
 	Paper    string
 	Measured string
 	Pass     bool
-}
-
-// Check executes the verification suite at the given probe scale.
-//
-// Deprecated: positional-argument wrapper kept for compatibility; it
-// delegates to Run with CheckScenario, which adds cancellation and can
-// route the sub-experiments through the sharded engine.
-func Check(probes int, seed int64) []CheckResult {
-	out, _ := Run(context.Background(), CheckScenario(), RunConfig{
-		Probes: probes, Seed: seed,
-	})
-	return out.Check
 }
 
 // RenderCheck prints the verification table and returns true when every

@@ -8,7 +8,7 @@ import (
 // TestCheckAllClaimsPass is the repository's compact end-to-end
 // reproduction gate: every paper claim must verify at test scale.
 func TestCheckAllClaimsPass(t *testing.T) {
-	results := Check(200, 42)
+	results := mustRun(t, CheckScenario(), RunConfig{Probes: 200, Seed: 42}).Check
 	if len(results) < 10 {
 		t.Fatalf("only %d claims checked", len(results))
 	}

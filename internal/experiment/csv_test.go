@@ -33,7 +33,7 @@ func TestLatencyAndFigureCSVs(t *testing.T) {
 	spec.TotalDur = 40 * time.Minute
 	spec.DDoSStart = 10 * time.Minute
 	spec.DDoSDur = 10 * time.Minute
-	res := RunDDoS(spec, 40, 1, PopulationConfig{})
+	res := mustRun(t, DDoSScenario(spec), RunConfig{Probes: 40, Seed: 1}).DDoS
 
 	lat := LatencyCSV(res)
 	if !strings.HasPrefix(lat, "minute,n,median_ms") {
@@ -62,7 +62,8 @@ func TestPerProbeTable7(t *testing.T) {
 	spec.DDoSStart = 30 * time.Minute
 	spec.DDoSDur = 20 * time.Minute
 	spec.QueriesBefore = 3
-	res, tb := RunDDoSWithTestbed(spec, 60, 5, PopulationConfig{})
+	kept := mustRun(t, DDoSScenario(spec), RunConfig{Probes: 60, Seed: 5, KeepWorlds: true})
+	res, tb := kept.DDoS, kept.Worlds.Shards[0]
 	probe := BusiestProbe(tb)
 	if probe == 0 {
 		t.Fatal("no busiest probe found")

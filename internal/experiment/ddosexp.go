@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -114,21 +113,8 @@ type DDoSResult struct {
 	Timeline *timeline.Timeline
 }
 
-// RunDDoS executes one emulated attack experiment.
-//
-// Deprecated: positional-argument wrapper kept for compatibility; it
-// delegates to Run with DDoSScenario. New code should use the Scenario
-// API, which adds cancellation and sharded population scaling.
-func RunDDoS(spec DDoSSpec, probes int, seed int64, pop PopulationConfig) *DDoSResult {
-	out, _ := Run(context.Background(), DDoSScenario(spec), RunConfig{
-		Probes: probes, Seed: seed, Population: pop,
-	})
-	return out.DDoS
-}
-
-// runDDoSTestbed builds, schedules, and runs one attack world — either
-// the whole monolithic population or a single cell of a sharded run —
-// and returns it ready for analysis.
+// runDDoSTestbed builds, schedules, and runs one cell's attack world and
+// returns it ready for analysis.
 func runDDoSTestbed(spec DDoSSpec, probes int, seed int64, pop PopulationConfig,
 	tr *trace.Config, tlc *timeline.Config, cell int) *Testbed {
 
@@ -210,16 +196,6 @@ func scheduleAttack(tb *Testbed, spec DDoSSpec, targets []netsim.Addr) {
 		Start: spec.DDoSStart, Duration: spec.DDoSDur,
 		Trace: tb.Trace,
 	})
-}
-
-// analyzeDDoS runs the shared accumulator pipeline over one testbed (see
-// stream.go) and attaches the run report.
-func analyzeDDoS(spec DDoSSpec, tb *Testbed, rounds int) *DDoSResult {
-	ac := newDDoSAccum(spec, tb.Start, rounds)
-	ac.absorb(tb)
-	res := ac.finalize()
-	res.Report = buildDDoSReport(spec, tb, res)
-	return res
 }
 
 // clampRound maps an answer's round index into the [0, rounds] tally

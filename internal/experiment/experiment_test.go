@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,17 @@ const (
 	testProbes = 150
 	testSeed   = 42
 )
+
+// mustRun executes one scenario to completion. Call it from the test's
+// own goroutine only.
+func mustRun(t *testing.T, sc Scenario, cfg RunConfig) *Outcome {
+	t.Helper()
+	out, err := Run(context.Background(), sc, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", sc.Name(), err)
+	}
+	return out
+}
 
 func TestTestbedBuildsAndRotates(t *testing.T) {
 	tb := NewTestbed(TestbedConfig{Probes: 50, TTL: 3600, Seed: 1})
@@ -89,10 +101,10 @@ func TestPopulationMix(t *testing.T) {
 // TestCachingBaseline runs a scaled §3 experiment with TTL 3600 and
 // checks the paper's qualitative findings.
 func TestCachingBaseline(t *testing.T) {
-	res := RunCaching(CachingConfig{
+	res := mustRun(t, CachingScenario(), RunConfig{
 		Probes: testProbes, TTL: 3600,
 		ProbeInterval: 20 * time.Minute, Rounds: 6, Seed: testSeed,
-	})
+	}).Caching
 	t1 := res.Table1
 	if t1.Queries == 0 || t1.AnswersValid == 0 {
 		t.Fatalf("empty run: %+v", t1)
@@ -133,10 +145,10 @@ func TestCachingBaseline(t *testing.T) {
 // TestCachingShortTTLHasNoCacheHits reproduces the 60 s TTL column: with
 // 20-minute probing every answer after warm-up should be fresh (AA).
 func TestCachingShortTTLHasNoCacheHits(t *testing.T) {
-	res := RunCaching(CachingConfig{
+	res := mustRun(t, CachingScenario(), RunConfig{
 		Probes: testProbes, TTL: 60,
 		ProbeInterval: 20 * time.Minute, Rounds: 4, Seed: testSeed,
-	})
+	}).Caching
 	total := res.Table2.AA + res.Table2.CC + res.Table2.AC + res.Table2.CA
 	if total == 0 {
 		t.Fatal("no classified answers")
@@ -150,10 +162,10 @@ func TestCachingShortTTLHasNoCacheHits(t *testing.T) {
 // TestCachingDayLongTTLTruncation reproduces the 86400 s finding: ~30% of
 // warm-up answers carry a shortened TTL.
 func TestCachingDayLongTTLTruncation(t *testing.T) {
-	res := RunCaching(CachingConfig{
+	res := mustRun(t, CachingScenario(), RunConfig{
 		Probes: testProbes, TTL: 86400,
 		ProbeInterval: 20 * time.Minute, Rounds: 4, Seed: testSeed,
-	})
+	}).Caching
 	warm := res.Table2.WarmupTTLZone + res.Table2.WarmupTTLAltered
 	if warm == 0 {
 		t.Fatal("no warmups")
@@ -164,10 +176,10 @@ func TestCachingDayLongTTLTruncation(t *testing.T) {
 	}
 
 	// And at one hour the truncation is rare (paper: ~2%).
-	res2 := RunCaching(CachingConfig{
+	res2 := mustRun(t, CachingScenario(), RunConfig{
 		Probes: testProbes, TTL: 3600,
 		ProbeInterval: 20 * time.Minute, Rounds: 4, Seed: testSeed,
-	})
+	}).Caching
 	warm2 := res2.Table2.WarmupTTLZone + res2.Table2.WarmupTTLAltered
 	trunc2 := float64(res2.Table2.WarmupTTLAltered) / float64(warm2)
 	if trunc2 > 0.1 {
@@ -182,7 +194,7 @@ func TestDDoSModerateLossMostlySurvives(t *testing.T) {
 	if !ok {
 		t.Fatal("spec E missing")
 	}
-	res := RunDDoS(spec, testProbes, testSeed, PopulationConfig{})
+	res := mustRun(t, DDoSScenario(spec), RunConfig{Probes: testProbes, Seed: testSeed}).DDoS
 	// Rounds 6..11 are under attack.
 	for round := 7; round <= 11; round++ {
 		if fr := res.FailureRate(round); fr > 0.25 {
@@ -198,7 +210,7 @@ func TestDDoSCompleteFailureCacheProtection(t *testing.T) {
 	if !ok {
 		t.Fatal("spec A missing")
 	}
-	res := RunDDoS(spec, testProbes, testSeed, PopulationConfig{})
+	res := mustRun(t, DDoSScenario(spec), RunConfig{Probes: testProbes, Seed: testSeed}).DDoS
 	// Cache-only phase (rounds 2-5): some failures but far from all.
 	early := res.FailureRate(2)
 	if early < 0.1 || early > 0.8 {
@@ -222,7 +234,7 @@ func TestDDoS90PercentLossRetriesAmplifyTraffic(t *testing.T) {
 	if !ok {
 		t.Fatal("spec I missing")
 	}
-	res := RunDDoS(spec, testProbes, testSeed, PopulationConfig{Harvest: recursive.HarvestFull})
+	res := mustRun(t, DDoSScenario(spec), RunConfig{Probes: testProbes, Seed: testSeed, Population: PopulationConfig{Harvest: recursive.HarvestFull}}).DDoS
 	baseline := res.AuthQueries.Get(4, "AAAA-for-PID") + res.AuthQueries.Get(4, "other")
 	attack := res.AuthQueries.Get(9, "AAAA-for-PID") + res.AuthQueries.Get(9, "other")
 	if baseline == 0 {
@@ -255,7 +267,7 @@ func TestDDoSLatencyGrowsUnderAttack(t *testing.T) {
 	if !ok {
 		t.Fatal("spec H missing")
 	}
-	res := RunDDoS(spec, testProbes, testSeed, PopulationConfig{})
+	res := mustRun(t, DDoSScenario(spec), RunConfig{Probes: testProbes, Seed: testSeed}).DDoS
 	pre := res.Latency[4]
 	mid := res.Latency[9]
 	if mid.P90 <= pre.P90 {
@@ -273,7 +285,7 @@ func TestClassesSeriesHasCacheHitsDuringAttack(t *testing.T) {
 	if !ok {
 		t.Fatal("spec B missing")
 	}
-	res := RunDDoS(spec, testProbes, testSeed, PopulationConfig{})
+	res := mustRun(t, DDoSScenario(spec), RunConfig{Probes: testProbes, Seed: testSeed}).DDoS
 	ccDuring := res.Classes.Get(6, classify.CC.String()) + res.Classes.Get(7, classify.CC.String())
 	if ccDuring == 0 {
 		t.Error("no cache hits during the attack (Figure 7 shape lost)")
@@ -286,7 +298,7 @@ func TestClassesSeriesHasCacheHitsDuringAttack(t *testing.T) {
 // TestGlueVsAuthPrefersChildTTL reproduces Appendix A: the large majority
 // of answers carry the child's (authoritative) TTL.
 func TestGlueVsAuthPrefersChildTTL(t *testing.T) {
-	res := RunGlueVsAuth(100, testSeed, PopulationConfig{})
+	res := mustRun(t, GlueScenario(), RunConfig{Probes: 100, Seed: testSeed}).Glue
 	if res.NS.Total == 0 || res.A.Total == 0 {
 		t.Fatalf("no answers: %+v", res)
 	}
@@ -298,5 +310,27 @@ func TestGlueVsAuthPrefersChildTTL(t *testing.T) {
 	}
 	if s := RenderTable5(res); !strings.Contains(s, "TTL=60") {
 		t.Error("table 5 render broken")
+	}
+}
+
+// TestNewTestbedProbeLimit pins the uint16 probe-ID guard: one probe past
+// MaxShardProbes must panic naming the limit instead of wrapping IDs, and
+// the limit itself must build.
+func TestNewTestbedProbeLimit(t *testing.T) {
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "MaxShardProbes (65535)") {
+				t.Errorf("NewTestbed(65536 probes) panic = %q, want one naming MaxShardProbes", msg)
+			}
+		}()
+		NewTestbed(TestbedConfig{Probes: MaxShardProbes + 1, Seed: 1})
+	}()
+	tb := NewTestbed(TestbedConfig{Probes: MaxShardProbes, Seed: 1})
+	if got := len(tb.Pop.Probes); got != MaxShardProbes {
+		t.Errorf("built %d probes, want %d", got, MaxShardProbes)
+	}
+	if last := tb.Pop.Probes[MaxShardProbes-1].ID; last != MaxShardProbes {
+		t.Errorf("last probe ID = %d, want %d", last, MaxShardProbes)
 	}
 }

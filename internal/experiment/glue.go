@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/dnswire"
@@ -43,7 +42,7 @@ type GlueResult struct {
 	NS Table5
 	A  Table5
 	// Report carries the run's metrics snapshot and accounting
-	// invariants when the run was routed through the Scenario API.
+	// invariants.
 	Report *metrics.Report
 }
 
@@ -52,23 +51,11 @@ type GlueResult struct {
 // the parent).
 const childNSTTL = 60
 
-// RunGlueVsAuth reproduces the Appendix A experiment: the parent keeps the
-// 3600 s delegation records while the child's own NS and nameserver A
-// records carry 60 s; vantage points then ask their recursives for the NS
-// and A records and the distribution of returned TTLs shows which side
-// recursives trust.
-//
-// Deprecated: positional-argument wrapper kept for compatibility; it
-// delegates to Run with GlueScenario.
-func RunGlueVsAuth(probes int, seed int64, pop PopulationConfig) *GlueResult {
-	out, _ := Run(context.Background(), GlueScenario(), RunConfig{
-		Probes: probes, Seed: seed, Population: pop,
-	})
-	return out.Glue
-}
-
-// runGlueTestbed builds one glue world — monolithic or one cell — runs
-// the Appendix A measurement on it, and returns the tallies plus the
+// runGlueTestbed runs one cell of the Appendix A experiment: the parent
+// keeps the 3600 s delegation records while the child's own NS and
+// nameserver A records carry 60 s; vantage points then ask their
+// recursives for the NS and A records and the distribution of returned
+// TTLs shows which side recursives trust. It returns the tallies plus the
 // testbed for metric collection.
 func runGlueTestbed(probes int, seed int64, pop PopulationConfig) (*GlueResult, *Testbed) {
 	tb := NewTestbed(TestbedConfig{

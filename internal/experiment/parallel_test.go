@@ -1,9 +1,32 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 	"time"
 )
+
+// runMatrix runs one DDoS scenario per spec through RunCampaign on the
+// given worker count and returns the results in spec order.
+func runMatrix(t *testing.T, specs []DDoSSpec, cfg RunConfig, workers int) []*DDoSResult {
+	t.Helper()
+	items := make([]CampaignItem, len(specs))
+	for i, spec := range specs {
+		items[i] = CampaignItem{Name: spec.Name, Scenario: DDoSScenario(spec), Config: cfg}
+	}
+	results, err := RunCampaign(context.Background(), items, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*DDoSResult, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("run %s: %v", r.Item.Name, r.Err)
+		}
+		out[i] = r.Outcome.DDoS
+	}
+	return out
+}
 
 // renderDDoS flattens everything the cmd prints for one attack run into a
 // single string, so a byte-level comparison covers Table 4 plus the
@@ -15,7 +38,7 @@ func renderDDoS(res *DDoSResult) string {
 		RenderLatency(res)
 }
 
-// TestMatrixParallelMatchesSequential pins the parallel runner's core
+// TestMatrixParallelMatchesSequential pins the campaign runner's core
 // guarantee: for every paper experiment A–I, fanning the matrix across
 // workers produces byte-identical rendered tables to running it one spec
 // at a time with the same seed.
@@ -25,8 +48,9 @@ func TestMatrixParallelMatchesSequential(t *testing.T) {
 	}
 	const probes = 24
 	const seed = 7
-	seq := RunDDoSMatrix(PaperExperiments, probes, seed, PopulationConfig{}, 1)
-	par := RunDDoSMatrix(PaperExperiments, probes, seed, PopulationConfig{}, 4)
+	cfg := RunConfig{Probes: probes, Seed: seed}
+	seq := runMatrix(t, PaperExperiments, cfg, 1)
+	par := runMatrix(t, PaperExperiments, cfg, 4)
 	if len(seq) != len(PaperExperiments) || len(par) != len(PaperExperiments) {
 		t.Fatalf("got %d sequential / %d parallel results for %d specs",
 			len(seq), len(par), len(PaperExperiments))
@@ -46,15 +70,29 @@ func TestMatrixParallelMatchesSequential(t *testing.T) {
 // TestCachingSweepParallelMatchesSequential does the same for the §3
 // baseline sweep.
 func TestCachingSweepParallelMatchesSequential(t *testing.T) {
-	var cfgs []CachingConfig
+	var items []CampaignItem
 	for _, ttl := range []uint32{60, 3600, 86400} {
-		cfgs = append(cfgs, CachingConfig{
+		items = append(items, CampaignItem{Scenario: CachingScenario(), Config: RunConfig{
 			Probes: 24, TTL: ttl, ProbeInterval: 20 * time.Minute,
 			Rounds: 4, Seed: 7,
-		})
+		}})
 	}
-	seq := RunCachingSweep(cfgs, 1)
-	par := RunCachingSweep(cfgs, 3)
+	sweep := func(workers int) []*CachingResult {
+		results, err := RunCampaign(context.Background(), items, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rs []*CachingResult
+		for _, r := range results {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			rs = append(rs, r.Outcome.Caching)
+		}
+		return rs
+	}
+	seq := sweep(1)
+	par := sweep(3)
 	render := func(rs []*CachingResult) string {
 		return RenderTable1(rs) + RenderTable2(rs) + RenderTable3(rs)
 	}
@@ -68,11 +106,16 @@ func TestCachingSweepParallelMatchesSequential(t *testing.T) {
 // what Replicate reports.
 func TestReplicateParallelDeterminism(t *testing.T) {
 	metric := func(seed int64) float64 {
-		res := RunCaching(CachingConfig{
+		// Runs on Replicate's workers, so no t.Fatal here.
+		out, err := Run(context.Background(), CachingScenario(), RunConfig{
 			Probes: 16, TTL: 3600, ProbeInterval: 20 * time.Minute,
 			Rounds: 3, Seed: seed,
 		})
-		return res.MissRate
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		return out.Caching.MissRate
 	}
 	a := Replicate(4, 100, metric)
 	b := Replicate(4, 100, metric)

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -9,20 +8,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/vantage"
 )
-
-// RunDDoSWithTestbed is RunDDoS but also returns the testbed for
-// drill-down analyses (Appendix F / Table 7).
-//
-// Deprecated: positional-argument wrapper kept for compatibility; it
-// delegates to Run with DDoSScenario and KeepWorlds, returning the
-// single monolithic world. Sharded runs should use Outcome.Worlds and
-// ShardedTestbed's ProbeRef-based drill-downs instead.
-func RunDDoSWithTestbed(spec DDoSSpec, probes int, seed int64, pop PopulationConfig) (*DDoSResult, *Testbed) {
-	out, _ := Run(context.Background(), DDoSScenario(spec), RunConfig{
-		Probes: probes, Seed: seed, Population: pop, KeepWorlds: true,
-	})
-	return out.DDoS, out.Worlds.Shards[0]
-}
 
 // Table7Round is one row of the Appendix F per-probe table: the client
 // and authoritative views of one probing round.

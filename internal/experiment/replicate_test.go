@@ -1,6 +1,9 @@
 package experiment
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestReplicateSeedRobustness: the headline Experiment-H result (clients
 // still served under 90% loss) holds across independent seeds, not just
@@ -8,8 +11,13 @@ import "testing"
 func TestReplicateSeedRobustness(t *testing.T) {
 	spec, _ := SpecByName("H")
 	summary := Replicate(5, 100, func(seed int64) float64 {
-		res := RunDDoS(spec, 120, seed, PopulationConfig{})
-		return 1 - res.FailureRate(9) // fraction served during the attack
+		// Runs on Replicate's workers, so no t.Fatal here.
+		out, err := Run(context.Background(), DDoSScenario(spec), RunConfig{Probes: 120, Seed: seed})
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		return 1 - out.DDoS.FailureRate(9) // fraction served during the attack
 	})
 	if summary.N != 5 {
 		t.Fatalf("N = %d", summary.N)

@@ -2,44 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/metrics"
 )
-
-// buildDDoSReport snapshots the testbed's registry and evaluates the
-// run's accounting invariants against the analyzed result.
-func buildDDoSReport(spec DDoSSpec, tb *Testbed, res *DDoSResult) *metrics.Report {
-	snap := tb.CollectMetrics().Snapshot()
-	return &metrics.Report{
-		Name: "ddos-" + spec.Name,
-		Labels: map[string]string{
-			"experiment": spec.Name,
-			"probes":     strconv.Itoa(tb.Cfg.Probes),
-			"ttl":        strconv.FormatUint(uint64(spec.TTL), 10),
-			"loss":       strconv.FormatFloat(spec.Loss, 'g', -1, 64),
-			"seed":       strconv.FormatInt(tb.Cfg.Seed, 10),
-		},
-		Metrics:    snap,
-		Invariants: DDoSInvariants(res, snap),
-	}
-}
-
-// buildCachingReport is buildDDoSReport's §3 counterpart.
-func buildCachingReport(cfg CachingConfig, tb *Testbed, res *CachingResult) *metrics.Report {
-	snap := tb.CollectMetrics().Snapshot()
-	return &metrics.Report{
-		Name: fmt.Sprintf("caching-ttl%d", cfg.TTL),
-		Labels: map[string]string{
-			"probes": strconv.Itoa(tb.Cfg.Probes),
-			"ttl":    strconv.FormatUint(uint64(cfg.TTL), 10),
-			"rounds": strconv.Itoa(cfg.Rounds),
-			"seed":   strconv.FormatInt(tb.Cfg.Seed, 10),
-		},
-		Metrics:    snap,
-		Invariants: cachingInvariants(res, snap),
-	}
-}
 
 // DDoSInvariants cross-checks a DDoS run's client-side tallies against
 // the component counters in snap. It is exported (within the package API
@@ -85,7 +50,7 @@ func DDoSInvariants(res *DDoSResult, snap metrics.Snapshot) []metrics.Invariant 
 
 // latencyMatchesAnswered checks that every round's latency summary holds
 // exactly one RTT sample per answered (OK or SERVFAIL) query of that
-// round. This is the invariant the pre-fix analyzeDDoS violated: RTTs
+// round. This is the invariant the pre-fix DDoS analysis violated: RTTs
 // were binned with a clamped round index while outcomes were not, so the
 // two series disagreed on runs with late-landing answers.
 func latencyMatchesAnswered(res *DDoSResult) metrics.Invariant {

@@ -62,7 +62,7 @@ func smallSpec() DDoSSpec {
 // every cross-component invariant to pass, then injects an accounting
 // error into the result and requires the checker to catch it.
 func TestDDoSReportInvariantsHold(t *testing.T) {
-	res := RunDDoS(smallSpec(), 30, 11, PopulationConfig{})
+	res := mustRun(t, DDoSScenario(smallSpec()), RunConfig{Probes: 30, Seed: 11}).DDoS
 	if res.Report == nil {
 		t.Fatal("no report attached")
 	}
@@ -85,7 +85,7 @@ func TestDDoSReportInvariantsHold(t *testing.T) {
 
 // TestCachingReportInvariantsHold is the §3 counterpart.
 func TestCachingReportInvariantsHold(t *testing.T) {
-	res := RunCaching(CachingConfig{Probes: 30, TTL: 1800, Rounds: 4, Seed: 5})
+	res := mustRun(t, CachingScenario(), RunConfig{Probes: 30, TTL: 1800, Rounds: 4, Seed: 5}).Caching
 	if res.Report == nil {
 		t.Fatal("no report attached")
 	}
@@ -104,8 +104,8 @@ func TestReportsIdenticalAcrossWorkers(t *testing.T) {
 	spec2.Loss = 0.5
 	specs = append(specs, spec2)
 
-	seq := RunDDoSMatrix(specs, 24, 7, PopulationConfig{}, 1)
-	par := RunDDoSMatrix(specs, 24, 7, PopulationConfig{}, 4)
+	seq := runMatrix(t, specs, RunConfig{Probes: 24, Seed: 7}, 1)
+	par := runMatrix(t, specs, RunConfig{Probes: 24, Seed: 7}, 4)
 	for i := range specs {
 		var a, b bytes.Buffer
 		if err := seq[i].Report.WriteJSON(&a); err != nil {

@@ -4,16 +4,14 @@ package experiment
 // experiment in the repository. A Scenario names an experiment (a DDoS
 // spec, the caching baseline, the glue study, the self-check); RunConfig
 // carries the knobs every experiment shares; Run executes it with
-// cancellation support and, when Shards > 0, with the population split
-// into fixed-capacity cells that run concurrently and stream into the
-// mergeable accumulators of stream.go.
+// cancellation support. Population-scale scenarios split the probes into
+// fixed-capacity cells that run concurrently through runCells (shard.go)
+// and stream into the mergeable accumulators of stream.go.
 //
 // Determinism contract: the set of cells, their sizes, and their seeds
 // depend only on (Probes, ShardProbes, Seed) — the Shards knob is pure
 // concurrency. Combined with the order-independent accumulator merge, a
 // run with Shards=K is byte-identical to the same run with Shards=1.
-// Shards=0 selects the legacy monolithic path (single testbed, legacy
-// seeding), preserved bit-for-bit for the deprecated Run* wrappers.
 
 import (
 	"context"
@@ -43,16 +41,15 @@ type RunConfig struct {
 	Probes int
 	// Seed drives every random choice; same seed, same results.
 	Seed int64
-	// Shards is the number of population cells running concurrently.
-	// 0 selects the legacy monolithic engine; K >= 1 selects the sharded
-	// engine, whose results are identical for every K (the cell layout
-	// depends only on Probes, ShardProbes, and Seed).
+	// Shards is the number of population cells running concurrently
+	// (<= 0 means 1). Results are identical for every value: the cell
+	// layout depends only on Probes, ShardProbes, and Seed.
 	Shards int
 	// ShardProbes is the probe capacity of one cell (default 4096,
-	// max 65535). Setting it implies the sharded engine.
+	// max 65535).
 	ShardProbes int
-	// Workers bounds sweep-level concurrency in the Ctx fan-outs
-	// (RunDDoSMatrixCtx et al.); <= 0 means one per core.
+	// Workers bounds the run-level fan-out of CheckScenario and
+	// ReplicateCtx; <= 0 means one per core.
 	Workers int
 	// Population tunes the resolver mix; zero value uses the calibrated
 	// defaults.
@@ -70,8 +67,9 @@ type RunConfig struct {
 	// Trace enables deterministic query-lifecycle tracing: every cell
 	// records into its own ring buffer and Outcome.Trace carries the
 	// per-cell traces in cell-index order, so trace bytes are identical
-	// for every Shards/Workers value. DDoS scenarios only; caching and
-	// glue ignore it.
+	// for every Shards/Workers value. Honoured by the DDoS, adversary
+	// (nxns, poison, reflect) and transport scenarios; the others ignore
+	// it.
 	Trace *trace.Config
 	// Timeline enables per-bucket simulated-time series collection: each
 	// cell counts into a fixed bin layout derived from the spec horizon,
@@ -92,22 +90,19 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.Probes == 0 {
 		c.Probes = 1200
 	}
-	if c.ShardProbes > MaxShardProbes {
-		c.ShardProbes = MaxShardProbes
+	if c.Shards <= 0 {
+		c.Shards = 1
 	}
-	if c.Shards > 0 && c.ShardProbes == 0 {
+	if c.ShardProbes <= 0 {
 		c.ShardProbes = DefaultShardProbes
 	}
-	if c.ShardProbes > 0 && c.Shards == 0 {
-		c.Shards = 1
+	if c.ShardProbes > MaxShardProbes {
+		c.ShardProbes = MaxShardProbes
 	}
 	return c
 }
 
-// sharded reports whether the cell-decomposed engine is selected.
-func (c RunConfig) sharded() bool { return c.Shards > 0 }
-
-// cachingConfig projects the RunConfig onto the legacy CachingConfig.
+// cachingConfig projects the RunConfig onto the caching run's own knobs.
 func (c RunConfig) cachingConfig() CachingConfig {
 	return CachingConfig{
 		Probes: c.Probes, TTL: c.TTL, ProbeInterval: c.ProbeInterval,
@@ -140,7 +135,7 @@ type Outcome struct {
 	Worlds *ShardedTestbed
 
 	// Trace holds the run's merged per-cell traces when Config.Trace was
-	// set (DDoS scenarios only).
+	// set (empty for scenarios that do not trace).
 	Trace *trace.Data
 
 	// Timeline holds the run's merged per-bucket series when
@@ -161,24 +156,14 @@ type Scenario interface {
 
 // Run executes a scenario under ctx. On cancellation it returns a
 // partial Outcome (results merged from the cells that finished) and an
-// error satisfying errors.Is(err, ErrCancelled). Monolithic runs
-// (Shards == 0) can only be cancelled between build/run/analyze phases;
-// sharded runs cancel at cell granularity.
+// error satisfying errors.Is(err, ErrCancelled); runs cancel at cell
+// granularity.
 func Run(ctx context.Context, sc Scenario, cfg RunConfig) (*Outcome, error) {
 	return sc.run(ctx, cfg.withDefaults())
 }
 
 func cancelErr(cause error) error {
 	return fmt.Errorf("%w: %v", ErrCancelled, cause)
-}
-
-// shardLabels returns the extra report labels of a sharded run. The
-// Shards concurrency knob is deliberately absent: reports must be
-// byte-identical across K, and K never changes the results.
-func shardLabels(labels map[string]string, cfg RunConfig, cells int) map[string]string {
-	labels["shard_probes"] = strconv.Itoa(cfg.ShardProbes)
-	labels["shard_cells"] = strconv.Itoa(cells)
-	return labels
 }
 
 // ---- DDoS ----
@@ -195,121 +180,39 @@ func (s ddosScenario) Name() string { return "ddos-" + s.spec.Name }
 func (s ddosScenario) Spec() DDoSSpec { return s.spec }
 
 func (s ddosScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{Scenario: s.Name(), Config: cfg}
 	spec := s.spec
 	if spec.ProbeInterval <= 0 || spec.TotalDur <= 0 {
-		return out, fmt.Errorf("ddos spec %q: ProbeInterval and TotalDur must be positive", spec.Name)
+		return &Outcome{Scenario: s.Name(), Config: cfg},
+			fmt.Errorf("ddos spec %q: ProbeInterval and TotalDur must be positive", spec.Name)
 	}
 	rounds := int(spec.TotalDur / spec.ProbeInterval)
-
-	if !cfg.sharded() {
-		if err := ctx.Err(); err != nil {
-			return out, cancelErr(err)
-		}
-		tb := runDDoSTestbed(spec, cfg.Probes, cfg.Seed, cfg.Population, cfg.Trace, cfg.Timeline, 0)
-		out.DDoS = analyzeDDoS(spec, tb, rounds)
-		out.Report = out.DDoS.Report
-		out.Timeline = out.DDoS.Timeline
-		if ct := captureCellTrace(tb, 0); ct != nil {
-			out.Trace = &trace.Data{SampleEvery: cfg.Trace.SampleEvery, Cells: []trace.CellTrace{*ct}}
-		}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			out.Worlds = &ShardedTestbed{ShardProbes: cfg.Probes, Shards: []*Testbed{tb}}
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(0)
-		}
-		return out, nil
-	}
-
-	cells := planCells(cfg.Probes, cfg.ShardProbes)
-	type cellResult struct {
-		ac   *ddosAccum
-		snap metrics.Snapshot
-		tb   *Testbed
-		ct   *trace.CellTrace
-	}
-	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i int, n int) *cellResult {
-		tb := runDDoSTestbed(spec, n, mixSeed(cfg.Seed, i), cfg.Population, cfg.Trace, cfg.Timeline, i)
-		ac := newDDoSAccum(spec, tb.Start, rounds)
-		ac.absorb(tb)
-		cr := &cellResult{ac: ac, snap: tb.CollectMetrics().Snapshot(),
-			ct: captureCellTrace(tb, i)}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			cr.tb = tb
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(i)
-		}
-		return cr
-	})
-
 	total := newDDoSAccum(spec, testbedStart, rounds)
-	var snaps []metrics.Snapshot
-	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
-	var traced *trace.Data
-	if cfg.Trace != nil {
-		traced = &trace.Data{SampleEvery: cfg.Trace.SampleEvery}
-	}
-	for i, cr := range results {
-		if cr == nil {
-			continue
-		}
-		total.merge(cr.ac)
-		snaps = append(snaps, cr.snap)
-		worlds.Shards[i] = cr.tb
-		if traced != nil && cr.ct != nil {
-			// results is in cell-index order, so the merged trace is too —
-			// independent of which worker ran which cell.
-			traced.Cells = append(traced.Cells, *cr.ct)
-		}
-	}
-	res := total.finalize()
-	snap := metrics.MergeSnapshots(snaps...)
-	res.Report = &metrics.Report{
-		Name: "ddos-" + spec.Name,
-		Labels: shardLabels(map[string]string{
-			"experiment": spec.Name,
-			"probes":     strconv.Itoa(cfg.Probes),
-			"ttl":        strconv.FormatUint(uint64(spec.TTL), 10),
-			"loss":       strconv.FormatFloat(spec.Loss, 'g', -1, 64),
-			"seed":       strconv.FormatInt(cfg.Seed, 10),
-		}, cfg, len(cells)),
-		Metrics:    snap,
-		Invariants: DDoSInvariants(res, snap),
-	}
-	out.DDoS = res
-	out.Report = res.Report
-	out.Trace = traced
-	out.Timeline = res.Timeline
-	if runErr != nil {
-		return out, cancelErr(runErr)
-	}
-	if cfg.KeepWorlds {
-		out.Worlds = worlds
-	}
-	return out, nil
-}
-
-// captureCellTrace snapshots one testbed's ring buffer as a CellTrace;
-// nil when tracing is off.
-func captureCellTrace(tb *Testbed, cell int) *trace.CellTrace {
-	if tb.Trace == nil {
-		return nil
-	}
-	return &trace.CellTrace{Cell: cell, Dropped: tb.Trace.Dropped(), Events: tb.Trace.Events()}
-}
-
-// cellDone reports one finished cell's simulator totals to the run's
-// Progress tracker, when any.
-func cellDone(cfg RunConfig, tb *Testbed) {
-	if cfg.Progress == nil {
-		return
-	}
-	_, fired, _ := tb.Clk.Counters()
-	cfg.Progress.CellDone(fired, tb.Clk.Now().Sub(tb.Start))
+	return runCells(ctx, s.Name(), cfg, cellRun[*ddosAccum]{
+		cell: func(cell, probes int, seed int64) (*ddosAccum, *Testbed) {
+			tb := runDDoSTestbed(spec, probes, seed, cfg.Population, cfg.Trace, cfg.Timeline, cell)
+			ac := newDDoSAccum(spec, tb.Start, rounds)
+			ac.absorb(tb)
+			return ac, tb
+		},
+		fold: total.merge,
+		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
+			res := total.finalize()
+			res.Report = &metrics.Report{
+				Name: s.Name(),
+				Labels: map[string]string{
+					"experiment": spec.Name,
+					"probes":     strconv.Itoa(cfg.Probes),
+					"ttl":        strconv.FormatUint(uint64(spec.TTL), 10),
+					"loss":       strconv.FormatFloat(spec.Loss, 'g', -1, 64),
+					"seed":       strconv.FormatInt(cfg.Seed, 10),
+				},
+				Metrics:    snap,
+				Invariants: DDoSInvariants(res, snap),
+			}
+			out.DDoS, out.Timeline = res, res.Timeline
+			return res.Report
+		},
+	})
 }
 
 // ---- Caching ----
@@ -323,82 +226,35 @@ func CachingScenario() Scenario { return cachingScenario{} }
 func (cachingScenario) Name() string { return "caching" }
 
 func (cachingScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{Scenario: "caching", Config: cfg}
 	cc := cfg.cachingConfig()
-
-	if !cfg.sharded() {
-		if err := ctx.Err(); err != nil {
-			return out, cancelErr(err)
-		}
-		res, tb := runCachingTestbed(cc)
-		out.Caching = res
-		out.Report = res.Report
-		if cfg.KeepWorlds {
-			out.Worlds = &ShardedTestbed{ShardProbes: cfg.Probes, Shards: []*Testbed{tb}}
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(0)
-		}
-		return out, nil
-	}
-
-	cells := planCells(cfg.Probes, cfg.ShardProbes)
-	type cellResult struct {
-		ac   *cachingAccum
-		snap metrics.Snapshot
-		tb   *Testbed
-	}
-	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i int, n int) *cellResult {
-		cellCfg := cc
-		cellCfg.Probes = n
-		cellCfg.Seed = mixSeed(cfg.Seed, i)
-		tb := runCachingWorld(cellCfg)
-		ac := newCachingAccum(cc, testbedStart)
-		ac.absorb(tb)
-		cr := &cellResult{ac: ac, snap: tb.CollectMetrics().Snapshot()}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			cr.tb = tb
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(i)
-		}
-		return cr
-	})
-
 	total := newCachingAccum(cc, testbedStart)
-	var snaps []metrics.Snapshot
-	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
-	for i, cr := range results {
-		if cr == nil {
-			continue
-		}
-		total.merge(cr.ac)
-		snaps = append(snaps, cr.snap)
-		worlds.Shards[i] = cr.tb
-	}
-	res := total.finalize()
-	snap := metrics.MergeSnapshots(snaps...)
-	res.Report = &metrics.Report{
-		Name: fmt.Sprintf("caching-ttl%d", cc.TTL),
-		Labels: shardLabels(map[string]string{
-			"probes": strconv.Itoa(cfg.Probes),
-			"ttl":    strconv.FormatUint(uint64(cc.TTL), 10),
-			"rounds": strconv.Itoa(cc.Rounds),
-			"seed":   strconv.FormatInt(cfg.Seed, 10),
-		}, cfg, len(cells)),
-		Metrics:    snap,
-		Invariants: cachingInvariants(res, snap),
-	}
-	out.Caching = res
-	out.Report = res.Report
-	if runErr != nil {
-		return out, cancelErr(runErr)
-	}
-	if cfg.KeepWorlds {
-		out.Worlds = worlds
-	}
-	return out, nil
+	return runCells(ctx, "caching", cfg, cellRun[*cachingAccum]{
+		cell: func(_, probes int, seed int64) (*cachingAccum, *Testbed) {
+			cellCfg := cc
+			cellCfg.Probes, cellCfg.Seed = probes, seed
+			tb := runCachingWorld(cellCfg)
+			ac := newCachingAccum(cc, testbedStart)
+			ac.absorb(tb)
+			return ac, tb
+		},
+		fold: total.merge,
+		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
+			res := total.finalize()
+			res.Report = &metrics.Report{
+				Name: fmt.Sprintf("caching-ttl%d", cc.TTL),
+				Labels: map[string]string{
+					"probes": strconv.Itoa(cfg.Probes),
+					"ttl":    strconv.FormatUint(uint64(cc.TTL), 10),
+					"rounds": strconv.Itoa(cc.Rounds),
+					"seed":   strconv.FormatInt(cfg.Seed, 10),
+				},
+				Metrics:    snap,
+				Invariants: cachingInvariants(res, snap),
+			}
+			out.Caching = res
+			return res.Report
+		},
+	})
 }
 
 // ---- Glue vs authoritative ----
@@ -412,84 +268,27 @@ func GlueScenario() Scenario { return glueScenario{} }
 func (glueScenario) Name() string { return "glue" }
 
 func (glueScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{Scenario: "glue", Config: cfg}
-
-	if !cfg.sharded() {
-		if err := ctx.Err(); err != nil {
-			return out, cancelErr(err)
-		}
-		res, tb := runGlueTestbed(cfg.Probes, cfg.Seed, cfg.Population)
-		snap := tb.CollectMetrics().Snapshot()
-		res.Report = &metrics.Report{
-			Name: "glue",
-			Labels: map[string]string{
-				"probes": strconv.Itoa(cfg.Probes),
-				"seed":   strconv.FormatInt(cfg.Seed, 10),
-			},
-			Metrics:    snap,
-			Invariants: glueInvariants(snap),
-		}
-		out.Glue = res
-		out.Report = res.Report
-		if cfg.KeepWorlds {
-			out.Worlds = &ShardedTestbed{ShardProbes: cfg.Probes, Shards: []*Testbed{tb}}
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(0)
-		}
-		return out, nil
-	}
-
-	cells := planCells(cfg.Probes, cfg.ShardProbes)
-	type cellResult struct {
-		res  *GlueResult
-		snap metrics.Snapshot
-		tb   *Testbed
-	}
-	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i int, n int) *cellResult {
-		res, tb := runGlueTestbed(n, mixSeed(cfg.Seed, i), cfg.Population)
-		cr := &cellResult{res: res, snap: tb.CollectMetrics().Snapshot()}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			cr.tb = tb
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(i)
-		}
-		return cr
+	var total glueAccum
+	return runCells(ctx, "glue", cfg, cellRun[*GlueResult]{
+		cell: func(_, probes int, seed int64) (*GlueResult, *Testbed) {
+			return runGlueTestbed(probes, seed, cfg.Population)
+		},
+		fold: total.absorb,
+		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
+			res := total.finalize()
+			res.Report = &metrics.Report{
+				Name: "glue",
+				Labels: map[string]string{
+					"probes": strconv.Itoa(cfg.Probes),
+					"seed":   strconv.FormatInt(cfg.Seed, 10),
+				},
+				Metrics:    snap,
+				Invariants: glueInvariants(snap),
+			}
+			out.Glue = res
+			return res.Report
+		},
 	})
-
-	var ac glueAccum
-	var snaps []metrics.Snapshot
-	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
-	for i, cr := range results {
-		if cr == nil {
-			continue
-		}
-		ac.absorb(cr.res)
-		snaps = append(snaps, cr.snap)
-		worlds.Shards[i] = cr.tb
-	}
-	res := ac.finalize()
-	snap := metrics.MergeSnapshots(snaps...)
-	res.Report = &metrics.Report{
-		Name: "glue",
-		Labels: shardLabels(map[string]string{
-			"probes": strconv.Itoa(cfg.Probes),
-			"seed":   strconv.FormatInt(cfg.Seed, 10),
-		}, cfg, len(cells)),
-		Metrics:    snap,
-		Invariants: glueInvariants(snap),
-	}
-	out.Glue = res
-	out.Report = res.Report
-	if runErr != nil {
-		return out, cancelErr(runErr)
-	}
-	if cfg.KeepWorlds {
-		out.Worlds = worlds
-	}
-	return out, nil
 }
 
 // ---- Check ----
@@ -497,8 +296,7 @@ func (glueScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 type checkScenario struct{}
 
 // CheckScenario is the one-shot reproduction self-test as a Scenario.
-// Sub-experiments inherit the config's Shards/ShardProbes, so the
-// self-test can exercise the sharded engine too.
+// Sub-experiments inherit the config's Shards/ShardProbes.
 func CheckScenario() Scenario { return checkScenario{} }
 
 func (checkScenario) Name() string { return "check" }
@@ -512,7 +310,7 @@ func (checkScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	specI, okI := SpecByName("I")
 	specA, okA := SpecByName("A")
 
-	// sub derives a sub-experiment's RunConfig: same engine selection,
+	// sub derives a sub-experiment's RunConfig: same cell layout,
 	// scenario-specific probe count and caching knobs.
 	sub := func(p int, ttl uint32, rounds int, pop PopulationConfig) RunConfig {
 		return RunConfig{

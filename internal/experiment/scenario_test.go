@@ -138,8 +138,11 @@ func TestShardPlanStability(t *testing.T) {
 
 // TestRunConfigDefaults pins the withDefaults rules the API documents.
 func TestRunConfigDefaults(t *testing.T) {
-	if got := (RunConfig{}).withDefaults(); got.Probes != 1200 || got.sharded() {
-		t.Errorf("zero config: %+v (want 1200 probes, monolithic)", got)
+	if got := (RunConfig{}).withDefaults(); got.Probes != 1200 || got.Shards != 1 || got.ShardProbes != DefaultShardProbes {
+		t.Errorf("zero config: %+v (want 1200 probes, 1 shard, default cell size)", got)
+	}
+	if got := (RunConfig{Shards: -3}).withDefaults(); got.Shards != 1 {
+		t.Errorf("Shards=-3: Shards = %d, want 1", got.Shards)
 	}
 	if got := (RunConfig{Shards: 4}).withDefaults(); got.ShardProbes != DefaultShardProbes {
 		t.Errorf("Shards=4: ShardProbes = %d, want %d", got.ShardProbes, DefaultShardProbes)
@@ -152,44 +155,132 @@ func TestRunConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestRunCancelledPartial cancels a sharded run after its first cell and
-// requires a typed error plus a partial outcome whose merged metrics are
-// still internally consistent.
+// TestRunCancelledPartial drives every cell family through the one
+// driver on a 3-cell plan. Cancelling after the first cell must yield a
+// typed error plus a partial outcome that covers exactly that cell, with
+// internally consistent merged metrics and no retained worlds; the
+// uncancelled KeepWorlds run must retain one world per planned cell.
 func TestRunCancelledPartial(t *testing.T) {
-	spec := shortSpec()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := RunConfig{Probes: 48, ShardProbes: 16, Shards: 1, Seed: 3}
-	cfg.afterShard = func(cell int) {
-		if cell == 0 {
-			cancel()
-		}
+	// size is a scalar that grows with the cells a family result covers;
+	// -1 when the family result is missing.
+	families := []struct {
+		name string
+		sc   Scenario
+		size func(*Outcome) int64
+	}{
+		{"ddos", DDoSScenario(shortSpec()), func(o *Outcome) int64 {
+			if o.DDoS == nil {
+				return -1
+			}
+			return int64(o.DDoS.Table4.Probes)
+		}},
+		{"caching", CachingScenario(), func(o *Outcome) int64 {
+			if o.Caching == nil {
+				return -1
+			}
+			return int64(o.Caching.Table1.Probes)
+		}},
+		{"glue", GlueScenario(), func(o *Outcome) int64 {
+			if o.Glue == nil {
+				return -1
+			}
+			return int64(o.Glue.NS.Total)
+		}},
+		{"nxns", NXNSScenario(NXNSSpec{}), func(o *Outcome) int64 {
+			if o.NXNS == nil {
+				return -1
+			}
+			var n int64
+			for _, row := range o.NXNS.Rows {
+				n += row.Queries
+			}
+			return n
+		}},
+		{"poison", PoisonScenario(PoisonSpec{}), func(o *Outcome) int64 {
+			if o.Poison == nil {
+				return -1
+			}
+			return o.Poison.Attempts
+		}},
+		{"reflect", ReflectScenario(ReflectSpec{}), func(o *Outcome) int64 {
+			if o.Reflect == nil {
+				return -1
+			}
+			return o.Reflect.VictimPackets
+		}},
+		{"transport", TransportScenario(TransportSpec{}), func(o *Outcome) int64 {
+			if o.Transport == nil {
+				return -1
+			}
+			var n int64
+			for _, row := range o.Transport.Rows {
+				n += row.Queries
+			}
+			return n
+		}},
 	}
-	out, err := Run(ctx, DDoSScenario(spec), cfg)
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-	if out == nil || out.DDoS == nil {
-		t.Fatal("cancelled run returned no partial outcome")
-	}
-	if got := out.DDoS.Table4.Probes; got != 16 {
-		t.Errorf("partial outcome covers %d probes, want 16 (first cell only)", got)
-	}
-	if out.Report == nil {
-		t.Fatal("cancelled run has no partial metrics report")
-	}
-	if !out.Report.OK() {
-		t.Errorf("partial metrics inconsistent: %+v", out.Report.FailedInvariants())
-	}
+	for _, f := range families {
+		t.Run(f.name, func(t *testing.T) {
+			cfg := RunConfig{Probes: 48, ShardProbes: 16, Shards: 1, Seed: 3,
+				TTL: 600, ProbeInterval: 10 * time.Minute, Rounds: 3}
 
-	// The uncancelled run over the same config covers the whole population.
-	full, err := Run(context.Background(), DDoSScenario(spec),
-		RunConfig{Probes: 48, ShardProbes: 16, Shards: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := full.DDoS.Table4.Probes; got != 48 {
-		t.Errorf("full run covers %d probes, want 48", got)
+			// Cell 0 of the 3-cell plan is exactly the 16-probe run.
+			firstCfg := cfg
+			firstCfg.Probes = 16
+			first := mustRun(t, f.sc, firstCfg)
+			if f.size(first) <= 0 {
+				t.Fatalf("first-cell run is empty (size %d)", f.size(first))
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cancelled := cfg
+			cancelled.KeepWorlds = true // a cancelled run must drop them anyway
+			cancelled.afterShard = func(cell int) {
+				if cell == 0 {
+					cancel()
+				}
+			}
+			out, err := Run(ctx, f.sc, cancelled)
+			if !errors.Is(err, ErrCancelled) {
+				t.Fatalf("err = %v, want ErrCancelled", err)
+			}
+			if out == nil || f.size(out) < 0 {
+				t.Fatal("cancelled run returned no partial family result")
+			}
+			if got, want := f.size(out), f.size(first); got != want {
+				t.Errorf("partial outcome has size %d, want %d (first cell only)", got, want)
+			}
+			if out.Report == nil {
+				t.Fatal("cancelled run has no partial metrics report")
+			}
+			if !out.Report.OK() {
+				t.Errorf("partial metrics inconsistent: %+v", out.Report.FailedInvariants())
+			}
+			if out.Worlds != nil {
+				t.Error("cancelled run retained worlds")
+			}
+
+			// The uncancelled run covers the whole population and keeps one
+			// world per planned cell.
+			kept := cfg
+			kept.KeepWorlds = true
+			full := mustRun(t, f.sc, kept)
+			if got := f.size(full); got <= f.size(first) {
+				t.Errorf("full run has size %d, want more than the first cell's %d", got, f.size(first))
+			}
+			if !full.Report.OK() {
+				t.Errorf("full run invariants failed: %+v", full.Report.FailedInvariants())
+			}
+			if full.Worlds == nil || len(full.Worlds.Shards) != 3 {
+				t.Fatalf("KeepWorlds retained %+v, want 3 cells", full.Worlds)
+			}
+			for i, tb := range full.Worlds.Shards {
+				if tb == nil {
+					t.Errorf("cell %d world not retained", i)
+				}
+			}
+		})
 	}
 }
 

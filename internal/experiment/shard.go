@@ -1,5 +1,14 @@
 package experiment
 
+import (
+	"context"
+	"strconv"
+
+	"repro/internal/metrics"
+	"repro/internal/parallel"
+	"repro/internal/trace"
+)
+
 // Cell decomposition for population-scale runs. A large probe population
 // is split into fixed-capacity cells of ShardProbes probes; each cell is
 // a fully self-contained testbed (its own virtual clock, network,
@@ -56,6 +65,90 @@ func planCells(probes, shardProbes int) []int {
 	return cells
 }
 
+// cellRun is one scenario family's part of a run: everything else —
+// cell planning and seeding, the fan-out, snapshot merge, trace capture,
+// progress ticks, retained worlds, cancellation — is runCells. P is the
+// family's per-cell partial result.
+type cellRun[P any] struct {
+	// cell builds and runs one cell of probes probes from its derived
+	// seed and returns its partial plus the finished testbed. Called
+	// concurrently, one call per cell.
+	cell func(cell, probes int, seed int64) (P, *Testbed)
+	// fold adds one cell's partial to the family's running total. Called
+	// sequentially, in cell-index order, after the fan-out.
+	fold func(P)
+	// report finalizes the total over the merged snapshot: it stores the
+	// family result in out and returns the run report (name, family
+	// labels, metrics, invariants). runCells adds the shard labels.
+	report func(out *Outcome, snap metrics.Snapshot) *metrics.Report
+}
+
+// runCells is the one cell loop every population-scale scenario runs
+// through. Cells are planned from (Probes, ShardProbes) and seeded from
+// (Seed, cell index) only; cfg.Shards of them run at once and their
+// partials fold in cell-index order, so the Outcome is byte-identical
+// for every Shards value. When ctx fires mid-run the Outcome covers the
+// cells that finished and the error wraps ErrCancelled.
+func runCells[P any](ctx context.Context, name string, cfg RunConfig, fam cellRun[P]) (*Outcome, error) {
+	type cellResult struct {
+		part P
+		snap metrics.Snapshot
+		tb   *Testbed
+		ct   *trace.CellTrace
+	}
+	cells := planCells(cfg.Probes, cfg.ShardProbes)
+	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i, n int) *cellResult {
+		part, tb := fam.cell(i, n, mixSeed(cfg.Seed, i))
+		cr := &cellResult{part: part, snap: tb.CollectMetrics().Snapshot()}
+		if tb.Trace != nil {
+			cr.ct = &trace.CellTrace{Cell: i, Dropped: tb.Trace.Dropped(), Events: tb.Trace.Events()}
+		}
+		if cfg.Progress != nil {
+			_, fired, _ := tb.Clk.Counters()
+			cfg.Progress.CellDone(fired, tb.Clk.Now().Sub(tb.Start))
+		}
+		if cfg.KeepWorlds {
+			cr.tb = tb
+		}
+		if cfg.afterShard != nil {
+			cfg.afterShard(i)
+		}
+		return cr
+	})
+
+	out := &Outcome{Scenario: name, Config: cfg}
+	var snaps []metrics.Snapshot
+	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
+	if cfg.Trace != nil {
+		out.Trace = &trace.Data{SampleEvery: cfg.Trace.SampleEvery}
+	}
+	for i, cr := range results {
+		if cr == nil {
+			continue // cancelled before this cell ran
+		}
+		fam.fold(cr.part)
+		snaps = append(snaps, cr.snap)
+		worlds.Shards[i] = cr.tb
+		if cr.ct != nil {
+			// results is in cell-index order, so the merged trace is too —
+			// independent of which worker ran which cell.
+			out.Trace.Cells = append(out.Trace.Cells, *cr.ct)
+		}
+	}
+	out.Report = fam.report(out, metrics.MergeSnapshots(snaps...))
+	// The Shards concurrency knob is deliberately not a label: reports
+	// must be byte-identical across K, and K never changes the results.
+	out.Report.Labels["shard_probes"] = strconv.Itoa(cfg.ShardProbes)
+	out.Report.Labels["shard_cells"] = strconv.Itoa(len(cells))
+	if runErr != nil {
+		return out, cancelErr(runErr)
+	}
+	if cfg.KeepWorlds {
+		out.Worlds = worlds
+	}
+	return out, nil
+}
+
 // ProbeRef addresses one probe in a sharded run: the cell (shard) it
 // lives in plus its cell-local probe ID. IDs restart at 1 in every cell,
 // so a bare uint16 is ambiguous once a run spans more than one cell.
@@ -66,21 +159,12 @@ type ProbeRef struct {
 
 // ShardedTestbed is the set of per-cell worlds a KeepWorlds run retains
 // for drill-down analyses (Table 7 / Appendix F). Shards[i] is cell i's
-// testbed; a monolithic run keeps exactly one shard.
+// testbed.
 type ShardedTestbed struct {
 	// ShardProbes is the planned cell capacity (the last cell may hold
 	// fewer probes).
 	ShardProbes int
 	Shards      []*Testbed
-}
-
-// ShardOf maps a zero-based global probe index to its ProbeRef.
-func (st *ShardedTestbed) ShardOf(global int) ProbeRef {
-	per := st.ShardProbes
-	if per <= 0 {
-		return ProbeRef{Shard: 0, ID: uint16(global + 1)}
-	}
-	return ProbeRef{Shard: global / per, ID: uint16(global%per + 1)}
 }
 
 // PerProbe computes the Table 7 drill-down for one probe of a sharded

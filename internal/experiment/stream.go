@@ -1,15 +1,12 @@
 package experiment
 
 // Streaming, mergeable analysis accumulators. Each accumulator absorbs
-// one finished testbed (a whole monolithic run, or one cell of a sharded
-// run) and merges with its siblings; finalize renders the familiar
-// result structs. The monolithic analyzers delegate here, so both paths
-// share one analysis pipeline — and because every summarized sample is
-// integer-valued (RTTs in whole milliseconds, per-probe counts), the
-// stats.Counts multisets reproduce the old sort-and-Summarize results
-// bit for bit. Merges are order-independent (integer sums and multiset
-// unions), which is what makes a K-shard run byte-identical to the
-// 1-shard run over the same cells.
+// one finished cell's testbed and merges with its siblings; finalize
+// renders the familiar result structs. Every summarized sample is
+// integer-valued (RTTs in whole milliseconds, per-probe counts), so the
+// stats.Counts multisets summarize exactly. Merges are order-independent
+// (integer sums and multiset unions), which is what makes a K-shard run
+// byte-identical to the 1-shard run over the same cells.
 
 import (
 	"sort"
@@ -34,10 +31,10 @@ type ddosAccum struct {
 	answers     *stats.RoundSeries
 	classes     *stats.RoundSeries
 	authQueries *stats.RoundSeries
-	latency     []*stats.Counts // rounds+1: per-round RTTs + overflow bin
-	uniqueRn    []int           // per-round distinct resolver addresses
-	rnPerProbe  []*stats.Counts // per-round distinct-Rn-per-probe samples
-	queriesPP   []*stats.Counts // per-round AAAA-queries-per-probe samples
+	latency     []*stats.Counts    // rounds+1: per-round RTTs + overflow bin
+	uniqueRn    []int              // per-round distinct resolver addresses
+	rnPerProbe  []*stats.Counts    // per-round distinct-Rn-per-probe samples
+	queriesPP   []*stats.Counts    // per-round AAAA-queries-per-probe samples
 	tl          *timeline.Timeline // nil unless the run collects a timeline
 }
 

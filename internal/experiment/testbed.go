@@ -8,6 +8,7 @@
 package experiment
 
 import (
+	"strconv"
 	"sync"
 	"time"
 
@@ -138,8 +139,16 @@ type Testbed struct {
 var testbedStart = time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC)
 
 // NewTestbed builds the hierarchy, resolver population, and probe fleet.
+// Probe IDs are uint16, so it panics when cfg.Probes exceeds
+// MaxShardProbes rather than wrap them; larger populations run as
+// several cells (see RunConfig.ShardProbes).
 func NewTestbed(cfg TestbedConfig) *Testbed {
 	cfg = cfg.withDefaults()
+	if cfg.Probes > MaxShardProbes {
+		panic("experiment: NewTestbed: " + strconv.Itoa(cfg.Probes) +
+			" probes exceed MaxShardProbes (" + strconv.Itoa(MaxShardProbes) +
+			"): probe IDs are 16-bit")
+	}
 	tb := &Testbed{
 		Cfg:   cfg,
 		Start: testbedStart,

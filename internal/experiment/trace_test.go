@@ -51,17 +51,16 @@ func TestTraceShardInvariance(t *testing.T) {
 	}
 }
 
-// TestTraceMonolithicAndChrome covers the remaining export paths: the
-// monolithic (unsharded) engine honors RunConfig.Trace too, and the
-// Chrome conversion of a real run's trace passes its validator.
-func TestTraceMonolithicAndChrome(t *testing.T) {
+// TestTraceChromeExport covers the remaining export path: the Chrome
+// conversion of a real run's trace passes its validator.
+func TestTraceChromeExport(t *testing.T) {
 	cfg := RunConfig{Probes: 16, Seed: 7, Trace: &trace.Config{}}
 	out, err := Run(context.Background(), DDoSScenario(shortSpec()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Trace == nil || out.Trace.Len() == 0 {
-		t.Fatal("monolithic run captured no trace")
+		t.Fatal("run captured no trace")
 	}
 	if problems := out.Trace.Validate(); len(problems) > 0 {
 		t.Fatalf("trace validation failed: %v", problems)

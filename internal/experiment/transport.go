@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/dnswire"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/recursive"
 	"repro/internal/stub"
 	"repro/internal/trace"
@@ -363,92 +362,24 @@ func (s transportScenario) labels(cfg RunConfig) map[string]string {
 }
 
 func (s transportScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{Scenario: s.Name(), Config: cfg}
-
-	if !cfg.sharded() {
-		if err := ctx.Err(); err != nil {
-			return out, cancelErr(err)
-		}
-		res, tb := runTransportTestbed(s.spec, cfg.Probes, cfg.Seed, cfg.Trace, 0)
-		snap := tb.CollectMetrics().Snapshot()
-		res.Report = &metrics.Report{
-			Name:       s.Name(),
-			Labels:     s.labels(cfg),
-			Metrics:    snap,
-			Invariants: transportInvariants(s.spec, res, snap),
-		}
-		out.Transport = res
-		out.Report = res.Report
-		if ct := captureCellTrace(tb, 0); ct != nil {
-			out.Trace = &trace.Data{SampleEvery: cfg.Trace.SampleEvery, Cells: []trace.CellTrace{*ct}}
-		}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			out.Worlds = &ShardedTestbed{ShardProbes: cfg.Probes, Shards: []*Testbed{tb}}
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(0)
-		}
-		return out, nil
-	}
-
-	cells := planCells(cfg.Probes, cfg.ShardProbes)
-	type cellResult struct {
-		res  *TransportResult
-		snap metrics.Snapshot
-		tb   *Testbed
-		ct   *trace.CellTrace
-	}
-	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i int, n int) *cellResult {
-		res, tb := runTransportTestbed(s.spec, n, mixSeed(cfg.Seed, i), cfg.Trace, i)
-		cr := &cellResult{res: res, snap: tb.CollectMetrics().Snapshot(),
-			ct: captureCellTrace(tb, i)}
-		cellDone(cfg, tb)
-		if cfg.KeepWorlds {
-			cr.tb = tb
-		}
-		if cfg.afterShard != nil {
-			cfg.afterShard(i)
-		}
-		return cr
+	total := newTransportAccum(s.spec)
+	return runCells(ctx, s.Name(), cfg, cellRun[*TransportResult]{
+		cell: func(cell, probes int, seed int64) (*TransportResult, *Testbed) {
+			return runTransportTestbed(s.spec, probes, seed, cfg.Trace, cell)
+		},
+		fold: total.absorb,
+		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
+			res := total.finalize()
+			res.Report = &metrics.Report{
+				Name:       s.Name(),
+				Labels:     s.labels(cfg),
+				Metrics:    snap,
+				Invariants: transportInvariants(s.spec, res, snap),
+			}
+			out.Transport = res
+			return res.Report
+		},
 	})
-
-	ac := newTransportAccum(s.spec)
-	var snaps []metrics.Snapshot
-	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
-	var traced *trace.Data
-	if cfg.Trace != nil {
-		traced = &trace.Data{SampleEvery: cfg.Trace.SampleEvery}
-	}
-	for i, cr := range results {
-		if cr == nil {
-			continue
-		}
-		ac.absorb(cr.res)
-		snaps = append(snaps, cr.snap)
-		worlds.Shards[i] = cr.tb
-		if traced != nil && cr.ct != nil {
-			traced.Cells = append(traced.Cells, *cr.ct)
-		}
-	}
-	res := ac.finalize()
-	snap := metrics.MergeSnapshots(snaps...)
-	res.Report = &metrics.Report{
-		Name:       s.Name(),
-		Labels:     shardLabels(s.labels(cfg), cfg, len(cells)),
-		Metrics:    snap,
-		Invariants: transportInvariants(s.spec, res, snap),
-	}
-	out.Transport = res
-	out.Report = res.Report
-	out.Trace = traced
-	if runErr != nil {
-		return out, cancelErr(runErr)
-	}
-	if cfg.KeepWorlds {
-		out.Worlds = worlds
-	}
-	return out, nil
 }
 
 // RenderTransport prints the answer-rate table of one transport run:

@@ -1,13 +1,13 @@
 // Package regress compares two observability documents — run reports
-// (metrics.WriteReportsJSON), timelines (timeline JSON), or bench
-// snapshots (cmd/benchsnap) — metric by metric, with per-metric
-// tolerances. It is the engine behind `dikes diff` and the CI
+// (metrics.WriteReportsJSON) or timelines (timeline JSON) — metric by
+// metric, with per-metric tolerances. It is the engine behind `dikes diff` and the CI
 // report-regression gate: flatten both sides to sorted key→value maps,
 // diff, and report every change outside tolerance.
 package regress
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -21,7 +21,6 @@ type Kind string
 const (
 	KindReports  Kind = "reports"
 	KindTimeline Kind = "timeline"
-	KindBench    Kind = "bench"
 )
 
 // Doc is one parsed document flattened to metric keys.
@@ -66,14 +65,6 @@ type timelineDoc struct {
 	Bins    [][]int64 `json:"bins"`
 }
 
-// benchDoc mirrors cmd/benchsnap's snapshot shape.
-type benchDoc map[string]struct {
-	NsPerOp     *float64           `json:"ns_per_op"`
-	BytesPerOp  *float64           `json:"bytes_per_op"`
-	AllocsPerOp *float64           `json:"allocs_per_op"`
-	Metrics     map[string]float64 `json:"metrics"`
-}
-
 // Load reads and flattens one document, auto-detecting its format.
 func Load(path string) (*Doc, error) {
 	data, err := os.ReadFile(path)
@@ -84,9 +75,8 @@ func Load(path string) (*Doc, error) {
 }
 
 // Parse flattens one document, auto-detecting its format: an object
-// with "reports" is a run-report bundle, one with "bins" and "metrics"
-// is a timeline, and any other object of benchmark entries is a bench
-// snapshot.
+// with "reports" is a run-report bundle and one with "bins" and
+// "metrics" is a timeline.
 func Parse(data []byte) (*Doc, error) {
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(data, &probe); err != nil {
@@ -106,11 +96,7 @@ func Parse(data []byte) (*Doc, error) {
 		}
 		return flattenTimeline(d), nil
 	default:
-		var d benchDoc
-		if err := json.Unmarshal(data, &d); err != nil {
-			return nil, fmt.Errorf("bench snapshot: %w", err)
-		}
-		return flattenBench(d), nil
+		return nil, errors.New("neither a run-report bundle nor a timeline")
 	}
 }
 
@@ -155,35 +141,13 @@ func flattenTimeline(d timelineDoc) *Doc {
 	return &Doc{Kind: KindTimeline, Values: v}
 }
 
-func flattenBench(d benchDoc) *Doc {
-	v := make(map[string]float64)
-	for name, r := range d {
-		if r.NsPerOp != nil {
-			v[name+".ns_per_op"] = *r.NsPerOp
-		}
-		if r.BytesPerOp != nil {
-			v[name+".bytes_per_op"] = *r.BytesPerOp
-		}
-		if r.AllocsPerOp != nil {
-			v[name+".allocs_per_op"] = *r.AllocsPerOp
-		}
-		for unit, val := range r.Metrics {
-			v[name+"."+unit] = val
-		}
-	}
-	return &Doc{Kind: KindBench, Values: v}
-}
-
 func itoa(v int) string { return fmt.Sprintf("%d", v) }
 
 // Options tunes a comparison.
 type Options struct {
 	// Tolerance is the allowed relative change (e.g. 0.02 = 2%) before a
-	// delta counts as a regression. For KindBench only increases count
-	// (bigger ns/op is worse, smaller is an improvement); for reports and
-	// timelines any out-of-tolerance change in either direction counts —
-	// those documents are deterministic, so the default 0 means
-	// "identical".
+	// delta counts as a regression, in either direction: the documents
+	// are deterministic, so the default 0 means "identical".
 	Tolerance float64
 	// PerKey overrides Tolerance for keys containing the map key as a
 	// substring; the longest matching pattern wins.
@@ -204,7 +168,6 @@ func (o Options) tolFor(key string) float64 {
 // Compare diffs old against new. The returned deltas list every changed
 // or one-sided key, sorted; regressions are flagged per Options.
 func Compare(oldDoc, newDoc *Doc, opts Options) []Delta {
-	increaseOnly := oldDoc.Kind == KindBench && newDoc.Kind == KindBench
 	keys := make(map[string]bool, len(oldDoc.Values)+len(newDoc.Values))
 	for k := range oldDoc.Values {
 		keys[k] = true
@@ -228,14 +191,8 @@ func Compare(oldDoc, newDoc *Doc, opts Options) []Delta {
 		case !nOK:
 			deltas = append(deltas, Delta{Key: k, Old: ov, New: math.NaN(), Missing: true, Regressed: true})
 		case ov != nv:
-			d := Delta{Key: k, Old: ov, New: nv}
-			change := relChange(ov, nv)
-			if increaseOnly {
-				d.Regressed = change > opts.tolFor(k)
-			} else {
-				d.Regressed = math.Abs(change) > opts.tolFor(k)
-			}
-			deltas = append(deltas, d)
+			deltas = append(deltas, Delta{Key: k, Old: ov, New: nv,
+				Regressed: math.Abs(relChange(ov, nv)) > opts.tolFor(k)})
 		}
 	}
 	return deltas

@@ -161,9 +161,8 @@ func sweepAxis(s *Spec) string {
 	return ""
 }
 
-// runConfig lowers the engine section. Shards 0 becomes 1: a compiled
-// spec always runs on the sharded engine so its bytes are pinned for
-// every shard count.
+// runConfig lowers the engine section. Shards 0 becomes 1, the engine's
+// own default, spelled out so compiled configs print the same either way.
 func runConfig(e *EngineSection) experiment.RunConfig {
 	cfg := experiment.RunConfig{Seed: DefaultSeed, Shards: 1}
 	if e == nil {

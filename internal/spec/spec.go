@@ -12,9 +12,9 @@
 // experiment.Scenario + experiment.RunConfig). CompileAll chains the
 // last two into campaign items.
 //
-// Compiled configs always select the sharded engine (Shards >= 1), whose
-// results are byte-identical at any shard count, so a spec pins the
-// experiment's output bytes regardless of how much hardware runs it.
+// The engine's results are byte-identical at any shard count, so a spec
+// pins the experiment's output bytes regardless of how much hardware
+// runs it.
 package spec
 
 import (

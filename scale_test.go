@@ -1,7 +1,6 @@
 // Scale harness for the sharded streaming engine: an env-gated smoke
 // test with a peak-RSS ceiling (the CI scale job) and a benchmark that
-// reports peak RSS and probe throughput as custom metrics (recorded into
-// BENCH_scale.json by scripts/bench_snapshot.sh). Both run one
+// reports peak RSS and probe throughput as custom metrics. Both run one
 // configuration per process, because VmHWM is a process-lifetime
 // high-water mark — mixing configurations in one process would attribute
 // the largest run's peak to every run.
@@ -87,8 +86,7 @@ func runScale(tb testing.TB, probes, shards, shardProbes int) (*dikes.Outcome, t
 // peak-RSS ceiling (MiB) with SCALE_RSS_MB (0 disables the ceiling).
 // The Makefile's default ceiling is 4096 MiB for the 100k/4-shard race
 // run; for calibration, the timing-wheel engine peaks at ~2.9 GiB on a
-// 10^6-probe 8-shard run without the race detector (BENCH_wheel.json
-// records peak_rss_mb per configuration).
+// 10^6-probe 8-shard run without the race detector.
 func TestScaleSmoke(t *testing.T) {
 	if os.Getenv("SCALE_SMOKE") != "1" {
 		t.Skip("set SCALE_SMOKE=1 to run the scale smoke test")
