@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench-smoke check scale-smoke trace-smoke fuzz adversary-smoke transport-smoke campaign-smoke timeline-smoke report-regress regen-tables size-guard
+.PHONY: all build test vet fmt race bench-smoke check scale-smoke trace-smoke fuzz cli-smoke report-regress regen-tables size-guard
 
 all: check
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .) && test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -36,7 +40,7 @@ fuzz:
 # under the race detector with a peak-RSS ceiling. Small cells keep the
 # resident set inside CI-runner memory even with the race detector's
 # shadow overhead. The ceiling tightened 6144 -> 4096 with the
-# timing-wheel engine (DESIGN.md §13): this configuration peaked at
+# timing-wheel engine (DESIGN.md §11): this configuration peaked at
 # ~1.9 GiB pre-wheel.
 SCALE_PROBES ?= 100000
 SCALE_SHARDS ?= 4
@@ -52,43 +56,16 @@ scale-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Adversary-family gate: the three adversarial scenarios (NXNS
-# amplification, off-path poisoning, reflection) small-scale, sharded,
-# under the race detector, plus the adversarial resolver property axis.
-adversary-smoke:
-	$(GO) test -race -run '^TestAdversarySmoke$$' -v ./internal/experiment
-	$(GO) test -race -run '^TestAdversarialReferralProperty$$' ./internal/recursive
-
-# Transport-family gate: the DoTCP-fallback scenario (EDNS0 buffer sweep
-# crossed with TCP-fallback coverage) sharded under the race detector,
-# plus the truncation regression tests on both legs of the wire path.
-transport-smoke:
-	$(GO) test -race -run '^TestTransport(Smoke|ShardDeterminism)$$' -v ./internal/experiment
-	$(GO) test -race -run 'Truncat|TCPFallback|UpstreamTC|EDNSSize' ./internal/recursive ./internal/stub
-
-# Campaign/spec-DSL gate: spec validation + expansion + compile goldens
-# for every examples/specs/*.json (fails when the schema drifts without
-# regenerating the goldens), plus the small sharded campaign-runner
-# suite (shard invariance, staged phases, error surfacing, cancellation)
-# under the race detector, and one tiny end-to-end `dikes campaign` run
-# of the staged multi-phase spec.
-campaign-smoke:
-	$(GO) test -race -v ./internal/spec
-	$(GO) test -race -run '^TestCampaign' -v ./internal/experiment
+# End-to-end CLI gate (the -race suites run under `make race`): a tiny
+# staged multi-phase campaign — `-probes 60` overrides the spec's 1500 —,
+# a tiny `dikes timeline` run with CSV/JSON export, and the 1 MB file
+# size guard.
+cli-smoke: size-guard
 	$(GO) run ./cmd/dikes -probes 60 campaign examples/specs/staged.json >/dev/null
-
-# Observability gate: the timeline pipeline (collection, exact merge,
-# shard invariance, marks), the OpenMetrics exposition goldens, the
-# progress-telemetry concurrency tests, and the offline diff engine,
-# all under the race detector, plus one tiny end-to-end `dikes
-# timeline` run with CSV/JSON export.
-timeline-smoke:
-	$(GO) test -race -v ./internal/timeline ./internal/regress
-	$(GO) test -race -run 'OpenMetrics|Serve|Progress|Finish' -v ./internal/telemetry
-	$(GO) test -race -run '^TestTimeline|^TestSpecMarks' -v ./internal/experiment
 	tmp=$$(mktemp -d) && \
-	    $(GO) run ./cmd/dikes -probes 120 -shards 2 timeline -exp H \
-	        -bucket 10m -csv $$tmp/tl.csv -json $$tmp/tl.json >/dev/null && \
+	    $(GO) run ./cmd/dikes -probes 120 -shards 2 -exp H -csv $$tmp \
+	        timeline -bucket 10m >/dev/null && \
+	    test -s $$tmp/timeline-expH.csv -a -s $$tmp/timeline-expH.json && \
 	    rm -rf $$tmp
 
 # Report/timeline regression gate: re-runs the committed baseline
@@ -102,9 +79,9 @@ report-regress:
 	    $(GO) run ./cmd/dikes -probes 300 -shards 4 -exp B,H \
 	        -report $$tmp/report.json ddos >/dev/null && \
 	    $(GO) run ./cmd/dikes diff testdata/regress/ddos_report.json $$tmp/report.json && \
-	    $(GO) run ./cmd/dikes -probes 300 -shards 1 timeline -exp H \
-	        -bucket 10m -json $$tmp/tl.json >/dev/null && \
-	    $(GO) run ./cmd/dikes diff testdata/regress/timeline_H.json $$tmp/tl.json && \
+	    $(GO) run ./cmd/dikes -probes 300 -shards 1 -exp H -csv $$tmp \
+	        timeline -bucket 10m >/dev/null && \
+	    $(GO) run ./cmd/dikes diff testdata/regress/timeline_H.json $$tmp/timeline-expH.json && \
 	    rm -rf $$tmp
 
 # Regenerates the committed report tables (paper_run*.txt) from

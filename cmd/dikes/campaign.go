@@ -1,21 +1,19 @@
 package main
 
-// The campaign subcommand: run declarative scenario-spec files.
+// The one simulation pipeline: load specs → compile → apply the flags
+// the user set → RunCampaign → RenderCampaign → export. An alias feeds
+// it embedded spec paths, `dikes campaign` feeds it files:
 //
 //	dikes campaign examples/specs/paper        — a directory of specs
 //	dikes campaign staged.json transport.json  — individual files
 //
-// Each spec is loaded (strict JSON), matrix-expanded over its sweep
-// axes, compiled onto the Scenario API, and the whole batch runs through
-// the campaign runner with fan-out and Ctrl-C cancellation. Stdout is
-// the consolidated cross-scenario report, byte-identical for any
-// -shards/-workers value. Specs own their engine settings (probes, seed,
-// shards); an explicit -shards flag overrides every run for shard-
-// invariance checks.
+// Stdout is the consolidated cross-scenario report, byte-identical for
+// any -shards/-workers value.
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -24,74 +22,47 @@ import (
 	dikes "repro"
 )
 
-// campaignErrs counts failed campaign runs; main exits non-zero when set.
-var campaignErrs int
+const specRoot = "examples/specs/"
 
-func runCampaignCmd(ctx context.Context, args []string, o options, shardsSet bool) {
-	if len(args) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: dikes campaign <spec.json|dir> ...\n")
-		os.Exit(2)
-	}
-	paths, err := specPaths(args)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dikes: %v\n", err)
-		os.Exit(2)
-	}
-	if len(paths) == 0 {
-		fmt.Fprintf(os.Stderr, "dikes: no *.json spec files found in %s\n", strings.Join(args, " "))
-		os.Exit(2)
-	}
-
-	var items []dikes.CampaignItem
-	for _, p := range paths {
-		sp, err := dikes.LoadSpec(p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dikes: %v\n", err)
-			os.Exit(2)
-		}
-		its, err := dikes.CompileSpecAll(sp, p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dikes: %s: %v\n", p, err)
-			os.Exit(2)
-		}
-		items = append(items, its...)
-	}
-	if shardsSet {
-		for i := range items {
-			items[i].Config.Shards = o.shards
-		}
-	}
-
-	header("campaign: declarative scenario specs")
-	fmt.Printf("%d run(s) from %d spec file(s)\n\n", len(items), len(paths))
-
-	// Campaign-wide telemetry counts whole runs, not cells: each finished
-	// run ticks once, so -progress shows runs-done/total plus an aggregate
-	// event rate and ETA across the batch.
-	var prog *dikes.Progress
-	if o.progress {
-		prog = dikes.NewProgress(nil, "campaign", len(items), 0)
-	}
-	results, err := dikes.RunCampaignWithProgress(ctx, items, o.workers, prog)
-	prog.Finish()
-	if err != nil {
-		exitCancelled(err)
-	}
-	for _, r := range results {
-		if r.Outcome != nil && r.Outcome.Report != nil {
-			collectReport(r.Outcome.Report)
-		}
-		if r.Err != nil {
-			campaignErrs++
-		}
-	}
-	fmt.Print(dikes.RenderCampaign(results))
-	writeCSV("campaign_summary.csv", dikes.CampaignCSV(results))
+// aliases maps a subcommand to the embedded specs it runs, under
+// specRoot.
+var aliases = map[string][]string{
+	"caching":      {"paper/01-caching.json", "paper/02-caching-10min.json"},
+	"ddos":         {"paper/03-ddos.json", "paper/04-ddos-drill.json"},
+	"glue":         {"paper/05-glue.json"},
+	"adversary":    {"adversary/01-nxns.json", "adversary/02-poison.json", "adversary/03-reflect.json"},
+	"transport":    {"transport.json"},
+	"passive":      {"paper/06-passive.json"},
+	"retries":      {"paper/07-retries.json"},
+	"implications": {"paper/08-implications.json"},
+	"check":        {"check.json"},
+	"timeline":     {"timeline.json"},
 }
 
-// specPaths resolves the argument list: files stay in the order given,
-// directories contribute every *.json under them in lexical walk order,
-// so run order — and therefore report bytes — is stable.
+// allOrder is what `dikes all` runs: every paper and extension family,
+// without the self-test and the timeline re-run of experiments B and H.
+var allOrder = []string{"caching", "ddos", "glue", "adversary", "transport", "passive", "retries", "implications"}
+
+// aliasSpecs returns the embedded spec paths of an alias subcommand, nil
+// when cmd is not one.
+func aliasSpecs(cmd string) []string {
+	names := []string{cmd}
+	if cmd == "all" {
+		names = allOrder
+	}
+	var paths []string
+	for _, name := range names {
+		for _, p := range aliases[name] {
+			paths = append(paths, specRoot+p)
+		}
+	}
+	return paths
+}
+
+// specPaths resolves the argument list of `dikes campaign`: files stay
+// in the order given, directories contribute every *.json under them in
+// lexical walk order, so run order — and therefore report bytes — is
+// stable.
 func specPaths(args []string) ([]string, error) {
 	var paths []string
 	for _, arg := range args {
@@ -117,4 +88,191 @@ func specPaths(args []string) ([]string, error) {
 		}
 	}
 	return paths, nil
+}
+
+// plan loads and compiles the spec files into campaign items and applies
+// the override rule (see the command comment): only flags in o.set touch
+// a compiled run. A spec that arms tracing needs -trace, so that no run
+// collects a trace nobody writes.
+func (o options) plan(read func(string) ([]byte, error), paths []string) ([]dikes.CampaignItem, error) {
+	var keep map[string]bool // -exp's experiments; nil keeps all
+	if o.set["exp"] {
+		keep = map[string]bool{}
+		for _, name := range strings.Split(o.exps, ",") {
+			exp, ok := dikes.SpecByName(strings.TrimSpace(name))
+			if !ok {
+				return nil, fmt.Errorf("-exp: unknown experiment %q", name)
+			}
+			keep[exp.Name] = true
+		}
+	}
+	var items []dikes.CampaignItem
+	for _, p := range paths {
+		data, err := read(p)
+		if err != nil {
+			return nil, err
+		}
+		sp, err := dikes.ParseSpec(data)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p, err)
+		}
+		if keep != nil && len(sp.Paper) > 0 {
+			kept := sp.Paper[:0]
+			for _, name := range sp.Paper {
+				if keep[name] {
+					kept = append(kept, name)
+				}
+			}
+			if sp.Paper = kept; len(kept) == 0 {
+				continue
+			}
+		}
+		its, err := dikes.CompileSpecAll(sp, p)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p, err)
+		}
+		for i := range its {
+			cfg := &its[i].Config
+			if o.set["probes"] {
+				cfg.Probes = o.probes
+			}
+			if o.set["seed"] {
+				cfg.Seed = o.seed
+			}
+			if o.set["shards"] {
+				cfg.Shards = o.shards
+			}
+			if o.set["workers"] {
+				cfg.Workers = o.workers
+			}
+			if o.set["harvest"] && sp.Family == "ddos" {
+				cfg.Population.Harvest = dikes.HarvestNone
+				if o.harvest {
+					cfg.Population.Harvest = dikes.HarvestFull
+				}
+			}
+			if o.bucket > 0 && cfg.Timeline != nil {
+				cfg.Timeline.Bucket = o.bucket
+			}
+			switch {
+			case o.tracePath == "" && cfg.Trace != nil:
+				return nil, fmt.Errorf("%s: engine.trace is set but nothing would write the trace: pass -trace <file>", p)
+			case o.tracePath != "" && cfg.Trace == nil:
+				cfg.Trace = &dikes.TraceConfig{}
+			}
+			if o.set["trace-sample"] && cfg.Trace != nil {
+				cfg.Trace.SampleEvery = o.traceSample
+			}
+		}
+		items = append(items, its...)
+	}
+	if len(items) == 0 {
+		return nil, fmt.Errorf("-exp %s selects no run of %s", o.exps, strings.Join(paths, " "))
+	}
+	return items, nil
+}
+
+// run executes items as one campaign, at most -workers runs in flight.
+// -progress hands every run one tracker sized over all planned cells.
+func (o options) run(ctx context.Context, label string, items []dikes.CampaignItem) ([]dikes.CampaignResult, error) {
+	var prog *dikes.Progress
+	if o.progress {
+		cells := 0
+		for _, it := range items {
+			per := it.Config.ShardProbes
+			if per <= 0 {
+				per = dikes.DefaultShardProbes
+			}
+			cells += (it.Config.Probes + per - 1) / per
+		}
+		prog = dikes.NewProgress(nil, label, cells, 0)
+		for i := range items {
+			items[i].Config.Progress = prog
+		}
+	}
+	results, err := dikes.RunCampaign(ctx, items, o.workers)
+	prog.Finish()
+	return results, err
+}
+
+// export writes what the flags asked for — -csv figure files, one
+// -trace/-trace-chrome file per traced run, the -report — and returns
+// one line per failure: a failed run, a failed report invariant, a
+// self-test claim that did not reproduce.
+func (o options) export(results []dikes.CampaignResult) (failures []string, err error) {
+	if o.csvDir != "" {
+		if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
+			return nil, err
+		}
+		for _, f := range dikes.CampaignFiles(results) {
+			if err := writeFile(filepath.Join(o.csvDir, f.Name), f.Write); err != nil {
+				return nil, err
+			}
+		}
+	}
+	var reports []*dikes.Report
+	multi := len(results) > 1 // several runs: splice each run's name into its trace path
+	for _, r := range results {
+		if r.Err != nil {
+			failures = append(failures, fmt.Sprintf("%s: %v", r.Item.Name, r.Err))
+		}
+		if r.Outcome == nil {
+			continue
+		}
+		// Families that ignore RunConfig.Trace leave the trace empty.
+		if td := r.Outcome.Trace; td != nil && len(td.Cells) > 0 {
+			if err := writeFile(tracePathFor(o.tracePath, r.Item.Name, multi), td.WriteJSONL); err != nil {
+				return nil, err
+			}
+			if o.traceChrome != "" {
+				if err := writeFile(tracePathFor(o.traceChrome, r.Item.Name, multi), td.WriteChrome); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if rep := r.Outcome.Report; rep != nil {
+			reports = append(reports, rep)
+			for _, inv := range rep.FailedInvariants() {
+				failures = append(failures, fmt.Sprintf("%s/%s: %s", rep.Name, inv.Name, inv.Detail))
+			}
+		}
+		for _, c := range r.Outcome.Check {
+			if !c.Pass {
+				failures = append(failures, fmt.Sprintf("%s: claim not reproduced: %s", r.Item.Name, c.Claim))
+			}
+		}
+	}
+	if o.reportPath != "" {
+		err = writeFile(o.reportPath, func(w io.Writer) error { return dikes.WriteReportsJSON(w, reports) })
+	}
+	return failures, err
+}
+
+// tracePathFor derives the output path of one run's trace: the
+// configured path as-is for a single run, with "-<name>" spliced in
+// before the extension when several run.
+func tracePathFor(base, name string, multi bool) string {
+	if !multi {
+		return base
+	}
+	ext := filepath.Ext(base)
+	return strings.TrimSuffix(base, ext) + "-" + name + ext
+}
+
+// writeFile creates path, fills it through write and reports it on
+// stdout.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }

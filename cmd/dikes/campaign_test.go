@@ -1,0 +1,144 @@
+package main
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	dikes "repro"
+)
+
+// given builds the options a command line with these flags set would.
+func given(o options, flags ...string) options {
+	o.set = map[string]bool{}
+	for _, f := range flags {
+		o.set[f] = true
+	}
+	return o
+}
+
+func TestAliasesCompile(t *testing.T) {
+	var concat []string
+	for _, name := range allOrder {
+		concat = append(concat, aliasSpecs(name)...)
+	}
+	if got := aliasSpecs("all"); !reflect.DeepEqual(got, concat) {
+		t.Errorf("all = %v, want the concatenation of %v: %v", got, allOrder, concat)
+	}
+	if aliasSpecs("campaign") != nil || aliasSpecs("bogus") != nil {
+		t.Error("non-alias subcommands must have no embedded specs")
+	}
+
+	names := append([]string{"all"}, allOrder...)
+	for name := range aliases {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		items, err := given(options{}).plan(dikes.Specs.ReadFile, aliasSpecs(name))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		seen := map[string]bool{}
+		for _, it := range items {
+			if seen[it.Name] {
+				t.Errorf("%s: duplicate run name %q", name, it.Name)
+			}
+			seen[it.Name] = true
+		}
+	}
+}
+
+func TestExpNarrowsPaperList(t *testing.T) {
+	items, err := given(options{exps: "B, H"}, "exp").plan(dikes.Specs.ReadFile, aliasSpecs("ddos"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 2 {
+		t.Fatalf("got %d runs, want B and H", len(items))
+	}
+	for i, name := range []string{"B", "H"} {
+		want, _ := dikes.SpecByName(name)
+		got := items[i].Scenario.(interface{ Spec() dikes.DDoSSpec }).Spec()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d = %+v, want paper experiment %s", i, got, name)
+		}
+		if items[i].Config.Population.Harvest != dikes.HarvestFull || items[i].Config.Probes != 1500 {
+			t.Errorf("run %d lost the spec's population/engine: %+v", i, items[i].Config)
+		}
+	}
+
+	if _, err := given(options{exps: "Z"}, "exp").plan(dikes.Specs.ReadFile, aliasSpecs("ddos")); err == nil {
+		t.Error("unknown experiment accepted")
+	}
+	if _, err := given(options{exps: "A"}, "exp").plan(dikes.Specs.ReadFile, aliasSpecs("timeline")); err == nil {
+		t.Error("-exp that selects no run accepted")
+	}
+}
+
+func TestExplicitFlagsOverrideEveryRun(t *testing.T) {
+	paths := []string{specRoot + "staged.json", specRoot + "paper/01-caching.json"}
+	o := options{probes: 60, seed: 7, shards: 2}
+
+	items, err := given(o, "probes", "seed", "shards").plan(dikes.Specs.ReadFile, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		if c := it.Config; c.Probes != 60 || c.Seed != 7 || c.Shards != 2 {
+			t.Errorf("%s: probes/seed/shards = %d/%d/%d, want the flags' 60/7/2", it.Name, c.Probes, c.Seed, c.Shards)
+		}
+	}
+
+	items, err = given(o).plan(dikes.Specs.ReadFile, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		if c := it.Config; c.Probes != 1500 || c.Seed != 42 || c.Shards != 1 || c.Trace != nil {
+			t.Errorf("%s: unset flags changed the spec's engine: %+v", it.Name, c)
+		}
+	}
+}
+
+func TestTracedBatchWritesOneFilePerRun(t *testing.T) {
+	traced := func(string) ([]byte, error) {
+		return []byte(`{"version": 1, "name": "tr", "family": "ddos", "paper": ["B", "H"],
+			"engine": {"probes": 40, "trace": true, "trace_sample": 4}}`), nil
+	}
+	_, err := given(options{}).plan(traced, []string{"tr.json"})
+	if err == nil || !strings.Contains(err.Error(), "-trace") {
+		t.Fatalf("spec with engine.trace and no -trace: err = %v, want a usage error naming -trace", err)
+	}
+
+	dir := t.TempDir()
+	o := given(options{tracePath: filepath.Join(dir, "run.jsonl")})
+	items, err := o.plan(traced, []string{"tr.json"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := o.run(context.Background(), "test", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failures, err := o.export(results); err != nil || len(failures) > 0 {
+		t.Fatalf("export: %v, failures %v", err, failures)
+	}
+	for _, name := range []string{"run-tr-B.jsonl", "run-tr-H.jsonl"} {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		td, err := dikes.ReadTraceJSONL(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if td.Len() == 0 || td.SampleEvery != 4 {
+			t.Errorf("%s: %d events, sample %d; want a non-empty trace at the spec's sampling", name, td.Len(), td.SampleEvery)
+		}
+	}
+}

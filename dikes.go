@@ -31,6 +31,11 @@
 //		dikes.RunConfig{Probes: 1000, Seed: 42})
 //	fmt.Printf("failure rate under attack: %.0f%%\n", 100*out.DDoS.FailureRate(9))
 //
+// The dikes command runs nothing but campaigns of scenario specs: its
+// subcommands are aliases for the files in Specs (`dikes ddos` ≡ `dikes
+// campaign examples/specs/paper/03-ddos.json 04-ddos-drill.json`), and
+// explicitly set flags override the specs; see cmd/dikes.
+//
 // This facade re-exports what cmd/, examples/ and the root tests use;
 // for custom topologies the engine constructors (NewResolver,
 // NewAuthoritative, NewStub, NewNetwork, NewVirtualClock) are exported
@@ -38,6 +43,8 @@
 package dikes
 
 import (
+	"embed"
+
 	"repro/internal/authoritative"
 	"repro/internal/cache"
 	"repro/internal/clock"
@@ -135,8 +142,12 @@ type (
 )
 
 // HarvestFull makes iterative resolvers harvest NS records in the
-// background (the Unbound-like population of Figure 10).
-const HarvestFull = recursive.HarvestFull
+// background (the Unbound-like population of Figure 10); HarvestNone is
+// the default.
+const (
+	HarvestNone = recursive.HarvestNone
+	HarvestFull = recursive.HarvestFull
+)
 
 // DNSSEC helpers (Ed25519, RFC 8080).
 var (
@@ -162,7 +173,7 @@ var (
 )
 
 // Scenario API — the unified, cancellable entry point for every
-// experiment family (DESIGN.md §11). Construct a Scenario, describe the
+// experiment family (DESIGN.md §12). Construct a Scenario, describe the
 // run with a RunConfig, and execute it with Run:
 //
 //	spec, _ := dikes.SpecByName("H")
@@ -196,17 +207,9 @@ var (
 	CachingScenario = experiment.CachingScenario
 	// GlueScenario is the Appendix A TTL-trust experiment as a Scenario.
 	GlueScenario = experiment.GlueScenario
-	// CheckScenario is the reproduction self-test as a Scenario.
-	CheckScenario = experiment.CheckScenario
-
-	// NXNSScenario, PoisonScenario, and ReflectScenario are the
-	// adversarial scenario family.
-	NXNSScenario    = experiment.NXNSScenario
-	PoisonScenario  = experiment.PoisonScenario
-	ReflectScenario = experiment.ReflectScenario
-	// TransportScenario is the DoTCP-fallback resiliency study (buffer
-	// size × TCP fallback × flood).
-	TransportScenario = experiment.TransportScenario
+	// NXNSScenario is the NXNS referral-amplification attack as a
+	// Scenario.
+	NXNSScenario = experiment.NXNSScenario
 )
 
 // ErrCancelled is returned (wrapped) by Run and RunCampaign when the
@@ -219,27 +222,35 @@ const DefaultShardProbes = experiment.DefaultShardProbes
 
 // Declarative spec + campaign layer: JSON scenario specs (internal/spec)
 // compile onto the Scenario API and run as one campaign with a
-// consolidated cross-scenario report. `dikes campaign` is the CLI front
-// door; examples/specs/ holds the committed paper campaigns.
+// consolidated cross-scenario report. Every simulation the dikes command
+// runs is such a campaign: `dikes campaign` takes spec files, and the
+// other subcommands are aliases for files in Specs.
 
-// CampaignItem is one compiled run of a campaign.
-type CampaignItem = experiment.CampaignItem
+// Specs holds the committed scenario specs, examples/specs/: the
+// campaigns that regenerate every paper_run*.txt.
+//
+//go:embed examples/specs
+var Specs embed.FS
+
+type (
+	// CampaignItem is one compiled run of a campaign.
+	CampaignItem = experiment.CampaignItem
+	// CampaignResult pairs an item with its Outcome or error.
+	CampaignResult = experiment.CampaignResult
+)
 
 // Spec loading and the campaign runner.
 var (
-	// LoadSpec reads and strict-parses one spec file.
-	LoadSpec = spec.Load
+	// ParseSpec strict-parses and validates one spec document.
+	ParseSpec = spec.Parse
 	// CompileSpecAll expands and compiles a spec into campaign items.
 	CompileSpecAll = spec.CompileAll
 	// RunCampaign executes campaign items with fan-out + cancellation.
 	RunCampaign = experiment.RunCampaign
-	// RunCampaignWithProgress adds campaign-wide telemetry (one tick per
-	// finished run).
-	RunCampaignWithProgress = experiment.RunCampaignWithProgress
 	// RenderCampaign formats the consolidated cross-scenario report.
 	RenderCampaign = experiment.RenderCampaign
-	// CampaignCSV renders the campaign summary as CSV.
-	CampaignCSV = experiment.CampaignCSV
+	// CampaignFiles renders every figure's data as named CSV/JSON files.
+	CampaignFiles = experiment.CampaignFiles
 )
 
 // Experiment runners — one per paper table/figure family.
@@ -260,14 +271,6 @@ type (
 	NlSimConfig = experiment.NlSimConfig
 	// NXNSSpec shapes the NXNS amplification experiment.
 	NXNSSpec = experiment.NXNSSpec
-	// PoisonSpec shapes the off-path poisoning experiment.
-	PoisonSpec = experiment.PoisonSpec
-	// PoisonResult is one defense combo's poisoning outcome.
-	PoisonResult = experiment.PoisonResult
-	// ReflectSpec shapes the reflection/amplification experiment.
-	ReflectSpec = experiment.ReflectSpec
-	// TransportSpec shapes the DoTCP-fallback transport experiment.
-	TransportSpec = experiment.TransportSpec
 	// NlConfig parameterizes the Figure 4 synthesis.
 	NlConfig = passive.NlConfig
 	// RootConfig parameterizes the Figure 5 synthesis.
@@ -275,7 +278,7 @@ type (
 	// RetryProfile models a resolver implementation (§6.2).
 	RetryProfile = retrymodel.Profile
 	// Report is one run's metrics snapshot plus invariant verdicts
-	// (DESIGN.md §9); experiment results carry one in their Report field.
+	// (DESIGN.md §14); experiment results carry one in their Report field.
 	Report = metrics.Report
 	// Histogram is a fixed-bounds histogram metric.
 	Histogram = metrics.Histogram
@@ -291,8 +294,6 @@ var (
 	NewTestbed = experiment.NewTestbed
 	// RunImplications executes the §8 root-vs-CDN attack comparison.
 	RunImplications = experiment.RunImplications
-	// RenderCheck prints a Check result table.
-	RenderCheck = experiment.RenderCheck
 	// RunNl executes the §4.1 .nl inter-arrival analysis (Figure 4).
 	RunNl = passive.RunNl
 	// RunNlFromSim derives Figure 4 from an actual simulated run.
@@ -320,20 +321,11 @@ var (
 	RenderTable7        = experiment.RenderTable7
 	RenderLatency       = experiment.RenderLatency
 	RenderImplications  = experiment.RenderImplications
-	SeriesCSV           = experiment.SeriesCSV
-	LatencyCSV          = experiment.LatencyCSV
-	AmplificationCSV    = experiment.AmplificationCSV
-	UniqueRnCSV         = experiment.UniqueRnCSV
-	ECDFCSV             = experiment.ECDFCSV
 	RenderUniqueRn      = experiment.RenderUniqueRn
 	RenderAmplification = experiment.RenderAmplification
-	RenderNXNS          = experiment.RenderNXNS
-	RenderPoison        = experiment.RenderPoison
-	RenderReflect       = experiment.RenderReflect
-	RenderTransport     = experiment.RenderTransport
 )
 
-// Tracing and telemetry (DESIGN.md §12). Set RunConfig.Trace to record a
+// Tracing and telemetry (DESIGN.md §14). Set RunConfig.Trace to record a
 // deterministic query-lifecycle trace; the Outcome's Trace data exports
 // to JSONL or Chrome trace_event format and reconstructs per-VP query
 // spans for failure analysis.

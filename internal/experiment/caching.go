@@ -71,7 +71,7 @@ type CachingResult struct {
 	// MissRate is the headline warm-cache miss fraction (Figure 3).
 	MissRate float64
 	// Report carries the run's metrics snapshot and the accounting
-	// invariants (see internal/metrics and DESIGN.md §9).
+	// invariants (see internal/metrics and DESIGN.md §14).
 	Report *metrics.Report
 }
 

@@ -5,19 +5,19 @@ package experiment
 // internal/parallel with context cancellation, and render one
 // consolidated cross-scenario report. Per-run failures are captured in
 // the results and surfaced in the report — a campaign never silently
-// drops a run (the fix for the old RunDDoSMatrixCtx nil-slot behavior).
+// drops a run.
 //
-// Determinism contract: RenderCampaign and CampaignCSV iterate results
-// in item order and every per-family renderer is deterministic, so the
-// campaign output is byte-identical for any Workers/Shards value.
+// Determinism contract: RenderCampaign, CampaignCSV and CampaignFiles
+// iterate results in item order and every per-family renderer is
+// deterministic, so the output is byte-identical for any Workers/Shards.
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/parallel"
-	"repro/internal/telemetry"
 )
 
 // CampaignItem is one compiled run of a campaign.
@@ -47,37 +47,17 @@ type CampaignResult struct {
 // cancelled (wrapped ErrCancelled), with the results of the finished
 // runs still filled in.
 func RunCampaign(ctx context.Context, items []CampaignItem, workers int) ([]CampaignResult, error) {
-	return RunCampaignWithProgress(ctx, items, workers, nil)
-}
-
-// RunCampaignWithProgress is RunCampaign with campaign-wide telemetry:
-// prog (one "cell" per compiled run) receives a completion tick after
-// each run finishes, giving runs-done/total and an aggregate ETA across
-// the whole campaign rather than per-run cell progress. nil prog is
-// telemetry off.
-func RunCampaignWithProgress(ctx context.Context, items []CampaignItem, workers int, prog *telemetry.Progress) ([]CampaignResult, error) {
 	results := make([]CampaignResult, len(items))
 	for i := range items {
 		results[i].Item = items[i]
 	}
 	runErr := parallel.ForEachCtx(ctx, workers, len(items), func(i int) {
-		out, err := Run(ctx, items[i].Scenario, items[i].Config)
-		results[i].Outcome, results[i].Err = out, err
-		prog.CellDone(runEvents(out), 0)
+		results[i].Outcome, results[i].Err = Run(ctx, items[i].Scenario, items[i].Config)
 	})
 	if runErr != nil {
 		return results, cancelErr(runErr)
 	}
 	return results, nil
-}
-
-// runEvents extracts a finished run's simulator event total from its
-// report, for campaign-level throughput telemetry (0 when unavailable).
-func runEvents(out *Outcome) int64 {
-	if out == nil || out.Report == nil {
-		return 0
-	}
-	return out.Report.Metrics.Scope("clock").Counter("events_fired")
 }
 
 // status is the summary-table verdict of one run.
@@ -238,18 +218,24 @@ func renderRunBlock(b *strings.Builder, r CampaignResult) {
 	}
 }
 
-// renderDDoSBlock prints one attack run's full figure set (the cmd/dikes
-// per-experiment block), plus the Table 7 drill-down when the run kept
-// its worlds.
+// Column orders of the Figure 6/8/14 and Figure 10 series, shared by the
+// report and the CSV export.
+var (
+	answerLabels = []string{"OK", "SERVFAIL", "NoAnswer"}
+	authLabels   = []string{"NS", "A-for-NS", "AAAA-for-NS", "AAAA-for-PID"}
+)
+
+// renderDDoSBlock prints one attack run's full figure set, plus the
+// Table 7 drill-down when the run kept its worlds.
 func renderDDoSBlock(b *strings.Builder, res *DDoSResult, worlds *ShardedTestbed) {
 	name := res.Spec.Name
 	fmt.Fprintf(b, "Figure 6/8/14 (exp %s): answers per round\n%s", name,
-		res.Answers.Table([]string{"OK", "SERVFAIL", "NoAnswer"}))
+		res.Answers.Table(answerLabels))
 	fmt.Fprintf(b, "Figure 9/15 (exp %s): latency quantiles\n%s", name, RenderLatency(res))
 	fmt.Fprintf(b, "Figure 7 (exp %s): answer classes\n%s", name,
 		res.Classes.Table([]string{"AA", "CC", "CA", "AC"}))
 	fmt.Fprintf(b, "Figure 10 (exp %s): queries at the authoritatives\n%s", name,
-		res.AuthQueries.Table([]string{"NS", "A-for-NS", "AAAA-for-NS", "AAAA-for-PID"}))
+		res.AuthQueries.Table(authLabels))
 	fmt.Fprintf(b, "Figure 11 (exp %s): per-probe amplification\n%s", name,
 		RenderAmplification(res))
 	fmt.Fprintf(b, "Figure 12 (exp %s): unique Rn\n%s", name, RenderUniqueRn(res))
@@ -309,4 +295,47 @@ func CampaignCSV(results []CampaignResult) string {
 			r.Item.Name, r.Item.Scenario.Name(), r.headline(), r.status())
 	}
 	return b.String()
+}
+
+// ExportFile is one named data file of a campaign's figure export.
+type ExportFile struct {
+	Name  string
+	Write func(io.Writer) error
+}
+
+// CampaignFiles returns every figure's data as named files (what `dikes
+// -csv <dir>` writes): the Figure 6-12 series of each attack run and its
+// timeline as CSV and JSON, keyed by experiment name, the Figure 4/5
+// ECDFs of a passive run, and campaign_summary.csv.
+func CampaignFiles(results []CampaignResult) []ExportFile {
+	var files []ExportFile
+	add := func(name, content string) {
+		files = append(files, ExportFile{name, func(w io.Writer) error {
+			_, err := io.WriteString(w, content)
+			return err
+		}})
+	}
+	for _, r := range results {
+		if r.Outcome == nil {
+			continue
+		}
+		if res := r.Outcome.DDoS; res != nil {
+			exp := "exp" + res.Spec.Name
+			add("fig-answers-"+exp+".csv", SeriesCSV(res.Answers, answerLabels))
+			add("fig9-latency-"+exp+".csv", LatencyCSV(res))
+			add("fig10-authload-"+exp+".csv", SeriesCSV(res.AuthQueries, authLabels))
+			add("fig11-amplification-"+exp+".csv", AmplificationCSV(res))
+			add("fig12-uniquern-"+exp+".csv", UniqueRnCSV(res))
+			if tl := res.Timeline; tl != nil {
+				add("timeline-"+exp+".csv", tl.CSV())
+				files = append(files, ExportFile{"timeline-" + exp + ".json", tl.WriteJSON})
+			}
+		}
+		if p := r.Outcome.Passive; p != nil {
+			add("fig4-nl-ecdf.csv", ECDFCSV(p.Nl.ECDF, 100))
+			add("fig5-root-all.csv", ECDFCSV(p.Root.All, 100))
+		}
+	}
+	add("campaign_summary.csv", CampaignCSV(results))
+	return files
 }

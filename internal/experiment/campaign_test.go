@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ddos"
+	"repro/internal/timeline"
 )
 
 // smallCampaign is a cross-family item list small enough for unit tests:
@@ -191,5 +192,35 @@ func TestCampaignInvalidSpecKeepsSiblings(t *testing.T) {
 	}
 	if results[1].Outcome.DDoS != nil {
 		t.Error("failing spec produced a result")
+	}
+}
+
+// TestCampaignFilesNames pins the -csv export: which files a campaign
+// yields and what they are called.
+func TestCampaignFilesNames(t *testing.T) {
+	t.Parallel()
+	specH, _ := SpecByName("H")
+	results, err := RunCampaign(context.Background(), []CampaignItem{
+		{Name: "attack", Scenario: DDoSScenario(specH),
+			Config: RunConfig{Probes: 40, Seed: 7, Timeline: &timeline.Config{Bucket: 10 * time.Minute}}},
+		{Name: "passive", Scenario: PassiveScenario(), Config: RunConfig{Seed: 7}},
+		{Name: "retries", Scenario: RetriesScenario(10), Config: RunConfig{Seed: 7}},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range CampaignFiles(results) {
+		names = append(names, f.Name)
+		var content strings.Builder
+		if err := f.Write(&content); err != nil || content.Len() == 0 {
+			t.Errorf("%s: err %v, %d bytes", f.Name, err, content.Len())
+		}
+	}
+	want := "fig-answers-expH.csv fig9-latency-expH.csv fig10-authload-expH.csv " +
+		"fig11-amplification-expH.csv fig12-uniquern-expH.csv timeline-expH.csv timeline-expH.json " +
+		"fig4-nl-ecdf.csv fig5-root-all.csv campaign_summary.csv"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("files = %s\nwant    %s", got, want)
 	}
 }

@@ -106,7 +106,7 @@ type DDoSResult struct {
 	RnPerProbe      []stats.Summary
 	QueriesPerProbe []stats.Summary
 	// Report carries the run's metrics snapshot and the cross-component
-	// accounting invariants (see internal/metrics and DESIGN.md §9).
+	// accounting invariants (see internal/metrics and DESIGN.md §14).
 	Report *metrics.Report
 	// Timeline is the run's merged per-bucket series (nil unless the run
 	// was configured with RunConfig.Timeline; see internal/timeline).

@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/stats"
 )
 
 // RenderTable1 prints one or more Table 1 columns side by side.
@@ -167,13 +165,4 @@ func (r *DDoSResult) FailureRate(round int) float64 {
 		return 0
 	}
 	return bad / (ok + bad)
-}
-
-// MeanSeries extracts one label's per-round values.
-func MeanSeries(s *stats.RoundSeries, label string) []float64 {
-	out := make([]float64, s.Rounds())
-	for i := range out {
-		out[i] = s.Get(i, label)
-	}
-	return out
 }

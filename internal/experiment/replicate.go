@@ -1,61 +1,21 @@
 package experiment
 
 import (
-	"context"
-
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
-// Replicate runs metric across n different seeds and summarizes the
+// Replicate runs metric across n different seeds (baseSeed + i*1000,
+// the stride the robustness suite has always used) and summarizes the
 // distribution — the harness's answer to "is this result an artifact of
 // one seed?". The seeds fan out across cores, so metric must be safe to
 // call from multiple goroutines at once (the experiment runners are: each
 // run builds its own world from the seed). Used by the robustness tests
 // and the BenchmarkReplicationVariance target.
 func Replicate(n int, baseSeed int64, metric func(seed int64) float64) stats.Summary {
-	sum, _ := ReplicateCtx(context.Background(), n, RunConfig{Seed: baseSeed}, metric)
-	return sum
-}
-
-// ReplicateCtx is Replicate with cooperative cancellation at replicate
-// granularity and the sweep runners' (ctx, n, RunConfig) shape:
-// cfg.Seed is the base seed (replicate i runs at cfg.Seed + i*1000, the
-// stride the robustness suite has always used) and cfg.Workers bounds
-// the fan-out. On cancellation it summarizes only the replicates that
-// completed and returns an error satisfying errors.Is(err, ErrCancelled)
-// — a partial summary over fewer seeds, never one padded with zeros.
-func ReplicateCtx(ctx context.Context, n int, cfg RunConfig, metric func(seed int64) float64) (stats.Summary, error) {
 	values := make([]float64, n)
-	done := make([]bool, n)
-	err := parallel.ForEachCtx(ctx, cfg.Workers, n, func(i int) {
-		values[i] = metric(cfg.Seed + int64(i)*1000)
-		done[i] = true
-	})
-	if err != nil {
-		var completed []float64
-		for i, ok := range done {
-			if ok {
-				completed = append(completed, values[i])
-			}
-		}
-		return stats.Summarize(completed), cancelErr(err)
-	}
-	return stats.Summarize(values), nil
-}
-
-// ReplicateWithReports is Replicate for runs that also produce a
-// *metrics.Report: it returns the metric summary plus the per-seed
-// reports in seed order, so a caller can both summarize a headline number
-// and audit every replicate's invariants.
-func ReplicateWithReports(n int, baseSeed int64,
-	run func(seed int64) (float64, *metrics.Report)) (stats.Summary, []*metrics.Report) {
-
-	values := make([]float64, n)
-	reports := make([]*metrics.Report, n)
 	parallel.ForEach(0, n, func(i int) {
-		values[i], reports[i] = run(baseSeed + int64(i)*1000)
+		values[i] = metric(baseSeed + int64(i)*1000)
 	})
-	return stats.Summarize(values), reports
+	return stats.Summarize(values)
 }

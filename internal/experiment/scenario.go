@@ -48,8 +48,8 @@ type RunConfig struct {
 	// ShardProbes is the probe capacity of one cell (default 4096,
 	// max 65535).
 	ShardProbes int
-	// Workers bounds the run-level fan-out of CheckScenario and
-	// ReplicateCtx; <= 0 means one per core.
+	// Workers bounds the run-level fan-out of CheckScenario; <= 0 means
+	// one per core.
 	Workers int
 	// Population tunes the resolver mix; zero value uses the calibrated
 	// defaults.

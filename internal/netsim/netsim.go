@@ -198,13 +198,6 @@ func (n *Network) InboundLoss(dst Addr) float64 {
 	return n.inLoss[dst]
 }
 
-// SetLatency replaces the latency model.
-func (n *Network) SetLatency(fn LatencyFunc) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.latency = fn
-}
-
 // SetPairDelay fixes the one-way delay between a and b in both directions,
 // overriding the latency model for that pair.
 func (n *Network) SetPairDelay(a, b Addr, oneWay time.Duration) {

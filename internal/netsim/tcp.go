@@ -1,4 +1,4 @@
-// TCP plane of the simulated network (DESIGN.md §15). DNS-over-TCP in
+// TCP plane of the simulated network (DESIGN.md §11). DNS-over-TCP in
 // this simulator is message-level like the UDP plane — framing is the
 // transport daemons' concern (internal/udprun) — but it models the three
 // properties that matter for DoTCP-fallback experiments:
@@ -61,13 +61,6 @@ func (n *Network) BindTCP(addr Addr, recv func(src Addr, payload []byte)) *TCPPo
 	return &TCPPort{net: n, addr: addr}
 }
 
-// DetachTCP removes the TCP-plane host at addr.
-func (n *Network) DetachTCP(addr Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.tcpHosts, addr)
-}
-
 // SetInboundLossTCP sets the probability in [0,1] that a TCP exchange
 // arriving at dst fails. It is independent of the UDP-plane loss: a
 // query flood saturating an authoritative's UDP receive path does not
@@ -86,13 +79,6 @@ func (n *Network) SetInboundLossTCP(dst Addr, p float64) {
 		}
 		n.tcpLoss[dst] = p
 	}
-}
-
-// InboundLossTCP returns the current TCP-plane loss probability for dst.
-func (n *Network) InboundLossTCP(dst Addr) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.tcpLoss[dst]
 }
 
 // SetPathMTU limits the UDP payload size deliverable to dst: larger

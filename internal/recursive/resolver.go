@@ -147,8 +147,7 @@ type Config struct {
 	EDNSSize uint16
 	// TCPFallback retries a TC=1 upstream response over the simulated
 	// TCP plane against the same server (RFC 7766) instead of rotating
-	// to the next candidate. Requires a TCP transport (Attach binds one;
-	// SetTCPConn for custom transports).
+	// to the next candidate. Requires a TCP transport (Attach binds one).
 	TCPFallback bool
 	// Seed makes the resolver's random choices reproducible.
 	Seed int64
@@ -399,17 +398,12 @@ func (r *Resolver) Addr() netsim.Addr {
 // SetConn binds the resolver to an existing transport.
 func (r *Resolver) SetConn(conn netsim.Conn) { r.conn = conn }
 
-// SetTCPConn binds the resolver's TCP-plane transport (nil disables
-// TC-bit fallback and TCP client serving).
-func (r *Resolver) SetTCPConn(conn netsim.Conn) { r.tcpConn = conn }
-
 // Attach binds the resolver at addr on the simulated network; with
 // Config.TCPFallback armed it binds the TCP plane too, so TC=1 fallback
-// and TCP clients work out of the box (SetTCPConn binds the TCP plane
-// independently). The UDP-only default keeps Attach allocation-parity
-// with the pre-TCP engine on benchmark hot paths. Inbound packets are
-// dispatched to the client-serving or upstream-response paths by the QR
-// bit.
+// and TCP clients work out of the box. The UDP-only default keeps
+// Attach allocation-parity with the pre-TCP engine on benchmark hot
+// paths. Inbound packets are dispatched to the client-serving or
+// upstream-response paths by the QR bit.
 func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
 	r.conn = net.Bind(addr, r.Receive)
 	if r.cfg.TCPFallback {

@@ -56,7 +56,7 @@ type Config struct {
 	EDNSSize uint16
 	// TCPFallback retries a TC=1 response over the simulated TCP plane
 	// (RFC 7766) instead of reporting it as truncated. Requires a TCP
-	// transport (Attach binds one; SetTCPConn for custom transports).
+	// transport (Attach binds one).
 	TCPFallback bool
 }
 
@@ -97,7 +97,7 @@ func New(clk clock.Clock, cfg Config) *Client {
 
 // Attach binds the client at addr on the simulated network; with
 // Config.TCPFallback armed it binds the TCP plane too, so TC=1 fallback
-// works out of the box (SetTCPConn binds the TCP plane independently).
+// works out of the box.
 func (c *Client) Attach(net *netsim.Network, addr netsim.Addr) {
 	c.conn = net.Bind(addr, c.Receive)
 	if c.cfg.TCPFallback {
@@ -107,10 +107,6 @@ func (c *Client) Attach(net *netsim.Network, addr netsim.Addr) {
 
 // SetConn binds the client to an existing transport.
 func (c *Client) SetConn(conn netsim.Conn) { c.conn = conn }
-
-// SetTCPConn binds the client's TCP-plane transport (nil disables TC
-// fallback).
-func (c *Client) SetTCPConn(conn netsim.Conn) { c.tcpConn = conn }
 
 // SetTrace enables query-lifecycle tracing (nil disables).
 func (c *Client) SetTrace(tr *trace.Buffer) { c.trace = tr }

@@ -1,9 +1,10 @@
 // Package telemetry publishes live run state: a Progress tracker that
 // prints throttled snapshots to a writer while a sharded run executes,
-// and an optional HTTP endpoint exposing expvar counters plus
-// net/http/pprof profiles. Telemetry is observation-only — it reads wall
-// time for display pacing but never feeds anything back into the
-// simulation, so enabling it cannot change results.
+// and an optional HTTP endpoint exposing OpenMetrics gauges, the Go
+// runtime's expvar variables and net/http/pprof profiles. Telemetry is
+// observation-only — it reads wall time for display pacing but never
+// feeds anything back into the simulation, so enabling it cannot change
+// results.
 package telemetry
 
 import (
@@ -127,16 +128,12 @@ func NewProgress(w io.Writer, label string, cellsTotal int, every time.Duration)
 	}
 	p := &Progress{w: w, label: label, every: every,
 		start: time.Now(), cellsTotal: cellsTotal}
-	publishOnce.Do(func() { expvar.Publish("dikes_progress", expvar.Func(current.snapshotAny)) })
 	current.set(p)
 	return p
 }
 
-// publishOnce guards the process-wide expvar registration (Publish
-// panics on duplicates).
-var publishOnce sync.Once
-
-// current points expvar at the most recent Progress.
+// current points the /metrics progress gauges at the most recent
+// Progress.
 var current progressRef
 
 type progressRef struct {
@@ -158,16 +155,6 @@ func (r *progressRef) clear(p *Progress) {
 		r.p = nil
 	}
 	r.mu.Unlock()
-}
-
-func (r *progressRef) snapshotAny() any {
-	r.mu.Lock()
-	p := r.p
-	r.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	return p.Snapshot()
 }
 
 // currentSnapshot returns the in-flight run's snapshot, false when no
@@ -209,7 +196,7 @@ func (p *Progress) CellDone(events int64, simHorizon time.Duration) {
 }
 
 // Finish prints the final snapshot unconditionally and retires the run
-// from the expvar/metrics endpoints: a scrape between runs must report
+// from the /metrics endpoint: a scrape between runs must report
 // "no run in flight", not the previous run's last snapshot frozen in
 // time.
 func (p *Progress) Finish() {

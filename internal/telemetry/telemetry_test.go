@@ -78,8 +78,8 @@ func TestServeExposesVarsAndPprof(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: status %d", path, resp.StatusCode)
 		}
-		if path == "/debug/vars" && !strings.Contains(string(body), "dikes_progress") {
-			t.Errorf("/debug/vars missing the dikes_progress expvar")
+		if path == "/debug/vars" && !strings.Contains(string(body), "memstats") {
+			t.Errorf("/debug/vars missing the Go runtime vars")
 		}
 		if path == "/metrics" {
 			if !strings.HasSuffix(string(body), "# EOF\n") {
@@ -114,28 +114,25 @@ func TestServeShutdownReleasesListener(t *testing.T) {
 	}
 }
 
-// TestFinishClearsCurrent is the regression test for the stale
-// dikes_progress expvar: after Finish, a scrape must see "no run in
-// flight" (JSON null), not the finished run's snapshot.
+// TestFinishClearsCurrent is the regression test for stale progress
+// gauges: after Finish, a /metrics scrape must see "no run in flight",
+// not the finished run's snapshot.
 func TestFinishClearsCurrent(t *testing.T) {
 	p := NewProgress(io.Discard, "stale-test", 1, time.Hour)
 	p.CellDone(7, time.Second)
-	if got := current.snapshotAny(); got == nil {
-		t.Fatal("expvar empty while the run is live")
+	if _, ok := currentSnapshot(); !ok {
+		t.Fatal("progress gauges empty while the run is live")
 	}
 	p.Finish()
-	if got := current.snapshotAny(); got != nil {
-		t.Errorf("expvar still reports a snapshot after Finish: %+v", got)
-	}
 	if _, ok := currentSnapshot(); ok {
-		t.Error("currentSnapshot still live after Finish")
+		t.Error("progress gauges still live after Finish")
 	}
 
 	// A newer run's ref must survive an older run's late Finish.
 	old := NewProgress(io.Discard, "old", 1, time.Hour)
 	newer := NewProgress(io.Discard, "new", 1, time.Hour)
 	old.Finish()
-	if got := current.snapshotAny(); got == nil {
+	if _, ok := currentSnapshot(); !ok {
 		t.Error("stale Finish clobbered the live run's ref")
 	}
 	newer.Finish()
@@ -153,7 +150,6 @@ func TestProgressRace(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				p.CellDone(10, time.Duration(i)*time.Second)
 				_ = p.Snapshot()
-				_ = current.snapshotAny()
 				_, _ = currentSnapshot()
 			}
 		}()

@@ -17,8 +17,8 @@ func TestCollectorBinningAndClamp(t *testing.T) {
 	c.ObserveAt(t0, Answered)
 	c.ObserveAt(t0.Add(59*time.Second), Answered)
 	c.ObserveAt(t0.Add(60*time.Second), Failed)
-	c.ObserveAt(t0.Add(-time.Hour), ServFail)       // clamps to bin 0
-	c.ObserveAt(t0.Add(24*time.Hour), StaleServed)  // clamps to last bin
+	c.ObserveAt(t0.Add(-time.Hour), ServFail)      // clamps to bin 0
+	c.ObserveAt(t0.Add(24*time.Hour), StaleServed) // clamps to last bin
 	tl := c.Finalize()
 	if got := tl.Get(0, Answered); got != 2 {
 		t.Errorf("bin0 answered = %d, want 2", got)

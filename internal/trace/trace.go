@@ -1,5 +1,5 @@
 // Package trace is the engine's deterministic query-lifecycle tracing
-// subsystem (DESIGN.md §12). Each population cell owns one ring Buffer;
+// subsystem (DESIGN.md §14). Each population cell owns one ring Buffer;
 // the cell's event loop is single-threaded, so the buffer needs no lock
 // ("lock-free" by construction, not by atomics). Events are stamped with
 // the simulated clock, never the wall clock, so a trace is bit-identical
