@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt race bench-smoke check scale-smoke trace-smoke fuzz cli-smoke report-regress regen-tables size-guard
+.PHONY: all build test vet fmt race bench-smoke check scale-smoke trace-smoke fuzz cli-smoke report-regress digest-guard regen-tables size-guard
 
 all: check
 
@@ -34,6 +34,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpack$$' -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz '^FuzzPackUnpackRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/dnswire
+	$(GO) test -run '^$$' -fuzz '^FuzzPackMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz '^FuzzMasterFile$$' -fuzztime $(FUZZTIME) ./internal/zone
 
 # Sharded-engine scale gate: one 100k-probe 4-shard DDoS run (spec H)
@@ -83,6 +84,20 @@ report-regress:
 	        timeline -bucket 10m >/dev/null && \
 	    $(GO) run ./cmd/dikes diff testdata/regress/timeline_H.json $$tmp/timeline-expH.json && \
 	    rm -rf $$tmp
+
+# Benchmark-behaviour gate: runs each simulator workload of the repo's
+# benchmark once and compares the `report digest` it prints with
+# testdata/regress/bench_digests.txt (lines of `workload seed digest`). A
+# performance change keeps simulated behaviour — every component counter
+# and invariant verdict of the run report — or changes that file on
+# purpose.
+digest-guard:
+	@while read -r w seed want; do \
+	    got=$$($(GO) run ./benchmark --workload $$w --seed $$seed --seconds 1 --trace 0 | \
+	        sed -n 's/^workload .* report digest \([0-9a-f]*\)$$/\1/p'); \
+	    if [ "$$got" = "$$want" ]; then echo "digest-guard: $$w seed $$seed ok"; \
+	    else echo "digest-guard: $$w seed $$seed: report digest '$$got', want $$want"; exit 1; fi; \
+	done < testdata/regress/bench_digests.txt
 
 # Regenerates the committed report tables (paper_run*.txt) from
 # examples/specs/ via the campaign runner, verifying -shards 1 and

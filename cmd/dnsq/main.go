@@ -63,9 +63,23 @@ func main() {
 	client.SetConn(conn)
 	go conn.Serve(client.Receive)
 
-	done := make(chan stub.Result, 1)
+	// Result.Msg is the client's scratch message, valid only until the
+	// callback returns: what main prints is rendered inside it.
+	type outcome struct {
+		stub.Result
+		text      string
+		truncated bool
+	}
+	done := make(chan outcome, 1)
 	loop.Post(func() {
-		client.Query(netsim.Addr(server), name, qtype, func(r stub.Result) { done <- r })
+		client.Query(netsim.Addr(server), name, qtype, func(r stub.Result) {
+			o := outcome{Result: r}
+			if r.Msg != nil {
+				o.text, o.truncated = r.Msg.String(), r.Msg.Truncated
+				o.Msg = nil
+			}
+			done <- o
+		})
 	})
 	go loop.Run()
 
@@ -74,12 +88,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dnsq: %v (after %v)\n", r.Err, r.RTT)
 		os.Exit(1)
 	}
-	if r.Msg.Truncated {
+	if r.truncated {
 		fmt.Fprintln(os.Stderr, ";; truncated over UDP, retrying over TCP")
 		queryTCP(server, name, qtype, *timeout)
 		return
 	}
-	fmt.Printf(";; answer from %s in %v\n%s", r.Server, r.RTT.Round(time.Microsecond), r.Msg)
+	fmt.Printf(";; answer from %s in %v\n%s", r.Server, r.RTT.Round(time.Microsecond), r.text)
 }
 
 // queryTCP performs the RFC 7766 exchange and prints the answer.

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sync"
+	"unsafe"
 )
 
 // Parsing errors.
@@ -80,32 +80,6 @@ func (p *parser) name() (string, error) {
 	return n, nil
 }
 
-// nameIntern canonicalizes decoded names through a process-wide table: a
-// simulation decodes the same handful of names millions of times, and a
-// map hit costs no allocation (the []byte-keyed lookup does not copy).
-// The table is capped so adversarial or huge-population runs degrade to
-// per-name allocation instead of unbounded growth.
-var nameIntern = struct {
-	mu sync.Mutex
-	m  map[string]string
-}{m: make(map[string]string, 256)}
-
-const nameInternCap = 1 << 17
-
-func internName(b []byte) string {
-	ni := &nameIntern
-	ni.mu.Lock()
-	s, ok := ni.m[string(b)]
-	if !ok {
-		s = string(b)
-		if len(ni.m) < nameInternCap {
-			ni.m[s] = s
-		}
-	}
-	ni.mu.Unlock()
-	return s
-}
-
 // readName decodes a name at off in data, returning the canonical name and
 // the offset just past the name's in-place encoding. The presentation form
 // is assembled (and lowercased) in a stack buffer, so decoding costs at
@@ -130,7 +104,12 @@ func readName(data []byte, off int) (string, int, error) {
 			if len(name) == 0 {
 				return ".", next, nil
 			}
-			return internName(name), next, nil
+			// The lookup key aliases the stack buffer; a miss copies it.
+			key := unsafe.String(&name[0], len(name))
+			return nameIntern.intern(hashBytes(name), key, func() (string, string) {
+				s := string(name)
+				return s, s
+			}), next, nil
 		case l&0xC0 == 0xC0:
 			if off+1 >= len(data) {
 				return "", 0, ErrTruncatedMessage
@@ -314,25 +293,27 @@ func (p *parser) rdata(t Type, end int) (RData, error) {
 		if err != nil {
 			return nil, err
 		}
-		return internA(A{Addr: netip.AddrFrom4([4]byte(b))}), nil
+		v := A{Addr: netip.AddrFrom4([4]byte(b))}
+		return internRData(&aIntern, hashAddr(v.Addr), v), nil
 	case TypeAAAA:
 		b, err := p.bytes(16)
 		if err != nil {
 			return nil, err
 		}
-		return internAAAA(AAAA{Addr: netip.AddrFrom16([16]byte(b))}), nil
+		v := AAAA{Addr: netip.AddrFrom16([16]byte(b))}
+		return internRData(&aaaaIntern, hashAddr(v.Addr), v), nil
 	case TypeNS:
 		h, err := p.name()
 		if err != nil {
 			return nil, err
 		}
-		return internNS(NS{Host: h}), nil
+		return internRData(&nsIntern, hashBytes(h), NS{Host: h}), nil
 	case TypeCNAME:
 		h, err := p.name()
 		if err != nil {
 			return nil, err
 		}
-		return internCNAME(CNAME{Target: h}), nil
+		return internRData(&cnameIntern, hashBytes(h), CNAME{Target: h}), nil
 	case TypePTR:
 		h, err := p.name()
 		return PTR{Target: h}, err
@@ -372,7 +353,7 @@ func (p *parser) rdata(t Type, end int) (RData, error) {
 				return nil, err
 			}
 		}
-		return internSOA(s), nil
+		return internRData(&soaIntern, hashBytes(s.MName)^uint64(s.Serial), s), nil
 	case TypeDS:
 		var d DS
 		var err error
@@ -410,107 +391,4 @@ func (p *parser) rdata(t Type, end int) (RData, error) {
 		}
 		return Unknown{Type: t, Data: append([]byte(nil), rest...)}, nil
 	}
-}
-
-// rdataIntern canonicalizes decoded rdata values of the hot comparable
-// types (A, AAAA, NS, CNAME, SOA). Returning a cached interface value
-// skips the heap boxing every decode would otherwise pay; the tables are
-// typed (one map per rdata kind) so a cache hit boxes nothing — a
-// map[any] key would re-box the struct just to perform the lookup. Like
-// the name table each map is capped so unbounded-value workloads degrade
-// to per-record boxing instead of unbounded growth.
-const rdataInternCap = 1 << 16
-
-var rdataIntern struct {
-	mu    sync.Mutex
-	a     map[A]RData
-	aaaa  map[AAAA]RData
-	ns    map[NS]RData
-	cname map[CNAME]RData
-	soa   map[SOA]RData
-}
-
-func internA(v A) RData {
-	ri := &rdataIntern
-	ri.mu.Lock()
-	d, ok := ri.a[v]
-	if !ok {
-		d = v
-		if ri.a == nil {
-			ri.a = make(map[A]RData, 256)
-		}
-		if len(ri.a) < rdataInternCap {
-			ri.a[v] = d
-		}
-	}
-	ri.mu.Unlock()
-	return d
-}
-
-func internAAAA(v AAAA) RData {
-	ri := &rdataIntern
-	ri.mu.Lock()
-	d, ok := ri.aaaa[v]
-	if !ok {
-		d = v
-		if ri.aaaa == nil {
-			ri.aaaa = make(map[AAAA]RData, 256)
-		}
-		if len(ri.aaaa) < rdataInternCap {
-			ri.aaaa[v] = d
-		}
-	}
-	ri.mu.Unlock()
-	return d
-}
-
-func internNS(v NS) RData {
-	ri := &rdataIntern
-	ri.mu.Lock()
-	d, ok := ri.ns[v]
-	if !ok {
-		d = v
-		if ri.ns == nil {
-			ri.ns = make(map[NS]RData, 256)
-		}
-		if len(ri.ns) < rdataInternCap {
-			ri.ns[v] = d
-		}
-	}
-	ri.mu.Unlock()
-	return d
-}
-
-func internCNAME(v CNAME) RData {
-	ri := &rdataIntern
-	ri.mu.Lock()
-	d, ok := ri.cname[v]
-	if !ok {
-		d = v
-		if ri.cname == nil {
-			ri.cname = make(map[CNAME]RData, 256)
-		}
-		if len(ri.cname) < rdataInternCap {
-			ri.cname[v] = d
-		}
-	}
-	ri.mu.Unlock()
-	return d
-}
-
-func internSOA(v SOA) RData {
-	ri := &rdataIntern
-	ri.mu.Lock()
-	d, ok := ri.soa[v]
-	if !ok {
-		d = v
-		if ri.soa == nil {
-			ri.soa = make(map[SOA]RData, 256)
-		}
-		if len(ri.soa) < rdataInternCap {
-			ri.soa[v] = d
-		}
-	}
-	ri.mu.Unlock()
-	return d
 }

@@ -9,25 +9,25 @@ import (
 
 // builder accumulates wire-format bytes and tracks name offsets for
 // compression (RFC 1035 §4.1.4). Builders are pooled: the byte buffer and
-// the offsets map survive across messages, so a steady-state Pack
+// the offset table survive across messages, so a steady-state Pack
 // allocates only the returned slice.
 type builder struct {
 	buf      []byte
-	offsets  map[string]int // canonical name suffix -> offset of its first encoding
+	offsets  compTable
 	compress bool
 }
 
 var builderPool = sync.Pool{New: func() any {
 	return &builder{
 		buf:     make([]byte, 0, 512),
-		offsets: make(map[string]int, 16),
+		offsets: compTable{slots: make([]compEntry, 32)},
 	}
 }}
 
 func newBuilder(compress bool) *builder {
 	b := builderPool.Get().(*builder)
 	b.buf = b.buf[:0]
-	clear(b.offsets)
+	b.offsets.reset()
 	b.compress = compress
 	return b
 }
@@ -41,24 +41,85 @@ func (b *builder) bytes(v []byte)  { b.buf = append(b.buf, v...) }
 func (b *builder) uint16(v uint16) { b.buf = binary.BigEndian.AppendUint16(b.buf, v) }
 func (b *builder) uint32(v uint32) { b.buf = binary.BigEndian.AppendUint32(b.buf, v) }
 
+// compTable maps each canonical name suffix the current message has
+// written in full to the offset of its latest full encoding. It is an
+// open-addressed, linearly probed hash table whose slots carry the
+// generation (message) that filled them: reset bumps the generation
+// instead of clearing, and a lookup is O(1) expected whether the message
+// holds two names or a 135-name referral. Suffixes of a canonical name are
+// substrings of it, so the keys are shared slices — no per-label strings
+// are built. A pooled table pins at most one name per slot until the slot
+// is reused.
+type compTable struct {
+	slots []compEntry // power-of-two length, at most half live
+	gen   uint32
+	live  int
+}
+
+type compEntry struct {
+	suffix string
+	gen    uint32
+	off    uint16
+}
+
+func (t *compTable) reset() {
+	t.live = 0
+	if t.gen++; t.gen == 0 { // wrapped: stale stamps could match again
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// slot returns suffix's entry: live (e.gen == t.gen) when the message
+// already registered the suffix, otherwise the free slot where set puts it.
+func (t *compTable) slot(suffix string) *compEntry {
+	mask := uint64(len(t.slots) - 1)
+	for i := hashBytes(suffix) & mask; ; i = (i + 1) & mask {
+		if e := &t.slots[i]; e.gen != t.gen || e.suffix == suffix {
+			return e
+		}
+	}
+}
+
+// set registers suffix at off through e, the entry slot returned for it.
+func (t *compTable) set(e *compEntry, suffix string, off int) {
+	fresh := e.gen != t.gen
+	*e = compEntry{suffix: suffix, gen: t.gen, off: uint16(off)}
+	if !fresh {
+		return
+	}
+	if t.live++; 2*t.live > len(t.slots) {
+		old := t.slots
+		t.slots = make([]compEntry, 2*len(old))
+		for _, o := range old {
+			if o.gen == t.gen {
+				*t.slot(o.suffix) = o
+			}
+		}
+	}
+}
+
 // name appends a (possibly compressed) encoding of the canonical form of n.
 // Compression pointers can only target offsets < 0x4000; beyond that the
-// name is written in full. Suffixes of a canonical name are substrings of
-// it ("cachetest.nl." within "1414.cachetest.nl."), so the offsets table
-// is keyed by shared slices of n — no per-label strings are built.
+// name is written in full and not registered. A name written in full
+// into a compressing builder (allowCompress=false: the NSEC next name)
+// re-registers its suffixes, so later names point at the latest full
+// encoding. Without compression nothing ever reads the table, so nothing
+// is registered.
 func (b *builder) name(n string, allowCompress bool) {
 	n = CanonicalName(n)
 	if n != "." {
 		for start := 0; start < len(n); {
 			suffix := n[start:]
-			if b.compress && allowCompress {
-				if off, ok := b.offsets[suffix]; ok && off < 0x4000 {
-					b.uint16(0xC000 | uint16(off))
+			if b.compress {
+				e := b.offsets.slot(suffix)
+				if allowCompress && e.gen == b.offsets.gen {
+					b.uint16(0xC000 | e.off)
 					return
 				}
-			}
-			if len(b.buf) < 0x4000 {
-				b.offsets[suffix] = len(b.buf)
+				if len(b.buf) < 0x4000 {
+					b.offsets.set(e, suffix, len(b.buf))
+				}
 			}
 			end := strings.IndexByte(suffix, '.')
 			label := suffix[:end]

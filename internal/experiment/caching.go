@@ -102,12 +102,14 @@ type fetcherKey struct {
 // addresses that fetched it from the authoritatives.
 func indexFetchers(tb *Testbed) map[fetcherKey][]netsim.Addr {
 	idx := make(map[fetcherKey][]netsim.Addr)
-	for _, ev := range tb.AuthLog {
-		if ev.QType != dnswire.TypeAAAA || ev.Dropped {
-			continue
+	for _, chunk := range tb.AuthLog {
+		for _, ev := range chunk {
+			if ev.QType != dnswire.TypeAAAA || ev.Dropped {
+				continue
+			}
+			k := fetcherKey{qname: ev.QName, round: int(ev.At.Sub(tb.Start) / RotationInterval)}
+			idx[k] = append(idx[k], ev.Src)
 		}
-		k := fetcherKey{qname: ev.QName, round: int(ev.At.Sub(tb.Start) / RotationInterval)}
-		idx[k] = append(idx[k], ev.Src)
 	}
 	return idx
 }

@@ -67,11 +67,13 @@ func RunNlFromSim(cfg NlSimConfig) *NlSimResult {
 		nsHosts["ns"+itoa(i+1)+"."+Domain] = true
 	}
 	var events []passive.QueryEvent
-	for _, ev := range tb.AuthLog {
-		if ev.QType != dnswire.TypeA || !nsHosts[ev.QName] {
-			continue
+	for _, chunk := range tb.AuthLog {
+		for _, ev := range chunk {
+			if ev.QType != dnswire.TypeA || !nsHosts[ev.QName] {
+				continue
+			}
+			events = append(events, passive.QueryEvent{At: ev.At, Src: string(ev.Src)})
 		}
-		events = append(events, passive.QueryEvent{At: ev.At, Src: string(ev.Src)})
 	}
 
 	res := &NlSimResult{Config: cfg}

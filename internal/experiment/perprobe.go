@@ -77,21 +77,23 @@ func PerProbe(tb *Testbed, res *DDoSResult, probeID uint16) Table7 {
 		rns[i] = make(map[netsim.Addr]bool)
 	}
 	series := res.AuthQueries // same binning
-	for _, ev := range tb.AuthLog {
-		if ev.QName != qname || ev.QType != dnswire.TypeAAAA {
-			continue
+	for _, chunk := range tb.AuthLog {
+		for _, ev := range chunk {
+			if ev.QName != qname || ev.QType != dnswire.TypeAAAA {
+				continue
+			}
+			r := series.RoundOf(ev.At)
+			if r < 0 || r >= rounds {
+				continue
+			}
+			row := &out.Rounds[r]
+			row.AuthQueries++
+			if !ev.Dropped {
+				row.AuthAnswered++
+			}
+			ats[r][ev.Dst] = true
+			rns[r][ev.Src] = true
 		}
-		r := series.RoundOf(ev.At)
-		if r < 0 || r >= rounds {
-			continue
-		}
-		row := &out.Rounds[r]
-		row.AuthQueries++
-		if !ev.Dropped {
-			row.AuthAnswered++
-		}
-		ats[r][ev.Dst] = true
-		rns[r][ev.Src] = true
 	}
 	for r := range out.Rounds {
 		out.Rounds[r].ATsUsed = len(ats[r])
@@ -114,9 +116,11 @@ func BusiestProbe(tb *Testbed) uint16 {
 // cells.
 func busiestProbeCount(tb *Testbed) (uint16, int) {
 	counts := make(map[string]int)
-	for _, ev := range tb.AuthLog {
-		if ev.QType == dnswire.TypeAAAA {
-			counts[ev.QName]++
+	for _, chunk := range tb.AuthLog {
+		for _, ev := range chunk {
+			if ev.QType == dnswire.TypeAAAA {
+				counts[ev.QName]++
+			}
 		}
 	}
 	best, bestN := uint16(0), -1

@@ -9,7 +9,6 @@ package experiment
 // byte-identical to the 1-shard run over the same cells.
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/classify"
@@ -63,16 +62,17 @@ func newDDoSAccum(spec DDoSSpec, start time.Time, rounds int) *ddosAccum {
 
 // absorb folds one finished testbed into the accumulator.
 func (ac *ddosAccum) absorb(tb *Testbed) {
-	answers := tb.Fleet.AllAnswers()
 	ac.table4.Probes += len(tb.Pop.Probes)
 	ac.table4.VPs += tb.Pop.VPCount()
-	ac.tallyAnswers(answers)
-
-	if tb.Timeline != nil {
+	for _, p := range tb.Fleet.Probes {
+		ac.tallyAnswers(p.Answers())
+		if tb.Timeline == nil {
+			continue
+		}
 		// Client outcomes are derived VP-side here rather than emitted by
 		// the probes: each answer's event time is its arrival (or the
 		// moment the stub gave up — RTT is the timeout duration then).
-		for _, a := range answers {
+		for _, a := range p.Answers() {
 			at := a.SentAt.Add(a.RTT)
 			switch {
 			case a.Timeout:
@@ -83,6 +83,8 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 				tb.Timeline.ObserveAt(at, timeline.ServFail)
 			}
 		}
+	}
+	if tb.Timeline != nil {
 		t := tb.Timeline.Finalize()
 		if ac.tl == nil {
 			ac.tl = t
@@ -91,13 +93,12 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 		}
 	}
 
-	// Per-VP classification (Figure 7). VPs are visited in sorted key
-	// order: the tallies are order-independent, but the trace's classify
-	// section must come out in the same order on every run.
-	byVP := vantage.ByVP(answers)
-	for _, k := range sortedVPKeys(byVP) {
+	// Per-VP classification (Figure 7). EachVP visits VPs in key order:
+	// the tallies are order-independent, but the trace's classify section
+	// must come out in the same order on every run.
+	tb.Fleet.EachVP(func(k vantage.VPKey, answers []vantage.Answer) {
 		tracker := classify.NewTracker()
-		for _, a := range byVP[k] {
+		for _, a := range answers {
 			if !a.Ok() {
 				continue
 			}
@@ -118,34 +119,19 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 				})
 			}
 		}
-	}
+	})
 
 	ac.absorbAuthSide(tb)
 }
 
-// sortedVPKeys orders a ByVP map's keys by (probe, recursive).
-func sortedVPKeys(m map[vantage.VPKey][]vantage.Answer) []vantage.VPKey {
-	keys := make([]vantage.VPKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ProbeID != keys[j].ProbeID {
-			return keys[i].ProbeID < keys[j].ProbeID
-		}
-		return keys[i].Recursive < keys[j].Recursive
-	})
-	return keys
-}
-
 // tallyAnswers fills the Table 4 counts, the per-round outcome series,
-// and the per-round latency multisets from the VP observation log.
+// and the per-round latency multisets from one probe's observation log.
 // Outcome counts and RTT samples are binned with the same clamped round
 // index, and the overflow bin is summarized too, so Latency[r].N always
 // matches the answered (OK + SERVFAIL) count of round r — one of the
 // report's invariants.
 func (ac *ddosAccum) tallyAnswers(answers []vantage.Answer) {
-	probeOK := make(map[uint16]bool)
+	probeOK := false
 	for _, a := range answers {
 		ac.table4.Queries++
 		r := clampRound(a.Round, ac.rounds)
@@ -155,7 +141,7 @@ func (ac *ddosAccum) tallyAnswers(answers []vantage.Answer) {
 		case a.Ok():
 			ac.table4.TotalAnswers++
 			ac.table4.ValidAnswers++
-			probeOK[a.ProbeID] = true
+			probeOK = true
 			ac.answers.AddRound(r, "OK", 1)
 			ac.latency[r].Observe(a.RTT.Milliseconds())
 		default:
@@ -164,9 +150,9 @@ func (ac *ddosAccum) tallyAnswers(answers []vantage.Answer) {
 			ac.latency[r].Observe(a.RTT.Milliseconds())
 		}
 	}
-	// Probe IDs are local to this testbed, so the distinct count adds
-	// cleanly across cells (cells hold disjoint probe sets).
-	ac.table4.ProbesValid += len(probeOK)
+	if probeOK {
+		ac.table4.ProbesValid++
+	}
 }
 
 // absorbAuthSide derives the Figures 10–12 tallies from the pre-drop tap.
@@ -187,32 +173,34 @@ func (ac *ddosAccum) absorbAuthSide(tb *Testbed) {
 		queriesPerProbe[i] = make(map[string]int)
 	}
 
-	for _, ev := range tb.AuthLog {
-		r := ac.authQueries.RoundOf(ev.At)
-		if r < 0 || r >= ac.rounds {
-			continue
-		}
-		uniqueRn[r][ev.Src] = true
-		label := ""
-		switch {
-		case ev.QName == Domain && ev.QType == dnswire.TypeNS:
-			label = "NS"
-		case nsHosts[ev.QName] && ev.QType == dnswire.TypeA:
-			label = "A-for-NS"
-		case nsHosts[ev.QName] && ev.QType == dnswire.TypeAAAA:
-			label = "AAAA-for-NS"
-		case ev.QType == dnswire.TypeAAAA:
-			label = "AAAA-for-PID"
-			if m := rnPerProbe[r][ev.QName]; m == nil {
-				rnPerProbe[r][ev.QName] = map[netsim.Addr]bool{ev.Src: true}
-			} else {
-				m[ev.Src] = true
+	for _, chunk := range tb.AuthLog {
+		for _, ev := range chunk {
+			r := ac.authQueries.RoundOf(ev.At)
+			if r < 0 || r >= ac.rounds {
+				continue
 			}
-			queriesPerProbe[r][ev.QName]++
-		default:
-			label = "other"
+			uniqueRn[r][ev.Src] = true
+			label := ""
+			switch {
+			case ev.QName == Domain && ev.QType == dnswire.TypeNS:
+				label = "NS"
+			case nsHosts[ev.QName] && ev.QType == dnswire.TypeA:
+				label = "A-for-NS"
+			case nsHosts[ev.QName] && ev.QType == dnswire.TypeAAAA:
+				label = "AAAA-for-NS"
+			case ev.QType == dnswire.TypeAAAA:
+				label = "AAAA-for-PID"
+				if m := rnPerProbe[r][ev.QName]; m == nil {
+					rnPerProbe[r][ev.QName] = map[netsim.Addr]bool{ev.Src: true}
+				} else {
+					m[ev.Src] = true
+				}
+				queriesPerProbe[r][ev.QName]++
+			default:
+				label = "other"
+			}
+			ac.authQueries.AddRound(r, label, 1)
 		}
-		ac.authQueries.AddRound(r, label, 1)
 	}
 
 	for r := 0; r < ac.rounds; r++ {
@@ -300,31 +288,33 @@ func newCachingAccum(cfg CachingConfig, start time.Time) *cachingAccum {
 
 // absorb folds one finished testbed into the accumulator.
 func (ac *cachingAccum) absorb(tb *Testbed) {
-	answers := tb.Fleet.AllAnswers()
-
 	ac.table1.Probes += tb.Cfg.Probes
 	ac.table1.VPs += tb.Pop.VPCount()
-	probeOK := make(map[uint16]bool)
-	for _, a := range answers {
-		ac.table1.Queries++
-		if a.Timeout {
-			continue
+	for _, p := range tb.Fleet.Probes {
+		probeOK := false
+		for _, a := range p.Answers() {
+			ac.table1.Queries++
+			if a.Timeout {
+				continue
+			}
+			ac.table1.Answers++
+			if a.Ok() {
+				ac.table1.AnswersValid++
+				probeOK = true
+			} else {
+				ac.table1.AnswersDisc++
+			}
 		}
-		ac.table1.Answers++
-		if a.Ok() {
-			ac.table1.AnswersValid++
-			probeOK[a.ProbeID] = true
-		} else {
-			ac.table1.AnswersDisc++
+		if probeOK {
+			ac.table1.ProbesValid++
 		}
 	}
-	ac.table1.ProbesValid += len(probeOK)
 
 	// Rn attribution for Table 3: which resolvers fetched each
 	// (probe, zone-round) from the authoritatives.
 	fetchers := indexFetchers(tb)
 
-	for _, list := range vantage.ByVP(answers) {
+	tb.Fleet.EachVP(func(_ vantage.VPKey, list []vantage.Answer) {
 		valid := 0
 		for _, a := range list {
 			if a.Ok() {
@@ -333,7 +323,7 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 		}
 		if valid == 1 {
 			ac.table2.OneAnswerVPs++
-			continue
+			return
 		}
 		tracker := classify.NewTracker()
 		for _, a := range list {
@@ -347,7 +337,7 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 				ac.absorbTable3(tb, a, fetchers)
 			}
 		}
-	}
+	})
 }
 
 // absorbTable3 attributes one AC answer to its entry path.

@@ -118,7 +118,10 @@ type Testbed struct {
 	Timeline *timeline.Collector
 
 	serial0 uint16
-	AuthLog []AuthEvent
+	// AuthLog is the pre-drop tap log (kept with KeepAuthLog), in arrival
+	// order across fixed-size chunks: logging an event never re-copies
+	// the events before it.
+	AuthLog [][]AuthEvent
 
 	// Tap totals, counted on every run (the AuthLog itself is only kept
 	// with KeepAuthLog). Arrivals are pre-drop, deliveries post-drop.
@@ -379,6 +382,9 @@ func (tb *Testbed) buildZones() {
 	}
 }
 
+// authLogChunk is the AuthLog growth step, in events (40 KiB a chunk).
+const authLogChunk = 512
+
 // installTap records every query arriving at a cachetest.nl authoritative,
 // including ones the emulated DDoS drops.
 func (tb *Testbed) installTap() {
@@ -406,7 +412,12 @@ func (tb *Testbed) installTap() {
 		if !tb.Cfg.KeepAuthLog {
 			return
 		}
-		tb.AuthLog = append(tb.AuthLog, AuthEvent{
+		last := len(tb.AuthLog) - 1
+		if last < 0 || len(tb.AuthLog[last]) == authLogChunk {
+			tb.AuthLog = append(tb.AuthLog, make([]AuthEvent, 0, authLogChunk))
+			last++
+		}
+		tb.AuthLog[last] = append(tb.AuthLog[last], AuthEvent{
 			At: ev.Time, Src: ev.Src, Dst: ev.Dst,
 			QName:   dnswire.CanonicalName(m.Questions[0].Name),
 			QType:   m.Questions[0].Type,
@@ -472,10 +483,9 @@ func (tb *Testbed) ScheduleRotations(total time.Duration) {
 
 func (tb *Testbed) rotate() {
 	serial := tb.CurrentSerial()
-	for id := 1; id <= tb.Cfg.Probes; id++ {
-		name := vantage.QName(uint16(id), Domain)
-		if err := tb.AuthZone.Replace(name, dnswire.TypeAAAA, tb.Cfg.TTL,
-			dnswire.AAAA{Addr: vantage.EncodeAAAA(serial, uint16(id), tb.Cfg.TTL)}); err != nil {
+	for _, p := range tb.Pop.Probes {
+		if err := tb.AuthZone.Replace(p.QName(), dnswire.TypeAAAA, tb.Cfg.TTL,
+			dnswire.AAAA{Addr: vantage.EncodeAAAA(serial, p.ID, tb.Cfg.TTL)}); err != nil {
 			panic(err)
 		}
 	}

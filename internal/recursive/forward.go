@@ -3,7 +3,6 @@ package recursive
 import (
 	"repro/internal/cache"
 	"repro/internal/dnswire"
-	"repro/internal/netsim"
 	"repro/internal/timeline"
 )
 
@@ -14,7 +13,7 @@ import (
 func (t *task) forward() {
 	t.timeout = t.r.cfg.InitialTimeout * 2 // upstream does full resolution
 	t.attempt = 0
-	t.servers = append([]netsim.Addr(nil), t.r.cfg.Forwarders...)
+	t.servers = append(t.servers[:0], t.r.cfg.Forwarders...)
 	t.r.random().Shuffle(len(t.servers), func(i, j int) {
 		t.servers[i], t.servers[j] = t.servers[j], t.servers[i]
 	})

@@ -2,7 +2,6 @@ package recursive
 
 import (
 	"net/netip"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -42,19 +41,28 @@ type task struct {
 
 	// fetch state for the current zone iteration
 	zoneName string
-	servers  []netsim.Addr
+	// servers is the candidate list, rebuilt in place (servers[:0]) on
+	// every zone change: one buffer serves the task's whole descent.
+	servers []netsim.Addr
 	// tried is a bitset over servers indices (reset each rotation round).
-	// A bitset instead of a map: rotation is the hottest retry path and a
-	// task reuses one small allocation for its whole life.
+	// A bitset instead of a map: rotation is the hottest retry path. Lists
+	// of up to 64 candidates — all but hostile referrals — use the inline
+	// word.
 	tried   []uint64
+	tried0  [1]uint64
 	attempt int
 	timeout time.Duration
+	// budget0 backs budget for the task that owns the tree's work budget.
+	budget0 int
 }
 
 // resetTried clears the tried bitset for a candidate list of n servers,
 // reusing the task's existing words when they are large enough.
 func (t *task) resetTried(n int) {
 	w := (n + 63) / 64
+	if t.tried == nil {
+		t.tried = t.tried0[:0]
+	}
 	if cap(t.tried) < w {
 		t.tried = make([]uint64, w)
 		return
@@ -83,11 +91,11 @@ func (t *task) markTried(idx int) {
 // exactly once.
 func (r *Resolver) Resolve(name string, qtype dnswire.Type, shard int, cb func(Result)) {
 	r.m.clientQueries.Inc()
-	budget := r.cfg.WorkBudget
 	t := &task{
 		r: r, name: dnswire.CanonicalName(name), qtype: qtype,
-		shard: shard, budget: &budget, cb: cb, root: true,
+		shard: shard, budget0: r.cfg.WorkBudget, cb: cb, root: true,
 	}
+	t.budget = &t.budget0
 	if tr := r.trace; tr != nil {
 		tr.Emit(trace.Event{Type: trace.EvResolveStart,
 			Probe: trace.ProbeFromName(t.name), Name: t.name, A: uint32(qtype),
@@ -302,7 +310,7 @@ func (t *task) initFetch() bool {
 		return false
 	}
 	t.zoneName = "."
-	t.servers = nil
+	t.servers = t.servers[:0]
 	for _, h := range t.r.cfg.RootHints {
 		t.servers = append(t.servers, h.Addr)
 	}
@@ -310,14 +318,15 @@ func (t *task) initFetch() bool {
 	return true
 }
 
-// zoneServersFromCache returns cached addresses for zone's NS set. Only
-// the record data is read, so the clone-free Peek suffices.
+// zoneServersFromCache returns cached addresses for zone's NS set, built
+// in the task's server buffer. Only the record data is read, so the
+// clone-free Peek suffices.
 func (t *task) zoneServersFromCache(zone string) []netsim.Addr {
 	ns := t.r.cache.Peek(cache.Key{Name: zone, Type: dnswire.TypeNS}, t.shard)
 	if !ns.Hit || ns.Negative {
 		return nil
 	}
-	var addrs []netsim.Addr
+	addrs := t.servers[:0]
 	for _, rr := range ns.Records {
 		host := dnswire.CanonicalName(rr.Data.(dnswire.NS).Host)
 		a := t.r.cache.Peek(cache.Key{Name: host, Type: dnswire.TypeA}, t.shard)
@@ -563,42 +572,28 @@ func (t *task) handleReferral(m *dnswire.Message, ns []dnswire.RR) {
 	newZone := dnswire.CanonicalName(ns[0].Name)
 	t.cacheAuthorityAndGlue(m)
 
-	// Gather in-bailiwick glue in NS-host order: count, then fill an
-	// exact-size slice (it becomes t.servers, so it must be owned). The
-	// host×additional scan replaces a per-referral map; both lists are a
-	// handful of records. Out-of-bailiwick glue is skipped: the parent has
-	// no authority over addresses outside the zone it is delegating, so a
-	// response volunteering them is the classic poisoning vector. Such NS
-	// hosts are resolved independently below instead.
-	n := 0
+	// Gather in-bailiwick glue in NS-host order into the task's server
+	// buffer (it becomes t.servers). The host×additional scan replaces a
+	// per-referral map; both lists are a handful of records.
+	// Out-of-bailiwick glue is skipped: the parent has no authority over
+	// addresses outside the zone it is delegating, so a response
+	// volunteering them is the classic poisoning vector. Such NS hosts are
+	// resolved independently below instead.
+	addrs := t.servers[:0]
 	for _, rr := range ns {
 		host := dnswire.CanonicalName(rr.Data.(dnswire.NS).Host)
 		for _, g := range m.Additionals {
-			if _, ok := g.Data.(dnswire.A); !ok {
+			a, ok := g.Data.(dnswire.A)
+			if !ok {
 				continue
 			}
 			gh := dnswire.CanonicalName(g.Name)
 			if gh == host && (t.r.cfg.NoBailiwick || dnswire.IsSubdomain(gh, newZone)) {
-				n++
+				addrs = append(addrs, internAddr(a.Addr))
 			}
 		}
 	}
-	var addrs []netsim.Addr
-	if n > 0 {
-		addrs = make([]netsim.Addr, 0, n)
-		for _, rr := range ns {
-			host := dnswire.CanonicalName(rr.Data.(dnswire.NS).Host)
-			for _, g := range m.Additionals {
-				a, ok := g.Data.(dnswire.A)
-				if !ok {
-					continue
-				}
-				gh := dnswire.CanonicalName(g.Name)
-				if gh == host && (t.r.cfg.NoBailiwick || dnswire.IsSubdomain(gh, newZone)) {
-					addrs = append(addrs, internAddr(a.Addr))
-				}
-			}
-		}
+	if len(addrs) > 0 {
 		t.descend(newZone, addrs)
 		return
 	}
@@ -682,7 +677,7 @@ func (t *task) resolveNSAddrs(hosts []string, newZone string) {
 			r: t.r, name: hosts[i], qtype: dnswire.TypeA,
 			shard: t.shard, depth: t.depth + 1, budget: t.budget,
 			cb: func(res Result) {
-				var addrs []netsim.Addr
+				addrs := t.servers[:0]
 				for _, rr := range res.Answers {
 					if a, ok := rr.Data.(dnswire.A); ok {
 						addrs = append(addrs, internAddr(a.Addr))
@@ -987,25 +982,6 @@ func referralNS(r *Resolver, m *dnswire.Message, currentZone, qname string) []dn
 	return ns
 }
 
-// internAddr converts a glue address to its simulator string form through
-// a process-wide cache: referrals repeat the same handful of server
-// addresses millions of times per run, and netip's formatter allocates on
-// every call.
-func internAddr(a netip.Addr) netsim.Addr {
-	addrIntern.mu.Lock()
-	s, ok := addrIntern.m[a]
-	if !ok {
-		s = netsim.Addr(a.String())
-		if addrIntern.m == nil {
-			addrIntern.m = make(map[netip.Addr]netsim.Addr)
-		}
-		addrIntern.m[a] = s
-	}
-	addrIntern.mu.Unlock()
-	return s
-}
-
-var addrIntern struct {
-	mu sync.Mutex
-	m  map[netip.Addr]netsim.Addr
-}
+// internAddr converts a glue address to its simulator string form
+// (dnswire interns it: bounded, and free after the first sighting).
+func internAddr(a netip.Addr) netsim.Addr { return netsim.Addr(dnswire.AddrString(a)) }

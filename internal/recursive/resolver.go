@@ -280,6 +280,9 @@ type Resolver struct {
 	// that outlives the dispatch — cache sets, Result answers — is always
 	// copied), so one message per resolver serves every response.
 	upMsg dnswire.Message
+	// cqMsg is the scratch decode target for client queries, and at answer
+	// time the scratch each waiter's query is rebuilt in (see waiter).
+	cqMsg dnswire.Message
 	// qMsg and respMsg are scratch encode sources (upstream queries and
 	// client responses), and packBuf the scratch wire buffer; all three
 	// are transmitted before the dispatch returns and never retained
@@ -416,9 +419,8 @@ func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
 const headerLen = 12
 
 // Receive is the raw packet entry point (exported for custom transports).
-// The QR bit routes before decoding: responses decode into the resolver's
-// scratch message, while client queries get a fresh one (coalescing
-// retains them until the answer is delivered).
+// The QR bit routes before decoding: responses and client queries decode
+// into their own scratch messages.
 func (r *Resolver) Receive(src netsim.Addr, payload []byte) {
 	if len(payload) < headerLen {
 		return
@@ -430,11 +432,10 @@ func (r *Resolver) Receive(src netsim.Addr, payload []byte) {
 		r.handleUpstream(&r.upMsg)
 		return
 	}
-	m, err := dnswire.Unpack(payload)
-	if err != nil {
+	if err := dnswire.UnpackInto(&r.cqMsg, payload); err != nil {
 		return
 	}
-	r.serveClient(src, m, false)
+	r.serveClient(src, &r.cqMsg, false)
 }
 
 // ReceiveTCP is Receive for the TCP plane. Responses route to the same
@@ -451,11 +452,10 @@ func (r *Resolver) ReceiveTCP(src netsim.Addr, payload []byte) {
 		r.handleUpstream(&r.upMsg)
 		return
 	}
-	m, err := dnswire.Unpack(payload)
-	if err != nil {
+	if err := dnswire.UnpackInto(&r.cqMsg, payload); err != nil {
 		return
 	}
-	r.serveClient(src, m, true)
+	r.serveClient(src, &r.cqMsg, true)
 }
 
 // allocID returns a message ID not currently in flight.

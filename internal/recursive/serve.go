@@ -7,19 +7,44 @@ import (
 )
 
 // clientJob tracks identical in-flight client queries that share one
-// resolution (query coalescing).
+// resolution (query coalescing). The first waiter is inline: most jobs
+// never see a second.
 type clientJob struct {
-	waiters []waiter
+	key   coalesceKey
+	first waiter
+	more  []waiter
 }
 
+// waiter is one client awaiting a job's answer. Its query was decoded
+// into the resolver's scratch message and is gone by then, so the waiter
+// keeps what the response echoes or obeys: ID, RD flag and EDNS (the
+// question is the job's key).
 type waiter struct {
-	src netsim.Addr
-	q   *dnswire.Message
-	tcp bool // arrived over the TCP plane; answer there, untruncated
+	src     netsim.Addr
+	tcp     bool // arrived over the TCP plane; answer there, untruncated
+	id      uint16
+	rd      bool
+	edns    bool
+	do      bool
+	udpSize uint16
+}
+
+// answer sends res to the waiter, rebuilding its query in the scratch
+// message for the response builder. respMsg is packed and sent before the
+// next waiter reuses it.
+func (r *Resolver) answer(w *waiter, key coalesceKey, res Result) {
+	q := &r.cqMsg
+	q.ResetQuery(w.id, key.name, key.qtype)
+	q.RecursionDesired = w.rd
+	if w.edns {
+		q.AddEDNS(w.udpSize, w.do)
+	}
+	r.respond(w.src, r.buildResponseInto(&r.respMsg, q, res), q, w.tcp)
 }
 
 // serveClient answers a query received from a stub (or a downstream R1).
-// tcp marks queries that arrived over the TCP plane.
+// tcp marks queries that arrived over the TCP plane. q is the scratch
+// decode target: nothing keeps it past this call.
 func (r *Resolver) serveClient(src netsim.Addr, q *dnswire.Message, tcp bool) {
 	if q.Opcode != dnswire.OpcodeQuery || len(q.Questions) != 1 {
 		resp := dnswire.NewResponse(q)
@@ -49,18 +74,20 @@ func (r *Resolver) serveClient(src netsim.Addr, q *dnswire.Message, tcp bool) {
 	if r.coalesce == nil {
 		r.coalesce = make(map[coalesceKey]*clientJob)
 	}
+	w := waiter{src: src, tcp: tcp, id: q.ID, rd: q.RecursionDesired}
+	w.udpSize, w.do, w.edns = q.EDNS()
 	if job, ok := r.coalesce[key]; ok {
-		job.waiters = append(job.waiters, waiter{src: src, q: q, tcp: tcp})
+		job.more = append(job.more, w)
 		return
 	}
-	job := &clientJob{waiters: []waiter{{src: src, q: q, tcp: tcp}}}
+	job := &clientJob{key: key, first: w}
 	r.coalesce[key] = job
 
 	r.Resolve(name, question.Type, shard, func(res Result) {
-		delete(r.coalesce, key)
-		for _, w := range job.waiters {
-			// respMsg is packed and sent before the next waiter reuses it.
-			r.respond(w.src, r.buildResponseInto(&r.respMsg, w.q, res), w.q, w.tcp)
+		delete(r.coalesce, job.key)
+		r.answer(&job.first, job.key, res)
+		for i := range job.more {
+			r.answer(&job.more[i], job.key, res)
 		}
 	})
 }

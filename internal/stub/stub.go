@@ -27,7 +27,9 @@ const DefaultTimeout = 5 * time.Second
 
 // Result is the outcome of one query.
 type Result struct {
-	// Msg is the response, nil on timeout.
+	// Msg is the response, nil on timeout. It is the client's scratch
+	// message: valid until the callback returns, then reused for the next
+	// response. A callback that needs it longer copies what it needs.
 	Msg *dnswire.Message
 	// Err is non-nil on timeout or an unusable truncated response.
 	Err error
@@ -70,14 +72,22 @@ type Client struct {
 	trace   *trace.Buffer
 	// inflight maps message IDs to pending queries.
 	inflight map[uint16]*pending
+
+	// qMsg and respMsg are the scratch encode source and decode target,
+	// packBuf the scratch wire buffer (Conn.Send copies). The event loop
+	// is single-threaded, so one of each serves every query.
+	qMsg    dnswire.Message
+	respMsg dnswire.Message
+	packBuf []byte
 }
 
 type pending struct {
+	c       *Client
 	id      uint16
 	span    uint16 // first attempt's ID; stable across retries for tracing
 	server  netsim.Addr
 	sentAt  time.Time
-	timer   clock.Timer
+	timer   clock.TimerRef
 	retries int
 	attempt int
 	tcp     bool // current attempt rides the TCP plane (TC fallback)
@@ -112,10 +122,14 @@ func (c *Client) SetConn(conn netsim.Conn) { c.conn = conn }
 func (c *Client) SetTrace(tr *trace.Buffer) { c.trace = tr }
 
 // Receive is the raw packet entry point (both planes: responses are
-// matched by ID, which is transport-agnostic).
+// matched by ID, which is transport-agnostic). The QR bit is checked
+// before decoding, and responses decode into the scratch message.
 func (c *Client) Receive(src netsim.Addr, payload []byte) {
-	m, err := dnswire.Unpack(payload)
-	if err != nil || !m.Response {
+	if len(payload) < 3 || payload[2]&0x80 == 0 {
+		return
+	}
+	m := &c.respMsg
+	if err := dnswire.UnpackInto(m, payload); err != nil {
 		return
 	}
 	p, ok := c.inflight[m.ID]
@@ -164,7 +178,7 @@ func (c *Client) Receive(src netsim.Addr, payload []byte) {
 // exactly once with the response or a timeout error.
 func (c *Client) Query(server netsim.Addr, name string, qtype dnswire.Type, cb func(Result)) {
 	p := &pending{
-		server: server, retries: c.cfg.Retries,
+		c: c, server: server, retries: c.cfg.Retries,
 		name: name, qtype: qtype,
 		started: c.clk.Now(), cb: cb,
 	}
@@ -201,38 +215,45 @@ func (c *Client) sendAttempt(p *pending) {
 		}
 	}
 
-	q := dnswire.NewQuery(p.id, p.name, p.qtype)
+	q := &c.qMsg
+	q.ResetQuery(p.id, p.name, p.qtype)
 	if c.cfg.EDNSSize > 0 {
 		q.AddEDNS(c.cfg.EDNSSize, false)
 	}
-	wire, err := q.Pack()
+	wire, err := q.AppendPack(c.packBuf[:0])
+	c.packBuf = wire[:0]
 	if err != nil {
 		delete(c.inflight, p.id)
 		p.cb(Result{Err: err, Server: p.server})
 		return
 	}
-	p.timer = c.clk.AfterFunc(c.cfg.Timeout, func() {
-		if c.inflight[p.id] != p {
-			return
-		}
-		delete(c.inflight, p.id)
-		if p.retries > 0 {
-			p.retries--
-			c.sendAttempt(p)
-			return
-		}
-		if tr := c.trace; tr != nil {
-			// Timeouts stay behind sampling: under a 90%-loss attack most
-			// queries expire, and forcing them all would defeat the
-			// sampling memory bound. SERVFAILs (rare, terminal) are forced.
-			tr.Emit(trace.Event{Type: trace.EvStubTimeout, Probe: trace.ProbeFromName(p.name),
-				A: uint32(p.attempt), B: uint32(p.span), Name: p.name, Dst: string(p.server)})
-		}
-		p.cb(Result{Err: ErrTimeout, RTT: c.clk.Now().Sub(p.started), Server: p.server})
-	})
+	p.timer = clock.AfterFuncRef(c.clk, c.cfg.Timeout, attemptTimeout, p)
 	if p.tcp {
 		c.tcpConn.Send(p.server, wire)
 		return
 	}
 	c.conn.Send(p.server, wire)
+}
+
+// attemptTimeout is the static timeout callback armed by sendAttempt.
+func attemptTimeout(arg any) {
+	p := arg.(*pending)
+	c := p.c
+	if c.inflight[p.id] != p {
+		return
+	}
+	delete(c.inflight, p.id)
+	if p.retries > 0 {
+		p.retries--
+		c.sendAttempt(p)
+		return
+	}
+	if tr := c.trace; tr != nil {
+		// Timeouts stay behind sampling: under a 90%-loss attack most
+		// queries expire, and forcing them all would defeat the
+		// sampling memory bound. SERVFAILs (rare, terminal) are forced.
+		tr.Emit(trace.Event{Type: trace.EvStubTimeout, Probe: trace.ProbeFromName(p.name),
+			A: uint32(p.attempt), B: uint32(p.span), Name: p.name, Dst: string(p.server)})
+	}
+	p.cb(Result{Err: ErrTimeout, RTT: c.clk.Now().Sub(p.started), Server: p.server})
 }

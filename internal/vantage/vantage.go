@@ -8,9 +8,10 @@ package vantage
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/clock"
@@ -54,7 +55,7 @@ func DecodeAAAA(addr netip.Addr) (serial, probeID uint16, ttl uint32, ok bool) {
 // QName returns the probe-unique query name under domain, e.g.
 // "1414.cachetest.nl.".
 func QName(probeID uint16, domain string) string {
-	return dnswire.CanonicalName(fmt.Sprintf("%d.%s", probeID, domain))
+	return dnswire.CanonicalName(strconv.Itoa(int(probeID)) + "." + domain)
 }
 
 // Answer is one VP observation: the outcome of a single query from a probe
@@ -92,6 +93,7 @@ type Probe struct {
 	Recursives []netsim.Addr
 	Domain     string
 
+	qname    string // QName(ID, Domain), computed once
 	client   *stub.Client
 	seed     int64 // reserved for per-probe jitter; nothing draws today
 	clk      clock.Clock
@@ -110,6 +112,7 @@ func NewProbe(clk clock.Clock, net *netsim.Network, id uint16, addr netsim.Addr,
 	p := &Probe{
 		ID: id, Addr: addr, Recursives: recursives,
 		Domain: domain,
+		qname:  QName(id, domain),
 		client: stub.New(clk, stub.Config{}),
 		seed:   seed,
 		clk:    clk,
@@ -121,12 +124,11 @@ func NewProbe(clk clock.Clock, net *netsim.Network, id uint16, addr netsim.Addr,
 // QueryRound sends this round's query to every local recursive (each is a
 // separate VP measurement).
 func (p *Probe) QueryRound(round int) {
-	name := QName(p.ID, p.Domain)
 	for _, rec := range p.Recursives {
 		rec := rec
 		sentAt := p.clk.Now()
 		p.sent.Inc()
-		p.client.Query(rec, name, dnswire.TypeAAAA, func(res stub.Result) {
+		p.client.Query(rec, p.qname, dnswire.TypeAAAA, func(res stub.Result) {
 			p.answers = append(p.answers, p.interpret(round, rec, sentAt, res))
 		})
 	}
@@ -170,6 +172,9 @@ func (p *Probe) interpret(round int, rec netsim.Addr, sentAt time.Time, res stub
 
 // Answers returns the probe's observation log.
 func (p *Probe) Answers() []Answer { return p.answers }
+
+// QName returns the probe's query name, QName(p.ID, p.Domain).
+func (p *Probe) QName() string { return p.qname }
 
 // SetTrace enables query-lifecycle tracing on the probe's stub client
 // (nil disables).
@@ -246,6 +251,38 @@ func (f *Fleet) AllAnswers() []Answer {
 type VPKey struct {
 	ProbeID   uint16
 	Recursive netsim.Addr
+}
+
+// EachVP calls visit once per vantage point that recorded an answer, with
+// the VP's answers sorted by send time: the groups ByVP(AllAnswers())
+// makes, walked straight off each probe's own log. Probes are visited in
+// fleet order and a probe's recursives in address order, which is
+// (probe, recursive) key order for a fleet whose probes are in ID order
+// (every fleet the population builder makes). The list is scratch, valid
+// until visit returns.
+func (f *Fleet) EachVP(visit func(k VPKey, answers []Answer)) {
+	var recs []netsim.Addr
+	var list []Answer
+	for _, p := range f.Probes {
+		recs = append(recs[:0], p.Recursives...)
+		slices.Sort(recs)
+		for i, rec := range recs {
+			if i > 0 && rec == recs[i-1] {
+				continue
+			}
+			list = list[:0]
+			for _, a := range p.answers {
+				if a.Recursive == rec {
+					list = append(list, a)
+				}
+			}
+			if len(list) == 0 {
+				continue
+			}
+			sortAnswers(list)
+			visit(VPKey{ProbeID: p.ID, Recursive: rec}, list)
+		}
+	}
 }
 
 // ByVP groups answers per vantage point, each sorted by send time.

@@ -1,6 +1,9 @@
 package vantage
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -189,5 +192,59 @@ func TestProbeDiscardsForeignAAAA(t *testing.T) {
 	a := p.Answers()[0]
 	if a.Valid || !a.Discard {
 		t.Errorf("foreign AAAA accepted: %+v", a)
+	}
+}
+
+// sortedVPKeys orders a ByVP map's keys by (probe, recursive): the order
+// the accumulators walked VPs in before EachVP.
+func sortedVPKeys(m map[VPKey][]Answer) []VPKey {
+	keys := make([]VPKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].ProbeID != keys[j].ProbeID {
+			return keys[i].ProbeID < keys[j].ProbeID
+		}
+		return keys[i].Recursive < keys[j].Recursive
+	})
+	return keys
+}
+
+// TestEachVPMatchesByVP checks the visitor against the helpers it
+// replaced in the accumulators, on random fleets: logs in arrival order
+// with out-of-order and tied send times, silent VPs, silent probes and a
+// recursive listed twice.
+func TestEachVPMatchesByVP(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		var probes []*Probe
+		for id, n := uint16(1), uint16(1+rng.Intn(12)); id <= n; id++ {
+			p := &Probe{ID: id}
+			for r, n := 0, 1+rng.Intn(4); r < n; r++ {
+				p.Recursives = append(p.Recursives, netsim.Addr("10.0."+strconv.Itoa(rng.Intn(6))+".53"))
+			}
+			for i, n := 0, rng.Intn(20); i < n; i++ {
+				p.answers = append(p.answers, Answer{
+					ProbeID: id, Recursive: p.Recursives[rng.Intn(len(p.Recursives))], Round: i,
+					SentAt: epoch.Add(time.Duration(rng.Intn(8)) * time.Minute), RTT: time.Duration(i),
+				})
+			}
+			probes = append(probes, p)
+		}
+		fleet := NewFleet(nil, probes, 0)
+
+		byVP := ByVP(fleet.AllAnswers())
+		want := sortedVPKeys(byVP)
+		var got []VPKey
+		fleet.EachVP(func(k VPKey, list []Answer) {
+			got = append(got, k)
+			if !reflect.DeepEqual(list, byVP[k]) {
+				t.Fatalf("trial %d VP %v:\n got %+v\nwant %+v", trial, k, list, byVP[k])
+			}
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: visit order %v, want %v", trial, got, want)
+		}
 	}
 }
