@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt race bench-smoke check scale-smoke trace-smoke fuzz cli-smoke report-regress digest-guard regen-tables size-guard
+.PHONY: all build test vet fmt race bench-smoke check scale-smoke trace-smoke fuzz cli-smoke report-regress digest-guard regen-tables size-guard obs-guard
 
 all: check
 
@@ -25,7 +25,12 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkParallelMatrix$$' -benchtime=1x .
 
-check: vet build race bench-smoke
+check: vet obs-guard build race bench-smoke
+
+# One emit site in internal/recursive, one SetTrace/SetTimeline call in
+# internal/experiment. See scripts/obs_guard.sh.
+obs-guard:
+	./scripts/obs_guard.sh
 
 # Short coverage-guided runs of every fuzz target (native Go fuzzing; the
 # committed corpora under testdata/fuzz are regression seeds). One -fuzz
@@ -53,7 +58,9 @@ scale-smoke:
 	$(GO) test -race -run '^TestScaleSmoke$$' -timeout 60m -v .
 
 # End-to-end trace pipeline check: record a small traced DDoS run, then
-# validate, analyze, and convert it. See scripts/trace_smoke.sh.
+# validate, analyze, and convert it; then check every traced family's
+# bytes against testdata/regress/trace_digests.txt at -shards 1 and 4.
+# See scripts/trace_smoke.sh.
 trace-smoke:
 	./scripts/trace_smoke.sh
 

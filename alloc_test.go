@@ -13,9 +13,10 @@ import (
 )
 
 // resolveAllocBudget is the hard per-resolution allocation ceiling for
-// the BenchmarkResolveThroughSim workload: building a one-probe testbed,
-// attaching a cold-cache resolver, and resolving one name through the
-// full simulated root -> nl -> cachetest.nl hierarchy. The timing-wheel
+// the cold-resolution workload (recursive.resolve_cold_ns in
+// ./benchmark): building a one-probe testbed, attaching a cold-cache
+// resolver, and resolving one name through the full simulated
+// root -> nl -> cachetest.nl hierarchy. The timing-wheel
 // engine, the arena-backed caches, and the append-into wire codec hold
 // the measured cost at 90 allocations (most of them the testbed build);
 // the ceiling is that plus 10 %: headroom for runtime jitter, but a
@@ -62,7 +63,7 @@ func TestResolveAllocBudget(t *testing.T) {
 	})
 	if got > resolveAllocBudget {
 		t.Fatalf("resolution allocates %.0f objects/op, budget is %d "+
-			"(see BenchmarkResolveThroughSim; raise only with a bench_test justification)",
+			"(see recursive.resolve_cold_allocs in ./benchmark; raise only with a measured justification)",
 			got, resolveAllocBudget)
 	}
 	t.Logf("resolution allocates %.0f objects/op (budget %d)", got, resolveAllocBudget)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dnswire"
 	"repro/internal/parallel"
-	"repro/internal/zone"
 
 	dikes "repro"
 )
@@ -551,124 +550,11 @@ func BenchmarkAblationRetryBudget(b *testing.B) {
 }
 
 // --- Engine micro-benchmarks ---
-
-func BenchmarkWirePack(b *testing.B) {
-	m := dikes.NewQuery(1, "1414.cachetest.nl.", dikes.TypeAAAA)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Pack(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireUnpack(b *testing.B) {
-	m := dikes.NewQuery(1, "1414.cachetest.nl.", dikes.TypeAAAA)
-	wire, err := m.Pack()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := dikes.Unpack(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkZoneLookup(b *testing.B) {
-	z := zone.New("cachetest.nl.")
-	z.MustAdd(dnswire.RR{Name: "cachetest.nl.", TTL: 3600, Data: dnswire.SOA{
-		MName: "ns1.cachetest.nl.", RName: "h.cachetest.nl.", Minimum: 60}})
-	for id := 1; id <= 10000; id++ {
-		z.MustAdd(dnswire.RR{Name: fmt.Sprintf("%d.cachetest.nl.", id), TTL: 60,
-			Data: dnswire.AAAA{Addr: dikes.MustAddr("2001:db8::1")}})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := z.Lookup(fmt.Sprintf("%d.cachetest.nl.", i%10000+1), dnswire.TypeAAAA)
-		if res.Kind != 0 {
-			b.Fatal("lookup failed")
-		}
-	}
-}
-
-func BenchmarkCachePutGet(b *testing.B) {
-	clk := clock.NewVirtual(time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC))
-	c := cache.New(clk, cache.Config{Capacity: 10000})
-	rr := dnswire.RR{Name: "a.cachetest.nl.", Class: dnswire.ClassIN, TTL: 300,
-		Data: dnswire.AAAA{Addr: dikes.MustAddr("2001:db8::1")}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := cache.Key{Name: fmt.Sprintf("%d.cachetest.nl.", i%5000), Type: dnswire.TypeAAAA}
-		c.Put(k, cache.Entry{Records: []dnswire.RR{rr}, Rank: cache.RankAnswer}, 0)
-		if v := c.Get(k, 0); !v.Hit {
-			b.Fatal("miss after put")
-		}
-	}
-}
-
-// BenchmarkCachePutPeek is BenchmarkCachePutGet with the clone-free
-// read path the resolver's internal lookups use.
-func BenchmarkCachePutPeek(b *testing.B) {
-	clk := clock.NewVirtual(time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC))
-	c := cache.New(clk, cache.Config{Capacity: 10000})
-	rr := dnswire.RR{Name: "a.cachetest.nl.", Class: dnswire.ClassIN, TTL: 300,
-		Data: dnswire.AAAA{Addr: dikes.MustAddr("2001:db8::1")}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := cache.Key{Name: fmt.Sprintf("%d.cachetest.nl.", i%5000), Type: dnswire.TypeAAAA}
-		c.Put(k, cache.Entry{Records: []dnswire.RR{rr}, Rank: cache.RankAnswer}, 0)
-		if v := c.Peek(k, 0); !v.Hit {
-			b.Fatal("miss after put")
-		}
-	}
-}
-
-// BenchmarkResolveThroughSim measures end-to-end resolutions per second
-// through the full simulated hierarchy (root -> nl -> cachetest.nl),
-// cold-cache each iteration.
-func BenchmarkResolveThroughSim(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tb := dikes.NewTestbed(dikes.TestbedConfig{Probes: 1, Seed: int64(i)})
-		r := dikes.NewResolver(tb.Clk, dikes.ResolverConfig{
-			RootHints: []dikes.ServerHint{{Name: "a.root-servers.net.", Addr: "198.41.0.4"}},
-			Seed:      int64(i),
-		})
-		r.Attach(tb.Net, "bench-res")
-		done := false
-		r.Resolve("1.cachetest.nl.", dikes.TypeAAAA, 0, func(res dikes.ResolveResult) {
-			done = !res.ServFail
-		})
-		tb.Clk.RunFor(time.Hour)
-		if !done {
-			b.Fatal("resolution failed")
-		}
-	}
-}
-
-// BenchmarkNetworkDelivery measures raw simulated packet throughput.
-func BenchmarkNetworkDelivery(b *testing.B) {
-	clk := clock.NewVirtual(time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC))
-	net := dikes.NewNetwork(clk, 1)
-	delivered := 0
-	net.Bind("sink", func(dikes.Addr, []byte) { delivered++ })
-	payload := []byte("x")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Send("src", "sink", payload)
-		if i%1024 == 0 {
-			clk.Run()
-		}
-	}
-	clk.Run()
-	if delivered != b.N {
-		b.Fatalf("delivered %d of %d", delivered, b.N)
-	}
-}
+//
+// The per-layer costs (wire pack/unpack, zone lookup, cache put/get/peek,
+// cold resolution, packet delivery, tracing overhead) are rows of the
+// repo's benchmark — `go run ./benchmark`, BENCHMARK.json per_layer —
+// not functions here.
 
 // BenchmarkDNSSECSignVerify measures Ed25519 RRset signing and
 // verification.
@@ -701,54 +587,6 @@ func (cryptoRandReader) Read(p []byte) (int, error) {
 		p[i] = byte(i * 37)
 	}
 	return len(p), nil
-}
-
-// --- §12 tracing overhead (satellite of the observability PR) ---
-
-// runTraceBench executes one sharded spec-H run (TTL 1800, 90% loss)
-// with the given trace configuration.
-func runTraceBench(b *testing.B, tr *dikes.TraceConfig) *dikes.Outcome {
-	b.Helper()
-	spec, ok := dikes.SpecByName("H")
-	if !ok {
-		b.Fatal("spec H missing")
-	}
-	out, err := dikes.Run(context.Background(), dikes.DDoSScenario(spec), dikes.RunConfig{
-		Probes: 600, Seed: 42, Shards: 2, ShardProbes: 256, Trace: tr,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return out
-}
-
-// BenchmarkTraceOverhead measures the cost of query-lifecycle tracing on
-// the sharded engine: off (the nil-check-only baseline every production
-// run pays), sampled (1-in-100 probes, the million-VP setting), and full.
-// The acceptance bar is off-vs-seed regression under 2%; the off/full
-// delta is the price of a complete trace.
-func BenchmarkTraceOverhead(b *testing.B) {
-	cases := []struct {
-		name string
-		tr   *dikes.TraceConfig
-	}{
-		{"off", nil},
-		{"sampled100", &dikes.TraceConfig{SampleEvery: 100}},
-		{"full", &dikes.TraceConfig{}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			events := 0
-			for i := 0; i < b.N; i++ {
-				out := runTraceBench(b, c.tr)
-				if out.Trace != nil {
-					events = out.Trace.Len()
-				}
-			}
-			b.ReportMetric(float64(events), "trace_events")
-		})
-	}
 }
 
 // --- §17 timeline overhead (tentpole of the observability PR) ---

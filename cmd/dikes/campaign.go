@@ -93,8 +93,13 @@ func specPaths(args []string) ([]string, error) {
 // plan loads and compiles the spec files into campaign items and applies
 // the override rule (see the command comment): only flags in o.set touch
 // a compiled run. A spec that arms tracing needs -trace, so that no run
-// collects a trace nobody writes.
+// collects a trace nobody writes; so do the flags that only shape one.
 func (o options) plan(read func(string) ([]byte, error), paths []string) ([]dikes.CampaignItem, error) {
+	for _, f := range []string{"trace-sample", "trace-chrome"} {
+		if o.set[f] && o.tracePath == "" {
+			return nil, fmt.Errorf("-%s does nothing without -trace <file>", f)
+		}
+	}
 	var keep map[string]bool // -exp's experiments; nil keeps all
 	if o.set["exp"] {
 		keep = map[string]bool{}
@@ -198,7 +203,8 @@ func (o options) run(ctx context.Context, label string, items []dikes.CampaignIt
 // export writes what the flags asked for — -csv figure files, one
 // -trace/-trace-chrome file per traced run, the -report — and returns
 // one line per failure: a failed run, a failed report invariant, a
-// self-test claim that did not reproduce.
+// self-test claim that did not reproduce. A run -trace could not cover
+// gets one line on stderr.
 func (o options) export(results []dikes.CampaignResult) (failures []string, err error) {
 	if o.csvDir != "" {
 		if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
@@ -219,8 +225,9 @@ func (o options) export(results []dikes.CampaignResult) (failures []string, err 
 		if r.Outcome == nil {
 			continue
 		}
-		// Families that ignore RunConfig.Trace leave the trace empty.
-		if td := r.Outcome.Trace; td != nil && len(td.Cells) > 0 {
+		if td := r.Outcome.Trace; td == nil && o.tracePath != "" {
+			fmt.Fprintf(os.Stderr, "dikes: -trace: %s is not a cell-engine run and records no trace\n", r.Item.Name)
+		} else if td != nil && len(td.Cells) > 0 {
 			if err := writeFile(tracePathFor(o.tracePath, r.Item.Name, multi), td.WriteJSONL); err != nil {
 				return nil, err
 			}

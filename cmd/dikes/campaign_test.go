@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -114,6 +115,13 @@ func TestTracedBatchWritesOneFilePerRun(t *testing.T) {
 		t.Fatalf("spec with engine.trace and no -trace: err = %v, want a usage error naming -trace", err)
 	}
 
+	for _, flag := range []string{"trace-sample", "trace-chrome"} {
+		_, err := given(options{traceSample: 4, traceChrome: "c.json"}, flag).plan(dikes.Specs.ReadFile, aliasSpecs("glue"))
+		if err == nil || !strings.Contains(err.Error(), "-trace <file>") {
+			t.Errorf("-%s without -trace: err = %v, want a usage error naming -trace", flag, err)
+		}
+	}
+
 	dir := t.TempDir()
 	o := given(options{tracePath: filepath.Join(dir, "run.jsonl")})
 	items, err := o.plan(traced, []string{"tr.json"})
@@ -140,5 +148,41 @@ func TestTracedBatchWritesOneFilePerRun(t *testing.T) {
 		if td.Len() == 0 || td.SampleEvery != 4 {
 			t.Errorf("%s: %d events, sample %d; want a non-empty trace at the spec's sampling", name, td.Len(), td.SampleEvery)
 		}
+	}
+}
+
+// TestUntraceableRunIsNamed: -trace on a run that builds no population
+// cells writes no file, and says so on stderr instead of exiting 0 in
+// silence.
+func TestUntraceableRunIsNamed(t *testing.T) {
+	dir := t.TempDir()
+	o := given(options{tracePath: filepath.Join(dir, "run.jsonl")})
+	items, err := o.plan(dikes.Specs.ReadFile, aliasSpecs("retries"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := o.run(context.Background(), "test", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stderr := os.Stderr
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = w
+	failures, err := o.export(results)
+	os.Stderr = stderr
+	w.Close()
+	if err != nil || len(failures) > 0 {
+		t.Fatalf("export: %v, failures %v", err, failures)
+	}
+	said, _ := io.ReadAll(r)
+	if !strings.Contains(string(said), "-trace: retries ") {
+		t.Errorf("stderr = %q, want a line naming the untraceable run", said)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("wrote %d file(s) for a run with nothing to trace", len(files))
 	}
 }

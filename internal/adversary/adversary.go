@@ -93,13 +93,12 @@ func NewNXNSAuth(cfg NXNSConfig) *NXNSAuth {
 	return &NXNSAuth{cfg: cfg}
 }
 
-// Attach binds the server at addr.
+// Attach binds the server at addr; it inherits the network's trace
+// buffer.
 func (a *NXNSAuth) Attach(net *netsim.Network, addr netsim.Addr) {
+	a.tr = net.Trace()
 	a.port = net.Bind(addr, a.handle)
 }
-
-// SetTrace enables emit sites (nil disables).
-func (a *NXNSAuth) SetTrace(tr *trace.Buffer) { a.tr = tr }
 
 func (a *NXNSAuth) handle(src netsim.Addr, payload []byte) {
 	m := &a.msg
@@ -225,14 +224,12 @@ type Spoofer struct {
 	qtype   dnswire.Type
 }
 
-// NewSpoofer builds a spoofer; Spray arms it.
+// NewSpoofer builds a spoofer on net (inheriting its trace buffer);
+// Spray arms it.
 func NewSpoofer(clk clock.Clock, net *netsim.Network, cfg SpoofConfig) *Spoofer {
 	cfg = cfg.withDefaults()
-	return &Spoofer{clk: clk, net: net, cfg: cfg, rng: newPRNG(cfg.Seed)}
+	return &Spoofer{clk: clk, net: net, cfg: cfg, tr: net.Trace(), rng: newPRNG(cfg.Seed)}
 }
-
-// SetTrace enables emit sites (nil disables).
-func (s *Spoofer) SetTrace(tr *trace.Buffer) { s.tr = tr }
 
 // Spray schedules the full guess sweep for one triggered query: Waves
 // bursts, each forging one response per ID in the guess window, starting
@@ -309,13 +306,11 @@ type Reflector struct {
 	reqBytes metrics.Counter
 }
 
-// NewReflector builds a reflection source.
+// NewReflector builds a reflection source on net (inheriting its trace
+// buffer).
 func NewReflector(clk clock.Clock, net *netsim.Network, cfg ReflectConfig) *Reflector {
-	return &Reflector{clk: clk, net: net, cfg: cfg}
+	return &Reflector{clk: clk, net: net, cfg: cfg, tr: net.Trace()}
 }
-
-// SetTrace enables emit sites (nil disables).
-func (r *Reflector) SetTrace(tr *trace.Buffer) { r.tr = tr }
 
 // Send bounces one spoofed query for (name, qtype) off the next server
 // and returns the request size in bytes (what the attacker paid).

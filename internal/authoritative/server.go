@@ -117,10 +117,6 @@ func (s *Server) forceRCode(resp *dnswire.Message) bool {
 	return true
 }
 
-// SetTrace enables answer tracing (nil disables). The buffer carries its
-// own clock, so the transport-agnostic Handle needs none.
-func (s *Server) SetTrace(tr *trace.Buffer) { s.trace = tr }
-
 // New creates a server hosting the given zones.
 func New(zones ...*zone.Zone) *Server {
 	s := &Server{}
@@ -353,22 +349,12 @@ func (s *Server) handle(q, resp *dnswire.Message) bool {
 		return true
 	}
 	_, do, hasEDNS := q.EDNS()
-	if forcedArmed && s.forceRCode(resp) {
-		if hasEDNS {
-			resp.AddEDNS(4096, do)
+	if !forcedArmed || !s.forceRCode(resp) {
+		s.answerFromZone(resp, z, question.Name, question.Type, 0)
+		if do {
+			s.addDenialProof(resp, z, question)
+			s.addSignatures(resp, z)
 		}
-		s.finish(resp)
-		if tr := s.trace; tr != nil {
-			tr.Emit(trace.Event{Type: trace.EvAuthAnswer,
-				Probe: trace.ProbeFromName(question.Name),
-				A:     uint32(resp.RCode), B: uint32(question.Type), Name: question.Name})
-		}
-		return true
-	}
-	s.answerFromZone(resp, z, question.Name, question.Type, 0)
-	if do {
-		s.addDenialProof(resp, z, question)
-		s.addSignatures(resp, z)
 	}
 	if hasEDNS {
 		resp.AddEDNS(4096, do)
@@ -493,7 +479,10 @@ func (s *Server) finish(resp *dnswire.Message) {
 }
 
 // Attach binds the server to addr on the network and returns the port.
+// The server inherits the network's trace buffer, which carries its own
+// clock, so the transport-agnostic Handle needs none.
 func (s *Server) Attach(net *netsim.Network, addr netsim.Addr) *netsim.Port {
+	s.trace = net.Trace()
 	s.port = net.BindPort(addr, s.receive)
 	return &s.port
 }

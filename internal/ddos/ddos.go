@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/netsim"
-	"repro/internal/trace"
 )
 
 // Attack describes one emulated DDoS: Loss fraction of inbound packets to
@@ -22,10 +21,6 @@ type Attack struct {
 	Loss     float64
 	Start    time.Duration
 	Duration time.Duration
-	// Trace, when set, records the attack window edges (EvAttackStart /
-	// EvAttackEnd per target) so trace analysis can correlate drops with
-	// the flood window.
-	Trace *trace.Buffer
 }
 
 // Schedule arms the attack on net using clk. It returns immediately; the
@@ -35,7 +30,6 @@ type Attack struct {
 func Schedule(clk clock.Clock, net *netsim.Network, a Attack) {
 	SchedulePhases(clk, net, Plan{
 		Targets: a.Targets,
-		Trace:   a.Trace,
 		Phases: []Phase{{
 			Start: a.Start, Duration: a.Duration,
 			Intensity: a.Loss, Mode: ModeDrop,

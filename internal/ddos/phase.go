@@ -94,20 +94,19 @@ type Plan struct {
 	// pure ModeDrop phases may leave Servers nil.
 	Servers []RCodeServer
 	Phases  []Phase
-	// Trace, when set, records each phase's edges (EvAttackStart /
-	// EvAttackEnd per target; B carries the forced rcode, 0 for drops).
-	Trace *trace.Buffer
 }
 
 // SchedulePhases arms every phase of the plan on net using clk. It
 // returns immediately; the per-phase transitions fire at the configured
 // offsets. Phases targeting the same address must not overlap in time
 // (the end of one phase clears the dial the next one sets); the spec
-// compiler rejects overlapping windows before they get here.
+// compiler rejects overlapping windows before they get here. When net
+// carries a trace buffer, each phase's edges are recorded (EvAttackStart
+// / EvAttackEnd per target; B carries the forced rcode, 0 for drops).
 func SchedulePhases(clk clock.Clock, net *netsim.Network, p Plan) {
 	targets := append([]netsim.Addr(nil), p.Targets...)
 	servers := append([]RCodeServer(nil), p.Servers...)
-	tr := p.Trace
+	tr := net.Trace()
 	for _, ph := range p.Phases {
 		ph := ph
 		clk.AfterFunc(ph.Start, func() {

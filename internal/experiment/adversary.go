@@ -135,12 +135,10 @@ func nxnsExtraNL(widths []int) []dnswire.RR {
 // nl. zone delegates one attacker zone per width, plus one dedicated
 // iterative resolver per probe (fresh caches keep each probe's
 // amplification measurement clean).
-func runNXNSTestbed(spec NXNSSpec, probes int, seed int64, trCfg *trace.Config, cell int) (*NXNSResult, *Testbed) {
-	tb := NewTestbed(TestbedConfig{
-		Probes: probes, Seed: seed,
-		Trace: trCfg, TraceCell: cell,
-		ExtraNL: nxnsExtraNL(spec.Widths),
-	})
+func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
+	probes, seed := base.Probes, base.Seed
+	base.ExtraNL = nxnsExtraNL(spec.Widths)
+	tb := NewTestbed(base)
 
 	auths := make([]*adversary.NXNSAuth, len(spec.Widths))
 	for i, w := range spec.Widths {
@@ -148,14 +146,10 @@ func runNXNSTestbed(spec NXNSSpec, probes int, seed int64, trCfg *trace.Config, 
 			Zone: nxnsZone(w), Width: w, VictimDomain: Domain,
 		})
 		a.Attach(tb.Net, nxnsAuthAddr(i))
-		a.SetTrace(tb.Trace)
 		auths[i] = a
 	}
 
-	rows := make([]NXNSRow, len(spec.Widths))
-	for i, w := range spec.Widths {
-		rows[i].Width = w
-	}
+	rows := newNXNSRows(spec)
 
 	// Victim-side tap: count queries for fabricated NXNS targets at the
 	// cachetest.nl authoritatives and attribute them — the triggering
@@ -194,12 +188,10 @@ func runNXNSTestbed(spec NXNSSpec, probes int, seed int64, trCfg *trace.Config, 
 		})
 		rAddr := advAddr("10.7", pid)
 		r.Attach(tb.Net, rAddr)
-		r.SetTrace(tb.Trace)
 		resolvers = append(resolvers, r)
 
 		c := stub.New(tb.Clk, stub.Config{Timeout: 15 * time.Second})
 		c.Attach(tb.Net, advAddr("10.6", pid))
-		c.SetTrace(tb.Trace)
 
 		qname := itoa(pid) + "." + nxnsZone(spec.Widths[wi])
 		row := &rows[wi]
@@ -236,32 +228,24 @@ func advCollect(tb *Testbed, resolvers []*recursive.Resolver, adversaries func(*
 	return tb
 }
 
-// nxnsAccum exactly merges per-cell NXNS rows (integer sums, aligned by
-// width index).
-type nxnsAccum struct {
-	spec NXNSSpec
-	rows []NXNSRow
-}
-
-func newNXNSAccum(spec NXNSSpec) *nxnsAccum {
+// newNXNSRows builds the empty row set of one spec, one row per width.
+func newNXNSRows(spec NXNSSpec) []NXNSRow {
 	rows := make([]NXNSRow, len(spec.Widths))
 	for i, w := range spec.Widths {
 		rows[i].Width = w
 	}
-	return &nxnsAccum{spec: spec, rows: rows}
+	return rows
 }
 
-func (ac *nxnsAccum) absorb(res *NXNSResult) {
-	for i := range res.Rows {
-		ac.rows[i].Queries += res.Rows[i].Queries
-		ac.rows[i].Answered += res.Rows[i].Answered
-		ac.rows[i].ServFail += res.Rows[i].ServFail
-		ac.rows[i].VictimQueries += res.Rows[i].VictimQueries
+// absorb adds one cell's rows (integer sums, aligned by width index)
+// into the run total.
+func (r *NXNSResult) absorb(cell *NXNSResult) {
+	for i, row := range cell.Rows {
+		r.Rows[i].Queries += row.Queries
+		r.Rows[i].Answered += row.Answered
+		r.Rows[i].ServFail += row.ServFail
+		r.Rows[i].VictimQueries += row.VictimQueries
 	}
-}
-
-func (ac *nxnsAccum) finalize() *NXNSResult {
-	return &NXNSResult{MaxFetch: ac.spec.MaxFetch, Rows: ac.rows}
 }
 
 // nxnsInvariants checks tap conservation plus the NXNS-specific laws:
@@ -325,22 +309,21 @@ func (s nxnsScenario) labels(cfg RunConfig) map[string]string {
 }
 
 func (s nxnsScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	total := newNXNSAccum(s.spec)
+	total := &NXNSResult{MaxFetch: s.spec.MaxFetch, Rows: newNXNSRows(s.spec)}
 	return runCells(ctx, s.Name(), cfg, cellRun[*NXNSResult]{
-		cell: func(cell, probes int, seed int64) (*NXNSResult, *Testbed) {
-			return runNXNSTestbed(s.spec, probes, seed, cfg.Trace, cell)
+		cell: func(base TestbedConfig) (*NXNSResult, *Testbed) {
+			return runNXNSTestbed(s.spec, base)
 		},
 		fold: total.absorb,
 		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
-			res := total.finalize()
-			res.Report = &metrics.Report{
+			total.Report = &metrics.Report{
 				Name:       s.Name(),
 				Labels:     s.labels(cfg),
 				Metrics:    snap,
-				Invariants: nxnsInvariants(s.spec, res, snap),
+				Invariants: nxnsInvariants(s.spec, total, snap),
 			}
-			out.NXNS = res
-			return res.Report
+			out.NXNS = total
+			return total.Report
 		},
 	})
 }
@@ -418,8 +401,9 @@ func (r *PoisonResult) SuccessRate() float64 {
 
 // runPoisonTestbed runs one cell: per probe, a dedicated resolver, a
 // stub triggering the resolution, and a spoofer racing it.
-func runPoisonTestbed(spec PoisonSpec, probes int, seed int64, trCfg *trace.Config, cell int) (*PoisonResult, *Testbed) {
-	tb := NewTestbed(TestbedConfig{Probes: probes, Seed: seed, Trace: trCfg, TraceCell: cell})
+func runPoisonTestbed(spec PoisonSpec, base TestbedConfig) (*PoisonResult, *Testbed) {
+	probes, seed := base.Probes, base.Seed
+	tb := NewTestbed(base)
 
 	res := &PoisonResult{RandomIDs: spec.RandomIDs, NoBailiwick: spec.NoBailiwick}
 	resolvers := make([]*recursive.Resolver, 0, probes)
@@ -435,12 +419,10 @@ func runPoisonTestbed(spec PoisonSpec, probes int, seed int64, trCfg *trace.Conf
 		})
 		rAddr := advAddr("10.7", pid)
 		r.Attach(tb.Net, rAddr)
-		r.SetTrace(tb.Trace)
 		resolvers = append(resolvers, r)
 
 		c := stub.New(tb.Clk, stub.Config{Timeout: 15 * time.Second})
 		c.Attach(tb.Net, advAddr("10.6", pid))
-		c.SetTrace(tb.Trace)
 
 		sp := adversary.NewSpoofer(tb.Clk, tb.Net, adversary.SpoofConfig{
 			Target: rAddr, Source: tb.AuthAddrs[0],
@@ -449,7 +431,6 @@ func runPoisonTestbed(spec PoisonSpec, probes int, seed int64, trCfg *trace.Conf
 			PortGuess: spec.PortGuess,
 			Seed:      mixSeed(seed, pid) + 1,
 		})
-		sp.SetTrace(tb.Trace)
 		spoofers = append(spoofers, sp)
 
 		qname := vantage.QName(uint16(pid), Domain)
@@ -476,8 +457,8 @@ func runPoisonTestbed(spec PoisonSpec, probes int, seed int64, trCfg *trace.Conf
 				for _, rr := range sr.Msg.Answers {
 					if a, ok := rr.Data.(dnswire.AAAA); ok && a.Addr == poisonAttackerAAAA {
 						res.Hijacked++
-						if tb.Trace != nil {
-							tb.Trace.Force(trace.Event{Type: trace.EvSpoofHit,
+						if tr := tb.Net.Trace(); tr != nil {
+							tr.Force(trace.Event{Type: trace.EvSpoofHit,
 								Probe: uint16(pid), Name: qname,
 								Src: string(tb.AuthAddrs[0]), Dst: string(rAddr)})
 						}
@@ -584,8 +565,8 @@ func (s poisonScenario) labels(cfg RunConfig) map[string]string {
 func (s poisonScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	total := &PoisonResult{RandomIDs: s.spec.RandomIDs, NoBailiwick: s.spec.NoBailiwick}
 	return runCells(ctx, s.Name(), cfg, cellRun[*PoisonResult]{
-		cell: func(cell, probes int, seed int64) (*PoisonResult, *Testbed) {
-			return runPoisonTestbed(s.spec, probes, seed, cfg.Trace, cell)
+		cell: func(base TestbedConfig) (*PoisonResult, *Testbed) {
+			return runPoisonTestbed(s.spec, base)
 		},
 		fold: total.absorb,
 		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
@@ -667,8 +648,9 @@ func reflectVictimAddr(i int) netsim.Addr {
 }
 
 // runReflectTestbed runs one cell of the reflection experiment.
-func runReflectTestbed(spec ReflectSpec, probes int, seed int64, trCfg *trace.Config, cell int) (*ReflectResult, *Testbed) {
-	tb := NewTestbed(TestbedConfig{Probes: probes, Seed: seed, Trace: trCfg, TraceCell: cell})
+func runReflectTestbed(spec ReflectSpec, base TestbedConfig) (*ReflectResult, *Testbed) {
+	probes := base.Probes
+	tb := NewTestbed(base)
 
 	// A fat TXT record makes the worst shape worth amplifying, as open
 	// resolvers' ANY/TXT responses do in the wild.
@@ -706,7 +688,6 @@ func runReflectTestbed(spec ReflectSpec, probes int, seed int64, trCfg *trace.Co
 			Servers:  tb.AuthAddrs,
 			EDNSSize: sh.edns,
 		})
-		refls[i].SetTrace(tb.Trace)
 	}
 
 	for pid := 1; pid <= probes; pid++ {
@@ -811,8 +792,8 @@ func (s reflectScenario) labels(cfg RunConfig) map[string]string {
 func (s reflectScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	total := &ReflectResult{}
 	return runCells(ctx, "reflect", cfg, cellRun[*ReflectResult]{
-		cell: func(cell, probes int, seed int64) (*ReflectResult, *Testbed) {
-			return runReflectTestbed(s.spec, probes, seed, cfg.Trace, cell)
+		cell: func(base TestbedConfig) (*ReflectResult, *Testbed) {
+			return runReflectTestbed(s.spec, base)
 		},
 		fold: total.absorb,
 		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {

@@ -76,15 +76,10 @@ type CachingResult struct {
 }
 
 // runCachingWorld builds, schedules, and runs one cell's caching
-// testbed; the caller absorbs it into an accumulator.
-func runCachingWorld(cfg CachingConfig) *Testbed {
-	tb := NewTestbed(TestbedConfig{
-		Probes:      cfg.Probes,
-		TTL:         cfg.TTL,
-		Seed:        cfg.Seed,
-		Population:  cfg.Population,
-		KeepAuthLog: true,
-	})
+// testbed on base; the caller absorbs it into an accumulator.
+func runCachingWorld(cfg CachingConfig, base TestbedConfig) *Testbed {
+	base.TTL, base.KeepAuthLog = cfg.TTL, true
+	tb := NewTestbed(base)
 	total := time.Duration(cfg.Rounds) * cfg.ProbeInterval
 	tb.ScheduleRotations(total + RotationInterval)
 	tb.Fleet.Schedule(tb.Start, cfg.ProbeInterval, 5*time.Minute, cfg.Rounds)

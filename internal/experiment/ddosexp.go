@@ -11,7 +11,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/timeline"
-	"repro/internal/trace"
 )
 
 // DDoSSpec is one row of the paper's Table 4.
@@ -115,23 +114,14 @@ type DDoSResult struct {
 
 // runDDoSTestbed builds, schedules, and runs one cell's attack world and
 // returns it ready for analysis.
-func runDDoSTestbed(spec DDoSSpec, probes int, seed int64, pop PopulationConfig,
-	tr *trace.Config, tlc *timeline.Config, cell int) *Testbed {
-
-	tb := NewTestbed(TestbedConfig{
-		Probes:      probes,
-		TTL:         spec.TTL,
-		Seed:        seed,
-		Population:  pop,
-		KeepAuthLog: true,
-		Trace:       tr,
-		TraceCell:   cell,
-	})
+func runDDoSTestbed(spec DDoSSpec, base TestbedConfig, tlc *timeline.Config) *Testbed {
+	base.TTL, base.KeepAuthLog = spec.TTL, true
 	if tlc != nil {
 		// Every cell derives the same bin layout from (start, horizon,
 		// bucket), which is what makes the cross-cell merge exact.
-		tb.AttachTimeline(timeline.NewCollector(tb.Start, spec.TotalDur+10*time.Minute, *tlc))
+		base.timeline = timeline.NewCollector(testbedStart, spec.TotalDur+10*time.Minute, *tlc)
 	}
+	tb := NewTestbed(base)
 
 	targets := tb.AuthAddrs
 	if !spec.TargetsAll {
@@ -187,14 +177,13 @@ func scheduleAttack(tb *Testbed, spec DDoSSpec, targets []netsim.Addr) {
 		}
 		ddos.SchedulePhases(tb.Clk, tb.Net, ddos.Plan{
 			Targets: tb.AuthAddrs, Servers: servers,
-			Phases: spec.Phases, Trace: tb.Trace,
+			Phases: spec.Phases,
 		})
 		return
 	}
 	ddos.Schedule(tb.Clk, tb.Net, ddos.Attack{
 		Targets: targets, Loss: spec.Loss,
 		Start: spec.DDoSStart, Duration: spec.DDoSDur,
-		Trace: tb.Trace,
 	})
 }
 

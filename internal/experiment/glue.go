@@ -57,13 +57,9 @@ const childNSTTL = 60
 // recursives for the NS and A records and the distribution of returned
 // TTLs shows which side recursives trust. It returns the tallies plus the
 // testbed for metric collection.
-func runGlueTestbed(probes int, seed int64, pop PopulationConfig) (*GlueResult, *Testbed) {
-	tb := NewTestbed(TestbedConfig{
-		Probes:     probes,
-		TTL:        3600,
-		Seed:       seed,
-		Population: pop,
-	})
+func runGlueTestbed(base TestbedConfig) (*GlueResult, *Testbed) {
+	base.TTL = 3600
+	tb := NewTestbed(base)
 	// Lower the child-side NS/A TTLs to 60 s, diverging from the
 	// parent's 3600 s glue.
 	var nsData []dnswire.RData

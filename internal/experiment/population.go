@@ -9,8 +9,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/netsim"
 	"repro/internal/recursive"
-	"repro/internal/timeline"
-	"repro/internal/trace"
 	"repro/internal/vantage"
 )
 
@@ -223,24 +221,15 @@ func (p *Population) IsGoogleRn(addr netsim.Addr) bool {
 // construction), but NewResolver and the network bind run only when the
 // first packet is delivered to its address.
 type LazyResolver struct {
-	clk  clock.Clock
 	net  *netsim.Network
 	cfg  recursive.Config
 	addr netsim.Addr
-	tr   *trace.Buffer
-	tl   *timeline.Collector
 	r    *recursive.Resolver
 }
 
 // Materialize builds the resolver; netsim calls it on first delivery.
 func (l *LazyResolver) Materialize() {
-	r := recursive.NewResolver(l.clk, l.cfg)
-	if l.tr != nil {
-		r.SetTrace(l.tr)
-	}
-	if l.tl != nil {
-		r.SetTimeline(l.tl)
-	}
+	r := recursive.NewResolver(l.net.Clock(), l.cfg)
 	r.Attach(l.net, l.addr)
 	l.r = r
 }
@@ -250,23 +239,6 @@ func (l *LazyResolver) Resolver() *recursive.Resolver { return l.r }
 
 // Addr returns the resolver's network address.
 func (l *LazyResolver) Addr() netsim.Addr { return l.addr }
-
-// SetTrace enables query-lifecycle tracing, now or at materialization.
-func (l *LazyResolver) SetTrace(tr *trace.Buffer) {
-	l.tr = tr
-	if l.r != nil {
-		l.r.SetTrace(tr)
-	}
-}
-
-// SetTimeline points the resolver at the cell's timeline collector, now
-// or at materialization.
-func (l *LazyResolver) SetTimeline(c *timeline.Collector) {
-	l.tl = c
-	if l.r != nil {
-		l.r.SetTimeline(c)
-	}
-}
 
 // defer registers a lazy resolver at addr. Handles are carved from a
 // chunked arena: appending never moves earlier entries (a full chunk is
@@ -279,7 +251,7 @@ func (b *builder) deferResolver(addr netsim.Addr, cfg recursive.Config) *LazyRes
 		}
 		b.slab = make([]LazyResolver, 0, n)
 	}
-	b.slab = append(b.slab, LazyResolver{clk: b.clk, net: b.net, cfg: cfg, addr: addr})
+	b.slab = append(b.slab, LazyResolver{net: b.net, cfg: cfg, addr: addr})
 	l := &b.slab[len(b.slab)-1]
 	b.net.BindLazy(addr, l)
 	b.pop.Resolvers = append(b.pop.Resolvers, l)

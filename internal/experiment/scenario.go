@@ -67,9 +67,9 @@ type RunConfig struct {
 	// Trace enables deterministic query-lifecycle tracing: every cell
 	// records into its own ring buffer and Outcome.Trace carries the
 	// per-cell traces in cell-index order, so trace bytes are identical
-	// for every Shards/Workers value. Honoured by the DDoS, adversary
-	// (nxns, poison, reflect) and transport scenarios; the others ignore
-	// it.
+	// for every Shards/Workers value. Honoured by every scenario on the
+	// cell engine (ddos, caching, glue, nxns, poison, reflect, transport);
+	// the others build no cells and leave Outcome.Trace nil.
 	Trace *trace.Config
 	// Timeline enables per-bucket simulated-time series collection: each
 	// cell counts into a fixed bin layout derived from the spec horizon,
@@ -188,8 +188,9 @@ func (s ddosScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) 
 	rounds := int(spec.TotalDur / spec.ProbeInterval)
 	total := newDDoSAccum(spec, testbedStart, rounds)
 	return runCells(ctx, s.Name(), cfg, cellRun[*ddosAccum]{
-		cell: func(cell, probes int, seed int64) (*ddosAccum, *Testbed) {
-			tb := runDDoSTestbed(spec, probes, seed, cfg.Population, cfg.Trace, cfg.Timeline, cell)
+		cell: func(base TestbedConfig) (*ddosAccum, *Testbed) {
+			base.Population = cfg.Population
+			tb := runDDoSTestbed(spec, base, cfg.Timeline)
 			ac := newDDoSAccum(spec, tb.Start, rounds)
 			ac.absorb(tb)
 			return ac, tb
@@ -229,10 +230,9 @@ func (cachingScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error)
 	cc := cfg.cachingConfig()
 	total := newCachingAccum(cc, testbedStart)
 	return runCells(ctx, "caching", cfg, cellRun[*cachingAccum]{
-		cell: func(_, probes int, seed int64) (*cachingAccum, *Testbed) {
-			cellCfg := cc
-			cellCfg.Probes, cellCfg.Seed = probes, seed
-			tb := runCachingWorld(cellCfg)
+		cell: func(base TestbedConfig) (*cachingAccum, *Testbed) {
+			base.Population = cc.Population
+			tb := runCachingWorld(cc, base)
 			ac := newCachingAccum(cc, testbedStart)
 			ac.absorb(tb)
 			return ac, tb
@@ -270,8 +270,9 @@ func (glueScenario) Name() string { return "glue" }
 func (glueScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	var total glueAccum
 	return runCells(ctx, "glue", cfg, cellRun[*GlueResult]{
-		cell: func(_, probes int, seed int64) (*GlueResult, *Testbed) {
-			return runGlueTestbed(probes, seed, cfg.Population)
+		cell: func(base TestbedConfig) (*GlueResult, *Testbed) {
+			base.Population = cfg.Population
+			return runGlueTestbed(base)
 		},
 		fold: total.absorb,
 		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {

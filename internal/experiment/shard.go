@@ -66,14 +66,15 @@ func planCells(probes, shardProbes int) []int {
 }
 
 // cellRun is one scenario family's part of a run: everything else —
-// cell planning and seeding, the fan-out, snapshot merge, trace capture,
-// progress ticks, retained worlds, cancellation — is runCells. P is the
-// family's per-cell partial result.
+// cell planning and seeding, the fan-out, snapshot merge, trace arming
+// and capture, progress ticks, retained worlds, cancellation — is
+// runCells. P is the family's per-cell partial result.
 type cellRun[P any] struct {
-	// cell builds and runs one cell of probes probes from its derived
-	// seed and returns its partial plus the finished testbed. Called
+	// cell builds and runs one cell on base — the cell's probe count,
+	// derived seed and trace config, to which the family adds its own
+	// knobs — and returns its partial plus the finished testbed. Called
 	// concurrently, one call per cell.
-	cell func(cell, probes int, seed int64) (P, *Testbed)
+	cell func(base TestbedConfig) (P, *Testbed)
 	// fold adds one cell's partial to the family's running total. Called
 	// sequentially, in cell-index order, after the fan-out.
 	fold func(P)
@@ -98,10 +99,10 @@ func runCells[P any](ctx context.Context, name string, cfg RunConfig, fam cellRu
 	}
 	cells := planCells(cfg.Probes, cfg.ShardProbes)
 	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i, n int) *cellResult {
-		part, tb := fam.cell(i, n, mixSeed(cfg.Seed, i))
+		part, tb := fam.cell(TestbedConfig{Probes: n, Seed: mixSeed(cfg.Seed, i), Trace: cfg.Trace})
 		cr := &cellResult{part: part, snap: tb.CollectMetrics().Snapshot()}
-		if tb.Trace != nil {
-			cr.ct = &trace.CellTrace{Cell: i, Dropped: tb.Trace.Dropped(), Events: tb.Trace.Events()}
+		if tr := tb.Net.Trace(); tr != nil {
+			cr.ct = &trace.CellTrace{Cell: i, Dropped: tr.Dropped(), Events: tr.Events()}
 		}
 		if cfg.Progress != nil {
 			_, fired, _ := tb.Clk.Counters()

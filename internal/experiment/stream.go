@@ -64,9 +64,10 @@ func newDDoSAccum(spec DDoSSpec, start time.Time, rounds int) *ddosAccum {
 func (ac *ddosAccum) absorb(tb *Testbed) {
 	ac.table4.Probes += len(tb.Pop.Probes)
 	ac.table4.VPs += tb.Pop.VPCount()
+	tl := tb.Net.Timeline()
 	for _, p := range tb.Fleet.Probes {
 		ac.tallyAnswers(p.Answers())
-		if tb.Timeline == nil {
+		if tl == nil {
 			continue
 		}
 		// Client outcomes are derived VP-side here rather than emitted by
@@ -76,16 +77,16 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 			at := a.SentAt.Add(a.RTT)
 			switch {
 			case a.Timeout:
-				tb.Timeline.ObserveAt(at, timeline.Failed)
+				tl.ObserveAt(at, timeline.Failed)
 			case a.Ok():
-				tb.Timeline.ObserveAt(at, timeline.Answered)
+				tl.ObserveAt(at, timeline.Answered)
 			default:
-				tb.Timeline.ObserveAt(at, timeline.ServFail)
+				tl.ObserveAt(at, timeline.ServFail)
 			}
 		}
 	}
-	if tb.Timeline != nil {
-		t := tb.Timeline.Finalize()
+	if tl != nil {
+		t := tl.Finalize()
 		if ac.tl == nil {
 			ac.tl = t
 		} else {
@@ -108,7 +109,7 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 				cat = classify.AA
 			}
 			ac.classes.AddRound(clampRound(a.Round, ac.rounds), cat.String(), 1)
-			if tr := tb.Trace; tr != nil {
+			if tr := tb.Net.Trace(); tr != nil {
 				// Classification happens after the simulation finishes, so
 				// these events form a trailing annotation section whose
 				// timestamps rewind to each answer's send time (EmitAt).

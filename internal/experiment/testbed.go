@@ -70,11 +70,13 @@ type TestbedConfig struct {
 	// Figures 10–12 and Table 3; costs memory on large runs).
 	KeepAuthLog bool
 	// Trace, when non-nil, enables deterministic query-lifecycle tracing:
-	// one ring buffer per testbed wired into every engine (stub, recursive,
-	// cache, netsim, authoritative). TraceCell tags the buffer with the
-	// cell index of a sharded run.
-	Trace     *trace.Config
-	TraceCell int
+	// one ring buffer per testbed, set on the network before anything
+	// attaches, so every engine on it inherits it.
+	Trace *trace.Config
+	// timeline is the cell's per-bucket series collector, inherited the
+	// same way. The family builds it: the bin layout needs the run's
+	// horizon, which only the family knows (DDoS scenarios only so far).
+	timeline *timeline.Collector
 	// ExtraNL appends records to this testbed's copy of the nl. TLD zone
 	// — delegations (plus glue) for adversary-controlled zones. The
 	// shared, memoized nl zone is immutable, so setting this clones it
@@ -111,11 +113,6 @@ type Testbed struct {
 	Auths     []*authoritative.Server
 	Pop       *Population
 	Fleet     *vantage.Fleet
-	// Trace is the testbed's event buffer; nil unless Cfg.Trace is set.
-	Trace *trace.Buffer
-	// Timeline is the cell's per-bucket series collector; nil unless
-	// AttachTimeline was called.
-	Timeline *timeline.Collector
 
 	serial0 uint16
 	// AuthLog is the pre-drop tap log (kept with KeepAuthLog), in arrival
@@ -158,10 +155,12 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	}
 	tb.Clk = clock.NewVirtual(tb.Start)
 	tb.Net = netsim.New(tb.Clk, cfg.Seed)
+	// The network owns the cell's observers; everything built below reads
+	// them from it.
 	if cfg.Trace != nil {
-		tb.Trace = trace.NewBuffer(tb.Clk, tb.Start, cfg.TraceCell, *cfg.Trace)
-		tb.Net.SetTrace(tb.Trace)
+		tb.Net.SetTrace(trace.NewBuffer(tb.Clk, tb.Start, *cfg.Trace))
 	}
+	tb.Net.SetTimeline(cfg.timeline)
 
 	tb.AuthAddrs = authAddrs(cfg.Auths)
 
@@ -172,26 +171,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		[]recursive.ServerHint{{Name: "a.root-servers.net.", Addr: RootAddr}},
 		cfg.Population, cfg.Seed+1)
 	tb.Fleet = vantage.NewFleet(tb.Clk, tb.Pop.Probes, cfg.Seed+2)
-	if tb.Trace != nil {
-		for _, r := range tb.Pop.Resolvers {
-			r.SetTrace(tb.Trace) // applies now or at lazy materialization
-		}
-		for _, p := range tb.Pop.Probes {
-			p.SetTrace(tb.Trace)
-		}
-	}
 	return tb
-}
-
-// AttachTimeline points every resolver in the cell at one shared
-// per-bucket series collector. Call before the clock runs; answers are
-// derived VP-side at analysis time, so only resolver-side metrics flow
-// through here.
-func (tb *Testbed) AttachTimeline(c *timeline.Collector) {
-	tb.Timeline = c
-	for _, r := range tb.Pop.Resolvers {
-		r.SetTimeline(c) // applies now or at lazy materialization
-	}
 }
 
 func itoa(v int) string {
@@ -367,17 +347,14 @@ func (tb *Testbed) buildZones() {
 	rootSrv := &servers[0]
 	rootSrv.Init(rootZone)
 	rootSrv.Attach(tb.Net, RootAddr)
-	rootSrv.SetTrace(tb.Trace)
 	tldSrv := &servers[1]
 	tldSrv.Init(nlZone)
 	tldSrv.Attach(tb.Net, TLDAddr)
-	tldSrv.SetTrace(tb.Trace)
 	tb.Auths = make([]*authoritative.Server, 0, len(tb.AuthAddrs))
 	for i, addr := range tb.AuthAddrs {
 		srv := &servers[2+i]
 		srv.Init(tb.AuthZone)
 		srv.Attach(tb.Net, addr)
-		srv.SetTrace(tb.Trace)
 		tb.Auths = append(tb.Auths, srv)
 	}
 }

@@ -8,17 +8,17 @@ import (
 	"repro/internal/trace"
 )
 
-// traceJSONL runs the short DDoS spec through the sharded engine with
-// tracing on and returns the serialized trace.
-func traceJSONL(t *testing.T, shards, sampleEvery int) []byte {
+// traceJSONL runs sc through the sharded engine with tracing on and
+// returns the serialized trace.
+func traceJSONL(t *testing.T, sc Scenario, rc RunConfig, shards, sampleEvery int) []byte {
 	t.Helper()
-	cfg := RunConfig{Probes: 48, ShardProbes: 16, Shards: shards, Seed: 42,
-		Trace: &trace.Config{SampleEvery: sampleEvery}}
-	out, err := Run(context.Background(), DDoSScenario(shortSpec()), cfg)
+	rc.Probes, rc.ShardProbes, rc.Shards, rc.Seed = 48, 16, shards, 42
+	rc.Trace = &trace.Config{SampleEvery: sampleEvery}
+	out, err := Run(context.Background(), sc, rc)
 	if err != nil {
 		t.Fatalf("Shards=%d: %v", shards, err)
 	}
-	if out.Trace == nil {
+	if out.Trace == nil || out.Trace.Len() == 0 {
 		t.Fatalf("Shards=%d: no trace captured", shards)
 	}
 	if problems := out.Trace.Validate(); len(problems) > 0 {
@@ -32,22 +32,41 @@ func traceJSONL(t *testing.T, shards, sampleEvery int) []byte {
 }
 
 // TestTraceShardInvariance extends the engine's determinism contract to
-// the trace: with the cell layout fixed by (Probes, ShardProbes, Seed),
-// the Shards concurrency knob must not change a single byte of the
-// merged trace — full and sampled.
+// the trace, for every family on the cell engine: with the cell layout
+// fixed by (Probes, ShardProbes, Seed), the Shards concurrency knob must
+// not change a single byte of the merged trace — full and sampled — and
+// every family's trace is non-empty and structurally valid, because the
+// observers reach its actors through the cell's network, not through
+// family-specific wiring.
 func TestTraceShardInvariance(t *testing.T) {
-	for _, sample := range []int{1, 3} {
-		base := traceJSONL(t, 1, sample)
-		if len(base) == 0 {
-			t.Fatalf("sample=%d: empty trace", sample)
-		}
-		for _, k := range []int{2, 4, 8} {
-			got := traceJSONL(t, k, sample)
-			if !bytes.Equal(base, got) {
-				t.Fatalf("sample=%d: Shards=%d trace differs from Shards=1 (%d vs %d bytes)",
-					sample, k, len(got), len(base))
+	families := []struct {
+		name string
+		sc   Scenario
+		rc   RunConfig
+	}{
+		{"ddos", DDoSScenario(shortSpec()), RunConfig{}},
+		{"caching", CachingScenario(), RunConfig{TTL: 1800, Rounds: 3}},
+		{"glue", GlueScenario(), RunConfig{}},
+		{"nxns", NXNSScenario(NXNSSpec{MaxFetch: 5}), RunConfig{}},
+		{"poison", PoisonScenario(PoisonSpec{Waves: 4}), RunConfig{}},
+		{"reflect", ReflectScenario(ReflectSpec{}), RunConfig{}},
+		{"transport", TransportScenario(TransportSpec{Flood: 0.5}), RunConfig{}},
+	}
+	for _, fam := range families {
+		fam := fam
+		t.Run(fam.name, func(t *testing.T) {
+			t.Parallel()
+			for _, sample := range []int{1, 3} {
+				base := traceJSONL(t, fam.sc, fam.rc, 1, sample)
+				for _, k := range []int{2, 4, 8} {
+					got := traceJSONL(t, fam.sc, fam.rc, k, sample)
+					if !bytes.Equal(base, got) {
+						t.Fatalf("sample=%d: Shards=%d trace differs from Shards=1 (%d vs %d bytes)",
+							sample, k, len(got), len(base))
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/recursive"
 	"repro/internal/stub"
-	"repro/internal/trace"
 )
 
 // FallbackMode says how much of the stub→resolver→authoritative path
@@ -180,8 +179,9 @@ func newTransportRows(spec TransportSpec) []TransportRow {
 // runTransportTestbed runs one cell: per probe, a dedicated resolver and
 // stub sharing the probe's (buffer, fallback) combo, querying the fat
 // TXT record through a flood at the authoritatives.
-func runTransportTestbed(spec TransportSpec, probes int, seed int64, trCfg *trace.Config, cell int) (*TransportResult, *Testbed) {
-	tb := NewTestbed(TestbedConfig{Probes: probes, Seed: seed, Trace: trCfg, TraceCell: cell})
+func runTransportTestbed(spec TransportSpec, base TestbedConfig) (*TransportResult, *Testbed) {
+	probes, seed := base.Probes, base.Seed
+	tb := NewTestbed(base)
 
 	tb.AuthZone.MustAdd(dnswire.RR{Name: transportTXTName, TTL: 3600,
 		Data: transportTXT()})
@@ -213,7 +213,6 @@ func runTransportTestbed(spec TransportSpec, probes int, seed int64, trCfg *trac
 		})
 		rAddr := advAddr("10.7", pid)
 		r.Attach(tb.Net, rAddr)
-		r.SetTrace(tb.Trace)
 		resolvers = append(resolvers, r)
 
 		c := stub.New(tb.Clk, stub.Config{
@@ -222,7 +221,6 @@ func runTransportTestbed(spec TransportSpec, probes int, seed int64, trCfg *trac
 			TCPFallback: mode == FallbackFull,
 		})
 		c.Attach(tb.Net, advAddr("10.6", pid))
-		c.SetTrace(tb.Trace)
 
 		at := time.Duration(pid-1) * 5 * time.Millisecond
 		tb.Clk.AfterFunc(at, func() {
@@ -255,32 +253,18 @@ func runTransportTestbed(spec TransportSpec, probes int, seed int64, trCfg *trac
 	return res, advCollect(tb, resolvers, nil)
 }
 
-// transportAccum exactly merges per-cell rows (integer sums, aligned by
-// combo index).
-type transportAccum struct {
-	spec TransportSpec
-	rows []TransportRow
-}
-
-func newTransportAccum(spec TransportSpec) *transportAccum {
-	return &transportAccum{spec: spec, rows: newTransportRows(spec)}
-}
-
-func (ac *transportAccum) absorb(res *TransportResult) {
-	for i := range res.Rows {
-		ac.rows[i].Queries += res.Rows[i].Queries
-		ac.rows[i].Answered += res.Rows[i].Answered
-		ac.rows[i].AnsweredTCP += res.Rows[i].AnsweredTCP
-		ac.rows[i].Truncated += res.Rows[i].Truncated
-		ac.rows[i].ServFail += res.Rows[i].ServFail
-		ac.rows[i].Timeouts += res.Rows[i].Timeouts
-		ac.rows[i].UpstreamTC += res.Rows[i].UpstreamTC
+// absorb adds one cell's rows (integer sums, aligned by combo index)
+// into the run total.
+func (r *TransportResult) absorb(cell *TransportResult) {
+	for i, row := range cell.Rows {
+		r.Rows[i].Queries += row.Queries
+		r.Rows[i].Answered += row.Answered
+		r.Rows[i].AnsweredTCP += row.AnsweredTCP
+		r.Rows[i].Truncated += row.Truncated
+		r.Rows[i].ServFail += row.ServFail
+		r.Rows[i].Timeouts += row.Timeouts
+		r.Rows[i].UpstreamTC += row.UpstreamTC
 	}
-}
-
-func (ac *transportAccum) finalize() *TransportResult {
-	return &TransportResult{Flood: ac.spec.Flood, TCPLoss: ac.spec.TCPLoss,
-		Rows: ac.rows}
 }
 
 // transportInvariants checks the run's conservation laws. The glue
@@ -362,22 +346,22 @@ func (s transportScenario) labels(cfg RunConfig) map[string]string {
 }
 
 func (s transportScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	total := newTransportAccum(s.spec)
+	total := &TransportResult{Flood: s.spec.Flood, TCPLoss: s.spec.TCPLoss,
+		Rows: newTransportRows(s.spec)}
 	return runCells(ctx, s.Name(), cfg, cellRun[*TransportResult]{
-		cell: func(cell, probes int, seed int64) (*TransportResult, *Testbed) {
-			return runTransportTestbed(s.spec, probes, seed, cfg.Trace, cell)
+		cell: func(base TestbedConfig) (*TransportResult, *Testbed) {
+			return runTransportTestbed(s.spec, base)
 		},
 		fold: total.absorb,
 		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
-			res := total.finalize()
-			res.Report = &metrics.Report{
+			total.Report = &metrics.Report{
 				Name:       s.Name(),
 				Labels:     s.labels(cfg),
 				Metrics:    snap,
-				Invariants: transportInvariants(s.spec, res, snap),
+				Invariants: transportInvariants(s.spec, total, snap),
 			}
-			out.Transport = res
-			return res.Report
+			out.Transport = total
+			return total.Report
 		},
 	})
 }

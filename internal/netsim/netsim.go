@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/metrics"
+	"repro/internal/timeline"
 	"repro/internal/trace"
 )
 
@@ -73,8 +74,10 @@ type Network struct {
 	latency LatencyFunc
 	taps    []func(Event)
 	anycast map[Addr]*anycastGroup
-	trace   *trace.Buffer
-	stats   Stats
+	// trace and timeline are the cell's observers (see SetTrace).
+	trace    *trace.Buffer
+	timeline *timeline.Collector
+	stats    Stats
 	// UDP size semantics and the TCP plane (tcp.go).
 	mtu      map[Addr]int // per-destination UDP payload limit
 	tcpHosts map[Addr]func(src Addr, payload []byte)
@@ -82,10 +85,18 @@ type Network struct {
 	tcpConns map[[2]Addr]time.Time // established pair -> idle expiry
 }
 
-// SetTrace enables delivery/drop tracing (nil disables). Events are
-// attributed to probes by parsing the first question label from the
-// wire payload, allocation-free.
+// SetTrace installs the cell's trace buffer (nil disables tracing). The
+// network owns a cell's observers: every engine handed the network reads
+// them from it when it attaches, so set them before anything binds.
 func (n *Network) SetTrace(tr *trace.Buffer) { n.trace = tr }
+
+// SetTimeline installs the cell's per-bucket series collector (nil
+// disables collection); same ownership rule as SetTrace.
+func (n *Network) SetTimeline(c *timeline.Collector) { n.timeline = c }
+
+// Trace and Timeline return the cell's observers, nil when off.
+func (n *Network) Trace() *trace.Buffer          { return n.trace }
+func (n *Network) Timeline() *timeline.Collector { return n.timeline }
 
 // New creates a network on clk with a seeded RNG; identical seeds give
 // identical packet fates.
@@ -100,6 +111,24 @@ func New(clk clock.Clock, seed int64) *Network {
 	n.latency = n.defaultLatency
 	n.argClk, _ = clk.(clock.ArgScheduler)
 	return n
+}
+
+// event is the network's one trace emit site. Records are attributed to
+// probes by parsing the first question label from the wire payload,
+// allocation-free.
+func (n *Network) event(typ trace.Type, src, dst Addr, payload []byte) {
+	if tr := n.trace; tr != nil {
+		tr.Emit(trace.Event{Type: typ, Probe: trace.ProbeFromWire(payload),
+			Src: string(src), Dst: string(dst)})
+	}
+}
+
+// arrival is the record type of a packet's fate at its destination.
+func arrival(dropped bool) trace.Type {
+	if dropped {
+		return trace.EvNetDrop
+	}
+	return trace.EvNetDeliver
 }
 
 // Clock returns the clock the network delivers on.
@@ -339,14 +368,7 @@ func (n *Network) arrive(src, dst Addr, payload []byte) {
 	now := n.clk.Now()
 	n.mu.Unlock()
 
-	if tr := n.trace; tr != nil {
-		t := trace.EvNetDeliver
-		if dropped {
-			t = trace.EvNetDrop
-		}
-		tr.Emit(trace.Event{Type: t, Probe: trace.ProbeFromWire(payload),
-			Src: string(src), Dst: string(dst)})
-	}
+	n.event(arrival(dropped), src, dst, payload)
 	ev := Event{Time: now, Src: src, Dst: dst, Payload: payload, Dropped: dropped}
 	for _, tap := range taps {
 		tap(ev)

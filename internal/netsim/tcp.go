@@ -134,11 +134,7 @@ func (n *Network) SendTCP(src, dst Addr, payload []byte) {
 	n.mu.Unlock()
 
 	if connected {
-		if tr := n.trace; tr != nil {
-			tr.Emit(trace.Event{Type: trace.EvTCPConnect,
-				Probe: trace.ProbeFromWire(payload),
-				Src:   string(src), Dst: string(dst)})
-		}
+		n.event(trace.EvTCPConnect, src, dst, payload)
 	}
 	if n.argClk != nil {
 		p := packetPool.Get().(*packet)
@@ -178,14 +174,7 @@ func (n *Network) arriveTCP(src, dst Addr, payload []byte) {
 	}
 	n.mu.Unlock()
 
-	if tr := n.trace; tr != nil {
-		t := trace.EvNetDeliver
-		if dropped {
-			t = trace.EvNetDrop
-		}
-		tr.Emit(trace.Event{Type: t, Probe: trace.ProbeFromWire(payload),
-			Src: string(src), Dst: string(dst)})
-	}
+	n.event(arrival(dropped), src, dst, payload)
 	if !dropped && recv != nil {
 		recv(src, payload)
 	}

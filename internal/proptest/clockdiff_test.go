@@ -23,11 +23,11 @@ func TestWheelHeapScenarioEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		sc := Generate(seed)
 
-		wheelWorld, err := NewWorldOnClock(sc, clock.NewVirtual(worldEpoch))
+		wheelWorld, err := NewWorldOnClock(sc, clock.NewVirtual(worldEpoch), nil)
 		if err != nil {
 			t.Fatalf("seed %d: wheel world: %v", seed, err)
 		}
-		heapWorld, err := NewWorldOnClock(sc, clock.NewHeap(worldEpoch))
+		heapWorld, err := NewWorldOnClock(sc, clock.NewHeap(worldEpoch), nil)
 		if err != nil {
 			t.Fatalf("seed %d: heap world: %v", seed, err)
 		}

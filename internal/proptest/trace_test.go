@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/trace"
 )
 
@@ -61,12 +62,12 @@ func traceScenario(seed int64) Scenario {
 // the run's single-cell trace.
 func runTraced(t *testing.T, sc Scenario) *trace.Data {
 	t.Helper()
-	w, err := NewWorld(sc)
+	w, err := NewWorldOnClock(sc, clock.NewVirtual(worldEpoch), &trace.Config{})
 	if err != nil {
 		t.Fatalf("seed %d: NewWorld: %v", sc.Seed, err)
 	}
-	tr := w.EnableTrace(trace.Config{})
 	w.Run()
+	tr := w.Net.Trace()
 	return &trace.Data{
 		SampleEvery: tr.SampleEvery(),
 		Cells:       []trace.CellTrace{{Cell: 0, Dropped: tr.Dropped(), Events: tr.Events()}},

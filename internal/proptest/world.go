@@ -102,17 +102,22 @@ type World struct {
 }
 
 // NewWorld builds the scenario's ecosystem without scheduling any
-// queries, on the production timing-wheel clock.
+// queries, on the production timing-wheel clock, untraced.
 func NewWorld(sc Scenario) (*World, error) {
-	return NewWorldOnClock(sc, clock.NewVirtual(worldEpoch))
+	return NewWorldOnClock(sc, clock.NewVirtual(worldEpoch), nil)
 }
 
 // NewWorldOnClock is NewWorld on a caller-supplied clock engine. The
 // clock must start at the world epoch (time.Date(2018, 5, 1, ...)) or
-// TTL arithmetic in the scenario invariants will not line up.
-func NewWorldOnClock(sc Scenario, clk SimClock) (*World, error) {
+// TTL arithmetic in the scenario invariants will not line up. A non-nil
+// tr arms a trace buffer on the network before anything attaches, so
+// every engine records into it; w.Net.Trace() holds the run's events.
+func NewWorldOnClock(sc Scenario, clk SimClock, tr *trace.Config) (*World, error) {
 	w := &World{Clk: clk, sc: sc}
 	w.Net = netsim.New(w.Clk, sc.Seed)
+	if tr != nil {
+		w.Net.SetTrace(trace.NewBuffer(w.Clk, worldEpoch, *tr))
+	}
 
 	rootZone, tldZone, leafZone, err := buildZones(sc)
 	if err != nil {
@@ -152,25 +157,6 @@ func NewWorldOnClock(sc Scenario, clk SimClock) (*World, error) {
 		w.Clients = append(w.Clients, c)
 	}
 	return w, nil
-}
-
-// EnableTrace wires one trace buffer into every engine of the world —
-// stub clients, resolvers (and their caches), authoritatives, and the
-// network. Call it before Run; the returned buffer holds the run's
-// events afterwards.
-func (w *World) EnableTrace(cfg trace.Config) *trace.Buffer {
-	tr := trace.NewBuffer(w.Clk, worldEpoch, 0, cfg)
-	w.Net.SetTrace(tr)
-	for _, a := range w.Auths {
-		a.SetTrace(tr)
-	}
-	for _, r := range w.Resolvers {
-		r.SetTrace(tr)
-	}
-	for _, c := range w.Clients {
-		c.SetTrace(tr)
-	}
-	return tr
 }
 
 // buildZones renders the three zone files from the scenario parameters.

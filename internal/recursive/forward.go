@@ -3,7 +3,6 @@ package recursive
 import (
 	"repro/internal/cache"
 	"repro/internal/dnswire"
-	"repro/internal/timeline"
 )
 
 // forward relays the query to the configured upstream resolvers, trying
@@ -48,8 +47,7 @@ func (t *task) forwardNext() {
 	t.attempt++
 	*t.budget--
 	if t.attempt > 1 {
-		t.r.m.upstreamRetries.Inc()
-		t.r.observe(timeline.Retry)
+		t.r.event(kUpstreamRetry, payload{})
 	}
 	t.r.send(t, t.servers[idx], true)
 }
@@ -86,7 +84,7 @@ func (t *task) handleForwardResponse(m *dnswire.Message) {
 		return
 	default:
 		// Upstream failed: rotate to the next one.
-		t.r.m.lame.Inc()
+		t.r.event(kLame, payload{})
 		t.forwardNext()
 	}
 }

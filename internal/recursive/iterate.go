@@ -9,8 +9,6 @@ import (
 	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
-	"repro/internal/timeline"
-	"repro/internal/trace"
 )
 
 // timeSecond avoids importing time twice in TTL math call sites.
@@ -90,17 +88,12 @@ func (t *task) markTried(idx int) {
 // deployments; callers without an opinion pass a random value. cb runs
 // exactly once.
 func (r *Resolver) Resolve(name string, qtype dnswire.Type, shard int, cb func(Result)) {
-	r.m.clientQueries.Inc()
 	t := &task{
 		r: r, name: dnswire.CanonicalName(name), qtype: qtype,
 		shard: shard, budget0: r.cfg.WorkBudget, cb: cb, root: true,
 	}
 	t.budget = &t.budget0
-	if tr := r.trace; tr != nil {
-		tr.Emit(trace.Event{Type: trace.EvResolveStart,
-			Probe: trace.ProbeFromName(t.name), Name: t.name, A: uint32(qtype),
-			Src: string(r.Addr())})
-	}
+	r.event(kClientQuery, payload{name: t.name, a: uint32(qtype)})
 	t.deadline = clock.AfterFuncRef(r.clk, r.cfg.ClientTimeout, taskDeadline, t)
 	t.run()
 }
@@ -112,7 +105,7 @@ func (t *task) run() {
 	if t.cacheAnswer() {
 		return
 	}
-	t.r.m.cacheMisses.Inc()
+	t.r.event(kCacheMiss, payload{})
 	t.armStaleTimer()
 	if len(t.r.cfg.Forwarders) > 0 {
 		t.forward()
@@ -145,12 +138,7 @@ func (t *task) armStaleTimer() {
 		if !sv.Hit || !sv.Stale || sv.Negative {
 			return
 		}
-		t.r.m.staleServes.Inc()
-		t.r.observe(timeline.StaleServed)
-		if tr := t.r.trace; tr != nil {
-			tr.Emit(trace.Event{Type: trace.EvStaleServe,
-				Probe: trace.ProbeFromName(t.name), Name: t.name})
-		}
+		t.r.event(kStaleServe, payload{name: t.name})
 		t.finish(Result{RCode: dnswire.RCodeNoError, Answers: sv.Records,
 			Stale: true, FromCache: true})
 	})
@@ -190,24 +178,16 @@ func (t *task) finish(res Result) {
 func (t *task) deliver(res Result) {
 	if t.root {
 		t.deadline.Stop()
-		r := t.r
-		r.m.clientResponses.Inc()
-		if tr := r.trace; tr != nil {
-			stale := uint32(0)
-			if res.Stale {
-				stale = 1
-			}
-			probe := trace.ProbeFromName(t.name)
-			if res.ServFail {
-				// Terminal failures bypass sampling so a SERVFAIL chain is
-				// never invisible in a sampled trace.
-				tr.Force(trace.Event{Type: trace.EvServFail,
-					Probe: probe, Name: t.name, Src: string(r.Addr())})
-			}
-			tr.Emit(trace.Event{Type: trace.EvResolveDone,
-				Probe: probe, Name: t.name, A: uint32(res.RCode), B: stale,
-				Src: string(r.Addr())})
+		if res.ServFail {
+			// Terminal failures bypass sampling (pForce) so a SERVFAIL
+			// chain is never invisible in a sampled trace.
+			t.r.event(kClientServFail, payload{name: t.name})
 		}
+		stale := uint32(0)
+		if res.Stale {
+			stale = 1
+		}
+		t.r.event(kClientResponse, payload{name: t.name, a: uint32(res.RCode), b: stale})
 	}
 	t.cb(res)
 }
@@ -219,17 +199,12 @@ func (t *task) fail() {
 	}
 	if t.r.cfg.ServeStale && !t.r.cfg.NoCache {
 		if v := t.r.cache.GetStale(cache.Key{Name: t.name, Type: t.qtype}, t.shard); v.Hit && !v.Negative {
-			t.r.m.staleServes.Inc()
-			t.r.observe(timeline.StaleServed)
-			if tr := t.r.trace; tr != nil {
-				tr.Emit(trace.Event{Type: trace.EvStaleServe,
-					Probe: trace.ProbeFromName(t.name), Name: t.name, A: 1})
-			}
+			t.r.event(kStaleServe, payload{name: t.name, a: 1})
 			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: v.Records, Stale: true, FromCache: true})
 			return
 		}
 	}
-	t.r.m.servFails.Inc()
+	t.r.event(kServFail, payload{})
 	t.finish(Result{RCode: dnswire.RCodeServFail, ServFail: true})
 }
 
@@ -255,7 +230,7 @@ func (t *task) cacheAnswer() bool {
 		}
 		if v.Hit {
 			if v.Negative {
-				t.r.m.negativeHits.Inc()
+				t.r.event(kNegativeHit, payload{})
 				rcode := dnswire.RCodeNoError
 				if v.NXDomain {
 					rcode = dnswire.RCodeNXDomain
@@ -263,8 +238,7 @@ func (t *task) cacheAnswer() bool {
 				t.finish(Result{RCode: rcode, SOA: v.SOA, FromCache: true})
 				return true
 			}
-			t.r.m.cacheHits.Inc()
-			t.r.observe(timeline.CacheHit)
+			t.r.event(kCacheHit, payload{})
 			t.r.maybePrefetch(cur, t.qtype, t.shard, v)
 			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: v.Records, FromCache: true})
 			return true
@@ -375,8 +349,7 @@ func (t *task) tryNextServer() {
 	t.attempt++
 	*t.budget--
 	if t.attempt > 1 {
-		t.r.m.upstreamRetries.Inc()
-		t.r.observe(timeline.Retry)
+		t.r.event(kUpstreamRetry, payload{})
 	}
 
 	t.r.send(t, t.servers[idx], false)
@@ -389,12 +362,7 @@ func (t *task) tryNextServer() {
 // rotate to the next candidate.
 func (t *task) handleTruncated(server netsim.Addr, fwd, tcp bool) {
 	r := t.r
-	r.m.truncated.Inc()
-	if tr := r.trace; tr != nil {
-		tr.Emit(trace.Event{Type: trace.EvTruncate,
-			Probe: trace.ProbeFromName(t.name), Name: t.name,
-			Src: string(r.Addr()), Dst: string(server)})
-	}
+	r.event(kTruncated, payload{name: t.name, dst: server})
 	if t.done {
 		return // late TC response: nothing cacheable to absorb
 	}
@@ -405,14 +373,8 @@ func (t *task) handleTruncated(server netsim.Addr, fwd, tcp bool) {
 		}
 		t.attempt++
 		*t.budget--
-		r.m.upstreamRetries.Inc()
-		r.observe(timeline.Retry)
-		r.observe(timeline.TCPFallback)
-		if tr := r.trace; tr != nil {
-			tr.Emit(trace.Event{Type: trace.EvTCPFallback,
-				Probe: trace.ProbeFromName(t.name), Name: t.name,
-				Src: string(r.Addr()), Dst: string(server)})
-		}
+		r.event(kUpstreamRetry, payload{})
+		r.event(kTCPFallback, payload{name: t.name, dst: server})
 		r.sendVia(t, server, fwd, true)
 		return
 	}
@@ -444,7 +406,7 @@ func (t *task) handleResponse(server netsim.Addr, m *dnswire.Message) {
 		return
 	default:
 		// SERVFAIL, REFUSED, lame servers: try the next one.
-		t.r.m.lame.Inc()
+		t.r.event(kLame, payload{})
 		t.tryNextServer()
 		return
 	}
@@ -464,7 +426,7 @@ func (t *task) handleResponse(server netsim.Addr, m *dnswire.Message) {
 		return
 	}
 	// Empty, non-authoritative, no referral: lame.
-	t.r.m.lame.Inc()
+	t.r.event(kLame, payload{})
 	t.tryNextServer()
 }
 
@@ -479,7 +441,7 @@ func (t *task) absorbLateResponse(m *dnswire.Message) {
 	case dnswire.RCodeNoError:
 	case dnswire.RCodeNXDomain:
 		t.cacheNegative(m, true)
-		t.r.m.lateAnswers.Inc()
+		t.r.event(kLateAnswer, payload{})
 		return
 	default:
 		return
@@ -490,7 +452,7 @@ func (t *task) absorbLateResponse(m *dnswire.Message) {
 		}
 		t.cacheRRs(m.Answers, cache.RankAnswer)
 		t.cacheAuthorityAndGlue(m)
-		t.r.m.lateAnswers.Inc()
+		t.r.event(kLateAnswer, payload{})
 		return
 	}
 	// NODATA: trustworthy from an authoritative source, or from the
@@ -498,7 +460,7 @@ func (t *task) absorbLateResponse(m *dnswire.Message) {
 	if m.Authoritative || len(t.r.cfg.Forwarders) > 0 {
 		if soaOf(m).Data != nil {
 			t.cacheNegative(m, false)
-			t.r.m.lateAnswers.Inc()
+			t.r.event(kLateAnswer, payload{})
 		}
 	}
 }
@@ -509,7 +471,7 @@ func (t *task) handleAnswer(m *dnswire.Message) {
 	if !t.validateAnswer(m) {
 		// Bogus data: a validating resolver refuses it and tries another
 		// server, then fails hard.
-		t.r.m.bogus.Inc()
+		t.r.event(kBogus, payload{})
 		t.tryNextServer()
 		return
 	}
@@ -563,7 +525,7 @@ func (t *task) handleAnswer(m *dnswire.Message) {
 		return
 	}
 	// Answers that do not relate to the question: lame.
-	t.r.m.lame.Inc()
+	t.r.event(kLame, payload{})
 	t.tryNextServer()
 }
 
@@ -626,15 +588,8 @@ func (t *task) handleReferral(m *dnswire.Message, ns []dnswire.RR) {
 }
 
 func (t *task) descend(newZone string, addrs []netsim.Addr) {
-	if tr := t.r.trace; tr != nil {
-		dst := ""
-		if len(addrs) > 0 {
-			dst = string(addrs[0])
-		}
-		tr.Emit(trace.Event{Type: trace.EvReferral,
-			Probe: trace.ProbeFromName(t.name), Name: newZone,
-			A: uint32(len(addrs)), Dst: dst})
-	}
+	// Callers descend only into a zone they hold an address for.
+	t.r.event(kReferral, payload{name: newZone, probe: t.name, a: uint32(len(addrs)), dst: addrs[0]})
 	t.zoneName = newZone
 	t.servers = addrs
 	t.resetTried(len(addrs))

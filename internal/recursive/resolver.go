@@ -211,29 +211,6 @@ type Stats struct {
 	ClientTruncated int64
 }
 
-// counters is the live metric set behind Stats: embedded by value so the
-// resolver hot paths pay one atomic add per event and zero allocations.
-type counters struct {
-	clientQueries   metrics.Counter
-	clientResponses metrics.Counter
-	cacheHits       metrics.Counter
-	cacheMisses     metrics.Counter
-	negativeHits    metrics.Counter
-	staleServes     metrics.Counter
-	lateAnswers     metrics.Counter
-	upstreamQueries metrics.Counter
-	upstreamRetries metrics.Counter
-	timeouts        metrics.Counter
-	servFails       metrics.Counter
-	lame            metrics.Counter
-	bogus           metrics.Counter
-	truncated       metrics.Counter
-	clientTruncated metrics.Counter
-	// upstreamRTTms observes every upstream round-trip sample, in
-	// milliseconds (the same samples that feed SRTT selection).
-	upstreamRTTms metrics.Histogram
-}
-
 // Result is the outcome of a Resolve call.
 type Result struct {
 	RCode   dnswire.RCode
@@ -265,9 +242,14 @@ type Resolver struct {
 	srtt     map[netsim.Addr]time.Duration
 	coalesce map[coalesceKey]*clientJob
 	harvests map[string]time.Time // zone -> last NS harvest
+	// trace and timeline are the cell's observers, read from the network
+	// at Attach; n is the live counter per event kind (see event.go).
 	trace    *trace.Buffer
 	timeline *timeline.Collector
-	m        counters
+	n        [numKinds]metrics.Counter
+	// upstreamRTTms observes every upstream round-trip sample, in
+	// milliseconds (the same samples that feed SRTT selection).
+	upstreamRTTms metrics.Histogram
 
 	// rrScratch and nsScratch are reusable record buffers for the
 	// single-threaded response-processing path (cacheAuthorityAndGlue and
@@ -292,28 +274,6 @@ type Resolver struct {
 	packBuf []byte
 }
 
-// SetTrace enables query-lifecycle tracing on the resolver and its cache
-// (nil disables).
-func (r *Resolver) SetTrace(tr *trace.Buffer) {
-	r.trace = tr
-	r.cache.SetTrace(tr)
-}
-
-// SetTimeline points the resolver at a per-cell timeline collector (nil
-// disables). Unlike trace buffers there is one collector per cell, shared
-// by every resolver in it; that is safe because a cell is single-threaded.
-func (r *Resolver) SetTimeline(c *timeline.Collector) {
-	r.timeline = c
-}
-
-// observe counts one timeline event at the current simulated time; a
-// no-op when timeline collection is off.
-func (r *Resolver) observe(m timeline.Metric) {
-	if r.timeline != nil {
-		r.timeline.ObserveAt(r.clk.Now(), m)
-	}
-}
-
 type coalesceKey struct {
 	name  string
 	qtype dnswire.Type
@@ -330,7 +290,7 @@ func NewResolver(clk clock.Clock, cfg Config) *Resolver {
 	// so an idle resolver must cost a couple of allocations, not dozens.
 	r := &Resolver{clk: clk, cfg: cfg}
 	r.cache.Init(clk, cfg.Cache)
-	r.m.upstreamRTTms.Init(metrics.DefaultLatencyBucketsMs) // aliases shared bounds; no allocation
+	r.upstreamRTTms.Init(metrics.DefaultLatencyBucketsMs) // aliases shared bounds; no allocation
 	return r
 }
 
@@ -349,45 +309,24 @@ func (r *Resolver) Cache() *cache.Cache { return &r.cache }
 
 // Stats returns a snapshot of the counters.
 func (r *Resolver) Stats() Stats {
+	n := func(k kind) int64 { return r.n[k].Value() }
 	return Stats{
-		ClientQueries:   r.m.clientQueries.Value(),
-		ClientResponses: r.m.clientResponses.Value(),
-		CacheHits:       r.m.cacheHits.Value(),
-		CacheMisses:     r.m.cacheMisses.Value(),
-		NegativeHits:    r.m.negativeHits.Value(),
-		StaleServes:     r.m.staleServes.Value(),
-		LateAnswers:     r.m.lateAnswers.Value(),
-		UpstreamQueries: r.m.upstreamQueries.Value(),
-		UpstreamRetries: r.m.upstreamRetries.Value(),
-		Timeouts:        r.m.timeouts.Value(),
-		ServFails:       r.m.servFails.Value(),
-		Lame:            r.m.lame.Value(),
-		Bogus:           r.m.bogus.Value(),
-		Truncated:       r.m.truncated.Value(),
-		ClientTruncated: r.m.clientTruncated.Value(),
+		ClientQueries:   n(kClientQuery),
+		ClientResponses: n(kClientResponse),
+		CacheHits:       n(kCacheHit),
+		CacheMisses:     n(kCacheMiss),
+		NegativeHits:    n(kNegativeHit),
+		StaleServes:     n(kStaleServe),
+		LateAnswers:     n(kLateAnswer),
+		UpstreamQueries: n(kUpstreamQuery),
+		UpstreamRetries: n(kUpstreamRetry),
+		Timeouts:        n(kTimeout),
+		ServFails:       n(kServFail),
+		Lame:            n(kLame),
+		Bogus:           n(kBogus),
+		Truncated:       n(kTruncated),
+		ClientTruncated: n(kClientTruncated),
 	}
-}
-
-// CollectMetrics folds this resolver's counters into a metrics scope;
-// experiment testbeds merge every resolver of a run into one "resolver"
-// scope of the run's registry.
-func (r *Resolver) CollectMetrics(s *metrics.Scope) {
-	s.Counter("client_queries").Add(r.m.clientQueries.Value())
-	s.Counter("client_responses").Add(r.m.clientResponses.Value())
-	s.Counter("cache_hits").Add(r.m.cacheHits.Value())
-	s.Counter("cache_misses").Add(r.m.cacheMisses.Value())
-	s.Counter("negative_hits").Add(r.m.negativeHits.Value())
-	s.Counter("stale_serves").Add(r.m.staleServes.Value())
-	s.Counter("late_answers").Add(r.m.lateAnswers.Value())
-	s.Counter("upstream_queries").Add(r.m.upstreamQueries.Value())
-	s.Counter("upstream_retries").Add(r.m.upstreamRetries.Value())
-	s.Counter("timeouts").Add(r.m.timeouts.Value())
-	s.Counter("servfails").Add(r.m.servFails.Value())
-	s.Counter("lame").Add(r.m.lame.Value())
-	s.Counter("bogus").Add(r.m.bogus.Value())
-	s.Counter("truncated").Add(r.m.truncated.Value())
-	s.Counter("client_truncated").Add(r.m.clientTruncated.Value())
-	s.Histogram("upstream_rtt_ms", metrics.DefaultLatencyBucketsMs).Merge(&r.m.upstreamRTTms)
 }
 
 // Addr returns the resolver's bound address, or "" before Attach.
@@ -406,8 +345,11 @@ func (r *Resolver) SetConn(conn netsim.Conn) { r.conn = conn }
 // and TCP clients work out of the box. The UDP-only default keeps
 // Attach allocation-parity with the pre-TCP engine on benchmark hot
 // paths. Inbound packets are dispatched to the client-serving or
-// upstream-response paths by the QR bit.
+// upstream-response paths by the QR bit. The resolver (and its cache)
+// inherit the network's observers.
 func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
+	r.trace, r.timeline = net.Trace(), net.Timeline()
+	r.cache.SetTrace(r.trace)
 	r.conn = net.Bind(addr, r.Receive)
 	if r.cfg.TCPFallback {
 		r.tcpConn = net.BindTCP(addr, r.ReceiveTCP)
@@ -419,43 +361,28 @@ func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
 const headerLen = 12
 
 // Receive is the raw packet entry point (exported for custom transports).
-// The QR bit routes before decoding: responses and client queries decode
-// into their own scratch messages.
-func (r *Resolver) Receive(src netsim.Addr, payload []byte) {
-	if len(payload) < headerLen {
-		return
-	}
-	if payload[2]&0x80 != 0 {
-		if err := dnswire.UnpackInto(&r.upMsg, payload); err != nil {
-			return
-		}
-		r.handleUpstream(&r.upMsg)
-		return
-	}
-	if err := dnswire.UnpackInto(&r.cqMsg, payload); err != nil {
-		return
-	}
-	r.serveClient(src, &r.cqMsg, false)
-}
+func (r *Resolver) Receive(src netsim.Addr, payload []byte) { r.receive(src, payload, false) }
 
 // ReceiveTCP is Receive for the TCP plane. Responses route to the same
 // in-flight table (query IDs are transport-agnostic); client queries are
 // answered over TCP without the UDP size limit.
-func (r *Resolver) ReceiveTCP(src netsim.Addr, payload []byte) {
+func (r *Resolver) ReceiveTCP(src netsim.Addr, payload []byte) { r.receive(src, payload, true) }
+
+// receive routes on the QR bit before decoding: responses and client
+// queries decode into their own scratch messages.
+func (r *Resolver) receive(src netsim.Addr, payload []byte, tcp bool) {
 	if len(payload) < headerLen {
 		return
 	}
 	if payload[2]&0x80 != 0 {
-		if err := dnswire.UnpackInto(&r.upMsg, payload); err != nil {
-			return
+		if err := dnswire.UnpackInto(&r.upMsg, payload); err == nil {
+			r.handleUpstream(&r.upMsg)
 		}
-		r.handleUpstream(&r.upMsg)
 		return
 	}
-	if err := dnswire.UnpackInto(&r.cqMsg, payload); err != nil {
-		return
+	if err := dnswire.UnpackInto(&r.cqMsg, payload); err == nil {
+		r.serveClient(src, &r.cqMsg, tcp)
 	}
-	r.serveClient(src, &r.cqMsg, true)
 }
 
 // allocID returns a message ID not currently in flight.
@@ -526,12 +453,7 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 		r.inflight = make(map[uint16]*outquery)
 	}
 	r.inflight[id] = oq
-	r.m.upstreamQueries.Inc()
-	if tr := r.trace; tr != nil {
-		tr.Emit(trace.Event{Type: trace.EvUpstreamQuery,
-			Probe: trace.ProbeFromName(t.name), Name: t.name, A: uint32(t.qtype),
-			Src: string(r.Addr()), Dst: string(server)})
-	}
+	r.event(kUpstreamQuery, payload{name: t.name, a: uint32(t.qtype), dst: server})
 
 	q := &r.qMsg
 	q.ResetQuery(id, t.name, t.qtype)
@@ -571,14 +493,8 @@ func outqueryTimeout(arg any) {
 		return
 	}
 	delete(r.inflight, oq.id)
-	r.m.timeouts.Inc()
-	r.observe(timeline.UpstreamTimeout)
+	r.event(kTimeout, payload{name: t.name, dst: server})
 	r.srttPenalty(server)
-	if tr := r.trace; tr != nil {
-		tr.Emit(trace.Event{Type: trace.EvUpstreamTimeout,
-			Probe: trace.ProbeFromName(t.name), Name: t.name,
-			Src: string(r.Addr()), Dst: string(server)})
-	}
 	r.putOQ(oq)
 	if fwd {
 		t.forwardNext()
@@ -596,7 +512,7 @@ func (r *Resolver) handleUpstream(m *dnswire.Message) {
 	delete(r.inflight, m.ID)
 	oq.timer.Stop()
 	sample := r.clk.Now().Sub(oq.sentAt)
-	r.m.upstreamRTTms.Observe(float64(sample) / float64(time.Millisecond))
+	r.upstreamRTTms.Observe(float64(sample) / float64(time.Millisecond))
 	r.srttUpdate(oq.server, sample)
 	t, server, fwd, tcp := oq.t, oq.server, oq.fwd, oq.tcp
 	r.putOQ(oq)

@@ -3,7 +3,6 @@ package recursive
 import (
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
-	"repro/internal/trace"
 )
 
 // clientJob tracks identical in-flight client queries that share one
@@ -157,16 +156,11 @@ func (r *Resolver) respond(dst netsim.Addr, resp, q *dnswire.Message, tcp bool) 
 		return
 	}
 	if limit := q.UDPPayloadLimit(); !tcp && len(wire) > limit {
-		r.m.clientTruncated.Inc()
-		if tr := r.trace; tr != nil {
-			probe := uint16(0)
-			if len(q.Questions) == 1 {
-				probe = trace.ProbeFromName(q.Questions[0].Name)
-			}
-			tr.Emit(trace.Event{Type: trace.EvTruncate, Probe: probe,
-				A: uint32(len(wire)), B: uint32(limit),
-				Src: string(r.Addr()), Dst: string(dst)})
+		qname := ""
+		if len(q.Questions) == 1 {
+			qname = q.Questions[0].Name
 		}
+		r.event(kClientTruncated, payload{probe: qname, a: uint32(len(wire)), b: uint32(limit), dst: dst})
 		trunc := *resp
 		trunc.Truncated = true
 		trunc.Answers, trunc.Authorities, trunc.Additionals = nil, nil, nil

@@ -44,9 +44,13 @@ func TestCompileGoldens(t *testing.T) {
 		rel, _ := filepath.Rel(root, path)
 		goldenName := strings.ReplaceAll(strings.TrimSuffix(rel, ".json"), string(filepath.Separator), "-") + ".golden"
 		t.Run(goldenName, func(t *testing.T) {
-			s, err := Load(path)
+			data, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("Load: %v", err)
+				t.Fatal(err)
+			}
+			s, err := Parse(data)
+			if err != nil {
+				t.Fatalf("Parse: %v", err)
 			}
 			items, err := CompileAll(s, rel)
 			if err != nil {

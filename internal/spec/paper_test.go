@@ -12,7 +12,7 @@ import (
 )
 
 // TestPaperCampaignReproducesCommittedTables replays the committed
-// examples/specs/ campaigns through the library (Load → CompileAll →
+// examples/specs/ campaigns through the library (Parse → CompileAll →
 // RunCampaign → RenderCampaign) and pins the output against the committed
 // report tables, at Shards 1 and 4. This is the full-scale determinism
 // gate: ~1500 probes per run, tens of seconds per leg, so it is opt-in.
@@ -86,9 +86,13 @@ func compileSpecSet(t *testing.T, path string, shards int) []experiment.Campaign
 	}
 	var items []experiment.CampaignItem
 	for _, p := range paths {
-		s, err := Load(p)
+		data, err := os.ReadFile(p)
 		if err != nil {
-			t.Fatalf("Load %s: %v", p, err)
+			t.Fatal(err)
+		}
+		s, err := Parse(data)
+		if err != nil {
+			t.Fatalf("Parse %s: %v", p, err)
 		}
 		compiled, err := CompileAll(s, filepath.Base(p))
 		if err != nil {

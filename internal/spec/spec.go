@@ -6,7 +6,7 @@
 // every experiment family; the committed examples/specs/ files
 // regenerate every paper table through `dikes campaign`.
 //
-// Pipeline: Load/Parse (strict JSON — unknown fields are errors) →
+// Pipeline: Parse (strict JSON — unknown fields are errors) →
 // Validate (schema and cross-field rules) → Expand (matrix expansion of
 // sweep axes into one spec per point) → Compile (one expanded spec →
 // experiment.Scenario + experiment.RunConfig). CompileAll chains the
@@ -21,7 +21,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 )
 
@@ -339,17 +338,4 @@ func Parse(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Load reads and parses the spec file at path.
-func Load(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

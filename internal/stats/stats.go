@@ -226,43 +226,6 @@ func (e *ECDF) Points(n int) []Point {
 // Point is one (x, y) sample of a rendered series.
 type Point struct{ X, Y float64 }
 
-// Histogram counts values into fixed-width bins starting at Min.
-type Histogram struct {
-	Min    float64
-	Width  float64
-	Counts []int
-	Under  int
-	Over   int
-}
-
-// NewHistogram creates a histogram with n bins of the given width.
-func NewHistogram(min, width float64, n int) *Histogram {
-	return &Histogram{Min: min, Width: width, Counts: make([]int, n)}
-}
-
-// Add counts v into its bin.
-func (h *Histogram) Add(v float64) {
-	if v < h.Min {
-		h.Under++
-		return
-	}
-	i := int((v - h.Min) / h.Width)
-	if i >= len(h.Counts) {
-		h.Over++
-		return
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of added values, including out-of-range ones.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
 // RoundSeries accumulates per-round (time-binned) counters keyed by a
 // label, producing the "answers over time" series of Figures 6, 8, 10, 12.
 type RoundSeries struct {

@@ -130,22 +130,6 @@ func TestQuickQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // bins [0,10) ... [40,50)
-	for _, v := range []float64{-1, 0, 5, 10, 49.9, 50, 100} {
-		h.Add(v)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
 func TestRoundSeries(t *testing.T) {
 	start := time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
 	s := NewRoundSeries(start, 10*time.Minute)

@@ -107,8 +107,9 @@ func New(clk clock.Clock, cfg Config) *Client {
 
 // Attach binds the client at addr on the simulated network; with
 // Config.TCPFallback armed it binds the TCP plane too, so TC=1 fallback
-// works out of the box.
+// works out of the box. The client inherits the network's trace buffer.
 func (c *Client) Attach(net *netsim.Network, addr netsim.Addr) {
+	c.trace = net.Trace()
 	c.conn = net.Bind(addr, c.Receive)
 	if c.cfg.TCPFallback {
 		c.tcpConn = net.BindTCP(addr, c.Receive)
@@ -117,9 +118,6 @@ func (c *Client) Attach(net *netsim.Network, addr netsim.Addr) {
 
 // SetConn binds the client to an existing transport.
 func (c *Client) SetConn(conn netsim.Conn) { c.conn = conn }
-
-// SetTrace enables query-lifecycle tracing (nil disables).
-func (c *Client) SetTrace(tr *trace.Buffer) { c.trace = tr }
 
 // Receive is the raw packet entry point (both planes: responses are
 // matched by ID, which is transport-agnostic). The QR bit is checked
@@ -143,35 +141,34 @@ func (c *Client) Receive(src netsim.Addr, payload []byte) {
 		// fit the UDP limit. Retry over TCP, or report it as truncated —
 		// never hand it to the callback as a final response.
 		if c.cfg.TCPFallback && c.tcpConn != nil {
-			if tr := c.trace; tr != nil {
-				tr.Emit(trace.Event{Type: trace.EvTCPFallback,
-					Probe: trace.ProbeFromName(p.name), B: uint32(p.span),
-					Name: p.name, Dst: string(p.server)})
-			}
+			c.event(trace.EvTCPFallback, p, 0, "", p.server)
 			p.tcp = true
 			c.sendAttempt(p)
 			return
 		}
-		if tr := c.trace; tr != nil {
-			tr.Emit(trace.Event{Type: trace.EvTruncate,
-				Probe: trace.ProbeFromName(p.name), B: uint32(p.span),
-				Name: p.name, Src: string(src)})
-		}
+		c.event(trace.EvTruncate, p, 0, src, "")
 		p.cb(Result{Msg: m, Err: ErrTruncated, Truncated: true,
 			RTT: c.clk.Now().Sub(p.started), Server: src})
 		return
 	}
-	if tr := c.trace; tr != nil {
-		probe := trace.ProbeFromName(p.name)
-		ev := trace.Event{Type: trace.EvStubAnswer, Probe: probe,
-			A: uint32(m.RCode), B: uint32(p.span), Name: p.name, Src: string(src)}
-		if m.RCode == dnswire.RCodeServFail {
-			tr.Force(ev) // terminal failures are never sampled out
-		} else {
-			tr.Emit(ev)
-		}
-	}
+	c.event(trace.EvStubAnswer, p, uint32(m.RCode), src, "")
 	p.cb(Result{Msg: m, RTT: c.clk.Now().Sub(p.started), Server: src, TCP: p.tcp})
+}
+
+// event is the client's one trace emit site: a record of the given type
+// for query p (B carries its span ID), a no-op with tracing off.
+func (c *Client) event(typ trace.Type, p *pending, a uint32, src, dst netsim.Addr) {
+	tr := c.trace
+	if tr == nil {
+		return
+	}
+	ev := trace.Event{Type: typ, Probe: trace.ProbeFromName(p.name), A: a,
+		B: uint32(p.span), Name: p.name, Src: string(src), Dst: string(dst)}
+	if typ == trace.EvStubAnswer && a == uint32(dnswire.RCodeServFail) {
+		tr.Force(ev) // terminal failures are never sampled out
+	} else {
+		tr.Emit(ev)
+	}
 }
 
 // Query sends a recursive query for (name, qtype) to server. cb runs
@@ -204,15 +201,10 @@ func (c *Client) sendAttempt(p *pending) {
 	if p.attempt == 1 {
 		p.span = p.id
 	}
-	if tr := c.trace; tr != nil {
-		probe := trace.ProbeFromName(p.name)
-		if p.attempt == 1 {
-			tr.Emit(trace.Event{Type: trace.EvStubIssue, Probe: probe,
-				A: uint32(p.qtype), B: uint32(p.span), Name: p.name, Dst: string(p.server)})
-		} else {
-			tr.Emit(trace.Event{Type: trace.EvStubRetry, Probe: probe,
-				A: uint32(p.attempt), B: uint32(p.span), Name: p.name, Dst: string(p.server)})
-		}
+	if p.attempt == 1 {
+		c.event(trace.EvStubIssue, p, uint32(p.qtype), "", p.server)
+	} else {
+		c.event(trace.EvStubRetry, p, uint32(p.attempt), "", p.server)
 	}
 
 	q := &c.qMsg
@@ -248,12 +240,9 @@ func attemptTimeout(arg any) {
 		c.sendAttempt(p)
 		return
 	}
-	if tr := c.trace; tr != nil {
-		// Timeouts stay behind sampling: under a 90%-loss attack most
-		// queries expire, and forcing them all would defeat the
-		// sampling memory bound. SERVFAILs (rare, terminal) are forced.
-		tr.Emit(trace.Event{Type: trace.EvStubTimeout, Probe: trace.ProbeFromName(p.name),
-			A: uint32(p.attempt), B: uint32(p.span), Name: p.name, Dst: string(p.server)})
-	}
+	// Timeouts stay behind sampling: under a 90%-loss attack most queries
+	// expire, and forcing them all would defeat the sampling memory
+	// bound. SERVFAILs (rare, terminal) are forced.
+	c.event(trace.EvStubTimeout, p, uint32(p.attempt), "", p.server)
 	p.cb(Result{Err: ErrTimeout, RTT: c.clk.Now().Sub(p.started), Server: p.server})
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Span is one reconstructed stub query: an EvStubIssue matched with its
-// closing EvStubAnswer or EvStubTimeout by (probe, stub query ID) in
-// temporal order.
+// closing EvStubAnswer, EvStubTimeout or stub-side EvTruncate by (probe,
+// stub query ID) in temporal order.
 type Span struct {
 	Cell     int
 	Probe    uint16
@@ -18,14 +18,14 @@ type Span struct {
 	Start    time.Duration
 	End      time.Duration
 	Retries  int
-	Outcome  string // "ok", "servfail", "nxdomain", "rcode-N", "timeout"
+	Outcome  string // "ok", "servfail", "nxdomain", "rcode-N", "timeout", "truncated"
 	RCode    uint32
 	Complete bool // closing event seen
 }
 
 // Failed reports whether the span ended without a usable answer.
 func (s Span) Failed() bool {
-	return !s.Complete || s.Outcome == "timeout" || s.Outcome == "servfail"
+	return !s.Complete || s.Outcome == "timeout" || s.Outcome == "servfail" || s.Outcome == "truncated"
 }
 
 func outcomeForRCode(rc uint32) string {
@@ -59,65 +59,67 @@ func sampledProbe(probe uint16, sample int) bool {
 // Ring overwrites (Dropped > 0) legitimately truncate chains, so callers
 // gate strictness on that counter. Unsampled probes only appear through
 // forced terminal events (sample > 1), so their open-less closes become
-// zero-length spans rather than problems.
+// zero-length spans rather than problems. Probe 0 is every stub asking
+// for a name without a probe label (transport's shared TXT record,
+// glue's NS and A queries); records carry no stub address, so probe-0
+// queries sharing an ID match first-in-first-out, balance still checked.
 func matchSpans(c CellTrace, sample int) (spans []Span, problems []string) {
-	open := make(map[spanKey]int) // key -> index into spans
+	open := make(map[spanKey][]int) // key -> indices into spans, oldest first
 	for _, ev := range c.Events {
+		k := spanKey{ev.Probe, ev.B}
 		switch ev.Type {
 		case EvStubIssue:
-			k := spanKey{ev.Probe, ev.B}
-			if i, ok := open[k]; ok {
+			if q := open[k]; len(q) > 0 && ev.Probe != 0 {
 				problems = append(problems,
 					fmt.Sprintf("cell %d probe %d id %d: reopened at %v before close (opened %v)",
-						c.Cell, ev.Probe, ev.B, ev.At, spans[i].Start))
+						c.Cell, ev.Probe, ev.B, ev.At, spans[q[0]].Start))
 			}
-			open[k] = len(spans)
+			open[k] = append(open[k], len(spans))
 			spans = append(spans, Span{
 				Cell: c.Cell, Probe: ev.Probe, ID: ev.B, Name: ev.Name, Start: ev.At,
 			})
 		case EvStubRetry:
-			if i, ok := open[spanKey{ev.Probe, ev.B}]; ok {
-				spans[i].Retries++
+			if q := open[k]; len(q) > 0 {
+				spans[q[0]].Retries++
 			}
-		case EvStubAnswer, EvStubTimeout:
-			k := spanKey{ev.Probe, ev.B}
-			i, ok := open[k]
-			if !ok {
-				if !sampledProbe(ev.Probe, sample) {
-					// Forced terminal event for an unsampled probe: keep it
-					// as a zero-length span so failures stay findable.
-					sp := Span{Cell: c.Cell, Probe: ev.Probe, ID: ev.B,
-						Name: ev.Name, Start: ev.At, End: ev.At, Complete: true}
-					if ev.Type == EvStubTimeout {
-						sp.Outcome = "timeout"
-					} else {
-						sp.RCode = ev.A
-						sp.Outcome = outcomeForRCode(ev.A)
-					}
-					spans = append(spans, sp)
-					continue
-				}
+		case EvStubAnswer, EvStubTimeout, EvTruncate:
+			if ev.Type == EvTruncate && (ev.Name == "" || ev.Dst != "") {
+				continue // a server or resolver truncating, not a stub giving up
+			}
+			var sp *Span
+			if q := open[k]; len(q) > 0 {
+				sp, open[k] = &spans[q[0]], q[1:]
+			} else if !sampledProbe(ev.Probe, sample) {
+				// Forced terminal event for an unsampled probe: keep it
+				// as a zero-length span so failures stay findable.
+				spans = append(spans, Span{Cell: c.Cell, Probe: ev.Probe, ID: ev.B,
+					Name: ev.Name, Start: ev.At})
+				sp = &spans[len(spans)-1]
+			} else {
 				problems = append(problems,
 					fmt.Sprintf("cell %d probe %d id %d: close at %v without open",
 						c.Cell, ev.Probe, ev.B, ev.At))
 				continue
 			}
-			delete(open, k)
-			sp := &spans[i]
 			sp.End = ev.At
 			sp.Complete = true
-			if ev.Type == EvStubTimeout {
+			switch ev.Type {
+			case EvStubTimeout:
 				sp.Outcome = "timeout"
-			} else {
+			case EvTruncate:
+				sp.Outcome = "truncated"
+			default:
 				sp.RCode = ev.A
 				sp.Outcome = outcomeForRCode(ev.A)
 			}
 		}
 	}
-	for k, i := range open {
-		problems = append(problems,
-			fmt.Sprintf("cell %d probe %d id %d: opened at %v, never closed",
-				c.Cell, k.probe, k.id, spans[i].Start))
+	for k, q := range open {
+		for _, i := range q {
+			problems = append(problems,
+				fmt.Sprintf("cell %d probe %d id %d: opened at %v, never closed",
+					c.Cell, k.probe, k.id, spans[i].Start))
+		}
 	}
 	sort.Strings(problems)
 	return spans, problems

@@ -6,16 +6,18 @@
 // for a given seed at any shard or worker count — the same guarantee the
 // engine makes for run reports.
 //
-// Hot-path call sites follow one idiom:
+// The buffer lives on the cell's netsim.Network (SetTrace, once, before
+// anything binds); every engine copies the pointer when it attaches and
+// guards its emit sites — the resolver has one, the event hook behind
+// the kind table of internal/recursive/event.go — with a nil check:
 //
-//	if tr := r.trace; tr != nil {
+//	if tr := c.trace; tr != nil {
 //	    tr.Emit(trace.Event{Type: trace.EvCacheHit, Probe: p, Name: name})
 //	}
 //
-// With tracing off that compiles to a single nil check; with tracing on,
-// the Event literal lives on the stack, its strings alias existing
-// memory, and Emit appends into a preallocated ring — no per-event
-// allocation in steady state.
+// With tracing on, the Event literal lives on the stack, its strings
+// alias existing memory, and Emit appends into a preallocated ring — no
+// per-event allocation in steady state.
 //
 // Per-VP sampling bounds million-VP runs: Config.SampleEvery N keeps
 // every Nth probe (by cell-local probe ID, which does not depend on the
@@ -74,7 +76,7 @@ const (
 	EvReflect     // reflector bounced a spoofed-source query; A=request bytes
 	// Transport realism (PR 8). Appended after EvReflect, same rule:
 	// older numeric values never move.
-	EvTruncate    // a response was truncated to the advertised UDP size; A=wire bytes, B=limit
+	EvTruncate    // a response was truncated to the advertised UDP size; A=wire bytes, B=limit. From a stub that got TC=1 and has no TCP fallback (Name and Src set, no Dst, B=id) it ends the query span
 	EvTCPConnect  // simulated TCP connection established; Src/Dst
 	EvTCPFallback // a TC=1 response triggered a retry over TCP; Dst=server, B=id
 )
@@ -172,7 +174,6 @@ const DefaultCapacity = 1 << 16
 type Buffer struct {
 	clk     Clock
 	epoch   time.Time
-	cell    int
 	sample  int
 	maxCap  int
 	events  []Event
@@ -181,7 +182,7 @@ type Buffer struct {
 }
 
 // NewBuffer creates a cell buffer. Timestamps are clk.Now() minus epoch.
-func NewBuffer(clk Clock, epoch time.Time, cell int, cfg Config) *Buffer {
+func NewBuffer(clk Clock, epoch time.Time, cfg Config) *Buffer {
 	capacity := cfg.Capacity
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -193,15 +194,11 @@ func NewBuffer(clk Clock, epoch time.Time, cell int, cfg Config) *Buffer {
 	return &Buffer{
 		clk:    clk,
 		epoch:  epoch,
-		cell:   cell,
 		sample: cfg.SampleEvery,
 		maxCap: capacity,
 		events: make([]Event, 0, initial),
 	}
 }
-
-// Cell returns the buffer's cell index.
-func (b *Buffer) Cell() int { return b.cell }
 
 // SampleEvery returns the buffer's sampling stride (<=1 = every probe).
 func (b *Buffer) SampleEvery() int { return b.sample }

@@ -17,7 +17,7 @@ var epoch = time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
 
 func newTestBuffer(cfg Config) (*Buffer, *tick) {
 	clk := &tick{now: epoch}
-	return NewBuffer(clk, epoch, 0, cfg), clk
+	return NewBuffer(clk, epoch, cfg), clk
 }
 
 func TestBufferStampsSimulatedTime(t *testing.T) {
@@ -267,6 +267,38 @@ func TestMatchSpansForcedCloseForUnsampledProbe(t *testing.T) {
 	_, problems = matchSpans(c, 3)
 	if len(problems) != 1 || !strings.Contains(problems[0], "without open") {
 		t.Fatalf("problems = %v, want one close-without-open", problems)
+	}
+}
+
+func TestMatchSpansProbeZeroAndStubTruncate(t *testing.T) {
+	// Two stubs ask for the same unlabelled name with the same query ID
+	// (the transport family's shared TXT record): probe 0, matched
+	// first-in-first-out. One gets TC=1 with no fallback — the stub-side
+	// truncate (Name and Src, no Dst) ends its span — while a resolver's
+	// and a server's truncate records in between are not span edges.
+	c := CellTrace{Events: []Event{
+		{At: 1 * time.Second, Type: EvStubIssue, B: 1, Name: "fat.txt.x.", Dst: "r1"},
+		{At: 2 * time.Second, Type: EvStubIssue, B: 1, Name: "fat.txt.x.", Dst: "r2"},
+		{At: 3 * time.Second, Type: EvTruncate, A: 1800, B: 512},
+		{At: 3 * time.Second, Type: EvTruncate, Name: "fat.txt.x.", Src: "r1", Dst: "a1"},
+		{At: 4 * time.Second, Type: EvTruncate, B: 1, Name: "fat.txt.x.", Src: "r1"},
+		{At: 5 * time.Second, Type: EvStubAnswer, B: 1, Name: "fat.txt.x.", Src: "r2"},
+	}}
+	spans, problems := matchSpans(c, 1)
+	if len(problems) != 0 {
+		t.Fatalf("problems: %v", problems)
+	}
+	if len(spans) != 2 || spans[0].Outcome != "truncated" || !spans[0].Failed() ||
+		spans[0].End != 4*time.Second || spans[1].Outcome != "ok" || spans[1].End != 5*time.Second {
+		t.Fatalf("spans = %+v", spans)
+	}
+
+	// A labelled probe reusing an open ID is still a structural problem.
+	for i := range c.Events {
+		c.Events[i].Probe = 7
+	}
+	if _, problems = matchSpans(c, 1); len(problems) != 1 || !strings.Contains(problems[0], "reopened") {
+		t.Fatalf("problems = %v, want one reopened", problems)
 	}
 }
 

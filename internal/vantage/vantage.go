@@ -19,7 +19,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/stub"
-	"repro/internal/trace"
 )
 
 // Prefix is the fixed 64-bit prefix of encoded answers
@@ -175,10 +174,6 @@ func (p *Probe) Answers() []Answer { return p.answers }
 
 // QName returns the probe's query name, QName(p.ID, p.Domain).
 func (p *Probe) QName() string { return p.qname }
-
-// SetTrace enables query-lifecycle tracing on the probe's stub client
-// (nil disables).
-func (p *Probe) SetTrace(tr *trace.Buffer) { p.client.SetTrace(tr) }
 
 // Fleet is a set of probes sharing a probing schedule.
 type Fleet struct {

@@ -1,0 +1,46 @@
+#!/bin/sh
+# One way to count an event, one owner of a cell's observers
+# (DESIGN.md §14.1-14.2), kept true by grep:
+#
+#   - non-test internal/recursive reaches the trace buffer and the
+#     timeline collector only from the event hook in event.go (one
+#     tr.Emit, one tr.Force, one ObserveAt), so a new counter, series or
+#     trace record is a row of the kinds table, not another emit site;
+#   - non-test internal/experiment sets the observers on the cell's
+#     network once (one SetTrace and one SetTimeline call, in
+#     NewTestbed); actors inherit them from the network they attach to.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+fail() {
+    echo "obs-guard: $1" >&2
+    exit 1
+}
+
+# count PATTERN FILE...: matching lines over the files, comments excluded.
+count() {
+    pat="$1"
+    shift
+    cat "$@" | grep -v '^[[:space:]]*//' | grep -c "$pat" || true
+}
+
+hook=internal/recursive/event.go
+rest="$(ls internal/recursive/*.go | grep -v -e '_test\.go$' -e "^$hook\$")"
+for pat in 'tr\.Emit(' 'tr\.Force(' 'observe(' 'ObserveAt('; do
+    # shellcheck disable=SC2086
+    [ "$(count "$pat" $rest)" -eq 0 ] || fail "$pat outside $hook: $(grep -n "$pat" $rest)"
+done
+for pat in 'tr\.Emit(' 'tr\.Force(' 'ObserveAt('; do
+    [ "$(count "$pat" "$hook")" -le 1 ] || fail "more than one $pat in $hook: the hook is the only emit site"
+done
+
+exp="$(ls internal/experiment/*.go | grep -v '_test\.go$')"
+for pat in 'SetTrace(' 'SetTimeline('; do
+    # shellcheck disable=SC2086
+    [ "$(count "$pat" $exp)" -le 1 ] || fail "more than one $pat call in internal/experiment: $(grep -n "$pat" $exp)"
+done
+# shellcheck disable=SC2086
+[ "$(count 'AttachTimeline(' $exp)" -eq 0 ] || fail "AttachTimeline is back in internal/experiment"
+
+echo "obs-guard OK" >&2
