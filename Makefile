@@ -17,8 +17,11 @@ fmt:
 test:
 	$(GO) test ./...
 
+# udprun's serialization is a lock shared by reader, timer and poster
+# goroutines: its tests run ten times so interleavings get a chance.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/udprun
 
 # One iteration of the small parallel matrix: proves the worker-pool fan-out
 # runs end to end without paying for a full benchmark session.
@@ -41,6 +44,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackUnpackRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz '^FuzzPackMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz '^FuzzMasterFile$$' -fuzztime $(FUZZTIME) ./internal/zone
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTCPMessage$$' -fuzztime $(FUZZTIME) ./internal/udprun
 
 # Sharded-engine scale gate: one 100k-probe 4-shard DDoS run (spec H)
 # under the race detector with a peak-RSS ceiling. Small cells keep the

@@ -117,12 +117,14 @@ func main() {
 	}
 
 	go func() {
+		var buf []byte // the one response buffer; the handler runs under the loop lock
 		err := conn.Serve(func(src netsim.Addr, payload []byte) {
 			if *loss > 0 && rng.Float64() < *loss {
 				return // emulated DDoS drop
 			}
-			if out := srv.HandleWire(payload); out != nil {
+			if out := srv.HandleWireAppend(buf[:0], payload); out != nil {
 				conn.Send(src, out)
+				buf = out
 			}
 		})
 		log.Printf("authd: serve loop ended: %v", err)

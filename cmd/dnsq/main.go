@@ -81,7 +81,6 @@ func main() {
 			done <- o
 		})
 	})
-	go loop.Run()
 
 	r := <-done
 	if r.Err != nil {

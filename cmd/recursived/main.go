@@ -30,6 +30,43 @@ type addrFlags []string
 func (a *addrFlags) String() string     { return fmt.Sprint(*a) }
 func (a *addrFlags) Set(v string) error { *a = append(*a, v); return nil }
 
+// clientTimeout is the resolver's deadline for answering a client query.
+const clientTimeout = 8 * time.Second
+
+// tcpBridge returns the ServeTCP handler that answers a query through
+// the engine: the connection's goroutine hands it to handle under the
+// loop lock and waits for the response callback. The engine answers every
+// query within its client timeout; should it not (the loop closed, a
+// callback lost), the wait ends after wait with SERVFAIL, so no query
+// parks its connection's goroutine forever.
+func tcpBridge(loop *udprun.Loop, handle func(*dnswire.Message, func(*dnswire.Message)), wait time.Duration) func([]byte) []byte {
+	return func(payload []byte) []byte {
+		q, err := dnswire.Unpack(payload)
+		if err != nil || q.Response {
+			return nil
+		}
+		ch := make(chan []byte, 1)
+		loop.Post(func() {
+			handle(q, func(m *dnswire.Message) {
+				wire, _ := m.Pack() // ServeTCP skips a nil message
+				ch <- wire
+			})
+		})
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case wire := <-ch:
+			return wire
+		case <-t.C:
+			resp := dnswire.NewResponse(q)
+			resp.RecursionAvailable = true
+			resp.RCode = dnswire.RCodeServFail
+			wire, _ := resp.Pack()
+			return wire
+		}
+	}
+}
+
 func main() {
 	var hints, forwards addrFlags
 	listen := flag.String("listen", ":5301", "UDP listen address")
@@ -55,9 +92,10 @@ func main() {
 			MaxTTL: *maxTTL, MinTTL: *minTTL, Shards: *shards,
 			Capacity: 1 << 20,
 		},
-		ServeStale:  *serveStale,
-		MaxAttempts: *attempts,
-		Seed:        time.Now().UnixNano(),
+		ServeStale:    *serveStale,
+		MaxAttempts:   *attempts,
+		ClientTimeout: clientTimeout,
+		Seed:          time.Now().UnixNano(),
 	}
 	if *harvest {
 		cfg.Harvest = recursive.HarvestFull
@@ -107,24 +145,7 @@ func main() {
 		}
 		log.Printf("also serving TCP on %s", ln.Addr())
 		go func() {
-			err := udprun.ServeTCP(ln, func(payload []byte) []byte {
-				q, err := dnswire.Unpack(payload)
-				if err != nil {
-					return nil
-				}
-				// Bridge the connection goroutine to the engine loop.
-				ch := make(chan []byte, 1)
-				loop.Post(func() {
-					res.HandleQuery(q, func(m *dnswire.Message) {
-						if wire, err := m.Pack(); err == nil {
-							ch <- wire
-						} else {
-							ch <- nil
-						}
-					})
-				})
-				return <-ch
-			})
+			err := udprun.ServeTCP(ln, tcpBridge(loop, res.HandleQuery, clientTimeout+time.Second))
 			if err != nil {
 				log.Printf("recursived: tcp serve ended: %v", err)
 			}

@@ -231,27 +231,30 @@ func (s *Server) CollectMetrics(sc *metrics.Scope) {
 // (512 octets, or the EDNS0-advertised size) are truncated: sections
 // emptied and the TC bit set, telling the client to retry over TCP.
 func (s *Server) HandleWire(payload []byte) []byte {
-	return s.handleWire(payload, false)
+	return s.HandleWireAppend(nil, payload)
+}
+
+// HandleWireAppend is HandleWire building the response in dst's storage
+// (pass buf[:0]; nil allocates), so a caller that answers one packet at a
+// time — authd's UDP handler — reuses one buffer for every response.
+func (s *Server) HandleWireAppend(dst, payload []byte) []byte {
+	return s.handleWireAppend(payload, false, dst)
 }
 
 // HandleWireTCP is HandleWire without the UDP size limit (RFC 7766: TCP
 // responses are never truncated below the 64 KiB framing bound).
 func (s *Server) HandleWireTCP(payload []byte) []byte {
-	return s.handleWire(payload, true)
+	return s.handleWireAppend(payload, true, nil)
 }
 
 // msgPool recycles decode/encode scratch messages for the wire path. The
-// pool (rather than per-server scratch) keeps handleWire safe for the
+// pool (rather than per-server scratch) keeps handleWireAppend safe for the
 // real servers in cmd/, which handle connections concurrently.
 var msgPool = sync.Pool{New: func() any { return new(dnswire.Message) }}
 
-func (s *Server) handleWire(payload []byte, tcp bool) []byte {
-	return s.handleWireAppend(payload, tcp, nil)
-}
-
-// handleWireAppend is handleWire appending the response onto dst (which
-// may be nil): the simulated packet path hands in a pooled buffer, the
-// TCP/UDP daemons pass nil and own the returned slice.
+// handleWireAppend answers payload into dst's storage (which may be
+// nil): the packet paths hand in a reused buffer, the TCP daemon passes
+// nil and owns the returned slice.
 func (s *Server) handleWireAppend(payload []byte, tcp bool, dst []byte) []byte {
 	q := msgPool.Get().(*dnswire.Message)
 	defer msgPool.Put(q)

@@ -70,6 +70,10 @@ func (r TimerRef) Stop() bool {
 	return false
 }
 
+// RefOf wraps a Timer of a Clock implemented outside this package, for
+// that Clock's own AfterFuncRef to return.
+func RefOf(t Timer) TimerRef { return TimerRef{t: t} }
+
 // AfterFuncRef schedules f(arg) on any Clock, using the allocation-free
 // RefScheduler path when clk provides it.
 func AfterFuncRef(clk Clock, d time.Duration, f func(arg any), arg any) TimerRef {

@@ -140,3 +140,39 @@ func TestDNSOverTCPEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadTCPMessage feeds arbitrary streams to the RFC 7766 framing
+// reader: it never panics, returns exactly the declared number of octets
+// or an error, and allocates no more than the prefix declares.
+func FuzzReadTCPMessage(f *testing.F) {
+	// The small cases (short prefix, zero length, length beyond the stream,
+	// 65 535 declared with one octet there) are the committed corpus under
+	// testdata/fuzz; the largest legal message is too big to commit.
+	f.Add([]byte{})
+	f.Add(append([]byte{0xff, 0xff}, make([]byte, 65535)...))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		r := bytes.NewReader(stream)
+		for consumed := 0; ; {
+			got, err := ReadTCPMessage(r)
+			rest := stream[consumed:]
+			if len(rest) < 2 || len(rest)-2 < int(rest[0])<<8|int(rest[1]) {
+				if err == nil {
+					t.Fatalf("read %d octets out of a stream cut short at %d", len(got), consumed)
+				}
+				return
+			}
+			declared := int(rest[0])<<8 | int(rest[1])
+			if err != nil {
+				t.Fatalf("complete %d-octet message at %d: %v", declared, consumed, err)
+			}
+			if len(got) != declared || cap(got) > declared || !bytes.Equal(got, rest[2:2+declared]) {
+				t.Fatalf("message at %d: len %d cap %d, declared %d", consumed, len(got), cap(got), declared)
+			}
+			var framed bytes.Buffer
+			if err := WriteTCPMessage(&framed, got); err != nil || !bytes.Equal(framed.Bytes(), rest[:2+declared]) {
+				t.Fatalf("message at %d does not re-frame to its own bytes: %v", consumed, err)
+			}
+			consumed += 2 + declared
+		}
+	})
+}

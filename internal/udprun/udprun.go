@@ -1,63 +1,80 @@
 // Package udprun runs the DNS engines on real UDP sockets. The engines
 // are written against clock.Clock and netsim.Conn and are not internally
-// locked (the simulator is single-threaded), so this package provides an
-// event loop that serializes packet receipt and timer callbacks onto one
-// goroutine, plus a Conn backed by a net.UDPConn whose peer addresses are
-// "ip:port" strings.
+// locked (the simulator is single-threaded), so this package serializes
+// everything that touches an engine — packet handlers, timer callbacks,
+// posted functions — with one lock owned by a Loop. There is no loop
+// goroutine: a packet handler runs on the goroutine that read the packet
+// and a timer callback on the runtime's timer goroutine, each holding the
+// lock, so a query costs no hand-off between goroutines and a backlog
+// waits in the kernel's socket buffer rather than in a queue of copies.
+//
+// Two rules follow from the lock. A Serve handler gets a slice of the
+// reader's one buffer, valid only until the handler returns (the
+// netsim.Conn contract; every dnswire decoder copies what it keeps). And
+// a callback already holds the lock, so it must not call Post, which
+// would wait for itself; it calls the function directly instead.
+//
+// The socket speaks netip.AddrPort and the engines speak "ip:port"
+// strings; a Conn translates between them through two bounded memos, so
+// neither direction parses or formats an address per packet.
 package udprun
 
 import (
 	"fmt"
 	"net"
+	"net/netip"
+	"sync"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/netsim"
 )
 
-// Loop serializes callbacks onto a single goroutine.
+// Loop serializes callbacks with one lock.
 type Loop struct {
-	events chan func()
-	done   chan struct{}
+	mu   sync.Mutex
+	once sync.Once
+	done chan struct{}
 }
 
-// NewLoop creates a loop with a buffered event queue.
+// NewLoop creates a loop.
 func NewLoop() *Loop {
-	return &Loop{events: make(chan func(), 1024), done: make(chan struct{})}
+	return &Loop{done: make(chan struct{})}
 }
 
-// Post enqueues f for execution on the loop goroutine. It blocks when the
-// queue is full (backpressure) and drops events after Close.
-func (l *Loop) Post(f func()) {
+// enter takes the loop lock for one callback. After Close it reports
+// false and the lock is not held.
+func (l *Loop) enter() bool {
+	l.mu.Lock()
 	select {
 	case <-l.done:
-	case l.events <- f:
-	}
-}
-
-// Run processes events until Close. It must be called exactly once.
-func (l *Loop) Run() {
-	for {
-		select {
-		case <-l.done:
-			return
-		case f := <-l.events:
-			f()
-		}
-	}
-}
-
-// Close stops the loop.
-func (l *Loop) Close() {
-	select {
-	case <-l.done:
+		l.mu.Unlock()
+		return false
 	default:
-		close(l.done)
+		return true
 	}
 }
 
-// Clock is a wall clock whose timer callbacks run on a Loop, so they are
-// serialized with packet handling.
+// Post runs f under the loop lock on the calling goroutine, once every
+// callback in progress has returned; after Close f is dropped. It is for
+// callers outside the loop (a TCP connection's goroutine, main) and must
+// not be called from inside a callback.
+func (l *Loop) Post(f func()) {
+	if l.enter() {
+		defer l.mu.Unlock()
+		f()
+	}
+}
+
+// Run blocks until Close.
+func (l *Loop) Run() { <-l.done }
+
+// Close stops the loop: callbacks that have not started are dropped. It
+// does not wait for one in progress.
+func (l *Loop) Close() { l.once.Do(func() { close(l.done) }) }
+
+// Clock is a wall clock whose timer callbacks run under a Loop's lock, so
+// they are serialized with packet handling.
 type Clock struct {
 	Loop *Loop
 }
@@ -65,21 +82,45 @@ type Clock struct {
 // Now implements clock.Clock.
 func (c Clock) Now() time.Time { return time.Now() }
 
-// AfterFunc implements clock.Clock; f is posted to the loop when the
-// timer fires.
+// AfterFunc implements clock.Clock; f runs under the loop lock, on the
+// timer's goroutine, when the timer fires.
 func (c Clock) AfterFunc(d time.Duration, f func()) clock.Timer {
-	return realTimer{time.AfterFunc(d, func() { c.Loop.Post(f) })}
+	l := c.Loop
+	return time.AfterFunc(d, func() { l.Post(f) })
 }
 
-type realTimer struct{ t *time.Timer }
+// AfterFuncArg implements clock.ArgScheduler.
+func (c Clock) AfterFuncArg(d time.Duration, f func(any), arg any) { c.AfterFuncRef(d, f, arg) }
 
-func (r realTimer) Stop() bool { return r.t.Stop() }
+// AfterFuncRef implements clock.RefScheduler, so clock.AfterFuncRef on
+// this clock builds one closure per timer, not one around another.
+func (c Clock) AfterFuncRef(d time.Duration, f func(any), arg any) clock.TimerRef {
+	l := c.Loop
+	return clock.RefOf(time.AfterFunc(d, func() {
+		if l.enter() {
+			defer l.mu.Unlock()
+			f(arg)
+		}
+	}))
+}
+
+// maxPeers caps each of a Conn's two address memos. A full memo is
+// emptied and refilled by the peers still talking, so a flood of spoofed
+// sources costs a format per packet (as every packet used to) and pins
+// nothing.
+const maxPeers = 1024
 
 // Conn is a netsim.Conn over a real UDP socket. Peer addresses are
 // "ip:port" strings.
 type Conn struct {
 	pc   *net.UDPConn
 	loop *Loop
+
+	// mu guards the memos: Send is called from loop callbacks but also
+	// from goroutines that own no callback (tests, a client's main).
+	mu   sync.Mutex
+	srcs map[netip.AddrPort]netsim.Addr // what Serve hands its handler
+	dsts map[netsim.Addr]netip.AddrPort // what Send writes to
 }
 
 // Listen binds a UDP socket on listen (e.g. ":5300" or "127.0.0.1:0").
@@ -92,41 +133,90 @@ func Listen(listen string, loop *Loop) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udprun: listen %q: %w", listen, err)
 	}
-	return &Conn{pc: pc, loop: loop}, nil
+	return &Conn{
+		pc: pc, loop: loop,
+		srcs: make(map[netip.AddrPort]netsim.Addr),
+		dsts: make(map[netsim.Addr]netip.AddrPort),
+	}, nil
 }
 
 // Addr implements netsim.Conn with the socket's local address.
 func (c *Conn) Addr() netsim.Addr { return netsim.Addr(c.pc.LocalAddr().String()) }
 
+// srcAddr returns the engines' name for a packet source: exactly
+// (*net.UDPAddr).String() of the same endpoint — dotted quad for a v4 or
+// 4-in-6 source, bracketed with its zone for v6 — because the stub and
+// the resolver match a reply by comparing it with the string they sent to.
+func (c *Conn) srcAddr(ap netip.AddrPort) netsim.Addr {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.srcs[ap]
+	if !ok {
+		if len(c.srcs) >= maxPeers {
+			clear(c.srcs)
+		}
+		s = netsim.Addr(net.UDPAddrFromAddrPort(ap).String())
+		c.srcs[ap] = s
+	}
+	return s
+}
+
+// dstAddrPort returns the socket address for dst, resolving it (a parse,
+// or a DNS lookup for a hostname peer) only the first time it is seen.
+func (c *Conn) dstAddrPort(dst netsim.Addr) (netip.AddrPort, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ap, ok := c.dsts[dst]
+	if !ok {
+		ua, err := net.ResolveUDPAddr("udp", string(dst))
+		if err != nil {
+			return netip.AddrPort{}, false
+		}
+		// The resolver returns v4 in 16-byte form; a v4 socket only takes
+		// the unmapped address and a dual-stack one takes either.
+		ap = ua.AddrPort()
+		ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+		if len(c.dsts) >= maxPeers {
+			clear(c.dsts)
+		}
+		c.dsts[dst] = ap
+	}
+	return ap, true
+}
+
 // Send implements netsim.Conn. Errors (unresolvable peers, closed socket)
 // are dropped, matching UDP semantics.
 func (c *Conn) Send(dst netsim.Addr, payload []byte) {
-	addr, err := net.ResolveUDPAddr("udp", string(dst))
-	if err != nil {
-		return
+	if ap, ok := c.dstAddrPort(dst); ok {
+		_, _ = c.pc.WriteToUDPAddrPort(payload, ap)
 	}
-	_, _ = c.pc.WriteToUDP(payload, addr)
 }
 
-// Serve reads packets and posts handler calls to the loop until the
-// socket is closed. Call it on its own goroutine; it returns the first
-// read error.
+// Serve reads packets and calls handler for each, on this goroutine and
+// under the loop lock, until the socket is closed. payload is a slice of
+// Serve's one read buffer: the handler must not keep it past its return.
+// Call it on its own goroutine; it returns the first read error.
 func (c *Conn) Serve(handler func(src netsim.Addr, payload []byte)) error {
 	buf := make([]byte, 65535)
 	for {
-		n, src, err := c.pc.ReadFromUDP(buf)
+		n, ap, err := c.pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return err
 		}
-		payload := make([]byte, n)
-		copy(payload, buf[:n])
-		srcAddr := netsim.Addr(src.String())
-		c.loop.Post(func() { handler(srcAddr, payload) })
+		src := c.srcAddr(ap)
+		if c.loop.enter() {
+			handler(src, buf[:n])
+			c.loop.mu.Unlock()
+		}
 	}
 }
 
 // Close closes the socket.
 func (c *Conn) Close() error { return c.pc.Close() }
 
-var _ netsim.Conn = (*Conn)(nil)
-var _ clock.Clock = Clock{}
+var (
+	_ netsim.Conn        = (*Conn)(nil)
+	_ clock.Clock        = Clock{}
+	_ clock.ArgScheduler = Clock{}
+	_ clock.RefScheduler = Clock{}
+)

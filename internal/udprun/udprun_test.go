@@ -1,10 +1,15 @@
 package udprun
 
 import (
+	"net"
+	"net/netip"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/authoritative"
+	"repro/internal/clock"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/recursive"
@@ -39,8 +44,242 @@ func TestLoopSerializesAndCloses(t *testing.T) {
 		}
 	}
 	loop.Close()
+	loop.Close() // idempotent
 	loop.Post(func() { t.Error("event ran after Close") })
+	Clock{Loop: loop}.AfterFuncRef(0, func(any) { t.Error("timer ran after Close") }, nil)
 	time.Sleep(20 * time.Millisecond)
+}
+
+// TestLoopSerializes drives every kind of callback at once — packet
+// handlers on two sockets' reader goroutines, AfterFunc and AfterFuncRef
+// timers, Post from 8 goroutines — onto one counter and one slice that
+// nothing but the loop lock protects. The count must be exact, and the
+// race detector (make race runs this package with -count=10) must stay
+// quiet.
+func TestLoopSerializes(t *testing.T) {
+	const (
+		posters   = 8
+		perPoster = 200
+		timers    = 200 // of each flavour
+		packets   = 200 // per socket
+	)
+	loop := NewLoop()
+	clk := Clock{Loop: loop}
+	var (
+		count int
+		log   []int
+		wg    sync.WaitGroup
+	)
+	bump := func() {
+		count++
+		log = append(log, count)
+		wg.Done()
+	}
+
+	var conns [2]*Conn
+	for i := range conns {
+		c, err := Listen("127.0.0.1:0", loop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i] = c
+		go c.Serve(func(src netsim.Addr, payload []byte) {
+			bump()
+			c.Send(src, payload)
+		})
+	}
+
+	wg.Add(posters*perPoster + 2*timers + 2*packets)
+	for p := 0; p < posters; p++ {
+		go func() {
+			for i := 0; i < perPoster; i++ {
+				loop.Post(bump)
+			}
+		}()
+	}
+	go func() {
+		for i := 0; i < timers; i++ {
+			clk.AfterFunc(time.Duration(i%5)*time.Millisecond, bump)
+			clock.AfterFuncRef(clk, time.Duration(i%5)*time.Millisecond, func(any) { bump() }, nil)
+		}
+	}()
+	for _, c := range conns {
+		c := c
+		go func() {
+			// Each packet waits for the echo of the one before, so none is
+			// lost to a full socket buffer and the count can be exact.
+			peer, err := net.Dial("udp", string(c.Addr()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer peer.Close()
+			buf := make([]byte, 1)
+			for i := 0; i < packets; i++ {
+				peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := peer.Write([]byte{byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := peer.Read(buf); err != nil || buf[0] != byte(i) {
+					t.Errorf("echo %d: %v, %v", i, buf, err)
+					return
+				}
+			}
+		}()
+	}
+
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(20 * time.Second):
+		t.Fatal("callbacks never all ran")
+	}
+	loop.Post(func() {
+		want := posters*perPoster + 2*timers + 2*packets
+		if count != want || len(log) != want {
+			t.Errorf("count = %d, log = %d entries, want %d", count, len(log), want)
+		}
+		for i, v := range log {
+			if v != i+1 {
+				t.Errorf("log[%d] = %d: callbacks interleaved", i, v)
+				break
+			}
+		}
+	})
+}
+
+// TestStopBeforeFire pins the RefScheduler path the resolver's and the
+// stub's timeouts take on the real clock.
+func TestStopBeforeFire(t *testing.T) {
+	loop := NewLoop()
+	defer loop.Close()
+	var clk clock.Clock = Clock{Loop: loop}
+	if _, ok := clk.(clock.RefScheduler); !ok {
+		t.Fatal("udprun.Clock is not a clock.RefScheduler")
+	}
+	ref := clock.AfterFuncRef(clk, 30*time.Millisecond, func(any) { t.Error("stopped timer fired") }, nil)
+	if !ref.Stop() {
+		t.Error("Stop of a pending timer reported false")
+	}
+	if ref.Stop() {
+		t.Error("second Stop reported true")
+	}
+	fired := make(chan any, 1)
+	ref = clock.AfterFuncRef(clk, time.Millisecond, func(arg any) { fired <- arg }, "arg")
+	select {
+	case got := <-fired:
+		if got != "arg" {
+			t.Errorf("callback got %v, want its argument", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("timer never fired")
+	}
+	if ref.Stop() {
+		t.Error("Stop after the callback ran reported true")
+	}
+	time.Sleep(60 * time.Millisecond) // the stopped timer's deadline passes
+}
+
+// TestPeerStringMatchesUDPAddr checks, per socket family, that the source
+// string a handler sees is what (*net.UDPAddr).String() prints for the
+// same endpoint — the engines compare it with the string they sent to —
+// and that Send to that string reaches the peer.
+func TestPeerStringMatchesUDPAddr(t *testing.T) {
+	for _, tc := range []struct{ name, listen, peerHost string }{
+		{"v4", "127.0.0.1:0", "127.0.0.1"},
+		{"v6", "[::1]:0", "::1"},
+		{"dual-stack from v4", ":0", "127.0.0.1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loop := NewLoop()
+			defer loop.Close()
+			conn, err := Listen(tc.listen, loop)
+			if err != nil {
+				t.Skipf("no such socket here: %v", err)
+			}
+			defer conn.Close()
+			seen := make(chan netsim.Addr, 1)
+			go conn.Serve(func(src netsim.Addr, payload []byte) {
+				conn.Send(src, payload)
+				seen <- src
+			})
+
+			peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.ParseIP(tc.peerHost)})
+			if err != nil {
+				t.Skipf("no peer socket: %v", err)
+			}
+			defer peer.Close()
+			_, port, _ := net.SplitHostPort(string(conn.Addr()))
+			dst, err := net.ResolveUDPAddr("udp", net.JoinHostPort(tc.peerHost, port))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := peer.WriteToUDP([]byte("ping"), dst); err != nil {
+				t.Fatal(err)
+			}
+
+			want := peer.LocalAddr().(*net.UDPAddr).String()
+			select {
+			case src := <-seen:
+				if string(src) != want {
+					t.Errorf("handler saw %q, (*net.UDPAddr).String() is %q", src, want)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("packet never arrived")
+			}
+			buf := make([]byte, 16)
+			peer.SetReadDeadline(time.Now().Add(2 * time.Second))
+			n, _, err := peer.ReadFromUDP(buf)
+			if err != nil || string(buf[:n]) != "ping" {
+				t.Errorf("Send(%q) did not reach the peer: %q, %v", want, buf[:n], err)
+			}
+		})
+	}
+}
+
+// TestPeerMemoBounded floods both address memos with 10^5 distinct
+// peers, as a spoofed-source attack would: each stays at its cap and the
+// heap does not grow with the number of sources seen.
+func TestPeerMemoBounded(t *testing.T) {
+	conn, err := Listen("127.0.0.1:0", NewLoop())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	flood := func(from, to int) {
+		for i := from; i < to; i++ {
+			ap := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), uint16(1024+i%60000))
+			src := conn.srcAddr(ap)
+			if want := net.UDPAddrFromAddrPort(ap).String(); string(src) != want {
+				t.Fatalf("srcAddr(%v) = %q, want %q", ap, src, want)
+			}
+			if got, ok := conn.dstAddrPort(src); !ok || got != ap {
+				t.Fatalf("dstAddrPort(%q) = %v, %v; want %v", src, got, ok, ap)
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	flood(0, 2*maxPeers) // the maps reach their full size
+	before := heap()
+	flood(2*maxPeers, 100000)
+	after := heap()
+	if len(conn.srcs) > maxPeers || len(conn.dsts) > maxPeers {
+		t.Errorf("memo sizes %d / %d, cap %d", len(conn.srcs), len(conn.dsts), maxPeers)
+	}
+	if after > before+256<<10 {
+		t.Errorf("heap grew %d -> %d bytes over 10^5 sources", before, after)
+	}
+	if _, ok := conn.dstAddrPort("not an address"); ok {
+		t.Error("unparseable peer resolved")
+	}
 }
 
 func TestClockAfterFuncOnLoop(t *testing.T) {
