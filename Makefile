@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt race bench-smoke check scale-smoke trace-smoke fuzz cli-smoke report-regress digest-guard regen-tables size-guard obs-guard
+.PHONY: all build test vet fmt race check scale-smoke trace-smoke fuzz cli-smoke report-regress digest-guard regen-tables size-guard obs-guard facade-guard
 
 all: check
 
@@ -23,17 +23,17 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/udprun
 
-# One iteration of the small parallel matrix: proves the worker-pool fan-out
-# runs end to end without paying for a full benchmark session.
-bench-smoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkParallelMatrix$$' -benchtime=1x .
-
-check: vet obs-guard build race bench-smoke
+check: vet obs-guard facade-guard build race
 
 # One emit site in internal/recursive, one SetTrace/SetTimeline call in
 # internal/experiment. See scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
+
+# Every exported name in dikes.go is used as dikes.<Name> by another .go
+# file. See scripts/facade_guard.sh.
+facade-guard:
+	./scripts/facade_guard.sh
 
 # Short coverage-guided runs of every fuzz target (native Go fuzzing; the
 # committed corpora under testdata/fuzz are regression seeds). One -fuzz

@@ -37,10 +37,12 @@ var aliases = map[string][]string{
 	"implications": {"paper/08-implications.json"},
 	"check":        {"check.json"},
 	"timeline":     {"timeline.json"},
+	"ablation": {"ablation/01-stale-off.json", "ablation/02-stale-on.json", "ablation/03-prefetch-off.json", "ablation/04-prefetch-on.json",
+		"ablation/05-capacity-01x.json", "ablation/06-capacity-02x.json", "ablation/07-capacity-05x.json", "ablation/08-capacity-10x.json", "ablation/09-capacity-20x.json"},
 }
 
 // allOrder is what `dikes all` runs: every paper and extension family,
-// without the self-test and the timeline re-run of experiments B and H.
+// without the self-test and the timeline and ablation re-runs of A, B, H.
 var allOrder = []string{"caching", "ddos", "glue", "adversary", "transport", "passive", "retries", "implications"}
 
 // aliasSpecs returns the embedded spec paths of an alias subcommand, nil

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,6 +32,10 @@ func TestAliasesCompile(t *testing.T) {
 	}
 	if aliasSpecs("campaign") != nil || aliasSpecs("bogus") != nil {
 		t.Error("non-alias subcommands must have no embedded specs")
+	}
+	embedded, _ := fs.Glob(dikes.Specs, specRoot+"ablation/*.json")
+	if got := aliasSpecs("ablation"); len(got) == 0 || !reflect.DeepEqual(got, embedded) || strings.Contains(strings.Join(concat, " "), "ablation/") {
+		t.Errorf("ablation = %v, want every spec under ablation/ (%v) and none of them in all", got, embedded)
 	}
 
 	names := append([]string{"all"}, allOrder...)

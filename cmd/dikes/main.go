@@ -20,6 +20,8 @@
 //	dikes check        ≡ ... check.json — reproduction self-test
 //	dikes timeline     ≡ ... timeline.json — per-bucket series over the attack
 //	                     (-bucket 10m after the subcommand rebins it)
+//	dikes ablation     ≡ ... ablation/ — §8 operator advice: serve-stale,
+//	                     prefetch, overprovisioning
 //	dikes trace        — analyze a JSONL trace recorded with -trace
 //	dikes diff         — compare two run reports or timelines; non-zero
 //	                     exit on regression
@@ -78,7 +80,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve /metrics, /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
 	flag.BoolVar(&o.progress, "progress", false, "print live run telemetry (cells done, events/s, peak rss, eta) to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dikes [flags] <caching|ddos|glue|adversary|transport|passive|retries|implications|all|check|timeline [-bucket 10m]|campaign <spec.json|dir>...|trace|diff>\n")
+		fmt.Fprintf(os.Stderr, "usage: dikes [flags] <caching|ddos|glue|adversary|transport|passive|retries|implications|all|check|timeline [-bucket 10m]|ablation|campaign <spec.json|dir>...|trace|diff>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

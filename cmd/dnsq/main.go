@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"strings"
 	"time"
@@ -55,6 +56,9 @@ func main() {
 
 	loop := udprun.NewLoop()
 	conn, err := udprun.Listen("0.0.0.0:0", loop)
+	if err == nil {
+		server, err = serverAddr(server)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dnsq: %v\n", err)
 		os.Exit(1)
@@ -93,6 +97,16 @@ func main() {
 		return
 	}
 	fmt.Printf(";; answer from %s in %v\n%s", r.Server, r.RTT.Round(time.Microsecond), r.text)
+}
+
+// serverAddr resolves @server, once, to the numeric "ip:port" a reply's
+// source prints as: the stub drops a reply from any other string.
+func serverAddr(server string) (string, error) {
+	ua, err := net.ResolveUDPAddr("udp", server)
+	if err != nil {
+		return "", err
+	}
+	return ua.String(), nil
 }
 
 // queryTCP performs the RFC 7766 exchange and prints the answer.

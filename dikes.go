@@ -22,7 +22,7 @@
 //
 //	out, err := dikes.Run(ctx, dikes.CachingScenario(),
 //		dikes.RunConfig{Probes: 1000, TTL: 3600})
-//	fmt.Print(dikes.RenderTable2([]*dikes.CachingResult{out.Caching}))
+//	fmt.Printf("warm-cache miss rate: %.1f%%\n", 100*out.Caching.MissRate)
 //
 // or an emulated attack:
 //
@@ -60,7 +60,6 @@ import (
 	"repro/internal/spec"
 	"repro/internal/stub"
 	"repro/internal/telemetry"
-	"repro/internal/timeline"
 	"repro/internal/trace"
 	"repro/internal/zone"
 )
@@ -93,8 +92,6 @@ var (
 	// CanonicalName canonicalizes a domain name (lower case, trailing
 	// dot).
 	CanonicalName = dnswire.CanonicalName
-	// MustAddr parses an IP literal or panics.
-	MustAddr = dnswire.MustAddr
 )
 
 // Simulation substrate.
@@ -103,8 +100,6 @@ type (
 	Addr = netsim.Addr
 	// Attack is a scheduled DDoS (inbound loss window).
 	Attack = ddos.Attack
-	// Flood is a volumetric attack expressed as offered load vs capacity.
-	Flood = ddos.Flood
 )
 
 // Substrate constructors.
@@ -186,8 +181,6 @@ var (
 // how many cells run at once, and results are byte-identical for every
 // value.
 type (
-	// Scenario is a runnable experiment family.
-	Scenario = experiment.Scenario
 	// RunConfig describes one scenario execution (scale, seed, sharding,
 	// cancellation-relevant fan-out width).
 	RunConfig = experiment.RunConfig
@@ -207,9 +200,6 @@ var (
 	CachingScenario = experiment.CachingScenario
 	// GlueScenario is the Appendix A TTL-trust experiment as a Scenario.
 	GlueScenario = experiment.GlueScenario
-	// NXNSScenario is the NXNS referral-amplification attack as a
-	// Scenario.
-	NXNSScenario = experiment.NXNSScenario
 )
 
 // ErrCancelled is returned (wrapped) by Run and RunCampaign when the
@@ -255,28 +245,14 @@ var (
 
 // Experiment runners — one per paper table/figure family.
 type (
-	// CachingResult bundles Tables 1–3 and Figure 3/13 data.
-	CachingResult = experiment.CachingResult
 	// DDoSSpec is a row of Table 4 (an emulated attack).
 	DDoSSpec = experiment.DDoSSpec
-	// DDoSResult bundles the attack's client- and server-side series.
-	DDoSResult = experiment.DDoSResult
-	// PopulationConfig tunes the resolver-population mix.
-	PopulationConfig = experiment.PopulationConfig
 	// TestbedConfig sizes a testbed.
 	TestbedConfig = experiment.TestbedConfig
-	// ImplicationsConfig parameterizes the §8 root-vs-CDN scenario.
-	ImplicationsConfig = experiment.ImplicationsConfig
-	// NlSimConfig parameterizes the simulation-derived Figure 4 variant.
-	NlSimConfig = experiment.NlSimConfig
-	// NXNSSpec shapes the NXNS amplification experiment.
-	NXNSSpec = experiment.NXNSSpec
 	// NlConfig parameterizes the Figure 4 synthesis.
 	NlConfig = passive.NlConfig
 	// RootConfig parameterizes the Figure 5 synthesis.
 	RootConfig = passive.RootConfig
-	// RetryProfile models a resolver implementation (§6.2).
-	RetryProfile = retrymodel.Profile
 	// Report is one run's metrics snapshot plus invariant verdicts
 	// (DESIGN.md §14); experiment results carry one in their Report field.
 	Report = metrics.Report
@@ -292,38 +268,22 @@ var (
 	SpecByName = experiment.SpecByName
 	// NewTestbed assembles a simulated ecosystem for custom studies.
 	NewTestbed = experiment.NewTestbed
-	// RunImplications executes the §8 root-vs-CDN attack comparison.
-	RunImplications = experiment.RunImplications
 	// RunNl executes the §4.1 .nl inter-arrival analysis (Figure 4).
 	RunNl = passive.RunNl
-	// RunNlFromSim derives Figure 4 from an actual simulated run.
-	RunNlFromSim = experiment.RunNlFromSim
 	// RunRoot executes the §4.2 root DS analysis (Figure 5).
 	RunRoot = passive.RunRoot
 	// RunRetryTrials measures per-level query counts of a resolver
 	// profile with servers up or down (Figure 16).
 	RunRetryTrials = retrymodel.Run
-	// BINDLike and UnboundLike are the §6.2 software profiles.
-	BINDLike    = retrymodel.BINDLike
-	UnboundLike = retrymodel.UnboundLike
+	// BINDLike is the §6.2 BIND software profile.
+	BINDLike = retrymodel.BINDLike
 )
 
 // PaperExperiments are the paper's Table 4 experiments A–I.
 var PaperExperiments = experiment.PaperExperiments
 
-// Renderers for paper-style text tables.
-var (
-	RenderTable1        = experiment.RenderTable1
-	RenderTable2        = experiment.RenderTable2
-	RenderTable3        = experiment.RenderTable3
-	RenderTable4        = experiment.RenderTable4
-	RenderTable5        = experiment.RenderTable5
-	RenderTable7        = experiment.RenderTable7
-	RenderLatency       = experiment.RenderLatency
-	RenderImplications  = experiment.RenderImplications
-	RenderUniqueRn      = experiment.RenderUniqueRn
-	RenderAmplification = experiment.RenderAmplification
-)
+// RenderTable5 prints the Appendix A glue-vs-authoritative TTL table.
+var RenderTable5 = experiment.RenderTable5
 
 // Tracing and telemetry (DESIGN.md §14). Set RunConfig.Trace to record a
 // deterministic query-lifecycle trace; the Outcome's Trace data exports
@@ -337,13 +297,7 @@ type (
 	TraceData = trace.Data
 	// Progress is the live telemetry tracker of a sharded run.
 	Progress = telemetry.Progress
-	// TimelineConfig sizes per-bucket simulated-time series collection
-	// (RunConfig.Timeline).
-	TimelineConfig = timeline.Config
 )
-
-// TimelineAnswered indexes the answered-queries series of a Timeline.
-const TimelineAnswered = timeline.Answered
 
 // Tracing and telemetry helpers.
 var (

@@ -234,3 +234,25 @@ func TestKeyTagStable(t *testing.T) {
 		t.Error("suspicious zero key tag")
 	}
 }
+
+// BenchmarkDNSSECSignVerify measures Ed25519 RRset signing and verification.
+func BenchmarkDNSSECSignVerify(b *testing.B) {
+	key, err := GenerateKey("bench.nl.", FlagZone, detRand{rand.New(rand.NewSource(1))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rrs := []dnswire.RR{{
+		Name: "www.bench.nl.", Class: dnswire.ClassIN, TTL: 300,
+		Data: dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")},
+	}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sig, err := key.Sign(rrs, now, now.Add(time.Hour))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := Verify(key.Public, sig, rrs, now); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

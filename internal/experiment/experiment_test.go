@@ -187,6 +187,23 @@ func TestCachingDayLongTTLTruncation(t *testing.T) {
 	}
 }
 
+// TestCacheFragmentationRaisesMissRate holds §3's explanation of warm
+// cache misses: the same population misses more when each public farm
+// spreads its clients over many independent backend caches than when one
+// cache serves the whole farm.
+func TestCacheFragmentationRaisesMissRate(t *testing.T) {
+	missRate := func(google, other int) float64 {
+		return mustRun(t, CachingScenario(), RunConfig{
+			Probes: testProbes, TTL: 3600,
+			ProbeInterval: 20 * time.Minute, Rounds: 5, Seed: testSeed,
+			Population: PopulationConfig{GoogleBackends: google, OtherBackends: other},
+		}).Caching.MissRate
+	}
+	if mono, frag := missRate(1, 1), missRate(32, 16); frag <= mono {
+		t.Errorf("miss rate %.1f%% with 32/16-backend farms, %.1f%% with one backend each", 100*frag, 100*mono)
+	}
+}
+
 // TestDDoSModerateLossMostlySurvives reproduces Experiment E: 50% loss on
 // both authoritatives, nearly all clients still served.
 func TestDDoSModerateLossMostlySurvives(t *testing.T) {

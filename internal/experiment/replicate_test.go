@@ -3,7 +3,23 @@ package experiment
 import (
 	"context"
 	"testing"
+
+	"repro/internal/parallel"
+	"repro/internal/stats"
 )
+
+// Replicate runs metric across n different seeds (baseSeed + i*1000) and
+// summarizes the distribution — the robustness tests' answer to "is this
+// result an artifact of one seed?". The seeds fan out across cores, so
+// metric must be safe to call from multiple goroutines at once (the
+// experiment runners are: each run builds its own world from the seed).
+func Replicate(n int, baseSeed int64, metric func(seed int64) float64) stats.Summary {
+	values := make([]float64, n)
+	_ = parallel.ForEachCtx(context.Background(), 0, n, func(i int) { // Background never cancels
+		values[i] = metric(baseSeed + int64(i)*1000)
+	})
+	return stats.Summarize(values)
+}
 
 // TestReplicateSeedRobustness: the headline Experiment-H result (clients
 // still served under 90% loss) holds across independent seeds, not just
@@ -26,8 +42,6 @@ func TestReplicateSeedRobustness(t *testing.T) {
 	if summary.Median < 0.45 || summary.Median > 0.85 {
 		t.Errorf("median served = %.2f across seeds, want ~0.6", summary.Median)
 	}
-	spread := summary.Max - (2*summary.Median - summary.Max) // rough range proxy
-	_ = spread
 	if summary.Max-summary.Median > 0.25 {
 		t.Errorf("seed variance too high: median %.2f max %.2f", summary.Median, summary.Max)
 	}

@@ -132,3 +132,42 @@ func TestSpecMarks(t *testing.T) {
 		t.Errorf("open-ended marks = %+v", marks)
 	}
 }
+
+// BenchmarkTimelineOverhead measures the cost of per-bucket series
+// collection on the sharded engine, on one spec-H run (TTL 1800, 90%
+// loss): off (the nil-check-only baseline every production run pays) and
+// on at the default one-minute bucket. The acceptance bar is on-vs-off
+// regression under 2%: observations are one array index plus an integer
+// increment, and the per-cell bins are a few KB, so collection is
+// effectively free next to the simulator.
+func BenchmarkTimelineOverhead(b *testing.B) {
+	spec, ok := SpecByName("H")
+	if !ok {
+		b.Fatal("spec H missing")
+	}
+	cases := []struct {
+		name string
+		tlc  *timeline.Config
+	}{
+		{"off", nil},
+		{"on", &timeline.Config{}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var answered int64
+			for i := 0; i < b.N; i++ {
+				out, err := Run(context.Background(), DDoSScenario(spec), RunConfig{
+					Probes: 600, Seed: 42, Shards: 2, ShardProbes: 256, Timeline: c.tlc,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out.Timeline != nil {
+					answered = out.Timeline.Total(timeline.Answered)
+				}
+			}
+			b.ReportMetric(float64(answered), "timeline_answered")
+		})
+	}
+}

@@ -1,12 +1,12 @@
-// Package parallel is the experiment orchestration layer: a bounded
-// worker pool that fans independent, deterministically-seeded simulation
-// runs across cores. Every campaign in the reproduction — the Table 4
-// DDoS matrix, the Table 1 TTL sweep, Replicate's multi-seed confidence
-// runs, and the `dikes` CLI — schedules through it.
+// Package parallel is the experiment orchestration layer: a bounded,
+// cancellable worker pool (Workers, ForEachCtx, MapCtx) that fans
+// independent, deterministically-seeded simulation runs across cores.
+// The runs of a campaign and the cells of one run both schedule through
+// it.
 //
 // Determinism: each unit of work owns its whole world (testbed, virtual
 // clock, network, RNGs seeded from its own seed), so running units
-// concurrently cannot change any unit's result, and Map/ForEach return
+// concurrently cannot change any unit's result, and MapCtx returns
 // results in input order. A parallel run is therefore bit-for-bit
 // identical to a sequential one; TestMatrixParallelMatchesSequential in
 // internal/experiment enforces this per paper experiment.
@@ -32,62 +32,21 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach calls fn(i) for every i in [0, n), fanning calls across at most
-// workers goroutines (<= 0 means Workers' default). It returns when every
-// call has finished. fn must be safe for concurrent invocation; calls are
-// claimed in index order but may complete in any order.
-func ForEach(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: workers check ctx
+// ForEachCtx calls fn(i) for every i in [0, n), fanning calls across at
+// most workers goroutines (<= 0 means Workers' default). fn must be safe
+// for concurrent invocation; calls are claimed in index order but may
+// complete in any order. Cancellation is cooperative: workers check ctx
 // before claiming each index, stop claiming once it is done, and let
 // in-flight calls finish (a simulation run cannot be interrupted mid
 // event loop, so cancellation granularity is one unit of work). It
-// returns ctx.Err() when the context fired before every index ran, nil
-// otherwise. Indices are still claimed in order, so on an uncancelled
-// run the behavior is identical to ForEach.
+// returns when every claimed call has finished, with ctx.Err().
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
 	w := Workers(workers)
 	if w > n {
 		w = n
 	}
 	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+		for i := 0; i < n && ctx.Err() == nil; i++ {
 			fn(i)
 		}
 		return ctx.Err()
@@ -108,17 +67,16 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 		}()
 	}
 	wg.Wait()
-	if int(next.Load()) < n {
-		return ctx.Err()
-	}
 	return ctx.Err()
 }
 
-// MapCtx is Map with cooperative cancellation. On cancellation the
-// returned slice holds the results of every call that completed (zero
-// values elsewhere) alongside ctx.Err(), so callers can merge partial
-// work — the experiment engine folds the shards that finished into a
-// partial outcome.
+// MapCtx applies fn to every item on the worker pool and returns the
+// results in input order. fn receives the item's index alongside the
+// item so seeded runs can derive per-item seeds deterministically. On
+// cancellation the returned slice holds the results of every call that
+// completed (zero values elsewhere) alongside ctx.Err(), so callers can
+// merge partial work — the experiment engine folds the shards that
+// finished into a partial outcome.
 func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int, item T) R) ([]R, error) {
 	out := make([]R, len(items))
 	done := make([]atomic.Bool, len(items))
@@ -138,22 +96,4 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int
 		}
 	}
 	return out, err
-}
-
-// Map applies fn to every item on the worker pool and returns the results
-// in input order. fn receives the item's index alongside the item so
-// seeded runs can derive per-item seeds deterministically.
-func Map[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
-	out := make([]R, len(items))
-	ForEach(workers, len(items), func(i int) {
-		out[i] = fn(i, items[i])
-	})
-	return out
-}
-
-// Do runs heterogeneous tasks concurrently on the default pool and waits
-// for all of them — the shape of an ablation (baseline vs variant) or a
-// self-test that fans out unrelated experiments.
-func Do(fns ...func()) {
-	ForEach(0, len(fns), func(i int) { fns[i]() })
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -18,32 +19,10 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-func TestMapPreservesOrder(t *testing.T) {
-	items := make([]int, 257)
-	for i := range items {
-		items[i] = i * 2
-	}
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		got := Map(workers, items, func(i, item int) int { return item + i })
-		for i, v := range got {
-			if v != i*3 {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*3)
-			}
-		}
-	}
-}
-
-func TestMapEmpty(t *testing.T) {
-	got := Map(4, nil, func(i int, s string) string { return s })
-	if len(got) != 0 {
-		t.Errorf("Map(nil) = %v", got)
-	}
-}
-
 func TestForEachRunsEachIndexOnce(t *testing.T) {
 	const n = 1000
 	var counts [n]atomic.Int32
-	ForEach(8, n, func(i int) { counts[i].Add(1) })
+	_ = ForEachCtx(context.Background(), 8, n, func(i int) { counts[i].Add(1) })
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("index %d ran %d times", i, c)
@@ -54,7 +33,7 @@ func TestForEachRunsEachIndexOnce(t *testing.T) {
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int32
-	ForEach(workers, 100, func(int) {
+	_ = ForEachCtx(context.Background(), workers, 100, func(int) {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -66,13 +45,5 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	})
 	if p := peak.Load(); p > workers {
 		t.Errorf("observed %d concurrent calls, limit %d", p, workers)
-	}
-}
-
-func TestDoRunsAll(t *testing.T) {
-	var a, b, c atomic.Bool
-	Do(func() { a.Store(true) }, func() { b.Store(true) }, func() { c.Store(true) })
-	if !a.Load() || !b.Load() || !c.Load() {
-		t.Errorf("Do skipped a task: %v %v %v", a.Load(), b.Load(), c.Load())
 	}
 }

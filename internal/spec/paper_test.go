@@ -30,6 +30,8 @@ func TestPaperCampaignReproducesCommittedTables(t *testing.T) {
 		{"paper_run.txt", filepath.Join("examples", "specs", "paper")},
 		{"paper_run_adversary.txt", filepath.Join("examples", "specs", "adversary")},
 		{"paper_run_transport.txt", filepath.Join("examples", "specs", "transport.json")},
+		{"paper_run_timeline.txt", filepath.Join("examples", "specs", "timeline.json")},
+		{"paper_run_ablation.txt", filepath.Join("examples", "specs", "ablation")},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -55,6 +57,42 @@ func TestPaperCampaignReproducesCommittedTables(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAblationDirections runs examples/specs/ablation at a tenth of the
+// committed scale and holds it to the directions §8's advice claims:
+// serve-stale and prefetch each add answers through a complete outage, and
+// valid answers never fall as capacity grows against the same flood.
+func TestAblationDirections(t *testing.T) {
+	t.Parallel()
+	items := compileSpecSet(t, filepath.Join("..", "..", "examples", "specs", "ablation"), 1)
+	for i := range items {
+		items[i].Config.Probes = 150
+	}
+	results, err := experiment.RunCampaign(context.Background(), items, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := map[string]int{}
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Item.Name, r.Err)
+		}
+		valid[r.Item.Name] = r.Outcome.DDoS.Table4.ValidAnswers
+	}
+	// Each step must not lose answers, and the marked ones must gain some.
+	for _, step := range []struct {
+		from, to string
+		strict   bool
+	}{
+		{"stale-off", "stale-on", true}, {"prefetch-off", "prefetch-on", true},
+		{"1x", "2x", false}, {"2x", "5x", false}, {"5x", "10x", false}, {"10x", "20x", false}, {"1x", "20x", true},
+	} {
+		from, to := valid[step.from], valid[step.to]
+		if from == 0 || to < from || step.strict && to == from {
+			t.Errorf("valid answers %s = %d, %s = %d", step.from, from, step.to, to)
+		}
 	}
 }
 

@@ -1,0 +1,23 @@
+#!/bin/sh
+# The facade re-exports what cmd/, examples/ and the root tests use and
+# nothing else: every exported name declared in dikes.go must appear as
+# dikes.<Name> in some other .go file. A name that fails has lost its
+# last user — delete it from dikes.go rather than keep it "for the API".
+set -eu
+
+cd "$(dirname "$0")/.."
+
+names="$(sed -nE \
+    -e 's/^(type|var|const|func) ([A-Z][A-Za-z0-9_]*).*/\2/p' \
+    -e 's/^	([A-Z][A-Za-z0-9_]*) *=.*/\1/p' dikes.go)"
+[ -n "$names" ] || { echo "facade-guard: found no exported names in dikes.go" >&2; exit 1; }
+
+unused=""
+for name in $names; do
+    grep -rqw --include='*.go' --exclude=dikes.go "dikes\.$name" . || unused="$unused $name"
+done
+if [ -n "$unused" ]; then
+    echo "facade-guard: exported by dikes.go, used nowhere else:$unused" >&2
+    exit 1
+fi
+echo "facade-guard OK" >&2

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Regenerate the committed report tables (paper_run.txt,
 # paper_run_adversary.txt, paper_run_transport.txt,
-# paper_run_timeline.txt) from the declarative scenario specs in
-# examples/specs/ via the campaign runner.
+# paper_run_timeline.txt, paper_run_ablation.txt) from the declarative
+# scenario specs in examples/specs/ via the campaign runner.
 #
 # Each campaign is run twice — at -shards 1 and -shards 4 — and the two
 # outputs are diffed (minus the wall-time line) to enforce the engine's
@@ -55,3 +55,11 @@ regen paper_run_timeline.txt examples/specs/timeline.json \
     "Per-bucket simulated-time series (observability.timeline): answer/
 # failure/stale-serve/retry counts across the attack event, annotated
 # with the phase boundaries. The sparkline is the answer-rate series."
+regen paper_run_ablation.txt examples/specs/ablation \
+    "The paper's §8 operator advice as before/after runs; read the effect
+# off the consolidated Table 4 and the campaign summary. Rows 1-2 are
+# experiment A without and with serve-stale on the direct resolvers,
+# rows 3-4 experiment B without and with prefetch on them (a hit with
+# under 0.9 of the TTL left refreshes in the background), rows Nx
+# experiment H's workload with capacity_qps N against attack_qps 10
+# (10x is the first capacity the flood does not exceed: no loss)."
