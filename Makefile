@@ -26,7 +26,8 @@ race:
 check: vet obs-guard facade-guard build race
 
 # One emit site in internal/recursive, one SetTrace/SetTimeline call in
-# internal/experiment. See scripts/obs_guard.sh.
+# internal/experiment, one parallel fan-out per level (campaign runs,
+# cells of a run). See scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
 
@@ -70,10 +71,12 @@ trace-smoke:
 
 # End-to-end CLI gate (the -race suites run under `make race`): a tiny
 # staged multi-phase campaign — `-probes 60` overrides the spec's 1500 —,
-# a tiny `dikes timeline` run with CSV/JSON export, and the 1 MB file
-# size guard.
+# a tiny `dikes timeline` run with CSV/JSON export, the reproduction
+# self-test (paper campaign + scorecard, all 11 claims must pass at 200
+# probes), and the 1 MB file size guard.
 cli-smoke: size-guard
 	$(GO) run ./cmd/dikes -probes 60 campaign examples/specs/staged.json >/dev/null
+	$(GO) run ./cmd/dikes -probes 200 check >/dev/null
 	tmp=$$(mktemp -d) && \
 	    $(GO) run ./cmd/dikes -probes 120 -shards 2 -exp H -csv $$tmp \
 	        timeline -bucket 10m >/dev/null && \

@@ -35,14 +35,16 @@ var aliases = map[string][]string{
 	"passive":      {"paper/06-passive.json"},
 	"retries":      {"paper/07-retries.json"},
 	"implications": {"paper/08-implications.json"},
-	"check":        {"check.json"},
-	"timeline":     {"timeline.json"},
+	"check": {"paper/01-caching.json", "paper/02-caching-10min.json", "paper/03-ddos.json", "paper/04-ddos-drill.json",
+		"paper/05-glue.json", "paper/06-passive.json", "paper/07-retries.json", "paper/08-implications.json"},
+	"timeline": {"timeline.json"},
 	"ablation": {"ablation/01-stale-off.json", "ablation/02-stale-on.json", "ablation/03-prefetch-off.json", "ablation/04-prefetch-on.json",
 		"ablation/05-capacity-01x.json", "ablation/06-capacity-02x.json", "ablation/07-capacity-05x.json", "ablation/08-capacity-10x.json", "ablation/09-capacity-20x.json"},
 }
 
 // allOrder is what `dikes all` runs: every paper and extension family,
-// without the self-test and the timeline and ablation re-runs of A, B, H.
+// without check's second pass over the paper campaign and the timeline
+// and ablation re-runs of A, B, H.
 var allOrder = []string{"caching", "ddos", "glue", "adversary", "transport", "passive", "retries", "implications"}
 
 // aliasSpecs returns the embedded spec paths of an alias subcommand, nil
@@ -149,9 +151,6 @@ func (o options) plan(read func(string) ([]byte, error), paths []string) ([]dike
 			if o.set["shards"] {
 				cfg.Shards = o.shards
 			}
-			if o.set["workers"] {
-				cfg.Workers = o.workers
-			}
 			if o.set["harvest"] && sp.Family == "ddos" {
 				cfg.Population.Harvest = dikes.HarvestNone
 				if o.harvest {
@@ -204,9 +203,8 @@ func (o options) run(ctx context.Context, label string, items []dikes.CampaignIt
 
 // export writes what the flags asked for — -csv figure files, one
 // -trace/-trace-chrome file per traced run, the -report — and returns
-// one line per failure: a failed run, a failed report invariant, a
-// self-test claim that did not reproduce. A run -trace could not cover
-// gets one line on stderr.
+// one line per failure: a failed run, a failed report invariant. A run
+// -trace could not cover gets one line on stderr.
 func (o options) export(results []dikes.CampaignResult) (failures []string, err error) {
 	if o.csvDir != "" {
 		if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
@@ -245,16 +243,26 @@ func (o options) export(results []dikes.CampaignResult) (failures []string, err 
 				failures = append(failures, fmt.Sprintf("%s/%s: %s", rep.Name, inv.Name, inv.Detail))
 			}
 		}
-		for _, c := range r.Outcome.Check {
-			if !c.Pass {
-				failures = append(failures, fmt.Sprintf("%s: claim not reproduced: %s", r.Item.Name, c.Claim))
-			}
-		}
 	}
 	if o.reportPath != "" {
 		err = writeFile(o.reportPath, func(w io.Writer) error { return dikes.WriteReportsJSON(w, reports) })
 	}
 	return failures, err
+}
+
+// scorecard is what `dikes check` adds to the paper campaign: the
+// reproduction self-test over its results, and one failure line per claim
+// that did not reproduce or whose source run is missing.
+func scorecard(w io.Writer, results []dikes.CampaignResult) (failures []string) {
+	rows := dikes.Scorecard(results)
+	table, _ := dikes.RenderCheck(rows)
+	fmt.Fprintf(w, "---- scorecard ----\n%s", table)
+	for _, c := range rows {
+		if !c.Pass {
+			failures = append(failures, fmt.Sprintf("claim not reproduced: %s (measured: %s)", c.Claim, c.Measured))
+		}
+	}
+	return failures
 }
 
 // tracePathFor derives the output path of one run's trace: the

@@ -38,6 +38,17 @@ func TestAliasesCompile(t *testing.T) {
 		t.Errorf("ablation = %v, want every spec under ablation/ (%v) and none of them in all", got, embedded)
 	}
 
+	// check is the paper campaign (plus its scorecard), and no part of all.
+	embedded, _ = fs.Glob(dikes.Specs, specRoot+"paper/*.json")
+	if got := aliasSpecs("check"); len(got) == 0 || !reflect.DeepEqual(got, embedded) {
+		t.Errorf("check = %v, want every spec under paper/ in lexical order (%v)", got, embedded)
+	}
+	for _, name := range allOrder {
+		if name == "check" {
+			t.Error("check is in allOrder: all would run the paper campaign twice")
+		}
+	}
+
 	names := append([]string{"all"}, allOrder...)
 	for name := range aliases {
 		names = append(names, name)
@@ -189,5 +200,38 @@ func TestUntraceableRunIsNamed(t *testing.T) {
 	}
 	if files, _ := os.ReadDir(dir); len(files) != 0 {
 		t.Errorf("wrote %d file(s) for a run with nothing to trace", len(files))
+	}
+}
+
+// TestScorecardFailuresExit: on the check path a claim that fails or whose
+// source run never ran becomes a failure line, which is what exits 1.
+func TestScorecardFailuresExit(t *testing.T) {
+	items, err := given(options{probes: 40}, "probes").plan(dikes.Specs.ReadFile, aliasSpecs("glue"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := given(options{}).run(context.Background(), "test", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	failures := scorecard(&out, results)
+	if !strings.HasPrefix(out.String(), "---- scorecard ----\nclaim ") || strings.Count(out.String(), "\n") != 13 {
+		t.Errorf("scorecard output is not the header plus the 11-row table:\n%s", out.String())
+	}
+	// Only the glue run exists: its claim passes, the other ten are un-run.
+	if len(failures) != 10 {
+		t.Fatalf("%d failure lines, want 10: %v", len(failures), failures)
+	}
+	for _, line := range failures {
+		if !strings.HasPrefix(line, "claim not reproduced: ") || !strings.Contains(line, "not run") || strings.Contains(line, "child-side TTL") {
+			t.Errorf("failure line %q", line)
+		}
+	}
+	// A run that finished but missed its band is named with what it measured.
+	results[0].Outcome.Glue.NS.ExactChild, results[0].Outcome.Glue.NS.BelowChild = 0, 0
+	failures = scorecard(io.Discard, results)
+	if want := "claim not reproduced: answers carry the child-side TTL (measured: 0.0%)"; len(failures) != 11 || failures[9] != want {
+		t.Errorf("failures = %q, want 11 with %q tenth", failures, want)
 	}
 }

@@ -17,7 +17,8 @@
 //	dikes retries      ≡ ... paper/07-retries.json — §6.2 / Appendix E: Figure 16
 //	dikes implications ≡ ... paper/08-implications.json — §8 root vs CDN
 //	dikes all          — the eight above, in that order
-//	dikes check        ≡ ... check.json — reproduction self-test
+//	dikes check        ≡ ... paper/ — the paper campaign, then the
+//	                     reproduction scorecard over its results
 //	dikes timeline     ≡ ... timeline.json — per-bucket series over the attack
 //	                     (-bucket 10m after the subcommand rebins it)
 //	dikes ablation     ≡ ... ablation/ — §8 operator advice: serve-stale,
@@ -28,12 +29,13 @@
 //
 // The override rule: a spec owns its settings, and a flag the user sets
 // explicitly overrides them on every run of the batch — -probes, -seed,
-// -shards, -workers, -trace-sample, -harvest (ddos specs), -exp (keeps
-// only the named experiments of a ddos spec's "paper" list), timeline's
-// -bucket. A flag left unset changes nothing. The exporters (-report,
-// -csv, -trace, -trace-chrome) and -progress/-pprof serve aliases and
-// campaign alike. The paper used ~9200 probes; the committed specs keep
-// runs quick at 1500.
+// -shards, -trace-sample, -harvest (ddos specs), -exp (keeps only the
+// named experiments of a ddos spec's "paper" list), timeline's -bucket.
+// A flag left unset changes nothing. -workers (runs in flight; no spec
+// has such a setting), the exporters (-report, -csv, -trace,
+// -trace-chrome) and -progress/-pprof serve aliases and campaign alike.
+// The paper used ~9200 probes; the committed specs keep runs quick at
+// 1500.
 package main
 
 import (
@@ -74,7 +76,7 @@ func main() {
 	flag.StringVar(&o.csvDir, "csv", "", "also write each figure's data (CSV, timelines as CSV and JSON) into this directory")
 	flag.IntVar(&o.workers, "workers", 0, "experiment runs in flight at once (0 = one per core); results are identical for any value")
 	flag.StringVar(&o.reportPath, "report", "", "write every run's metrics + invariant report as JSON to this file; a failed invariant exits non-zero")
-	flag.StringVar(&o.tracePath, "trace", "", "record a deterministic query-lifecycle trace of each run as JSONL to this file (-<run> is spliced in when several run); every family on the cell engine traces (caching, ddos, glue, adversary, transport), the rest (passive, retries, implications, check) get a stderr note")
+	flag.StringVar(&o.tracePath, "trace", "", "record a deterministic query-lifecycle trace of each run as JSONL to this file (-<run> is spliced in when several run); every family on the cell engine traces (caching, ddos, glue, adversary, transport), the rest (passive, retries, implications) get a stderr note")
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "with -trace: trace every Nth probe only (0 or 1 = all probes); SERVFAIL chains are always recorded")
 	flag.StringVar(&o.traceChrome, "trace-chrome", "", "with -trace: also export each traced run as Chrome trace_event JSON (Perfetto-loadable)")
 	pprofAddr := flag.String("pprof", "", "serve /metrics, /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
@@ -156,6 +158,9 @@ func main() {
 	fmt.Print(dikes.RenderCampaign(results))
 	failures, err := o.export(results)
 	fmt.Printf("\ntotal wall time: %v\n", time.Since(start).Round(time.Millisecond))
+	if cmd == "check" {
+		failures = append(failures, scorecard(os.Stdout, results)...)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dikes: %v\n", err)
 		os.Exit(1)

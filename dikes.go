@@ -241,6 +241,10 @@ var (
 	RenderCampaign = experiment.RenderCampaign
 	// CampaignFiles renders every figure's data as named CSV/JSON files.
 	CampaignFiles = experiment.CampaignFiles
+	// Scorecard scores the paper's headline claims over a campaign.
+	Scorecard = experiment.Scorecard
+	// RenderCheck prints a scorecard as the claim/paper/measured table.
+	RenderCheck = experiment.RenderCheck
 )
 
 // Experiment runners — one per paper table/figure family.
@@ -254,7 +258,7 @@ type (
 	// RootConfig parameterizes the Figure 5 synthesis.
 	RootConfig = passive.RootConfig
 	// Report is one run's metrics snapshot plus invariant verdicts
-	// (DESIGN.md §14); experiment results carry one in their Report field.
+	// (DESIGN.md §14); a cell-engine run's Outcome carries one.
 	Report = metrics.Report
 	// Histogram is a fixed-bounds histogram metric.
 	Histogram = metrics.Histogram

@@ -61,9 +61,6 @@ type Outcome struct {
 	// SerialDecreased reports a serial lower than a previously seen one —
 	// evidence of cache fragmentation (CCdec/CAdec in Table 2).
 	SerialDecreased bool
-	// Duplicate marks an answer repeating the previous one's serial in
-	// the same round at warm-up time.
-	Duplicate bool
 }
 
 // Tracker classifies the answer stream of a single vantage point. Answers

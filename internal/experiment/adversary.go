@@ -104,8 +104,6 @@ func (r NXNSRow) Amplification() float64 {
 type NXNSResult struct {
 	MaxFetch int
 	Rows     []NXNSRow
-
-	Report *metrics.Report
 }
 
 // nxnsZone names the attacker zone serving width w.
@@ -292,7 +290,7 @@ func (s nxnsScenario) Name() string {
 	return "nxns"
 }
 
-func (s nxnsScenario) labels(cfg RunConfig) map[string]string {
+func (s nxnsScenario) labels() map[string]string {
 	widths := ""
 	for i, w := range s.spec.Widths {
 		if i > 0 {
@@ -300,12 +298,7 @@ func (s nxnsScenario) labels(cfg RunConfig) map[string]string {
 		}
 		widths += itoa(w)
 	}
-	return map[string]string{
-		"probes":    strconv.Itoa(cfg.Probes),
-		"seed":      strconv.FormatInt(cfg.Seed, 10),
-		"widths":    widths,
-		"max_fetch": itoa(s.spec.MaxFetch),
-	}
+	return map[string]string{"widths": widths, "max_fetch": itoa(s.spec.MaxFetch)}
 }
 
 func (s nxnsScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
@@ -315,15 +308,9 @@ func (s nxnsScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) 
 			return runNXNSTestbed(s.spec, base)
 		},
 		fold: total.absorb,
-		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
-			total.Report = &metrics.Report{
-				Name:       s.Name(),
-				Labels:     s.labels(cfg),
-				Metrics:    snap,
-				Invariants: nxnsInvariants(s.spec, total, snap),
-			}
+		finish: func(out *Outcome, snap metrics.Snapshot) (map[string]string, []metrics.Invariant) {
 			out.NXNS = total
-			return total.Report
+			return s.labels(), nxnsInvariants(s.spec, total, snap)
 		},
 	})
 }
@@ -387,8 +374,6 @@ type PoisonResult struct {
 	Hijacked      int64
 	CachePoisoned int64
 	OOBWrites     int64
-
-	Report *metrics.Report
 }
 
 // SuccessRate is the fraction of attempts that hijacked the answer.
@@ -551,10 +536,8 @@ func (s poisonScenario) Name() string {
 	return "poison-" + ids + "-" + bw
 }
 
-func (s poisonScenario) labels(cfg RunConfig) map[string]string {
+func (s poisonScenario) labels() map[string]string {
 	return map[string]string{
-		"probes":       strconv.Itoa(cfg.Probes),
-		"seed":         strconv.FormatInt(cfg.Seed, 10),
 		"random_ids":   strconv.FormatBool(s.spec.RandomIDs),
 		"no_bailiwick": strconv.FormatBool(s.spec.NoBailiwick),
 		"id_window":    itoa(s.spec.IDWindow),
@@ -569,15 +552,9 @@ func (s poisonScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error
 			return runPoisonTestbed(s.spec, base)
 		},
 		fold: total.absorb,
-		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
-			total.Report = &metrics.Report{
-				Name:       s.Name(),
-				Labels:     s.labels(cfg),
-				Metrics:    snap,
-				Invariants: poisonInvariants(s.spec, total, snap),
-			}
+		finish: func(out *Outcome, snap metrics.Snapshot) (map[string]string, []metrics.Invariant) {
 			out.Poison = total
-			return total.Report
+			return s.labels(), poisonInvariants(s.spec, total, snap)
 		},
 	})
 }
@@ -633,8 +610,6 @@ type ReflectResult struct {
 	VictimPackets int64
 	VictimBytes   int64
 	VictimQPS     float64
-
-	Report *metrics.Report
 }
 
 // reflectTXTName is the fat TXT record the TXT shape queries; the
@@ -781,14 +756,6 @@ func (s reflectScenario) Spec() ReflectSpec { return s.spec }
 
 func (reflectScenario) Name() string { return "reflect" }
 
-func (s reflectScenario) labels(cfg RunConfig) map[string]string {
-	return map[string]string{
-		"probes":    strconv.Itoa(cfg.Probes),
-		"seed":      strconv.FormatInt(cfg.Seed, 10),
-		"edns_size": strconv.FormatUint(uint64(s.spec.EDNSSize), 10),
-	}
-}
-
 func (s reflectScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	total := &ReflectResult{}
 	return runCells(ctx, "reflect", cfg, cellRun[*ReflectResult]{
@@ -796,16 +763,10 @@ func (s reflectScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, erro
 			return runReflectTestbed(s.spec, base)
 		},
 		fold: total.absorb,
-		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
-			res := reflectFinalize(s.spec, total, cfg.Probes)
-			res.Report = &metrics.Report{
-				Name:       "reflect",
-				Labels:     s.labels(cfg),
-				Metrics:    snap,
-				Invariants: reflectInvariants(res, snap),
-			}
-			out.Reflect = res
-			return res.Report
+		finish: func(out *Outcome, snap metrics.Snapshot) (map[string]string, []metrics.Invariant) {
+			out.Reflect = reflectFinalize(s.spec, total, cfg.Probes)
+			return map[string]string{"edns_size": strconv.FormatUint(uint64(s.spec.EDNSSize), 10)},
+				reflectInvariants(out.Reflect, snap)
 		},
 	})
 }

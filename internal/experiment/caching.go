@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dnswire"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 )
@@ -70,9 +69,6 @@ type CachingResult struct {
 	Fig13 *stats.RoundSeries
 	// MissRate is the headline warm-cache miss fraction (Figure 3).
 	MissRate float64
-	// Report carries the run's metrics snapshot and the accounting
-	// invariants (see internal/metrics and DESIGN.md §14).
-	Report *metrics.Report
 }
 
 // runCachingWorld builds, schedules, and runs one cell's caching

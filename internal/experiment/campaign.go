@@ -60,6 +60,14 @@ func RunCampaign(ctx context.Context, items []CampaignItem, workers int) ([]Camp
 	return results, nil
 }
 
+// ratio is num/den, and 0 when there is nothing to divide by.
+func ratio(num, den float64) float64 {
+	if den > 0 {
+		return num / den
+	}
+	return 0
+}
+
 // status is the summary-table verdict of one run.
 func (r CampaignResult) status() string {
 	switch {
@@ -86,14 +94,6 @@ func (r CampaignResult) headline() string {
 		return fmt.Sprintf("miss rate %.1f%%", 100*o.Caching.MissRate)
 	case o.Glue != nil:
 		return fmt.Sprintf("child-TTL share %.1f%%", 100*o.Glue.NS.AuthoritativeShare())
-	case o.Check != nil:
-		pass := 0
-		for _, c := range o.Check {
-			if c.Pass {
-				pass++
-			}
-		}
-		return fmt.Sprintf("%d/%d claims pass", pass, len(o.Check))
 	case o.NXNS != nil:
 		amp, width := 0.0, 0
 		for _, row := range o.NXNS.Rows {
@@ -118,11 +118,7 @@ func (r CampaignResult) headline() string {
 			q += row.Queries
 			a += row.Answered
 		}
-		rate := 0.0
-		if q > 0 {
-			rate = float64(a) / float64(q)
-		}
-		return fmt.Sprintf("answered %.1f%%", 100*rate)
+		return fmt.Sprintf("answered %.1f%%", 100*ratio(float64(a), float64(q)))
 	case o.Passive != nil:
 		return fmt.Sprintf("at-TTL re-queries %.1f%%", 100*o.Passive.Nl.FracAtTTL)
 	case o.Retries != nil:
@@ -134,11 +130,7 @@ func (r CampaignResult) headline() string {
 				up += row.Result.Mean.Total()
 			}
 		}
-		mult := 0.0
-		if up > 0 {
-			mult = down / up
-		}
-		return fmt.Sprintf("retry amplification %.1fx", mult)
+		return fmt.Sprintf("retry amplification %.1fx", ratio(down, up))
 	case o.Implications != nil:
 		return fmt.Sprintf("fail under attack: root %.1f%% vs cdn %.1f%%",
 			100*o.Implications.RootFailDuringAttack, 100*o.Implications.CDNFailDuringAttack)
@@ -192,12 +184,6 @@ func renderRunBlock(b *strings.Builder, r CampaignResult) {
 			o.Caching.Fig13.Table([]string{"AA", "CC", "AC", "CA", "Warmup"}))
 	case o.Glue != nil:
 		fmt.Fprint(b, RenderTable5(o.Glue))
-	case o.Check != nil:
-		table, ok := RenderCheck(o.Check)
-		fmt.Fprint(b, table)
-		if !ok {
-			fmt.Fprintf(b, "self-test FAILED\n")
-		}
 	case o.NXNS != nil:
 		fmt.Fprint(b, RenderNXNS(o.NXNS))
 	case o.Poison != nil:

@@ -1,23 +1,49 @@
 package experiment
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
-// TestCheckAllClaimsPass is the repository's compact end-to-end
-// reproduction gate: every paper claim must verify at test scale.
-func TestCheckAllClaimsPass(t *testing.T) {
-	results := mustRun(t, CheckScenario(), RunConfig{Probes: 200, Seed: 42}).Check
-	if len(results) < 10 {
-		t.Fatalf("only %d claims checked", len(results))
+// TestScorecardWithoutRuns: a claim whose source run is missing is a
+// failed row reading "not run", never a dropped row or a nil dereference.
+// (The all-claims-pass gate over the real paper campaign is
+// spec.TestScorecardOverPaperCampaign.)
+func TestScorecardWithoutRuns(t *testing.T) {
+	rows := Scorecard(nil)
+	if len(rows) != 11 {
+		t.Fatalf("%d rows, want the 11 claims", len(rows))
 	}
-	table, ok := RenderCheck(results)
-	if !ok {
-		t.Errorf("reproduction self-test failed:\n%s", table)
+	for _, r := range rows {
+		if r.Measured != "not run" || r.Pass {
+			t.Errorf("%s: measured %q pass %t, want an un-run failure", r.Claim, r.Measured, r.Pass)
+		}
 	}
-	if !strings.Contains(table, "PASS") {
-		t.Error("render missing verdicts")
+}
+
+// TestScorecardIgnoresFailedRuns: a failed or cancelled run's partial
+// Outcome is not evidence; its claims read "not run" while the claims of
+// the runs that finished are scored.
+func TestScorecardIgnoresFailedRuns(t *testing.T) {
+	glue := mustRun(t, GlueScenario(), RunConfig{Probes: 40, Seed: 42})
+	results := []CampaignResult{
+		{Outcome: glue, Err: errors.New("boom")},
+		{Outcome: &Outcome{Implications: &ImplicationsResult{CDNFailDuringAttack: 0.1}}},
+	}
+	for _, r := range Scorecard(results) {
+		switch {
+		case strings.HasPrefix(r.Claim, "root-like"):
+			if !r.Pass || r.Measured != "0.0% vs 10.0%" {
+				t.Errorf("%s: %q pass %t, want the finished run scored", r.Claim, r.Measured, r.Pass)
+			}
+		case r.Measured != "not run" || r.Pass:
+			t.Errorf("%s: %q pass %t, want not run (its run failed or is absent)", r.Claim, r.Measured, r.Pass)
+		}
+	}
+	results[0].Err = nil
+	if r := Scorecard(results)[9]; r.Measured == "not run" {
+		t.Errorf("%s: not scored once its run succeeded", r.Claim)
 	}
 }
 

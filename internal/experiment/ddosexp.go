@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/ddos"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/timeline"
@@ -104,9 +103,6 @@ type DDoSResult struct {
 	// it reached the authoritatives (Figure 11).
 	RnPerProbe      []stats.Summary
 	QueriesPerProbe []stats.Summary
-	// Report carries the run's metrics snapshot and the cross-component
-	// accounting invariants (see internal/metrics and DESIGN.md §14).
-	Report *metrics.Report
 	// Timeline is the run's merged per-bucket series (nil unless the run
 	// was configured with RunConfig.Timeline; see internal/timeline).
 	Timeline *timeline.Timeline

@@ -36,84 +36,66 @@ type RetriesResult struct {
 	Rows   []RetryRow
 }
 
-// ---- Passive ----
+// lightScenario is a family that builds no population cells: fill
+// computes its result from the run seed alone and stores it in out.
+type lightScenario struct {
+	name string
+	fill func(seed int64, out *Outcome)
+}
 
-type passiveScenario struct{}
+func (s lightScenario) Name() string { return s.name }
+
+func (s lightScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
+	out := &Outcome{}
+	if err := ctx.Err(); err != nil {
+		return out, cancelErr(err)
+	}
+	s.fill(cfg.Seed, out)
+	return out, nil
+}
 
 // PassiveScenario wraps the §4 passive measurements (RunNl + RunRoot) as
 // a Scenario. Probes and shards are ignored: the models are driven by
 // their own calibrated populations.
-func PassiveScenario() Scenario { return passiveScenario{} }
-
-func (passiveScenario) Name() string { return "passive" }
-
-func (passiveScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{Scenario: "passive", Config: cfg}
-	if err := ctx.Err(); err != nil {
-		return out, cancelErr(err)
-	}
-	out.Passive = &PassiveResult{
-		Nl:   passive.RunNl(passive.NlConfig{Seed: cfg.Seed}),
-		Root: passive.RunRoot(passive.RootConfig{Seed: cfg.Seed}),
-	}
-	return out, nil
+func PassiveScenario() Scenario {
+	return lightScenario{"passive", func(seed int64, out *Outcome) {
+		out.Passive = &PassiveResult{
+			Nl:   passive.RunNl(passive.NlConfig{Seed: seed}),
+			Root: passive.RunRoot(passive.RootConfig{Seed: seed}),
+		}
+	}}
 }
-
-// ---- Retries ----
-
-type retriesScenario struct{ trials int }
 
 // RetriesScenario wraps the software-retry model as a Scenario: both
 // profiles (BIND-like, Unbound-like) in both server states, trials
 // trials each (default 100, the committed table's size).
-func RetriesScenario(trials int) Scenario { return retriesScenario{trials: trials} }
-
-func (retriesScenario) Name() string { return "retries" }
-
-func (s retriesScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{Scenario: "retries", Config: cfg}
-	if err := ctx.Err(); err != nil {
-		return out, cancelErr(err)
-	}
-	trials := s.trials
+func RetriesScenario(trials int) Scenario {
 	if trials <= 0 {
 		trials = 100
 	}
-	res := &RetriesResult{Trials: trials}
-	for _, profile := range []retrymodel.Profile{retrymodel.BINDLike(), retrymodel.UnboundLike()} {
-		for _, down := range []bool{false, true} {
-			res.Rows = append(res.Rows, RetryRow{
-				Profile: profile.Name, Down: down,
-				Result: retrymodel.Run(profile, down, trials, cfg.Seed),
-			})
+	return lightScenario{"retries", func(seed int64, out *Outcome) {
+		res := &RetriesResult{Trials: trials}
+		for _, profile := range []retrymodel.Profile{retrymodel.BINDLike(), retrymodel.UnboundLike()} {
+			for _, down := range []bool{false, true} {
+				res.Rows = append(res.Rows, RetryRow{
+					Profile: profile.Name, Down: down,
+					Result: retrymodel.Run(profile, down, trials, seed),
+				})
+			}
 		}
-	}
-	out.Retries = res
-	return out, nil
+		out.Retries = res
+	}}
 }
-
-// ---- Implications ----
-
-type implicationsScenario struct{ spec ImplicationsConfig }
 
 // ImplicationsScenario wraps the §8 root-like vs CDN-like study as a
 // Scenario. The spec's zero values use the calibrated defaults; the
 // RunConfig seed always wins so campaign seeding stays uniform.
 func ImplicationsScenario(spec ImplicationsConfig) Scenario {
-	return implicationsScenario{spec: spec}
-}
-
-func (implicationsScenario) Name() string { return "implications" }
-
-func (s implicationsScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{Scenario: "implications", Config: cfg}
-	if err := ctx.Err(); err != nil {
-		return out, cancelErr(err)
-	}
-	spec := s.spec
-	spec.Seed = cfg.Seed
-	out.Implications = RunImplications(spec)
-	return out, nil
+	return lightScenario{"implications", func(seed int64, out *Outcome) {
+		run := spec
+		run.Seed = seed
+		out.Implications = RunImplications(run)
+	}}
 }
 
 // ---- Renderers ----

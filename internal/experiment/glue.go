@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/stub"
 	"repro/internal/vantage"
@@ -41,9 +40,6 @@ func (t Table5) AuthoritativeShare() float64 {
 type GlueResult struct {
 	NS Table5
 	A  Table5
-	// Report carries the run's metrics snapshot and accounting
-	// invariants.
-	Report *metrics.Report
 }
 
 // childNSTTL is the child zone's NS/A TTL in the glue experiment (the

@@ -8,7 +8,7 @@ import (
 
 // runMatrix runs one DDoS scenario per spec through RunCampaign on the
 // given worker count and returns the results in spec order.
-func runMatrix(t *testing.T, specs []DDoSSpec, cfg RunConfig, workers int) []*DDoSResult {
+func runMatrix(t *testing.T, specs []DDoSSpec, cfg RunConfig, workers int) []*Outcome {
 	t.Helper()
 	items := make([]CampaignItem, len(specs))
 	for i, spec := range specs {
@@ -18,12 +18,12 @@ func runMatrix(t *testing.T, specs []DDoSSpec, cfg RunConfig, workers int) []*DD
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]*DDoSResult, len(results))
+	out := make([]*Outcome, len(results))
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("run %s: %v", r.Item.Name, r.Err)
 		}
-		out[i] = r.Outcome.DDoS
+		out[i] = r.Outcome
 	}
 	return out
 }
@@ -56,11 +56,11 @@ func TestMatrixParallelMatchesSequential(t *testing.T) {
 			len(seq), len(par), len(PaperExperiments))
 	}
 	for i, spec := range PaperExperiments {
-		if par[i].Spec.Name != spec.Name {
+		if par[i].DDoS.Spec.Name != spec.Name {
 			t.Fatalf("result %d is for experiment %q, want %q (order not preserved)",
-				i, par[i].Spec.Name, spec.Name)
+				i, par[i].DDoS.Spec.Name, spec.Name)
 		}
-		if got, want := renderDDoS(par[i]), renderDDoS(seq[i]); got != want {
+		if got, want := renderDDoS(par[i].DDoS), renderDDoS(seq[i].DDoS); got != want {
 			t.Errorf("experiment %s: parallel run diverged from sequential\n--- sequential ---\n%s--- parallel ---\n%s",
 				spec.Name, want, got)
 		}

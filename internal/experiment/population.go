@@ -237,10 +237,7 @@ func (l *LazyResolver) Materialize() {
 // Resolver returns the materialized resolver, nil if it never saw traffic.
 func (l *LazyResolver) Resolver() *recursive.Resolver { return l.r }
 
-// Addr returns the resolver's network address.
-func (l *LazyResolver) Addr() netsim.Addr { return l.addr }
-
-// defer registers a lazy resolver at addr. Handles are carved from a
+// deferResolver registers a lazy resolver at addr. Handles are carved from a
 // chunked arena: appending never moves earlier entries (a full chunk is
 // retired, not grown), so returned pointers stay valid.
 func (b *builder) deferResolver(addr netsim.Addr, cfg recursive.Config) *LazyResolver {
@@ -272,7 +269,6 @@ type builder struct {
 	nextAddr   int
 	googleLB   netsim.Addr
 	otherLB    netsim.Addr
-	mtGroups   []netsim.Addr // current group's R1s share a pool via LB? no: pool addrs
 	mtPool     []netsim.Addr
 	mtPoolUsed int
 	seedSeq    int64

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -62,22 +64,23 @@ func smallSpec() DDoSSpec {
 // every cross-component invariant to pass, then injects an accounting
 // error into the result and requires the checker to catch it.
 func TestDDoSReportInvariantsHold(t *testing.T) {
-	res := mustRun(t, DDoSScenario(smallSpec()), RunConfig{Probes: 30, Seed: 11}).DDoS
-	if res.Report == nil {
+	out := mustRun(t, DDoSScenario(smallSpec()), RunConfig{Probes: 30, Seed: 11})
+	res := out.DDoS
+	if out.Report == nil {
 		t.Fatal("no report attached")
 	}
-	if !res.Report.OK() {
-		t.Fatalf("invariants failed on a clean run: %+v", res.Report.FailedInvariants())
+	if !out.Report.OK() {
+		t.Fatalf("invariants failed on a clean run: %+v", out.Report.FailedInvariants())
 	}
-	if len(res.Report.Invariants) < 5 {
-		t.Errorf("only %d invariants evaluated", len(res.Report.Invariants))
+	if len(out.Report.Invariants) < 5 {
+		t.Errorf("only %d invariants evaluated", len(out.Report.Invariants))
 	}
 
 	// Inject a phantom answer: the outcome series no longer sums to the
 	// query total and the latency series no longer matches the answered
 	// count. The checker must flag the run.
 	res.Answers.AddRound(0, "OK", 1)
-	invs := DDoSInvariants(res, res.Report.Metrics)
+	invs := DDoSInvariants(res, out.Report.Metrics)
 	if metrics.AllOK(invs) {
 		t.Error("injected accounting error not detected")
 	}
@@ -85,12 +88,12 @@ func TestDDoSReportInvariantsHold(t *testing.T) {
 
 // TestCachingReportInvariantsHold is the §3 counterpart.
 func TestCachingReportInvariantsHold(t *testing.T) {
-	res := mustRun(t, CachingScenario(), RunConfig{Probes: 30, TTL: 1800, Rounds: 4, Seed: 5}).Caching
-	if res.Report == nil {
+	out := mustRun(t, CachingScenario(), RunConfig{Probes: 30, TTL: 1800, Rounds: 4, Seed: 5})
+	if out.Report == nil {
 		t.Fatal("no report attached")
 	}
-	if !res.Report.OK() {
-		t.Fatalf("invariants failed on a clean run: %+v", res.Report.FailedInvariants())
+	if !out.Report.OK() {
+		t.Fatalf("invariants failed on a clean run: %+v", out.Report.FailedInvariants())
 	}
 }
 
@@ -116,6 +119,41 @@ func TestReportsIdenticalAcrossWorkers(t *testing.T) {
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Errorf("spec %s: reports differ between workers=1 and workers=4", specs[i].Name)
+		}
+	}
+}
+
+// TestReportLabelsPerFamily pins each cell family's report name and exact
+// label key set: runCells writes probes, seed and the shard layout, the
+// family adds only its own knobs.
+func TestReportLabelsPerFamily(t *testing.T) {
+	common := []string{"probes", "seed", "shard_cells", "shard_probes"}
+	for _, tc := range []struct {
+		sc   Scenario
+		name string
+		own  []string
+	}{
+		{DDoSScenario(smallSpec()), "ddos-B", []string{"experiment", "loss", "ttl"}},
+		{CachingScenario(), "caching-ttl1800", []string{"rounds", "ttl"}},
+		{GlueScenario(), "glue", nil},
+		{NXNSScenario(NXNSSpec{Widths: []int{2, 4}}), "nxns", []string{"max_fetch", "widths"}},
+		{PoisonScenario(PoisonSpec{}), "poison-seqid-bw", []string{"id_window", "no_bailiwick", "random_ids", "waves"}},
+		{ReflectScenario(ReflectSpec{}), "reflect", []string{"edns_size"}},
+		{TransportScenario(TransportSpec{}), "transport", []string{"bufs", "flood", "tcp_loss"}},
+	} {
+		rep := mustRun(t, tc.sc, RunConfig{Probes: 24, Seed: 9, TTL: 1800, Rounds: 3}).Report
+		var got []string
+		for k := range rep.Labels {
+			got = append(got, k)
+		}
+		want := append(append([]string{}, common...), tc.own...)
+		sort.Strings(got)
+		sort.Strings(want)
+		if rep.Name != tc.name || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: report %q labels %v, want %q %v", tc.sc.Name(), rep.Name, got, tc.name, want)
+		}
+		if rep.Labels["probes"] != "24" || rep.Labels["seed"] != "9" {
+			t.Errorf("%s: probes/seed labels = %s/%s, want 24/9", tc.sc.Name(), rep.Labels["probes"], rep.Labels["seed"])
 		}
 	}
 }

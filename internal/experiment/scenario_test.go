@@ -331,20 +331,3 @@ func TestShardedPerProbe(t *testing.T) {
 		}
 	}
 }
-
-// TestCheckScenarioSharded smoke-checks that the self-test suite runs
-// through the sharded engine end to end (claims may legitimately fail at
-// this tiny scale; the run itself must complete and produce verdicts).
-func TestCheckScenarioSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-experiment suite")
-	}
-	out, err := Run(context.Background(), CheckScenario(),
-		RunConfig{Probes: 24, Seed: 1, Shards: 2, ShardProbes: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Check) < 8 {
-		t.Errorf("only %d verdicts assembled", len(out.Check))
-	}
-}

@@ -78,19 +78,21 @@ type cellRun[P any] struct {
 	// fold adds one cell's partial to the family's running total. Called
 	// sequentially, in cell-index order, after the fan-out.
 	fold func(P)
-	// report finalizes the total over the merged snapshot: it stores the
-	// family result in out and returns the run report (name, family
-	// labels, metrics, invariants). runCells adds the shard labels.
-	report func(out *Outcome, snap metrics.Snapshot) *metrics.Report
+	// finish finalizes the total over the merged snapshot: it stores the
+	// family result in out and returns the family's own report labels
+	// (nil for none) and invariant verdicts. runCells adds the labels
+	// every run has and assembles the report.
+	finish func(out *Outcome, snap metrics.Snapshot) (labels map[string]string, invs []metrics.Invariant)
 }
 
 // runCells is the one cell loop every population-scale scenario runs
 // through. Cells are planned from (Probes, ShardProbes) and seeded from
 // (Seed, cell index) only; cfg.Shards of them run at once and their
 // partials fold in cell-index order, so the Outcome is byte-identical
-// for every Shards value. When ctx fires mid-run the Outcome covers the
-// cells that finished and the error wraps ErrCancelled.
-func runCells[P any](ctx context.Context, name string, cfg RunConfig, fam cellRun[P]) (*Outcome, error) {
+// for every Shards value. reportName names the run report. When ctx
+// fires mid-run the Outcome covers the cells that finished and the error
+// wraps ErrCancelled.
+func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam cellRun[P]) (*Outcome, error) {
 	type cellResult struct {
 		part P
 		snap metrics.Snapshot
@@ -117,7 +119,7 @@ func runCells[P any](ctx context.Context, name string, cfg RunConfig, fam cellRu
 		return cr
 	})
 
-	out := &Outcome{Scenario: name, Config: cfg}
+	out := &Outcome{}
 	var snaps []metrics.Snapshot
 	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
 	if cfg.Trace != nil {
@@ -136,11 +138,20 @@ func runCells[P any](ctx context.Context, name string, cfg RunConfig, fam cellRu
 			out.Trace.Cells = append(out.Trace.Cells, *cr.ct)
 		}
 	}
-	out.Report = fam.report(out, metrics.MergeSnapshots(snaps...))
+	snap := metrics.MergeSnapshots(snaps...)
 	// The Shards concurrency knob is deliberately not a label: reports
 	// must be byte-identical across K, and K never changes the results.
-	out.Report.Labels["shard_probes"] = strconv.Itoa(cfg.ShardProbes)
-	out.Report.Labels["shard_cells"] = strconv.Itoa(len(cells))
+	labels := map[string]string{
+		"probes":       strconv.Itoa(cfg.Probes),
+		"seed":         strconv.FormatInt(cfg.Seed, 10),
+		"shard_probes": strconv.Itoa(cfg.ShardProbes),
+		"shard_cells":  strconv.Itoa(len(cells)),
+	}
+	own, invs := fam.finish(out, snap)
+	for k, v := range own {
+		labels[k] = v
+	}
+	out.Report = &metrics.Report{Name: reportName, Labels: labels, Metrics: snap, Invariants: invs}
 	if runErr != nil {
 		return out, cancelErr(runErr)
 	}

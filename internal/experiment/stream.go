@@ -245,8 +245,7 @@ func (ac *ddosAccum) merge(o *ddosAccum) {
 	}
 }
 
-// finalize renders the accumulated tallies as a DDoSResult (without a
-// report — the caller attaches one with the right labels and snapshot).
+// finalize renders the accumulated tallies as a DDoSResult.
 func (ac *ddosAccum) finalize() *DDoSResult {
 	res := &DDoSResult{
 		Spec:        ac.spec,

@@ -144,8 +144,6 @@ type TransportResult struct {
 	Flood   float64
 	TCPLoss float64
 	Rows    []TransportRow
-
-	Report *metrics.Report
 }
 
 // transportTXTName is the fat record every probe asks for; it is added
@@ -328,7 +326,7 @@ func (s transportScenario) Name() string {
 	return "transport"
 }
 
-func (s transportScenario) labels(cfg RunConfig) map[string]string {
+func (s transportScenario) labels() map[string]string {
 	bufs := ""
 	for i, b := range s.spec.BufSizes {
 		if i > 0 {
@@ -337,8 +335,6 @@ func (s transportScenario) labels(cfg RunConfig) map[string]string {
 		bufs += itoa(int(b))
 	}
 	return map[string]string{
-		"probes":   strconv.Itoa(cfg.Probes),
-		"seed":     strconv.FormatInt(cfg.Seed, 10),
 		"bufs":     bufs,
 		"flood":    strconv.FormatFloat(s.spec.Flood, 'g', -1, 64),
 		"tcp_loss": strconv.FormatFloat(s.spec.TCPLoss, 'g', -1, 64),
@@ -353,15 +349,9 @@ func (s transportScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, er
 			return runTransportTestbed(s.spec, base)
 		},
 		fold: total.absorb,
-		report: func(out *Outcome, snap metrics.Snapshot) *metrics.Report {
-			total.Report = &metrics.Report{
-				Name:       s.Name(),
-				Labels:     s.labels(cfg),
-				Metrics:    snap,
-				Invariants: transportInvariants(s.spec, total, snap),
-			}
+		finish: func(out *Outcome, snap metrics.Snapshot) (map[string]string, []metrics.Invariant) {
 			out.Transport = total
-			return total.Report
+			return s.labels(), transportInvariants(s.spec, total, snap)
 		},
 	})
 }

@@ -1,8 +1,8 @@
 // Package parallel is the experiment orchestration layer: a bounded,
 // cancellable worker pool (Workers, ForEachCtx, MapCtx) that fans
 // independent, deterministically-seeded simulation runs across cores.
-// The runs of a campaign and the cells of one run both schedule through
-// it.
+// Two fan-outs schedule through it, one per level: the runs of a campaign
+// (experiment.RunCampaign) and the cells of one run (runCells).
 //
 // Determinism: each unit of work owns its whole world (testbed, virtual
 // clock, network, RNGs seeded from its own seed), so running units
@@ -74,26 +74,14 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 // results in input order. fn receives the item's index alongside the
 // item so seeded runs can derive per-item seeds deterministically. On
 // cancellation the returned slice holds the results of every call that
-// completed (zero values elsewhere) alongside ctx.Err(), so callers can
-// merge partial work — the experiment engine folds the shards that
-// finished into a partial outcome.
+// completed (zero values elsewhere: workers drain in-flight calls, and a
+// slot whose fn never ran is never written) alongside ctx.Err(), so
+// callers can merge partial work — the experiment engine folds the shards
+// that finished into a partial outcome.
 func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int, item T) R) ([]R, error) {
 	out := make([]R, len(items))
-	done := make([]atomic.Bool, len(items))
 	err := ForEachCtx(ctx, workers, len(items), func(i int) {
 		out[i] = fn(i, items[i])
-		done[i].Store(true)
 	})
-	if err != nil {
-		// Zero any slot whose fn was claimed but did not finish (there are
-		// none today — workers drain in-flight calls — but this keeps the
-		// contract "out[i] is valid iff fn(i) completed" future-proof).
-		for i := range out {
-			if !done[i].Load() {
-				var zero R
-				out[i] = zero
-			}
-		}
-	}
 	return out, err
 }

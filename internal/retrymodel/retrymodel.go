@@ -20,13 +20,6 @@ import (
 	"repro/internal/zone"
 )
 
-// Zone levels of the cachetest.net hierarchy.
-const (
-	LevelRoot   = "root"
-	LevelNet    = "net"
-	LevelTarget = "cachetest.net"
-)
-
 // Profile is a modeled resolver implementation.
 type Profile struct {
 	Name string

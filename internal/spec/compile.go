@@ -51,8 +51,6 @@ func Compile(s *Spec) (experiment.Scenario, experiment.RunConfig, error) {
 		return sc, cfg, err
 	case "glue":
 		return experiment.GlueScenario(), cfg, nil
-	case "check":
-		return experiment.CheckScenario(), cfg, nil
 	case "passive":
 		return experiment.PassiveScenario(), cfg, nil
 	case "retries":
@@ -176,7 +174,6 @@ func runConfig(e *EngineSection) experiment.RunConfig {
 		cfg.Shards = e.Shards
 	}
 	cfg.ShardProbes = e.ShardProbes
-	cfg.Workers = e.Workers
 	cfg.KeepWorlds = e.KeepWorlds
 	if e.Trace {
 		cfg.Trace = &trace.Config{SampleEvery: e.TraceSample}

@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -57,6 +58,44 @@ func TestPaperCampaignReproducesCommittedTables(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScorecardOverPaperCampaign is the repository's compact end-to-end
+// reproduction gate: examples/specs/paper at test scale must score all
+// eleven claims PASS, in the documented order, and the scorecard — like
+// everything else read off a campaign — must not move with the cell layout
+// in flight.
+func TestScorecardOverPaperCampaign(t *testing.T) {
+	t.Parallel()
+	score := func(shards, shardProbes int) []experiment.CheckResult {
+		items := compileSpecSet(t, filepath.Join("..", "..", "examples", "specs", "paper"), shards)
+		for i := range items {
+			items[i].Config.Probes, items[i].Config.ShardProbes = 200, shardProbes
+		}
+		results, err := experiment.RunCampaign(context.Background(), items, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return experiment.Scorecard(results)
+	}
+	rows := score(1, 64)
+	table, ok := experiment.RenderCheck(rows)
+	if !ok {
+		t.Errorf("reproduction self-test failed:\n%s", table)
+	}
+	for i, prefix := range []string{"warm-cache miss rate", "TTL 60 @ 20min", "TTL truncation", "exp E", "exp H", "exp I",
+		"exp A", "legit traffic multiplier", "BIND-like retries", "answers carry the child-side TTL", "root-like vs CDN-like"} {
+		if i >= len(rows) || !strings.HasPrefix(rows[i].Claim, prefix) {
+			t.Fatalf("row %d of %d is not the %q claim:\n%s", i, len(rows), prefix, table)
+		}
+	}
+	if len(rows) != 11 {
+		t.Errorf("%d rows, want 11", len(rows))
+	}
+	// Same cells, two in flight: identical rows.
+	if par := score(2, 64); !reflect.DeepEqual(rows, par) {
+		t.Errorf("scorecard differs between Shards 1 and 2 at ShardProbes 64:\n%v\n%v", rows, par)
 	}
 }
 

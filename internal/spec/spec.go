@@ -36,8 +36,8 @@ type Spec struct {
 	// Name labels the runs this spec produces; sweep expansion appends
 	// one axis suffix per swept value ("-ttl60", "-flood50", ...).
 	Name string `json:"name"`
-	// Family selects the experiment family: caching, ddos, glue, check,
-	// nxns, poison, reflect, transport, passive, retries, implications.
+	// Family selects the experiment family: caching, ddos, glue, nxns,
+	// poison, reflect, transport, passive, retries, implications.
 	Family string `json:"family"`
 	// Paper, on family ddos, names committed Table 4 experiments ("A"
 	// through "I"; a string or a list) instead of spelling out workload
@@ -63,7 +63,6 @@ type EngineSection struct {
 	Seed        *int64 `json:"seed,omitempty"`
 	Shards      int    `json:"shards,omitempty"`
 	ShardProbes int    `json:"shard_probes,omitempty"`
-	Workers     int    `json:"workers,omitempty"`
 	KeepWorlds  bool   `json:"keep_worlds,omitempty"`
 	// Trace arms deterministic query-lifecycle tracing; TraceSample
 	// keeps every Nth probe (<= 1 traces all).

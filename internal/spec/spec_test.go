@@ -38,6 +38,8 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	// Nested section.
 	wantErr(t, `{"version": 1, "name": "x", "family": "caching",
 		"workload": {"ttl": 60, "probe_intervall": "20m"}}`, "probe_intervall")
+	// A knob the engine no longer has (runs in flight is -workers alone).
+	wantErr(t, `{"version": 1, "name": "x", "family": "glue", "engine": {"workers": 2}}`, "workers")
 	// Inside a disruption phase.
 	wantErr(t, `{"version": 1, "name": "x", "family": "ddos",
 		"workload": {"ttl": 1800, "probe_interval": "10m", "total": "3h"},
@@ -50,6 +52,8 @@ func TestParseRejectsSchemaViolations(t *testing.T) {
 	wantErr(t, `{"version": 2, "name": "x", "family": "glue"}`, "version")
 	wantErr(t, `{"version": 1, "family": "glue"}`, "name")
 	wantErr(t, `{"version": 1, "name": "x", "family": "flood"}`, "unknown family")
+	// The self-test is a scorecard over the paper campaign, not a family.
+	wantErr(t, `{"version": 1, "name": "x", "family": "check"}`, "unknown family")
 	// Section not taken by the family.
 	wantErr(t, `{"version": 1, "name": "x", "family": "glue", "transport": {}}`,
 		"does not take a transport section")

@@ -16,7 +16,6 @@ var families = map[string]familyRule{
 	"caching":      {population: true, workload: true},
 	"ddos":         {population: true, workload: true, disruption: true, paper: true, observability: true},
 	"glue":         {},
-	"check":        {},
 	"nxns":         {population: true, adversary: true},
 	"poison":       {adversary: true},
 	"reflect":      {adversary: true},

@@ -8,7 +8,11 @@
 #     trace record is a row of the kinds table, not another emit site;
 #   - non-test internal/experiment sets the observers on the cell's
 #     network once (one SetTrace and one SetTimeline call, in
-#     NewTestbed); actors inherit them from the network they attach to.
+#     NewTestbed); actors inherit them from the network they attach to;
+#   - one fan-out per level (DESIGN.md §12.3): non-test internal/ and cmd/
+#     call parallel.ForEachCtx once (RunCampaign, the runs of a campaign)
+#     and parallel.MapCtx once (runCells, the cells of a run), so no
+#     scenario grows a private runner nested inside the campaign's.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,5 +46,11 @@ for pat in 'SetTrace(' 'SetTimeline('; do
 done
 # shellcheck disable=SC2086
 [ "$(count 'AttachTimeline(' $exp)" -eq 0 ] || fail "AttachTimeline is back in internal/experiment"
+
+all="$(find internal cmd -name '*.go' ! -name '*_test.go')"
+for pat in 'parallel\.ForEachCtx(' 'parallel\.MapCtx('; do
+    # shellcheck disable=SC2086
+    [ "$(count "$pat" $all)" -eq 1 ] || fail "want exactly one $pat call in internal/ and cmd/: $(grep -n "$pat" $all)"
+done
 
 echo "obs-guard OK" >&2
