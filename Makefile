@@ -46,6 +46,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz '^FuzzMasterFile$$' -fuzztime $(FUZZTIME) ./internal/zone
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTCPMessage$$' -fuzztime $(FUZZTIME) ./internal/udprun
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecParse$$' -fuzztime $(FUZZTIME) ./internal/spec
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzRegressParse$$' -fuzztime $(FUZZTIME) ./internal/regress
 
 # Sharded-engine scale gate: one 100k-probe 4-shard DDoS run (spec H)
 # under the race detector with a peak-RSS ceiling. Small cells keep the
@@ -73,7 +76,8 @@ trace-smoke:
 # staged multi-phase campaign — `-probes 60` overrides the spec's 1500 —,
 # a tiny `dikes timeline` run with CSV/JSON export, the reproduction
 # self-test (paper campaign + scorecard, all 11 claims must pass at 200
-# probes), and the 1 MB file size guard.
+# probes), two overrides that must exit 2 without simulating, and the
+# 1 MB file size guard.
 cli-smoke: size-guard
 	$(GO) run ./cmd/dikes -probes 60 campaign examples/specs/staged.json >/dev/null
 	$(GO) run ./cmd/dikes -probes 200 check >/dev/null
@@ -82,6 +86,12 @@ cli-smoke: size-guard
 	        timeline -bucket 10m >/dev/null && \
 	    test -s $$tmp/timeline-expH.csv -a -s $$tmp/timeline-expH.json && \
 	    rm -rf $$tmp
+	tmp=$$(mktemp -d) && $(GO) build -o $$tmp/dikes ./cmd/dikes && \
+	for args in "-probes -5 glue" "timeline -bucket 1ns"; do \
+	    said=$$($$tmp/dikes $$args 2>&1 >/dev/null); code=$$?; \
+	    case "$$code $$said" in "2 dikes: "*) ;; \
+	    *) echo "dikes $$args: exit $$code, want a usage error (2): $$said"; exit 1;; esac; \
+	done && rm -rf $$tmp
 
 # Report/timeline regression gate: re-runs the committed baseline
 # configurations and diffs the fresh output against testdata/regress/

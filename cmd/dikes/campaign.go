@@ -104,6 +104,14 @@ func (o options) plan(read func(string) ([]byte, error), paths []string) ([]dike
 			return nil, fmt.Errorf("-%s does nothing without -trace <file>", f)
 		}
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"probes", o.probes}, {"shards", o.shards}, {"workers", o.workers}, {"trace-sample", o.traceSample}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("-%s must be >= 0", f.name)
+		}
+	}
 	var keep map[string]bool // -exp's experiments; nil keeps all
 	if o.set["exp"] {
 		keep = map[string]bool{}
@@ -136,6 +144,9 @@ func (o options) plan(read func(string) ([]byte, error), paths []string) ([]dike
 				continue
 			}
 		}
+		if o.bucket != 0 && sp.Observability != nil {
+			sp.Observability.Bucket = dikes.SpecDuration(o.bucket) // validated with the spec
+		}
 		its, err := dikes.CompileSpecAll(sp, p)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p, err)
@@ -156,9 +167,6 @@ func (o options) plan(read func(string) ([]byte, error), paths []string) ([]dike
 				if o.harvest {
 					cfg.Population.Harvest = dikes.HarvestFull
 				}
-			}
-			if o.bucket > 0 && cfg.Timeline != nil {
-				cfg.Timeline.Bucket = o.bucket
 			}
 			switch {
 			case o.tracePath == "" && cfg.Trace != nil:

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	dikes "repro"
 )
@@ -233,5 +235,103 @@ func TestScorecardFailuresExit(t *testing.T) {
 	failures = scorecard(io.Discard, results)
 	if want := "claim not reproduced: answers carry the child-side TTL (measured: 0.0%)"; len(failures) != 11 || failures[9] != want {
 		t.Errorf("failures = %q, want 11 with %q tenth", failures, want)
+	}
+}
+
+// TestReportBytesMatchBaseline is `make report-regress`'s byte gate inside
+// go test: the committed ddos baseline must come out of the pipeline
+// unchanged, so a refactor that moves a counter, a histogram sum or an
+// invariant's wording fails tier-1.
+func TestReportBytesMatchBaseline(t *testing.T) {
+	want, err := os.ReadFile("../../testdata/regress/ddos_report.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := given(options{probes: 300, shards: 4, exps: "B,H", reportPath: filepath.Join(t.TempDir(), "report.json")},
+		"probes", "shards", "exp")
+	items, err := o.plan(dikes.Specs.ReadFile, aliasSpecs("ddos"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := o.run(context.Background(), "test", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failures, err := o.export(results); err != nil || len(failures) > 0 {
+		t.Fatalf("export: %v, failures %v", err, failures)
+	}
+	got, err := os.ReadFile(o.reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("-probes 300 -shards 4 -exp B,H -report differs from testdata/regress/ddos_report.json (dikes diff names the keys)")
+	}
+}
+
+// TestUnusableOverridesRejected: an override the engine cannot honour is
+// a usage error, not a run of something else (a negative -probes used to
+// simulate the 1200-probe default; -bucket 1ns sized the collector by
+// horizon/1ns and panicked).
+func TestUnusableOverridesRejected(t *testing.T) {
+	for flag, o := range map[string]options{
+		"probes":       {probes: -5},
+		"shards":       {shards: -1},
+		"workers":      {workers: -3},
+		"trace-sample": {traceSample: -2, tracePath: "t.jsonl"},
+	} {
+		_, err := given(o, flag).plan(dikes.Specs.ReadFile, aliasSpecs("glue"))
+		if err == nil || !strings.Contains(err.Error(), "-"+flag+" must be >= 0") {
+			t.Errorf("negative -%s: err = %v", flag, err)
+		}
+	}
+	for _, bucket := range []time.Duration{time.Nanosecond, -time.Minute} {
+		_, err := given(options{bucket: bucket}).plan(dikes.Specs.ReadFile, aliasSpecs("timeline"))
+		if err == nil || !strings.Contains(err.Error(), "observability.bucket") {
+			t.Errorf("timeline -bucket %v: err = %v", bucket, err)
+		}
+	}
+	items, err := given(options{bucket: 10 * time.Minute}).plan(dikes.Specs.ReadFile, aliasSpecs("timeline"))
+	if err != nil || items[0].Config.Timeline.Bucket != 10*time.Minute {
+		t.Errorf("timeline -bucket 10m: err = %v", err)
+	}
+}
+
+// TestTraceSummaryIsExact: the latency line is computed from the span
+// durations themselves (stats.Counts), not estimated from histogram
+// bins, over answered spans only.
+func TestTraceSummaryIsExact(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`{"v":1,"sample":0,"cells":1}` + "\n" + `{"cell":0,"events":204,"dropped":0}` + "\n")
+	event := func(at time.Duration, ev string, a, id int) {
+		fmt.Fprintf(&b, `{"at":%d,"ev":%q,"probe":1,"a":%d,"b":%d,"name":"1.cachetest.nl."}`+"\n", at, ev, a, id)
+	}
+	for i := 1; i <= 100; i++ { // answered in 1, 2, ..., 100 ms
+		at := time.Duration(i) * time.Second
+		event(at, "stub_issue", 28, i)
+		event(at+time.Duration(i)*time.Millisecond, "stub_answer", 0, i)
+	}
+	event(200*time.Second, "stub_issue", 28, 200)
+	event(205*time.Second, "stub_timeout", 3, 200)
+	event(300*time.Second, "stub_issue", 28, 300)
+	event(300*time.Second+7*time.Millisecond, "stub_answer", 2, 300) // SERVFAIL
+	td, err := dikes.ReadTraceJSONL(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	printSummary(&out, td)
+	for _, want := range []string{
+		"query spans: 102 (102 complete, 2 failed, 0 retries)\n",
+		"answered latency (ms): n=100 mean=50.5 p50=50.5 p90=90.1 p99=99.0\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("summary lacks %q:\n%s", want, out.String())
+		}
+	}
+	out.Reset()
+	printSummary(&out, &dikes.TraceData{})
+	if want := "answered latency (ms): n=0 mean=0.0 p50=0.0 p90=0.0 p99=0.0\n"; !strings.HasSuffix(out.String(), want) {
+		t.Errorf("empty trace summary:\n%s", out.String())
 	}
 }

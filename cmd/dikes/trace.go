@@ -15,11 +15,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
 
 	dikes "repro"
+	"repro/internal/stats"
 )
 
 func runTraceCmd(args []string) {
@@ -94,7 +96,7 @@ func runTraceCmd(args []string) {
 	case *failMode:
 		explainFirstFailure(td)
 	default:
-		printSummary(td)
+		printSummary(os.Stdout, td)
 	}
 }
 
@@ -105,19 +107,19 @@ func fatalf(format string, args ...any) {
 
 // printSummary renders the run-level view: the event mix, span outcomes,
 // and the answered-query latency digest.
-func printSummary(td *dikes.TraceData) {
+func printSummary(w io.Writer, td *dikes.TraceData) {
 	dropped := uint64(0)
 	for _, c := range td.Cells {
 		dropped += c.Dropped
 	}
-	fmt.Printf("trace: %d cells, %d events", len(td.Cells), td.Len())
+	fmt.Fprintf(w, "trace: %d cells, %d events", len(td.Cells), td.Len())
 	if td.SampleEvery > 1 {
-		fmt.Printf(", sampling every %d probes", td.SampleEvery)
+		fmt.Fprintf(w, ", sampling every %d probes", td.SampleEvery)
 	}
 	if dropped > 0 {
-		fmt.Printf(", %d events overwritten (ring full)", dropped)
+		fmt.Fprintf(w, ", %d events overwritten (ring full)", dropped)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	counts := td.TypeCounts()
 	names := make([]string, 0, len(counts))
@@ -125,18 +127,16 @@ func printSummary(td *dikes.TraceData) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Println("\nevent mix:")
+	fmt.Fprintln(w, "\nevent mix:")
 	for _, name := range names {
-		fmt.Printf("  %-16s %d\n", name, counts[name])
+		fmt.Fprintf(w, "  %-16s %d\n", name, counts[name])
 	}
 
 	spans := td.Spans()
 	var complete, failed, retries int
-	// Answered-query latency digest over the span durations; bounds in
-	// milliseconds. Empty and single-observation cases are handled by
-	// HistogramSnapshot's documented edge-case rules.
-	var lat dikes.Histogram
-	lat.Init([]float64{5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000})
+	// Answered-query latency digest over the span durations, which are
+	// whole milliseconds: exact, and all zeros when nothing was answered.
+	lat := stats.NewCounts()
 	for _, sp := range spans {
 		if !sp.Complete {
 			continue
@@ -147,13 +147,13 @@ func printSummary(td *dikes.TraceData) {
 			failed++
 			continue
 		}
-		lat.Observe(float64((sp.End - sp.Start) / time.Millisecond))
+		lat.Observe(int64((sp.End - sp.Start) / time.Millisecond))
 	}
-	fmt.Printf("\nquery spans: %d (%d complete, %d failed, %d retries)\n",
+	fmt.Fprintf(w, "\nquery spans: %d (%d complete, %d failed, %d retries)\n",
 		len(spans), complete, failed, retries)
-	sum := lat.Snapshot().Summarize()
-	fmt.Printf("answered latency (ms): n=%d mean=%.1f p50=%.1f p90=%.1f p99=%.1f\n",
-		sum.Count, sum.Mean, sum.P50, sum.P90, sum.P99)
+	sum := lat.Summary()
+	fmt.Fprintf(w, "answered latency (ms): n=%d mean=%.1f p50=%.1f p90=%.1f p99=%.1f\n",
+		sum.N, sum.Mean, sum.Median, sum.P90, lat.Quantile(0.99))
 }
 
 // printTimeline dumps one probe's events in order.

@@ -260,8 +260,8 @@ type (
 	// Report is one run's metrics snapshot plus invariant verdicts
 	// (DESIGN.md §14); a cell-engine run's Outcome carries one.
 	Report = metrics.Report
-	// Histogram is a fixed-bounds histogram metric.
-	Histogram = metrics.Histogram
+	// SpecDuration is a spec document's duration leaf ("10m").
+	SpecDuration = spec.Duration
 )
 
 // Experiment entry points.

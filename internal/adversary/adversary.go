@@ -146,9 +146,9 @@ func (a *NXNSAuth) handle(src netsim.Addr, payload []byte) {
 }
 
 // CollectMetrics folds the server's counters into s.
-func (a *NXNSAuth) CollectMetrics(s *metrics.Scope) {
-	s.Counter("nxns_queries").Add(a.queries.Value())
-	s.Counter("nxns_referrals").Add(a.referrals.Value())
+func (a *NXNSAuth) CollectMetrics(s metrics.Scope) {
+	s.Add("nxns_queries", a.queries.Value())
+	s.Add("nxns_referrals", a.referrals.Value())
 }
 
 // Referrals returns the number of NXNS referrals served.
@@ -273,9 +273,9 @@ func (s *Spoofer) wave(w int) {
 }
 
 // CollectMetrics folds the spoofer's counters into sc.
-func (s *Spoofer) CollectMetrics(sc *metrics.Scope) {
-	sc.Counter("spoof_sent").Add(s.sent.Value())
-	sc.Counter("spoof_wrong_port").Add(s.elided.Value())
+func (s *Spoofer) CollectMetrics(sc metrics.Scope) {
+	sc.Add("spoof_sent", s.sent.Value())
+	sc.Add("spoof_wrong_port", s.elided.Value())
 }
 
 // Sent returns the number of forged packets injected.
@@ -343,9 +343,9 @@ func (r *Reflector) RequestBytes() int64 { return r.reqBytes.Value() }
 func (r *Reflector) Sent() int64 { return r.sent.Value() }
 
 // CollectMetrics folds the reflector's counters into s.
-func (r *Reflector) CollectMetrics(s *metrics.Scope) {
-	s.Counter("reflect_sent").Add(r.sent.Value())
-	s.Counter("reflect_request_bytes").Add(r.reqBytes.Value())
+func (r *Reflector) CollectMetrics(s metrics.Scope) {
+	s.Add("reflect_sent", r.sent.Value())
+	s.Add("reflect_request_bytes", r.reqBytes.Value())
 }
 
 // VictimSink binds the reflection victim's address and counts what
@@ -372,9 +372,9 @@ func (v *VictimSink) Packets() int64 { return v.packets.Value() }
 func (v *VictimSink) Bytes() int64 { return v.bytes.Value() }
 
 // CollectMetrics folds the sink's counters into s.
-func (v *VictimSink) CollectMetrics(s *metrics.Scope) {
-	s.Counter("victim_packets").Add(v.packets.Value())
-	s.Counter("victim_bytes").Add(v.bytes.Value())
+func (v *VictimSink) CollectMetrics(s metrics.Scope) {
+	s.Add("victim_packets", v.packets.Value())
+	s.Add("victim_bytes", v.bytes.Value())
 }
 
 // prng is a tiny splitmix64, so the spoofer's port-guess draws do not

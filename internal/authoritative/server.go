@@ -199,29 +199,29 @@ func (s *Server) Stats() Stats {
 
 // CollectMetrics folds the server's counters into sc. Per-rcode and
 // per-qtype tallies become counters named rcode_NOERROR, qtype_AAAA, etc.
-func (s *Server) CollectMetrics(sc *metrics.Scope) {
-	sc.Counter("queries").Add(s.m.queries.Value())
-	sc.Counter("responses").Add(s.m.responses.Value())
-	sc.Counter("referrals").Add(s.m.referrals.Value())
-	sc.Counter("malformed").Add(s.m.malformed.Value())
-	sc.Counter("truncated").Add(s.m.truncated.Value())
+func (s *Server) CollectMetrics(sc metrics.Scope) {
+	sc.Add("queries", s.m.queries.Value())
+	sc.Add("responses", s.m.responses.Value())
+	sc.Add("referrals", s.m.referrals.Value())
+	sc.Add("malformed", s.m.malformed.Value())
+	sc.Add("truncated", s.m.truncated.Value())
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.forcedHits != 0 {
-		sc.Counter("forced_rcode").Add(s.forcedHits)
+		sc.Add("forced_rcode", s.forcedHits)
 	}
 	for k, v := range s.byRCode {
 		if v != 0 {
-			sc.Counter("rcode_" + dnswire.RCode(k).String()).Add(v)
+			sc.Add("rcode_"+dnswire.RCode(k).String(), v)
 		}
 	}
 	for k, v := range s.byType {
 		if v != 0 {
-			sc.Counter("qtype_" + dnswire.Type(k).String()).Add(v)
+			sc.Add("qtype_"+dnswire.Type(k).String(), v)
 		}
 	}
 	for k, v := range s.byTypeOther {
-		sc.Counter("qtype_" + k.String()).Add(v)
+		sc.Add("qtype_"+k.String(), v)
 	}
 }
 

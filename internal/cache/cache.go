@@ -126,15 +126,15 @@ type counters struct {
 }
 
 // CollectMetrics folds the cache's counters into a metrics scope.
-func (c *Cache) CollectMetrics(s *metrics.Scope) {
-	s.Counter("hits").Add(c.m.hits.Value())
-	s.Counter("stale_hits").Add(c.m.staleHits.Value())
-	s.Counter("negative_hits").Add(c.m.negativeHits.Value())
-	s.Counter("misses").Add(c.m.misses.Value())
-	s.Counter("peek_hits").Add(c.m.peekHits.Value())
-	s.Counter("peek_misses").Add(c.m.peekMisses.Value())
-	s.Counter("puts").Add(c.m.puts.Value())
-	s.Counter("evictions").Add(c.m.evictions.Value())
+func (c *Cache) CollectMetrics(s metrics.Scope) {
+	s.Add("hits", c.m.hits.Value())
+	s.Add("stale_hits", c.m.staleHits.Value())
+	s.Add("negative_hits", c.m.negativeHits.Value())
+	s.Add("misses", c.m.misses.Value())
+	s.Add("peek_hits", c.m.peekHits.Value())
+	s.Add("peek_misses", c.m.peekMisses.Value())
+	s.Add("puts", c.m.puts.Value())
+	s.Add("evictions", c.m.evictions.Value())
 }
 
 // shard is a single backend cache. The zero value is empty and ready:

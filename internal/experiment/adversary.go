@@ -210,7 +210,7 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 	tb.Clk.Run()
 
 	return &NXNSResult{MaxFetch: spec.MaxFetch, Rows: rows},
-		advCollect(tb, resolvers, func(s *metrics.Scope) {
+		advCollect(tb, resolvers, func(s metrics.Scope) {
 			for _, a := range auths {
 				a.CollectMetrics(s)
 			}
@@ -220,7 +220,7 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 // advCollect is a shared post-run step: it leaves tb with its metrics
 // untouched but folds the dedicated resolvers and adversary actors into
 // the registry the caller will snapshot. It returns tb for convenience.
-func advCollect(tb *Testbed, resolvers []*recursive.Resolver, adversaries func(*metrics.Scope)) *Testbed {
+func advCollect(tb *Testbed, resolvers []*recursive.Resolver, adversaries func(metrics.Scope)) *Testbed {
 	tb.advResolvers = resolvers
 	tb.advCollect = adversaries
 	return tb
@@ -262,7 +262,7 @@ func nxnsInvariants(spec NXNSSpec, res *NXNSResult, snap metrics.Snapshot) []met
 		cap64 += w * row.Queries
 	}
 	adv := snap.Scope("adversary")
-	invs := glueInvariants(snap)
+	invs := tapInvariants(snap, false)
 	return append(invs,
 		metrics.AtLeastInt("nxns_referrals_cover_queries",
 			adv.Counter("nxns_referrals"), queries, "referrals", "client queries"),
@@ -476,7 +476,7 @@ func runPoisonTestbed(spec PoisonSpec, base TestbedConfig) (*PoisonResult, *Test
 	})
 	tb.Clk.Run()
 
-	return res, advCollect(tb, resolvers, func(s *metrics.Scope) {
+	return res, advCollect(tb, resolvers, func(s metrics.Scope) {
 		for _, sp := range spoofers {
 			sp.CollectMetrics(s)
 		}
@@ -687,7 +687,7 @@ func runReflectTestbed(spec ReflectSpec, base TestbedConfig) (*ReflectResult, *T
 		res.VictimBytes += sinks[i].Bytes()
 	}
 
-	return res, advCollect(tb, nil, func(s *metrics.Scope) {
+	return res, advCollect(tb, nil, func(s metrics.Scope) {
 		for i := range shapes {
 			refls[i].CollectMetrics(s)
 			sinks[i].CollectMetrics(s)
@@ -734,7 +734,7 @@ func reflectInvariants(res *ReflectResult, snap metrics.Snapshot) []metrics.Inva
 	for _, row := range res.Rows {
 		reqBytes += row.RequestBytes
 	}
-	invs := glueInvariants(snap)
+	invs := tapInvariants(snap, false)
 	return append(invs,
 		metrics.EqualInt("reflect_one_response_per_query",
 			res.VictimPackets, adv.Counter("reflect_sent"),

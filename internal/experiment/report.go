@@ -6,21 +6,39 @@ import (
 	"repro/internal/metrics"
 )
 
+// tapInvariants checks the conservation laws of the testbed's pre-drop
+// tap, shared by every family: arrivals split exactly into dropped and
+// delivered, and every query that survives the drop is handled (and
+// counted) by an authoritative. Under attack the tap sees at least as
+// many arrivals as survive the loss window; with no window armed nothing
+// may be dropped.
+func tapInvariants(snap metrics.Snapshot, underAttack bool) []metrics.Invariant {
+	ts := snap.Scope("testbed")
+	arrivals, dropped, delivered := ts.Counter("auth_arrivals"), ts.Counter("auth_dropped"), ts.Counter("auth_delivered")
+	conserved := metrics.EqualInt("auth_arrivals_conserved",
+		arrivals, dropped+delivered, "arrivals", "dropped+delivered")
+	handled := metrics.EqualInt("auth_delivered_match_handled",
+		delivered, snap.Scope("authoritative").Counter("queries"), "delivered", "handled")
+	if underAttack {
+		return []metrics.Invariant{
+			metrics.AtLeastInt("auth_arrivals_ge_delivered", arrivals, delivered, "arrivals", "delivered"),
+			conserved, handled}
+	}
+	return []metrics.Invariant{conserved,
+		metrics.EqualInt("no_attack_no_drops", dropped, 0, "dropped", "zero"), handled}
+}
+
 // DDoSInvariants cross-checks a DDoS run's client-side tallies against
 // the component counters in snap. It is exported (within the package API
 // surface via the report) primarily so tests can inject an accounting
 // error into a result and watch the checker fail.
 func DDoSInvariants(res *DDoSResult, snap metrics.Snapshot) []metrics.Invariant {
-	vp := snap.Scope("vantage")
-	ts := snap.Scope("testbed")
-	auth := snap.Scope("authoritative")
-
 	invs := []metrics.Invariant{
 		// Every probe query the fleet sent must appear exactly once in the
 		// Table 4 query total (the analysis walks the same answer log the
 		// probes filled in).
 		metrics.EqualInt("vantage_queries_match_table4",
-			vp.Counter("queries_sent"), int64(res.Table4.Queries),
+			snap.Scope("vantage").Counter("queries_sent"), int64(res.Table4.Queries),
 			"queries_sent", "table4_queries"),
 		// Per-round outcomes partition the queries: OK + SERVFAIL +
 		// NoAnswer summed over all rounds (overflow bin included) equals
@@ -28,24 +46,9 @@ func DDoSInvariants(res *DDoSResult, snap metrics.Snapshot) []metrics.Invariant 
 		metrics.EqualInt("round_outcomes_sum_to_queries",
 			sumOutcomes(res), int64(res.Table4.Queries),
 			"ok+servfail+noanswer", "table4_queries"),
-		// The pre-drop tap sees at least as many arrivals as survive the
-		// loss window.
-		metrics.AtLeastInt("auth_arrivals_ge_delivered",
-			ts.Counter("auth_arrivals"), ts.Counter("auth_delivered"),
-			"arrivals", "delivered"),
-		// Arrivals split exactly into dropped and delivered.
-		metrics.EqualInt("auth_arrivals_conserved",
-			ts.Counter("auth_arrivals"),
-			ts.Counter("auth_dropped")+ts.Counter("auth_delivered"),
-			"arrivals", "dropped+delivered"),
-		// Every query that survives the drop is handled (and counted) by
-		// an authoritative.
-		metrics.EqualInt("auth_delivered_match_handled",
-			ts.Counter("auth_delivered"), auth.Counter("queries"),
-			"delivered", "handled"),
 	}
-	invs = append(invs, latencyMatchesAnswered(res))
-	return invs
+	invs = append(invs, tapInvariants(snap, true)...)
+	return append(invs, latencyMatchesAnswered(res))
 }
 
 // latencyMatchesAnswered checks that every round's latency summary holds
@@ -83,28 +86,15 @@ func sumOutcomes(res *DDoSResult) int64 {
 }
 
 // cachingInvariants cross-checks a §3 run: the answer totals against the
-// fleet counters and the tap conservation law (no loss window is active,
-// so arrivals must equal deliveries).
+// fleet counters, then the calm tap laws.
 func cachingInvariants(res *CachingResult, snap metrics.Snapshot) []metrics.Invariant {
-	vp := snap.Scope("vantage")
-	ts := snap.Scope("testbed")
-	auth := snap.Scope("authoritative")
-	return []metrics.Invariant{
+	return append([]metrics.Invariant{
 		metrics.EqualInt("vantage_queries_match_table1",
-			vp.Counter("queries_sent"), int64(res.Table1.Queries),
+			snap.Scope("vantage").Counter("queries_sent"), int64(res.Table1.Queries),
 			"queries_sent", "table1_queries"),
 		metrics.EqualInt("answers_partition",
 			int64(res.Table1.Answers),
 			int64(res.Table1.AnswersValid+res.Table1.AnswersDisc),
 			"answers", "valid+disc"),
-		metrics.EqualInt("auth_arrivals_conserved",
-			ts.Counter("auth_arrivals"),
-			ts.Counter("auth_dropped")+ts.Counter("auth_delivered"),
-			"arrivals", "dropped+delivered"),
-		metrics.EqualInt("no_attack_no_drops",
-			ts.Counter("auth_dropped"), 0, "dropped", "zero"),
-		metrics.EqualInt("auth_delivered_match_handled",
-			ts.Counter("auth_delivered"), auth.Counter("queries"),
-			"delivered", "handled"),
-	}
+	}, tapInvariants(snap, false)...)
 }

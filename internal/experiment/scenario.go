@@ -249,25 +249,7 @@ func (glueScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		fold: total.absorb,
 		finish: func(out *Outcome, snap metrics.Snapshot) (map[string]string, []metrics.Invariant) {
 			out.Glue = total.finalize()
-			return nil, glueInvariants(snap)
+			return nil, tapInvariants(snap, false)
 		},
 	})
-}
-
-// glueInvariants checks the glue run's tap conservation laws: no loss
-// window is armed, so every arrival must be delivered and handled.
-func glueInvariants(snap metrics.Snapshot) []metrics.Invariant {
-	ts := snap.Scope("testbed")
-	auth := snap.Scope("authoritative")
-	return []metrics.Invariant{
-		metrics.EqualInt("auth_arrivals_conserved",
-			ts.Counter("auth_arrivals"),
-			ts.Counter("auth_dropped")+ts.Counter("auth_delivered"),
-			"arrivals", "dropped+delivered"),
-		metrics.EqualInt("no_attack_no_drops",
-			ts.Counter("auth_dropped"), 0, "dropped", "zero"),
-		metrics.EqualInt("auth_delivered_match_handled",
-			ts.Counter("auth_delivered"), auth.Counter("queries"),
-			"delivered", "handled"),
-	}
 }

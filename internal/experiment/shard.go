@@ -120,7 +120,7 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 	})
 
 	out := &Outcome{}
-	var snaps []metrics.Snapshot
+	reg := metrics.NewRegistry()
 	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
 	if cfg.Trace != nil {
 		out.Trace = &trace.Data{SampleEvery: cfg.Trace.SampleEvery}
@@ -130,7 +130,7 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 			continue // cancelled before this cell ran
 		}
 		fam.fold(cr.part)
-		snaps = append(snaps, cr.snap)
+		reg.Merge(cr.snap)
 		worlds.Shards[i] = cr.tb
 		if cr.ct != nil {
 			// results is in cell-index order, so the merged trace is too —
@@ -138,7 +138,7 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 			out.Trace.Cells = append(out.Trace.Cells, *cr.ct)
 		}
 	}
-	snap := metrics.MergeSnapshots(snaps...)
+	snap := reg.Snapshot()
 	// The Shards concurrency knob is deliberately not a label: reports
 	// must be byte-identical across K, and K never changes the results.
 	labels := map[string]string{

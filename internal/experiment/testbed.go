@@ -130,7 +130,7 @@ type Testbed struct {
 	// dedicated per-probe resolvers and the attack-side machinery.
 	// CollectMetrics folds them in so their counters reach run reports.
 	advResolvers []*recursive.Resolver
-	advCollect   func(*metrics.Scope)
+	advCollect   func(metrics.Scope)
 }
 
 // testbedStart is the fixed virtual start time of every testbed (the
@@ -435,16 +435,16 @@ func (tb *Testbed) CollectMetrics() *metrics.Registry {
 
 	scheduled, fired, stopped := tb.Clk.Counters()
 	ck := reg.Scope("clock")
-	ck.Counter("events_scheduled").Add(scheduled)
-	ck.Counter("events_fired").Add(fired)
-	ck.Counter("timers_stopped").Add(stopped)
+	ck.Add("events_scheduled", scheduled)
+	ck.Add("events_fired", fired)
+	ck.Add("timers_stopped", stopped)
 
 	tb.Fleet.CollectMetrics(reg.Scope("vantage"))
 
 	ts := reg.Scope("testbed")
-	ts.Counter("auth_arrivals").Add(tb.tapArrivals.Value())
-	ts.Counter("auth_dropped").Add(tb.tapDropped.Value())
-	ts.Counter("auth_delivered").Add(tb.tapDelivered.Value())
+	ts.Add("auth_arrivals", tb.tapArrivals.Value())
+	ts.Add("auth_dropped", tb.tapDropped.Value())
+	ts.Add("auth_delivered", tb.tapDelivered.Value())
 	return reg
 }
 

@@ -1,28 +1,25 @@
-// Package metrics is a zero-dependency instrumentation layer for the
-// simulator: atomic counters, gauges, and fixed-bin histograms that
-// components embed as plain struct fields (so the hot paths allocate
-// nothing and need no registration), plus named per-component scopes and
-// a per-run registry that the experiment runners snapshot into a
-// machine-readable run report (report.go).
+// Package metrics is the simulator's zero-dependency instrumentation
+// layer, in two halves that meet once per run:
 //
-// The design splits instrumentation from collection:
+//   - Live instruments. Components (resolver, cache, authoritative,
+//     netsim, vantage) embed Counter/Histogram values in their structs
+//     and update them inline: Inc/Observe are single atomic operations —
+//     no map lookups, no allocations, no registration.
 //
-//   - Components (resolver, cache, authoritative, netsim, clock, vantage)
-//     embed Counter/Histogram values directly in their structs and
-//     increment them inline. Inc/Observe are single atomic operations —
-//     no map lookups, no allocations, no sink required.
+//   - The collected document. At the end of a run each component's
+//     CollectMetrics adds its values to a named Scope of the run's
+//     Registry, which is the Snapshot under construction: plain maps,
+//     built and read on one goroutine. Per-cell snapshots fold with
+//     Registry.Merge, and report.go wraps the result with labels and
+//     invariant verdicts as the run report.
 //
-//   - At collection time (end of a run), each component folds its values
-//     into a named Scope of the run's Registry via its CollectMetrics
-//     method. One registry exists per experiment run, so parallel runs
-//     never share metric state and reports are bit-for-bit deterministic
-//     for a given seed at any worker count.
+// Exact arithmetic over samples (quantiles, means) is internal/stats.
 package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -33,24 +30,11 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n may be negative only when folding snapshots; live code
-// paths should treat counters as monotonic).
+// Add adds n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefaultLatencyBucketsMs are the fixed upper bin edges (milliseconds)
 // used for every latency histogram in the repository. The range covers a
@@ -86,9 +70,6 @@ func (h *Histogram) Init(bounds []float64) {
 	h.bounds = bounds
 }
 
-// bins returns the number of live bins (bounds plus overflow).
-func (h *Histogram) bins() int { return len(h.bounds) + 1 }
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	// Binary search beats linear scan only for large bucket sets; the
@@ -106,41 +87,13 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observed samples.
-func (h *Histogram) Count() int64 { return h.n.Load() }
-
-// Sum returns the sum of observed samples.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Merge folds o's samples into h. Both histograms must share identical
-// bin edges (the repository uses shared package-level bucket sets, so
-// mismatches are programming errors and panic).
-func (h *Histogram) Merge(o *Histogram) {
-	if len(h.bounds) != len(o.bounds) {
-		panic("metrics: merging histograms with different bounds")
-	}
-	for i := 0; i < o.bins(); i++ {
-		if d := o.counts[i].Load(); d != 0 {
-			h.counts[i].Add(d)
-		}
-	}
-	h.n.Add(o.n.Load())
-	for {
-		old := h.sum.Load()
-		new := math.Float64bits(math.Float64frombits(old) + o.Sum())
-		if h.sum.CompareAndSwap(old, new) {
-			return
-		}
-	}
-}
-
 // Snapshot returns a copyable view of the histogram.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
-		Counts: make([]int64, h.bins()),
+		Counts: make([]int64, len(h.bounds)+1), // one per bound plus overflow
 		Count:  h.n.Load(),
-		Sum:    h.Sum(),
+		Sum:    math.Float64frombits(h.sum.Load()),
 	}
 	for i := range s.Counts {
 		s.Counts[i] = h.counts[i].Load()
@@ -148,137 +101,83 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Scope is a named group of metrics (one per component kind). Lookups are
-// get-or-create; the collection path is the only caller, so the mutex is
-// never on a simulation hot path.
-type Scope struct {
-	name string
-
-	mu     sync.Mutex
-	ctrs   map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*Histogram
-}
-
-// NewScope creates an empty scope.
-func NewScope(name string) *Scope {
-	return &Scope{
-		name:   name,
-		ctrs:   make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
-		hists:  make(map[string]*Histogram),
-	}
-}
-
-// Name returns the scope's name.
-func (s *Scope) Name() string { return s.name }
-
-// Counter returns the named counter, creating it at zero on first use.
-func (s *Scope) Counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.ctrs[name]
-	if !ok {
-		c = new(Counter)
-		s.ctrs[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it at zero on first use.
-func (s *Scope) Gauge(name string) *Gauge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.gauges[name]
-	if !ok {
-		g = new(Gauge)
-		s.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it with bounds on first
-// use. Later calls ignore bounds (the first registration wins).
-func (s *Scope) Histogram(name string, bounds []float64) *Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.hists[name]
-	if !ok {
-		h = new(Histogram)
-		h.Init(bounds)
-		s.hists[name] = h
-	}
-	return h
-}
-
-// Snapshot returns a deterministic copy of the scope's current values.
-func (s *Scope) Snapshot() ScopeSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := ScopeSnapshot{Name: s.name}
-	if len(s.ctrs) > 0 {
-		snap.Counters = make(map[string]int64, len(s.ctrs))
-		for name, c := range s.ctrs {
-			snap.Counters[name] = c.Value()
-		}
-	}
-	if len(s.gauges) > 0 {
-		snap.Gauges = make(map[string]int64, len(s.gauges))
-		for name, g := range s.gauges {
-			snap.Gauges[name] = g.Value()
-		}
-	}
-	if len(s.hists) > 0 {
-		snap.Histograms = make(map[string]HistogramSnapshot, len(s.hists))
-		for name, h := range s.hists {
-			snap.Histograms[name] = h.Snapshot()
-		}
-	}
-	return snap
-}
-
-// Registry is one run's set of scopes. Each experiment run owns exactly
-// one registry, assembled at collection time from the run's component
-// instances, so parallel runs never share metric state.
+// Registry is one run's collected metrics: the Snapshot being built.
+// Every registry is filled, snapshotted and dropped on one goroutine, so
+// it holds plain maps and no lock.
 type Registry struct {
-	mu     sync.Mutex
-	scopes map[string]*Scope
+	scopes map[string]*ScopeSnapshot
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{scopes: make(map[string]*Scope)}
+	return &Registry{scopes: make(map[string]*ScopeSnapshot)}
 }
 
-// Scope returns the named scope, creating it on first use.
-func (r *Registry) Scope(name string) *Scope {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// Scope is a write handle on one named ScopeSnapshot of a Registry.
+type Scope struct{ snap *ScopeSnapshot }
+
+// Scope returns the named scope, creating it (empty) on first use.
+func (r *Registry) Scope(name string) Scope {
 	s, ok := r.scopes[name]
 	if !ok {
-		s = NewScope(name)
+		s = &ScopeSnapshot{Name: name}
 		r.scopes[name] = s
 	}
-	return s
+	return Scope{s}
 }
 
-// Snapshot returns a deterministic copy of every scope, sorted by name.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.scopes))
-	for name := range r.scopes {
-		names = append(names, name)
+// Add adds v to the named counter, creating it at zero on first use.
+func (s Scope) Add(name string, v int64) {
+	if s.snap.Counters == nil {
+		s.snap.Counters = make(map[string]int64)
 	}
-	scopes := make([]*Scope, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
-		scopes = append(scopes, r.scopes[name])
-	}
-	r.mu.Unlock()
+	s.snap.Counters[name] += v
+}
 
-	snap := Snapshot{Scopes: make([]ScopeSnapshot, 0, len(scopes))}
-	for _, s := range scopes {
-		snap.Scopes = append(snap.Scopes, s.Snapshot())
+// Observe folds h bin-wise into the named histogram, creating it empty
+// with h's bounds on first use. The repository never mixes bucket
+// layouts under one name, so different bounds panic. Sum is a float
+// accumulator: callers that need determinism observe in a fixed order.
+func (s Scope) Observe(name string, h HistogramSnapshot) {
+	cur, ok := s.snap.Histograms[name]
+	if !ok {
+		if s.snap.Histograms == nil {
+			s.snap.Histograms = make(map[string]HistogramSnapshot)
+		}
+		cur = HistogramSnapshot{Bounds: h.Bounds, Counts: make([]int64, len(h.Counts))}
+	} else if !slices.Equal(cur.Bounds, h.Bounds) {
+		panic("metrics: observing histograms with different bounds")
 	}
+	for i, c := range h.Counts {
+		cur.Counts[i] += c
+	}
+	cur.Count += h.Count
+	cur.Sum += h.Sum
+	s.snap.Histograms[name] = cur
+}
+
+// Merge folds a snapshot into the registry: scopes union, counters sum,
+// histograms Observe. The sharded engine merges per-cell snapshots in
+// cell-index order, which fixes the order of the float Sum additions.
+func (r *Registry) Merge(snap Snapshot) {
+	for _, sc := range snap.Scopes {
+		s := r.Scope(sc.Name)
+		for name, v := range sc.Counters {
+			s.Add(name, v)
+		}
+		for name, h := range sc.Histograms {
+			s.Observe(name, h)
+		}
+	}
+}
+
+// Snapshot returns the collected scopes sorted by name. It shares the
+// registry's maps: snapshot once, when collection is done.
+func (r *Registry) Snapshot() Snapshot {
+	snap := Snapshot{Scopes: make([]ScopeSnapshot, 0, len(r.scopes))}
+	for _, s := range r.scopes {
+		snap.Scopes = append(snap.Scopes, *s)
+	}
+	sort.Slice(snap.Scopes, func(i, j int) bool { return snap.Scopes[i].Name < snap.Scopes[j].Name })
 	return snap
 }

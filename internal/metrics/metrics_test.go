@@ -13,12 +13,6 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Errorf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Errorf("gauge = %d, want 5", got)
-	}
 }
 
 func TestHistogramBinning(t *testing.T) {
@@ -43,6 +37,8 @@ func TestHistogramBinning(t *testing.T) {
 	}
 }
 
+// TestHistogramMerge: Scope.Observe folds live histograms bin-wise, never
+// aliases the observed Counts, and refuses a different bucket layout.
 func TestHistogramMerge(t *testing.T) {
 	var a, b Histogram
 	a.Init(DefaultLatencyBucketsMs)
@@ -50,13 +46,25 @@ func TestHistogramMerge(t *testing.T) {
 	a.Observe(3)
 	b.Observe(3)
 	b.Observe(700)
-	a.Merge(&b)
-	if got := a.Count(); got != 3 {
-		t.Errorf("merged count = %d, want 3", got)
+	first := a.Snapshot()
+	r := NewRegistry()
+	r.Scope("s").Observe("h", first)
+	r.Scope("s").Observe("h", b.Snapshot())
+	got := r.Snapshot().Scope("s").Histograms["h"]
+	if got.Count != 3 || got.Sum != 706 || got.Counts[2] != 2 || got.Counts[9] != 1 {
+		t.Errorf("merged = %+v, want count 3, sum 706, bins [..2..1..]", got)
 	}
-	if got := a.Sum(); got != 706 {
-		t.Errorf("merged sum = %v, want 706", got)
+	if first.Counts[2] != 1 {
+		t.Errorf("Observe mutated its argument: %v", first.Counts)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Observe accepted different bounds under one name")
+		}
+	}()
+	var c Histogram
+	c.Init([]float64{1, 2})
+	r.Scope("s").Observe("h", c.Snapshot())
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {
@@ -73,11 +81,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != 8000 {
-		t.Errorf("count = %d, want 8000", got)
-	}
-	if got := h.Sum(); got != 8000 {
-		t.Errorf("sum = %v, want 8000", got)
+	if got := h.Snapshot(); got.Count != 8000 || got.Sum != 8000 || got.Counts[0] != 8000 {
+		t.Errorf("snapshot = %+v, want count, sum and first bin 8000", got)
 	}
 }
 
@@ -99,9 +104,12 @@ func TestHotPathAllocationFree(t *testing.T) {
 func TestRegistrySnapshotDeterministic(t *testing.T) {
 	build := func() Snapshot {
 		r := NewRegistry()
-		r.Scope("zulu").Counter("b").Add(2)
-		r.Scope("alpha").Counter("a").Add(1)
-		r.Scope("alpha").Histogram("h", DefaultLatencyBucketsMs).Observe(5)
+		r.Scope("zulu").Add("b", 2)
+		r.Scope("alpha").Add("a", 1)
+		var h Histogram
+		h.Init(DefaultLatencyBucketsMs)
+		h.Observe(5)
+		r.Scope("alpha").Observe("h", h.Snapshot())
 		return r.Snapshot()
 	}
 	a, b := build(), build()
@@ -112,6 +120,44 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 	jb := marshal(t, &Report{Name: "x", Metrics: b})
 	if !bytes.Equal(ja, jb) {
 		t.Errorf("identical registries marshal differently:\n%s\nvs\n%s", ja, jb)
+	}
+}
+
+// TestRegistryMergeEqualsOneRegistry: folding K per-cell snapshots with
+// Merge gives the document that collecting the same components into one
+// registry gives — counters, histogram bins, zero-valued counters and
+// empty scopes included.
+func TestRegistryMergeEqualsOneRegistry(t *testing.T) {
+	collect := func(r *Registry, cell int) {
+		var h Histogram
+		h.Init(DefaultLatencyBucketsMs)
+		for i := 0; i <= cell; i++ {
+			h.Observe(float64(3 * (cell + i)))
+		}
+		rs := r.Scope("resolver")
+		rs.Add("client_queries", int64(10+cell))
+		rs.Add("timeouts", 0)
+		rs.Observe("upstream_rtt_ms", h.Snapshot())
+		r.Scope("adversary")
+		if cell%2 == 1 {
+			r.Scope("odd-cells-only").Add("n", 1)
+		}
+	}
+	one, merged := NewRegistry(), NewRegistry()
+	for cell := 0; cell < 5; cell++ {
+		collect(one, cell)
+		per := NewRegistry()
+		collect(per, cell)
+		merged.Merge(per.Snapshot())
+	}
+	ja := marshal(t, &Report{Name: "x", Metrics: one.Snapshot()})
+	jb := marshal(t, &Report{Name: "x", Metrics: merged.Snapshot()})
+	if !bytes.Equal(ja, jb) {
+		t.Errorf("merged cells differ from one registry:\n%s\nvs\n%s", jb, ja)
+	}
+	if got := merged.Snapshot().Scope("resolver"); got.Counter("client_queries") != 60 ||
+		got.Histograms["upstream_rtt_ms"].Count != 15 {
+		t.Errorf("merged resolver scope = %+v", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // HistogramSnapshot is a point-in-time copy of a Histogram. Counts has one
@@ -16,98 +15,12 @@ type HistogramSnapshot struct {
 	Sum    float64   `json:"sum"`
 }
 
-// Mean returns the average observed sample, or 0 for an empty histogram
-// (never NaN — per-round summaries aggregate empty rounds routinely).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]; out-of-range values are
-// clamped) by nearest-rank bin selection with linear interpolation
-// inside the bin. Edge cases are defined, not NaN:
-//
-//   - empty histogram: 0 for every q;
-//   - single observation: every quantile coincides (the one bin's
-//     interpolated midpoint estimate);
-//   - rank lands in the overflow bin: the largest bound is returned (a
-//     floor on the true quantile — the histogram holds no upper edge).
-//
-// The first bin's lower edge is taken as 0, matching the repository's
-// non-negative (latency/count) bucket sets.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := int64(q*float64(h.Count) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.Count {
-		rank = h.Count
-	}
-	var cum int64
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		if rank <= cum+c {
-			if i >= len(h.Bounds) {
-				// Overflow bin: no upper edge to interpolate toward.
-				if len(h.Bounds) == 0 {
-					return h.Mean()
-				}
-				return h.Bounds[len(h.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.Bounds[i-1]
-			}
-			hi := h.Bounds[i]
-			frac := (float64(rank-cum) - 0.5) / float64(c)
-			return lo + frac*(hi-lo)
-		}
-		cum += c
-	}
-	// Unreachable when Count matches the bin counts; be safe anyway.
-	return h.Mean()
-}
-
-// HistogramSummary is a division-safe digest of a histogram snapshot.
-type HistogramSummary struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-// Summarize digests the snapshot. Safe on empty (all zeros) and
-// single-observation histograms (all quantiles equal); see Quantile.
-func (h HistogramSnapshot) Summarize() HistogramSummary {
-	return HistogramSummary{
-		Count: h.Count,
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-	}
-}
-
 // ScopeSnapshot is a point-in-time copy of one scope. encoding/json
 // serializes maps with sorted keys, so marshaling a snapshot is
 // deterministic.
 type ScopeSnapshot struct {
 	Name       string                       `json:"name"`
 	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -127,93 +40,6 @@ func (s Snapshot) Scope(name string) ScopeSnapshot {
 		}
 	}
 	return ScopeSnapshot{}
-}
-
-// MergeSnapshots folds several registry snapshots into one: scope names
-// are unioned (sorted, preserving Snapshot's ordering contract), counters
-// and gauges sum, and histograms with identical bounds merge bin-wise.
-// The integer fields are order-independent by construction; histogram
-// Sum is a float accumulator, so snapshots are folded in argument order —
-// callers that need determinism (the sharded experiment engine, which
-// merges per-shard snapshots in shard-index order) get it by passing a
-// deterministic argument order. Histograms whose bounds disagree keep
-// the first version seen; the repository never mixes bucket layouts
-// under one metric name.
-func MergeSnapshots(snaps ...Snapshot) Snapshot {
-	names := make([]string, 0, 8)
-	seen := make(map[string]bool)
-	for _, snap := range snaps {
-		for _, sc := range snap.Scopes {
-			if !seen[sc.Name] {
-				seen[sc.Name] = true
-				names = append(names, sc.Name)
-			}
-		}
-	}
-	sort.Strings(names)
-
-	var out Snapshot
-	for _, name := range names {
-		merged := ScopeSnapshot{Name: name}
-		for _, snap := range snaps {
-			for _, sc := range snap.Scopes {
-				if sc.Name != name {
-					continue
-				}
-				for k, v := range sc.Counters {
-					if merged.Counters == nil {
-						merged.Counters = make(map[string]int64)
-					}
-					merged.Counters[k] += v
-				}
-				for k, v := range sc.Gauges {
-					if merged.Gauges == nil {
-						merged.Gauges = make(map[string]int64)
-					}
-					merged.Gauges[k] += v
-				}
-				for k, h := range sc.Histograms {
-					if merged.Histograms == nil {
-						merged.Histograms = make(map[string]HistogramSnapshot)
-					}
-					cur, ok := merged.Histograms[k]
-					if !ok {
-						cp := HistogramSnapshot{
-							Bounds: append([]float64(nil), h.Bounds...),
-							Counts: append([]int64(nil), h.Counts...),
-							Count:  h.Count,
-							Sum:    h.Sum,
-						}
-						merged.Histograms[k] = cp
-						continue
-					}
-					if !equalBounds(cur.Bounds, h.Bounds) {
-						continue
-					}
-					for i := range h.Counts {
-						cur.Counts[i] += h.Counts[i]
-					}
-					cur.Count += h.Count
-					cur.Sum += h.Sum
-					merged.Histograms[k] = cur
-				}
-			}
-		}
-		out.Scopes = append(out.Scopes, merged)
-	}
-	return out
-}
-
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Invariant is one cross-component consistency check evaluated over a

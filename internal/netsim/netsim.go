@@ -255,18 +255,18 @@ func (n *Network) Stats() Stats {
 }
 
 // CollectMetrics folds the network's counters into s.
-func (n *Network) CollectMetrics(s *metrics.Scope) {
+func (n *Network) CollectMetrics(s metrics.Scope) {
 	st := n.Stats()
-	s.Counter("sent").Add(st.Sent)
-	s.Counter("delivered").Add(st.Delivered)
-	s.Counter("dropped").Add(st.Dropped)
-	s.Counter("dead").Add(st.Dead)
-	s.Counter("mtu_dropped").Add(st.MTUDropped)
-	s.Counter("tcp_sent").Add(st.TCPSent)
-	s.Counter("tcp_delivered").Add(st.TCPDelivered)
-	s.Counter("tcp_dropped").Add(st.TCPDropped)
-	s.Counter("tcp_dead").Add(st.TCPDead)
-	s.Counter("tcp_connects").Add(st.TCPConnects)
+	s.Add("sent", st.Sent)
+	s.Add("delivered", st.Delivered)
+	s.Add("dropped", st.Dropped)
+	s.Add("dead", st.Dead)
+	s.Add("mtu_dropped", st.MTUDropped)
+	s.Add("tcp_sent", st.TCPSent)
+	s.Add("tcp_delivered", st.TCPDelivered)
+	s.Add("tcp_dropped", st.TCPDropped)
+	s.Add("tcp_dead", st.TCPDead)
+	s.Add("tcp_connects", st.TCPConnects)
 }
 
 // packet is an in-flight delivery, pooled so the simulation's hottest

@@ -302,10 +302,10 @@ func (w *World) buildReport(res *RunResult) *metrics.Report {
 	w.Net.CollectMetrics(reg.Scope("netsim"))
 
 	cs := reg.Scope("clock")
-	cs.Gauge("scheduled").Set(res.Scheduled)
-	cs.Gauge("fired").Set(res.Fired)
-	cs.Gauge("stopped").Set(res.Stopped)
-	cs.Gauge("pending").Set(int64(res.Pending))
+	cs.Add("scheduled", res.Scheduled)
+	cs.Add("fired", res.Fired)
+	cs.Add("stopped", res.Stopped)
+	cs.Add("pending", int64(res.Pending))
 
 	hs := reg.Scope("harness")
 	var calls, timeouts, answered int64
@@ -320,10 +320,10 @@ func (w *World) buildReport(res *RunResult) *metrics.Report {
 			answered++
 		}
 	}
-	hs.Counter("queries_scheduled").Add(int64(len(res.Obs)))
-	hs.Counter("callbacks").Add(calls)
-	hs.Counter("timeouts").Add(timeouts)
-	hs.Counter("answered").Add(answered)
+	hs.Add("queries_scheduled", int64(len(res.Obs)))
+	hs.Add("callbacks", calls)
+	hs.Add("timeouts", timeouts)
+	hs.Add("answered", answered)
 
 	return &metrics.Report{
 		Name: fmt.Sprintf("proptest-seed%d", w.sc.Seed),

@@ -115,11 +115,11 @@ func (r *Resolver) event(k kind, p payload) {
 // CollectMetrics folds this resolver's counters into a metrics scope;
 // experiment testbeds merge every resolver of a run into one "resolver"
 // scope of the run's registry.
-func (r *Resolver) CollectMetrics(s *metrics.Scope) {
+func (r *Resolver) CollectMetrics(s metrics.Scope) {
 	for k := range kinds {
 		if name := kinds[k].counter; name != "" {
-			s.Counter(name).Add(r.n[k].Value())
+			s.Add(name, r.n[k].Value())
 		}
 	}
-	s.Histogram("upstream_rtt_ms", metrics.DefaultLatencyBucketsMs).Merge(&r.upstreamRTTms)
+	s.Observe("upstream_rtt_ms", r.upstreamRTTms.Snapshot())
 }

@@ -13,6 +13,9 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"repro/internal/metrics"
+	"repro/internal/timeline"
 )
 
 // Kind is the detected document format.
@@ -39,32 +42,6 @@ type Delta struct {
 	Regressed bool
 }
 
-// reportsDoc mirrors metrics.WriteReportsJSON without importing its
-// types: only the fields the diff needs.
-type reportsDoc struct {
-	Reports []struct {
-		Name    string `json:"name"`
-		Metrics struct {
-			Scopes []struct {
-				Name     string           `json:"name"`
-				Counters map[string]int64 `json:"counters"`
-				Gauges   map[string]int64 `json:"gauges"`
-			} `json:"scopes"`
-		} `json:"metrics"`
-		Invariants []struct {
-			Name string `json:"name"`
-			OK   bool   `json:"ok"`
-		} `json:"invariants"`
-	} `json:"reports"`
-}
-
-// timelineDoc mirrors timeline.Timeline's JSON shape.
-type timelineDoc struct {
-	Bucket  int64     `json:"bucket"`
-	Metrics []string  `json:"metrics"`
-	Bins    [][]int64 `json:"bins"`
-}
-
 // Load reads and flattens one document, auto-detecting its format.
 func Load(path string) (*Doc, error) {
 	data, err := os.ReadFile(path)
@@ -84,13 +61,15 @@ func Parse(data []byte) (*Doc, error) {
 	}
 	switch {
 	case probe["reports"] != nil:
-		var d reportsDoc
+		var d struct {
+			Reports []metrics.Report `json:"reports"`
+		}
 		if err := json.Unmarshal(data, &d); err != nil {
 			return nil, fmt.Errorf("reports document: %w", err)
 		}
-		return flattenReports(d), nil
+		return flattenReports(d.Reports), nil
 	case probe["bins"] != nil && probe["metrics"] != nil:
-		var d timelineDoc
+		var d timeline.Timeline
 		if err := json.Unmarshal(data, &d); err != nil {
 			return nil, fmt.Errorf("timeline document: %w", err)
 		}
@@ -100,15 +79,20 @@ func Parse(data []byte) (*Doc, error) {
 	}
 }
 
-func flattenReports(d reportsDoc) *Doc {
+func flattenReports(reports []metrics.Report) *Doc {
 	v := make(map[string]float64)
-	for _, r := range d.Reports {
+	for _, r := range reports {
 		for _, sc := range r.Metrics.Scopes {
+			prefix := r.Name + "." + sc.Name + "."
 			for name, val := range sc.Counters {
-				v[r.Name+"."+sc.Name+"."+name] = float64(val)
+				v[prefix+name] = float64(val)
 			}
-			for name, val := range sc.Gauges {
-				v[r.Name+"."+sc.Name+"."+name] = float64(val)
+			for name, h := range sc.Histograms {
+				v[prefix+name+".count"] = float64(h.Count)
+				v[prefix+name+".sum"] = h.Sum
+				for i, c := range h.Counts {
+					v[fmt.Sprintf("%s%s.bin%02d", prefix, name, i)] = float64(c)
+				}
 			}
 		}
 		for _, inv := range r.Invariants {
@@ -122,7 +106,7 @@ func flattenReports(d reportsDoc) *Doc {
 	return &Doc{Kind: KindReports, Values: v}
 }
 
-func flattenTimeline(d timelineDoc) *Doc {
+func flattenTimeline(d timeline.Timeline) *Doc {
 	v := make(map[string]float64)
 	v["bucket_ns"] = float64(d.Bucket)
 	v["bins"] = float64(len(d.Bins))
@@ -131,7 +115,7 @@ func flattenTimeline(d timelineDoc) *Doc {
 			if count == 0 {
 				continue // dense zero rows would swamp the key space
 			}
-			name := "m" + itoa(j)
+			name := fmt.Sprintf("m%d", j)
 			if j < len(d.Metrics) {
 				name = d.Metrics[j]
 			}
@@ -140,8 +124,6 @@ func flattenTimeline(d timelineDoc) *Doc {
 	}
 	return &Doc{Kind: KindTimeline, Values: v}
 }
-
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
 
 // Options tunes a comparison.
 type Options struct {

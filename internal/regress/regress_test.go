@@ -7,7 +7,8 @@ import (
 
 const reportsJSON = `{"reports":[{"name":"ddos-H","labels":{"seed":"42"},
  "metrics":{"scopes":[
-  {"name":"resolver","counters":{"cache_hits":100,"timeouts":5},"gauges":{"inflight":0}},
+  {"name":"resolver","counters":{"cache_hits":100,"timeouts":5},
+   "histograms":{"rtt_ms":{"bounds":[10,100],"counts":[1,2,0],"count":3,"sum":64.5}}},
   {"name":"clock","counters":{"events_fired":5000}}]},
  "invariants":[{"name":"answers_balance","ok":true,"detail":""}]}]}`
 
@@ -23,6 +24,9 @@ func TestParseDetectsFormats(t *testing.T) {
 	}{
 		{reportsJSON, KindReports, "ddos-H.resolver.cache_hits", 100},
 		{reportsJSON, KindReports, "ddos-H.invariant.answers_balance", 1},
+		{reportsJSON, KindReports, "ddos-H.resolver.rtt_ms.count", 3},
+		{reportsJSON, KindReports, "ddos-H.resolver.rtt_ms.sum", 64.5},
+		{reportsJSON, KindReports, "ddos-H.resolver.rtt_ms.bin01", 2},
 		{timelineJSON, KindTimeline, "bin0001.failed", 2},
 		{timelineJSON, KindTimeline, "bins", 3},
 	} {
@@ -65,6 +69,13 @@ func TestCompareExactAndMissing(t *testing.T) {
 	// direction), but inside tolerance it passes.
 	if deltas := Compare(a, c, Options{Tolerance: 0.2}); AnyRegressed(deltas) {
 		t.Errorf("within-tolerance change flagged: %+v", deltas)
+	}
+
+	// A histogram sum that moved is seen (it is what a reordered float
+	// merge changes first).
+	moved, _ := Parse([]byte(strings.Replace(reportsJSON, `"sum":64.5`, `"sum":64.25`, 1)))
+	if deltas := Compare(a, moved, Options{}); len(deltas) != 1 || deltas[0].Key != "ddos-H.resolver.rtt_ms.sum" {
+		t.Errorf("histogram sum change: deltas = %+v", deltas)
 	}
 
 	// A key that vanished is always a regression.

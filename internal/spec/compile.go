@@ -23,8 +23,8 @@ func Compile(s *Spec) (experiment.Scenario, experiment.RunConfig, error) {
 	if err := Validate(s); err != nil {
 		return nil, zero, err
 	}
-	if ax := sweepAxis(s); ax != "" {
-		return nil, zero, fmt.Errorf("spec %q: %s is an unexpanded sweep: call Expand first", s.Name, ax)
+	if sw := sweeps(s); len(sw) > 0 {
+		return nil, zero, fmt.Errorf("spec %q: %s is an unexpanded sweep: call Expand first", s.Name, sw[0].field)
 	}
 	cfg := runConfig(s.Engine)
 	pop, err := population(s)
@@ -130,33 +130,6 @@ func CompileAll(s *Spec, source string) ([]experiment.CampaignItem, error) {
 		})
 	}
 	return items, nil
-}
-
-// sweepAxis names the first unexpanded sweep axis ("" when none).
-func sweepAxis(s *Spec) string {
-	if len(s.Paper) > 1 {
-		return "paper"
-	}
-	if s.Workload != nil && s.Workload.TTL != nil && s.Workload.TTL.IsSweep() {
-		return "workload.ttl"
-	}
-	if s.Transport != nil && s.Transport.Flood != nil && s.Transport.Flood.IsSweep() {
-		return "transport.flood"
-	}
-	if a := s.Adversary; a != nil {
-		if a.NXNS != nil && a.NXNS.MaxFetch != nil && a.NXNS.MaxFetch.IsSweep() {
-			return "adversary.nxns.max_fetch"
-		}
-		if a.Poison != nil {
-			if a.Poison.RandomIDs != nil && a.Poison.RandomIDs.IsSweep() {
-				return "adversary.poison.random_ids"
-			}
-			if a.Poison.NoBailiwick != nil && a.Poison.NoBailiwick.IsSweep() {
-				return "adversary.poison.no_bailiwick"
-			}
-		}
-	}
-	return ""
 }
 
 // runConfig lowers the engine section. Shards 0 becomes 1, the engine's

@@ -12,7 +12,8 @@ import (
 // one suffix per swept axis, so expansion order — and therefore campaign
 // report order — is deterministic and authorable: the committed
 // poisoning matrix, for example, is exactly the declared sweep orders of
-// its two boolean axes. A spec with no sweeps expands to itself.
+// its two boolean axes. A spec with no sweeps expands to itself, and
+// Validate has bounded the product at MaxRuns before anything is cloned.
 func Expand(s *Spec) ([]*Spec, error) {
 	if err := Validate(s); err != nil {
 		return nil, err
@@ -26,6 +27,51 @@ func Expand(s *Spec) ([]*Spec, error) {
 		list = next
 	}
 	return list, nil
+}
+
+// MaxRuns bounds how many runs one spec may expand to: a sweep is a
+// small request for multiplied work, so Validate refuses past this.
+const MaxRuns = 1024
+
+// sweep describes one unexpanded sweep axis of a spec.
+type sweep struct {
+	field   string // spec path, e.g. "workload.ttl"
+	n       int    // declared values
+	repeats bool   // some value is declared twice
+}
+
+func sweepOf[T comparable](field string, vals []T) sweep {
+	seen := make(map[T]bool, len(vals))
+	for _, v := range vals {
+		seen[v] = true
+	}
+	return sweep{field, len(vals), len(seen) != len(vals)}
+}
+
+// sweeps lists the spec's unexpanded sweep axes in expansion order.
+func sweeps(s *Spec) []sweep {
+	var out []sweep
+	if len(s.Paper) > 1 {
+		out = append(out, sweepOf("paper", s.Paper))
+	}
+	if w := s.Workload; w != nil && w.TTL.IsSweep() {
+		out = append(out, sweepOf("workload.ttl", w.TTL.Sweep()))
+	}
+	if t := s.Transport; t != nil && t.Flood.IsSweep() {
+		out = append(out, sweepOf("transport.flood", t.Flood.Sweep()))
+	}
+	if a := s.Adversary; a != nil {
+		if a.NXNS != nil && a.NXNS.MaxFetch.IsSweep() {
+			out = append(out, sweepOf("adversary.nxns.max_fetch", a.NXNS.MaxFetch.Sweep()))
+		}
+		if p := a.Poison; p != nil && p.RandomIDs.IsSweep() {
+			out = append(out, sweepOf("adversary.poison.random_ids", p.RandomIDs.Sweep()))
+		}
+		if p := a.Poison; p != nil && p.NoBailiwick.IsSweep() {
+			out = append(out, sweepOf("adversary.poison.no_bailiwick", p.NoBailiwick.Sweep()))
+		}
+	}
+	return out
 }
 
 // expanders are the sweepable axes in expansion order. Each takes one
@@ -54,7 +100,7 @@ func expandPaper(s *Spec) []*Spec {
 }
 
 func expandTTL(s *Spec) []*Spec {
-	if s.Workload == nil || s.Workload.TTL == nil || !s.Workload.TTL.IsSweep() {
+	if s.Workload == nil || !s.Workload.TTL.IsSweep() {
 		return []*Spec{s}
 	}
 	out := make([]*Spec, 0, len(s.Workload.TTL.Sweep()))
@@ -68,7 +114,7 @@ func expandTTL(s *Spec) []*Spec {
 }
 
 func expandFlood(s *Spec) []*Spec {
-	if s.Transport == nil || s.Transport.Flood == nil || !s.Transport.Flood.IsSweep() {
+	if s.Transport == nil || !s.Transport.Flood.IsSweep() {
 		return []*Spec{s}
 	}
 	out := make([]*Spec, 0, len(s.Transport.Flood.Sweep()))
@@ -82,8 +128,7 @@ func expandFlood(s *Spec) []*Spec {
 }
 
 func expandMaxFetch(s *Spec) []*Spec {
-	if s.Adversary == nil || s.Adversary.NXNS == nil ||
-		s.Adversary.NXNS.MaxFetch == nil || !s.Adversary.NXNS.MaxFetch.IsSweep() {
+	if s.Adversary == nil || s.Adversary.NXNS == nil || !s.Adversary.NXNS.MaxFetch.IsSweep() {
 		return []*Spec{s}
 	}
 	out := make([]*Spec, 0, len(s.Adversary.NXNS.MaxFetch.Sweep()))
@@ -97,8 +142,7 @@ func expandMaxFetch(s *Spec) []*Spec {
 }
 
 func expandRandomIDs(s *Spec) []*Spec {
-	if s.Adversary == nil || s.Adversary.Poison == nil ||
-		s.Adversary.Poison.RandomIDs == nil || !s.Adversary.Poison.RandomIDs.IsSweep() {
+	if s.Adversary == nil || s.Adversary.Poison == nil || !s.Adversary.Poison.RandomIDs.IsSweep() {
 		return []*Spec{s}
 	}
 	var out []*Spec
@@ -112,8 +156,7 @@ func expandRandomIDs(s *Spec) []*Spec {
 }
 
 func expandNoBailiwick(s *Spec) []*Spec {
-	if s.Adversary == nil || s.Adversary.Poison == nil ||
-		s.Adversary.Poison.NoBailiwick == nil || !s.Adversary.Poison.NoBailiwick.IsSweep() {
+	if s.Adversary == nil || s.Adversary.Poison == nil || !s.Adversary.Poison.NoBailiwick.IsSweep() {
 		return []*Spec{s}
 	}
 	var out []*Spec

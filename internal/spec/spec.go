@@ -193,11 +193,11 @@ func (d Duration) D() time.Duration { return time.Duration(d) }
 func (d *Duration) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
-		return fmt.Errorf("duration must be a string like \"10m\", got %s", b)
+		return fmt.Errorf("duration must be a string like \"10m\", got %.64s", b)
 	}
 	v, err := time.ParseDuration(s)
 	if err != nil {
-		return fmt.Errorf("bad duration %q: %w", s, err)
+		return fmt.Errorf("bad duration %.64q", s)
 	}
 	*d = Duration(v)
 	return nil
@@ -221,8 +221,8 @@ func ScalarAxis(v float64) *Axis { return &Axis{value: v} }
 // Value returns the scalar value; only meaningful when !IsSweep.
 func (a *Axis) Value() float64 { return a.value }
 
-// IsSweep reports whether the axis is an unexpanded sweep.
-func (a *Axis) IsSweep() bool { return a.sweep != nil }
+// IsSweep reports whether the axis is an unexpanded sweep; nil is not.
+func (a *Axis) IsSweep() bool { return a != nil && a.sweep != nil }
 
 // Sweep returns the sweep values (nil for a scalar).
 func (a *Axis) Sweep() []float64 { return a.sweep }
@@ -239,7 +239,7 @@ func (a *Axis) UnmarshalJSON(b []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&obj); err != nil || obj.Sweep == nil {
-		return fmt.Errorf("axis must be a number or {\"sweep\": [...]}, got %s", b)
+		return fmt.Errorf("axis must be a number or {\"sweep\": [...]}, got %.64s", b)
 	}
 	*a = Axis{sweep: *obj.Sweep}
 	return nil
@@ -264,7 +264,7 @@ type BoolAxis struct {
 func ScalarBoolAxis(v bool) *BoolAxis { return &BoolAxis{value: v} }
 
 func (a *BoolAxis) Value() bool   { return a.value }
-func (a *BoolAxis) IsSweep() bool { return a.sweep != nil }
+func (a *BoolAxis) IsSweep() bool { return a != nil && a.sweep != nil }
 func (a *BoolAxis) Sweep() []bool { return a.sweep }
 
 func (a *BoolAxis) UnmarshalJSON(b []byte) error {
@@ -279,7 +279,7 @@ func (a *BoolAxis) UnmarshalJSON(b []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&obj); err != nil || obj.Sweep == nil {
-		return fmt.Errorf("axis must be a bool or {\"sweep\": [...]}, got %s", b)
+		return fmt.Errorf("axis must be a bool or {\"sweep\": [...]}, got %.64s", b)
 	}
 	*a = BoolAxis{sweep: *obj.Sweep}
 	return nil
@@ -305,7 +305,7 @@ func (p *PaperList) UnmarshalJSON(b []byte) error {
 	}
 	var many []string
 	if err := json.Unmarshal(b, &many); err != nil {
-		return fmt.Errorf("paper must be a string or a list of strings, got %s", b)
+		return fmt.Errorf("paper must be a string or a list of strings, got %.64s", b)
 	}
 	*p = PaperList(many)
 	return nil

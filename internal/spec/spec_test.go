@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,65 @@ func TestParseRejectsBadSweeps(t *testing.T) {
 	// Sweep values still range-checked.
 	wantErr(t, `{"version": 1, "name": "x", "family": "transport",
 		"transport": {"flood": {"sweep": [0, 1.5]}}}`, "[0, 1]")
+}
+
+// sweepOfTrue is a {"sweep": [true × n]} axis: the shape that made a
+// 2 KB poison spec compile to 40 000 identically named runs.
+func sweepOfTrue(n int) string {
+	return `{"sweep": [` + strings.TrimSuffix(strings.Repeat("true,", n), ",") + `]}`
+}
+
+// TestSweepExpansionIsBounded: a sweep is a small request for multiplied
+// work, so repeats (duplicate run names) and products past MaxRuns are
+// rejected by Parse, before Expand clones anything; an error never
+// quotes more than ~64 bytes of the offending value.
+func TestSweepExpansionIsBounded(t *testing.T) {
+	start := time.Now()
+	wantErr(t, `{"version": 1, "name": "x", "family": "poison", "adversary": {"poison": {
+		"random_ids": `+sweepOfTrue(200)+`, "no_bailiwick": `+sweepOfTrue(200)+`}}}`, "sweep repeats a value")
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("rejecting the 200x200 sweep took %v, want < 50ms", d)
+	}
+	wantErr(t, `{"version": 1, "name": "x", "family": "ddos", "paper": ["A", "B", "A"]}`, "paper: sweep repeats")
+	wantErr(t, `{"version": 1, "name": "x", "family": "caching",
+		"workload": {"ttl": {"sweep": [60, 1800, 60]}}}`, "workload.ttl: sweep repeats")
+
+	ttls := make([]string, MaxRuns+1)
+	for i := range ttls {
+		ttls[i] = strconv.Itoa(i + 1)
+	}
+	over := `{"version": 1, "name": "x", "family": "caching",
+		"workload": {"ttl": {"sweep": [` + strings.Join(ttls, ",") + `]}}}`
+	wantErr(t, over, "more than 1024 runs")
+	// A hand-built spec meets the same bound in Expand.
+	s := mustParse(t, `{"version": 1, "name": "x", "family": "caching", "workload": {"ttl": 60}}`)
+	s.Workload.TTL = &Axis{}
+	for i := 0; i <= MaxRuns; i++ {
+		s.Workload.TTL.sweep = append(s.Workload.TTL.sweep, float64(i+1))
+	}
+	if out, err := Expand(s); err == nil || !strings.Contains(err.Error(), "more than 1024 runs") {
+		t.Errorf("Expand of %d distinct TTLs: %d runs, err = %v", MaxRuns+1, len(out), err)
+	}
+
+	_, err := Parse([]byte(`{"version": 1, "name": "x", "family": "caching",
+		"workload": {"ttl": "` + strings.Repeat("sixty", 1000) + `"}}`))
+	if err == nil || len(err.Error()) > 200 {
+		t.Errorf("axis error echoes its input: %d bytes: %.80s...", len(err.Error()), err)
+	}
+}
+
+// TestBucketFloor: a timeline bin narrower than MinBucket (or negative)
+// sized the collector by horizon/bucket and panicked in makeslice.
+func TestBucketFloor(t *testing.T) {
+	t.Parallel()
+	spec := func(bucket string) string {
+		return `{"version": 1, "name": "x", "family": "ddos", "paper": "H",
+			"observability": {"timeline": true, "bucket": "` + bucket + `"}}`
+	}
+	wantErr(t, spec("1ns"), "observability.bucket")
+	wantErr(t, spec("-1m"), "observability.bucket")
+	mustParse(t, spec("1s"))
+	mustParse(t, spec("0s"))
 }
 
 func TestExpandPaperList(t *testing.T) {

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/experiment"
 )
@@ -24,6 +25,11 @@ var families = map[string]familyRule{
 	"retries":      {workload: true},
 	"implications": {},
 }
+
+// MinBucket is the narrowest timeline bin a spec may ask for: narrower
+// bins than the probe smear mean nothing and size the collector by
+// horizon/bucket.
+const MinBucket = time.Second
 
 var harvestModes = map[string]bool{"": true, "none": true, "aaaa": true, "full": true}
 var phaseModes = map[string]bool{"": true, "drop": true, "nxdomain": true, "servfail": true}
@@ -64,8 +70,20 @@ func Validate(s *Spec) error {
 	case s.Observability != nil && !rule.observability:
 		return bad("observability")
 	}
-	if o := s.Observability; o != nil && o.Bucket.D() < 0 {
-		return fmt.Errorf("spec %q: observability.bucket must be positive, got %v", s.Name, o.Bucket.D())
+	if o := s.Observability; o != nil && o.Bucket != 0 && o.Bucket.D() < MinBucket {
+		return fmt.Errorf("spec %q: observability.bucket must be 0 (default) or >= %v, got %v", s.Name, MinBucket, o.Bucket.D())
+	}
+	runs := 1
+	for _, sw := range sweeps(s) {
+		runs *= sw.n
+		switch {
+		case sw.n == 0:
+			return fmt.Errorf("spec %q: %s: empty sweep", s.Name, sw.field)
+		case sw.repeats:
+			return fmt.Errorf("spec %q: %s: sweep repeats a value (run names must be unique)", s.Name, sw.field)
+		case runs > MaxRuns:
+			return fmt.Errorf("spec %q: sweeps expand to more than %d runs", s.Name, MaxRuns)
+		}
 	}
 	if err := validateEngine(s); err != nil {
 		return err
@@ -121,7 +139,7 @@ func validateWorkload(s *Spec) error {
 		return nil
 	}
 	if w.TTL != nil {
-		if err := eachAxis(w.TTL, "workload.ttl", s.Name, func(v float64) error {
+		if err := eachAxis(w.TTL, func(v float64) error {
 			if v <= 0 || v != float64(int64(v)) || v > 1<<31 {
 				return fmt.Errorf("spec %q: workload.ttl values must be positive integer seconds, got %g", s.Name, v)
 			}
@@ -139,13 +157,9 @@ func validateWorkload(s *Spec) error {
 	return nil
 }
 
-// eachAxis applies check to the axis's scalar or every sweep value and
-// rejects empty sweeps.
-func eachAxis(a *Axis, field, name string, check func(float64) error) error {
+// eachAxis applies check to the axis's scalar or every sweep value.
+func eachAxis(a *Axis, check func(float64) error) error {
 	if a.IsSweep() {
-		if len(a.Sweep()) == 0 {
-			return fmt.Errorf("spec %q: %s: empty sweep", name, field)
-		}
 		for _, v := range a.Sweep() {
 			if err := check(v); err != nil {
 				return err
@@ -240,7 +254,7 @@ func validateTransport(s *Spec) error {
 		}
 	}
 	if t.Flood != nil {
-		if err := eachAxis(t.Flood, "transport.flood", s.Name, func(v float64) error {
+		if err := eachAxis(t.Flood, func(v float64) error {
 			if v < 0 || v > 1 {
 				return fmt.Errorf("spec %q: transport.flood values must be in [0, 1], got %g", s.Name, v)
 			}
@@ -272,7 +286,7 @@ func validateAdversary(s *Spec) error {
 				}
 			}
 			if n.MaxFetch != nil {
-				if err := eachAxis(n.MaxFetch, "adversary.nxns.max_fetch", s.Name, func(v float64) error {
+				if err := eachAxis(n.MaxFetch, func(v float64) error {
 					if v < 0 || v != float64(int64(v)) {
 						return fmt.Errorf("spec %q: adversary.nxns.max_fetch values must be non-negative integers, got %g", s.Name, v)
 					}
@@ -287,12 +301,6 @@ func validateAdversary(s *Spec) error {
 			return fmt.Errorf("spec %q: family poison only takes adversary.poison", s.Name)
 		}
 		if p := a.Poison; p != nil {
-			if p.RandomIDs != nil && p.RandomIDs.IsSweep() && len(p.RandomIDs.Sweep()) == 0 {
-				return fmt.Errorf("spec %q: adversary.poison.random_ids: empty sweep", s.Name)
-			}
-			if p.NoBailiwick != nil && p.NoBailiwick.IsSweep() && len(p.NoBailiwick.Sweep()) == 0 {
-				return fmt.Errorf("spec %q: adversary.poison.no_bailiwick: empty sweep", s.Name)
-			}
 			if p.IDWindow < 0 || p.Waves < 0 || p.WaveEvery < 0 {
 				return fmt.Errorf("spec %q: adversary.poison counts must be >= 0", s.Name)
 			}

@@ -30,6 +30,12 @@ func TestCountsSummaryMatchesSummarize(t *testing.T) {
 			t.Fatalf("trial %d (n=%d): Counts.Summary = %+v, Summarize = %+v",
 				trial, n, got, want)
 		}
+		// Quantile is the same exact order statistic for any q, 0 when empty.
+		for _, q := range []float64{0, 0.01, 0.5, 0.99, 1} {
+			if got, want := c.Quantile(q), Quantile(raw, q); got != want {
+				t.Fatalf("trial %d (n=%d): Counts.Quantile(%v) = %v, Quantile = %v", trial, n, q, got, want)
+			}
+		}
 	}
 }
 

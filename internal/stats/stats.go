@@ -121,21 +121,20 @@ func (c *Counts) Merge(o *Counts) {
 	c.sum += o.sum
 }
 
-// Summary computes the same statistics Summarize would return for the
-// multiset expanded into a sorted slice. Means and quantiles match
-// Summarize exactly: the mean of integers is the integer sum divided by
-// N, and each quantile interpolates between two order statistics that
-// the cumulative key counts locate directly.
-func (c *Counts) Summary() Summary {
+// quantiles mirrors quantileSorted for each q over one sort of the
+// distinct values: it interpolates between the two order statistics
+// straddling q*(n-1), which the cumulative key counts locate directly.
+// An empty multiset has all-zero quantiles.
+func (c *Counts) quantiles(qs ...float64) []float64 {
+	out := make([]float64, len(qs))
 	if c.n == 0 {
-		return Summary{}
+		return out
 	}
 	keys := make([]int64, 0, len(c.m))
 	for v := range c.m {
 		keys = append(keys, v)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
 	// orderStat(i) is the value at index i of the expanded sorted slice.
 	orderStat := func(i int64) float64 {
 		var cum int64
@@ -147,26 +146,32 @@ func (c *Counts) Summary() Summary {
 		}
 		return float64(keys[len(keys)-1])
 	}
-	quantile := func(q float64) float64 {
-		// Mirrors quantileSorted: interpolate between the two order
-		// statistics straddling q*(n-1).
+	for i, q := range qs {
 		pos := q * float64(c.n-1)
-		lo := int64(math.Floor(pos))
-		hi := int64(math.Ceil(pos))
-		if lo == hi {
-			return orderStat(lo)
+		lo, hi := int64(math.Floor(pos)), int64(math.Ceil(pos))
+		out[i] = orderStat(lo)
+		if lo != hi {
+			frac := pos - float64(lo)
+			out[i] = out[i]*(1-frac) + orderStat(hi)*frac
 		}
-		frac := pos - float64(lo)
-		return orderStat(lo)*(1-frac) + orderStat(hi)*frac
 	}
-	return Summary{
-		N:      int(c.n),
-		Mean:   float64(c.sum) / float64(c.n),
-		Median: quantile(0.5),
-		P75:    quantile(0.75),
-		P90:    quantile(0.90),
-		Max:    float64(keys[len(keys)-1]),
+	return out
+}
+
+// Quantile returns what the package-level Quantile would for the
+// multiset expanded into a slice: exact, and 0 when empty.
+func (c *Counts) Quantile(q float64) float64 { return c.quantiles(q)[0] }
+
+// Summary computes the same statistics Summarize would return for the
+// multiset expanded into a sorted slice, exactly: the mean of integers
+// is the integer sum divided by N, and the maximum is the 1-quantile.
+func (c *Counts) Summary() Summary {
+	if c.n == 0 {
+		return Summary{}
 	}
+	q := c.quantiles(0.5, 0.75, 0.90, 1)
+	return Summary{N: int(c.n), Mean: float64(c.sum) / float64(c.n),
+		Median: q[0], P75: q[1], P90: q[2], Max: q[3]}
 }
 
 // ECDF is an empirical cumulative distribution function.

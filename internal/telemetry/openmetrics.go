@@ -3,9 +3,8 @@ package telemetry
 // Dependency-free OpenMetrics/Prometheus text exposition over
 // metrics.Registry snapshots. The mapping is mechanical: scope "resolver"
 // counter "cache_hits" becomes the counter family
-// dikes_resolver_cache_hits_total, gauges keep their name, and histograms
-// expand to the cumulative _bucket/_sum/_count triple the format
-// requires. Output is fully sorted (scopes, names, label keys), so two
+// dikes_resolver_cache_hits_total and histograms expand to the
+// cumulative _bucket/_sum/_count triple the format requires. Output is fully sorted (scopes, names, label keys), so two
 // scrapes of the same snapshot are byte-identical.
 
 import (
@@ -36,11 +35,6 @@ func WriteOpenMetrics(w io.Writer, snap metrics.Snapshot, labels map[string]stri
 			fam := prefix + sanitizeName(name)
 			fmt.Fprintf(&b, "# TYPE %s counter\n", fam)
 			fmt.Fprintf(&b, "%s_total%s %d\n", fam, lbl, sc.Counters[name])
-		}
-		for _, name := range sortedKeys(sc.Gauges) {
-			fam := prefix + sanitizeName(name)
-			fmt.Fprintf(&b, "# TYPE %s gauge\n", fam)
-			fmt.Fprintf(&b, "%s%s %d\n", fam, lbl, sc.Gauges[name])
 		}
 		for _, name := range sortedKeys(sc.Histograms) {
 			fam := prefix + sanitizeName(name)

@@ -112,7 +112,7 @@ func ReadJSONL(r io.Reader) (*Data, error) {
 		if err := json.Unmarshal(sc.Bytes(), &ch); err != nil {
 			return nil, fmt.Errorf("trace: bad cell header: %w", err)
 		}
-		ct := CellTrace{Cell: ch.Cell, Dropped: ch.Dropped, Events: make([]Event, 0, ch.Events)}
+		ct := CellTrace{Cell: ch.Cell, Dropped: ch.Dropped} // ch.Events is outside input: never sizes memory
 		for j := 0; j < ch.Events; j++ {
 			if !sc.Scan() {
 				return nil, fmt.Errorf("trace: truncated in cell %d", ch.Cell)

@@ -225,11 +225,11 @@ func (f *Fleet) Schedule(start time.Time, interval, smear time.Duration, rounds 
 // as sent when its timer fires, answered when the callback records an
 // Answer, so sent - answers_recorded is the number still unresolved when
 // the run stopped.
-func (f *Fleet) CollectMetrics(s *metrics.Scope) {
+func (f *Fleet) CollectMetrics(s metrics.Scope) {
 	for _, p := range f.Probes {
-		s.Counter("queries_sent").Add(p.sent.Value())
-		s.Counter("timeouts").Add(p.timeouts.Value())
-		s.Counter("answers_recorded").Add(int64(len(p.answers)))
+		s.Add("queries_sent", p.sent.Value())
+		s.Add("timeouts", p.timeouts.Value())
+		s.Add("answers_recorded", int64(len(p.answers)))
 	}
 }
 
