@@ -168,7 +168,6 @@ func TestVirtualStopReclaimsNodes(t *testing.T) {
 	if got := v.Pending(); got != 0 {
 		t.Errorf("Pending = %d after stopping everything", got)
 	}
-	v.mu.Lock()
 	linked := 0
 	for l := range v.slots {
 		for s := range v.slots[l] {
@@ -180,7 +179,6 @@ func TestVirtualStopReclaimsNodes(t *testing.T) {
 	for e := v.far; e != nil; e = e.next {
 		linked++
 	}
-	v.mu.Unlock()
 	if linked != 0 {
 		t.Errorf("wheel still links %d nodes after stopping everything", linked)
 	}
@@ -209,9 +207,7 @@ func TestHeapDeadCompaction(t *testing.T) {
 	if got := v.Pending(); got != 0 {
 		t.Errorf("Pending = %d after stopping everything", got)
 	}
-	v.mu.Lock()
 	heapLen, dead := len(v.heap), v.dead
-	v.mu.Unlock()
 	if heapLen > n/2 {
 		t.Errorf("heap still holds %d events (%d dead); compaction did not run", heapLen, dead)
 	}

@@ -8,7 +8,6 @@ package clock
 
 import (
 	"container/heap"
-	"sync"
 	"time"
 )
 
@@ -20,7 +19,6 @@ import (
 // runs with millions of short-lived timers stay allocation- and
 // memory-flat.
 type Heap struct {
-	mu      sync.Mutex
 	now     time.Time
 	heap    refEventHeap
 	seq     uint64 // tiebreaker for events at the same instant
@@ -70,12 +68,10 @@ func (h *refEventHeap) Pop() any {
 
 // Now implements Clock.
 func (v *Heap) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.now
 }
 
-// allocEvent returns a recycled or fresh event. Caller holds v.mu.
+// allocEvent returns a recycled or fresh event.
 func (v *Heap) allocEvent() *refEvent {
 	if n := len(v.free); n > 0 {
 		e := v.free[n-1]
@@ -87,7 +83,7 @@ func (v *Heap) allocEvent() *refEvent {
 }
 
 // recycle returns a popped event to the free list, invalidating any Timer
-// still pointing at it. Caller holds v.mu.
+// still pointing at it.
 func (v *Heap) recycle(e *refEvent) {
 	e.gen++
 	e.f, e.fArg, e.arg = nil, nil, nil
@@ -95,7 +91,7 @@ func (v *Heap) recycle(e *refEvent) {
 	v.free = append(v.free, e)
 }
 
-// schedule inserts a prepared event. Caller holds v.mu.
+// schedule inserts a prepared event.
 func (v *Heap) schedule(e *refEvent, d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -109,8 +105,6 @@ func (v *Heap) schedule(e *refEvent, d time.Duration) {
 // AfterFunc implements Clock. Negative durations fire at the current
 // instant (still via the event loop, never synchronously).
 func (v *Heap) AfterFunc(d time.Duration, f func()) Timer {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	e := v.allocEvent()
 	e.f = f
 	v.schedule(e, d)
@@ -121,8 +115,6 @@ func (v *Heap) AfterFunc(d time.Duration, f func()) Timer {
 // and no Timer is returned, so callers with a static callback pay no
 // per-event allocation at all.
 func (v *Heap) AfterFuncArg(d time.Duration, f func(any), arg any) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	e := v.allocEvent()
 	e.fArg, e.arg = f, arg
 	v.schedule(e, d)
@@ -135,8 +127,6 @@ type heapTimer struct {
 }
 
 func (t heapTimer) Stop() bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
 	if t.e.gen != t.gen || t.e.dead {
 		return false // already fired (and possibly recycled) or stopped
 	}
@@ -149,7 +139,7 @@ func (t heapTimer) Stop() bool {
 
 // compact rebuilds the heap without dead events once they outnumber live
 // ones, so canceled timers with far-future deadlines (resolver client
-// timeouts, mostly) do not accumulate. Caller holds v.mu.
+// timeouts, mostly) do not accumulate.
 func (v *Heap) compact() {
 	const minDead = 64 // below this the dead events are cheaper than a rebuild
 	if v.dead < minDead || v.dead <= len(v.heap)/2 {
@@ -174,32 +164,26 @@ func (v *Heap) compact() {
 // step runs the earliest pending event, if any, and reports whether one ran
 // or was discarded.
 func (v *Heap) step(limit time.Time, useLimit bool) bool {
-	v.mu.Lock()
 	if len(v.heap) == 0 {
-		v.mu.Unlock()
 		return false
 	}
 	e := v.heap[0]
 	if useLimit && e.at.After(limit) {
 		v.now = limit
-		v.mu.Unlock()
 		return false
 	}
 	heap.Pop(&v.heap)
 	if e.dead {
 		v.dead--
 		v.recycle(e)
-		v.mu.Unlock()
 		return true
 	}
 	f, fArg, arg := e.f, e.fArg, e.arg
 	v.now = e.at
 	v.fired++
+	// Recycled before its callback runs, as in the wheel: a late Stop on
+	// its timer sees the generation bump and reports "too late".
 	v.recycle(e)
-	v.mu.Unlock()
-	// Run without the lock so callbacks can schedule more events. The
-	// event itself is already recycled; a late Stop on its timer sees the
-	// generation bump and reports "too late".
 	if fArg != nil {
 		fArg(arg)
 	} else {
@@ -219,11 +203,9 @@ func (v *Heap) Run() {
 func (v *Heap) RunUntil(deadline time.Time) {
 	for v.step(deadline, true) {
 	}
-	v.mu.Lock()
 	if v.now.Before(deadline) {
 		v.now = deadline
 	}
-	v.mu.Unlock()
 }
 
 // RunFor processes events for d of simulated time from the current instant.
@@ -233,15 +215,11 @@ func (v *Heap) RunFor(d time.Duration) {
 
 // Pending returns the number of scheduled live (not canceled) events.
 func (v *Heap) Pending() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return len(v.heap) - v.dead
 }
 
 // Counters reports cumulative event-loop totals: events scheduled, events
 // executed, and timers canceled before firing.
 func (v *Heap) Counters() (scheduled, fired, stopped int64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return int64(v.seq), v.fired, v.stopped
 }

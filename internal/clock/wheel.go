@@ -31,7 +31,6 @@ package clock
 
 import (
 	"math/bits"
-	"sync"
 	"time"
 )
 
@@ -71,7 +70,6 @@ type event struct {
 // Virtual is a deterministic simulated clock backed by a hierarchical
 // timing wheel. The zero value is not usable; call NewVirtual.
 type Virtual struct {
-	mu    sync.Mutex
 	start time.Time
 	nowNs int64 // current time, ns since start
 	cur   int64 // wheel cursor in ticks; always <= tick of every stored event
@@ -94,12 +92,10 @@ func NewVirtual(start time.Time) *Virtual {
 
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.start.Add(time.Duration(v.nowNs))
 }
 
-// allocEvent returns a recycled or slab-fresh node. Caller holds v.mu.
+// allocEvent returns a recycled or slab-fresh node.
 func (v *Virtual) allocEvent() *event {
 	if e := v.free; e != nil {
 		v.free = e.next
@@ -117,7 +113,7 @@ func (v *Virtual) allocEvent() *event {
 }
 
 // recycle returns an unlinked node to the free list, invalidating any
-// Timer or TimerRef still pointing at it. Caller holds v.mu.
+// Timer or TimerRef still pointing at it.
 func (v *Virtual) recycle(e *event) {
 	e.gen++
 	e.f, e.fArg, e.arg = nil, nil, nil
@@ -127,7 +123,7 @@ func (v *Virtual) recycle(e *event) {
 	v.free = e
 }
 
-// schedule prepares and places a new event. Caller holds v.mu.
+// schedule prepares and places a new event.
 func (v *Virtual) schedule(e *event, d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -140,7 +136,7 @@ func (v *Virtual) schedule(e *event, d time.Duration) {
 }
 
 // place links e into the wheel (or the far list) according to its deadline
-// relative to the cursor. Caller holds v.mu; e must be unlinked.
+// relative to the cursor; e must be unlinked.
 func (v *Virtual) place(e *event) {
 	tick := e.at >> tickBits
 	diff := uint64(tick ^ v.cur)
@@ -196,7 +192,7 @@ func eventLess(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// unlink removes e from its slot or the far list. Caller holds v.mu.
+// unlink removes e from its slot or the far list.
 func (v *Virtual) unlink(e *event) {
 	if e.next != nil {
 		e.next.prev = e.prev
@@ -237,7 +233,6 @@ func (v *Virtual) nextOcc(level, from int) int {
 // cascade detaches every node in (level, slot) and re-places it relative
 // to the (just advanced) cursor. Nodes land at a strictly lower level —
 // or back on level 3 / the far list for clamped far-future deadlines.
-// Caller holds v.mu.
 func (v *Virtual) cascade(level, slot int) {
 	e := v.slots[level][slot]
 	v.slots[level][slot] = nil
@@ -253,7 +248,7 @@ func (v *Virtual) cascade(level, slot int) {
 // advance moves the cursor to the base of the next occupied window and
 // cascades it toward level 0. With useBound, it refuses to advance past
 // boundTick and reports false (nothing fires at or before the bound).
-// Reports false when the wheel holds no events at all. Caller holds v.mu.
+// Reports false when the wheel holds no events at all.
 func (v *Virtual) advance(boundTick int64, useBound bool) bool {
 	for level := 1; level < numLevels; level++ {
 		pos := int(v.cur >> (level * slotBits) & slotMask)
@@ -293,8 +288,7 @@ func (v *Virtual) advance(boundTick int64, useBound bool) bool {
 
 // peek returns the earliest pending event without unlinking it, advancing
 // the cursor (and cascading) as needed. Returns nil if the wheel is empty
-// or (with useBound) if nothing is due at or before the bound. Caller
-// holds v.mu.
+// or (with useBound) if nothing is due at or before the bound.
 func (v *Virtual) peek(boundTick int64, useBound bool) *event {
 	for {
 		if s := v.nextOcc(0, int(v.cur&slotMask)); s >= 0 {
@@ -309,8 +303,6 @@ func (v *Virtual) peek(boundTick int64, useBound bool) *event {
 // AfterFunc implements Clock. Negative durations fire at the current
 // instant (still via the event loop, never synchronously).
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	e := v.allocEvent()
 	e.f = f
 	v.schedule(e, d)
@@ -321,8 +313,6 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 // and no Timer is returned, so callers with a static callback pay no
 // per-event allocation at all.
 func (v *Virtual) AfterFuncArg(d time.Duration, f func(any), arg any) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	e := v.allocEvent()
 	e.fArg, e.arg = f, arg
 	v.schedule(e, d)
@@ -331,8 +321,6 @@ func (v *Virtual) AfterFuncArg(d time.Duration, f func(any), arg any) {
 // AfterFuncRef implements RefScheduler: like AfterFuncArg but returns a
 // cancelable TimerRef by value — zero allocations per timer.
 func (v *Virtual) AfterFuncRef(d time.Duration, f func(any), arg any) TimerRef {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	e := v.allocEvent()
 	e.fArg, e.arg = f, arg
 	v.schedule(e, d)
@@ -352,8 +340,6 @@ func (t virtualTimer) Stop() bool { return t.v.stopNode(t.e, t.gen) }
 // has been recycled with a bumped generation, so a late Stop reports
 // false and cannot double-free the pooled node.
 func (v *Virtual) stopNode(e *event, gen uint32) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if e.gen != gen || e.level == levelFree {
 		return false // already fired (and possibly recycled) or stopped
 	}
@@ -368,9 +354,7 @@ func (v *Virtual) stopNode(e *event, gen uint32) bool {
 // ran. With useLimit, an event past limitNs does not run; the clock
 // advances to the limit instead (matching the Heap reference).
 func (v *Virtual) step(limitNs int64, useLimit bool) bool {
-	v.mu.Lock()
 	if v.live == 0 {
-		v.mu.Unlock()
 		return false
 	}
 	var boundTick int64
@@ -382,7 +366,6 @@ func (v *Virtual) step(limitNs int64, useLimit bool) bool {
 		if useLimit {
 			v.nowNs = limitNs
 		}
-		v.mu.Unlock()
 		return false
 	}
 	v.unlink(e)
@@ -391,11 +374,10 @@ func (v *Virtual) step(limitNs int64, useLimit bool) bool {
 	v.fired++
 	v.live--
 	f, fArg, arg := e.f, e.fArg, e.arg
+	// The node is recycled before its callback runs, so the callback can
+	// schedule onto it; a late Stop on its timer sees the generation bump
+	// and reports "too late".
 	v.recycle(e)
-	v.mu.Unlock()
-	// Run without the lock so callbacks can schedule more events. The
-	// node itself is already recycled; a late Stop on its timer sees the
-	// generation bump and reports "too late".
 	if fArg != nil {
 		fArg(arg)
 	} else {
@@ -416,11 +398,9 @@ func (v *Virtual) RunUntil(deadline time.Time) {
 	limit := deadline.Sub(v.start)
 	for v.step(int64(limit), true) {
 	}
-	v.mu.Lock()
 	if v.nowNs < int64(limit) {
 		v.nowNs = int64(limit)
 	}
-	v.mu.Unlock()
 }
 
 // RunFor processes events for d of simulated time from the current instant.
@@ -430,15 +410,11 @@ func (v *Virtual) RunFor(d time.Duration) {
 
 // Pending returns the number of scheduled live (not canceled) events.
 func (v *Virtual) Pending() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.live
 }
 
 // Counters reports cumulative event-loop totals: events scheduled, events
 // executed, and timers canceled before firing.
 func (v *Virtual) Counters() (scheduled, fired, stopped int64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return int64(v.seq), v.fired, v.stopped
 }

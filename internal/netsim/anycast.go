@@ -35,12 +35,10 @@ func (n *Network) BindAnycast(addr Addr, sites []Addr, catchment func(src Addr) 
 		}
 	}
 	group := &anycastGroup{sites: append([]Addr(nil), sites...), catchment: catchment}
-	n.mu.Lock()
 	if n.anycast == nil {
 		n.anycast = make(map[Addr]*anycastGroup)
 	}
 	n.anycast[addr] = group
-	n.mu.Unlock()
 	return &Port{net: n, addr: addr}
 }
 

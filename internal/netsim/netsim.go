@@ -5,13 +5,16 @@
 // queries arriving at the authoritatives), and taps that observe traffic
 // before the drop decision (the paper measures queries "before they are
 // dropped by our simulated DDoS", §6.1).
+//
+// A Network belongs to the goroutine that owns its clock (see package
+// clock): nothing here locks, and hosts are called from that goroutine's
+// event loop only.
 package netsim
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -65,7 +68,6 @@ type Network struct {
 	// (the virtual clock implements it); nil otherwise.
 	argClk clock.ArgScheduler
 
-	mu      sync.Mutex
 	rng     *rand.Rand
 	hosts   map[Addr]func(src Addr, payload []byte)
 	lazy    map[Addr]LazyHost // deferred host constructors, see BindLazy
@@ -83,6 +85,8 @@ type Network struct {
 	tcpHosts map[Addr]func(src Addr, payload []byte)
 	tcpLoss  map[Addr]float64
 	tcpConns map[[2]Addr]time.Time // established pair -> idle expiry
+	// pktFree recycles in-flight packets of both planes (see packet).
+	pktFree *packet
 }
 
 // SetTrace installs the cell's trace buffer (nil disables tracing). The
@@ -152,8 +156,6 @@ func (n *Network) Bind(addr Addr, recv func(src Addr, payload []byte)) *Port {
 	if addr == "" {
 		panic("netsim: empty address")
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.hosts[addr] = recv
 	return &Port{net: n, addr: addr}
 }
@@ -168,8 +170,6 @@ func (n *Network) BindPort(addr Addr, recv func(src Addr, payload []byte)) Port 
 // Detach removes the host at addr; in-flight packets to it are counted as
 // Dead on arrival.
 func (n *Network) Detach(addr Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	delete(n.hosts, addr)
 	delete(n.lazy, addr)
 }
@@ -180,7 +180,7 @@ func (n *Network) Detach(addr Addr) {
 type LazyHost interface {
 	// Materialize builds the host and registers its real receiver via
 	// Bind (directly or through a client/resolver Attach). Called at most
-	// once, outside the network lock.
+	// once.
 	Materialize()
 }
 
@@ -193,8 +193,6 @@ func (n *Network) BindLazy(addr Addr, h LazyHost) {
 	if addr == "" {
 		panic("netsim: empty address")
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.lazy == nil {
 		n.lazy = make(map[Addr]LazyHost, 64)
 	}
@@ -208,8 +206,6 @@ func (n *Network) SetInboundLoss(dst Addr, p float64) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("netsim: loss probability %v out of range", p))
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if p == 0 {
 		delete(n.inLoss, dst)
 	} else {
@@ -222,16 +218,12 @@ func (n *Network) SetInboundLoss(dst Addr, p float64) {
 
 // InboundLoss returns the current inbound loss probability for dst.
 func (n *Network) InboundLoss(dst Addr) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.inLoss[dst]
 }
 
 // SetPairDelay fixes the one-way delay between a and b in both directions,
 // overriding the latency model for that pair.
 func (n *Network) SetPairDelay(a, b Addr, oneWay time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.pairs == nil {
 		n.pairs = make(map[[2]Addr]time.Duration)
 	}
@@ -242,15 +234,11 @@ func (n *Network) SetPairDelay(a, b Addr, oneWay time.Duration) {
 // AddTap registers an observer called for every packet arrival, including
 // ones dropped by inbound loss.
 func (n *Network) AddTap(tap func(Event)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.taps = append(n.taps, tap)
 }
 
 // Stats returns a snapshot of the cumulative counters.
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.stats
 }
 
@@ -269,32 +257,56 @@ func (n *Network) CollectMetrics(s metrics.Scope) {
 	s.Add("tcp_connects", st.TCPConnects)
 }
 
-// packet is an in-flight delivery, pooled so the simulation's hottest
-// path (one Send per simulated query/response) allocates nothing per
-// packet beyond the payload its caller already built.
+// packet is an in-flight delivery of either plane. Packets are recycled
+// through the network's free list, buffer included, so the simulation's
+// hottest path (one Send per simulated query/response) allocates nothing
+// per packet. A packet goes back from inside its own delivery callback,
+// which is the recycle rule of recursive's putOQ.
 type packet struct {
 	net      *Network
 	src, dst Addr
-	payload  []byte // aliases buf; valid until the packet is pooled
-	buf      []byte // owned storage, recycled across packets
-	tcp      bool   // deliver on the TCP plane (arriveTCP)
+	payload  []byte  // aliases buf; valid until the packet is recycled
+	buf      []byte  // owned storage, reused across packets
+	tcp      bool    // deliver on the TCP plane (arriveTCP)
+	next     *packet // free-list link
 }
 
-var packetPool = sync.Pool{New: func() any { return new(packet) }}
-
 // deliverPacket is the static arrival callback handed to ArgScheduler.
-// The packet (and the payload aliasing its buffer) returns to the pool
-// only after the receiver ran: receive callbacks may read the payload for
-// the duration of the call but must not retain it.
+// The packet (and the payload aliasing its buffer) is recycled only after
+// the receiver ran: receive callbacks may read the payload for the
+// duration of the call but must not retain it.
 func deliverPacket(arg any) {
 	p := arg.(*packet)
+	n := p.net
 	if p.tcp {
-		p.net.arriveTCP(p.src, p.dst, p.payload)
+		n.arriveTCP(p.src, p.dst, p.payload)
 	} else {
-		p.net.arrive(p.src, p.dst, p.payload)
+		n.arrive(p.src, p.dst, p.payload)
 	}
-	p.net, p.src, p.dst, p.payload, p.tcp = nil, "", "", nil, false
-	packetPool.Put(p)
+	p.src, p.dst, p.payload, p.tcp = "", "", nil, false
+	p.next, n.pktFree = n.pktFree, p
+}
+
+// deliverAfter copies payload and schedules its arrival at dst on the
+// UDP or TCP plane.
+func (n *Network) deliverAfter(delay time.Duration, src, dst Addr, payload []byte, tcp bool) {
+	if n.argClk == nil {
+		arrive, buf := n.arrive, append([]byte(nil), payload...)
+		if tcp {
+			arrive = n.arriveTCP
+		}
+		n.clk.AfterFunc(delay, func() { arrive(src, dst, buf) })
+		return
+	}
+	p := n.pktFree
+	if p == nil {
+		p = &packet{net: n}
+	} else {
+		n.pktFree, p.next = p.next, nil
+	}
+	p.buf = append(p.buf[:0], payload...)
+	p.src, p.dst, p.payload, p.tcp = src, dst, p.buf, tcp
+	n.argClk.AfterFuncArg(delay, deliverPacket, p)
 }
 
 // Send schedules delivery of payload from src to dst after the modeled
@@ -306,26 +318,14 @@ func deliverPacket(arg any) {
 // buffer for the next send, and receivers must not retain the delivered
 // slice past their callback.
 func (n *Network) Send(src, dst Addr, payload []byte) {
-	n.mu.Lock()
 	// Anycast destinations resolve to the catchment-selected site; both
 	// latency and the inbound loss decision are the site's.
 	site, _ := n.anycastSite(src, dst)
-	delay := n.pairDelayLocked(src, site)
 	n.stats.Sent++
-	n.mu.Unlock()
-
-	if n.argClk != nil {
-		p := packetPool.Get().(*packet)
-		p.buf = append(p.buf[:0], payload...)
-		p.net, p.src, p.dst, p.payload = n, src, site, p.buf
-		n.argClk.AfterFuncArg(delay, deliverPacket, p)
-		return
-	}
-	buf := append([]byte(nil), payload...)
-	n.clk.AfterFunc(delay, func() { n.arrive(src, site, buf) })
+	n.deliverAfter(n.pairDelay(src, site), src, site, payload, false)
 }
 
-func (n *Network) pairDelayLocked(src, dst Addr) time.Duration {
+func (n *Network) pairDelay(src, dst Addr) time.Duration {
 	if d, ok := n.pairs[[2]Addr{src, dst}]; ok {
 		return d
 	}
@@ -333,7 +333,6 @@ func (n *Network) pairDelayLocked(src, dst Addr) time.Duration {
 }
 
 func (n *Network) arrive(src, dst Addr, payload []byte) {
-	n.mu.Lock()
 	loss := n.inLoss[dst]
 	dropped := loss > 0 && n.rng.Float64() < loss
 	// Datagrams over the path MTU never arrive: the collapsed model of
@@ -346,17 +345,14 @@ func (n *Network) arrive(src, dst Addr, payload []byte) {
 	recv := n.hosts[dst]
 	if recv == nil && !dropped && n.lazy != nil {
 		if h := n.lazy[dst]; h != nil {
+			// The host registers its receiver via Bind. Dropped packets
+			// skip materialization — a drop never reaches the host either
+			// way.
 			delete(n.lazy, dst)
-			// Materialize outside the lock: the host registers its
-			// receiver via Bind, which re-locks. Dropped packets skip
-			// materialization — a drop never reaches the host either way.
-			n.mu.Unlock()
 			h.Materialize()
-			n.mu.Lock()
 			recv = n.hosts[dst]
 		}
 	}
-	taps := n.taps
 	switch {
 	case dropped:
 		n.stats.Dropped++
@@ -365,12 +361,10 @@ func (n *Network) arrive(src, dst Addr, payload []byte) {
 	default:
 		n.stats.Delivered++
 	}
-	now := n.clk.Now()
-	n.mu.Unlock()
 
 	n.event(arrival(dropped), src, dst, payload)
-	ev := Event{Time: now, Src: src, Dst: dst, Payload: payload, Dropped: dropped}
-	for _, tap := range taps {
+	ev := Event{Time: n.clk.Now(), Src: src, Dst: dst, Payload: payload, Dropped: dropped}
+	for _, tap := range n.taps {
 		tap(ev)
 	}
 	if !dropped && recv != nil {

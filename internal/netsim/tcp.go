@@ -52,8 +52,6 @@ func (n *Network) BindTCP(addr Addr, recv func(src Addr, payload []byte)) *TCPPo
 	if addr == "" {
 		panic("netsim: empty address")
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.tcpHosts == nil {
 		n.tcpHosts = make(map[Addr]func(src Addr, payload []byte), 16)
 	}
@@ -69,8 +67,6 @@ func (n *Network) SetInboundLossTCP(dst Addr, p float64) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("netsim: tcp loss probability %v out of range", p))
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if p == 0 {
 		delete(n.tcpLoss, dst)
 	} else {
@@ -90,8 +86,6 @@ func (n *Network) SetPathMTU(dst Addr, bytes int) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("netsim: path mtu %d out of range", bytes))
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if bytes == 0 {
 		delete(n.mtu, dst)
 	} else {
@@ -104,8 +98,6 @@ func (n *Network) SetPathMTU(dst Addr, bytes int) {
 
 // PathMTU returns the UDP payload limit toward dst (0 = unlimited).
 func (n *Network) PathMTU(dst Addr) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.mtu[dst]
 }
 
@@ -115,52 +107,34 @@ func (n *Network) PathMTU(dst Addr) int {
 // tcpIdleTimeout after its last message. Like Send, the payload is
 // copied before returning and the loss decision is made at arrival.
 func (n *Network) SendTCP(src, dst Addr, payload []byte) {
-	n.mu.Lock()
-	oneWay := n.pairDelayLocked(src, dst)
+	oneWay := n.pairDelay(src, dst)
 	delay := oneWay
 	key := connKey(src, dst)
 	now := n.clk.Now()
-	connected := false
 	if exp, ok := n.tcpConns[key]; !ok || now.After(exp) {
 		delay += 2 * oneWay // SYN + SYN-ACK before the data segment
-		connected = true
 		n.stats.TCPConnects++
+		n.event(trace.EvTCPConnect, src, dst, payload)
 	}
 	if n.tcpConns == nil {
 		n.tcpConns = make(map[[2]Addr]time.Time, 16)
 	}
 	n.tcpConns[key] = now.Add(delay + tcpIdleTimeout)
 	n.stats.TCPSent++
-	n.mu.Unlock()
-
-	if connected {
-		n.event(trace.EvTCPConnect, src, dst, payload)
-	}
-	if n.argClk != nil {
-		p := packetPool.Get().(*packet)
-		p.buf = append(p.buf[:0], payload...)
-		p.net, p.src, p.dst, p.payload, p.tcp = n, src, dst, p.buf, true
-		n.argClk.AfterFuncArg(delay, deliverPacket, p)
-		return
-	}
-	buf := append([]byte(nil), payload...)
-	n.clk.AfterFunc(delay, func() { n.arriveTCP(src, dst, buf) })
+	n.deliverAfter(delay, src, dst, payload, true)
 }
 
 // arriveTCP applies the TCP-plane loss dial and hands the message to the
 // bound receiver. Lazy hosts materialize exactly as on the UDP plane, so
 // population builders need no TCP-specific wiring.
 func (n *Network) arriveTCP(src, dst Addr, payload []byte) {
-	n.mu.Lock()
 	loss := n.tcpLoss[dst]
 	dropped := loss > 0 && n.rng.Float64() < loss
 	recv := n.tcpHosts[dst]
 	if recv == nil && !dropped && n.lazy != nil {
 		if h := n.lazy[dst]; h != nil {
 			delete(n.lazy, dst)
-			n.mu.Unlock()
 			h.Materialize()
-			n.mu.Lock()
 			recv = n.tcpHosts[dst]
 		}
 	}
@@ -172,7 +146,6 @@ func (n *Network) arriveTCP(src, dst Addr, payload []byte) {
 	default:
 		n.stats.TCPDelivered++
 	}
-	n.mu.Unlock()
 
 	n.event(arrival(dropped), src, dst, payload)
 	if !dropped && recv != nil {

@@ -12,7 +12,7 @@ import (
 func (t *task) forward() {
 	t.timeout = t.r.cfg.InitialTimeout * 2 // upstream does full resolution
 	t.attempt = 0
-	t.servers = append(t.servers[:0], t.r.cfg.Forwarders...)
+	t.servers = append(t.serverBuf(), t.r.cfg.Forwarders...)
 	t.r.random().Shuffle(len(t.servers), func(i, j int) {
 		t.servers[i], t.servers[j] = t.servers[j], t.servers[i]
 	})
@@ -63,10 +63,8 @@ func (t *task) handleForwardResponse(m *dnswire.Message) {
 	case dnswire.RCodeNoError:
 		if len(m.Answers) > 0 {
 			t.cacheRRs(m.Answers, cache.RankAnswer)
-			// Copy: m may be the resolver's scratch message, but a Result
-			// can outlive this dispatch (client callbacks retain it).
-			answers := make([]dnswire.RR, len(m.Answers))
-			copy(answers, m.Answers)
+			// Copy: m is the resolver's scratch message.
+			answers := append(t.answerBuf(len(m.Answers)), m.Answers...)
 			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: answers})
 			return
 		}

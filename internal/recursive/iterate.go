@@ -31,17 +31,23 @@ type task struct {
 	// records, Appendix A).
 	skipCacheLookup bool
 	cb              func(Result)
-	// root marks the client-facing task created by Resolve; delivery runs
-	// the client-response bookkeeping (deadline, metrics, trace) inline
-	// instead of through a wrapping closure.
+	// job is set instead of cb on the task embedded in a clientJob:
+	// delivery calls the job's complete method, so serveClient builds no
+	// closure.
+	job *clientJob
+	// root marks the client-facing task started by resolveTask; delivery
+	// runs the client-response bookkeeping (deadline, metrics, trace)
+	// inline instead of through a wrapping closure.
 	root     bool
 	deadline clock.TimerRef
 
 	// fetch state for the current zone iteration
 	zoneName string
-	// servers is the candidate list, rebuilt in place (servers[:0]) on
-	// every zone change: one buffer serves the task's whole descent.
-	servers []netsim.Addr
+	// servers is the candidate list, rebuilt in place (serverBuf) on
+	// every zone change: one buffer serves the task's whole descent. It
+	// starts on servers0, which holds a typical NS set without growing.
+	servers  []netsim.Addr
+	servers0 [4]netsim.Addr
 	// tried is a bitset over servers indices (reset each rotation round).
 	// A bitset instead of a map: rotation is the hottest retry path. Lists
 	// of up to 64 candidates — all but hostile referrals — use the inline
@@ -71,6 +77,14 @@ func (t *task) resetTried(n int) {
 	}
 }
 
+// serverBuf returns the task's candidate buffer, emptied.
+func (t *task) serverBuf() []netsim.Addr {
+	if t.servers == nil {
+		return t.servers0[:0]
+	}
+	return t.servers[:0]
+}
+
 // markTried records that servers[idx] was attempted. Every index holding
 // the same address is marked, preserving the semantics of the map this
 // replaces (a duplicated candidate was tried once, not per copy).
@@ -88,12 +102,18 @@ func (t *task) markTried(idx int) {
 // deployments; callers without an opinion pass a random value. cb runs
 // exactly once.
 func (r *Resolver) Resolve(name string, qtype dnswire.Type, shard int, cb func(Result)) {
-	t := &task{
-		r: r, name: dnswire.CanonicalName(name), qtype: qtype,
-		shard: shard, budget0: r.cfg.WorkBudget, cb: cb, root: true,
-	}
+	r.resolveTask(&task{cb: cb}, dnswire.CanonicalName(name), qtype, shard)
+}
+
+// resolveTask starts t, fresh but for its cb or job, as the client-facing
+// resolution of the canonical (name, qtype). A task is never recycled: a
+// stale-serve timer, a late upstream answer or a subtask callback can
+// still reach it after finish.
+func (r *Resolver) resolveTask(t *task, name string, qtype dnswire.Type, shard int) {
+	t.r, t.name, t.qtype, t.shard, t.root = r, name, qtype, shard, true
+	t.budget0 = r.cfg.WorkBudget
 	t.budget = &t.budget0
-	r.event(kClientQuery, payload{name: t.name, a: uint32(qtype)})
+	r.event(kClientQuery, payload{name: name, a: uint32(qtype)})
 	t.deadline = clock.AfterFuncRef(r.clk, r.cfg.ClientTimeout, taskDeadline, t)
 	t.run()
 }
@@ -130,18 +150,22 @@ func (t *task) armStaleTimer() {
 	if !v.Hit || !v.Stale || v.Negative {
 		return
 	}
-	t.r.clk.AfterFunc(t.r.cfg.StaleAnswerDelay, func() {
-		if t.done {
-			return
-		}
-		sv := t.r.cache.GetStale(cache.Key{Name: t.name, Type: t.qtype}, t.shard)
-		if !sv.Hit || !sv.Stale || sv.Negative {
-			return
-		}
-		t.r.event(kStaleServe, payload{name: t.name})
-		t.finish(Result{RCode: dnswire.RCodeNoError, Answers: sv.Records,
-			Stale: true, FromCache: true})
-	})
+	clock.AfterFuncRef(t.r.clk, t.r.cfg.StaleAnswerDelay, staleAnswer, t)
+}
+
+// staleAnswer is the static client-response timer armed by armStaleTimer.
+func staleAnswer(arg any) {
+	t := arg.(*task)
+	if t.done {
+		return
+	}
+	sv := t.r.cache.GetStale(cache.Key{Name: t.name, Type: t.qtype}, t.shard)
+	if !sv.Hit || !sv.Stale || sv.Negative {
+		return
+	}
+	t.r.event(kStaleServe, payload{name: t.name})
+	t.finish(Result{RCode: dnswire.RCodeNoError, Answers: sv.Records,
+		Stale: true, FromCache: true})
 }
 
 // finish delivers res exactly once. Fresh upstream answers get their TTLs
@@ -158,15 +182,13 @@ func (t *task) finish(res Result) {
 	if !res.FromCache && !t.r.cfg.NoCache {
 		maxTTL := uint32(t.r.cfg.Cache.MaxTTL / timeSecond)
 		minTTL := uint32(t.r.cfg.Cache.MinTTL / timeSecond)
-		if maxTTL > 0 || minTTL > 0 {
-			res.Answers = append([]dnswire.RR(nil), res.Answers...)
-			for i := range res.Answers {
-				if maxTTL > 0 && res.Answers[i].TTL > maxTTL {
-					res.Answers[i].TTL = maxTTL
-				}
-				if minTTL > 0 && res.Answers[i].TTL < minTTL {
-					res.Answers[i].TTL = minTTL
-				}
+		// In place: fresh answers sit in the task's own answerBuf.
+		for i := range res.Answers {
+			if maxTTL > 0 && res.Answers[i].TTL > maxTTL {
+				res.Answers[i].TTL = maxTTL
+			}
+			if minTTL > 0 && res.Answers[i].TTL < minTTL {
+				res.Answers[i].TTL = minTTL
 			}
 		}
 	}
@@ -188,6 +210,10 @@ func (t *task) deliver(res Result) {
 			stale = 1
 		}
 		t.r.event(kClientResponse, payload{name: t.name, a: uint32(res.RCode), b: stale})
+	}
+	if t.job != nil {
+		t.job.complete(res)
+		return
 	}
 	t.cb(res)
 }
@@ -284,7 +310,7 @@ func (t *task) initFetch() bool {
 		return false
 	}
 	t.zoneName = "."
-	t.servers = t.servers[:0]
+	t.servers = t.serverBuf()
 	for _, h := range t.r.cfg.RootHints {
 		t.servers = append(t.servers, h.Addr)
 	}
@@ -300,7 +326,7 @@ func (t *task) zoneServersFromCache(zone string) []netsim.Addr {
 	if !ns.Hit || ns.Negative {
 		return nil
 	}
-	addrs := t.servers[:0]
+	addrs := t.serverBuf()
 	for _, rr := range ns.Records {
 		host := dnswire.CanonicalName(rr.Data.(dnswire.NS).Host)
 		a := t.r.cache.Peek(cache.Key{Name: host, Type: dnswire.TypeA}, t.shard)
@@ -465,6 +491,21 @@ func (t *task) absorbLateResponse(m *dnswire.Message) {
 	}
 }
 
+// answerBuf returns an empty buffer for the n or so answers of a Result.
+// A Resolve caller may keep them, so its buffer is fresh; a job packs
+// them and a subtask reads them before the dispatch returns, so theirs is
+// the resolver's record scratch (free once cacheAuthorityAndGlue is done).
+// Either way the task owns the records and finish may rewrite their TTLs.
+func (t *task) answerBuf(n int) []dnswire.RR {
+	if t.root && t.job == nil {
+		return make([]dnswire.RR, 0, n)
+	}
+	if cap(t.r.rrScratch) < n {
+		t.r.rrScratch = make([]dnswire.RR, 0, n)
+	}
+	return t.r.rrScratch[:0]
+}
+
 // handleAnswer caches the answer RRsets and finishes or restarts on a
 // dangling CNAME.
 func (t *task) handleAnswer(m *dnswire.Message) {
@@ -479,7 +520,7 @@ func (t *task) handleAnswer(m *dnswire.Message) {
 	// Also cache authority NS sets delivered alongside answers.
 	t.cacheAuthorityAndGlue(m)
 
-	var collected []dnswire.RR
+	collected := t.answerBuf(len(m.Answers))
 	cur := t.name
 	for hop := 0; hop <= t.r.cfg.MaxCNAME; hop++ {
 		matched := false
@@ -541,7 +582,7 @@ func (t *task) handleReferral(m *dnswire.Message, ns []dnswire.RR) {
 	// addresses outside the zone it is delegating, so a response
 	// volunteering them is the classic poisoning vector. Such NS hosts are
 	// resolved independently below instead.
-	addrs := t.servers[:0]
+	addrs := t.serverBuf()
 	for _, rr := range ns {
 		host := dnswire.CanonicalName(rr.Data.(dnswire.NS).Host)
 		for _, g := range m.Additionals {
@@ -632,7 +673,7 @@ func (t *task) resolveNSAddrs(hosts []string, newZone string) {
 			r: t.r, name: hosts[i], qtype: dnswire.TypeA,
 			shard: t.shard, depth: t.depth + 1, budget: t.budget,
 			cb: func(res Result) {
-				addrs := t.servers[:0]
+				addrs := t.serverBuf()
 				for _, rr := range res.Answers {
 					if a, ok := rr.Data.(dnswire.A); ok {
 						addrs = append(addrs, internAddr(a.Addr))

@@ -430,9 +430,19 @@ func (r *Resolver) getOQ() *outquery {
 	return new(outquery)
 }
 
-func (r *Resolver) putOQ(oq *outquery) {
-	*oq = outquery{next: r.oqFree}
-	r.oqFree = oq
+// putOQ retires a node. The recycle rule, for this free list and every
+// other on a cell's path (stub's pending records, vantage's round
+// queries, netsim's packets): a node goes back to its list only from
+// inside its own timer callback or after that timer's Stop() reported
+// true, because only then can no queued callback still reach it. That is
+// always so on the virtual clock. On a wall clock Stop can lose to a
+// callback already waiting for udprun.Loop's lock; the node is then
+// cleared and left to the GC, and the late callback finds it empty.
+func (r *Resolver) putOQ(oq *outquery, timerDone bool) {
+	*oq = outquery{}
+	if timerDone {
+		oq.next, r.oqFree = r.oqFree, oq
+	}
 }
 
 // send transmits the task's (name, qtype) to server and arms a timeout.
@@ -468,7 +478,7 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	r.packBuf = wire[:0]
 	if err != nil {
 		delete(r.inflight, id)
-		r.putOQ(oq)
+		r.putOQ(oq, true) // no timer armed yet
 		if fwd {
 			t.forwardNext()
 		} else {
@@ -484,18 +494,19 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	r.conn.Send(server, wire)
 }
 
-// outqueryTimeout is the static timeout callback armed by send.
+// outqueryTimeout is the static timeout callback armed by send. A node
+// the answer retired first (see putOQ) is empty or no longer in flight.
 func outqueryTimeout(arg any) {
 	oq := arg.(*outquery)
 	t, server, fwd := oq.t, oq.server, oq.fwd
-	r := t.r
-	if r.inflight[oq.id] != oq {
+	if t == nil || t.r.inflight[oq.id] != oq {
 		return
 	}
+	r := t.r
 	delete(r.inflight, oq.id)
 	r.event(kTimeout, payload{name: t.name, dst: server})
 	r.srttPenalty(server)
-	r.putOQ(oq)
+	r.putOQ(oq, true)
 	if fwd {
 		t.forwardNext()
 	} else {
@@ -510,12 +521,11 @@ func (r *Resolver) handleUpstream(m *dnswire.Message) {
 		return // late or spoofed; ignore
 	}
 	delete(r.inflight, m.ID)
-	oq.timer.Stop()
 	sample := r.clk.Now().Sub(oq.sentAt)
 	r.upstreamRTTms.Observe(float64(sample) / float64(time.Millisecond))
 	r.srttUpdate(oq.server, sample)
 	t, server, fwd, tcp := oq.t, oq.server, oq.fwd, oq.tcp
-	r.putOQ(oq)
+	r.putOQ(oq, oq.timer.Stop())
 	if m.Truncated {
 		// TC=1 never carries a usable answer: the data sections were
 		// stripped to fit the UDP limit. Retry over TCP (or rotate) —

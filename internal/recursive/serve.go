@@ -5,13 +5,25 @@ import (
 	"repro/internal/netsim"
 )
 
-// clientJob tracks identical in-flight client queries that share one
-// resolution (query coalescing). The first waiter is inline: most jobs
-// never see a second.
+// clientJob is one client miss, a single allocation: the resolution (the
+// embedded task, whose job field points back here) and the clients
+// awaiting it. Identical in-flight queries share one job (query
+// coalescing); the first waiter is inline: most jobs never see a second.
 type clientJob struct {
-	key   coalesceKey
+	task
+	key   coalesceKey // as asked; the task's name moves along CNAMEs
 	first waiter
 	more  []waiter
+}
+
+// complete is the job's task delivering: every waiter gets res.
+func (j *clientJob) complete(res Result) {
+	r := j.r
+	delete(r.coalesce, j.key)
+	r.answer(&j.first, j.key, res)
+	for i := range j.more {
+		r.answer(&j.more[i], j.key, res)
+	}
 }
 
 // waiter is one client awaiting a job's answer. Its query was decoded
@@ -80,15 +92,9 @@ func (r *Resolver) serveClient(src netsim.Addr, q *dnswire.Message, tcp bool) {
 		return
 	}
 	job := &clientJob{key: key, first: w}
+	job.job = job
 	r.coalesce[key] = job
-
-	r.Resolve(name, question.Type, shard, func(res Result) {
-		delete(r.coalesce, job.key)
-		r.answer(&job.first, job.key, res)
-		for i := range job.more {
-			r.answer(&job.more[i], job.key, res)
-		}
-	})
+	r.resolveTask(&job.task, name, question.Type, shard)
 }
 
 // HandleQuery answers a parsed client query transport-independently:

@@ -70,8 +70,10 @@ type Client struct {
 	tcpConn netsim.Conn
 	nextID  uint16
 	trace   *trace.Buffer
-	// inflight maps message IDs to pending queries.
+	// inflight maps message IDs to pending queries; free recycles their
+	// records (see release).
 	inflight map[uint16]*pending
+	free     *pending
 
 	// qMsg and respMsg are the scratch encode source and decode target,
 	// packBuf the scratch wire buffer (Conn.Send copies). The event loop
@@ -94,7 +96,30 @@ type pending struct {
 	name    string
 	qtype   dnswire.Type
 	started time.Time
-	cb      func(Result)
+	h       Handler
+	next    *pending // free-list link
+}
+
+// Handler receives a query's outcome, exactly once. A caller with
+// per-query state implements it on that state, so Do builds no closure;
+// Query adapts a plain func.
+type Handler interface {
+	Done(Result)
+}
+
+type handlerFunc func(Result)
+
+func (f handlerFunc) Done(res Result) { f(res) }
+
+// release retires p once its handler has run, under the recycle rule of
+// recursive's putOQ: back to the free list when p's timer is done (it
+// fired, or Stop() reported true), otherwise cleared and left to the GC
+// for the late attemptTimeout to find empty.
+func (c *Client) release(p *pending, timerDone bool) {
+	*p = pending{}
+	if timerDone {
+		p.next, c.free = c.free, p
+	}
 }
 
 // New creates a stub client on clk.
@@ -135,7 +160,7 @@ func (c *Client) Receive(src netsim.Addr, payload []byte) {
 		return
 	}
 	delete(c.inflight, m.ID)
-	p.timer.Stop()
+	stopped := p.timer.Stop()
 	if m.Truncated && !p.tcp {
 		// TC=1 is not an answer: the server stripped the data sections to
 		// fit the UDP limit. Retry over TCP, or report it as truncated —
@@ -147,12 +172,14 @@ func (c *Client) Receive(src netsim.Addr, payload []byte) {
 			return
 		}
 		c.event(trace.EvTruncate, p, 0, src, "")
-		p.cb(Result{Msg: m, Err: ErrTruncated, Truncated: true,
+		p.h.Done(Result{Msg: m, Err: ErrTruncated, Truncated: true,
 			RTT: c.clk.Now().Sub(p.started), Server: src})
+		c.release(p, stopped)
 		return
 	}
 	c.event(trace.EvStubAnswer, p, uint32(m.RCode), src, "")
-	p.cb(Result{Msg: m, RTT: c.clk.Now().Sub(p.started), Server: src, TCP: p.tcp})
+	p.h.Done(Result{Msg: m, RTT: c.clk.Now().Sub(p.started), Server: src, TCP: p.tcp})
+	c.release(p, stopped)
 }
 
 // event is the client's one trace emit site: a record of the given type
@@ -174,11 +201,19 @@ func (c *Client) event(typ trace.Type, p *pending, a uint32, src, dst netsim.Add
 // Query sends a recursive query for (name, qtype) to server. cb runs
 // exactly once with the response or a timeout error.
 func (c *Client) Query(server netsim.Addr, name string, qtype dnswire.Type, cb func(Result)) {
-	p := &pending{
-		c: c, server: server, retries: c.cfg.Retries,
-		name: name, qtype: qtype,
-		started: c.clk.Now(), cb: cb,
+	c.Do(server, name, qtype, handlerFunc(cb))
+}
+
+// Do is Query with the outcome delivered to h.
+func (c *Client) Do(server netsim.Addr, name string, qtype dnswire.Type, h Handler) {
+	p := c.free
+	if p == nil {
+		p = new(pending)
+	} else {
+		c.free, p.next = p.next, nil
 	}
+	p.c, p.server, p.retries = c, server, c.cfg.Retries
+	p.name, p.qtype, p.started, p.h = name, qtype, c.clk.Now(), h
 	c.sendAttempt(p)
 }
 
@@ -216,7 +251,8 @@ func (c *Client) sendAttempt(p *pending) {
 	c.packBuf = wire[:0]
 	if err != nil {
 		delete(c.inflight, p.id)
-		p.cb(Result{Err: err, Server: p.server})
+		p.h.Done(Result{Err: err, Server: p.server})
+		c.release(p, true) // no timer armed for this attempt
 		return
 	}
 	p.timer = clock.AfterFuncRef(c.clk, c.cfg.Timeout, attemptTimeout, p)
@@ -227,11 +263,13 @@ func (c *Client) sendAttempt(p *pending) {
 	c.conn.Send(p.server, wire)
 }
 
-// attemptTimeout is the static timeout callback armed by sendAttempt.
+// attemptTimeout is the static timeout callback armed by sendAttempt. A
+// record the answer retired first (see release) is empty or no longer in
+// flight.
 func attemptTimeout(arg any) {
 	p := arg.(*pending)
 	c := p.c
-	if c.inflight[p.id] != p {
+	if c == nil || c.inflight[p.id] != p {
 		return
 	}
 	delete(c.inflight, p.id)
@@ -244,5 +282,6 @@ func attemptTimeout(arg any) {
 	// expire, and forcing them all would defeat the sampling memory
 	// bound. SERVFAILs (rare, terminal) are forced.
 	c.event(trace.EvStubTimeout, p, uint32(p.attempt), "", p.server)
-	p.cb(Result{Err: ErrTimeout, RTT: c.clk.Now().Sub(p.started), Server: p.server})
+	p.h.Done(Result{Err: ErrTimeout, RTT: c.clk.Now().Sub(p.started), Server: p.server})
+	c.release(p, true)
 }

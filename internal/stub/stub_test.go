@@ -191,3 +191,52 @@ func TestResultMsgValidInsideCallback(t *testing.T) {
 		t.Errorf("responses decoded into %d distinct messages, want the one scratch message", len(seen))
 	}
 }
+
+// lateClock is a wall clock's worst case on top of Virtual: every
+// TimerRef's Stop() reports false — the callback is already queued — and
+// the callback still runs at its deadline.
+type lateClock struct{ *clock.Virtual }
+
+type firedAlready struct{}
+
+func (firedAlready) Stop() bool { return false }
+
+func (c lateClock) AfterFuncRef(d time.Duration, f func(any), arg any) clock.TimerRef {
+	c.Virtual.AfterFuncArg(d, f, arg)
+	return clock.RefOf(firedAlready{})
+}
+
+// TestLateTimerAfterRecycle is the stub's half of recursive's test of the
+// same name: the answer retires the pending record, the attemptTimeout
+// that Stop() could not cancel fires later — while a second query is in
+// flight, which a free list that ignored Stop()'s result would have handed
+// the same record. No second callback, no spurious ErrTimeout.
+func TestLateTimerAfterRecycle(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	net := netsim.New(clk, 1)
+	echoServer(t, net, "10.0.0.53")
+	net.SetPairDelay("10.9.0.1", "10.0.0.53", 20*time.Millisecond)
+	c := New(lateClock{clk}, Config{})
+	c.Attach(net, "10.9.0.1")
+
+	var results []Result
+	record := func(r Result) { results = append(results, r) }
+	c.Query("10.0.0.53", "probe1.cachetest.nl.", dnswire.TypeAAAA, record)
+	// The first query's timer fires at 5 s; the second is then 20 ms out,
+	// its answer 20 ms away.
+	clk.AfterFunc(DefaultTimeout-20*time.Millisecond, func() {
+		c.Query("10.0.0.53", "probe1.cachetest.nl.", dnswire.TypeAAAA, record)
+	})
+	clk.Run()
+	if len(results) != 2 {
+		t.Fatalf("%d callbacks, want 2", len(results))
+	}
+	for i, r := range results {
+		if r.Err != nil || r.RTT != 40*time.Millisecond {
+			t.Errorf("query %d: err %v, RTT %v", i+1, r.Err, r.RTT)
+		}
+	}
+	if len(c.inflight) != 0 {
+		t.Errorf("%d left in flight", len(c.inflight))
+	}
+}

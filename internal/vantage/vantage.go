@@ -97,6 +97,7 @@ type Probe struct {
 	seed     int64 // reserved for per-probe jitter; nothing draws today
 	clk      clock.Clock
 	answers  []Answer
+	free     *vpQuery // recycled query contexts
 	sent     metrics.Counter
 	timeouts metrics.Counter
 	// Dead marks a probe whose queries never get answered (the ~4.5%
@@ -124,13 +125,34 @@ func NewProbe(clk clock.Clock, net *netsim.Network, id uint16, addr netsim.Addr,
 // separate VP measurement).
 func (p *Probe) QueryRound(round int) {
 	for _, rec := range p.Recursives {
-		rec := rec
-		sentAt := p.clk.Now()
+		q := p.free
+		if q == nil {
+			q = &vpQuery{p: p}
+		} else {
+			p.free = q.next
+		}
+		q.round, q.rec, q.sentAt = round, rec, p.clk.Now()
 		p.sent.Inc()
-		p.client.Query(rec, p.qname, dnswire.TypeAAAA, func(res stub.Result) {
-			p.answers = append(p.answers, p.interpret(round, rec, sentAt, res))
-		})
+		p.client.Do(rec, p.qname, dnswire.TypeAAAA, q)
 	}
+}
+
+// vpQuery is the context of one in-flight VP query and its stub.Handler.
+// The stub reports each query exactly once, and with that the context
+// goes back to its probe's free list.
+type vpQuery struct {
+	p      *Probe
+	round  int
+	rec    netsim.Addr
+	sentAt time.Time
+	next   *vpQuery
+}
+
+// Done implements stub.Handler: it logs the VP's observation.
+func (q *vpQuery) Done(res stub.Result) {
+	p := q.p
+	p.answers = append(p.answers, p.interpret(q.round, q.rec, q.sentAt, res))
+	q.next, p.free = p.free, q
 }
 
 // interpret converts a stub result into an Answer.
@@ -202,23 +224,38 @@ func (f *Fleet) random() *rand.Rand {
 
 // Schedule arms timers for rounds of queries: round r fires at
 // start + r*interval + smear, where smear is uniform in [0, smear) per
-// probe per round (Atlas spreads queries over ~5 minutes, §5.2).
+// probe per round (Atlas spreads queries over ~5 minutes, §5.2). Each
+// live probe's log is sized for the whole schedule up front.
 func (f *Fleet) Schedule(start time.Time, interval, smear time.Duration, rounds int) {
 	now := f.clk.Now()
+	// One slab holds every (probe, round) the timers point at; it never
+	// grows, so the pointers stay good.
+	slab := make([]probeRound, 0, len(f.Probes)*rounds)
 	for _, p := range f.Probes {
 		if p.Dead {
 			continue
 		}
-		p := p
+		p.answers = slices.Grow(p.answers, rounds*len(p.Recursives))
 		for r := 0; r < rounds; r++ {
-			r := r
 			at := start.Add(time.Duration(r) * interval)
 			if smear > 0 {
 				at = at.Add(time.Duration(f.random().Int63n(int64(smear))))
 			}
-			f.clk.AfterFunc(at.Sub(now), func() { p.QueryRound(r) })
+			slab = append(slab, probeRound{p, r})
+			clock.AfterFuncRef(f.clk, at.Sub(now), fireRound, &slab[len(slab)-1])
 		}
 	}
+}
+
+type probeRound struct {
+	p     *Probe
+	round int
+}
+
+// fireRound is the static timer callback armed by Schedule.
+func fireRound(arg any) {
+	pr := arg.(*probeRound)
+	pr.p.QueryRound(pr.round)
 }
 
 // CollectMetrics folds the fleet's probing totals into s. A query counts
@@ -235,7 +272,11 @@ func (f *Fleet) CollectMetrics(s metrics.Scope) {
 
 // AllAnswers gathers every probe's log.
 func (f *Fleet) AllAnswers() []Answer {
-	var out []Answer
+	n := 0
+	for _, p := range f.Probes {
+		n += len(p.answers)
+	}
+	out := make([]Answer, 0, n)
 	for _, p := range f.Probes {
 		out = append(out, p.answers...)
 	}
