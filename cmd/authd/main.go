@@ -11,12 +11,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"os"
 
 	"repro/internal/authoritative"
 	"repro/internal/dnswire"
+	"repro/internal/lazyrand"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/telemetry"
@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("authd: %v", err)
 	}
-	rng := rand.New(rand.NewSource(*seed))
+	rng := lazyrand.New(*seed)
 	log.Printf("authoritative listening on %s (inbound loss %.0f%%)", conn.Addr(), *loss*100)
 
 	if *tcp {

@@ -6,10 +6,10 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	dikes "repro"
+	"repro/internal/lazyrand"
 	"repro/internal/udprun"
 )
 
@@ -32,7 +32,7 @@ func main() {
 	// Authoritative on a real UDP socket, with a drop probability we can
 	// turn into a DDoS (the paper's iptables emulation).
 	loss := 0.0
-	rng := rand.New(rand.NewSource(1))
+	rng := lazyrand.New(1)
 	authLoop := udprun.NewLoop()
 	go authLoop.Run()
 	authConn, err := udprun.Listen("127.0.0.1:0", authLoop)

@@ -149,13 +149,15 @@ type shard struct {
 	// Node arena: fresh nodes come from slab chunks and evicted nodes are
 	// recycled through free (linked via next), so a steady-state shard
 	// allocates one chunk per slabChunk insertions instead of one node
-	// per Put.
-	slab []cached
-	used int
-	free *cached
+	// per Put. Capacity (reserved) grows 4 → 8 → 16 → 32 nodes, then
+	// slabChunk at a time: most of a population's caches hold a handful.
+	slab     []cached
+	used     int
+	reserved int
+	free     *cached
 }
 
-// slabChunk is the node-arena growth quantum.
+// slabChunk is the node-arena growth quantum once the arena is grown.
 const slabChunk = 32
 
 func (sh *shard) newNode() *cached {
@@ -165,8 +167,10 @@ func (sh *shard) newNode() *cached {
 		return n
 	}
 	if sh.used == len(sh.slab) {
-		sh.slab = make([]cached, slabChunk)
+		chunk := min(max(sh.reserved, 4), slabChunk)
+		sh.slab = make([]cached, chunk)
 		sh.used = 0
+		sh.reserved += chunk
 	}
 	n := &sh.slab[sh.used]
 	sh.used++

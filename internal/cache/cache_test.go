@@ -195,6 +195,50 @@ func TestLRUCapacity(t *testing.T) {
 	}
 }
 
+// TestShardArenaGrowsWithUse: a shard holding k entries has reserved at
+// most max(4, 2k) nodes for k ≤ 32 (most of a population's caches hold a
+// handful), counted from the slab chunks it allocated; and a Put at
+// Capacity allocates nothing, because eviction recycles the node.
+func TestShardArenaGrowsWithUse(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	entries := make([]Entry, 64)
+	keys := make([]Key, len(entries))
+	for i := range entries {
+		name := fmt.Sprintf("h%d.example.nl.", i)
+		keys[i] = keyA(name)
+		entries[i] = Entry{Records: []dnswire.RR{rrA(name, 300, "10.0.0.1")}, Rank: RankAnswer}
+	}
+
+	c := New(clk, Config{})
+	sh := &c.shards[0]
+	reserved, last := 0, (*cached)(nil)
+	for k := 1; k <= 32; k++ {
+		c.Put(keys[k-1], entries[k-1], 0)
+		if first := &sh.slab[0]; first != last {
+			reserved, last = reserved+len(sh.slab), first
+		}
+		if reserved > max(4, 2*k) {
+			t.Fatalf("%d entries reserved %d nodes, want ≤ %d", k, reserved, max(4, 2*k))
+		}
+	}
+
+	const capacity = 8
+	c = New(clk, Config{Capacity: capacity})
+	for i := 0; i < capacity; i++ {
+		c.Put(keys[i], entries[i], 0)
+	}
+	i := capacity
+	if n := testing.AllocsPerRun(100, func() {
+		c.Put(keys[i%len(keys)], entries[i%len(keys)], 0)
+		i++
+	}); n != 0 {
+		t.Errorf("a Put at capacity allocates %.1f objects, want 0", n)
+	}
+	if c.Len() != capacity {
+		t.Errorf("Len = %d, want %d", c.Len(), capacity)
+	}
+}
+
 func TestShardsAreIndependent(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	c := New(clk, Config{Shards: 4})

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/clock"
+	"repro/internal/lazyrand"
 	"repro/internal/netsim"
 	"repro/internal/recursive"
 	"repro/internal/vantage"
@@ -283,7 +284,7 @@ func BuildPopulation(clk clock.Clock, net *netsim.Network, probes int, domain st
 	cfg = cfg.withDefaults()
 	b := &builder{
 		clk: clk, net: net, hints: hints, cfg: cfg,
-		rng: rand.New(rand.NewSource(seed)), domain: domain,
+		rng: lazyrand.New(seed), domain: domain,
 		pop: &Population{
 			R1Meta:    make(map[netsim.Addr]R1Meta),
 			Resolvers: make([]*LazyResolver, 0, 64),

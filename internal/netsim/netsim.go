@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/lazyrand"
 	"repro/internal/metrics"
 	"repro/internal/timeline"
 	"repro/internal/trace"
@@ -109,7 +110,7 @@ func New(clk clock.Clock, seed int64) *Network {
 	// map are fine, and most networks never install one.
 	n := &Network{
 		clk:   clk,
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   lazyrand.New(seed),
 		hosts: make(map[Addr]func(src Addr, payload []byte), 64),
 	}
 	n.latency = n.defaultLatency

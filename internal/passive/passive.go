@@ -15,6 +15,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/lazyrand"
 	"repro/internal/stats"
 )
 
@@ -129,7 +130,7 @@ type NlResult struct {
 // RunNl synthesizes the trace and computes the Figure 4 analysis.
 func RunNl(cfg NlConfig) *NlResult {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 	start := time.Date(2018, 2, 22, 12, 0, 0, 0, time.UTC)
 	var events []QueryEvent
 

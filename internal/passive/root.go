@@ -2,9 +2,9 @@ package passive
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
+	"repro/internal/lazyrand"
 	"repro/internal/stats"
 )
 
@@ -64,7 +64,7 @@ type RootResult struct {
 // RunRoot synthesizes the day of nl DS queries and computes Figure 5.
 func RunRoot(cfg RootConfig) *RootResult {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 
 	// Letter preference skew: recursives spread retries and
 	// over-querying unevenly over letters (F "friendliest", H "worst").

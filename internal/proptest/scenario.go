@@ -20,8 +20,9 @@ package proptest
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
+
+	"repro/internal/lazyrand"
 )
 
 // ResolverProfile describes one resolver of a generated scenario.
@@ -90,7 +91,7 @@ type Scenario struct {
 
 // Generate derives a scenario from seed.
 func Generate(seed int64) Scenario {
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	sc := Scenario{Seed: seed, LeafZone: "leaf.test."}
 	if rng.Intn(2) == 1 {
 		sc.LeafZone = "leaf.sub.test." // deeper delegation from the TLD

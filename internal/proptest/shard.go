@@ -3,10 +3,10 @@ package proptest
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/lazyrand"
 )
 
 // Shard-count axis: the sharded experiment engine promises that the
@@ -29,7 +29,7 @@ type ShardCase struct {
 // is drawn so most cases span several cells, including ragged trailing
 // cells and the single-cell edge.
 func GenerateShardCase(seed int64) ShardCase {
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	c := ShardCase{
 		Kind: []string{"ddos", "caching", "glue"}[rng.Intn(3)],
 		Cfg: experiment.RunConfig{

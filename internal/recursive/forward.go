@@ -13,7 +13,7 @@ func (t *task) forward() {
 	t.timeout = t.r.cfg.InitialTimeout * 2 // upstream does full resolution
 	t.attempt = 0
 	t.servers = append(t.serverBuf(), t.r.cfg.Forwarders...)
-	t.r.random().Shuffle(len(t.servers), func(i, j int) {
+	t.r.rng.Shuffle(len(t.servers), func(i, j int) {
 		t.servers[i], t.servers[j] = t.servers[j], t.servers[i]
 	})
 	t.resetTried(len(t.servers))

@@ -339,6 +339,15 @@ func (t *task) zoneServersFromCache(zone string) []netsim.Addr {
 	return addrs
 }
 
+// rotate moves a task whose exchange failed (or was never sent) on.
+func (t *task) rotate(fwd bool) {
+	if fwd {
+		t.forwardNext()
+	} else {
+		t.tryNextServer()
+	}
+}
+
 // tryNextServer sends the query to the next candidate for the current
 // zone, handling retry bookkeeping.
 func (t *task) tryNextServer() {
@@ -406,11 +415,7 @@ func (t *task) handleTruncated(server netsim.Addr, fwd, tcp bool) {
 	}
 	// Fallback disabled (or TCP itself claimed truncation): the stripped
 	// response is unusable, treat the server like a lame one.
-	if fwd {
-		t.forwardNext()
-	} else {
-		t.tryNextServer()
-	}
+	t.rotate(fwd)
 }
 
 // handleResponse processes an upstream reply for the current fetch.

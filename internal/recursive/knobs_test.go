@@ -81,6 +81,44 @@ func TestMaxFetchCapsGluelessFanout(t *testing.T) {
 	}
 }
 
+// fillInflight marks every nonzero upstream ID in flight. It names the
+// map's key type only through inference, so the test also compiles
+// against the uint16-keyed map it was written to catch.
+func fillInflight[K uint16 | uint32](m map[K]*outquery) map[K]*outquery {
+	m = make(map[K]*outquery, 1<<16)
+	oq := &outquery{}
+	for id := 1; id < 1<<16; id++ {
+		m[K(id)] = oq
+	}
+	return m
+}
+
+// TestAllocIDExhaustion: with all 65 535 upstream IDs in flight (an
+// upstream black-holing a flood), a new resolution gets SERVFAIL instead
+// of an ID search that never returns, in both ID modes. It runs under a
+// deadline so the hang it guards against fails the test.
+func TestAllocIDExhaustion(t *testing.T) {
+	for name, random := range map[string]bool{"sequential": false, "random": true} {
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t, Config{Seed: 3, RandomIDs: random})
+			w.res.inflight = fillInflight(w.res.inflight)
+			done := make(chan Result, 1)
+			go func() {
+				w.res.Resolve("1.cachetest.nl.", dnswire.TypeAAAA, 0, func(res Result) { done <- res })
+				w.clk.RunFor(30 * time.Second)
+			}()
+			select {
+			case res := <-done:
+				if !res.ServFail {
+					t.Errorf("IDs exhausted: got rcode %v, want SERVFAIL", res.RCode)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("resolution with every ID in flight did not finish in 5 s")
+			}
+		})
+	}
+}
+
 // TestRandomIDsEntropy pins the query-ID allocation modes: the default
 // counter hands out 1, 2, 3, ... on a fresh resolver (trivially guessable
 // by an off-path spoofer), and RandomIDs replaces it with seeded draws

@@ -25,6 +25,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/clock"
 	"repro/internal/dnswire"
+	"repro/internal/lazyrand"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/timeline"
@@ -229,7 +230,7 @@ type Resolver struct {
 	clk   clock.Clock
 	cfg   Config
 	cache cache.Cache
-	rng   *rand.Rand // lazy; use random()
+	rng   *rand.Rand
 	conn  netsim.Conn
 	// tcpConn is the TCP-plane transport (nil when unbound): TC=1
 	// fallback retries go out on it, and clients reached over it are
@@ -237,8 +238,8 @@ type Resolver struct {
 	tcpConn netsim.Conn
 
 	nextID   uint16
-	inflight map[uint16]*outquery
-	oqFree   *outquery // outquery freelist
+	inflight map[uint32]*outquery // 16-bit IDs; uint32 keys take the map's fast path
+	oqFree   *outquery            // outquery freelist
 	srtt     map[netsim.Addr]time.Duration
 	coalesce map[coalesceKey]*clientJob
 	harvests map[string]time.Time // zone -> last NS harvest
@@ -284,23 +285,14 @@ type coalesceKey struct {
 // resolving.
 func NewResolver(clk clock.Clock, cfg Config) *Resolver {
 	cfg = cfg.withDefaults()
-	// Hot state (rng, in-flight and SRTT maps, the RTT histogram) is
+	// Hot state (in-flight and SRTT maps, the RTT histogram) is
 	// created on first use: a large population builds thousands of
 	// resolvers per cell but exercises only the handful its probes query,
 	// so an idle resolver must cost a couple of allocations, not dozens.
-	r := &Resolver{clk: clk, cfg: cfg}
+	r := &Resolver{clk: clk, cfg: cfg, rng: lazyrand.New(cfg.Seed)}
 	r.cache.Init(clk, cfg.Cache)
 	r.upstreamRTTms.Init(metrics.DefaultLatencyBucketsMs) // aliases shared bounds; no allocation
 	return r
-}
-
-// random returns the resolver's deterministic RNG, creating it on first
-// draw (the draw sequence for a given seed is unchanged by the laziness).
-func (r *Resolver) random() *rand.Rand {
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(r.cfg.Seed))
-	}
-	return r.rng
 }
 
 // Cache exposes the resolver cache (tests and the Appendix A cache-dump
@@ -385,23 +377,28 @@ func (r *Resolver) receive(src netsim.Addr, payload []byte, tcp bool) {
 	}
 }
 
-// allocID returns a message ID not currently in flight.
-func (r *Resolver) allocID() uint16 {
+// allocID returns a nonzero message ID not currently in flight, or false
+// when all 65 535 are (an upstream black-holing a flood), so the caller
+// moves on instead of searching forever.
+func (r *Resolver) allocID() (uint16, bool) {
+	if len(r.inflight) >= 1<<16-1 {
+		return 0, false
+	}
 	if r.cfg.RandomIDs {
 		// Full 16-bit entropy: the defense the poisoning experiments
 		// measure. Re-draw on the rare collision with an in-flight ID.
-		rng := r.random()
+		rng := r.rng
 		for {
 			id := uint16(rng.Intn(1 << 16))
-			if _, busy := r.inflight[id]; !busy && id != 0 {
-				return id
+			if _, busy := r.inflight[uint32(id)]; !busy && id != 0 {
+				return id, true
 			}
 		}
 	}
 	for {
 		r.nextID++
-		if _, busy := r.inflight[r.nextID]; !busy && r.nextID != 0 {
-			return r.nextID
+		if _, busy := r.inflight[uint32(r.nextID)]; !busy && r.nextID != 0 {
+			return r.nextID, true
 		}
 	}
 }
@@ -456,13 +453,17 @@ func (r *Resolver) send(t *task, server netsim.Addr, fwd bool) {
 // sendVia is send with an explicit transport: tcp routes the query over
 // the TCP plane (the TC=1 fallback retry path).
 func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
-	id := r.allocID()
+	id, ok := r.allocID()
+	if !ok {
+		t.rotate(fwd)
+		return
+	}
 	oq := r.getOQ()
 	oq.id, oq.fwd, oq.tcp, oq.server, oq.sentAt, oq.t = id, fwd, tcp, server, r.clk.Now(), t
 	if r.inflight == nil {
-		r.inflight = make(map[uint16]*outquery)
+		r.inflight = make(map[uint32]*outquery)
 	}
-	r.inflight[id] = oq
+	r.inflight[uint32(id)] = oq
 	r.event(kUpstreamQuery, payload{name: t.name, a: uint32(t.qtype), dst: server})
 
 	q := &r.qMsg
@@ -477,13 +478,9 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	wire, err := q.AppendPack(r.packBuf[:0])
 	r.packBuf = wire[:0]
 	if err != nil {
-		delete(r.inflight, id)
+		delete(r.inflight, uint32(id))
 		r.putOQ(oq, true) // no timer armed yet
-		if fwd {
-			t.forwardNext()
-		} else {
-			t.tryNextServer()
-		}
+		t.rotate(fwd)
 		return
 	}
 	oq.timer = clock.AfterFuncRef(r.clk, t.timeout, outqueryTimeout, oq)
@@ -499,28 +496,24 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 func outqueryTimeout(arg any) {
 	oq := arg.(*outquery)
 	t, server, fwd := oq.t, oq.server, oq.fwd
-	if t == nil || t.r.inflight[oq.id] != oq {
+	if t == nil || t.r.inflight[uint32(oq.id)] != oq {
 		return
 	}
 	r := t.r
-	delete(r.inflight, oq.id)
+	delete(r.inflight, uint32(oq.id))
 	r.event(kTimeout, payload{name: t.name, dst: server})
 	r.srttPenalty(server)
 	r.putOQ(oq, true)
-	if fwd {
-		t.forwardNext()
-	} else {
-		t.tryNextServer()
-	}
+	t.rotate(fwd)
 }
 
 // handleUpstream routes a response to its pending query.
 func (r *Resolver) handleUpstream(m *dnswire.Message) {
-	oq, ok := r.inflight[m.ID]
+	oq, ok := r.inflight[uint32(m.ID)]
 	if !ok {
 		return // late or spoofed; ignore
 	}
-	delete(r.inflight, m.ID)
+	delete(r.inflight, uint32(m.ID))
 	sample := r.clk.Now().Sub(oq.sentAt)
 	r.upstreamRTTms.Observe(float64(sample) / float64(time.Millisecond))
 	r.srttUpdate(oq.server, sample)
@@ -583,7 +576,7 @@ func (r *Resolver) pickServer(candidates []netsim.Addr, tried []uint64) (int, bo
 	if n == 0 {
 		return 0, false
 	}
-	if r.random().Float64() < r.cfg.ExplorationProb {
+	if r.rng.Float64() < r.cfg.ExplorationProb {
 		k := r.rng.Intn(n)
 		for i := range candidates {
 			if isTried(i) {

@@ -78,7 +78,7 @@ func (r *Resolver) serveClient(src netsim.Addr, q *dnswire.Message, tcp bool) {
 	// cache (§3.5): pick the shard here so coalescing is per-backend.
 	shard := 0
 	if n := r.cache.Shards(); n > 1 {
-		shard = r.random().Intn(n)
+		shard = r.rng.Intn(n)
 	}
 
 	key := coalesceKey{name: name, qtype: question.Type, shard: shard}
@@ -121,7 +121,7 @@ func (r *Resolver) HandleQuery(q *dnswire.Message, cb func(*dnswire.Message)) {
 	}
 	shard := 0
 	if n := r.cache.Shards(); n > 1 {
-		shard = r.random().Intn(n)
+		shard = r.rng.Intn(n)
 	}
 	r.Resolve(dnswire.CanonicalName(question.Name), question.Type, shard,
 		func(res Result) { cb(r.buildResponse(q, res)) })

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/dnswire"
+	"repro/internal/lazyrand"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/stub"
@@ -201,25 +202,12 @@ func (p *Probe) QName() string { return p.qname }
 type Fleet struct {
 	Probes []*Probe
 	clk    clock.Clock
-	seed   int64
-	rng    *rand.Rand // seeded on first draw; see random
+	rng    *rand.Rand
 }
 
 // NewFleet groups probes for scheduling. seed drives the per-round smear.
 func NewFleet(clk clock.Clock, probes []*Probe, seed int64) *Fleet {
-	return &Fleet{Probes: probes, clk: clk, seed: seed}
-}
-
-// random seeds the fleet RNG on first use. Seeding math/rand's source
-// walks a 607-entry table — measurable when many small worlds are built
-// (one per cell, one per benchmark iteration) — so fleets that never
-// smear a schedule never pay it. First-draw seeding produces the exact
-// sequence eager seeding did.
-func (f *Fleet) random() *rand.Rand {
-	if f.rng == nil {
-		f.rng = rand.New(rand.NewSource(f.seed))
-	}
-	return f.rng
+	return &Fleet{Probes: probes, clk: clk, rng: lazyrand.New(seed)}
 }
 
 // Schedule arms timers for rounds of queries: round r fires at
@@ -239,7 +227,7 @@ func (f *Fleet) Schedule(start time.Time, interval, smear time.Duration, rounds 
 		for r := 0; r < rounds; r++ {
 			at := start.Add(time.Duration(r) * interval)
 			if smear > 0 {
-				at = at.Add(time.Duration(f.random().Int63n(int64(smear))))
+				at = at.Add(time.Duration(f.rng.Int63n(int64(smear))))
 			}
 			slab = append(slab, probeRound{p, r})
 			clock.AfterFuncRef(f.clk, at.Sub(now), fireRound, &slab[len(slab)-1])

@@ -44,7 +44,7 @@ one() {
     (cd "$2" && go run ./benchmark --workload "$workload" --seed "$seed" --seconds 15 --trace 0) |
         tail -n 1 >>"$dir/$1.jsonl"
     echo "bench_pairs: $workload pair $i/$pairs $1: $(tail -n 1 "$dir/$1.jsonl" |
-        jq -c '[.failed, .metrics.qps.value, .metrics.cpu_us_per_query.value]')" >&2
+        jq -c '{failed} + (.metrics | {qps, cpu_us_per_query, peak_rss_mib, setup_s} | map_values(.value))')" >&2
 }
 
 i=1

@@ -12,7 +12,11 @@
 #   - one fan-out per level (DESIGN.md §12.3): non-test internal/ and cmd/
 #     call parallel.ForEachCtx once (RunCampaign, the runs of a campaign)
 #     and parallel.MapCtx once (runCells, the cells of a run), so no
-#     scenario grows a private runner nested inside the campaign's.
+#     scenario grows a private runner nested inside the campaign's;
+#   - one seeded-stream constructor (DESIGN.md §12.1): non-test internal/,
+#     cmd/ and examples/ build a math/rand stream only through
+#     lazyrand.New, so no resolver pays math/rand's 4.9 KB seeded state
+#     before it draws past 273.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -52,5 +56,10 @@ for pat in 'parallel\.ForEachCtx(' 'parallel\.MapCtx('; do
     # shellcheck disable=SC2086
     [ "$(count "$pat" $all)" -eq 1 ] || fail "want exactly one $pat call in internal/ and cmd/: $(grep -n "$pat" $all)"
 done
+
+seeded="$(find internal cmd examples -name '*.go' ! -name '*_test.go' | grep -v '^internal/lazyrand/')"
+# shellcheck disable=SC2086
+[ "$(count 'rand\.NewSource(' $seeded)" -eq 0 ] ||
+    fail "rand.NewSource outside internal/lazyrand (use lazyrand.New): $(grep -n 'rand\.NewSource(' $seeded)"
 
 echo "obs-guard OK" >&2
