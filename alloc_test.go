@@ -9,13 +9,16 @@ import (
 	"time"
 
 	dikes "repro"
+	"repro/internal/authoritative"
 	"repro/internal/clock"
 	"repro/internal/dnswire"
 	"repro/internal/experiment"
 	"repro/internal/netsim"
+	"repro/internal/recursive"
 	"repro/internal/spec"
 	"repro/internal/stub"
 	"repro/internal/udprun"
+	"repro/internal/zone"
 )
 
 // resolveAllocBudget is the hard per-resolution allocation ceiling for
@@ -145,26 +148,82 @@ func TestStubQueryAllocBudget(t *testing.T) {
 	t.Logf("a stub query round trip allocates %.1f objects (budget %d)", got, stubQueryAllocBudget)
 }
 
+// clientMissAllocBudget is the ceiling for one steady-state client miss
+// through netsim: a stub-side query to a caching-off resolver, its
+// upstream exchange with an authoritative, and the answer back. The job
+// comes off the resolver's free list and returns when the answer leaves,
+// the outquery likewise, and every message is a scratch one: 0 measured
+// (1, the 416-byte job, before jobs were recycled), pinned at measured + 1.
+const clientMissAllocBudget = 1
+
+func TestClientMissAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is noisy under -short race harnesses")
+	}
+	if poolsDrop() {
+		t.Skip("sync.Pool is dropping Puts (race detector): pooled buffers re-allocate at random")
+	}
+	clk := clock.NewVirtual(time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC))
+	net := netsim.New(clk, 1)
+	z := zone.New("cachetest.nl.")
+	z.MustAdd(dnswire.RR{Name: "cachetest.nl.", TTL: 3600, Data: dnswire.SOA{
+		MName: "ns1.cachetest.nl.", RName: "hostmaster.cachetest.nl.", Serial: 1, Minimum: 60}})
+	z.MustAdd(dnswire.RR{Name: "1.cachetest.nl.", TTL: 3600,
+		Data: dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}})
+	authoritative.New(z).Attach(net, "auth")
+	r := recursive.NewResolver(clk, recursive.Config{NoCache: true, Seed: 1,
+		RootHints: []recursive.ServerHint{{Name: "hint.auth.", Addr: "auth"}}})
+	r.Attach(net, "res")
+	wire, err := dnswire.NewQuery(7, "1.cachetest.nl.", dnswire.TypeAAAA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp dnswire.Message
+	answered := 0
+	client := net.Bind("client", func(_ netsim.Addr, payload []byte) {
+		if dnswire.UnpackInto(&resp, payload) == nil && len(resp.Answers) == 1 {
+			answered++
+		}
+	})
+	miss := func() {
+		client.Send("res", wire)
+		clk.Run()
+	}
+	for i := 0; i < 3; i++ {
+		miss()
+	}
+	got := testing.AllocsPerRun(100, miss)
+	if answered != 104 {
+		t.Fatalf("%d of 104 misses answered", answered)
+	}
+	if got > clientMissAllocBudget {
+		t.Fatalf("a client miss allocates %.1f objects, budget is %d", got, clientMissAllocBudget)
+	}
+	t.Logf("a client miss allocates %.1f objects (budget %d)", got, clientMissAllocBudget)
+}
+
 // cellAllocsPerProbeBudget is the ceiling on heap objects per probe of one
 // simulated cell — the number the benchmark reports as
 // experiment.allocs_per_probe, on a 256-probe cell of its sim_ddos_H
 // workload: paper experiment H (TTL 1800 s, 90 % loss for one of three
 // hours), `harvest: full`, built, run, collected and reported through
-// RunCampaign. A client miss is one object (the job that is its own
-// task), a stub query and a scheduled round none; a closure per query or a
-// candidate list grown from nil comes back as tens of objects per probe.
-// 335 measured (a small cell pays its fixed costs over fewer probes: the
-// benchmark's 1024-probe cells measure 322), pinned at measured + 5 %.
-const cellAllocsPerProbeBudget = 352
+// RunCampaign. A client miss or a background fetch is a recycled job, a
+// stub query and a scheduled round nothing; a closure per query, a job per
+// miss or a distinct-count set per probe comes back as tens of objects per
+// probe. 225 measured (335 with a job per miss and a task per fetch; a
+// small cell pays its fixed costs over fewer probes: the benchmark's
+// 1024-probe cells measure 216), pinned at measured + 5 %.
+const cellAllocsPerProbeBudget = 237
 
 // cellBytesPerProbeBudget is the ceiling on heap bytes per probe
 // (experiment.alloc_bytes_per_probe) of a 256-probe cell of each simulator
 // workload. A fixed 5 KB on a resolver's first touch — math/rand's seeded
 // state, a 32-node cache slab — costs kilobytes per probe, because most
-// of a population's resolvers serve a probe or two: H 82.3 and calm
-// 36.2 KB with both, 71.4 and 23.3 KB measured without, pinned at
-// measured + 5 %.
-var cellBytesPerProbeBudget = map[string]float64{"H": 75000, "calm": 24500}
+// of a population's resolvers serve a probe or two (H 82.3 and calm
+// 36.2 KB with both); so do a 416-byte job per client miss and an 80-byte
+// tap event holding strings (71.4 and 23.3 KB). 37.6 and 16.9 KB
+// measured, pinned at measured + 5 %.
+var cellBytesPerProbeBudget = map[string]float64{"H": 39600, "calm": 17800}
 
 // cells are one 256-probe cell of each simulator workload of ./benchmark.
 var cells = map[string]string{

@@ -98,8 +98,8 @@ func indexFetchers(tb *Testbed) map[fetcherKey][]netsim.Addr {
 			if ev.QType != dnswire.TypeAAAA || ev.Dropped {
 				continue
 			}
-			k := fetcherKey{qname: ev.QName, round: int(ev.At.Sub(tb.Start) / RotationInterval)}
-			idx[k] = append(idx[k], ev.Src)
+			k := fetcherKey{qname: tb.AuthQName(ev), round: int(ev.At / RotationInterval)}
+			idx[k] = append(idx[k], tb.AuthSrc(ev))
 		}
 	}
 	return idx

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +68,49 @@ func TestSerialAt(t *testing.T) {
 		if got := tb.SerialAt(tb.Start.Add(c.offset)); got != c.want {
 			t.Errorf("SerialAt(+%v) = %d, want %d", c.offset, got, c.want)
 		}
+	}
+}
+
+// TestAuthEventPointerFree: the tap log is a run's largest live structure,
+// so its events stay small and give the collector nothing to scan.
+func TestAuthEventPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(AuthEvent{})
+	if typ.Size() > 24 {
+		t.Errorf("AuthEvent is %d bytes, want at most 24", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Int64:
+		default:
+			t.Errorf("AuthEvent.%s is a %s", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestAuthLogResolves: every logged query resolves through the testbed's
+// tables to a resolver source, a cachetest.nl name and an authoritative,
+// within the run.
+func TestAuthLogResolves(t *testing.T) {
+	tb := NewTestbed(TestbedConfig{Probes: 50, Seed: 1, KeepAuthLog: true})
+	tb.Fleet.Schedule(tb.Start, 20*time.Minute, 5*time.Minute, 2)
+	tb.Clk.RunFor(time.Hour)
+	n := int64(0)
+	for _, chunk := range tb.AuthLog {
+		for _, ev := range chunk {
+			n++
+			if src := tb.AuthSrc(ev); src == "" || src == tb.AuthAddrs[0] {
+				t.Fatalf("source %q", src)
+			}
+			if q := tb.AuthQName(ev); !dnswire.IsSubdomain(q, Domain) {
+				t.Fatalf("query name %q", q)
+			}
+			if int(ev.Dst) >= len(tb.AuthAddrs) || ev.At < 0 || ev.At > time.Hour {
+				t.Fatalf("event %+v", ev)
+			}
+		}
+	}
+	if n == 0 || n != tb.tapArrivals.Value() {
+		t.Errorf("logged %d of %d arrivals", n, tb.tapArrivals.Value())
 	}
 }
 

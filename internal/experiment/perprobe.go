@@ -70,19 +70,19 @@ func PerProbe(tb *Testbed, res *DDoSResult, probeID uint16) Table7 {
 	}
 
 	qname := vantage.QName(probeID, Domain)
-	ats := make([]map[netsim.Addr]bool, rounds)
-	rns := make([]map[netsim.Addr]bool, rounds)
+	ats := make([]map[uint8]bool, rounds)
+	rns := make([]map[uint32]bool, rounds)
 	for i := range ats {
-		ats[i] = make(map[netsim.Addr]bool)
-		rns[i] = make(map[netsim.Addr]bool)
+		ats[i] = make(map[uint8]bool)
+		rns[i] = make(map[uint32]bool)
 	}
 	series := res.AuthQueries // same binning
 	for _, chunk := range tb.AuthLog {
 		for _, ev := range chunk {
-			if ev.QName != qname || ev.QType != dnswire.TypeAAAA {
+			if ev.QType != dnswire.TypeAAAA || tb.AuthQName(ev) != qname {
 				continue
 			}
-			r := series.RoundOf(ev.At)
+			r := series.RoundOf(tb.Start.Add(ev.At))
 			if r < 0 || r >= rounds {
 				continue
 			}
@@ -119,7 +119,7 @@ func busiestProbeCount(tb *Testbed) (uint16, int) {
 	for _, chunk := range tb.AuthLog {
 		for _, ev := range chunk {
 			if ev.QType == dnswire.TypeAAAA {
-				counts[ev.QName]++
+				counts[tb.AuthQName(ev)]++
 			}
 		}
 	}

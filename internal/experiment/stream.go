@@ -157,7 +157,7 @@ func (ac *ddosAccum) tallyAnswers(answers []vantage.Answer) {
 }
 
 // absorbAuthSide derives the Figures 10–12 tallies from the pre-drop tap.
-// Distinct-count sets (unique Rn, Rn per probe) live only inside this
+// Distinct-count sets, keyed by the log's indices, live only inside this
 // call: each cell's resolvers and probe names are its own, so per-cell
 // distinct counts add without any cross-cell set union.
 func (ac *ddosAccum) absorbAuthSide(tb *Testbed) {
@@ -165,36 +165,38 @@ func (ac *ddosAccum) absorbAuthSide(tb *Testbed) {
 	for i := range tb.AuthAddrs {
 		nsHosts["ns"+itoa(i+1)+"."+Domain] = true
 	}
-	uniqueRn := make([]map[netsim.Addr]bool, ac.rounds)
-	rnPerProbe := make([]map[string]map[netsim.Addr]bool, ac.rounds)
-	queriesPerProbe := make([]map[string]int, ac.rounds)
+	uniqueRn := make([]map[uint32]bool, ac.rounds)
+	probeRn := make([]map[uint64]bool, ac.rounds) // QName<<32 | Src
+	rnPerProbe := make([]map[uint32]int, ac.rounds)
+	queriesPerProbe := make([]map[uint32]int, ac.rounds)
 	for i := range uniqueRn {
-		uniqueRn[i] = make(map[netsim.Addr]bool)
-		rnPerProbe[i] = make(map[string]map[netsim.Addr]bool)
-		queriesPerProbe[i] = make(map[string]int)
+		uniqueRn[i] = make(map[uint32]bool)
+		probeRn[i] = make(map[uint64]bool)
+		rnPerProbe[i] = make(map[uint32]int)
+		queriesPerProbe[i] = make(map[uint32]int)
 	}
 
 	for _, chunk := range tb.AuthLog {
 		for _, ev := range chunk {
-			r := ac.authQueries.RoundOf(ev.At)
+			r := ac.authQueries.RoundOf(tb.Start.Add(ev.At))
 			if r < 0 || r >= ac.rounds {
 				continue
 			}
 			uniqueRn[r][ev.Src] = true
+			qname := tb.AuthQName(ev)
 			label := ""
 			switch {
-			case ev.QName == Domain && ev.QType == dnswire.TypeNS:
+			case qname == Domain && ev.QType == dnswire.TypeNS:
 				label = "NS"
-			case nsHosts[ev.QName] && ev.QType == dnswire.TypeA:
+			case nsHosts[qname] && ev.QType == dnswire.TypeA:
 				label = "A-for-NS"
-			case nsHosts[ev.QName] && ev.QType == dnswire.TypeAAAA:
+			case nsHosts[qname] && ev.QType == dnswire.TypeAAAA:
 				label = "AAAA-for-NS"
 			case ev.QType == dnswire.TypeAAAA:
 				label = "AAAA-for-PID"
-				if m := rnPerProbe[r][ev.QName]; m == nil {
-					rnPerProbe[r][ev.QName] = map[netsim.Addr]bool{ev.Src: true}
-				} else {
-					m[ev.Src] = true
+				if k := uint64(ev.QName)<<32 | uint64(ev.Src); !probeRn[r][k] {
+					probeRn[r][k] = true
+					rnPerProbe[r][ev.QName]++
 				}
 				queriesPerProbe[r][ev.QName]++
 			default:
@@ -206,8 +208,8 @@ func (ac *ddosAccum) absorbAuthSide(tb *Testbed) {
 
 	for r := 0; r < ac.rounds; r++ {
 		ac.uniqueRn[r] += len(uniqueRn[r])
-		for _, m := range rnPerProbe[r] {
-			ac.rnPerProbe[r].Observe(int64(len(m)))
+		for _, n := range rnPerProbe[r] {
+			ac.rnPerProbe[r].Observe(int64(n))
 		}
 		for _, n := range queriesPerProbe[r] {
 			ac.queriesPP[r].Observe(int64(n))

@@ -39,13 +39,15 @@ const RotationInterval = 10 * time.Minute
 
 // AuthEvent is one query arrival at an authoritative, observed by the
 // pre-drop tap (§6.1: the paper measures queries before the DDoS drops
-// them).
+// them). It holds no pointer, so the collector never scans the log: Src
+// and QName index the testbed's tables (see AuthSrc, AuthQName), Dst
+// indexes AuthAddrs.
 type AuthEvent struct {
-	At      time.Time
-	Src     netsim.Addr
-	Dst     netsim.Addr
-	QName   string
+	At      time.Duration // since Testbed.Start
+	Src     uint32
+	QName   uint32
 	QType   dnswire.Type
+	Dst     uint8
 	Dropped bool
 }
 
@@ -118,7 +120,9 @@ type Testbed struct {
 	// AuthLog is the pre-drop tap log (kept with KeepAuthLog), in arrival
 	// order across fixed-size chunks: logging an event never re-copies
 	// the events before it.
-	AuthLog [][]AuthEvent
+	AuthLog   [][]AuthEvent
+	authSrcs  internTable[netsim.Addr]
+	authNames internTable[string]
 
 	// Tap totals, counted on every run (the AuthLog itself is only kept
 	// with KeepAuthLog). Arrivals are pre-drop, deliveries post-drop.
@@ -359,21 +363,46 @@ func (tb *Testbed) buildZones() {
 	}
 }
 
-// authLogChunk is the AuthLog growth step, in events (40 KiB a chunk).
+// authLogChunk is the AuthLog growth step, in events (12 KiB a chunk).
 const authLogChunk = 512
+
+// internTable numbers the values it is given in order of first sighting.
+type internTable[K comparable] struct {
+	vals []K
+	idx  map[K]uint32
+}
+
+func (t *internTable[K]) intern(v K) uint32 {
+	i, ok := t.idx[v]
+	if !ok {
+		if t.idx == nil {
+			t.idx = make(map[K]uint32)
+		}
+		i = uint32(len(t.vals))
+		t.idx[v] = i
+		t.vals = append(t.vals, v)
+	}
+	return i
+}
+
+// AuthSrc and AuthQName resolve a logged query's source address and
+// canonical query name.
+func (tb *Testbed) AuthSrc(ev AuthEvent) netsim.Addr { return tb.authSrcs.vals[ev.Src] }
+func (tb *Testbed) AuthQName(ev AuthEvent) string    { return tb.authNames.vals[ev.QName] }
 
 // installTap records every query arriving at a cachetest.nl authoritative,
 // including ones the emulated DDoS drops.
 func (tb *Testbed) installTap() {
-	isAuth := make(map[netsim.Addr]bool, len(tb.AuthAddrs))
-	for _, a := range tb.AuthAddrs {
-		isAuth[a] = true
+	authIdx := make(map[netsim.Addr]uint8, len(tb.AuthAddrs))
+	for i, a := range tb.AuthAddrs {
+		authIdx[a] = uint8(i)
 	}
 	// The tap decodes into one scratch message: the simulator delivers
 	// packets on a single goroutine and the tap retains nothing.
 	var tapMsg dnswire.Message
 	tb.Net.AddTap(func(ev netsim.Event) {
-		if !isAuth[ev.Dst] {
+		dst, isAuth := authIdx[ev.Dst]
+		if !isAuth {
 			return
 		}
 		m := &tapMsg
@@ -395,9 +424,11 @@ func (tb *Testbed) installTap() {
 			last++
 		}
 		tb.AuthLog[last] = append(tb.AuthLog[last], AuthEvent{
-			At: ev.Time, Src: ev.Src, Dst: ev.Dst,
-			QName:   dnswire.CanonicalName(m.Questions[0].Name),
+			At:      ev.Time.Sub(tb.Start),
+			Src:     tb.authSrcs.intern(ev.Src),
+			QName:   tb.authNames.intern(dnswire.CanonicalName(m.Questions[0].Name)),
 			QType:   m.Questions[0].Type,
+			Dst:     dst,
 			Dropped: ev.Dropped,
 		})
 	})

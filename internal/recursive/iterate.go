@@ -31,15 +31,19 @@ type task struct {
 	// records, Appendix A).
 	skipCacheLookup bool
 	cb              func(Result)
-	// job is set instead of cb on the task embedded in a clientJob:
-	// delivery calls the job's complete method, so serveClient builds no
-	// closure.
+	// job is the pooled job embedding the task: a client job (root, whose
+	// complete method delivers, so serveClient builds no closure) or a
+	// background fetch. Resolve tasks and subtasks have none.
 	job *clientJob
 	// root marks the client-facing task started by resolveTask; delivery
 	// runs the client-response bookkeeping (deadline, metrics, trace)
 	// inline instead of through a wrapping closure.
 	root     bool
 	deadline clock.TimerRef
+	// refs counts what outside the call stack can reach the task (see
+	// putOQ); pinned marks one its NS-address subtasks' closures hold.
+	refs   int32
+	pinned bool
 
 	// fetch state for the current zone iteration
 	zoneName string
@@ -102,24 +106,47 @@ func (t *task) markTried(idx int) {
 // deployments; callers without an opinion pass a random value. cb runs
 // exactly once.
 func (r *Resolver) Resolve(name string, qtype dnswire.Type, shard int, cb func(Result)) {
+	r.depth++
 	r.resolveTask(&task{cb: cb}, dnswire.CanonicalName(name), qtype, shard)
+	r.leave()
 }
 
 // resolveTask starts t, fresh but for its cb or job, as the client-facing
-// resolution of the canonical (name, qtype). A task is never recycled: a
-// stale-serve timer, a late upstream answer or a subtask callback can
-// still reach it after finish.
+// resolution of the canonical (name, qtype). A stale-serve timer, a late
+// upstream answer or a subtask callback can still reach the task after
+// finish, so a pooled one is recycled only once refs says nothing can.
 func (r *Resolver) resolveTask(t *task, name string, qtype dnswire.Type, shard int) {
 	t.r, t.name, t.qtype, t.shard, t.root = r, name, qtype, shard, true
 	t.budget0 = r.cfg.WorkBudget
 	t.budget = &t.budget0
 	r.event(kClientQuery, payload{name: name, a: uint32(qtype)})
 	t.deadline = clock.AfterFuncRef(r.clk, r.cfg.ClientTimeout, taskDeadline, t)
+	t.refs++
 	t.run()
 }
 
 // taskDeadline is the static client-timeout callback armed by Resolve.
-func taskDeadline(arg any) { arg.(*task).fail() }
+func taskDeadline(arg any) {
+	t := arg.(*task)
+	r := t.r
+	r.depth++
+	t.fail()
+	t.release()
+	r.leave()
+}
+
+// release drops one of the references refs counts; retire queues a pooled
+// task that is done and unreachable for the free list (see putOQ).
+func (t *task) release() {
+	t.refs--
+	t.retire()
+}
+
+func (t *task) retire() {
+	if t.done && t.refs == 0 && !t.pinned && t.job != nil {
+		t.job.next, t.r.retired = t.r.retired, t.job
+	}
+}
 
 func (t *task) run() {
 	if t.cacheAnswer() {
@@ -151,21 +178,24 @@ func (t *task) armStaleTimer() {
 		return
 	}
 	clock.AfterFuncRef(t.r.clk, t.r.cfg.StaleAnswerDelay, staleAnswer, t)
+	t.refs++
 }
 
 // staleAnswer is the static client-response timer armed by armStaleTimer.
 func staleAnswer(arg any) {
 	t := arg.(*task)
-	if t.done {
-		return
+	r := t.r
+	r.depth++
+	if !t.done {
+		sv := r.cache.GetStale(cache.Key{Name: t.name, Type: t.qtype}, t.shard)
+		if sv.Hit && sv.Stale && !sv.Negative {
+			r.event(kStaleServe, payload{name: t.name})
+			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: sv.Records,
+				Stale: true, FromCache: true})
+		}
 	}
-	sv := t.r.cache.GetStale(cache.Key{Name: t.name, Type: t.qtype}, t.shard)
-	if !sv.Hit || !sv.Stale || sv.Negative {
-		return
-	}
-	t.r.event(kStaleServe, payload{name: t.name})
-	t.finish(Result{RCode: dnswire.RCodeNoError, Answers: sv.Records,
-		Stale: true, FromCache: true})
+	t.release()
+	r.leave()
 }
 
 // finish delivers res exactly once. Fresh upstream answers get their TTLs
@@ -193,13 +223,16 @@ func (t *task) finish(res Result) {
 		}
 	}
 	t.deliver(res)
+	t.retire()
 }
 
 // deliver hands res to the task's callback, running the client-response
 // bookkeeping first when this is the Resolve-created root task.
 func (t *task) deliver(res Result) {
 	if t.root {
-		t.deadline.Stop()
+		if t.deadline.Stop() {
+			t.refs-- // stopped: the callback will not run to drop it
+		}
 		if res.ServFail {
 			// Terminal failures bypass sampling (pForce) so a SERVFAIL
 			// chain is never invisible in a sampled trace.
@@ -211,11 +244,11 @@ func (t *task) deliver(res Result) {
 		}
 		t.r.event(kClientResponse, payload{name: t.name, a: uint32(res.RCode), b: stale})
 	}
-	if t.job != nil {
-		t.job.complete(res)
-		return
+	if t.cb != nil {
+		t.cb(res)
+	} else if t.root {
+		t.job.complete(res) // a client job; a background fetch tells nobody
 	}
-	t.cb(res)
 }
 
 // fail ends the task with serve-stale if available, else SERVFAIL.
@@ -664,7 +697,11 @@ func (t *task) resolveNSAddrs(hosts []string, newZone string) {
 		// referral can force (Afek et al. §6).
 		hosts = hosts[:k]
 	}
-	// Try hosts in order until one yields addresses.
+	// Try hosts in order until one yields addresses. The closures pin t.
+	if !t.pinned && t.job != nil {
+		t.r.jobsOut--
+	}
+	t.pinned = true
 	var tryHost func(i int)
 	tryHost = func(i int) {
 		if t.done {
@@ -753,9 +790,9 @@ func (r *Resolver) maybePrefetch(name string, qtype dnswire.Type, shard int, v c
 	r.background(name, qtype, shard, &pool, true)
 }
 
-// background runs a fire-and-forget resolution sharing the parent budget,
-// bypassing cache entries that were not authoritatively confirmed. force
-// refetches even over confirmed data (prefetch).
+// background runs a fire-and-forget resolution on a pooled job, spending
+// budget and bypassing cache entries that were not authoritatively
+// confirmed. force refetches even over confirmed data (prefetch).
 func (r *Resolver) background(name string, qtype dnswire.Type, shard int, budget *int, force bool) {
 	if *budget <= 0 {
 		return
@@ -766,14 +803,12 @@ func (r *Resolver) background(name string, qtype dnswire.Type, shard int, budget
 			return // authoritative data already cached
 		}
 	}
-	t := &task{
-		r: r, name: name, qtype: qtype,
-		shard: shard, depth: r.cfg.MaxDepth, // no nested subtasks
-		budget:          budget,
-		skipCacheLookup: true,
-		cb:              func(Result) {},
-	}
+	t := &r.getJob().task
+	t.r, t.name, t.qtype, t.shard = r, name, qtype, shard
+	t.depth = r.cfg.MaxDepth // no nested subtasks
+	t.budget, t.skipCacheLookup = budget, true
 	if !t.initFetch() {
+		t.finish(Result{}) // never started: straight back to the pool
 		return
 	}
 	t.tryNextServer()

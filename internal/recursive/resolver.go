@@ -239,10 +239,15 @@ type Resolver struct {
 
 	nextID   uint16
 	inflight map[uint32]*outquery // 16-bit IDs; uint32 keys take the map's fast path
-	oqFree   *outquery            // outquery freelist
-	srtt     map[netsim.Addr]time.Duration
-	coalesce map[coalesceKey]*clientJob
-	harvests map[string]time.Time // zone -> last NS harvest
+	// Free lists and their lengths (see putOQ), jobs retired during the
+	// depth dispatches in progress, and jobs out (neither back nor pinned).
+	oqFree            *outquery
+	jobFree, retired  *clientJob
+	oqFreeN, jobFreeN int
+	depth, jobsOut    int
+	srtt              map[netsim.Addr]time.Duration
+	coalesce          map[coalesceKey]*clientJob
+	harvests          map[string]time.Time // zone -> last NS harvest
 	// trace and timeline are the cell's observers, read from the network
 	// at Attach; n is the live counter per event kind (see event.go).
 	trace    *trace.Buffer
@@ -366,15 +371,34 @@ func (r *Resolver) receive(src netsim.Addr, payload []byte, tcp bool) {
 	if len(payload) < headerLen {
 		return
 	}
+	r.depth++
 	if payload[2]&0x80 != 0 {
 		if err := dnswire.UnpackInto(&r.upMsg, payload); err == nil {
 			r.handleUpstream(&r.upMsg)
 		}
-		return
-	}
-	if err := dnswire.UnpackInto(&r.cqMsg, payload); err == nil {
+	} else if err := dnswire.UnpackInto(&r.cqMsg, payload); err == nil {
 		r.serveClient(src, &r.cqMsg, tcp)
 	}
+	r.leave()
+}
+
+// leave ends a dispatch (a packet, a timer callback or a Resolve call);
+// the outermost one clears the jobs retired meanwhile onto the free list.
+func (r *Resolver) leave() {
+	if r.depth--; r.depth > 0 {
+		return
+	}
+	for j := r.retired; j != nil; {
+		next := j.next
+		*j = clientJob{}
+		if r.jobFreeN < maxFree {
+			j.next, r.jobFree = r.jobFree, j
+			r.jobFreeN++
+		}
+		r.jobsOut--
+		j = next
+	}
+	r.retired = nil
 }
 
 // allocID returns a nonzero message ID not currently in flight, or false
@@ -421,25 +445,35 @@ type outquery struct {
 func (r *Resolver) getOQ() *outquery {
 	if oq := r.oqFree; oq != nil {
 		r.oqFree = oq.next
+		r.oqFreeN--
 		oq.next = nil
 		return oq
 	}
 	return new(outquery)
 }
 
-// putOQ retires a node. The recycle rule, for this free list and every
-// other on a cell's path (stub's pending records, vantage's round
-// queries, netsim's packets): a node goes back to its list only from
-// inside its own timer callback or after that timer's Stop() reported
-// true, because only then can no queued callback still reach it. That is
-// always so on the virtual clock. On a wall clock Stop can lose to a
-// callback already waiting for udprun.Loop's lock; the node is then
-// cleared and left to the GC, and the late callback finds it empty.
+// maxFree caps each free list: a flood's peak goes back to the GC.
+const maxFree = 64
+
+// putOQ retires a node and drops its reference on its task. The recycle
+// rule, for this list, the resolver's jobs and every other free list on a
+// cell's path (stub's pending records, vantage's round queries, netsim's
+// packets): a node goes back only when no queued callback can reach it —
+// inside its own timer callback, or after that timer's Stop() reported
+// true. On a wall clock Stop can lose to a callback waiting for
+// udprun.Loop's lock: an outquery is then cleared and left to the GC. A
+// task counts what can reach it (refs: in-flight outquery, deadline and
+// serve-stale timers, a lost Stop holding on until its callback runs); its
+// job goes back once it is done, unreferenced and unpinned, when the
+// outermost dispatch ends (leave): frames below may still read it.
 func (r *Resolver) putOQ(oq *outquery, timerDone bool) {
+	t := oq.t
 	*oq = outquery{}
-	if timerDone {
+	if timerDone && r.oqFreeN < maxFree {
 		oq.next, r.oqFree = r.oqFree, oq
+		r.oqFreeN++
 	}
+	t.release()
 }
 
 // send transmits the task's (name, qtype) to server and arms a timeout.
@@ -460,6 +494,7 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	}
 	oq := r.getOQ()
 	oq.id, oq.fwd, oq.tcp, oq.server, oq.sentAt, oq.t = id, fwd, tcp, server, r.clk.Now(), t
+	t.refs++
 	if r.inflight == nil {
 		r.inflight = make(map[uint32]*outquery)
 	}
@@ -500,11 +535,13 @@ func outqueryTimeout(arg any) {
 		return
 	}
 	r := t.r
+	r.depth++
 	delete(r.inflight, uint32(oq.id))
 	r.event(kTimeout, payload{name: t.name, dst: server})
 	r.srttPenalty(server)
 	r.putOQ(oq, true)
 	t.rotate(fwd)
+	r.leave()
 }
 
 // handleUpstream routes a response to its pending query.

@@ -5,15 +5,31 @@ import (
 	"repro/internal/netsim"
 )
 
-// clientJob is one client miss, a single allocation: the resolution (the
-// embedded task, whose job field points back here) and the clients
-// awaiting it. Identical in-flight queries share one job (query
-// coalescing); the first waiter is inline: most jobs never see a second.
+// clientJob is one client miss: the resolution (the embedded task, whose
+// job field points back here) and the clients awaiting it. Identical
+// in-flight queries share one job (query coalescing); the first waiter is
+// inline: most jobs never see a second. A background fetch is a job
+// without waiters. Jobs are recycled under putOQ's rule.
 type clientJob struct {
 	task
 	key   coalesceKey // as asked; the task's name moves along CNAMEs
 	first waiter
 	more  []waiter
+	next  *clientJob // retired-queue or free-list link
+}
+
+// getJob takes a cleared job off the free list, or makes one.
+func (r *Resolver) getJob() *clientJob {
+	j := r.jobFree
+	if j == nil {
+		j = new(clientJob)
+	} else {
+		r.jobFree, j.next = j.next, nil
+		r.jobFreeN--
+	}
+	j.job = j
+	r.jobsOut++
+	return j
 }
 
 // complete is the job's task delivering: every waiter gets res.
@@ -91,8 +107,8 @@ func (r *Resolver) serveClient(src netsim.Addr, q *dnswire.Message, tcp bool) {
 		job.more = append(job.more, w)
 		return
 	}
-	job := &clientJob{key: key, first: w}
-	job.job = job
+	job := r.getJob()
+	job.key, job.first = key, w
 	r.coalesce[key] = job
 	r.resolveTask(&job.task, name, question.Type, shard)
 }

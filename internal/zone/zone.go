@@ -149,26 +149,41 @@ func (z *Zone) ensureOwnedLocked() {
 // ignored.
 func (z *Zone) Add(rr dnswire.RR) error {
 	rr.Name = dnswire.CanonicalName(rr.Name)
-	if rr.Data == nil {
-		return fmt.Errorf("zone %s: record %q has no data", z.origin, rr.Name)
-	}
-	if !dnswire.IsSubdomain(rr.Name, z.origin) {
-		return fmt.Errorf("zone %s: record %q out of zone", z.origin, rr.Name)
-	}
-	if err := dnswire.ValidName(rr.Name); err != nil {
-		return fmt.Errorf("zone %s: record %q: %w", z.origin, rr.Name, err)
-	}
-	if rr.Class == 0 {
-		rr.Class = dnswire.ClassIN
+	if err := z.check(rr.Name, rr.Data); err != nil {
+		return err
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	z.ensureOwnedLocked()
+	z.addLocked(rr)
+	return nil
+}
+
+// check validates a record of the canonical owner name with data d.
+func (z *Zone) check(name string, d dnswire.RData) error {
+	if d == nil {
+		return fmt.Errorf("zone %s: record %q has no data", z.origin, name)
+	}
+	if !dnswire.IsSubdomain(name, z.origin) {
+		return fmt.Errorf("zone %s: record %q out of zone", z.origin, name)
+	}
+	if err := dnswire.ValidName(name); err != nil {
+		return fmt.Errorf("zone %s: record %q: %w", z.origin, name, err)
+	}
+	return nil
+}
+
+// addLocked is Add's insertion of a checked record. Caller holds z.mu for
+// writing on an owned zone.
+func (z *Zone) addLocked(rr dnswire.RR) {
+	if rr.Class == 0 {
+		rr.Class = dnswire.ClassIN
+	}
 	k := Key{Name: rr.Name, Type: rr.Type()}
 	set := z.rrsets[k]
 	for _, have := range set {
 		if have.Data.Equal(rr.Data) {
-			return nil
+			return
 		}
 	}
 	if len(set) > 0 {
@@ -176,7 +191,6 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	}
 	z.rrsets[k] = append(set, rr)
 	z.addNodeLocked(rr.Name)
-	return nil
 }
 
 // addNodeLocked marks name and every ancestor up to the origin as existing.
@@ -213,33 +227,48 @@ func (z *Zone) MustAdd(rr dnswire.RR) {
 // Remove deletes the RRset (name, t). Removing a non-existent set is a
 // no-op.
 func (z *Zone) Remove(name string, t dnswire.Type) {
-	name = dnswire.CanonicalName(name)
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	k := Key{Name: name, Type: t}
-	set, ok := z.rrsets[k]
-	if !ok {
-		return
-	}
-	z.ensureOwnedLocked()
-	delete(z.rrsets, k)
-	for range set {
-		z.removeNodeLocked(name)
-	}
+	_ = z.Replace(name, t, 0) // without data there is nothing to reject
 }
 
 // Replace atomically swaps the RRset (name, t) for the given records, all
-// owned by name with TTL ttl. Used by the experiment harness to rotate the
-// serial-encoded AAAA answers every zone-file round (§3.2).
+// owned by name with TTL ttl; no data removes it. Every datum is checked
+// first, so a rejected Replace changes nothing and a Lookup sees the old
+// set or the new one, never neither. A set keeping its size is rewritten
+// in place, as the harness's AAAA rotations are every round (§3.2).
 func (z *Zone) Replace(name string, t dnswire.Type, ttl uint32, data ...dnswire.RData) error {
-	z.Remove(name, t)
-	for _, d := range data {
+	name = dnswire.CanonicalName(name)
+	distinct := true
+	for i, d := range data {
+		if err := z.check(name, d); err != nil {
+			return err
+		}
 		if d.RType() != t {
 			return fmt.Errorf("zone %s: replace %s with %s data", z.origin, t, d.RType())
 		}
-		if err := z.Add(dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: ttl, Data: d}); err != nil {
-			return err
+		for _, e := range data[:i] {
+			distinct = distinct && !e.Equal(d)
 		}
+	}
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	k := Key{Name: name, Type: t}
+	if len(z.rrsets[k]) == 0 && len(data) == 0 {
+		return nil
+	}
+	z.ensureOwnedLocked()
+	old := z.rrsets[k]
+	if distinct && len(old) == len(data) {
+		for i, d := range data {
+			old[i] = dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: ttl, Data: d}
+		}
+		return nil
+	}
+	delete(z.rrsets, k)
+	for range old {
+		z.removeNodeLocked(name)
+	}
+	for _, d := range data {
+		z.addLocked(dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: ttl, Data: d})
 	}
 	return nil
 }

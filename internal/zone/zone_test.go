@@ -1,6 +1,8 @@
 package zone
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dnswire"
@@ -202,6 +204,102 @@ func TestReplaceRotatesData(t *testing.T) {
 	// Type mismatch is rejected.
 	if err := z.Replace("x.cachetest.nl.", dnswire.TypeAAAA, 60, dnswire.A{Addr: dnswire.MustAddr("10.0.0.1")}); err == nil {
 		t.Error("Replace accepted mismatched data type")
+	}
+}
+
+// TestReplaceRejectsWithoutLoss: a Replace that fails validation leaves
+// the set it was asked to replace serving. Removing first and checking
+// after turned a typo into an NXDOMAIN.
+func TestReplaceRejectsWithoutLoss(t *testing.T) {
+	z := testZone(t)
+	old := dnswire.MustAddr("fd0f:3897:faf7:a375:1:586::3c")
+	for _, data := range [][]dnswire.RData{
+		{dnswire.A{Addr: dnswire.MustAddr("10.0.0.1")}},
+		{dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}, dnswire.A{Addr: dnswire.MustAddr("10.0.0.1")}},
+		{dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}, nil},
+	} {
+		if err := z.Replace("1414.cachetest.nl.", dnswire.TypeAAAA, 60, data...); err == nil {
+			t.Errorf("Replace accepted %v", data)
+		}
+		res := z.Lookup("1414.cachetest.nl.", dnswire.TypeAAAA)
+		if res.Kind != Success || len(res.Records) != 1 || res.Records[0].Data.(dnswire.AAAA).Addr != old {
+			t.Fatalf("after a rejected Replace of %v: %s %v", data, res.Kind, res.Records)
+		}
+	}
+}
+
+// TestReplaceResizes: growing, shrinking and emptying a set keep the node
+// bookkeeping Add and Remove would have left.
+func TestReplaceResizes(t *testing.T) {
+	z := testZone(t)
+	name, n0 := "1414.cachetest.nl.", z.Len()
+	a1 := dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}
+	a2 := dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::2")}
+	for _, step := range []struct {
+		data []dnswire.RData
+		want ResultKind
+		n    int
+	}{
+		{[]dnswire.RData{a1, a2, a1}, Success, 2}, // a duplicate counts once
+		{[]dnswire.RData{a2}, Success, 1},
+		{nil, NXDomain, 0},
+		{[]dnswire.RData{a1}, Success, 1},
+	} {
+		if err := z.Replace(name, dnswire.TypeAAAA, 60, step.data...); err != nil {
+			t.Fatal(err)
+		}
+		res := z.Lookup(name, dnswire.TypeAAAA)
+		if res.Kind != step.want || len(res.Records) != step.n || z.Len() != n0-1+step.n {
+			t.Errorf("after Replace with %v: %s, %d records, zone %d", step.data, res.Kind, len(res.Records), z.Len())
+		}
+	}
+}
+
+// TestReplaceConcurrentReaders: a reader racing 10 000 replaces, some
+// resizing the set, sees the old set or the new one, never NXDOMAIN or
+// NODATA in between. Run under -race.
+func TestReplaceConcurrentReaders(t *testing.T) {
+	z := testZone(t)
+	name := "1414.cachetest.nl."
+	a1 := dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}
+	a2 := dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::2")}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			if res := z.Lookup(name, dnswire.TypeAAAA); res.Kind != Success || len(res.Records) == 0 {
+				t.Errorf("reader saw %s with %d records", res.Kind, len(res.Records))
+				return
+			}
+		}
+	}()
+	for i := 0; i < 10000; i++ {
+		data := []dnswire.RData{a1}
+		if i%3 == 0 {
+			data = append(data, a2)
+		}
+		if err := z.Replace(name, dnswire.TypeAAAA, 60, data...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+}
+
+// TestReplaceAllocs: the rotation's one-record replace rewrites the set in
+// place; pinned at 1 (0 measured).
+func TestReplaceAllocs(t *testing.T) {
+	z := testZone(t)
+	var d dnswire.RData = dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}
+	got := testing.AllocsPerRun(100, func() {
+		if err := z.Replace("1414.cachetest.nl.", dnswire.TypeAAAA, 60, d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 1 {
+		t.Errorf("a one-record Replace allocates %.1f objects, budget 1", got)
 	}
 }
 

@@ -15,17 +15,20 @@
 # out.json (default BENCH_pairs.json) is an array that gains one object
 # per invocation,
 #
-#   {commit, parent, workload, seed, pairs, failed: {parent, change},
-#    metrics: {name: {parent: [...], change: [...], parent_median,
-#    change_median, parent_iqr, wins}}}
+#   {commit, parent, workload, seed, pairs, host: {cpu, nproc, kernel, go,
+#    governor}, failed: {parent, change}, metrics: {name: {parent: [...],
+#    change: [...], parent_median, change_median, parent_iqr, wins}}}
 #
 # where `wins` counts the pairs in which the change read better (ties
 # count for neither side) and parent_iqr is the distance between the
 # parent's quartiles. `commit` is HEAD, with "+dirty" when the tree the
-# change side ran from has uncommitted edits. Needs jq.
+# change side ran from has uncommitted edits. `host` says where the pairs
+# ran, since series from different machines do not compare: the CPU model,
+# online CPUs, kernel release, `go version`, and the CPU frequency
+# governor when the kernel exposes it (absent otherwise). Needs jq.
 set -eu
 
-[ $# -ge 4 ] || { sed -n '2,25p' "$0" >&2; exit 2; }
+[ $# -ge 4 ] || { sed -n '2,28p' "$0" >&2; exit 2; }
 parent_ref=$1 workload=$2 seed=$3 pairs=$4 out=${5:-BENCH_pairs.json}
 
 cd "$(dirname "$0")/.."
@@ -57,16 +60,22 @@ while [ "$i" -le "$pairs" ]; do
     i=$((i + 1))
 done
 
-# The end-to-end metrics and their better direction, as BENCHMARK.json
-# declares them.
+# The host fingerprint, then the end-to-end metrics and their better
+# direction, as BENCHMARK.json declares them.
+cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
+governor=$(cat /sys/devices/system/cpu/cpu0/cpufreq/scaling_governor 2>/dev/null || true)
 jq -n --arg commit "$commit" --arg parent "$parent" --arg workload "$workload" \
     --argjson seed "$seed" --argjson pairs "$pairs" \
+    --arg cpu "${cpu:-unknown}" --argjson nproc "$(nproc)" --arg kernel "$(uname -r)" \
+    --arg go "$(go version)" --arg governor "$governor" \
     --slurpfile decl BENCHMARK.json \
     --slurpfile p "$dir/parent.jsonl" --slurpfile c "$dir/change.jsonl" '
   def q(f): sort as $s | ($s | length) as $n | (($n - 1) * f) as $x
     | ($x | floor) as $lo | ([$lo + 1, $n - 1] | min) as $hi
     | $s[$lo] + ($s[$hi] - $s[$lo]) * ($x - $lo);
   {commit: $commit, parent: $parent, workload: $workload, seed: $seed, pairs: $pairs,
+   host: ({cpu: $cpu, nproc: $nproc, kernel: $kernel, go: $go}
+          + (if $governor == "" then {} else {governor: $governor} end)),
    failed: {parent: ($p | map(.failed) | add), change: ($c | map(.failed) | add)},
    metrics: ($decl[0].end_to_end | map(. as $m
      | ($p | map(.metrics[$m.name].value)) as $pv
