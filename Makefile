@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzRegressParse$$' -fuzztime $(FUZZTIME) ./internal/regress
 	$(GO) test -run '^$$' -fuzz '^FuzzResolverUpstream$$' -fuzztime $(FUZZTIME) ./internal/recursive
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 
 # Sharded-engine scale gate: one 100k-probe 4-shard DDoS run (spec H)
 # under the race detector with a peak-RSS ceiling. Small cells keep the

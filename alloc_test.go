@@ -13,6 +13,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dnswire"
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/recursive"
 	"repro/internal/spec"
@@ -202,6 +203,64 @@ func TestClientMissAllocBudget(t *testing.T) {
 	t.Logf("a client miss allocates %.1f objects (budget %d)", got, clientMissAllocBudget)
 }
 
+// clientHitAllocBudget is the ceiling for one steady-state client cache
+// hit through netsim: the query, a lookup that reads the cached set in
+// place and copies it into the job's answer buffer, and the answer back.
+// 0 measured, pinned at 0: the cloned set a hit cost when it went
+// through Get is the one object the budget exists to keep out.
+const clientHitAllocBudget = 0
+
+func TestClientHitAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is noisy under -short race harnesses")
+	}
+	if poolsDrop() {
+		t.Skip("sync.Pool is dropping Puts (race detector): pooled buffers re-allocate at random")
+	}
+	clk := clock.NewVirtual(time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC))
+	net := netsim.New(clk, 1)
+	z := zone.New("cachetest.nl.")
+	z.MustAdd(dnswire.RR{Name: "cachetest.nl.", TTL: 3600, Data: dnswire.SOA{
+		MName: "ns1.cachetest.nl.", RName: "hostmaster.cachetest.nl.", Serial: 1, Minimum: 60}})
+	z.MustAdd(dnswire.RR{Name: "1.cachetest.nl.", TTL: 3600,
+		Data: dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}})
+	authoritative.New(z).Attach(net, "auth")
+	r := recursive.NewResolver(clk, recursive.Config{Seed: 1,
+		RootHints: []recursive.ServerHint{{Name: "hint.auth.", Addr: "auth"}}})
+	r.Attach(net, "res")
+	wire, err := dnswire.NewQuery(7, "1.cachetest.nl.", dnswire.TypeAAAA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp dnswire.Message
+	answered := 0
+	client := net.Bind("client", func(_ netsim.Addr, payload []byte) {
+		if dnswire.UnpackInto(&resp, payload) == nil && len(resp.Answers) == 1 && resp.Answers[0].TTL > 0 {
+			answered++
+		}
+	})
+	ask := func() {
+		client.Send("res", wire)
+		clk.Run()
+	}
+	for i := 0; i < 3; i++ {
+		ask() // the first is the miss that fills the cache
+	}
+	got := testing.AllocsPerRun(100, ask)
+	if answered != 104 {
+		t.Fatalf("%d of 104 queries answered", answered)
+	}
+	reg := metrics.NewRegistry()
+	r.Cache().CollectMetrics(reg.Scope("cache"))
+	if hits := reg.Snapshot().Scope("cache").Counters["hits"]; hits != 103 {
+		t.Fatalf("%d cache hits, want 103 (every query after the first)", hits)
+	}
+	if got > clientHitAllocBudget {
+		t.Fatalf("a client cache hit allocates %.1f objects, budget is %d", got, clientHitAllocBudget)
+	}
+	t.Logf("a client cache hit allocates %.1f objects (budget %d)", got, clientHitAllocBudget)
+}
+
 // cellAllocsPerProbeBudget is the ceiling on heap objects per probe of one
 // simulated cell — the number the benchmark reports as
 // experiment.allocs_per_probe, on a 256-probe cell of its sim_ddos_H
@@ -210,10 +269,10 @@ func TestClientMissAllocBudget(t *testing.T) {
 // RunCampaign. A client miss or a background fetch is a recycled job, a
 // stub query and a scheduled round nothing; a closure per query, a job per
 // miss or a distinct-count set per probe comes back as tens of objects per
-// probe. 225 measured (335 with a job per miss and a task per fetch; a
-// small cell pays its fixed costs over fewer probes: the benchmark's
-// 1024-probe cells measure 216), pinned at measured + 5 %.
-const cellAllocsPerProbeBudget = 237
+// probe. 142 measured (225 with a cloned set per cache hit, a fresh set
+// per cacheRRs group and a map slot per cache entry; 335 with a job per
+// miss and a task per fetch besides), pinned at measured + 5 %.
+const cellAllocsPerProbeBudget = 149
 
 // cellBytesPerProbeBudget is the ceiling on heap bytes per probe
 // (experiment.alloc_bytes_per_probe) of a 256-probe cell of each simulator
@@ -221,9 +280,10 @@ const cellAllocsPerProbeBudget = 237
 // state, a 32-node cache slab — costs kilobytes per probe, because most
 // of a population's resolvers serve a probe or two (H 82.3 and calm
 // 36.2 KB with both); so do a 416-byte job per client miss and an 80-byte
-// tap event holding strings (71.4 and 23.3 KB). 37.6 and 16.9 KB
-// measured, pinned at measured + 5 %.
-var cellBytesPerProbeBudget = map[string]float64{"H": 39600, "calm": 17800}
+// tap event holding strings (71.4 and 23.3 KB), and a 168-byte cache node
+// with a map slot and a cloned set per hit (37.6 and 16.9 KB). 31.8 and
+// 15.4 KB measured, pinned at measured + 5 %.
+var cellBytesPerProbeBudget = map[string]float64{"H": 33400, "calm": 16200}
 
 // cells are one 256-probe cell of each simulator workload of ./benchmark.
 var cells = map[string]string{

@@ -33,6 +33,11 @@ func (a *addrFlags) Set(v string) error { *a = append(*a, v); return nil }
 // clientTimeout is the resolver's deadline for answering a client query.
 const clientTimeout = 8 * time.Second
 
+// cacheEntries caps each cache shard, least recently used evicted first.
+// A one-record entry costs ~144 heap bytes (TestEntryBytes in
+// internal/cache), so a shard's cache stays near 144 MiB.
+const cacheEntries = 1 << 20
+
 // tcpBridge returns the ServeTCP handler that answers a query through
 // the engine: the connection's goroutine hands it to handle under the
 // loop lock and waits for the response callback. The engine answers every
@@ -90,7 +95,7 @@ func main() {
 	cfg := recursive.Config{
 		Cache: cache.Config{
 			MaxTTL: *maxTTL, MinTTL: *minTTL, Shards: *shards,
-			Capacity: 1 << 20,
+			Capacity: cacheEntries,
 		},
 		ServeStale:    *serveStale,
 		MaxAttempts:   *attempts,

@@ -8,6 +8,7 @@
 package cache
 
 import (
+	"hash/maphash"
 	"time"
 
 	"repro/internal/clock"
@@ -19,7 +20,7 @@ import (
 // Rank is the RFC 2181 §5.4.1 credibility of cached data. Higher ranks
 // replace lower ones; lower-ranked data never overwrites fresher
 // higher-ranked data.
-type Rank int
+type Rank uint8
 
 // Credibility ranks, weakest first.
 const (
@@ -39,14 +40,16 @@ type Key struct {
 	Type dnswire.Type
 }
 
-// Entry is what Put stores.
+// Entry is what Put stores. Put copies the records and the SOA it keeps:
+// the caller may reuse Records as soon as Put returns.
 type Entry struct {
 	// Records are the RRset with the TTLs as received.
 	Records []dnswire.RR
 	// Rank is the credibility of the data.
 	Rank Rank
 	// Negative marks an NXDOMAIN or NODATA entry; SOA carries the
-	// authority SOA whose Minimum bounds the negative TTL.
+	// authority SOA whose Minimum bounds the negative TTL. Only negative
+	// entries keep their SOA.
 	Negative bool
 	NXDomain bool
 	SOA      dnswire.RR
@@ -60,8 +63,9 @@ type View struct {
 	// because serve-stale was requested. Stale records carry TTL 0, as in
 	// the serve-stale draft (the paper observed exactly this, §5.3).
 	Stale bool
-	// Records hold the RRset with TTLs decremented to the remaining
-	// lifetime.
+	// Records hold the RRset: from Get and GetStale a copy with TTLs
+	// decremented to the remaining lifetime; from Peek and Lookup the
+	// cache's own set, TTLs as stored.
 	Records  []dnswire.RR
 	Rank     Rank
 	Negative bool
@@ -69,6 +73,9 @@ type View struct {
 	SOA      dnswire.RR
 	// Age is how long ago the entry was stored.
 	Age time.Duration
+	// TTL is the remaining lifetime in whole seconds (0 when Stale): the
+	// TTL Get writes into each record it returns.
+	TTL uint32
 }
 
 // Config tunes a Cache. The zero value means: unlimited capacity, no TTL
@@ -98,17 +105,25 @@ const defaultStaleWindow = time.Hour
 // Cache is a sharded DNS cache. It is not safe for concurrent use; the
 // simulation is single-threaded and real-server callers wrap it in a lock.
 type Cache struct {
-	cfg    Config
-	clk    clock.Clock
+	cfg Config
+	clk clock.Clock
+	// epoch is the clock reading at Init: stored and expiry times are
+	// nanosecond offsets from it (clk.Now().Sub(epoch), so a real clock's
+	// monotonic reading is what they measure).
+	epoch time.Time
+	// seed keys the bucket hash: recursived hashes names its clients
+	// choose, so chain placement must not be predictable.
+	seed   maphash.Seed
 	shards []shard
 	shard0 [1]shard // inline backing for the common single-shard case
 	trace  *trace.Buffer
 	m      counters
 }
 
-// SetTrace enables lookup-outcome tracing (nil disables). Only Get and
-// GetStale emit; Peek stays uninstrumented — it serves read-only internal
-// scans (zone-server lookups) whose volume would drown the trace.
+// SetTrace enables lookup-outcome tracing (nil disables). Only Get,
+// GetStale and Lookup emit; Peek stays uninstrumented — it serves
+// read-only internal scans (zone-server lookups) whose volume would drown
+// the trace.
 func (c *Cache) SetTrace(tr *trace.Buffer) { c.trace = tr }
 
 // counters instruments the lookup and store paths. At most one counter is
@@ -137,12 +152,72 @@ func (c *Cache) CollectMetrics(s metrics.Scope) {
 	s.Add("evictions", c.m.evictions.Value())
 }
 
-// shard is a single backend cache. The zero value is empty and ready:
-// entries is allocated on first Put, so idle shards stay allocation-free.
-// The LRU list is intrusive — cached nodes carry their own prev/next
-// links — so a store costs one allocation (the node), not two.
+// cached is one entry, and the only per-entry object: it carries its key,
+// its data, its LRU links and its hash-chain link. A one-record set — the
+// common shape — lives in one; so does a negative entry's SOA. A positive
+// set of two or more records, or a negative entry's records, is the owned
+// slice many. 128 bytes on 64-bit platforms.
+type cached struct {
+	name            string
+	one             [1]dnswire.RR
+	many            []dnswire.RR
+	stored, expires int64 // nanoseconds since Cache.epoch
+	prev, next      *cached
+	hnext           *cached // next node in the same bucket
+	hash            uint32
+	typ             dnswire.Type
+	rank            Rank
+	flags           uint8
+}
+
+const (
+	flagNegative uint8 = 1 << iota
+	flagNXDomain
+)
+
+func (n *cached) negative() bool { return n.flags&flagNegative != 0 }
+
+// records is the cached set (nil for a negative entry without records).
+func (n *cached) records() []dnswire.RR {
+	if n.many != nil || n.negative() {
+		return n.many
+	}
+	return n.one[:]
+}
+
+// set stores e's data in n, reusing n's own storage: a one-record set is
+// rewritten in place, and a longer set reuses the slice it replaces when
+// that is large enough.
+func (n *cached) set(e *Entry, now, ttl int64) {
+	n.rank, n.stored, n.expires = e.Rank, now, now+ttl
+	n.flags, n.one[0] = 0, dnswire.RR{}
+	rrs := e.Records
+	switch {
+	case e.Negative:
+		n.flags, n.one[0] = flagNegative, e.SOA
+		if e.NXDomain {
+			n.flags |= flagNXDomain
+		}
+	case len(rrs) == 1:
+		n.one[0], n.many = rrs[0], nil
+		return
+	}
+	if len(rrs) == 0 {
+		n.many = nil
+		return
+	}
+	n.many = append(n.many[:0], rrs...)
+}
+
+// shard is a single backend cache: an intrusive hash table and LRU list
+// over slab-allocated nodes. The zero value is empty and ready; the
+// bucket array and the first slab chunk are allocated on first Put, so
+// idle shards stay allocation-free.
 type shard struct {
-	entries map[Key]*cached
+	// buckets is a power-of-two table of hash chains (linked through
+	// hnext), grown so it holds at most one node per bucket on average.
+	// Chain order never decides a lookup: the key does.
+	buckets []*cached
 	// head/tail of the recency list; head = most recent.
 	head, tail *cached
 	count      int
@@ -162,8 +237,7 @@ const slabChunk = 32
 
 func (sh *shard) newNode() *cached {
 	if n := sh.free; n != nil {
-		sh.free = n.next
-		*n = cached{}
+		sh.free, n.next = n.next, nil
 		return n
 	}
 	if sh.used == len(sh.slab) {
@@ -182,12 +256,45 @@ func (sh *shard) freeNode(n *cached) {
 	sh.free = n
 }
 
-type cached struct {
-	key        Key
-	entry      Entry
-	storedAt   time.Time
-	expires    time.Time
-	prev, next *cached
+// find returns the node for (name, typ) with hash h, or nil.
+func (sh *shard) find(name string, typ dnswire.Type, h uint32) *cached {
+	if len(sh.buckets) == 0 {
+		return nil
+	}
+	for n := sh.buckets[h&uint32(len(sh.buckets)-1)]; n != nil; n = n.hnext {
+		if n.hash == h && n.typ == typ && n.name == name {
+			return n
+		}
+	}
+	return nil
+}
+
+// insert links a node that is not yet in the table into its bucket,
+// doubling the table first when it is full.
+func (sh *shard) insert(n *cached) {
+	if sh.count >= len(sh.buckets) {
+		sh.grow()
+	}
+	b := &sh.buckets[n.hash&uint32(len(sh.buckets)-1)]
+	n.hnext, *b = *b, n
+}
+
+func (sh *shard) grow() {
+	sh.buckets = make([]*cached, max(4, 2*len(sh.buckets)))
+	mask := uint32(len(sh.buckets) - 1)
+	for n := sh.head; n != nil; n = n.next {
+		b := &sh.buckets[n.hash&mask]
+		n.hnext, *b = *b, n
+	}
+}
+
+// remove unlinks n from its bucket's chain.
+func (sh *shard) remove(n *cached) {
+	p := &sh.buckets[n.hash&uint32(len(sh.buckets)-1)]
+	for *p != n {
+		p = &(*p).hnext
+	}
+	*p, n.hnext = n.hnext, nil
 }
 
 // moveToFront makes item the most recently used node.
@@ -246,7 +353,7 @@ func (c *Cache) Init(clk clock.Clock, cfg Config) {
 	if n < 1 {
 		n = 1
 	}
-	*c = Cache{cfg: cfg, clk: clk}
+	*c = Cache{cfg: cfg, clk: clk, epoch: clk.Now(), seed: maphash.MakeSeed()}
 	if n == 1 {
 		c.shards = c.shard0[:]
 	} else {
@@ -272,6 +379,22 @@ func (c *Cache) shard(hint int) *shard {
 	return &c.shards[shardIndex(hint, len(c.shards))]
 }
 
+// now is the clock's reading as an offset from the epoch.
+func (c *Cache) now() int64 { return int64(c.clk.Now().Sub(c.epoch)) }
+
+// hash places a canonical key in a bucket. The type is folded in with an
+// odd multiplier so a name's several types spread over the low bits.
+func (c *Cache) hash(name string, typ dnswire.Type) uint32 {
+	return uint32(maphash.String(c.seed, name)) ^ uint32(typ)*0x9e3779b9
+}
+
+// lookup canonicalizes key and returns its shard and node (nil if absent).
+func (c *Cache) lookup(key *Key, shardHint int) (*shard, *cached) {
+	key.Name = dnswire.CanonicalName(key.Name)
+	sh := c.shard(shardHint)
+	return sh, sh.find(key.Name, key.Type, c.hash(key.Name, key.Type))
+}
+
 // effectiveTTL applies the configured floor/cap to a record TTL.
 func (c *Cache) effectiveTTL(ttl time.Duration) time.Duration {
 	if c.cfg.MaxTTL > 0 && ttl > c.cfg.MaxTTL {
@@ -283,22 +406,20 @@ func (c *Cache) effectiveTTL(ttl time.Duration) time.Duration {
 	return ttl
 }
 
-// Put stores e under key in the hinted shard. Data of lower rank does not
-// replace unexpired data of higher rank.
+// Put stores a copy of e under key in the hinted shard. Data of lower
+// rank does not replace unexpired data of higher rank. Views returned by
+// Peek and Lookup for the key are valid until the next Put: an overwrite
+// rewrites the stored set in place.
 func (c *Cache) Put(key Key, e Entry, shardHint int) {
 	key.Name = dnswire.CanonicalName(key.Name)
 	sh := c.shard(shardHint)
-	if sh.entries == nil {
-		sh.entries = make(map[Key]*cached)
-	}
-	now := c.clk.Now()
+	h := c.hash(key.Name, key.Type)
+	now := c.now()
 
 	c.m.puts.Inc()
-	item, exists := sh.entries[key]
-	if exists {
-		if item.entry.Rank > e.Rank && item.expires.After(now) {
-			return
-		}
+	item := sh.find(key.Name, key.Type, h)
+	if item != nil && item.rank > e.Rank && item.expires > now {
+		return
 	}
 
 	var ttl time.Duration
@@ -327,23 +448,21 @@ func (c *Cache) Put(key Key, e Entry, shardHint int) {
 		ttl = c.effectiveTTL(min)
 	}
 
-	if exists {
-		// Overwrite the resident struct rather than allocating a fresh one.
-		// Callers aliasing the old Records via Peek keep their (now old)
-		// slice; only the header in the cache is replaced.
-		item.entry, item.storedAt, item.expires = e, now, now.Add(ttl)
+	if item != nil {
+		item.set(&e, now, int64(ttl))
 		sh.moveToFront(item)
 		return
 	}
 	item = sh.newNode()
-	item.key, item.entry, item.storedAt, item.expires = key, e, now, now.Add(ttl)
-	sh.entries[key] = item
+	item.name, item.typ, item.hash = key.Name, key.Type, h
+	item.set(&e, now, int64(ttl))
+	sh.insert(item)
 	sh.pushFront(item)
 	if c.cfg.Capacity > 0 {
 		for sh.count > c.cfg.Capacity {
 			oldest := sh.tail
 			sh.unlink(oldest)
-			delete(sh.entries, oldest.key)
+			sh.remove(oldest)
 			sh.freeNode(oldest)
 			c.m.evictions.Inc()
 		}
@@ -352,39 +471,31 @@ func (c *Cache) Put(key Key, e Entry, shardHint int) {
 
 // Get returns fresh cached data for key from the hinted shard.
 func (c *Cache) Get(key Key, shardHint int) View {
-	return c.get(key, shardHint, false)
+	return c.get(key, shardHint, false, true)
 }
 
-// Peek is Get without the per-hit RRset clone: View.Records aliases the
-// cache-owned slice with TTLs as stored, not decremented to the remaining
-// lifetime. Callers must treat the records as read-only and must not retain
-// them past a subsequent Put. Lookup semantics — freshness, canonicalization,
-// and the LRU touch — are identical to Get, so switching a read-only call
-// site between the two never changes cache behavior.
+// Peek is a lookup without the per-hit RRset clone and without the
+// Get counters and trace events (it counts peek hits and misses):
+// View.Records aliases the cache-owned set with TTLs as stored, not
+// decremented to the remaining lifetime, and is valid until the next Put.
+// Freshness, canonicalization and the LRU touch are Get's, so switching a
+// read-only call site between the two never changes cache behavior.
 func (c *Cache) Peek(key Key, shardHint int) View {
-	key.Name = dnswire.CanonicalName(key.Name)
-	sh := c.shard(shardHint)
-	item, ok := sh.entries[key]
-	if !ok {
+	sh, item := c.lookup(&key, shardHint)
+	if item == nil {
 		c.m.peekMisses.Inc()
 		return View{}
 	}
-	now := c.clk.Now()
-	if !item.expires.After(now) {
+	now := c.now()
+	if item.expires <= now {
 		c.m.peekMisses.Inc()
 		return View{}
 	}
 	c.m.peekHits.Inc()
 	sh.moveToFront(item)
-	return View{
-		Hit:      true,
-		Records:  item.entry.Records,
-		Rank:     item.entry.Rank,
-		Negative: item.entry.Negative,
-		NXDomain: item.entry.NXDomain,
-		SOA:      item.entry.SOA,
-		Age:      now.Sub(item.storedAt),
-	}
+	v := view(item, now)
+	v.TTL = uint32(time.Duration(item.expires-now) / time.Second)
+	return v
 }
 
 // GetStale is Get but, when the cache is configured for serve-stale, it
@@ -398,79 +509,97 @@ func (c *Cache) Peek(key Key, shardHint int) View {
 // `now - expires > window`, strictly greater). One instant later it is
 // a miss.
 func (c *Cache) GetStale(key Key, shardHint int) View {
-	return c.get(key, shardHint, c.cfg.ServeStale)
+	return c.get(key, shardHint, true, true)
 }
 
-func (c *Cache) get(key Key, shardHint int, allowStale bool) View {
-	key.Name = dnswire.CanonicalName(key.Name)
-	sh := c.shard(shardHint)
-	item, ok := sh.entries[key]
-	if !ok {
+// Lookup is Get (stale false) or GetStale (stale true) without the
+// per-hit clone: the same counters, trace events and LRU touch, but
+// View.Records is the cache's own set with TTLs as stored, valid until the
+// next Put. View.TTL is the remaining lifetime a clone would carry; the
+// SOA of a negative entry already carries it.
+func (c *Cache) Lookup(key Key, shardHint int, stale bool) View {
+	return c.get(key, shardHint, stale, false)
+}
+
+// get is Lookup, and with clone Get/GetStale: the records are copied out,
+// each carrying the remaining lifetime.
+func (c *Cache) get(key Key, shardHint int, stale, clone bool) View {
+	sh, item := c.lookup(&key, shardHint)
+	if item == nil {
 		c.m.misses.Inc()
-		if tr := c.trace; tr != nil {
-			tr.Emit(trace.Event{Type: trace.EvCacheMiss,
-				Probe: trace.ProbeFromName(key.Name), Name: key.Name, A: uint32(key.Type)})
+		if c.trace != nil {
+			c.emit(trace.EvCacheMiss, key)
 		}
 		return View{}
 	}
-	now := c.clk.Now()
-	remaining := item.expires.Sub(now)
-	stale := remaining <= 0
-	if stale {
+	now := c.now()
+	remaining := time.Duration(item.expires - now)
+	expired := remaining <= 0
+	if expired {
 		window := c.cfg.StaleWindow
 		if window == 0 {
 			window = defaultStaleWindow
 		}
-		if !allowStale || now.Sub(item.expires) > window {
+		if !stale || !c.cfg.ServeStale || time.Duration(now-item.expires) > window {
 			c.m.misses.Inc()
-			if tr := c.trace; tr != nil {
-				tr.Emit(trace.Event{Type: trace.EvCacheExpired,
-					Probe: trace.ProbeFromName(key.Name), Name: key.Name, A: uint32(key.Type)})
+			if c.trace != nil {
+				c.emit(trace.EvCacheExpired, key)
 			}
 			return View{}
 		}
 		remaining = 0
 	}
+	event := trace.EvCacheHit
 	switch {
-	case stale:
+	case expired:
 		c.m.staleHits.Inc()
-	case item.entry.Negative:
+		event = trace.EvCacheStale
+	case item.negative():
 		c.m.negativeHits.Inc()
+		event = trace.EvCacheNegHit
 	default:
 		c.m.hits.Inc()
 	}
-	if tr := c.trace; tr != nil {
-		t := trace.EvCacheHit
-		switch {
-		case stale:
-			t = trace.EvCacheStale
-		case item.entry.Negative:
-			t = trace.EvCacheNegHit
-		}
-		tr.Emit(trace.Event{Type: t,
-			Probe: trace.ProbeFromName(key.Name), Name: key.Name, A: uint32(key.Type)})
+	if c.trace != nil {
+		c.emit(event, key)
 	}
 	sh.moveToFront(item)
 
+	v := view(item, now)
+	v.Stale = expired
+	v.TTL = uint32(remaining / time.Second)
+	if v.Negative {
+		v.SOA.TTL = v.TTL
+	}
+	if clone && v.Records != nil {
+		rrs := make([]dnswire.RR, len(v.Records))
+		copy(rrs, v.Records)
+		for i := range rrs {
+			rrs[i].TTL = v.TTL
+		}
+		v.Records = rrs
+	}
+	return v
+}
+
+// emit records a lookup outcome; callers check that tracing is on.
+func (c *Cache) emit(t trace.Type, key Key) {
+	c.trace.Emit(trace.Event{Type: t,
+		Probe: trace.ProbeFromName(key.Name), Name: key.Name, A: uint32(key.Type)})
+}
+
+// view describes a live node; Records alias its set.
+func view(item *cached, now int64) View {
 	v := View{
 		Hit:      true,
-		Stale:    stale,
-		Rank:     item.entry.Rank,
-		Negative: item.entry.Negative,
-		NXDomain: item.entry.NXDomain,
-		Age:      now.Sub(item.storedAt),
+		Records:  item.records(),
+		Rank:     item.rank,
+		Negative: item.negative(),
+		NXDomain: item.flags&flagNXDomain != 0,
+		Age:      time.Duration(now - item.stored),
 	}
-	secs := uint32(remaining / time.Second)
-	if len(item.entry.Records) > 0 {
-		v.Records = make([]dnswire.RR, len(item.entry.Records))
-		copy(v.Records, item.entry.Records)
-		for i := range v.Records {
-			v.Records[i].TTL = secs
-		}
-	}
-	if item.entry.Negative {
-		v.SOA = item.entry.SOA
-		v.SOA.TTL = secs
+	if v.Negative {
+		v.SOA = item.one[0]
 	}
 	return v
 }
@@ -498,19 +627,19 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Dump returns the fresh entries of the hinted shard, mirroring
-// `rndc dumpdb` / `unbound-control dump_cache` (used for the Appendix A
-// Listings 3–4 reproduction).
+// Dump returns the fresh positive entries of the hinted shard, most
+// recently used first, mirroring `rndc dumpdb` / `unbound-control
+// dump_cache` (used for the Appendix A Listings 3–4 reproduction).
 func (c *Cache) Dump(shardHint int) []dnswire.RR {
 	sh := c.shard(shardHint)
-	now := c.clk.Now()
+	now := c.now()
 	var out []dnswire.RR
-	for _, item := range sh.entries {
-		if !item.expires.After(now) || item.entry.Negative {
+	for item := sh.head; item != nil; item = item.next {
+		if item.expires <= now || item.negative() {
 			continue
 		}
-		secs := uint32(item.expires.Sub(now) / time.Second)
-		for _, rr := range item.entry.Records {
+		secs := uint32(time.Duration(item.expires-now) / time.Second)
+		for _, rr := range item.records() {
 			rr.TTL = secs
 			out = append(out, rr)
 		}

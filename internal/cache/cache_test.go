@@ -3,9 +3,11 @@ package cache
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/dnswire"
@@ -383,4 +385,101 @@ func TestQuickTTLNeverExceedsOriginal(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestPutCopiesRecords: the cache keeps its own copy of what Put is
+// handed, for a one-record set (stored inline), a longer one and a
+// negative entry's SOA, so the caller may reuse its buffers at once.
+func TestPutCopiesRecords(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	c := New(clk, Config{})
+	one := []dnswire.RR{rrA("one.example.nl.", 300, "10.0.0.1")}
+	two := []dnswire.RR{rrA("two.example.nl.", 300, "10.0.0.2"), rrA("two.example.nl.", 300, "10.0.0.3")}
+	soa := dnswire.RR{Name: "example.nl.", TTL: 60, Data: dnswire.SOA{MName: "ns.example.nl.", Minimum: 60}}
+	neg := Entry{Negative: true, SOA: soa, Records: []dnswire.RR{rrA("neg.example.nl.", 60, "10.0.0.4")}, Rank: RankAnswer}
+	c.Put(keyA("one.example.nl."), Entry{Records: one, Rank: RankAnswer}, 0)
+	c.Put(keyA("two.example.nl."), Entry{Records: two, Rank: RankAnswer}, 0)
+	c.Put(keyA("neg.example.nl."), neg, 0)
+	for _, rrs := range [][]dnswire.RR{one, two, neg.Records} {
+		for i := range rrs {
+			rrs[i] = rrA("clobbered.", 1, "192.0.2.1")
+		}
+	}
+	neg.SOA.Data = nil
+	for _, tc := range []struct {
+		name string
+		want []string
+	}{{"one.example.nl.", []string{"10.0.0.1"}}, {"two.example.nl.", []string{"10.0.0.2", "10.0.0.3"}},
+		{"neg.example.nl.", []string{"10.0.0.4"}}} {
+		for _, v := range []View{c.Get(keyA(tc.name), 0), c.Peek(keyA(tc.name), 0)} {
+			if len(v.Records) != len(tc.want) {
+				t.Fatalf("%s: %d records, want %d", tc.name, len(v.Records), len(tc.want))
+			}
+			for i, rr := range v.Records {
+				if rr.Name != tc.name || rr.Data.(dnswire.A).Addr.String() != tc.want[i] {
+					t.Errorf("%s: record %d = %v, want %s %s", tc.name, i, rr, tc.name, tc.want[i])
+				}
+			}
+		}
+	}
+	if v := c.Peek(keyA("neg.example.nl."), 0); v.SOA.Data == nil {
+		t.Error("the negative entry's SOA changed with the caller's Entry")
+	}
+}
+
+// TestDumpMostRecentFirst: Dump walks the recency list, so its order is
+// fixed by use, not by hash placement.
+func TestDumpMostRecentFirst(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	c := New(clk, Config{})
+	for i := 0; i < 6; i++ {
+		name := fmt.Sprintf("h%d.example.nl.", i)
+		c.Put(keyA(name), Entry{Records: []dnswire.RR{rrA(name, 300, "10.0.0.1")}, Rank: RankAnswer}, 0)
+	}
+	c.Peek(keyA("h2.example.nl."), 0)
+	var got []string
+	for _, rr := range c.Dump(0) {
+		got = append(got, rr.Name)
+	}
+	want := "[h2.example.nl. h5.example.nl. h4.example.nl. h3.example.nl. h1.example.nl. h0.example.nl.]"
+	if fmt.Sprint(got) != want {
+		t.Errorf("Dump order %v, want %s", got, want)
+	}
+}
+
+// TestEntryBytes pins the memory of a cached one-record set — the common
+// shape: an AAAA answer — at ≤ 160 heap bytes per entry over 65 536
+// entries, counting node, hash table and arena slack (303.5 when an entry
+// was a map slot, a node holding time.Time fields and an SOA, and a
+// retained []RR). The node itself is at most 136 bytes.
+func TestEntryBytes(t *testing.T) {
+	if size := unsafe.Sizeof(cached{}); size > 136 {
+		t.Errorf("a cache node is %d bytes, want ≤ 136", size)
+	}
+	const n = 1 << 16
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%d.cachetest.nl.", i)
+	}
+	var data dnswire.RData = dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}
+	rr := make([]dnswire.RR, 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(clock.NewVirtual(epoch), Config{})
+	for _, name := range names {
+		rr[0] = dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: 300, Data: data}
+		c.Put(Key{Name: name, Type: dnswire.TypeAAAA}, Entry{Records: rr, Rank: RankAnswer}, 0)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if c.Len() != n {
+		t.Fatalf("Len = %d, want %d", c.Len(), n)
+	}
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	if per > 160 {
+		t.Errorf("a one-record entry costs %.1f heap bytes, want ≤ 160", per)
+	}
+	t.Logf("a one-record entry costs %.1f heap bytes (node %d)", per, unsafe.Sizeof(cached{}))
+	runtime.KeepAlive(c)
 }

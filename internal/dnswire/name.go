@@ -34,7 +34,7 @@ func CanonicalName(s string) string {
 		return "."
 	}
 	s = toLowerASCII(s)
-	if !strings.HasSuffix(s, ".") {
+	if s[len(s)-1] != '.' {
 		s += "."
 	}
 	return s
@@ -136,10 +136,13 @@ func IsSubdomain(child, parent string) bool {
 	if parent == "." {
 		return true
 	}
-	if child == parent {
-		return true
+	// child is parent, or ends in "."+parent: the label boundary and the
+	// suffix are compared in place rather than through a concatenation.
+	n := len(child) - len(parent)
+	if n == 0 {
+		return child == parent
 	}
-	return strings.HasSuffix(child, "."+parent)
+	return n > 0 && child[n-1] == '.' && child[n:] == parent
 }
 
 // Join prepends label to name, producing a canonical child name.

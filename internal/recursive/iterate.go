@@ -173,7 +173,8 @@ func (t *task) armStaleTimer() {
 	if !t.r.cfg.ServeStale || t.r.cfg.NoCache {
 		return
 	}
-	v := t.r.cache.GetStale(cache.Key{Name: t.name, Type: t.qtype}, t.shard)
+	// Lookup, not GetStale: only whether a stale set exists matters here.
+	v := t.r.cache.Lookup(cache.Key{Name: t.name, Type: t.qtype}, t.shard, true)
 	if !v.Hit || !v.Stale || v.Negative {
 		return
 	}
@@ -187,10 +188,10 @@ func staleAnswer(arg any) {
 	r := t.r
 	r.depth++
 	if !t.done {
-		sv := r.cache.GetStale(cache.Key{Name: t.name, Type: t.qtype}, t.shard)
+		sv := r.cache.Lookup(cache.Key{Name: t.name, Type: t.qtype}, t.shard, true)
 		if sv.Hit && sv.Stale && !sv.Negative {
 			r.event(kStaleServe, payload{name: t.name})
-			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: sv.Records,
+			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: t.cachedAnswers(sv),
 				Stale: true, FromCache: true})
 		}
 	}
@@ -257,9 +258,9 @@ func (t *task) fail() {
 		return
 	}
 	if t.r.cfg.ServeStale && !t.r.cfg.NoCache {
-		if v := t.r.cache.GetStale(cache.Key{Name: t.name, Type: t.qtype}, t.shard); v.Hit && !v.Negative {
+		if v := t.r.cache.Lookup(cache.Key{Name: t.name, Type: t.qtype}, t.shard, true); v.Hit && !v.Negative {
 			t.r.event(kStaleServe, payload{name: t.name, a: 1})
-			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: v.Records, Stale: true, FromCache: true})
+			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: t.cachedAnswers(v), Stale: true, FromCache: true})
 			return
 		}
 	}
@@ -281,7 +282,7 @@ func (t *task) cacheAnswer() bool {
 	}
 	cur := t.name
 	for hop := 0; hop <= t.r.cfg.MaxCNAME; hop++ {
-		v := t.r.cache.Get(cache.Key{Name: cur, Type: t.qtype}, t.shard)
+		v := t.r.cache.Lookup(cache.Key{Name: cur, Type: t.qtype}, t.shard, false)
 		if v.Hit && !v.Negative && v.Rank < minRank {
 			// Referral-learned data is good enough to guide resolution
 			// but not to answer clients (RFC 2181 §5.4.1).
@@ -299,17 +300,23 @@ func (t *task) cacheAnswer() bool {
 			}
 			t.r.event(kCacheHit, payload{})
 			t.r.maybePrefetch(cur, t.qtype, t.shard, v)
-			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: v.Records, FromCache: true})
+			// Copied only now: a background fetch may have used the
+			// resolver's record scratch, which answerBuf hands a job.
+			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: t.cachedAnswers(v), FromCache: true})
 			return true
 		}
 		if t.qtype == dnswire.TypeCNAME {
 			break
 		}
-		cv := t.r.cache.Get(cache.Key{Name: cur, Type: dnswire.TypeCNAME}, t.shard)
+		cv := t.r.cache.Lookup(cache.Key{Name: cur, Type: dnswire.TypeCNAME}, t.shard, false)
 		if !cv.Hit || cv.Negative {
 			break
 		}
+		n := len(t.prefix)
 		t.prefix = append(t.prefix, cv.Records...)
+		for i := n; i < len(t.prefix); i++ {
+			t.prefix[i].TTL = cv.TTL
+		}
 		cur = dnswire.CanonicalName(cv.Records[0].Data.(dnswire.CNAME).Target)
 		t.chain++
 		if t.chain > t.r.cfg.MaxCNAME {
@@ -319,6 +326,16 @@ func (t *task) cacheAnswer() bool {
 	}
 	t.name = cur
 	return false
+}
+
+// cachedAnswers copies a Lookup view's records into the task's answer
+// buffer, each carrying the remaining lifetime, as Get's clone would.
+func (t *task) cachedAnswers(v cache.View) []dnswire.RR {
+	answers := append(t.answerBuf(len(v.Records)), v.Records...)
+	for i := range answers {
+		answers[i].TTL = v.TTL
+	}
+	return answers
 }
 
 // initFetch seeds the fetch state from the deepest cached delegation with
@@ -781,7 +798,7 @@ func (r *Resolver) maybePrefetch(name string, qtype dnswire.Type, shard int, v c
 	if r.cfg.Prefetch <= 0 || len(v.Records) == 0 {
 		return
 	}
-	remaining := time.Duration(v.Records[0].TTL) * time.Second
+	remaining := time.Duration(v.TTL) * time.Second
 	original := v.Age + remaining
 	if original <= 0 || float64(remaining) > r.cfg.Prefetch*float64(original) {
 		return
@@ -862,41 +879,35 @@ func (t *task) validateAnswer(m *dnswire.Message) bool {
 	return true
 }
 
-// cacheRRs groups records into RRsets and stores them at the given rank.
-// Grouping is done by rescanning from each first occurrence rather than
-// through a scratch map: the lists are a handful of records, the cache
-// retains each set (so those slices must be freshly allocated either
-// way), and the rescan makes the Put order deterministic.
+// cacheRRs groups records into RRsets and stores them at the given rank,
+// in the order of each set's first record. Each owner name is
+// canonicalized once into the resolver's key scratch; a set is gathered
+// in its set scratch by rescanning from its first record (the lists are a
+// handful of records), and Put copies what it keeps.
 func (t *task) cacheRRs(rrs []dnswire.RR, rank cache.Rank) {
-	if t.r.cfg.NoCache || len(rrs) == 0 {
+	r := t.r
+	if r.cfg.NoCache || len(rrs) == 0 {
 		return
 	}
+	keys := r.keyScratch[:0]
 	for i := range rrs {
-		k := cache.Key{Name: dnswire.CanonicalName(rrs[i].Name), Type: rrs[i].Type()}
-		n, first := 0, true
-		for j := range rrs {
-			kj := cache.Key{Name: dnswire.CanonicalName(rrs[j].Name), Type: rrs[j].Type()}
-			if kj != k {
-				continue
-			}
-			if j < i {
-				first = false
-				break
-			}
-			n++
-		}
-		if !first {
-			continue
-		}
-		set := make([]dnswire.RR, 0, n)
-		for j := i; j < len(rrs); j++ {
-			kj := cache.Key{Name: dnswire.CanonicalName(rrs[j].Name), Type: rrs[j].Type()}
-			if kj == k {
-				set = append(set, rrs[j])
-			}
-		}
-		t.r.cache.Put(k, cache.Entry{Records: set, Rank: rank}, t.shard)
+		keys = append(keys, cache.Key{Name: dnswire.CanonicalName(rrs[i].Name), Type: rrs[i].Type()})
 	}
+	for i, k := range keys {
+		if k.Name == "" {
+			continue // in an earlier record's set
+		}
+		set := r.setScratch[:0]
+		for j := i; j < len(keys); j++ {
+			if keys[j] == k {
+				set = append(set, rrs[j])
+				keys[j].Name = "" // canonical names are never empty
+			}
+		}
+		r.cache.Put(k, cache.Entry{Records: set, Rank: rank}, t.shard)
+		r.setScratch = set[:0]
+	}
+	r.keyScratch = keys[:0]
 }
 
 // cacheAuthorityAndGlue stores referral NS sets and in-bailiwick glue
@@ -909,8 +920,8 @@ func (t *task) cacheAuthorityAndGlue(m *dnswire.Message) {
 	if t.r.cfg.NoCache {
 		return
 	}
-	// The NS and glue lists live only for this call (cacheRRs copies what
-	// the cache keeps), so they borrow the resolver's scratch buffer. The
+	// The NS and glue lists live only for this call (Put copies what the
+	// cache keeps), so they borrow the resolver's scratch buffer. The
 	// event loop is single-threaded and this function never yields, so the
 	// buffer cannot be observed mid-use.
 	nsRRs := t.r.rrScratch[:0]

@@ -257,12 +257,14 @@ type Resolver struct {
 	// milliseconds (the same samples that feed SRTT selection).
 	upstreamRTTms metrics.Histogram
 
-	// rrScratch and nsScratch are reusable record buffers for the
-	// single-threaded response-processing path (cacheAuthorityAndGlue and
-	// referralNS respectively); their contents never survive an event
-	// dispatch.
-	rrScratch []dnswire.RR
-	nsScratch []dnswire.RR
+	// rrScratch, nsScratch, setScratch and keyScratch are reusable
+	// buffers for the single-threaded response-processing path
+	// (cacheAuthorityAndGlue and answerBuf, referralNS, and cacheRRs's
+	// sets and keys); their contents never survive an event dispatch.
+	rrScratch  []dnswire.RR
+	nsScratch  []dnswire.RR
+	setScratch []dnswire.RR
+	keyScratch []cache.Key
 	// upMsg is the scratch decode target for upstream responses. Response
 	// processing never retains the message or its section slices (data
 	// that outlives the dispatch — cache sets, Result answers — is always
