@@ -286,6 +286,29 @@ func TestQuestion1Empty(t *testing.T) {
 	}
 }
 
+// TestParseTypeRoundTrip: ParseType inverts String for every named type,
+// including the DNSSEC ones, and is exact about the rest.
+func TestParseTypeRoundTrip(t *testing.T) {
+	if len(typesByName) != len(typeNames) {
+		t.Fatalf("%d names for %d types", len(typesByName), len(typeNames))
+	}
+	for ty := range typeNames {
+		if got := ParseType(ty.String()); got != ty {
+			t.Errorf("ParseType(%q) = %d, want %d", ty.String(), got, ty)
+		}
+	}
+	for _, ty := range []Type{TypeNSEC, TypeRRSIG, TypeDNSKEY} {
+		if _, ok := typeNames[ty]; !ok {
+			t.Errorf("type %d has no name", ty)
+		}
+	}
+	for _, s := range []string{"", "aaaa", "TYPE28", "AAAA ", "WKS", "CNAMEX"} {
+		if got := ParseType(s); got != TypeNone {
+			t.Errorf("ParseType(%q) = %s, want TypeNone", s, got)
+		}
+	}
+}
+
 func TestMessageString(t *testing.T) {
 	s := sampleMessage().String()
 	for _, want := range []string{"qr", "aa", "1414.cachetest.nl.", "AAAA", "ns1.cachetest.nl."} {

@@ -12,11 +12,6 @@ const (
 	TypeDNSKEY Type = 48
 )
 
-func init() {
-	typeNames[TypeRRSIG] = "RRSIG"
-	typeNames[TypeDNSKEY] = "DNSKEY"
-}
-
 // DNSKEY is a zone's public key (RFC 4034 §2).
 type DNSKEY struct {
 	Flags     uint16 // 256 = ZSK, 257 = KSK (SEP bit)

@@ -9,10 +9,6 @@ import (
 // TypeNSEC is the authenticated-denial record (RFC 4034 §4).
 const TypeNSEC Type = 47
 
-func init() {
-	typeNames[TypeNSEC] = "NSEC"
-}
-
 // NSEC links an owner name to the next name in the zone's canonical order
 // and lists the types present at the owner, proving what does not exist.
 type NSEC struct {

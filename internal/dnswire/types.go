@@ -34,7 +34,20 @@ var typeNames = map[Type]string{
 	TypeOPT:   "OPT",
 	TypeDS:    "DS",
 	TypeANY:   "ANY",
+
+	TypeRRSIG:  "RRSIG",
+	TypeNSEC:   "NSEC",
+	TypeDNSKEY: "DNSKEY",
 }
+
+// typesByName is typeNames reversed, for ParseType.
+var typesByName = func() map[string]Type {
+	m := make(map[string]Type, len(typeNames))
+	for t, name := range typeNames {
+		m[name] = t
+	}
+	return m
+}()
 
 func (t Type) String() string {
 	if s, ok := typeNames[t]; ok {
@@ -46,12 +59,7 @@ func (t Type) String() string {
 // ParseType maps a textual record type (as in a master file) to its Type.
 // Unknown strings return TypeNone.
 func ParseType(s string) Type {
-	for t, name := range typeNames {
-		if name == s {
-			return t
-		}
-	}
-	return TypeNone
+	return typesByName[s]
 }
 
 // Class is a DNS class. Only IN is used in practice.

@@ -1,6 +1,8 @@
 package zone
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -116,9 +118,29 @@ func TestParseTTLForms(t *testing.T) {
 		{"abc", 0, true},
 		{"1x", 0, true},
 		{"h1", 0, true},
+		{"1h30", 0, true},
+		{"2H30M", 9000, false},
+		// One ceiling for both forms: RFC 2181 §8's 2^31 - 1.
+		{"2147483647", 1<<31 - 1, false},
+		{"2147483648", 0, true},
+		{"4294967295", 0, true},
+		{"2147483647s", 1<<31 - 1, false},
+		{"2147483648s", 0, true},
+		{"596523h", 596523 * 3600, false},
+		{"596524h", 0, true},
+		{"3550w", 3550 * 604800, false},
+		{"3551w", 0, true},
+		{"1w2147483647s", 0, true},
+		// Sums that wrap a uint64 were accepted as small TTLs.
+		{"18446744073709551617s", 0, true},
+		{"18446744073709551616", 0, true},
+		{"30500568904943w", 0, true},
 	}
 	for _, c := range cases {
 		got, err := parseTTL(c.in)
+		if refGot, refErr := refParseTTL(c.in); refGot != got || fmt.Sprint(refErr) != fmt.Sprint(err) {
+			t.Errorf("parseTTL(%q) = %d, %v; the reference says %d, %v", c.in, got, err, refGot, refErr)
+		}
 		if (err != nil) != c.err {
 			t.Errorf("parseTTL(%q) err = %v, want err=%v", c.in, err, c.err)
 			continue
@@ -127,6 +149,35 @@ func TestParseTTLForms(t *testing.T) {
 			t.Errorf("parseTTL(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
+}
+
+// TestParseAllocsPerRecord pins the load cost of a zone in the shape
+// authd serves in the benchmark: one AAAA per name, 10 000 names.
+func TestParseAllocsPerRecord(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("$ORIGIN bench.nl.\n$TTL 3600\n" +
+		"@ IN SOA ns1 hostmaster 1 7200 3600 864000 60\n@ IN NS ns1\nns1 IN A 127.0.0.1\n" +
+		"*.u IN AAAA 2001:db8:ffff::1\n")
+	for i := 0; i < 10000; i++ {
+		fmt.Fprintf(&sb, "n%d IN AAAA 2001:db8::%x:%x\n", i, i>>16, i&0xffff)
+	}
+	text := sb.String()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	z, err := ParseString(text, "")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(z.Len())
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if allocs > 5 || bytes > 450 {
+		t.Errorf("Parse costs %.2f allocations and %.0f B per record, budget 5 and 450", allocs, bytes)
+	}
+	t.Logf("Parse: %.2f allocations, %.0f B per record over %.0f records", allocs, bytes, n)
 }
 
 func TestParseErrors(t *testing.T) {

@@ -76,6 +76,44 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalRoundTripsQuotedSpecials: ';', '(' and ')' inside a quoted
+// TXT string are text, not a comment or a continuation, so Marshal's
+// output of such a string parses back to the same data.
+func TestMarshalRoundTripsQuotedSpecials(t *testing.T) {
+	z := testZone(t)
+	want := dnswire.TXT{Strings: []string{"a;b", "c(d", "e)f"}}
+	z.MustAdd(dnswire.RR{Name: "odd.cachetest.nl.", TTL: 30, Data: want})
+	// Marshal escapes the quote as \"; the ';' after it is still quoted.
+	z.MustAdd(dnswire.RR{Name: "esc.cachetest.nl.", TTL: 30,
+		Data: dnswire.TXT{Strings: []string{`g"h;i(`}}})
+	text := z.MarshalString()
+	z2, err := ParseString(text, "")
+	if err != nil {
+		t.Fatalf("re-parse: %v\n%s", err, text)
+	}
+	if z2.Len() != z.Len() {
+		t.Fatalf("record count %d != %d\n%s", z2.Len(), z.Len(), text)
+	}
+	if got := z2.RRSet("odd.cachetest.nl.", dnswire.TypeTXT); len(got) != 1 || !got[0].Data.Equal(want) {
+		t.Errorf("TXT after round trip = %v, want %v", got, want)
+	}
+
+	z3, err := ParseString("$ORIGIN example.nl.\nt 60 IN TXT \"v=spf1; -all\" ; a comment\n"+
+		"p 60 IN TXT ( \"(x)\"\n \"y;\" )\n", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]string{
+		"t.example.nl.": {"v=spf1; -all"},
+		"p.example.nl.": {"(x)", "y;"},
+	} {
+		got := z3.RRSet(name, dnswire.TypeTXT)
+		if len(got) != 1 || !got[0].Data.Equal(dnswire.TXT{Strings: want}) {
+			t.Errorf("%s TXT = %v, want %q", name, got, want)
+		}
+	}
+}
+
 func TestJoinQuoted(t *testing.T) {
 	cases := []struct {
 		in   []string

@@ -72,10 +72,11 @@ type Result struct {
 type Zone struct {
 	origin string
 
-	mu      sync.RWMutex
-	rrsets  map[Key][]dnswire.RR
-	nodes   map[string]bool // names that exist (own data or have descendants)
-	withers map[string]int  // descendant counts for node bookkeeping
+	mu     sync.RWMutex
+	rrsets map[Key][]dnswire.RR
+	// withers counts, per name, the records at or below it: a name exists
+	// (owns data or has descendants) exactly when its count is positive.
+	withers map[string]int
 
 	// cowSrc, when non-nil, marks this zone as a copy-on-write clone still
 	// borrowing cowSrc's maps. The first mutation copies them (under
@@ -88,7 +89,6 @@ func New(origin string) *Zone {
 	return &Zone{
 		origin:  dnswire.CanonicalName(origin),
 		rrsets:  make(map[Key][]dnswire.RR),
-		nodes:   make(map[string]bool),
 		withers: make(map[string]int),
 	}
 }
@@ -114,7 +114,6 @@ func (z *Zone) Clone() *Zone {
 	return &Zone{
 		origin:  z.origin,
 		rrsets:  z.rrsets,
-		nodes:   z.nodes,
 		withers: z.withers,
 		cowSrc:  z,
 	}
@@ -132,16 +131,12 @@ func (z *Zone) ensureOwnedLocked() {
 	for k, v := range z.rrsets {
 		rrsets[k] = copyRRs(v)
 	}
-	nodes := make(map[string]bool, len(z.nodes))
-	for k, v := range z.nodes {
-		nodes[k] = v
-	}
 	withers := make(map[string]int, len(z.withers))
 	for k, v := range z.withers {
 		withers[k] = v
 	}
 	src.mu.RUnlock()
-	z.rrsets, z.nodes, z.withers, z.cowSrc = rrsets, nodes, withers, nil
+	z.rrsets, z.withers, z.cowSrc = rrsets, withers, nil
 }
 
 // Add inserts rr into the zone. All records of one RRset must share a TTL;
@@ -196,7 +191,6 @@ func (z *Zone) addLocked(rr dnswire.RR) {
 // addNodeLocked marks name and every ancestor up to the origin as existing.
 func (z *Zone) addNodeLocked(name string) {
 	for n := name; ; n = dnswire.Parent(n) {
-		z.nodes[n] = true
 		z.withers[n]++
 		if n == z.origin || n == "." {
 			break
@@ -209,7 +203,6 @@ func (z *Zone) removeNodeLocked(name string) {
 		z.withers[n]--
 		if z.withers[n] <= 0 {
 			delete(z.withers, n)
-			delete(z.nodes, n)
 		}
 		if n == z.origin || n == "." {
 			break
@@ -383,7 +376,7 @@ func (z *Zone) AppendLookup(name string, qtype dnswire.Type, recs, glue *[]dnswi
 			return CName, dnswire.RR{}
 		}
 	}
-	if z.nodes[name] {
+	if z.withers[name] > 0 {
 		return NoData, z.soaLocked()
 	}
 	// Wildcard synthesis: find the closest encloser and test *.<encloser>.
@@ -456,11 +449,11 @@ func (z *Zone) appendWildcardLocked(name string, qtype dnswire.Type, recs *[]dns
 			}
 			return Success, true
 		}
-		if z.nodes[wc] {
+		if z.withers[wc] > 0 {
 			// A wildcard exists but not for this type: NODATA.
 			return NoData, true
 		}
-		if z.nodes[n] {
+		if z.withers[n] > 0 {
 			// The closest encloser exists without a matching wildcard:
 			// stop, the answer is NXDOMAIN.
 			return 0, false
