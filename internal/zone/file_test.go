@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dnswire"
 )
@@ -151,17 +152,24 @@ func TestParseTTLForms(t *testing.T) {
 	}
 }
 
-// TestParseAllocsPerRecord pins the load cost of a zone in the shape
-// authd serves in the benchmark: one AAAA per name, 10 000 names.
-func TestParseAllocsPerRecord(t *testing.T) {
+// benchZoneText is a zone in the shape authd serves in the benchmark: one
+// AAAA per name, n names.
+func benchZoneText(n int) string {
 	var sb strings.Builder
 	sb.WriteString("$ORIGIN bench.nl.\n$TTL 3600\n" +
 		"@ IN SOA ns1 hostmaster 1 7200 3600 864000 60\n@ IN NS ns1\nns1 IN A 127.0.0.1\n" +
 		"*.u IN AAAA 2001:db8:ffff::1\n")
-	for i := 0; i < 10000; i++ {
+	for i := 0; i < n; i++ {
 		fmt.Fprintf(&sb, "n%d IN AAAA 2001:db8::%x:%x\n", i, i>>16, i&0xffff)
 	}
-	text := sb.String()
+	return sb.String()
+}
+
+// TestParseAllocsPerRecord pins the load cost of the benchmark's zone
+// shape at 10 000 names: per record, the line, the owner name and the
+// boxed AAAA, and the zone's map growth spread over all of them.
+func TestParseAllocsPerRecord(t *testing.T) {
+	text := benchZoneText(10000)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -174,10 +182,41 @@ func TestParseAllocsPerRecord(t *testing.T) {
 	n := float64(z.Len())
 	allocs := float64(after.Mallocs-before.Mallocs) / n
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
-	if allocs > 5 || bytes > 450 {
-		t.Errorf("Parse costs %.2f allocations and %.0f B per record, budget 5 and 450", allocs, bytes)
+	if allocs > 3.5 || bytes > 350 {
+		t.Errorf("Parse costs %.2f allocations and %.0f B per record, budget 3.5 and 350", allocs, bytes)
 	}
 	t.Logf("Parse: %.2f allocations, %.0f B per record over %.0f records", allocs, bytes, n)
+}
+
+// TestZoneBytesPerName pins what a parsed zone of the benchmark's shape
+// and size, 100 000 names, keeps live: a map slot holding the name and its
+// 40-byte node, the name's bytes, and the boxed AAAA. The two-map store it
+// replaced held 196 B per record. The share a map slot costs depends on
+// how full the map's tables happen to be: at 10 000 names they are
+// emptier, and the two stores hold 145 and 223 B.
+func TestZoneBytesPerName(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got > 40 {
+		t.Errorf("a node is %d bytes, budget 40", got)
+	}
+	text := benchZoneText(100000)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	z, err := ParseString(text, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := float64(z.Len())
+	live := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	runtime.KeepAlive(text) // live in both readings
+	runtime.KeepAlive(z)
+	if live > 130 {
+		t.Errorf("a parsed zone holds %.1f B live per record, budget 130", live)
+	}
+	t.Logf("zone: %.1f B live per record over %.0f records", live, n)
 }
 
 func TestParseErrors(t *testing.T) {

@@ -18,48 +18,45 @@ func (z *Zone) Marshal(w io.Writer) error {
 	}
 
 	z.mu.RLock()
-	keys := make([]Key, 0, len(z.rrsets))
-	for k := range z.rrsets {
-		keys = append(keys, k)
-	}
-	sets := make(map[Key][]dnswire.RR, len(z.rrsets))
-	for k, set := range z.rrsets {
-		sets[k] = append([]dnswire.RR(nil), set...)
+	var rrs []dnswire.RR
+	for name, nd := range z.nodes {
+		for i, l := 0, nd.len(); i < l; i++ {
+			rrs = append(rrs, nd.at(i).rr(name))
+		}
 	}
 	z.mu.RUnlock()
 
-	sort.Slice(keys, func(i, j int) bool {
-		// SOA first, then apex, then by name/type.
-		si := keys[i].Type == dnswire.TypeSOA
-		sj := keys[j].Type == dnswire.TypeSOA
+	// SOA first, then apex, then by name/type. The sort is stable, so an
+	// RRset's records, which one node holds in order, stay in order.
+	sort.SliceStable(rrs, func(i, j int) bool {
+		si := rrs[i].Type() == dnswire.TypeSOA
+		sj := rrs[j].Type() == dnswire.TypeSOA
 		if si != sj {
 			return si
 		}
-		if keys[i].Name != keys[j].Name {
-			if keys[i].Name == z.origin {
+		if rrs[i].Name != rrs[j].Name {
+			if rrs[i].Name == z.origin {
 				return true
 			}
-			if keys[j].Name == z.origin {
+			if rrs[j].Name == z.origin {
 				return false
 			}
-			return keys[i].Name < keys[j].Name
+			return rrs[i].Name < rrs[j].Name
 		}
-		return keys[i].Type < keys[j].Type
+		return rrs[i].Type() < rrs[j].Type()
 	})
 
-	for _, k := range keys {
-		for _, rr := range sets[k] {
-			// The apex prints as "@": an owner column equal to a "$"-prefixed
-			// origin would otherwise re-parse as a directive.
-			owner := rr.Name
-			if owner == z.origin {
-				owner = "@"
-			}
-			line := fmt.Sprintf("%s %d %s %s %s\n",
-				owner, rr.TTL, rr.Class, rr.Type(), rr.Data)
-			if _, err := io.WriteString(w, line); err != nil {
-				return err
-			}
+	for _, rr := range rrs {
+		// The apex prints as "@": an owner column equal to a "$"-prefixed
+		// origin would otherwise re-parse as a directive.
+		owner := rr.Name
+		if owner == z.origin {
+			owner = "@"
+		}
+		line := fmt.Sprintf("%s %d %s %s %s\n",
+			owner, rr.TTL, rr.Class, rr.Type(), rr.Data)
+		if _, err := io.WriteString(w, line); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -6,18 +6,14 @@ package zone
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/dnswire"
 )
-
-// Key identifies an RRset within a zone.
-type Key struct {
-	Name string
-	Type dnswire.Type
-}
 
 // ResultKind classifies the outcome of a zone lookup.
 type ResultKind int
@@ -72,24 +68,140 @@ type Result struct {
 type Zone struct {
 	origin string
 
-	mu     sync.RWMutex
-	rrsets map[Key][]dnswire.RR
-	// withers counts, per name, the records at or below it: a name exists
-	// (owns data or has descendants) exactly when its count is positive.
-	withers map[string]int
+	mu sync.RWMutex
+	// nodes holds one node per existing name, keyed by canonical name: a
+	// name exists while it owns records or has records below it, and a
+	// node that owns none is an empty non-terminal.
+	nodes map[string]node
+	// below counts the records strictly below the apex. It lives here, not
+	// in the apex's node, so inserting a name one label below the apex
+	// touches no node but its own.
+	below int
+	// shared marks nodes, and the overflows its nodes point to, as
+	// possibly read by another zone: the next mutation copies them first,
+	// so a shared map is never written. See Clone.
+	shared bool
+}
 
-	// cowSrc, when non-nil, marks this zone as a copy-on-write clone still
-	// borrowing cowSrc's maps. The first mutation copies them (under
-	// cowSrc's read lock) and detaches. See Clone.
-	cowSrc *Zone
+// node is what a zone holds for one owner name, stored in the map by
+// value: a name costs one map slot and, with one record, no allocation
+// beyond its key and its data.
+type node struct {
+	first record    // the name's first record; data is nil when it owns none
+	more  *[]record // its further records, of any type, in insertion order
+	below int       // records strictly below the name; 0 at the apex (Zone.below)
+}
+
+// record is one record of a node, owned by the node's name.
+type record struct {
+	typ   dnswire.Type
+	class dnswire.Class
+	ttl   uint32
+	data  dnswire.RData
+}
+
+func (r *record) rr(owner string) dnswire.RR {
+	return dnswire.RR{Name: owner, Class: r.class, TTL: r.ttl, Data: r.data}
+}
+
+// len returns the number of records the node's name owns.
+func (n *node) len() int {
+	switch {
+	case n.first.data == nil:
+		return 0
+	case n.more == nil:
+		return 1
+	}
+	return 1 + len(*n.more)
+}
+
+// at returns the name's i-th record: the inline first one, then the
+// overflow.
+func (n *node) at(i int) *record {
+	if i == 0 {
+		return &n.first
+	}
+	return &(*n.more)[i-1]
+}
+
+// appendSet appends the name's records of type t, owned by owner, onto
+// *dst and returns how many it appended.
+func (n *node) appendSet(dst *[]dnswire.RR, owner string, t dnswire.Type) int {
+	k := 0
+	for i, l := 0, n.len(); i < l; i++ {
+		if r := n.at(i); r.typ == t {
+			*dst = append(*dst, r.rr(owner))
+			k++
+		}
+	}
+	return k
+}
+
+// count returns the number of the name's records of type t.
+func (n *node) count(t dnswire.Type) int {
+	k := 0
+	for i, l := 0, n.len(); i < l; i++ {
+		if n.at(i).typ == t {
+			k++
+		}
+	}
+	return k
+}
+
+// add inserts r unless the name owns the same data already, and reports
+// whether it did. A record joining a set takes the set's TTL: all records
+// of one RRset share one.
+func (n *node) add(r record) bool {
+	if n.first.data == nil {
+		n.first = r
+		return true
+	}
+	for i, l := 0, n.len(); i < l; i++ {
+		if have := n.at(i); have.typ == r.typ {
+			if have.data.Equal(r.data) {
+				return false
+			}
+			r.ttl = have.ttl
+		}
+	}
+	if n.more == nil {
+		n.more = &[]record{r}
+	} else {
+		*n.more = append(*n.more, r)
+	}
+	return true
+}
+
+// removeType deletes the name's records of type t, keeping the order of
+// the others, and returns how many it deleted.
+func (n *node) removeType(t dnswire.Type) int {
+	l, kept := n.len(), 0
+	for i := 0; i < l; i++ {
+		if r := *n.at(i); r.typ != t {
+			*n.at(kept) = r
+			kept++
+		}
+	}
+	if kept == l {
+		return 0
+	}
+	switch kept {
+	case 0:
+		n.first, n.more = record{}, nil
+	case 1:
+		n.more = nil
+	default:
+		clear((*n.more)[kept-1:])
+		*n.more = (*n.more)[:kept-1]
+	}
+	return l - kept
 }
 
 // New creates an empty zone rooted at origin.
 func New(origin string) *Zone {
 	return &Zone{
-		origin:  dnswire.CanonicalName(origin),
-		rrsets:  make(map[Key][]dnswire.RR),
-		withers: make(map[string]int),
+		origin: dnswire.CanonicalName(origin),
+		nodes:  make(map[string]node),
 	}
 }
 
@@ -97,46 +209,35 @@ func New(origin string) *Zone {
 func (z *Zone) Origin() string { return z.origin }
 
 // Clone returns a logical copy of the zone: mutating either zone never
-// shows through the other. The copy is lazy — it borrows the source's
-// maps until its first mutation, when it deep-copies them (sharing RData
-// values, which are immutable by contract). A clone that is only ever
-// read, the common case for zones stamped out of a shared template, costs
-// one struct allocation. Cloning also skips per-record name validation
-// and node bookkeeping, which is much cheaper than replaying Add.
-//
-// Mutating the source while read-only clones are live is safe (the copy
-// is taken under the source's lock), but such mutations may or may not be
-// visible through a still-borrowing clone — clone from templates that no
-// longer change.
+// shows through the other. The copy is lazy — the two zones share one
+// node map until either mutates, which first copies the map and deep-
+// copies the few overflows its nodes point to (sharing RData values,
+// which are immutable by contract). A clone that is only ever read, the
+// common case for zones stamped out of a shared template, costs one
+// struct allocation, and cloning skips the per-record name validation
+// and bookkeeping of replaying Add.
 func (z *Zone) Clone() *Zone {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return &Zone{
-		origin:  z.origin,
-		rrsets:  z.rrsets,
-		withers: z.withers,
-		cowSrc:  z,
-	}
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	z.shared = true
+	return &Zone{origin: z.origin, nodes: z.nodes, below: z.below, shared: true}
 }
 
-// ensureOwnedLocked detaches a copy-on-write clone from its source before
-// the first mutation. Caller holds z.mu for writing.
+// ensureOwnedLocked gives the zone its own copy of a node map it shares.
+// Caller holds z.mu for writing.
 func (z *Zone) ensureOwnedLocked() {
-	src := z.cowSrc
-	if src == nil {
+	if !z.shared {
 		return
 	}
-	src.mu.RLock()
-	rrsets := make(map[Key][]dnswire.RR, len(z.rrsets))
-	for k, v := range z.rrsets {
-		rrsets[k] = copyRRs(v)
+	nodes := maps.Clone(z.nodes)
+	for name, nd := range nodes {
+		if nd.more != nil {
+			more := slices.Clone(*nd.more)
+			nd.more = &more
+			nodes[name] = nd
+		}
 	}
-	withers := make(map[string]int, len(z.withers))
-	for k, v := range z.withers {
-		withers[k] = v
-	}
-	src.mu.RUnlock()
-	z.rrsets, z.withers, z.cowSrc = rrsets, withers, nil
+	z.nodes, z.shared = nodes, false
 }
 
 // Add inserts rr into the zone. All records of one RRset must share a TTL;
@@ -168,45 +269,46 @@ func (z *Zone) check(name string, d dnswire.RData) error {
 	return nil
 }
 
-// addLocked is Add's insertion of a checked record. Caller holds z.mu for
-// writing on an owned zone.
+// addLocked is Add's insertion of a checked record with a canonical owner
+// name. Caller holds z.mu for writing on an owned zone.
 func (z *Zone) addLocked(rr dnswire.RR) {
 	if rr.Class == 0 {
 		rr.Class = dnswire.ClassIN
 	}
-	k := Key{Name: rr.Name, Type: rr.Type()}
-	set := z.rrsets[k]
-	for _, have := range set {
-		if have.Data.Equal(rr.Data) {
-			return
-		}
-	}
-	if len(set) > 0 {
-		rr.TTL = set[0].TTL
-	}
-	z.rrsets[k] = append(set, rr)
-	z.addNodeLocked(rr.Name)
-}
-
-// addNodeLocked marks name and every ancestor up to the origin as existing.
-func (z *Zone) addNodeLocked(name string) {
-	for n := name; ; n = dnswire.Parent(n) {
-		z.withers[n]++
-		if n == z.origin || n == "." {
-			break
-		}
+	nd := z.nodes[rr.Name]
+	if nd.add(record{typ: rr.Type(), class: rr.Class, ttl: rr.TTL, data: rr.Data}) {
+		z.nodes[rr.Name] = nd
+		z.countBelowLocked(rr.Name, 1)
 	}
 }
 
-func (z *Zone) removeNodeLocked(name string) {
-	for n := name; ; n = dnswire.Parent(n) {
-		z.withers[n]--
-		if z.withers[n] <= 0 {
-			delete(z.withers, n)
-		}
-		if n == z.origin || n == "." {
-			break
-		}
+// storeLocked writes nd back as name's node, or deletes the node when no
+// record is left at or below name.
+func (z *Zone) storeLocked(name string, nd node) {
+	if nd.first.data == nil && nd.below == 0 && (name != z.origin || z.below == 0) {
+		delete(z.nodes, name)
+		return
+	}
+	z.nodes[name] = nd
+}
+
+// countBelowLocked adds k to the count of records below every proper
+// ancestor of name, creating the empty non-terminals a new name needs and
+// deleting those a removal leaves empty.
+func (z *Zone) countBelowLocked(name string, k int) {
+	if k == 0 || name == z.origin {
+		return
+	}
+	for n := dnswire.Parent(name); n != z.origin; n = dnswire.Parent(n) {
+		nd := z.nodes[n]
+		nd.below += k
+		z.storeLocked(n, nd)
+	}
+	was := z.below
+	z.below += k
+	if was == 0 || z.below == 0 {
+		// The apex starts or stops existing without data of its own.
+		z.storeLocked(z.origin, z.nodes[z.origin])
 	}
 }
 
@@ -244,25 +346,33 @@ func (z *Zone) Replace(name string, t dnswire.Type, ttl uint32, data ...dnswire.
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	k := Key{Name: name, Type: t}
-	if len(z.rrsets[k]) == 0 && len(data) == 0 {
+	nd := z.nodes[name]
+	have := nd.count(t)
+	if have == 0 && len(data) == 0 {
 		return nil
 	}
-	z.ensureOwnedLocked()
-	old := z.rrsets[k]
-	if distinct && len(old) == len(data) {
-		for i, d := range data {
-			old[i] = dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: ttl, Data: d}
+	if z.shared {
+		z.ensureOwnedLocked()
+		nd = z.nodes[name] // its overflow is now the copy's
+	}
+	if distinct && have == len(data) {
+		for i, j := 0, 0; j < len(data); i++ {
+			if r := nd.at(i); r.typ == t {
+				*r = record{typ: t, class: dnswire.ClassIN, ttl: ttl, data: data[j]}
+				j++
+			}
 		}
+		z.nodes[name] = nd
 		return nil
 	}
-	delete(z.rrsets, k)
-	for range old {
-		z.removeNodeLocked(name)
-	}
+	k := -nd.removeType(t)
 	for _, d := range data {
-		z.addLocked(dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: ttl, Data: d})
+		if nd.add(record{typ: t, class: dnswire.ClassIN, ttl: ttl, data: d}) {
+			k++
+		}
 	}
+	z.storeLocked(name, nd)
+	z.countBelowLocked(name, k)
 	return nil
 }
 
@@ -270,11 +380,8 @@ func (z *Zone) Replace(name string, t dnswire.Type, ttl uint32, data ...dnswire.
 func (z *Zone) SOA() (dnswire.RR, bool) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	set := z.rrsets[Key{Name: z.origin, Type: dnswire.TypeSOA}]
-	if len(set) == 0 {
-		return dnswire.RR{}, false
-	}
-	return set[0], true
+	soa := z.soaLocked()
+	return soa, soa.Data != nil
 }
 
 // Serial returns the zone serial from the SOA, or 0 if there is none.
@@ -290,16 +397,20 @@ func (z *Zone) Serial() uint32 {
 func (z *Zone) BumpSerial() uint32 {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	k := Key{Name: z.origin, Type: dnswire.TypeSOA}
-	if len(z.rrsets[k]) == 0 {
+	if z.soaLocked().Data == nil {
 		return 0
 	}
 	z.ensureOwnedLocked()
-	set := z.rrsets[k]
-	soa := set[0].Data.(dnswire.SOA)
-	soa.Serial++
-	set[0].Data = soa
-	return soa.Serial
+	nd := z.nodes[z.origin]
+	for i := 0; ; i++ {
+		if r := nd.at(i); r.typ == dnswire.TypeSOA {
+			soa := r.data.(dnswire.SOA)
+			soa.Serial++
+			r.data = soa
+			z.nodes[z.origin] = nd
+			return soa.Serial
+		}
+	}
 }
 
 // RRSet returns a copy of the RRset (name, t).
@@ -307,20 +418,21 @@ func (z *Zone) RRSet(name string, t dnswire.Type) []dnswire.RR {
 	name = dnswire.CanonicalName(name)
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	return append([]dnswire.RR(nil), z.rrsets[Key{Name: name, Type: t}]...)
+	var set []dnswire.RR
+	nd := z.nodes[name]
+	nd.appendSet(&set, name, t)
+	return set
 }
 
 // Names returns all owner names in the zone, sorted.
 func (z *Zone) Names() []string {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	seen := make(map[string]bool)
-	for k := range z.rrsets {
-		seen[k.Name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
+	names := make([]string, 0, len(z.nodes))
+	for n, nd := range z.nodes {
+		if nd.first.data != nil {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -330,11 +442,8 @@ func (z *Zone) Names() []string {
 func (z *Zone) Len() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	n := 0
-	for _, set := range z.rrsets {
-		n += len(set)
-	}
-	return n
+	apex := z.nodes[z.origin]
+	return z.below + apex.len()
 }
 
 // Lookup resolves (name, qtype) within the zone per RFC 1034 §4.3.2.
@@ -356,63 +465,70 @@ func (z *Zone) AppendLookup(name string, qtype dnswire.Type, recs, glue *[]dnswi
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 
-	// Zone cut? Walk from just below the apex toward the name. A NS set at
-	// an intermediate (or the queried) name that is not the apex marks a
-	// delegation. DS queries are answered by the parent side of the cut.
-	if cut := z.cutLocked(name, qtype); cut != "" {
-		ns := z.rrsets[Key{Name: cut, Type: dnswire.TypeNS}]
-		*recs = append(*recs, ns...)
-		z.appendGlueLocked(glue, ns)
-		return Delegation, dnswire.RR{}
-	}
-
-	if set := z.rrsets[Key{Name: name, Type: qtype}]; len(set) > 0 {
-		*recs = append(*recs, set...)
-		return Success, dnswire.RR{}
-	}
-	if qtype != dnswire.TypeCNAME {
-		if set := z.rrsets[Key{Name: name, Type: dnswire.TypeCNAME}]; len(set) > 0 {
-			*recs = append(*recs, set...)
-			return CName, dnswire.RR{}
-		}
-	}
-	if z.withers[name] > 0 {
-		return NoData, z.soaLocked()
-	}
-	// Wildcard synthesis: find the closest encloser and test *.<encloser>.
-	if kind, ok := z.appendWildcardLocked(name, qtype, recs); ok {
-		if kind == NoData {
-			return NoData, z.soaLocked()
-		}
-		return kind, dnswire.RR{}
-	}
-	return NXDomain, z.soaLocked()
-}
-
-// cutLocked returns the name of the zone cut covering name, or "".
-//
-// Every candidate cut is a suffix of the canonical name strictly longer
-// than the apex, so the walk slices name at label boundaries instead of
-// splitting and re-joining labels — zero allocations on the per-query
-// lookup path.
-func (z *Zone) cutLocked(name string, qtype dnswire.Type) string {
+	// Walk from just below the apex down to the name, one node read per
+	// name on the way: an NS set on the way, or at the name itself unless
+	// the query is for DS (the parent side answers that), is a zone cut.
+	// The first name that does not exist ends the walk: the name does not
+	// exist either, and the last one read is its closest encloser. Every
+	// candidate is a suffix of name, sliced at a label boundary.
 	limit := len(name) - len(z.origin)
 	if z.origin == "." {
 		limit = len(name)
 	}
-	// Candidate cut names from shallowest (just below apex) to the name.
+	encloser := z.origin
 	for o := prevLabelStart(name, limit); o >= 0; o = prevLabelStart(name, o) {
 		candidate := name[o:]
-		if len(z.rrsets[Key{Name: candidate, Type: dnswire.TypeNS}]) == 0 {
-			continue
+		nd, ok := z.nodes[candidate]
+		if !ok {
+			return z.appendWildcardLocked(name, encloser, qtype, recs)
 		}
-		// The parent is authoritative for DS at the cut itself.
-		if candidate == name && qtype == dnswire.TypeDS {
-			continue
+		if o > 0 || qtype != dnswire.TypeDS {
+			if k := nd.appendSet(recs, candidate, dnswire.TypeNS); k > 0 {
+				z.appendGlueLocked(glue, (*recs)[len(*recs)-k:])
+				return Delegation, dnswire.RR{}
+			}
 		}
-		return candidate
+		if o == 0 {
+			return z.answerLocked(&nd, name, qtype, recs)
+		}
+		encloser = candidate
 	}
-	return ""
+	// The name is the apex.
+	nd, ok := z.nodes[name]
+	if !ok {
+		return NXDomain, z.soaLocked()
+	}
+	return z.answerLocked(&nd, name, qtype, recs)
+}
+
+// answerLocked answers qtype from the node of an existing name (or of the
+// wildcard standing in for it), appending records owned by owner: the set
+// of qtype, else a CNAME, else NODATA.
+func (z *Zone) answerLocked(nd *node, owner string, qtype dnswire.Type, recs *[]dnswire.RR) (ResultKind, dnswire.RR) {
+	if nd.appendSet(recs, owner, qtype) > 0 {
+		return Success, dnswire.RR{}
+	}
+	if qtype != dnswire.TypeCNAME && nd.appendSet(recs, owner, dnswire.TypeCNAME) > 0 {
+		return CName, dnswire.RR{}
+	}
+	return NoData, z.soaLocked()
+}
+
+// appendWildcardLocked answers a name that does not exist: from the
+// wildcard *.<encloser> if there is one (RFC 4592), else NXDOMAIN. The
+// wildcard's name is built on the stack, and a map read keyed by a byte
+// slice's string conversion does not allocate.
+func (z *Zone) appendWildcardLocked(name, encloser string, qtype dnswire.Type, recs *[]dnswire.RR) (ResultKind, dnswire.RR) {
+	var buf [256]byte
+	wc := append(buf[:0], '*', '.')
+	if encloser != "." {
+		wc = append(wc, encloser...)
+	}
+	nd, ok := z.nodes[string(wc)]
+	if !ok {
+		return NXDomain, z.soaLocked()
+	}
+	return z.answerLocked(&nd, name, qtype, recs)
 }
 
 // prevLabelStart returns the largest label-start offset in name strictly
@@ -433,48 +549,18 @@ func (z *Zone) appendGlueLocked(glue *[]dnswire.RR, ns []dnswire.RR) {
 		if !dnswire.IsSubdomain(host, z.origin) {
 			continue
 		}
-		*glue = append(*glue, z.rrsets[Key{Name: host, Type: dnswire.TypeA}]...)
-		*glue = append(*glue, z.rrsets[Key{Name: host, Type: dnswire.TypeAAAA}]...)
+		nd := z.nodes[host]
+		nd.appendSet(glue, host, dnswire.TypeA)
+		nd.appendSet(glue, host, dnswire.TypeAAAA)
 	}
-}
-
-func (z *Zone) appendWildcardLocked(name string, qtype dnswire.Type, recs *[]dnswire.RR) (ResultKind, bool) {
-	for n := dnswire.Parent(name); dnswire.IsSubdomain(n, z.origin); n = dnswire.Parent(n) {
-		wc := dnswire.Join("*", n)
-		if set := z.rrsets[Key{Name: wc, Type: qtype}]; len(set) > 0 {
-			start := len(*recs)
-			*recs = append(*recs, set...)
-			for i := range (*recs)[start:] {
-				(*recs)[start+i].Name = name
-			}
-			return Success, true
-		}
-		if z.withers[wc] > 0 {
-			// A wildcard exists but not for this type: NODATA.
-			return NoData, true
-		}
-		if z.withers[n] > 0 {
-			// The closest encloser exists without a matching wildcard:
-			// stop, the answer is NXDOMAIN.
-			return 0, false
-		}
-		if n == z.origin || n == "." {
-			break
-		}
-	}
-	return 0, false
 }
 
 func (z *Zone) soaLocked() dnswire.RR {
-	if set := z.rrsets[Key{Name: z.origin, Type: dnswire.TypeSOA}]; len(set) > 0 {
-		return set[0]
+	apex := z.nodes[z.origin]
+	for i, l := 0, apex.len(); i < l; i++ {
+		if r := apex.at(i); r.typ == dnswire.TypeSOA {
+			return r.rr(z.origin)
+		}
 	}
 	return dnswire.RR{}
-}
-
-func copyRRs(rrs []dnswire.RR) []dnswire.RR {
-	if len(rrs) == 0 {
-		return nil
-	}
-	return append([]dnswire.RR(nil), rrs...)
 }

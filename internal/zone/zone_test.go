@@ -139,6 +139,53 @@ func TestLookupWildcard(t *testing.T) {
 	if res.Kind != NoData {
 		t.Errorf("wildcard NODATA: got %s", res.Kind)
 	}
+	// A wildcard CNAME answers every other type, owned by the query name
+	// (RFC 1034 §4.3.2 step 3c, RFC 4592 §2.2.1).
+	z.MustAdd(dnswire.RR{Name: "*.w.cachetest.nl.", TTL: 30, Data: dnswire.CNAME{Target: "1414.cachetest.nl."}})
+	for _, qt := range []dnswire.Type{dnswire.TypeAAAA, dnswire.TypeCNAME} {
+		want := CName
+		if qt == dnswire.TypeCNAME {
+			want = Success
+		}
+		res = z.Lookup("a.w.cachetest.nl.", qt)
+		if res.Kind != want || len(res.Records) != 1 || res.Records[0].Name != "a.w.cachetest.nl." ||
+			res.Records[0].Data.(dnswire.CNAME).Target != "1414.cachetest.nl." {
+			t.Errorf("wildcard CNAME, %s query: got %s %v, want %s", qt, res.Kind, res.Records, want)
+		}
+	}
+}
+
+// TestAppendLookupAllocs: with reused slices, no lookup allocates —
+// neither an answer nor the walk to a closest encloser that a negative or
+// wildcard answer takes.
+func TestAppendLookupAllocs(t *testing.T) {
+	z, err := ParseString("$ORIGIN bench.nl.\n$TTL 3600\n"+
+		"@ IN SOA ns1 hostmaster 1 7200 3600 864000 60\n@ IN NS ns1\nns1 IN A 127.0.0.1\n"+
+		"*.u IN AAAA 2001:db8:ffff::1\nn1 IN AAAA 2001:db8::1\nx.ent IN AAAA 2001:db8::2\n", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]dnswire.RR, 0, 8)
+	glue := make([]dnswire.RR, 0, 8)
+	for _, c := range []struct {
+		name string
+		want ResultKind
+	}{
+		{"n1.bench.nl.", Success},
+		{"n2.bench.nl.", NXDomain},
+		{"probe7.u.bench.nl.", Success},
+		{"a.b.c.bench.nl.", NXDomain},
+		{"ent.bench.nl.", NoData},
+	} {
+		var kind ResultKind
+		got := testing.AllocsPerRun(100, func() {
+			kind, _ = z.AppendLookup(c.name, dnswire.TypeAAAA, &recs, &glue)
+			recs, glue = recs[:0], glue[:0]
+		})
+		if kind != c.want || got != 0 {
+			t.Errorf("AppendLookup(%s): %s with %.1f allocations, want %s with 0", c.name, kind, got, c.want)
+		}
+	}
 }
 
 func TestLookupNotInZone(t *testing.T) {
@@ -288,18 +335,22 @@ func TestReplaceConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReplaceAllocs: the rotation's one-record replace rewrites the set in
-// place; pinned at 1 (0 measured).
+// TestReplaceAllocs: the rotation's replace of a set keeping its size
+// rewrites it in place, inline or in a node's overflow, allocating nothing.
 func TestReplaceAllocs(t *testing.T) {
 	z := testZone(t)
 	var d dnswire.RData = dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}
+	ns := []dnswire.RData{dnswire.NS{Host: "ns2.cachetest.nl."}, dnswire.NS{Host: "ns1.cachetest.nl."}}
 	got := testing.AllocsPerRun(100, func() {
 		if err := z.Replace("1414.cachetest.nl.", dnswire.TypeAAAA, 60, d); err != nil {
 			t.Fatal(err)
 		}
+		if err := z.Replace("cachetest.nl.", dnswire.TypeNS, 60, ns...); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if got > 1 {
-		t.Errorf("a one-record Replace allocates %.1f objects, budget 1", got)
+	if got != 0 {
+		t.Errorf("same-size Replaces allocate %.1f objects, want 0", got)
 	}
 }
 
