@@ -56,7 +56,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/passive"
 	"repro/internal/recursive"
-	"repro/internal/retrymodel"
 	"repro/internal/spec"
 	"repro/internal/stub"
 	"repro/internal/telemetry"
@@ -276,11 +275,6 @@ var (
 	RunNl = passive.RunNl
 	// RunRoot executes the §4.2 root DS analysis (Figure 5).
 	RunRoot = passive.RunRoot
-	// RunRetryTrials measures per-level query counts of a resolver
-	// profile with servers up or down (Figure 16).
-	RunRetryTrials = retrymodel.Run
-	// BINDLike is the §6.2 BIND software profile.
-	BINDLike = retrymodel.BINDLike
 )
 
 // PaperExperiments are the paper's Table 4 experiments A–I.

@@ -98,10 +98,6 @@ func TestFacadeExperimentEntryPoints(t *testing.T) {
 	if root.FracSingleObserved == 0 {
 		t.Error("RunRoot produced nothing")
 	}
-	retr := dikes.RunRetryTrials(dikes.BINDLike(), false, 3, 1)
-	if retr.Answered != 3 {
-		t.Errorf("retry trials answered %d/3", retr.Answered)
-	}
 	glue, err := dikes.Run(context.Background(), dikes.GlueScenario(),
 		dikes.RunConfig{Probes: 30, Seed: 1})
 	if err != nil || glue.Glue.NS.Total == 0 {

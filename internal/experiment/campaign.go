@@ -125,9 +125,9 @@ func (r CampaignResult) headline() string {
 		up, down := 0.0, 0.0
 		for _, row := range o.Retries.Rows {
 			if row.Down {
-				down += row.Result.Mean.Total()
+				down += row.total()
 			} else {
-				up += row.Result.Mean.Total()
+				up += row.total()
 			}
 		}
 		return fmt.Sprintf("retry amplification %.1fx", ratio(down, up))

@@ -13,9 +13,10 @@ import (
 
 // smallCampaign is a cross-family item list small enough for unit tests:
 // one staged multi-phase attack (partial outage → total outage →
-// recovery, mixing drop and SERVFAIL modes), one caching run, and the
-// engine-free families. ShardProbes 16 forces multi-cell layouts even at
-// tiny populations so the shard-invariance check is meaningful.
+// recovery, mixing drop and SERVFAIL modes), one caching run, one retry
+// study, and the engine-free implications family. ShardProbes 16 forces
+// multi-cell layouts even at tiny populations so the shard-invariance
+// check is meaningful.
 func smallCampaign(shards int) []CampaignItem {
 	staged := DDoSSpec{
 		Name: "staged", TTL: 1800,
@@ -35,8 +36,8 @@ func smallCampaign(shards int) []CampaignItem {
 		{Name: "caching-1800", Scenario: CachingScenario(),
 			Config: RunConfig{Probes: 60, Seed: 7, Shards: shards, ShardProbes: 16,
 				TTL: 1800, ProbeInterval: 10 * time.Minute, Rounds: 4}},
-		{Name: "retries", Scenario: RetriesScenario(10),
-			Config: RunConfig{Seed: 7, Shards: shards}},
+		{Name: "retries", Scenario: RetriesScenario(),
+			Config: RunConfig{Probes: 40, Seed: 7, Shards: shards, ShardProbes: 16}},
 		{Name: "implications", Scenario: ImplicationsScenario(ImplicationsConfig{Clients: 100, Recursives: 10}),
 			Config: RunConfig{Seed: 7, Shards: shards}},
 	}
@@ -117,7 +118,7 @@ func TestCampaignSurfacesRunErrors(t *testing.T) {
 	t.Parallel()
 	items := []CampaignItem{
 		{Name: "bad", Scenario: errScenario{}, Config: RunConfig{}},
-		{Name: "good", Scenario: RetriesScenario(5), Config: RunConfig{Seed: 3}},
+		{Name: "good", Scenario: RetriesScenario(), Config: RunConfig{Probes: 8, Seed: 3}},
 	}
 	results, err := RunCampaign(context.Background(), items, 2)
 	if err != nil {
@@ -204,7 +205,7 @@ func TestCampaignFilesNames(t *testing.T) {
 		{Name: "attack", Scenario: DDoSScenario(specH),
 			Config: RunConfig{Probes: 40, Seed: 7, Timeline: &timeline.Config{Bucket: 10 * time.Minute}}},
 		{Name: "passive", Scenario: PassiveScenario(), Config: RunConfig{Seed: 7}},
-		{Name: "retries", Scenario: RetriesScenario(10), Config: RunConfig{Seed: 7}},
+		{Name: "retries", Scenario: RetriesScenario(), Config: RunConfig{Probes: 8, Seed: 7}},
 	}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/retrymodel"
 )
 
 // The reproduction self-test (`dikes check`) is a report over the paper
@@ -30,7 +28,7 @@ type CheckResult struct {
 func Scorecard(results []CampaignResult) []CheckResult {
 	caching := map[uint32]*CachingResult{} // 20-minute probing, by zone TTL
 	attack := map[string]*DDoSResult{}     // by experiment letter
-	bind := map[bool]retrymodel.Result{}   // BIND-like rows, by "servers down"
+	bind := map[bool]RetryRow{}            // BIND-like rows, by "servers down"
 	var glue *GlueResult
 	var impl *ImplicationsResult
 	for _, r := range results {
@@ -43,8 +41,8 @@ func Scorecard(results []CampaignResult) []CheckResult {
 			attack[o.DDoS.Spec.Name] = o.DDoS
 		case o.Retries != nil:
 			for _, row := range o.Retries.Rows {
-				if row.Profile == retrymodel.BINDLike().Name {
-					bind[row.Down] = row.Result
+				if row.Profile == retryProfiles[0].name {
+					bind[row.Down] = row
 				}
 			}
 		case o.Glue != nil:
@@ -122,7 +120,7 @@ func Scorecard(results []CampaignResult) []CheckResult {
 
 	// §6.2: software retry amplification.
 	add("BIND-like retries during failure", "3 -> 12 queries (4x)", len(bind) == 2, func() (string, bool) {
-		up, down := bind[false].Mean.Total(), bind[true].Mean.Total()
+		up, down := bind[false].total(), bind[true].total()
 		bmult := down / up
 		return fmt.Sprintf("%.0f -> %.0f (%.1fx)", up, down, bmult),
 			up <= 4 && bmult > 2 && bmult < 8

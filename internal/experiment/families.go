@@ -1,12 +1,12 @@
 package experiment
 
-// The light experiment families — the §4 passive-measurement models, the
-// §6.2/Appendix E software-retry model, and the §8 implications study —
-// wrapped as Scenarios so the campaign runner (and the spec compiler)
-// can drive every family through the same front door. These worlds are
-// pure functions of their seed and do not use the cell engine: the
-// Shards knob is accepted and ignored, so campaign output stays
-// byte-identical at any shard count by construction.
+// The light experiment families — the §4 passive-measurement models and
+// the §8 implications study — wrapped as Scenarios so the campaign
+// runner (and the spec compiler) can drive every family through the
+// same front door. These worlds are pure functions of their seed and do
+// not use the cell engine: the Shards knob is accepted and ignored, so
+// campaign output stays byte-identical at any shard count by
+// construction.
 
 import (
 	"context"
@@ -14,26 +14,12 @@ import (
 	"strings"
 
 	"repro/internal/passive"
-	"repro/internal/retrymodel"
 )
 
 // PassiveResult bundles the §4 production-zone models (Figures 4-5).
 type PassiveResult struct {
 	Nl   *passive.NlResult
 	Root *passive.RootResult
-}
-
-// RetryRow is one profile/state line of the retry study (Figure 16).
-type RetryRow struct {
-	Profile string
-	Down    bool
-	Result  retrymodel.Result
-}
-
-// RetriesResult is the §6.2/Appendix E software-retry matrix.
-type RetriesResult struct {
-	Trials int
-	Rows   []RetryRow
 }
 
 // lightScenario is a family that builds no population cells: fill
@@ -63,27 +49,6 @@ func PassiveScenario() Scenario {
 			Nl:   passive.RunNl(passive.NlConfig{Seed: seed}),
 			Root: passive.RunRoot(passive.RootConfig{Seed: seed}),
 		}
-	}}
-}
-
-// RetriesScenario wraps the software-retry model as a Scenario: both
-// profiles (BIND-like, Unbound-like) in both server states, trials
-// trials each (default 100, the committed table's size).
-func RetriesScenario(trials int) Scenario {
-	if trials <= 0 {
-		trials = 100
-	}
-	return lightScenario{"retries", func(seed int64, out *Outcome) {
-		res := &RetriesResult{Trials: trials}
-		for _, profile := range []retrymodel.Profile{retrymodel.BINDLike(), retrymodel.UnboundLike()} {
-			for _, down := range []bool{false, true} {
-				res.Rows = append(res.Rows, RetryRow{
-					Profile: profile.Name, Down: down,
-					Result: retrymodel.Run(profile, down, trials, seed),
-				})
-			}
-		}
-		out.Retries = res
 	}}
 }
 
@@ -119,23 +84,6 @@ func RenderPassive(r *PassiveResult) string {
 	for i, e := range root.PerLetter {
 		fmt.Fprintf(&b, "  letter %2d: P(n<=1)=%.3f P(n<=5)=%.3f P(n<=30)=%.3f\n",
 			i, e.At(1), e.At(5), e.At(30))
-	}
-	return b.String()
-}
-
-// RenderRetries formats the retry matrix (Figure 16) the way the
-// committed paper tables print it.
-func RenderRetries(r *RetriesResult) string {
-	var b strings.Builder
-	for _, row := range r.Rows {
-		state := "up  "
-		if row.Down {
-			state = "down"
-		}
-		res := row.Result
-		fmt.Fprintf(&b, "%-8s %s  root=%5.1f  net=%5.1f  cachetest.net=%5.1f  total=%5.1f  answered=%d/%d\n",
-			row.Profile, state, res.Mean.Root, res.Mean.Net, res.Mean.Target,
-			res.Mean.Total(), res.Answered, res.Trials)
 	}
 	return b.String()
 }

@@ -62,8 +62,8 @@ type RunConfig struct {
 	// records into its own ring buffer and Outcome.Trace carries the
 	// per-cell traces in cell-index order, so trace bytes are identical
 	// for every Shards/Workers value. Honoured by every scenario on the
-	// cell engine (ddos, caching, glue, nxns, poison, reflect, transport);
-	// the others build no cells and leave Outcome.Trace nil.
+	// cell engine (ddos, caching, glue, nxns, poison, reflect, transport,
+	// retries); the others build no cells and leave Outcome.Trace nil.
 	Trace *trace.Config
 	// Timeline enables per-bucket simulated-time series collection: each
 	// cell counts into a fixed bin layout derived from the spec horizon,

@@ -34,8 +34,8 @@ func (t *task) forwardNext() {
 		// per rotation over the forwarder list, not per attempt.
 		t.resetTried(len(t.servers))
 		t.timeout *= 2
-		if t.timeout > t.r.cfg.MaxTimeout {
-			t.timeout = t.r.cfg.MaxTimeout
+		if t.timeout > maxTimeout {
+			t.timeout = maxTimeout
 		}
 		idx, ok = t.r.pickServer(t.servers, t.tried)
 		if !ok {

@@ -178,7 +178,7 @@ func (t *task) armStaleTimer() {
 	if !v.Hit || !v.Stale || v.Negative {
 		return
 	}
-	clock.AfterFuncRef(t.r.clk, t.r.cfg.StaleAnswerDelay, staleAnswer, t)
+	clock.AfterFuncRef(t.r.clk, staleAnswerDelay, staleAnswer, t)
 	t.refs++
 }
 
@@ -281,7 +281,7 @@ func (t *task) cacheAnswer() bool {
 		minRank = cache.RankAdditional
 	}
 	cur := t.name
-	for hop := 0; hop <= t.r.cfg.MaxCNAME; hop++ {
+	for hop := 0; hop <= maxCNAME; hop++ {
 		v := t.r.cache.Lookup(cache.Key{Name: cur, Type: t.qtype}, t.shard, false)
 		if v.Hit && !v.Negative && v.Rank < minRank {
 			// Referral-learned data is good enough to guide resolution
@@ -319,7 +319,7 @@ func (t *task) cacheAnswer() bool {
 		}
 		cur = dnswire.CanonicalName(cv.Records[0].Data.(dnswire.CNAME).Target)
 		t.chain++
-		if t.chain > t.r.cfg.MaxCNAME {
+		if t.chain > maxCNAME {
 			t.fail()
 			return true
 		}
@@ -421,8 +421,8 @@ func (t *task) tryNextServer() {
 		// Config.InitialTimeout contract documents.
 		t.resetTried(len(t.servers))
 		t.timeout *= 2
-		if t.timeout > t.r.cfg.MaxTimeout {
-			t.timeout = t.r.cfg.MaxTimeout
+		if t.timeout > maxTimeout {
+			t.timeout = maxTimeout
 		}
 		idx, ok = t.r.pickServer(t.servers, t.tried)
 		if !ok {
@@ -577,7 +577,7 @@ func (t *task) handleAnswer(m *dnswire.Message) {
 
 	collected := t.answerBuf(len(m.Answers))
 	cur := t.name
-	for hop := 0; hop <= t.r.cfg.MaxCNAME; hop++ {
+	for hop := 0; hop <= maxCNAME; hop++ {
 		matched := false
 		for _, rr := range m.Answers {
 			if dnswire.CanonicalName(rr.Name) != cur {
@@ -604,7 +604,7 @@ func (t *task) handleAnswer(m *dnswire.Message) {
 		if !matched {
 			break
 		}
-		if t.chain > t.r.cfg.MaxCNAME {
+		if t.chain > maxCNAME {
 			t.fail()
 			return
 		}
@@ -704,7 +704,7 @@ func (t *task) descend(newZone string, addrs []netsim.Addr) {
 // resolveNSAddrs resolves the address of a delegated zone's nameservers
 // via a subtask, then descends.
 func (t *task) resolveNSAddrs(hosts []string, newZone string) {
-	if t.depth >= t.r.cfg.MaxDepth || len(hosts) == 0 {
+	if t.depth >= maxDepth || len(hosts) == 0 {
 		t.fail()
 		return
 	}
@@ -822,7 +822,7 @@ func (r *Resolver) background(name string, qtype dnswire.Type, shard int, budget
 	}
 	t := &r.getJob().task
 	t.r, t.name, t.qtype, t.shard = r, name, qtype, shard
-	t.depth = r.cfg.MaxDepth // no nested subtasks
+	t.depth = maxDepth // no nested subtasks
 	t.budget, t.skipCacheLookup = budget, true
 	if !t.initFetch() {
 		t.finish(Result{}) // never started: straight back to the pool

@@ -56,6 +56,21 @@ const (
 	HarvestFull
 )
 
+// Fixed resolver limits: every deployment the simulator models shares them.
+const (
+	// maxTimeout caps the per-upstream-query timeout as it doubles.
+	maxTimeout = 3 * time.Second
+	// maxCNAME bounds alias chains.
+	maxCNAME = 8
+	// maxDepth bounds nested NS-address resolutions.
+	maxDepth = 3
+	// staleAnswerDelay is how long a serve-stale resolver keeps trying
+	// upstream before answering the client with expired data (the
+	// draft's client-response timer, ~1.8 s). The refresh continues in
+	// the background.
+	staleAnswerDelay = 1800 * time.Millisecond
+)
+
 // Config tunes a Resolver. NewResolver fills zero fields with defaults.
 type Config struct {
 	// Cache configures the resolver cache (TTL caps, shards, serve-stale,
@@ -71,10 +86,9 @@ type Config struct {
 
 	// InitialTimeout is the first per-upstream-query timeout. It doubles
 	// each time the candidate server list has been exhausted (each retry
-	// *round*, not each attempt), up to MaxTimeout, so every server in a
-	// round is probed with the same deadline. Default 750 ms / 3 s.
+	// *round*, not each attempt), up to maxTimeout (3 s), so every server
+	// in a round is probed with the same deadline. Default 750 ms.
 	InitialTimeout time.Duration
-	MaxTimeout     time.Duration
 	// MaxAttempts bounds upstream tries per fetch (across servers).
 	// Default 7, matching the ~6-7 retries prior work and §6.2 observe
 	// when authoritatives are dead.
@@ -82,21 +96,12 @@ type Config struct {
 	// WorkBudget bounds total upstream queries spawned by one client
 	// query, including NS-address harvesting. Default 40.
 	WorkBudget int
-	// MaxCNAME bounds alias chains. Default 8.
-	MaxCNAME int
-	// MaxDepth bounds nested NS-address resolutions. Default 3.
-	MaxDepth int
 	// ClientTimeout is the deadline after which a client query is
 	// answered SERVFAIL (or stale). Default 8 s.
 	ClientTimeout time.Duration
 	// ServeStale enables answering with expired cache entries (TTL 0)
 	// when resolution fails, per draft-tale-dnsop-serve-stale.
 	ServeStale bool
-	// StaleAnswerDelay is how long a serve-stale resolver keeps trying
-	// upstream before answering the client with expired data (the
-	// draft's client-response timer, ~1.8 s). The refresh continues in
-	// the background. Default 1.8 s.
-	StaleAnswerDelay time.Duration
 	// Prefetch, when positive, refreshes a cache entry in the background
 	// whenever a hit finds less than this fraction of the original TTL
 	// remaining (Unbound's prefetch uses 0.1). Prefetching keeps popular
@@ -128,7 +133,7 @@ type Config struct {
 	// MaxFetch caps how many of a glueless referral's NS hosts the
 	// resolver will try to resolve addresses for — the NXNSAttack
 	// "Max Fetch(k)" mitigation (Afek et al.; see internal/adversary).
-	// 0 leaves the fan-out bounded only by WorkBudget and MaxDepth.
+	// 0 leaves the fan-out bounded only by WorkBudget and maxDepth.
 	MaxFetch int
 	// RandomIDs draws upstream query IDs uniformly from the full 16-bit
 	// space (seeded by Seed) instead of the sequential counter.
@@ -158,29 +163,17 @@ func (c Config) withDefaults() Config {
 	if c.InitialTimeout == 0 {
 		c.InitialTimeout = 750 * time.Millisecond
 	}
-	if c.MaxTimeout == 0 {
-		c.MaxTimeout = 3 * time.Second
-	}
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 7
 	}
 	if c.WorkBudget == 0 {
 		c.WorkBudget = 40
 	}
-	if c.MaxCNAME == 0 {
-		c.MaxCNAME = 8
-	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 3
-	}
 	if c.ClientTimeout == 0 {
 		c.ClientTimeout = 8 * time.Second
 	}
 	if c.ExplorationProb == 0 {
 		c.ExplorationProb = 0.25
-	}
-	if c.StaleAnswerDelay == 0 {
-		c.StaleAnswerDelay = 1800 * time.Millisecond
 	}
 	c.Cache.ServeStale = c.ServeStale
 	return c

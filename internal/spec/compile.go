@@ -54,11 +54,7 @@ func Compile(s *Spec) (experiment.Scenario, experiment.RunConfig, error) {
 	case "passive":
 		return experiment.PassiveScenario(), cfg, nil
 	case "retries":
-		trials := 0
-		if s.Workload != nil {
-			trials = s.Workload.Trials
-		}
-		return experiment.RetriesScenario(trials), cfg, nil
+		return experiment.RetriesScenario(), cfg, nil
 	case "implications":
 		return experiment.ImplicationsScenario(experiment.ImplicationsConfig{}), cfg, nil
 	case "nxns":

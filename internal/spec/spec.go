@@ -99,8 +99,6 @@ type WorkloadSection struct {
 	Rounds        int      `json:"rounds,omitempty"`
 	Total         Duration `json:"total,omitempty"`
 	QueriesBefore int      `json:"queries_before,omitempty"`
-	// Trials is the retries family's per-profile trial count.
-	Trials int `json:"trials,omitempty"`
 }
 
 // PhaseSection is one time-windowed disruption phase of a ddos spec.

@@ -58,6 +58,12 @@ func TestParseRejectsSchemaViolations(t *testing.T) {
 	// Section not taken by the family.
 	wantErr(t, `{"version": 1, "name": "x", "family": "glue", "transport": {}}`,
 		"does not take a transport section")
+	// Retries trials are engine.probes: the family takes no workload, and
+	// the trial count it once took is no field at all.
+	wantErr(t, `{"version": 1, "name": "x", "family": "retries", "workload": {"ttl": 60}}`,
+		"does not take a workload section")
+	wantErr(t, `{"version": 1, "name": "x", "family": "retries", "workload": {"trials": 100}}`,
+		`unknown field "trials"`)
 	// paper conflicts with an explicit workload.
 	wantErr(t, `{"version": 1, "name": "x", "family": "ddos", "paper": "B",
 		"workload": {"ttl": 1800, "probe_interval": "10m", "total": "3h"}}`,

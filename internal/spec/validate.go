@@ -22,7 +22,7 @@ var families = map[string]familyRule{
 	"reflect":      {adversary: true},
 	"transport":    {transport: true},
 	"passive":      {},
-	"retries":      {workload: true},
+	"retries":      {},
 	"implications": {},
 }
 
@@ -151,7 +151,7 @@ func validateWorkload(s *Spec) error {
 	if w.ProbeInterval < 0 || w.Total < 0 {
 		return fmt.Errorf("spec %q: workload durations must be >= 0", s.Name)
 	}
-	if w.Rounds < 0 || w.QueriesBefore < 0 || w.Trials < 0 {
+	if w.Rounds < 0 || w.QueriesBefore < 0 {
 		return fmt.Errorf("spec %q: workload counts must be >= 0", s.Name)
 	}
 	return nil
