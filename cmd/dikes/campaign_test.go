@@ -175,7 +175,7 @@ func TestTracedBatchWritesOneFilePerRun(t *testing.T) {
 func TestUntraceableRunIsNamed(t *testing.T) {
 	dir := t.TempDir()
 	o := given(options{tracePath: filepath.Join(dir, "run.jsonl")})
-	items, err := o.plan(dikes.Specs.ReadFile, aliasSpecs("implications"))
+	items, err := o.plan(dikes.Specs.ReadFile, aliasSpecs("passive"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestUntraceableRunIsNamed(t *testing.T) {
 		t.Fatalf("export: %v, failures %v", err, failures)
 	}
 	said, _ := io.ReadAll(r)
-	if !strings.Contains(string(said), "-trace: implications ") {
+	if !strings.Contains(string(said), "-trace: passive ") {
 		t.Errorf("stderr = %q, want a line naming the untraceable run", said)
 	}
 	if files, _ := os.ReadDir(dir); len(files) != 0 {

@@ -42,12 +42,6 @@ import (
 	"repro/internal/vantage"
 )
 
-// rootHints is the hint set every dedicated adversary-facing resolver
-// starts from (the same root the population uses).
-func rootHints() []recursive.ServerHint {
-	return []recursive.ServerHint{{Name: "a.root-servers.net.", Addr: RootAddr}}
-}
-
 // advAddr maps a cell-local probe ID onto a unique address in one of
 // the adversary experiments' private /16s (base.pid-high.pid-low).
 func advAddr(base string, pid int) netsim.Addr {
@@ -180,7 +174,7 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 	for pid := 1; pid <= probes; pid++ {
 		wi := (pid - 1) % len(spec.Widths)
 		r := recursive.NewResolver(tb.Clk, recursive.Config{
-			RootHints: rootHints(),
+			RootHints: tb.rootHints(),
 			MaxFetch:  spec.MaxFetch,
 			Seed:      mixSeed(seed, pid),
 		})
@@ -397,7 +391,7 @@ func runPoisonTestbed(spec PoisonSpec, base TestbedConfig) (*PoisonResult, *Test
 
 	for pid := 1; pid <= probes; pid++ {
 		r := recursive.NewResolver(tb.Clk, recursive.Config{
-			RootHints:   rootHints(),
+			RootHints:   tb.rootHints(),
 			RandomIDs:   spec.RandomIDs,
 			NoBailiwick: spec.NoBailiwick,
 			Seed:        mixSeed(seed, pid),

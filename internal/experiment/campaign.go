@@ -133,7 +133,7 @@ func (r CampaignResult) headline() string {
 		return fmt.Sprintf("retry amplification %.1fx", ratio(down, up))
 	case o.Implications != nil:
 		return fmt.Sprintf("fail under attack: root %.1f%% vs cdn %.1f%%",
-			100*o.Implications.RootFailDuringAttack, 100*o.Implications.CDNFailDuringAttack)
+			100*o.Implications.RootFailDuringAttack(), 100*o.Implications.CDNFailDuringAttack())
 	}
 	return "-"
 }

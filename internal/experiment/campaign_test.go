@@ -14,7 +14,7 @@ import (
 // smallCampaign is a cross-family item list small enough for unit tests:
 // one staged multi-phase attack (partial outage → total outage →
 // recovery, mixing drop and SERVFAIL modes), one caching run, one retry
-// study, and the engine-free implications family. ShardProbes 16 forces
+// study, and the §8 implications study. Small ShardProbes values force
 // multi-cell layouts even at tiny populations so the shard-invariance
 // check is meaningful.
 func smallCampaign(shards int) []CampaignItem {
@@ -38,8 +38,8 @@ func smallCampaign(shards int) []CampaignItem {
 				TTL: 1800, ProbeInterval: 10 * time.Minute, Rounds: 4}},
 		{Name: "retries", Scenario: RetriesScenario(),
 			Config: RunConfig{Probes: 40, Seed: 7, Shards: shards, ShardProbes: 16}},
-		{Name: "implications", Scenario: ImplicationsScenario(ImplicationsConfig{Clients: 100, Recursives: 10}),
-			Config: RunConfig{Seed: 7, Shards: shards}},
+		{Name: "implications", Scenario: ImplicationsScenario(),
+			Config: RunConfig{Probes: 100, Seed: 7, Shards: shards, ShardProbes: 50}},
 	}
 }
 

@@ -134,8 +134,8 @@ func Scorecard(results []CampaignResult) []CheckResult {
 
 	// §8: root-like rides it out, CDN-like suffers.
 	add("root-like vs CDN-like failure under attack", "≈0% vs visible", impl != nil, func() (string, bool) {
-		return fmt.Sprintf("%.1f%% vs %.1f%%", 100*impl.RootFailDuringAttack, 100*impl.CDNFailDuringAttack),
-			impl.RootFailDuringAttack < 0.05 && impl.CDNFailDuringAttack > 0.05
+		root, cdn := impl.RootFailDuringAttack(), impl.CDNFailDuringAttack()
+		return fmt.Sprintf("%.1f%% vs %.1f%%", 100*root, 100*cdn), root < 0.05 && cdn > 0.05
 	})
 	return res
 }

@@ -29,7 +29,7 @@ func TestScorecardIgnoresFailedRuns(t *testing.T) {
 	glue := mustRun(t, GlueScenario(), RunConfig{Probes: 40, Seed: 42})
 	results := []CampaignResult{
 		{Outcome: glue, Err: errors.New("boom")},
-		{Outcome: &Outcome{Implications: &ImplicationsResult{CDNFailDuringAttack: 0.1}}},
+		{Outcome: &Outcome{Implications: &ImplicationsResult{RootOK: 10, CDNOK: 9, CDNFail: 1}}},
 	}
 	for _, r := range Scorecard(results) {
 		switch {

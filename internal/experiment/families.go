@@ -1,11 +1,10 @@
 package experiment
 
-// The light experiment families — the §4 passive-measurement models and
-// the §8 implications study — wrapped as Scenarios so the campaign
-// runner (and the spec compiler) can drive every family through the
-// same front door. These worlds are pure functions of their seed and do
-// not use the cell engine: the Shards knob is accepted and ignored, so
-// campaign output stays byte-identical at any shard count by
+// The §4 passive-measurement family, wrapped as a Scenario so the
+// campaign runner (and the spec compiler) drive it through the same
+// front door as every cell family. Its models are pure functions of the
+// seed and do not use the cell engine: Probes and Shards are accepted and
+// ignored, so campaign output stays byte-identical at any shard count by
 // construction.
 
 import (
@@ -22,45 +21,25 @@ type PassiveResult struct {
 	Root *passive.RootResult
 }
 
-// lightScenario is a family that builds no population cells: fill
-// computes its result from the run seed alone and stores it in out.
-type lightScenario struct {
-	name string
-	fill func(seed int64, out *Outcome)
-}
-
-func (s lightScenario) Name() string { return s.name }
-
-func (s lightScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	out := &Outcome{}
-	if err := ctx.Err(); err != nil {
-		return out, cancelErr(err)
-	}
-	s.fill(cfg.Seed, out)
-	return out, nil
-}
+type passiveScenario struct{}
 
 // PassiveScenario wraps the §4 passive measurements (RunNl + RunRoot) as
 // a Scenario. Probes and shards are ignored: the models are driven by
 // their own calibrated populations.
-func PassiveScenario() Scenario {
-	return lightScenario{"passive", func(seed int64, out *Outcome) {
-		out.Passive = &PassiveResult{
-			Nl:   passive.RunNl(passive.NlConfig{Seed: seed}),
-			Root: passive.RunRoot(passive.RootConfig{Seed: seed}),
-		}
-	}}
-}
+func PassiveScenario() Scenario { return passiveScenario{} }
 
-// ImplicationsScenario wraps the §8 root-like vs CDN-like study as a
-// Scenario. The spec's zero values use the calibrated defaults; the
-// RunConfig seed always wins so campaign seeding stays uniform.
-func ImplicationsScenario(spec ImplicationsConfig) Scenario {
-	return lightScenario{"implications", func(seed int64, out *Outcome) {
-		run := spec
-		run.Seed = seed
-		out.Implications = RunImplications(run)
-	}}
+func (passiveScenario) Name() string { return "passive" }
+
+func (passiveScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
+	out := &Outcome{}
+	if err := ctx.Err(); err != nil {
+		return out, cancelErr(err)
+	}
+	out.Passive = &PassiveResult{
+		Nl:   passive.RunNl(passive.NlConfig{Seed: cfg.Seed}),
+		Root: passive.RunRoot(passive.RootConfig{Seed: cfg.Seed}),
+	}
+	return out, nil
 }
 
 // ---- Renderers ----

@@ -1,272 +1,195 @@
 package experiment
 
+// The §8 implications study: why did users barely notice the root DNS
+// DDoSes while a DNS provider's customers felt theirs immediately? Two
+// services of the same testbed are attacked side by side:
+//
+//   - "root-like": the root itself, as four letters of six anycast sites
+//     each, answering a.root-servers.net. A with its day-long TTL; the
+//     attack saturates two letters completely and half the sites of the
+//     other two, as in the Nov 2015 event [23].
+//   - "CDN-like": cachetest.nl, on its two unicast authoritatives at
+//     120-second TTLs (DNS-based load balancing), both at 90% loss — the
+//     Dyn shape.
+//
+// Each probe is one client re-resolving one name of each service every
+// minute through a caching recursive it shares with nine other clients;
+// the per-minute failure counts tell the story.
+
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
-	"repro/internal/authoritative"
-	"repro/internal/clock"
+	"repro/internal/ddos"
 	"repro/internal/dnswire"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/recursive"
 	"repro/internal/stats"
 	"repro/internal/stub"
-	"repro/internal/zone"
 )
 
-// The §8 implications scenario: why did users barely notice the root DNS
-// DDoSes while a DNS provider's customers felt theirs immediately? Two
-// services are attacked side by side in one world:
-//
-//   - "root-like": day-long TTLs, four nameserver letters, each an
-//     anycast group of several sites; the attack saturates some letters
-//     completely and others partially, as in the Nov 2015 event [23].
-//   - "CDN-like": 120-second TTLs (DNS-based load balancing), two unicast
-//     nameservers, both at 90% loss — the Dyn shape.
-//
-// Clients keep resolving one popular name from each service through
-// shared caching recursives; the per-minute failure rates tell the story.
+// The study's fixed shape.
+const (
+	implLetters        = 4
+	implSitesPerLetter = 6
+	// implClientsPerRecursive clients share one recursive, so popular
+	// names stay cached between any one client's queries.
+	implClientsPerRecursive = 10
+	implDuration            = 90 * time.Minute
+	implAttackStart         = 30 * time.Minute
+	implAttackDur           = 30 * time.Minute
+	implQueryInterval       = time.Minute
+	// implCDNTTL is the CDN-like record TTL (the paper's 120-300 s) unless
+	// RunConfig.TTL sets another.
+	implCDNTTL = 120
+	// implCDNName is the CDN-like service's one popular name, added to the
+	// cell's cachetest.nl zone. It carries no probe label: every client
+	// asks for it, so its trace spans match by stub ID alone.
+	implCDNName = "www." + Domain
+)
 
-// ImplicationsConfig sizes the §8 scenario.
-type ImplicationsConfig struct {
-	// Clients is the number of stub clients; each picks one of the shared
-	// recursives.
-	Clients int
-	// Recursives is the pool of shared caching resolvers (popular names
-	// stay cached because many clients share one cache).
-	Recursives int
-	Seed       int64
-	// Letters and SitesPerLetter shape the root-like service.
-	Letters        int
-	SitesPerLetter int
-	// Duration, AttackStart, AttackDur set the timeline.
-	Duration    time.Duration
-	AttackStart time.Duration
-	AttackDur   time.Duration
-	// QueryInterval is each client's re-resolution period.
-	QueryInterval time.Duration
-	// CDNTTL is the CDN-like record TTL (the paper's 120-300 s).
-	CDNTTL uint32
-}
-
-func (c ImplicationsConfig) withDefaults() ImplicationsConfig {
-	if c.Clients == 0 {
-		c.Clients = 400
-	}
-	if c.Recursives == 0 {
-		c.Recursives = 40
-	}
-	if c.Letters == 0 {
-		c.Letters = 4
-	}
-	if c.SitesPerLetter == 0 {
-		c.SitesPerLetter = 6
-	}
-	if c.Duration == 0 {
-		c.Duration = 90 * time.Minute
-	}
-	if c.AttackStart == 0 {
-		c.AttackStart = 30 * time.Minute
-	}
-	if c.AttackDur == 0 {
-		c.AttackDur = 30 * time.Minute
-	}
-	if c.QueryInterval == 0 {
-		c.QueryInterval = time.Minute
-	}
-	if c.CDNTTL == 0 {
-		c.CDNTTL = 120
-	}
-	return c
-}
-
-// ImplicationsResult reports per-minute failure fractions for both
-// services.
+// ImplicationsResult reports per-minute outcomes for both services, plus
+// integer in-attack totals, so cells merge exactly.
 type ImplicationsResult struct {
-	Config ImplicationsConfig
 	// Series counts "root-ok"/"root-fail"/"cdn-ok"/"cdn-fail" per minute.
 	Series *stats.RoundSeries
-	// RootFailDuringAttack and CDNFailDuringAttack are the aggregate
-	// failure fractions inside the attack window.
-	RootFailDuringAttack float64
-	CDNFailDuringAttack  float64
+	// RootOK, RootFail, CDNOK and CDNFail count the queries sent inside
+	// the attack window, by service and outcome.
+	RootOK, RootFail int64
+	CDNOK, CDNFail   int64
 }
 
-// RunImplications executes the §8 side-by-side attack.
-func RunImplications(cfg ImplicationsConfig) *ImplicationsResult {
-	cfg = cfg.withDefaults()
-	start := time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC)
-	clk := clock.NewVirtual(start)
-	net := netsim.New(clk, cfg.Seed)
+// RootFailDuringAttack is the root-like failure fraction inside the
+// attack window.
+func (r *ImplicationsResult) RootFailDuringAttack() float64 {
+	return ratio(float64(r.RootFail), float64(r.RootOK+r.RootFail))
+}
 
-	rootZone := zone.New(".")
-	rootZone.MustAdd(dnswire.RR{Name: ".", TTL: 518400, Data: dnswire.SOA{
-		MName: "a.hint.test.", RName: "ops.hint.test.",
-		Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400}})
-	rootZone.MustAdd(dnswire.RR{Name: ".", TTL: 518400, Data: dnswire.NS{Host: "a.hint.test."}})
-	rootZone.MustAdd(dnswire.RR{Name: "a.hint.test.", TTL: 518400,
-		Data: dnswire.A{Addr: dnswire.MustAddr("198.41.0.4")}})
+// CDNFailDuringAttack is the CDN-like failure fraction inside the attack
+// window.
+func (r *ImplicationsResult) CDNFailDuringAttack() float64 {
+	return ratio(float64(r.CDNFail), float64(r.CDNOK+r.CDNFail))
+}
 
-	// Root-like service: long TTLs, anycast letters.
-	rootlike := zone.New("rootlike.test.")
-	rootlike.MustAdd(dnswire.RR{Name: "rootlike.test.", TTL: 86400, Data: dnswire.SOA{
-		MName: "ns0.rootlike.test.", RName: "ops.rootlike.test.",
-		Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400}})
-	rootlike.MustAdd(dnswire.RR{Name: "www.rootlike.test.", TTL: 86400,
-		Data: dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}})
-	rootSrv := authoritative.New(rootlike)
-	var rootSites [][]netsim.Addr
-	for l := 0; l < cfg.Letters; l++ {
-		letterAddr := netsim.Addr(fmt.Sprintf("10.53.%d.1", l))
-		host := fmt.Sprintf("ns%d.rootlike.test.", l)
-		rootlike.MustAdd(dnswire.RR{Name: "rootlike.test.", TTL: 86400, Data: dnswire.NS{Host: host}})
-		rootlike.MustAdd(dnswire.RR{Name: host, TTL: 86400,
-			Data: dnswire.A{Addr: dnswire.MustAddr(string(letterAddr))}})
-		rootZone.MustAdd(dnswire.RR{Name: "rootlike.test.", TTL: 172800, Data: dnswire.NS{Host: host}})
-		rootZone.MustAdd(dnswire.RR{Name: host, TTL: 172800,
-			Data: dnswire.A{Addr: dnswire.MustAddr(string(letterAddr))}})
+func newImplicationsResult() *ImplicationsResult {
+	return &ImplicationsResult{Series: stats.NewRoundSeries(testbedStart, time.Minute)}
+}
 
-		var sites []netsim.Addr
-		for s := 0; s < cfg.SitesPerLetter; s++ {
-			sites = append(sites, netsim.Addr(fmt.Sprintf("10.53.%d.%d", l, 100+s)))
-		}
-		rootSites = append(rootSites, sites)
-		attachAnycastAuth(net, rootSrv, letterAddr, sites)
+// absorb adds one cell's counts into the run total.
+func (r *ImplicationsResult) absorb(cell *ImplicationsResult) {
+	r.Series.Merge(cell.Series)
+	r.RootOK += cell.RootOK
+	r.RootFail += cell.RootFail
+	r.CDNOK += cell.CDNOK
+	r.CDNFail += cell.CDNFail
+}
+
+// runImplicationsTestbed runs one cell: a testbed with anycast root
+// letters, one shared recursive per ten clients, the clients' staggered
+// once-a-minute lookups, and the attack.
+func runImplicationsTestbed(base TestbedConfig) (*ImplicationsResult, *Testbed) {
+	clients := base.Probes
+	base.rootSites = make([]int, implLetters)
+	for l := range base.rootSites {
+		base.rootSites[l] = implSitesPerLetter
 	}
-
-	// CDN-like service: short TTLs, two unicast nameservers.
-	cdn := zone.New("cdn.test.")
-	cdn.MustAdd(dnswire.RR{Name: "cdn.test.", TTL: 3600, Data: dnswire.SOA{
-		MName: "ns1.cdn.test.", RName: "ops.cdn.test.",
-		Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 60}})
-	cdn.MustAdd(dnswire.RR{Name: "www.cdn.test.", TTL: cfg.CDNTTL,
+	tb := NewTestbed(base)
+	tb.AuthZone.MustAdd(dnswire.RR{Name: implCDNName, TTL: tb.Cfg.TTL,
 		Data: dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::2")}})
-	cdnAddrs := []netsim.Addr{"203.0.113.1", "203.0.113.2"}
-	for i, addr := range cdnAddrs {
-		host := fmt.Sprintf("ns%d.cdn.test.", i+1)
-		cdn.MustAdd(dnswire.RR{Name: "cdn.test.", TTL: 3600, Data: dnswire.NS{Host: host}})
-		cdn.MustAdd(dnswire.RR{Name: host, TTL: 3600,
-			Data: dnswire.A{Addr: dnswire.MustAddr(string(addr))}})
-		rootZone.MustAdd(dnswire.RR{Name: "cdn.test.", TTL: 172800, Data: dnswire.NS{Host: host}})
-		rootZone.MustAdd(dnswire.RR{Name: host, TTL: 172800,
-			Data: dnswire.A{Addr: dnswire.MustAddr(string(addr))}})
-	}
-	cdnSrv := authoritative.New(cdn)
-	for _, addr := range cdnAddrs {
-		cdnSrv.Attach(net, addr)
-	}
-	authoritative.New(rootZone).Attach(net, "198.41.0.4")
 
-	// Shared caching recursives and the client population.
-	hints := []recursive.ServerHint{{Name: "a.hint.test.", Addr: "198.41.0.4"}}
-	var resolverAddrs []netsim.Addr
-	for i := 0; i < cfg.Recursives; i++ {
-		addr := netsim.Addr(fmt.Sprintf("res-%d", i))
-		r := recursive.NewResolver(clk, recursive.Config{
-			RootHints: hints, Seed: cfg.Seed + int64(i),
+	resolvers := make([]*recursive.Resolver, (clients+implClientsPerRecursive-1)/implClientsPerRecursive)
+	for i := range resolvers {
+		r := recursive.NewResolver(tb.Clk, recursive.Config{
+			RootHints: tb.rootHints(), Seed: mixSeed(base.Seed, i),
 		})
-		r.Attach(net, addr)
-		resolverAddrs = append(resolverAddrs, addr)
+		r.Attach(tb.Net, advAddr("10.8", i))
+		resolvers[i] = r
 	}
 
-	res := &ImplicationsResult{
-		Config: cfg,
-		Series: stats.NewRoundSeries(start, time.Minute),
+	res := newImplicationsResult()
+	// record counts one lookup of service svc sent at sentAt; one sent
+	// inside the attack window also lands in *ok or *fail.
+	record := func(svc string, sentAt time.Time, ok, fail *int64) func(stub.Result) {
+		return func(r stub.Result) {
+			label, n := svc+"-fail", fail
+			if r.Err == nil && r.Msg.RCode == dnswire.RCodeNoError && len(r.Msg.Answers) > 0 {
+				label, n = svc+"-ok", ok
+			}
+			res.Series.Add(sentAt, label, 1)
+			if off := sentAt.Sub(tb.Start); off >= implAttackStart && off < implAttackStart+implAttackDur {
+				*n++
+			}
+		}
 	}
-	var attackRootOK, attackRootFail, attackCDNOK, attackCDNFail float64
-	inAttack := func(at time.Time) bool {
-		off := at.Sub(start)
-		return off >= cfg.AttackStart && off < cfg.AttackStart+cfg.AttackDur
-	}
-
-	for i := 0; i < cfg.Clients; i++ {
-		client := stub.New(clk, stub.Config{})
-		client.Attach(net, netsim.Addr(fmt.Sprintf("client-%d", i)))
-		rec := resolverAddrs[i%len(resolverAddrs)]
-		offset := time.Duration(i) * cfg.QueryInterval / time.Duration(cfg.Clients)
-		for at := offset; at < cfg.Duration; at += cfg.QueryInterval {
-			at := at
-			clk.AfterFunc(at, func() {
-				sentAt := clk.Now()
-				for _, svc := range []string{"root", "cdn"} {
-					svc := svc
-					name := "www." + map[string]string{"root": "rootlike.test.", "cdn": "cdn.test."}[svc]
-					client.Query(rec, name, dnswire.TypeAAAA, func(r stub.Result) {
-						ok := r.Err == nil && r.Msg.RCode == dnswire.RCodeNoError && len(r.Msg.Answers) > 0
-						label := svc + "-fail"
-						if ok {
-							label = svc + "-ok"
-						}
-						res.Series.Add(sentAt, label, 1)
-						if inAttack(sentAt) {
-							switch {
-							case svc == "root" && ok:
-								attackRootOK++
-							case svc == "root":
-								attackRootFail++
-							case ok:
-								attackCDNOK++
-							default:
-								attackCDNFail++
-							}
-						}
-					})
-				}
+	for pid := 1; pid <= clients; pid++ {
+		c := stub.New(tb.Clk, stub.Config{})
+		c.Attach(tb.Net, advAddr("10.9", pid))
+		rec := advAddr("10.8", (pid-1)%len(resolvers))
+		offset := time.Duration(pid-1) * implQueryInterval / time.Duration(clients)
+		for at := offset; at < implDuration; at += implQueryInterval {
+			tb.Clk.AfterFunc(at, func() {
+				sentAt := tb.Clk.Now()
+				c.Query(rec, rootLetterName(0), dnswire.TypeA, record("root", sentAt, &res.RootOK, &res.RootFail))
+				c.Query(rec, implCDNName, dnswire.TypeAAAA, record("cdn", sentAt, &res.CDNOK, &res.CDNFail))
 			})
 		}
 	}
 
-	// The attack: two letters fully saturated, the rest half-saturated at
-	// 90%; both CDN nameservers at 90% loss.
-	clk.AfterFunc(cfg.AttackStart, func() {
-		for l, sites := range rootSites {
-			for s, site := range sites {
-				switch {
-				case l < cfg.Letters/2:
-					net.SetInboundLoss(site, 1)
-				case s%2 == 0:
-					net.SetInboundLoss(site, 0.9)
-				}
+	// The attack: two letters fully saturated, half the sites of the other
+	// two at 90%, and both cachetest.nl authoritatives at 90%.
+	var full, partial []netsim.Addr
+	for l, n := range base.rootSites {
+		for s := 0; s < n; s++ {
+			switch {
+			case l < implLetters/2:
+				full = append(full, rootSiteAddr(l, s))
+			case s%2 == 0:
+				partial = append(partial, rootSiteAddr(l, s))
 			}
 		}
-		for _, addr := range cdnAddrs {
-			net.SetInboundLoss(addr, 0.9)
-		}
-	})
-	clk.AfterFunc(cfg.AttackStart+cfg.AttackDur, func() {
-		for _, sites := range rootSites {
-			for _, site := range sites {
-				net.SetInboundLoss(site, 0)
-			}
-		}
-		for _, addr := range cdnAddrs {
-			net.SetInboundLoss(addr, 0)
-		}
-	})
-
-	clk.RunUntil(start.Add(cfg.Duration + time.Minute))
-
-	if n := attackRootOK + attackRootFail; n > 0 {
-		res.RootFailDuringAttack = attackRootFail / n
 	}
-	if n := attackCDNOK + attackCDNFail; n > 0 {
-		res.CDNFailDuringAttack = attackCDNFail / n
+	for _, a := range []ddos.Attack{
+		{Targets: full, Loss: 1},
+		{Targets: partial, Loss: 0.9},
+		{Targets: tb.AuthAddrs, Loss: 0.9},
+	} {
+		a.Start, a.Duration = implAttackStart, implAttackDur
+		ddos.Schedule(tb.Clk, tb.Net, a)
 	}
-	return res
+
+	tb.Clk.RunUntil(tb.Start.Add(implDuration + time.Minute))
+	return res, advCollect(tb, resolvers, nil)
 }
 
-// attachAnycastAuth binds srv at every site, replying from the anycast
-// service address.
-func attachAnycastAuth(net *netsim.Network, srv *authoritative.Server, service netsim.Addr, sites []netsim.Addr) {
-	port := net.BindAnycast(service, sites, nil)
-	for _, site := range sites {
-		net.Bind(site, func(src netsim.Addr, payload []byte) {
-			if out := srv.HandleWire(payload); out != nil {
-				port.Send(src, out)
-			}
-		})
+type implicationsScenario struct{}
+
+// ImplicationsScenario is the §8 root-like vs CDN-like study as a
+// Scenario: one client per probe. RunConfig.TTL, when set, replaces the
+// CDN-like TTL.
+func ImplicationsScenario() Scenario { return implicationsScenario{} }
+
+func (implicationsScenario) Name() string { return "implications" }
+
+func (implicationsScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
+	ttl := cfg.TTL
+	if ttl == 0 {
+		ttl = implCDNTTL
 	}
+	total := newImplicationsResult()
+	return runCells(ctx, "implications", cfg, cellRun[*ImplicationsResult]{
+		cell: func(base TestbedConfig) (*ImplicationsResult, *Testbed) {
+			base.TTL = ttl
+			return runImplicationsTestbed(base)
+		},
+		fold: total.absorb,
+		finish: func(out *Outcome, snap metrics.Snapshot) (map[string]string, []metrics.Invariant) {
+			out.Implications = total
+			return nil, tapInvariants(snap, true)
+		},
+	})
 }
 
 // RenderImplications prints the §8 comparison.
@@ -280,6 +203,6 @@ func RenderImplications(r *ImplicationsResult) string {
 			r.Series.Get(m, "cdn-ok"), r.Series.Get(m, "cdn-fail"))
 	}
 	fmt.Fprintf(&sb, "\nfailure during the attack: root-like %.1f%%, CDN-like %.1f%%\n",
-		100*r.RootFailDuringAttack, 100*r.CDNFailDuringAttack)
+		100*r.RootFailDuringAttack(), 100*r.CDNFailDuringAttack())
 	return sb.String()
 }

@@ -112,7 +112,7 @@ func runRetriesTestbed(base TestbedConfig) (*RetriesResult, *Testbed) {
 	for pid := 1; pid <= probes; pid++ {
 		ri := (pid - 1) % len(rows)
 		cfg := retryProfiles[ri/2].cfg
-		cfg.RootHints = rootHints()
+		cfg.RootHints = tb.rootHints()
 		cfg.ClientTimeout = 30 * time.Second
 		cfg.Seed = mixSeed(seed, pid)
 		r := recursive.NewResolver(tb.Clk, cfg)

@@ -63,7 +63,8 @@ type RunConfig struct {
 	// per-cell traces in cell-index order, so trace bytes are identical
 	// for every Shards/Workers value. Honoured by every scenario on the
 	// cell engine (ddos, caching, glue, nxns, poison, reflect, transport,
-	// retries); the others build no cells and leave Outcome.Trace nil.
+	// retries, implications); passive builds no cells and leaves
+	// Outcome.Trace nil.
 	Trace *trace.Config
 	// Timeline enables per-bucket simulated-time series collection: each
 	// cell counts into a fixed bin layout derived from the spec horizon,

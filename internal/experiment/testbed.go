@@ -1,7 +1,8 @@
 // Package experiment reproduces the paper's measurement campaigns: the
 // caching baseline (§3, Tables 1–3, Figures 3/13), the DDoS emulations
-// (§5–6, Table 4, Figures 6–12, 14–15), and the glue-vs-authoritative TTL
-// study (Appendix A, Table 5). Each runner assembles a testbed — the DNS
+// (§5–6, Table 4, Figures 6–12, 14–15), the glue-vs-authoritative TTL
+// study (Appendix A, Table 5), the software retry study (Appendix E) and
+// the root-vs-CDN contrast (§8). Each runner assembles a testbed — the DNS
 // hierarchy root → .nl → cachetest.nl plus a calibrated population of
 // recursive resolvers — on the deterministic simulator and returns the
 // rows/series the paper reports.
@@ -84,6 +85,10 @@ type TestbedConfig struct {
 	// shared, memoized nl zone is immutable, so setting this clones it
 	// for the testbed instead.
 	ExtraNL []dnswire.RR
+	// rootSites is the anycast site count of each root letter (see
+	// rootLetterAddr, rootSiteAddr). nil keeps the one unicast letter,
+	// a.root-servers.net. at RootAddr.
+	rootSites []int
 }
 
 func (c TestbedConfig) withDefaults() TestbedConfig {
@@ -171,8 +176,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	tb.buildZones()
 	tb.installTap()
 
-	tb.Pop = BuildPopulation(tb.Clk, tb.Net, cfg.Probes, Domain,
-		[]recursive.ServerHint{{Name: "a.root-servers.net.", Addr: RootAddr}},
+	tb.Pop = BuildPopulation(tb.Clk, tb.Net, cfg.Probes, Domain, tb.rootHints(),
 		cfg.Population, cfg.Seed+1)
 	tb.Fleet = vantage.NewFleet(tb.Clk, tb.Pop.Probes, cfg.Seed+2)
 	return tb
@@ -192,16 +196,34 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
+// rootLetterName and rootLetterAddr name root letter i and give its
+// service address (letter 0 is a.root-servers.net. at RootAddr);
+// rootSiteAddr is the address of its anycast site s.
+func rootLetterName(i int) string       { return string(rune('a'+i)) + ".root-servers.net." }
+func rootLetterAddr(i int) netsim.Addr  { return netsim.Addr("198.41." + itoa(i) + ".4") }
+func rootSiteAddr(i, s int) netsim.Addr { return netsim.Addr("198.41." + itoa(i) + "." + itoa(100+s)) }
+
+// rootHints is the hint set every resolver on the testbed starts from:
+// one hint per root letter.
+func (tb *Testbed) rootHints() []recursive.ServerHint {
+	hints := make([]recursive.ServerHint, max(len(tb.Cfg.rootSites), 1))
+	for i := range hints {
+		hints[i] = recursive.ServerHint{Name: rootLetterName(i), Addr: rootLetterAddr(i)}
+	}
+	return hints
+}
+
 // sharedHierarchy memoizes the root and nl zones plus the authoritative
-// address list. Both zones are immutable once built (only the per-testbed
+// address list. The zones are immutable once built (only the per-testbed
 // cachetest.nl zone sees Replace/BumpSerial from rotations and the glue
 // study), zone.Zone is safe for concurrent readers, and their contents
-// depend only on the authoritative count — so every testbed with the same
-// count shares one copy instead of re-parsing ~15 records per build.
+// depend only on the root letter and authoritative counts — so every
+// testbed with the same counts shares one copy instead of re-parsing ~15
+// records per build.
 var sharedHierarchy struct {
 	mu    sync.Mutex
 	addrs map[int][]netsim.Addr
-	root  *zone.Zone
+	root  map[int]*zone.Zone
 	nl    map[int]*zone.Zone
 }
 
@@ -225,33 +247,40 @@ func authAddrs(n int) []netsim.Addr {
 	return a
 }
 
-// hierarchyZones returns the shared root and nl zones delegating to the
-// given authoritatives.
-func hierarchyZones(authAddrs []netsim.Addr) (root, nl *zone.Zone) {
+// hierarchyZones returns the shared root zone with the given number of
+// letters and the nl zone delegating to the given authoritatives.
+func hierarchyZones(letters int, authAddrs []netsim.Addr) (root, nl *zone.Zone) {
 	h := &sharedHierarchy
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.root == nil {
-		h.root = buildRootZone()
+		h.root = make(map[int]*zone.Zone)
 		h.nl = make(map[int]*zone.Zone)
+	}
+	root = h.root[letters]
+	if root == nil {
+		root = buildRootZone(letters)
+		h.root[letters] = root
 	}
 	nl = h.nl[len(authAddrs)]
 	if nl == nil {
 		nl = buildNLZone(authAddrs)
 		h.nl[len(authAddrs)] = nl
 	}
-	return h.root, nl
+	return root, nl
 }
 
-func buildRootZone() *zone.Zone {
+func buildRootZone(letters int) *zone.Zone {
 	rootZone := zone.New(".")
 	rootZone.MustAdd(dnswire.RR{Name: ".", TTL: 518400, Data: dnswire.SOA{
 		MName: "a.root-servers.net.", RName: "nstld.verisign-grs.com.",
 		Serial: 2018050100, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400,
 	}})
-	rootZone.MustAdd(dnswire.RR{Name: ".", TTL: 518400, Data: dnswire.NS{Host: "a.root-servers.net."}})
-	rootZone.MustAdd(dnswire.RR{Name: "a.root-servers.net.", TTL: 518400,
-		Data: dnswire.A{Addr: dnswire.MustAddr(RootAddr)}})
+	for i := 0; i < letters; i++ {
+		rootZone.MustAdd(dnswire.RR{Name: ".", TTL: 518400, Data: dnswire.NS{Host: rootLetterName(i)}})
+		rootZone.MustAdd(dnswire.RR{Name: rootLetterName(i), TTL: 518400,
+			Data: dnswire.A{Addr: dnswire.MustAddr(string(rootLetterAddr(i)))}})
+	}
 	rootZone.MustAdd(dnswire.RR{Name: "nl.", TTL: 172800, Data: dnswire.NS{Host: "ns1.dns.nl."}})
 	rootZone.MustAdd(dnswire.RR{Name: "ns1.dns.nl.", TTL: 172800,
 		Data: dnswire.A{Addr: dnswire.MustAddr(TLDAddr)}})
@@ -332,7 +361,8 @@ func authZoneTemplate(k authZoneKey, addrs []netsim.Addr) *zone.Zone {
 // buildZones builds the per-testbed cachetest.nl zone, fetches the shared
 // root/nl zones, and attaches the servers.
 func (tb *Testbed) buildZones() {
-	rootZone, nlZone := hierarchyZones(tb.AuthAddrs)
+	rootSites := tb.Cfg.rootSites
+	rootZone, nlZone := hierarchyZones(max(len(rootSites), 1), tb.AuthAddrs)
 	if len(tb.Cfg.ExtraNL) > 0 {
 		nlZone = nlZone.Clone()
 		for _, rr := range tb.Cfg.ExtraNL {
@@ -350,7 +380,16 @@ func (tb *Testbed) buildZones() {
 	servers := make([]authoritative.Server, 2+len(tb.AuthAddrs))
 	rootSrv := &servers[0]
 	rootSrv.Init(rootZone)
-	rootSrv.Attach(tb.Net, RootAddr)
+	if rootSites == nil {
+		rootSrv.Attach(tb.Net, RootAddr)
+	}
+	for i, n := range rootSites {
+		sites := make([]netsim.Addr, n)
+		for s := range sites {
+			sites[s] = rootSiteAddr(i, s)
+		}
+		attachAnycastAuth(tb.Net, rootSrv, rootLetterAddr(i), sites)
+	}
 	tldSrv := &servers[1]
 	tldSrv.Init(nlZone)
 	tldSrv.Attach(tb.Net, TLDAddr)
@@ -360,6 +399,19 @@ func (tb *Testbed) buildZones() {
 		srv.Init(tb.AuthZone)
 		srv.Attach(tb.Net, addr)
 		tb.Auths = append(tb.Auths, srv)
+	}
+}
+
+// attachAnycastAuth binds srv at every site, replying from the anycast
+// service address.
+func attachAnycastAuth(net *netsim.Network, srv *authoritative.Server, service netsim.Addr, sites []netsim.Addr) {
+	port := net.BindAnycast(service, sites, nil)
+	for _, site := range sites {
+		net.Bind(site, func(src netsim.Addr, payload []byte) {
+			if out := srv.HandleWire(payload); out != nil {
+				port.Send(src, out)
+			}
+		})
 	}
 }
 

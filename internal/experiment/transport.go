@@ -204,7 +204,7 @@ func runTransportTestbed(spec TransportSpec, base TestbedConfig) (*TransportResu
 		mode := row.Fallback
 
 		r := recursive.NewResolver(tb.Clk, recursive.Config{
-			RootHints:   rootHints(),
+			RootHints:   tb.rootHints(),
 			Seed:        mixSeed(seed, pid),
 			EDNSSize:    row.Buf,
 			TCPFallback: mode != FallbackNone,

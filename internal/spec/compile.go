@@ -56,7 +56,7 @@ func Compile(s *Spec) (experiment.Scenario, experiment.RunConfig, error) {
 	case "retries":
 		return experiment.RetriesScenario(), cfg, nil
 	case "implications":
-		return experiment.ImplicationsScenario(experiment.ImplicationsConfig{}), cfg, nil
+		return experiment.ImplicationsScenario(), cfg, nil
 	case "nxns":
 		n := NXNSSection{}
 		if s.Adversary != nil && s.Adversary.NXNS != nil {
