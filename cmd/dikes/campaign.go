@@ -211,8 +211,7 @@ func (o options) run(ctx context.Context, label string, items []dikes.CampaignIt
 
 // export writes what the flags asked for — -csv figure files, one
 // -trace/-trace-chrome file per traced run, the -report — and returns
-// one line per failure: a failed run, a failed report invariant. A run
-// -trace could not cover gets one line on stderr.
+// one line per failure: a failed run, a failed report invariant.
 func (o options) export(results []dikes.CampaignResult) (failures []string, err error) {
 	if o.csvDir != "" {
 		if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
@@ -233,9 +232,7 @@ func (o options) export(results []dikes.CampaignResult) (failures []string, err 
 		if r.Outcome == nil {
 			continue
 		}
-		if td := r.Outcome.Trace; td == nil && o.tracePath != "" {
-			fmt.Fprintf(os.Stderr, "dikes: -trace: %s is not a cell-engine run and records no trace\n", r.Item.Name)
-		} else if td != nil && len(td.Cells) > 0 {
+		if td := r.Outcome.Trace; td != nil && len(td.Cells) > 0 {
 			if err := writeFile(tracePathFor(o.tracePath, r.Item.Name, multi), td.WriteJSONL); err != nil {
 				return nil, err
 			}

@@ -169,42 +169,6 @@ func TestTracedBatchWritesOneFilePerRun(t *testing.T) {
 	}
 }
 
-// TestUntraceableRunIsNamed: -trace on a run that builds no population
-// cells writes no file, and says so on stderr instead of exiting 0 in
-// silence.
-func TestUntraceableRunIsNamed(t *testing.T) {
-	dir := t.TempDir()
-	o := given(options{tracePath: filepath.Join(dir, "run.jsonl")})
-	items, err := o.plan(dikes.Specs.ReadFile, aliasSpecs("passive"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := o.run(context.Background(), "test", items)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stderr := os.Stderr
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stderr = w
-	failures, err := o.export(results)
-	os.Stderr = stderr
-	w.Close()
-	if err != nil || len(failures) > 0 {
-		t.Fatalf("export: %v, failures %v", err, failures)
-	}
-	said, _ := io.ReadAll(r)
-	if !strings.Contains(string(said), "-trace: passive ") {
-		t.Errorf("stderr = %q, want a line naming the untraceable run", said)
-	}
-	if files, _ := os.ReadDir(dir); len(files) != 0 {
-		t.Errorf("wrote %d file(s) for a run with nothing to trace", len(files))
-	}
-}
-
 // TestScorecardFailuresExit: on the check path a claim that fails or whose
 // source run never ran becomes a failure line, which is what exits 1.
 func TestScorecardFailuresExit(t *testing.T) {

@@ -76,7 +76,7 @@ func main() {
 	flag.StringVar(&o.csvDir, "csv", "", "also write each figure's data (CSV, timelines as CSV and JSON) into this directory")
 	flag.IntVar(&o.workers, "workers", 0, "experiment runs in flight at once (0 = one per core); results are identical for any value")
 	flag.StringVar(&o.reportPath, "report", "", "write every run's metrics + invariant report as JSON to this file; a failed invariant exits non-zero")
-	flag.StringVar(&o.tracePath, "trace", "", "record a deterministic query-lifecycle trace of each run as JSONL to this file (-<run> is spliced in when several run); every family on the cell engine traces (caching, ddos, glue, adversary, transport, retries, implications); passive gets a stderr note")
+	flag.StringVar(&o.tracePath, "trace", "", "record a deterministic query-lifecycle trace of each run as JSONL to this file (-<run> is spliced in when several run); every family traces (caching, ddos, glue, adversary, transport, passive, retries, implications)")
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "with -trace: trace every Nth probe only (0 or 1 = all probes); SERVFAIL chains are always recorded")
 	flag.StringVar(&o.traceChrome, "trace-chrome", "", "with -trace: also export each traced run as Chrome trace_event JSON (Perfetto-loadable)")
 	pprofAddr := flag.String("pprof", "", "serve /metrics, /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")

@@ -54,7 +54,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/passive"
 	"repro/internal/recursive"
 	"repro/internal/spec"
 	"repro/internal/stub"
@@ -252,10 +251,6 @@ type (
 	DDoSSpec = experiment.DDoSSpec
 	// TestbedConfig sizes a testbed.
 	TestbedConfig = experiment.TestbedConfig
-	// NlConfig parameterizes the Figure 4 synthesis.
-	NlConfig = passive.NlConfig
-	// RootConfig parameterizes the Figure 5 synthesis.
-	RootConfig = passive.RootConfig
 	// Report is one run's metrics snapshot plus invariant verdicts
 	// (DESIGN.md §14); a cell-engine run's Outcome carries one.
 	Report = metrics.Report
@@ -271,10 +266,6 @@ var (
 	SpecByName = experiment.SpecByName
 	// NewTestbed assembles a simulated ecosystem for custom studies.
 	NewTestbed = experiment.NewTestbed
-	// RunNl executes the §4.1 .nl inter-arrival analysis (Figure 4).
-	RunNl = passive.RunNl
-	// RunRoot executes the §4.2 root DS analysis (Figure 5).
-	RunRoot = passive.RunRoot
 )
 
 // PaperExperiments are the paper's Table 4 experiments A–I.

@@ -90,14 +90,6 @@ func TestFacadeExperimentEntryPoints(t *testing.T) {
 	if err != nil || caching.Caching.Table1.Queries == 0 {
 		t.Errorf("CachingScenario produced nothing (err %v)", err)
 	}
-	nl := dikes.RunNl(dikes.NlConfig{Resolvers: 200, Seed: 1})
-	if nl.ECDF.Len() == 0 {
-		t.Error("RunNl produced nothing")
-	}
-	root := dikes.RunRoot(dikes.RootConfig{Resolvers: 500, Seed: 1})
-	if root.FracSingleObserved == 0 {
-		t.Error("RunRoot produced nothing")
-	}
 	glue, err := dikes.Run(context.Background(), dikes.GlueScenario(),
 		dikes.RunConfig{Probes: 30, Seed: 1})
 	if err != nil || glue.Glue.NS.Total == 0 {

@@ -45,11 +45,8 @@ func Schedule(clk clock.Clock, net *netsim.Network, a Attack) {
 // 10x its capacity"). Legitimate traffic is negligible against the flood,
 // as in the paper.
 type Flood struct {
-	Targets     []netsim.Addr
 	AttackQPS   float64
 	CapacityQPS float64
-	Start       time.Duration
-	Duration    time.Duration // 0 = never ends
 }
 
 // LossRate converts the overload into the random-drop probability a
@@ -67,12 +64,4 @@ func (f Flood) LossRate() float64 {
 	}
 	offered := f.AttackQPS + f.CapacityQPS*0.01 // legit load ≪ capacity
 	return 1 - f.CapacityQPS/offered
-}
-
-// ScheduleFlood arms the flood as its equivalent loss window.
-func ScheduleFlood(clk clock.Clock, net *netsim.Network, f Flood) {
-	Schedule(clk, net, Attack{
-		Targets: f.Targets, Loss: f.LossRate(),
-		Start: f.Start, Duration: f.Duration,
-	})
 }

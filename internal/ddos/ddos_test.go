@@ -66,20 +66,3 @@ func TestFloodLossRate(t *testing.T) {
 		}
 	}
 }
-
-func TestScheduleFlood(t *testing.T) {
-	clk := clock.NewVirtual(epoch)
-	net := netsim.New(clk, 1)
-	ScheduleFlood(clk, net, Flood{
-		Targets: []netsim.Addr{"a"}, AttackQPS: 10000, CapacityQPS: 1000,
-		Start: time.Minute, Duration: time.Hour,
-	})
-	clk.RunFor(2 * time.Minute)
-	if got := net.InboundLoss("a"); got < 0.89 || got > 0.91 {
-		t.Errorf("flood loss = %.3f, want ~0.9", got)
-	}
-	clk.RunFor(time.Hour)
-	if got := net.InboundLoss("a"); got != 0 {
-		t.Errorf("flood not lifted: %.3f", got)
-	}
-}

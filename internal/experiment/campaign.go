@@ -120,7 +120,7 @@ func (r CampaignResult) headline() string {
 		}
 		return fmt.Sprintf("answered %.1f%%", 100*ratio(float64(a), float64(q)))
 	case o.Passive != nil:
-		return fmt.Sprintf("at-TTL re-queries %.1f%%", 100*o.Passive.Nl.FracAtTTL)
+		return fmt.Sprintf("at-TTL re-queries %.1f%%", 100*o.Passive.FracAtTTL)
 	case o.Retries != nil:
 		up, down := 0.0, 0.0
 		for _, row := range o.Retries.Rows {
@@ -318,7 +318,7 @@ func CampaignFiles(results []CampaignResult) []ExportFile {
 			}
 		}
 		if p := r.Outcome.Passive; p != nil {
-			add("fig4-nl-ecdf.csv", ECDFCSV(p.Nl.ECDF, 100))
+			add("fig4-nl-ecdf.csv", ECDFCSV(p.ECDF, 100))
 			add("fig5-root-all.csv", ECDFCSV(p.Root.All, 100))
 		}
 	}

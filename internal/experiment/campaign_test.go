@@ -13,10 +13,10 @@ import (
 
 // smallCampaign is a cross-family item list small enough for unit tests:
 // one staged multi-phase attack (partial outage → total outage →
-// recovery, mixing drop and SERVFAIL modes), one caching run, one retry
-// study, and the §8 implications study. Small ShardProbes values force
-// multi-cell layouts even at tiny populations so the shard-invariance
-// check is meaningful.
+// recovery, mixing drop and SERVFAIL modes), one caching run, the §4
+// passive study, one retry study, and the §8 implications study. Small
+// ShardProbes values force multi-cell layouts even at tiny populations so
+// the shard-invariance check is meaningful.
 func smallCampaign(shards int) []CampaignItem {
 	staged := DDoSSpec{
 		Name: "staged", TTL: 1800,
@@ -36,6 +36,7 @@ func smallCampaign(shards int) []CampaignItem {
 		{Name: "caching-1800", Scenario: CachingScenario(),
 			Config: RunConfig{Probes: 60, Seed: 7, Shards: shards, ShardProbes: 16,
 				TTL: 1800, ProbeInterval: 10 * time.Minute, Rounds: 4}},
+		{Name: "passive", Scenario: PassiveScenario(), Config: engine},
 		{Name: "retries", Scenario: RetriesScenario(),
 			Config: RunConfig{Probes: 40, Seed: 7, Shards: shards, ShardProbes: 16}},
 		{Name: "implications", Scenario: ImplicationsScenario(),
@@ -150,8 +151,8 @@ func TestCampaignCancellation(t *testing.T) {
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("want 4 result slots, got %d", len(results))
+	if len(results) != 5 {
+		t.Fatalf("want 5 result slots, got %d", len(results))
 	}
 	report := RenderCampaign(results)
 	if !strings.Contains(report, "campaign summary") {
@@ -204,7 +205,7 @@ func TestCampaignFilesNames(t *testing.T) {
 	results, err := RunCampaign(context.Background(), []CampaignItem{
 		{Name: "attack", Scenario: DDoSScenario(specH),
 			Config: RunConfig{Probes: 40, Seed: 7, Timeline: &timeline.Config{Bucket: 10 * time.Minute}}},
-		{Name: "passive", Scenario: PassiveScenario(), Config: RunConfig{Seed: 7}},
+		{Name: "passive", Scenario: PassiveScenario(), Config: RunConfig{Probes: 20, Seed: 7}},
 		{Name: "retries", Scenario: RetriesScenario(), Config: RunConfig{Probes: 8, Seed: 7}},
 	}, 0)
 	if err != nil {

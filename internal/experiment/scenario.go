@@ -61,10 +61,9 @@ type RunConfig struct {
 	// Trace enables deterministic query-lifecycle tracing: every cell
 	// records into its own ring buffer and Outcome.Trace carries the
 	// per-cell traces in cell-index order, so trace bytes are identical
-	// for every Shards/Workers value. Honoured by every scenario on the
-	// cell engine (ddos, caching, glue, nxns, poison, reflect, transport,
-	// retries, implications); passive builds no cells and leaves
-	// Outcome.Trace nil.
+	// for every Shards/Workers value. Honoured by every scenario (ddos,
+	// caching, glue, nxns, poison, reflect, transport, passive, retries,
+	// implications).
 	Trace *trace.Config
 	// Timeline enables per-bucket simulated-time series collection: each
 	// cell counts into a fixed bin layout derived from the spec horizon,
@@ -126,7 +125,7 @@ type Outcome struct {
 	Worlds *ShardedTestbed
 
 	// Trace holds the run's merged per-cell traces when RunConfig.Trace was
-	// set (empty for scenarios that do not trace).
+	// set.
 	Trace *trace.Data
 
 	// Timeline holds the run's merged per-bucket series when

@@ -1,5 +1,6 @@
 // Package experiment reproduces the paper's measurement campaigns: the
-// caching baseline (§3, Tables 1–3, Figures 3/13), the DDoS emulations
+// caching baseline (§3, Tables 1–3, Figures 3/13), the production-zone
+// re-query study (§4, Figures 4–5), the DDoS emulations
 // (§5–6, Table 4, Figures 6–12, 14–15), the glue-vs-authoritative TTL
 // study (Appendix A, Table 5), the software retry study (Appendix E) and
 // the root-vs-CDN contrast (§8). Each runner assembles a testbed — the DNS
@@ -203,6 +204,9 @@ func rootLetterName(i int) string       { return string(rune('a'+i)) + ".root-se
 func rootLetterAddr(i int) netsim.Addr  { return netsim.Addr("198.41." + itoa(i) + ".4") }
 func rootSiteAddr(i, s int) netsim.Addr { return netsim.Addr("198.41." + itoa(i) + "." + itoa(100+s)) }
 
+// nsHost names the cachetest.nl nameserver at AuthAddrs[i].
+func nsHost(i int) string { return "ns" + itoa(i+1) + "." + Domain }
+
 // rootHints is the hint set every resolver on the testbed starts from:
 // one hint per root letter.
 func (tb *Testbed) rootHints() []recursive.ServerHint {
@@ -302,7 +306,7 @@ func buildNLZone(authAddrs []netsim.Addr) *zone.Zone {
 	// Delegation of the test domain, glue with the paper's 3600 s
 	// referral TTL (Appendix A).
 	for i, addr := range authAddrs {
-		host := "ns" + itoa(i+1) + "." + Domain
+		host := nsHost(i)
 		nlZone.MustAdd(dnswire.RR{Name: Domain, TTL: 3600, Data: dnswire.NS{Host: host}})
 		nlZone.MustAdd(dnswire.RR{Name: host, TTL: 3600,
 			Data: dnswire.A{Addr: dnswire.MustAddr(string(addr))}})
@@ -340,7 +344,7 @@ func authZoneTemplate(k authZoneKey, addrs []netsim.Addr) *zone.Zone {
 		Serial: 1, Refresh: 7200, Retry: 3600, Expire: 864000, Minimum: k.negTTL,
 	}})
 	for i, addr := range addrs {
-		host := "ns" + itoa(i+1) + "." + Domain
+		host := nsHost(i)
 		z.MustAdd(dnswire.RR{Name: Domain, TTL: k.ttl, Data: dnswire.NS{Host: host}})
 		z.MustAdd(dnswire.RR{Name: host, TTL: k.ttl,
 			Data: dnswire.A{Addr: dnswire.MustAddr(string(addr))}})

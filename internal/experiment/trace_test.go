@@ -51,6 +51,7 @@ func TestTraceShardInvariance(t *testing.T) {
 		{"poison", PoisonScenario(PoisonSpec{Waves: 4}), RunConfig{}},
 		{"reflect", ReflectScenario(ReflectSpec{}), RunConfig{}},
 		{"transport", TransportScenario(TransportSpec{Flood: 0.5}), RunConfig{}},
+		{"passive", PassiveScenario(), RunConfig{}},
 		{"implications", ImplicationsScenario(), RunConfig{}},
 	}
 	for _, fam := range families {

@@ -8,45 +8,24 @@ import (
 	"repro/internal/stats"
 )
 
-// RootConfig sizes the synthetic DITL-style root trace (§4.2: one day of
-// DS queries for "nl" — TTL 86400 s — across the root letters).
-type RootConfig struct {
-	Resolvers int
-	Letters   int
-	Seed      int64
-	// FracSingle is the fraction of recursives sending exactly one query
-	// in the day (the paper: ~87%).
-	FracSingle float64
-	// TailAlpha shapes the Pareto tail of heavy requesters (lower =
+// The synthetic DITL-style root trace (§4.2: one day of DS queries for
+// "nl" — TTL 86400 s — across the root letters).
+const (
+	rootResolvers = 7000
+	rootLetters   = 13
+	// rootFracSingle is the fraction of recursives sending exactly one
+	// query in the day (the paper: ~87%).
+	rootFracSingle = 0.87
+	// rootTailAlpha shapes the Pareto tail of heavy requesters (lower =
 	// heavier; the paper sees up to 21.8k queries from one source).
-	TailAlpha float64
-	// MaxQueries truncates the tail.
-	MaxQueries int
-}
-
-func (c RootConfig) withDefaults() RootConfig {
-	if c.Resolvers == 0 {
-		c.Resolvers = 7000
-	}
-	if c.Letters == 0 {
-		c.Letters = 13
-	}
-	if c.FracSingle == 0 {
-		c.FracSingle = 0.87
-	}
-	if c.TailAlpha == 0 {
-		c.TailAlpha = 0.9
-	}
-	if c.MaxQueries == 0 {
-		c.MaxQueries = 22000
-	}
-	return c
-}
+	rootTailAlpha = 0.9
+	// rootMaxQueries truncates the tail.
+	rootMaxQueries = 22000
+)
 
 // RootResult is the Figure 5 output: the per-letter and aggregate
 // distributions of queries per recursive.
 type RootResult struct {
-	Config RootConfig
 	// PerLetter[i] is the ECDF of queries per recursive at letter i.
 	PerLetter []*stats.ECDF
 	// All is the distribution across all letters combined.
@@ -61,32 +40,33 @@ type RootResult struct {
 	FracAtLeast5PerLetter []float64
 }
 
-// RunRoot synthesizes the day of nl DS queries and computes Figure 5.
-func RunRoot(cfg RootConfig) *RootResult {
-	cfg = cfg.withDefaults()
-	rng := lazyrand.New(cfg.Seed)
+// RunRoot synthesizes the day of nl DS queries from seed and computes
+// Figure 5.
+func RunRoot(seed int64) *RootResult {
+	rng := lazyrand.New(seed)
+	alpha := float64(rootTailAlpha)
 
 	// Letter preference skew: recursives spread retries and
 	// over-querying unevenly over letters (F "friendliest", H "worst").
-	letterBias := make([]float64, cfg.Letters)
+	letterBias := make([]float64, rootLetters)
 	for i := range letterBias {
 		// Biases in [0.6, 1.5]: letter 0 plays F-root, the last plays H.
-		letterBias[i] = 0.6 + 0.9*float64(i)/float64(cfg.Letters-1)
+		letterBias[i] = 0.6 + 0.9*float64(i)/float64(rootLetters-1)
 	}
 
-	perLetterCounts := make([][]float64, cfg.Letters)
+	perLetterCounts := make([][]float64, rootLetters)
 	var allCounts []float64
 	single, total := 0, 0
 	maxObserved := 0
 
-	for i := 0; i < cfg.Resolvers; i++ {
+	for i := 0; i < rootResolvers; i++ {
 		// Total queries for the day from this recursive.
 		n := 1
-		if rng.Float64() >= cfg.FracSingle {
+		if rng.Float64() >= rootFracSingle {
 			// Pareto tail: n = ceil(x), x >= 2.
-			x := 2.0 / math.Pow(rng.Float64(), 1/cfg.TailAlpha)
-			if x > float64(cfg.MaxQueries) {
-				x = float64(cfg.MaxQueries)
+			x := 2.0 / math.Pow(rng.Float64(), 1/alpha)
+			if x > rootMaxQueries {
+				x = rootMaxQueries
 			}
 			n = int(math.Ceil(x))
 		}
@@ -98,11 +78,11 @@ func RunRoot(cfg RootConfig) *RootResult {
 			maxObserved = n
 		}
 		// Spread the n queries over letters with the bias weights.
-		counts := make([]int, cfg.Letters)
+		counts := make([]int, rootLetters)
 		if n == 1 {
-			counts[rng.Intn(cfg.Letters)] = 1
+			counts[rng.Intn(rootLetters)] = 1
 		} else {
-			weights := make([]float64, cfg.Letters)
+			weights := make([]float64, rootLetters)
 			sum := 0.0
 			for l := range weights {
 				weights[l] = letterBias[l] * (0.5 + rng.Float64())
@@ -128,12 +108,11 @@ func RunRoot(cfg RootConfig) *RootResult {
 	}
 
 	res := &RootResult{
-		Config:             cfg,
 		All:                stats.NewECDF(allCounts),
 		FracSingleObserved: float64(single) / float64(total),
 		MaxObserved:        maxObserved,
 	}
-	for l := 0; l < cfg.Letters; l++ {
+	for l := 0; l < rootLetters; l++ {
 		counts := perLetterCounts[l]
 		res.PerLetter = append(res.PerLetter, stats.NewECDF(counts))
 		atLeast5 := 0
