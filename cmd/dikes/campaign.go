@@ -96,8 +96,8 @@ func specPaths(args []string) ([]string, error) {
 
 // plan loads and compiles the spec files into campaign items and applies
 // the override rule (see the command comment): only flags in o.set touch
-// a compiled run. A spec that arms tracing needs -trace, so that no run
-// collects a trace nobody writes; so do the flags that only shape one.
+// a compiled run. -trace is the one switch that arms tracing; the flags
+// that only shape a trace are refused without it.
 func (o options) plan(read func(string) ([]byte, error), paths []string) ([]dikes.CampaignItem, error) {
 	for _, f := range []string{"trace-sample", "trace-chrome"} {
 		if o.set[f] && o.tracePath == "" {
@@ -168,14 +168,8 @@ func (o options) plan(read func(string) ([]byte, error), paths []string) ([]dike
 					cfg.Population.Harvest = dikes.HarvestFull
 				}
 			}
-			switch {
-			case o.tracePath == "" && cfg.Trace != nil:
-				return nil, fmt.Errorf("%s: engine.trace is set but nothing would write the trace: pass -trace <file>", p)
-			case o.tracePath != "" && cfg.Trace == nil:
-				cfg.Trace = &dikes.TraceConfig{}
-			}
-			if o.set["trace-sample"] && cfg.Trace != nil {
-				cfg.Trace.SampleEvery = o.traceSample
+			if o.tracePath != "" {
+				cfg.Trace = &dikes.TraceConfig{SampleEvery: o.traceSample}
 			}
 		}
 		items = append(items, its...)

@@ -126,11 +126,7 @@ func TestExplicitFlagsOverrideEveryRun(t *testing.T) {
 func TestTracedBatchWritesOneFilePerRun(t *testing.T) {
 	traced := func(string) ([]byte, error) {
 		return []byte(`{"version": 1, "name": "tr", "family": "ddos", "paper": ["B", "H"],
-			"engine": {"probes": 40, "trace": true, "trace_sample": 4}}`), nil
-	}
-	_, err := given(options{}).plan(traced, []string{"tr.json"})
-	if err == nil || !strings.Contains(err.Error(), "-trace") {
-		t.Fatalf("spec with engine.trace and no -trace: err = %v, want a usage error naming -trace", err)
+			"engine": {"probes": 40}}`), nil
 	}
 
 	for _, flag := range []string{"trace-sample", "trace-chrome"} {
@@ -141,7 +137,7 @@ func TestTracedBatchWritesOneFilePerRun(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	o := given(options{tracePath: filepath.Join(dir, "run.jsonl")})
+	o := given(options{tracePath: filepath.Join(dir, "run.jsonl"), traceSample: 4}, "trace-sample")
 	items, err := o.plan(traced, []string{"tr.json"})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +160,7 @@ func TestTracedBatchWritesOneFilePerRun(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if td.Len() == 0 || td.SampleEvery != 4 {
-			t.Errorf("%s: %d events, sample %d; want a non-empty trace at the spec's sampling", name, td.Len(), td.SampleEvery)
+			t.Errorf("%s: %d events, sample %d; want a non-empty trace at -trace-sample 4", name, td.Len(), td.SampleEvery)
 		}
 	}
 }

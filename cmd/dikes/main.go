@@ -29,10 +29,10 @@
 //
 // The override rule: a spec owns its settings, and a flag the user sets
 // explicitly overrides them on every run of the batch — -probes, -seed,
-// -shards, -trace-sample, -harvest (ddos specs), -exp (keeps only the
-// named experiments of a ddos spec's "paper" list), timeline's -bucket.
-// A flag left unset changes nothing. -workers (runs in flight; no spec
-// has such a setting), the exporters (-report, -csv, -trace,
+// -shards, -harvest (ddos specs), -exp (keeps only the named experiments
+// of a ddos spec's "paper" list), timeline's -bucket. A flag left unset
+// changes nothing. -workers (runs in flight; no spec has such a
+// setting), the exporters (-report, -csv, -trace with -trace-sample,
 // -trace-chrome) and -progress/-pprof serve aliases and campaign alike.
 // The paper used ~9200 probes; the committed specs keep runs quick at
 // 1500.

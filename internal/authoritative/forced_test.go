@@ -55,20 +55,6 @@ func TestForcedRCodeFull(t *testing.T) {
 	}
 }
 
-// TestForcedRCodePerRecord: a name filter confines the dial to the
-// listed records; every other name answers from the zone.
-func TestForcedRCodePerRecord(t *testing.T) {
-	s := testServer(t)
-	s.SetForcedRCode(dnswire.RCodeServFail, 1, "1414.CacheTest.nl.")
-	if resp := s.Handle(query("1414.cachetest.nl.", dnswire.TypeAAAA)); resp.RCode != dnswire.RCodeServFail {
-		t.Errorf("targeted record not forced: rcode = %v", resp.RCode)
-	}
-	if resp := s.Handle(query("ns1.cachetest.nl.", dnswire.TypeA)); resp.RCode != dnswire.RCodeNoError ||
-		len(resp.Answers) != 1 {
-		t.Errorf("untargeted record corrupted: %v", resp)
-	}
-}
-
 // TestForcedRCodeClear: frac <= 0 restores normal answers.
 func TestForcedRCodeClear(t *testing.T) {
 	s := testServer(t)

@@ -64,11 +64,10 @@ type Server struct {
 	// Forced-rcode failure dial (SetForcedRCode), all under mu. The
 	// accumulator implements deterministic error diffusion: no RNG, so a
 	// run's forced-answer pattern is a pure function of arrival order.
-	forcedRC    dnswire.RCode
-	forcedFrac  float64
-	forcedAcc   float64
-	forcedNames map[string]bool
-	forcedHits  int64
+	forcedRC   dnswire.RCode
+	forcedFrac float64
+	forcedAcc  float64
+	forcedHits int64
 }
 
 // SetForcedRCode makes the server answer frac of subsequent in-zone
@@ -77,23 +76,15 @@ type Server struct {
 // internal/ddos.Phase). The selection is deterministic error diffusion —
 // an accumulator gains frac per eligible query and a forced answer fires
 // each time it crosses 1 — so the same query sequence always corrupts
-// the same answers. Optional names limit the dial to those query names
-// (per-record disruption). frac <= 0 clears the dial.
-func (s *Server) SetForcedRCode(rc dnswire.RCode, frac float64, names ...string) {
+// the same answers. frac <= 0 clears the dial.
+func (s *Server) SetForcedRCode(rc dnswire.RCode, frac float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if frac <= 0 {
-		s.forcedFrac, s.forcedAcc, s.forcedNames = 0, 0, nil
+		s.forcedFrac, s.forcedAcc = 0, 0
 		return
 	}
 	s.forcedRC, s.forcedFrac, s.forcedAcc = rc, frac, 0
-	s.forcedNames = nil
-	if len(names) > 0 {
-		s.forcedNames = make(map[string]bool, len(names))
-		for _, n := range names {
-			s.forcedNames[dnswire.CanonicalName(n)] = true
-		}
-	}
 }
 
 // forceRCode advances the error-diffusion accumulator for one eligible
@@ -341,8 +332,7 @@ func (s *Server) handle(q, resp *dnswire.Message) bool {
 	}
 	// Sampled inside the critical section the tally already pays for, so
 	// the disabled dial costs the fast path nothing extra.
-	forcedArmed := s.forcedFrac > 0 &&
-		(s.forcedNames == nil || s.forcedNames[question.Name])
+	forcedArmed := s.forcedFrac > 0
 	s.mu.Unlock()
 
 	z := s.findZone(question.Name)

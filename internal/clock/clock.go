@@ -7,15 +7,15 @@
 // Multi-hour experiments with tens of thousands of resolvers execute in
 // milliseconds, and runs are bit-for-bit reproducible for a given seed.
 //
-// Ownership: a Virtual (and the Heap oracle), the netsim.Network on it and
-// every engine attached to that network belong to one goroutine — the one
-// that builds the cell and calls Run. None of them locks. The daemons
-// never use these types; they serialise the same engines on the wall
-// clock with udprun.Loop.
+// Ownership: a Virtual (and the clocktest.Heap oracle), the netsim.Network
+// on it and every engine attached to that network belong to one goroutine
+// — the one that builds the cell and calls Run. None of them locks. The
+// daemons never use these types; they serialise the same engines on the
+// wall clock with udprun.Loop.
 //
 // Virtual is backed by a hierarchical timing wheel (see wheel.go); the
-// previous container/heap implementation survives as Heap (heapref.go),
-// the reference oracle for the differential property tests.
+// previous container/heap implementation survives as clocktest.Heap, the
+// reference oracle for the differential tests.
 package clock
 
 import (

@@ -352,7 +352,7 @@ func (v *Virtual) stopNode(e *event, gen uint32) bool {
 
 // step runs the earliest pending event, if any, and reports whether one
 // ran. With useLimit, an event past limitNs does not run; the clock
-// advances to the limit instead (matching the Heap reference).
+// advances to the limit instead (matching the clocktest.Heap reference).
 func (v *Virtual) step(limitNs int64, useLimit bool) bool {
 	if v.live == 0 {
 		return false

@@ -113,66 +113,3 @@ func TestWheelHorizonFromAdvancedCursor(t *testing.T) {
 		}
 	}
 }
-
-// TestWheelFarRecascadeMatchesHeap drives the wheel and the Heap reference
-// with an identical schedule clustered around multiples of the horizon and
-// asserts bit-identical firing order and timestamps across three level-3
-// rollovers, including events scheduled from callbacks mid-run.
-func TestWheelFarRecascadeMatchesHeap(t *testing.T) {
-	start := time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC)
-	tick := time.Duration(1) << tickBits
-
-	var durations []time.Duration
-	for h := 0; h <= 3; h++ {
-		for _, off := range []time.Duration{
-			-tick, 0, tick, 7 * tick, 300 * tick, time.Hour,
-		} {
-			d := time.Duration(h)*horizonNs + off
-			if d < 0 {
-				continue
-			}
-			durations = append(durations, d)
-		}
-	}
-
-	type rec struct {
-		label int
-		at    time.Duration
-	}
-	run := func(c interface {
-		Now() time.Time
-		AfterFunc(time.Duration, func()) Timer
-	}, runAll func()) []rec {
-		var out []rec
-		for i, d := range durations {
-			i, d := i, d
-			c.AfterFunc(d, func() {
-				out = append(out, rec{i, c.Now().Sub(start)})
-				// Re-schedule across the next rollover from inside the
-				// callback: exercises far-list placement at a moved cursor.
-				if d == horizonNs {
-					c.AfterFunc(horizonNs, func() {
-						out = append(out, rec{-1, c.Now().Sub(start)})
-					})
-				}
-			})
-		}
-		runAll()
-		return out
-	}
-
-	w := NewVirtual(start)
-	wheelOrder := run(w, w.Run)
-	h := NewHeap(start)
-	heapOrder := run(h, h.Run)
-
-	if len(wheelOrder) != len(heapOrder) {
-		t.Fatalf("wheel fired %d events, heap %d", len(wheelOrder), len(heapOrder))
-	}
-	for i := range wheelOrder {
-		if wheelOrder[i] != heapOrder[i] {
-			t.Fatalf("divergence at firing %d: wheel %+v, heap %+v",
-				i, wheelOrder[i], heapOrder[i])
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -184,119 +183,3 @@ type plainClock struct{ v *Virtual }
 
 func (p plainClock) Now() time.Time                            { return p.v.Now() }
 func (p plainClock) AfterFunc(d time.Duration, f func()) Timer { return p.v.AfterFunc(d, f) }
-
-// --- differential check against the heap reference ---
-
-// driveBoth runs one random schedule through the wheel and the heap
-// reference and fails on any divergence in firing order, observed Now at
-// each firing, Stop results, or final counters.
-func driveBoth(t *testing.T, seed int64) {
-	t.Helper()
-	type rec struct {
-		id  int
-		now time.Duration
-	}
-	run := func(mk func() interface {
-		Clock
-		Run()
-		RunUntil(time.Time)
-		Pending() int
-		Counters() (int64, int64, int64)
-	}) (fired []rec, stops []bool, sched, exec, stopped int64, now time.Time) {
-		rng := rand.New(rand.NewSource(seed))
-		clk := mk()
-		var timers []Timer
-		id := 0
-		var schedule func(depth int)
-		schedule = func(depth int) {
-			n := 2 + rng.Intn(6)
-			for i := 0; i < n; i++ {
-				myID := id
-				id++
-				var d time.Duration
-				switch rng.Intn(6) {
-				case 0:
-					d = 0
-				case 1:
-					d = time.Duration(rng.Intn(1000)) * time.Nanosecond
-				case 2:
-					d = time.Duration(rng.Intn(5000)) * time.Millisecond
-				case 3:
-					d = time.Duration(rng.Intn(7200)) * time.Second // multi-hour TTLs
-				case 4:
-					d = time.Duration(rng.Intn(90*24)) * time.Hour // past the horizon
-				default:
-					d = time.Duration(rng.Intn(64)) * time.Duration(1<<tickBits) // slot collisions
-				}
-				nested := depth < 2 && rng.Intn(4) == 0
-				timers = append(timers, clk.AfterFunc(d, func() {
-					fired = append(fired, rec{myID, clk.Now().Sub(epoch)})
-					if nested {
-						schedule(depth + 1)
-					}
-				}))
-				if rng.Intn(5) == 0 && len(timers) > 0 {
-					victim := timers[rng.Intn(len(timers))]
-					stops = append(stops, victim.Stop())
-				}
-			}
-		}
-		schedule(0)
-		// Drain in bounded chunks, then fully.
-		clk.RunUntil(epoch.Add(time.Duration(rng.Intn(3600)) * time.Second))
-		schedule(0)
-		clk.Run()
-		sched, exec, stopped = clk.Counters()
-		now = clk.Now()
-		return
-	}
-
-	wf, ws, wsc, wx, wst, wnow := run(func() interface {
-		Clock
-		Run()
-		RunUntil(time.Time)
-		Pending() int
-		Counters() (int64, int64, int64)
-	} {
-		return NewVirtual(epoch)
-	})
-	hf, hs, hsc, hx, hst, hnow := run(func() interface {
-		Clock
-		Run()
-		RunUntil(time.Time)
-		Pending() int
-		Counters() (int64, int64, int64)
-	} {
-		return NewHeap(epoch)
-	})
-
-	if len(wf) != len(hf) {
-		t.Fatalf("seed %d: wheel fired %d events, heap fired %d", seed, len(wf), len(hf))
-	}
-	for i := range wf {
-		if wf[i] != hf[i] {
-			t.Fatalf("seed %d: firing %d diverges: wheel %+v heap %+v", seed, i, wf[i], hf[i])
-		}
-	}
-	if len(ws) != len(hs) {
-		t.Fatalf("seed %d: stop counts diverge: %d vs %d", seed, len(ws), len(hs))
-	}
-	for i := range ws {
-		if ws[i] != hs[i] {
-			t.Fatalf("seed %d: Stop result %d diverges: wheel %v heap %v", seed, i, ws[i], hs[i])
-		}
-	}
-	if wsc != hsc || wx != hx || wst != hst {
-		t.Fatalf("seed %d: counters diverge: wheel (%d,%d,%d) heap (%d,%d,%d)",
-			seed, wsc, wx, wst, hsc, hx, hst)
-	}
-	if !wnow.Equal(hnow) {
-		t.Fatalf("seed %d: final Now diverges: wheel %v heap %v", seed, wnow, hnow)
-	}
-}
-
-func TestWheelMatchesHeapRandomSchedules(t *testing.T) {
-	for seed := int64(1); seed <= 25; seed++ {
-		driveBoth(t, seed)
-	}
-}

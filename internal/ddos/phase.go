@@ -53,8 +53,8 @@ func (m FailureMode) RCode() dnswire.RCode {
 }
 
 // Phase is one time window of a staged disruption: from Start (relative
-// to schedule time) for Duration, Intensity of the traffic at the
-// selected targets fails in the given Mode.
+// to schedule time) for Duration, Intensity of the traffic at every
+// target fails in the given Mode.
 type Phase struct {
 	Start    time.Duration
 	Duration time.Duration // 0 = never ends within the experiment
@@ -62,32 +62,17 @@ type Phase struct {
 	// ModeDrop, the forced-answer fraction for the rcode modes.
 	Intensity float64
 	Mode      FailureMode
-	// TargetCount selects the first k of the plan's targets; 0 means
-	// every target (the paper's "all NSes" vs "one NS" axis).
-	TargetCount int
-	// Records, for the rcode modes, limits the forced answers to these
-	// query names (per-record disruption); nil corrupts every name.
-	Records []string
-}
-
-// targets returns the slice of plan targets this phase applies to.
-func (ph Phase) targets(all []netsim.Addr) []netsim.Addr {
-	if ph.TargetCount > 0 && ph.TargetCount < len(all) {
-		return all[:ph.TargetCount]
-	}
-	return all
 }
 
 // RCodeServer is the authoritative-side hook the rcode failure modes
 // drive; *authoritative.Server implements it.
 type RCodeServer interface {
-	SetForcedRCode(rc dnswire.RCode, frac float64, names ...string)
+	SetForcedRCode(rc dnswire.RCode, frac float64)
 }
 
 // Plan is a staged multi-phase disruption against a fixed target set.
 type Plan struct {
-	// Targets are the attacked addresses; Phase.TargetCount indexes into
-	// this slice.
+	// Targets are the attacked addresses.
 	Targets []netsim.Addr
 	// Servers, parallel to Targets, are the authoritative engines behind
 	// the addresses. Only the rcode failure modes need them; a plan of
@@ -125,7 +110,7 @@ func SchedulePhases(clk clock.Clock, net *netsim.Network, p Plan) {
 func applyPhase(net *netsim.Network, targets []netsim.Addr, servers []RCodeServer,
 	ph Phase, tr *trace.Buffer, on bool) {
 
-	for i, t := range ph.targets(targets) {
+	for i, t := range targets {
 		switch ph.Mode {
 		case ModeDrop:
 			if on {
@@ -138,7 +123,7 @@ func applyPhase(net *netsim.Network, targets []netsim.Addr, servers []RCodeServe
 				continue
 			}
 			if on {
-				servers[i].SetForcedRCode(ph.Mode.RCode(), ph.Intensity, ph.Records...)
+				servers[i].SetForcedRCode(ph.Mode.RCode(), ph.Intensity)
 			} else {
 				servers[i].SetForcedRCode(ph.Mode.RCode(), 0)
 			}

@@ -1,7 +1,6 @@
 package ddos
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -35,37 +34,18 @@ func TestSchedulePhasesStagedDrops(t *testing.T) {
 	check(55*time.Minute, 0)   // recovery
 }
 
-func TestSchedulePhasesTargetCount(t *testing.T) {
-	clk := clock.NewVirtual(epoch)
-	net := netsim.New(clk, 1)
-	SchedulePhases(clk, net, Plan{
-		Targets: []netsim.Addr{"a", "b"},
-		Phases: []Phase{
-			{Start: time.Minute, Intensity: 0.9, Mode: ModeDrop, TargetCount: 1},
-		},
-	})
-	clk.RunFor(2 * time.Minute)
-	if got := net.InboundLoss("a"); got != 0.9 {
-		t.Errorf("loss(a) = %v, want 0.9", got)
-	}
-	if got := net.InboundLoss("b"); got != 0 {
-		t.Errorf("loss(b) = %v, want 0 (TargetCount 1)", got)
-	}
-}
-
 // rcodeRecorder records SetForcedRCode calls in order.
 type rcodeRecorder struct {
 	calls []rcodeCall
 }
 
 type rcodeCall struct {
-	rc    dnswire.RCode
-	frac  float64
-	names []string
+	rc   dnswire.RCode
+	frac float64
 }
 
-func (r *rcodeRecorder) SetForcedRCode(rc dnswire.RCode, frac float64, names ...string) {
-	r.calls = append(r.calls, rcodeCall{rc: rc, frac: frac, names: names})
+func (r *rcodeRecorder) SetForcedRCode(rc dnswire.RCode, frac float64) {
+	r.calls = append(r.calls, rcodeCall{rc: rc, frac: frac})
 }
 
 func TestSchedulePhasesRCodeModes(t *testing.T) {
@@ -76,14 +56,13 @@ func TestSchedulePhasesRCodeModes(t *testing.T) {
 		Targets: []netsim.Addr{"a"},
 		Servers: []RCodeServer{srv},
 		Phases: []Phase{
-			{Start: time.Minute, Duration: time.Minute, Intensity: 0.75,
-				Mode: ModeServFail, Records: []string{"1414.cachetest.nl."}},
+			{Start: time.Minute, Duration: time.Minute, Intensity: 0.75, Mode: ModeServFail},
 			{Start: 3 * time.Minute, Duration: time.Minute, Intensity: 1, Mode: ModeNXDomain},
 		},
 	})
 	clk.RunFor(10 * time.Minute)
 	want := []rcodeCall{
-		{rc: dnswire.RCodeServFail, frac: 0.75, names: []string{"1414.cachetest.nl."}},
+		{rc: dnswire.RCodeServFail, frac: 0.75},
 		{rc: dnswire.RCodeServFail, frac: 0},
 		{rc: dnswire.RCodeNXDomain, frac: 1},
 		{rc: dnswire.RCodeNXDomain, frac: 0},
@@ -92,11 +71,8 @@ func TestSchedulePhasesRCodeModes(t *testing.T) {
 		t.Fatalf("calls = %+v, want %+v", srv.calls, want)
 	}
 	for i := range want {
-		got := srv.calls[i]
-		if got.rc != want[i].rc || got.frac != want[i].frac ||
-			!reflect.DeepEqual(got.names, want[i].names) &&
-				!(len(got.names) == 0 && len(want[i].names) == 0) {
-			t.Errorf("call %d = %+v, want %+v", i, got, want[i])
+		if srv.calls[i] != want[i] {
+			t.Errorf("call %d = %+v, want %+v", i, srv.calls[i], want[i])
 		}
 	}
 	// An rcode phase must not touch the packet-loss dial.

@@ -52,23 +52,17 @@ func advAddr(base string, pid int) netsim.Addr {
 
 // NXNSSpec shapes the NXNS amplification experiment: each probe issues
 // one query into an attacker zone whose referral width cycles through
-// Widths, and MaxFetch is the resolver-side mitigation cap (0 = off).
+// nxnsWidths, and MaxFetch is the resolver-side mitigation cap (0 = off).
 type NXNSSpec struct {
-	// Widths is the delegation-width axis; probe i draws
-	// Widths[(i-1) % len(Widths)]. Default {4, 8, 12, 20} — bounded by
-	// the resolver work budget (40), which itself caps the fan-out.
-	Widths []int
 	// MaxFetch is recursive.Config.MaxFetch: at most k NS-address
 	// fetches per glueless delegation. 0 disables the mitigation.
 	MaxFetch int
 }
 
-func (s NXNSSpec) withDefaults() NXNSSpec {
-	if len(s.Widths) == 0 {
-		s.Widths = []int{4, 8, 12, 20}
-	}
-	return s
-}
+// nxnsWidths is the delegation-width axis; probe i draws
+// nxnsWidths[(i-1) % len(nxnsWidths)]. The widest is bounded by the
+// resolver work budget (40), which itself caps the fan-out.
+var nxnsWidths = [...]int{4, 8, 12, 20}
 
 // NXNSRow is one delegation-width bucket of the NXNS report.
 type NXNSRow struct {
@@ -110,9 +104,9 @@ func nxnsAuthAddr(i int) netsim.Addr {
 
 // nxnsExtraNL builds the nl. delegations (with glue) handing each
 // attacker zone to its malicious authoritative.
-func nxnsExtraNL(widths []int) []dnswire.RR {
-	rrs := make([]dnswire.RR, 0, 2*len(widths))
-	for i, w := range widths {
+func nxnsExtraNL() []dnswire.RR {
+	rrs := make([]dnswire.RR, 0, 2*len(nxnsWidths))
+	for i, w := range nxnsWidths {
 		z := nxnsZone(w)
 		host := "ns." + z
 		rrs = append(rrs,
@@ -129,11 +123,11 @@ func nxnsExtraNL(widths []int) []dnswire.RR {
 // amplification measurement clean).
 func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 	probes, seed := base.Probes, base.Seed
-	base.ExtraNL = nxnsExtraNL(spec.Widths)
+	base.ExtraNL = nxnsExtraNL()
 	tb := NewTestbed(base)
 
-	auths := make([]*adversary.NXNSAuth, len(spec.Widths))
-	for i, w := range spec.Widths {
+	auths := make([]*adversary.NXNSAuth, len(nxnsWidths))
+	for i, w := range nxnsWidths {
 		a := adversary.NewNXNSAuth(adversary.NXNSConfig{
 			Zone: nxnsZone(w), Width: w, VictimDomain: Domain,
 		})
@@ -141,7 +135,7 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 		auths[i] = a
 	}
 
-	rows := newNXNSRows(spec)
+	rows := newNXNSRows()
 
 	// Victim-side tap: count queries for fabricated NXNS targets at the
 	// cachetest.nl authoritatives and attribute them — the triggering
@@ -167,12 +161,12 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 		if err != nil || pid < 1 || pid > probes {
 			return
 		}
-		rows[(pid-1)%len(spec.Widths)].VictimQueries++
+		rows[(pid-1)%len(nxnsWidths)].VictimQueries++
 	})
 
 	resolvers := make([]*recursive.Resolver, 0, probes)
 	for pid := 1; pid <= probes; pid++ {
-		wi := (pid - 1) % len(spec.Widths)
+		wi := (pid - 1) % len(nxnsWidths)
 		r := recursive.NewResolver(tb.Clk, recursive.Config{
 			RootHints: tb.rootHints(),
 			MaxFetch:  spec.MaxFetch,
@@ -185,7 +179,7 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 		c := stub.New(tb.Clk, stub.Config{Timeout: 15 * time.Second})
 		c.Attach(tb.Net, advAddr("10.6", pid))
 
-		qname := itoa(pid) + "." + nxnsZone(spec.Widths[wi])
+		qname := itoa(pid) + "." + nxnsZone(nxnsWidths[wi])
 		row := &rows[wi]
 		at := time.Duration(pid-1) * 5 * time.Millisecond
 		tb.Clk.AfterFunc(at, func() {
@@ -220,10 +214,10 @@ func advCollect(tb *Testbed, resolvers []*recursive.Resolver, adversaries func(m
 	return tb
 }
 
-// newNXNSRows builds the empty row set of one spec, one row per width.
-func newNXNSRows(spec NXNSSpec) []NXNSRow {
-	rows := make([]NXNSRow, len(spec.Widths))
-	for i, w := range spec.Widths {
+// newNXNSRows builds the empty row set, one row per width.
+func newNXNSRows() []NXNSRow {
+	rows := make([]NXNSRow, len(nxnsWidths))
+	for i, w := range nxnsWidths {
 		rows[i].Width = w
 	}
 	return rows
@@ -271,10 +265,10 @@ type nxnsScenario struct{ spec NXNSSpec }
 
 // NXNSScenario wraps an NXNS amplification spec as a Scenario.
 func NXNSScenario(spec NXNSSpec) Scenario {
-	return nxnsScenario{spec: spec.withDefaults()}
+	return nxnsScenario{spec: spec}
 }
 
-// Spec exposes the wrapped (defaulted) spec for golden tests.
+// Spec exposes the wrapped spec for golden tests.
 func (s nxnsScenario) Spec() NXNSSpec { return s.spec }
 
 func (s nxnsScenario) Name() string {
@@ -286,7 +280,7 @@ func (s nxnsScenario) Name() string {
 
 func (s nxnsScenario) labels() map[string]string {
 	widths := ""
-	for i, w := range s.spec.Widths {
+	for i, w := range nxnsWidths {
 		if i > 0 {
 			widths += "x"
 		}
@@ -296,7 +290,7 @@ func (s nxnsScenario) labels() map[string]string {
 }
 
 func (s nxnsScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	total := &NXNSResult{MaxFetch: s.spec.MaxFetch, Rows: newNXNSRows(s.spec)}
+	total := &NXNSResult{MaxFetch: s.spec.MaxFetch, Rows: newNXNSRows()}
 	return runCells(ctx, s.Name(), cfg, cellRun[*NXNSResult]{
 		cell: func(base TestbedConfig) (*NXNSResult, *Testbed) {
 			return runNXNSTestbed(s.spec, base)
@@ -321,30 +315,16 @@ type PoisonSpec struct {
 	// NoBailiwick disables the victim resolvers' bailiwick check, so
 	// out-of-zone records smuggled in the forgery get cached.
 	NoBailiwick bool
-	// IDWindow, Waves, WaveEvery, and PortGuess shape the spray (see
-	// adversary.SpoofConfig). Defaults: 16, 24, 2ms, 1.
-	IDWindow  int
-	Waves     int
-	WaveEvery time.Duration
-	// PortGuess is the per-packet source-port guess success rate.
-	PortGuess float64
 }
 
-func (s PoisonSpec) withDefaults() PoisonSpec {
-	if s.IDWindow == 0 {
-		s.IDWindow = 16
-	}
-	if s.Waves == 0 {
-		s.Waves = 24
-	}
-	if s.WaveEvery == 0 {
-		s.WaveEvery = 2 * time.Millisecond
-	}
-	if s.PortGuess == 0 {
-		s.PortGuess = 1
-	}
-	return s
-}
+// The spray every probe's spoofer fires (see adversary.SpoofConfig):
+// poisonWaves waves poisonWaveEvery apart, each guessing poisonIDWindow
+// query IDs. The source port is always guessed right (PortGuess 1).
+const (
+	poisonIDWindow  = 16
+	poisonWaves     = 24
+	poisonWaveEvery = 2 * time.Millisecond
+)
 
 // poisonAttackerAAAA is the address the forged answers point the victim
 // name at — its presence marks a successful hijack.
@@ -405,9 +385,9 @@ func runPoisonTestbed(spec PoisonSpec, base TestbedConfig) (*PoisonResult, *Test
 
 		sp := adversary.NewSpoofer(tb.Clk, tb.Net, adversary.SpoofConfig{
 			Target: rAddr, Source: tb.AuthAddrs[0],
-			IDFirst: 1, IDWindow: spec.IDWindow,
-			Waves: spec.Waves, WaveEvery: spec.WaveEvery,
-			PortGuess: spec.PortGuess,
+			IDFirst: 1, IDWindow: poisonIDWindow,
+			Waves: poisonWaves, WaveEvery: poisonWaveEvery,
+			PortGuess: 1,
 			Seed:      mixSeed(seed, pid) + 1,
 		})
 		spoofers = append(spoofers, sp)
@@ -489,7 +469,7 @@ func (r *PoisonResult) absorb(cell *PoisonResult) {
 // full defense stack on, that poisoning stayed (near) impossible.
 func poisonInvariants(spec PoisonSpec, res *PoisonResult, snap metrics.Snapshot) []metrics.Invariant {
 	adv := snap.Scope("adversary")
-	draws := res.Attempts * int64(spec.Waves) * int64(spec.IDWindow)
+	draws := res.Attempts * poisonWaves * poisonIDWindow
 	invs := []metrics.Invariant{
 		metrics.EqualInt("spoof_draws_conserved",
 			adv.Counter("spoof_sent")+adv.Counter("spoof_wrong_port"), draws,
@@ -513,10 +493,10 @@ type poisonScenario struct{ spec PoisonSpec }
 
 // PoisonScenario wraps one poisoning defense combo as a Scenario.
 func PoisonScenario(spec PoisonSpec) Scenario {
-	return poisonScenario{spec: spec.withDefaults()}
+	return poisonScenario{spec: spec}
 }
 
-// Spec exposes the wrapped (defaulted) spec for golden tests.
+// Spec exposes the wrapped spec for golden tests.
 func (s poisonScenario) Spec() PoisonSpec { return s.spec }
 
 func (s poisonScenario) Name() string {
@@ -534,8 +514,8 @@ func (s poisonScenario) labels() map[string]string {
 	return map[string]string{
 		"random_ids":   strconv.FormatBool(s.spec.RandomIDs),
 		"no_bailiwick": strconv.FormatBool(s.spec.NoBailiwick),
-		"id_window":    itoa(s.spec.IDWindow),
-		"waves":        itoa(s.spec.Waves),
+		"id_window":    itoa(poisonIDWindow),
+		"waves":        itoa(poisonWaves),
 	}
 }
 
@@ -555,26 +535,13 @@ func (s poisonScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error
 
 // ---- Reflection ----
 
-// ReflectSpec shapes the reflection/amplification experiment: per
-// probe, one spoofed-source query per shape, paced Every apart.
-type ReflectSpec struct {
-	// Every is the per-probe pacing (default 2ms); the victim-side qps
-	// figure divides by it.
-	Every time.Duration
-	// EDNSSize is the advertised buffer size of the EDNS shapes
-	// (default 4096).
-	EDNSSize uint16
-}
-
-func (s ReflectSpec) withDefaults() ReflectSpec {
-	if s.Every == 0 {
-		s.Every = 2 * time.Millisecond
-	}
-	if s.EDNSSize == 0 {
-		s.EDNSSize = 4096
-	}
-	return s
-}
+// The reflection/amplification experiment sends, per probe, one
+// spoofed-source query per shape, reflectEvery apart (the victim-side qps
+// figure divides by it); the EDNS shapes advertise reflectEDNSSize.
+const (
+	reflectEvery    = 2 * time.Millisecond
+	reflectEDNSSize = 4096
+)
 
 // ReflectRow is one query shape of the reflection report.
 type ReflectRow struct {
@@ -617,7 +584,7 @@ func reflectVictimAddr(i int) netsim.Addr {
 }
 
 // runReflectTestbed runs one cell of the reflection experiment.
-func runReflectTestbed(spec ReflectSpec, base TestbedConfig) (*ReflectResult, *Testbed) {
+func runReflectTestbed(base TestbedConfig) (*ReflectResult, *Testbed) {
 	probes := base.Probes
 	tb := NewTestbed(base)
 
@@ -642,9 +609,9 @@ func runReflectTestbed(spec ReflectSpec, base TestbedConfig) (*ReflectResult, *T
 	}{
 		{"AAAA", dnswire.TypeAAAA, 0,
 			func(pid int) string { return vantage.QName(uint16(pid), Domain) }},
-		{"NS+EDNS", dnswire.TypeNS, spec.EDNSSize,
+		{"NS+EDNS", dnswire.TypeNS, reflectEDNSSize,
 			func(int) string { return Domain }},
-		{"TXT+EDNS", dnswire.TypeTXT, spec.EDNSSize,
+		{"TXT+EDNS", dnswire.TypeTXT, reflectEDNSSize,
 			func(int) string { return reflectTXTName }},
 	}
 
@@ -660,7 +627,7 @@ func runReflectTestbed(spec ReflectSpec, base TestbedConfig) (*ReflectResult, *T
 	}
 
 	for pid := 1; pid <= probes; pid++ {
-		at := time.Duration(pid-1) * spec.Every
+		at := time.Duration(pid-1) * reflectEvery
 		for i, sh := range shapes {
 			i, qname, qtype := i, sh.qname(pid), sh.qtype
 			tb.Clk.AfterFunc(at, func() { refls[i].Send(qname, qtype) })
@@ -709,10 +676,11 @@ func (r *ReflectResult) absorb(cell *ReflectResult) {
 }
 
 // reflectFinalize computes the rate figure from the exact-merged
-// integers: the attack window is Probes*Every per definition of the
-// spray schedule, so the value is a pure function of config and totals.
-func reflectFinalize(spec ReflectSpec, res *ReflectResult, probes int) *ReflectResult {
-	window := time.Duration(probes) * spec.Every
+// integers: the attack window is probes*reflectEvery per definition of
+// the spray schedule, so the value is a pure function of config and
+// totals.
+func reflectFinalize(res *ReflectResult, probes int) *ReflectResult {
+	window := time.Duration(probes) * reflectEvery
 	if s := window.Seconds(); s > 0 {
 		res.VictimQPS = float64(res.VictimPackets) / s
 	}
@@ -738,28 +706,22 @@ func reflectInvariants(res *ReflectResult, snap metrics.Snapshot) []metrics.Inva
 	)
 }
 
-type reflectScenario struct{ spec ReflectSpec }
+type reflectScenario struct{}
 
-// ReflectScenario wraps the reflection/amplification spec as a Scenario.
-func ReflectScenario(spec ReflectSpec) Scenario {
-	return reflectScenario{spec: spec.withDefaults()}
-}
-
-// Spec exposes the wrapped (defaulted) spec for golden tests.
-func (s reflectScenario) Spec() ReflectSpec { return s.spec }
+// ReflectScenario is the reflection/amplification measurement as a
+// Scenario.
+func ReflectScenario() Scenario { return reflectScenario{} }
 
 func (reflectScenario) Name() string { return "reflect" }
 
-func (s reflectScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
+func (reflectScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	total := &ReflectResult{}
 	return runCells(ctx, "reflect", cfg, cellRun[*ReflectResult]{
-		cell: func(base TestbedConfig) (*ReflectResult, *Testbed) {
-			return runReflectTestbed(s.spec, base)
-		},
+		cell: runReflectTestbed,
 		fold: total.absorb,
 		finish: func(out *Outcome, snap metrics.Snapshot) (map[string]string, []metrics.Invariant) {
-			out.Reflect = reflectFinalize(s.spec, total, cfg.Probes)
-			return map[string]string{"edns_size": strconv.FormatUint(uint64(s.spec.EDNSSize), 10)},
+			out.Reflect = reflectFinalize(total, cfg.Probes)
+			return map[string]string{"edns_size": itoa(reflectEDNSSize)},
 				reflectInvariants(out.Reflect, snap)
 		},
 	})

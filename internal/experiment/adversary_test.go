@@ -13,9 +13,9 @@ import (
 // byte-identical at every shard count.
 func TestAdversaryShardDeterminism(t *testing.T) {
 	scenarios := []Scenario{
-		NXNSScenario(NXNSSpec{Widths: []int{3, 6}, MaxFetch: 2}),
-		PoisonScenario(PoisonSpec{Waves: 8, IDWindow: 8}),
-		ReflectScenario(ReflectSpec{}),
+		NXNSScenario(NXNSSpec{MaxFetch: 2}),
+		PoisonScenario(PoisonSpec{}),
+		ReflectScenario(),
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -54,7 +54,7 @@ func TestNXNSMaxFetchCap(t *testing.T) {
 	t.Parallel()
 	run := func(k int) *NXNSResult {
 		out, err := Run(context.Background(),
-			NXNSScenario(NXNSSpec{Widths: []int{4, 12}, MaxFetch: k}),
+			NXNSScenario(NXNSSpec{MaxFetch: k}),
 			RunConfig{Probes: 24, Seed: 5, Shards: 2, ShardProbes: 12})
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func TestPoisonEfficacy(t *testing.T) {
 // reflected query.
 func TestReflectAmplification(t *testing.T) {
 	t.Parallel()
-	out, err := Run(context.Background(), ReflectScenario(ReflectSpec{}),
+	out, err := Run(context.Background(), ReflectScenario(),
 		RunConfig{Probes: 30, Seed: 7, Shards: 2, ShardProbes: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -194,9 +194,9 @@ func TestPoisonTraceHijack(t *testing.T) {
 func TestAdversarySmoke(t *testing.T) {
 	t.Parallel()
 	scenarios := []Scenario{
-		NXNSScenario(NXNSSpec{Widths: []int{4, 8}, MaxFetch: 4}),
+		NXNSScenario(NXNSSpec{MaxFetch: 4}),
 		PoisonScenario(PoisonSpec{RandomIDs: true}),
-		ReflectScenario(ReflectSpec{}),
+		ReflectScenario(),
 	}
 	for _, sc := range scenarios {
 		out, err := Run(context.Background(), sc, RunConfig{

@@ -21,7 +21,7 @@ func smallCampaign(shards int) []CampaignItem {
 	staged := DDoSSpec{
 		Name: "staged", TTL: 1800,
 		DDoSStart: 30 * time.Minute, DDoSDur: 60 * time.Minute,
-		QueriesBefore: 3, TotalDur: 120 * time.Minute,
+		TotalDur:      120 * time.Minute,
 		ProbeInterval: 10 * time.Minute, Loss: 1, TargetsAll: true,
 		Phases: []ddos.Phase{
 			{Start: 30 * time.Minute, Duration: 30 * time.Minute,
@@ -172,7 +172,6 @@ func TestCampaignInvalidSpecKeepsSiblings(t *testing.T) {
 	good.TotalDur = 60 * time.Minute // keep the test fast
 	good.DDoSStart = 20 * time.Minute
 	good.DDoSDur = 20 * time.Minute
-	good.QueriesBefore = 2
 	bad := good
 	bad.ProbeInterval = 0 // division by zero round count → run error
 	cfg := RunConfig{Probes: 40, Seed: 5, Shards: 1, ShardProbes: 16}

@@ -61,7 +61,6 @@ func TestPerProbeTable7(t *testing.T) {
 	spec.TotalDur = 60 * time.Minute
 	spec.DDoSStart = 30 * time.Minute
 	spec.DDoSDur = 20 * time.Minute
-	spec.QueriesBefore = 3
 	kept := mustRun(t, DDoSScenario(spec), RunConfig{Probes: 60, Seed: 5, KeepWorlds: true})
 	res, tb := kept.DDoS, kept.Worlds.Shards[0]
 	probe := BusiestProbe(tb)

@@ -18,7 +18,6 @@ type DDoSSpec struct {
 	TTL           uint32
 	DDoSStart     time.Duration
 	DDoSDur       time.Duration // 0 = until the end of the run (Experiment A)
-	QueriesBefore int           // probing rounds before the attack
 	TotalDur      time.Duration
 	ProbeInterval time.Duration
 	Loss          float64
@@ -27,9 +26,9 @@ type DDoSSpec struct {
 	TargetsAll bool
 	// Phases, when non-empty, replaces the single Loss/DDoSStart/DDoSDur
 	// window with a staged multi-phase disruption (partial outage → total
-	// → recovery, NXDOMAIN/SERVFAIL failure modes, per-phase target
-	// counts). The scalar fields above then only describe the envelope
-	// for display (Table 4). Compiled from spec disruption windows; see
+	// → recovery, NXDOMAIN/SERVFAIL failure modes) against every
+	// authoritative. The scalar fields above then only describe the
+	// envelope for display (Table 4). Compiled from spec disruption windows; see
 	// internal/spec.
 	Phases []ddos.Phase
 }
@@ -38,23 +37,23 @@ type DDoSSpec struct {
 // follow the published figures (A runs 120 minutes with no recovery; B–I
 // run 180 minutes with recovery after one hour of attack).
 var PaperExperiments = []DDoSSpec{
-	{Name: "A", TTL: 3600, DDoSStart: 10 * time.Minute, DDoSDur: 0, QueriesBefore: 1,
+	{Name: "A", TTL: 3600, DDoSStart: 10 * time.Minute, DDoSDur: 0,
 		TotalDur: 120 * time.Minute, ProbeInterval: 10 * time.Minute, Loss: 1, TargetsAll: true},
-	{Name: "B", TTL: 3600, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute, QueriesBefore: 6,
+	{Name: "B", TTL: 3600, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute,
 		TotalDur: 180 * time.Minute, ProbeInterval: 10 * time.Minute, Loss: 1, TargetsAll: true},
-	{Name: "C", TTL: 1800, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute, QueriesBefore: 6,
+	{Name: "C", TTL: 1800, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute,
 		TotalDur: 180 * time.Minute, ProbeInterval: 10 * time.Minute, Loss: 1, TargetsAll: true},
-	{Name: "D", TTL: 1800, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute, QueriesBefore: 6,
+	{Name: "D", TTL: 1800, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute,
 		TotalDur: 180 * time.Minute, ProbeInterval: 10 * time.Minute, Loss: 0.5, TargetsAll: false},
-	{Name: "E", TTL: 1800, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute, QueriesBefore: 6,
+	{Name: "E", TTL: 1800, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute,
 		TotalDur: 180 * time.Minute, ProbeInterval: 10 * time.Minute, Loss: 0.5, TargetsAll: true},
-	{Name: "F", TTL: 1800, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute, QueriesBefore: 6,
+	{Name: "F", TTL: 1800, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute,
 		TotalDur: 180 * time.Minute, ProbeInterval: 10 * time.Minute, Loss: 0.75, TargetsAll: true},
-	{Name: "G", TTL: 300, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute, QueriesBefore: 6,
+	{Name: "G", TTL: 300, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute,
 		TotalDur: 180 * time.Minute, ProbeInterval: 10 * time.Minute, Loss: 0.75, TargetsAll: true},
-	{Name: "H", TTL: 1800, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute, QueriesBefore: 6,
+	{Name: "H", TTL: 1800, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute,
 		TotalDur: 180 * time.Minute, ProbeInterval: 10 * time.Minute, Loss: 0.9, TargetsAll: true},
-	{Name: "I", TTL: 60, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute, QueriesBefore: 6,
+	{Name: "I", TTL: 60, DDoSStart: 60 * time.Minute, DDoSDur: 60 * time.Minute,
 		TotalDur: 180 * time.Minute, ProbeInterval: 10 * time.Minute, Loss: 0.9, TargetsAll: true},
 }
 
@@ -162,9 +161,9 @@ func specMarks(spec DDoSSpec) []timeline.Mark {
 
 // scheduleAttack arms the spec's disruption on the targets: the legacy
 // single loss window, or the staged phase list when the spec carries
-// one. Phases address the full authoritative set (Phase.TargetCount
-// selects within it) and get the servers as rcode hooks so the
-// NXDOMAIN/SERVFAIL failure modes can reach past the network layer.
+// one. Phases address the full authoritative set and get the servers as
+// rcode hooks so the NXDOMAIN/SERVFAIL failure modes can reach past the
+// network layer.
 func scheduleAttack(tb *Testbed, spec DDoSSpec, targets []netsim.Addr) {
 	if len(spec.Phases) > 0 {
 		servers := make([]ddos.RCodeServer, len(tb.Auths))

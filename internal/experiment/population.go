@@ -124,17 +124,6 @@ type PopulationConfig struct {
 	// every direct resolver with the given threshold fraction (an
 	// extension experiment: prefetch keeps caches warm into an attack).
 	PrefetchDirect float64
-	// MaxFetch applies the NXNSAttack max-fetch(k) mitigation to every
-	// iterative resolver in the population (recursive.Config.MaxFetch);
-	// 0 leaves glueless fan-out uncapped.
-	MaxFetch int
-	// RandomIDs gives every iterative resolver full 16-bit query-ID
-	// entropy instead of the sequential counter (the poisoning
-	// experiments' ID-entropy axis).
-	RandomIDs bool
-	// NoBailiwick disables the bailiwick credibility check population-
-	// wide, modeling pre-hardening resolvers. Experiments only.
-	NoBailiwick bool
 }
 
 func (c PopulationConfig) withDefaults() PopulationConfig {
@@ -387,14 +376,11 @@ func (b *builder) buildFarm(name, rnPrefix, lbName string, backends int, serveSt
 	for i := 0; i < backends; i++ {
 		addr := b.addr(rnPrefix)
 		b.deferResolver(addr, recursive.Config{
-			RootHints:   b.hints,
-			Cache:       cache.Config{MaxTTL: b.cfg.FarmTTLCap},
-			ServeStale:  serveStale,
-			Harvest:     b.cfg.Harvest,
-			MaxFetch:    b.cfg.MaxFetch,
-			RandomIDs:   b.cfg.RandomIDs,
-			NoBailiwick: b.cfg.NoBailiwick,
-			Seed:        b.nextSeed(),
+			RootHints:  b.hints,
+			Cache:      cache.Config{MaxTTL: b.cfg.FarmTTLCap},
+			ServeStale: serveStale,
+			Harvest:    b.cfg.Harvest,
+			Seed:       b.nextSeed(),
 		})
 		if !interned {
 			backendAddrs = append(backendAddrs, addr)
@@ -458,9 +444,6 @@ func (b *builder) buildDirect(kind R1Kind, cc cache.Config) netsim.Addr {
 		AnswerFromReferral: b.rng.Float64() < b.cfg.FracAnswerFromReferral,
 		ServeStale:         b.cfg.ServeStaleDirect,
 		Prefetch:           b.cfg.PrefetchDirect,
-		MaxFetch:           b.cfg.MaxFetch,
-		RandomIDs:          b.cfg.RandomIDs,
-		NoBailiwick:        b.cfg.NoBailiwick,
 		Seed:               b.nextSeed(),
 	})
 	b.pop.R1Meta[addr] = R1Meta{Kind: kind}
@@ -477,12 +460,9 @@ func (b *builder) buildMultiTierR1() netsim.Addr {
 		for i := 0; i < b.cfg.MultiTierPoolSize; i++ {
 			rnAddr := b.addr("mt-rn")
 			rn := b.deferResolver(rnAddr, recursive.Config{
-				RootHints:   b.hints,
-				Harvest:     b.cfg.Harvest,
-				MaxFetch:    b.cfg.MaxFetch,
-				RandomIDs:   b.cfg.RandomIDs,
-				NoBailiwick: b.cfg.NoBailiwick,
-				Seed:        b.nextSeed(),
+				RootHints: b.hints,
+				Harvest:   b.cfg.Harvest,
+				Seed:      b.nextSeed(),
 			})
 			b.scheduleFlushes(rn)
 			b.mtPool = append(b.mtPool, rnAddr)

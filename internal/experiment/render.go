@@ -90,7 +90,7 @@ func RenderTable4(results []*DDoSResult) string {
 		if s.DDoSDur > 0 {
 			dur = fmt.Sprintf("%.0f", s.DDoSDur.Minutes())
 		}
-		nses := 2
+		nses := authCount
 		if !s.TargetsAll {
 			nses = 1
 		}

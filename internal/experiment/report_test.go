@@ -136,9 +136,9 @@ func TestReportLabelsPerFamily(t *testing.T) {
 		{DDoSScenario(smallSpec()), "ddos-B", []string{"experiment", "loss", "ttl"}},
 		{CachingScenario(), "caching-ttl1800", []string{"rounds", "ttl"}},
 		{GlueScenario(), "glue", nil},
-		{NXNSScenario(NXNSSpec{Widths: []int{2, 4}}), "nxns", []string{"max_fetch", "widths"}},
+		{NXNSScenario(NXNSSpec{}), "nxns", []string{"max_fetch", "widths"}},
 		{PoisonScenario(PoisonSpec{}), "poison-seqid-bw", []string{"id_window", "no_bailiwick", "random_ids", "waves"}},
-		{ReflectScenario(ReflectSpec{}), "reflect", []string{"edns_size"}},
+		{ReflectScenario(), "reflect", []string{"edns_size"}},
 		{TransportScenario(TransportSpec{}), "transport", []string{"bufs", "flood", "tcp_loss"}},
 	} {
 		rep := mustRun(t, tc.sc, RunConfig{Probes: 24, Seed: 9, TTL: 1800, Rounds: 3}).Report

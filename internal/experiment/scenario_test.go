@@ -15,7 +15,7 @@ func shortSpec() DDoSSpec {
 	return DDoSSpec{
 		Name: "T", TTL: 300,
 		DDoSStart: 20 * time.Minute, DDoSDur: 20 * time.Minute,
-		QueriesBefore: 2, TotalDur: 60 * time.Minute,
+		TotalDur:      60 * time.Minute,
 		ProbeInterval: 10 * time.Minute, Loss: 0.8, TargetsAll: true,
 	}
 }
@@ -202,7 +202,7 @@ func TestRunCancelledPartial(t *testing.T) {
 			}
 			return o.Poison.Attempts
 		}},
-		{"reflect", ReflectScenario(ReflectSpec{}), func(o *Outcome) int64 {
+		{"reflect", ReflectScenario(), func(o *Outcome) int64 {
 			if o.Reflect == nil {
 				return -1
 			}

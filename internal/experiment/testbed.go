@@ -35,6 +35,13 @@ const (
 // Domain is the test zone, as in the paper.
 const Domain = "cachetest.nl."
 
+// The cachetest.nl zone as the paper ran it: two authoritatives, and a
+// 60 s negative TTL (SOA minimum).
+const (
+	authCount = 2
+	negTTL    = 60
+)
+
 // RotationInterval is the zone-file rotation period (§3.2: serial
 // incremented and zone reloaded every 10 minutes).
 const RotationInterval = 10 * time.Minute
@@ -59,12 +66,6 @@ type TestbedConfig struct {
 	Probes int
 	// TTL is the record TTL of the probe AAAA records.
 	TTL uint32
-	// NegTTL is the zone's negative TTL (SOA minimum); the paper uses
-	// 60 s.
-	NegTTL uint32
-	// Auths is the number of cachetest.nl authoritatives (the paper runs
-	// two).
-	Auths int
 	// Seed drives every random choice in the testbed.
 	Seed int64
 	// Population tunes the resolver mix; zero value uses the calibrated
@@ -98,12 +99,6 @@ func (c TestbedConfig) withDefaults() TestbedConfig {
 	}
 	if c.TTL == 0 {
 		c.TTL = 3600
-	}
-	if c.NegTTL == 0 {
-		c.NegTTL = 60
-	}
-	if c.Auths == 0 {
-		c.Auths = 2
 	}
 	c.Population = c.Population.withDefaults()
 	return c
@@ -172,7 +167,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	}
 	tb.Net.SetTimeline(cfg.timeline)
 
-	tb.AuthAddrs = authAddrs(cfg.Auths)
+	tb.AuthAddrs = authAddrs
 
 	tb.buildZones()
 	tb.installTap()
@@ -217,61 +212,44 @@ func (tb *Testbed) rootHints() []recursive.ServerHint {
 	return hints
 }
 
-// sharedHierarchy memoizes the root and nl zones plus the authoritative
-// address list. The zones are immutable once built (only the per-testbed
-// cachetest.nl zone sees Replace/BumpSerial from rotations and the glue
-// study), zone.Zone is safe for concurrent readers, and their contents
-// depend only on the root letter and authoritative counts — so every
-// testbed with the same counts shares one copy instead of re-parsing ~15
-// records per build.
-var sharedHierarchy struct {
-	mu    sync.Mutex
-	addrs map[int][]netsim.Addr
-	root  map[int]*zone.Zone
-	nl    map[int]*zone.Zone
-}
-
-// authAddrs returns the shared cachetest.nl authoritative address list for
-// an n-server testbed. Callers treat the slice as read-only.
-func authAddrs(n int) []netsim.Addr {
-	h := &sharedHierarchy
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if a, ok := h.addrs[n]; ok {
-		return a
-	}
-	a := make([]netsim.Addr, n)
+// authAddrs is the cachetest.nl authoritative address list every testbed
+// shares. Callers treat the slice as read-only.
+var authAddrs = func() []netsim.Addr {
+	a := make([]netsim.Addr, authCount)
 	for i := range a {
 		a[i] = netsim.Addr("192.0.2." + itoa(i+1))
 	}
-	if h.addrs == nil {
-		h.addrs = make(map[int][]netsim.Addr)
-	}
-	h.addrs[n] = a
 	return a
+}()
+
+// sharedHierarchy memoizes the root and nl zones. The zones are immutable
+// once built (only the per-testbed cachetest.nl zone sees
+// Replace/BumpSerial from rotations and the glue study), zone.Zone is safe
+// for concurrent readers, and their contents depend only on the root
+// letter count — so every testbed with the same count shares one copy
+// instead of re-parsing ~15 records per build.
+var sharedHierarchy struct {
+	mu   sync.Mutex
+	root map[int]*zone.Zone
+	nl   *zone.Zone
 }
 
 // hierarchyZones returns the shared root zone with the given number of
-// letters and the nl zone delegating to the given authoritatives.
-func hierarchyZones(letters int, authAddrs []netsim.Addr) (root, nl *zone.Zone) {
+// letters and the nl zone delegating to authAddrs.
+func hierarchyZones(letters int) (root, nl *zone.Zone) {
 	h := &sharedHierarchy
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.root == nil {
 		h.root = make(map[int]*zone.Zone)
-		h.nl = make(map[int]*zone.Zone)
+		h.nl = buildNLZone()
 	}
 	root = h.root[letters]
 	if root == nil {
 		root = buildRootZone(letters)
 		h.root[letters] = root
 	}
-	nl = h.nl[len(authAddrs)]
-	if nl == nil {
-		nl = buildNLZone(authAddrs)
-		h.nl[len(authAddrs)] = nl
-	}
-	return root, nl
+	return root, h.nl
 }
 
 func buildRootZone(letters int) *zone.Zone {
@@ -294,7 +272,7 @@ func buildRootZone(letters int) *zone.Zone {
 	return rootZone
 }
 
-func buildNLZone(authAddrs []netsim.Addr) *zone.Zone {
+func buildNLZone() *zone.Zone {
 	nlZone := zone.New("nl.")
 	nlZone.MustAdd(dnswire.RR{Name: "nl.", TTL: 3600, Data: dnswire.SOA{
 		MName: "ns1.dns.nl.", RName: "hostmaster.dns.nl.",
@@ -316,8 +294,8 @@ func buildNLZone(authAddrs []netsim.Addr) *zone.Zone {
 
 // authZoneKey identifies a cachetest.nl zone shape for template reuse.
 type authZoneKey struct {
-	ttl, negTTL   uint32
-	probes, auths int
+	ttl    uint32
+	probes int
 }
 
 // authZoneTemplates memoizes pristine cachetest.nl zones by shape. A
@@ -331,7 +309,7 @@ var authZoneTemplates struct {
 	m  map[authZoneKey]*zone.Zone
 }
 
-func authZoneTemplate(k authZoneKey, addrs []netsim.Addr) *zone.Zone {
+func authZoneTemplate(k authZoneKey) *zone.Zone {
 	t := &authZoneTemplates
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -341,9 +319,9 @@ func authZoneTemplate(k authZoneKey, addrs []netsim.Addr) *zone.Zone {
 	z := zone.New(Domain)
 	z.MustAdd(dnswire.RR{Name: Domain, TTL: k.ttl, Data: dnswire.SOA{
 		MName: "ns1." + Domain, RName: "hostmaster." + Domain,
-		Serial: 1, Refresh: 7200, Retry: 3600, Expire: 864000, Minimum: k.negTTL,
+		Serial: 1, Refresh: 7200, Retry: 3600, Expire: 864000, Minimum: negTTL,
 	}})
-	for i, addr := range addrs {
+	for i, addr := range authAddrs {
 		host := nsHost(i)
 		z.MustAdd(dnswire.RR{Name: Domain, TTL: k.ttl, Data: dnswire.NS{Host: host}})
 		z.MustAdd(dnswire.RR{Name: host, TTL: k.ttl,
@@ -366,7 +344,7 @@ func authZoneTemplate(k authZoneKey, addrs []netsim.Addr) *zone.Zone {
 // root/nl zones, and attaches the servers.
 func (tb *Testbed) buildZones() {
 	rootSites := tb.Cfg.rootSites
-	rootZone, nlZone := hierarchyZones(max(len(rootSites), 1), tb.AuthAddrs)
+	rootZone, nlZone := hierarchyZones(max(len(rootSites), 1))
 	if len(tb.Cfg.ExtraNL) > 0 {
 		nlZone = nlZone.Clone()
 		for _, rr := range tb.Cfg.ExtraNL {
@@ -374,10 +352,7 @@ func (tb *Testbed) buildZones() {
 		}
 	}
 
-	tb.AuthZone = authZoneTemplate(authZoneKey{
-		ttl: tb.Cfg.TTL, negTTL: tb.Cfg.NegTTL,
-		probes: tb.Cfg.Probes, auths: len(tb.AuthAddrs),
-	}, tb.AuthAddrs).Clone()
+	tb.AuthZone = authZoneTemplate(authZoneKey{ttl: tb.Cfg.TTL, probes: tb.Cfg.Probes}).Clone()
 	tb.serial0 = 1
 
 	// One slab for the whole hierarchy's servers; tb.Auths views into it.

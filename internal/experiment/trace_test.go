@@ -48,8 +48,8 @@ func TestTraceShardInvariance(t *testing.T) {
 		{"caching", CachingScenario(), RunConfig{TTL: 1800, Rounds: 3}},
 		{"glue", GlueScenario(), RunConfig{}},
 		{"nxns", NXNSScenario(NXNSSpec{MaxFetch: 5}), RunConfig{}},
-		{"poison", PoisonScenario(PoisonSpec{Waves: 4}), RunConfig{}},
-		{"reflect", ReflectScenario(ReflectSpec{}), RunConfig{}},
+		{"poison", PoisonScenario(PoisonSpec{}), RunConfig{}},
+		{"reflect", ReflectScenario(), RunConfig{}},
 		{"transport", TransportScenario(TransportSpec{Flood: 0.5}), RunConfig{}},
 		{"passive", PassiveScenario(), RunConfig{}},
 		{"implications", ImplicationsScenario(), RunConfig{}},

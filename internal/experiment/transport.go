@@ -67,38 +67,29 @@ func (m FallbackMode) String() string {
 // transportModes is the fallback axis, in report order.
 var transportModes = [...]FallbackMode{FallbackNone, FallbackResolver, FallbackFull}
 
+// transportBufs is the advertised EDNS0 buffer axis; 0 means no OPT at
+// all (the classic 512-octet limit).
+var transportBufs = [...]uint16{0, 1232, 4096}
+
+// transportCombos is the row count: every buffer size crossed with every
+// fallback mode. Probe i draws combo (i-1) % transportCombos.
+const transportCombos = len(transportBufs) * len(transportModes)
+
+// transportRow maps a cell-local probe ID onto its (buffer, fallback)
+// combo.
+func transportRow(pid int) int { return (pid - 1) % transportCombos }
+
 // TransportSpec shapes the DoTCP-fallback experiment.
 type TransportSpec struct {
-	// BufSizes is the advertised EDNS0 buffer axis; 0 means no OPT at
-	// all (the classic 512-octet limit). Probe i draws combo
-	// (i-1) % (len(BufSizes)*3) — buffer size crossed with fallback
-	// mode. Default {0, 1232, 4096}.
-	BufSizes []uint16
 	// Flood is the UDP inbound-loss probability armed at the
 	// cachetest.nl authoritatives for the whole run (0 = no attack).
 	Flood float64
-	// TCPLoss is the loss probability of the TCP plane at the same
-	// servers. The paper's volumetric floods are UDP reflection traffic,
-	// so established TCP flows degrade less; default Flood/2.
-	TCPLoss float64
 }
 
-func (s TransportSpec) withDefaults() TransportSpec {
-	if len(s.BufSizes) == 0 {
-		s.BufSizes = []uint16{0, 1232, 4096}
-	}
-	if s.TCPLoss == 0 && s.Flood > 0 {
-		s.TCPLoss = s.Flood / 2
-	}
-	return s
-}
-
-// combos is the row count: every buffer size crossed with every
-// fallback mode.
-func (s TransportSpec) combos() int { return len(s.BufSizes) * len(transportModes) }
-
-// row maps a cell-local probe ID onto its (buffer, fallback) combo.
-func (s TransportSpec) row(pid int) int { return (pid - 1) % s.combos() }
+// tcpLoss is the loss probability of the TCP plane at the same servers.
+// The paper's volumetric floods are UDP reflection traffic, so
+// established TCP flows degrade less: half the UDP flood.
+func (s TransportSpec) tcpLoss() float64 { return s.Flood / 2 }
 
 // TransportRow is one (buffer size, fallback mode) population of the
 // transport report.
@@ -164,11 +155,11 @@ func transportTXT() dnswire.TXT {
 	return dnswire.TXT{Strings: big}
 }
 
-// newTransportRows builds the empty row set of one spec.
-func newTransportRows(spec TransportSpec) []TransportRow {
-	rows := make([]TransportRow, spec.combos())
+// newTransportRows builds the empty row set.
+func newTransportRows() []TransportRow {
+	rows := make([]TransportRow, transportCombos)
 	for i := range rows {
-		rows[i].Buf = spec.BufSizes[i/len(transportModes)]
+		rows[i].Buf = transportBufs[i/len(transportModes)]
 		rows[i].Fallback = transportModes[i%len(transportModes)]
 	}
 	return rows
@@ -190,16 +181,16 @@ func runTransportTestbed(spec TransportSpec, base TestbedConfig) (*TransportResu
 		tb.Auths[i].AttachTCP(tb.Net, addr)
 		if spec.Flood > 0 {
 			tb.Net.SetInboundLoss(addr, spec.Flood)
-			tb.Net.SetInboundLossTCP(addr, spec.TCPLoss)
+			tb.Net.SetInboundLossTCP(addr, spec.tcpLoss())
 		}
 	}
 
-	res := &TransportResult{Flood: spec.Flood, TCPLoss: spec.TCPLoss,
-		Rows: newTransportRows(spec)}
+	res := &TransportResult{Flood: spec.Flood, TCPLoss: spec.tcpLoss(),
+		Rows: newTransportRows()}
 	resolvers := make([]*recursive.Resolver, 0, probes)
 
 	for pid := 1; pid <= probes; pid++ {
-		ri := spec.row(pid)
+		ri := transportRow(pid)
 		row := &res.Rows[ri]
 		mode := row.Fallback
 
@@ -245,7 +236,7 @@ func runTransportTestbed(spec TransportSpec, base TestbedConfig) (*TransportResu
 	// Attribute the upstream-leg truncations: resolvers are per-probe,
 	// so each one's counter belongs to exactly one row.
 	for i, r := range resolvers {
-		res.Rows[spec.row(i+1)].UpstreamTC += r.Stats().Truncated
+		res.Rows[transportRow(i+1)].UpstreamTC += r.Stats().Truncated
 	}
 
 	return res, advCollect(tb, resolvers, nil)
@@ -313,10 +304,10 @@ type transportScenario struct{ spec TransportSpec }
 
 // TransportScenario wraps a DoTCP-fallback spec as a Scenario.
 func TransportScenario(spec TransportSpec) Scenario {
-	return transportScenario{spec: spec.withDefaults()}
+	return transportScenario{spec: spec}
 }
 
-// Spec exposes the wrapped (defaulted) spec for golden tests.
+// Spec exposes the wrapped spec for golden tests.
 func (s transportScenario) Spec() TransportSpec { return s.spec }
 
 func (s transportScenario) Name() string {
@@ -328,7 +319,7 @@ func (s transportScenario) Name() string {
 
 func (s transportScenario) labels() map[string]string {
 	bufs := ""
-	for i, b := range s.spec.BufSizes {
+	for i, b := range transportBufs {
 		if i > 0 {
 			bufs += "x"
 		}
@@ -337,13 +328,13 @@ func (s transportScenario) labels() map[string]string {
 	return map[string]string{
 		"bufs":     bufs,
 		"flood":    strconv.FormatFloat(s.spec.Flood, 'g', -1, 64),
-		"tcp_loss": strconv.FormatFloat(s.spec.TCPLoss, 'g', -1, 64),
+		"tcp_loss": strconv.FormatFloat(s.spec.tcpLoss(), 'g', -1, 64),
 	}
 }
 
 func (s transportScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
-	total := &TransportResult{Flood: s.spec.Flood, TCPLoss: s.spec.TCPLoss,
-		Rows: newTransportRows(s.spec)}
+	total := &TransportResult{Flood: s.spec.Flood, TCPLoss: s.spec.tcpLoss(),
+		Rows: newTransportRows()}
 	return runCells(ctx, s.Name(), cfg, cellRun[*TransportResult]{
 		cell: func(base TestbedConfig) (*TransportResult, *Testbed) {
 			return runTransportTestbed(s.spec, base)

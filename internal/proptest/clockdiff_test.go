@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/clock/clocktest"
 )
 
 // TestWheelHeapScenarioEquivalence is the whole-stack differential check
 // behind the timing-wheel migration: the same generated ecosystem —
 // hierarchy, resolvers, stub clients, DDoS window — is run once on the
 // timing-wheel clock and once on the pre-wheel heap reference
-// (clock.Heap), and every externally visible outcome must match
+// (clocktest.Heap), and every externally visible outcome must match
 // exactly: per-query observations, the clock's scheduled/fired/stopped
 // conservation counters, and the byte-identical deterministic run
 // report. internal/clock's own property test covers raw schedules; this
@@ -27,7 +28,7 @@ func TestWheelHeapScenarioEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: wheel world: %v", seed, err)
 		}
-		heapWorld, err := NewWorldOnClock(sc, clock.NewHeap(worldEpoch), nil)
+		heapWorld, err := NewWorldOnClock(sc, clocktest.NewHeap(worldEpoch), nil)
 		if err != nil {
 			t.Fatalf("seed %d: heap world: %v", seed, err)
 		}

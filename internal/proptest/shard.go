@@ -46,7 +46,6 @@ func GenerateShardCase(seed int64) ShardCase {
 			Name: "P", TTL: uint32(60 + rng.Intn(600)),
 			DDoSStart:     interval,
 			DDoSDur:       time.Duration(1+rng.Intn(2)) * interval,
-			QueriesBefore: 1 + rng.Intn(3),
 			TotalDur:      time.Duration(rounds) * interval,
 			ProbeInterval: interval,
 			Loss:          []float64{0.5, 0.75, 0.9, 1.0}[rng.Intn(4)],

@@ -10,6 +10,7 @@ import (
 	"repro/internal/authoritative"
 	"repro/internal/cache"
 	"repro/internal/clock"
+	"repro/internal/clock/clocktest"
 	"repro/internal/dnswire"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -71,7 +72,7 @@ type RunResult struct {
 
 // SimClock is the clock driver a World needs: scheduling plus the run
 // loop and its accounting. Both the timing-wheel clock (clock.Virtual)
-// and the heap-backed reference (clock.Heap) satisfy it, which is what
+// and the heap-backed reference (clocktest.Heap) satisfy it, which is what
 // lets the differential property test run the same scenario on either
 // engine and demand identical results.
 type SimClock interface {
@@ -85,7 +86,7 @@ type SimClock interface {
 
 var (
 	_ SimClock = (*clock.Virtual)(nil)
-	_ SimClock = (*clock.Heap)(nil)
+	_ SimClock = (*clocktest.Heap)(nil)
 )
 
 // World is a materialized scenario: hierarchy, resolvers, and clients on

@@ -7,7 +7,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/recursive"
 	"repro/internal/timeline"
-	"repro/internal/trace"
 )
 
 // DefaultSeed is the paper seed used when engine.seed is absent.
@@ -58,49 +57,28 @@ func Compile(s *Spec) (experiment.Scenario, experiment.RunConfig, error) {
 	case "implications":
 		return experiment.ImplicationsScenario(), cfg, nil
 	case "nxns":
-		n := NXNSSection{}
-		if s.Adversary != nil && s.Adversary.NXNS != nil {
-			n = *s.Adversary.NXNS
-		}
-		es := experiment.NXNSSpec{Widths: n.Widths}
-		if n.MaxFetch != nil {
-			es.MaxFetch = int(n.MaxFetch.Value())
+		var es experiment.NXNSSpec
+		if a := s.Adversary; a != nil && a.NXNS != nil && a.NXNS.MaxFetch != nil {
+			es.MaxFetch = int(a.NXNS.MaxFetch.Value())
 		}
 		return experiment.NXNSScenario(es), cfg, nil
 	case "poison":
-		p := PoisonSection{}
-		if s.Adversary != nil && s.Adversary.Poison != nil {
-			p = *s.Adversary.Poison
-		}
-		es := experiment.PoisonSpec{
-			IDWindow: p.IDWindow, Waves: p.Waves,
-			WaveEvery: p.WaveEvery.D(), PortGuess: p.PortGuess,
-		}
-		if p.RandomIDs != nil {
-			es.RandomIDs = p.RandomIDs.Value()
-		}
-		if p.NoBailiwick != nil {
-			es.NoBailiwick = p.NoBailiwick.Value()
+		var es experiment.PoisonSpec
+		if a := s.Adversary; a != nil && a.Poison != nil {
+			p := a.Poison
+			if p.RandomIDs != nil {
+				es.RandomIDs = p.RandomIDs.Value()
+			}
+			if p.NoBailiwick != nil {
+				es.NoBailiwick = p.NoBailiwick.Value()
+			}
 		}
 		return experiment.PoisonScenario(es), cfg, nil
 	case "reflect":
-		r := ReflectSection{}
-		if s.Adversary != nil && s.Adversary.Reflect != nil {
-			r = *s.Adversary.Reflect
-		}
-		return experiment.ReflectScenario(experiment.ReflectSpec{
-			Every: r.Every.D(), EDNSSize: uint16(r.EDNSSize),
-		}), cfg, nil
+		return experiment.ReflectScenario(), cfg, nil
 	case "transport":
-		t := TransportSection{}
-		if s.Transport != nil {
-			t = *s.Transport
-		}
-		es := experiment.TransportSpec{TCPLoss: t.TCPLoss}
-		for _, b := range t.Bufs {
-			es.BufSizes = append(es.BufSizes, uint16(b))
-		}
-		if t.Flood != nil {
+		var es experiment.TransportSpec
+		if t := s.Transport; t != nil && t.Flood != nil {
 			es.Flood = t.Flood.Value()
 		}
 		return experiment.TransportScenario(es), cfg, nil
@@ -144,9 +122,6 @@ func runConfig(e *EngineSection) experiment.RunConfig {
 	}
 	cfg.ShardProbes = e.ShardProbes
 	cfg.KeepWorlds = e.KeepWorlds
-	if e.Trace {
-		cfg.Trace = &trace.Config{SampleEvery: e.TraceSample}
-	}
 	return cfg
 }
 
@@ -170,17 +145,14 @@ func population(s *Spec) (experiment.PopulationConfig, error) {
 	}
 	pop.ServeStaleDirect = p.ServeStale
 	pop.PrefetchDirect = p.Prefetch
-	pop.MaxFetch = p.MaxFetch
-	pop.RandomIDs = p.RandomIDs
-	pop.NoBailiwick = p.NoBailiwick
 	return pop, nil
 }
 
 // compileDDoS lowers a ddos spec: a paper name resolves to the committed
 // Table 4 row; otherwise the workload plus disruption phases build a
-// DDoSSpec with a staged phase plan. A single drop phase lowers onto the
-// legacy scalar window (same scheduling, simpler display); anything
-// richer becomes a ddos.Phase list.
+// DDoSSpec with a staged phase plan against every authoritative. A single
+// drop phase lowers onto the legacy scalar window (same scheduling,
+// simpler display); anything richer becomes a ddos.Phase list.
 func compileDDoS(s *Spec) (experiment.Scenario, error) {
 	if len(s.Paper) == 1 {
 		base, ok := experiment.SpecByName(s.Paper[0])
@@ -195,17 +167,11 @@ func compileDDoS(s *Spec) (experiment.Scenario, error) {
 		TTL:           uint32(w.TTL.Value()),
 		TotalDur:      w.Total.D(),
 		ProbeInterval: w.ProbeInterval.D(),
-		QueriesBefore: w.QueriesBefore,
 		TargetsAll:    true,
 	}
 	phases := make([]ddos.Phase, 0, len(s.Disruption))
-	allFirst := true
 	for _, ps := range s.Disruption {
-		ph := ddos.Phase{
-			Start:    ps.Start.D(),
-			Duration: ps.Duration.D(),
-			Records:  ps.Records,
-		}
+		ph := ddos.Phase{Start: ps.Start.D(), Duration: ps.Duration.D()}
 		if ps.Loss != nil {
 			ph.Intensity = *ps.Loss
 		} else {
@@ -218,11 +184,6 @@ func compileDDoS(s *Spec) (experiment.Scenario, error) {
 			ph.Mode = ddos.ModeNXDomain
 		case "servfail":
 			ph.Mode = ddos.ModeServFail
-		}
-		if ps.Targets == "first" {
-			ph.TargetCount = 1
-		} else {
-			allFirst = false
 		}
 		phases = append(phases, ph)
 	}
@@ -239,14 +200,7 @@ func compileDDoS(s *Spec) (experiment.Scenario, error) {
 			d.Loss = ph.Intensity
 		}
 	}
-	d.TargetsAll = !allFirst
-	if d.QueriesBefore == 0 {
-		d.QueriesBefore = int(d.DDoSStart / d.ProbeInterval)
-		if d.QueriesBefore < 1 {
-			d.QueriesBefore = 1
-		}
-	}
-	if len(phases) == 1 && phases[0].Mode == ddos.ModeDrop && len(phases[0].Records) == 0 {
+	if len(phases) == 1 && phases[0].Mode == ddos.ModeDrop {
 		// One plain loss window is exactly the legacy schedule; lowering
 		// onto the scalar fields keeps the display and the trace stream
 		// on the long-standing path.

@@ -119,19 +119,17 @@ func renderLowered(sc experiment.Scenario) string {
 	case interface{ Spec() experiment.DDoSSpec }:
 		d := s.Spec()
 		var b strings.Builder
-		fmt.Fprintf(&b, "  ddos: TTL=%d Start=%v Dur=%v Loss=%g TargetsAll=%t QueriesBefore=%d Total=%v Interval=%v\n",
-			d.TTL, d.DDoSStart, d.DDoSDur, d.Loss, d.TargetsAll, d.QueriesBefore, d.TotalDur, d.ProbeInterval)
+		fmt.Fprintf(&b, "  ddos: TTL=%d Start=%v Dur=%v Loss=%g TargetsAll=%t Total=%v Interval=%v\n",
+			d.TTL, d.DDoSStart, d.DDoSDur, d.Loss, d.TargetsAll, d.TotalDur, d.ProbeInterval)
 		for i, ph := range d.Phases {
-			fmt.Fprintf(&b, "  phase %d: Start=%v Duration=%v Intensity=%g Mode=%v Targets=%d Records=%v\n",
-				i, ph.Start, ph.Duration, ph.Intensity, ph.Mode, ph.TargetCount, ph.Records)
+			fmt.Fprintf(&b, "  phase %d: Start=%v Duration=%v Intensity=%g Mode=%v\n",
+				i, ph.Start, ph.Duration, ph.Intensity, ph.Mode)
 		}
 		return b.String()
 	case interface{ Spec() experiment.NXNSSpec }:
 		return fmt.Sprintf("  nxns: %+v\n", s.Spec())
 	case interface{ Spec() experiment.PoisonSpec }:
 		return fmt.Sprintf("  poison: %+v\n", s.Spec())
-	case interface{ Spec() experiment.ReflectSpec }:
-		return fmt.Sprintf("  reflect: %+v\n", s.Spec())
 	case interface {
 		Spec() experiment.TransportSpec
 	}:

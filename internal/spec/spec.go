@@ -64,10 +64,6 @@ type EngineSection struct {
 	Shards      int    `json:"shards,omitempty"`
 	ShardProbes int    `json:"shard_probes,omitempty"`
 	KeepWorlds  bool   `json:"keep_worlds,omitempty"`
-	// Trace arms deterministic query-lifecycle tracing; TraceSample
-	// keeps every Nth probe (<= 1 traces all).
-	Trace       bool `json:"trace,omitempty"`
-	TraceSample int  `json:"trace_sample,omitempty"`
 }
 
 // PopulationSection tunes the resolver population
@@ -80,29 +76,22 @@ type PopulationSection struct {
 	// resolvers (prefetch is the fraction armed).
 	ServeStale bool    `json:"serve_stale,omitempty"`
 	Prefetch   float64 `json:"prefetch,omitempty"`
-	// MaxFetch is the NXNSAttack max-fetch(k) mitigation; 0 disables.
-	MaxFetch int `json:"max_fetch,omitempty"`
-	// RandomIDs and NoBailiwick set the poisoning-resistance posture
-	// population-wide.
-	RandomIDs   bool `json:"random_ids,omitempty"`
-	NoBailiwick bool `json:"no_bailiwick,omitempty"`
 }
 
 // WorkloadSection shapes the probing workload.
 type WorkloadSection struct {
 	// TTL is the zone TTL in seconds; sweepable.
 	TTL *Axis `json:"ttl,omitempty"`
-	// ProbeInterval and Rounds drive the caching families; Total and
-	// QueriesBefore drive the ddos timeline (QueriesBefore 0 derives the
-	// pre-attack round count from the first disruption window).
+	// ProbeInterval and Rounds drive the caching families; Total is the
+	// length of a ddos run.
 	ProbeInterval Duration `json:"probe_interval,omitempty"`
 	Rounds        int      `json:"rounds,omitempty"`
 	Total         Duration `json:"total,omitempty"`
-	QueriesBefore int      `json:"queries_before,omitempty"`
 }
 
-// PhaseSection is one time-windowed disruption phase of a ddos spec.
-// Exactly one of Loss or AttackQPS sets the intensity.
+// PhaseSection is one time-windowed disruption phase of a ddos spec; it
+// hits every cachetest.nl authoritative. Exactly one of Loss or AttackQPS
+// sets the intensity.
 type PhaseSection struct {
 	Start Duration `json:"start,omitempty"`
 	// Duration 0 means "until the end of the run" and is only legal on
@@ -117,22 +106,13 @@ type PhaseSection struct {
 	// Mode is the failure mode: "drop" (default), "nxdomain", or
 	// "servfail".
 	Mode string `json:"mode,omitempty"`
-	// Targets selects the attacked authoritatives: "all" (default) or
-	// "first" (Experiment D's one-NS attack).
-	Targets string `json:"targets,omitempty"`
-	// Records limits a forged-rcode phase to specific owner names.
-	Records []string `json:"records,omitempty"`
 }
 
 // TransportSection drives the DoTCP-fallback family.
 type TransportSection struct {
-	// Bufs is the advertised EDNS0 buffer axis (0 = no OPT).
-	Bufs []int `json:"bufs,omitempty"`
 	// Flood is the UDP inbound-loss probability at the authoritatives;
 	// sweepable.
 	Flood *Axis `json:"flood,omitempty"`
-	// TCPLoss overrides the TCP-plane loss (default flood/2).
-	TCPLoss float64 `json:"tcp_loss,omitempty"`
 }
 
 // ObservabilitySection arms run-output instrumentation that never
@@ -149,14 +129,12 @@ type ObservabilitySection struct {
 // AdversarySection gathers the adversarial families' knobs; only the
 // subsection matching the spec's family may be present.
 type AdversarySection struct {
-	NXNS    *NXNSSection    `json:"nxns,omitempty"`
-	Poison  *PoisonSection  `json:"poison,omitempty"`
-	Reflect *ReflectSection `json:"reflect,omitempty"`
+	NXNS   *NXNSSection   `json:"nxns,omitempty"`
+	Poison *PoisonSection `json:"poison,omitempty"`
 }
 
 // NXNSSection shapes the referral-amplification attack.
 type NXNSSection struct {
-	Widths []int `json:"widths,omitempty"`
 	// MaxFetch is the max-fetch(k) mitigation; sweepable (the paper's
 	// unmitigated-vs-k=5 comparison).
 	MaxFetch *Axis `json:"max_fetch,omitempty"`
@@ -168,16 +146,6 @@ type PoisonSection struct {
 	// their cross product.
 	RandomIDs   *BoolAxis `json:"random_ids,omitempty"`
 	NoBailiwick *BoolAxis `json:"no_bailiwick,omitempty"`
-	IDWindow    int       `json:"id_window,omitempty"`
-	Waves       int       `json:"waves,omitempty"`
-	WaveEvery   Duration  `json:"wave_every,omitempty"`
-	PortGuess   float64   `json:"port_guess,omitempty"`
-}
-
-// ReflectSection shapes the reflection-amplification measurement.
-type ReflectSection struct {
-	Every    Duration `json:"every,omitempty"`
-	EDNSSize int      `json:"edns_size,omitempty"`
 }
 
 // ---- Leaf JSON types ----

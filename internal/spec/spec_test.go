@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ddos"
 	"repro/internal/experiment"
+	"repro/internal/recursive"
 )
 
 // mustParse parses a spec that the test requires to be valid.
@@ -73,6 +74,44 @@ func TestParseRejectsSchemaViolations(t *testing.T) {
 	// Durations must be strings.
 	wantErr(t, `{"version": 1, "name": "x", "family": "caching",
 		"workload": {"probe_interval": 1200}}`, "duration must be a string")
+	// A family takes only the sections it reads: nxns builds its own
+	// resolvers, so a population section would be silently ignored.
+	wantErr(t, `{"version": 1, "name": "x", "family": "nxns", "population": {"harvest": "full"}}`,
+		"does not take a population section")
+	wantErr(t, `{"version": 1, "name": "x", "family": "reflect", "adversary": {}}`,
+		"does not take a adversary section")
+}
+
+// TestParseRejectsRemovedFields: knobs that no committed spec ever set
+// are constants in the code now, and a spec naming one is refused like
+// any other typo.
+func TestParseRejectsRemovedFields(t *testing.T) {
+	t.Parallel()
+	ddos := func(phase string) string {
+		return `{"version": 1, "name": "x", "family": "ddos",
+			"workload": {"ttl": 1800, "probe_interval": "10m", "total": "3h"},
+			"disruption": [{"start": "60m", "duration": "30m", "loss": 1, ` + phase + `}]}`
+	}
+	for _, tc := range []struct{ doc, field string }{
+		{`{"version": 1, "name": "x", "family": "glue", "engine": {"trace": true}}`, "trace"},
+		{`{"version": 1, "name": "x", "family": "glue", "engine": {"trace_sample": 4}}`, "trace_sample"},
+		{`{"version": 1, "name": "x", "family": "caching", "population": {"max_fetch": 5}}`, "max_fetch"},
+		{`{"version": 1, "name": "x", "family": "caching", "population": {"random_ids": true}}`, "random_ids"},
+		{`{"version": 1, "name": "x", "family": "caching", "population": {"no_bailiwick": true}}`, "no_bailiwick"},
+		{`{"version": 1, "name": "x", "family": "caching", "workload": {"queries_before": 6}}`, "queries_before"},
+		{ddos(`"targets": "first"`), "targets"},
+		{ddos(`"mode": "servfail", "records": ["1414.cachetest.nl."]`), "records"},
+		{`{"version": 1, "name": "x", "family": "nxns", "adversary": {"nxns": {"widths": [4]}}}`, "widths"},
+		{`{"version": 1, "name": "x", "family": "poison", "adversary": {"poison": {"id_window": 8}}}`, "id_window"},
+		{`{"version": 1, "name": "x", "family": "poison", "adversary": {"poison": {"waves": 8}}}`, "waves"},
+		{`{"version": 1, "name": "x", "family": "poison", "adversary": {"poison": {"wave_every": "5ms"}}}`, "wave_every"},
+		{`{"version": 1, "name": "x", "family": "poison", "adversary": {"poison": {"port_guess": 0.5}}}`, "port_guess"},
+		{`{"version": 1, "name": "x", "family": "reflect", "adversary": {"reflect": {}}}`, "reflect"},
+		{`{"version": 1, "name": "x", "family": "transport", "transport": {"bufs": [512]}}`, "bufs"},
+		{`{"version": 1, "name": "x", "family": "transport", "transport": {"tcp_loss": 0.1}}`, "tcp_loss"},
+	} {
+		wantErr(t, tc.doc, `unknown field "`+tc.field+`"`)
+	}
 }
 
 func TestParseRejectsBadPhases(t *testing.T) {
@@ -95,12 +134,8 @@ func TestParseRejectsBadPhases(t *testing.T) {
 		"exactly one of loss or attack_qps")
 	// Neither intensity form.
 	wantErr(t, base(`{"start": "60m", "duration": "30m"}`), "exactly one of loss or attack_qps")
-	// Unknown mode / targets.
+	// Unknown mode.
 	wantErr(t, base(`{"start": "60m", "duration": "30m", "loss": 1, "mode": "slow"}`), "mode")
-	wantErr(t, base(`{"start": "60m", "duration": "30m", "loss": 1, "targets": "second"}`), "targets")
-	// Records need a forced-rcode mode.
-	wantErr(t, base(`{"start": "60m", "duration": "30m", "loss": 1, "records": ["a.nl."]}`),
-		"records require mode nxdomain or servfail")
 }
 
 func TestParseRejectsBadSweeps(t *testing.T) {
@@ -266,8 +301,7 @@ func TestCompileStagedPhases(t *testing.T) {
 	s := mustParse(t, `{"version": 1, "name": "staged", "family": "ddos",
 		"workload": {"ttl": 1800, "probe_interval": "10m", "total": "3h"},
 		"disruption": [
-			{"start": "60m", "duration": "30m", "loss": 0.5, "mode": "servfail",
-			 "records": ["1414.cachetest.nl."]},
+			{"start": "60m", "duration": "30m", "loss": 0.5, "mode": "servfail"},
 			{"start": "90m", "duration": "30m", "loss": 1}
 		]}`)
 	sc, _, err := Compile(s)
@@ -280,19 +314,15 @@ func TestCompileStagedPhases(t *testing.T) {
 	}
 	p0, p1 := ds.Phases[0], ds.Phases[1]
 	if p0.Mode != ddos.ModeServFail || p0.Intensity != 0.5 || p0.Start != 60*time.Minute ||
-		p0.Duration != 30*time.Minute || len(p0.Records) != 1 {
+		p0.Duration != 30*time.Minute {
 		t.Errorf("phase 0 miscompiled: %+v", p0)
 	}
 	if p1.Mode != ddos.ModeDrop || p1.Intensity != 1 || p1.Start != 90*time.Minute {
 		t.Errorf("phase 1 miscompiled: %+v", p1)
 	}
-	// Display envelope spans the staged window; pre-attack rounds derive
-	// from the first phase.
-	if ds.DDoSStart != 60*time.Minute || ds.DDoSDur != 60*time.Minute || ds.Loss != 1 {
-		t.Errorf("envelope: start=%v dur=%v loss=%v", ds.DDoSStart, ds.DDoSDur, ds.Loss)
-	}
-	if ds.QueriesBefore != 6 {
-		t.Errorf("QueriesBefore = %d, want 6", ds.QueriesBefore)
+	// Display envelope spans the staged window.
+	if ds.DDoSStart != 60*time.Minute || ds.DDoSDur != 60*time.Minute || ds.Loss != 1 || !ds.TargetsAll {
+		t.Errorf("envelope: start=%v dur=%v loss=%v all=%t", ds.DDoSStart, ds.DDoSDur, ds.Loss, ds.TargetsAll)
 	}
 }
 
@@ -300,7 +330,7 @@ func TestCompileSingleDropLowersToLegacyWindow(t *testing.T) {
 	t.Parallel()
 	s := mustParse(t, `{"version": 1, "name": "simple", "family": "ddos",
 		"workload": {"ttl": 1800, "probe_interval": "10m", "total": "3h"},
-		"disruption": [{"start": "60m", "duration": "60m", "loss": 0.9, "targets": "first"}]}`)
+		"disruption": [{"start": "60m", "duration": "60m", "loss": 0.9}]}`)
 	sc, _, err := Compile(s)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
@@ -309,7 +339,7 @@ func TestCompileSingleDropLowersToLegacyWindow(t *testing.T) {
 	if len(ds.Phases) != 0 {
 		t.Errorf("single drop phase should lower onto the legacy scalar window, got phases %+v", ds.Phases)
 	}
-	if ds.Loss != 0.9 || ds.DDoSStart != time.Hour || ds.DDoSDur != time.Hour || ds.TargetsAll {
+	if ds.Loss != 0.9 || ds.DDoSStart != time.Hour || ds.DDoSDur != time.Hour || !ds.TargetsAll {
 		t.Errorf("legacy window miscompiled: %+v", ds)
 	}
 }
@@ -333,15 +363,14 @@ func TestCompileFloodIntensity(t *testing.T) {
 
 func TestCompilePopulation(t *testing.T) {
 	t.Parallel()
-	s := mustParse(t, `{"version": 1, "name": "p", "family": "nxns",
-		"population": {"harvest": "full", "serve_stale": true, "prefetch": 0.5, "max_fetch": 5},
-		"adversary": {"nxns": {"max_fetch": 5}}}`)
+	s := mustParse(t, `{"version": 1, "name": "p", "family": "caching",
+		"population": {"harvest": "full", "serve_stale": true, "prefetch": 0.5}}`)
 	_, cfg, err := Compile(s)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
 	pop := cfg.Population
-	if !pop.ServeStaleDirect || pop.PrefetchDirect != 0.5 || pop.MaxFetch != 5 {
+	if pop.Harvest != recursive.HarvestFull || !pop.ServeStaleDirect || pop.PrefetchDirect != 0.5 {
 		t.Errorf("population miscompiled: %+v", pop)
 	}
 }

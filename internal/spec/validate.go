@@ -17,9 +17,9 @@ var families = map[string]familyRule{
 	"caching":      {population: true, workload: true},
 	"ddos":         {population: true, workload: true, disruption: true, paper: true, observability: true},
 	"glue":         {},
-	"nxns":         {population: true, adversary: true},
+	"nxns":         {adversary: true},
 	"poison":       {adversary: true},
-	"reflect":      {adversary: true},
+	"reflect":      {},
 	"transport":    {transport: true},
 	"passive":      {},
 	"retries":      {},
@@ -33,7 +33,6 @@ const MinBucket = time.Second
 
 var harvestModes = map[string]bool{"": true, "none": true, "aaaa": true, "full": true}
 var phaseModes = map[string]bool{"": true, "drop": true, "nxdomain": true, "servfail": true}
-var phaseTargets = map[string]bool{"": true, "all": true, "first": true}
 
 // Validate checks one spec document against the schema rules: known
 // family, only that family's sections present, well-formed engine and
@@ -127,9 +126,6 @@ func validatePopulation(s *Spec) error {
 	if p.Prefetch < 0 || p.Prefetch > 1 {
 		return fmt.Errorf("spec %q: population.prefetch must be in [0, 1]", s.Name)
 	}
-	if p.MaxFetch < 0 {
-		return fmt.Errorf("spec %q: population.max_fetch must be >= 0", s.Name)
-	}
 	return nil
 }
 
@@ -151,8 +147,8 @@ func validateWorkload(s *Spec) error {
 	if w.ProbeInterval < 0 || w.Total < 0 {
 		return fmt.Errorf("spec %q: workload durations must be >= 0", s.Name)
 	}
-	if w.Rounds < 0 || w.QueriesBefore < 0 {
-		return fmt.Errorf("spec %q: workload counts must be >= 0", s.Name)
+	if w.Rounds < 0 {
+		return fmt.Errorf("spec %q: workload.rounds must be >= 0", s.Name)
 	}
 	return nil
 }
@@ -176,7 +172,7 @@ func validateFamily(s *Spec) error {
 		return validateDDoS(s)
 	case "transport":
 		return validateTransport(s)
-	case "nxns", "poison", "reflect":
+	case "nxns", "poison":
 		return validateAdversary(s)
 	}
 	return nil
@@ -229,12 +225,6 @@ func validateDDoS(s *Spec) error {
 		if !phaseModes[ph.Mode] {
 			return fmt.Errorf("spec %q: %s: mode must be \"drop\", \"nxdomain\", or \"servfail\", got %q", s.Name, at, ph.Mode)
 		}
-		if !phaseTargets[ph.Targets] {
-			return fmt.Errorf("spec %q: %s: targets must be \"all\" or \"first\", got %q", s.Name, at, ph.Targets)
-		}
-		if len(ph.Records) > 0 && (ph.Mode == "" || ph.Mode == "drop") {
-			return fmt.Errorf("spec %q: %s: records require mode nxdomain or servfail", s.Name, at)
-		}
 		if i > 0 && ph.Start < prevEnd {
 			return fmt.Errorf("spec %q: %s: overlaps the previous phase (starts %v before %v)", s.Name, at, ph.Start.D(), prevEnd.D())
 		}
@@ -245,28 +235,15 @@ func validateDDoS(s *Spec) error {
 
 func validateTransport(s *Spec) error {
 	t := s.Transport
-	if t == nil {
+	if t == nil || t.Flood == nil {
 		return nil
 	}
-	for _, b := range t.Bufs {
-		if b < 0 || b > 65535 {
-			return fmt.Errorf("spec %q: transport.bufs values must be in [0, 65535]", s.Name)
+	return eachAxis(t.Flood, func(v float64) error {
+		if v < 0 || v > 1 {
+			return fmt.Errorf("spec %q: transport.flood values must be in [0, 1], got %g", s.Name, v)
 		}
-	}
-	if t.Flood != nil {
-		if err := eachAxis(t.Flood, func(v float64) error {
-			if v < 0 || v > 1 {
-				return fmt.Errorf("spec %q: transport.flood values must be in [0, 1], got %g", s.Name, v)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if t.TCPLoss < 0 || t.TCPLoss > 1 {
-		return fmt.Errorf("spec %q: transport.tcp_loss must be in [0, 1]", s.Name)
-	}
-	return nil
+		return nil
+	})
 }
 
 func validateAdversary(s *Spec) error {
@@ -276,49 +253,20 @@ func validateAdversary(s *Spec) error {
 	}
 	switch s.Family {
 	case "nxns":
-		if a.Poison != nil || a.Reflect != nil {
+		if a.Poison != nil {
 			return fmt.Errorf("spec %q: family nxns only takes adversary.nxns", s.Name)
 		}
-		if n := a.NXNS; n != nil {
-			for _, w := range n.Widths {
-				if w <= 0 {
-					return fmt.Errorf("spec %q: adversary.nxns.widths must be positive", s.Name)
+		if n := a.NXNS; n != nil && n.MaxFetch != nil {
+			return eachAxis(n.MaxFetch, func(v float64) error {
+				if v < 0 || v != float64(int64(v)) {
+					return fmt.Errorf("spec %q: adversary.nxns.max_fetch values must be non-negative integers, got %g", s.Name, v)
 				}
-			}
-			if n.MaxFetch != nil {
-				if err := eachAxis(n.MaxFetch, func(v float64) error {
-					if v < 0 || v != float64(int64(v)) {
-						return fmt.Errorf("spec %q: adversary.nxns.max_fetch values must be non-negative integers, got %g", s.Name, v)
-					}
-					return nil
-				}); err != nil {
-					return err
-				}
-			}
+				return nil
+			})
 		}
 	case "poison":
-		if a.NXNS != nil || a.Reflect != nil {
+		if a.NXNS != nil {
 			return fmt.Errorf("spec %q: family poison only takes adversary.poison", s.Name)
-		}
-		if p := a.Poison; p != nil {
-			if p.IDWindow < 0 || p.Waves < 0 || p.WaveEvery < 0 {
-				return fmt.Errorf("spec %q: adversary.poison counts must be >= 0", s.Name)
-			}
-			if p.PortGuess < 0 || p.PortGuess > 1 {
-				return fmt.Errorf("spec %q: adversary.poison.port_guess must be in [0, 1]", s.Name)
-			}
-		}
-	case "reflect":
-		if a.NXNS != nil || a.Poison != nil {
-			return fmt.Errorf("spec %q: family reflect only takes adversary.reflect", s.Name)
-		}
-		if r := a.Reflect; r != nil {
-			if r.Every < 0 {
-				return fmt.Errorf("spec %q: adversary.reflect.every must be >= 0", s.Name)
-			}
-			if r.EDNSSize < 0 || r.EDNSSize > 65535 {
-				return fmt.Errorf("spec %q: adversary.reflect.edns_size must be in [0, 65535]", s.Name)
-			}
 		}
 	}
 	return nil
