@@ -27,8 +27,8 @@ check: vet obs-guard facade-guard build race
 
 # One emit site in internal/recursive, one SetTrace/SetTimeline call in
 # internal/experiment, one parallel fan-out per level (campaign runs,
-# cells of a run), one seeded-stream constructor (lazyrand.New). See
-# scripts/obs_guard.sh.
+# cells of a run), one seeded-stream constructor (lazyrand.New), scratch
+# messages only in a cell's working set. See scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
 

@@ -269,10 +269,11 @@ func TestClientHitAllocBudget(t *testing.T) {
 // RunCampaign. A client miss or a background fetch is a recycled job, a
 // stub query and a scheduled round nothing; a closure per query, a job per
 // miss or a distinct-count set per probe comes back as tens of objects per
-// probe. 142 measured (225 with a cloned set per cache hit, a fresh set
-// per cacheRRs group and a map slot per cache entry; 335 with a job per
-// miss and a task per fetch besides), pinned at measured + 5 %.
-const cellAllocsPerProbeBudget = 149
+// probe. 89.8 measured (141 while every resolver kept its own scratch
+// messages and free lists; 225 with a cloned set per cache hit, a fresh
+// set per cacheRRs group and a map slot per cache entry; 335 with a job
+// per miss and a task per fetch besides), pinned at measured + 5 %.
+const cellAllocsPerProbeBudget = 95
 
 // cellBytesPerProbeBudget is the ceiling on heap bytes per probe
 // (experiment.alloc_bytes_per_probe) of a 256-probe cell of each simulator
@@ -281,9 +282,11 @@ const cellAllocsPerProbeBudget = 149
 // of a population's resolvers serve a probe or two (H 82.3 and calm
 // 36.2 KB with both); so do a 416-byte job per client miss and an 80-byte
 // tap event holding strings (71.4 and 23.3 KB), and a 168-byte cache node
-// with a map slot and a cloned set per hit (37.6 and 16.9 KB). 31.8 and
-// 15.4 KB measured, pinned at measured + 5 %.
-var cellBytesPerProbeBudget = map[string]float64{"H": 33400, "calm": 16200}
+// with a map slot and a cloned set per hit (37.6 and 16.9 KB), and scratch
+// messages and free lists on every resolver and stub instead of one
+// working set per cell (31.6 and 15.2 KB). 23.0 and 11.2 KB measured,
+// pinned at measured + 5 %.
+var cellBytesPerProbeBudget = map[string]float64{"H": 24200, "calm": 11800}
 
 // cells are one 256-probe cell of each simulator workload of ./benchmark.
 var cells = map[string]string{

@@ -8,7 +8,7 @@
 //
 // A Network belongs to the goroutine that owns its clock (see package
 // clock): nothing here locks, and hosts are called from that goroutine's
-// event loop only.
+// event loop only, one dispatch at a time (see Shared).
 package netsim
 
 import (
@@ -88,6 +88,26 @@ type Network struct {
 	tcpConns map[[2]Addr]time.Time // established pair -> idle expiry
 	// pktFree recycles in-flight packets of both planes (see packet).
 	pktFree *packet
+	// shared holds one value per type handed out by Shared.
+	shared []any
+}
+
+// Shared returns the network's one *T, made zero on first request. It is
+// the cell's working set for engines of one kind: every engine on a
+// network runs on its clock's goroutine and none calls another
+// synchronously, so scratch whose contents never outlive a dispatch, and
+// free lists under the recycle rule of packet, serve them all from one
+// copy instead of one per engine. T must be a type only the engine's
+// package can name, so no other package reaches its copy.
+func Shared[T any](n *Network) *T {
+	for _, v := range n.shared {
+		if p, ok := v.(*T); ok {
+			return p
+		}
+	}
+	p := new(T)
+	n.shared = append(n.shared, p)
+	return p
 }
 
 // SetTrace installs the cell's trace buffer (nil disables tracing). The

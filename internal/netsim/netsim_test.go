@@ -217,3 +217,26 @@ func TestBadLossPanics(t *testing.T) {
 	}()
 	net.SetInboundLoss("b", 1.5)
 }
+
+// TestShared: a network hands out one value per type, the same on every
+// request, and two networks (two cells) share nothing.
+func TestShared(t *testing.T) {
+	type scratchA struct{ n int }
+	type scratchB struct{ n int }
+	_, net := newNet()
+	a := Shared[scratchA](net)
+	a.n = 7
+	if again := Shared[scratchA](net); again != a || again.n != 7 {
+		t.Fatalf("second request got %p (n %d), want %p", again, again.n, a)
+	}
+	if b := Shared[scratchB](net); b.n != 0 {
+		t.Fatalf("another type got a used value: %+v", b)
+	}
+	_, other := newNet()
+	if Shared[scratchA](other) == a {
+		t.Fatal("two networks share a value")
+	}
+	if n := testing.AllocsPerRun(100, func() { Shared[scratchA](net) }); n != 0 {
+		t.Errorf("a repeated request allocates %.1f objects, want 0", n)
+	}
+}

@@ -63,7 +63,7 @@ func (t *task) handleForwardResponse(m *dnswire.Message) {
 	case dnswire.RCodeNoError:
 		if len(m.Answers) > 0 {
 			t.cacheRRs(m.Answers, cache.RankAnswer)
-			// Copy: m is the resolver's scratch message.
+			// Copy: m is the working set's scratch message.
 			answers := append(t.answerBuf(len(m.Answers)), m.Answers...)
 			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: answers})
 			return

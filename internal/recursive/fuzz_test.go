@@ -17,7 +17,7 @@ import (
 // the virtual clock. Whatever the bytes, the resolver must not panic, must
 // spend no more upstream queries than its work budgets allow, and once the
 // clock drains must leave no outquery in flight, no timer pending and
-// every pooled job back on the free list exactly once.
+// every pooled job back on the working set's free list exactly once.
 func FuzzResolverUpstream(f *testing.F) {
 	pack := func(m *dnswire.Message) []byte {
 		wire, err := m.Pack()
@@ -114,15 +114,16 @@ func FuzzResolverUpstream(f *testing.F) {
 		if r.jobsOut != 0 || r.retired != nil || r.depth != 0 {
 			t.Errorf("%d jobs out, retired queue %v, depth %d", r.jobsOut, r.retired != nil, r.depth)
 		}
+		ws := r.work()
 		seen := map[*clientJob]bool{}
-		for j := r.jobFree; j != nil; j = j.next {
+		for j := ws.jobFree; j != nil; j = j.next {
 			if seen[j] {
 				t.Fatal("a job is on the free list twice")
 			}
 			seen[j] = true
 		}
-		if len(seen) != r.jobFreeN || r.jobFreeN > maxFree {
-			t.Errorf("free list holds %d jobs, counted %d (cap %d)", len(seen), r.jobFreeN, maxFree)
+		if len(seen) != ws.jobFreeN || ws.jobFreeN > maxFree {
+			t.Errorf("free list holds %d jobs, counted %d (cap %d)", len(seen), ws.jobFreeN, maxFree)
 		}
 	})
 }

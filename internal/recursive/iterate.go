@@ -301,7 +301,7 @@ func (t *task) cacheAnswer() bool {
 			t.r.event(kCacheHit, payload{})
 			t.r.maybePrefetch(cur, t.qtype, t.shard, v)
 			// Copied only now: a background fetch may have used the
-			// resolver's record scratch, which answerBuf hands a job.
+			// working set's record scratch, which answerBuf hands a job.
 			t.finish(Result{RCode: dnswire.RCodeNoError, Answers: t.cachedAnswers(v), FromCache: true})
 			return true
 		}
@@ -549,16 +549,18 @@ func (t *task) absorbLateResponse(m *dnswire.Message) {
 // answerBuf returns an empty buffer for the n or so answers of a Result.
 // A Resolve caller may keep them, so its buffer is fresh; a job packs
 // them and a subtask reads them before the dispatch returns, so theirs is
-// the resolver's record scratch (free once cacheAuthorityAndGlue is done).
+// the working set's record scratch (free once cacheAuthorityAndGlue is
+// done).
 // Either way the task owns the records and finish may rewrite their TTLs.
 func (t *task) answerBuf(n int) []dnswire.RR {
 	if t.root && t.job == nil {
 		return make([]dnswire.RR, 0, n)
 	}
-	if cap(t.r.rrScratch) < n {
-		t.r.rrScratch = make([]dnswire.RR, 0, n)
+	ws := t.r.work()
+	if cap(ws.rrScratch) < n {
+		ws.rrScratch = make([]dnswire.RR, 0, n)
 	}
-	return t.r.rrScratch[:0]
+	return ws.rrScratch[:0]
 }
 
 // handleAnswer caches the answer RRsets and finishes or restarts on a
@@ -881,7 +883,7 @@ func (t *task) validateAnswer(m *dnswire.Message) bool {
 
 // cacheRRs groups records into RRsets and stores them at the given rank,
 // in the order of each set's first record. Each owner name is
-// canonicalized once into the resolver's key scratch; a set is gathered
+// canonicalized once into the working set's key scratch; a set is gathered
 // in its set scratch by rescanning from its first record (the lists are a
 // handful of records), and Put copies what it keeps.
 func (t *task) cacheRRs(rrs []dnswire.RR, rank cache.Rank) {
@@ -889,7 +891,8 @@ func (t *task) cacheRRs(rrs []dnswire.RR, rank cache.Rank) {
 	if r.cfg.NoCache || len(rrs) == 0 {
 		return
 	}
-	keys := r.keyScratch[:0]
+	ws := r.work()
+	keys := ws.keyScratch[:0]
 	for i := range rrs {
 		keys = append(keys, cache.Key{Name: dnswire.CanonicalName(rrs[i].Name), Type: rrs[i].Type()})
 	}
@@ -897,7 +900,7 @@ func (t *task) cacheRRs(rrs []dnswire.RR, rank cache.Rank) {
 		if k.Name == "" {
 			continue // in an earlier record's set
 		}
-		set := r.setScratch[:0]
+		set := ws.setScratch[:0]
 		for j := i; j < len(keys); j++ {
 			if keys[j] == k {
 				set = append(set, rrs[j])
@@ -905,9 +908,9 @@ func (t *task) cacheRRs(rrs []dnswire.RR, rank cache.Rank) {
 			}
 		}
 		r.cache.Put(k, cache.Entry{Records: set, Rank: rank}, t.shard)
-		r.setScratch = set[:0]
+		ws.setScratch = set[:0]
 	}
-	r.keyScratch = keys[:0]
+	ws.keyScratch = keys[:0]
 }
 
 // cacheAuthorityAndGlue stores referral NS sets and in-bailiwick glue
@@ -921,10 +924,11 @@ func (t *task) cacheAuthorityAndGlue(m *dnswire.Message) {
 		return
 	}
 	// The NS and glue lists live only for this call (Put copies what the
-	// cache keeps), so they borrow the resolver's scratch buffer. The
+	// cache keeps), so they borrow the working set's scratch buffer. The
 	// event loop is single-threaded and this function never yields, so the
 	// buffer cannot be observed mid-use.
-	nsRRs := t.r.rrScratch[:0]
+	ws := t.r.work()
+	nsRRs := ws.rrScratch[:0]
 	for _, rr := range m.Authorities {
 		if rr.Type() == dnswire.TypeNS {
 			nsRRs = append(nsRRs, rr)
@@ -951,7 +955,7 @@ func (t *task) cacheAuthorityAndGlue(m *dnswire.Message) {
 		}
 	}
 	if bailiwick == "" {
-		t.r.rrScratch = nsRRs[:0]
+		ws.rrScratch = nsRRs[:0]
 		return // no NS set in sight: no additional is credible
 	}
 	glue := nsRRs[:0] // the NS set was copied by cacheRRs above
@@ -965,7 +969,7 @@ func (t *task) cacheAuthorityAndGlue(m *dnswire.Message) {
 		glue = append(glue, rr)
 	}
 	t.cacheRRs(glue, cache.RankAdditional)
-	t.r.rrScratch = glue[:0]
+	ws.rrScratch = glue[:0]
 }
 
 // cacheNegative stores an NXDOMAIN or NODATA entry for the current name.
@@ -995,15 +999,16 @@ func soaOf(m *dnswire.Message) dnswire.RR {
 // referralNS returns the NS set of a referral that makes downward
 // progress: owned by a name deeper than the current zone and enclosing
 // the query name.
-// The returned slice borrows r's scratch buffer: it is valid only until
-// the next referralNS call on this resolver (callers consume it within
-// the same event dispatch).
+// The returned slice borrows the working set's scratch buffer: it is
+// valid only until the next referralNS call on the network (callers
+// consume it within the same event dispatch).
 func referralNS(r *Resolver, m *dnswire.Message, currentZone, qname string) []dnswire.RR {
 	if m.Authoritative {
 		return nil
 	}
-	ns := r.nsScratch[:0]
-	defer func() { r.nsScratch = ns[:0] }()
+	ws := r.work()
+	ns := ws.nsScratch[:0]
+	defer func() { ws.nsScratch = ns[:0] }()
 	owner := ""
 	for _, rr := range m.Authorities {
 		if rr.Type() != dnswire.TypeNS {

@@ -57,7 +57,7 @@ func TestLateTimerAfterRecycle(t *testing.T) {
 	if st.Timeouts != 0 || st.ServFails != 0 {
 		t.Errorf("late timers counted: %+v", st)
 	}
-	if res.oqFree != nil {
+	if res.work().oqFree != nil {
 		t.Error("an outquery whose timer was still queued went back to the free list")
 	}
 	// The second resolution reuses nothing the late timers can reach.
@@ -81,9 +81,9 @@ func clientQuery(t *testing.T, name string, qtype dnswire.Type) []byte {
 	return wire
 }
 
-// onFreeList reports whether j is on r's job free list.
+// onFreeList reports whether j is on the job free list of r's working set.
 func onFreeList(r *Resolver, j *clientJob) bool {
-	for f := r.jobFree; f != nil; f = f.next {
+	for f := r.work().jobFree; f != nil; f = f.next {
 		if f == j {
 			return true
 		}
@@ -246,6 +246,52 @@ func TestJobRecycle(t *testing.T) {
 				t.Errorf("next miss took the job: %v, pinned %v", next == j, tc.pinned)
 			}
 		})
+	}
+}
+
+// TestJobRecycleAcrossResolvers: two resolvers on one network take their
+// jobs from its one free list. A answers a miss, but its deadline's Stop()
+// lost (lateClock), so the job stays out and B's miss cannot take it; once
+// the queued deadline has run, the job is back and B's next miss takes it.
+func TestJobRecycleAcrossResolvers(t *testing.T) {
+	w := newWorld(t, Config{})
+	a := NewResolver(lateClock{w.clk}, Config{
+		RootHints: []ServerHint{{Name: "a.root-servers.net.", Addr: rootAddr}}})
+	a.Attach(w.net, "10.0.0.54")
+	b := w.res
+	if a.work() != b.work() {
+		t.Fatal("two resolvers on one network have separate working sets")
+	}
+	answers := 0
+	w.net.Bind(clientAddr, func(netsim.Addr, []byte) { answers++ })
+	miss := func(r *Resolver, name string) *clientJob {
+		r.Receive(clientAddr, clientQuery(t, name, dnswire.TypeAAAA))
+		j := r.coalesce[coalesceKey{name: name, qtype: dnswire.TypeAAAA}]
+		if j == nil {
+			t.Fatalf("%s started no job", name)
+		}
+		return j
+	}
+
+	ja := miss(a, "1414.cachetest.nl.")
+	w.clk.RunFor(time.Second) // answered; the 8 s deadline is still queued
+	if answers != 1 || a.jobsOut != 1 || onFreeList(a, ja) {
+		t.Fatalf("%d answers, A has %d jobs out, job back %v: want the job out until its deadline runs",
+			answers, a.jobsOut, onFreeList(a, ja))
+	}
+	if jb := miss(b, "9999.cachetest.nl."); jb == ja {
+		t.Fatal("B took a job A's queued deadline can still reach")
+	}
+	w.clk.RunFor(time.Minute)
+	if answers != 2 || a.jobsOut != 0 || b.jobsOut != 0 || !onFreeList(b, ja) {
+		t.Fatalf("%d answers, %d and %d jobs out, A's job back %v", answers, a.jobsOut, b.jobsOut, onFreeList(b, ja))
+	}
+	if next := miss(b, "1414.cachetest.nl."); next != ja {
+		t.Error("B's next miss did not take the job A's deadline gave back")
+	}
+	w.clk.RunFor(time.Minute)
+	if answers != 3 || b.jobsOut != 0 {
+		t.Errorf("%d answers, B has %d jobs out", answers, b.jobsOut)
 	}
 }
 

@@ -232,15 +232,15 @@ type Resolver struct {
 
 	nextID   uint16
 	inflight map[uint32]*outquery // 16-bit IDs; uint32 keys take the map's fast path
-	// Free lists and their lengths (see putOQ), jobs retired during the
-	// depth dispatches in progress, and jobs out (neither back nor pinned).
-	oqFree            *outquery
-	jobFree, retired  *clientJob
-	oqFreeN, jobFreeN int
-	depth, jobsOut    int
-	srtt              map[netsim.Addr]time.Duration
-	coalesce          map[coalesceKey]*clientJob
-	harvests          map[string]time.Time // zone -> last NS harvest
+	// ws is the working set this resolver borrows (see work); retired
+	// holds the jobs retired during the depth dispatches in progress, and
+	// jobsOut counts jobs out (neither back nor pinned).
+	ws             *workingSet
+	retired        *clientJob
+	depth, jobsOut int
+	srtt           map[netsim.Addr]time.Duration
+	coalesce       map[coalesceKey]*clientJob
+	harvests       map[string]time.Time // zone -> last NS harvest
 	// trace and timeline are the cell's observers, read from the network
 	// at Attach; n is the live counter per event kind (see event.go).
 	trace    *trace.Buffer
@@ -249,30 +249,50 @@ type Resolver struct {
 	// upstreamRTTms observes every upstream round-trip sample, in
 	// milliseconds (the same samples that feed SRTT selection).
 	upstreamRTTms metrics.Histogram
+}
 
-	// rrScratch, nsScratch, setScratch and keyScratch are reusable
-	// buffers for the single-threaded response-processing path
-	// (cacheAuthorityAndGlue and answerBuf, referralNS, and cacheRRs's
-	// sets and keys); their contents never survive an event dispatch.
+// workingSet is the decode and encode scratch and the free lists of every
+// resolver on one network (netsim.Shared). The network's engines run one
+// dispatch at a time, no scratch contents survive a dispatch, and a node
+// goes back to a free list only under putOQ's rule, which holds whichever
+// resolver takes it next. It is the only place the package declares
+// dnswire.Message fields (make obs-guard).
+type workingSet struct {
+	// upMsg is the decode target for upstream responses. Response
+	// processing never retains the message or its section slices (data
+	// that outlives the dispatch — cache sets, Result answers — is always
+	// copied).
+	upMsg dnswire.Message
+	// cqMsg is the decode target for client queries, and at answer time
+	// the scratch each waiter's query is rebuilt in (see waiter).
+	cqMsg dnswire.Message
+	// qMsg and respMsg are encode sources (upstream queries and client
+	// responses), and packBuf the wire buffer; all three are transmitted
+	// before the dispatch returns and never retained (Conn.Send copies).
+	qMsg    dnswire.Message
+	respMsg dnswire.Message
+	packBuf []byte
+	// rrScratch, nsScratch, setScratch and keyScratch serve the
+	// response-processing path (cacheAuthorityAndGlue and answerBuf,
+	// referralNS, and cacheRRs's sets and keys).
 	rrScratch  []dnswire.RR
 	nsScratch  []dnswire.RR
 	setScratch []dnswire.RR
 	keyScratch []cache.Key
-	// upMsg is the scratch decode target for upstream responses. Response
-	// processing never retains the message or its section slices (data
-	// that outlives the dispatch — cache sets, Result answers — is always
-	// copied), so one message per resolver serves every response.
-	upMsg dnswire.Message
-	// cqMsg is the scratch decode target for client queries, and at answer
-	// time the scratch each waiter's query is rebuilt in (see waiter).
-	cqMsg dnswire.Message
-	// qMsg and respMsg are scratch encode sources (upstream queries and
-	// client responses), and packBuf the scratch wire buffer; all three
-	// are transmitted before the dispatch returns and never retained
-	// (Conn.Send copies).
-	qMsg    dnswire.Message
-	respMsg dnswire.Message
-	packBuf []byte
+	// The free lists and their lengths (see putOQ).
+	oqFree            *outquery
+	jobFree           *clientJob
+	oqFreeN, jobFreeN int
+}
+
+// work returns the resolver's working set: the network's, from Attach,
+// or for a resolver that never attached (SetConn, a bare Resolve) its own,
+// made on first use.
+func (r *Resolver) work() *workingSet {
+	if r.ws == nil {
+		r.ws = new(workingSet)
+	}
+	return r.ws
 }
 
 type coalesceKey struct {
@@ -338,9 +358,10 @@ func (r *Resolver) SetConn(conn netsim.Conn) { r.conn = conn }
 // Attach allocation-parity with the pre-TCP engine on benchmark hot
 // paths. Inbound packets are dispatched to the client-serving or
 // upstream-response paths by the QR bit. The resolver (and its cache)
-// inherit the network's observers.
+// inherit the network's observers, and the resolver its working set.
 func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
 	r.trace, r.timeline = net.Trace(), net.Timeline()
+	r.ws = netsim.Shared[workingSet](net)
 	r.cache.SetTrace(r.trace)
 	r.conn = net.Bind(addr, r.Receive)
 	if r.cfg.TCPFallback {
@@ -367,12 +388,13 @@ func (r *Resolver) receive(src netsim.Addr, payload []byte, tcp bool) {
 		return
 	}
 	r.depth++
+	ws := r.work()
 	if payload[2]&0x80 != 0 {
-		if err := dnswire.UnpackInto(&r.upMsg, payload); err == nil {
-			r.handleUpstream(&r.upMsg)
+		if err := dnswire.UnpackInto(&ws.upMsg, payload); err == nil {
+			r.handleUpstream(&ws.upMsg)
 		}
-	} else if err := dnswire.UnpackInto(&r.cqMsg, payload); err == nil {
-		r.serveClient(src, &r.cqMsg, tcp)
+	} else if err := dnswire.UnpackInto(&ws.cqMsg, payload); err == nil {
+		r.serveClient(src, &ws.cqMsg, tcp)
 	}
 	r.leave()
 }
@@ -383,12 +405,13 @@ func (r *Resolver) leave() {
 	if r.depth--; r.depth > 0 {
 		return
 	}
+	ws := r.work()
 	for j := r.retired; j != nil; {
 		next := j.next
 		*j = clientJob{}
-		if r.jobFreeN < maxFree {
-			j.next, r.jobFree = r.jobFree, j
-			r.jobFreeN++
+		if ws.jobFreeN < maxFree {
+			j.next, ws.jobFree = ws.jobFree, j
+			ws.jobFreeN++
 		}
 		r.jobsOut--
 		j = next
@@ -423,7 +446,7 @@ func (r *Resolver) allocID() (uint16, bool) {
 }
 
 // outquery is one upstream query awaiting a response or timeout. Nodes
-// are pooled on the resolver (see getOQ/putOQ): the continuation is the
+// are pooled on the working set (see getOQ/putOQ): the continuation is the
 // owning task plus a mode bit instead of per-send closures, so a query
 // burst allocates nothing after the first rotation.
 type outquery struct {
@@ -438,20 +461,22 @@ type outquery struct {
 }
 
 func (r *Resolver) getOQ() *outquery {
-	if oq := r.oqFree; oq != nil {
-		r.oqFree = oq.next
-		r.oqFreeN--
+	ws := r.work()
+	if oq := ws.oqFree; oq != nil {
+		ws.oqFree = oq.next
+		ws.oqFreeN--
 		oq.next = nil
 		return oq
 	}
 	return new(outquery)
 }
 
-// maxFree caps each free list: a flood's peak goes back to the GC.
+// maxFree caps each free list of a working set: a flood's peak goes back
+// to the GC.
 const maxFree = 64
 
 // putOQ retires a node and drops its reference on its task. The recycle
-// rule, for this list, the resolver's jobs and every other free list on a
+// rule, for this list, the working set's jobs and every other free list on a
 // cell's path (stub's pending records, vantage's round queries, netsim's
 // packets): a node goes back only when no queued callback can reach it —
 // inside its own timer callback, or after that timer's Stop() reported
@@ -464,9 +489,9 @@ const maxFree = 64
 func (r *Resolver) putOQ(oq *outquery, timerDone bool) {
 	t := oq.t
 	*oq = outquery{}
-	if timerDone && r.oqFreeN < maxFree {
-		oq.next, r.oqFree = r.oqFree, oq
-		r.oqFreeN++
+	if ws := r.work(); timerDone && ws.oqFreeN < maxFree {
+		oq.next, ws.oqFree = ws.oqFree, oq
+		ws.oqFreeN++
 	}
 	t.release()
 }
@@ -496,7 +521,8 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	r.inflight[uint32(id)] = oq
 	r.event(kUpstreamQuery, payload{name: t.name, a: uint32(t.qtype), dst: server})
 
-	q := &r.qMsg
+	ws := r.work()
+	q := &ws.qMsg
 	q.ResetQuery(id, t.name, t.qtype)
 	q.RecursionDesired = fwd
 	do := len(r.cfg.TrustAnchors) > 0
@@ -505,8 +531,8 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	} else if do {
 		q.AddEDNS(4096, true)
 	}
-	wire, err := q.AppendPack(r.packBuf[:0])
-	r.packBuf = wire[:0]
+	wire, err := q.AppendPack(ws.packBuf[:0])
+	ws.packBuf = wire[:0]
 	if err != nil {
 		delete(r.inflight, uint32(id))
 		r.putOQ(oq, true) // no timer armed yet

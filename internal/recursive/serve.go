@@ -18,14 +18,16 @@ type clientJob struct {
 	next  *clientJob // retired-queue or free-list link
 }
 
-// getJob takes a cleared job off the free list, or makes one.
+// getJob takes a cleared job off the working set's free list, or makes
+// one.
 func (r *Resolver) getJob() *clientJob {
-	j := r.jobFree
+	ws := r.work()
+	j := ws.jobFree
 	if j == nil {
 		j = new(clientJob)
 	} else {
-		r.jobFree, j.next = j.next, nil
-		r.jobFreeN--
+		ws.jobFree, j.next = j.next, nil
+		ws.jobFreeN--
 	}
 	j.job = j
 	r.jobsOut++
@@ -43,7 +45,7 @@ func (j *clientJob) complete(res Result) {
 }
 
 // waiter is one client awaiting a job's answer. Its query was decoded
-// into the resolver's scratch message and is gone by then, so the waiter
+// into the working set's scratch message and is gone by then, so the waiter
 // keeps what the response echoes or obeys: ID, RD flag and EDNS (the
 // question is the job's key).
 type waiter struct {
@@ -60,13 +62,14 @@ type waiter struct {
 // message for the response builder. respMsg is packed and sent before the
 // next waiter reuses it.
 func (r *Resolver) answer(w *waiter, key coalesceKey, res Result) {
-	q := &r.cqMsg
+	ws := r.work()
+	q := &ws.cqMsg
 	q.ResetQuery(w.id, key.name, key.qtype)
 	q.RecursionDesired = w.rd
 	if w.edns {
 		q.AddEDNS(w.udpSize, w.do)
 	}
-	r.respond(w.src, r.buildResponseInto(&r.respMsg, q, res), q, w.tcp)
+	r.respond(w.src, r.buildResponseInto(&ws.respMsg, q, res), q, w.tcp)
 }
 
 // serveClient answers a query received from a stub (or a downstream R1).
@@ -149,7 +152,7 @@ func (r *Resolver) buildResponse(q *dnswire.Message, res Result) *dnswire.Messag
 }
 
 // buildResponseInto renders the response into resp (typically the
-// resolver's scratch message) and returns it.
+// working set's scratch message) and returns it.
 func (r *Resolver) buildResponseInto(resp, q *dnswire.Message, res Result) *dnswire.Message {
 	resp.ResetResponse(q)
 	resp.RecursionAvailable = true
@@ -172,8 +175,9 @@ func (r *Resolver) buildResponseInto(resp, q *dnswire.Message, res Result) *dnsw
 // so the client can renegotiate or fall back to TCP. TCP responses are
 // never truncated.
 func (r *Resolver) respond(dst netsim.Addr, resp, q *dnswire.Message, tcp bool) {
-	wire, err := resp.AppendPack(r.packBuf[:0])
-	r.packBuf = wire[:0]
+	ws := r.work()
+	wire, err := resp.AppendPack(ws.packBuf[:0])
+	ws.packBuf = wire[:0]
 	if err != nil {
 		return
 	}

@@ -27,9 +27,10 @@ const DefaultTimeout = 5 * time.Second
 
 // Result is the outcome of one query.
 type Result struct {
-	// Msg is the response, nil on timeout. It is the client's scratch
-	// message: valid until the callback returns, then reused for the next
-	// response. A callback that needs it longer copies what it needs.
+	// Msg is the response, nil on timeout. It is the working set's
+	// scratch message: valid until the callback returns, then reused for
+	// the next response on the network. A callback that needs it longer
+	// copies what it needs.
 	Msg *dnswire.Message
 	// Err is non-nil on timeout or an unusable truncated response.
 	Err error
@@ -70,17 +71,33 @@ type Client struct {
 	tcpConn netsim.Conn
 	nextID  uint16
 	trace   *trace.Buffer
-	// inflight maps message IDs to pending queries; free recycles their
-	// records (see release).
+	// inflight maps message IDs to pending queries.
 	inflight map[uint16]*pending
-	free     *pending
+	// ws is the working set this client borrows (see work).
+	ws *workingSet
+}
 
-	// qMsg and respMsg are the scratch encode source and decode target,
-	// packBuf the scratch wire buffer (Conn.Send copies). The event loop
-	// is single-threaded, so one of each serves every query.
+// workingSet is the scratch and the free list of every client on one
+// network (netsim.Shared): the network's engines run one dispatch at a
+// time, so one of each serves every query. It is the only place the
+// package declares dnswire.Message fields (make obs-guard).
+type workingSet struct {
+	// qMsg and respMsg are the encode source and decode target, packBuf
+	// the wire buffer (Conn.Send copies).
 	qMsg    dnswire.Message
 	respMsg dnswire.Message
 	packBuf []byte
+	// free recycles pending records (see release).
+	free *pending
+}
+
+// work returns the client's working set: the network's, from Attach, or
+// for a client that never attached (SetConn) its own, made on first use.
+func (c *Client) work() *workingSet {
+	if c.ws == nil {
+		c.ws = new(workingSet)
+	}
+	return c.ws
 }
 
 type pending struct {
@@ -118,7 +135,8 @@ func (f handlerFunc) Done(res Result) { f(res) }
 func (c *Client) release(p *pending, timerDone bool) {
 	*p = pending{}
 	if timerDone {
-		p.next, c.free = c.free, p
+		ws := c.work()
+		p.next, ws.free = ws.free, p
 	}
 }
 
@@ -132,9 +150,11 @@ func New(clk clock.Clock, cfg Config) *Client {
 
 // Attach binds the client at addr on the simulated network; with
 // Config.TCPFallback armed it binds the TCP plane too, so TC=1 fallback
-// works out of the box. The client inherits the network's trace buffer.
+// works out of the box. The client inherits the network's trace buffer
+// and working set.
 func (c *Client) Attach(net *netsim.Network, addr netsim.Addr) {
 	c.trace = net.Trace()
+	c.ws = netsim.Shared[workingSet](net)
 	c.conn = net.Bind(addr, c.Receive)
 	if c.cfg.TCPFallback {
 		c.tcpConn = net.BindTCP(addr, c.Receive)
@@ -151,7 +171,7 @@ func (c *Client) Receive(src netsim.Addr, payload []byte) {
 	if len(payload) < 3 || payload[2]&0x80 == 0 {
 		return
 	}
-	m := &c.respMsg
+	m := &c.work().respMsg
 	if err := dnswire.UnpackInto(m, payload); err != nil {
 		return
 	}
@@ -206,11 +226,12 @@ func (c *Client) Query(server netsim.Addr, name string, qtype dnswire.Type, cb f
 
 // Do is Query with the outcome delivered to h.
 func (c *Client) Do(server netsim.Addr, name string, qtype dnswire.Type, h Handler) {
-	p := c.free
+	ws := c.work()
+	p := ws.free
 	if p == nil {
 		p = new(pending)
 	} else {
-		c.free, p.next = p.next, nil
+		ws.free, p.next = p.next, nil
 	}
 	p.c, p.server, p.retries = c, server, c.cfg.Retries
 	p.name, p.qtype, p.started, p.h = name, qtype, c.clk.Now(), h
@@ -242,13 +263,14 @@ func (c *Client) sendAttempt(p *pending) {
 		c.event(trace.EvStubRetry, p, uint32(p.attempt), "", p.server)
 	}
 
-	q := &c.qMsg
+	ws := c.work()
+	q := &ws.qMsg
 	q.ResetQuery(p.id, p.name, p.qtype)
 	if c.cfg.EDNSSize > 0 {
 		q.AddEDNS(c.cfg.EDNSSize, false)
 	}
-	wire, err := q.AppendPack(c.packBuf[:0])
-	c.packBuf = wire[:0]
+	wire, err := q.AppendPack(ws.packBuf[:0])
+	ws.packBuf = wire[:0]
 	if err != nil {
 		delete(c.inflight, p.id)
 		p.h.Done(Result{Err: err, Server: p.server})

@@ -16,7 +16,12 @@
 #   - one seeded-stream constructor (DESIGN.md §12.1): non-test internal/,
 #     cmd/ and examples/ build a math/rand stream only through
 #     lazyrand.New, so no resolver pays math/rand's 4.9 KB seeded state
-#     before it draws past 273.
+#     before it draws past 273;
+#   - one working set per cell (DESIGN.md §10): non-test
+#     internal/recursive and internal/stub declare dnswire.Message fields
+#     only inside their workingSet type, the scratch each engine borrows
+#     from the network it attaches to, so a resolver or a stub client
+#     cannot grow per-instance scratch messages again.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -61,5 +66,20 @@ seeded="$(find internal cmd examples -name '*.go' ! -name '*_test.go' | grep -v 
 # shellcheck disable=SC2086
 [ "$(count 'rand\.NewSource(' $seeded)" -eq 0 ] ||
     fail "rand.NewSource outside internal/lazyrand (use lazyrand.New): $(grep -n 'rand\.NewSource(' $seeded)"
+
+# msgfields FILE...: dnswire.Message fields (value, array or embedded)
+# declared outside a workingSet struct, one line each.
+msgfields() {
+    for f in "$@"; do
+        sed '/^type workingSet struct {/,/^}/d' "$f" |
+            grep -E '^[[:space:]]+([A-Za-z_][A-Za-z0-9_]*([[:space:]]*,[[:space:]]*[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+)?(\[[^]]*\])*dnswire\.Message([[:space:]]|$)' |
+            sed "s|^|$f: |" || true
+    done
+}
+engines="$(ls internal/recursive/*.go internal/stub/*.go | grep -v '_test\.go$')"
+# shellcheck disable=SC2086
+stray="$(msgfields $engines)"
+[ -z "$stray" ] || fail "dnswire.Message field outside a workingSet (borrow the network's working set):
+$stray"
 
 echo "obs-guard OK" >&2
