@@ -68,7 +68,7 @@ type Outcome struct {
 type Tracker struct {
 	seen       bool
 	warm       bool
-	lastExpiry time.Time
+	lastExpiry int64 // Unix nanoseconds, as Answer.Sent
 	maxSerial  uint16
 }
 
@@ -102,13 +102,13 @@ func (t *Tracker) Classify(a vantage.Answer, currentSerial uint16) Outcome {
 	if !t.seen {
 		t.seen = true
 		t.warm = true
-		t.lastExpiry = a.SentAt.Add(time.Duration(a.AnswerTTL) * time.Second)
+		t.lastExpiry = expiry(a)
 		out.Category = Warmup
 		out.TTLAltered = ttlAltered(a)
 		return out
 	}
 
-	expectCache := a.SentAt.Before(t.lastExpiry)
+	expectCache := a.Sent < t.lastExpiry
 	switch {
 	case expectCache && !fromAuth:
 		out.Category = CC
@@ -123,8 +123,13 @@ func (t *Tracker) Classify(a vantage.Answer, currentSerial uint16) Outcome {
 	}
 
 	// The next expectation follows from what the client was just told.
-	t.lastExpiry = a.SentAt.Add(time.Duration(a.AnswerTTL) * time.Second)
+	t.lastExpiry = expiry(a)
 	return out
+}
+
+// expiry is when the record a returned runs out of TTL at its client.
+func expiry(a vantage.Answer) int64 {
+	return a.Sent + int64(time.Duration(a.AnswerTTL)*time.Second)
 }
 
 // ttlAltered applies the paper's 10% rule against the zone-configured TTL.

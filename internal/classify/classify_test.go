@@ -12,8 +12,8 @@ var epoch = time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
 // ans builds an answer at minute m with the given serial and TTLs.
 func ans(m int, serial uint16, encTTL, answerTTL uint32) vantage.Answer {
 	return vantage.Answer{
-		ProbeID: 1, Recursive: "r", Valid: true,
-		SentAt: epoch.Add(time.Duration(m) * time.Minute),
+		Valid:  true,
+		Sent:   epoch.Add(time.Duration(m) * time.Minute).UnixNano(),
 		Serial: serial, EncTTL: encTTL, AnswerTTL: answerTTL,
 	}
 }

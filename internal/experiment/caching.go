@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dnswire"
-	"repro/internal/netsim"
 	"repro/internal/stats"
 )
 
@@ -83,23 +82,30 @@ func runCachingWorld(cfg CachingConfig, base TestbedConfig) *Testbed {
 	return tb
 }
 
-// fetcherKey identifies one probe's name in one zone round.
+// fetcherKey identifies one probe's name (an AuthEvent.QName) in one
+// zone round.
 type fetcherKey struct {
-	qname string
-	round int
+	qname uint32
+	round int32
 }
 
-// indexFetchers maps (probe name, rotation round) to the recursive
-// addresses that fetched it from the authoritatives.
-func indexFetchers(tb *Testbed) map[fetcherKey][]netsim.Addr {
-	idx := make(map[fetcherKey][]netsim.Addr)
+// rotationRound is the zone round in force at offset since the start.
+func rotationRound(offset time.Duration) int32 { return int32(offset / RotationInterval) }
+
+// indexFetchers is the set of (name, rotation round) keys a Google
+// backend fetched from the authoritatives, the one question Table 3 asks
+// of the tap.
+func indexFetchers(tb *Testbed) map[fetcherKey]struct{} {
+	google := make([]bool, len(tb.authSrcs.vals))
+	for i, src := range tb.authSrcs.vals {
+		google[i] = tb.Pop.IsGoogleRn(src)
+	}
+	idx := make(map[fetcherKey]struct{})
 	for _, chunk := range tb.AuthLog {
 		for _, ev := range chunk {
-			if ev.QType != dnswire.TypeAAAA || ev.Dropped {
-				continue
+			if ev.QType == dnswire.TypeAAAA && !ev.Dropped && google[ev.Src] {
+				idx[fetcherKey{qname: ev.QName, round: rotationRound(ev.At)}] = struct{}{}
 			}
-			k := fetcherKey{qname: tb.AuthQName(ev), round: int(ev.At / RotationInterval)}
-			idx[k] = append(idx[k], tb.AuthSrc(ev))
 		}
 	}
 	return idx

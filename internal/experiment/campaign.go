@@ -205,10 +205,10 @@ func renderRunBlock(b *strings.Builder, r CampaignResult) {
 }
 
 // Column orders of the Figure 6/8/14 and Figure 10 series, shared by the
-// report and the CSV export.
+// report and the CSV export. Figure 10 draws every bin but "other".
 var (
 	answerLabels = []string{"OK", "SERVFAIL", "NoAnswer"}
-	authLabels   = []string{"NS", "A-for-NS", "AAAA-for-NS", "AAAA-for-PID"}
+	authLabels   = authLabelNames[:labelOther]
 )
 
 // renderDDoSBlock prints one attack run's full figure set, plus the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/classify"
 	"repro/internal/dnswire"
@@ -84,6 +85,16 @@ func TestAuthEventPointerFree(t *testing.T) {
 		default:
 			t.Errorf("AuthEvent.%s is a %s", f.Name, f.Type.Kind())
 		}
+	}
+}
+
+// TestAnswerBytes: every probe keeps one answer per query it sends, and
+// the log is live until the cell's tallies finish, so the record stays at
+// 48 bytes: a probe pointer and a recursive index instead of an ID and an
+// address string, Unix nanoseconds instead of a time.Time.
+func TestAnswerBytes(t *testing.T) {
+	if size := unsafe.Sizeof(vantage.Answer{}); size > 48 {
+		t.Errorf("vantage.Answer is %d bytes, want at most 48", size)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"time"
 
@@ -57,14 +56,11 @@ func runPassiveTestbed(base TestbedConfig) (passive.InterarrivalAnalysis, *Testb
 	base.Population.Harvest = recursive.HarvestFull
 	tb := runCachingWorld(CachingConfig{TTL: passiveTTL, ProbeInterval: passiveInterval, Rounds: passiveRounds}, base)
 
-	hosts := make([]string, len(tb.AuthAddrs))
-	for i := range hosts {
-		hosts[i] = nsHost(i)
-	}
+	kinds := tb.authNameKinds()
 	var events []passive.QueryEvent
 	for _, chunk := range tb.AuthLog {
 		for _, ev := range chunk {
-			if ev.QType == dnswire.TypeA && slices.Contains(hosts, tb.AuthQName(ev)) {
+			if ev.QType == dnswire.TypeA && kinds[ev.QName] == nsHostName {
 				events = append(events, passive.QueryEvent{At: tb.Start.Add(ev.At), Src: string(tb.AuthSrc(ev))})
 			}
 		}

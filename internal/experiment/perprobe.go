@@ -55,21 +55,24 @@ func PerProbe(tb *Testbed, res *DDoSResult, probeID uint16) Table7 {
 		r1Used[i] = make(map[netsim.Addr]bool)
 	}
 	for _, a := range probe.Answers() {
-		if a.Round < 0 || a.Round >= rounds {
+		if int(a.Round) >= rounds {
 			continue
 		}
 		row := &out.Rounds[a.Round]
 		row.ClientQueries++
 		if a.Ok() {
 			row.ClientAnswers++
-			r1Used[a.Round][a.Recursive] = true
+			r1Used[a.Round][a.Recursive()] = true
 		}
 	}
 	for r := range out.Rounds {
 		out.Rounds[r].R1Used = len(r1Used[r])
 	}
 
-	qname := vantage.QName(probeID, Domain)
+	qname, logged := tb.authNames.idx[probe.QName()]
+	if !logged {
+		return out
+	}
 	ats := make([]map[uint8]bool, rounds)
 	rns := make([]map[uint32]bool, rounds)
 	for i := range ats {
@@ -79,7 +82,7 @@ func PerProbe(tb *Testbed, res *DDoSResult, probeID uint16) Table7 {
 	series := res.AuthQueries // same binning
 	for _, chunk := range tb.AuthLog {
 		for _, ev := range chunk {
-			if ev.QType != dnswire.TypeAAAA || tb.AuthQName(ev) != qname {
+			if ev.QType != dnswire.TypeAAAA || ev.QName != qname {
 				continue
 			}
 			r := series.RoundOf(tb.Start.Add(ev.At))
@@ -115,17 +118,21 @@ func BusiestProbe(tb *Testbed) uint16 {
 // its AAAA arrival count, so sharded runs can compare winners across
 // cells.
 func busiestProbeCount(tb *Testbed) (uint16, int) {
-	counts := make(map[string]int)
+	counts := make([]int, len(tb.authNames.vals))
 	for _, chunk := range tb.AuthLog {
 		for _, ev := range chunk {
 			if ev.QType == dnswire.TypeAAAA {
-				counts[tb.AuthQName(ev)]++
+				counts[ev.QName]++
 			}
 		}
 	}
 	best, bestN := uint16(0), -1
 	for _, p := range tb.Pop.Probes {
-		if n := counts[vantage.QName(p.ID, Domain)]; n > bestN {
+		n := 0
+		if i, ok := tb.authNames.idx[p.QName()]; ok {
+			n = counts[i]
+		}
+		if n > bestN {
 			best, bestN = p.ID, n
 		}
 	}

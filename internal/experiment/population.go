@@ -304,8 +304,8 @@ func BuildPopulation(clk clock.Clock, net *netsim.Network, probes int, domain st
 			}
 			recursives = append(recursives, b.buildR1())
 		}
-		p := vantage.NewProbe(clk, net, uint16(id), b.addr("probe"),
-			recursives, domain, b.nextSeed())
+		p := vantage.NewProbe(clk, net, uint16(id), b.addr("probe"), recursives, domain)
+		b.nextSeed() // a probe draws no seed, but its slot keeps every later resolver seed in place
 		b.pop.Probes = append(b.pop.Probes, p)
 	}
 	return b.pop

@@ -9,11 +9,11 @@ package experiment
 // byte-identical to the 1-shard run over the same cells.
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/classify"
 	"repro/internal/dnswire"
-	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/timeline"
 	"repro/internal/trace"
@@ -74,7 +74,7 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 		// the probes: each answer's event time is its arrival (or the
 		// moment the stub gave up — RTT is the timeout duration then).
 		for _, a := range p.Answers() {
-			at := a.SentAt.Add(a.RTT)
+			at := a.SentAt().Add(a.RTT)
 			switch {
 			case a.Timeout:
 				tl.ObserveAt(at, timeline.Failed)
@@ -103,19 +103,19 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 			if !a.Ok() {
 				continue
 			}
-			out := tracker.Classify(a, tb.SerialAt(a.SentAt))
+			out := tracker.Classify(a, tb.SerialAt(a.SentAt()))
 			cat := out.Category
 			if cat == classify.Warmup {
 				cat = classify.AA
 			}
-			ac.classes.AddRound(clampRound(a.Round, ac.rounds), cat.String(), 1)
+			ac.classes.AddRound(clampRound(int(a.Round), ac.rounds), cat.String(), 1)
 			if tr := tb.Net.Trace(); tr != nil {
 				// Classification happens after the simulation finishes, so
 				// these events form a trailing annotation section whose
 				// timestamps rewind to each answer's send time (EmitAt).
 				tr.EmitAt(trace.Event{
-					At: a.SentAt.Sub(tb.Start), Type: trace.EvClassify,
-					Probe: a.ProbeID, A: uint32(clampRound(a.Round, ac.rounds)),
+					At: a.SentAt().Sub(tb.Start), Type: trace.EvClassify,
+					Probe: a.ProbeID(), A: uint32(clampRound(int(a.Round), ac.rounds)),
 					B: uint32(out.Category), Src: string(k.Recursive),
 				})
 			}
@@ -135,7 +135,7 @@ func (ac *ddosAccum) tallyAnswers(answers []vantage.Answer) {
 	probeOK := false
 	for _, a := range answers {
 		ac.table4.Queries++
-		r := clampRound(a.Round, ac.rounds)
+		r := clampRound(int(a.Round), ac.rounds)
 		switch {
 		case a.Timeout:
 			ac.answers.AddRound(r, "NoAnswer", 1)
@@ -156,24 +156,69 @@ func (ac *ddosAccum) tallyAnswers(answers []vantage.Answer) {
 	}
 }
 
-// absorbAuthSide derives the Figures 10–12 tallies from the pre-drop tap.
-// Distinct-count sets, keyed by the log's indices, live only inside this
-// call: each cell's resolvers and probe names are its own, so per-cell
-// distinct counts add without any cross-cell set union.
-func (ac *ddosAccum) absorbAuthSide(tb *Testbed) {
-	nsHosts := make(map[string]bool)
-	for i := range tb.AuthAddrs {
-		nsHosts["ns"+itoa(i+1)+"."+Domain] = true
+// The bins of Figure 10's authoritative-side query mix, indexed by
+// authLabel's result.
+const (
+	labelNS = iota
+	labelANS
+	labelAAAANS
+	labelPID
+	labelOther
+	nLabels
+)
+
+var authLabelNames = [nLabels]string{"NS", "A-for-NS", "AAAA-for-NS", "AAAA-for-PID", "other"}
+
+// authLabel labels one logged query by its name's kind (authNameKinds)
+// and its type.
+func authLabel(kind uint8, qt dnswire.Type) int {
+	switch {
+	case kind == domainName && qt == dnswire.TypeNS:
+		return labelNS
+	case kind == nsHostName && qt == dnswire.TypeA:
+		return labelANS
+	case kind == nsHostName && qt == dnswire.TypeAAAA:
+		return labelAAAANS
+	case qt == dnswire.TypeAAAA:
+		return labelPID
 	}
-	uniqueRn := make([]map[uint32]bool, ac.rounds)
-	probeRn := make([]map[uint64]bool, ac.rounds) // QName<<32 | Src
-	rnPerProbe := make([]map[uint32]int, ac.rounds)
-	queriesPerProbe := make([]map[uint32]int, ac.rounds)
-	for i := range uniqueRn {
-		uniqueRn[i] = make(map[uint32]bool)
-		probeRn[i] = make(map[uint64]bool)
-		rnPerProbe[i] = make(map[uint32]int)
-		queriesPerProbe[i] = make(map[uint32]int)
+	return labelOther
+}
+
+// absorbAuthSide derives the Figures 10–12 tallies from the pre-drop tap.
+// It folds the log a round at a time, which relies on the log's arrival
+// order (Testbed.AuthLog): a round stamp per source counts distinct Rn,
+// and the round's AAAA-for-PID arrivals, sorted as (name, source) pairs,
+// give each probe name's query and distinct-Rn counts. The scratch is
+// indexed by the log's own indices, sized once per cell and reused by
+// every round. Each cell's resolvers and probe names are its own, so
+// per-cell distinct counts add without any cross-cell set union.
+func (ac *ddosAccum) absorbAuthSide(tb *Testbed) {
+	kinds := tb.authNameKinds()
+	seenIn := make([]int32, len(tb.authSrcs.vals)) // round+1 a source was last counted in
+	var pairs []uint64                             // QName<<32 | Src
+	var labels [nLabels]int
+	cur := -1 // no round yet: flush finds nothing to fold
+	flush := func() {
+		for l, n := range labels {
+			if n > 0 {
+				ac.authQueries.AddRound(cur, authLabelNames[l], float64(n))
+			}
+		}
+		labels = [nLabels]int{}
+		slices.Sort(pairs)
+		for i := 0; i < len(pairs); {
+			name, queries, rn := pairs[i]>>32, 0, 0
+			for ; i < len(pairs) && pairs[i]>>32 == name; i++ {
+				if queries == 0 || pairs[i] != pairs[i-1] {
+					rn++
+				}
+				queries++
+			}
+			ac.rnPerProbe[cur].Observe(int64(rn))
+			ac.queriesPP[cur].Observe(int64(queries))
+		}
+		pairs = pairs[:0]
 	}
 
 	for _, chunk := range tb.AuthLog {
@@ -182,39 +227,22 @@ func (ac *ddosAccum) absorbAuthSide(tb *Testbed) {
 			if r < 0 || r >= ac.rounds {
 				continue
 			}
-			uniqueRn[r][ev.Src] = true
-			qname := tb.AuthQName(ev)
-			label := ""
-			switch {
-			case qname == Domain && ev.QType == dnswire.TypeNS:
-				label = "NS"
-			case nsHosts[qname] && ev.QType == dnswire.TypeA:
-				label = "A-for-NS"
-			case nsHosts[qname] && ev.QType == dnswire.TypeAAAA:
-				label = "AAAA-for-NS"
-			case ev.QType == dnswire.TypeAAAA:
-				label = "AAAA-for-PID"
-				if k := uint64(ev.QName)<<32 | uint64(ev.Src); !probeRn[r][k] {
-					probeRn[r][k] = true
-					rnPerProbe[r][ev.QName]++
-				}
-				queriesPerProbe[r][ev.QName]++
-			default:
-				label = "other"
+			if r != cur {
+				flush()
+				cur = r
 			}
-			ac.authQueries.AddRound(r, label, 1)
+			if seenIn[ev.Src] != int32(r+1) {
+				seenIn[ev.Src] = int32(r + 1)
+				ac.uniqueRn[r]++
+			}
+			l := authLabel(kinds[ev.QName], ev.QType)
+			labels[l]++
+			if l == labelPID {
+				pairs = append(pairs, uint64(ev.QName)<<32|uint64(ev.Src))
+			}
 		}
 	}
-
-	for r := 0; r < ac.rounds; r++ {
-		ac.uniqueRn[r] += len(uniqueRn[r])
-		for _, n := range rnPerProbe[r] {
-			ac.rnPerProbe[r].Observe(int64(n))
-		}
-		for _, n := range queriesPerProbe[r] {
-			ac.queriesPP[r].Observe(int64(n))
-		}
-	}
+	flush()
 }
 
 // merge folds another accumulator (over disjoint probe cells) into ac.
@@ -312,8 +340,8 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 		}
 	}
 
-	// Rn attribution for Table 3: which resolvers fetched each
-	// (probe, zone-round) from the authoritatives.
+	// Rn attribution for Table 3: which (probe, zone-round) a Google
+	// backend fetched from the authoritatives.
 	fetchers := indexFetchers(tb)
 
 	tb.Fleet.EachVP(func(_ vantage.VPKey, list []vantage.Answer) {
@@ -332,9 +360,9 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 			if !a.Ok() {
 				continue
 			}
-			out := tracker.Classify(a, tb.SerialAt(a.SentAt))
+			out := tracker.Classify(a, tb.SerialAt(a.SentAt()))
 			ac.table2.Add(out)
-			ac.fig13.Add(a.SentAt, out.Category.String(), 1)
+			ac.fig13.Add(a.SentAt(), out.Category.String(), 1)
 			if out.Category == classify.AC {
 				ac.absorbTable3(tb, a, fetchers)
 			}
@@ -343,9 +371,9 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 }
 
 // absorbTable3 attributes one AC answer to its entry path.
-func (ac *cachingAccum) absorbTable3(tb *Testbed, a vantage.Answer, fetchers map[fetcherKey][]netsim.Addr) {
+func (ac *cachingAccum) absorbTable3(tb *Testbed, a vantage.Answer, fetchers map[fetcherKey]struct{}) {
 	ac.table3.ACAnswers++
-	meta := tb.Pop.R1Meta[a.Recursive]
+	meta := tb.Pop.R1Meta[a.Recursive()]
 	if meta.Public {
 		ac.table3.PublicR1++
 		if meta.Google {
@@ -357,16 +385,9 @@ func (ac *cachingAccum) absorbTable3(tb *Testbed, a vantage.Answer, fetchers map
 	}
 	ac.table3.NonPublicR1++
 	// Did the fetch emerge from a Google backend?
-	k := fetcherKey{
-		qname: vantage.QName(a.ProbeID, Domain),
-		round: int(a.SentAt.Sub(tb.Start) / RotationInterval),
-	}
 	viaGoogle := false
-	for _, rn := range fetchers[k] {
-		if tb.Pop.IsGoogleRn(rn) {
-			viaGoogle = true
-			break
-		}
+	if qname, ok := tb.authNames.idx[a.Probe.QName()]; ok {
+		_, viaGoogle = fetchers[fetcherKey{qname: qname, round: rotationRound(a.SentAt().Sub(tb.Start))}]
 	}
 	if viaGoogle {
 		ac.table3.GoogleRn++

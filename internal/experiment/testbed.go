@@ -10,6 +10,7 @@
 package experiment
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -120,7 +121,9 @@ type Testbed struct {
 	serial0 uint16
 	// AuthLog is the pre-drop tap log (kept with KeepAuthLog), in arrival
 	// order across fixed-size chunks: logging an event never re-copies
-	// the events before it.
+	// the events before it. The tap logs each packet as it arrives, on the
+	// virtual clock, so At never decreases along the log; the auth-side
+	// tallies fold it a round at a time on that order.
 	AuthLog   [][]AuthEvent
 	authSrcs  internTable[netsim.Addr]
 	authNames internTable[string]
@@ -420,6 +423,32 @@ func (t *internTable[K]) intern(v K) uint32 {
 // canonical query name.
 func (tb *Testbed) AuthSrc(ev AuthEvent) netsim.Addr { return tb.authSrcs.vals[ev.Src] }
 func (tb *Testbed) AuthQName(ev AuthEvent) string    { return tb.authNames.vals[ev.QName] }
+
+// The kinds of logged query name the auth-side readers tell apart.
+const (
+	otherName  uint8 = iota
+	domainName       // Domain itself
+	nsHostName       // a cachetest.nl nameserver, nsHost(i)
+)
+
+// authNameKinds classifies every logged query name once, indexed like
+// AuthEvent.QName, so the readers compare a byte per event, not a string.
+func (tb *Testbed) authNameKinds() []uint8 {
+	hosts := make([]string, len(tb.AuthAddrs))
+	for i := range hosts {
+		hosts[i] = nsHost(i)
+	}
+	kinds := make([]uint8, len(tb.authNames.vals))
+	for i, name := range tb.authNames.vals {
+		switch {
+		case name == Domain:
+			kinds[i] = domainName
+		case slices.Contains(hosts, name):
+			kinds[i] = nsHostName
+		}
+	}
+	return kinds
+}
 
 // installTap records every query arriving at a cachetest.nl authoritative,
 // including ones the emulated DDoS drops.

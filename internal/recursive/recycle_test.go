@@ -7,6 +7,7 @@ package recursive
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/authoritative"
 	"repro/internal/cache"
@@ -431,5 +432,54 @@ func TestDeadlineWithAnswerInFlight(t *testing.T) {
 	w.clk.RunFor(30 * time.Second)
 	if len(responses) != 2 || len(responses[1].Answers) != 1 {
 		t.Fatalf("second ask: %v", responses)
+	}
+}
+
+// TestJobKeepsServerBuffer: a forwarder with more upstreams than a task's
+// inline server array grows a server list on its first miss. The recycled
+// job keeps that list, emptied, so no address outlives the job and the
+// next miss, which takes the same job, rebuilds its list in place.
+func TestJobKeepsServerBuffer(t *testing.T) {
+	var forwarders []netsim.Addr
+	for i := 1; i <= 6; i++ {
+		forwarders = append(forwarders, netsim.Addr("10.0.1."+string(rune('0'+i))))
+	}
+	w := newWorld(t, Config{Forwarders: forwarders})
+	for _, f := range forwarders {
+		authoritative.New(mustZone(t, cachetestZoneText)).Attach(w.net, f)
+	}
+	r := w.res
+	answers := 0
+	w.net.Bind(clientAddr, func(netsim.Addr, []byte) { answers++ })
+
+	r.Receive(clientAddr, clientQuery(t, "1414.cachetest.nl.", dnswire.TypeAAAA))
+	j := r.coalesce[coalesceKey{name: "1414.cachetest.nl.", qtype: dnswire.TypeAAAA}]
+	if j == nil || len(j.servers) != len(forwarders) {
+		t.Fatalf("first miss: job %v", j)
+	}
+	buf := unsafe.SliceData(j.servers)
+	w.clk.RunFor(time.Minute)
+	if answers != 1 || !onFreeList(r, j) {
+		t.Fatalf("%d answers, job back %v", answers, onFreeList(r, j))
+	}
+	for f := r.work().jobFree; f != nil; f = f.next {
+		for _, s := range append(f.servers[:cap(f.servers)], f.servers0[:]...) {
+			if s != "" {
+				t.Fatalf("a free job still holds %s", s)
+			}
+		}
+	}
+	if cap(j.servers) < len(forwarders) || unsafe.SliceData(j.servers) != buf {
+		t.Fatalf("the free job dropped its server list (cap %d)", cap(j.servers))
+	}
+
+	r.Receive(clientAddr, clientQuery(t, "9999.cachetest.nl.", dnswire.TypeAAAA))
+	next := r.coalesce[coalesceKey{name: "9999.cachetest.nl.", qtype: dnswire.TypeAAAA}]
+	if next != j || len(next.servers) != len(forwarders) || unsafe.SliceData(next.servers) != buf {
+		t.Fatal("the second miss did not reuse the job's server list")
+	}
+	w.clk.RunFor(time.Minute)
+	if answers != 2 {
+		t.Fatalf("%d answers, want 2", answers)
 	}
 }

@@ -401,6 +401,8 @@ func (r *Resolver) receive(src netsim.Addr, payload []byte, tcp bool) {
 
 // leave ends a dispatch (a packet, a timer callback or a Resolve call);
 // the outermost one clears the jobs retired meanwhile onto the free list.
+// A job keeps its server buffer, emptied, so the next miss with a long
+// candidate list (a forwarder's upstreams) does not grow another.
 func (r *Resolver) leave() {
 	if r.depth--; r.depth > 0 {
 		return
@@ -408,7 +410,12 @@ func (r *Resolver) leave() {
 	ws := r.work()
 	for j := r.retired; j != nil; {
 		next := j.next
+		servers := j.servers[:cap(j.servers)]
+		clear(servers)
 		*j = clientJob{}
+		if cap(servers) > len(j.servers0) {
+			j.servers = servers[:0]
+		}
 		if ws.jobFreeN < maxFree {
 			j.next, ws.jobFree = ws.jobFree, j
 			ws.jobFreeN++

@@ -71,6 +71,14 @@ func TestParseRejectsSchemaViolations(t *testing.T) {
 		"mutually exclusive")
 	wantErr(t, `{"version": 1, "name": "x", "family": "ddos", "paper": ["B", "Z"]}`,
 		"unknown paper experiment")
+	// Answer.Round is 16 bits: a schedule of more rounds is refused, not
+	// wrapped.
+	wantErr(t, `{"version": 1, "name": "x", "family": "caching",
+		"workload": {"rounds": 65537}}`, "workload.rounds must be at most 65536")
+	wantErr(t, `{"version": 1, "name": "x", "family": "ddos",
+		"workload": {"ttl": 60, "probe_interval": "1s", "total": "24h"},
+		"disruption": [{"start": "1h", "duration": "1h", "loss": 0.5}]}`,
+		"more than 65536 probe intervals")
 	// Durations must be strings.
 	wantErr(t, `{"version": 1, "name": "x", "family": "caching",
 		"workload": {"probe_interval": 1200}}`, "duration must be a string")

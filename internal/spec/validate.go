@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/vantage"
 )
 
 // familyRule says which optional sections a family accepts (engine is
@@ -150,6 +151,9 @@ func validateWorkload(s *Spec) error {
 	if w.Rounds < 0 {
 		return fmt.Errorf("spec %q: workload.rounds must be >= 0", s.Name)
 	}
+	if w.Rounds > vantage.MaxRounds {
+		return fmt.Errorf("spec %q: workload.rounds must be at most %d", s.Name, vantage.MaxRounds)
+	}
 	return nil
 }
 
@@ -193,6 +197,9 @@ func validateDDoS(s *Spec) error {
 	w := s.Workload
 	if w == nil || w.Total <= 0 || w.ProbeInterval <= 0 {
 		return fmt.Errorf("spec %q: family ddos needs workload.total and workload.probe_interval (or a paper list)", s.Name)
+	}
+	if w.Total/w.ProbeInterval > vantage.MaxRounds {
+		return fmt.Errorf("spec %q: workload.total is more than %d probe intervals", s.Name, vantage.MaxRounds)
 	}
 	if w.TTL == nil {
 		return fmt.Errorf("spec %q: family ddos needs workload.ttl", s.Name)

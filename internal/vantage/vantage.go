@@ -59,31 +59,44 @@ func QName(probeID uint16, domain string) string {
 }
 
 // Answer is one VP observation: the outcome of a single query from a probe
-// to one of its recursives.
+// to one of its recursives. A probe's log holds one per query sent, so the
+// record stays at 48 bytes: the probe and recursive are a back-pointer and
+// an index into its Recursives, the send time is Unix nanoseconds.
 type Answer struct {
-	ProbeID   uint16
-	Recursive netsim.Addr
-	Round     int
-	SentAt    time.Time
-	RTT       time.Duration
+	Probe *Probe
+	// Sent is the send time in Unix nanoseconds (see SentAt).
+	Sent int64
+	RTT  time.Duration
+
+	EncTTL    uint32 // TTL the zone configured, as encoded in the RDATA
+	AnswerTTL uint32 // TTL the recursive returned on the record
+	Round     uint16
+	// Rec indexes the queried recursive in Probe.Recursives.
+	Rec    uint16
+	Serial uint16
+	RCode  dnswire.RCode
 
 	// Timeout marks the Atlas "no answer" outcome (5 s without reply).
 	Timeout bool
-	RCode   dnswire.RCode
 	// Valid is true when the reply carried an AAAA record with the
 	// experiment prefix and the right probe ID.
 	Valid bool
 	// Discard marks errored or non-answer replies (SERVFAIL, REFUSED,
 	// referrals), the paper's "answers (disc.)" row in Table 1.
 	Discard bool
-
-	Serial    uint16
-	EncTTL    uint32 // TTL the zone configured, as encoded in the RDATA
-	AnswerTTL uint32 // TTL the recursive returned on the record
 }
 
 // Ok reports whether the answer is a usable measurement.
 func (a Answer) Ok() bool { return !a.Timeout && a.Valid && !a.Discard }
+
+// ProbeID is the ID of the probe that sent the query.
+func (a Answer) ProbeID() uint16 { return a.Probe.ID }
+
+// Recursive is the address of the queried recursive.
+func (a Answer) Recursive() netsim.Addr { return a.Probe.Recursives[a.Rec] }
+
+// SentAt is the query's send time.
+func (a Answer) SentAt() time.Time { return time.Unix(0, a.Sent).UTC() }
 
 // Probe is one emulated Atlas probe: a stub resolver with a set of local
 // recursives.
@@ -95,7 +108,6 @@ type Probe struct {
 
 	qname    string // QName(ID, Domain), computed once
 	client   *stub.Client
-	seed     int64 // reserved for per-probe jitter; nothing draws today
 	clk      clock.Clock
 	answers  []Answer
 	free     *vpQuery // recycled query contexts
@@ -108,14 +120,13 @@ type Probe struct {
 
 // NewProbe creates and attaches a probe at addr.
 func NewProbe(clk clock.Clock, net *netsim.Network, id uint16, addr netsim.Addr,
-	recursives []netsim.Addr, domain string, seed int64) *Probe {
+	recursives []netsim.Addr, domain string) *Probe {
 
 	p := &Probe{
 		ID: id, Addr: addr, Recursives: recursives,
 		Domain: domain,
 		qname:  QName(id, domain),
 		client: stub.New(clk, stub.Config{}),
-		seed:   seed,
 		clk:    clk,
 	}
 	p.client.Attach(net, addr)
@@ -125,14 +136,14 @@ func NewProbe(clk clock.Clock, net *netsim.Network, id uint16, addr netsim.Addr,
 // QueryRound sends this round's query to every local recursive (each is a
 // separate VP measurement).
 func (p *Probe) QueryRound(round int) {
-	for _, rec := range p.Recursives {
+	for i, rec := range p.Recursives {
 		q := p.free
 		if q == nil {
 			q = &vpQuery{p: p}
 		} else {
 			p.free = q.next
 		}
-		q.round, q.rec, q.sentAt = round, rec, p.clk.Now()
+		q.round, q.rec, q.sent = uint16(round), uint16(i), p.clk.Now().UnixNano()
 		p.sent.Inc()
 		p.client.Do(rec, p.qname, dnswire.TypeAAAA, q)
 	}
@@ -142,26 +153,23 @@ func (p *Probe) QueryRound(round int) {
 // The stub reports each query exactly once, and with that the context
 // goes back to its probe's free list.
 type vpQuery struct {
-	p      *Probe
-	round  int
-	rec    netsim.Addr
-	sentAt time.Time
-	next   *vpQuery
+	p     *Probe
+	round uint16
+	rec   uint16 // index into p.Recursives
+	sent  int64  // Unix nanoseconds
+	next  *vpQuery
 }
 
 // Done implements stub.Handler: it logs the VP's observation.
 func (q *vpQuery) Done(res stub.Result) {
 	p := q.p
-	p.answers = append(p.answers, p.interpret(q.round, q.rec, q.sentAt, res))
+	p.answers = append(p.answers, p.interpret(q.round, q.rec, q.sent, res))
 	q.next, p.free = p.free, q
 }
 
 // interpret converts a stub result into an Answer.
-func (p *Probe) interpret(round int, rec netsim.Addr, sentAt time.Time, res stub.Result) Answer {
-	a := Answer{
-		ProbeID: p.ID, Recursive: rec, Round: round,
-		SentAt: sentAt, RTT: res.RTT,
-	}
+func (p *Probe) interpret(round, rec uint16, sent int64, res stub.Result) Answer {
+	a := Answer{Probe: p, Rec: rec, Round: round, Sent: sent, RTT: res.RTT}
 	if res.Err != nil {
 		a.Timeout = true
 		p.timeouts.Inc()
@@ -210,11 +218,18 @@ func NewFleet(clk clock.Clock, probes []*Probe, seed int64) *Fleet {
 	return &Fleet{Probes: probes, clk: clk, rng: lazyrand.New(seed)}
 }
 
+// MaxRounds is the most rounds a fleet schedules: Answer.Round is a uint16.
+const MaxRounds = 1 << 16
+
 // Schedule arms timers for rounds of queries: round r fires at
 // start + r*interval + smear, where smear is uniform in [0, smear) per
 // probe per round (Atlas spreads queries over ~5 minutes, §5.2). Each
-// live probe's log is sized for the whole schedule up front.
+// live probe's log is sized for the whole schedule up front. Callers
+// bound rounds by MaxRounds first.
 func (f *Fleet) Schedule(start time.Time, interval, smear time.Duration, rounds int) {
+	if rounds > MaxRounds {
+		panic("vantage: Schedule: " + strconv.Itoa(rounds) + " rounds exceed MaxRounds")
+	}
 	now := f.clk.Now()
 	// One slab holds every (probe, round) the timers point at; it never
 	// grows, so the pointers stay good.
@@ -296,7 +311,7 @@ func (f *Fleet) EachVP(visit func(k VPKey, answers []Answer)) {
 			}
 			list = list[:0]
 			for _, a := range p.answers {
-				if a.Recursive == rec {
+				if a.Recursive() == rec {
 					list = append(list, a)
 				}
 			}
@@ -313,7 +328,7 @@ func (f *Fleet) EachVP(visit func(k VPKey, answers []Answer)) {
 func ByVP(answers []Answer) map[VPKey][]Answer {
 	m := make(map[VPKey][]Answer)
 	for _, a := range answers {
-		k := VPKey{ProbeID: a.ProbeID, Recursive: a.Recursive}
+		k := VPKey{ProbeID: a.ProbeID(), Recursive: a.Recursive()}
 		m[k] = append(m[k], a)
 	}
 	for _, list := range m {
@@ -324,7 +339,7 @@ func ByVP(answers []Answer) map[VPKey][]Answer {
 
 func sortAnswers(list []Answer) {
 	for i := 1; i < len(list); i++ {
-		for j := i; j > 0 && list[j].SentAt.Before(list[j-1].SentAt); j-- {
+		for j := i; j > 0 && list[j].Sent < list[j-1].Sent; j-- {
 			list[j], list[j-1] = list[j-1], list[j]
 		}
 	}

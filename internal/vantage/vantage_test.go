@@ -89,7 +89,7 @@ func TestProbeRoundAndFleet(t *testing.T) {
 	var probes []*Probe
 	for i := uint16(1); i <= 3; i++ {
 		p := NewProbe(clk, net, i, netsim.Addr("10.9.0."+strconv.Itoa(int(i))),
-			[]netsim.Addr{"10.0.0.53"}, "cachetest.nl.", int64(i))
+			[]netsim.Addr{"10.0.0.53"}, "cachetest.nl.")
 		probes = append(probes, p)
 	}
 	probes[2].Dead = true
@@ -110,6 +110,12 @@ func TestProbeRoundAndFleet(t *testing.T) {
 		if a.Serial != 3 || a.EncTTL != 60 || a.AnswerTTL != 60 {
 			t.Errorf("decoded fields wrong: %+v", a)
 		}
+		if a.Recursive() != "10.0.0.53" || a.ProbeID() == 0 || a.ProbeID() > 2 {
+			t.Errorf("answer from probe %d via %s", a.ProbeID(), a.Recursive())
+		}
+		if at := a.SentAt(); at.Before(epoch) || !at.Before(epoch.Add(15*time.Minute)) {
+			t.Errorf("sent at %v, outside the two rounds", at)
+		}
 	}
 	byVP := ByVP(answers)
 	if len(byVP) != 2 {
@@ -119,7 +125,7 @@ func TestProbeRoundAndFleet(t *testing.T) {
 		if len(list) != 2 {
 			t.Errorf("VP answers = %d", len(list))
 		}
-		if list[1].SentAt.Before(list[0].SentAt) {
+		if list[1].SentAt().Before(list[0].SentAt()) {
 			t.Error("VP answers not time-sorted")
 		}
 		if list[0].Round == list[1].Round {
@@ -134,7 +140,7 @@ func TestMultipleRecursivesAreSeparateVPs(t *testing.T) {
 	answerServer(t, net, "10.0.0.53", 1, 60, dnswire.RCodeNoError)
 	answerServer(t, net, "10.0.0.54", 1, 60, dnswire.RCodeNoError)
 	p := NewProbe(clk, net, 5, "10.9.0.5",
-		[]netsim.Addr{"10.0.0.53", "10.0.0.54"}, "cachetest.nl.", 1)
+		[]netsim.Addr{"10.0.0.53", "10.0.0.54"}, "cachetest.nl.")
 	p.QueryRound(0)
 	clk.RunFor(time.Minute)
 	if got := len(ByVP(p.Answers())); got != 2 {
@@ -146,7 +152,7 @@ func TestProbeTimeout(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	net := netsim.New(clk, 1)
 	// No server bound: the query times out after 5 s.
-	p := NewProbe(clk, net, 9, "10.9.0.9", []netsim.Addr{"10.0.0.53"}, "cachetest.nl.", 1)
+	p := NewProbe(clk, net, 9, "10.9.0.9", []netsim.Addr{"10.0.0.53"}, "cachetest.nl.")
 	p.QueryRound(0)
 	clk.RunFor(10 * time.Second)
 	answers := p.Answers()
@@ -162,7 +168,7 @@ func TestProbeDiscardsErrors(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	net := netsim.New(clk, 1)
 	answerServer(t, net, "10.0.0.53", 1, 60, dnswire.RCodeServFail)
-	p := NewProbe(clk, net, 9, "10.9.0.9", []netsim.Addr{"10.0.0.53"}, "cachetest.nl.", 1)
+	p := NewProbe(clk, net, 9, "10.9.0.9", []netsim.Addr{"10.0.0.53"}, "cachetest.nl.")
 	p.QueryRound(0)
 	clk.RunFor(time.Minute)
 	a := p.Answers()[0]
@@ -186,7 +192,7 @@ func TestProbeDiscardsForeignAAAA(t *testing.T) {
 		wire, _ := resp.Pack()
 		port.Send(src, wire)
 	})
-	p := NewProbe(clk, net, 9, "10.9.0.9", []netsim.Addr{"10.0.0.53"}, "cachetest.nl.", 1)
+	p := NewProbe(clk, net, 9, "10.9.0.9", []netsim.Addr{"10.0.0.53"}, "cachetest.nl.")
 	p.QueryRound(0)
 	clk.RunFor(time.Minute)
 	a := p.Answers()[0]
@@ -226,8 +232,8 @@ func TestEachVPMatchesByVP(t *testing.T) {
 			}
 			for i, n := 0, rng.Intn(20); i < n; i++ {
 				p.answers = append(p.answers, Answer{
-					ProbeID: id, Recursive: p.Recursives[rng.Intn(len(p.Recursives))], Round: i,
-					SentAt: epoch.Add(time.Duration(rng.Intn(8)) * time.Minute), RTT: time.Duration(i),
+					Probe: p, Rec: uint16(rng.Intn(len(p.Recursives))), Round: uint16(i),
+					Sent: epoch.Add(time.Duration(rng.Intn(8)) * time.Minute).UnixNano(), RTT: time.Duration(i),
 				})
 			}
 			probes = append(probes, p)
