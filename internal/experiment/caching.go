@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/dnswire"
 	"repro/internal/stats"
 )
 
@@ -71,9 +70,10 @@ type CachingResult struct {
 }
 
 // runCachingWorld builds, schedules, and runs one cell's caching
-// testbed on base; the caller absorbs it into an accumulator.
+// testbed on base (whose fold the caller sets); the caller absorbs it
+// into an accumulator.
 func runCachingWorld(cfg CachingConfig, base TestbedConfig) *Testbed {
-	base.TTL, base.KeepAuthLog = cfg.TTL, true
+	base.TTL = cfg.TTL
 	tb := NewTestbed(base)
 	total := time.Duration(cfg.Rounds) * cfg.ProbeInterval
 	tb.ScheduleRotations(total + RotationInterval)
@@ -91,22 +91,3 @@ type fetcherKey struct {
 
 // rotationRound is the zone round in force at offset since the start.
 func rotationRound(offset time.Duration) int32 { return int32(offset / RotationInterval) }
-
-// indexFetchers is the set of (name, rotation round) keys a Google
-// backend fetched from the authoritatives, the one question Table 3 asks
-// of the tap.
-func indexFetchers(tb *Testbed) map[fetcherKey]struct{} {
-	google := make([]bool, len(tb.authSrcs.vals))
-	for i, src := range tb.authSrcs.vals {
-		google[i] = tb.Pop.IsGoogleRn(src)
-	}
-	idx := make(map[fetcherKey]struct{})
-	for _, chunk := range tb.AuthLog {
-		for _, ev := range chunk {
-			if ev.QType == dnswire.TypeAAAA && !ev.Dropped && google[ev.Src] {
-				idx[fetcherKey{qname: ev.QName, round: rotationRound(ev.At)}] = struct{}{}
-			}
-		}
-	}
-	return idx
-}

@@ -110,7 +110,7 @@ type DDoSResult struct {
 // runDDoSTestbed builds, schedules, and runs one cell's attack world and
 // returns it ready for analysis.
 func runDDoSTestbed(spec DDoSSpec, base TestbedConfig, tlc *timeline.Config) *Testbed {
-	base.TTL, base.KeepAuthLog = spec.TTL, true
+	base.TTL = spec.TTL
 	if tlc != nil {
 		// Every cell derives the same bin layout from (start, horizon,
 		// bucket), which is what makes the cross-cell merge exact.

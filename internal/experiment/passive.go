@@ -51,21 +51,23 @@ type PassiveResult struct {
 // runPassiveTestbed runs one cell and analyzes its NS-address queries.
 func runPassiveTestbed(base TestbedConfig) (passive.InterarrivalAnalysis, *Testbed) {
 	// With HarvestNone a resolver takes the NS addresses from the .nl
-	// referral's glue and never asks cachetest.nl for them: the log would
-	// hold no query to time.
+	// referral's glue and never asks cachetest.nl for them: the tap would
+	// see no query to time.
 	base.Population.Harvest = recursive.HarvestFull
+	var events nsQueries
+	base.fold = events.foldAuth
 	tb := runCachingWorld(CachingConfig{TTL: passiveTTL, ProbeInterval: passiveInterval, Rounds: passiveRounds}, base)
-
-	kinds := tb.authNameKinds()
-	var events []passive.QueryEvent
-	for _, chunk := range tb.AuthLog {
-		for _, ev := range chunk {
-			if ev.QType == dnswire.TypeA && kinds[ev.QName] == nsHostName {
-				events = append(events, passive.QueryEvent{At: tb.Start.Add(ev.At), Src: string(tb.AuthSrc(ev))})
-			}
-		}
-	}
 	return passive.AnalyzeInterarrivals(events, passiveMinQueries, passiveBurst), tb
+}
+
+// nsQueries is the cell's tap fold for Figure 4: the A queries for
+// cachetest.nl's own NS hosts, in arrival order.
+type nsQueries []passive.QueryEvent
+
+func (q *nsQueries) foldAuth(tb *Testbed, ev AuthEvent) {
+	if ev.QType == dnswire.TypeA && tb.authKinds[ev.QName] == nsHostName {
+		*q = append(*q, passive.QueryEvent{At: tb.Start.Add(ev.At), Src: string(tb.AuthSrc(ev))})
+	}
 }
 
 type passiveScenario struct{}

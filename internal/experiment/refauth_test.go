@@ -1,9 +1,10 @@
 package experiment
 
-// Reference models of the auth-side tallies: the map-based absorbAuthSide
-// and indexFetchers the dense versions replaced, kept as the oracles
-// TestAuthTalliesMatchReference holds them to. They key every tally by
-// the log's strings and addresses, and fold the log in any order.
+// Reference models of the auth-side tap folds: log-scanning, map-based
+// versions of ddosAccum.foldAuth, cachingAccum.foldAuth and
+// nsQueries.foldAuth, kept as the oracles TestAuthFoldsMatchLog holds
+// the folds to. They key every tally by the log's strings and addresses,
+// and scan the whole retained log at the end of the cell.
 
 import (
 	"reflect"
@@ -12,11 +13,12 @@ import (
 
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
+	"repro/internal/passive"
 	"repro/internal/recursive"
 )
 
-// refAbsorbAuthSide is absorbAuthSide with one set or counter map per
-// round, keyed by name string, source index and (name, source) pair.
+// refAbsorbAuthSide is the Figures 10–12 fold with one set or counter map
+// per round, keyed by name string, source index and (name, source) pair.
 func refAbsorbAuthSide(ac *ddosAccum, tb *Testbed) {
 	nsHosts := make(map[string]bool)
 	for i := range tb.AuthAddrs {
@@ -96,39 +98,87 @@ func refIndexFetchers(tb *Testbed) map[refFetcherKey][]netsim.Addr {
 	return idx
 }
 
-// refCell is one finished cell and the binning its tallies use.
+// refNSQueries is Figure 4's filter over the log: the A queries for the
+// NS host names, by string.
+func refNSQueries(tb *Testbed) []passive.QueryEvent {
+	nsHosts := make(map[string]bool)
+	for i := range tb.AuthAddrs {
+		nsHosts["ns"+itoa(i+1)+"."+Domain] = true
+	}
+	var out []passive.QueryEvent
+	for _, chunk := range tb.AuthLog {
+		for _, ev := range chunk {
+			if ev.QType == dnswire.TypeA && nsHosts[tb.AuthQName(ev)] {
+				out = append(out, passive.QueryEvent{At: tb.Start.Add(ev.At), Src: string(tb.AuthSrc(ev))})
+			}
+		}
+	}
+	return out
+}
+
+// refCell is one finished cell that kept its log, every tap fold run on
+// it as the packets arrived, and the binning the Figures 10–12 fold used.
 type refCell struct {
 	tb       *Testbed
+	ddos     *ddosAccum    // absorbed, so flushed at the horizon
+	caching  *cachingAccum // fetchers as folded, not yet absorbed
+	ns       nsQueries
 	interval time.Duration
 	rounds   int
 }
 
-// refCells runs the H, E and I attack cells and the calm caching cell at
-// the given seed, with the benchmark's full NS harvest.
-func refCells(seed int64) map[string]refCell {
+// runRefCell runs one cell through run with the log kept and all three
+// folds on the tap, so each fold meets drops, NS-address queries and
+// Google fetches wherever the cell has them.
+func runRefCell(base TestbedConfig, interval time.Duration, rounds int, run func(TestbedConfig) *Testbed) *refCell {
+	c := &refCell{interval: interval, rounds: rounds, caching: &cachingAccum{}}
+	c.ddos = newDDoSAccum(DDoSSpec{ProbeInterval: interval}, testbedStart, rounds)
+	base.KeepAuthLog = true
+	base.fold = func(tb *Testbed, ev AuthEvent) {
+		c.ddos.foldAuth(tb, ev)
+		c.caching.foldAuth(tb, ev)
+		c.ns.foldAuth(tb, ev)
+	}
+	c.tb = run(base)
+	c.ddos.absorb(c.tb)
+	return c
+}
+
+// refCells runs the H, E and I attack cells, the calm caching cell and a
+// passive cell at the given seed, with the benchmark's full NS harvest.
+func refCells(seed int64) map[string]*refCell {
 	base := TestbedConfig{Probes: 96, Seed: seed}
 	base.Population.Harvest = recursive.HarvestFull
-	cells := map[string]refCell{}
+	cells := map[string]*refCell{}
 	for _, name := range []string{"H", "E", "I"} {
 		spec, _ := SpecByName(name)
-		cells[name] = refCell{runDDoSTestbed(spec, base, nil), spec.ProbeInterval, int(spec.TotalDur / spec.ProbeInterval)}
+		cells[name] = runRefCell(base, spec.ProbeInterval, int(spec.TotalDur/spec.ProbeInterval),
+			func(b TestbedConfig) *Testbed { return runDDoSTestbed(spec, b, nil) })
 	}
-	calm := CachingConfig{TTL: 3600, ProbeInterval: 20 * time.Minute, Rounds: 7}
-	cells["calm"] = refCell{runCachingWorld(calm, base), calm.ProbeInterval, calm.Rounds}
+	for name, cc := range map[string]CachingConfig{
+		"calm":    {TTL: 3600, ProbeInterval: 20 * time.Minute, Rounds: 7},
+		"passive": {TTL: passiveTTL, ProbeInterval: passiveInterval, Rounds: passiveRounds},
+	} {
+		cells[name] = runRefCell(base, cc.ProbeInterval, cc.Rounds,
+			func(b TestbedConfig) *Testbed { return runCachingWorld(cc, b) })
+	}
 	return cells
 }
 
-// TestAuthTalliesMatchReference holds the dense auth-side tallies to
-// their map-based references, exactly, on the benchmark's H and calm
-// cells and the E and I rows, at two seeds.
-func TestAuthTalliesMatchReference(t *testing.T) {
-	googleFetches := 0
+// TestAuthFoldsMatchLog holds every streaming tap fold to its
+// log-scanning reference, exactly, on the benchmark's H and calm cells,
+// the E and I rows and a passive cell, at two seeds: the Figure 10 query
+// mix, Figure 12's distinct Rn, Figure 11's per-probe multisets, Table 3's
+// Google-fetched keys and Figure 4's query list.
+func TestAuthFoldsMatchLog(t *testing.T) {
+	googleFetches, nsQueries := 0, 0
 	for _, seed := range []int64{42, 43} {
 		for name, c := range refCells(seed) {
 			tb := c.tb
-			spec := DDoSSpec{Name: name, ProbeInterval: c.interval}
-			got, want := newDDoSAccum(spec, tb.Start, c.rounds), newDDoSAccum(spec, tb.Start, c.rounds)
-			got.absorbAuthSide(tb)
+			if len(tb.AuthLog) == 0 {
+				t.Fatalf("%s seed %d kept no log", name, seed)
+			}
+			got, want := c.ddos, newDDoSAccum(DDoSSpec{ProbeInterval: c.interval}, tb.Start, c.rounds)
 			refAbsorbAuthSide(want, tb)
 			if !reflect.DeepEqual(got.authQueries, want.authQueries) {
 				t.Errorf("%s seed %d: query mix\n got %s\nwant %s", name, seed,
@@ -146,7 +196,7 @@ func TestAuthTalliesMatchReference(t *testing.T) {
 				}
 			}
 
-			fetched := indexFetchers(tb)
+			fetched := c.caching.fetchers
 			viaGoogle := 0
 			for k, rns := range refIndexFetchers(tb) {
 				google := false
@@ -166,19 +216,54 @@ func TestAuthTalliesMatchReference(t *testing.T) {
 				t.Errorf("%s seed %d: %d keys fetched by Google, set holds %d", name, seed, viaGoogle, len(fetched))
 			}
 			googleFetches += viaGoogle
+
+			if ref := refNSQueries(tb); !reflect.DeepEqual([]passive.QueryEvent(c.ns), ref) {
+				t.Errorf("%s seed %d: %d NS-address queries folded, log holds %d", name, seed, len(c.ns), len(ref))
+			}
+			nsQueries += len(c.ns)
 		}
 	}
-	if googleFetches == 0 {
-		t.Error("no cell had a Google fetch: the fetcher comparison checked nothing")
+	if googleFetches == 0 || nsQueries == 0 {
+		t.Errorf("%d Google fetches, %d NS-address queries: a comparison checked nothing", googleFetches, nsQueries)
 	}
 }
 
-// TestAuthLogArrivalOrder pins the order absorbAuthSide folds on: the
-// tap logs arrivals as the virtual clock delivers them, so At never
+// TestCellKeepsNoAuthLog: a family's cells keep the tap log only when the
+// run keeps its worlds (Table 7 reads it), and the tap counts the same
+// arrivals either way.
+func TestCellKeepsNoAuthLog(t *testing.T) {
+	for _, sc := range []Scenario{DDoSScenario(shortSpec()), CachingScenario(), PassiveScenario()} {
+		cfg := RunConfig{Probes: 40, ShardProbes: 20, Seed: 11, TTL: 600, ProbeInterval: 10 * time.Minute, Rounds: 3}
+		logged := 0
+		cfg.afterShard = func(_ int, tb *Testbed) { logged += len(tb.AuthLog) }
+		bare := mustRun(t, sc, cfg)
+		cfg.afterShard, cfg.KeepWorlds = nil, true
+		kept := mustRun(t, sc, cfg)
+		if logged != 0 {
+			t.Errorf("%s: cells without KeepWorlds kept %d log chunks", sc.Name(), logged)
+		}
+		events := 0
+		for _, tb := range kept.Worlds.Shards {
+			for _, chunk := range tb.AuthLog {
+				events += len(chunk)
+			}
+		}
+		got, want := bare.Report.Metrics.Scope("testbed").Counters, kept.Report.Metrics.Scope("testbed").Counters
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: tap counters %v without the log, %v with it", sc.Name(), got, want)
+		}
+		if n := want["auth_arrivals"]; n == 0 || int64(events) != n {
+			t.Errorf("%s: KeepWorlds run logged %d events of %d arrivals", sc.Name(), events, n)
+		}
+	}
+}
+
+// TestAuthLogArrivalOrder pins the order the tap folds see: the tap
+// hands arrivals over as the virtual clock delivers them, so At never
 // decreases along the log, drops and retries included.
 func TestAuthLogArrivalOrder(t *testing.T) {
 	spec, _ := SpecByName("E")
-	tb := runDDoSTestbed(spec, TestbedConfig{Probes: 60, Seed: 7}, nil)
+	tb := runDDoSTestbed(spec, TestbedConfig{Probes: 60, Seed: 7, KeepAuthLog: true}, nil)
 	var last time.Duration
 	n, dropped := 0, 0
 	for _, chunk := range tb.AuthLog {

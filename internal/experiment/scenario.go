@@ -54,9 +54,10 @@ type RunConfig struct {
 	TTL           uint32
 	ProbeInterval time.Duration
 	Rounds        int
-	// KeepWorlds retains every cell's testbed in Outcome.Worlds for
-	// drill-downs (Table 7). Costs memory proportional to the whole
-	// population — leave off for scale runs.
+	// KeepWorlds retains every cell's testbed, with its authoritative tap
+	// log, in Outcome.Worlds for drill-downs (Table 7). Costs memory
+	// proportional to the whole population and run length — leave off
+	// for scale runs.
 	KeepWorlds bool
 	// Trace enables deterministic query-lifecycle tracing: every cell
 	// records into its own ring buffer and Outcome.Trace carries the
@@ -75,9 +76,10 @@ type RunConfig struct {
 	Progress *telemetry.Progress
 
 	// afterShard, when set, runs after each cell completes (on the
-	// worker that ran it). Tests use it to trigger deterministic
-	// mid-run cancellation.
-	afterShard func(cell int)
+	// worker that ran it) with the cell's finished testbed. Tests use it
+	// to trigger deterministic mid-run cancellation and to inspect cells
+	// a run does not keep.
+	afterShard func(cell int, tb *Testbed)
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -178,9 +180,9 @@ func (s ddosScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) 
 	total := newDDoSAccum(spec, testbedStart, rounds)
 	return runCells(ctx, s.Name(), cfg, cellRun[*ddosAccum]{
 		cell: func(base TestbedConfig) (*ddosAccum, *Testbed) {
-			base.Population = cfg.Population
+			ac := newDDoSAccum(spec, testbedStart, rounds)
+			base.Population, base.fold = cfg.Population, ac.foldAuth
 			tb := runDDoSTestbed(spec, base, cfg.Timeline)
-			ac := newDDoSAccum(spec, tb.Start, rounds)
 			ac.absorb(tb)
 			return ac, tb
 		},
@@ -212,9 +214,9 @@ func (cachingScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error)
 	total := newCachingAccum(cc, testbedStart)
 	return runCells(ctx, fmt.Sprintf("caching-ttl%d", cc.TTL), cfg, cellRun[*cachingAccum]{
 		cell: func(base TestbedConfig) (*cachingAccum, *Testbed) {
-			base.Population = cc.Population
-			tb := runCachingWorld(cc, base)
 			ac := newCachingAccum(cc, testbedStart)
+			base.Population, base.fold = cc.Population, ac.foldAuth
+			tb := runCachingWorld(cc, base)
 			ac.absorb(tb)
 			return ac, tb
 		},

@@ -236,7 +236,7 @@ func TestRunCancelledPartial(t *testing.T) {
 			defer cancel()
 			cancelled := cfg
 			cancelled.KeepWorlds = true // a cancelled run must drop them anyway
-			cancelled.afterShard = func(cell int) {
+			cancelled.afterShard = func(cell int, _ *Testbed) {
 				if cell == 0 {
 					cancel()
 				}

@@ -1,10 +1,11 @@
 package experiment
 
 // Streaming, mergeable analysis accumulators. Each accumulator absorbs
-// one finished cell's testbed and merges with its siblings; finalize
-// renders the familiar result structs. Every summarized sample is
-// integer-valued (RTTs in whole milliseconds, per-probe counts), so the
-// stats.Counts multisets summarize exactly. Merges are order-independent
+// one finished cell's testbed (the ddos and caching ones also fold its
+// authoritative tap while it runs, foldAuth) and merges with its
+// siblings; finalize renders the familiar result structs. Every
+// summarized sample is integer-valued (RTTs in whole milliseconds,
+// per-probe counts), so the stats.Counts multisets summarize exactly. Merges are order-independent
 // (integer sums and multiset unions), which is what makes a K-shard run
 // byte-identical to the 1-shard run over the same cells.
 
@@ -35,6 +36,7 @@ type ddosAccum struct {
 	rnPerProbe  []*stats.Counts    // per-round distinct-Rn-per-probe samples
 	queriesPP   []*stats.Counts    // per-round AAAA-queries-per-probe samples
 	tl          *timeline.Timeline // nil unless the run collects a timeline
+	auth        authRound          // the round foldAuth is folding
 }
 
 func newDDoSAccum(spec DDoSSpec, start time.Time, rounds int) *ddosAccum {
@@ -49,6 +51,7 @@ func newDDoSAccum(spec DDoSSpec, start time.Time, rounds int) *ddosAccum {
 		uniqueRn:    make([]int, rounds),
 		rnPerProbe:  make([]*stats.Counts, rounds),
 		queriesPP:   make([]*stats.Counts, rounds),
+		auth:        authRound{cur: -1},
 	}
 	for i := range ac.latency {
 		ac.latency[i] = stats.NewCounts()
@@ -122,7 +125,8 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 		}
 	})
 
-	ac.absorbAuthSide(tb)
+	ac.flushAuth()
+	ac.auth = authRound{cur: -1} // the scratch is dead once the cell is folded
 }
 
 // tallyAnswers fills the Table 4 counts, the per-round outcome series,
@@ -169,8 +173,8 @@ const (
 
 var authLabelNames = [nLabels]string{"NS", "A-for-NS", "AAAA-for-NS", "AAAA-for-PID", "other"}
 
-// authLabel labels one logged query by its name's kind (authNameKinds)
-// and its type.
+// authLabel labels one query by its name's kind (Testbed.authKinds) and
+// its type.
 func authLabel(kind uint8, qt dnswire.Type) int {
 	switch {
 	case kind == domainName && qt == dnswire.TypeNS:
@@ -185,64 +189,72 @@ func authLabel(kind uint8, qt dnswire.Type) int {
 	return labelOther
 }
 
-// absorbAuthSide derives the Figures 10–12 tallies from the pre-drop tap.
-// It folds the log a round at a time, which relies on the log's arrival
-// order (Testbed.AuthLog): a round stamp per source counts distinct Rn,
-// and the round's AAAA-for-PID arrivals, sorted as (name, source) pairs,
-// give each probe name's query and distinct-Rn counts. The scratch is
-// indexed by the log's own indices, sized once per cell and reused by
-// every round. Each cell's resolvers and probe names are its own, so
-// per-cell distinct counts add without any cross-cell set union.
-func (ac *ddosAccum) absorbAuthSide(tb *Testbed) {
-	kinds := tb.authNameKinds()
-	seenIn := make([]int32, len(tb.authSrcs.vals)) // round+1 a source was last counted in
-	var pairs []uint64                             // QName<<32 | Src
-	var labels [nLabels]int
-	cur := -1 // no round yet: flush finds nothing to fold
-	flush := func() {
-		for l, n := range labels {
-			if n > 0 {
-				ac.authQueries.AddRound(cur, authLabelNames[l], float64(n))
-			}
-		}
-		labels = [nLabels]int{}
-		slices.Sort(pairs)
-		for i := 0; i < len(pairs); {
-			name, queries, rn := pairs[i]>>32, 0, 0
-			for ; i < len(pairs) && pairs[i]>>32 == name; i++ {
-				if queries == 0 || pairs[i] != pairs[i-1] {
-					rn++
-				}
-				queries++
-			}
-			ac.rnPerProbe[cur].Observe(int64(rn))
-			ac.queriesPP[cur].Observe(int64(queries))
-		}
-		pairs = pairs[:0]
-	}
+// authRound is foldAuth's state between arrivals: the round being folded
+// (-1 before the first), a round stamp per source, and the round's
+// label counts and AAAA-for-PID (name, source) pairs.
+type authRound struct {
+	cur    int
+	seenIn []int32  // round+1 a source was last counted in, by source index
+	pairs  []uint64 // QName<<32 | Src
+	labels [nLabels]int
+}
 
-	for _, chunk := range tb.AuthLog {
-		for _, ev := range chunk {
-			r := ac.authQueries.RoundOf(tb.Start.Add(ev.At))
-			if r < 0 || r >= ac.rounds {
-				continue
-			}
-			if r != cur {
-				flush()
-				cur = r
-			}
-			if seenIn[ev.Src] != int32(r+1) {
-				seenIn[ev.Src] = int32(r + 1)
-				ac.uniqueRn[r]++
-			}
-			l := authLabel(kinds[ev.QName], ev.QType)
-			labels[l]++
-			if l == labelPID {
-				pairs = append(pairs, uint64(ev.QName)<<32|uint64(ev.Src))
-			}
+// foldAuth is the cell's tap fold for the Figures 10–12 tallies. The tap
+// hands arrivals over in order, so rounds arrive one after another: a
+// round stamp per source counts distinct Rn, and a round's pairs, sorted
+// at its flush, give each probe name's query and distinct-Rn counts. Each
+// cell's resolvers and probe names are its own, so per-cell distinct
+// counts add without any cross-cell set union.
+func (ac *ddosAccum) foldAuth(tb *Testbed, ev AuthEvent) {
+	r := ac.authQueries.RoundOf(tb.Start.Add(ev.At))
+	if r < 0 || r >= ac.rounds {
+		return
+	}
+	f := &ac.auth
+	if r != f.cur {
+		ac.flushAuth()
+		f.cur = r
+	}
+	if n := int(ev.Src) + 1; n > len(f.seenIn) {
+		f.seenIn = append(f.seenIn, make([]int32, n-len(f.seenIn))...)
+	}
+	if f.seenIn[ev.Src] != int32(r+1) {
+		f.seenIn[ev.Src] = int32(r + 1)
+		ac.uniqueRn[r]++
+	}
+	l := authLabel(tb.authKinds[ev.QName], ev.QType)
+	f.labels[l]++
+	if l == labelPID {
+		f.pairs = append(f.pairs, uint64(ev.QName)<<32|uint64(ev.Src))
+	}
+}
+
+// flushAuth adds the round being folded to the tallies: when the next
+// round starts, and once at the horizon (absorb).
+func (ac *ddosAccum) flushAuth() {
+	f := &ac.auth
+	if f.cur < 0 {
+		return
+	}
+	for l, n := range f.labels {
+		if n > 0 {
+			ac.authQueries.AddRound(f.cur, authLabelNames[l], float64(n))
 		}
 	}
-	flush()
+	f.labels = [nLabels]int{}
+	slices.Sort(f.pairs)
+	for i := 0; i < len(f.pairs); {
+		name, queries, rn := f.pairs[i]>>32, 0, 0
+		for ; i < len(f.pairs) && f.pairs[i]>>32 == name; i++ {
+			if queries == 0 || f.pairs[i] != f.pairs[i-1] {
+				rn++
+			}
+			queries++
+		}
+		ac.rnPerProbe[f.cur].Observe(int64(rn))
+		ac.queriesPP[f.cur].Observe(int64(queries))
+	}
+	f.pairs = f.pairs[:0]
 }
 
 // merge folds another accumulator (over disjoint probe cells) into ac.
@@ -306,6 +318,9 @@ type cachingAccum struct {
 	table2 classify.Table2
 	table3 Table3
 	fig13  *stats.RoundSeries
+	// fetchers is the cell's set of (name, rotation round) keys a Google
+	// backend fetched from the authoritatives, filled by foldAuth.
+	fetchers map[fetcherKey]struct{}
 }
 
 func newCachingAccum(cfg CachingConfig, start time.Time) *cachingAccum {
@@ -340,10 +355,6 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 		}
 	}
 
-	// Rn attribution for Table 3: which (probe, zone-round) a Google
-	// backend fetched from the authoritatives.
-	fetchers := indexFetchers(tb)
-
 	tb.Fleet.EachVP(func(_ vantage.VPKey, list []vantage.Answer) {
 		valid := 0
 		for _, a := range list {
@@ -364,14 +375,27 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 			ac.table2.Add(out)
 			ac.fig13.Add(a.SentAt(), out.Category.String(), 1)
 			if out.Category == classify.AC {
-				ac.absorbTable3(tb, a, fetchers)
+				ac.absorbTable3(tb, a)
 			}
 		}
 	})
+	ac.fetchers = nil
+}
+
+// foldAuth is the cell's tap fold for Table 3's Rn attribution: it keeps
+// the (probe name, zone round) keys a Google backend fetched, the one
+// question Table 3 asks of the tap.
+func (ac *cachingAccum) foldAuth(tb *Testbed, ev AuthEvent) {
+	if ev.QType == dnswire.TypeAAAA && !ev.Dropped && tb.Pop.IsGoogleRn(tb.AuthSrc(ev)) {
+		if ac.fetchers == nil {
+			ac.fetchers = make(map[fetcherKey]struct{})
+		}
+		ac.fetchers[fetcherKey{qname: ev.QName, round: rotationRound(ev.At)}] = struct{}{}
+	}
 }
 
 // absorbTable3 attributes one AC answer to its entry path.
-func (ac *cachingAccum) absorbTable3(tb *Testbed, a vantage.Answer, fetchers map[fetcherKey]struct{}) {
+func (ac *cachingAccum) absorbTable3(tb *Testbed, a vantage.Answer) {
 	ac.table3.ACAnswers++
 	meta := tb.Pop.R1Meta[a.Recursive()]
 	if meta.Public {
@@ -387,7 +411,7 @@ func (ac *cachingAccum) absorbTable3(tb *Testbed, a vantage.Answer, fetchers map
 	// Did the fetch emerge from a Google backend?
 	viaGoogle := false
 	if qname, ok := tb.authNames.idx[a.Probe.QName()]; ok {
-		_, viaGoogle = fetchers[fetcherKey{qname: qname, round: rotationRound(a.SentAt().Sub(tb.Start))}]
+		_, viaGoogle = ac.fetchers[fetcherKey{qname: qname, round: rotationRound(a.SentAt().Sub(tb.Start))}]
 	}
 	if viaGoogle {
 		ac.table3.GoogleRn++

@@ -72,8 +72,9 @@ type TestbedConfig struct {
 	// Population tunes the resolver mix; zero value uses the calibrated
 	// defaults.
 	Population PopulationConfig
-	// KeepAuthLog retains the per-query authoritative tap (needed for
-	// Figures 10–12 and Table 3; costs memory on large runs).
+	// KeepAuthLog retains the per-query authoritative tap in
+	// Testbed.AuthLog, for Table 7's drill-down (RunConfig.KeepWorlds); it
+	// costs memory in proportion to the run's length.
 	KeepAuthLog bool
 	// Trace, when non-nil, enables deterministic query-lifecycle tracing:
 	// one ring buffer per testbed, set on the network before anything
@@ -83,6 +84,10 @@ type TestbedConfig struct {
 	// same way. The family builds it: the bin layout needs the run's
 	// horizon, which only the family knows (DDoS scenarios only so far).
 	timeline *timeline.Collector
+	// fold, when set, is handed every arrival the pre-drop tap sees, in
+	// arrival order: the family's auth-side tallies, kept as the packets
+	// arrive instead of scanned off a retained log.
+	fold func(tb *Testbed, ev AuthEvent)
 	// ExtraNL appends records to this testbed's copy of the nl. TLD zone
 	// — delegations (plus glue) for adversary-controlled zones. The
 	// shared, memoized nl zone is immutable, so setting this clones it
@@ -119,14 +124,17 @@ type Testbed struct {
 	Fleet     *vantage.Fleet
 
 	serial0 uint16
-	// AuthLog is the pre-drop tap log (kept with KeepAuthLog), in arrival
-	// order across fixed-size chunks: logging an event never re-copies
-	// the events before it. The tap logs each packet as it arrives, on the
-	// virtual clock, so At never decreases along the log; the auth-side
-	// tallies fold it a round at a time on that order.
+	// AuthLog is the pre-drop tap log (kept with KeepAuthLog, for Table
+	// 7), in arrival order across fixed-size chunks: logging an event
+	// never re-copies the events before it. The tap logs each packet as it
+	// arrives, on the virtual clock, so At never decreases along the log.
 	AuthLog   [][]AuthEvent
 	authSrcs  internTable[netsim.Addr]
 	authNames internTable[string]
+	// authKinds classifies every interned query name once, indexed like
+	// AuthEvent.QName, so the tallies compare a byte per event, not a
+	// string.
+	authKinds []uint8
 
 	// Tap totals, counted on every run (the AuthLog itself is only kept
 	// with KeepAuthLog). Arrivals are pre-drop, deliveries post-drop.
@@ -424,38 +432,22 @@ func (t *internTable[K]) intern(v K) uint32 {
 func (tb *Testbed) AuthSrc(ev AuthEvent) netsim.Addr { return tb.authSrcs.vals[ev.Src] }
 func (tb *Testbed) AuthQName(ev AuthEvent) string    { return tb.authNames.vals[ev.QName] }
 
-// The kinds of logged query name the auth-side readers tell apart.
+// The kinds of query name the auth-side tallies tell apart (authKinds).
 const (
 	otherName  uint8 = iota
 	domainName       // Domain itself
 	nsHostName       // a cachetest.nl nameserver, nsHost(i)
 )
 
-// authNameKinds classifies every logged query name once, indexed like
-// AuthEvent.QName, so the readers compare a byte per event, not a string.
-func (tb *Testbed) authNameKinds() []uint8 {
-	hosts := make([]string, len(tb.AuthAddrs))
-	for i := range hosts {
-		hosts[i] = nsHost(i)
-	}
-	kinds := make([]uint8, len(tb.authNames.vals))
-	for i, name := range tb.authNames.vals {
-		switch {
-		case name == Domain:
-			kinds[i] = domainName
-		case slices.Contains(hosts, name):
-			kinds[i] = nsHostName
-		}
-	}
-	return kinds
-}
-
-// installTap records every query arriving at a cachetest.nl authoritative,
-// including ones the emulated DDoS drops.
+// installTap counts every query arriving at a cachetest.nl authoritative,
+// including ones the emulated DDoS drops, hands it to the family's fold
+// and, with KeepAuthLog, logs it.
 func (tb *Testbed) installTap() {
 	authIdx := make(map[netsim.Addr]uint8, len(tb.AuthAddrs))
+	hosts := make([]string, len(tb.AuthAddrs))
 	for i, a := range tb.AuthAddrs {
 		authIdx[a] = uint8(i)
+		hosts[i] = nsHost(i)
 	}
 	// The tap decodes into one scratch message: the simulator delivers
 	// packets on a single goroutine and the tap retains nothing.
@@ -475,6 +467,30 @@ func (tb *Testbed) installTap() {
 		} else {
 			tb.tapDelivered.Inc()
 		}
+		if tb.Cfg.fold == nil && !tb.Cfg.KeepAuthLog {
+			return
+		}
+		name := dnswire.CanonicalName(m.Questions[0].Name)
+		aev := AuthEvent{
+			At:      ev.Time.Sub(tb.Start),
+			Src:     tb.authSrcs.intern(ev.Src),
+			QName:   tb.authNames.intern(name),
+			QType:   m.Questions[0].Type,
+			Dst:     dst,
+			Dropped: ev.Dropped,
+		}
+		if int(aev.QName) == len(tb.authKinds) {
+			kind := otherName
+			if name == Domain {
+				kind = domainName
+			} else if slices.Contains(hosts, name) {
+				kind = nsHostName
+			}
+			tb.authKinds = append(tb.authKinds, kind)
+		}
+		if tb.Cfg.fold != nil {
+			tb.Cfg.fold(tb, aev)
+		}
 		if !tb.Cfg.KeepAuthLog {
 			return
 		}
@@ -483,14 +499,7 @@ func (tb *Testbed) installTap() {
 			tb.AuthLog = append(tb.AuthLog, make([]AuthEvent, 0, authLogChunk))
 			last++
 		}
-		tb.AuthLog[last] = append(tb.AuthLog[last], AuthEvent{
-			At:      ev.Time.Sub(tb.Start),
-			Src:     tb.authSrcs.intern(ev.Src),
-			QName:   tb.authNames.intern(dnswire.CanonicalName(m.Questions[0].Name)),
-			QType:   m.Questions[0].Type,
-			Dst:     dst,
-			Dropped: ev.Dropped,
-		})
+		tb.AuthLog[last] = append(tb.AuthLog[last], aev)
 	})
 }
 

@@ -223,42 +223,67 @@ const MaxRounds = 1 << 16
 
 // Schedule arms timers for rounds of queries: round r fires at
 // start + r*interval + smear, where smear is uniform in [0, smear) per
-// probe per round (Atlas spreads queries over ~5 minutes, §5.2). Each
+// probe per round (Atlas spreads queries over ~5 minutes, §5.2). Every
+// round's instant is drawn here, probe-major, but only a probe's next
+// round sits on the clock: each round arms the one after it, so the
+// pending timers scale with the probes, not with probes × rounds. Each
 // live probe's log is sized for the whole schedule up front. Callers
 // bound rounds by MaxRounds first.
 func (f *Fleet) Schedule(start time.Time, interval, smear time.Duration, rounds int) {
 	if rounds > MaxRounds {
 		panic("vantage: Schedule: " + strconv.Itoa(rounds) + " rounds exceed MaxRounds")
 	}
-	now := f.clk.Now()
-	// One slab holds every (probe, round) the timers point at; it never
-	// grows, so the pointers stay good.
-	slab := make([]probeRound, 0, len(f.Probes)*rounds)
+	if rounds <= 0 {
+		return
+	}
+	// One flat slab of round instants (Unix ns) and one of per-probe
+	// cursors the timers point at; neither grows, so the pointers stay good.
+	at := make([]int64, 0, len(f.Probes)*rounds)
+	runs := make([]probeRun, 0, len(f.Probes))
 	for _, p := range f.Probes {
 		if p.Dead {
 			continue
 		}
 		p.answers = slices.Grow(p.answers, rounds*len(p.Recursives))
+		first := len(at)
 		for r := 0; r < rounds; r++ {
-			at := start.Add(time.Duration(r) * interval)
+			t := start.Add(time.Duration(r) * interval)
 			if smear > 0 {
-				at = at.Add(time.Duration(f.rng.Int63n(int64(smear))))
+				t = t.Add(time.Duration(f.rng.Int63n(int64(smear))))
 			}
-			slab = append(slab, probeRound{p, r})
-			clock.AfterFuncRef(f.clk, at.Sub(now), fireRound, &slab[len(slab)-1])
+			at = append(at, t.UnixNano())
 		}
+		runs = append(runs, probeRun{p: p, at: at[first:]})
+	}
+	for i := range runs {
+		runs[i].arm()
 	}
 }
 
-type probeRound struct {
+// probeRun is one probe's place in its schedule: at holds its rounds'
+// instants, round is the next to fire.
+type probeRun struct {
 	p     *Probe
+	at    []int64
 	round int
 }
 
-// fireRound is the static timer callback armed by Schedule.
+// arm puts the probe's next round on the clock.
+func (pr *probeRun) arm() {
+	d := time.Duration(pr.at[pr.round] - pr.p.clk.Now().UnixNano())
+	clock.AfterFuncRef(pr.p.clk, d, fireRound, pr)
+}
+
+// fireRound is the static timer callback armed by probeRun.arm. It arms
+// the next round before querying, so that round is scheduled ahead of
+// anything this one's queries schedule.
 func fireRound(arg any) {
-	pr := arg.(*probeRound)
-	pr.p.QueryRound(pr.round)
+	pr := arg.(*probeRun)
+	round := pr.round
+	if pr.round++; pr.round < len(pr.at) {
+		pr.arm()
+	}
+	pr.p.QueryRound(round)
 }
 
 // CollectMetrics folds the fleet's probing totals into s. A query counts

@@ -17,6 +17,10 @@
 #     cmd/ and examples/ build a math/rand stream only through
 #     lazyrand.New, so no resolver pays math/rand's 4.9 KB seeded state
 #     before it draws past 273;
+#   - one fold per tally (DESIGN.md §12.1): non-test internal/experiment
+#     touches Testbed.AuthLog only in testbed.go (the tap, its one writer)
+#     and perprobe.go (Table 7, its one reader), so a new auth-side tally
+#     folds in the tap instead of scanning a log every cell would keep;
 #   - one working set per cell (DESIGN.md §10): non-test
 #     internal/recursive and internal/stub declare dnswire.Message fields
 #     only inside their workingSet type, the scratch each engine borrows
@@ -55,6 +59,11 @@ for pat in 'SetTrace(' 'SetTimeline('; do
 done
 # shellcheck disable=SC2086
 [ "$(count 'AttachTimeline(' $exp)" -eq 0 ] || fail "AttachTimeline is back in internal/experiment"
+
+readers="$(echo "$exp" | grep -v -e '^internal/experiment/testbed\.go$' -e '^internal/experiment/perprobe\.go$')"
+# shellcheck disable=SC2086
+[ "$(count '\.AuthLog' $readers)" -eq 0 ] ||
+    fail "AuthLog read outside perprobe.go (fold the tally in the tap): $(grep -n '\.AuthLog' $readers)"
 
 all="$(find internal cmd -name '*.go' ! -name '*_test.go')"
 for pat in 'parallel\.ForEachCtx(' 'parallel\.MapCtx('; do
