@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt race check scale-smoke trace-smoke fuzz cli-smoke report-regress digest-guard regen-tables size-guard obs-guard facade-guard
+.PHONY: all build test vet fmt race cross check scale-smoke trace-smoke fuzz cli-smoke report-regress digest-guard regen-tables size-guard obs-guard facade-guard
 
 all: check
 
@@ -23,7 +23,15 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/udprun
 
-check: vet obs-guard facade-guard build race
+# udprun's blocking read is Linux-only (serve_blocking.go); every other
+# system builds the poller read (serve_netpoll.go). Cross-building keeps
+# both compiling.
+CROSS_PKGS = ./cmd/... ./internal/... ./examples/... .
+cross:
+	GOOS=windows $(GO) build $(CROSS_PKGS)
+	GOOS=darwin $(GO) build $(CROSS_PKGS)
+
+check: vet obs-guard facade-guard build cross race
 
 # One emit site in internal/recursive, one SetTrace/SetTimeline call in
 # internal/experiment, one parallel fan-out per level (campaign runs,

@@ -8,11 +8,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"repro/internal/authoritative"
 	"repro/internal/dnswire"
@@ -64,6 +67,10 @@ func main() {
 		log.Printf("loaded zone %s (%d records) from %s", z.Origin(), z.Len(), file)
 	}
 
+	// SIGINT or SIGTERM stops the daemon: Serve returns, the loop closes
+	// and the process exits 0.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	srv := authoritative.New(zones...)
 	if *pprofAddr != "" {
 		addr, _, err := telemetry.Serve(*pprofAddr, func() metrics.Snapshot {
@@ -116,9 +123,10 @@ func main() {
 		}()
 	}
 
+	served := make(chan error, 1)
 	go func() {
 		var buf []byte // the one response buffer; the handler runs under the loop lock
-		err := conn.Serve(func(src netsim.Addr, payload []byte) {
+		served <- conn.Serve(func(src netsim.Addr, payload []byte) {
 			if *loss > 0 && rng.Float64() < *loss {
 				return // emulated DDoS drop
 			}
@@ -127,8 +135,14 @@ func main() {
 				buf = out
 			}
 		})
-		log.Printf("authd: serve loop ended: %v", err)
-		loop.Close()
 	}()
-	loop.Run()
+	select {
+	case <-ctx.Done():
+		conn.Close()
+		log.Printf("authd: signalled; serve loop ended: %v", <-served)
+		loop.Close()
+	case err := <-served:
+		loop.Close()
+		log.Fatalf("authd: serve loop ended: %v", err)
+	}
 }

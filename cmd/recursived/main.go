@@ -9,11 +9,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/cache"
@@ -114,6 +117,10 @@ func main() {
 		cfg.Forwarders = append(cfg.Forwarders, netsim.Addr(f))
 	}
 
+	// SIGINT or SIGTERM stops the daemon: Serve returns, the stats line
+	// is logged one last time, the loop closes and the process exits 0.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	loop := udprun.NewLoop()
 	conn, err := udprun.Listen(*listen, loop)
 	if err != nil {
@@ -157,23 +164,30 @@ func main() {
 		}()
 	}
 
-	go func() {
-		err := conn.Serve(res.Receive)
-		log.Printf("recursived: serve loop ended: %v", err)
-		loop.Close()
-	}()
+	served := make(chan error, 1)
+	go func() { served <- conn.Serve(res.Receive) }()
 
-	// Periodic stats line.
-	go func() {
-		for {
-			time.Sleep(30 * time.Second)
-			loop.Post(func() {
-				s := res.Stats()
-				log.Printf("stats: client=%d hits=%d misses=%d upstream=%d retries=%d stale=%d servfail=%d",
-					s.ClientQueries, s.CacheHits, s.CacheMisses,
-					s.UpstreamQueries, s.UpstreamRetries, s.StaleServes, s.ServFails)
-			})
+	logStats := func() {
+		s := res.Stats()
+		log.Printf("stats: client=%d hits=%d misses=%d upstream=%d retries=%d stale=%d servfail=%d",
+			s.ClientQueries, s.CacheHits, s.CacheMisses,
+			s.UpstreamQueries, s.UpstreamRetries, s.StaleServes, s.ServFails)
+	}
+	tick := time.NewTicker(30 * time.Second)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			loop.Post(logStats)
+		case <-ctx.Done():
+			conn.Close()
+			log.Printf("recursived: signalled; serve loop ended: %v", <-served)
+			loop.Post(logStats)
+			loop.Close()
+			return
+		case err := <-served:
+			loop.Close()
+			log.Fatalf("recursived: serve loop ended: %v", err)
 		}
-	}()
-	loop.Run()
+	}
 }

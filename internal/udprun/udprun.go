@@ -8,6 +8,16 @@
 // lock, so a query costs no hand-off between goroutines and a backlog
 // waits in the kernel's socket buffer rather than in a queue of copies.
 //
+// On Linux the reader skips the runtime's network poller: Serve sleeps in
+// a blocking recvfrom(2) on its own thread, so a packet costs one receive
+// syscall, not a failed read, a park, an epoll_wait, a wake-up and a
+// second read; Close wakes it with shutdown(2). The costs: the reader
+// keeps its P (scheduler processor) while it sleeps until the runtime's
+// monitor takes it back, so a timer or a Post can run up to ~10 ms late;
+// a client and a server in one process ping-pong more slowly, as they no
+// longer share a poller thread; and Send blocks too, while the socket's
+// send buffer is full. Other systems keep the poller read.
+//
 // Two rules follow from the lock. A Serve handler gets a slice of the
 // reader's one buffer, valid only until the handler returns (the
 // netsim.Conn contract; every dnswire decoder copies what it keeps). And
@@ -24,6 +34,8 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/clock"
@@ -113,8 +125,10 @@ const maxPeers = 1024
 // Conn is a netsim.Conn over a real UDP socket. Peer addresses are
 // "ip:port" strings.
 type Conn struct {
-	pc   *net.UDPConn
-	loop *Loop
+	pc     *net.UDPConn
+	rc     syscall.RawConn // pc's descriptor, for Serve and Close
+	loop   *Loop
+	closed atomic.Bool // set by Close before it wakes Serve
 
 	// mu guards the memos: Send is called from loop callbacks but also
 	// from goroutines that own no callback (tests, a client's main).
@@ -133,8 +147,9 @@ func Listen(listen string, loop *Loop) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udprun: listen %q: %w", listen, err)
 	}
+	rc, _ := pc.SyscallConn() // fails only for a nil conn
 	return &Conn{
-		pc: pc, loop: loop,
+		pc: pc, rc: rc, loop: loop,
 		srcs: make(map[netip.AddrPort]netsim.Addr),
 		dsts: make(map[netsim.Addr]netip.AddrPort),
 	}, nil
@@ -193,13 +208,24 @@ func (c *Conn) Send(dst netsim.Addr, payload []byte) {
 }
 
 // Serve reads packets and calls handler for each, on this goroutine and
-// under the loop lock, until the socket is closed. payload is a slice of
-// Serve's one read buffer: the handler must not keep it past its return.
-// Call it on its own goroutine; it returns the first read error.
+// under the loop lock, until Close. payload is a slice of Serve's one
+// read buffer: the handler must not keep it past its return. Call it on
+// its own goroutine; it returns net.ErrClosed after Close, else the first
+// read error.
 func (c *Conn) Serve(handler func(src netsim.Addr, payload []byte)) error {
+	read, release, err := c.reader()
+	if err != nil {
+		return err
+	}
+	defer release()
 	buf := make([]byte, 65535)
 	for {
-		n, ap, err := c.pc.ReadFromUDPAddrPort(buf)
+		n, ap, err := read(buf)
+		// A read that Close wakes may return 0 octets and no error, like
+		// an empty datagram: only the flag tells them apart.
+		if c.closed.Load() {
+			return net.ErrClosed
+		}
 		if err != nil {
 			return err
 		}
@@ -211,8 +237,12 @@ func (c *Conn) Serve(handler func(src netsim.Addr, payload []byte)) error {
 	}
 }
 
-// Close closes the socket.
-func (c *Conn) Close() error { return c.pc.Close() }
+// Close closes the socket and wakes a Serve blocked in its read.
+func (c *Conn) Close() error {
+	c.closed.Store(true)
+	c.wake()
+	return c.pc.Close()
+}
 
 var (
 	_ netsim.Conn        = (*Conn)(nil)

@@ -1,8 +1,11 @@
 package udprun
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"net/netip"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -186,12 +189,15 @@ func TestStopBeforeFire(t *testing.T) {
 // TestPeerStringMatchesUDPAddr checks, per socket family, that the source
 // string a handler sees is what (*net.UDPAddr).String() prints for the
 // same endpoint — the engines compare it with the string they sent to —
-// and that Send to that string reaches the peer.
+// and that Send to that string reaches the peer, an empty datagram too.
 func TestPeerStringMatchesUDPAddr(t *testing.T) {
-	for _, tc := range []struct{ name, listen, peerHost string }{
-		{"v4", "127.0.0.1:0", "127.0.0.1"},
-		{"v6", "[::1]:0", "::1"},
-		{"dual-stack from v4", ":0", "127.0.0.1"},
+	for _, tc := range []struct{ name, listen, peerHost, payload string }{
+		{"v4", "127.0.0.1:0", "127.0.0.1", "ping"},
+		{"v6", "[::1]:0", "::1", "ping"},
+		{"dual-stack from v4", ":0", "127.0.0.1", "ping"},
+		// A read woken by Close also returns 0 octets, so Serve must
+		// tell the two apart by its closed flag, not by n.
+		{"empty datagram", "127.0.0.1:0", "127.0.0.1", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			loop := NewLoop()
@@ -217,7 +223,7 @@ func TestPeerStringMatchesUDPAddr(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := peer.WriteToUDP([]byte("ping"), dst); err != nil {
+			if _, err := peer.WriteToUDP([]byte(tc.payload), dst); err != nil {
 				t.Fatal(err)
 			}
 
@@ -233,9 +239,153 @@ func TestPeerStringMatchesUDPAddr(t *testing.T) {
 			buf := make([]byte, 16)
 			peer.SetReadDeadline(time.Now().Add(2 * time.Second))
 			n, _, err := peer.ReadFromUDP(buf)
-			if err != nil || string(buf[:n]) != "ping" {
+			if err != nil || string(buf[:n]) != tc.payload {
 				t.Errorf("Send(%q) did not reach the peer: %q, %v", want, buf[:n], err)
 			}
+		})
+	}
+}
+
+// serveEcho starts an echo Serve on a fresh loopback socket and returns
+// the socket and the channel Serve's result arrives on.
+func serveEcho(t *testing.T, loop *Loop) (*Conn, <-chan error) {
+	t.Helper()
+	conn, err := Listen("127.0.0.1:0", loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- conn.Serve(func(src netsim.Addr, payload []byte) { conn.Send(src, payload) }) }()
+	return conn, served
+}
+
+// echo sends one datagram to conn and waits for it to come back: after
+// it returns, Serve is in (or on its way back into) its read.
+func echo(t *testing.T, peer net.Conn) {
+	t.Helper()
+	buf := make([]byte, 8)
+	peer.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := peer.Write([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := peer.Read(buf); err != nil || string(buf[:n]) != "ping" {
+		t.Fatalf("echo: %q, %v", buf[:n], err)
+	}
+}
+
+// openFDs counts this process's open descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd here: %v", err)
+	}
+	return len(fds)
+}
+
+// TestServeReturnsAfterClose: a Serve blocked in its read, or busy with a
+// stream of datagrams, returns net.ErrClosed within a second of Close,
+// and every descriptor it used is closed by then.
+func TestServeReturnsAfterClose(t *testing.T) {
+	c, _ := serveEcho(t, NewLoop()) // the runtime's poller opens its descriptors once
+	c.Close()
+	for _, inFlight := range []bool{false, true} {
+		t.Run(fmt.Sprintf("in-flight=%v", inFlight), func(t *testing.T) {
+			before := openFDs(t)
+			loop := NewLoop()
+			defer loop.Close()
+			conn, served := serveEcho(t, loop)
+			peer, err := net.Dial("udp", string(conn.Addr()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			echo(t, peer)
+			stop, sent := make(chan struct{}), make(chan struct{})
+			if inFlight {
+				go func() {
+					defer close(sent)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							peer.Write([]byte("flood")) // refused once the socket is gone
+						}
+					}
+				}()
+			} else {
+				close(sent)
+			}
+			conn.Close()
+			closed := time.Now()
+			select {
+			case err := <-served:
+				if !errors.Is(err, net.ErrClosed) {
+					t.Errorf("Serve returned %v, want net.ErrClosed", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Serve still running 1 s after Close")
+			}
+			t.Logf("Serve returned %v after Close", time.Since(closed))
+			close(stop)
+			<-sent
+			peer.Close()
+			// Another test's Serve may close its own descriptor meanwhile,
+			// so the count may fall; it must not have grown.
+			if after := openFDs(t); after > before {
+				t.Errorf("%d descriptors open before Listen, %d after Serve returned", before, after)
+			}
+		})
+	}
+}
+
+// TestTimersRunWhileServeBlocks: while Serve sleeps in its read, a 1 ms
+// timer and a Post from another goroutine each complete within 50 ms, at
+// one P and at two. A reader that kept the scheduler from taking its P
+// back (a raw syscall) or held the loop lock across its read would fail.
+func TestTimersRunWhileServeBlocks(t *testing.T) {
+	const limit = 50 * time.Millisecond
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			loop := NewLoop()
+			defer loop.Close()
+			conn, served := serveEcho(t, loop)
+			defer func() { conn.Close(); <-served }()
+			peer, err := net.Dial("udp", string(conn.Addr()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			var worstTimer, worstPost time.Duration
+			for i := 0; i < 5; i++ {
+				echo(t, peer)
+				start, fired := time.Now(), make(chan time.Duration, 1)
+				Clock{Loop: loop}.AfterFunc(time.Millisecond, func() { fired <- time.Since(start) })
+				select {
+				case d := <-fired:
+					worstTimer = max(worstTimer, d)
+				case <-time.After(2 * time.Second):
+					t.Fatal("timer never fired")
+				}
+				echo(t, peer)
+				posted := make(chan time.Duration, 1)
+				go func() {
+					start := time.Now()
+					loop.Post(func() {})
+					posted <- time.Since(start)
+				}()
+				select {
+				case d := <-posted:
+					worstPost = max(worstPost, d)
+				case <-time.After(2 * time.Second):
+					t.Fatal("Post never returned")
+				}
+			}
+			if worstTimer > limit+time.Millisecond || worstPost > limit {
+				t.Errorf("worst timer %v (due at 1 ms), worst Post %v; limit %v", worstTimer, worstPost, limit)
+			}
+			t.Logf("worst timer %v (due at 1 ms), worst Post %v", worstTimer, worstPost)
 		})
 	}
 }
