@@ -41,7 +41,8 @@ obs-guard:
 	./scripts/obs_guard.sh
 
 # Every exported name in dikes.go is used as dikes.<Name> by another .go
-# file. See scripts/facade_guard.sh.
+# file, and every non-test internal/ package by another non-test package.
+# See scripts/facade_guard.sh.
 facade-guard:
 	./scripts/facade_guard.sh
 

@@ -189,6 +189,13 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		fill = append(fill, 1, i, i, 0)
 	}
 	f.Add(fill)
+	// A rank-3 set, then a rank-1 set for the same key while the first is
+	// fresh, then a read: the lower rank must not replace it (RFC 2181
+	// §5.4.1).
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 3, 1, 1, 60, 1,
+		0, 0, 0, 0, 1, 1, 1, 60, 2,
+		1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := fuzzOps(data)
 		cfg := Config{

@@ -1,9 +1,10 @@
 // Package clocktest holds test-only clocks. Heap is the original
 // container/heap virtual clock, kept as a reference oracle: the timing
 // wheel behind clock.Virtual replaced it on the hot path, and the
-// differential tests (internal/clock and internal/proptest) drive random
-// schedules through both engines and require identical firing order,
-// Now() observations, and counter totals. Do not modify its semantics: it
+// differential tests drive random schedules through both engines —
+// raw timers in internal/clock, the whole resolver stack in
+// internal/recursive — and require identical firing order, Now()
+// observations, and counter totals. Do not modify its semantics: it
 // pins the contract the wheel must honor.
 package clocktest
 

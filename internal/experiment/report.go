@@ -28,6 +28,34 @@ func tapInvariants(snap metrics.Snapshot, underAttack bool) []metrics.Invariant 
 		metrics.EqualInt("no_attack_no_drops", dropped, 0, "dropped", "zero"), handled}
 }
 
+// engineLaws are the accounting laws every run of the cell engine obeys,
+// whatever the family: each plane of the network conserves its packets,
+// the event loop conserves its timers, every client query a resolver
+// accepted got one response, and every probe query recorded one answer.
+// runCells appends them to every family's own invariants, read off the
+// merged snapshot (DESIGN.md §12.5).
+func engineLaws(snap metrics.Snapshot) []metrics.Invariant {
+	ns, ck := snap.Scope("netsim"), snap.Scope("clock")
+	rs, vs := snap.Scope("resolver"), snap.Scope("vantage")
+	return []metrics.Invariant{
+		metrics.EqualInt("udp_plane_conserved",
+			ns.Counter("delivered")+ns.Counter("dropped")+ns.Counter("dead"),
+			ns.Counter("sent"), "delivered+dropped+dead", "sent"),
+		metrics.EqualInt("tcp_plane_conserved",
+			ns.Counter("tcp_delivered")+ns.Counter("tcp_dropped")+ns.Counter("tcp_dead"),
+			ns.Counter("tcp_sent"), "delivered+dropped+dead", "sent"),
+		metrics.EqualInt("clock_events_conserved",
+			ck.Counter("events_fired")+ck.Counter("timers_stopped")+ck.Counter("events_pending"),
+			ck.Counter("events_scheduled"), "fired+stopped+pending", "scheduled"),
+		metrics.EqualInt("resolver_responses_match_queries",
+			rs.Counter("client_responses"), rs.Counter("client_queries"),
+			"client_responses", "client_queries"),
+		metrics.EqualInt("vantage_answers_match_queries",
+			vs.Counter("answers_recorded"), vs.Counter("queries_sent"),
+			"answers_recorded", "queries_sent"),
+	}
+}
+
 // DDoSInvariants cross-checks a DDoS run's client-side tallies against
 // the component counters in snap. It is exported (within the package API
 // surface via the report) primarily so tests can inject an accounting

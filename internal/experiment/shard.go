@@ -149,6 +149,7 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 		"shard_cells":  strconv.Itoa(len(cells)),
 	}
 	own, invs := fam.finish(out, snap)
+	invs = append(invs, engineLaws(snap)...)
 	for k, v := range own {
 		labels[k] = v
 	}

@@ -505,10 +505,10 @@ func (tb *Testbed) installTap() {
 
 // CollectMetrics folds every component's counters into one registry:
 // resolver and cache totals across the population, the cachetest.nl
-// authoritatives, the network, the event loop, the probe fleet, and the
-// testbed's own pre-drop tap. Scopes and metric names are stable, so two
-// runs with the same seed produce byte-identical report JSON regardless
-// of worker count.
+// authoritatives, the network, the event loop (timers still pending
+// included), the probe fleet, and the testbed's own pre-drop tap. Scopes
+// and metric names are stable, so two runs with the same seed produce
+// byte-identical report JSON regardless of worker count.
 func (tb *Testbed) CollectMetrics() *metrics.Registry {
 	reg := metrics.NewRegistry()
 	rs, cs := reg.Scope("resolver"), reg.Scope("cache")
@@ -538,6 +538,7 @@ func (tb *Testbed) CollectMetrics() *metrics.Registry {
 	ck.Add("events_scheduled", scheduled)
 	ck.Add("events_fired", fired)
 	ck.Add("timers_stopped", stopped)
+	ck.Add("events_pending", int64(tb.Clk.Pending()))
 
 	tb.Fleet.CollectMetrics(reg.Scope("vantage"))
 

@@ -256,7 +256,8 @@ func (r *TransportResult) absorb(cell *TransportResult) {
 	}
 }
 
-// transportInvariants checks the run's conservation laws. The glue
+// transportInvariants checks the run's outcome laws; the TCP plane's
+// conservation is one of the engine laws every run gets. The glue
 // no-drop invariants do not apply: the flood drops packets by design.
 func transportInvariants(spec TransportSpec, res *TransportResult, snap metrics.Snapshot) []metrics.Invariant {
 	var queries, outcomes, truncFull int64
@@ -275,13 +276,9 @@ func transportInvariants(spec TransportSpec, res *TransportResult, snap metrics.
 			queriesRec += row.Queries
 		}
 	}
-	ns := snap.Scope("netsim")
 	invs := []metrics.Invariant{
 		metrics.EqualInt("transport_outcomes_conserved",
 			outcomes, queries, "answered+truncated+servfail+timeout", "queries"),
-		metrics.EqualInt("tcp_plane_conserved",
-			ns.Counter("tcp_delivered")+ns.Counter("tcp_dropped")+ns.Counter("tcp_dead"),
-			ns.Counter("tcp_sent"), "delivered+dropped+dead", "sent"),
 		metrics.EqualInt("full_fallback_absorbs_tc",
 			truncFull, 0, "truncated under full fallback", "zero"),
 	}

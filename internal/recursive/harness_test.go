@@ -92,20 +92,7 @@ func newWorld(t *testing.T, cfg Config) *world {
 	t.Helper()
 	w := &world{clk: clock.NewVirtual(epoch)}
 	w.net = netsim.New(w.clk, 1)
-
-	// The nl zone needs "other.nl" served somewhere; ns1.dns.nl hosts both.
-	nlZone := mustZone(t, nlZoneText)
-	otherZone := mustZone(t, otherZoneText)
-
-	w.root = authoritative.New(mustZone(t, rootZoneText))
-	w.nl = authoritative.New(nlZone, otherZone)
-	w.ns1 = authoritative.New(mustZone(t, cachetestZoneText))
-	w.ns2 = authoritative.New(mustZone(t, cachetestZoneText))
-
-	w.root.Attach(w.net, rootAddr)
-	w.nl.Attach(w.net, nlAddr)
-	w.ns1.Attach(w.net, ns1Addr)
-	w.ns2.Attach(w.net, ns2Addr)
+	w.root, w.nl, w.ns1, w.ns2 = attachHierarchy(t, w.net)
 
 	if len(cfg.Forwarders) == 0 && len(cfg.RootHints) == 0 {
 		cfg.RootHints = []ServerHint{{Name: "a.root-servers.net.", Addr: rootAddr}}
@@ -113,6 +100,22 @@ func newWorld(t *testing.T, cfg Config) *world {
 	w.res = NewResolver(w.clk, cfg)
 	w.res.Attach(w.net, resAddr)
 	return w
+}
+
+// attachHierarchy attaches the test hierarchy's servers to net: the
+// root, ns1.dns.nl (serving nl. and other.nl.) and the two cachetest.nl
+// authoritatives.
+func attachHierarchy(t *testing.T, net *netsim.Network) (root, nl, ns1, ns2 *authoritative.Server) {
+	t.Helper()
+	root = authoritative.New(mustZone(t, rootZoneText))
+	nl = authoritative.New(mustZone(t, nlZoneText), mustZone(t, otherZoneText))
+	ns1 = authoritative.New(mustZone(t, cachetestZoneText))
+	ns2 = authoritative.New(mustZone(t, cachetestZoneText))
+	root.Attach(net, rootAddr)
+	nl.Attach(net, nlAddr)
+	ns1.Attach(net, ns1Addr)
+	ns2.Attach(net, ns2Addr)
+	return root, nl, ns1, ns2
 }
 
 // resolve runs a query to completion on the virtual clock and returns the

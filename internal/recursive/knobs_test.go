@@ -127,14 +127,7 @@ func TestRandomIDsEntropy(t *testing.T) {
 	collect := func(cfg Config) []uint16 {
 		clk := clock.NewVirtual(epoch)
 		net := netsim.New(clk, 1)
-		root := authoritative.New(mustZone(t, rootZoneText))
-		nl := authoritative.New(mustZone(t, nlZoneText), mustZone(t, otherZoneText))
-		ns1 := authoritative.New(mustZone(t, cachetestZoneText))
-		ns2 := authoritative.New(mustZone(t, cachetestZoneText))
-		root.Attach(net, rootAddr)
-		nl.Attach(net, nlAddr)
-		ns1.Attach(net, ns1Addr)
-		ns2.Attach(net, ns2Addr)
+		attachHierarchy(t, net)
 		var ids []uint16
 		net.AddTap(func(ev netsim.Event) {
 			if ev.Src == netsim.Addr(resAddr) && len(ev.Payload) >= 2 {

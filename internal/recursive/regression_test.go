@@ -1,10 +1,11 @@
 package recursive
 
-// Regression tests for two defects the property harness (internal/proptest)
-// is also wired to detect: the serve-stale refresh discarding its late
-// upstream answer, and out-of-bailiwick glue being accepted and cached.
+// Regression tests for two defects: the serve-stale refresh discarding
+// its late upstream answer, and out-of-bailiwick glue being accepted and
+// cached.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -18,40 +19,51 @@ import (
 // TestStaleServeRefreshRepopulatesCache pins the armStaleTimer contract:
 // the refresh "keeps running" after the client was answered stale, so a
 // late upstream answer must land in the cache. The path to both
-// authoritatives is slowed to 1.2 s one-way so the answer arrives at
-// ~2.4 s — after the 1.8 s stale-answer timer, before the 3 s query
-// timeout. Pre-fix, handleResponse dropped it on t.done and the resolver
-// kept serving stale forever.
+// authoritatives is slowed to 1.0 s or 1.4 s one-way so the answer
+// arrives at 2.0–2.8 s — after the 1.8 s stale-answer timer, before the
+// 3 s query timeout — with one cache shard or four. Pre-fix,
+// handleResponse dropped it on t.done and the resolver kept serving
+// stale forever.
 func TestStaleServeRefreshRepopulatesCache(t *testing.T) {
-	w := newWorld(t, Config{
-		ServeStale:     true,
-		InitialTimeout: 3 * time.Second,
-	})
-	if res := w.resolve(t, "1414.cachetest.nl.", dnswire.TypeAAAA); res.Stale || len(res.Answers) == 0 {
-		t.Fatalf("warm resolve = %+v", res)
-	}
-	// Let the 60 s record expire; the delegation NS and glue (TTL 3600)
-	// stay cached, so the refresh goes straight to the cachetest servers.
-	w.clk.RunFor(2 * time.Minute)
-	w.net.SetPairDelay(resAddr, ns1Addr, 1200*time.Millisecond)
-	w.net.SetPairDelay(resAddr, ns2Addr, 1200*time.Millisecond)
+	for _, shards := range []int{1, 4} {
+		for _, delay := range []time.Duration{1000 * time.Millisecond, 1400 * time.Millisecond} {
+			t.Run(fmt.Sprintf("shards=%d/delay=%v", shards, delay), func(t *testing.T) {
+				w := newWorld(t, Config{
+					Cache:          cache.Config{Shards: shards},
+					ServeStale:     true,
+					InitialTimeout: 3 * time.Second,
+				})
+				if res := w.resolve(t, "1414.cachetest.nl.", dnswire.TypeAAAA); res.Stale || len(res.Answers) == 0 {
+					t.Fatalf("warm resolve = %+v", res)
+				}
+				// Let the 60 s record expire; the delegation NS and glue
+				// (TTL 3600) stay cached, so the refresh goes straight to
+				// the cachetest servers.
+				w.clk.RunFor(2 * time.Minute)
+				w.net.SetPairDelay(resAddr, ns1Addr, delay)
+				w.net.SetPairDelay(resAddr, ns2Addr, delay)
 
-	res := w.resolve(t, "1414.cachetest.nl.", dnswire.TypeAAAA)
-	if !res.Stale {
-		t.Fatalf("expected a stale answer, got %+v", res)
-	}
-	// resolve ran the clock 30 s past the query, so the refresh answer has
-	// long since arrived; it must be in the cache, fresh.
-	v := w.res.Cache().Get(cache.Key{Name: "1414.cachetest.nl.", Type: dnswire.TypeAAAA}, 0)
-	if !v.Hit || v.Stale {
-		t.Fatalf("late refresh answer was not cached: %+v", v)
-	}
-	if st := w.res.Stats(); st.LateAnswers == 0 {
-		t.Errorf("LateAnswers = 0, want > 0")
-	}
-	// And the next client query is a plain cache hit, not another stale serve.
-	if res := w.resolve(t, "1414.cachetest.nl.", dnswire.TypeAAAA); res.Stale || !res.FromCache {
-		t.Errorf("post-refresh resolve = %+v, want fresh cache hit", res)
+				res := w.resolve(t, "1414.cachetest.nl.", dnswire.TypeAAAA)
+				if !res.Stale {
+					t.Fatalf("expected a stale answer, got %+v", res)
+				}
+				// resolve ran the clock 30 s past the query, so the refresh
+				// answer has long since arrived; it must be in the cache,
+				// fresh.
+				v := w.res.Cache().Get(cache.Key{Name: "1414.cachetest.nl.", Type: dnswire.TypeAAAA}, 0)
+				if !v.Hit || v.Stale {
+					t.Fatalf("late refresh answer was not cached: %+v", v)
+				}
+				if st := w.res.Stats(); st.LateAnswers == 0 {
+					t.Errorf("LateAnswers = 0, want > 0")
+				}
+				// And the next client query is a plain cache hit, not
+				// another stale serve.
+				if res := w.resolve(t, "1414.cachetest.nl.", dnswire.TypeAAAA); res.Stale || !res.FromCache {
+					t.Errorf("post-refresh resolve = %+v, want fresh cache hit", res)
+				}
+			})
+		}
 	}
 }
 
