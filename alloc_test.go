@@ -269,7 +269,8 @@ func TestClientHitAllocBudget(t *testing.T) {
 // RunCampaign. A client miss or a background fetch is a recycled job, a
 // stub query and a scheduled round nothing; a closure per query, a job per
 // miss or a distinct-count set per probe comes back as tens of objects per
-// probe. 81.8 measured (82.2 with every round timer armed at the start and
+// probe. 69.0 measured (81.9 while every resolver kept up to four maps of
+// its own; 82.2 with every round timer armed at the start and
 // the auth-side tallies scanning a retained tap log; 89.8 with per-round
 // maps in the auth-side tallies
 // and a server list grown afresh by every forwarded miss; 141 while every
@@ -277,7 +278,7 @@ func TestClientHitAllocBudget(t *testing.T) {
 // set per cache hit, a fresh set per cacheRRs group and a map slot per
 // cache entry; 335 with a job per miss and a task per fetch besides),
 // pinned at measured + 5 %.
-const cellAllocsPerProbeBudget = 86
+const cellAllocsPerProbeBudget = 72
 
 // cellBytesPerProbeBudget is the ceiling on heap bytes per probe
 // (experiment.alloc_bytes_per_probe) of a 256-probe cell of each simulator
@@ -292,9 +293,11 @@ const cellAllocsPerProbeBudget = 86
 // per-round maps in the auth-side tallies, a string-keyed Table 3 fetcher
 // index and a server list dropped with every recycled job (23.0 and
 // 11.2 KB), and a tap log of every arrival kept to the end of the cell and
-// a timer per (probe, round) armed at its start (18.2 and 9.3 KB). 14.85
-// and 8.68 KB measured, pinned at measured + 5 %.
-var cellBytesPerProbeBudget = map[string]float64{"H": 15600, "calm": 9110}
+// a timer per (probe, round) armed at its start (18.2 and 9.3 KB), and a
+// 216-byte Config copied into every lazy handle and every resolver, each
+// resolver with up to four maps of its own (14.85 and 8.68 KB). 13.31 and
+// 7.32 KB measured, pinned at measured + 5 %.
+var cellBytesPerProbeBudget = map[string]float64{"H": 13980, "calm": 7690}
 
 // cells are one 256-probe cell of each simulator workload of ./benchmark.
 var cells = map[string]string{

@@ -6,16 +6,23 @@
 //	recursived -listen :5301 -hint 127.0.0.1:5300
 //	recursived -listen :5301 -forward 127.0.0.1:5302 -forward 127.0.0.1:5303
 //	recursived -listen :5301 -hint 127.0.0.1:5300 -serve-stale -max-ttl 1h
+//	recursived -listen :5301 -hint 127.0.0.1:5300 -profile unbound
+//
+// -profile names a row of the simulator's resolver profile table, so the
+// daemon runs the same timing, retries and harvest as that kind of
+// resolver in a simulation.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -32,9 +39,6 @@ type addrFlags []string
 
 func (a *addrFlags) String() string     { return fmt.Sprint(*a) }
 func (a *addrFlags) Set(v string) error { *a = append(*a, v); return nil }
-
-// clientTimeout is the resolver's deadline for answering a client query.
-const clientTimeout = 8 * time.Second
 
 // cacheEntries caps each cache shard, least recently used evicted first.
 // A one-record entry costs ~144 heap bytes (TestEntryBytes in
@@ -75,36 +79,53 @@ func tcpBridge(loop *udprun.Loop, handle func(*dnswire.Message, func(*dnswire.Me
 	}
 }
 
-func main() {
-	var hints, forwards addrFlags
-	listen := flag.String("listen", ":5301", "UDP listen address")
-	tcp := flag.Bool("tcp", true, "also serve DNS over TCP on the same address")
-	serveStale := flag.Bool("serve-stale", false, "answer with expired data when upstreams fail")
-	maxTTL := flag.Duration("max-ttl", 0, "cap cached TTLs (0 = honor zone TTLs)")
-	minTTL := flag.Duration("min-ttl", 0, "floor for cached TTLs")
-	shards := flag.Int("shards", 1, "independent cache shards (fragmentation emulation)")
-	attempts := flag.Int("attempts", 0, "upstream tries per fetch (0 = default)")
-	harvest := flag.Bool("harvest", false, "background-fetch NS records of learned zones (Unbound-like)")
-	flag.Var(&hints, "hint", "root hint ip:port (repeatable)")
-	flag.Var(&forwards, "forward", "upstream resolver ip:port; enables forwarding mode (repeatable)")
-	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
-	flag.Parse()
+// daemon is what the command line asks for: the resolver's behaviour and
+// the daemon's own settings.
+type daemon struct {
+	cfg    recursive.Config
+	listen string
+	tcp    bool
+	pprof  string
+}
 
+// parseFlags reads the command line into a daemon; a usage error is
+// reported on fs's output and returned.
+func parseFlags(fs *flag.FlagSet, args []string) (*daemon, error) {
+	var hints, forwards addrFlags
+	d := &daemon{}
+	fs.StringVar(&d.listen, "listen", ":5301", "UDP listen address")
+	fs.BoolVar(&d.tcp, "tcp", true, "also serve DNS over TCP on the same address")
+	serveStale := fs.Bool("serve-stale", false, "answer with expired data when upstreams fail")
+	maxTTL := fs.Duration("max-ttl", 0, "cap cached TTLs (0 = honor zone TTLs)")
+	minTTL := fs.Duration("min-ttl", 0, "floor for cached TTLs")
+	shards := fs.Int("shards", 1, "independent cache shards (fragmentation emulation)")
+	profile := fs.String("profile", "default", "resolver profile: timeouts, tries per fetch, work budget, harvest (one of "+
+		strings.Join(recursive.ProfileNames(), ", ")+")")
+	harvest := fs.Bool("harvest", false, "background-fetch the NS, A and AAAA records of learned zones' nameservers, whatever the profile's harvest")
+	fs.Var(&hints, "hint", "root hint ip:port (repeatable)")
+	fs.Var(&forwards, "forward", "upstream resolver ip:port; enables forwarding mode (repeatable)")
+	fs.StringVar(&d.pprof, "pprof", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	fail := func(msg string) (*daemon, error) {
+		fmt.Fprintln(fs.Output(), "recursived: "+msg)
+		fs.Usage()
+		return nil, errors.New(msg)
+	}
 	if len(hints) == 0 && len(forwards) == 0 {
-		fmt.Fprintln(os.Stderr, "recursived: need -hint or -forward")
-		flag.Usage()
-		os.Exit(2)
+		return fail("need -hint or -forward")
 	}
-	cfg := recursive.Config{
-		Cache: cache.Config{
-			MaxTTL: *maxTTL, MinTTL: *minTTL, Shards: *shards,
-			Capacity: cacheEntries,
-		},
-		ServeStale:    *serveStale,
-		MaxAttempts:   *attempts,
-		ClientTimeout: clientTimeout,
-		Seed:          time.Now().UnixNano(),
+	cfg, ok := recursive.Profile(*profile)
+	if !ok {
+		return fail("no profile " + *profile)
 	}
+	cfg.Cache = cache.Config{
+		MaxTTL: *maxTTL, MinTTL: *minTTL, Shards: *shards,
+		Capacity: cacheEntries,
+	}
+	cfg.ServeStale = cfg.ServeStale || *serveStale
 	if *harvest {
 		cfg.Harvest = recursive.HarvestFull
 	}
@@ -116,23 +137,33 @@ func main() {
 	for _, f := range forwards {
 		cfg.Forwarders = append(cfg.Forwarders, netsim.Addr(f))
 	}
+	d.cfg = cfg
+	return d, nil
+}
+
+func main() {
+	d, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		os.Exit(2)
+	}
+	cfg := &d.cfg
 
 	// SIGINT or SIGTERM stops the daemon: Serve returns, the stats line
 	// is logged one last time, the loop closes and the process exits 0.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	loop := udprun.NewLoop()
-	conn, err := udprun.Listen(*listen, loop)
+	conn, err := udprun.Listen(d.listen, loop)
 	if err != nil {
 		log.Fatalf("recursived: %v", err)
 	}
-	res := recursive.NewResolver(udprun.Clock{Loop: loop}, cfg)
+	res := recursive.New(udprun.Clock{Loop: loop}, cfg, time.Now().UnixNano())
 	res.SetConn(conn)
 
-	if *pprofAddr != "" {
+	if d.pprof != "" {
 		// Resolver counters are atomics, so the scrape handler may read
 		// them from its own goroutine while the engine loop runs.
-		addr, _, err := telemetry.Serve(*pprofAddr, func() metrics.Snapshot {
+		addr, _, err := telemetry.Serve(d.pprof, func() metrics.Snapshot {
 			reg := metrics.NewRegistry()
 			res.CollectMetrics(reg.Scope("resolver"))
 			res.Cache().CollectMetrics(reg.Scope("cache"))
@@ -145,19 +176,19 @@ func main() {
 	}
 
 	mode := "iterative"
-	if len(forwards) > 0 {
+	if len(cfg.Forwarders) > 0 {
 		mode = "forwarding"
 	}
 	log.Printf("recursive resolver (%s) listening on %s", mode, conn.Addr())
 
-	if *tcp {
-		ln, err := net.Listen("tcp", *listen)
+	if d.tcp {
+		ln, err := net.Listen("tcp", d.listen)
 		if err != nil {
 			log.Fatalf("recursived: tcp: %v", err)
 		}
 		log.Printf("also serving TCP on %s", ln.Addr())
 		go func() {
-			err := udprun.ServeTCP(ln, tcpBridge(loop, res.HandleQuery, clientTimeout+time.Second))
+			err := udprun.ServeTCP(ln, tcpBridge(loop, res.HandleQuery, cfg.ClientTimeout+time.Second))
 			if err != nil {
 				log.Printf("recursived: tcp serve ended: %v", err)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -13,8 +14,10 @@ import (
 	"time"
 
 	"repro/internal/authoritative"
+	"repro/internal/clock"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
+	"repro/internal/recursive"
 	"repro/internal/udprun"
 	"repro/internal/zone"
 )
@@ -187,4 +190,50 @@ func awaitAnswer(addr, name string, exited <-chan error) error {
 		}
 	}
 	return fmt.Errorf("no answer from %s within 10 s", addr)
+}
+
+// TestProfileAttempts builds the daemon's resolver from its command line,
+// in front of eight upstreams that never answer, and runs it on a
+// virtual clock: one client query gets the named profile's tries per
+// fetch, then SERVFAIL. Eight servers keep every try inside the first
+// 750 ms round, well before the 8 s client deadline.
+func TestProfileAttempts(t *testing.T) {
+	for _, tc := range []struct{ profile, mode string }{
+		{"bind", "-hint"}, {"farm-balancer", "-forward"},
+	} {
+		t.Run(tc.profile, func(t *testing.T) {
+			args := []string{"-profile", tc.profile}
+			for i := 1; i <= 8; i++ {
+				args = append(args, tc.mode, fmt.Sprintf("127.0.0.1:%d", i))
+			}
+			fs := flag.NewFlagSet("recursived", flag.ContinueOnError)
+			d, err := parseFlags(fs, args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row, _ := recursive.Profile(tc.profile)
+			if d.cfg.MaxAttempts != row.MaxAttempts || d.cfg.WorkBudget != row.WorkBudget {
+				t.Fatalf("-profile %s: %d tries, budget %d; the row has %d, %d", tc.profile,
+					d.cfg.MaxAttempts, d.cfg.WorkBudget, row.MaxAttempts, row.WorkBudget)
+			}
+			clk := clock.NewVirtual(time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC))
+			n := netsim.New(clk, 1)
+			r := recursive.New(clk, &d.cfg, 1)
+			r.Attach(n, "127.0.0.1:5301")
+			var got *recursive.Result
+			r.Resolve("host.cachetest.nl.", dnswire.TypeAAAA, 0, func(res recursive.Result) { got = &res })
+			clk.RunFor(time.Minute)
+			if got == nil || !got.ServFail {
+				t.Fatalf("result %+v, want SERVFAIL", got)
+			}
+			if st := r.Stats(); st.UpstreamQueries != int64(row.MaxAttempts) {
+				t.Errorf("-profile %s: %d upstream queries, want the row's %d tries", tc.profile, st.UpstreamQueries, row.MaxAttempts)
+			}
+		})
+	}
+	fs := flag.NewFlagSet("recursived", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if _, err := parseFlags(fs, []string{"-profile", "nosuch", "-hint", "127.0.0.1:1"}); err == nil {
+		t.Error("-profile nosuch was accepted")
+	}
 }

@@ -164,14 +164,12 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 		rows[(pid-1)%len(nxnsWidths)].VictimQueries++
 	})
 
+	cfg := profile("default")
+	cfg.RootHints, cfg.MaxFetch = tb.rootHints(), spec.MaxFetch
 	resolvers := make([]*recursive.Resolver, 0, probes)
 	for pid := 1; pid <= probes; pid++ {
 		wi := (pid - 1) % len(nxnsWidths)
-		r := recursive.NewResolver(tb.Clk, recursive.Config{
-			RootHints: tb.rootHints(),
-			MaxFetch:  spec.MaxFetch,
-			Seed:      mixSeed(seed, pid),
-		})
+		r := recursive.New(tb.Clk, &cfg, mixSeed(seed, pid))
 		rAddr := advAddr("10.7", pid)
 		r.Attach(tb.Net, rAddr)
 		resolvers = append(resolvers, r)
@@ -369,13 +367,10 @@ func runPoisonTestbed(spec PoisonSpec, base TestbedConfig) (*PoisonResult, *Test
 	spoofers := make([]*adversary.Spoofer, 0, probes)
 	qnames := make([]string, 0, probes)
 
+	cfg := profile("default")
+	cfg.RootHints, cfg.RandomIDs, cfg.NoBailiwick = tb.rootHints(), spec.RandomIDs, spec.NoBailiwick
 	for pid := 1; pid <= probes; pid++ {
-		r := recursive.NewResolver(tb.Clk, recursive.Config{
-			RootHints:   tb.rootHints(),
-			RandomIDs:   spec.RandomIDs,
-			NoBailiwick: spec.NoBailiwick,
-			Seed:        mixSeed(seed, pid),
-		})
+		r := recursive.New(tb.Clk, &cfg, mixSeed(seed, pid))
 		rAddr := advAddr("10.7", pid)
 		r.Attach(tb.Net, rAddr)
 		resolvers = append(resolvers, r)

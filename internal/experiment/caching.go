@@ -18,18 +18,10 @@ type CachingConfig struct {
 }
 
 func (c CachingConfig) withDefaults() CachingConfig {
-	if c.Probes == 0 {
-		c.Probes = 1200
-	}
-	if c.TTL == 0 {
-		c.TTL = 3600
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 20 * time.Minute
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 7
-	}
+	orDefault(&c.Probes, 1200)
+	orDefault(&c.TTL, 3600)
+	orDefault(&c.ProbeInterval, 20*time.Minute)
+	orDefault(&c.Rounds, 7)
 	return c
 }
 

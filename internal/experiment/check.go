@@ -41,7 +41,7 @@ func Scorecard(results []CampaignResult) []CheckResult {
 			attack[o.DDoS.Spec.Name] = o.DDoS
 		case o.Retries != nil:
 			for _, row := range o.Retries.Rows {
-				if row.Profile == retryProfiles[0].name {
+				if row.Profile == retryProfiles[0] {
 					bind[row.Down] = row
 				}
 			}

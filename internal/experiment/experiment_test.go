@@ -98,6 +98,56 @@ func TestAnswerBytes(t *testing.T) {
 	}
 }
 
+// TestLazyResolverBytes: a cell declares thousands of resolvers most of
+// which never see a packet, so a handle holds only what differs from its
+// kind (the shared variant's pointer, its address and seed) in 64 bytes.
+func TestLazyResolverBytes(t *testing.T) {
+	if size := unsafe.Sizeof(LazyResolver{}); size > 64 {
+		t.Errorf("LazyResolver is %d bytes, want at most 64", size)
+	}
+}
+
+// TestEveryProfileIsUsed: every row of recursive's profile table is the
+// behaviour of some population kind or some retries row; the table holds
+// no behaviour that nothing runs.
+func TestEveryProfileIsUsed(t *testing.T) {
+	used := map[string]bool{}
+	for _, row := range newRetryRows() {
+		used[row.Profile] = true
+	}
+	tb := NewTestbed(TestbedConfig{Probes: 400, Seed: 3,
+		Population: PopulationConfig{Harvest: recursive.HarvestFull, ServeStaleDirect: true}})
+	for _, l := range tb.Pop.Resolvers {
+		name := profileOf(*l.cfg)
+		if name == "" {
+			t.Fatalf("resolver %s runs no profile row: %+v", l.addr, *l.cfg)
+		}
+		used[name] = true
+	}
+	for _, name := range recursive.ProfileNames() {
+		if !used[name] {
+			t.Errorf("profile %q: no population kind and no retries row uses it", name)
+		}
+	}
+}
+
+// profileOf names the row cfg was built from: the one it equals once the
+// fields a variant sets (upstreams, cache, serve-stale, prefetch, harvest,
+// answer-from-referral) are set aside.
+func profileOf(cfg recursive.Config) string {
+	for _, name := range recursive.ProfileNames() {
+		row, _ := recursive.Profile(name)
+		c := cfg
+		c.RootHints, c.Forwarders, c.Cache = row.RootHints, row.Forwarders, row.Cache
+		c.ServeStale, c.Prefetch, c.Harvest = row.ServeStale, row.Prefetch, row.Harvest
+		c.AnswerFromReferral = row.AnswerFromReferral
+		if reflect.DeepEqual(c, row) {
+			return name
+		}
+	}
+	return ""
+}
+
 // TestAuthLogResolves: every logged query resolves through the testbed's
 // tables to a resolver source, a cachetest.nl name and an authoritative,
 // within the run.

@@ -101,10 +101,10 @@ func runImplicationsTestbed(base TestbedConfig) (*ImplicationsResult, *Testbed) 
 		Data: dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::2")}})
 
 	resolvers := make([]*recursive.Resolver, (clients+implClientsPerRecursive-1)/implClientsPerRecursive)
+	cfg := profile("default")
+	cfg.RootHints = tb.rootHints()
 	for i := range resolvers {
-		r := recursive.NewResolver(tb.Clk, recursive.Config{
-			RootHints: tb.rootHints(), Seed: mixSeed(base.Seed, i),
-		})
+		r := recursive.New(tb.Clk, &cfg, mixSeed(base.Seed, i))
 		r.Attach(tb.Net, advAddr("10.8", i))
 		resolvers[i] = r
 	}

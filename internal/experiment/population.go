@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/clock"
 	"repro/internal/lazyrand"
 	"repro/internal/netsim"
@@ -41,24 +40,15 @@ const (
 	BrokenR1
 )
 
+var r1KindNames = [...]string{DirectHonest: "direct", DirectCap60: "direct-cap60",
+	FarmGoogle: "farm-google", FarmOther: "farm-other", MultiTier: "multi-tier",
+	DeadR1: "dead", BrokenR1: "broken"}
+
 func (k R1Kind) String() string {
-	switch k {
-	case DirectHonest:
-		return "direct"
-	case DirectCap60:
-		return "direct-cap60"
-	case FarmGoogle:
-		return "farm-google"
-	case FarmOther:
-		return "farm-other"
-	case MultiTier:
-		return "multi-tier"
-	case DeadR1:
-		return "dead"
-	case BrokenR1:
-		return "broken"
+	if k < 0 || int(k) >= len(r1KindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return r1KindNames[k]
 }
 
 // R1Meta describes one first-hop recursive address.
@@ -127,52 +117,30 @@ type PopulationConfig struct {
 }
 
 func (c PopulationConfig) withDefaults() PopulationConfig {
-	if c.FracFarmGoogle == 0 {
-		c.FracFarmGoogle = 0.15
-	}
-	if c.FracFarmOther == 0 {
-		c.FracFarmOther = 0.06
-	}
-	if c.FracMultiTier == 0 {
-		c.FracMultiTier = 0.22
-	}
-	if c.FracCap60 == 0 {
-		c.FracCap60 = 0.02
-	}
-	if c.FracDead == 0 {
-		c.FracDead = 0.045
-	}
-	if c.FracBroken == 0 {
-		c.FracBroken = 0.004
-	}
-	if c.FracDirectCap6h == 0 {
-		c.FracDirectCap6h = 0.10
-	}
-	if c.GoogleBackends == 0 {
-		c.GoogleBackends = 24
-	}
-	if c.OtherBackends == 0 {
-		c.OtherBackends = 8
-	}
-	if c.MultiTierPoolSize == 0 {
-		c.MultiTierPoolSize = 3
-	}
-	if c.VPsPerMultiTierGroup == 0 {
-		c.VPsPerMultiTierGroup = 40
-	}
-	if c.FracMultiTierViaGoogle == 0 {
-		c.FracMultiTierViaGoogle = 0.10
-	}
-	if c.FarmTTLCap == 0 {
-		c.FarmTTLCap = 6 * time.Hour
-	}
-	if c.FlushPerHour == 0 {
-		c.FlushPerHour = 0.02
-	}
-	if c.FracAnswerFromReferral == 0 {
-		c.FracAnswerFromReferral = 0.05
-	}
+	orDefault(&c.FracFarmGoogle, 0.15)
+	orDefault(&c.FracFarmOther, 0.06)
+	orDefault(&c.FracMultiTier, 0.22)
+	orDefault(&c.FracCap60, 0.02)
+	orDefault(&c.FracDead, 0.045)
+	orDefault(&c.FracBroken, 0.004)
+	orDefault(&c.FracDirectCap6h, 0.10)
+	orDefault(&c.GoogleBackends, 24)
+	orDefault(&c.OtherBackends, 8)
+	orDefault(&c.MultiTierPoolSize, 3)
+	orDefault(&c.VPsPerMultiTierGroup, 40)
+	orDefault(&c.FracMultiTierViaGoogle, 0.10)
+	orDefault(&c.FarmTTLCap, 6*time.Hour)
+	orDefault(&c.FlushPerHour, 0.02)
+	orDefault(&c.FracAnswerFromReferral, 0.05)
 	return c
+}
+
+// orDefault sets *v to d when it holds the zero value.
+func orDefault[T comparable](v *T, d T) {
+	var zero T
+	if *v == zero {
+		*v = d
+	}
 }
 
 // Population is the assembled resolver-and-probe world.
@@ -188,6 +156,9 @@ type Population struct {
 	Resolvers []*LazyResolver
 
 	googleRnSet map[netsim.Addr]bool // lazy index over GoogleRn
+	// cfg0 holds a cell's first variants (builder.variant) in the
+	// population's own allocation.
+	cfg0 [8]recursive.Config
 }
 
 // IsGoogleRn reports whether addr is a Google-farm backend. The lookup
@@ -206,20 +177,22 @@ func (p *Population) IsGoogleRn(addr netsim.Addr) bool {
 	return p.googleRnSet[addr]
 }
 
-// LazyResolver is a deferred recursive resolver: the full config is fixed
-// at population build time (so RNG draw order is identical to eager
-// construction), but NewResolver and the network bind run only when the
-// first packet is delivered to its address.
+// LazyResolver is a deferred recursive resolver: its behaviour (the
+// variant its kind shares, see builder.variant) and seed are fixed at
+// population build time, so RNG draw order is identical to eager
+// construction, but the resolver is made and bound only when the first
+// packet is delivered to its address.
 type LazyResolver struct {
 	net  *netsim.Network
-	cfg  recursive.Config
+	cfg  *recursive.Config
 	addr netsim.Addr
+	seed int64
 	r    *recursive.Resolver
 }
 
 // Materialize builds the resolver; netsim calls it on first delivery.
 func (l *LazyResolver) Materialize() {
-	r := recursive.NewResolver(l.net.Clock(), l.cfg)
+	r := recursive.New(l.net.Clock(), l.cfg, l.seed)
 	r.Attach(l.net, l.addr)
 	l.r = r
 }
@@ -227,23 +200,40 @@ func (l *LazyResolver) Materialize() {
 // Resolver returns the materialized resolver, nil if it never saw traffic.
 func (l *LazyResolver) Resolver() *recursive.Resolver { return l.r }
 
-// deferResolver registers a lazy resolver at addr. Handles are carved from a
-// chunked arena: appending never moves earlier entries (a full chunk is
-// retired, not grown), so returned pointers stay valid.
-func (b *builder) deferResolver(addr netsim.Addr, cfg recursive.Config) *LazyResolver {
-	if len(b.slab) == cap(b.slab) {
-		n := 2 * cap(b.slab)
-		if n < 64 {
-			n = 64
-		}
-		b.slab = make([]LazyResolver, 0, n)
-	}
-	b.slab = append(b.slab, LazyResolver{net: b.net, cfg: cfg, addr: addr})
-	l := &b.slab[len(b.slab)-1]
+// deferResolver registers a lazy resolver of variant cfg at addr, with the
+// next seed of the sequence.
+func (b *builder) deferResolver(addr netsim.Addr, cfg *recursive.Config) *LazyResolver {
+	l := b.lazy.put(LazyResolver{net: b.net, cfg: cfg, addr: addr, seed: b.nextSeed()}, 64)
 	b.net.BindLazy(addr, l)
 	b.pop.Resolvers = append(b.pop.Resolvers, l)
 	return l
 }
+
+// arena hands out pointers into chunked slices: appending never moves
+// earlier entries (a full chunk is retired, not grown, and the next is
+// twice its size, at least min), so returned pointers stay valid.
+type arena[T any] struct{ chunk []T }
+
+func (a *arena[T]) put(v T, min int) *T {
+	if len(a.chunk) == cap(a.chunk) {
+		a.chunk = make([]T, 0, max(2*cap(a.chunk), min))
+	}
+	a.chunk = append(a.chunk, v)
+	return &a.chunk[len(a.chunk)-1]
+}
+
+// profile returns the named row of recursive's profile table.
+func profile(name string) recursive.Config {
+	cfg, ok := recursive.Profile(name)
+	if !ok {
+		panic("experiment: no resolver profile " + name)
+	}
+	return cfg
+}
+
+// directCaps are the cache caps of direct resolvers: none, the EC2-like
+// 60 s of DirectCap60, and the 6 h that truncates day-long TTLs.
+var directCaps = [...]time.Duration{0, 60 * time.Second, 6 * time.Hour}
 
 // builder carries construction state.
 type builder struct {
@@ -254,14 +244,31 @@ type builder struct {
 	rng    *rand.Rand
 	domain string
 
-	pop        *Population
-	slab       []LazyResolver // arena for lazy handles; chunked, pointers stable
-	nextAddr   int
-	googleLB   netsim.Addr
-	otherLB    netsim.Addr
-	mtPool     []netsim.Addr
-	mtPoolUsed int
-	seedSeq    int64
+	pop  *Population
+	lazy arena[LazyResolver]
+	// cfgs holds the cell's variants, its first chunk the population's
+	// cfg0; direct (by cache cap and answer-from-referral), broken, mtRn
+	// and mtR1 (the current pool's forwarder) are those made so far.
+	cfgs              arena[recursive.Config]
+	direct            [len(directCaps)][2]*recursive.Config
+	broken, mtRn      *recursive.Config
+	mtR1              *recursive.Config
+	nextAddr          int
+	googleLB, otherLB netsim.Addr
+	mtPoolUsed        int
+	seedSeq           int64
+}
+
+// variant stores cfg, a profile row with the cell's modifiers and
+// upstreams, as the behaviour every resolver of one kind shares.
+func (b *builder) variant(cfg recursive.Config) *recursive.Config { return b.cfgs.put(cfg, 8) }
+
+// iterative is the default profile resolving from the cell's root hints
+// with its harvest mode.
+func (b *builder) iterative() recursive.Config {
+	cfg := profile("default")
+	cfg.RootHints, cfg.Harvest = b.hints, b.cfg.Harvest
+	return cfg
 }
 
 // BuildPopulation creates the resolver infrastructure and probes. Each
@@ -280,6 +287,7 @@ func BuildPopulation(clk clock.Clock, net *netsim.Network, probes int, domain st
 		},
 		seedSeq: seed * 7919,
 	}
+	b.cfgs.chunk = b.pop.cfg0[:0]
 	b.googleLB, b.pop.GoogleRn = b.buildFarm("google", "google-rn", "google-lb", cfg.GoogleBackends, false)
 	b.otherLB, _ = b.buildFarm("pubdns", "pubdns-rn", "pubdns-lb", cfg.OtherBackends, true)
 
@@ -373,15 +381,12 @@ func (b *builder) buildFarm(name, rnPrefix, lbName string, backends int, serveSt
 	if !interned {
 		backendAddrs = make([]netsim.Addr, 0, backends)
 	}
+	rn := b.iterative()
+	rn.Cache.MaxTTL, rn.ServeStale = b.cfg.FarmTTLCap, serveStale
+	rnCfg := b.variant(rn)
 	for i := 0; i < backends; i++ {
 		addr := b.addr(rnPrefix)
-		b.deferResolver(addr, recursive.Config{
-			RootHints:  b.hints,
-			Cache:      cache.Config{MaxTTL: b.cfg.FarmTTLCap},
-			ServeStale: serveStale,
-			Harvest:    b.cfg.Harvest,
-			Seed:       b.nextSeed(),
-		})
+		b.deferResolver(addr, rnCfg)
 		if !interned {
 			backendAddrs = append(backendAddrs, addr)
 		}
@@ -394,14 +399,10 @@ func (b *builder) buildFarm(name, rnPrefix, lbName string, backends int, serveSt
 		farmAddrIntern.m[key] = backendAddrs
 		farmAddrIntern.mu.Unlock()
 	}
+	lbCfg := profile("farm-balancer")
+	lbCfg.Forwarders = backendAddrs
 	lb := b.addr(lbName)
-	b.deferResolver(lb, recursive.Config{
-		Forwarders:      backendAddrs,
-		NoCache:         true,
-		ExplorationProb: 1, // pure load balancing: uniform backend choice
-		MaxAttempts:     4,
-		Seed:            b.nextSeed(),
-	})
+	b.deferResolver(lb, b.variant(lbCfg))
 	return lb, backendAddrs
 }
 
@@ -414,7 +415,10 @@ func (b *builder) buildR1() netsim.Addr {
 	case r < cfg.FracBroken:
 		// A resolver that always SERVFAILs (no usable root hints).
 		addr := b.addr("broken-r1")
-		b.deferResolver(addr, recursive.Config{Seed: b.nextSeed()})
+		if b.broken == nil {
+			b.broken = b.variant(profile("default"))
+		}
+		b.deferResolver(addr, b.broken)
 		b.pop.R1Meta[addr] = R1Meta{Kind: BrokenR1}
 		return addr
 	case r < cfg.FracBroken+cfg.FracFarmGoogle:
@@ -426,26 +430,30 @@ func (b *builder) buildR1() netsim.Addr {
 	case r < cfg.FracBroken+cfg.FracFarmGoogle+cfg.FracFarmOther+cfg.FracMultiTier:
 		return b.buildMultiTierR1()
 	case r < cfg.FracBroken+cfg.FracFarmGoogle+cfg.FracFarmOther+cfg.FracMultiTier+cfg.FracCap60:
-		return b.buildDirect(DirectCap60, cache.Config{MaxTTL: 60 * time.Second})
+		return b.buildDirect(DirectCap60, 1)
 	case r < cfg.FracBroken+cfg.FracFarmGoogle+cfg.FracFarmOther+cfg.FracMultiTier+cfg.FracCap60+cfg.FracDirectCap6h:
-		return b.buildDirect(DirectHonest, cache.Config{MaxTTL: 6 * time.Hour})
+		return b.buildDirect(DirectHonest, 2)
 	default:
-		return b.buildDirect(DirectHonest, cache.Config{})
+		return b.buildDirect(DirectHonest, 0)
 	}
 }
 
-// buildDirect creates a per-VP single-tier iterative recursive.
-func (b *builder) buildDirect(kind R1Kind, cc cache.Config) netsim.Addr {
+// buildDirect creates a per-VP single-tier iterative recursive whose cache
+// caps TTLs at directCaps[c].
+func (b *builder) buildDirect(kind R1Kind, c int) netsim.Addr {
 	addr := b.addr("isp-r1")
-	l := b.deferResolver(addr, recursive.Config{
-		RootHints:          b.hints,
-		Cache:              cc,
-		Harvest:            b.cfg.Harvest,
-		AnswerFromReferral: b.rng.Float64() < b.cfg.FracAnswerFromReferral,
-		ServeStale:         b.cfg.ServeStaleDirect,
-		Prefetch:           b.cfg.PrefetchDirect,
-		Seed:               b.nextSeed(),
-	})
+	afr := 0
+	if b.rng.Float64() < b.cfg.FracAnswerFromReferral {
+		afr = 1
+	}
+	v := &b.direct[c][afr]
+	if *v == nil {
+		cfg := b.iterative()
+		cfg.Cache.MaxTTL, cfg.AnswerFromReferral = directCaps[c], afr == 1
+		cfg.ServeStale, cfg.Prefetch = b.cfg.ServeStaleDirect, b.cfg.PrefetchDirect
+		*v = b.variant(cfg)
+	}
+	l := b.deferResolver(addr, *v)
 	b.pop.R1Meta[addr] = R1Meta{Kind: kind}
 	b.scheduleFlushes(l)
 	return addr
@@ -454,33 +462,27 @@ func (b *builder) buildDirect(kind R1Kind, cc cache.Config) netsim.Addr {
 // buildMultiTierR1 creates an uncached forwarder over the current Rn
 // pool, cutting a fresh pool every VPsPerMultiTierGroup vantage points.
 func (b *builder) buildMultiTierR1() netsim.Addr {
-	if b.mtPool == nil || b.mtPoolUsed >= b.cfg.VPsPerMultiTierGroup {
-		b.mtPool = nil
-		b.mtPoolUsed = 0
+	if b.mtR1 == nil || b.mtPoolUsed >= b.cfg.VPsPerMultiTierGroup {
+		if b.mtRn == nil {
+			b.mtRn = b.variant(b.iterative())
+		}
+		var pool []netsim.Addr
 		for i := 0; i < b.cfg.MultiTierPoolSize; i++ {
 			rnAddr := b.addr("mt-rn")
-			rn := b.deferResolver(rnAddr, recursive.Config{
-				RootHints: b.hints,
-				Harvest:   b.cfg.Harvest,
-				Seed:      b.nextSeed(),
-			})
-			b.scheduleFlushes(rn)
-			b.mtPool = append(b.mtPool, rnAddr)
+			b.scheduleFlushes(b.deferResolver(rnAddr, b.mtRn))
+			pool = append(pool, rnAddr)
 		}
 		if b.rng.Float64() < b.cfg.FracMultiTierViaGoogle {
-			b.mtPool = append(b.mtPool, b.googleLB)
+			pool = append(pool, b.googleLB)
 		}
+		fwd := profile("multitier-forwarder")
+		fwd.Forwarders = pool
+		b.mtR1, b.mtPoolUsed = b.variant(fwd), 0
 	}
 	b.mtPoolUsed++
 
 	addr := b.addr("mt-r1")
-	b.deferResolver(addr, recursive.Config{
-		Forwarders:      b.mtPool,
-		NoCache:         true,
-		ExplorationProb: 1, // spread over the pool
-		MaxAttempts:     6,
-		Seed:            b.nextSeed(),
-	})
+	b.deferResolver(addr, b.mtR1)
 	b.pop.R1Meta[addr] = R1Meta{Kind: MultiTier}
 	return addr
 }

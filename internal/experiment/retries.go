@@ -24,20 +24,10 @@ import (
 )
 
 // retryProfiles are the two resolver implementations Appendix E
-// measures. Both keep the resolver's default of 7 tries per fetch: the
-// ~6-7 retries per name §6.2 observes when servers are dead.
-var retryProfiles = []struct {
-	name string
-	cfg  recursive.Config
-}{
-	// BIND 9.10: no NS-address harvesting, ~4x more queries during
-	// failure.
-	{"bind", recursive.Config{WorkBudget: 16}},
-	// Unbound 1.5: chases the nonexistent AAAA records of the
-	// nameservers it learns, producing both its higher baseline and its
-	// much larger failure amplification.
-	{"unbound", recursive.Config{Harvest: recursive.HarvestAAAA, WorkBudget: 48}},
-}
+// measures, rows of recursive's profile table. Both keep the default of 7
+// tries per fetch: the ~6-7 retries per name §6.2 observes when servers
+// are dead.
+var retryProfiles = [...]string{"bind", "unbound"}
 
 // RetryRow is one profile/state line of the retry study (Figure 16):
 // integer sums over its trials, so cells merge exactly.
@@ -70,8 +60,8 @@ type RetriesResult struct {
 // down. Probe pid runs trial row (pid-1) mod len(rows).
 func newRetryRows() []RetryRow {
 	rows := make([]RetryRow, 0, 2*len(retryProfiles))
-	for _, p := range retryProfiles {
-		rows = append(rows, RetryRow{Profile: p.name}, RetryRow{Profile: p.name, Down: true})
+	for _, name := range retryProfiles {
+		rows = append(rows, RetryRow{Profile: name}, RetryRow{Profile: name, Down: true})
 	}
 	return rows
 }
@@ -108,14 +98,18 @@ func runRetriesTestbed(base TestbedConfig) (*RetriesResult, *Testbed) {
 		}
 	})
 
+	// One behaviour per profile, shared by its trials; a trial waits out
+	// every retry.
+	var cfgs [len(retryProfiles)]recursive.Config
+	for i, name := range retryProfiles {
+		cfgs[i] = profile(name)
+		cfgs[i].RootHints = tb.rootHints()
+		cfgs[i].ClientTimeout = 30 * time.Second
+	}
 	resolvers := make([]*recursive.Resolver, 0, probes)
 	for pid := 1; pid <= probes; pid++ {
 		ri := (pid - 1) % len(rows)
-		cfg := retryProfiles[ri/2].cfg
-		cfg.RootHints = tb.rootHints()
-		cfg.ClientTimeout = 30 * time.Second
-		cfg.Seed = mixSeed(seed, pid)
-		r := recursive.NewResolver(tb.Clk, cfg)
+		r := recursive.New(tb.Clk, &cfgs[ri/2], mixSeed(seed, pid))
 		rAddr := advAddr("10.7", pid)
 		r.Attach(tb.Net, rAddr)
 		rowOf[rAddr] = ri

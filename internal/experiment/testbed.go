@@ -100,12 +100,8 @@ type TestbedConfig struct {
 }
 
 func (c TestbedConfig) withDefaults() TestbedConfig {
-	if c.Probes == 0 {
-		c.Probes = 1200
-	}
-	if c.TTL == 0 {
-		c.TTL = 3600
-	}
+	orDefault(&c.Probes, 1200)
+	orDefault(&c.TTL, 3600)
 	c.Population = c.Population.withDefaults()
 	return c
 }

@@ -188,18 +188,20 @@ func runTransportTestbed(spec TransportSpec, base TestbedConfig) (*TransportResu
 	res := &TransportResult{Flood: spec.Flood, TCPLoss: spec.tcpLoss(),
 		Rows: newTransportRows()}
 	resolvers := make([]*recursive.Resolver, 0, probes)
+	// One behaviour per row, shared by its trials.
+	cfgs := make([]recursive.Config, len(res.Rows))
+	for i, row := range res.Rows {
+		cfgs[i] = profile("default")
+		cfgs[i].RootHints, cfgs[i].EDNSSize = tb.rootHints(), row.Buf
+		cfgs[i].TCPFallback = row.Fallback != FallbackNone
+	}
 
 	for pid := 1; pid <= probes; pid++ {
 		ri := transportRow(pid)
 		row := &res.Rows[ri]
 		mode := row.Fallback
 
-		r := recursive.NewResolver(tb.Clk, recursive.Config{
-			RootHints:   tb.rootHints(),
-			Seed:        mixSeed(seed, pid),
-			EDNSSize:    row.Buf,
-			TCPFallback: mode != FallbackNone,
-		})
+		r := recursive.New(tb.Clk, &cfgs[ri], mixSeed(seed, pid))
 		rAddr := advAddr("10.7", pid)
 		r.Attach(tb.Net, rAddr)
 		resolvers = append(resolvers, r)

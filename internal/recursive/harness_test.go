@@ -135,3 +135,9 @@ func resolveOn(t *testing.T, clk *clock.Virtual, r *Resolver, name string, qtype
 	}
 	return *got
 }
+
+// jobFor returns r's coalescing job for (name, qtype) on shard 0, nil if
+// none is open.
+func (r *Resolver) jobFor(name string, qtype dnswire.Type) *clientJob {
+	return r.work().coalesce[coalesceKey{name: name, qtype: qtype, rid: r.rid}]
+}

@@ -760,14 +760,15 @@ func (t *task) resolveNSAddrs(hosts []string, newZone string) {
 // the client's query.
 func (r *Resolver) maybeHarvest(zone string, shard int, _ *int) {
 	const harvestInterval = 60 * time.Second
-	now := r.clk.Now()
-	if last, ok := r.harvests[zone]; ok && now.Sub(last) < harvestInterval {
+	ws := r.work()
+	now, k := r.clk.Now(), ridZone{r.rid, zone}
+	if last, ok := ws.harvests[k]; ok && now.Sub(last) < harvestInterval {
 		return
 	}
-	if r.harvests == nil {
-		r.harvests = make(map[string]time.Time)
+	if ws.harvests == nil {
+		ws.harvests = make(map[ridZone]time.Time)
 	}
-	r.harvests[zone] = now
+	ws.harvests[k] = now
 	pool := r.cfg.WorkBudget/4 + 2
 	budget := &pool
 

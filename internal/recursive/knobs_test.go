@@ -81,16 +81,15 @@ func TestMaxFetchCapsGluelessFanout(t *testing.T) {
 	}
 }
 
-// fillInflight marks every nonzero upstream ID in flight. It names the
-// map's key type only through inference, so the test also compiles
-// against the uint16-keyed map it was written to catch.
-func fillInflight[K uint16 | uint32](m map[K]*outquery) map[K]*outquery {
-	m = make(map[K]*outquery, 1<<16)
+// fillInflight puts every nonzero upstream ID of r in flight.
+func fillInflight(r *Resolver) {
+	ws := r.work()
+	ws.inflight = make(map[uint64]*outquery, 1<<16)
 	oq := &outquery{}
 	for id := 1; id < 1<<16; id++ {
-		m[K(id)] = oq
+		ws.inflight[r.oqKey(uint16(id))] = oq
 	}
-	return m
+	r.inflight = 1<<16 - 1
 }
 
 // TestAllocIDExhaustion: with all 65 535 upstream IDs in flight (an
@@ -101,7 +100,7 @@ func TestAllocIDExhaustion(t *testing.T) {
 	for name, random := range map[string]bool{"sequential": false, "random": true} {
 		t.Run(name, func(t *testing.T) {
 			w := newWorld(t, Config{Seed: 3, RandomIDs: random})
-			w.res.inflight = fillInflight(w.res.inflight)
+			fillInflight(w.res)
 			done := make(chan Result, 1)
 			go func() {
 				w.res.Resolve("1.cachetest.nl.", dnswire.TypeAAAA, 0, func(res Result) { done <- res })

@@ -218,7 +218,7 @@ func TestJobRecycle(t *testing.T) {
 			answers := 0
 			w.net.Bind(clientAddr, func(netsim.Addr, []byte) { answers++ })
 			r.Receive(clientAddr, clientQuery(t, tc.qname, tc.qtype))
-			j := r.coalesce[coalesceKey{name: tc.qname, qtype: tc.qtype}]
+			j := r.jobFor(tc.qname, tc.qtype)
 			if j == nil {
 				t.Fatal("the query started no job")
 			}
@@ -232,8 +232,8 @@ func TestJobRecycle(t *testing.T) {
 				}
 			}
 			w.clk.RunFor(time.Minute)
-			if answers != 1 || len(r.inflight) != 0 || w.clk.Pending() != 0 {
-				t.Fatalf("%d answers, %d outqueries, %d timers left", answers, len(r.inflight), w.clk.Pending())
+			if answers != 1 || r.inflight != 0 || w.clk.Pending() != 0 {
+				t.Fatalf("%d answers, %d outqueries, %d timers left", answers, r.inflight, w.clk.Pending())
 			}
 			if onFreeList(r, j) == tc.pinned || r.jobsOut != 0 {
 				t.Fatalf("job back %v (pinned %v), %d jobs out", onFreeList(r, j), tc.pinned, r.jobsOut)
@@ -242,7 +242,7 @@ func TestJobRecycle(t *testing.T) {
 				tc.check(t, w)
 			}
 			r.Receive(clientAddr, clientQuery(t, "9999.cachetest.nl.", dnswire.TypeAAAA))
-			next := r.coalesce[coalesceKey{name: "9999.cachetest.nl.", qtype: dnswire.TypeAAAA}]
+			next := r.jobFor("9999.cachetest.nl.", dnswire.TypeAAAA)
 			if (next == j) == tc.pinned {
 				t.Errorf("next miss took the job: %v, pinned %v", next == j, tc.pinned)
 			}
@@ -267,7 +267,7 @@ func TestJobRecycleAcrossResolvers(t *testing.T) {
 	w.net.Bind(clientAddr, func(netsim.Addr, []byte) { answers++ })
 	miss := func(r *Resolver, name string) *clientJob {
 		r.Receive(clientAddr, clientQuery(t, name, dnswire.TypeAAAA))
-		j := r.coalesce[coalesceKey{name: name, qtype: dnswire.TypeAAAA}]
+		j := r.jobFor(name, dnswire.TypeAAAA)
 		if j == nil {
 			t.Fatalf("%s started no job", name)
 		}
@@ -389,8 +389,8 @@ func TestCoalescedWaitersKeepTheirOwnHeader(t *testing.T) {
 	if st := w.res.Stats(); st.UpstreamQueries > 3 || st.ClientQueries != 1 {
 		t.Errorf("three waiters did not share one job: %+v", st)
 	}
-	if len(w.res.coalesce) != 0 {
-		t.Errorf("%d jobs left behind", len(w.res.coalesce))
+	if len(w.res.work().coalesce) != 0 {
+		t.Errorf("%d jobs left behind", len(w.res.work().coalesce))
 	}
 }
 
@@ -423,8 +423,8 @@ func TestDeadlineWithAnswerInFlight(t *testing.T) {
 	if st.ClientResponses != 1 || st.UpstreamQueries != 2 || st.Timeouts != 0 {
 		t.Errorf("late answer disturbed the finished task: %+v", st)
 	}
-	if len(w.res.coalesce) != 0 || len(w.res.inflight) != 0 {
-		t.Errorf("left behind: %d jobs, %d outqueries", len(w.res.coalesce), len(w.res.inflight))
+	if len(w.res.work().coalesce) != 0 || w.res.inflight != 0 {
+		t.Errorf("left behind: %d jobs, %d outqueries", len(w.res.work().coalesce), w.res.inflight)
 	}
 	// The same question again starts a fresh job and succeeds.
 	w.net.SetPairDelay(resAddr, nlAddr, time.Millisecond)
@@ -453,7 +453,7 @@ func TestJobKeepsServerBuffer(t *testing.T) {
 	w.net.Bind(clientAddr, func(netsim.Addr, []byte) { answers++ })
 
 	r.Receive(clientAddr, clientQuery(t, "1414.cachetest.nl.", dnswire.TypeAAAA))
-	j := r.coalesce[coalesceKey{name: "1414.cachetest.nl.", qtype: dnswire.TypeAAAA}]
+	j := r.jobFor("1414.cachetest.nl.", dnswire.TypeAAAA)
 	if j == nil || len(j.servers) != len(forwarders) {
 		t.Fatalf("first miss: job %v", j)
 	}
@@ -474,7 +474,7 @@ func TestJobKeepsServerBuffer(t *testing.T) {
 	}
 
 	r.Receive(clientAddr, clientQuery(t, "9999.cachetest.nl.", dnswire.TypeAAAA))
-	next := r.coalesce[coalesceKey{name: "9999.cachetest.nl.", qtype: dnswire.TypeAAAA}]
+	next := r.jobFor("9999.cachetest.nl.", dnswire.TypeAAAA)
 	if next != j || len(next.servers) != len(forwarders) || unsafe.SliceData(next.servers) != buf {
 		t.Fatal("the second miss did not reuse the job's server list")
 	}

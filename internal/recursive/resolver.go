@@ -71,10 +71,12 @@ const (
 	staleAnswerDelay = 1800 * time.Millisecond
 )
 
-// Config tunes a Resolver. NewResolver fills zero fields with defaults.
+// Config is the behaviour of a Resolver. New takes it with its defaults
+// applied (a Profile row, or WithDefaults) and only reads it, so one value
+// serves every resolver of a kind.
 type Config struct {
-	// Cache configures the resolver cache (TTL caps, shards, serve-stale,
-	// capacity). Cache.ServeStale is forced to match ServeStale.
+	// Cache configures the resolver cache (TTL caps, shards, capacity).
+	// Its ServeStale is ignored: the resolver's ServeStale sets it.
 	Cache cache.Config
 	// RootHints seed iterative resolution. Required unless forwarding.
 	RootHints []ServerHint
@@ -84,17 +86,21 @@ type Config struct {
 	// cache-miss causes in §3.5).
 	NoCache bool
 
-	// InitialTimeout is the first per-upstream-query timeout. It doubles
-	// each time the candidate server list has been exhausted (each retry
-	// *round*, not each attempt), up to maxTimeout (3 s), so every server
-	// in a round is probed with the same deadline. Default 750 ms.
+	// InitialTimeout is the first per-upstream-query timeout: secDNS's
+	// per-exchange `timeout`. It doubles each time the candidate server
+	// list has been exhausted (each retry *round*, not each attempt), up
+	// to maxTimeout (3 s), so every server in a round is probed with the
+	// same deadline. A forwarder starts at twice it, since its upstream
+	// resolves in full. Default 750 ms.
 	InitialTimeout time.Duration
-	// MaxAttempts bounds upstream tries per fetch (across servers).
+	// MaxAttempts bounds upstream tries per fetch, across servers: the
+	// product of secDNS's per-server `retries` and the servers it walks.
 	// Default 7, matching the ~6-7 retries prior work and §6.2 observe
 	// when authoritatives are dead.
 	MaxAttempts int
 	// WorkBudget bounds total upstream queries spawned by one client
-	// query, including NS-address harvesting. Default 40.
+	// query, including NS-address harvesting: the bound secDNS's
+	// `maxReferrals` puts on one resolution's descent. Default 40.
 	WorkBudget int
 	// ClientTimeout is the deadline after which a client query is
 	// answered SERVFAIL (or stale). Default 8 s.
@@ -121,7 +127,10 @@ type Config struct {
 	Harvest HarvestMode
 	// ExplorationProb is the probability of querying a random candidate
 	// server instead of the lowest-SRTT one, modeling the "recursives
-	// query all authoritatives over time" behavior of [27]. Default 0.25.
+	// query all authoritatives over time" behavior of [27]: where secDNS
+	// tries the `probeTopN` best servers by EWMA RTT, this resolver
+	// mostly takes the best and sometimes any. 1 is a load balancer's
+	// uniform choice. Default 0.25.
 	ExplorationProb float64
 	// AnswerFromReferral lets cached referral data (NS sets and glue
 	// learned from parent-side responses, credibility below RankAnswer)
@@ -155,11 +164,16 @@ type Config struct {
 	// TCP plane against the same server (RFC 7766) instead of rotating
 	// to the next candidate. Requires a TCP transport (Attach binds one).
 	TCPFallback bool
-	// Seed makes the resolver's random choices reproducible.
+	ready       bool // set by WithDefaults: the form New takes
+	// Seed seeds the resolver NewResolver builds. New takes its seed as
+	// an argument and ignores this field, so a shared Config holds
+	// behaviour only.
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field that has a default filled
+// in: the form New takes.
+func (c Config) WithDefaults() Config {
 	if c.InitialTimeout == 0 {
 		c.InitialTimeout = 750 * time.Millisecond
 	}
@@ -175,7 +189,7 @@ func (c Config) withDefaults() Config {
 	if c.ExplorationProb == 0 {
 		c.ExplorationProb = 0.25
 	}
-	c.Cache.ServeStale = c.ServeStale
+	c.ready = true
 	return c
 }
 
@@ -219,9 +233,12 @@ type Result struct {
 }
 
 // Resolver is a caching recursive resolver bound to one network address.
+// It holds what differs from its kind: its behaviour is a shared Config it
+// never writes, and its per-key state (in-flight queries, coalesced jobs,
+// SRTTs, harvest times) lives in its working set's maps under its rid.
 type Resolver struct {
 	clk   clock.Clock
-	cfg   Config
+	cfg   *Config
 	cache cache.Cache
 	rng   *rand.Rand
 	conn  netsim.Conn
@@ -230,17 +247,17 @@ type Resolver struct {
 	// answered without the UDP size limit.
 	tcpConn netsim.Conn
 
-	nextID   uint16
-	inflight map[uint32]*outquery // 16-bit IDs; uint32 keys take the map's fast path
+	nextID uint16
+	// rid keys this resolver's entries in its working set's maps, and
+	// inflight counts its entries in ws.inflight.
+	rid      uint32
+	inflight int32
 	// ws is the working set this resolver borrows (see work); retired
 	// holds the jobs retired during the depth dispatches in progress, and
 	// jobsOut counts jobs out (neither back nor pinned).
 	ws             *workingSet
 	retired        *clientJob
 	depth, jobsOut int
-	srtt           map[netsim.Addr]time.Duration
-	coalesce       map[coalesceKey]*clientJob
-	harvests       map[string]time.Time // zone -> last NS harvest
 	// trace and timeline are the cell's observers, read from the network
 	// at Attach; n is the live counter per event kind (see event.go).
 	trace    *trace.Buffer
@@ -251,12 +268,12 @@ type Resolver struct {
 	upstreamRTTms metrics.Histogram
 }
 
-// workingSet is the decode and encode scratch and the free lists of every
-// resolver on one network (netsim.Shared). The network's engines run one
-// dispatch at a time, no scratch contents survive a dispatch, and a node
-// goes back to a free list only under putOQ's rule, which holds whichever
-// resolver takes it next. It is the only place the package declares
-// dnswire.Message fields (make obs-guard).
+// workingSet is the decode and encode scratch, the free lists and the
+// per-key state of every resolver on one network (netsim.Shared). The
+// network's engines run one dispatch at a time, no scratch contents
+// survive a dispatch, and a node goes back to a free list only under
+// putOQ's rule, which holds whichever resolver takes it next. It is the
+// only place the package declares dnswire.Message fields (make obs-guard).
 type workingSet struct {
 	// upMsg is the decode target for upstream responses. Response
 	// processing never retains the message or its section slices (data
@@ -283,6 +300,40 @@ type workingSet struct {
 	oqFree            *outquery
 	jobFree           *clientJob
 	oqFreeN, jobFreeN int
+
+	// The resolvers' per-key state, each key led by the owner's rid
+	// (rids counts those handed out); each map is made on first use.
+	// inflight holds upstream queries awaiting an answer (rid<<16 | ID),
+	// coalesce the client jobs identical queries join, srtt the smoothed
+	// RTT per server, and harvests the last NS harvest per zone.
+	rids     uint32
+	inflight map[uint64]*outquery
+	coalesce map[coalesceKey]*clientJob
+	srtt     map[ridAddr]time.Duration
+	harvests map[ridZone]time.Time
+}
+
+type coalesceKey struct {
+	name  string
+	qtype dnswire.Type
+	rid   uint32
+	shard int
+}
+
+type ridAddr struct {
+	rid  uint32
+	addr netsim.Addr
+}
+
+type ridZone struct {
+	rid  uint32
+	zone string
+}
+
+// join makes r one of the working set's resolvers.
+func (r *Resolver) join(ws *workingSet) {
+	ws.rids++
+	r.ws, r.rid = ws, ws.rids
 }
 
 // work returns the resolver's working set: the network's, from Attach,
@@ -290,29 +341,48 @@ type workingSet struct {
 // made on first use.
 func (r *Resolver) work() *workingSet {
 	if r.ws == nil {
-		r.ws = new(workingSet)
+		r.join(new(workingSet))
 	}
 	return r.ws
 }
 
-type coalesceKey struct {
-	name  string
-	qtype dnswire.Type
-	shard int
+// oqKey is r's key for query id in ws.inflight.
+func (r *Resolver) oqKey(id uint16) uint64 { return uint64(r.rid)<<16 | uint64(id) }
+
+// New creates a resolver on clk that runs cfg, its random choices seeded
+// by seed. cfg has its defaults applied (a Profile row, or WithDefaults);
+// the resolver only reads it, so every resolver of a kind may share one.
+// Call Attach (or SetConn) before resolving.
+func New(clk clock.Clock, cfg *Config, seed int64) *Resolver {
+	r := new(Resolver)
+	r.init(clk, cfg, seed)
+	return r
 }
 
-// NewResolver creates a resolver on clk. Call Attach (or SetConn) before
-// resolving.
+// NewResolver is New for a one-off Config: the resolver carries its own
+// copy, defaults applied, in the same allocation, seeded by cfg.Seed.
 func NewResolver(clk clock.Clock, cfg Config) *Resolver {
-	cfg = cfg.withDefaults()
-	// Hot state (in-flight and SRTT maps, the RTT histogram) is
-	// created on first use: a large population builds thousands of
+	own := &struct {
+		Resolver
+		cfg Config
+	}{cfg: cfg.WithDefaults()}
+	own.init(clk, &own.cfg, cfg.Seed)
+	return &own.Resolver
+}
+
+func (r *Resolver) init(clk clock.Clock, cfg *Config, seed int64) {
+	if !cfg.ready {
+		panic("recursive: New needs a Config with its defaults applied (Profile or WithDefaults)")
+	}
+	// The RTT histogram and the per-key state in the working set are
+	// made on first use: a large population builds thousands of
 	// resolvers per cell but exercises only the handful its probes query,
 	// so an idle resolver must cost a couple of allocations, not dozens.
-	r := &Resolver{clk: clk, cfg: cfg, rng: lazyrand.New(cfg.Seed)}
-	r.cache.Init(clk, cfg.Cache)
+	r.clk, r.cfg, r.rng = clk, cfg, lazyrand.New(seed)
+	cc := cfg.Cache
+	cc.ServeStale = cfg.ServeStale
+	r.cache.Init(clk, cc)
 	r.upstreamRTTms.Init(metrics.DefaultLatencyBucketsMs) // aliases shared bounds; no allocation
-	return r
 }
 
 // Cache exposes the resolver cache (tests and the Appendix A cache-dump
@@ -361,7 +431,7 @@ func (r *Resolver) SetConn(conn netsim.Conn) { r.conn = conn }
 // inherit the network's observers, and the resolver its working set.
 func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
 	r.trace, r.timeline = net.Trace(), net.Timeline()
-	r.ws = netsim.Shared[workingSet](net)
+	r.join(netsim.Shared[workingSet](net))
 	r.cache.SetTrace(r.trace)
 	r.conn = net.Bind(addr, r.Receive)
 	if r.cfg.TCPFallback {
@@ -430,26 +500,36 @@ func (r *Resolver) leave() {
 // when all 65 535 are (an upstream black-holing a flood), so the caller
 // moves on instead of searching forever.
 func (r *Resolver) allocID() (uint16, bool) {
-	if len(r.inflight) >= 1<<16-1 {
+	if r.inflight >= 1<<16-1 {
 		return 0, false
 	}
+	inflight := r.work().inflight
 	if r.cfg.RandomIDs {
 		// Full 16-bit entropy: the defense the poisoning experiments
 		// measure. Re-draw on the rare collision with an in-flight ID.
 		rng := r.rng
 		for {
 			id := uint16(rng.Intn(1 << 16))
-			if _, busy := r.inflight[uint32(id)]; !busy && id != 0 {
+			if _, busy := inflight[r.oqKey(id)]; !busy && id != 0 {
 				return id, true
 			}
 		}
 	}
 	for {
 		r.nextID++
-		if _, busy := r.inflight[uint32(r.nextID)]; !busy && r.nextID != 0 {
+		if _, busy := inflight[r.oqKey(r.nextID)]; !busy && r.nextID != 0 {
 			return r.nextID, true
 		}
 	}
+}
+
+// outqueryOf returns r's in-flight query with the given ID, nil if none.
+func (r *Resolver) outqueryOf(id uint16) *outquery { return r.work().inflight[r.oqKey(id)] }
+
+// landed takes oq out of flight.
+func (r *Resolver) landed(oq *outquery) {
+	delete(r.ws.inflight, r.oqKey(oq.id))
+	r.inflight--
 }
 
 // outquery is one upstream query awaiting a response or timeout. Nodes
@@ -522,13 +602,14 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	oq := r.getOQ()
 	oq.id, oq.fwd, oq.tcp, oq.server, oq.sentAt, oq.t = id, fwd, tcp, server, r.clk.Now(), t
 	t.refs++
-	if r.inflight == nil {
-		r.inflight = make(map[uint32]*outquery)
+	ws := r.work()
+	if ws.inflight == nil {
+		ws.inflight = make(map[uint64]*outquery)
 	}
-	r.inflight[uint32(id)] = oq
+	ws.inflight[r.oqKey(id)] = oq
+	r.inflight++
 	r.event(kUpstreamQuery, payload{name: t.name, a: uint32(t.qtype), dst: server})
 
-	ws := r.work()
 	q := &ws.qMsg
 	q.ResetQuery(id, t.name, t.qtype)
 	q.RecursionDesired = fwd
@@ -541,7 +622,7 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	wire, err := q.AppendPack(ws.packBuf[:0])
 	ws.packBuf = wire[:0]
 	if err != nil {
-		delete(r.inflight, uint32(id))
+		r.landed(oq)
 		r.putOQ(oq, true) // no timer armed yet
 		t.rotate(fwd)
 		return
@@ -559,12 +640,12 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 func outqueryTimeout(arg any) {
 	oq := arg.(*outquery)
 	t, server, fwd := oq.t, oq.server, oq.fwd
-	if t == nil || t.r.inflight[uint32(oq.id)] != oq {
+	if t == nil || t.r.outqueryOf(oq.id) != oq {
 		return
 	}
 	r := t.r
 	r.depth++
-	delete(r.inflight, uint32(oq.id))
+	r.landed(oq)
 	r.event(kTimeout, payload{name: t.name, dst: server})
 	r.srttPenalty(server)
 	r.putOQ(oq, true)
@@ -574,11 +655,11 @@ func outqueryTimeout(arg any) {
 
 // handleUpstream routes a response to its pending query.
 func (r *Resolver) handleUpstream(m *dnswire.Message) {
-	oq, ok := r.inflight[uint32(m.ID)]
-	if !ok {
+	oq := r.outqueryOf(m.ID)
+	if oq == nil {
 		return // late or spoofed; ignore
 	}
-	delete(r.inflight, uint32(m.ID))
+	r.landed(oq)
 	sample := r.clk.Now().Sub(oq.sentAt)
 	r.upstreamRTTms.Observe(float64(sample) / float64(time.Millisecond))
 	r.srttUpdate(oq.server, sample)
@@ -598,32 +679,35 @@ func (r *Resolver) handleUpstream(m *dnswire.Message) {
 	}
 }
 
+// srttTable returns the working set's SRTT map, made on first use.
+func (r *Resolver) srttTable() map[ridAddr]time.Duration {
+	ws := r.work()
+	if ws.srtt == nil {
+		ws.srtt = make(map[ridAddr]time.Duration)
+	}
+	return ws.srtt
+}
+
 // srttUpdate folds a new RTT sample into the server's smoothed RTT.
 func (r *Resolver) srttUpdate(server netsim.Addr, sample time.Duration) {
-	if r.srtt == nil {
-		r.srtt = make(map[netsim.Addr]time.Duration)
-	}
-	if old, ok := r.srtt[server]; ok {
-		r.srtt[server] = (old*7 + sample*3) / 10
+	srtt := r.srttTable()
+	k := ridAddr{r.rid, server}
+	if old, ok := srtt[k]; ok {
+		srtt[k] = (old*7 + sample*3) / 10
 	} else {
-		r.srtt[server] = sample
+		srtt[k] = sample
 	}
 }
 
 // srttPenalty doubles a server's SRTT after a timeout so selection drifts
 // away from unresponsive servers (BIND-style decay).
 func (r *Resolver) srttPenalty(server netsim.Addr) {
-	if r.srtt == nil {
-		r.srtt = make(map[netsim.Addr]time.Duration)
-	}
-	if old, ok := r.srtt[server]; ok {
-		penalized := old * 2
-		if penalized > 10*time.Second {
-			penalized = 10 * time.Second
-		}
-		r.srtt[server] = penalized
+	srtt := r.srttTable()
+	k := ridAddr{r.rid, server}
+	if old, ok := srtt[k]; ok {
+		srtt[k] = min(old*2, 10*time.Second)
 	} else {
-		r.srtt[server] = time.Second
+		srtt[k] = time.Second
 	}
 }
 
@@ -657,11 +741,12 @@ func (r *Resolver) pickServer(candidates []netsim.Addr, tried []uint64) (int, bo
 	// eagerly, matching the exploration contract for unknown servers.
 	best := -1
 	var bestRTT time.Duration
+	srtt := r.work().srtt
 	for i, a := range candidates {
 		if isTried(i) {
 			continue
 		}
-		rtt, ok := r.srtt[a]
+		rtt, ok := srtt[ridAddr{r.rid, a}]
 		if !ok {
 			return i, true
 		}

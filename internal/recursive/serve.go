@@ -37,7 +37,7 @@ func (r *Resolver) getJob() *clientJob {
 // complete is the job's task delivering: every waiter gets res.
 func (j *clientJob) complete(res Result) {
 	r := j.r
-	delete(r.coalesce, j.key)
+	delete(r.ws.coalesce, j.key)
 	r.answer(&j.first, j.key, res)
 	for i := range j.more {
 		r.answer(&j.more[i], j.key, res)
@@ -100,19 +100,20 @@ func (r *Resolver) serveClient(src netsim.Addr, q *dnswire.Message, tcp bool) {
 		shard = r.rng.Intn(n)
 	}
 
-	key := coalesceKey{name: name, qtype: question.Type, shard: shard}
-	if r.coalesce == nil {
-		r.coalesce = make(map[coalesceKey]*clientJob)
+	ws := r.work()
+	key := coalesceKey{name: name, qtype: question.Type, rid: r.rid, shard: shard}
+	if ws.coalesce == nil {
+		ws.coalesce = make(map[coalesceKey]*clientJob)
 	}
 	w := waiter{src: src, tcp: tcp, id: q.ID, rd: q.RecursionDesired}
 	w.udpSize, w.do, w.edns = q.EDNS()
-	if job, ok := r.coalesce[key]; ok {
+	if job, ok := ws.coalesce[key]; ok {
 		job.more = append(job.more, w)
 		return
 	}
 	job := r.getJob()
 	job.key, job.first = key, w
-	r.coalesce[key] = job
+	ws.coalesce[key] = job
 	r.resolveTask(&job.task, name, question.Type, shard)
 }
 
