@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/authoritative"
 	"repro/internal/dnswire"
@@ -54,6 +55,7 @@ func main() {
 	}
 	var zones []*zone.Zone
 	for _, file := range zoneFiles {
+		start := time.Now()
 		f, err := os.Open(file)
 		if err != nil {
 			log.Fatalf("authd: %v", err)
@@ -64,7 +66,7 @@ func main() {
 			log.Fatalf("authd: %s: %v", file, err)
 		}
 		zones = append(zones, z)
-		log.Printf("loaded zone %s (%d records) from %s", z.Origin(), z.Len(), file)
+		log.Printf("loaded zone %s (%d records) from %s in %v", z.Origin(), z.Len(), file, time.Since(start).Round(time.Microsecond))
 	}
 
 	// SIGINT or SIGTERM stops the daemon: Serve returns, the loop closes

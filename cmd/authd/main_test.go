@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"syscall"
 	"testing"
 	"time"
@@ -27,7 +28,8 @@ func TestDaemonMain(t *testing.T) {
 }
 
 // TestStopsOnSIGTERM runs authd as a child process, waits for an answer,
-// sends SIGTERM and expects a clean exit (status 0) within 2 s.
+// sends SIGTERM and expects a clean exit (status 0) within 2 s, and a log
+// line that says how long the zone took to load.
 func TestStopsOnSIGTERM(t *testing.T) {
 	zoneFile := filepath.Join(t.TempDir(), "cachetest.zone")
 	zoneText := "$ORIGIN cachetest.nl.\n$TTL 3600\n@ IN SOA ns1 hostmaster 1 7200 3600 864000 60\n" +
@@ -60,6 +62,15 @@ func TestStopsOnSIGTERM(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatalf("authd still running 2 s after SIGTERM\n%s", &out)
+	}
+	// The log, complete once the daemon exited, says how long the zone
+	// took to load.
+	loaded := regexp.MustCompile(`loaded zone cachetest\.nl\. \(4 records\) from (\S+) in (\S+)\n`).FindStringSubmatch(out.String())
+	if loaded == nil || loaded[1] != zoneFile {
+		t.Fatalf("no load line for %s in the log:\n%s", zoneFile, &out)
+	}
+	if d, err := time.ParseDuration(loaded[2]); err != nil || d <= 0 {
+		t.Errorf("load time %q: %v, want a positive duration", loaded[2], err)
 	}
 }
 

@@ -83,11 +83,27 @@ func FuzzParseMatchesReference(f *testing.F) {
 	f.Add("$ORIGIN x.\n@\v60\fIN\rA 10.0.0.1\n")
 	f.Add("$ORIGIN x.\n@ 0 IN A 10.0.0.1\nw 0060 IN A 10.0.0.2\n")
 	f.Add("$ORIGIN x.\nwww.y. 60 IN A 10.0.0.1\n")
+	// What the one-pass reader does itself: line ends, bufio.Scanner's
+	// line limit, owner names built in a buffer, the map's size hint.
+	f.Add("$ORIGIN x.\r\n$TTL 60\r\nw\rIN A 10.0.0.1\r\n\tIN AAAA ::1\r\n\r\n\r\nv IN A 10.0.0.2 ;c\r\n\r")
+	f.Add("$ORIGIN x.\n$TTL 60\n@ IN A 10.0.0.1\nw IN TXT \"no newline\"")
+	f.Add("$ORIGIN x.\n@ 60 IN A 10.0.0.1 ) " + strings.Repeat("a", 70000) + "\n")
+	f.Add("$ORIGIN x.\n@ 60 IN TXT " + strings.Repeat("b", maxLine-13) + "\n@ 60 IN TXT " + strings.Repeat("c", maxLine-13))
+	f.Add("$ORIGIN x.\n@ 60 IN TXT " + strings.Repeat("d", maxLine-12))
+	f.Add("$ORIGIN x.\n$TTL 60\na IN A 10.0.0.1\nb IN A 10.0.0.2\na IN AAAA ::1\nb IN A 10.0.0.2\nA IN A 10.0.0.3\n")
+	f.Add("$ORIGIN x.\n$TTL 60\nwww IN A 10.0.0.1\n$ORIGIN y.x.\nwww IN A 10.0.0.2\n$ORIGIN x.\nwww IN AAAA ::1\n")
+	f.Add("$ORIGIN X.\n$TTL 60\nWww IN A 10.0.0.1\nwWW IN AAAA ::1\nMiX.x. IN A 10.0.0.2\n@ IN NS Ns.X.\nm IN MX 1 WWW\n")
+	f.Add("$ORIGIN x.\n$TTL 60\nt IN TXT ( \"a;b\"\n  \"c)d\" ; e )\n  \"(f\\\"\" )\nu IN TXT \"g\\\\\" (\n \"h\" )\n")
+	f.Add("$ORIGIN x.\n$TTL 60\nw\u00a0IN A 10.0.0.1\nw\u2028IN\u3000AAAA ::1\nv 60 \u0131n \u017foa a b 1 2 3 4 5\nu IN TXT a\xffb\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		z, err := ParseString(text, "example.nl.")
 		ref, refErr := refParseString(text, "example.nl.")
 		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
 			t.Fatalf("Parse: %v\nreference: %v", err, refErr)
+		}
+		if zr, errR := Parse(strings.NewReader(text), "example.nl."); fmt.Sprint(errR) != fmt.Sprint(err) ||
+			err == nil && zr.MarshalString() != z.MarshalString() {
+			t.Fatalf("Parse of a reader: %v; of the string: %v", errR, err)
 		}
 		if err != nil {
 			return
