@@ -88,9 +88,10 @@ trace-smoke:
 
 # End-to-end CLI gate (the -race suites run under `make race`): a tiny
 # staged multi-phase campaign — `-probes 60` overrides the spec's 1500 —,
-# a tiny `dikes timeline` run with CSV/JSON export, the reproduction
-# self-test (paper campaign + scorecard, all 11 claims must pass at 200
-# probes), two overrides that must exit 2 without simulating, and the
+# a tiny `dikes timeline` run with CSV/JSON export, the paper campaign
+# plus scorecard at 200 probes (every run must finish, every report
+# invariant hold and every scorecard row be read; the readings are not
+# judged), two overrides that must exit 2 without simulating, and the
 # 1 MB file size guard.
 cli-smoke: size-guard
 	$(GO) run ./cmd/dikes -probes 60 campaign examples/specs/staged.json >/dev/null
@@ -144,7 +145,7 @@ regen-tables:
 	./scripts/regen_tables.sh
 
 # Fails if any tracked or staged file exceeds the 1 MB budget (build
-# artifacts and run logs do not belong in the tree), or CHANGES.md its
-# 34 000-byte one.
+# artifacts and run logs do not belong in the tree), or CHANGES.md,
+# DESIGN.md, EXPERIMENTS.md or README.md its own budget.
 size-guard:
 	./scripts/size_guard.sh

@@ -249,19 +249,13 @@ func (o options) export(results []dikes.CampaignResult) (failures []string, err 
 	return failures, err
 }
 
-// scorecard is what `dikes check` adds to the paper campaign: the
-// reproduction self-test over its results, and one failure line per claim
-// that did not reproduce or whose source run is missing.
-func scorecard(w io.Writer, results []dikes.CampaignResult) (failures []string) {
-	rows := dikes.Scorecard(results)
-	table, _ := dikes.RenderCheck(rows)
+// scorecard is what `dikes check` adds to the paper campaign: the paper's
+// values beside the campaign's readings of them, and one failure line per
+// row whose source run is missing.
+func scorecard(w io.Writer, results []dikes.CampaignResult) (notRun []string) {
+	table, notRun := dikes.Scorecard(results)
 	fmt.Fprintf(w, "---- scorecard ----\n%s", table)
-	for _, c := range rows {
-		if !c.Pass {
-			failures = append(failures, fmt.Sprintf("claim not reproduced: %s (measured: %s)", c.Claim, c.Measured))
-		}
-	}
-	return failures
+	return notRun
 }
 
 // tracePathFor derives the output path of one run's trace: the

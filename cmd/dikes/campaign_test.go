@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -165,8 +164,8 @@ func TestTracedBatchWritesOneFilePerRun(t *testing.T) {
 	}
 }
 
-// TestScorecardFailuresExit: on the check path a claim that fails or whose
-// source run never ran becomes a failure line, which is what exits 1.
+// TestScorecardFailuresExit: on the check path a row whose source run
+// never ran becomes a failure line, which is what exits 1.
 func TestScorecardFailuresExit(t *testing.T) {
 	items, err := given(options{probes: 40}, "probes").plan(dikes.Specs.ReadFile, aliasSpecs("glue"))
 	if err != nil {
@@ -178,23 +177,18 @@ func TestScorecardFailuresExit(t *testing.T) {
 	}
 	var out strings.Builder
 	failures := scorecard(&out, results)
-	if !strings.HasPrefix(out.String(), "---- scorecard ----\nclaim ") || strings.Count(out.String(), "\n") != 13 {
-		t.Errorf("scorecard output is not the header plus the 11-row table:\n%s", out.String())
+	rows := strings.Count(out.String(), "\n") - 2
+	if !strings.HasPrefix(out.String(), "---- scorecard ----\n§ ") || rows < 2 {
+		t.Errorf("scorecard output is not the header plus the paper table:\n%s", out.String())
 	}
-	// Only the glue run exists: its claim passes, the other ten are un-run.
-	if len(failures) != 10 {
-		t.Fatalf("%d failure lines, want 10: %v", len(failures), failures)
+	// Only the glue run exists: its one row is read, every other is un-run.
+	if len(failures) != rows-1 {
+		t.Fatalf("%d failure lines for %d rows, want all but the glue row: %v", len(failures), rows, failures)
 	}
 	for _, line := range failures {
-		if !strings.HasPrefix(line, "claim not reproduced: ") || !strings.Contains(line, "not run") || strings.Contains(line, "child-side TTL") {
+		if !strings.HasPrefix(line, "not run: ") || strings.Contains(line, "(glue)") {
 			t.Errorf("failure line %q", line)
 		}
-	}
-	// A run that finished but missed its band is named with what it measured.
-	results[0].Outcome.Glue.NS.ExactChild, results[0].Outcome.Glue.NS.BelowChild = 0, 0
-	failures = scorecard(io.Discard, results)
-	if want := "claim not reproduced: answers carry the child-side TTL (measured: 0.0%)"; len(failures) != 11 || failures[9] != want {
-		t.Errorf("failures = %q, want 11 with %q tenth", failures, want)
 	}
 }
 

@@ -239,10 +239,8 @@ var (
 	RenderCampaign = experiment.RenderCampaign
 	// CampaignFiles renders every figure's data as named CSV/JSON files.
 	CampaignFiles = experiment.CampaignFiles
-	// Scorecard scores the paper's headline claims over a campaign.
+	// Scorecard prints the paper's values beside a campaign's readings.
 	Scorecard = experiment.Scorecard
-	// RenderCheck prints a scorecard as the claim/paper/measured table.
-	RenderCheck = experiment.RenderCheck
 )
 
 // Experiment runners — one per paper table/figure family.
