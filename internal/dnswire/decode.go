@@ -18,6 +18,9 @@ var (
 type parser struct {
 	data []byte
 	off  int
+	// names, set by UnpackBorrow, receives the owner names that miss the
+	// intern table; nil interns them (UnpackInto).
+	names *[]byte
 }
 
 func (p *parser) need(n int) error {
@@ -80,6 +83,33 @@ func (p *parser) name() (string, error) {
 	return n, nil
 }
 
+// owner reads a question or record owner name. Under UnpackBorrow a name
+// the intern table does not hold is decoded straight into the message's
+// name storage and returned aliasing it; it is never entered into the
+// table, whose later hits would otherwise hand out overwritten bytes.
+func (p *parser) owner() (string, error) {
+	if p.names == nil {
+		return p.name()
+	}
+	start := len(*p.names)
+	all, next, err := appendName(*p.names, p.data, p.off)
+	if err != nil {
+		return "", err
+	}
+	p.off = next
+	name := all[start:]
+	if len(name) == 0 {
+		return ".", nil
+	}
+	key := unsafe.String(&name[0], len(name))
+	if s, ok := nameIntern.lookup(hashBytes(name), key); ok {
+		*p.names = all[:start]
+		return s, nil
+	}
+	*p.names = all
+	return key, nil
+}
+
 // readName decodes a name at off in data, returning the canonical name and
 // the offset just past the name's in-place encoding. The presentation form
 // is assembled (and lowercased) in a stack buffer, so decoding costs at
@@ -87,13 +117,31 @@ func (p *parser) name() (string, error) {
 // the name interns).
 func readName(data []byte, off int) (string, int, error) {
 	var buf [MaxNameLen]byte // wire length caps the presentation length too
-	name := buf[:0]
+	name, next, err := appendName(buf[:0], data, off)
+	if err != nil {
+		return "", 0, err
+	}
+	if len(name) == 0 {
+		return ".", next, nil
+	}
+	// The lookup key aliases the stack buffer; a miss copies it.
+	key := unsafe.String(&name[0], len(name))
+	return nameIntern.intern(hashBytes(name), key, func() (string, string) {
+		s := string(name)
+		return s, s
+	}), next, nil
+}
+
+// appendName appends the lowercased presentation form of the name at off
+// in data to dst, without the root's lone dot (the root appends nothing),
+// and returns the offset just past the name's in-place encoding.
+func appendName(dst, data []byte, off int) ([]byte, int, error) {
 	ptrBudget := 64 // far more than any legitimate message needs
 	next := -1      // offset after the first pointer, i.e. where parsing resumes
 	wireLen := 0
 	for {
 		if off >= len(data) {
-			return "", 0, ErrTruncatedMessage
+			return dst, 0, ErrTruncatedMessage
 		}
 		l := int(data[off])
 		switch {
@@ -101,50 +149,42 @@ func readName(data []byte, off int) (string, int, error) {
 			if next < 0 {
 				next = off + 1
 			}
-			if len(name) == 0 {
-				return ".", next, nil
-			}
-			// The lookup key aliases the stack buffer; a miss copies it.
-			key := unsafe.String(&name[0], len(name))
-			return nameIntern.intern(hashBytes(name), key, func() (string, string) {
-				s := string(name)
-				return s, s
-			}), next, nil
+			return dst, next, nil
 		case l&0xC0 == 0xC0:
 			if off+1 >= len(data) {
-				return "", 0, ErrTruncatedMessage
+				return dst, 0, ErrTruncatedMessage
 			}
 			ptr := int(l&0x3F)<<8 | int(data[off+1])
 			if ptr >= off {
 				// Forward (or self) pointers cannot occur in well-formed
 				// messages and could loop.
-				return "", 0, ErrBadPointer
+				return dst, 0, ErrBadPointer
 			}
 			if next < 0 {
 				next = off + 2
 			}
 			ptrBudget--
 			if ptrBudget <= 0 {
-				return "", 0, ErrBadPointer
+				return dst, 0, ErrBadPointer
 			}
 			off = ptr
 		case l&0xC0 != 0:
-			return "", 0, fmt.Errorf("%w: reserved label type 0x%x", ErrBadName, l&0xC0)
+			return dst, 0, fmt.Errorf("%w: reserved label type 0x%x", ErrBadName, l&0xC0)
 		default:
 			if off+1+l > len(data) {
-				return "", 0, ErrTruncatedMessage
+				return dst, 0, ErrTruncatedMessage
 			}
 			wireLen += 1 + l
 			if wireLen+1 > MaxNameLen {
-				return "", 0, ErrNameTooLong
+				return dst, 0, ErrNameTooLong
 			}
 			for _, c := range data[off+1 : off+1+l] {
 				if 'A' <= c && c <= 'Z' {
 					c += 'a' - 'A'
 				}
-				name = append(name, c)
+				dst = append(dst, c)
 			}
-			name = append(name, '.')
+			dst = append(dst, '.')
 			off += 1 + l
 		}
 	}
@@ -162,15 +202,30 @@ func Unpack(data []byte) (*Message, error) {
 // UnpackInto parses a complete DNS message from wire format into m,
 // reusing m's section slices (their backing arrays, not their contents).
 // Steady-state decoding through a scratch or pooled Message is therefore
-// allocation-free. On error m holds partially decoded data and must not
-// be used.
+// allocation-free, except for names the intern table does not hold. On
+// error m holds partially decoded data and must not be used.
 func UnpackInto(m *Message, data []byte) error {
-	p := &parser{data: data}
+	return unpack(m, &parser{data: data})
+}
+
+// UnpackBorrow is UnpackInto for a caller that keeps nothing of the
+// message: a question or owner name the intern table does not hold is
+// copied into storage m owns, not allocated, and is valid only until the
+// next decode into m. A string taken from m that must outlive that
+// decode has to be cloned. Names in record data are interned as by
+// UnpackInto. A borrowed decode adds nothing to the intern table.
+func UnpackBorrow(m *Message, data []byte) error {
+	return unpack(m, &parser{data: data, names: &m.names})
+}
+
+func unpack(m *Message, p *parser) error {
+	data := p.data
 	*m = Message{
 		Questions:   m.Questions[:0],
 		Answers:     m.Answers[:0],
 		Authorities: m.Authorities[:0],
 		Additionals: m.Additionals[:0],
+		names:       m.names[:0],
 	}
 	id, err := p.uint16()
 	if err != nil {
@@ -233,7 +288,7 @@ var sectionNames = [3]string{"answer", "authority", "additional"}
 
 func (p *parser) question() (Question, error) {
 	var q Question
-	name, err := p.name()
+	name, err := p.owner()
 	if err != nil {
 		return q, err
 	}
@@ -251,7 +306,7 @@ func (p *parser) question() (Question, error) {
 
 func (p *parser) rr() (RR, error) {
 	var rr RR
-	name, err := p.name()
+	name, err := p.owner()
 	if err != nil {
 		return rr, err
 	}

@@ -79,10 +79,22 @@ func fuzzSeeds(f *testing.F) {
 // never panics on arbitrary bytes, and any message it accepts either
 // re-Packs into parseable wire or is refused by Pack (names with empty
 // labels, oversized sections) — Pack must never emit corrupt messages.
+// UnpackBorrow, twice into one Message reused across inputs as a pooled
+// query is, must give Unpack's error or an equal message.
 func FuzzUnpack(f *testing.F) {
 	fuzzSeeds(f)
+	var borrowed Message
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unpack(data)
+		for i := 0; i < 2; i++ {
+			berr := UnpackBorrow(&borrowed, data)
+			if fmt.Sprint(berr) != fmt.Sprint(err) {
+				t.Fatalf("UnpackBorrow error %v, Unpack's %v", berr, err)
+			}
+			if err == nil && !messagesEquivalent(m, &borrowed) {
+				t.Fatalf("UnpackBorrow decoded\n%+v\nUnpack\n%+v", &borrowed, m)
+			}
+		}
 		if err != nil {
 			return
 		}

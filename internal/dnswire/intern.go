@@ -8,9 +8,11 @@ import (
 // internSlots sizes every intern table: 2^14 pointers (128 KiB) keep the
 // few thousand names and addresses one simulated cell repeats mostly
 // apart — at four times the slots a cell allocates 1 % less — and cap
-// what hostile or huge-population input can pin at one entry per slot.
-// The tables are pointerful globals, which the GC pacer counts as roots
-// in every heap goal, so they are no larger than they earn.
+// what huge-population input can pin at one entry per slot. UnpackBorrow
+// only reads the name table, so a flood of fresh names allocates nothing
+// and evicts nothing. The tables are pointerful globals, which the GC
+// pacer counts as roots in every heap goal, so they are no larger than
+// they earn.
 const internSlots = 1 << 14
 
 // internTable canonicalizes decoded values: a simulation decodes the same
@@ -35,14 +37,23 @@ type internEntry[K comparable, V any] struct {
 // reuse (readName's stack buffer stays on the stack); on a miss build
 // makes the entry's own key and its value.
 func (t *internTable[K, V]) intern(h uint64, key K, build func() (K, V)) V {
-	slot := &t.slots[h%internSlots]
-	if e := slot.Load(); e != nil && e.key == key {
-		return e.val
+	if v, ok := t.lookup(h, key); ok {
+		return v
 	}
 	e := &internEntry[K, V]{}
 	e.key, e.val = build()
-	slot.Store(e)
+	t.slots[h%internSlots].Store(e)
 	return e.val
+}
+
+// lookup returns the value interned for key, whose hash is h, if its slot
+// holds one; it never writes the table.
+func (t *internTable[K, V]) lookup(h uint64, key K) (V, bool) {
+	if e := t.slots[h%internSlots].Load(); e != nil && e.key == key {
+		return e.val, true
+	}
+	var zero V
+	return zero, false
 }
 
 // hashBytes is a deterministic multiply-xorshift hash over 8-byte words

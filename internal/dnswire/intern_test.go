@@ -3,11 +3,13 @@ package dnswire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // distinctWire returns a packed response and a function that rewrites it
@@ -139,4 +141,54 @@ func TestInternConcurrent(t *testing.T) {
 		}(lists[w])
 	}
 	wg.Wait()
+}
+
+// TestUnpackBorrowLeavesInternTable borrow-decodes a few thousand
+// answers whose names (owners only, no names in record data) the table
+// does not hold: each decodes right, and no slot of the name table is
+// written. A name interned first hits and comes back as the interned
+// string, not a copy in the message's storage.
+func TestUnpackBorrowLeavesInternTable(t *testing.T) {
+	const digits = "0000000"
+	name := func(i int) string { return fmt.Sprintf("b%07d.borrow.test.", i) }
+	r := NewResponse(NewQuery(1, name(0), TypeAAAA))
+	r.Answers = append(r.Answers,
+		RR{Name: name(0), Class: ClassIN, TTL: 1, Data: AAAA{Addr: MustAddr("2001:db8::1")}},
+		RR{Name: name(0), Class: ClassIN, TTL: 1, Data: A{Addr: MustAddr("192.0.2.1")}})
+	wire, err := r.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(wire, []byte(digits))
+	want, err := Unpack(wire) // interns the first name
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before [internSlots]*internEntry[string, string]
+	for i := range before {
+		before[i] = nameIntern.slots[i].Load()
+	}
+	var m Message
+	if err := UnpackBorrow(&m, wire); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Questions[0].Name; got != want.Questions[0].Name ||
+		unsafe.StringData(got) != unsafe.StringData(want.Questions[0].Name) {
+		t.Errorf("interned name decoded as %q, not the interned string", got)
+	}
+	for i := 1; i <= 4096; i++ {
+		copy(wire[at:], name(i)[1:8])
+		if err := UnpackBorrow(&m, wire); err != nil {
+			t.Fatal(err)
+		}
+		if n := name(i); m.Questions[0].Name != n || m.Answers[0].Name != n || m.Answers[1].Name != n {
+			t.Fatalf("decode %d: names %q %q %q, want %q", i,
+				m.Questions[0].Name, m.Answers[0].Name, m.Answers[1].Name, n)
+		}
+	}
+	for i := range before {
+		if nameIntern.slots[i].Load() != before[i] {
+			t.Fatalf("slot %d of the name table was written by a borrowed decode", i)
+		}
+	}
 }

@@ -58,6 +58,10 @@ type Message struct {
 	Answers     []RR
 	Authorities []RR
 	Additionals []RR
+
+	// names is UnpackBorrow's name storage. The decoders and ResetResponse
+	// keep it: a pooled message serves as query and response in turn.
+	names []byte
 }
 
 // Question1 returns the first question, or a zero Question if none.
@@ -120,6 +124,7 @@ func (m *Message) ResetResponse(query *Message) {
 		Answers:     m.Answers[:0],
 		Authorities: m.Authorities[:0],
 		Additionals: m.Additionals[:0],
+		names:       m.names,
 	}
 	m.Questions = append(m.Questions, query.Questions...)
 }

@@ -38,7 +38,7 @@ func (c *Conn) reader() (read func([]byte) (int, netip.AddrPort, error), release
 			n, _, errno := syscall.Syscall6(syscall.SYS_RECVFROM, fd, uintptr(unsafe.Pointer(&buf[0])),
 				uintptr(len(buf)), 0, uintptr(unsafe.Pointer(&from)), uintptr(unsafe.Pointer(&fromLen)))
 			if errno == 0 {
-				return int(n), sockaddrAddrPort(&from), nil
+				return int(n), c.sockaddrAddrPort(&from), nil
 			} else if errno != syscall.EINTR {
 				return 0, netip.AddrPort{}, os.NewSyscallError("recvfrom", errno)
 			}
@@ -49,7 +49,7 @@ func (c *Conn) reader() (read func([]byte) (int, netip.AddrPort, error), release
 
 // sockaddrAddrPort decodes a source as ReadFromUDPAddrPort does: 4-in-6
 // stays 16 octets and a v6 scope is named by its interface.
-func sockaddrAddrPort(sa *syscall.RawSockaddrAny) netip.AddrPort {
+func (c *Conn) sockaddrAddrPort(sa *syscall.RawSockaddrAny) netip.AddrPort {
 	port := func(p *uint16) uint16 { return binary.BigEndian.Uint16((*[2]byte)(unsafe.Pointer(p))[:]) }
 	if sa.Addr.Family == syscall.AF_INET {
 		in := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
@@ -58,13 +58,29 @@ func sockaddrAddrPort(sa *syscall.RawSockaddrAny) netip.AddrPort {
 	in := (*syscall.RawSockaddrInet6)(unsafe.Pointer(sa))
 	ip := netip.AddrFrom16(in.Addr)
 	if id := int(in.Scope_id); id != 0 {
-		zone := strconv.Itoa(id)
+		ip = ip.WithZone(c.zoneName(id))
+	}
+	return netip.AddrPortFrom(ip, port(&in.Port))
+}
+
+// zoneName names the interface of scope id, or formats id when there is
+// none. A name costs a netlink dump, so it is memoized like a peer (net
+// caches the same way for ReadFromUDPAddrPort).
+func (c *Conn) zoneName(id int) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	zone, ok := c.zones[id]
+	if !ok {
+		zone = strconv.Itoa(id)
 		if ifi, err := net.InterfaceByIndex(id); err == nil {
 			zone = ifi.Name
 		}
-		ip = ip.WithZone(zone)
+		if c.zones == nil || len(c.zones) >= maxPeers {
+			c.zones = make(map[int]string)
+		}
+		c.zones[id] = zone
 	}
-	return netip.AddrPortFrom(ip, port(&in.Port))
+	return zone
 }
 
 // wake ends a blocked read: on an unconnected UDP socket Linux's

@@ -116,7 +116,7 @@ func (c Clock) AfterFuncRef(d time.Duration, f func(any), arg any) clock.TimerRe
 	}))
 }
 
-// maxPeers caps each of a Conn's two address memos. A full memo is
+// maxPeers caps each of a Conn's address memos. A full memo is
 // emptied and refilled by the peers still talking, so a flood of spoofed
 // sources costs a format per packet (as every packet used to) and pins
 // nothing.
@@ -132,9 +132,10 @@ type Conn struct {
 
 	// mu guards the memos: Send is called from loop callbacks but also
 	// from goroutines that own no callback (tests, a client's main).
-	mu   sync.Mutex
-	srcs map[netip.AddrPort]netsim.Addr // what Serve hands its handler
-	dsts map[netsim.Addr]netip.AddrPort // what Send writes to
+	mu    sync.Mutex
+	srcs  map[netip.AddrPort]netsim.Addr // what Serve hands its handler
+	dsts  map[netsim.Addr]netip.AddrPort // what Send writes to
+	zones map[int]string                 // v6 scope id to zone, made by the Linux reader
 }
 
 // Listen binds a UDP socket on listen (e.g. ":5300" or "127.0.0.1:0").
