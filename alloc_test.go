@@ -45,7 +45,7 @@ func TestResolveAllocBudget(t *testing.T) {
 		t.Skip("sync.Pool is dropping Puts (race detector): pooled buffers re-allocate at random")
 	}
 	run := func(seed int64) {
-		tb := dikes.NewTestbed(dikes.TestbedConfig{Probes: 1, Seed: seed})
+		tb := experiment.NewTestbed(experiment.TestbedConfig{Probes: 1, Seed: seed})
 		r := dikes.NewResolver(tb.Clk, dikes.ResolverConfig{
 			RootHints: []dikes.ServerHint{{Name: "a.root-servers.net.", Addr: "198.41.0.4"}},
 			Seed:      seed,

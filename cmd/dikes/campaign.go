@@ -28,15 +28,15 @@ const specRoot = "examples/specs/"
 // specRoot.
 var aliases = map[string][]string{
 	"caching":      {"paper/01-caching.json", "paper/02-caching-10min.json"},
-	"ddos":         {"paper/03-ddos.json", "paper/04-ddos-drill.json"},
+	"ddos":         {"paper/03-ddos.json"},
 	"glue":         {"paper/05-glue.json"},
 	"adversary":    {"adversary/01-nxns.json", "adversary/02-poison.json", "adversary/03-reflect.json"},
 	"transport":    {"transport.json"},
 	"passive":      {"paper/06-passive.json"},
 	"retries":      {"paper/07-retries.json"},
 	"implications": {"paper/08-implications.json"},
-	"check": {"paper/01-caching.json", "paper/02-caching-10min.json", "paper/03-ddos.json", "paper/04-ddos-drill.json",
-		"paper/05-glue.json", "paper/06-passive.json", "paper/07-retries.json", "paper/08-implications.json"},
+	"check": {"paper/01-caching.json", "paper/02-caching-10min.json", "paper/03-ddos.json", "paper/05-glue.json",
+		"paper/06-passive.json", "paper/07-retries.json", "paper/08-implications.json"},
 	"timeline": {"timeline.json"},
 	"ablation": {"ablation/01-stale-off.json", "ablation/02-stale-on.json", "ablation/03-prefetch-off.json", "ablation/04-prefetch-on.json",
 		"ablation/05-capacity-01x.json", "ablation/06-capacity-02x.json", "ablation/07-capacity-05x.json", "ablation/08-capacity-10x.json", "ablation/09-capacity-20x.json"},

@@ -6,8 +6,9 @@
 //
 //	dikes caching      ≡ dikes campaign examples/specs/paper/01-caching.json 02-caching-10min.json
 //	                     §3 baseline: Tables 1-3, Figures 3/13
-//	dikes ddos         ≡ ... paper/03-ddos.json 04-ddos-drill.json
-//	                     §5/§6 attack emulations: Table 4, Figures 6-12, 14-15
+//	dikes ddos         ≡ ... paper/03-ddos.json
+//	                     §5/§6 attack emulations: Table 4, Figures 6-12, 14-15,
+//	                     Table 7
 //	dikes glue         ≡ ... paper/05-glue.json — Appendix A: Table 5
 //	dikes adversary    ≡ ... adversary/ — NXNS amplification, off-path
 //	                     poisoning, reflection

@@ -33,8 +33,8 @@
 //
 // The dikes command runs nothing but campaigns of scenario specs: its
 // subcommands are aliases for the files in Specs (`dikes ddos` ≡ `dikes
-// campaign examples/specs/paper/03-ddos.json 04-ddos-drill.json`), and
-// explicitly set flags override the specs; see cmd/dikes.
+// campaign examples/specs/paper/03-ddos.json`), and explicitly set flags
+// override the specs; see cmd/dikes.
 //
 // This facade re-exports what cmd/, examples/ and the root tests use;
 // for custom topologies the engine constructors (NewResolver,
@@ -247,8 +247,6 @@ var (
 type (
 	// DDoSSpec is a row of Table 4 (an emulated attack).
 	DDoSSpec = experiment.DDoSSpec
-	// TestbedConfig sizes a testbed.
-	TestbedConfig = experiment.TestbedConfig
 	// Report is one run's metrics snapshot plus invariant verdicts
 	// (DESIGN.md §14); a cell-engine run's Outcome carries one.
 	Report = metrics.Report
@@ -262,8 +260,6 @@ var (
 	WriteReportsJSON = metrics.WriteReportsJSON
 	// SpecByName returns a paper experiment (A–I) by name.
 	SpecByName = experiment.SpecByName
-	// NewTestbed assembles a simulated ecosystem for custom studies.
-	NewTestbed = experiment.NewTestbed
 )
 
 // PaperExperiments are the paper's Table 4 experiments A–I.

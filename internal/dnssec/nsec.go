@@ -85,18 +85,21 @@ func isGlue(z *zone.Zone, name string) bool {
 
 // CoveringNSEC finds the zone's NSEC record proving the nonexistence of
 // qname (for NXDOMAIN) or, when qname exists, the NSEC at qname itself
-// (whose bitmap proves NODATA). ok is false when the zone has no chain.
+// (whose bitmap proves NODATA). ok is false when the zone has no chain or
+// no record of it covers qname. The cost does not grow with the zone: the
+// candidate is qname's canonical predecessor in the chain, found by
+// binary search (zone.PrecedingNSEC).
 func CoveringNSEC(z *zone.Zone, qname string) (dnswire.RR, bool) {
 	qname = dnswire.CanonicalName(qname)
-	if own := z.RRSet(qname, dnswire.TypeNSEC); len(own) > 0 {
-		return own[0], true
+	rr, ok := z.PrecedingNSEC(qname)
+	if !ok {
+		return dnswire.RR{}, false
 	}
-	for _, name := range z.Names() {
-		for _, rr := range z.RRSet(name, dnswire.TypeNSEC) {
-			if nsec, ok := rr.Data.(dnswire.NSEC); ok && nsec.Covers(rr.Name, qname) {
-				return rr, true
-			}
-		}
+	if rr.Name == qname {
+		return rr, true
+	}
+	if nsec, isNSEC := rr.Data.(dnswire.NSEC); isNSEC && nsec.Covers(rr.Name, qname) {
+		return rr, true
 	}
 	return dnswire.RR{}, false
 }

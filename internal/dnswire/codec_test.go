@@ -383,6 +383,54 @@ func TestQuickNSECBitmapRoundTrip(t *testing.T) {
 	}
 }
 
+// splitCompare is the label-splitting CompareCanonical the allocation-free
+// walk replaced: the reference it must agree with.
+func splitCompare(a, b string) int {
+	la, lb := SplitLabels(a), SplitLabels(b)
+	for i := 1; ; i++ {
+		switch {
+		case i > len(la) && i > len(lb):
+			return 0
+		case i > len(la):
+			return -1
+		case i > len(lb):
+			return 1
+		}
+		if c := strings.Compare(la[len(la)-i], lb[len(lb)-i]); c != 0 {
+			return c
+		}
+	}
+}
+
+// TestCompareCanonicalMatchesSplit holds CompareCanonical to splitCompare
+// on names drawn from a few short labels, so most pairs share suffixes
+// and prefixes: root, empty labels, case and a missing final dot
+// included. Comparing canonical names allocates nothing.
+func TestCompareCanonicalMatchesSplit(t *testing.T) {
+	labels := []string{"a", "b", "ab", "B", "", "z9", "\xff"}
+	r := rand.New(rand.NewSource(5))
+	name := func() string {
+		var sb strings.Builder
+		for n := r.Intn(5); n > 0; n-- {
+			sb.WriteString(labels[r.Intn(len(labels))])
+			sb.WriteByte('.')
+		}
+		if sb.Len() > 1 && r.Intn(4) == 0 {
+			return strings.TrimSuffix(sb.String(), ".")
+		}
+		return sb.String()
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := name(), name()
+		if got, want := CompareCanonical(a, b), splitCompare(a, b); got != want {
+			t.Fatalf("CompareCanonical(%q, %q) = %d, want %d", a, b, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { CompareCanonical("x.b.example.nl.", "a.c.example.nl.") }); n != 0 {
+		t.Errorf("comparing canonical names allocates %.0f objects", n)
+	}
+}
+
 func TestCompareCanonicalProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

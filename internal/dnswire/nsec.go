@@ -132,25 +132,33 @@ func (n NSEC) Covers(owner, name string) bool {
 }
 
 // CompareCanonical orders names per RFC 4034 §6.1: label by label from
-// the root, case-insensitively, bytewise.
+// the root, case-insensitively, bytewise. It walks both names from the
+// right without splitting them, so a comparison of canonical names
+// allocates nothing (NSEC lookups binary-search with it per query).
 func CompareCanonical(a, b string) int {
-	la, lb := SplitLabels(a), SplitLabels(b)
-	for i := 1; ; i++ {
-		if i > len(la) && i > len(lb) {
+	a, b = CanonicalName(a), CanonicalName(b)
+	// ea and eb end the labels not yet compared; -1 once none is left.
+	ea, eb := len(a)-1, len(b)-1
+	if a == "." {
+		ea = -1
+	}
+	if b == "." {
+		eb = -1
+	}
+	for {
+		switch {
+		case ea < 0 && eb < 0:
 			return 0
-		}
-		if i > len(la) {
+		case ea < 0:
 			return -1
-		}
-		if i > len(lb) {
+		case eb < 0:
 			return 1
 		}
-		ca, cb := la[len(la)-i], lb[len(lb)-i]
-		if ca != cb {
-			if ca < cb {
-				return -1
-			}
-			return 1
+		sa := strings.LastIndexByte(a[:ea], '.') + 1
+		sb := strings.LastIndexByte(b[:eb], '.') + 1
+		if c := strings.Compare(a[sa:ea], b[sb:eb]); c != 0 {
+			return c
 		}
+		ea, eb = sa-1, sb-1
 	}
 }

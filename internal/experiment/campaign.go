@@ -177,7 +177,7 @@ func renderRunBlock(b *strings.Builder, r CampaignResult) {
 	o := r.Outcome
 	switch {
 	case o.DDoS != nil:
-		renderDDoSBlock(b, o.DDoS, o.Worlds)
+		renderDDoSBlock(b, o.DDoS)
 	case o.Caching != nil:
 		fmt.Fprintf(b, "miss rate: %.1f%%\n", 100*o.Caching.MissRate)
 		fmt.Fprintf(b, "answer types over time (Figure 13 shape)\n%s",
@@ -212,8 +212,8 @@ var (
 )
 
 // renderDDoSBlock prints one attack run's full figure set, plus the
-// Table 7 drill-down when the run kept its worlds.
-func renderDDoSBlock(b *strings.Builder, res *DDoSResult, worlds *ShardedTestbed) {
+// Table 7 drill-down when the run has one.
+func renderDDoSBlock(b *strings.Builder, res *DDoSResult) {
 	name := res.Spec.Name
 	fmt.Fprintf(b, "Figure 6/8/14 (exp %s): answers per round\n%s", name,
 		res.Answers.Table(answerLabels))
@@ -230,10 +230,8 @@ func renderDDoSBlock(b *strings.Builder, res *DDoSResult, worlds *ShardedTestbed
 			res.Timeline.Bucket, res.Timeline.Table())
 		fmt.Fprintf(b, "%s", res.Timeline.Sparkline())
 	}
-	if worlds != nil {
-		ref := worlds.BusiestProbe()
-		fmt.Fprintf(b, "Table 7 (exp %s): per-probe drill-down\n%s", name,
-			RenderTable7(worlds.PerProbe(res, ref)))
+	if res.Table7 != nil {
+		fmt.Fprintf(b, "Table 7 (exp %s): per-probe drill-down\n%s", name, RenderTable7(*res.Table7))
 	}
 }
 

@@ -56,18 +56,18 @@ func TestLatencyAndFigureCSVs(t *testing.T) {
 	}
 }
 
+// TestPerProbeTable7: a drill-experiment run carries the Table 7 of its
+// busiest probe, the table its cell computes from the tap log it kept.
 func TestPerProbeTable7(t *testing.T) {
-	spec, _ := SpecByName("I")
+	spec, _ := SpecByName(drillExperiment)
 	spec.TotalDur = 60 * time.Minute
 	spec.DDoSStart = 30 * time.Minute
 	spec.DDoSDur = 20 * time.Minute
-	kept := mustRun(t, DDoSScenario(spec), RunConfig{Probes: 60, Seed: 5, KeepWorlds: true})
-	res, tb := kept.DDoS, kept.Worlds.Shards[0]
-	probe := BusiestProbe(tb)
-	if probe == 0 {
-		t.Fatal("no busiest probe found")
+	out := mustRun(t, DDoSScenario(spec), RunConfig{Probes: 60, Seed: 5})
+	t7 := out.DDoS.Table7
+	if t7 == nil || t7.ProbeID == 0 {
+		t.Fatalf("no busiest probe found: %+v", t7)
 	}
-	t7 := PerProbe(tb, res, probe)
 	if len(t7.Rounds) != 6 {
 		t.Fatalf("rounds = %d", len(t7.Rounds))
 	}
@@ -82,15 +82,25 @@ func TestPerProbeTable7(t *testing.T) {
 	if totalAuth == 0 {
 		t.Error("no authoritative-side queries recorded")
 	}
-	out := RenderTable7(t7)
-	if !strings.Contains(out, "cli-q") || !strings.Contains(out, "auth-q") {
-		t.Errorf("render:\n%s", out)
+	rendered := RenderTable7(*t7)
+	if !strings.Contains(rendered, "cli-q") || !strings.Contains(rendered, "auth-q") {
+		t.Errorf("render:\n%s", rendered)
+	}
+
+	// The run is one cell: the same cell run directly gives the same table.
+	tb := runDDoSTestbed(spec, TestbedConfig{Probes: 60, Seed: mixSeed(5, 0), KeepAuthLog: true}, nil)
+	ac := newDDoSAccum(spec, testbedStart, len(t7.Rounds))
+	if id, _ := busiestProbeCount(tb); RenderTable7(ac.perProbe(tb, id)) != rendered {
+		t.Errorf("direct cell's busiest probe %d gives\n%s\nthe run gives\n%s", id, RenderTable7(ac.perProbe(tb, id)), rendered)
 	}
 	// Unknown probe yields an empty (but well-formed) table.
-	empty := PerProbe(tb, res, 60000)
+	empty := ac.perProbe(tb, 60000)
+	if len(empty.Rounds) != len(t7.Rounds) {
+		t.Errorf("unknown probe has %d rounds, want %d", len(empty.Rounds), len(t7.Rounds))
+	}
 	for _, row := range empty.Rounds {
-		if row.ClientQueries != 0 {
-			t.Error("unknown probe has client queries")
+		if row.ClientQueries != 0 || row.AuthQueries != 0 {
+			t.Error("unknown probe has queries")
 		}
 	}
 }

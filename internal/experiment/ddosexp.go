@@ -57,6 +57,11 @@ var PaperExperiments = []DDoSSpec{
 		TotalDur: 180 * time.Minute, ProbeInterval: 10 * time.Minute, Loss: 0.9, TargetsAll: true},
 }
 
+// drillExperiment is the experiment of the paper's per-probe drill-down
+// (Appendix F, Table 7): its cells keep their tap log and report Table 7
+// for their busiest probe.
+const drillExperiment = "I"
+
 // SpecByName returns the named paper experiment.
 func SpecByName(name string) (DDoSSpec, bool) {
 	for _, s := range PaperExperiments {
@@ -105,6 +110,9 @@ type DDoSResult struct {
 	// Timeline is the run's merged per-bucket series (nil unless the run
 	// was configured with RunConfig.Timeline; see internal/timeline).
 	Timeline *timeline.Timeline
+	// Table7 is the drill-down of the run's busiest probe (nil unless the
+	// run is drillExperiment).
+	Table7 *Table7
 }
 
 // runDDoSTestbed builds, schedules, and runs one cell's attack world and

@@ -30,10 +30,18 @@ type Table7 struct {
 	Rounds  []Table7Round
 }
 
-// PerProbe computes Table 7 for one probe from a finished testbed.
-func PerProbe(tb *Testbed, res *DDoSResult, probeID uint16) Table7 {
-	spec := res.Spec
-	rounds := int(spec.TotalDur / spec.ProbeInterval)
+// drillDown builds Table 7 for the cell's busiest probe from the tap log
+// the cell kept, and keeps it with the probe's arrival count for merge.
+func (ac *ddosAccum) drillDown(tb *Testbed) {
+	id, n := busiestProbeCount(tb)
+	t7 := ac.perProbe(tb, id)
+	ac.drill, ac.drillN = &t7, n
+}
+
+// perProbe computes Table 7 for one probe of a finished cell that kept
+// its tap log, binned like the Figure 10 series.
+func (ac *ddosAccum) perProbe(tb *Testbed, probeID uint16) Table7 {
+	rounds := ac.rounds
 	out := Table7{ProbeID: probeID, Rounds: make([]Table7Round, rounds)}
 	for r := range out.Rounds {
 		out.Rounds[r].Round = r
@@ -79,7 +87,7 @@ func PerProbe(tb *Testbed, res *DDoSResult, probeID uint16) Table7 {
 		ats[i] = make(map[uint8]bool)
 		rns[i] = make(map[uint32]bool)
 	}
-	series := res.AuthQueries // same binning
+	series := ac.authQueries // same binning
 	for _, chunk := range tb.AuthLog {
 		for _, ev := range chunk {
 			if ev.QType != dnswire.TypeAAAA || ev.QName != qname {
@@ -105,18 +113,11 @@ func PerProbe(tb *Testbed, res *DDoSResult, probeID uint16) Table7 {
 	return out
 }
 
-// BusiestProbe returns the probe whose name drew the most authoritative
-// queries — a good Table 7 subject, like the paper's probe 28477 with its
-// multi-level recursives. For sharded runs use
-// ShardedTestbed.BusiestProbe, which routes across cells.
-func BusiestProbe(tb *Testbed) uint16 {
-	id, _ := busiestProbeCount(tb)
-	return id
-}
-
-// busiestProbeCount returns the busiest probe of one testbed along with
-// its AAAA arrival count, so sharded runs can compare winners across
-// cells.
+// busiestProbeCount returns the probe of one cell whose name drew the
+// most AAAA queries at the authoritatives — a good Table 7 subject, like
+// the paper's probe 28477 with its multi-level recursives — along with
+// that count, so the merge can compare winners across cells. Ties keep
+// the earliest probe.
 func busiestProbeCount(tb *Testbed) (uint16, int) {
 	counts := make([]int, len(tb.authNames.vals))
 	for _, chunk := range tb.AuthLog {

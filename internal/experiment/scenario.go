@@ -54,11 +54,6 @@ type RunConfig struct {
 	TTL           uint32
 	ProbeInterval time.Duration
 	Rounds        int
-	// KeepWorlds retains every cell's testbed, with its authoritative tap
-	// log, in Outcome.Worlds for drill-downs (Table 7). Costs memory
-	// proportional to the whole population and run length — leave off
-	// for scale runs.
-	KeepWorlds bool
 	// Trace enables deterministic query-lifecycle tracing: every cell
 	// records into its own ring buffer and Outcome.Trace carries the
 	// per-cell traces in cell-index order, so trace bytes are identical
@@ -122,10 +117,6 @@ type Outcome struct {
 	Retries      *RetriesResult
 	Implications *ImplicationsResult
 
-	// Worlds holds the per-cell testbeds when RunConfig.KeepWorlds was set
-	// and the run completed (nil on cancelled runs).
-	Worlds *ShardedTestbed
-
 	// Trace holds the run's merged per-cell traces when RunConfig.Trace was
 	// set.
 	Trace *trace.Data
@@ -182,8 +173,12 @@ func (s ddosScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) 
 		cell: func(base TestbedConfig) (*ddosAccum, *Testbed) {
 			ac := newDDoSAccum(spec, testbedStart, rounds)
 			base.Population, base.fold = cfg.Population, ac.foldAuth
+			base.KeepAuthLog = spec.Name == drillExperiment
 			tb := runDDoSTestbed(spec, base, cfg.Timeline)
 			ac.absorb(tb)
+			if base.KeepAuthLog {
+				ac.drillDown(tb)
+			}
 			return ac, tb
 		},
 		fold: total.merge,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -18,6 +19,14 @@ func shortSpec() DDoSSpec {
 		TotalDur:      60 * time.Minute,
 		ProbeInterval: 10 * time.Minute, Loss: 0.8, TargetsAll: true,
 	}
+}
+
+// drillSpec is shortSpec run as the drill experiment: its cells keep the
+// tap log and fold Table 7.
+func drillSpec() DDoSSpec {
+	spec := shortSpec()
+	spec.Name = drillExperiment
+	return spec
 }
 
 // renderOutcome flattens everything a scenario outcome reports — tables,
@@ -158,8 +167,9 @@ func TestRunConfigDefaults(t *testing.T) {
 // TestRunCancelledPartial drives every cell family through the one
 // driver on a 3-cell plan. Cancelling after the first cell must yield a
 // typed error plus a partial outcome that covers exactly that cell, with
-// internally consistent merged metrics and no retained worlds; the
-// uncancelled KeepWorlds run must retain one world per planned cell.
+// internally consistent merged metrics; the ddos family runs the drill
+// experiment, so the partial's Table 7 is the first cell's, and no cell
+// that never ran contributes one.
 func TestRunCancelledPartial(t *testing.T) {
 	// size is a scalar that grows with the cells a family result covers;
 	// -1 when the family result is missing.
@@ -168,7 +178,7 @@ func TestRunCancelledPartial(t *testing.T) {
 		sc   Scenario
 		size func(*Outcome) int64
 	}{
-		{"ddos", DDoSScenario(shortSpec()), func(o *Outcome) int64 {
+		{"ddos", DDoSScenario(drillSpec()), func(o *Outcome) int64 {
 			if o.DDoS == nil {
 				return -1
 			}
@@ -235,7 +245,6 @@ func TestRunCancelledPartial(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			cancelled := cfg
-			cancelled.KeepWorlds = true // a cancelled run must drop them anyway
 			cancelled.afterShard = func(cell int, _ *Testbed) {
 				if cell == 0 {
 					cancel()
@@ -257,71 +266,71 @@ func TestRunCancelledPartial(t *testing.T) {
 			if !out.Report.OK() {
 				t.Errorf("partial metrics inconsistent: %+v", out.Report.FailedInvariants())
 			}
-			if out.Worlds != nil {
-				t.Error("cancelled run retained worlds")
+			if out.DDoS != nil && (out.DDoS.Table7 == nil || !reflect.DeepEqual(out.DDoS.Table7, first.DDoS.Table7)) {
+				t.Errorf("partial Table 7 %+v, want the first cell's %+v", out.DDoS.Table7, first.DDoS.Table7)
 			}
 
-			// The uncancelled run covers the whole population and keeps one
-			// world per planned cell.
-			kept := cfg
-			kept.KeepWorlds = true
-			full := mustRun(t, f.sc, kept)
+			// The uncancelled run covers the whole population.
+			full := mustRun(t, f.sc, cfg)
 			if got := f.size(full); got <= f.size(first) {
 				t.Errorf("full run has size %d, want more than the first cell's %d", got, f.size(first))
 			}
 			if !full.Report.OK() {
 				t.Errorf("full run invariants failed: %+v", full.Report.FailedInvariants())
 			}
-			if full.Worlds == nil || len(full.Worlds.Shards) != 3 {
-				t.Fatalf("KeepWorlds retained %+v, want 3 cells", full.Worlds)
-			}
-			for i, tb := range full.Worlds.Shards {
-				if tb == nil {
-					t.Errorf("cell %d world not retained", i)
-				}
-			}
 		})
 	}
 }
 
-// TestShardedPerProbe is the probe→shard routing regression test:
-// Table 7 drill-downs on a multi-cell run must read the owning cell's
-// authoritative log (probe IDs restart in every cell, so the flat
-// uint16 lookup is ambiguous). Summing the per-probe authoritative
-// queries over every ProbeRef must reproduce the merged AAAA-for-PID
-// series exactly — double-counting (reading another cell's log) or
-// missing probes would break the equality.
+// TestShardedPerProbe: Table 7 is one part of the ddos fold, so a
+// multi-cell run prints the same drill-down for every Shards value: the
+// busiest probe of the cells run directly, ties kept by the earlier cell.
+// Each cell's tables read that cell's own tap log (probe IDs restart in
+// every cell): summing the authoritative queries of every probe of every
+// cell reproduces the merged AAAA-for-PID series exactly, which reading
+// another cell's log or missing a probe would break.
 func TestShardedPerProbe(t *testing.T) {
-	spec := shortSpec()
-	out, err := Run(context.Background(), DDoSScenario(spec),
-		RunConfig{Probes: 40, ShardProbes: 16, Shards: 2, Seed: 9, KeepWorlds: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := out.Worlds
-	if st == nil || len(st.Shards) != 3 {
-		t.Fatalf("expected 3 retained cells, got %+v", st)
-	}
-
-	ref := st.BusiestProbe()
-	tab := st.PerProbe(out.DDoS, ref)
-	busiestAuth := 0
-	for _, row := range tab.Rounds {
-		busiestAuth += row.AuthQueries
-	}
-	if busiestAuth == 0 {
-		t.Errorf("busiest probe %+v saw no authoritative queries", ref)
+	spec := drillSpec()
+	cfg := RunConfig{Probes: 40, ShardProbes: 16, Seed: 9}
+	var out *Outcome
+	var want string
+	for _, k := range []int{1, 2, 4} {
+		cfg.Shards = k
+		out = mustRun(t, DDoSScenario(spec), cfg)
+		if out.DDoS.Table7 == nil {
+			t.Fatalf("shards %d: no Table 7", k)
+		}
+		if got := RenderTable7(*out.DDoS.Table7); k == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("shards %d: Table 7\n%s\nshards 1:\n%s", k, got, want)
+		}
 	}
 
 	rounds := int(spec.TotalDur / spec.ProbeInterval)
+	ac := newDDoSAccum(spec, testbedStart, rounds)
 	perRound := make([]int, rounds)
-	for s, tb := range st.Shards {
+	busiest, bestN := "", -1
+	cells := planCells(cfg.Probes, cfg.ShardProbes)
+	if len(cells) != 3 {
+		t.Fatalf("planned %v, want 3 cells", cells)
+	}
+	for i, n := range cells {
+		tb := runDDoSTestbed(spec, TestbedConfig{Probes: n, Seed: mixSeed(cfg.Seed, i), KeepAuthLog: true}, nil)
+		if id, n := busiestProbeCount(tb); n > bestN {
+			busiest, bestN = RenderTable7(ac.perProbe(tb, id)), n
+		}
 		for _, p := range tb.Pop.Probes {
-			t7 := st.PerProbe(out.DDoS, ProbeRef{Shard: s, ID: p.ID})
-			for r, row := range t7.Rounds {
+			for r, row := range ac.perProbe(tb, p.ID).Rounds {
 				perRound[r] += row.AuthQueries
 			}
 		}
+	}
+	if bestN <= 0 {
+		t.Errorf("busiest probe saw %d authoritative queries", bestN)
+	}
+	if busiest != want {
+		t.Errorf("the run's Table 7\n%s\nthe cells' busiest probe\n%s", want, busiest)
 	}
 	for r := 0; r < rounds; r++ {
 		want := int(out.DDoS.AuthQueries.Get(r, "AAAA-for-PID"))

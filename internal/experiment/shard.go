@@ -67,8 +67,9 @@ func planCells(probes, shardProbes int) []int {
 
 // cellRun is one scenario family's part of a run: everything else —
 // cell planning and seeding, the fan-out, snapshot merge, trace arming
-// and capture, progress ticks, retained worlds, cancellation — is
-// runCells. P is the family's per-cell partial result.
+// and capture, progress ticks, cancellation — is runCells. P is the
+// family's per-cell partial result; the cell's testbed dies with the
+// cell, so whatever a result needs of it goes into P.
 type cellRun[P any] struct {
 	// cell builds and runs one cell on base — the cell's probe count,
 	// derived seed and trace config, to which the family adds its own
@@ -96,13 +97,11 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 	type cellResult struct {
 		part P
 		snap metrics.Snapshot
-		tb   *Testbed
 		ct   *trace.CellTrace
 	}
 	cells := planCells(cfg.Probes, cfg.ShardProbes)
 	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i, n int) *cellResult {
-		part, tb := fam.cell(TestbedConfig{Probes: n, Seed: mixSeed(cfg.Seed, i), Trace: cfg.Trace,
-			KeepAuthLog: cfg.KeepWorlds})
+		part, tb := fam.cell(TestbedConfig{Probes: n, Seed: mixSeed(cfg.Seed, i), Trace: cfg.Trace})
 		cr := &cellResult{part: part, snap: tb.CollectMetrics().Snapshot()}
 		if tr := tb.Net.Trace(); tr != nil {
 			cr.ct = &trace.CellTrace{Cell: i, Dropped: tr.Dropped(), Events: tr.Events()}
@@ -110,9 +109,6 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 		if cfg.Progress != nil {
 			_, fired, _ := tb.Clk.Counters()
 			cfg.Progress.CellDone(fired, tb.Clk.Now().Sub(tb.Start))
-		}
-		if cfg.KeepWorlds {
-			cr.tb = tb
 		}
 		if cfg.afterShard != nil {
 			cfg.afterShard(i, tb)
@@ -122,17 +118,15 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 
 	out := &Outcome{}
 	reg := metrics.NewRegistry()
-	worlds := &ShardedTestbed{ShardProbes: cfg.ShardProbes, Shards: make([]*Testbed, len(cells))}
 	if cfg.Trace != nil {
 		out.Trace = &trace.Data{SampleEvery: cfg.Trace.SampleEvery}
 	}
-	for i, cr := range results {
+	for _, cr := range results {
 		if cr == nil {
 			continue // cancelled before this cell ran
 		}
 		fam.fold(cr.part)
 		reg.Merge(cr.snap)
-		worlds.Shards[i] = cr.tb
 		if cr.ct != nil {
 			// results is in cell-index order, so the merged trace is too —
 			// independent of which worker ran which cell.
@@ -157,54 +151,5 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 	if runErr != nil {
 		return out, cancelErr(runErr)
 	}
-	if cfg.KeepWorlds {
-		out.Worlds = worlds
-	}
 	return out, nil
-}
-
-// ProbeRef addresses one probe in a sharded run: the cell (shard) it
-// lives in plus its cell-local probe ID. IDs restart at 1 in every cell,
-// so a bare uint16 is ambiguous once a run spans more than one cell.
-type ProbeRef struct {
-	Shard int
-	ID    uint16
-}
-
-// ShardedTestbed is the set of per-cell worlds a KeepWorlds run retains
-// for drill-down analyses (Table 7 / Appendix F). Shards[i] is cell i's
-// testbed.
-type ShardedTestbed struct {
-	// ShardProbes is the planned cell capacity (the last cell may hold
-	// fewer probes).
-	ShardProbes int
-	Shards      []*Testbed
-}
-
-// PerProbe computes the Table 7 drill-down for one probe of a sharded
-// run by routing to the shard that owns it. Probe names restart in every
-// cell, so the authoritative-side filter must run against the owning
-// cell's log only — that is exactly what the routed call does.
-func (st *ShardedTestbed) PerProbe(res *DDoSResult, ref ProbeRef) Table7 {
-	if ref.Shard < 0 || ref.Shard >= len(st.Shards) || st.Shards[ref.Shard] == nil {
-		return Table7{ProbeID: ref.ID}
-	}
-	return PerProbe(st.Shards[ref.Shard], res, ref.ID)
-}
-
-// BusiestProbe returns the probe whose name drew the most authoritative
-// queries across all cells, scanning cells in index order (ties keep the
-// earliest cell, then the earliest probe — deterministic).
-func (st *ShardedTestbed) BusiestProbe() ProbeRef {
-	best, bestN := ProbeRef{}, -1
-	for s, tb := range st.Shards {
-		if tb == nil {
-			continue
-		}
-		id, n := busiestProbeCount(tb)
-		if n > bestN {
-			best, bestN = ProbeRef{Shard: s, ID: id}, n
-		}
-	}
-	return best
 }

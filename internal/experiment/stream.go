@@ -37,6 +37,10 @@ type ddosAccum struct {
 	queriesPP   []*stats.Counts    // per-round AAAA-queries-per-probe samples
 	tl          *timeline.Timeline // nil unless the run collects a timeline
 	auth        authRound          // the round foldAuth is folding
+	// drill is the Table 7 drill-down of the busiest probe folded so far
+	// and drillN that probe's AAAA arrival count (drillExperiment only).
+	drill  *Table7
+	drillN int
 }
 
 func newDDoSAccum(spec DDoSSpec, start time.Time, rounds int) *ddosAccum {
@@ -258,8 +262,10 @@ func (ac *ddosAccum) flushAuth() {
 }
 
 // merge folds another accumulator (over disjoint probe cells) into ac.
-// Every operation is an integer sum or a multiset union, so the merge is
-// commutative and associative — fold order cannot change the result.
+// Every tally is an integer sum or a multiset union, so the merge is
+// commutative and associative — fold order cannot change them. Table 7
+// goes to the larger count, a tie to ac: runCells folds in cell-index
+// order, so a tie keeps the earlier cell.
 func (ac *ddosAccum) merge(o *ddosAccum) {
 	ac.table4.Probes += o.table4.Probes
 	ac.table4.ProbesValid += o.table4.ProbesValid
@@ -285,6 +291,9 @@ func (ac *ddosAccum) merge(o *ddosAccum) {
 			ac.tl.Merge(o.tl)
 		}
 	}
+	if o.drill != nil && (ac.drill == nil || o.drillN > ac.drillN) {
+		ac.drill, ac.drillN = o.drill, o.drillN
+	}
 }
 
 // finalize renders the accumulated tallies as a DDoSResult.
@@ -295,6 +304,7 @@ func (ac *ddosAccum) finalize() *DDoSResult {
 		Answers:     ac.answers,
 		Classes:     ac.classes,
 		AuthQueries: ac.authQueries,
+		Table7:      ac.drill,
 	}
 	for r := 0; r <= ac.rounds; r++ {
 		res.Latency = append(res.Latency, ac.latency[r].Summary())

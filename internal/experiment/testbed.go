@@ -73,8 +73,8 @@ type TestbedConfig struct {
 	// defaults.
 	Population PopulationConfig
 	// KeepAuthLog retains the per-query authoritative tap in
-	// Testbed.AuthLog, for Table 7's drill-down (RunConfig.KeepWorlds); it
-	// costs memory in proportion to the run's length.
+	// Testbed.AuthLog, for Table 7's drill-down in the drillExperiment
+	// cell; it costs memory in proportion to the run's length.
 	KeepAuthLog bool
 	// Trace, when non-nil, enables deterministic query-lifecycle tracing:
 	// one ring buffer per testbed, set on the network before anything

@@ -121,7 +121,6 @@ func runConfig(e *EngineSection) experiment.RunConfig {
 		cfg.Shards = e.Shards
 	}
 	cfg.ShardProbes = e.ShardProbes
-	cfg.KeepWorlds = e.KeepWorlds
 	return cfg
 }
 

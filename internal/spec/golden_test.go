@@ -95,8 +95,8 @@ func renderItems(items []experiment.CampaignItem) string {
 
 func renderConfig(cfg experiment.RunConfig) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  config: Probes=%d Seed=%d Shards=%d ShardProbes=%d KeepWorlds=%t\n",
-		cfg.Probes, cfg.Seed, cfg.Shards, cfg.ShardProbes, cfg.KeepWorlds)
+	fmt.Fprintf(&b, "  config: Probes=%d Seed=%d Shards=%d ShardProbes=%d\n",
+		cfg.Probes, cfg.Seed, cfg.Shards, cfg.ShardProbes)
 	if cfg.TTL != 0 || cfg.ProbeInterval != 0 || cfg.Rounds != 0 {
 		fmt.Fprintf(&b, "  workload: TTL=%d ProbeInterval=%v Rounds=%d\n", cfg.TTL, cfg.ProbeInterval, cfg.Rounds)
 	}

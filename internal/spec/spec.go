@@ -63,7 +63,6 @@ type EngineSection struct {
 	Seed        *int64 `json:"seed,omitempty"`
 	Shards      int    `json:"shards,omitempty"`
 	ShardProbes int    `json:"shard_probes,omitempty"`
-	KeepWorlds  bool   `json:"keep_worlds,omitempty"`
 }
 
 // PopulationSection tunes the resolver population

@@ -81,6 +81,11 @@ type Zone struct {
 	// possibly read by another zone: the next mutation copies them first,
 	// so a shared map is never written. See Clone.
 	shared bool
+	// nsecOwners lists the names owning an NSEC set in canonical order,
+	// for PrecedingNSEC. It is built on first use and is nil until then
+	// and again after a write adds or removes NSEC records; it is never
+	// written in place, so a clone shares it.
+	nsecOwners []string
 }
 
 // node is what a zone holds for one owner name, stored in the map by
@@ -220,7 +225,7 @@ func (z *Zone) Clone() *Zone {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	z.shared = true
-	return &Zone{origin: z.origin, nodes: z.nodes, below: z.below, shared: true}
+	return &Zone{origin: z.origin, nodes: z.nodes, below: z.below, shared: true, nsecOwners: z.nsecOwners}
 }
 
 // ensureOwnedLocked gives the zone its own copy of a node map it shares.
@@ -275,10 +280,14 @@ func (z *Zone) addLocked(rr dnswire.RR) {
 	if rr.Class == 0 {
 		rr.Class = dnswire.ClassIN
 	}
+	typ := rr.Type()
 	nd := z.nodes[rr.Name]
-	if nd.add(record{typ: rr.Type(), class: rr.Class, ttl: rr.TTL, data: rr.Data}) {
+	if nd.add(record{typ: typ, class: rr.Class, ttl: rr.TTL, data: rr.Data}) {
 		z.nodes[rr.Name] = nd
 		z.countBelowLocked(rr.Name, 1)
+		if typ == dnswire.TypeNSEC {
+			z.nsecOwners = nil
+		}
 	}
 }
 
@@ -373,6 +382,9 @@ func (z *Zone) Replace(name string, t dnswire.Type, ttl uint32, data ...dnswire.
 	}
 	z.storeLocked(name, nd)
 	z.countBelowLocked(name, k)
+	if t == dnswire.TypeNSEC {
+		z.nsecOwners = nil
+	}
 	return nil
 }
 
@@ -436,6 +448,57 @@ func (z *Zone) Names() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// PrecedingNSEC returns the first NSEC record of name's canonical
+// predecessor (RFC 4034 §6.1) among the names owning one: name itself if
+// it owns one, else the last such name sorting before it, wrapping to the
+// canonically last when none does. In a well-formed chain that record
+// covers name. ok is false when the zone has no NSEC records. The owners
+// are sorted once, on the first call after a write changed them, so a
+// call is a binary search.
+func (z *Zone) PrecedingNSEC(name string) (dnswire.RR, bool) {
+	name = dnswire.CanonicalName(name)
+	z.mu.RLock()
+	if z.nsecOwners != nil {
+		defer z.mu.RUnlock()
+		return z.precedingNSECLocked(name)
+	}
+	z.mu.RUnlock()
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if z.nsecOwners == nil {
+		owners := []string{} // built, even when empty
+		for n, nd := range z.nodes {
+			if nd.count(dnswire.TypeNSEC) > 0 {
+				owners = append(owners, n)
+			}
+		}
+		slices.SortFunc(owners, dnswire.CompareCanonical)
+		z.nsecOwners = owners
+	}
+	return z.precedingNSECLocked(name)
+}
+
+// precedingNSECLocked is PrecedingNSEC's search of the built owner list.
+// Caller holds z.mu.
+func (z *Zone) precedingNSECLocked(name string) (dnswire.RR, bool) {
+	owners := z.nsecOwners
+	if len(owners) == 0 {
+		return dnswire.RR{}, false
+	}
+	i, found := slices.BinarySearchFunc(owners, name, dnswire.CompareCanonical)
+	if !found {
+		i = (i + len(owners) - 1) % len(owners)
+	}
+	owner := owners[i]
+	nd := z.nodes[owner]
+	for k, l := 0, nd.len(); k < l; k++ {
+		if r := nd.at(k); r.typ == dnswire.TypeNSEC {
+			return r.rr(owner), true
+		}
+	}
+	return dnswire.RR{}, false
 }
 
 // Len returns the total number of records in the zone.

@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -328,6 +329,40 @@ func TestReplaceConcurrentReaders(t *testing.T) {
 			data = append(data, a2)
 		}
 		if err := z.Replace(name, dnswire.TypeAAAA, 60, data...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+}
+
+// TestPrecedingNSECConcurrent: readers of PrecedingNSEC race the first
+// build of the owner index and a writer that keeps adding and removing
+// an NSEC set, which drops the index each time; every reader still gets
+// an NSEC record of the chain (run with -race).
+func TestPrecedingNSECConcurrent(t *testing.T) {
+	z := New("example.nl.")
+	owner := func(i int) string { return fmt.Sprintf("n%02d.example.nl.", i) }
+	for i := 0; i < 50; i++ {
+		z.MustAdd(dnswire.RR{Name: owner(i), TTL: 60, Data: dnswire.NSEC{NextName: owner((i + 1) % 50)}})
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !done.Load(); i++ {
+				if rr, ok := z.PrecedingNSEC("x." + owner(i%50)); !ok || rr.Type() != dnswire.TypeNSEC {
+					t.Errorf("PrecedingNSEC gave %v, %v", rr, ok)
+					return
+				}
+			}
+		}()
+	}
+	extra := []dnswire.RData{dnswire.NSEC{NextName: owner(0)}}
+	for i := 0; i < 2000; i++ {
+		if err := z.Replace("zz.example.nl.", dnswire.TypeNSEC, 60, extra[:i%2]...); err != nil { // remove, add, remove, ...
 			t.Fatal(err)
 		}
 	}

@@ -19,8 +19,9 @@
 #     before it draws past 273;
 #   - one fold per tally (DESIGN.md §12.1): non-test internal/experiment
 #     touches Testbed.AuthLog only in testbed.go (the tap, its one writer)
-#     and perprobe.go (Table 7, its one reader), so a new auth-side tally
-#     folds in the tap instead of scanning a log every cell would keep;
+#     and perprobe.go (Table 7, its one reader, in the exp-I cell), and
+#     sets KeepAuthLog at one site, that drill cell's, so a new auth-side
+#     tally folds in the tap instead of scanning a log its cells keep;
 #   - one working set per cell (DESIGN.md §10): non-test
 #     internal/recursive and internal/stub declare dnswire.Message fields
 #     only inside their workingSet type, the scratch each engine borrows
@@ -64,6 +65,9 @@ readers="$(echo "$exp" | grep -v -e '^internal/experiment/testbed\.go$' -e '^int
 # shellcheck disable=SC2086
 [ "$(count '\.AuthLog' $readers)" -eq 0 ] ||
     fail "AuthLog read outside perprobe.go (fold the tally in the tap): $(grep -n '\.AuthLog' $readers)"
+# shellcheck disable=SC2086
+[ "$(count 'KeepAuthLog[[:space:]]*\(:\|=[^=]\)' $exp)" -eq 1 ] ||
+    fail "want KeepAuthLog set at exactly one site, the drill cell's: $(grep -n 'KeepAuthLog' $exp)"
 
 all="$(find internal cmd -name '*.go' ! -name '*_test.go')"
 for pat in 'parallel\.ForEachCtx(' 'parallel\.MapCtx('; do
