@@ -36,7 +36,10 @@ check: vet obs-guard facade-guard build cross race
 # One emit site in internal/recursive, one SetTrace/SetTimeline call in
 # internal/experiment, one parallel fan-out per level (campaign runs,
 # cells of a run), one seeded-stream constructor (lazyrand.New), scratch
-# messages only in a cell's working set. See scripts/obs_guard.sh.
+# messages only in a cell's working set, and one decode per engine: the
+# resolver, the stub and the authoritative each decode only bytes that
+# came without their message, the experiment only in its two taps'
+# fallbacks, so no simulated hop decodes twice. See scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
 

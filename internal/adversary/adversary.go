@@ -73,14 +73,16 @@ type NXNSConfig struct {
 // answers every query under its zone with the NXNS referral.
 type NXNSAuth struct {
 	cfg  NXNSConfig
-	port *netsim.Port
+	port netsim.Port
 	tr   *trace.Buffer
 
 	queries   metrics.Counter
 	referrals metrics.Counter
 
-	msg dnswire.Message // scratch; the event loop is single-threaded
-	buf []byte
+	// msg decodes a query that came as bytes alone, resp is the reply
+	// packed into buf; scratch, as the event loop is single-threaded.
+	msg, resp dnswire.Message
+	buf       []byte
 }
 
 // NewNXNSAuth builds a malicious authoritative for cfg.
@@ -97,19 +99,25 @@ func NewNXNSAuth(cfg NXNSConfig) *NXNSAuth {
 // buffer.
 func (a *NXNSAuth) Attach(net *netsim.Network, addr netsim.Addr) {
 	a.tr = net.Trace()
-	a.port = net.Bind(addr, a.handle)
+	a.port = net.BindHost(addr, a)
 }
 
-func (a *NXNSAuth) handle(src netsim.Addr, payload []byte) {
-	m := &a.msg
-	if dnswire.UnpackInto(m, payload) != nil || m.Response || len(m.Questions) == 0 {
+// Deliver answers a query (netsim.Host): m, when set, is the packet's
+// message; bytes alone decode into the scratch message.
+func (a *NXNSAuth) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
+	if m == nil {
+		if m = &a.msg; dnswire.UnpackInto(m, payload) != nil {
+			return
+		}
+	}
+	if m.Response || len(m.Questions) == 0 {
 		return
 	}
 	a.queries.Inc()
 	q := m.Question1()
 	qname := dnswire.CanonicalName(q.Name)
 
-	resp := dnswire.Message{}
+	resp := &a.resp
 	resp.ResetResponse(m)
 	if !dnswire.IsSubdomain(qname, a.cfg.Zone) {
 		resp.RCode = dnswire.RCodeRefused
@@ -137,12 +145,12 @@ func (a *NXNSAuth) handle(src netsim.Addr, payload []byte) {
 				A: uint32(a.cfg.Width), Src: string(a.port.Addr()), Dst: string(src)})
 		}
 	}
-	wire, err := resp.Pack()
+	wire, err := resp.AppendPack(a.buf[:0])
 	if err != nil {
 		return
 	}
-	a.buf = append(a.buf[:0], wire...)
-	a.port.Send(src, a.buf)
+	a.buf = wire
+	a.port.SendMsg(src, wire, resp)
 }
 
 // CollectMetrics folds the server's counters into s.
@@ -268,7 +276,7 @@ func (s *Spoofer) wave(w int) {
 				Name: s.qname, A: uint32(id), B: uint32(w),
 				Src: string(s.cfg.Source), Dst: string(s.cfg.Target)})
 		}
-		s.net.Send(s.cfg.Source, s.cfg.Target, wire)
+		s.net.SendMsg(s.cfg.Source, s.cfg.Target, wire, m)
 	}
 }
 
@@ -332,7 +340,7 @@ func (r *Reflector) Send(name string, qtype dnswire.Type) int {
 			Probe: trace.ProbeFromName(name), Name: name,
 			A: uint32(len(wire)), Src: string(r.cfg.Victim), Dst: string(server)})
 	}
-	r.net.Send(r.cfg.Victim, server, wire)
+	r.net.SendMsg(r.cfg.Victim, server, wire, m)
 	return len(wire)
 }
 

@@ -258,6 +258,14 @@ func (s *Server) handleWireAppend(payload []byte, tcp bool, dst []byte) []byte {
 	}
 	resp := msgPool.Get().(*dnswire.Message)
 	defer msgPool.Put(resp)
+	return s.reply(q, resp, payload, tcp, dst)
+}
+
+// reply answers q, which arrived as payload, into resp and packs it into
+// dst's storage; nil means nothing is sent. A UDP response over the
+// query's size limit is truncated in place (dnswire.Message.Truncate), so
+// resp is always the message the returned bytes were packed from.
+func (s *Server) reply(q, resp *dnswire.Message, payload []byte, tcp bool, dst []byte) []byte {
 	if !s.handle(q, resp) {
 		return nil
 	}
@@ -272,19 +280,8 @@ func (s *Server) handleWireAppend(payload []byte, tcp bool, dst []byte) []byte {
 				Probe: trace.ProbeFromWire(payload),
 				A:     uint32(len(wire)), B: uint32(limit)})
 		}
-		trunc := *resp
-		trunc.Truncated = true
-		// RFC 6891/2181: strip the data sections but keep the OPT record,
-		// so the client still sees the server's EDNS parameters and can
-		// renegotiate (or fall back to TCP).
-		trunc.Answers, trunc.Authorities, trunc.Additionals = nil, nil, nil
-		for i := range resp.Additionals {
-			if resp.Additionals[i].Type() == dnswire.TypeOPT {
-				trunc.Additionals = resp.Additionals[i : i+1]
-				break
-			}
-		}
-		if wire, err = trunc.AppendPack(wire[:0]); err != nil {
+		resp.Truncate()
+		if wire, err = resp.AppendPack(wire[:0]); err != nil {
 			return nil
 		}
 	}
@@ -481,7 +478,7 @@ func (s *Server) finish(resp *dnswire.Message) {
 // clock, so the transport-agnostic Handle needs none.
 func (s *Server) Attach(net *netsim.Network, addr netsim.Addr) *netsim.Port {
 	s.trace = net.Trace()
-	s.port = net.BindPort(addr, s.receive)
+	s.port = net.BindHost(addr, s)
 	return &s.port
 }
 
@@ -502,12 +499,26 @@ func (s *Server) receiveTCP(src netsim.Addr, payload []byte) {
 	wireBufPool.Put(bp)
 }
 
-// receive is the wire entry point for the attached port.
-func (s *Server) receive(src netsim.Addr, payload []byte) {
+// Deliver is the attached port's entry point (netsim.Host). A query that
+// came with its message is answered from it, and the reply goes out with
+// the message it was packed from. Bytes alone decode borrowed, so their
+// reply goes out as bytes only (see netsim.Conn).
+func (s *Server) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
 	bp := wireBufPool.Get().(*[]byte)
-	if out := s.handleWireAppend(payload, false, (*bp)[:0]); out != nil {
-		s.port.Send(src, out) // Send copies; out's buffer goes back to the pool
-		*bp = out[:0]
+	var out []byte
+	if m == nil {
+		if out = s.handleWireAppend(payload, false, (*bp)[:0]); out != nil {
+			s.port.Send(src, out)
+		}
+	} else {
+		resp := msgPool.Get().(*dnswire.Message)
+		if out = s.reply(m, resp, payload, false, (*bp)[:0]); out != nil {
+			s.port.SendMsg(src, out, resp)
+		}
+		msgPool.Put(resp)
+	}
+	if out != nil {
+		*bp = out[:0] // Send copies; out's buffer goes back to the pool
 	}
 	wireBufPool.Put(bp)
 }

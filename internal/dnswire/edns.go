@@ -48,3 +48,20 @@ func (m *Message) UDPPayloadLimit() int {
 	}
 	return ClassicUDPPayload
 }
+
+// Truncate turns m into its TC=1 form in place (RFC 6891, RFC 2181): the
+// data sections are emptied, keeping their storage, but for the OPT
+// record, so the receiver still sees the sender's EDNS parameters and can
+// renegotiate or fall back to TCP.
+func (m *Message) Truncate() {
+	m.Truncated = true
+	m.Answers, m.Authorities = m.Answers[:0], m.Authorities[:0]
+	n := 0
+	for _, rr := range m.Additionals {
+		if rr.Type() == TypeOPT {
+			m.Additionals[0], n = rr, 1
+			break
+		}
+	}
+	m.Additionals = m.Additionals[:n]
+}

@@ -150,10 +150,16 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 		if !isVictim[ev.Dst] {
 			return
 		}
-		if dnswire.UnpackInto(&tapMsg, ev.Payload) != nil || tapMsg.Response || len(tapMsg.Questions) != 1 {
+		m := ev.Msg
+		if m == nil {
+			if m = &tapMsg; dnswire.UnpackInto(m, ev.Payload) != nil {
+				return
+			}
+		}
+		if m.Response || len(m.Questions) != 1 {
 			return
 		}
-		qlabel, ok := adversary.ParseNXNSHost(dnswire.CanonicalName(tapMsg.Questions[0].Name))
+		qlabel, ok := adversary.ParseNXNSHost(dnswire.CanonicalName(m.Questions[0].Name))
 		if !ok {
 			return
 		}

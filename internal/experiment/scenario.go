@@ -75,6 +75,10 @@ type RunConfig struct {
 	// to trigger deterministic mid-run cancellation and to inspect cells
 	// a run does not keep.
 	afterShard func(cell int, tb *Testbed)
+	// onTestbed, when set, runs on each cell's testbed as soon as it is
+	// built, before anything is simulated (on the worker that runs the
+	// cell). Tests use it to tap every packet of a run.
+	onTestbed func(tb *Testbed)
 }
 
 func (c RunConfig) withDefaults() RunConfig {

@@ -101,7 +101,8 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 	}
 	cells := planCells(cfg.Probes, cfg.ShardProbes)
 	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i, n int) *cellResult {
-		part, tb := fam.cell(TestbedConfig{Probes: n, Seed: mixSeed(cfg.Seed, i), Trace: cfg.Trace})
+		part, tb := fam.cell(TestbedConfig{Probes: n, Seed: mixSeed(cfg.Seed, i), Trace: cfg.Trace,
+			built: cfg.onTestbed})
 		cr := &cellResult{part: part, snap: tb.CollectMetrics().Snapshot()}
 		if tr := tb.Net.Trace(); tr != nil {
 			cr.ct = &trace.CellTrace{Cell: i, Dropped: tr.Dropped(), Events: tr.Events()}

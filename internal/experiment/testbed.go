@@ -97,6 +97,8 @@ type TestbedConfig struct {
 	// rootLetterAddr, rootSiteAddr). nil keeps the one unicast letter,
 	// a.root-servers.net. at RootAddr.
 	rootSites []int
+	// built, when set, runs at the end of NewTestbed (RunConfig.onTestbed).
+	built func(tb *Testbed)
 }
 
 func (c TestbedConfig) withDefaults() TestbedConfig {
@@ -182,6 +184,9 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	tb.Pop = BuildPopulation(tb.Clk, tb.Net, cfg.Probes, Domain, tb.rootHints(),
 		cfg.Population, cfg.Seed+1)
 	tb.Fleet = vantage.NewFleet(tb.Clk, tb.Pop.Probes, cfg.Seed+2)
+	if cfg.built != nil {
+		cfg.built(tb)
+	}
 	return tb
 }
 
@@ -445,7 +450,8 @@ func (tb *Testbed) installTap() {
 		authIdx[a] = uint8(i)
 		hosts[i] = nsHost(i)
 	}
-	// The tap decodes into one scratch message: the simulator delivers
+	// The tap reads the packet's message, and decodes a packet that came
+	// as bytes alone into one scratch message: the simulator delivers
 	// packets on a single goroutine and the tap retains nothing.
 	var tapMsg dnswire.Message
 	tb.Net.AddTap(func(ev netsim.Event) {
@@ -453,8 +459,13 @@ func (tb *Testbed) installTap() {
 		if !isAuth {
 			return
 		}
-		m := &tapMsg
-		if err := dnswire.UnpackInto(m, ev.Payload); err != nil || m.Response || len(m.Questions) != 1 {
+		m := ev.Msg
+		if m == nil {
+			if m = &tapMsg; dnswire.UnpackInto(m, ev.Payload) != nil {
+				return
+			}
+		}
+		if m.Response || len(m.Questions) != 1 {
 			return
 		}
 		tb.tapArrivals.Inc()

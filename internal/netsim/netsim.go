@@ -6,6 +6,12 @@
 // before the drop decision (the paper measures queries "before they are
 // dropped by our simulated DDoS", §6.1).
 //
+// A UDP packet carries the bytes its sender packed and, when the sender
+// handed it over (SendMsg), a packet-owned copy of the dnswire.Message
+// those bytes were packed from. Receivers and taps read that message and
+// decode the bytes only when none came with the packet; every byte-based
+// reading (sizes, the MTU, trace attribution) still reads the bytes.
+//
 // A Network belongs to the goroutine that owns its clock (see package
 // clock): nothing here locks, and hosts are called from that goroutine's
 // event loop only, one dispatch at a time (see Shared).
@@ -18,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/dnswire"
 	"repro/internal/lazyrand"
 	"repro/internal/metrics"
 	"repro/internal/timeline"
@@ -29,12 +36,15 @@ import (
 type Addr string
 
 // Event describes one packet arrival as seen by a tap, before the inbound
-// loss decision is applied.
+// loss decision is applied. Msg is the message Payload was packed from,
+// nil when the sender handed over bytes only; a tap decodes Payload only
+// then. Neither outlives the tap call.
 type Event struct {
 	Time    time.Time
 	Src     Addr
 	Dst     Addr
 	Payload []byte
+	Msg     *dnswire.Message
 	Dropped bool
 }
 
@@ -58,11 +68,11 @@ type Stats struct {
 
 // Network simulates a lossy packet network on top of a Clock.
 //
-// Delivery is zero-copy: the payload slice handed to Send is the same
-// slice the receiver and the taps observe. Senders must not mutate a
-// payload after Send, and receivers must not retain it past the handler
-// call (every engine in this repository encodes a fresh message per send
-// and decodes on arrival, so neither happens).
+// Send and SendMsg copy what they are handed into the packet, so a sender
+// may reuse its buffer and message at once; the receiver and the taps see
+// the packet's copies, valid for the duration of their call only. Every
+// engine in this repository packs a fresh message per send, hands it over
+// with SendMsg, and decodes on arrival only what came as bytes alone.
 type Network struct {
 	clk clock.Clock
 	// argClk is clk's closure-free scheduling extension, when available
@@ -70,7 +80,7 @@ type Network struct {
 	argClk clock.ArgScheduler
 
 	rng     *rand.Rand
-	hosts   map[Addr]func(src Addr, payload []byte)
+	hosts   map[Addr]Host
 	lazy    map[Addr]LazyHost // deferred host constructors, see BindLazy
 	inLoss  map[Addr]float64
 	pairs   map[[2]Addr]time.Duration
@@ -131,7 +141,7 @@ func New(clk clock.Clock, seed int64) *Network {
 	n := &Network{
 		clk:   clk,
 		rng:   lazyrand.New(seed),
-		hosts: make(map[Addr]func(src Addr, payload []byte), 64),
+		hosts: make(map[Addr]Host, 64),
 	}
 	n.latency = n.defaultLatency
 	n.argClk, _ = clk.(clock.ArgScheduler)
@@ -171,21 +181,41 @@ func (n *Network) defaultLatency(src, dst Addr, rng *rand.Rand) time.Duration {
 	return base + jitter
 }
 
-// Bind attaches recv at addr and returns a Port for sending from it.
-// Binding an already-bound address replaces the handler.
-func (n *Network) Bind(addr Addr, recv func(src Addr, payload []byte)) *Port {
+// Host receives the UDP packets delivered to its address. m is the
+// packet's copy of the message the sender packed into payload, or nil when
+// the sender handed over bytes only (Send); a host decodes payload only
+// then. Neither outlives the call, and m is the host's to modify.
+type Host interface {
+	Deliver(src Addr, payload []byte, m *dnswire.Message)
+}
+
+// rawHost is a receiver of bytes only: Bind's func, ignoring the message.
+// A func is pointer-shaped, so storing one as a Host allocates nothing.
+type rawHost func(src Addr, payload []byte)
+
+func (f rawHost) Deliver(src Addr, payload []byte, _ *dnswire.Message) { f(src, payload) }
+
+// BindHost attaches h at addr and returns the Port for sending from it
+// by value, for callers that embed the port in their own struct. Binding
+// an already-bound address replaces the host.
+func (n *Network) BindHost(addr Addr, h Host) Port {
 	if addr == "" {
 		panic("netsim: empty address")
 	}
-	n.hosts[addr] = recv
-	return &Port{net: n, addr: addr}
+	n.hosts[addr] = h
+	return Port{net: n, addr: addr}
 }
 
-// BindPort is Bind returning the Port by value, for callers that embed
-// the port in their own struct instead of holding a pointer.
+// Bind attaches recv, a receiver of bytes only, at addr and returns a
+// Port for sending from it.
+func (n *Network) Bind(addr Addr, recv func(src Addr, payload []byte)) *Port {
+	p := n.BindHost(addr, rawHost(recv))
+	return &p
+}
+
+// BindPort is Bind returning the Port by value.
 func (n *Network) BindPort(addr Addr, recv func(src Addr, payload []byte)) Port {
-	n.Bind(addr, recv)
-	return Port{net: n, addr: addr}
+	return n.BindHost(addr, rawHost(recv))
 }
 
 // Detach removes the host at addr; in-flight packets to it are counted as
@@ -200,8 +230,8 @@ func (n *Network) Detach(addr Addr) {
 // object without allocating a bound-method closure per host.
 type LazyHost interface {
 	// Materialize builds the host and registers its real receiver via
-	// Bind (directly or through a client/resolver Attach). Called at most
-	// once.
+	// BindHost or Bind (directly or through a client/resolver Attach).
+	// Called at most once.
 	Materialize()
 }
 
@@ -279,44 +309,69 @@ func (n *Network) CollectMetrics(s metrics.Scope) {
 }
 
 // packet is an in-flight delivery of either plane. Packets are recycled
-// through the network's free list, buffer included, so the simulation's
-// hottest path (one Send per simulated query/response) allocates nothing
-// per packet. A packet goes back from inside its own delivery callback,
-// which is the recycle rule of recursive's putOQ.
+// through the network's free list, buffer and message storage included,
+// so the simulation's hottest path (one send per simulated query/response)
+// allocates nothing per packet. A packet goes back from inside its own
+// delivery callback, which is the recycle rule of recursive's putOQ.
 type packet struct {
 	net      *Network
 	src, dst Addr
-	payload  []byte  // aliases buf; valid until the packet is recycled
-	buf      []byte  // owned storage, reused across packets
-	tcp      bool    // deliver on the TCP plane (arriveTCP)
-	next     *packet // free-list link
+	payload  []byte // aliases buf; valid until the packet is recycled
+	buf      []byte // owned storage, reused across packets
+	// msg is the copy of the sender's message when hasMsg; its section
+	// slices are owned storage like buf.
+	msg    dnswire.Message
+	hasMsg bool
+	tcp    bool    // deliver on the TCP plane (arriveTCP)
+	next   *packet // free-list link
+}
+
+// carry copies m into the packet: the header, and the four sections
+// appended into the packet's own slices. Names and record data are
+// shared with the sender, whose values do not change after a send.
+func (p *packet) carry(m *dnswire.Message) {
+	c := &p.msg
+	c.Header = m.Header
+	c.Questions = append(c.Questions[:0], m.Questions...)
+	c.Answers = append(c.Answers[:0], m.Answers...)
+	c.Authorities = append(c.Authorities[:0], m.Authorities...)
+	c.Additionals = append(c.Additionals[:0], m.Additionals...)
+	p.hasMsg = true
 }
 
 // deliverPacket is the static arrival callback handed to ArgScheduler.
-// The packet (and the payload aliasing its buffer) is recycled only after
-// the receiver ran: receive callbacks may read the payload for the
-// duration of the call but must not retain it.
+// The packet (and the payload and message it owns) is recycled only after
+// the receiver ran: receivers may read both for the duration of the call
+// but must not retain them.
 func deliverPacket(arg any) {
 	p := arg.(*packet)
 	n := p.net
 	if p.tcp {
 		n.arriveTCP(p.src, p.dst, p.payload)
 	} else {
-		n.arrive(p.src, p.dst, p.payload)
+		var m *dnswire.Message
+		if p.hasMsg {
+			m = &p.msg
+		}
+		n.arrive(p.src, p.dst, p.payload, m)
 	}
-	p.src, p.dst, p.payload, p.tcp = "", "", nil, false
+	p.src, p.dst, p.payload, p.hasMsg, p.tcp = "", "", nil, false, false
 	p.next, n.pktFree = n.pktFree, p
 }
 
-// deliverAfter copies payload and schedules its arrival at dst on the
-// UDP or TCP plane.
-func (n *Network) deliverAfter(delay time.Duration, src, dst Addr, payload []byte, tcp bool) {
+// deliverAfter copies payload, and m when set, and schedules their
+// arrival at dst on the UDP or TCP plane. The TCP plane and a clock
+// without ArgScheduler carry the bytes only.
+func (n *Network) deliverAfter(delay time.Duration, src, dst Addr, payload []byte, m *dnswire.Message, tcp bool) {
 	if n.argClk == nil {
-		arrive, buf := n.arrive, append([]byte(nil), payload...)
-		if tcp {
-			arrive = n.arriveTCP
-		}
-		n.clk.AfterFunc(delay, func() { arrive(src, dst, buf) })
+		buf := append([]byte(nil), payload...)
+		n.clk.AfterFunc(delay, func() {
+			if tcp {
+				n.arriveTCP(src, dst, buf)
+			} else {
+				n.arrive(src, dst, buf, nil)
+			}
+		})
 		return
 	}
 	p := n.pktFree
@@ -327,6 +382,9 @@ func (n *Network) deliverAfter(delay time.Duration, src, dst Addr, payload []byt
 	}
 	p.buf = append(p.buf[:0], payload...)
 	p.src, p.dst, p.payload, p.tcp = src, dst, p.buf, tcp
+	if m != nil && !tcp {
+		p.carry(m)
+	}
 	n.argClk.AfterFuncArg(delay, deliverPacket, p)
 }
 
@@ -337,13 +395,22 @@ func (n *Network) deliverAfter(delay time.Duration, src, dst Addr, payload []byt
 //
 // The network copies payload before returning: callers may reuse their
 // buffer for the next send, and receivers must not retain the delivered
-// slice past their callback.
+// slice past their callback. The receiver gets bytes only and decodes.
 func (n *Network) Send(src, dst Addr, payload []byte) {
+	n.SendMsg(src, dst, payload, nil)
+}
+
+// SendMsg is Send handing over m, the message payload was packed from, as
+// well: the packet carries a copy of it, so neither the receiver nor a
+// tap decodes. m must be exactly what was packed, and its names must not
+// alias storage that changes before the packet arrives (see Conn). A nil
+// m is Send.
+func (n *Network) SendMsg(src, dst Addr, payload []byte, m *dnswire.Message) {
 	// Anycast destinations resolve to the catchment-selected site; both
 	// latency and the inbound loss decision are the site's.
 	site, _ := n.anycastSite(src, dst)
 	n.stats.Sent++
-	n.deliverAfter(n.pairDelay(src, site), src, site, payload, false)
+	n.deliverAfter(n.pairDelay(src, site), src, site, payload, m, false)
 }
 
 func (n *Network) pairDelay(src, dst Addr) time.Duration {
@@ -353,7 +420,7 @@ func (n *Network) pairDelay(src, dst Addr) time.Duration {
 	return n.latency(src, dst, n.rng)
 }
 
-func (n *Network) arrive(src, dst Addr, payload []byte) {
+func (n *Network) arrive(src, dst Addr, payload []byte, m *dnswire.Message) {
 	loss := n.inLoss[dst]
 	dropped := loss > 0 && n.rng.Float64() < loss
 	// Datagrams over the path MTU never arrive: the collapsed model of
@@ -384,12 +451,12 @@ func (n *Network) arrive(src, dst Addr, payload []byte) {
 	}
 
 	n.event(arrival(dropped), src, dst, payload)
-	ev := Event{Time: n.clk.Now(), Src: src, Dst: dst, Payload: payload, Dropped: dropped}
+	ev := Event{Time: n.clk.Now(), Src: src, Dst: dst, Payload: payload, Msg: m, Dropped: dropped}
 	for _, tap := range n.taps {
 		tap(ev)
 	}
 	if !dropped && recv != nil {
-		recv(src, payload)
+		recv.Deliver(src, payload, m)
 	}
 }
 
@@ -404,17 +471,31 @@ func (p *Port) Addr() Addr { return p.addr }
 
 // Send transmits payload from this port's address to dst.
 func (p *Port) Send(dst Addr, payload []byte) {
-	p.net.Send(p.addr, dst, payload)
+	p.net.SendMsg(p.addr, dst, payload, nil)
+}
+
+// SendMsg transmits payload with m, the message it was packed from.
+func (p *Port) SendMsg(dst Addr, payload []byte, m *dnswire.Message) {
+	p.net.SendMsg(p.addr, dst, payload, m)
 }
 
 // Conn is the transport contract the DNS engines program against: the
 // simulator's Port implements it, and cmd/ wraps real UDP sockets in it.
-// Conn is the transport half a protocol endpoint needs. Send must copy
-// (or otherwise finish with) the payload before returning, so callers can
-// recycle one buffer across sends; Network.Send and UDP writes both do.
+// Conn is the transport half a protocol endpoint needs. Send and SendMsg
+// must copy (or otherwise finish with) what they are handed before
+// returning, so callers can recycle one buffer and one message across
+// sends; Network.Send and UDP writes both do.
+//
+// SendMsg hands over m, the message payload was packed from (after
+// truncation, the TC=1 message), so a simulated receiver need not decode;
+// a transport that carries bytes only ignores m. The packet's copy of m
+// is shallow: m's names and record data must not change before the packet
+// arrives. So a reply built from a query decoded with
+// dnswire.UnpackBorrow, whose names alias pooled storage, goes with Send.
 type Conn interface {
 	Addr() Addr
 	Send(dst Addr, payload []byte)
+	SendMsg(dst Addr, payload []byte, m *dnswire.Message)
 }
 
 var _ Conn = (*Port)(nil)

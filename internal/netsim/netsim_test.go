@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/dnswire"
 )
 
 var epoch = time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -238,5 +239,61 @@ func TestShared(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { Shared[scratchA](net) }); n != 0 {
 		t.Errorf("a repeated request allocates %.1f objects, want 0", n)
+	}
+}
+
+// msgHost records the message each delivery came with.
+type msgHost struct{ got []*dnswire.Message }
+
+func (h *msgHost) Deliver(_ Addr, _ []byte, m *dnswire.Message) {
+	if m != nil {
+		c := *m
+		c.Questions = append([]dnswire.Question(nil), m.Questions...)
+		m = &c
+	}
+	h.got = append(h.got, m)
+}
+
+// TestSendMsgCarriesCopy: SendMsg hands the receiver and the taps the
+// packet's own copy of the message, which the sender may change at once;
+// Send and the TCP plane carry bytes only; a steady-state send allocates
+// nothing.
+func TestSendMsgCarriesCopy(t *testing.T) {
+	clk, net := newNet()
+	net.SetPairDelay("a", "b", time.Millisecond) // arrivals in send order
+	h := &msgHost{}
+	port := net.BindHost("b", h)
+	net.BindTCP("b", func(Addr, []byte) { h.got = append(h.got, nil) })
+	var tapped int
+	net.AddTap(func(ev Event) {
+		if ev.Msg != nil && ev.Msg.ID == 7 {
+			tapped++
+		}
+	})
+	m := dnswire.NewQuery(7, "a.example.", dnswire.TypeA)
+	wire, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SendMsg("a", "b", wire, m)
+	m.ID, m.Questions[0].Name = 8, "b.example."
+	net.Send("a", "b", wire)
+	net.SendTCP("a", "b", wire)
+	clk.Run()
+	if len(h.got) != 3 || h.got[0] == nil || h.got[1] != nil || h.got[2] != nil {
+		t.Fatalf("deliveries = %v, want a message, then bytes twice", h.got)
+	}
+	if got := h.got[0]; got.ID != 7 || got.Questions[0].Name != "a.example." {
+		t.Errorf("delivered ID %d, question %v: the sender's later change reached the packet", got.ID, got.Questions[0])
+	}
+	if tapped != 1 {
+		t.Errorf("the tap saw the message %d times, want 1", tapped)
+	}
+	net.Bind("b", func(Addr, []byte) {})
+	if n := testing.AllocsPerRun(100, func() {
+		port.SendMsg("b", wire, m)
+		clk.Run()
+	}); n != 0 {
+		t.Errorf("a steady-state SendMsg allocates %.1f objects, want 0", n)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dnswire"
 	"repro/internal/trace"
 )
 
@@ -121,7 +122,7 @@ func (n *Network) SendTCP(src, dst Addr, payload []byte) {
 	}
 	n.tcpConns[key] = now.Add(delay + tcpIdleTimeout)
 	n.stats.TCPSent++
-	n.deliverAfter(delay, src, dst, payload, true)
+	n.deliverAfter(delay, src, dst, payload, nil, true)
 }
 
 // arriveTCP applies the TCP-plane loss dial and hands the message to the
@@ -164,6 +165,11 @@ func (p *TCPPort) Addr() Addr { return p.addr }
 
 // Send transmits payload from this port's address to dst over TCP.
 func (p *TCPPort) Send(dst Addr, payload []byte) {
+	p.net.SendTCP(p.addr, dst, payload)
+}
+
+// SendMsg is Send: the TCP plane carries bytes only.
+func (p *TCPPort) SendMsg(dst Addr, payload []byte, _ *dnswire.Message) {
 	p.net.SendTCP(p.addr, dst, payload)
 }
 

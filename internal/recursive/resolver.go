@@ -19,6 +19,7 @@
 package recursive
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"time"
 
@@ -242,6 +243,8 @@ type Resolver struct {
 	cache cache.Cache
 	rng   *rand.Rand
 	conn  netsim.Conn
+	// port backs conn once attached, so binding allocates no port.
+	port netsim.Port
 	// tcpConn is the TCP-plane transport (nil when unbound): TC=1
 	// fallback retries go out on it, and clients reached over it are
 	// answered without the UDP size limit.
@@ -275,17 +278,18 @@ type Resolver struct {
 // putOQ's rule, which holds whichever resolver takes it next. It is the
 // only place the package declares dnswire.Message fields (make obs-guard).
 type workingSet struct {
-	// upMsg is the decode target for upstream responses. Response
-	// processing never retains the message or its section slices (data
-	// that outlives the dispatch — cache sets, Result answers — is always
-	// copied).
+	// upMsg is the decode target for upstream responses that came as
+	// bytes alone. Response processing never retains the message or its
+	// section slices (data that outlives the dispatch — cache sets, Result
+	// answers — is always copied).
 	upMsg dnswire.Message
-	// cqMsg is the decode target for client queries, and at answer time
-	// the scratch each waiter's query is rebuilt in (see waiter).
+	// cqMsg is the decode target for client queries that came as bytes
+	// alone, and at answer time the scratch each waiter's query is rebuilt
+	// in (see waiter).
 	cqMsg dnswire.Message
 	// qMsg and respMsg are encode sources (upstream queries and client
 	// responses), and packBuf the wire buffer; all three are transmitted
-	// before the dispatch returns and never retained (Conn.Send copies).
+	// before the dispatch returns and never retained (Conn.SendMsg copies).
 	qMsg    dnswire.Message
 	respMsg dnswire.Message
 	packBuf []byte
@@ -433,7 +437,8 @@ func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
 	r.trace, r.timeline = net.Trace(), net.Timeline()
 	r.join(netsim.Shared[workingSet](net))
 	r.cache.SetTrace(r.trace)
-	r.conn = net.Bind(addr, r.Receive)
+	r.port = net.BindHost(addr, r)
+	r.conn = &r.port
 	if r.cfg.TCPFallback {
 		r.tcpConn = net.BindTCP(addr, r.ReceiveTCP)
 	}
@@ -443,28 +448,45 @@ func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
 // a QR bit, let alone a message.
 const headerLen = 12
 
+// Deliver is the simulated network's entry point (netsim.Host): m, when
+// set, is the packet's message and nothing is decoded.
+func (r *Resolver) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
+	r.receive(src, payload, m, false)
+}
+
 // Receive is the raw packet entry point (exported for custom transports).
-func (r *Resolver) Receive(src netsim.Addr, payload []byte) { r.receive(src, payload, false) }
+func (r *Resolver) Receive(src netsim.Addr, payload []byte) { r.receive(src, payload, nil, false) }
 
 // ReceiveTCP is Receive for the TCP plane. Responses route to the same
 // in-flight table (query IDs are transport-agnostic); client queries are
 // answered over TCP without the UDP size limit.
-func (r *Resolver) ReceiveTCP(src netsim.Addr, payload []byte) { r.receive(src, payload, true) }
+func (r *Resolver) ReceiveTCP(src netsim.Addr, payload []byte) { r.receive(src, payload, nil, true) }
 
-// receive routes on the QR bit before decoding: responses and client
-// queries decode into their own scratch messages.
-func (r *Resolver) receive(src netsim.Addr, payload []byte, tcp bool) {
-	if len(payload) < headerLen {
-		return
+// receive routes on the QR bit. Bytes that came without their message
+// decode into the scratch message of their direction; a response is
+// decoded only when its ID has a query in flight, so a late answer costs
+// no decode, and a malformed one leaves its query in flight.
+func (r *Resolver) receive(src netsim.Addr, payload []byte, m *dnswire.Message, tcp bool) {
+	if m == nil {
+		if len(payload) < headerLen {
+			return
+		}
+		m = &r.work().cqMsg
+		if payload[2]&0x80 != 0 {
+			if r.outqueryOf(binary.BigEndian.Uint16(payload)) == nil {
+				return // late or spoofed; ignore
+			}
+			m = &r.ws.upMsg
+		}
+		if dnswire.UnpackInto(m, payload) != nil {
+			return
+		}
 	}
 	r.depth++
-	ws := r.work()
-	if payload[2]&0x80 != 0 {
-		if err := dnswire.UnpackInto(&ws.upMsg, payload); err == nil {
-			r.handleUpstream(&ws.upMsg)
-		}
-	} else if err := dnswire.UnpackInto(&ws.cqMsg, payload); err == nil {
-		r.serveClient(src, &ws.cqMsg, tcp)
+	if m.Response {
+		r.handleUpstream(m)
+	} else {
+		r.serveClient(src, m, tcp)
 	}
 	r.leave()
 }
@@ -632,7 +654,7 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 		r.tcpConn.Send(server, wire)
 		return
 	}
-	r.conn.Send(server, wire)
+	r.conn.SendMsg(server, wire, q)
 }
 
 // outqueryTimeout is the static timeout callback armed by send. A node

@@ -416,3 +416,41 @@ func TestResolverBytes(t *testing.T) {
 	runtime.KeepAlive(rs)
 	runtime.KeepAlive(net)
 }
+
+// TestMalformedResponseLeavesQueryInFlight sends, as bytes, a response
+// whose ID matches the query in flight but whose body is cut short, then
+// the whole response. The first is ignored without taking the query out
+// of flight, so the second completes the resolution.
+func TestMalformedResponseLeavesQueryInFlight(t *testing.T) {
+	const upstream = "192.0.2.53"
+	clk := clock.NewVirtual(epoch)
+	net := netsim.New(clk, 1)
+	net.SetPairDelay(upstream, resAddr, 10*time.Millisecond)
+	var port *netsim.Port
+	port = net.Bind(upstream, func(src netsim.Addr, payload []byte) {
+		q, err := dnswire.Unpack(payload)
+		if err != nil {
+			t.Errorf("query does not decode: %v", err)
+			return
+		}
+		resp := dnswire.NewResponse(q)
+		resp.RecursionAvailable = true
+		resp.Answers = append(resp.Answers, dnswire.RR{Name: q.Question1().Name, Class: dnswire.ClassIN,
+			TTL: 60, Data: dnswire.A{Addr: dnswire.MustAddr("192.0.2.9")}})
+		wire, err := resp.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		port.Send(src, wire[:len(wire)-1])
+		port.Send(src, wire)
+	})
+	r := NewResolver(clk, Config{Forwarders: []netsim.Addr{upstream}})
+	r.Attach(net, resAddr)
+	res := resolveOn(t, clk, r, "www.example.nl.", dnswire.TypeA)
+	if res.ServFail || len(res.Answers) != 1 {
+		t.Fatalf("result = %+v, want the answer that followed the malformed response", res)
+	}
+	if st := r.Stats(); st.Timeouts != 0 || st.UpstreamQueries != 1 {
+		t.Errorf("stats = %+v, want one upstream query and no timeout", st)
+	}
+}

@@ -73,8 +73,8 @@ func (r *Resolver) answer(w *waiter, key coalesceKey, res Result) {
 }
 
 // serveClient answers a query received from a stub (or a downstream R1).
-// tcp marks queries that arrived over the TCP plane. q is the scratch
-// decode target: nothing keeps it past this call.
+// tcp marks queries that arrived over the TCP plane. q is the packet's
+// message or the scratch decode target: nothing keeps it past this call.
 func (r *Resolver) serveClient(src netsim.Addr, q *dnswire.Message, tcp bool) {
 	if q.Opcode != dnswire.OpcodeQuery || len(q.Questions) != 1 {
 		resp := dnswire.NewResponse(q)
@@ -170,11 +170,12 @@ func (r *Resolver) buildResponseInto(resp, q *dnswire.Message, res Result) *dnsw
 	return resp
 }
 
-// respond packs and transmits resp to dst. UDP responses larger than the
-// size the client's query advertised (512 octets without an OPT record)
-// are truncated: data sections stripped, TC set, and the OPT record kept
-// so the client can renegotiate or fall back to TCP. TCP responses are
-// never truncated.
+// respond packs and transmits resp to dst, with the message it packed.
+// UDP responses larger than the size the client's query advertised (512
+// octets without an OPT record) are truncated in place (resp is the
+// caller's scratch, discarded after): data sections stripped, TC set, and
+// the OPT record kept so the client can renegotiate or fall back to TCP.
+// TCP responses are never truncated.
 func (r *Resolver) respond(dst netsim.Addr, resp, q *dnswire.Message, tcp bool) {
 	ws := r.work()
 	wire, err := resp.AppendPack(ws.packBuf[:0])
@@ -188,16 +189,8 @@ func (r *Resolver) respond(dst netsim.Addr, resp, q *dnswire.Message, tcp bool) 
 			qname = q.Questions[0].Name
 		}
 		r.event(kClientTruncated, payload{probe: qname, a: uint32(len(wire)), b: uint32(limit), dst: dst})
-		trunc := *resp
-		trunc.Truncated = true
-		trunc.Answers, trunc.Authorities, trunc.Additionals = nil, nil, nil
-		for i := range resp.Additionals {
-			if resp.Additionals[i].Type() == dnswire.TypeOPT {
-				trunc.Additionals = resp.Additionals[i : i+1]
-				break
-			}
-		}
-		if wire, err = trunc.AppendPack(wire[:0]); err != nil {
+		resp.Truncate()
+		if wire, err = resp.AppendPack(wire[:0]); err != nil {
 			return
 		}
 	}
@@ -205,5 +198,5 @@ func (r *Resolver) respond(dst netsim.Addr, resp, q *dnswire.Message, tcp bool) 
 		r.tcpConn.Send(dst, wire)
 		return
 	}
-	r.conn.Send(dst, wire)
+	r.conn.SendMsg(dst, wire, resp)
 }

@@ -5,6 +5,7 @@
 package stub
 
 import (
+	"encoding/binary"
 	"errors"
 	"time"
 
@@ -27,10 +28,10 @@ const DefaultTimeout = 5 * time.Second
 
 // Result is the outcome of one query.
 type Result struct {
-	// Msg is the response, nil on timeout. It is the working set's
-	// scratch message: valid until the callback returns, then reused for
-	// the next response on the network. A callback that needs it longer
-	// copies what it needs.
+	// Msg is the response, nil on timeout: the packet's message, or the
+	// working set's scratch message the bytes were decoded into. Either is
+	// valid until the callback returns, then reused. A callback that needs
+	// it longer copies what it needs.
 	Msg *dnswire.Message
 	// Err is non-nil on timeout or an unusable truncated response.
 	Err error
@@ -82,8 +83,9 @@ type Client struct {
 // time, so one of each serves every query. It is the only place the
 // package declares dnswire.Message fields (make obs-guard).
 type workingSet struct {
-	// qMsg and respMsg are the encode source and decode target, packBuf
-	// the wire buffer (Conn.Send copies).
+	// qMsg and respMsg are the encode source and the decode target of
+	// responses that came as bytes alone, packBuf the wire buffer
+	// (Conn.SendMsg copies).
 	qMsg    dnswire.Message
 	respMsg dnswire.Message
 	packBuf []byte
@@ -155,7 +157,8 @@ func New(clk clock.Clock, cfg Config) *Client {
 func (c *Client) Attach(net *netsim.Network, addr netsim.Addr) {
 	c.trace = net.Trace()
 	c.ws = netsim.Shared[workingSet](net)
-	c.conn = net.Bind(addr, c.Receive)
+	port := net.BindHost(addr, c)
+	c.conn = &port
 	if c.cfg.TCPFallback {
 		c.tcpConn = net.BindTCP(addr, c.Receive)
 	}
@@ -164,21 +167,48 @@ func (c *Client) Attach(net *netsim.Network, addr netsim.Addr) {
 // SetConn binds the client to an existing transport.
 func (c *Client) SetConn(conn netsim.Conn) { c.conn = conn }
 
+// headerLen is the fixed DNS header size: the ID and the QR bit are in
+// it, and nothing shorter decodes.
+const headerLen = 12
+
+// Deliver is the simulated network's entry point (netsim.Host): m, when
+// set, is the packet's message and nothing is decoded.
+func (c *Client) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
+	if m == nil {
+		c.Receive(src, payload)
+	} else if p := c.awaiting(src, m.ID); p != nil && m.Response {
+		c.complete(p, src, m)
+	}
+}
+
 // Receive is the raw packet entry point (both planes: responses are
-// matched by ID, which is transport-agnostic). The QR bit is checked
-// before decoding, and responses decode into the scratch message.
+// matched by ID, which is transport-agnostic). A response is decoded into
+// the scratch message only when its ID is in flight to src, so a late or
+// spoofed one costs no decode, and a malformed one leaves its query in
+// flight.
 func (c *Client) Receive(src netsim.Addr, payload []byte) {
-	if len(payload) < 3 || payload[2]&0x80 == 0 {
+	if len(payload) < headerLen || payload[2]&0x80 == 0 {
 		return
 	}
-	m := &c.work().respMsg
-	if err := dnswire.UnpackInto(m, payload); err != nil {
+	p := c.awaiting(src, binary.BigEndian.Uint16(payload))
+	if p == nil {
 		return
 	}
-	p, ok := c.inflight[m.ID]
-	if !ok || p.server != src {
-		return
+	if m := &c.work().respMsg; dnswire.UnpackInto(m, payload) == nil {
+		c.complete(p, src, m)
 	}
+}
+
+// awaiting returns the query in flight to src under id, nil if none.
+func (c *Client) awaiting(src netsim.Addr, id uint16) *pending {
+	if p := c.inflight[id]; p != nil && p.server == src {
+		return p
+	}
+	return nil
+}
+
+// complete ends p's attempt with its response m.
+func (c *Client) complete(p *pending, src netsim.Addr, m *dnswire.Message) {
 	delete(c.inflight, m.ID)
 	stopped := p.timer.Stop()
 	if m.Truncated && !p.tcp {
@@ -282,7 +312,7 @@ func (c *Client) sendAttempt(p *pending) {
 		c.tcpConn.Send(p.server, wire)
 		return
 	}
-	c.conn.Send(p.server, wire)
+	c.conn.SendMsg(p.server, wire, q)
 }
 
 // attemptTimeout is the static timeout callback armed by sendAttempt. A

@@ -1,6 +1,7 @@
 package stub
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -238,5 +239,38 @@ func TestLateTimerAfterRecycle(t *testing.T) {
 	}
 	if len(c.inflight) != 0 {
 		t.Errorf("%d left in flight", len(c.inflight))
+	}
+}
+
+// TestMalformedResponseLeavesQueryInFlight sends, as bytes, a response
+// whose ID matches the query in flight but whose body is cut short, then
+// the whole response: the first is ignored and the second answers.
+func TestMalformedResponseLeavesQueryInFlight(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	net := netsim.New(clk, 1)
+	net.SetPairDelay("10.0.0.53", "10.9.0.1", 10*time.Millisecond)
+	var port *netsim.Port
+	port = net.Bind("10.0.0.53", func(src netsim.Addr, payload []byte) {
+		q, _ := dnswire.Unpack(payload)
+		resp := dnswire.NewResponse(q)
+		resp.Answers = append(resp.Answers, dnswire.RR{Name: q.Question1().Name, Class: dnswire.ClassIN,
+			TTL: 60, Data: dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}})
+		wire, _ := resp.Pack()
+		port.Send(src, wire[:len(wire)-1])
+		port.Send(src, wire)
+	})
+	c := New(clk, Config{Timeout: time.Second})
+	c.Attach(net, "10.9.0.1")
+	var outcomes []string
+	c.Query("10.0.0.53", "x.nl.", dnswire.TypeAAAA, func(r Result) {
+		if r.Err != nil {
+			outcomes = append(outcomes, r.Err.Error())
+		} else {
+			outcomes = append(outcomes, fmt.Sprintf("%d answers", len(r.Msg.Answers)))
+		}
+	})
+	clk.Run()
+	if len(outcomes) != 1 || outcomes[0] != "1 answers" {
+		t.Fatalf("outcomes = %q, want one answer", outcomes)
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/dnswire"
 	"repro/internal/netsim"
 )
 
@@ -206,6 +207,12 @@ func (c *Conn) Send(dst netsim.Addr, payload []byte) {
 	if ap, ok := c.dstAddrPort(dst); ok {
 		_, _ = c.pc.WriteToUDPAddrPort(payload, ap)
 	}
+}
+
+// SendMsg implements netsim.Conn: a socket carries bytes only, so it is
+// Send and the message is ignored.
+func (c *Conn) SendMsg(dst netsim.Addr, payload []byte, _ *dnswire.Message) {
+	c.Send(dst, payload)
 }
 
 // Serve reads packets and calls handler for each, on this goroutine and

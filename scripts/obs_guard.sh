@@ -26,7 +26,14 @@
 #     internal/recursive and internal/stub declare dnswire.Message fields
 #     only inside their workingSet type, the scratch each engine borrows
 #     from the network it attaches to, so a resolver or a stub client
-#     cannot grow per-instance scratch messages again.
+#     cannot grow per-instance scratch messages again;
+#   - one decode per engine (DESIGN.md §11.2): a simulated packet carries
+#     the message its sender packed, so non-test internal/recursive,
+#     internal/stub and internal/authoritative each call dnswire.Unpack*
+#     once, in the fallback for bytes that came alone (resolver.go,
+#     stub.go, server.go), and non-test internal/experiment twice, in its
+#     two taps' fallbacks (testbed.go, adversary.go), so no simulated hop
+#     grows a second decode.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -94,5 +101,21 @@ engines="$(ls internal/recursive/*.go internal/stub/*.go | grep -v '_test\.go$')
 stray="$(msgfields $engines)"
 [ -z "$stray" ] || fail "dnswire.Message field outside a workingSet (borrow the network's working set):
 $stray"
+
+# decodes DIR: dnswire.Unpack* calls in DIR's non-test files.
+decodes() {
+    # shellcheck disable=SC2046
+    count 'dnswire\.Unpack' $(ls "$1"/*.go | grep -v '_test\.go$')
+}
+for site in internal/recursive/resolver.go internal/stub/stub.go internal/authoritative/server.go \
+    internal/experiment/testbed.go internal/experiment/adversary.go; do
+    [ "$(count 'dnswire\.Unpack' "$site")" -eq 1 ] ||
+        fail "want one dnswire.Unpack* call in $site, the fallback for bytes without their message: $(grep -n 'dnswire\.Unpack' "$site")"
+done
+for pin in internal/recursive:1 internal/stub:1 internal/authoritative:1 internal/experiment:2; do
+    dir=${pin%:*} want=${pin#*:}
+    [ "$(decodes "$dir")" -eq "$want" ] ||
+        fail "want $want dnswire.Unpack* call(s) in non-test $dir (read the packet's message): $(grep -n 'dnswire\.Unpack' "$dir"/*.go | grep -v '_test\.go:')"
+done
 
 echo "obs-guard OK" >&2
