@@ -39,7 +39,11 @@ check: vet obs-guard facade-guard build cross race
 # messages only in a cell's working set, and one decode per engine: the
 # resolver, the stub and the authoritative each decode only bytes that
 # came without their message, the experiment only in its two taps'
-# fallbacks, so no simulated hop decodes twice. See scripts/obs_guard.sh.
+# fallbacks, so no simulated hop decodes twice; and no pack per UDP send:
+# the resolver, the stub and the authoritative pack only for TCP and for a
+# UDP reply whose uncompressed bound is over the client's limit (the TC=1
+# decision), handing every other message to SendMsg unpacked. See
+# scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
 
@@ -57,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpack$$' -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz '^FuzzPackUnpackRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz '^FuzzPackMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/dnswire
+	$(GO) test -run '^$$' -fuzz '^FuzzWireLenBound$$' -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz '^FuzzMasterFile$$' -fuzztime $(FUZZTIME) ./internal/zone
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/zone
 	$(GO) test -run '^$$' -fuzz '^FuzzZoneMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/zone

@@ -258,17 +258,17 @@ func (s *Server) handleWireAppend(payload []byte, tcp bool, dst []byte) []byte {
 	}
 	resp := msgPool.Get().(*dnswire.Message)
 	defer msgPool.Put(resp)
-	return s.reply(q, resp, payload, tcp, dst)
-}
-
-// reply answers q, which arrived as payload, into resp and packs it into
-// dst's storage; nil means nothing is sent. A UDP response over the
-// query's size limit is truncated in place (dnswire.Message.Truncate), so
-// resp is always the message the returned bytes were packed from.
-func (s *Server) reply(q, resp *dnswire.Message, payload []byte, tcp bool, dst []byte) []byte {
 	if !s.handle(q, resp) {
 		return nil
 	}
+	return s.pack(q, resp, payload, tcp, dst)
+}
+
+// pack packs resp, the answer to q, which arrived as payload, into dst's
+// storage; nil means nothing is sent. A UDP response over the query's
+// size limit is truncated in place (dnswire.Message.Truncate), so resp is
+// always the message the returned bytes were packed from.
+func (s *Server) pack(q, resp *dnswire.Message, payload []byte, tcp bool, dst []byte) []byte {
 	wire, err := resp.AppendPack(dst)
 	if err != nil {
 		return nil
@@ -381,29 +381,35 @@ func (s *Server) addDenialProof(resp *dnswire.Message, z *zone.Zone, q dnswire.Q
 // the answer and authority sections (RFC 4035 §3.1: signatures accompany
 // the data when the DO bit is set).
 func (s *Server) addSignatures(resp *dnswire.Message, z *zone.Zone) {
-	appendSigs := func(section []dnswire.RR) []dnswire.RR {
-		type setKey struct {
-			name string
-			t    dnswire.Type
+	resp.Answers = appendSigs(resp.Answers, z)
+	resp.Authorities = appendSigs(resp.Authorities, z)
+}
+
+// appendSigs appends to section the zone's RRSIGs over each RRset in it,
+// once per set: a record whose (name, type) an earlier record of the
+// section has is skipped. Sections are a handful of records, so the scan
+// back costs less than a set would.
+func appendSigs(section []dnswire.RR, z *zone.Zone) []dnswire.RR {
+	n := len(section)
+	for i := 0; i < n; i++ {
+		rr := section[i]
+		t := rr.Type()
+		if t == dnswire.TypeRRSIG || seenSet(section[:i], rr.Name, t) {
+			continue
 		}
-		seen := make(map[setKey]bool)
-		out := section
-		for _, rr := range section {
-			k := setKey{name: dnswire.CanonicalName(rr.Name), t: rr.Type()}
-			if seen[k] || k.t == dnswire.TypeRRSIG {
-				continue
-			}
-			seen[k] = true
-			for _, sigRR := range z.RRSet(k.name, dnswire.TypeRRSIG) {
-				if sig, ok := sigRR.Data.(dnswire.RRSIG); ok && sig.TypeCovered == k.t {
-					out = append(out, sigRR)
-				}
-			}
-		}
-		return out
+		z.AppendSigs(&section, dnswire.CanonicalName(rr.Name), t)
 	}
-	resp.Answers = appendSigs(resp.Answers)
-	resp.Authorities = appendSigs(resp.Authorities)
+	return section
+}
+
+// seenSet reports whether rrs hold a record of the set (name, t).
+func seenSet(rrs []dnswire.RR, name string, t dnswire.Type) bool {
+	for j := len(rrs) - 1; j >= 0; j-- {
+		if rrs[j].Type() == t && dnswire.CanonicalName(rrs[j].Name) == dnswire.CanonicalName(name) {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) answerFromZone(resp *dnswire.Message, z *zone.Zone, name string, qtype dnswire.Type, depth int) {
@@ -499,21 +505,54 @@ func (s *Server) receiveTCP(src netsim.Addr, payload []byte) {
 	wireBufPool.Put(bp)
 }
 
-// Deliver is the attached port's entry point (netsim.Host). A query that
-// came with its message is answered from it, and the reply goes out with
-// the message it was packed from. Bytes alone decode borrowed, so their
-// reply goes out as bytes only (see netsim.Conn).
+// Deliver is the attached port's entry point (netsim.Host).
 func (s *Server) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
+	s.serve(&s.port, src, payload, m)
+}
+
+// AttachAnycast announces the server at service from every site
+// (netsim.Network.BindAnycast). Each site answers the packets its
+// catchment delivers as Attach's port does, replying from service. Like
+// Attach, it hands the server the network's trace buffer.
+func (s *Server) AttachAnycast(net *netsim.Network, service netsim.Addr, sites []netsim.Addr) {
+	s.trace = net.Trace()
+	h := &anycastSite{s: s, port: net.BindAnycast(service, sites, nil)}
+	for _, site := range sites {
+		net.BindHost(site, h)
+	}
+}
+
+// anycastSite is the host bound at each site of an anycast service.
+type anycastSite struct {
+	s    *Server
+	port *netsim.Port
+}
+
+func (h *anycastSite) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
+	h.s.serve(h.port, src, payload, m)
+}
+
+// serve answers a UDP packet and replies through port. A query that came
+// with its message is answered from it, and the reply goes as a message:
+// unpacked when its uncompressed length fits the query's UDP limit, so
+// the packed one does too, else packed (and truncated if still over).
+// Bytes alone decode borrowed, so their reply goes as bytes only (see
+// netsim.Conn).
+func (s *Server) serve(port *netsim.Port, src netsim.Addr, payload []byte, m *dnswire.Message) {
 	bp := wireBufPool.Get().(*[]byte)
 	var out []byte
 	if m == nil {
 		if out = s.handleWireAppend(payload, false, (*bp)[:0]); out != nil {
-			s.port.Send(src, out)
+			port.Send(src, out)
 		}
 	} else {
 		resp := msgPool.Get().(*dnswire.Message)
-		if out = s.reply(m, resp, payload, false, (*bp)[:0]); out != nil {
-			s.port.SendMsg(src, out, resp)
+		if s.handle(m, resp) {
+			if bound, err := resp.WireLenBound(); err == nil && bound <= m.UDPPayloadLimit() {
+				port.SendMsg(src, nil, resp)
+			} else if out = s.pack(m, resp, payload, false, (*bp)[:0]); out != nil {
+				port.SendMsg(src, out, resp)
+			}
 		}
 		msgPool.Put(resp)
 	}

@@ -189,26 +189,36 @@ func (m *Message) mustPack(t testing.TB) []byte {
 // addCommittedCorpora seeds f with every input committed under
 // testdata/fuzz, whichever target it was found by.
 func addCommittedCorpora(f *testing.F) {
+	for _, data := range committedCorpora(f) {
+		f.Add(data)
+	}
+}
+
+// committedCorpora returns every input committed under testdata/fuzz.
+func committedCorpora(tb testing.TB) [][]byte {
+	tb.Helper()
 	files, err := filepath.Glob("testdata/fuzz/*/*")
 	if err != nil || len(files) == 0 {
-		f.Fatalf("no committed corpora: %v", err)
+		tb.Fatalf("no committed corpora: %v", err)
 	}
+	var out [][]byte
 	for _, name := range files {
 		raw, err := os.ReadFile(name)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		// "go test fuzz v1\n[]byte(<quoted>)\n"
 		_, body, ok := strings.Cut(string(raw), "\n[]byte(")
 		if !ok {
-			f.Fatalf("%s: not a one-[]byte corpus file", name)
+			tb.Fatalf("%s: not a one-[]byte corpus file", name)
 		}
 		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(body), ")"))
 		if err != nil {
-			f.Fatalf("%s: %v", name, err)
+			tb.Fatalf("%s: %v", name, err)
 		}
-		f.Add([]byte(s))
+		out = append(out, []byte(s))
 	}
+	return out
 }
 
 // FuzzPackMatchesReference asserts the encoder's compression table is

@@ -42,6 +42,8 @@ func (k DNSKEY) encode(b *builder) {
 	b.bytes(k.PublicKey)
 }
 
+func (k DNSKEY) wireLen() (int, error) { return 4 + len(k.PublicKey), nil }
+
 // RDataWire returns the record's RDATA in wire form (used for key-tag and
 // DS digest computation).
 func (k DNSKEY) RDataWire() []byte {
@@ -85,15 +87,20 @@ func (r RRSIG) Equal(other RData) bool {
 }
 
 func (r RRSIG) encode(b *builder) {
-	b.bytes(r.headerWire())
+	r.appendHeader(b)
 	b.bytes(r.Signature)
 }
 
-// headerWire is the RDATA up to and including the signer name — the part
-// that is also prepended to the signed data (RFC 4034 §3.1.8.1). The
-// signer name is never compressed.
-func (r RRSIG) headerWire() []byte {
-	b := newBuilder(false)
+func (r RRSIG) wireLen() (int, error) {
+	n, err := nameLen(r.SignerName)
+	return 18 + n + len(r.Signature), err
+}
+
+// appendHeader appends the RDATA up to and including the signer name —
+// the part that is also prepended to the signed data (RFC 4034
+// §3.1.8.1). The signer name is never compressed, and it registers no
+// suffix, so no later name of the message points into it.
+func (r RRSIG) appendHeader(b *builder) {
 	b.uint16(uint16(r.TypeCovered))
 	b.byte(r.Algorithm)
 	b.byte(r.Labels)
@@ -101,7 +108,16 @@ func (r RRSIG) headerWire() []byte {
 	b.uint32(r.Expiration)
 	b.uint32(r.Inception)
 	b.uint16(r.KeyTag)
+	compress := b.compress
+	b.compress = false
 	b.name(r.SignerName, false)
+	b.compress = compress
+}
+
+// headerWire returns appendHeader's bytes on their own.
+func (r RRSIG) headerWire() []byte {
+	b := newBuilder(false)
+	r.appendHeader(b)
 	return b.buf
 }
 

@@ -150,10 +150,62 @@ func (m *Message) PackUncompressed() ([]byte, error) {
 	return m.pack(nil, false)
 }
 
-func (m *Message) pack(dst []byte, compress bool) ([]byte, error) {
+// WireLenBound returns the length of m's encoding with every name
+// uncompressed (PackUncompressed's length), an upper bound on what Pack
+// produces, without encoding anything. Pack runs it first and refuses
+// what it refuses, with its error, so a sender that only needs to know
+// whether m fits a size limit can skip packing it.
+func (m *Message) WireLenBound() (int, error) {
 	if len(m.Questions) > 0xffff || len(m.Answers) > 0xffff ||
 		len(m.Authorities) > 0xffff || len(m.Additionals) > 0xffff {
-		return nil, fmt.Errorf("dnswire: section too large")
+		return 0, fmt.Errorf("dnswire: section too large")
+	}
+	n := 12 // header
+	for _, q := range m.Questions {
+		l, err := nameLen(q.Name)
+		if err != nil {
+			return 0, fmt.Errorf("dnswire: question %q: %w", q.Name, err)
+		}
+		n += l + 4
+	}
+	for _, sec := range [][]RR{m.Answers, m.Authorities, m.Additionals} {
+		for _, rr := range sec {
+			l, err := rrLen(rr)
+			if err != nil {
+				return 0, err
+			}
+			n += l
+		}
+	}
+	return n, nil
+}
+
+// rrLen validates rr and returns its uncompressed length. The builder
+// cannot faithfully encode a name with empty or oversized labels (it
+// would emit a premature terminator), so owner and rdata names are
+// refused rather than producing corrupt wire. Compression only shortens
+// names, so rdata within 64 KiB uncompressed fits packed too.
+func rrLen(rr RR) (int, error) {
+	if rr.Data == nil {
+		return 0, fmt.Errorf("dnswire: record %q has no data", rr.Name)
+	}
+	owner, err := nameLen(rr.Name)
+	if err != nil {
+		return 0, fmt.Errorf("dnswire: record %q: %w", rr.Name, err)
+	}
+	rdlen, err := rr.Data.wireLen()
+	if err != nil {
+		return 0, fmt.Errorf("dnswire: record %q rdata name: %w", rr.Name, err)
+	}
+	if rdlen > 0xffff {
+		return 0, fmt.Errorf("dnswire: rdata of %q too large (%d)", rr.Name, rdlen)
+	}
+	return owner + 10 + rdlen, nil
+}
+
+func (m *Message) pack(dst []byte, compress bool) ([]byte, error) {
+	if _, err := m.WireLenBound(); err != nil {
+		return nil, err
 	}
 	b := newBuilder(compress)
 	defer b.release()
@@ -165,62 +217,21 @@ func (m *Message) pack(dst []byte, compress bool) ([]byte, error) {
 	b.uint16(uint16(len(m.Additionals)))
 
 	for _, q := range m.Questions {
-		if err := ValidName(q.Name); err != nil {
-			return nil, fmt.Errorf("dnswire: question %q: %w", q.Name, err)
-		}
 		b.name(q.Name, true)
 		b.uint16(uint16(q.Type))
 		b.uint16(uint16(q.Class))
 	}
 	for _, sec := range [][]RR{m.Answers, m.Authorities, m.Additionals} {
 		for _, rr := range sec {
-			if err := packRR(b, rr); err != nil {
-				return nil, err
-			}
+			packRR(b, rr)
 		}
 	}
 	// The builder's buffer is pooled; hand the caller a copy.
 	return append(dst, b.buf...), nil
 }
 
-// validRDataNames checks the domain names embedded in the known rdata
-// types. The builder cannot faithfully encode a name with empty or
-// oversized labels (it would emit a premature terminator), so Pack
-// validates these like owner names and refuses rather than producing
-// corrupt wire.
-func validRDataNames(d RData) error {
-	switch v := d.(type) {
-	case NS:
-		return ValidName(v.Host)
-	case CNAME:
-		return ValidName(v.Target)
-	case PTR:
-		return ValidName(v.Target)
-	case MX:
-		return ValidName(v.Host)
-	case SOA:
-		if err := ValidName(v.MName); err != nil {
-			return err
-		}
-		return ValidName(v.RName)
-	case RRSIG:
-		return ValidName(v.SignerName)
-	case NSEC:
-		return ValidName(v.NextName)
-	}
-	return nil
-}
-
-func packRR(b *builder, rr RR) error {
-	if rr.Data == nil {
-		return fmt.Errorf("dnswire: record %q has no data", rr.Name)
-	}
-	if err := ValidName(rr.Name); err != nil {
-		return fmt.Errorf("dnswire: record %q: %w", rr.Name, err)
-	}
-	if err := validRDataNames(rr.Data); err != nil {
-		return fmt.Errorf("dnswire: record %q rdata name: %w", rr.Name, err)
-	}
+// packRR appends rr, which WireLenBound accepted.
+func packRR(b *builder, rr RR) {
 	b.name(rr.Name, true)
 	b.uint16(uint16(rr.Type()))
 	b.uint16(uint16(rr.Class))
@@ -228,12 +239,7 @@ func packRR(b *builder, rr RR) error {
 	lenAt := len(b.buf)
 	b.uint16(0) // rdlength placeholder
 	rr.Data.encode(b)
-	rdlen := len(b.buf) - lenAt - 2
-	if rdlen > 0xffff {
-		return fmt.Errorf("dnswire: rdata of %q too large (%d)", rr.Name, rdlen)
-	}
-	binary.BigEndian.PutUint16(b.buf[lenAt:], uint16(rdlen))
-	return nil
+	binary.BigEndian.PutUint16(b.buf[lenAt:], uint16(len(b.buf)-lenAt-2))
 }
 
 func (m *Message) flags() uint16 {

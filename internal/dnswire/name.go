@@ -86,33 +86,40 @@ func CountLabels(name string) int {
 	return n
 }
 
-// ValidName reports whether name is a syntactically valid canonical domain
-// name: each label 1..63 octets and total wire length within 255 octets.
+// ValidName reports whether name is a syntactically valid domain name:
+// each label 1..63 octets and total wire length within 255 octets.
 func ValidName(name string) error {
-	name = CanonicalName(name)
-	if name == "." {
-		return nil
+	_, err := nameLen(name)
+	return err
+}
+
+// nameLen validates name as ValidName does and returns the length of its
+// uncompressed wire encoding, in one scan: validity does not depend on
+// case, and a missing trailing dot counts as present, so the name need
+// not be canonicalized first.
+func nameLen(name string) (int, error) {
+	if name == "" || name == "." {
+		return 1, nil
 	}
 	wire := 1 // root terminator
-	start := 0
-	for i := 0; i < len(name); i++ {
-		if name[i] != '.' {
-			continue
+	for rest := name; rest != ""; {
+		l := strings.IndexByte(rest, '.')
+		if l < 0 {
+			l = len(rest) // the last label, without its dot
 		}
-		l := i - start
 		if l == 0 {
-			return ErrEmptyLabel
+			return 0, ErrEmptyLabel
 		}
 		if l > MaxLabelLen {
-			return ErrLabelTooLong
+			return 0, ErrLabelTooLong
 		}
 		wire += 1 + l
-		start = i + 1
+		rest = rest[min(l+1, len(rest)):]
 	}
 	if wire > MaxNameLen {
-		return ErrNameTooLong
+		return 0, ErrNameTooLong
 	}
-	return nil
+	return wire, nil
 }
 
 // Parent returns the name with its leftmost label removed. The parent of

@@ -48,26 +48,46 @@ func (n NSEC) Equal(other RData) bool {
 
 func (n NSEC) encode(b *builder) {
 	b.name(n.NextName, false) // never compressed (RFC 3597 / 4034)
-	// Type bitmap: window blocks of up to 32 octets.
-	types := append([]Type(nil), n.Types...)
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	i := 0
-	for i < len(types) {
-		window := byte(types[i] >> 8)
+	// Type bitmap: window blocks of up to 32 octets, in ascending order.
+	windows := nsecWindows(n.Types)
+	for w, octets := range windows {
+		if octets == 0 {
+			continue
+		}
 		var bitmap [32]byte
-		maxOctet := 0
-		for ; i < len(types) && byte(types[i]>>8) == window; i++ {
-			low := byte(types[i])
-			octet := int(low / 8)
-			bitmap[octet] |= 0x80 >> (low % 8)
-			if octet+1 > maxOctet {
-				maxOctet = octet + 1
+		for _, t := range n.Types {
+			if int(t>>8) == w {
+				bitmap[uint8(t)/8] |= 0x80 >> (uint8(t) % 8)
 			}
 		}
-		b.byte(window)
-		b.byte(byte(maxOctet))
-		b.bytes(bitmap[:maxOctet])
+		b.byte(byte(w))
+		b.byte(octets)
+		b.bytes(bitmap[:octets])
 	}
+}
+
+func (n NSEC) wireLen() (int, error) {
+	l, err := nameLen(n.NextName)
+	if err != nil {
+		return 0, err
+	}
+	for _, octets := range nsecWindows(n.Types) {
+		if octets > 0 {
+			l += 2 + int(octets)
+		}
+	}
+	return l, nil
+}
+
+// nsecWindows returns the octets each window block of the types' bitmap
+// needs, 0 for a window no type falls in.
+func nsecWindows(types []Type) (octets [256]uint8) {
+	for _, t := range types {
+		if o := uint8(t)/8 + 1; o > octets[t>>8] {
+			octets[t>>8] = o
+		}
+	}
+	return octets
 }
 
 // decodeNSEC parses an NSEC RDATA.

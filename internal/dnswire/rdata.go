@@ -21,6 +21,9 @@ type RData interface {
 	Equal(other RData) bool
 
 	encode(b *builder)
+	// wireLen is the length of the uncompressed encoding, or the error of
+	// an embedded name ValidName refuses (Pack cannot encode one).
+	wireLen() (int, error)
 }
 
 // A is an IPv4 address record.
@@ -44,6 +47,8 @@ func (a A) encode(b *builder) {
 	b.bytes(v4[:])
 }
 
+func (A) wireLen() (int, error) { return 4, nil }
+
 // AAAA is an IPv6 address record.
 type AAAA struct {
 	Addr netip.Addr
@@ -65,6 +70,8 @@ func (a AAAA) encode(b *builder) {
 	b.bytes(v6[:])
 }
 
+func (AAAA) wireLen() (int, error) { return 16, nil }
+
 // NS names an authoritative nameserver for the owner zone.
 type NS struct {
 	Host string
@@ -82,6 +89,8 @@ func (n NS) Equal(other RData) bool {
 }
 
 func (n NS) encode(b *builder) { b.name(n.Host, true) }
+
+func (n NS) wireLen() (int, error) { return nameLen(n.Host) }
 
 // CNAME aliases the owner name to Target.
 type CNAME struct {
@@ -101,6 +110,8 @@ func (c CNAME) Equal(other RData) bool {
 
 func (c CNAME) encode(b *builder) { b.name(c.Target, true) }
 
+func (c CNAME) wireLen() (int, error) { return nameLen(c.Target) }
+
 // PTR points the owner name at Target (reverse mapping).
 type PTR struct {
 	Target string
@@ -118,6 +129,8 @@ func (p PTR) Equal(other RData) bool {
 }
 
 func (p PTR) encode(b *builder) { b.name(p.Target, true) }
+
+func (p PTR) wireLen() (int, error) { return nameLen(p.Target) }
 
 // MX names a mail exchanger with a preference.
 type MX struct {
@@ -139,6 +152,11 @@ func (m MX) Equal(other RData) bool {
 func (m MX) encode(b *builder) {
 	b.uint16(m.Pref)
 	b.name(m.Host, true)
+}
+
+func (m MX) wireLen() (int, error) {
+	n, err := nameLen(m.Host)
+	return 2 + n, err
 }
 
 // TXT carries one or more character strings.
@@ -176,6 +194,14 @@ func (t TXT) encode(b *builder) {
 		b.byte(uint8(len(s)))
 		b.bytes([]byte(s))
 	}
+}
+
+func (t TXT) wireLen() (int, error) {
+	n := 0
+	for _, s := range t.Strings {
+		n += 1 + len(s)
+	}
+	return n, nil
 }
 
 // SOA is the start-of-authority record for a zone. Minimum doubles as the
@@ -217,6 +243,15 @@ func (s SOA) encode(b *builder) {
 	b.uint32(s.Minimum)
 }
 
+func (s SOA) wireLen() (int, error) {
+	m, err := nameLen(s.MName)
+	if err != nil {
+		return 0, err
+	}
+	r, err := nameLen(s.RName)
+	return m + r + 20, err
+}
+
 // DS is a delegation-signer digest, stored at the parent side of a
 // delegation. (Used for the Figure 5 Root/"nl DS" workload.)
 type DS struct {
@@ -248,6 +283,8 @@ func (d DS) encode(b *builder) {
 	b.bytes(d.Digest)
 }
 
+func (d DS) wireLen() (int, error) { return 4 + len(d.Digest), nil }
+
 // OPT is the EDNS0 pseudo-record (RFC 6891). Only the UDP payload size is
 // interpreted; options are carried opaquely.
 type OPT struct {
@@ -266,6 +303,8 @@ func (o OPT) Equal(other RData) bool {
 }
 
 func (o OPT) encode(b *builder) { b.bytes(o.Options) }
+
+func (o OPT) wireLen() (int, error) { return len(o.Options), nil }
 
 // Unknown carries the raw RDATA of a record type this package does not
 // interpret. It round-trips losslessly.
@@ -288,6 +327,8 @@ func (u Unknown) Equal(other RData) bool {
 }
 
 func (u Unknown) encode(b *builder) { b.bytes(u.Data) }
+
+func (u Unknown) wireLen() (int, error) { return len(u.Data), nil }
 
 // MustAddr parses s as an IP address and panics on failure. It is a
 // convenience for building fixture records.

@@ -146,7 +146,7 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 		isVictim[a] = true
 	}
 	var tapMsg dnswire.Message
-	tb.Net.AddTap(func(ev netsim.Event) {
+	tb.Net.AddMsgTap(func(ev netsim.Event) {
 		if !isVictim[ev.Dst] {
 			return
 		}

@@ -21,11 +21,13 @@ import (
 const carriedProbes = 48
 
 // TestCarriedMessageMatchesWire runs every committed spec at toy size
-// with a tap on every cell's network. For each packet that came with the
-// message its sender packed, the tap decodes the bytes and compares the
-// result with that message: header, questions, and every record's name,
-// class, TTL, type and data. Engines read the carried message instead of
-// decoding, so any difference would be a difference in behaviour.
+// with a byte tap on every cell's network, so the network packs every
+// message it is handed at send. For each packet that carries a message,
+// the tap decodes the bytes and compares the result with that message at
+// arrival: header, questions, and every record's name, class, TTL, type
+// and data. Engines read the carried message instead of decoding, so any
+// difference (a sender packing something else, or changing what a sent
+// message shares before it arrives) would be a difference in behaviour.
 func TestCarriedMessageMatchesWire(t *testing.T) {
 	root := filepath.Join("..", "..", "examples", "specs")
 	var paths []string
@@ -90,6 +92,52 @@ func TestCarriedMessageMatchesWire(t *testing.T) {
 			}
 			t.Logf("%d runs, %d testbeds, %d packets checked", len(items), testbeds.Load(), carried.Load())
 		})
+	}
+}
+
+// TestUntracedCellPacksNothing runs the DDoS experiment H cell and the
+// caching cells untraced at toy size, with a message tap that counts the
+// packets whose bytes exist at arrival: every engine there hands its
+// messages over unpacked and nothing reads bytes, so none is packed.
+func TestUntracedCellPacksNothing(t *testing.T) {
+	for _, c := range []struct{ file, run string }{
+		{"03-ddos.json", "paper-H"}, {"01-caching.json", ""},
+	} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "examples", "specs", "paper", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := spec.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, err := spec.CompileAll(s, c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range items {
+			if c.run != "" && it.Name != c.run {
+				continue
+			}
+			var packets, packed atomic.Int64 // cells may run in parallel
+			tap := func(tb *experiment.Testbed) {
+				tb.Net.AddMsgTap(func(ev netsim.Event) {
+					packets.Add(1)
+					if ev.Payload != nil {
+						packed.Add(1)
+					}
+				})
+			}
+			cfg := it.Config
+			cfg.Probes = carriedProbes
+			if _, err := experiment.Run(context.Background(), it.Scenario, experiment.WithTestbedHook(cfg, tap)); err != nil {
+				t.Fatalf("%s: %v", it.Name, err)
+			}
+			if packets.Load() == 0 || packed.Load() != 0 {
+				t.Errorf("%s, run %s: %d of %d packets packed, want 0 of > 0", c.file, it.Name, packed.Load(), packets.Load())
+			}
+			t.Logf("%s: %d packets, none packed", it.Name, packets.Load())
+		}
 	}
 }
 

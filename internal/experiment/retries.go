@@ -76,7 +76,7 @@ func runRetriesTestbed(base TestbedConfig) (*RetriesResult, *Testbed) {
 
 	// A trial's queries are told apart by their source: its resolver.
 	rowOf := make(map[netsim.Addr]int, probes)
-	tb.Net.AddTap(func(ev netsim.Event) {
+	tb.Net.AddMsgTap(func(ev netsim.Event) {
 		ri, ok := rowOf[ev.Src]
 		if !ok {
 			return

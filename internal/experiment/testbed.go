@@ -379,7 +379,7 @@ func (tb *Testbed) buildZones() {
 		for s := range sites {
 			sites[s] = rootSiteAddr(i, s)
 		}
-		attachAnycastAuth(tb.Net, rootSrv, rootLetterAddr(i), sites)
+		rootSrv.AttachAnycast(tb.Net, rootLetterAddr(i), sites)
 	}
 	tldSrv := &servers[1]
 	tldSrv.Init(nlZone)
@@ -390,19 +390,6 @@ func (tb *Testbed) buildZones() {
 		srv.Init(tb.AuthZone)
 		srv.Attach(tb.Net, addr)
 		tb.Auths = append(tb.Auths, srv)
-	}
-}
-
-// attachAnycastAuth binds srv at every site, replying from the anycast
-// service address.
-func attachAnycastAuth(net *netsim.Network, srv *authoritative.Server, service netsim.Addr, sites []netsim.Addr) {
-	port := net.BindAnycast(service, sites, nil)
-	for _, site := range sites {
-		net.Bind(site, func(src netsim.Addr, payload []byte) {
-			if out := srv.HandleWire(payload); out != nil {
-				port.Send(src, out)
-			}
-		})
 	}
 }
 
@@ -454,7 +441,7 @@ func (tb *Testbed) installTap() {
 	// as bytes alone into one scratch message: the simulator delivers
 	// packets on a single goroutine and the tap retains nothing.
 	var tapMsg dnswire.Message
-	tb.Net.AddTap(func(ev netsim.Event) {
+	tb.Net.AddMsgTap(func(ev netsim.Event) {
 		dst, isAuth := authIdx[ev.Dst]
 		if !isAuth {
 			return

@@ -6,11 +6,14 @@
 // before the drop decision (the paper measures queries "before they are
 // dropped by our simulated DDoS", §6.1).
 //
-// A UDP packet carries the bytes its sender packed and, when the sender
-// handed it over (SendMsg), a packet-owned copy of the dnswire.Message
-// those bytes were packed from. Receivers and taps read that message and
-// decode the bytes only when none came with the packet; every byte-based
-// reading (sizes, the MTU, trace attribution) still reads the bytes.
+// A UDP packet is either bytes (Send) or a dnswire.Message (SendMsg), of
+// which it carries a packet-owned copy; receivers and taps read that copy
+// and decode only bytes that came alone. A sender hands over its message
+// unpacked, and the network packs it only for a reader of bytes: at send
+// when the network has a byte tap (AddTap) or a trace buffer, or the
+// destination a path MTU; at arrival when the destination is a raw host
+// (Bind), or such a reader appeared while the packet was in flight. Every
+// size that is read (the MTU, a byte count) is so the exact packed size.
 //
 // A Network belongs to the goroutine that owns its clock (see package
 // clock): nothing here locks, and hosts are called from that goroutine's
@@ -36,9 +39,11 @@ import (
 type Addr string
 
 // Event describes one packet arrival as seen by a tap, before the inbound
-// loss decision is applied. Msg is the message Payload was packed from,
-// nil when the sender handed over bytes only; a tap decodes Payload only
-// then. Neither outlives the tap call.
+// loss decision is applied. Msg is the packet's message, nil when the
+// sender handed over bytes only; a tap decodes Payload only then. Payload
+// is the packet's bytes: always set for a byte tap (AddTap), nil for a
+// message tap (AddMsgTap) when the packet was never packed. Neither
+// outlives the tap call.
 type Event struct {
 	Time    time.Time
 	Src     Addr
@@ -71,8 +76,8 @@ type Stats struct {
 // Send and SendMsg copy what they are handed into the packet, so a sender
 // may reuse its buffer and message at once; the receiver and the taps see
 // the packet's copies, valid for the duration of their call only. Every
-// engine in this repository packs a fresh message per send, hands it over
-// with SendMsg, and decodes on arrival only what came as bytes alone.
+// engine in this repository hands its messages over unpacked with
+// SendMsg, and decodes on arrival only what came as bytes alone.
 type Network struct {
 	clk clock.Clock
 	// argClk is clk's closure-free scheduling extension, when available
@@ -85,7 +90,8 @@ type Network struct {
 	inLoss  map[Addr]float64
 	pairs   map[[2]Addr]time.Duration
 	latency LatencyFunc
-	taps    []func(Event)
+	taps    []func(Event) // byte taps: every packet is packed at send
+	msgTaps []func(Event)
 	anycast map[Addr]*anycastGroup
 	// trace and timeline are the cell's observers (see SetTrace).
 	trace    *trace.Buffer
@@ -182,15 +188,17 @@ func (n *Network) defaultLatency(src, dst Addr, rng *rand.Rand) time.Duration {
 }
 
 // Host receives the UDP packets delivered to its address. m is the
-// packet's copy of the message the sender packed into payload, or nil when
-// the sender handed over bytes only (Send); a host decodes payload only
-// then. Neither outlives the call, and m is the host's to modify.
+// packet's copy of the sender's message, or nil when the sender handed
+// over bytes only (Send); a host decodes payload only then. With m set,
+// payload is its packed form if something needed the bytes, and nil
+// otherwise. Neither outlives the call, and m is the host's to modify.
 type Host interface {
 	Deliver(src Addr, payload []byte, m *dnswire.Message)
 }
 
 // rawHost is a receiver of bytes only: Bind's func, ignoring the message.
 // A func is pointer-shaped, so storing one as a Host allocates nothing.
+// The network packs every message addressed to one on its arrival.
 type rawHost func(src Addr, payload []byte)
 
 func (f rawHost) Deliver(src Addr, payload []byte, _ *dnswire.Message) { f(src, payload) }
@@ -283,9 +291,17 @@ func (n *Network) SetPairDelay(a, b Addr, oneWay time.Duration) {
 }
 
 // AddTap registers an observer called for every packet arrival, including
-// ones dropped by inbound loss.
+// ones dropped by inbound loss, with the packet's bytes: while a byte tap
+// is registered, the network packs every message it is handed at send.
 func (n *Network) AddTap(tap func(Event)) {
 	n.taps = append(n.taps, tap)
+}
+
+// AddMsgTap is AddTap for an observer that reads Event.Msg, and Payload
+// only when Msg is nil: it forces no packing, so Payload is nil for a
+// packet that was never packed.
+func (n *Network) AddMsgTap(tap func(Event)) {
+	n.msgTaps = append(n.msgTaps, tap)
 }
 
 // Stats returns a snapshot of the cumulative counters.
@@ -316,7 +332,7 @@ func (n *Network) CollectMetrics(s metrics.Scope) {
 type packet struct {
 	net      *Network
 	src, dst Addr
-	payload  []byte // aliases buf; valid until the packet is recycled
+	payload  []byte // aliases buf, nil until packed; valid until recycled
 	buf      []byte // owned storage, reused across packets
 	// msg is the copy of the sender's message when hasMsg; its section
 	// slices are owned storage like buf.
@@ -339,6 +355,26 @@ func (p *packet) carry(m *dnswire.Message) {
 	p.hasMsg = true
 }
 
+// bytes returns the packet's payload, packing its message into the
+// packet's buffer first if it came unpacked.
+func (p *packet) bytes() []byte {
+	if p.payload == nil && p.hasMsg {
+		p.buf = mustPack(&p.msg, p.buf[:0])
+		p.payload = p.buf
+	}
+	return p.payload
+}
+
+// mustPack appends m packed to dst. A sender hands over only messages
+// that pack (see Conn), so a failure is a broken sender.
+func mustPack(m *dnswire.Message, dst []byte) []byte {
+	wire, err := m.AppendPack(dst)
+	if err != nil {
+		panic("netsim: a message handed to SendMsg does not pack: " + err.Error())
+	}
+	return wire
+}
+
 // deliverPacket is the static arrival callback handed to ArgScheduler.
 // The packet (and the payload and message it owns) is recycled only after
 // the receiver ran: receivers may read both for the duration of the call
@@ -349,43 +385,45 @@ func deliverPacket(arg any) {
 	if p.tcp {
 		n.arriveTCP(p.src, p.dst, p.payload)
 	} else {
-		var m *dnswire.Message
-		if p.hasMsg {
-			m = &p.msg
-		}
-		n.arrive(p.src, p.dst, p.payload, m)
+		n.arrive(p)
 	}
 	p.src, p.dst, p.payload, p.hasMsg, p.tcp = "", "", nil, false, false
 	p.next, n.pktFree = n.pktFree, p
 }
 
-// deliverAfter copies payload, and m when set, and schedules their
-// arrival at dst on the UDP or TCP plane. The TCP plane and a clock
-// without ArgScheduler carry the bytes only.
+// deliverAfter schedules the arrival at dst, on the UDP or TCP plane, of
+// a packet holding a copy of payload, or of m when payload is nil; m is
+// packed at once when bytes will be read (bytesAtSend).
 func (n *Network) deliverAfter(delay time.Duration, src, dst Addr, payload []byte, m *dnswire.Message, tcp bool) {
-	if n.argClk == nil {
-		buf := append([]byte(nil), payload...)
-		n.clk.AfterFunc(delay, func() {
-			if tcp {
-				n.arriveTCP(src, dst, buf)
-			} else {
-				n.arrive(src, dst, buf, nil)
-			}
-		})
-		return
-	}
 	p := n.pktFree
 	if p == nil {
 		p = &packet{net: n}
 	} else {
 		n.pktFree, p.next = p.next, nil
 	}
-	p.buf = append(p.buf[:0], payload...)
-	p.src, p.dst, p.payload, p.tcp = src, dst, p.buf, tcp
-	if m != nil && !tcp {
+	p.src, p.dst, p.tcp = src, dst, tcp
+	if payload != nil || m == nil {
+		p.buf = append(p.buf[:0], payload...)
+		p.payload = p.buf
+	}
+	if m != nil {
 		p.carry(m)
+		if n.bytesAtSend(dst) {
+			p.bytes()
+		}
+	}
+	if n.argClk == nil {
+		n.clk.AfterFunc(delay, func() { deliverPacket(p) })
+		return
 	}
 	n.argClk.AfterFuncArg(delay, deliverPacket, p)
+}
+
+// bytesAtSend reports whether a packet to dst must be packed when it is
+// sent: a byte tap or the trace reads every packet's bytes, and a path MTU
+// its size. The MTU map is read only when some destination has one.
+func (n *Network) bytesAtSend(dst Addr) bool {
+	return len(n.taps) > 0 || n.trace != nil || len(n.mtu) > 0 && n.mtu[dst] > 0
 }
 
 // Send schedules delivery of payload from src to dst after the modeled
@@ -400,11 +438,12 @@ func (n *Network) Send(src, dst Addr, payload []byte) {
 	n.SendMsg(src, dst, payload, nil)
 }
 
-// SendMsg is Send handing over m, the message payload was packed from, as
-// well: the packet carries a copy of it, so neither the receiver nor a
-// tap decodes. m must be exactly what was packed, and its names must not
-// alias storage that changes before the packet arrives (see Conn). A nil
-// m is Send.
+// SendMsg is Send handing over m: the packet carries a copy of it, so
+// neither the receiver nor a tap decodes. With a nil payload the network
+// packs m only if something reads the packet's bytes; otherwise payload
+// must be exactly m packed. m must pack (dnswire.Message.WireLenBound
+// checks it without packing), and its names must not alias storage that
+// changes before the packet arrives (see Conn). A nil m is Send.
 func (n *Network) SendMsg(src, dst Addr, payload []byte, m *dnswire.Message) {
 	// Anycast destinations resolve to the catchment-selected site; both
 	// latency and the inbound loss decision are the site's.
@@ -420,13 +459,18 @@ func (n *Network) pairDelay(src, dst Addr) time.Duration {
 	return n.latency(src, dst, n.rng)
 }
 
-func (n *Network) arrive(src, dst Addr, payload []byte, m *dnswire.Message) {
+// arrive applies the inbound loss and the path MTU to p and hands it to
+// its destination's host and to the taps. A packet still unpacked is
+// packed here if a reader of bytes appeared while it was in flight, or
+// its destination is a raw host.
+func (n *Network) arrive(p *packet) {
+	src, dst := p.src, p.dst
 	loss := n.inLoss[dst]
 	dropped := loss > 0 && n.rng.Float64() < loss
 	// Datagrams over the path MTU never arrive: the collapsed model of
 	// fragmentation loss (SetPathMTU). Checked after the loss draw so
 	// enabling an MTU does not shift the RNG stream of lossy paths.
-	if m := n.mtu[dst]; !dropped && m > 0 && len(payload) > m {
+	if mtu := n.mtu[dst]; !dropped && mtu > 0 && len(p.bytes()) > mtu {
 		dropped = true
 		n.stats.MTUDropped++
 	}
@@ -449,14 +493,24 @@ func (n *Network) arrive(src, dst Addr, payload []byte, m *dnswire.Message) {
 	default:
 		n.stats.Delivered++
 	}
+	if _, raw := recv.(rawHost); raw || len(n.taps) > 0 || n.trace != nil {
+		p.bytes()
+	}
 
-	n.event(arrival(dropped), src, dst, payload)
-	ev := Event{Time: n.clk.Now(), Src: src, Dst: dst, Payload: payload, Msg: m, Dropped: dropped}
+	n.event(arrival(dropped), src, dst, p.payload)
+	var m *dnswire.Message
+	if p.hasMsg {
+		m = &p.msg
+	}
+	ev := Event{Time: n.clk.Now(), Src: src, Dst: dst, Payload: p.payload, Msg: m, Dropped: dropped}
 	for _, tap := range n.taps {
 		tap(ev)
 	}
+	for _, tap := range n.msgTaps {
+		tap(ev)
+	}
 	if !dropped && recv != nil {
-		recv.Deliver(src, payload, m)
+		recv.Deliver(src, p.payload, m)
 	}
 }
 
@@ -474,24 +528,28 @@ func (p *Port) Send(dst Addr, payload []byte) {
 	p.net.SendMsg(p.addr, dst, payload, nil)
 }
 
-// SendMsg transmits payload with m, the message it was packed from.
+// SendMsg transmits m, with payload its packed form or nil (see
+// Network.SendMsg).
 func (p *Port) SendMsg(dst Addr, payload []byte, m *dnswire.Message) {
 	p.net.SendMsg(p.addr, dst, payload, m)
 }
 
 // Conn is the transport contract the DNS engines program against: the
 // simulator's Port implements it, and cmd/ wraps real UDP sockets in it.
-// Conn is the transport half a protocol endpoint needs. Send and SendMsg
-// must copy (or otherwise finish with) what they are handed before
-// returning, so callers can recycle one buffer and one message across
-// sends; Network.Send and UDP writes both do.
+// Send and SendMsg must copy (or otherwise finish with) what they are
+// handed before returning, so callers can recycle one buffer and one
+// message across sends; Network.Send and UDP writes both do.
 //
-// SendMsg hands over m, the message payload was packed from (after
-// truncation, the TC=1 message), so a simulated receiver need not decode;
-// a transport that carries bytes only ignores m. The packet's copy of m
-// is shallow: m's names and record data must not change before the packet
-// arrives. So a reply built from a query decoded with
-// dnswire.UnpackBorrow, whose names alias pooled storage, goes with Send.
+// SendMsg(dst, nil, m) hands over a message and means "the transport
+// packs m if it needs bytes": a socket or the TCP plane packs it at once,
+// the simulated UDP plane carries a copy and packs only for a reader of
+// bytes. The sender checks that m packs (dnswire.Message.WireLenBound)
+// before handing it over. A sender that packed anyway (a TC=1 decision
+// read the size) passes the bytes too, and they must be m packed. The
+// packet's copy of m is shallow: m's names and record data must not
+// change before the packet arrives. So a reply built from a query decoded
+// with dnswire.UnpackBorrow, whose names alias pooled storage, goes as
+// bytes with Send.
 type Conn interface {
 	Addr() Addr
 	Send(dst Addr, payload []byte)

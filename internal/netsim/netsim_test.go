@@ -297,3 +297,65 @@ func TestSendMsgCarriesCopy(t *testing.T) {
 		t.Errorf("a steady-state SendMsg allocates %.1f objects, want 0", n)
 	}
 }
+
+// TestPackOnlyForByteReaders: a message handed over without bytes stays
+// unpacked on its way to a message host and a message tap; a raw host
+// receives exactly Pack(m) as m was at send, though the sender changed m
+// at once; and a path MTU, set at send or while the packet is in flight,
+// is applied to the packed size.
+func TestPackOnlyForByteReaders(t *testing.T) {
+	clk, net := newNet()
+	m := dnswire.NewQuery(7, "a.example.", dnswire.TypeA)
+	want, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &msgHost{}
+	port := net.BindHost("b", h)
+	var raw [][]byte
+	net.Bind("c", func(_ Addr, payload []byte) { raw = append(raw, append([]byte(nil), payload...)) })
+	var packed int
+	net.AddMsgTap(func(ev Event) {
+		if ev.Payload != nil {
+			packed++
+		}
+	})
+	net.SendMsg("a", "b", nil, m)
+	net.SendMsg("a", "c", nil, m)
+	m.ID, m.Questions[0].Name = 8, "b.example."
+	clk.Run()
+	if len(h.got) != 1 || h.got[0] == nil || h.got[0].ID != 7 {
+		t.Fatalf("message host got %v, want the message with ID 7", h.got)
+	}
+	if len(raw) != 1 || string(raw[0]) != string(want) {
+		t.Fatalf("raw host got %x, want Pack(m) at send %x", raw, want)
+	}
+	if packed != 1 {
+		t.Errorf("the message tap saw %d packed packets, want 1 (the raw host's)", packed)
+	}
+
+	m.ID, m.Questions[0].Name = 7, "a.example."
+	net.SetPathMTU("c", len(want)-1)
+	net.SendMsg("a", "c", nil, m) // packed at send for the MTU
+	net.SetPathMTU("b", 0)
+	net.SendMsg("a", "b", nil, m)
+	net.SetPathMTU("b", len(want)-1) // set while the packet is in flight
+	clk.Run()
+	if s := net.Stats(); s.MTUDropped != 2 || len(raw) != 1 || len(h.got) != 1 {
+		t.Errorf("MTU drops %d, raw deliveries %d, message deliveries %d; want 2, 1, 1", s.MTUDropped, len(raw), len(h.got))
+	}
+
+	net.SetPathMTU("b", 0)
+	net.BindHost("b", nopHost{})
+	if n := testing.AllocsPerRun(100, func() {
+		port.SendMsg("b", nil, m)
+		clk.Run()
+	}); n != 0 {
+		t.Errorf("a steady-state unpacked SendMsg allocates %.1f objects, want 0", n)
+	}
+}
+
+// nopHost ignores what it is delivered.
+type nopHost struct{}
+
+func (nopHost) Deliver(Addr, []byte, *dnswire.Message) {}

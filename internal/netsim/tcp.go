@@ -158,6 +158,7 @@ func (n *Network) arriveTCP(src, dst Addr, payload []byte) {
 type TCPPort struct {
 	net  *Network
 	addr Addr
+	buf  []byte // SendMsg's packing buffer (SendTCP copies)
 }
 
 // Addr returns the bound address.
@@ -168,8 +169,13 @@ func (p *TCPPort) Send(dst Addr, payload []byte) {
 	p.net.SendTCP(p.addr, dst, payload)
 }
 
-// SendMsg is Send: the TCP plane carries bytes only.
-func (p *TCPPort) SendMsg(dst Addr, payload []byte, _ *dnswire.Message) {
+// SendMsg is Send: the TCP plane carries bytes only, so a message handed
+// over without them is packed here.
+func (p *TCPPort) SendMsg(dst Addr, payload []byte, m *dnswire.Message) {
+	if payload == nil && m != nil {
+		p.buf = mustPack(m, p.buf[:0])
+		payload = p.buf
+	}
 	p.net.SendTCP(p.addr, dst, payload)
 }
 

@@ -641,9 +641,9 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	} else if do {
 		q.AddEDNS(4096, true)
 	}
-	wire, err := q.AppendPack(ws.packBuf[:0])
-	ws.packBuf = wire[:0]
-	if err != nil {
+	// A UDP query goes as its message (the transport packs it if it
+	// needs bytes); the bound refuses exactly what packing would.
+	if _, err := q.WireLenBound(); err != nil {
 		r.landed(oq)
 		r.putOQ(oq, true) // no timer armed yet
 		t.rotate(fwd)
@@ -651,10 +651,12 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	}
 	oq.timer = clock.AfterFuncRef(r.clk, t.timeout, outqueryTimeout, oq)
 	if tcp {
+		wire, _ := q.AppendPack(ws.packBuf[:0]) // the bound accepted q
+		ws.packBuf = wire[:0]
 		r.tcpConn.Send(server, wire)
 		return
 	}
-	r.conn.SendMsg(server, wire, q)
+	r.conn.SendMsg(server, nil, q)
 }
 
 // outqueryTimeout is the static timeout callback armed by send. A node

@@ -170,28 +170,32 @@ func (r *Resolver) buildResponseInto(resp, q *dnswire.Message, res Result) *dnsw
 	return resp
 }
 
-// respond packs and transmits resp to dst, with the message it packed.
-// UDP responses larger than the size the client's query advertised (512
-// octets without an OPT record) are truncated in place (resp is the
-// caller's scratch, discarded after): data sections stripped, TC set, and
-// the OPT record kept so the client can renegotiate or fall back to TCP.
-// TCP responses are never truncated.
+// respond transmits resp to dst. A UDP response goes as its message
+// when its uncompressed length (dnswire.Message.WireLenBound) fits the
+// size the client's query advertised (512 octets without an OPT record),
+// so the packed one fits too. Otherwise it is packed, and if it is still
+// over the limit it is truncated in place (resp is the caller's scratch,
+// discarded after): data sections stripped, TC set, and the OPT record
+// kept so the client can renegotiate or fall back to TCP. TCP responses
+// are never truncated.
 func (r *Resolver) respond(dst netsim.Addr, resp, q *dnswire.Message, tcp bool) {
-	ws := r.work()
-	wire, err := resp.AppendPack(ws.packBuf[:0])
-	ws.packBuf = wire[:0]
+	bound, err := resp.WireLenBound()
 	if err != nil {
 		return
 	}
-	if limit := q.UDPPayloadLimit(); !tcp && len(wire) > limit {
-		qname := ""
-		if len(q.Questions) == 1 {
-			qname = q.Questions[0].Name
-		}
-		r.event(kClientTruncated, payload{probe: qname, a: uint32(len(wire)), b: uint32(limit), dst: dst})
-		resp.Truncate()
-		if wire, err = resp.AppendPack(wire[:0]); err != nil {
-			return
+	var wire []byte
+	if limit := q.UDPPayloadLimit(); tcp || bound > limit {
+		ws := r.work()
+		wire, _ = resp.AppendPack(ws.packBuf[:0]) // the bound accepted resp
+		ws.packBuf = wire[:0]
+		if !tcp && len(wire) > limit {
+			qname := ""
+			if len(q.Questions) == 1 {
+				qname = q.Questions[0].Name
+			}
+			r.event(kClientTruncated, payload{probe: qname, a: uint32(len(wire)), b: uint32(limit), dst: dst})
+			resp.Truncate()
+			wire = nil
 		}
 	}
 	if tcp && r.tcpConn != nil {

@@ -299,9 +299,9 @@ func (c *Client) sendAttempt(p *pending) {
 	if c.cfg.EDNSSize > 0 {
 		q.AddEDNS(c.cfg.EDNSSize, false)
 	}
-	wire, err := q.AppendPack(ws.packBuf[:0])
-	ws.packBuf = wire[:0]
-	if err != nil {
+	// A UDP query goes as its message (the transport packs it if it
+	// needs bytes); the bound refuses exactly what packing would.
+	if _, err := q.WireLenBound(); err != nil {
 		delete(c.inflight, p.id)
 		p.h.Done(Result{Err: err, Server: p.server})
 		c.release(p, true) // no timer armed for this attempt
@@ -309,10 +309,12 @@ func (c *Client) sendAttempt(p *pending) {
 	}
 	p.timer = clock.AfterFuncRef(c.clk, c.cfg.Timeout, attemptTimeout, p)
 	if p.tcp {
+		wire, _ := q.AppendPack(ws.packBuf[:0]) // the bound accepted q
+		ws.packBuf = wire[:0]
 		c.tcpConn.Send(p.server, wire)
 		return
 	}
-	c.conn.SendMsg(p.server, wire, q)
+	c.conn.SendMsg(p.server, nil, q)
 }
 
 // attemptTimeout is the static timeout callback armed by sendAttempt. A

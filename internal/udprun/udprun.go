@@ -137,6 +137,10 @@ type Conn struct {
 	srcs  map[netip.AddrPort]netsim.Addr // what Serve hands its handler
 	dsts  map[netsim.Addr]netip.AddrPort // what Send writes to
 	zones map[int]string                 // v6 scope id to zone, made by the Linux reader
+
+	// wmu guards wbuf, SendMsg's packing buffer, for the same reason.
+	wmu  sync.Mutex
+	wbuf []byte
 }
 
 // Listen binds a UDP socket on listen (e.g. ":5300" or "127.0.0.1:0").
@@ -209,10 +213,22 @@ func (c *Conn) Send(dst netsim.Addr, payload []byte) {
 	}
 }
 
-// SendMsg implements netsim.Conn: a socket carries bytes only, so it is
-// Send and the message is ignored.
-func (c *Conn) SendMsg(dst netsim.Addr, payload []byte, _ *dnswire.Message) {
-	c.Send(dst, payload)
+// SendMsg implements netsim.Conn: a socket carries bytes only, so a
+// message handed over without them is packed into the Conn's one reused
+// buffer, and the message is otherwise ignored.
+func (c *Conn) SendMsg(dst netsim.Addr, payload []byte, m *dnswire.Message) {
+	if payload != nil || m == nil {
+		c.Send(dst, payload)
+		return
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	wire, err := m.AppendPack(c.wbuf[:0])
+	if err != nil {
+		return // a sender checks first; dropped like any unsendable packet
+	}
+	c.wbuf = wire
+	c.Send(dst, wire)
 }
 
 // Serve reads packets and calls handler for each, on this goroutine and

@@ -436,6 +436,21 @@ func (z *Zone) RRSet(name string, t dnswire.Type) []dnswire.RR {
 	return set
 }
 
+// AppendSigs appends name's RRSIG records covering type covered onto
+// *dst, without the copy of the whole RRSIG set RRSet makes. name must be
+// canonical.
+func (z *Zone) AppendSigs(dst *[]dnswire.RR, name string, covered dnswire.Type) {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	nd := z.nodes[name]
+	for i, l := 0, nd.len(); i < l; i++ {
+		r := nd.at(i)
+		if sig, ok := r.data.(dnswire.RRSIG); ok && r.typ == dnswire.TypeRRSIG && sig.TypeCovered == covered {
+			*dst = append(*dst, r.rr(name))
+		}
+	}
+}
+
 // Names returns all owner names in the zone, sorted.
 func (z *Zone) Names() []string {
 	z.mu.RLock()

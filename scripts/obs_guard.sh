@@ -33,7 +33,15 @@
 #     once, in the fallback for bytes that came alone (resolver.go,
 #     stub.go, server.go), and non-test internal/experiment twice, in its
 #     two taps' fallbacks (testbed.go, adversary.go), so no simulated hop
-#     grows a second decode.
+#     grows a second decode;
+#   - no pack per UDP send (DESIGN.md §11.2): a sender hands its message
+#     over unpacked and the transport packs it if it needs bytes, so
+#     non-test internal/recursive, internal/stub and internal/authoritative
+#     call Pack/AppendPack only where bytes are read: the TCP queries
+#     (resolver.go, stub.go), the resolver's TCP or over-the-bound response
+#     (serve.go), and the authoritative's pack (server.go: the byte paths
+#     and the over-the-bound reply, packed then, if truncated, repacked),
+#     so no engine quietly packs every UDP send again.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -117,5 +125,22 @@ for pin in internal/recursive:1 internal/stub:1 internal/authoritative:1 interna
     [ "$(decodes "$dir")" -eq "$want" ] ||
         fail "want $want dnswire.Unpack* call(s) in non-test $dir (read the packet's message): $(grep -n 'dnswire\.Unpack' "$dir"/*.go | grep -v '_test\.go:')"
 done
+
+# packs FILE...: Pack( and AppendPack( calls in the files.
+packs() {
+    count '\.\(Append\)\{0,1\}Pack(' "$@"
+}
+for pin in internal/recursive/resolver.go:1 internal/recursive/serve.go:1 internal/stub/stub.go:1 \
+    internal/authoritative/server.go:2; do
+    f=${pin%:*} want=${pin#*:}
+    [ "$(packs "$f")" -eq "$want" ] ||
+        fail "want $want Pack/AppendPack call(s) in $f, on its TCP or over-the-bound path: $(grep -n 'Pack(' "$f")"
+done
+rest="$(ls internal/recursive/*.go internal/stub/*.go internal/authoritative/*.go | grep -v -e '_test\.go$' \
+    -e '^internal/recursive/resolver\.go$' -e '^internal/recursive/serve\.go$' \
+    -e '^internal/stub/stub\.go$' -e '^internal/authoritative/server\.go$')"
+# shellcheck disable=SC2086
+[ "$(packs $rest)" -eq 0 ] ||
+    fail "Pack/AppendPack outside the pinned sites (hand the message to SendMsg): $(grep -n 'Pack(' $rest)"
 
 echo "obs-guard OK" >&2
