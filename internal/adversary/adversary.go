@@ -79,10 +79,8 @@ type NXNSAuth struct {
 	queries   metrics.Counter
 	referrals metrics.Counter
 
-	// msg decodes a query that came as bytes alone, resp is the reply
-	// packed into buf; scratch, as the event loop is single-threaded.
-	msg, resp dnswire.Message
-	buf       []byte
+	// resp is the reply scratch, as the event loop is single-threaded.
+	resp dnswire.Message
 }
 
 // NewNXNSAuth builds a malicious authoritative for cfg.
@@ -102,14 +100,8 @@ func (a *NXNSAuth) Attach(net *netsim.Network, addr netsim.Addr) {
 	a.port = net.BindHost(addr, a)
 }
 
-// Deliver answers a query (netsim.Host): m, when set, is the packet's
-// message; bytes alone decode into the scratch message.
-func (a *NXNSAuth) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
-	if m == nil {
-		if m = &a.msg; dnswire.UnpackInto(m, payload) != nil {
-			return
-		}
-	}
+// Deliver answers a query (netsim.Host).
+func (a *NXNSAuth) Deliver(src netsim.Addr, m *dnswire.Message) {
 	if m.Response || len(m.Questions) == 0 {
 		return
 	}
@@ -145,12 +137,9 @@ func (a *NXNSAuth) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) 
 				A: uint32(a.cfg.Width), Src: string(a.port.Addr()), Dst: string(src)})
 		}
 	}
-	wire, err := resp.AppendPack(a.buf[:0])
-	if err != nil {
-		return
+	if _, err := resp.WireLenBound(); err == nil {
+		a.port.SendMsg(src, resp)
 	}
-	a.buf = wire
-	a.port.SendMsg(src, wire, resp)
 }
 
 // CollectMetrics folds the server's counters into s.
@@ -266,8 +255,7 @@ func (s *Spoofer) wave(w int) {
 		m.Answers = append(m.Answers, s.payload.Answers...)
 		m.Authorities = append(m.Authorities, s.payload.Authorities...)
 		m.Additionals = append(m.Additionals, s.payload.Additionals...)
-		wire, err := m.Pack()
-		if err != nil {
+		if _, err := m.WireLenBound(); err != nil {
 			continue
 		}
 		s.sent.Inc()
@@ -276,7 +264,7 @@ func (s *Spoofer) wave(w int) {
 				Name: s.qname, A: uint32(id), B: uint32(w),
 				Src: string(s.cfg.Source), Dst: string(s.cfg.Target)})
 		}
-		s.net.SendMsg(s.cfg.Source, s.cfg.Target, wire, m)
+		s.net.SendMsg(s.cfg.Source, s.cfg.Target, m)
 	}
 }
 
@@ -340,7 +328,7 @@ func (r *Reflector) Send(name string, qtype dnswire.Type) int {
 			Probe: trace.ProbeFromName(name), Name: name,
 			A: uint32(len(wire)), Src: string(r.cfg.Victim), Dst: string(server)})
 	}
-	r.net.SendMsg(r.cfg.Victim, server, wire, m)
+	r.net.SendMsg(r.cfg.Victim, server, m)
 	return len(wire)
 }
 

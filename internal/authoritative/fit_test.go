@@ -57,21 +57,14 @@ func fitZone(t *testing.T, maxK int) *zone.Zone {
 }
 
 // replyHost packs the message each reply came with.
-type replyHost struct {
-	wire   []byte
-	packed bool // the reply arrived with its bytes
-}
+type replyHost struct{ wire []byte }
 
-func (h *replyHost) Deliver(_ netsim.Addr, payload []byte, m *dnswire.Message) {
-	h.wire, h.packed = nil, payload != nil
-	if m != nil {
-		h.wire, _ = m.Pack()
-	}
-}
+func (h *replyHost) Deliver(_ netsim.Addr, m *dnswire.Message) { h.wire, _ = m.Pack() }
 
 // TestMessagePathFitsAsPackFirst holds the simulated reply path, which
-// sends a response unpacked when its uncompressed bound fits the query's
-// UDP limit and packs it only otherwise, to the pack-first byte path
+// sends a response without packing it when its uncompressed bound fits
+// the query's UDP limit and packs it to measure it only otherwise, to the
+// pack-first byte path
 // (HandleWireAppend): at limits 512 (with and without an OPT record),
 // 1232 and 4096, on answers, referrals with glue, an NXDOMAIN with its
 // SOA, each with DO=0 and DO=1 (signatures and NSEC proof), every reply
@@ -111,7 +104,7 @@ func TestMessagePathFitsAsPackFirst(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := s.HandleWireAppend(nil, wire)
-				net.SendMsg("198.51.100.7", "192.0.2.53", nil, q)
+				net.SendMsg("198.51.100.7", "192.0.2.53", q)
 				clk.Run()
 				if string(h.wire) != string(want) {
 					t.Fatalf("limit %d, DO %v, %s: message path replied %d octets, pack-first %d", limit, do, name, len(h.wire), len(want))
@@ -127,9 +120,9 @@ func TestMessagePathFitsAsPackFirst(t *testing.T) {
 				switch {
 				case m.Truncated:
 					truncated++
-				case !h.packed:
+				case bound <= q.UDPPayloadLimit():
 					sentUnpacked++
-				case bound > q.UDPPayloadLimit():
+				default:
 					compressedFits++
 				}
 			}

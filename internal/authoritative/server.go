@@ -245,8 +245,8 @@ func (s *Server) HandleWireTCP(payload []byte) []byte {
 var msgPool = sync.Pool{New: func() any { return new(dnswire.Message) }}
 
 // handleWireAppend answers payload into dst's storage (which may be
-// nil): the packet paths hand in a reused buffer, the TCP daemon passes
-// nil and owns the returned slice. The query is decoded borrowed
+// nil): authd's UDP handler hands in a reused buffer, the TCP daemon
+// passes nil and owns the returned slice. The query is decoded borrowed
 // (dnswire.UnpackBorrow): its names, and a wildcard answer's owner, are
 // packed before q goes back to the pool.
 func (s *Server) handleWireAppend(payload []byte, tcp bool, dst []byte) []byte {
@@ -261,14 +261,14 @@ func (s *Server) handleWireAppend(payload []byte, tcp bool, dst []byte) []byte {
 	if !s.handle(q, resp) {
 		return nil
 	}
-	return s.pack(q, resp, payload, tcp, dst)
+	return s.pack(q, resp, tcp, dst)
 }
 
-// pack packs resp, the answer to q, which arrived as payload, into dst's
-// storage; nil means nothing is sent. A UDP response over the query's
-// size limit is truncated in place (dnswire.Message.Truncate), so resp is
-// always the message the returned bytes were packed from.
-func (s *Server) pack(q, resp *dnswire.Message, payload []byte, tcp bool, dst []byte) []byte {
+// pack packs resp, the answer to q, into dst's storage; nil means nothing
+// is sent. A UDP response over the query's size limit is truncated in
+// place (dnswire.Message.Truncate), so resp is always the message the
+// returned bytes were packed from.
+func (s *Server) pack(q, resp *dnswire.Message, tcp bool, dst []byte) []byte {
 	wire, err := resp.AppendPack(dst)
 	if err != nil {
 		return nil
@@ -277,7 +277,7 @@ func (s *Server) pack(q, resp *dnswire.Message, payload []byte, tcp bool, dst []
 		s.m.truncated.Inc()
 		if tr := s.trace; tr != nil {
 			tr.Emit(trace.Event{Type: trace.EvTruncate,
-				Probe: trace.ProbeFromWire(payload),
+				Probe: trace.ProbeFromMsg(q),
 				A:     uint32(len(wire)), B: uint32(limit)})
 		}
 		resp.Truncate()
@@ -491,24 +491,24 @@ func (s *Server) Attach(net *netsim.Network, addr netsim.Addr) *netsim.Port {
 // AttachTCP additionally binds the server on the network's TCP plane at
 // addr, serving the same zones without the UDP size limit.
 func (s *Server) AttachTCP(net *netsim.Network, addr netsim.Addr) *netsim.TCPPort {
-	s.tcpPort = net.BindTCP(addr, s.receiveTCP)
+	s.tcpPort = net.BindTCP(addr, s.deliverTCP)
 	return s.tcpPort
 }
 
-// receiveTCP is the wire entry point for the TCP plane.
-func (s *Server) receiveTCP(src netsim.Addr, payload []byte) {
-	bp := wireBufPool.Get().(*[]byte)
-	if out := s.handleWireAppend(payload, true, (*bp)[:0]); out != nil {
-		s.tcpPort.Send(src, out)
-		*bp = out[:0]
+// deliverTCP is the TCP plane's entry point: the reply goes as its
+// message, never truncated.
+func (s *Server) deliverTCP(src netsim.Addr, q *dnswire.Message) {
+	resp := msgPool.Get().(*dnswire.Message)
+	if s.handle(q, resp) {
+		if _, err := resp.WireLenBound(); err == nil {
+			s.tcpPort.SendMsg(src, resp)
+		}
 	}
-	wireBufPool.Put(bp)
+	msgPool.Put(resp)
 }
 
 // Deliver is the attached port's entry point (netsim.Host).
-func (s *Server) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
-	s.serve(&s.port, src, payload, m)
-}
+func (s *Server) Deliver(src netsim.Addr, q *dnswire.Message) { s.serve(&s.port, src, q) }
 
 // AttachAnycast announces the server at service from every site
 // (netsim.Network.BindAnycast). Each site answers the packets its
@@ -528,41 +528,28 @@ type anycastSite struct {
 	port *netsim.Port
 }
 
-func (h *anycastSite) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
-	h.s.serve(h.port, src, payload, m)
-}
+func (h *anycastSite) Deliver(src netsim.Addr, q *dnswire.Message) { h.s.serve(h.port, src, q) }
 
-// serve answers a UDP packet and replies through port. A query that came
-// with its message is answered from it, and the reply goes as a message:
-// unpacked when its uncompressed length fits the query's UDP limit, so
-// the packed one does too, else packed (and truncated if still over).
-// Bytes alone decode borrowed, so their reply goes as bytes only (see
-// netsim.Conn).
-func (s *Server) serve(port *netsim.Port, src netsim.Addr, payload []byte, m *dnswire.Message) {
-	bp := wireBufPool.Get().(*[]byte)
-	var out []byte
-	if m == nil {
-		if out = s.handleWireAppend(payload, false, (*bp)[:0]); out != nil {
-			port.Send(src, out)
-		}
-	} else {
-		resp := msgPool.Get().(*dnswire.Message)
-		if s.handle(m, resp) {
-			if bound, err := resp.WireLenBound(); err == nil && bound <= m.UDPPayloadLimit() {
-				port.SendMsg(src, nil, resp)
-			} else if out = s.pack(m, resp, payload, false, (*bp)[:0]); out != nil {
-				port.SendMsg(src, out, resp)
+// serve answers a UDP query and replies through port with the message.
+// A reply whose uncompressed length is over the query's UDP limit is
+// packed to measure it, and truncated in place if still over.
+func (s *Server) serve(port *netsim.Port, src netsim.Addr, q *dnswire.Message) {
+	resp := msgPool.Get().(*dnswire.Message)
+	if s.handle(q, resp) {
+		if bound, err := resp.WireLenBound(); err == nil && bound <= q.UDPPayloadLimit() {
+			port.SendMsg(src, resp)
+		} else {
+			bp := wireBufPool.Get().(*[]byte)
+			if out := s.pack(q, resp, false, (*bp)[:0]); out != nil {
+				port.SendMsg(src, resp)
+				*bp = out[:0]
 			}
+			wireBufPool.Put(bp)
 		}
-		msgPool.Put(resp)
 	}
-	if out != nil {
-		*bp = out[:0] // Send copies; out's buffer goes back to the pool
-	}
-	wireBufPool.Put(bp)
+	msgPool.Put(resp)
 }
 
-// wireBufPool recycles response wire buffers for the simulated packet
-// path (netsim copies payloads on Send, so a buffer is free for reuse as
-// soon as Send returns).
+// wireBufPool recycles the buffers serve measures over-the-bound replies
+// in.
 var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}

@@ -29,6 +29,12 @@ type Clock interface {
 	// AfterFunc schedules f to run once d has elapsed. The returned Timer
 	// can cancel the call.
 	AfterFunc(d time.Duration, f func()) Timer
+	// AfterFuncArg schedules a fire-and-forget f(arg) once d has elapsed,
+	// so a hot path with a static callback pays neither a closure
+	// allocation per event nor the Timer interface boxing of AfterFunc
+	// (on the virtual clock). The simulated network delivers every packet
+	// through it.
+	AfterFuncArg(d time.Duration, f func(arg any), arg any)
 }
 
 // Timer is a cancelable pending callback.
@@ -38,17 +44,9 @@ type Timer interface {
 	Stop() bool
 }
 
-// ArgScheduler is an optional Clock extension for hot paths: it schedules
-// a fire-and-forget callback with an argument, so the caller pays neither
-// a closure allocation per event nor the Timer interface boxing of
-// AfterFunc. The simulated network delivers every packet through it.
-type ArgScheduler interface {
-	AfterFuncArg(d time.Duration, f func(arg any), arg any)
-}
-
-// RefScheduler is the cancelable flavor of ArgScheduler: it returns a
-// TimerRef by value, so a cancelable timer with a static callback costs
-// zero allocations on the virtual clock (the resolver and stub timeout
+// RefScheduler is an optional Clock extension, the cancelable flavor of
+// AfterFuncArg: it returns a TimerRef by value, so a cancelable timer
+// with a static callback costs zero allocations on the virtual clock (the resolver and stub timeout
 // paths, one per upstream query, run through it).
 type RefScheduler interface {
 	AfterFuncRef(d time.Duration, f func(arg any), arg any) TimerRef
@@ -100,8 +98,8 @@ func (Real) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{time.AfterFunc(d, f)}
 }
 
-// AfterFuncArg implements ArgScheduler (via a closure; the allocation
-// saving only matters on the virtual clock's simulation hot path).
+// AfterFuncArg implements Clock (via a closure; the allocation saving
+// only matters on the virtual clock's simulation hot path).
 func (Real) AfterFuncArg(d time.Duration, f func(any), arg any) {
 	time.AfterFunc(d, func() { f(arg) })
 }

@@ -115,7 +115,7 @@ func (v *Heap) AfterFunc(d time.Duration, f func()) clock.Timer {
 	return heapTimer{e: e, gen: e.gen, v: v}
 }
 
-// AfterFuncArg implements clock.ArgScheduler: like AfterFunc but f receives arg
+// AfterFuncArg implements clock.Clock: like AfterFunc but f receives arg
 // and no Timer is returned, so callers with a static callback pay no
 // per-event allocation at all.
 func (v *Heap) AfterFuncArg(d time.Duration, f func(any), arg any) {

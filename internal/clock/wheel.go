@@ -309,7 +309,7 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	return virtualTimer{e: e, gen: e.gen, v: v}
 }
 
-// AfterFuncArg implements ArgScheduler: like AfterFunc but f receives arg
+// AfterFuncArg implements Clock: like AfterFunc but f receives arg
 // and no Timer is returned, so callers with a static callback pay no
 // per-event allocation at all.
 func (v *Virtual) AfterFuncArg(d time.Duration, f func(any), arg any) {

@@ -183,3 +183,6 @@ type plainClock struct{ v *Virtual }
 
 func (p plainClock) Now() time.Time                            { return p.v.Now() }
 func (p plainClock) AfterFunc(d time.Duration, f func()) Timer { return p.v.AfterFunc(d, f) }
+func (p plainClock) AfterFuncArg(d time.Duration, f func(any), arg any) {
+	p.v.AfterFuncArg(d, f, arg)
+}

@@ -257,18 +257,30 @@ func TestWireLenBound(t *testing.T) {
 	t.Logf("%d refusals checked", refused)
 }
 
+// CheckProbe holds trace.ProbeFromMsg(m) to trace.ProbeFromWire of m
+// packed. probe_test.go sets it: trace imports this package, so only the
+// external test package may import trace.
+var CheckProbe func(t testing.TB, m *Message)
+
+// CommittedCorpora is committedCorpora, for the external test package.
+var CommittedCorpora = committedCorpora
+
 // FuzzWireLenBound asserts, for every message the decoder accepts and
 // for copies of it with broken names, missing data or oversized rdata,
 // that WireLenBound errs exactly when Pack does, with the same text, and
 // otherwise bounds Pack's length from above.
+//
+// Each accepted message also goes through CheckProbe.
 func FuzzWireLenBound(f *testing.F) {
 	fuzzSeeds(f)
 	addCommittedCorpora(f)
+	f.Add((&Message{Header: Header{ID: 1}}).mustPack(f)) // no question
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unpack(data)
 		if err != nil {
 			return
 		}
+		CheckProbe(t, m)
 		checkBound(t, m)
 		for _, c := range mutations(m) {
 			checkBound(t, c)

@@ -451,3 +451,32 @@ func TestCompareCanonicalProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSigningInputAllocatesOnlyTheResult: NameWire, RRSIG.SignedHeader
+// and DNSKEY.RDataWire, which every signature made or checked calls,
+// allocate the returned slice and nothing else, so none takes a builder
+// it does not give back.
+func TestSigningInputAllocatesOnlyTheResult(t *testing.T) {
+	sig := RRSIG{TypeCovered: TypeA, Algorithm: 13, Labels: 2, OriginalTTL: 300,
+		Expiration: 2, Inception: 1, KeyTag: 7, SignerName: "example.nl.", Signature: []byte{1, 2}}
+	key := DNSKEY{Flags: 257, Protocol: 3, Algorithm: 13, PublicKey: make([]byte, 64)}
+	for name, f := range map[string]func() []byte{
+		"NameWire":     func() []byte { return NameWire("www.example.nl.") },
+		"SignedHeader": sig.SignedHeader,
+		"RDataWire":    key.RDataWire,
+	} {
+		want := f()
+		if n := testing.AllocsPerRun(100, func() { f() }); n != 1 {
+			t.Errorf("%s allocates %.1f objects per call, want 1 (the result)", name, n)
+		}
+		if got := f(); string(got) != string(want) {
+			t.Errorf("%s: %x, then %x", name, want, got)
+		}
+	}
+	if got, want := NameWire("www.example.nl."), []byte("\x03www\x07example\x02nl\x00"); string(got) != string(want) {
+		t.Errorf("NameWire = %q, want %q", got, want)
+	}
+	if got := sig.SignedHeader(); len(got) != 18+len("\x07example\x02nl\x00") {
+		t.Errorf("SignedHeader is %d octets, want %d", len(got), 18+len("\x07example\x02nl\x00"))
+	}
+}

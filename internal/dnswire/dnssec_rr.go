@@ -47,8 +47,8 @@ func (k DNSKEY) wireLen() (int, error) { return 4 + len(k.PublicKey), nil }
 // RDataWire returns the record's RDATA in wire form (used for key-tag and
 // DS digest computation).
 func (k DNSKEY) RDataWire() []byte {
-	b := newBuilder(false)
-	k.encode(b)
+	b := builder{buf: make([]byte, 0, 4+len(k.PublicKey))}
+	k.encode(&b)
 	return b.buf
 }
 
@@ -116,8 +116,9 @@ func (r RRSIG) appendHeader(b *builder) {
 
 // headerWire returns appendHeader's bytes on their own.
 func (r RRSIG) headerWire() []byte {
-	b := newBuilder(false)
-	r.appendHeader(b)
+	n, _ := nameLen(r.SignerName)
+	b := builder{buf: make([]byte, 0, 18+n)}
+	r.appendHeader(&b)
 	return b.buf
 }
 
@@ -200,15 +201,19 @@ func (k DNSKEY) KeyTag() uint16 {
 // NameWire returns a name's uncompressed wire encoding (canonical form),
 // used in DS digests and canonical RR ordering.
 func NameWire(name string) []byte {
-	b := newBuilder(false)
+	n, _ := nameLen(name)
+	b := builder{buf: make([]byte, 0, n)}
 	b.name(name, false)
 	return b.buf
 }
 
 // RDataWireOf renders any RData's wire form (no compression), for
-// canonical signing input.
+// canonical signing input. A builder handed to an interface method
+// escapes, so this one is pooled and the bytes copied out.
 func RDataWireOf(d RData) []byte {
 	b := newBuilder(false)
 	d.encode(b)
-	return b.buf
+	out := bytes.Clone(b.buf)
+	b.release()
+	return out
 }

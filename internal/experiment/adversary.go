@@ -145,17 +145,11 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 	for _, a := range tb.AuthAddrs {
 		isVictim[a] = true
 	}
-	var tapMsg dnswire.Message
 	tb.Net.AddMsgTap(func(ev netsim.Event) {
 		if !isVictim[ev.Dst] {
 			return
 		}
 		m := ev.Msg
-		if m == nil {
-			if m = &tapMsg; dnswire.UnpackInto(m, ev.Payload) != nil {
-				return
-			}
-		}
 		if m.Response || len(m.Questions) != 1 {
 			return
 		}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/netsim"
 	"repro/internal/spec"
+	"repro/internal/trace"
 )
 
 // carriedProbes is the toy size every committed spec runs at here.
@@ -95,13 +96,19 @@ func TestCarriedMessageMatchesWire(t *testing.T) {
 	}
 }
 
-// TestUntracedCellPacksNothing runs the DDoS experiment H cell and the
-// caching cells untraced at toy size, with a message tap that counts the
-// packets whose bytes exist at arrival: every engine there hands its
-// messages over unpacked and nothing reads bytes, so none is packed.
+// TestUntracedCellPacksNothing runs the DDoS experiment H cell, untraced
+// and traced, and the caching cells untraced at toy size, with a message
+// tap that counts the packets whose bytes exist at arrival: every engine
+// there hands its messages over unpacked, and nothing reads bytes (the
+// trace reads the message), so none is packed.
 func TestUntracedCellPacksNothing(t *testing.T) {
-	for _, c := range []struct{ file, run string }{
-		{"03-ddos.json", "paper-H"}, {"01-caching.json", ""},
+	for _, c := range []struct {
+		file, run string
+		traced    bool
+	}{
+		{"03-ddos.json", "paper-H", false},
+		{"03-ddos.json", "paper-H", true},
+		{"01-caching.json", "", false},
 	} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "examples", "specs", "paper", c.file))
 		if err != nil {
@@ -130,13 +137,20 @@ func TestUntracedCellPacksNothing(t *testing.T) {
 			}
 			cfg := it.Config
 			cfg.Probes = carriedProbes
-			if _, err := experiment.Run(context.Background(), it.Scenario, experiment.WithTestbedHook(cfg, tap)); err != nil {
+			if c.traced {
+				cfg.Trace = &trace.Config{}
+			}
+			out, err := experiment.Run(context.Background(), it.Scenario, experiment.WithTestbedHook(cfg, tap))
+			if err != nil {
 				t.Fatalf("%s: %v", it.Name, err)
 			}
-			if packets.Load() == 0 || packed.Load() != 0 {
-				t.Errorf("%s, run %s: %d of %d packets packed, want 0 of > 0", c.file, it.Name, packed.Load(), packets.Load())
+			if c.traced && (out.Trace == nil || len(out.Trace.Cells) == 0 || len(out.Trace.Cells[0].Events) == 0) {
+				t.Fatalf("%s: the traced run recorded nothing", it.Name)
 			}
-			t.Logf("%s: %d packets, none packed", it.Name, packets.Load())
+			if packets.Load() == 0 || packed.Load() != 0 {
+				t.Errorf("%s, run %s, traced %v: %d of %d packets packed, want 0 of > 0", c.file, it.Name, c.traced, packed.Load(), packets.Load())
+			}
+			t.Logf("%s, traced %v: %d packets, none packed", it.Name, c.traced, packets.Load())
 		}
 	}
 }

@@ -437,21 +437,12 @@ func (tb *Testbed) installTap() {
 		authIdx[a] = uint8(i)
 		hosts[i] = nsHost(i)
 	}
-	// The tap reads the packet's message, and decodes a packet that came
-	// as bytes alone into one scratch message: the simulator delivers
-	// packets on a single goroutine and the tap retains nothing.
-	var tapMsg dnswire.Message
 	tb.Net.AddMsgTap(func(ev netsim.Event) {
 		dst, isAuth := authIdx[ev.Dst]
 		if !isAuth {
 			return
 		}
 		m := ev.Msg
-		if m == nil {
-			if m = &tapMsg; dnswire.UnpackInto(m, ev.Payload) != nil {
-				return
-			}
-		}
 		if m.Response || len(m.Questions) != 1 {
 			return
 		}

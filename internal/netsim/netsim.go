@@ -6,14 +6,15 @@
 // before the drop decision (the paper measures queries "before they are
 // dropped by our simulated DDoS", §6.1).
 //
-// A UDP packet is either bytes (Send) or a dnswire.Message (SendMsg), of
-// which it carries a packet-owned copy; receivers and taps read that copy
-// and decode only bytes that came alone. A sender hands over its message
-// unpacked, and the network packs it only for a reader of bytes: at send
-// when the network has a byte tap (AddTap) or a trace buffer, or the
-// destination a path MTU; at arrival when the destination is a raw host
-// (Bind), or such a reader appeared while the packet was in flight. Every
-// size that is read (the MTU, a byte count) is so the exact packed size.
+// A packet is a dnswire.Message, of which it carries a packet-owned copy
+// (SendMsg), and the network is the only place on the simulated path that
+// converts between message and bytes. It packs a message only for a
+// reader of bytes: at send for a byte tap (AddTap) or a path MTU toward
+// the destination, at arrival for a raw host (Bind) or a byte tap added
+// while the packet was in flight; every size read is so the exact packed
+// size. It decodes only bytes that a raw sender handed to Send, once, for
+// the first message reader; bytes that do not decode reach no Host and no
+// message tap.
 //
 // A Network belongs to the goroutine that owns its clock (see package
 // clock): nothing here locks, and hosts are called from that goroutine's
@@ -39,11 +40,11 @@ import (
 type Addr string
 
 // Event describes one packet arrival as seen by a tap, before the inbound
-// loss decision is applied. Msg is the packet's message, nil when the
-// sender handed over bytes only; a tap decodes Payload only then. Payload
-// is the packet's bytes: always set for a byte tap (AddTap), nil for a
-// message tap (AddMsgTap) when the packet was never packed. Neither
-// outlives the tap call.
+// loss decision is applied. Msg is the packet's message: always set for a
+// message tap (AddMsgTap), nil for a byte tap when the packet is bytes
+// nothing decoded. Payload is the packet's bytes: always set for a byte
+// tap (AddTap), nil for a message tap when the packet was never packed.
+// Neither outlives the tap call.
 type Event struct {
 	Time    time.Time
 	Src     Addr
@@ -76,13 +77,10 @@ type Stats struct {
 // Send and SendMsg copy what they are handed into the packet, so a sender
 // may reuse its buffer and message at once; the receiver and the taps see
 // the packet's copies, valid for the duration of their call only. Every
-// engine in this repository hands its messages over unpacked with
-// SendMsg, and decodes on arrival only what came as bytes alone.
+// engine in this repository hands its messages over with SendMsg, and
+// none packs or decodes a simulated packet.
 type Network struct {
 	clk clock.Clock
-	// argClk is clk's closure-free scheduling extension, when available
-	// (the virtual clock implements it); nil otherwise.
-	argClk clock.ArgScheduler
 
 	rng     *rand.Rand
 	hosts   map[Addr]Host
@@ -99,7 +97,7 @@ type Network struct {
 	stats    Stats
 	// UDP size semantics and the TCP plane (tcp.go).
 	mtu      map[Addr]int // per-destination UDP payload limit
-	tcpHosts map[Addr]func(src Addr, payload []byte)
+	tcpHosts map[Addr]func(src Addr, m *dnswire.Message)
 	tcpLoss  map[Addr]float64
 	tcpConns map[[2]Addr]time.Time // established pair -> idle expiry
 	// pktFree recycles in-flight packets of both planes (see packet).
@@ -150,16 +148,14 @@ func New(clk clock.Clock, seed int64) *Network {
 		hosts: make(map[Addr]Host, 64),
 	}
 	n.latency = n.defaultLatency
-	n.argClk, _ = clk.(clock.ArgScheduler)
 	return n
 }
 
 // event is the network's one trace emit site. Records are attributed to
-// probes by parsing the first question label from the wire payload,
-// allocation-free.
-func (n *Network) event(typ trace.Type, src, dst Addr, payload []byte) {
+// probes by the first label of m's first question (0 for a nil m).
+func (n *Network) event(typ trace.Type, src, dst Addr, m *dnswire.Message) {
 	if tr := n.trace; tr != nil {
-		tr.Emit(trace.Event{Type: typ, Probe: trace.ProbeFromWire(payload),
+		tr.Emit(trace.Event{Type: typ, Probe: trace.ProbeFromMsg(m),
 			Src: string(src), Dst: string(dst)})
 	}
 }
@@ -187,21 +183,20 @@ func (n *Network) defaultLatency(src, dst Addr, rng *rand.Rand) time.Duration {
 	return base + jitter
 }
 
-// Host receives the UDP packets delivered to its address. m is the
-// packet's copy of the sender's message, or nil when the sender handed
-// over bytes only (Send); a host decodes payload only then. With m set,
-// payload is its packed form if something needed the bytes, and nil
-// otherwise. Neither outlives the call, and m is the host's to modify.
+// Host receives the UDP packets delivered to its address: m is the
+// packet's message, the copy of the sender's or the decode of its bytes.
+// It does not outlive the call, and it is the host's to modify.
 type Host interface {
-	Deliver(src Addr, payload []byte, m *dnswire.Message)
+	Deliver(src Addr, m *dnswire.Message)
 }
 
-// rawHost is a receiver of bytes only: Bind's func, ignoring the message.
-// A func is pointer-shaped, so storing one as a Host allocates nothing.
-// The network packs every message addressed to one on its arrival.
+// rawHost is a receiver of bytes: Bind's func. A func is pointer-shaped,
+// so storing one as a Host allocates nothing. arrive hands it the
+// packet's bytes, packing a message on its arrival, and never calls
+// Deliver.
 type rawHost func(src Addr, payload []byte)
 
-func (f rawHost) Deliver(src Addr, payload []byte, _ *dnswire.Message) { f(src, payload) }
+func (rawHost) Deliver(Addr, *dnswire.Message) {}
 
 // BindHost attaches h at addr and returns the Port for sending from it
 // by value, for callers that embed the port in their own struct. Binding
@@ -297,9 +292,9 @@ func (n *Network) AddTap(tap func(Event)) {
 	n.taps = append(n.taps, tap)
 }
 
-// AddMsgTap is AddTap for an observer that reads Event.Msg, and Payload
-// only when Msg is nil: it forces no packing, so Payload is nil for a
-// packet that was never packed.
+// AddMsgTap is AddTap for an observer that reads Event.Msg: it forces no
+// packing, so Payload is nil for a packet that was never packed, and it
+// is not called for bytes that do not decode.
 func (n *Network) AddMsgTap(tap func(Event)) {
 	n.msgTaps = append(n.msgTaps, tap)
 }
@@ -334,8 +329,9 @@ type packet struct {
 	src, dst Addr
 	payload  []byte // aliases buf, nil until packed; valid until recycled
 	buf      []byte // owned storage, reused across packets
-	// msg is the copy of the sender's message when hasMsg; its section
-	// slices are owned storage like buf.
+	// msg is the packet's message when hasMsg: the copy of the sender's,
+	// or the decode of payload. Its section slices are owned storage like
+	// buf.
 	msg    dnswire.Message
 	hasMsg bool
 	tcp    bool    // deliver on the TCP plane (arriveTCP)
@@ -356,45 +352,35 @@ func (p *packet) carry(m *dnswire.Message) {
 }
 
 // bytes returns the packet's payload, packing its message into the
-// packet's buffer first if it came unpacked.
+// packet's buffer first if it came unpacked: the simulated path's one
+// pack site. A sender hands over only messages that pack (see Conn), so
+// a failure is a broken sender.
 func (p *packet) bytes() []byte {
 	if p.payload == nil && p.hasMsg {
-		p.buf = mustPack(&p.msg, p.buf[:0])
-		p.payload = p.buf
+		wire, err := p.msg.AppendPack(p.buf[:0])
+		if err != nil {
+			panic("netsim: a message handed to SendMsg does not pack: " + err.Error())
+		}
+		p.buf, p.payload = wire, wire
 	}
 	return p.payload
 }
 
-// mustPack appends m packed to dst. A sender hands over only messages
-// that pack (see Conn), so a failure is a broken sender.
-func mustPack(m *dnswire.Message, dst []byte) []byte {
-	wire, err := m.AppendPack(dst)
-	if err != nil {
-		panic("netsim: a message handed to SendMsg does not pack: " + err.Error())
+// message returns the packet's message, decoding the bytes of a raw
+// sender: the simulated path's one decode site. It returns nil for bytes
+// that do not decode. arrive calls it once per packet.
+func (p *packet) message() *dnswire.Message {
+	if !p.hasMsg {
+		p.hasMsg = dnswire.UnpackInto(&p.msg, p.payload) == nil
 	}
-	return wire
+	if !p.hasMsg {
+		return nil
+	}
+	return &p.msg
 }
 
-// deliverPacket is the static arrival callback handed to ArgScheduler.
-// The packet (and the payload and message it owns) is recycled only after
-// the receiver ran: receivers may read both for the duration of the call
-// but must not retain them.
-func deliverPacket(arg any) {
-	p := arg.(*packet)
-	n := p.net
-	if p.tcp {
-		n.arriveTCP(p.src, p.dst, p.payload)
-	} else {
-		n.arrive(p)
-	}
-	p.src, p.dst, p.payload, p.hasMsg, p.tcp = "", "", nil, false, false
-	p.next, n.pktFree = n.pktFree, p
-}
-
-// deliverAfter schedules the arrival at dst, on the UDP or TCP plane, of
-// a packet holding a copy of payload, or of m when payload is nil; m is
-// packed at once when bytes will be read (bytesAtSend).
-func (n *Network) deliverAfter(delay time.Duration, src, dst Addr, payload []byte, m *dnswire.Message, tcp bool) {
+// newPacket takes a packet from src to dst off the free list.
+func (n *Network) newPacket(src, dst Addr, tcp bool) *packet {
 	p := n.pktFree
 	if p == nil {
 		p = &packet{net: n}
@@ -402,28 +388,23 @@ func (n *Network) deliverAfter(delay time.Duration, src, dst Addr, payload []byt
 		n.pktFree, p.next = p.next, nil
 	}
 	p.src, p.dst, p.tcp = src, dst, tcp
-	if payload != nil || m == nil {
-		p.buf = append(p.buf[:0], payload...)
-		p.payload = p.buf
-	}
-	if m != nil {
-		p.carry(m)
-		if n.bytesAtSend(dst) {
-			p.bytes()
-		}
-	}
-	if n.argClk == nil {
-		n.clk.AfterFunc(delay, func() { deliverPacket(p) })
-		return
-	}
-	n.argClk.AfterFuncArg(delay, deliverPacket, p)
+	return p
 }
 
-// bytesAtSend reports whether a packet to dst must be packed when it is
-// sent: a byte tap or the trace reads every packet's bytes, and a path MTU
-// its size. The MTU map is read only when some destination has one.
-func (n *Network) bytesAtSend(dst Addr) bool {
-	return len(n.taps) > 0 || n.trace != nil || len(n.mtu) > 0 && n.mtu[dst] > 0
+// deliverPacket is the static arrival callback handed to AfterFuncArg.
+// The packet (and the payload and message it owns) is recycled only after
+// the receiver ran: receivers may read both for the duration of the call
+// but must not retain them.
+func deliverPacket(arg any) {
+	p := arg.(*packet)
+	n := p.net
+	if p.tcp {
+		n.arriveTCP(p)
+	} else {
+		n.arrive(p)
+	}
+	p.src, p.dst, p.payload, p.hasMsg, p.tcp = "", "", nil, false, false
+	p.next, n.pktFree = n.pktFree, p
 }
 
 // Send schedules delivery of payload from src to dst after the modeled
@@ -433,23 +414,40 @@ func (n *Network) bytesAtSend(dst Addr) bool {
 //
 // The network copies payload before returning: callers may reuse their
 // buffer for the next send, and receivers must not retain the delivered
-// slice past their callback. The receiver gets bytes only and decodes.
+// slice past their callback. A raw host receives the bytes; a Host
+// receives their decode, and nothing when they do not decode.
 func (n *Network) Send(src, dst Addr, payload []byte) {
-	n.SendMsg(src, dst, payload, nil)
+	site := n.route(src, dst)
+	p := n.newPacket(src, site, false)
+	p.buf = append(p.buf[:0], payload...)
+	p.payload = p.buf
+	n.clk.AfterFuncArg(n.pairDelay(src, site), deliverPacket, p)
 }
 
 // SendMsg is Send handing over m: the packet carries a copy of it, so
-// neither the receiver nor a tap decodes. With a nil payload the network
-// packs m only if something reads the packet's bytes; otherwise payload
-// must be exactly m packed. m must pack (dnswire.Message.WireLenBound
-// checks it without packing), and its names must not alias storage that
-// changes before the packet arrives (see Conn). A nil m is Send.
-func (n *Network) SendMsg(src, dst Addr, payload []byte, m *dnswire.Message) {
-	// Anycast destinations resolve to the catchment-selected site; both
-	// latency and the inbound loss decision are the site's.
+// neither a Host nor a message tap decodes, and the network packs it only
+// for a reader of bytes. m must pack (dnswire.Message.WireLenBound checks
+// it without packing), and its names must not alias storage that changes
+// before the packet arrives (see Conn).
+func (n *Network) SendMsg(src, dst Addr, m *dnswire.Message) {
+	site := n.route(src, dst)
+	p := n.newPacket(src, site, false)
+	p.carry(m)
+	// A byte tap reads every packet's bytes, and a path MTU its size:
+	// packed at send, as m was handed over.
+	if len(n.taps) > 0 || len(n.mtu) > 0 && n.mtu[site] > 0 {
+		p.bytes()
+	}
+	n.clk.AfterFuncArg(n.pairDelay(src, site), deliverPacket, p)
+}
+
+// route counts a UDP send from src and returns the host it goes to: dst,
+// or for an anycast address the catchment-selected site, whose latency
+// and inbound loss then apply.
+func (n *Network) route(src, dst Addr) Addr {
 	site, _ := n.anycastSite(src, dst)
 	n.stats.Sent++
-	n.deliverAfter(n.pairDelay(src, site), src, site, payload, m, false)
+	return site
 }
 
 func (n *Network) pairDelay(src, dst Addr) time.Duration {
@@ -460,9 +458,9 @@ func (n *Network) pairDelay(src, dst Addr) time.Duration {
 }
 
 // arrive applies the inbound loss and the path MTU to p and hands it to
-// its destination's host and to the taps. A packet still unpacked is
-// packed here if a reader of bytes appeared while it was in flight, or
-// its destination is a raw host.
+// the taps and to its destination: a raw host gets the bytes, packed here
+// if no reader needed them before, and a Host the message, decoded here
+// if the packet came as bytes.
 func (n *Network) arrive(p *packet) {
 	src, dst := p.src, p.dst
 	loss := n.inLoss[dst]
@@ -493,24 +491,32 @@ func (n *Network) arrive(p *packet) {
 	default:
 		n.stats.Delivered++
 	}
-	if _, raw := recv.(rawHost); raw || len(n.taps) > 0 || n.trace != nil {
+	deliver := !dropped && recv != nil
+	raw, isRaw := recv.(rawHost)
+
+	var m *dnswire.Message
+	if p.hasMsg || n.trace != nil || len(n.msgTaps) > 0 || deliver && !isRaw {
+		m = p.message()
+	}
+	if len(n.taps) > 0 || deliver && isRaw {
 		p.bytes()
 	}
-
-	n.event(arrival(dropped), src, dst, p.payload)
-	var m *dnswire.Message
-	if p.hasMsg {
-		m = &p.msg
-	}
+	n.event(arrival(dropped), src, dst, m)
 	ev := Event{Time: n.clk.Now(), Src: src, Dst: dst, Payload: p.payload, Msg: m, Dropped: dropped}
 	for _, tap := range n.taps {
 		tap(ev)
 	}
-	for _, tap := range n.msgTaps {
-		tap(ev)
+	if m != nil {
+		for _, tap := range n.msgTaps {
+			tap(ev)
+		}
 	}
-	if !dropped && recv != nil {
-		recv.Deliver(src, p.payload, m)
+	switch {
+	case !deliver:
+	case isRaw:
+		raw(src, p.payload)
+	case m != nil:
+		recv.Deliver(src, m)
 	}
 }
 
@@ -525,35 +531,26 @@ func (p *Port) Addr() Addr { return p.addr }
 
 // Send transmits payload from this port's address to dst.
 func (p *Port) Send(dst Addr, payload []byte) {
-	p.net.SendMsg(p.addr, dst, payload, nil)
+	p.net.Send(p.addr, dst, payload)
 }
 
-// SendMsg transmits m, with payload its packed form or nil (see
+// SendMsg transmits m from this port's address to dst (see
 // Network.SendMsg).
-func (p *Port) SendMsg(dst Addr, payload []byte, m *dnswire.Message) {
-	p.net.SendMsg(p.addr, dst, payload, m)
+func (p *Port) SendMsg(dst Addr, m *dnswire.Message) {
+	p.net.SendMsg(p.addr, dst, m)
 }
 
 // Conn is the transport contract the DNS engines program against: the
-// simulator's Port implements it, and cmd/ wraps real UDP sockets in it.
-// Send and SendMsg must copy (or otherwise finish with) what they are
-// handed before returning, so callers can recycle one buffer and one
-// message across sends; Network.Send and UDP writes both do.
-//
-// SendMsg(dst, nil, m) hands over a message and means "the transport
-// packs m if it needs bytes": a socket or the TCP plane packs it at once,
-// the simulated UDP plane carries a copy and packs only for a reader of
-// bytes. The sender checks that m packs (dnswire.Message.WireLenBound)
-// before handing it over. A sender that packed anyway (a TC=1 decision
-// read the size) passes the bytes too, and they must be m packed. The
-// packet's copy of m is shallow: m's names and record data must not
-// change before the packet arrives. So a reply built from a query decoded
-// with dnswire.UnpackBorrow, whose names alias pooled storage, goes as
-// bytes with Send.
+// simulator's Port and TCPPort implement it, and cmd/ wraps real UDP
+// sockets in it. SendMsg must finish with m before returning, so callers
+// can recycle one message across sends: a socket packs it at once, the
+// simulated network carries a copy and packs only for a reader of bytes.
+// The sender checks that m packs (dnswire.Message.WireLenBound) before
+// handing it over. The packet's copy of m is shallow: m's names and
+// record data must not change before the packet arrives.
 type Conn interface {
 	Addr() Addr
-	Send(dst Addr, payload []byte)
-	SendMsg(dst Addr, payload []byte, m *dnswire.Message)
+	SendMsg(dst Addr, m *dnswire.Message)
 }
 
 var _ Conn = (*Port)(nil)

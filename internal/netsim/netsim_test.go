@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/dnswire"
+	"repro/internal/trace"
 )
 
 var epoch = time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -242,32 +243,34 @@ func TestShared(t *testing.T) {
 	}
 }
 
-// msgHost records the message each delivery came with.
+// msgHost records a copy of the message of each delivery.
 type msgHost struct{ got []*dnswire.Message }
 
-func (h *msgHost) Deliver(_ Addr, _ []byte, m *dnswire.Message) {
-	if m != nil {
-		c := *m
-		c.Questions = append([]dnswire.Question(nil), m.Questions...)
-		m = &c
-	}
-	h.got = append(h.got, m)
+func (h *msgHost) Deliver(_ Addr, m *dnswire.Message) { h.got = append(h.got, copyMsg(m)) }
+
+func copyMsg(m *dnswire.Message) *dnswire.Message {
+	c := *m
+	c.Questions = append([]dnswire.Question(nil), m.Questions...)
+	return &c
 }
 
-// TestSendMsgCarriesCopy: SendMsg hands the receiver and the taps the
-// packet's own copy of the message, which the sender may change at once;
-// Send and the TCP plane carry bytes only; a steady-state send allocates
+// TestSendMsgCarriesCopy: SendMsg and SendTCP hand the receiver and the
+// taps the packet's own copy of the message, which the sender may change
+// at once; bytes sent with Send reach a Host as their decode, and bytes
+// that do not decode reach it not at all; a steady-state send allocates
 // nothing.
 func TestSendMsgCarriesCopy(t *testing.T) {
 	clk, net := newNet()
 	net.SetPairDelay("a", "b", time.Millisecond) // arrivals in send order
 	h := &msgHost{}
 	port := net.BindHost("b", h)
-	net.BindTCP("b", func(Addr, []byte) { h.got = append(h.got, nil) })
-	var tapped int
+	var tcp []*dnswire.Message
+	net.BindTCP("b", func(_ Addr, m *dnswire.Message) { tcp = append(tcp, copyMsg(m)) })
+	var tapped, withMsg int
 	net.AddTap(func(ev Event) {
+		tapped++
 		if ev.Msg != nil && ev.Msg.ID == 7 {
-			tapped++
+			withMsg++
 		}
 	})
 	m := dnswire.NewQuery(7, "a.example.", dnswire.TypeA)
@@ -275,37 +278,45 @@ func TestSendMsgCarriesCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SendMsg("a", "b", wire, m)
+	net.SendMsg("a", "b", m)
+	net.SendTCP("a", "b", m)
 	m.ID, m.Questions[0].Name = 8, "b.example."
 	net.Send("a", "b", wire)
-	net.SendTCP("a", "b", wire)
+	net.Send("a", "b", wire[:len(wire)-1])
 	clk.Run()
-	if len(h.got) != 3 || h.got[0] == nil || h.got[1] != nil || h.got[2] != nil {
-		t.Fatalf("deliveries = %v, want a message, then bytes twice", h.got)
+	if len(h.got) != 2 {
+		t.Fatalf("the host got %d deliveries, want 2 (the carried and the decoded message)", len(h.got))
 	}
-	if got := h.got[0]; got.ID != 7 || got.Questions[0].Name != "a.example." {
-		t.Errorf("delivered ID %d, question %v: the sender's later change reached the packet", got.ID, got.Questions[0])
+	for i, got := range append(h.got, tcp...) {
+		if got.ID != 7 || got.Questions[0].Name != "a.example." {
+			t.Errorf("delivery %d: ID %d, question %v; want the message as sent", i, got.ID, got.Questions[0])
+		}
 	}
-	if tapped != 1 {
-		t.Errorf("the tap saw the message %d times, want 1", tapped)
+	if len(tcp) != 1 {
+		t.Errorf("the TCP receiver got %d messages, want 1", len(tcp))
+	}
+	if tapped != 3 || withMsg != 2 {
+		t.Errorf("the byte tap saw %d packets, %d with the message; want 3, 2", tapped, withMsg)
 	}
 	net.Bind("b", func(Addr, []byte) {})
 	if n := testing.AllocsPerRun(100, func() {
-		port.SendMsg("b", wire, m)
+		port.SendMsg("b", m)
 		clk.Run()
 	}); n != 0 {
 		t.Errorf("a steady-state SendMsg allocates %.1f objects, want 0", n)
 	}
 }
 
-// TestPackOnlyForByteReaders: a message handed over without bytes stays
-// unpacked on its way to a message host and a message tap; a raw host
-// receives exactly Pack(m) as m was at send, though the sender changed m
-// at once; and a path MTU, set at send or while the packet is in flight,
-// is applied to the packed size.
+// TestPackOnlyForByteReaders: a message stays unpacked on its way to a
+// message host and a message tap, traced or not; a raw host receives
+// exactly Pack(m) as m was at send, though the sender changed m at once;
+// and a path MTU, set at send or while the packet is in flight, is
+// applied to the packed size.
 func TestPackOnlyForByteReaders(t *testing.T) {
 	clk, net := newNet()
-	m := dnswire.NewQuery(7, "a.example.", dnswire.TypeA)
+	tr := trace.NewBuffer(clk, epoch, trace.Config{})
+	net.SetTrace(tr)
+	m := dnswire.NewQuery(7, "1414.example.", dnswire.TypeA)
 	want, err := m.Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -320,11 +331,11 @@ func TestPackOnlyForByteReaders(t *testing.T) {
 			packed++
 		}
 	})
-	net.SendMsg("a", "b", nil, m)
-	net.SendMsg("a", "c", nil, m)
+	net.SendMsg("a", "b", m)
+	net.SendMsg("a", "c", m)
 	m.ID, m.Questions[0].Name = 8, "b.example."
 	clk.Run()
-	if len(h.got) != 1 || h.got[0] == nil || h.got[0].ID != 7 {
+	if len(h.got) != 1 || h.got[0].ID != 7 {
 		t.Fatalf("message host got %v, want the message with ID 7", h.got)
 	}
 	if len(raw) != 1 || string(raw[0]) != string(want) {
@@ -333,12 +344,20 @@ func TestPackOnlyForByteReaders(t *testing.T) {
 	if packed != 1 {
 		t.Errorf("the message tap saw %d packed packets, want 1 (the raw host's)", packed)
 	}
+	for _, ev := range tr.Events() {
+		if ev.Probe != 1414 {
+			t.Errorf("trace record %v: probe %d, want 1414", ev.Type, ev.Probe)
+		}
+	}
+	if tr.Len() != 2 {
+		t.Errorf("%d trace records, want 2", tr.Len())
+	}
 
-	m.ID, m.Questions[0].Name = 7, "a.example."
+	m.ID, m.Questions[0].Name = 7, "1414.example."
 	net.SetPathMTU("c", len(want)-1)
-	net.SendMsg("a", "c", nil, m) // packed at send for the MTU
+	net.SendMsg("a", "c", m) // packed at send for the MTU
 	net.SetPathMTU("b", 0)
-	net.SendMsg("a", "b", nil, m)
+	net.SendMsg("a", "b", m)
 	net.SetPathMTU("b", len(want)-1) // set while the packet is in flight
 	clk.Run()
 	if s := net.Stats(); s.MTUDropped != 2 || len(raw) != 1 || len(h.got) != 1 {
@@ -346,9 +365,10 @@ func TestPackOnlyForByteReaders(t *testing.T) {
 	}
 
 	net.SetPathMTU("b", 0)
+	net.SetTrace(nil)
 	net.BindHost("b", nopHost{})
 	if n := testing.AllocsPerRun(100, func() {
-		port.SendMsg("b", nil, m)
+		port.SendMsg("b", m)
 		clk.Run()
 	}); n != 0 {
 		t.Errorf("a steady-state unpacked SendMsg allocates %.1f objects, want 0", n)
@@ -358,4 +378,4 @@ func TestPackOnlyForByteReaders(t *testing.T) {
 // nopHost ignores what it is delivered.
 type nopHost struct{}
 
-func (nopHost) Deliver(Addr, []byte, *dnswire.Message) {}
+func (nopHost) Deliver(Addr, *dnswire.Message) {}

@@ -1,7 +1,8 @@
 // TCP plane of the simulated network (DESIGN.md §11). DNS-over-TCP in
-// this simulator is message-level like the UDP plane — framing is the
-// transport daemons' concern (internal/udprun) — but it models the three
-// properties that matter for DoTCP-fallback experiments:
+// this simulator is message-level like the UDP plane, and a TCP packet is
+// its message only: nothing reads its bytes, so nothing packs it, and
+// framing is the transport daemons' concern (internal/udprun). It models
+// the three properties that matter for DoTCP-fallback experiments:
 //
 //   - connection-setup cost: the first message between a host pair pays
 //     one extra round trip (SYN / SYN-ACK) before the data segment, and
@@ -47,14 +48,15 @@ func connKey(a, b Addr) [2]Addr {
 }
 
 // BindTCP attaches recv as addr's TCP-plane receiver and returns a
-// TCPPort for sending from it. The UDP and TCP planes are separate
-// namespaces: binding one does not bind the other.
-func (n *Network) BindTCP(addr Addr, recv func(src Addr, payload []byte)) *TCPPort {
+// TCPPort for sending from it. recv is handed the packet's message, under
+// Host.Deliver's rules. The UDP and TCP planes are separate namespaces:
+// binding one does not bind the other.
+func (n *Network) BindTCP(addr Addr, recv func(src Addr, m *dnswire.Message)) *TCPPort {
 	if addr == "" {
 		panic("netsim: empty address")
 	}
 	if n.tcpHosts == nil {
-		n.tcpHosts = make(map[Addr]func(src Addr, payload []byte), 16)
+		n.tcpHosts = make(map[Addr]func(src Addr, m *dnswire.Message), 16)
 	}
 	n.tcpHosts[addr] = recv
 	return &TCPPort{net: n, addr: addr}
@@ -102,12 +104,12 @@ func (n *Network) PathMTU(dst Addr) int {
 	return n.mtu[dst]
 }
 
-// SendTCP schedules delivery of payload from src to dst over the TCP
-// plane. A cold host pair pays one extra round trip for the handshake
-// before the data segment; the connection then stays warm for
-// tcpIdleTimeout after its last message. Like Send, the payload is
-// copied before returning and the loss decision is made at arrival.
-func (n *Network) SendTCP(src, dst Addr, payload []byte) {
+// SendTCP schedules delivery of m from src to dst over the TCP plane. A
+// cold host pair pays one extra round trip for the handshake before the
+// data segment; the connection then stays warm for tcpIdleTimeout after
+// its last message. Like SendMsg, the packet carries a copy of m and the
+// loss decision is made at arrival.
+func (n *Network) SendTCP(src, dst Addr, m *dnswire.Message) {
 	oneWay := n.pairDelay(src, dst)
 	delay := oneWay
 	key := connKey(src, dst)
@@ -115,20 +117,23 @@ func (n *Network) SendTCP(src, dst Addr, payload []byte) {
 	if exp, ok := n.tcpConns[key]; !ok || now.After(exp) {
 		delay += 2 * oneWay // SYN + SYN-ACK before the data segment
 		n.stats.TCPConnects++
-		n.event(trace.EvTCPConnect, src, dst, payload)
+		n.event(trace.EvTCPConnect, src, dst, m)
 	}
 	if n.tcpConns == nil {
 		n.tcpConns = make(map[[2]Addr]time.Time, 16)
 	}
 	n.tcpConns[key] = now.Add(delay + tcpIdleTimeout)
 	n.stats.TCPSent++
-	n.deliverAfter(delay, src, dst, payload, nil, true)
+	p := n.newPacket(src, dst, true)
+	p.carry(m)
+	n.clk.AfterFuncArg(delay, deliverPacket, p)
 }
 
-// arriveTCP applies the TCP-plane loss dial and hands the message to the
+// arriveTCP applies the TCP-plane loss dial and hands p's message to the
 // bound receiver. Lazy hosts materialize exactly as on the UDP plane, so
 // population builders need no TCP-specific wiring.
-func (n *Network) arriveTCP(src, dst Addr, payload []byte) {
+func (n *Network) arriveTCP(p *packet) {
+	src, dst := p.src, p.dst
 	loss := n.tcpLoss[dst]
 	dropped := loss > 0 && n.rng.Float64() < loss
 	recv := n.tcpHosts[dst]
@@ -148,9 +153,9 @@ func (n *Network) arriveTCP(src, dst Addr, payload []byte) {
 		n.stats.TCPDelivered++
 	}
 
-	n.event(arrival(dropped), src, dst, payload)
+	n.event(arrival(dropped), src, dst, &p.msg)
 	if !dropped && recv != nil {
-		recv(src, payload)
+		recv(src, &p.msg)
 	}
 }
 
@@ -158,25 +163,14 @@ func (n *Network) arriveTCP(src, dst Addr, payload []byte) {
 type TCPPort struct {
 	net  *Network
 	addr Addr
-	buf  []byte // SendMsg's packing buffer (SendTCP copies)
 }
 
 // Addr returns the bound address.
 func (p *TCPPort) Addr() Addr { return p.addr }
 
-// Send transmits payload from this port's address to dst over TCP.
-func (p *TCPPort) Send(dst Addr, payload []byte) {
-	p.net.SendTCP(p.addr, dst, payload)
-}
-
-// SendMsg is Send: the TCP plane carries bytes only, so a message handed
-// over without them is packed here.
-func (p *TCPPort) SendMsg(dst Addr, payload []byte, m *dnswire.Message) {
-	if payload == nil && m != nil {
-		p.buf = mustPack(m, p.buf[:0])
-		payload = p.buf
-	}
-	p.net.SendTCP(p.addr, dst, payload)
+// SendMsg transmits m from this port's address to dst over TCP.
+func (p *TCPPort) SendMsg(dst Addr, m *dnswire.Message) {
+	p.net.SendTCP(p.addr, dst, m)
 }
 
 var _ Conn = (*TCPPort)(nil)

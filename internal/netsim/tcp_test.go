@@ -1,9 +1,15 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/dnswire"
 )
+
+// tcpQuery is a message to send on the TCP plane.
+var tcpQuery = dnswire.NewQuery(1, "q.example.", dnswire.TypeA)
 
 // TestTCPHandshakeLatency checks the connection-setup model: a cold pair
 // pays one extra round trip (SYN + SYN-ACK) before the data segment, a
@@ -15,10 +21,10 @@ func TestTCPHandshakeLatency(t *testing.T) {
 	net.SetPairDelay("a", "b", oneWay)
 
 	var arrivals []time.Time
-	net.BindTCP("b", func(Addr, []byte) { arrivals = append(arrivals, clk.Now()) })
+	net.BindTCP("b", func(Addr, *dnswire.Message) { arrivals = append(arrivals, clk.Now()) })
 
 	send := func() {
-		net.SendTCP("a", "b", []byte("q"))
+		net.SendTCP("a", "b", tcpQuery)
 		clk.Run()
 	}
 
@@ -34,9 +40,9 @@ func TestTCPHandshakeLatency(t *testing.T) {
 	}
 
 	// The reply direction shares the initiator's connection.
-	net.BindTCP("a", func(Addr, []byte) { arrivals = append(arrivals, clk.Now()) })
+	net.BindTCP("a", func(Addr, *dnswire.Message) { arrivals = append(arrivals, clk.Now()) })
 	mark = clk.Now()
-	net.SendTCP("b", "a", []byte("r"))
+	net.SendTCP("b", "a", tcpQuery)
 	clk.Run()
 	if got, want := arrivals[2].Sub(mark), oneWay; got != want {
 		t.Errorf("reply delivery after %v, want %v", got, want)
@@ -61,12 +67,12 @@ func TestTCPSeparateLoss(t *testing.T) {
 	clk, net := newNet()
 	var udp, tcp int
 	net.Bind("b", func(Addr, []byte) { udp++ })
-	net.BindTCP("b", func(Addr, []byte) { tcp++ })
+	net.BindTCP("b", func(Addr, *dnswire.Message) { tcp++ })
 
 	net.SetInboundLoss("b", 1) // UDP dead, TCP alive
 	for i := 0; i < 10; i++ {
 		net.Send("a", "b", []byte("u"))
-		net.SendTCP("a", "b", []byte("t"))
+		net.SendTCP("a", "b", tcpQuery)
 	}
 	clk.Run()
 	if udp != 0 || tcp != 10 {
@@ -77,7 +83,7 @@ func TestTCPSeparateLoss(t *testing.T) {
 	net.SetInboundLossTCP("b", 1) // TCP dead, UDP alive
 	for i := 0; i < 10; i++ {
 		net.Send("a", "b", []byte("u"))
-		net.SendTCP("a", "b", []byte("t"))
+		net.SendTCP("a", "b", tcpQuery)
 	}
 	clk.Run()
 	if udp != 10 || tcp != 10 {
@@ -99,7 +105,7 @@ func TestPathMTUDropsOversizedUDP(t *testing.T) {
 	clk, net := newNet()
 	var udp, tcp int
 	net.Bind("b", func(Addr, []byte) { udp++ })
-	net.BindTCP("b", func(Addr, []byte) { tcp++ })
+	net.BindTCP("b", func(Addr, *dnswire.Message) { tcp++ })
 
 	net.SetPathMTU("b", 100)
 	if got := net.PathMTU("b"); got != 100 {
@@ -107,7 +113,8 @@ func TestPathMTUDropsOversizedUDP(t *testing.T) {
 	}
 	net.Send("a", "b", make([]byte, 101)) // over: dropped
 	net.Send("a", "b", make([]byte, 100)) // exactly at: delivered
-	net.SendTCP("a", "b", make([]byte, 4096))
+	long := strings.Repeat(strings.Repeat("x", 60)+".", 4)
+	net.SendTCP("a", "b", dnswire.NewQuery(2, long, dnswire.TypeA)) // over 100 octets packed
 	clk.Run()
 	if udp != 1 || tcp != 1 {
 		t.Fatalf("udp=%d tcp=%d, want 1/1", udp, tcp)
@@ -129,7 +136,7 @@ func TestPathMTUDropsOversizedUDP(t *testing.T) {
 // address.
 func TestTCPDeadHost(t *testing.T) {
 	clk, net := newNet()
-	net.SendTCP("a", "nowhere", []byte("q"))
+	net.SendTCP("a", "nowhere", tcpQuery)
 	clk.Run()
 	if s := net.Stats(); s.TCPDead != 1 || s.TCPDelivered != 0 {
 		t.Errorf("stats = %+v", s)

@@ -56,20 +56,25 @@ func FuzzResolverUpstream(f *testing.F) {
 		// The reply keeps QR set: a query sent back would reach the
 		// resolver's client side and start a resolution whose upstream
 		// queries bring it back again, a loop that never drains.
-		upstream := func(send func(src, dst netsim.Addr, payload []byte)) func(netsim.Addr, []byte) {
-			return func(src netsim.Addr, q []byte) {
-				out := append([]byte(nil), reply...)
-				if echoID && len(out) >= 2 && len(q) >= 2 {
-					copy(out[:2], q[:2])
-				}
-				if len(out) >= 3 {
-					out[2] |= 0x80
-				}
-				send(rootAddr, src, out)
+		answer := func(q []byte) []byte {
+			out := append([]byte(nil), reply...)
+			if echoID && len(out) >= 2 && len(q) >= 2 {
+				copy(out[:2], q[:2])
 			}
+			if len(out) >= 3 {
+				out[2] |= 0x80
+			}
+			return out
 		}
-		net.Bind(rootAddr, upstream(net.Send))
-		net.BindTCP(rootAddr, upstream(net.SendTCP))
+		net.Bind(rootAddr, func(src netsim.Addr, q []byte) { net.Send(rootAddr, src, answer(q)) })
+		// The TCP plane carries messages: a reply that does not decode is
+		// lost, as it was to the resolver's decode.
+		net.BindTCP(rootAddr, func(src netsim.Addr, q *dnswire.Message) {
+			wire, _ := q.Pack()
+			if m, err := dnswire.Unpack(answer(wire)); err == nil {
+				net.SendTCP(rootAddr, src, m)
+			}
+		})
 
 		cfg := Config{
 			RootHints:   []ServerHint{{Name: "a.root-servers.net.", Addr: rootAddr}},

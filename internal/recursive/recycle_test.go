@@ -326,18 +326,11 @@ func TestCoalescedWaitersKeepTheirOwnHeader(t *testing.T) {
 		resp *dnswire.Message
 	}
 	got := map[netsim.Addr]seen{}
-	listen := func(addr netsim.Addr, tcp bool) func(netsim.Addr, []byte) {
-		return func(_ netsim.Addr, payload []byte) {
-			m, err := dnswire.Unpack(payload)
-			if err != nil {
-				t.Errorf("%s: %v", addr, err)
-				return
-			}
-			if _, dup := got[addr]; dup {
-				t.Errorf("%s answered twice", addr)
-			}
-			got[addr] = seen{tcp, m}
+	record := func(addr netsim.Addr, tcp bool, m *dnswire.Message) {
+		if _, dup := got[addr]; dup {
+			t.Errorf("%s answered twice", addr)
 		}
+		got[addr] = seen{tcp, m}
 	}
 	ask := func(addr netsim.Addr, id uint16, rd bool, edns uint16, tcp bool) {
 		q := dnswire.NewQuery(id, "1414.cachetest.nl.", dnswire.TypeAAAA)
@@ -345,16 +338,24 @@ func TestCoalescedWaitersKeepTheirOwnHeader(t *testing.T) {
 		if edns > 0 {
 			q.AddEDNS(edns, false)
 		}
-		wire, err := q.Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.net.Bind(addr, listen(addr, false))
-		w.net.BindTCP(addr, listen(addr, true))
+		w.net.Bind(addr, func(_ netsim.Addr, payload []byte) {
+			m, err := dnswire.Unpack(payload)
+			if err != nil {
+				t.Errorf("%s: %v", addr, err)
+				return
+			}
+			record(addr, false, m)
+		})
+		w.net.BindTCP(addr, func(_ netsim.Addr, m *dnswire.Message) {
+			c := *m // the packet's; its sections are reused after the call
+			c.Answers = append([]dnswire.RR(nil), m.Answers...)
+			c.Additionals = append([]dnswire.RR(nil), m.Additionals...)
+			record(addr, true, &c)
+		})
 		if tcp {
-			w.net.SendTCP(addr, resAddr, wire)
+			w.net.SendTCP(addr, resAddr, q)
 		} else {
-			w.net.Send(addr, resAddr, wire)
+			w.net.SendMsg(addr, resAddr, q)
 		}
 	}
 	ask("10.9.0.1", 101, true, 0, false)

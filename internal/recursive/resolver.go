@@ -278,18 +278,19 @@ type Resolver struct {
 // putOQ's rule, which holds whichever resolver takes it next. It is the
 // only place the package declares dnswire.Message fields (make obs-guard).
 type workingSet struct {
-	// upMsg is the decode target for upstream responses that came as
-	// bytes alone. Response processing never retains the message or its
-	// section slices (data that outlives the dispatch — cache sets, Result
-	// answers — is always copied).
+	// upMsg is the decode target for upstream responses read off a real
+	// socket (Receive). Response processing never retains the message or
+	// its section slices (data that outlives the dispatch — cache sets,
+	// Result answers — is always copied).
 	upMsg dnswire.Message
-	// cqMsg is the decode target for client queries that came as bytes
-	// alone, and at answer time the scratch each waiter's query is rebuilt
-	// in (see waiter).
+	// cqMsg is the decode target for client queries read off a real
+	// socket, and at answer time the scratch each waiter's query is
+	// rebuilt in (see waiter).
 	cqMsg dnswire.Message
-	// qMsg and respMsg are encode sources (upstream queries and client
-	// responses), and packBuf the wire buffer; all three are transmitted
-	// before the dispatch returns and never retained (Conn.SendMsg copies).
+	// qMsg and respMsg are the messages sent (upstream queries and client
+	// responses), handed over before the dispatch returns and never
+	// retained (Conn.SendMsg copies); packBuf is where an over-the-bound
+	// response is packed to measure it.
 	qMsg    dnswire.Message
 	respMsg dnswire.Message
 	packBuf []byte
@@ -440,7 +441,7 @@ func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
 	r.port = net.BindHost(addr, r)
 	r.conn = &r.port
 	if r.cfg.TCPFallback {
-		r.tcpConn = net.BindTCP(addr, r.ReceiveTCP)
+		r.tcpConn = net.BindTCP(addr, r.deliverTCP)
 	}
 }
 
@@ -448,40 +449,36 @@ func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
 // a QR bit, let alone a message.
 const headerLen = 12
 
-// Deliver is the simulated network's entry point (netsim.Host): m, when
-// set, is the packet's message and nothing is decoded.
-func (r *Resolver) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
-	r.receive(src, payload, m, false)
-}
+// Deliver is the simulated network's entry point (netsim.Host).
+func (r *Resolver) Deliver(src netsim.Addr, m *dnswire.Message) { r.dispatch(src, m, false) }
 
-// Receive is the raw packet entry point (exported for custom transports).
-func (r *Resolver) Receive(src netsim.Addr, payload []byte) { r.receive(src, payload, nil, false) }
-
-// ReceiveTCP is Receive for the TCP plane. Responses route to the same
+// deliverTCP is Deliver for the TCP plane. Responses route to the same
 // in-flight table (query IDs are transport-agnostic); client queries are
 // answered over TCP without the UDP size limit.
-func (r *Resolver) ReceiveTCP(src netsim.Addr, payload []byte) { r.receive(src, payload, nil, true) }
+func (r *Resolver) deliverTCP(src netsim.Addr, m *dnswire.Message) { r.dispatch(src, m, true) }
 
-// receive routes on the QR bit. Bytes that came without their message
-// decode into the scratch message of their direction; a response is
-// decoded only when its ID has a query in flight, so a late answer costs
-// no decode, and a malformed one leaves its query in flight.
-func (r *Resolver) receive(src netsim.Addr, payload []byte, m *dnswire.Message, tcp bool) {
-	if m == nil {
-		if len(payload) < headerLen {
-			return
-		}
-		m = &r.work().cqMsg
-		if payload[2]&0x80 != 0 {
-			if r.outqueryOf(binary.BigEndian.Uint16(payload)) == nil {
-				return // late or spoofed; ignore
-			}
-			m = &r.ws.upMsg
-		}
-		if dnswire.UnpackInto(m, payload) != nil {
-			return
-		}
+// Receive is the real-socket entry point (udprun.Conn.Serve): it decodes
+// payload into the scratch message of its direction, a response only
+// when its ID has a query in flight, so a late answer costs no decode
+// and a malformed one leaves its query in flight.
+func (r *Resolver) Receive(src netsim.Addr, payload []byte) {
+	if len(payload) < headerLen {
+		return
 	}
+	m := &r.work().cqMsg
+	if payload[2]&0x80 != 0 {
+		if r.outqueryOf(binary.BigEndian.Uint16(payload)) == nil {
+			return // late or spoofed; ignore
+		}
+		m = &r.ws.upMsg
+	}
+	if dnswire.UnpackInto(m, payload) == nil {
+		r.dispatch(src, m, false)
+	}
+}
+
+// dispatch routes m on its QR bit.
+func (r *Resolver) dispatch(src netsim.Addr, m *dnswire.Message, tcp bool) {
 	r.depth++
 	if m.Response {
 		r.handleUpstream(m)
@@ -641,8 +638,8 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	} else if do {
 		q.AddEDNS(4096, true)
 	}
-	// A UDP query goes as its message (the transport packs it if it
-	// needs bytes); the bound refuses exactly what packing would.
+	// The query goes as its message (the transport packs it if it needs
+	// bytes); the bound refuses exactly what packing would.
 	if _, err := q.WireLenBound(); err != nil {
 		r.landed(oq)
 		r.putOQ(oq, true) // no timer armed yet
@@ -650,13 +647,11 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 		return
 	}
 	oq.timer = clock.AfterFuncRef(r.clk, t.timeout, outqueryTimeout, oq)
+	conn := r.conn
 	if tcp {
-		wire, _ := q.AppendPack(ws.packBuf[:0]) // the bound accepted q
-		ws.packBuf = wire[:0]
-		r.tcpConn.Send(server, wire)
-		return
+		conn = r.tcpConn
 	}
-	r.conn.SendMsg(server, nil, q)
+	conn.SendMsg(server, q)
 }
 
 // outqueryTimeout is the static timeout callback armed by send. A node

@@ -170,37 +170,35 @@ func (r *Resolver) buildResponseInto(resp, q *dnswire.Message, res Result) *dnsw
 	return resp
 }
 
-// respond transmits resp to dst. A UDP response goes as its message
-// when its uncompressed length (dnswire.Message.WireLenBound) fits the
-// size the client's query advertised (512 octets without an OPT record),
-// so the packed one fits too. Otherwise it is packed, and if it is still
-// over the limit it is truncated in place (resp is the caller's scratch,
-// discarded after): data sections stripped, TC set, and the OPT record
-// kept so the client can renegotiate or fall back to TCP. TCP responses
-// are never truncated.
+// respond transmits resp to dst as its message. TCP responses are never
+// truncated. A UDP response whose uncompressed length
+// (dnswire.Message.WireLenBound) is over the size the client's query
+// advertised (512 octets without an OPT record) is packed to measure it,
+// and if it is still over the limit it is truncated in place (resp is
+// the caller's scratch, discarded after): data sections stripped, TC
+// set, and the OPT record kept so the client can renegotiate or fall
+// back to TCP.
 func (r *Resolver) respond(dst netsim.Addr, resp, q *dnswire.Message, tcp bool) {
 	bound, err := resp.WireLenBound()
 	if err != nil {
 		return
 	}
-	var wire []byte
-	if limit := q.UDPPayloadLimit(); tcp || bound > limit {
+	if tcp {
+		r.tcpConn.SendMsg(dst, resp)
+		return
+	}
+	if limit := q.UDPPayloadLimit(); bound > limit {
 		ws := r.work()
-		wire, _ = resp.AppendPack(ws.packBuf[:0]) // the bound accepted resp
+		wire, _ := resp.AppendPack(ws.packBuf[:0]) // the bound accepted resp
 		ws.packBuf = wire[:0]
-		if !tcp && len(wire) > limit {
+		if len(wire) > limit {
 			qname := ""
 			if len(q.Questions) == 1 {
 				qname = q.Questions[0].Name
 			}
 			r.event(kClientTruncated, payload{probe: qname, a: uint32(len(wire)), b: uint32(limit), dst: dst})
 			resp.Truncate()
-			wire = nil
 		}
 	}
-	if tcp && r.tcpConn != nil {
-		r.tcpConn.Send(dst, wire)
-		return
-	}
-	r.conn.SendMsg(dst, wire, resp)
+	r.conn.SendMsg(dst, resp)
 }

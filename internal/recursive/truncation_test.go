@@ -212,9 +212,8 @@ func TestForwarderReactsToUpstreamTC(t *testing.T) {
 			uport.Send(src, wire)
 		})
 		var utcp *netsim.TCPPort
-		utcp = net.BindTCP(upAddr, func(src netsim.Addr, payload []byte) {
-			q, err := dnswire.Unpack(payload)
-			if err != nil || q.Response {
+		utcp = net.BindTCP(upAddr, func(src netsim.Addr, q *dnswire.Message) {
+			if q.Response {
 				return
 			}
 			resp := dnswire.NewResponse(q)
@@ -223,8 +222,7 @@ func TestForwarderReactsToUpstreamTC(t *testing.T) {
 				Name: q.Question1().Name, Class: dnswire.ClassIN, TTL: 60,
 				Data: dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::2")},
 			})
-			wire, _ := resp.Pack()
-			utcp.Send(src, wire)
+			utcp.SendMsg(src, resp)
 		})
 		cfg.Forwarders = []netsim.Addr{upAddr}
 		r := NewResolver(clk, cfg)

@@ -28,8 +28,8 @@ const DefaultTimeout = 5 * time.Second
 
 // Result is the outcome of one query.
 type Result struct {
-	// Msg is the response, nil on timeout: the packet's message, or the
-	// working set's scratch message the bytes were decoded into. Either is
+	// Msg is the response, nil on timeout: the packet's message, or off a
+	// real socket the scratch message the bytes were decoded into. Either is
 	// valid until the callback returns, then reused. A callback that needs
 	// it longer copies what it needs.
 	Msg *dnswire.Message
@@ -83,12 +83,10 @@ type Client struct {
 // time, so one of each serves every query. It is the only place the
 // package declares dnswire.Message fields (make obs-guard).
 type workingSet struct {
-	// qMsg and respMsg are the encode source and the decode target of
-	// responses that came as bytes alone, packBuf the wire buffer
-	// (Conn.SendMsg copies).
+	// qMsg is the query sent (Conn.SendMsg copies), respMsg the decode
+	// target of responses read off a real socket (Receive).
 	qMsg    dnswire.Message
 	respMsg dnswire.Message
-	packBuf []byte
 	// free recycles pending records (see release).
 	free *pending
 }
@@ -160,7 +158,7 @@ func (c *Client) Attach(net *netsim.Network, addr netsim.Addr) {
 	port := net.BindHost(addr, c)
 	c.conn = &port
 	if c.cfg.TCPFallback {
-		c.tcpConn = net.BindTCP(addr, c.Receive)
+		c.tcpConn = net.BindTCP(addr, c.Deliver)
 	}
 }
 
@@ -171,21 +169,19 @@ func (c *Client) SetConn(conn netsim.Conn) { c.conn = conn }
 // it, and nothing shorter decodes.
 const headerLen = 12
 
-// Deliver is the simulated network's entry point (netsim.Host): m, when
-// set, is the packet's message and nothing is decoded.
-func (c *Client) Deliver(src netsim.Addr, payload []byte, m *dnswire.Message) {
-	if m == nil {
-		c.Receive(src, payload)
-	} else if p := c.awaiting(src, m.ID); p != nil && m.Response {
+// Deliver is the simulated network's entry point, on both planes
+// (netsim.Host, and BindTCP's receiver): responses are matched by ID,
+// which is transport-agnostic.
+func (c *Client) Deliver(src netsim.Addr, m *dnswire.Message) {
+	if p := c.awaiting(src, m.ID); p != nil && m.Response {
 		c.complete(p, src, m)
 	}
 }
 
-// Receive is the raw packet entry point (both planes: responses are
-// matched by ID, which is transport-agnostic). A response is decoded into
-// the scratch message only when its ID is in flight to src, so a late or
-// spoofed one costs no decode, and a malformed one leaves its query in
-// flight.
+// Receive is the real-socket entry point (udprun.Conn.Serve). A response
+// is decoded into the scratch message only when its ID is in flight to
+// src, so a late or spoofed one costs no decode, and a malformed one
+// leaves its query in flight.
 func (c *Client) Receive(src netsim.Addr, payload []byte) {
 	if len(payload) < headerLen || payload[2]&0x80 == 0 {
 		return
@@ -299,8 +295,8 @@ func (c *Client) sendAttempt(p *pending) {
 	if c.cfg.EDNSSize > 0 {
 		q.AddEDNS(c.cfg.EDNSSize, false)
 	}
-	// A UDP query goes as its message (the transport packs it if it
-	// needs bytes); the bound refuses exactly what packing would.
+	// The query goes as its message (the transport packs it if it needs
+	// bytes); the bound refuses exactly what packing would.
 	if _, err := q.WireLenBound(); err != nil {
 		delete(c.inflight, p.id)
 		p.h.Done(Result{Err: err, Server: p.server})
@@ -308,13 +304,11 @@ func (c *Client) sendAttempt(p *pending) {
 		return
 	}
 	p.timer = clock.AfterFuncRef(c.clk, c.cfg.Timeout, attemptTimeout, p)
+	conn := c.conn
 	if p.tcp {
-		wire, _ := q.AppendPack(ws.packBuf[:0]) // the bound accepted q
-		ws.packBuf = wire[:0]
-		c.tcpConn.Send(p.server, wire)
-		return
+		conn = c.tcpConn
 	}
-	c.conn.SendMsg(p.server, nil, q)
+	conn.SendMsg(p.server, q)
 }
 
 // attemptTimeout is the static timeout callback armed by sendAttempt. A

@@ -168,8 +168,8 @@ func TestConcurrentQueriesKeepIDsDistinct(t *testing.T) {
 }
 
 // TestResultMsgValidInsideCallback pins the Result.Msg contract: it is the
-// client's scratch message, so each callback sees its own response while
-// it runs, and a later response reuses the same message.
+// delivered packet's message, so each callback sees its own response
+// while it runs, and the network reuses it after.
 func TestResultMsgValidInsideCallback(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	net := netsim.New(clk, 1)
@@ -177,19 +177,19 @@ func TestResultMsgValidInsideCallback(t *testing.T) {
 	c := New(clk, Config{})
 	c.Attach(net, "10.9.0.1")
 
-	seen := map[string]*dnswire.Message{}
+	seen := 0
 	for _, name := range []string{"a.cachetest.nl.", "b.cachetest.nl."} {
 		name := name
 		c.Query("10.0.0.53", name, dnswire.TypeAAAA, func(r Result) {
 			if r.Err != nil || r.Msg.Question1().Name != name || r.Msg.Answers[0].Name != name {
 				t.Errorf("callback for %s saw %+v (err %v)", name, r.Msg, r.Err)
 			}
-			seen[name] = r.Msg
+			seen++
 		})
 	}
 	clk.Run()
-	if len(seen) != 2 || seen["a.cachetest.nl."] != seen["b.cachetest.nl."] {
-		t.Errorf("responses decoded into %d distinct messages, want the one scratch message", len(seen))
+	if seen != 2 {
+		t.Errorf("%d callbacks ran, want 2", seen)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // complete answer on the TCP plane.
 func truncServer(t *testing.T, net *netsim.Network, addr netsim.Addr, tcp bool) {
 	t.Helper()
-	answer := func(q *dnswire.Message, truncate bool) []byte {
+	answer := func(q *dnswire.Message, truncate bool) *dnswire.Message {
 		resp := dnswire.NewResponse(q)
 		resp.RecursionAvailable = true
 		if truncate {
@@ -27,11 +27,7 @@ func truncServer(t *testing.T, net *netsim.Network, addr netsim.Addr, tcp bool) 
 				Data: dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")},
 			})
 		}
-		wire, err := resp.Pack()
-		if err != nil {
-			t.Errorf("pack: %v", err)
-		}
-		return wire
+		return resp
 	}
 	var port *netsim.Port
 	port = net.Bind(addr, func(src netsim.Addr, payload []byte) {
@@ -39,18 +35,16 @@ func truncServer(t *testing.T, net *netsim.Network, addr netsim.Addr, tcp bool) 
 		if err != nil || q.Response {
 			return
 		}
-		port.Send(src, answer(q, true))
+		port.SendMsg(src, answer(q, true))
 	})
 	if !tcp {
 		return
 	}
 	var tport *netsim.TCPPort
-	tport = net.BindTCP(addr, func(src netsim.Addr, payload []byte) {
-		q, err := dnswire.Unpack(payload)
-		if err != nil || q.Response {
-			return
+	tport = net.BindTCP(addr, func(src netsim.Addr, q *dnswire.Message) {
+		if !q.Response {
+			tport.SendMsg(src, answer(q, false))
 		}
-		tport.Send(src, answer(q, false))
 	})
 }
 
@@ -123,13 +117,11 @@ func TestTCPResponseNeverRefallsBack(t *testing.T) {
 	})
 	tcpQueries := 0
 	var tport *netsim.TCPPort
-	tport = net.BindTCP("10.0.0.53", func(src netsim.Addr, payload []byte) {
+	tport = net.BindTCP("10.0.0.53", func(src netsim.Addr, q *dnswire.Message) {
 		tcpQueries++
-		q, _ := dnswire.Unpack(payload)
 		resp := dnswire.NewResponse(q)
 		resp.Truncated = true
-		wire, _ := resp.Pack()
-		tport.Send(src, wire)
+		tport.SendMsg(src, resp)
 	})
 	c := New(clk, Config{TCPFallback: true})
 	c.Attach(net, "10.9.0.1")

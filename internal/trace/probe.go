@@ -1,5 +1,7 @@
 package trace
 
+import "repro/internal/dnswire"
+
 // Probe attribution. The testbed names every vantage point's record
 // after its cell-local probe ID — "1414.cachetest.nl." — so a query name
 // (or any DNS message carrying one) identifies the probe it serves.
@@ -9,7 +11,21 @@ package trace
 // ProbeFromName extracts the probe ID from a query name whose first
 // label is a decimal probe ID. Returns 0 when the name is not a
 // per-probe name.
-func ProbeFromName(name string) uint16 {
+func ProbeFromName(name string) uint16 { return probeOfLabel(name, false) }
+
+// ProbeFromMsg extracts the probe ID from the first question of m, nil
+// or not, without packing it: ProbeFromWire of m packed. The first label
+// may end the name, as packing supplies a missing trailing dot.
+func ProbeFromMsg(m *dnswire.Message) uint16 {
+	if m == nil || len(m.Questions) == 0 {
+		return 0
+	}
+	return probeOfLabel(m.Questions[0].Name, true)
+}
+
+// probeOfLabel parses name's first label as a decimal probe ID; whole
+// says whether the label may be the whole name.
+func probeOfLabel(name string, whole bool) uint16 {
 	var n uint32
 	i := 0
 	for ; i < len(name); i++ {
@@ -22,7 +38,7 @@ func ProbeFromName(name string) uint16 {
 			return 0
 		}
 	}
-	if i == 0 || i >= len(name) || name[i] != '.' {
+	if i == 0 || i == len(name) && !whole || i < len(name) && name[i] != '.' {
 		return 0
 	}
 	return uint16(n)

@@ -102,7 +102,7 @@ func (c Clock) AfterFunc(d time.Duration, f func()) clock.Timer {
 	return time.AfterFunc(d, func() { l.Post(f) })
 }
 
-// AfterFuncArg implements clock.ArgScheduler.
+// AfterFuncArg implements clock.Clock.
 func (c Clock) AfterFuncArg(d time.Duration, f func(any), arg any) { c.AfterFuncRef(d, f, arg) }
 
 // AfterFuncRef implements clock.RefScheduler, so clock.AfterFuncRef on
@@ -205,7 +205,7 @@ func (c *Conn) dstAddrPort(dst netsim.Addr) (netip.AddrPort, bool) {
 	return ap, true
 }
 
-// Send implements netsim.Conn. Errors (unresolvable peers, closed socket)
+// Send writes payload to dst. Errors (unresolvable peers, closed socket)
 // are dropped, matching UDP semantics.
 func (c *Conn) Send(dst netsim.Addr, payload []byte) {
 	if ap, ok := c.dstAddrPort(dst); ok {
@@ -213,14 +213,9 @@ func (c *Conn) Send(dst netsim.Addr, payload []byte) {
 	}
 }
 
-// SendMsg implements netsim.Conn: a socket carries bytes only, so a
-// message handed over without them is packed into the Conn's one reused
-// buffer, and the message is otherwise ignored.
-func (c *Conn) SendMsg(dst netsim.Addr, payload []byte, m *dnswire.Message) {
-	if payload != nil || m == nil {
-		c.Send(dst, payload)
-		return
-	}
+// SendMsg implements netsim.Conn: a socket carries bytes only, so m is
+// packed into the Conn's one reused buffer.
+func (c *Conn) SendMsg(dst netsim.Addr, m *dnswire.Message) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	wire, err := m.AppendPack(c.wbuf[:0])
@@ -271,6 +266,5 @@ func (c *Conn) Close() error {
 var (
 	_ netsim.Conn        = (*Conn)(nil)
 	_ clock.Clock        = Clock{}
-	_ clock.ArgScheduler = Clock{}
 	_ clock.RefScheduler = Clock{}
 )

@@ -27,21 +27,23 @@
 #     only inside their workingSet type, the scratch each engine borrows
 #     from the network it attaches to, so a resolver or a stub client
 #     cannot grow per-instance scratch messages again;
-#   - one decode per engine (DESIGN.md §11.2): a simulated packet carries
-#     the message its sender packed, so non-test internal/recursive,
-#     internal/stub and internal/authoritative each call dnswire.Unpack*
-#     once, in the fallback for bytes that came alone (resolver.go,
-#     stub.go, server.go), and non-test internal/experiment twice, in its
-#     two taps' fallbacks (testbed.go, adversary.go), so no simulated hop
-#     grows a second decode;
-#   - no pack per UDP send (DESIGN.md §11.2): a sender hands its message
+#   - a simulated packet is a message (DESIGN.md §11.2): non-test
+#     internal/netsim packs and decodes at one site each (packet.bytes,
+#     packet.message), for the readers of bytes and the raw senders;
+#     non-test internal/recursive, internal/stub and
+#     internal/authoritative call dnswire.Unpack* once each, in their
+#     real-socket entry (Resolver.Receive, Client.Receive,
+#     Server.handleWireAppend), and internal/experiment and
+#     internal/adversary never, so no simulated hop grows a decode;
+#   - no pack per send (DESIGN.md §11.2): a sender hands its message
 #     over unpacked and the transport packs it if it needs bytes, so
-#     non-test internal/recursive, internal/stub and internal/authoritative
-#     call Pack/AppendPack only where bytes are read: the TCP queries
-#     (resolver.go, stub.go), the resolver's TCP or over-the-bound response
-#     (serve.go), and the authoritative's pack (server.go: the byte paths
-#     and the over-the-bound reply, packed then, if truncated, repacked),
-#     so no engine quietly packs every UDP send again.
+#     non-test internal/recursive, internal/stub, internal/authoritative
+#     and internal/adversary call Pack/AppendPack only in
+#     Resolver.respond (a UDP reply over its bound, measured), in
+#     Server.pack (the same for the authoritative, packed then, if
+#     truncated, repacked; the real-socket byte path shares it) and in
+#     Reflector.Send (the request size it counts), so no engine quietly
+#     packs every send again.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -110,37 +112,53 @@ stray="$(msgfields $engines)"
 [ -z "$stray" ] || fail "dnswire.Message field outside a workingSet (borrow the network's working set):
 $stray"
 
-# decodes DIR: dnswire.Unpack* calls in DIR's non-test files.
-decodes() {
-    # shellcheck disable=SC2046
-    count 'dnswire\.Unpack' $(ls "$1"/*.go | grep -v '_test\.go$')
+# nondir DIR: DIR's non-test files.
+nondir() {
+    ls "$1"/*.go | grep -v '_test\.go$'
 }
-for site in internal/recursive/resolver.go internal/stub/stub.go internal/authoritative/server.go \
-    internal/experiment/testbed.go internal/experiment/adversary.go; do
-    [ "$(count 'dnswire\.Unpack' "$site")" -eq 1 ] ||
-        fail "want one dnswire.Unpack* call in $site, the fallback for bytes without their message: $(grep -n 'dnswire\.Unpack' "$site")"
-done
-for pin in internal/recursive:1 internal/stub:1 internal/authoritative:1 internal/experiment:2; do
-    dir=${pin%:*} want=${pin#*:}
-    [ "$(decodes "$dir")" -eq "$want" ] ||
-        fail "want $want dnswire.Unpack* call(s) in non-test $dir (read the packet's message): $(grep -n 'dnswire\.Unpack' "$dir"/*.go | grep -v '_test\.go:')"
-done
 
-# packs FILE...: Pack( and AppendPack( calls in the files.
+# body FILE FUNC: the lines of FILE's function whose declaration starts
+# with "func FUNC" (a sed pattern).
+body() {
+    sed -n "/^func $2/,/^}/p" "$1"
+}
+
+# decodes and packs: dnswire.Unpack* and Pack(/AppendPack( calls in the
+# files named, or in stdin.
+decodes() {
+    count 'dnswire\.Unpack' "$@"
+}
 packs() {
     count '\.\(Append\)\{0,1\}Pack(' "$@"
 }
-for pin in internal/recursive/resolver.go:1 internal/recursive/serve.go:1 internal/stub/stub.go:1 \
-    internal/authoritative/server.go:2; do
-    f=${pin%:*} want=${pin#*:}
-    [ "$(packs "$f")" -eq "$want" ] ||
-        fail "want $want Pack/AppendPack call(s) in $f, on its TCP or over-the-bound path: $(grep -n 'Pack(' "$f")"
+
+# shellcheck disable=SC2046
+[ "$(decodes $(nondir internal/netsim))" -eq 1 ] && [ "$(body internal/netsim/netsim.go '(p \*packet) message(' | decodes)" -eq 1 ] ||
+    fail "want one dnswire.Unpack* call in non-test internal/netsim, in packet.message: $(grep -n 'dnswire\.Unpack' internal/netsim/*.go | grep -v '_test\.go:')"
+# shellcheck disable=SC2046
+[ "$(packs $(nondir internal/netsim))" -eq 1 ] && [ "$(body internal/netsim/netsim.go '(p \*packet) bytes(' | packs)" -eq 1 ] ||
+    fail "want one Pack/AppendPack call in non-test internal/netsim, in packet.bytes: $(grep -n 'Pack(' internal/netsim/*.go | grep -v '_test\.go:')"
+
+for pin in 'internal/recursive/resolver.go:(r \*Resolver) Receive(' 'internal/stub/stub.go:(c \*Client) Receive(' \
+    'internal/authoritative/server.go:(s \*Server) handleWireAppend('; do
+    f=${pin%%:*} fn=${pin#*:}
+    # shellcheck disable=SC2046
+    [ "$(decodes $(nondir "$(dirname "$f")"))" -eq 1 ] && [ "$(body "$f" "$fn" | decodes)" -eq 1 ] ||
+        fail "want one dnswire.Unpack* call in non-test $(dirname "$f"), in its real-socket entry $fn: $(grep -n 'dnswire\.Unpack' "$(dirname "$f")"/*.go | grep -v '_test\.go:')"
 done
-rest="$(ls internal/recursive/*.go internal/stub/*.go internal/authoritative/*.go | grep -v -e '_test\.go$' \
-    -e '^internal/recursive/resolver\.go$' -e '^internal/recursive/serve\.go$' \
-    -e '^internal/stub/stub\.go$' -e '^internal/authoritative/server\.go$')"
-# shellcheck disable=SC2086
-[ "$(packs $rest)" -eq 0 ] ||
-    fail "Pack/AppendPack outside the pinned sites (hand the message to SendMsg): $(grep -n 'Pack(' $rest)"
+for dir in internal/experiment internal/adversary; do
+    # shellcheck disable=SC2046
+    [ "$(decodes $(nondir "$dir"))" -eq 0 ] ||
+        fail "dnswire.Unpack* in non-test $dir (read the packet's message): $(grep -n 'dnswire\.Unpack' "$dir"/*.go | grep -v '_test\.go:')"
+done
+
+for pin in 'internal/recursive/serve.go:(r \*Resolver) respond(:1' 'internal/stub/stub.go::0' \
+    'internal/authoritative/server.go:(s \*Server) pack(:2' 'internal/adversary/adversary.go:(r \*Reflector) Send(:1'; do
+    f=${pin%%:*} rest=${pin#*:}
+    fn=${rest%:*} want=${rest##*:} dir=$(dirname "$f")
+    # shellcheck disable=SC2046
+    [ "$(packs $(nondir "$dir"))" -eq "$want" ] && { [ -z "$fn" ] || [ "$(body "$f" "$fn" | packs)" -eq "$want" ]; } ||
+        fail "want $want Pack/AppendPack call(s) in non-test $dir${fn:+, all in $fn}: $(grep -n 'Pack(' "$dir"/*.go | grep -v '_test\.go:')"
+done
 
 echo "obs-guard OK" >&2
