@@ -36,14 +36,14 @@ check: vet obs-guard facade-guard build cross race
 # One emit site in internal/recursive, one SetTrace/SetTimeline call in
 # internal/experiment, one parallel fan-out per level (campaign runs,
 # cells of a run), one seeded-stream constructor (lazyrand.New), scratch
-# messages only in a cell's working set, and one decode per engine: the
-# resolver, the stub and the authoritative each decode only bytes that
-# came without their message, the experiment only in its two taps'
-# fallbacks, so no simulated hop decodes twice; and no pack per UDP send:
-# the resolver, the stub and the authoritative pack only for TCP and for a
-# UDP reply whose uncompressed bound is over the client's limit (the TC=1
-# decision), handing every other message to SendMsg unpacked. See
-# scripts/obs_guard.sh.
+# messages only in a cell's working set; one pack and one decode site in
+# internal/netsim, one decode per engine, in its real-socket entry, and
+# none in the experiment or the adversary; no pack per send: the resolver
+# and the authoritative pack only a UDP reply whose uncompressed bound is
+# over the client's limit (the TC=1 decision; authd's byte path repacks it
+# truncated), the reflector to count a request's size, the stub never;
+# and one timer call: no AfterFuncArg, RefScheduler or clock.Real
+# outside internal/clock. See scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
 

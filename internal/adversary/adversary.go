@@ -236,35 +236,35 @@ func (s *Spoofer) Spray(qname string, qtype dnswire.Type, payload ForgedPayload,
 	s.qname, s.qtype, s.payload = dnswire.CanonicalName(qname), qtype, payload
 	for w := 0; w < s.cfg.Waves; w++ {
 		w := w
-		s.clk.AfterFunc(after+time.Duration(w)*s.cfg.WaveEvery, func() { s.wave(w) })
+		clock.AfterFunc(s.clk, after+time.Duration(w)*s.cfg.WaveEvery, func() { s.wave(w) })
 	}
 }
 
+// wave forges one response and sends it once per guessed ID: only the
+// header's ID changes between sends, and netsim copies the header.
 func (s *Spoofer) wave(w int) {
 	probe := trace.ProbeFromName(s.qname)
+	m := dnswire.NewQuery(0, s.qname, s.qtype)
+	m.Response = true
+	m.RecursionAvailable = true
+	m.Authoritative = s.payload.AA
+	m.Answers = append(m.Answers, s.payload.Answers...)
+	m.Authorities = append(m.Authorities, s.payload.Authorities...)
+	m.Additionals = append(m.Additionals, s.payload.Additionals...)
+	_, err := m.WireLenBound()
 	for i := 0; i < s.cfg.IDWindow; i++ {
-		id := s.cfg.IDFirst + uint16(i)
+		m.ID = s.cfg.IDFirst + uint16(i)
 		if s.cfg.PortGuess < 1 && s.rng.float64() >= s.cfg.PortGuess {
 			s.elided.Inc()
-			continue
+		} else if err == nil {
+			s.sent.Inc()
+			if s.tr != nil {
+				s.tr.Emit(trace.Event{Type: trace.EvSpoofSend, Probe: probe,
+					Name: s.qname, A: uint32(m.ID), B: uint32(w),
+					Src: string(s.cfg.Source), Dst: string(s.cfg.Target)})
+			}
+			s.net.SendMsg(s.cfg.Source, s.cfg.Target, m)
 		}
-		m := dnswire.NewQuery(id, s.qname, s.qtype)
-		m.Response = true
-		m.RecursionAvailable = true
-		m.Authoritative = s.payload.AA
-		m.Answers = append(m.Answers, s.payload.Answers...)
-		m.Authorities = append(m.Authorities, s.payload.Authorities...)
-		m.Additionals = append(m.Additionals, s.payload.Additionals...)
-		if _, err := m.WireLenBound(); err != nil {
-			continue
-		}
-		s.sent.Inc()
-		if s.tr != nil {
-			s.tr.Emit(trace.Event{Type: trace.EvSpoofSend, Probe: probe,
-				Name: s.qname, A: uint32(id), B: uint32(w),
-				Src: string(s.cfg.Source), Dst: string(s.cfg.Target)})
-		}
-		s.net.SendMsg(s.cfg.Source, s.cfg.Target, m)
 	}
 }
 

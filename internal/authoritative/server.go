@@ -261,19 +261,20 @@ func (s *Server) handleWireAppend(payload []byte, tcp bool, dst []byte) []byte {
 	if !s.handle(q, resp) {
 		return nil
 	}
-	return s.pack(q, resp, tcp, dst)
+	wire, cut := s.fit(q, resp, tcp, dst)
+	if cut {
+		wire, _ = resp.AppendPack(wire[:0])
+	}
+	return wire
 }
 
-// pack packs resp, the answer to q, into dst's storage; nil means nothing
-// is sent. A UDP response over the query's size limit is truncated in
-// place (dnswire.Message.Truncate), so resp is always the message the
-// returned bytes were packed from.
-func (s *Server) pack(q, resp *dnswire.Message, tcp bool, dst []byte) []byte {
-	wire, err := resp.AppendPack(dst)
-	if err != nil {
-		return nil
-	}
-	if limit := q.UDPPayloadLimit(); !tcp && len(wire) > limit {
+// fit packs resp, the answer to q, into dst's storage; nil means nothing
+// is sent. A UDP response over the query's size limit is counted, traced
+// and truncated in place (dnswire.Message.Truncate), and fit reports the
+// cut: the returned bytes are then those of the reply before it.
+func (s *Server) fit(q, resp *dnswire.Message, tcp bool, dst []byte) ([]byte, bool) {
+	wire, err := resp.AppendPack(dst) // nil on error
+	if limit := q.UDPPayloadLimit(); err == nil && !tcp && len(wire) > limit {
 		s.m.truncated.Inc()
 		if tr := s.trace; tr != nil {
 			tr.Emit(trace.Event{Type: trace.EvTruncate,
@@ -281,11 +282,9 @@ func (s *Server) pack(q, resp *dnswire.Message, tcp bool, dst []byte) []byte {
 				A:     uint32(len(wire)), B: uint32(limit)})
 		}
 		resp.Truncate()
-		if wire, err = resp.AppendPack(wire[:0]); err != nil {
-			return nil
-		}
+		return wire, true
 	}
-	return wire
+	return wire, false
 }
 
 // Handle answers a parsed query. It returns nil for messages that must be
@@ -532,7 +531,7 @@ func (h *anycastSite) Deliver(src netsim.Addr, q *dnswire.Message) { h.s.serve(h
 
 // serve answers a UDP query and replies through port with the message.
 // A reply whose uncompressed length is over the query's UDP limit is
-// packed to measure it, and truncated in place if still over.
+// packed once to measure it, and truncated in place if still over.
 func (s *Server) serve(port *netsim.Port, src netsim.Addr, q *dnswire.Message) {
 	resp := msgPool.Get().(*dnswire.Message)
 	if s.handle(q, resp) {
@@ -540,9 +539,9 @@ func (s *Server) serve(port *netsim.Port, src netsim.Addr, q *dnswire.Message) {
 			port.SendMsg(src, resp)
 		} else {
 			bp := wireBufPool.Get().(*[]byte)
-			if out := s.pack(q, resp, false, (*bp)[:0]); out != nil {
+			if wire, _ := s.fit(q, resp, false, (*bp)[:0]); wire != nil {
 				port.SendMsg(src, resp)
-				*bp = out[:0]
+				*bp = wire[:0]
 			}
 			wireBufPool.Put(bp)
 		}

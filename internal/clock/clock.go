@@ -3,7 +3,7 @@
 // (the discrete-event simulations that reproduce the paper's experiments).
 //
 // The virtual clock is a single-threaded event loop: callbacks scheduled
-// with AfterFunc run on the goroutine that calls Run, in timestamp order.
+// with AfterFuncRef run on the goroutine that calls Run, in timestamp order.
 // Multi-hour experiments with tens of thousands of resolvers execute in
 // milliseconds, and runs are bit-for-bit reproducible for a given seed.
 //
@@ -22,44 +22,42 @@ import (
 	"time"
 )
 
-// Clock provides the current time and one-shot timers.
+// Clock provides the current time and one-shot timers. It has one way
+// to schedule: f(arg) after d, cancelable through the returned TimerRef.
+// A static f with its state in arg costs no allocation per timer on the
+// virtual clock; closure callers use the AfterFunc helper.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// AfterFunc schedules f to run once d has elapsed. The returned Timer
-	// can cancel the call.
-	AfterFunc(d time.Duration, f func()) Timer
-	// AfterFuncArg schedules a fire-and-forget f(arg) once d has elapsed,
-	// so a hot path with a static callback pays neither a closure
-	// allocation per event nor the Timer interface boxing of AfterFunc
-	// (on the virtual clock). The simulated network delivers every packet
-	// through it.
-	AfterFuncArg(d time.Duration, f func(arg any), arg any)
+	// AfterFuncRef schedules f(arg) to run once d has elapsed.
+	AfterFuncRef(d time.Duration, f func(arg any), arg any) TimerRef
 }
 
-// Timer is a cancelable pending callback.
+// AfterFunc schedules the closure f on clk once d has elapsed. The func
+// value rides in the arg slot (a pointer, so boxing it allocates
+// nothing) and runs through one static trampoline.
+func AfterFunc(clk Clock, d time.Duration, f func()) TimerRef {
+	return clk.AfterFuncRef(d, callFunc, f)
+}
+
+func callFunc(f any) { f.(func())() }
+
+// Timer is a cancelable pending callback of a Clock implemented outside
+// this package (see RefOf).
 type Timer interface {
 	// Stop cancels the timer. It reports whether the call was stopped
 	// before it fired.
 	Stop() bool
 }
 
-// RefScheduler is an optional Clock extension, the cancelable flavor of
-// AfterFuncArg: it returns a TimerRef by value, so a cancelable timer
-// with a static callback costs zero allocations on the virtual clock (the resolver and stub timeout
-// paths, one per upstream query, run through it).
-type RefScheduler interface {
-	AfterFuncRef(d time.Duration, f func(arg any), arg any) TimerRef
-}
-
 // TimerRef is a cancelable pending callback held by value. The zero
 // TimerRef is valid and Stop on it reports false.
 type TimerRef struct {
-	// Exactly one of the backends is set.
+	// At most one of the backends is set.
 	e   *event   // virtual-clock node
 	v   *Virtual // owning wheel
 	gen uint32   // node generation at schedule time
-	t   Timer    // fallback for foreign Clock implementations
+	t   Timer    // timer of a Clock implemented outside this package
 }
 
 // Stop cancels the timer. It reports whether the call was stopped before
@@ -77,38 +75,3 @@ func (r TimerRef) Stop() bool {
 // RefOf wraps a Timer of a Clock implemented outside this package, for
 // that Clock's own AfterFuncRef to return.
 func RefOf(t Timer) TimerRef { return TimerRef{t: t} }
-
-// AfterFuncRef schedules f(arg) on any Clock, using the allocation-free
-// RefScheduler path when clk provides it.
-func AfterFuncRef(clk Clock, d time.Duration, f func(arg any), arg any) TimerRef {
-	if rs, ok := clk.(RefScheduler); ok {
-		return rs.AfterFuncRef(d, f, arg)
-	}
-	return TimerRef{t: clk.AfterFunc(d, func() { f(arg) })}
-}
-
-// Real is a Clock backed by the time package.
-type Real struct{}
-
-// Now implements Clock.
-func (Real) Now() time.Time { return time.Now() }
-
-// AfterFunc implements Clock.
-func (Real) AfterFunc(d time.Duration, f func()) Timer {
-	return realTimer{time.AfterFunc(d, f)}
-}
-
-// AfterFuncArg implements Clock (via a closure; the allocation saving
-// only matters on the virtual clock's simulation hot path).
-func (Real) AfterFuncArg(d time.Duration, f func(any), arg any) {
-	time.AfterFunc(d, func() { f(arg) })
-}
-
-// AfterFuncRef implements RefScheduler.
-func (Real) AfterFuncRef(d time.Duration, f func(any), arg any) TimerRef {
-	return TimerRef{t: realTimer{time.AfterFunc(d, func() { f(arg) })}}
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (r realTimer) Stop() bool { return r.t.Stop() }

@@ -10,9 +10,9 @@ var epoch = time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
 func TestVirtualOrdering(t *testing.T) {
 	v := NewVirtual(epoch)
 	var order []int
-	v.AfterFunc(3*time.Second, func() { order = append(order, 3) })
-	v.AfterFunc(1*time.Second, func() { order = append(order, 1) })
-	v.AfterFunc(2*time.Second, func() { order = append(order, 2) })
+	AfterFunc(v, 3*time.Second, func() { order = append(order, 3) })
+	AfterFunc(v, 1*time.Second, func() { order = append(order, 1) })
+	AfterFunc(v, 2*time.Second, func() { order = append(order, 2) })
 	v.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -30,7 +30,7 @@ func TestVirtualSameInstantFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		v.AfterFunc(time.Second, func() { order = append(order, i) })
+		AfterFunc(v, time.Second, func() { order = append(order, i) })
 	}
 	v.Run()
 	for i := range order {
@@ -43,9 +43,9 @@ func TestVirtualSameInstantFIFO(t *testing.T) {
 func TestVirtualNestedScheduling(t *testing.T) {
 	v := NewVirtual(epoch)
 	fired := 0
-	v.AfterFunc(time.Second, func() {
+	AfterFunc(v, time.Second, func() {
 		fired++
-		v.AfterFunc(time.Second, func() { fired++ })
+		AfterFunc(v, time.Second, func() { fired++ })
 	})
 	v.Run()
 	if fired != 2 {
@@ -59,7 +59,7 @@ func TestVirtualNestedScheduling(t *testing.T) {
 func TestVirtualStop(t *testing.T) {
 	v := NewVirtual(epoch)
 	fired := false
-	tm := v.AfterFunc(time.Second, func() { fired = true })
+	tm := AfterFunc(v, time.Second, func() { fired = true })
 	if !tm.Stop() {
 		t.Error("Stop returned false for pending timer")
 	}
@@ -77,7 +77,7 @@ func TestVirtualRunUntil(t *testing.T) {
 	var fired []time.Duration
 	for _, d := range []time.Duration{time.Second, 5 * time.Second, 10 * time.Second} {
 		d := d
-		v.AfterFunc(d, func() { fired = append(fired, d) })
+		AfterFunc(v, d, func() { fired = append(fired, d) })
 	}
 	v.RunUntil(epoch.Add(6 * time.Second))
 	if len(fired) != 2 {
@@ -95,7 +95,7 @@ func TestVirtualRunUntil(t *testing.T) {
 func TestVirtualNegativeDelay(t *testing.T) {
 	v := NewVirtual(epoch)
 	fired := false
-	v.AfterFunc(-time.Hour, func() { fired = true })
+	AfterFunc(v, -time.Hour, func() { fired = true })
 	v.Run()
 	if !fired {
 		t.Error("negative-delay event did not fire")
@@ -107,8 +107,8 @@ func TestVirtualNegativeDelay(t *testing.T) {
 
 func TestVirtualPending(t *testing.T) {
 	v := NewVirtual(epoch)
-	t1 := v.AfterFunc(time.Second, func() {})
-	v.AfterFunc(2*time.Second, func() {})
+	t1 := AfterFunc(v, time.Second, func() {})
+	AfterFunc(v, 2*time.Second, func() {})
 	if got := v.Pending(); got != 2 {
 		t.Errorf("Pending = %d, want 2", got)
 	}
@@ -120,7 +120,7 @@ func TestVirtualPending(t *testing.T) {
 
 func TestVirtualStopAfterFire(t *testing.T) {
 	v := NewVirtual(epoch)
-	tm := v.AfterFunc(time.Second, func() {})
+	tm := AfterFunc(v, time.Second, func() {})
 	v.Run()
 	if tm.Stop() {
 		t.Error("Stop after fire returned true")
@@ -128,7 +128,7 @@ func TestVirtualStopAfterFire(t *testing.T) {
 	// The fired event's struct is recycled; a stale Stop must not cancel
 	// whatever timer reuses it.
 	fired := false
-	v.AfterFunc(time.Second, func() { fired = true })
+	AfterFunc(v, time.Second, func() { fired = true })
 	if tm.Stop() {
 		t.Error("stale Stop returned true")
 	}
@@ -156,9 +156,9 @@ func TestVirtualStopReclaimsNodes(t *testing.T) {
 	// linger until their far-future deadlines come around.
 	v := NewVirtual(epoch)
 	const n = 1000
-	timers := make([]Timer, 0, n)
+	timers := make([]TimerRef, 0, n)
 	for i := 0; i < n; i++ {
-		timers = append(timers, v.AfterFunc(time.Hour, func() {}))
+		timers = append(timers, AfterFunc(v, time.Hour, func() {}))
 	}
 	for _, tm := range timers {
 		if !tm.Stop() {
@@ -183,7 +183,7 @@ func TestVirtualStopReclaimsNodes(t *testing.T) {
 		t.Errorf("wheel still links %d nodes after stopping everything", linked)
 	}
 	fired := false
-	v.AfterFunc(time.Minute, func() { fired = true })
+	AfterFunc(v, time.Minute, func() { fired = true })
 	v.Run()
 	if !fired {
 		t.Error("event scheduled after mass cancel did not fire")
@@ -196,10 +196,10 @@ func TestVirtualEventReuseKeepsDeterminism(t *testing.T) {
 		var order []int
 		for i := 0; i < 100; i++ {
 			i := i
-			v.AfterFunc(time.Duration(i%7)*time.Second, func() {
+			AfterFunc(v, time.Duration(i%7)*time.Second, func() {
 				order = append(order, i)
 				if i%3 == 0 {
-					v.AfterFunc(time.Second, func() { order = append(order, 1000+i) })
+					AfterFunc(v, time.Second, func() { order = append(order, 1000+i) })
 				}
 			})
 		}
@@ -214,20 +214,5 @@ func TestVirtualEventReuseKeepsDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverge at %d: %d vs %d", i, a[i], b[i])
 		}
-	}
-}
-
-func TestRealClock(t *testing.T) {
-	var c Clock = Real{}
-	before := c.Now()
-	ch := make(chan struct{})
-	c.AfterFunc(time.Millisecond, func() { close(ch) })
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("real timer did not fire")
-	}
-	if c.Now().Before(before) {
-		t.Error("real clock went backwards")
 	}
 }

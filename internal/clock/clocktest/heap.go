@@ -32,19 +32,20 @@ type Heap struct {
 	stopped int64 // timers canceled before firing
 }
 
+var _ clock.Clock = (*Heap)(nil)
+
 // NewHeap returns a heap-backed virtual clock starting at start.
 func NewHeap(start time.Time) *Heap {
 	return &Heap{now: start}
 }
 
-// refEvent is a scheduled callback: either a plain closure f or the
-// closure-free pair (fArg, arg). Events are pooled; gen distinguishes the
-// timer a caller holds from a later reuse of the same struct.
+// refEvent is a scheduled callback f(arg). Events are pooled; gen
+// distinguishes the timer a caller holds from a later reuse of the same
+// struct.
 type refEvent struct {
 	at   time.Time
 	seq  uint64
-	f    func()
-	fArg func(any)
+	f    func(any)
 	arg  any
 	dead bool
 	gen  uint32
@@ -86,11 +87,11 @@ func (v *Heap) allocEvent() *refEvent {
 	return &refEvent{}
 }
 
-// recycle returns a popped event to the free list, invalidating any Timer
-// still pointing at it.
+// recycle returns a popped event to the free list, invalidating any
+// TimerRef still pointing at it.
 func (v *Heap) recycle(e *refEvent) {
 	e.gen++
-	e.f, e.fArg, e.arg = nil, nil, nil
+	e.f, e.arg = nil, nil
 	e.dead = false
 	v.free = append(v.free, e)
 }
@@ -106,22 +107,13 @@ func (v *Heap) schedule(e *refEvent, d time.Duration) {
 	heap.Push(&v.heap, e)
 }
 
-// AfterFunc implements clock.Clock. Negative durations fire at the current
-// instant (still via the event loop, never synchronously).
-func (v *Heap) AfterFunc(d time.Duration, f func()) clock.Timer {
+// AfterFuncRef implements clock.Clock. Negative durations fire at the
+// current instant (still via the event loop, never synchronously).
+func (v *Heap) AfterFuncRef(d time.Duration, f func(any), arg any) clock.TimerRef {
 	e := v.allocEvent()
-	e.f = f
+	e.f, e.arg = f, arg
 	v.schedule(e, d)
-	return heapTimer{e: e, gen: e.gen, v: v}
-}
-
-// AfterFuncArg implements clock.Clock: like AfterFunc but f receives arg
-// and no Timer is returned, so callers with a static callback pay no
-// per-event allocation at all.
-func (v *Heap) AfterFuncArg(d time.Duration, f func(any), arg any) {
-	e := v.allocEvent()
-	e.fArg, e.arg = f, arg
-	v.schedule(e, d)
+	return clock.RefOf(heapTimer{e: e, gen: e.gen, v: v})
 }
 
 type heapTimer struct {
@@ -182,17 +174,13 @@ func (v *Heap) step(limit time.Time, useLimit bool) bool {
 		v.recycle(e)
 		return true
 	}
-	f, fArg, arg := e.f, e.fArg, e.arg
+	f, arg := e.f, e.arg
 	v.now = e.at
 	v.fired++
 	// Recycled before its callback runs, as in the wheel: a late Stop on
 	// its timer sees the generation bump and reports "too late".
 	v.recycle(e)
-	if fArg != nil {
-		fArg(arg)
-	} else {
-		f()
-	}
+	f(arg)
 	return true
 }
 

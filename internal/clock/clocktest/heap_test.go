@@ -14,9 +14,9 @@ func TestHeapDeadCompaction(t *testing.T) {
 	// dropped from the heap once they outnumber live ones.
 	v := NewHeap(epoch)
 	const n = 1000
-	timers := make([]clock.Timer, 0, n)
+	timers := make([]clock.TimerRef, 0, n)
 	for i := 0; i < n; i++ {
-		timers = append(timers, v.AfterFunc(time.Hour, func() {}))
+		timers = append(timers, clock.AfterFunc(v, time.Hour, func() {}))
 	}
 	for _, tm := range timers {
 		if !tm.Stop() {
@@ -31,7 +31,7 @@ func TestHeapDeadCompaction(t *testing.T) {
 		t.Errorf("heap still holds %d events (%d dead); compaction did not run", heapLen, dead)
 	}
 	fired := false
-	v.AfterFunc(time.Minute, func() { fired = true })
+	clock.AfterFunc(v, time.Minute, func() { fired = true })
 	v.Run()
 	if !fired {
 		t.Error("event scheduled after compaction did not fire")

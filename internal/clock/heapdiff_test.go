@@ -40,19 +40,16 @@ func TestWheelFarRecascadeMatchesHeap(t *testing.T) {
 		label int
 		at    time.Duration
 	}
-	run := func(c interface {
-		Now() time.Time
-		AfterFunc(time.Duration, func()) clock.Timer
-	}, runAll func()) []rec {
+	run := func(c clock.Clock, runAll func()) []rec {
 		var out []rec
 		for i, d := range durations {
 			i, d := i, d
-			c.AfterFunc(d, func() {
+			clock.AfterFunc(c, d, func() {
 				out = append(out, rec{i, c.Now().Sub(start)})
 				// Re-schedule across the next rollover from inside the
 				// callback: exercises far-list placement at a moved cursor.
 				if d == clock.HorizonNs {
-					c.AfterFunc(clock.HorizonNs, func() {
+					clock.AfterFunc(c, clock.HorizonNs, func() {
 						out = append(out, rec{-1, c.Now().Sub(start)})
 					})
 				}
@@ -96,7 +93,7 @@ func driveBoth(t *testing.T, seed int64) {
 	}) (fired []rec, stops []bool, sched, exec, stopped int64, now time.Time) {
 		rng := rand.New(rand.NewSource(seed))
 		clk := mk()
-		var timers []clock.Timer
+		var timers []clock.TimerRef
 		id := 0
 		var schedule func(depth int)
 		schedule = func(depth int) {
@@ -120,7 +117,7 @@ func driveBoth(t *testing.T, seed int64) {
 					d = time.Duration(rng.Intn(64)) * time.Duration(1<<clock.TickBits) // slot collisions
 				}
 				nested := depth < 2 && rng.Intn(4) == 0
-				timers = append(timers, clk.AfterFunc(d, func() {
+				timers = append(timers, clock.AfterFunc(clk, d, func() {
 					fired = append(fired, rec{myID, clk.Now().Sub(epoch)})
 					if nested {
 						schedule(depth + 1)
@@ -189,5 +186,25 @@ func driveBoth(t *testing.T, seed int64) {
 func TestWheelMatchesHeapRandomSchedules(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		driveBoth(t, seed)
+	}
+}
+
+// TestAfterFuncClosure holds the closure helper on both engines: the
+// closure runs, and Stop on its TimerRef cancels it.
+func TestAfterFuncClosure(t *testing.T) {
+	for _, c := range []interface {
+		clock.Clock
+		Run()
+	}{clock.NewVirtual(epoch), clocktest.NewHeap(epoch)} {
+		var fired []string
+		clock.AfterFunc(c, time.Second, func() { fired = append(fired, "runs") })
+		stopped := clock.AfterFunc(c, 2*time.Second, func() { fired = append(fired, "stopped") })
+		if !stopped.Stop() {
+			t.Errorf("%T: Stop on a pending closure timer returned false", c)
+		}
+		c.Run()
+		if len(fired) != 1 || fired[0] != "runs" {
+			t.Errorf("%T: fired %v, want [runs]", c, fired)
+		}
 	}
 }

@@ -52,15 +52,14 @@ const (
 // than this from the cursor live on the far list.
 const horizonTicks = int64(1) << (numLevels * slotBits)
 
-// event is a scheduled callback: either a plain closure f or the
-// closure-free pair (fArg, arg). Nodes are pooled; gen distinguishes the
-// timer a caller holds from a later reuse of the same struct.
+// event is a scheduled callback f(arg). Nodes are pooled; gen
+// distinguishes the timer a caller holds from a later reuse of the same
+// struct.
 type event struct {
 	at         int64 // ns since the clock's start
 	seq        uint64
 	next, prev *event
-	f          func()
-	fArg       func(any)
+	f          func(any)
 	arg        any
 	gen        uint32
 	level      int8 // wheel level, levelFar, or levelFree
@@ -84,6 +83,8 @@ type Virtual struct {
 	fired   int64
 	stopped int64
 }
+
+var _ Clock = (*Virtual)(nil)
 
 // NewVirtual returns a virtual clock starting at start.
 func NewVirtual(start time.Time) *Virtual {
@@ -113,10 +114,10 @@ func (v *Virtual) allocEvent() *event {
 }
 
 // recycle returns an unlinked node to the free list, invalidating any
-// Timer or TimerRef still pointing at it.
+// TimerRef still pointing at it.
 func (v *Virtual) recycle(e *event) {
 	e.gen++
-	e.f, e.fArg, e.arg = nil, nil, nil
+	e.f, e.arg = nil, nil
 	e.level = levelFree
 	e.next = v.free
 	e.prev = nil
@@ -300,40 +301,18 @@ func (v *Virtual) peek(boundTick int64, useBound bool) *event {
 	}
 }
 
-// AfterFunc implements Clock. Negative durations fire at the current
-// instant (still via the event loop, never synchronously).
-func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
-	e := v.allocEvent()
-	e.f = f
-	v.schedule(e, d)
-	return virtualTimer{e: e, gen: e.gen, v: v}
-}
-
-// AfterFuncArg implements Clock: like AfterFunc but f receives arg
-// and no Timer is returned, so callers with a static callback pay no
-// per-event allocation at all.
-func (v *Virtual) AfterFuncArg(d time.Duration, f func(any), arg any) {
-	e := v.allocEvent()
-	e.fArg, e.arg = f, arg
-	v.schedule(e, d)
-}
-
-// AfterFuncRef implements RefScheduler: like AfterFuncArg but returns a
-// cancelable TimerRef by value — zero allocations per timer.
+// AfterFuncRef implements Clock with a pooled node and a TimerRef held by
+// value: zero allocations per timer. Negative durations fire at the
+// current instant (still via the event loop, never synchronously).
 func (v *Virtual) AfterFuncRef(d time.Duration, f func(any), arg any) TimerRef {
 	e := v.allocEvent()
-	e.fArg, e.arg = f, arg
+	e.f, e.arg = f, arg
 	v.schedule(e, d)
 	return TimerRef{e: e, v: v, gen: e.gen}
 }
 
-type virtualTimer struct {
-	e   *event
-	v   *Virtual
-	gen uint32
-}
-
-func (t virtualTimer) Stop() bool { return t.v.stopNode(t.e, t.gen) }
+// AfterFuncArg is AfterFuncRef without the handle.
+func (v *Virtual) AfterFuncArg(d time.Duration, f func(any), arg any) { v.AfterFuncRef(d, f, arg) }
 
 // stopNode cancels a pending node if gen still matches the caller's
 // handle. A node whose callback already ran (or that was already stopped)
@@ -373,16 +352,12 @@ func (v *Virtual) step(limitNs int64, useLimit bool) bool {
 	v.nowNs = e.at
 	v.fired++
 	v.live--
-	f, fArg, arg := e.f, e.fArg, e.arg
+	f, arg := e.f, e.arg
 	// The node is recycled before its callback runs, so the callback can
 	// schedule onto it; a late Stop on its timer sees the generation bump
 	// and reports "too late".
 	v.recycle(e)
-	if fArg != nil {
-		fArg(arg)
-	} else {
-		f()
-	}
+	f(arg)
 	return true
 }
 

@@ -27,7 +27,7 @@ func TestWheelHorizonBoundary(t *testing.T) {
 	}
 	var got []firing
 	sched := func(label string, d time.Duration) {
-		v.AfterFunc(d, func() {
+		AfterFunc(v, d, func() {
 			if now := v.Now().Sub(start); now != d {
 				t.Errorf("%s fired at %v, scheduled for %v", label, now, d)
 			}
@@ -45,7 +45,7 @@ func TestWheelHorizonBoundary(t *testing.T) {
 	sched("two-horizons+3", 2*horizonNs+3*tick)
 
 	// A far-list cancel must unlink from the overflow list, not a slot.
-	stop := v.AfterFunc(horizonNs+2*tick, func() {
+	stop := AfterFunc(v, horizonNs+2*tick, func() {
 		t.Error("stopped far-list event fired")
 	})
 	if !stop.Stop() {
@@ -85,7 +85,7 @@ func TestWheelHorizonFromAdvancedCursor(t *testing.T) {
 	// boundary events from inside a callback so e.at is measured from a
 	// non-zero, unaligned cursor.
 	base := 17*time.Hour + 3*time.Minute + 29*time.Millisecond
-	v.AfterFunc(base, func() {
+	AfterFunc(v, base, func() {
 		for _, d := range []time.Duration{
 			horizonNs,     // crosses into the next window: far list
 			horizonNs - 1, // still beyond level 3's aligned window here: far list too
@@ -93,7 +93,7 @@ func TestWheelHorizonFromAdvancedCursor(t *testing.T) {
 		} {
 			d := d
 			wantAt := v.Now().Add(d)
-			v.AfterFunc(d, func() {
+			AfterFunc(v, d, func() {
 				if !v.Now().Equal(wantAt) {
 					t.Errorf("event for +%v fired at %v, want %v", d, v.Now(), wantAt)
 				}

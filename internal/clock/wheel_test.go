@@ -10,8 +10,8 @@ import (
 func TestWheelZeroDuration(t *testing.T) {
 	v := NewVirtual(epoch)
 	var order []int
-	v.AfterFunc(0, func() { order = append(order, 1) })
-	v.AfterFunc(0, func() { order = append(order, 2) })
+	AfterFunc(v, 0, func() { order = append(order, 1) })
+	AfterFunc(v, 0, func() { order = append(order, 2) })
 	v.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("zero-duration order = %v, want [1 2]", order)
@@ -24,13 +24,13 @@ func TestWheelZeroDuration(t *testing.T) {
 func TestWheelCancelThenReschedule(t *testing.T) {
 	v := NewVirtual(epoch)
 	fired := make([]string, 0, 4)
-	tm := v.AfterFunc(time.Minute, func() { fired = append(fired, "old") })
+	tm := AfterFunc(v, time.Minute, func() { fired = append(fired, "old") })
 	if !tm.Stop() {
 		t.Fatal("Stop on pending timer returned false")
 	}
 	// The canceled node goes straight back to the free list; the next
 	// schedule reuses it. The stale handle must stay inert.
-	v.AfterFunc(30*time.Second, func() { fired = append(fired, "new") })
+	AfterFunc(v, 30*time.Second, func() { fired = append(fired, "new") })
 	if tm.Stop() {
 		t.Error("stale Stop canceled the rescheduled (recycled) timer")
 	}
@@ -55,7 +55,7 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	var fired []time.Duration
 	for _, d := range delays {
 		d := d
-		v.AfterFunc(d, func() { fired = append(fired, d) })
+		AfterFunc(v, d, func() { fired = append(fired, d) })
 	}
 	v.Run()
 	if len(fired) != len(delays) {
@@ -73,7 +73,7 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 
 func TestWheelFarFutureStop(t *testing.T) {
 	v := NewVirtual(epoch)
-	tm := v.AfterFunc(90*24*time.Hour, func() { t.Error("stopped overflow timer fired") })
+	tm := AfterFunc(v, 90*24*time.Hour, func() { t.Error("stopped overflow timer fired") })
 	if v.Pending() != 1 {
 		t.Fatal("overflow timer not pending")
 	}
@@ -96,7 +96,7 @@ func TestWheelSlotCollision(t *testing.T) {
 		i := i
 		// All within one ~1.05ms tick; every 5th shares an instant.
 		d := time.Duration(i/5) * time.Microsecond
-		v.AfterFunc(d, func() { fired = append(fired, i) })
+		AfterFunc(v, d, func() { fired = append(fired, i) })
 	}
 	v.Run()
 	if len(fired) != n {
@@ -115,7 +115,7 @@ func TestWheelStopAfterFireNoDoubleFree(t *testing.T) {
 	// A double free would hand the same node to two schedules at once and
 	// one of the two callbacks would be lost.
 	v := NewVirtual(epoch)
-	tm := v.AfterFunc(time.Second, func() {})
+	tm := AfterFunc(v, time.Second, func() {})
 	v.Run()
 	if tm.Stop() {
 		t.Fatal("Stop after fire returned true")
@@ -124,8 +124,8 @@ func TestWheelStopAfterFireNoDoubleFree(t *testing.T) {
 		t.Fatal("second Stop after fire returned true")
 	}
 	fired := 0
-	v.AfterFunc(time.Second, func() { fired++ })
-	v.AfterFunc(2*time.Second, func() { fired++ })
+	AfterFunc(v, time.Second, func() { fired++ })
+	AfterFunc(v, 2*time.Second, func() { fired++ })
 	if tm.Stop() {
 		t.Fatal("stale Stop canceled a recycled node")
 	}
@@ -161,28 +161,4 @@ func TestWheelTimerRef(t *testing.T) {
 	if zero.Stop() {
 		t.Error("zero TimerRef.Stop returned true")
 	}
-}
-
-func TestAfterFuncRefFallback(t *testing.T) {
-	// A Clock that is not a RefScheduler gets the closure-wrapping path.
-	v := NewVirtual(epoch)
-	c := plainClock{v}
-	fired := false
-	r := AfterFuncRef(c, time.Second, func(arg any) { fired = arg.(bool) }, true)
-	v.Run()
-	if !fired {
-		t.Error("fallback TimerRef did not fire")
-	}
-	if r.Stop() {
-		t.Error("fallback Stop after fire returned true")
-	}
-}
-
-// plainClock hides Virtual's extensions so only the Clock interface shows.
-type plainClock struct{ v *Virtual }
-
-func (p plainClock) Now() time.Time                            { return p.v.Now() }
-func (p plainClock) AfterFunc(d time.Duration, f func()) Timer { return p.v.AfterFunc(d, f) }
-func (p plainClock) AfterFuncArg(d time.Duration, f func(any), arg any) {
-	p.v.AfterFuncArg(d, f, arg)
 }

@@ -94,11 +94,11 @@ func SchedulePhases(clk clock.Clock, net *netsim.Network, p Plan) {
 	tr := net.Trace()
 	for _, ph := range p.Phases {
 		ph := ph
-		clk.AfterFunc(ph.Start, func() {
+		clock.AfterFunc(clk, ph.Start, func() {
 			applyPhase(net, targets, servers, ph, tr, true)
 		})
 		if ph.Duration > 0 {
-			clk.AfterFunc(ph.Start+ph.Duration, func() {
+			clock.AfterFunc(clk, ph.Start+ph.Duration, func() {
 				applyPhase(net, targets, servers, ph, tr, false)
 			})
 		}

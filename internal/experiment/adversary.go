@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/dnswire"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -180,7 +181,7 @@ func runNXNSTestbed(spec NXNSSpec, base TestbedConfig) (*NXNSResult, *Testbed) {
 		qname := itoa(pid) + "." + nxnsZone(nxnsWidths[wi])
 		row := &rows[wi]
 		at := time.Duration(pid-1) * 5 * time.Millisecond
-		tb.Clk.AfterFunc(at, func() {
+		clock.AfterFunc(tb.Clk, at, func() {
 			row.Queries++
 			c.Query(rAddr, qname, dnswire.TypeAAAA, func(res stub.Result) {
 				switch {
@@ -401,7 +402,7 @@ func runPoisonTestbed(spec PoisonSpec, base TestbedConfig) (*PoisonResult, *Test
 
 		pid := pid
 		at := time.Duration(pid-1) * 10 * time.Millisecond
-		tb.Clk.AfterFunc(at, func() {
+		clock.AfterFunc(tb.Clk, at, func() {
 			res.Attempts++
 			sp.Spray(qname, dnswire.TypeAAAA, payload, 0)
 			c.Query(rAddr, qname, dnswire.TypeAAAA, func(sr stub.Result) {
@@ -428,7 +429,7 @@ func runPoisonTestbed(spec PoisonSpec, base TestbedConfig) (*PoisonResult, *Test
 	// out, so sweeping after Run() drains would find the forged TTLs
 	// (3600 s) long expired.
 	sweepAt := time.Duration(probes)*10*time.Millisecond + 10*time.Second
-	tb.Clk.AfterFunc(sweepAt, func() {
+	clock.AfterFunc(tb.Clk, sweepAt, func() {
 		for i, r := range resolvers {
 			if v := r.Cache().Peek(cache.Key{Name: qnames[i], Type: dnswire.TypeAAAA}, 0); v.Hit {
 				for _, rr := range v.Records {
@@ -625,7 +626,7 @@ func runReflectTestbed(base TestbedConfig) (*ReflectResult, *Testbed) {
 		at := time.Duration(pid-1) * reflectEvery
 		for i, sh := range shapes {
 			i, qname, qtype := i, sh.qname(pid), sh.qtype
-			tb.Clk.AfterFunc(at, func() { refls[i].Send(qname, qtype) })
+			clock.AfterFunc(tb.Clk, at, func() { refls[i].Send(qname, qtype) })
 		}
 	}
 	tb.Clk.Run()

@@ -3,6 +3,7 @@ package experiment
 import (
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/stub"
@@ -81,7 +82,7 @@ func runGlueTestbed(base TestbedConfig) (*GlueResult, *Testbed) {
 			rec := rec
 			client := client
 			warm := vantage.QName(probe.ID, Domain)
-			tb.Clk.AfterFunc(time.Duration(i)*time.Millisecond, func() {
+			clock.AfterFunc(tb.Clk, time.Duration(i)*time.Millisecond, func() {
 				client.Query(rec, warm, dnswire.TypeAAAA, func(stub.Result) {
 					client.Query(rec, Domain, dnswire.TypeNS, func(r stub.Result) {
 						tally(&res.NS, r, dnswire.TypeNS)

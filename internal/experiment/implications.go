@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/ddos"
 	"repro/internal/dnswire"
 	"repro/internal/metrics"
@@ -130,7 +131,7 @@ func runImplicationsTestbed(base TestbedConfig) (*ImplicationsResult, *Testbed) 
 		rec := advAddr("10.8", (pid-1)%len(resolvers))
 		offset := time.Duration(pid-1) * implQueryInterval / time.Duration(clients)
 		for at := offset; at < implDuration; at += implQueryInterval {
-			tb.Clk.AfterFunc(at, func() {
+			clock.AfterFunc(tb.Clk, at, func() {
 				sentAt := tb.Clk.Now()
 				c.Query(rec, rootLetterName(0), dnswire.TypeA, record("root", sentAt, &res.RootOK, &res.RootFail))
 				c.Query(rec, implCDNName, dnswire.TypeAAAA, record("cdn", sentAt, &res.CDNOK, &res.CDNFail))

@@ -498,7 +498,7 @@ func (b *builder) scheduleFlushes(l *LazyResolver) {
 		if b.rng.Float64() < b.cfg.FlushPerHour {
 			at := time.Duration(h)*time.Hour +
 				time.Duration(b.rng.Int63n(int64(time.Hour)))
-			b.clk.AfterFunc(at, func() {
+			clock.AfterFunc(b.clk, at, func() {
 				if r := l.Resolver(); r != nil {
 					r.Cache().Flush()
 				}

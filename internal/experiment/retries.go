@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dnswire"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -92,7 +93,7 @@ func runRetriesTestbed(base TestbedConfig) (*RetriesResult, *Testbed) {
 	})
 
 	downAt := time.Duration(probes)*5*time.Millisecond + time.Minute
-	tb.Clk.AfterFunc(downAt, func() {
+	clock.AfterFunc(tb.Clk, downAt, func() {
 		for _, a := range tb.AuthAddrs {
 			tb.Net.SetInboundLoss(a, 1)
 		}
@@ -124,7 +125,7 @@ func runRetriesTestbed(base TestbedConfig) (*RetriesResult, *Testbed) {
 		if row.Down {
 			at += downAt
 		}
-		tb.Clk.AfterFunc(at, func() {
+		clock.AfterFunc(tb.Clk, at, func() {
 			row.Trials++
 			c.Query(rAddr, qname, dnswire.TypeAAAA, func(res stub.Result) {
 				if res.Err == nil && res.Msg.RCode == dnswire.RCodeNoError && len(res.Msg.Answers) > 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/lazyrand"
 	"repro/internal/recursive"
 )
@@ -24,7 +25,7 @@ func eagerSchedule(tb *Testbed, interval time.Duration, rounds int) {
 		}
 		for r := 0; r < rounds; r++ {
 			at := tb.Start.Add(time.Duration(r)*interval + time.Duration(rng.Int63n(int64(scheduleSmear))))
-			tb.Clk.AfterFunc(at.Sub(now), func() { p.QueryRound(r) })
+			clock.AfterFunc(tb.Clk, at.Sub(now), func() { p.QueryRound(r) })
 		}
 	}
 }

@@ -540,7 +540,7 @@ func (tb *Testbed) CollectMetrics() *metrics.Registry {
 func (tb *Testbed) ScheduleRotations(total time.Duration) {
 	for at := RotationInterval; at <= total; at += RotationInterval {
 		at := at
-		tb.Clk.AfterFunc(at, func() { tb.rotate() })
+		clock.AfterFunc(tb.Clk, at, func() { tb.rotate() })
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 
 	"fmt"
 
+	"repro/internal/clock"
 	"repro/internal/dnswire"
 	"repro/internal/metrics"
 	"repro/internal/recursive"
@@ -214,7 +215,7 @@ func runTransportTestbed(spec TransportSpec, base TestbedConfig) (*TransportResu
 		c.Attach(tb.Net, advAddr("10.6", pid))
 
 		at := time.Duration(pid-1) * 5 * time.Millisecond
-		tb.Clk.AfterFunc(at, func() {
+		clock.AfterFunc(tb.Clk, at, func() {
 			row.Queries++
 			c.Query(rAddr, transportTXTName, dnswire.TypeTXT, func(sr stub.Result) {
 				switch {

@@ -216,11 +216,6 @@ func (n *Network) Bind(addr Addr, recv func(src Addr, payload []byte)) *Port {
 	return &p
 }
 
-// BindPort is Bind returning the Port by value.
-func (n *Network) BindPort(addr Addr, recv func(src Addr, payload []byte)) Port {
-	return n.BindHost(addr, rawHost(recv))
-}
-
 // Detach removes the host at addr; in-flight packets to it are counted as
 // Dead on arrival.
 func (n *Network) Detach(addr Addr) {
@@ -391,7 +386,7 @@ func (n *Network) newPacket(src, dst Addr, tcp bool) *packet {
 	return p
 }
 
-// deliverPacket is the static arrival callback handed to AfterFuncArg.
+// deliverPacket is the static arrival callback handed to AfterFuncRef.
 // The packet (and the payload and message it owns) is recycled only after
 // the receiver ran: receivers may read both for the duration of the call
 // but must not retain them.
@@ -421,7 +416,7 @@ func (n *Network) Send(src, dst Addr, payload []byte) {
 	p := n.newPacket(src, site, false)
 	p.buf = append(p.buf[:0], payload...)
 	p.payload = p.buf
-	n.clk.AfterFuncArg(n.pairDelay(src, site), deliverPacket, p)
+	n.clk.AfterFuncRef(n.pairDelay(src, site), deliverPacket, p)
 }
 
 // SendMsg is Send handing over m: the packet carries a copy of it, so
@@ -438,7 +433,7 @@ func (n *Network) SendMsg(src, dst Addr, m *dnswire.Message) {
 	if len(n.taps) > 0 || len(n.mtu) > 0 && n.mtu[site] > 0 {
 		p.bytes()
 	}
-	n.clk.AfterFuncArg(n.pairDelay(src, site), deliverPacket, p)
+	n.clk.AfterFuncRef(n.pairDelay(src, site), deliverPacket, p)
 }
 
 // route counts a UDP send from src and returns the host it goes to: dst,

@@ -126,7 +126,7 @@ func (n *Network) SendTCP(src, dst Addr, m *dnswire.Message) {
 	n.stats.TCPSent++
 	p := n.newPacket(src, dst, true)
 	p.carry(m)
-	n.clk.AfterFuncArg(delay, deliverPacket, p)
+	n.clk.AfterFuncRef(delay, deliverPacket, p)
 }
 
 // arriveTCP applies the TCP-plane loss dial and hands p's message to the

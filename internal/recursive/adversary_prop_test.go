@@ -131,7 +131,7 @@ func sprayForged(clk clock.Clock, net *netsim.Network, rng *rand.Rand, qname str
 	if err != nil {
 		return
 	}
-	clk.AfterFunc(at, func() { net.Send(ns1Addr, resAddr, wire) })
+	clock.AfterFunc(clk, at, func() { net.Send(ns1Addr, resAddr, wire) })
 }
 
 // TestAdversarialReferralProperty is the adversarial property axis: for
@@ -170,7 +170,7 @@ func TestAdversarialReferralProperty(t *testing.T) {
 			for i := 0; i < queries; i++ {
 				qname := fmt.Sprintf("%d.cachetest.nl.", i+1)
 				start := time.Duration(i) * 50 * time.Millisecond
-				clk.AfterFunc(start, func() {
+				clock.AfterFunc(clk, start, func() {
 					res.Resolve(qname, dnswire.TypeAAAA, 0, func(Result) { done++ })
 				})
 				for s := 0; s < 3; s++ {

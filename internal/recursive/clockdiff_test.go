@@ -86,7 +86,7 @@ func runStack(t *testing.T, clk simClock, seed int64) stackRun {
 		at   time.Duration
 		loss float64
 	}{{start, loss}, {end, 0}} {
-		clk.AfterFunc(w.at, func() {
+		clock.AfterFunc(clk, w.at, func() {
 			net.SetInboundLoss(ns1Addr, w.loss)
 			net.SetInboundLoss(ns2Addr, w.loss)
 		})
@@ -109,7 +109,7 @@ func runStack(t *testing.T, clk simClock, seed int64) stackRun {
 		via := rng.Intn(2)
 		if rng.Intn(3) == 0 {
 			r, shard := resolvers[via], rng.Intn(8)
-			clk.AfterFunc(at, func() {
+			clock.AfterFunc(clk, at, func() {
 				r.Resolve(name, dnswire.TypeAAAA, shard, func(res Result) {
 					o.Calls++
 					o.RCode, o.Stale, o.ServFail = res.RCode, res.Stale, res.ServFail
@@ -121,7 +121,7 @@ func runStack(t *testing.T, clk simClock, seed int64) stackRun {
 			continue
 		}
 		c, dst := clients[rng.Intn(len(clients))], addrs[via]
-		clk.AfterFunc(at, func() {
+		clock.AfterFunc(clk, at, func() {
 			c.Query(dst, name, dnswire.TypeAAAA, func(res stub.Result) {
 				o.Calls++
 				if res.Err != nil {

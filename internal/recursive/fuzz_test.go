@@ -102,7 +102,7 @@ func FuzzResolverUpstream(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clk.AfterFunc(q.at, func() { client.Send(resAddr, wire) })
+			clock.AfterFunc(clk, q.at, func() { client.Send(resAddr, wire) })
 		}
 		clk.Run()
 

@@ -120,7 +120,7 @@ func (r *Resolver) resolveTask(t *task, name string, qtype dnswire.Type, shard i
 	t.budget0 = r.cfg.WorkBudget
 	t.budget = &t.budget0
 	r.event(kClientQuery, payload{name: name, a: uint32(qtype)})
-	t.deadline = clock.AfterFuncRef(r.clk, r.cfg.ClientTimeout, taskDeadline, t)
+	t.deadline = r.clk.AfterFuncRef(r.cfg.ClientTimeout, taskDeadline, t)
 	t.refs++
 	t.run()
 }
@@ -178,7 +178,7 @@ func (t *task) armStaleTimer() {
 	if !v.Hit || !v.Stale || v.Negative {
 		return
 	}
-	clock.AfterFuncRef(t.r.clk, staleAnswerDelay, staleAnswer, t)
+	t.r.clk.AfterFuncRef(staleAnswerDelay, staleAnswer, t)
 	t.refs++
 }
 

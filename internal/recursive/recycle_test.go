@@ -21,13 +21,9 @@ import (
 // behind udprun.Loop's lock — and the callback still runs at its deadline.
 type lateClock struct{ *clock.Virtual }
 
-type firedAlready struct{}
-
-func (firedAlready) Stop() bool { return false }
-
 func (c lateClock) AfterFuncRef(d time.Duration, f func(any), arg any) clock.TimerRef {
-	c.Virtual.AfterFuncArg(d, f, arg)
-	return clock.RefOf(firedAlready{})
+	c.Virtual.AfterFuncRef(d, f, arg)
+	return clock.TimerRef{} // the zero TimerRef's Stop reports false
 }
 
 // TestLateTimerAfterRecycle: an upstream answer retires its outquery, and

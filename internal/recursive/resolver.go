@@ -646,7 +646,7 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 		t.rotate(fwd)
 		return
 	}
-	oq.timer = clock.AfterFuncRef(r.clk, t.timeout, outqueryTimeout, oq)
+	oq.timer = r.clk.AfterFuncRef(t.timeout, outqueryTimeout, oq)
 	conn := r.conn
 	if tcp {
 		conn = r.tcpConn

@@ -303,7 +303,7 @@ func (c *Client) sendAttempt(p *pending) {
 		c.release(p, true) // no timer armed for this attempt
 		return
 	}
-	p.timer = clock.AfterFuncRef(c.clk, c.cfg.Timeout, attemptTimeout, p)
+	p.timer = c.clk.AfterFuncRef(c.cfg.Timeout, attemptTimeout, p)
 	conn := c.conn
 	if p.tcp {
 		conn = c.tcpConn

@@ -198,13 +198,9 @@ func TestResultMsgValidInsideCallback(t *testing.T) {
 // the callback still runs at its deadline.
 type lateClock struct{ *clock.Virtual }
 
-type firedAlready struct{}
-
-func (firedAlready) Stop() bool { return false }
-
 func (c lateClock) AfterFuncRef(d time.Duration, f func(any), arg any) clock.TimerRef {
-	c.Virtual.AfterFuncArg(d, f, arg)
-	return clock.RefOf(firedAlready{})
+	c.Virtual.AfterFuncRef(d, f, arg)
+	return clock.TimerRef{} // the zero TimerRef's Stop reports false
 }
 
 // TestLateTimerAfterRecycle is the stub's half of recursive's test of the
@@ -225,7 +221,7 @@ func TestLateTimerAfterRecycle(t *testing.T) {
 	c.Query("10.0.0.53", "probe1.cachetest.nl.", dnswire.TypeAAAA, record)
 	// The first query's timer fires at 5 s; the second is then 20 ms out,
 	// its answer 20 ms away.
-	clk.AfterFunc(DefaultTimeout-20*time.Millisecond, func() {
+	clock.AfterFunc(clk, DefaultTimeout-20*time.Millisecond, func() {
 		c.Query("10.0.0.53", "probe1.cachetest.nl.", dnswire.TypeAAAA, record)
 	})
 	clk.Run()

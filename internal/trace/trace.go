@@ -146,9 +146,9 @@ type Event struct {
 	Dst   string
 }
 
-// Clock is the tracer's view of time — satisfied by *clock.Virtual and
-// clock.Real. The buffer reads it only inside Emit, so disabled tracing
-// never touches the clock.
+// Clock is the tracer's view of time — satisfied by every clock.Clock.
+// The buffer reads it only inside Emit, so disabled tracing never
+// touches the clock.
 type Clock interface{ Now() time.Time }
 
 // Config sizes and samples a Buffer.

@@ -95,18 +95,8 @@ type Clock struct {
 // Now implements clock.Clock.
 func (c Clock) Now() time.Time { return time.Now() }
 
-// AfterFunc implements clock.Clock; f runs under the loop lock, on the
-// timer's goroutine, when the timer fires.
-func (c Clock) AfterFunc(d time.Duration, f func()) clock.Timer {
-	l := c.Loop
-	return time.AfterFunc(d, func() { l.Post(f) })
-}
-
-// AfterFuncArg implements clock.Clock.
-func (c Clock) AfterFuncArg(d time.Duration, f func(any), arg any) { c.AfterFuncRef(d, f, arg) }
-
-// AfterFuncRef implements clock.RefScheduler, so clock.AfterFuncRef on
-// this clock builds one closure per timer, not one around another.
+// AfterFuncRef implements clock.Clock; f(arg) runs under the loop lock,
+// on the timer's goroutine, when the timer fires.
 func (c Clock) AfterFuncRef(d time.Duration, f func(any), arg any) clock.TimerRef {
 	l := c.Loop
 	return clock.RefOf(time.AfterFunc(d, func() {
@@ -264,7 +254,6 @@ func (c *Conn) Close() error {
 }
 
 var (
-	_ netsim.Conn        = (*Conn)(nil)
-	_ clock.Clock        = Clock{}
-	_ clock.RefScheduler = Clock{}
+	_ netsim.Conn = (*Conn)(nil)
+	_ clock.Clock = Clock{}
 )

@@ -54,8 +54,8 @@ func TestLoopSerializesAndCloses(t *testing.T) {
 }
 
 // TestLoopSerializes drives every kind of callback at once — packet
-// handlers on two sockets' reader goroutines, AfterFunc and AfterFuncRef
-// timers, Post from 8 goroutines — onto one counter and one slice that
+// handlers on two sockets' reader goroutines, clock.AfterFunc and
+// AfterFuncRef timers, Post from 8 goroutines — onto one counter and one slice that
 // nothing but the loop lock protects. The count must be exact, and the
 // race detector (make race runs this package with -count=10) must stay
 // quiet.
@@ -103,8 +103,8 @@ func TestLoopSerializes(t *testing.T) {
 	}
 	go func() {
 		for i := 0; i < timers; i++ {
-			clk.AfterFunc(time.Duration(i%5)*time.Millisecond, bump)
-			clock.AfterFuncRef(clk, time.Duration(i%5)*time.Millisecond, func(any) { bump() }, nil)
+			clock.AfterFunc(clk, time.Duration(i%5)*time.Millisecond, bump)
+			clk.AfterFuncRef(time.Duration(i%5)*time.Millisecond, func(any) { bump() }, nil)
 		}
 	}()
 	for _, c := range conns {
@@ -154,16 +154,13 @@ func TestLoopSerializes(t *testing.T) {
 	})
 }
 
-// TestStopBeforeFire pins the RefScheduler path the resolver's and the
+// TestStopBeforeFire pins the AfterFuncRef path the resolver's and the
 // stub's timeouts take on the real clock.
 func TestStopBeforeFire(t *testing.T) {
 	loop := NewLoop()
 	defer loop.Close()
-	var clk clock.Clock = Clock{Loop: loop}
-	if _, ok := clk.(clock.RefScheduler); !ok {
-		t.Fatal("udprun.Clock is not a clock.RefScheduler")
-	}
-	ref := clock.AfterFuncRef(clk, 30*time.Millisecond, func(any) { t.Error("stopped timer fired") }, nil)
+	clk := Clock{Loop: loop}
+	ref := clk.AfterFuncRef(30*time.Millisecond, func(any) { t.Error("stopped timer fired") }, nil)
 	if !ref.Stop() {
 		t.Error("Stop of a pending timer reported false")
 	}
@@ -171,7 +168,7 @@ func TestStopBeforeFire(t *testing.T) {
 		t.Error("second Stop reported true")
 	}
 	fired := make(chan any, 1)
-	ref = clock.AfterFuncRef(clk, time.Millisecond, func(arg any) { fired <- arg }, "arg")
+	ref = clk.AfterFuncRef(time.Millisecond, func(arg any) { fired <- arg }, "arg")
 	select {
 	case got := <-fired:
 		if got != "arg" {
@@ -361,7 +358,7 @@ func TestTimersRunWhileServeBlocks(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				echo(t, peer)
 				start, fired := time.Now(), make(chan time.Duration, 1)
-				Clock{Loop: loop}.AfterFunc(time.Millisecond, func() { fired <- time.Since(start) })
+				clock.AfterFunc(Clock{Loop: loop}, time.Millisecond, func() { fired <- time.Since(start) })
 				select {
 				case d := <-fired:
 					worstTimer = max(worstTimer, d)
@@ -438,14 +435,14 @@ func TestClockAfterFuncOnLoop(t *testing.T) {
 	defer loop.Close()
 	clk := Clock{Loop: loop}
 	fired := make(chan struct{})
-	clk.AfterFunc(10*time.Millisecond, func() { close(fired) })
+	clock.AfterFunc(clk, 10*time.Millisecond, func() { close(fired) })
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
 		t.Fatal("timer never fired")
 	}
 	// Stop prevents firing.
-	timer := clk.AfterFunc(50*time.Millisecond, func() { t.Error("stopped timer fired") })
+	timer := clock.AfterFunc(clk, 50*time.Millisecond, func() { t.Error("stopped timer fired") })
 	if !timer.Stop() {
 		t.Error("Stop returned false")
 	}

@@ -271,7 +271,7 @@ type probeRun struct {
 // arm puts the probe's next round on the clock.
 func (pr *probeRun) arm() {
 	d := time.Duration(pr.at[pr.round] - pr.p.clk.Now().UnixNano())
-	clock.AfterFuncRef(pr.p.clk, d, fireRound, pr)
+	pr.p.clk.AfterFuncRef(d, fireRound, pr)
 }
 
 // fireRound is the static timer callback armed by probeRun.arm. It arms

@@ -40,10 +40,15 @@
 #     non-test internal/recursive, internal/stub, internal/authoritative
 #     and internal/adversary call Pack/AppendPack only in
 #     Resolver.respond (a UDP reply over its bound, measured), in
-#     Server.pack (the same for the authoritative, packed then, if
-#     truncated, repacked; the real-socket byte path shares it) and in
-#     Reflector.Send (the request size it counts), so no engine quietly
-#     packs every send again.
+#     Server.fit (the same for the authoritative, packed once) and
+#     Server.handleWireAppend (the real-socket byte path's repack of a
+#     truncated reply), and in Reflector.Send (the request size it
+#     counts), so no engine quietly packs every send again;
+#   - one timer call (DESIGN.md §11.1): non-test internal/ (outside
+#     internal/clock), cmd/ and examples/ name none of AfterFuncArg(,
+#     RefScheduler or clock.Real, so every timer goes through
+#     Clock.AfterFuncRef or the clock.AfterFunc helper and a recorder
+#     wrapping that one method sees them all.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -153,12 +158,19 @@ for dir in internal/experiment internal/adversary; do
 done
 
 for pin in 'internal/recursive/serve.go:(r \*Resolver) respond(:1' 'internal/stub/stub.go::0' \
-    'internal/authoritative/server.go:(s \*Server) pack(:2' 'internal/adversary/adversary.go:(r \*Reflector) Send(:1'; do
+    'internal/authoritative/server.go:(s \*Server) \(fit\|handleWireAppend\)(:2' 'internal/adversary/adversary.go:(r \*Reflector) Send(:1'; do
     f=${pin%%:*} rest=${pin#*:}
     fn=${rest%:*} want=${rest##*:} dir=$(dirname "$f")
     # shellcheck disable=SC2046
     [ "$(packs $(nondir "$dir"))" -eq "$want" ] && { [ -z "$fn" ] || [ "$(body "$f" "$fn" | packs)" -eq "$want" ]; } ||
         fail "want $want Pack/AppendPack call(s) in non-test $dir${fn:+, all in $fn}: $(grep -n 'Pack(' "$dir"/*.go | grep -v '_test\.go:')"
+done
+
+timers="$(find internal cmd examples -name '*.go' ! -name '*_test.go' | grep -v '^internal/clock/')"
+for pat in 'AfterFuncArg(' 'RefScheduler' 'clock\.Real'; do
+    # shellcheck disable=SC2086
+    [ "$(count "$pat" $timers)" -eq 0 ] ||
+        fail "$pat outside internal/clock (schedule with AfterFuncRef or clock.AfterFunc): $(grep -n "$pat" $timers)"
 done
 
 echo "obs-guard OK" >&2
