@@ -42,8 +42,10 @@ check: vet obs-guard facade-guard build cross race
 # and the authoritative pack only a UDP reply whose uncompressed bound is
 # over the client's limit (the TC=1 decision; authd's byte path repacks it
 # truncated), the reflector to count a request's size, the stub never;
-# and one timer call: no AfterFuncArg, RefScheduler or clock.Real
-# outside internal/clock. See scripts/obs_guard.sh.
+# one timer call: no AfterFuncArg, RefScheduler or clock.Real outside
+# internal/clock; and one time-series container: no RoundSeries or
+# map[int]map[string] in internal/, and 2-D int64 bins only in
+# internal/timeline. See scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
 

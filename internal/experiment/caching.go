@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/stats"
+	"repro/internal/timeline"
 )
 
 // CachingConfig parameterizes one §3 baseline run (a column of Table 1).
@@ -23,6 +23,12 @@ func (c CachingConfig) withDefaults() CachingConfig {
 	orDefault(&c.ProbeInterval, 20*time.Minute)
 	orDefault(&c.Rounds, 7)
 	return c
+}
+
+// horizon is how long a cell runs: the probing rounds plus ten minutes
+// for the last answers to land.
+func (c CachingConfig) horizon() time.Duration {
+	return time.Duration(c.Rounds)*c.ProbeInterval + 10*time.Minute
 }
 
 // Table1 is one column of the paper's Table 1.
@@ -56,7 +62,8 @@ type CachingResult struct {
 	Table2 classify.Table2
 	Table3 Table3
 	// Fig13 counts answer categories per probing round (Appendix B).
-	Fig13 *stats.RoundSeries
+	// Columns are classify.Category.
+	Fig13 *timeline.Timeline
 	// MissRate is the headline warm-cache miss fraction (Figure 3).
 	MissRate float64
 }
@@ -67,10 +74,9 @@ type CachingResult struct {
 func runCachingWorld(cfg CachingConfig, base TestbedConfig) *Testbed {
 	base.TTL = cfg.TTL
 	tb := NewTestbed(base)
-	total := time.Duration(cfg.Rounds) * cfg.ProbeInterval
-	tb.ScheduleRotations(total + RotationInterval)
+	tb.ScheduleRotations(time.Duration(cfg.Rounds)*cfg.ProbeInterval + RotationInterval)
 	tb.Fleet.Schedule(tb.Start, cfg.ProbeInterval, 5*time.Minute, cfg.Rounds)
-	tb.Clk.RunUntil(tb.Start.Add(total + 10*time.Minute))
+	tb.Clk.RunUntil(tb.Start.Add(cfg.horizon()))
 	return tb
 }
 

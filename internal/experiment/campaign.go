@@ -17,6 +17,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/classify"
 	"repro/internal/parallel"
 )
 
@@ -172,7 +173,8 @@ func RenderCampaign(results []CampaignResult) string {
 	return b.String()
 }
 
-// renderRunBlock prints one run's own figures/tables.
+// renderRunBlock prints one run's own figures/tables, then its timeline
+// when it collected one (before an attack run's Table 7).
 func renderRunBlock(b *strings.Builder, r CampaignResult) {
 	o := r.Outcome
 	switch {
@@ -181,7 +183,7 @@ func renderRunBlock(b *strings.Builder, r CampaignResult) {
 	case o.Caching != nil:
 		fmt.Fprintf(b, "miss rate: %.1f%%\n", 100*o.Caching.MissRate)
 		fmt.Fprintf(b, "answer types over time (Figure 13 shape)\n%s",
-			o.Caching.Fig13.Table([]string{"AA", "CC", "AC", "CA", "Warmup"}))
+			o.Caching.Fig13.RoundTable(fig13Cols...))
 	case o.Glue != nil:
 		fmt.Fprint(b, RenderTable5(o.Glue))
 	case o.NXNS != nil:
@@ -202,37 +204,40 @@ func renderRunBlock(b *strings.Builder, r CampaignResult) {
 	case o.Implications != nil:
 		fmt.Fprint(b, RenderImplications(o.Implications))
 	}
+	if tl := o.Timeline; tl != nil {
+		name := r.Item.Name
+		if o.DDoS != nil {
+			name = "exp " + o.DDoS.Spec.Name
+		}
+		fmt.Fprintf(b, "Timeline (%s): per-%s series\n%s%s", name, tl.Bucket, tl.Table(), tl.Sparkline())
+	}
+	if o.DDoS != nil && o.DDoS.Table7 != nil {
+		fmt.Fprintf(b, "Table 7 (exp %s): per-probe drill-down\n%s", o.DDoS.Spec.Name, RenderTable7(*o.DDoS.Table7))
+	}
 }
 
-// Column orders of the Figure 6/8/14 and Figure 10 series, shared by the
-// report and the CSV export. Figure 10 draws every bin but "other".
+// Column orders of the per-round figures, shared by the report and the
+// CSV export. Figure 10 draws every bin but "other".
 var (
-	answerLabels = []string{"OK", "SERVFAIL", "NoAnswer"}
-	authLabels   = authLabelNames[:labelOther]
+	answerCols = []int{ansOK, ansServFail, ansNoAnswer}
+	classCols  = []int{int(classify.AA), int(classify.CC), int(classify.CA), int(classify.AC)}
+	fig13Cols  = []int{int(classify.AA), int(classify.CC), int(classify.AC), int(classify.CA), int(classify.Warmup)}
+	authCols   = []int{labelNS, labelANS, labelAAAANS, labelPID}
 )
 
-// renderDDoSBlock prints one attack run's full figure set, plus the
-// Table 7 drill-down when the run has one.
+// renderDDoSBlock prints one attack run's per-round figure set.
 func renderDDoSBlock(b *strings.Builder, res *DDoSResult) {
 	name := res.Spec.Name
 	fmt.Fprintf(b, "Figure 6/8/14 (exp %s): answers per round\n%s", name,
-		res.Answers.Table(answerLabels))
+		res.Answers.RoundTable(answerCols...))
 	fmt.Fprintf(b, "Figure 9/15 (exp %s): latency quantiles\n%s", name, RenderLatency(res))
 	fmt.Fprintf(b, "Figure 7 (exp %s): answer classes\n%s", name,
-		res.Classes.Table([]string{"AA", "CC", "CA", "AC"}))
+		res.Classes.RoundTable(classCols...))
 	fmt.Fprintf(b, "Figure 10 (exp %s): queries at the authoritatives\n%s", name,
-		res.AuthQueries.Table(authLabels))
+		res.AuthQueries.RoundTable(authCols...))
 	fmt.Fprintf(b, "Figure 11 (exp %s): per-probe amplification\n%s", name,
 		RenderAmplification(res))
 	fmt.Fprintf(b, "Figure 12 (exp %s): unique Rn\n%s", name, RenderUniqueRn(res))
-	if res.Timeline != nil {
-		fmt.Fprintf(b, "Timeline (exp %s): per-%s series\n%s", name,
-			res.Timeline.Bucket, res.Timeline.Table())
-		fmt.Fprintf(b, "%s", res.Timeline.Sparkline())
-	}
-	if res.Table7 != nil {
-		fmt.Fprintf(b, "Table 7 (exp %s): per-probe drill-down\n%s", name, RenderTable7(*res.Table7))
-	}
 }
 
 // renderConsolidated prints the cross-run tables.
@@ -288,9 +293,10 @@ type ExportFile struct {
 }
 
 // CampaignFiles returns every figure's data as named files (what `dikes
-// -csv <dir>` writes): the Figure 6-12 series of each attack run and its
-// timeline as CSV and JSON, keyed by experiment name, the Figure 4/5
-// ECDFs of a passive run, and campaign_summary.csv.
+// -csv <dir>` writes): the Figure 6-12 series of each attack run, keyed
+// by experiment name, every run's timeline as CSV and JSON (keyed by
+// experiment name for an attack run, by run name otherwise), the Figure
+// 4/5 ECDFs of a passive run, and campaign_summary.csv.
 func CampaignFiles(results []CampaignResult) []ExportFile {
 	var files []ExportFile
 	add := func(name, content string) {
@@ -303,17 +309,18 @@ func CampaignFiles(results []CampaignResult) []ExportFile {
 		if r.Outcome == nil {
 			continue
 		}
+		name := r.Item.Name
 		if res := r.Outcome.DDoS; res != nil {
-			exp := "exp" + res.Spec.Name
-			add("fig-answers-"+exp+".csv", SeriesCSV(res.Answers, answerLabels))
-			add("fig9-latency-"+exp+".csv", LatencyCSV(res))
-			add("fig10-authload-"+exp+".csv", SeriesCSV(res.AuthQueries, authLabels))
-			add("fig11-amplification-"+exp+".csv", AmplificationCSV(res))
-			add("fig12-uniquern-"+exp+".csv", UniqueRnCSV(res))
-			if tl := res.Timeline; tl != nil {
-				add("timeline-"+exp+".csv", tl.CSV())
-				files = append(files, ExportFile{"timeline-" + exp + ".json", tl.WriteJSON})
-			}
+			name = "exp" + res.Spec.Name
+			add("fig-answers-"+name+".csv", res.Answers.RoundCSV(answerCols...))
+			add("fig9-latency-"+name+".csv", LatencyCSV(res))
+			add("fig10-authload-"+name+".csv", res.AuthQueries.RoundCSV(authCols...))
+			add("fig11-amplification-"+name+".csv", AmplificationCSV(res))
+			add("fig12-uniquern-"+name+".csv", UniqueRnCSV(res))
+		}
+		if tl := r.Outcome.Timeline; tl != nil {
+			add("timeline-"+name+".csv", tl.CSV())
+			files = append(files, ExportFile{"timeline-" + name + ".json", tl.WriteJSON})
 		}
 		if p := r.Outcome.Passive; p != nil {
 			add("fig4-nl-ecdf.csv", ECDFCSV(p.ECDF, 100))

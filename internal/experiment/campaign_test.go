@@ -89,17 +89,13 @@ func TestCampaignStagedPhases(t *testing.T) {
 	if res == nil {
 		t.Fatal("no DDoS result")
 	}
-	servfail := 0.0
-	for r := 0; r < res.Answers.Rounds(); r++ {
-		servfail += res.Answers.Get(r, "SERVFAIL")
-	}
-	if servfail == 0 {
+	if res.Answers.Total(ansServFail) == 0 {
 		t.Error("SERVFAIL brownout phase produced no SERVFAIL answers")
 	}
 	// The last full round before the overflow bin is after recovery:
 	// answers must flow again.
 	last := res.Answers.Rounds() - 2
-	if res.Answers.Get(last, "OK") == 0 {
+	if res.Answers.Get(last, ansOK) == 0 {
 		t.Errorf("no OK answers after recovery in round %d", last)
 	}
 }

@@ -108,7 +108,7 @@ func served(r *DDoSResult, round int) float64 { return 1 - r.FailureRate(round) 
 
 func failed(r *DDoSResult, round int) float64 { return r.FailureRate(round) }
 
-func pidQueries(r *DDoSResult, round int) float64 { return r.AuthQueries.Get(round, "AAAA-for-PID") }
+func pidQueries(r *DDoSResult, round int) float64 { return float64(r.AuthQueries.Get(round, labelPID)) }
 
 // over reads an attack run over its rounds from minute from to minute to:
 // the mean of f, or with peak its maximum.

@@ -11,28 +11,6 @@ import (
 // plots can be regenerated with any tool (`dikes -csv <dir>` writes one
 // file per figure).
 
-// SeriesCSV renders a RoundSeries with a leading minute column.
-func SeriesCSV(s *stats.RoundSeries, labels []string) string {
-	if labels == nil {
-		labels = s.Labels()
-	}
-	var sb strings.Builder
-	sb.WriteString("minute")
-	for _, l := range labels {
-		sb.WriteByte(',')
-		sb.WriteString(l)
-	}
-	sb.WriteByte('\n')
-	for r := 0; r < s.Rounds(); r++ {
-		fmt.Fprintf(&sb, "%.0f", float64(r)*s.Interval.Minutes())
-		for _, l := range labels {
-			fmt.Fprintf(&sb, ",%.0f", s.Get(r, l))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
 // LatencyCSV renders the per-round latency quantiles (Figure 9/15).
 func LatencyCSV(r *DDoSResult) string {
 	var sb strings.Builder

@@ -5,26 +5,36 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/classify"
 	"repro/internal/stats"
+	"repro/internal/vantage"
 )
 
+// TestSeriesCSV checks the Figure 6/8/14 export of tallied answers:
+// the minute column at the probe interval, one row per round up to the
+// last non-empty one, and the columns in answerCols order.
 func TestSeriesCSV(t *testing.T) {
-	start := time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
-	s := stats.NewRoundSeries(start, 10*time.Minute)
-	s.AddRound(0, "OK", 5)
-	s.AddRound(1, "OK", 3)
-	s.AddRound(1, "FAIL", 2)
-	out := SeriesCSV(s, []string{"OK", "FAIL"})
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if lines[0] != "minute,OK,FAIL" {
-		t.Errorf("header = %q", lines[0])
+	ac := newDDoSAccum(DDoSSpec{ProbeInterval: 10 * time.Minute}, testbedStart, 4)
+	ac.tallyAnswers([]vantage.Answer{
+		{Round: 0, Valid: true}, {Round: 0, Valid: true}, {Round: 1, Timeout: true},
+		{Round: 2, Discard: true}, {Round: 2, Valid: true},
+	})
+	want := "minute,OK,SERVFAIL,NoAnswer\n0,2,0,0\n10,0,0,1\n20,1,1,0\n"
+	if got := ac.answers.RoundCSV(answerCols...); got != want {
+		t.Errorf("csv = %q, want %q", got, want)
 	}
-	if lines[1] != "0,5,0" || lines[2] != "10,3,2" {
-		t.Errorf("rows = %v", lines[1:])
+}
+
+// TestCategoryNames: the Figure 7/13 column names are classify's, in
+// Category order.
+func TestCategoryNames(t *testing.T) {
+	for c, name := range categoryNames {
+		if got := classify.Category(c).String(); got != name {
+			t.Errorf("column %d is %q, classify calls it %q", c, name, got)
+		}
 	}
-	// Nil labels defaults to sorted labels.
-	if out := SeriesCSV(s, nil); !strings.HasPrefix(out, "minute,FAIL,OK") {
-		t.Errorf("default labels: %q", strings.Split(out, "\n")[0])
+	if len(categoryNames) != int(classify.CA)+1 {
+		t.Errorf("%d category columns, want %d", len(categoryNames), int(classify.CA)+1)
 	}
 }
 
@@ -88,7 +98,7 @@ func TestPerProbeTable7(t *testing.T) {
 	}
 
 	// The run is one cell: the same cell run directly gives the same table.
-	tb := runDDoSTestbed(spec, TestbedConfig{Probes: 60, Seed: mixSeed(5, 0), KeepAuthLog: true}, nil)
+	tb := runDDoSTestbed(spec, TestbedConfig{Probes: 60, Seed: mixSeed(5, 0), KeepAuthLog: true})
 	ac := newDDoSAccum(spec, testbedStart, len(t7.Rounds))
 	if id, _ := busiestProbeCount(tb); RenderTable7(ac.perProbe(tb, id)) != rendered {
 		t.Errorf("direct cell's busiest probe %d gives\n%s\nthe run gives\n%s", id, RenderTable7(ac.perProbe(tb, id)), rendered)

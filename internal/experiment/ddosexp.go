@@ -83,22 +83,35 @@ type Table4Row struct {
 	ValidAnswers int
 }
 
+// The columns of DDoSResult.Answers, and their names.
+const (
+	ansOK = iota
+	ansServFail
+	ansNoAnswer
+)
+
+var answerLabels = []string{"OK", "SERVFAIL", "NoAnswer"}
+
+// categoryNames names the classify.Category columns of Figures 7 and 13.
+var categoryNames = []string{"Unclassified", "Warmup", "AA", "CC", "AC", "CA"}
+
 // DDoSResult is everything one emulated attack produces.
 type DDoSResult struct {
 	Spec   DDoSSpec
 	Table4 Table4Row
 	// Answers counts OK / SERVFAIL / NoAnswer per probing round
-	// (Figures 6, 8, 14).
-	Answers *stats.RoundSeries
-	// Classes counts AA/CC/AC/CA per round (Figure 7).
-	Classes *stats.RoundSeries
+	// (Figures 6, 8, 14); columns are the ans* enum.
+	Answers *timeline.Timeline
+	// Classes counts AA/CC/AC/CA per round (Figure 7); columns are
+	// classify.Category.
+	Classes *timeline.Timeline
 	// Latency summarizes client RTT per round in milliseconds, answered
 	// queries only (Figures 9, 15).
 	Latency []stats.Summary
 	// AuthQueries counts arrivals at the authoritatives per round by the
-	// paper's query classes (Figure 10). Pre-drop, like the paper's
-	// captures.
-	AuthQueries *stats.RoundSeries
+	// paper's query classes (Figure 10), columns indexed like
+	// authLabelNames. Pre-drop, like the paper's captures.
+	AuthQueries *timeline.Timeline
 	// UniqueRn is the number of distinct resolver addresses querying the
 	// authoritatives per round (Figure 12).
 	UniqueRn []int
@@ -107,23 +120,19 @@ type DDoSResult struct {
 	// it reached the authoritatives (Figure 11).
 	RnPerProbe      []stats.Summary
 	QueriesPerProbe []stats.Summary
-	// Timeline is the run's merged per-bucket series (nil unless the run
-	// was configured with RunConfig.Timeline; see internal/timeline).
-	Timeline *timeline.Timeline
 	// Table7 is the drill-down of the run's busiest probe (nil unless the
 	// run is drillExperiment).
 	Table7 *Table7
 }
 
+// horizon is how long a cell of the spec runs: the probing rounds plus
+// ten minutes for the last answers to land.
+func (spec DDoSSpec) horizon() time.Duration { return spec.TotalDur + 10*time.Minute }
+
 // runDDoSTestbed builds, schedules, and runs one cell's attack world and
 // returns it ready for analysis.
-func runDDoSTestbed(spec DDoSSpec, base TestbedConfig, tlc *timeline.Config) *Testbed {
+func runDDoSTestbed(spec DDoSSpec, base TestbedConfig) *Testbed {
 	base.TTL = spec.TTL
-	if tlc != nil {
-		// Every cell derives the same bin layout from (start, horizon,
-		// bucket), which is what makes the cross-cell merge exact.
-		base.timeline = timeline.NewCollector(testbedStart, spec.TotalDur+10*time.Minute, *tlc)
-	}
 	tb := NewTestbed(base)
 
 	targets := tb.AuthAddrs
@@ -135,7 +144,7 @@ func runDDoSTestbed(spec DDoSSpec, base TestbedConfig, tlc *timeline.Config) *Te
 	rounds := int(spec.TotalDur / spec.ProbeInterval)
 	tb.ScheduleRotations(spec.TotalDur + RotationInterval)
 	tb.Fleet.Schedule(tb.Start, spec.ProbeInterval, 5*time.Minute, rounds)
-	tb.Clk.RunUntil(tb.Start.Add(spec.TotalDur + 10*time.Minute))
+	tb.Clk.RunUntil(tb.Start.Add(spec.horizon()))
 	return tb
 }
 

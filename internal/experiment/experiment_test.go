@@ -357,8 +357,8 @@ func TestDDoS90PercentLossRetriesAmplifyTraffic(t *testing.T) {
 		t.Fatal("spec I missing")
 	}
 	res := mustRun(t, DDoSScenario(spec), RunConfig{Probes: testProbes, Seed: testSeed, Population: PopulationConfig{Harvest: recursive.HarvestFull}}).DDoS
-	baseline := res.AuthQueries.Get(4, "AAAA-for-PID") + res.AuthQueries.Get(4, "other")
-	attack := res.AuthQueries.Get(9, "AAAA-for-PID") + res.AuthQueries.Get(9, "other")
+	baseline := float64(res.AuthQueries.Get(4, labelPID) + res.AuthQueries.Get(4, labelOther))
+	attack := float64(res.AuthQueries.Get(9, labelPID) + res.AuthQueries.Get(9, labelOther))
 	if baseline == 0 {
 		t.Fatal("no baseline authoritative traffic")
 	}
@@ -408,7 +408,7 @@ func TestClassesSeriesHasCacheHitsDuringAttack(t *testing.T) {
 		t.Fatal("spec B missing")
 	}
 	res := mustRun(t, DDoSScenario(spec), RunConfig{Probes: testProbes, Seed: testSeed}).DDoS
-	ccDuring := res.Classes.Get(6, classify.CC.String()) + res.Classes.Get(7, classify.CC.String())
+	ccDuring := res.Classes.Get(6, int(classify.CC)) + res.Classes.Get(7, int(classify.CC))
 	if ccDuring == 0 {
 		t.Error("no cache hits during the attack (Figure 7 shape lost)")
 	}

@@ -28,8 +28,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/recursive"
-	"repro/internal/stats"
 	"repro/internal/stub"
+	"repro/internal/timeline"
 )
 
 // The study's fixed shape.
@@ -40,6 +40,7 @@ const (
 	// names stay cached between any one client's queries.
 	implClientsPerRecursive = 10
 	implDuration            = 90 * time.Minute
+	implHorizon             = implDuration + time.Minute // a cell's run, last answers included
 	implAttackStart         = 30 * time.Minute
 	implAttackDur           = 30 * time.Minute
 	implQueryInterval       = time.Minute
@@ -52,11 +53,23 @@ const (
 	implCDNName = "www." + Domain
 )
 
+// The columns of ImplicationsResult.Series: a service's ok column, then
+// its fail column.
+const (
+	implRootOK = iota
+	implRootFail
+	implCDNOK
+	implCDNFail
+)
+
+var implColumns = []string{"root-ok", "root-fail", "cdn-ok", "cdn-fail"}
+
 // ImplicationsResult reports per-minute outcomes for both services, plus
 // integer in-attack totals, so cells merge exactly.
 type ImplicationsResult struct {
-	// Series counts "root-ok"/"root-fail"/"cdn-ok"/"cdn-fail" per minute.
-	Series *stats.RoundSeries
+	// Series counts each service's ok and failed lookups per minute, by
+	// send time; columns are the impl* enum.
+	Series *timeline.Timeline
 	// RootOK, RootFail, CDNOK and CDNFail count the queries sent inside
 	// the attack window, by service and outcome.
 	RootOK, RootFail int64
@@ -76,7 +89,8 @@ func (r *ImplicationsResult) CDNFailDuringAttack() float64 {
 }
 
 func newImplicationsResult() *ImplicationsResult {
-	return &ImplicationsResult{Series: stats.NewRoundSeries(testbedStart, time.Minute)}
+	return &ImplicationsResult{Series: timeline.New(testbedStart, implQueryInterval,
+		int(implDuration/implQueryInterval), implColumns)}
 }
 
 // absorb adds one cell's counts into the run total.
@@ -111,15 +125,21 @@ func runImplicationsTestbed(base TestbedConfig) (*ImplicationsResult, *Testbed) 
 	}
 
 	res := newImplicationsResult()
-	// record counts one lookup of service svc sent at sentAt; one sent
-	// inside the attack window also lands in *ok or *fail.
-	record := func(svc string, sentAt time.Time, ok, fail *int64) func(stub.Result) {
+	tl := tb.Net.Timeline()
+	// record counts one lookup of the service whose ok column is col, sent
+	// at sentAt; one sent inside the attack window also lands in *ok or
+	// *fail. The run timeline bins its outcome when it lands.
+	record := func(col int, sentAt time.Time, ok, fail *int64) func(stub.Result) {
 		return func(r stub.Result) {
-			label, n := svc+"-fail", fail
-			if r.Err == nil && r.Msg.RCode == dnswire.RCodeNoError && len(r.Msg.Answers) > 0 {
-				label, n = svc+"-ok", ok
+			c, outcome, n := col, timeline.Answered, ok
+			if r.Err != nil || r.Msg.RCode != dnswire.RCodeNoError || len(r.Msg.Answers) == 0 {
+				c, outcome, n = col+1, timeline.ServFail, fail
+				if r.Err != nil {
+					outcome = timeline.Failed
+				}
 			}
-			res.Series.Add(sentAt, label, 1)
+			res.Series.Add(sentAt, c, 1)
+			tl.Add(tb.Clk.Now(), outcome, 1)
 			if off := sentAt.Sub(tb.Start); off >= implAttackStart && off < implAttackStart+implAttackDur {
 				*n++
 			}
@@ -133,8 +153,8 @@ func runImplicationsTestbed(base TestbedConfig) (*ImplicationsResult, *Testbed) 
 		for at := offset; at < implDuration; at += implQueryInterval {
 			clock.AfterFunc(tb.Clk, at, func() {
 				sentAt := tb.Clk.Now()
-				c.Query(rec, rootLetterName(0), dnswire.TypeA, record("root", sentAt, &res.RootOK, &res.RootFail))
-				c.Query(rec, implCDNName, dnswire.TypeAAAA, record("cdn", sentAt, &res.CDNOK, &res.CDNFail))
+				c.Query(rec, rootLetterName(0), dnswire.TypeA, record(implRootOK, sentAt, &res.RootOK, &res.RootFail))
+				c.Query(rec, implCDNName, dnswire.TypeAAAA, record(implCDNOK, sentAt, &res.CDNOK, &res.CDNFail))
 			})
 		}
 	}
@@ -161,7 +181,7 @@ func runImplicationsTestbed(base TestbedConfig) (*ImplicationsResult, *Testbed) 
 		ddos.Schedule(tb.Clk, tb.Net, a)
 	}
 
-	tb.Clk.RunUntil(tb.Start.Add(implDuration + time.Minute))
+	tb.Clk.RunUntil(tb.Start.Add(implHorizon))
 	return res, advCollect(tb, resolvers, nil)
 }
 
@@ -181,6 +201,7 @@ func (implicationsScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, e
 	}
 	total := newImplicationsResult()
 	return runCells(ctx, "implications", cfg, cellRun[*ImplicationsResult]{
+		horizon: implHorizon,
 		cell: func(base TestbedConfig) (*ImplicationsResult, *Testbed) {
 			base.TTL = ttl
 			return runImplicationsTestbed(base)
@@ -199,9 +220,9 @@ func RenderImplications(r *ImplicationsResult) string {
 	fmt.Fprintf(&sb, "%8s %10s %10s %10s %10s\n",
 		"minute", "root-ok", "root-fail", "cdn-ok", "cdn-fail")
 	for m := 0; m < r.Series.Rounds(); m++ {
-		fmt.Fprintf(&sb, "%8d %10.0f %10.0f %10.0f %10.0f\n", m,
-			r.Series.Get(m, "root-ok"), r.Series.Get(m, "root-fail"),
-			r.Series.Get(m, "cdn-ok"), r.Series.Get(m, "cdn-fail"))
+		row := r.Series.Bins[m]
+		fmt.Fprintf(&sb, "%8d %10d %10d %10d %10d\n", m,
+			row[implRootOK], row[implRootFail], row[implCDNOK], row[implCDNFail])
 	}
 	fmt.Fprintf(&sb, "\nfailure during the attack: root-like %.1f%%, CDN-like %.1f%%\n",
 		100*r.RootFailDuringAttack(), 100*r.CDNFailDuringAttack())

@@ -33,8 +33,8 @@ func runMatrix(t *testing.T, specs []DDoSSpec, cfg RunConfig, workers int) []*Ou
 // Answers/Classes/latency series.
 func renderDDoS(res *DDoSResult) string {
 	return RenderTable4([]*DDoSResult{res}) +
-		res.Answers.Table([]string{"OK", "SERVFAIL", "NoAnswer"}) +
-		res.Classes.Table([]string{"AA", "CC", "CA", "AC"}) +
+		res.Answers.RoundTable(answerCols...) +
+		res.Classes.RoundTable(classCols...) +
 		RenderLatency(res)
 }
 

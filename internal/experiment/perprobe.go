@@ -93,7 +93,7 @@ func (ac *ddosAccum) perProbe(tb *Testbed, probeID uint16) Table7 {
 			if ev.QType != dnswire.TypeAAAA || ev.QName != qname {
 				continue
 			}
-			r := series.RoundOf(tb.Start.Add(ev.At))
+			r := series.BinOf(tb.Start.Add(ev.At))
 			if r < 0 || r >= rounds {
 				continue
 			}

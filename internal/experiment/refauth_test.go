@@ -37,31 +37,31 @@ func refAbsorbAuthSide(ac *ddosAccum, tb *Testbed) {
 
 	for _, chunk := range tb.AuthLog {
 		for _, ev := range chunk {
-			r := ac.authQueries.RoundOf(tb.Start.Add(ev.At))
+			r := ac.authQueries.BinOf(tb.Start.Add(ev.At))
 			if r < 0 || r >= ac.rounds {
 				continue
 			}
 			uniqueRn[r][ev.Src] = true
 			qname := tb.AuthQName(ev)
-			label := ""
+			var label int
 			switch {
 			case qname == Domain && ev.QType == dnswire.TypeNS:
-				label = "NS"
+				label = labelNS
 			case nsHosts[qname] && ev.QType == dnswire.TypeA:
-				label = "A-for-NS"
+				label = labelANS
 			case nsHosts[qname] && ev.QType == dnswire.TypeAAAA:
-				label = "AAAA-for-NS"
+				label = labelAAAANS
 			case ev.QType == dnswire.TypeAAAA:
-				label = "AAAA-for-PID"
+				label = labelPID
 				if k := uint64(ev.QName)<<32 | uint64(ev.Src); !probeRn[r][k] {
 					probeRn[r][k] = true
 					rnPerProbe[r][ev.QName]++
 				}
 				queriesPerProbe[r][ev.QName]++
 			default:
-				label = "other"
+				label = labelOther
 			}
-			ac.authQueries.AddRound(r, label, 1)
+			ac.authQueries.AddBin(r, label, 1)
 		}
 	}
 
@@ -153,7 +153,7 @@ func refCells(seed int64) map[string]*refCell {
 	for _, name := range []string{"H", "E", "I"} {
 		spec, _ := SpecByName(name)
 		cells[name] = runRefCell(base, spec.ProbeInterval, int(spec.TotalDur/spec.ProbeInterval),
-			func(b TestbedConfig) *Testbed { return runDDoSTestbed(spec, b, nil) })
+			func(b TestbedConfig) *Testbed { return runDDoSTestbed(spec, b) })
 	}
 	for name, cc := range map[string]CachingConfig{
 		"calm":    {TTL: 3600, ProbeInterval: 20 * time.Minute, Rounds: 7},
@@ -182,7 +182,7 @@ func TestAuthFoldsMatchLog(t *testing.T) {
 			refAbsorbAuthSide(want, tb)
 			if !reflect.DeepEqual(got.authQueries, want.authQueries) {
 				t.Errorf("%s seed %d: query mix\n got %s\nwant %s", name, seed,
-					got.authQueries.Table(authLabelNames[:]), want.authQueries.Table(authLabelNames[:]))
+					got.authQueries.RoundTable(0, 1, 2, 3, 4), want.authQueries.RoundTable(0, 1, 2, 3, 4))
 			}
 			if !reflect.DeepEqual(got.uniqueRn, want.uniqueRn) {
 				t.Errorf("%s seed %d: distinct Rn %v, want %v", name, seed, got.uniqueRn, want.uniqueRn)
@@ -264,7 +264,7 @@ func TestCellKeepsNoAuthLog(t *testing.T) {
 // decreases along the log, drops and retries included.
 func TestAuthLogArrivalOrder(t *testing.T) {
 	spec, _ := SpecByName("E")
-	tb := runDDoSTestbed(spec, TestbedConfig{Probes: 60, Seed: 7, KeepAuthLog: true}, nil)
+	tb := runDDoSTestbed(spec, TestbedConfig{Probes: 60, Seed: 7, KeepAuthLog: true})
 	var last time.Duration
 	n, dropped := 0, 0
 	for _, chunk := range tb.AuthLog {

@@ -159,10 +159,7 @@ func RenderTable5(g *GlueResult) string {
 // FailureRate returns the fraction of failed queries (SERVFAIL or no
 // answer) in round r of a DDoS result.
 func (r *DDoSResult) FailureRate(round int) float64 {
-	ok := r.Answers.Get(round, "OK")
-	bad := r.Answers.Get(round, "SERVFAIL") + r.Answers.Get(round, "NoAnswer")
-	if ok+bad == 0 {
-		return 0
-	}
-	return bad / (ok + bad)
+	ok := r.Answers.Get(round, ansOK)
+	bad := r.Answers.Get(round, ansServFail) + r.Answers.Get(round, ansNoAnswer)
+	return ratio(float64(bad), float64(ok+bad))
 }

@@ -72,7 +72,8 @@ func DDoSInvariants(res *DDoSResult, snap metrics.Snapshot) []metrics.Invariant 
 		// NoAnswer summed over all rounds (overflow bin included) equals
 		// the query total.
 		metrics.EqualInt("round_outcomes_sum_to_queries",
-			sumOutcomes(res), int64(res.Table4.Queries),
+			res.Answers.Total(ansOK)+res.Answers.Total(ansServFail)+res.Answers.Total(ansNoAnswer),
+			int64(res.Table4.Queries),
 			"ok+servfail+noanswer", "table4_queries"),
 	}
 	invs = append(invs, tapInvariants(snap, true)...)
@@ -86,7 +87,7 @@ func DDoSInvariants(res *DDoSResult, snap metrics.Snapshot) []metrics.Invariant 
 // two series disagreed on runs with late-landing answers.
 func latencyMatchesAnswered(res *DDoSResult) metrics.Invariant {
 	for r := range res.Latency {
-		answered := int64(res.Answers.Get(r, "OK") + res.Answers.Get(r, "SERVFAIL"))
+		answered := res.Answers.Get(r, ansOK) + res.Answers.Get(r, ansServFail)
 		if int64(res.Latency[r].N) != answered {
 			return metrics.Invariant{
 				Name: "latency_samples_match_answered",
@@ -100,17 +101,6 @@ func latencyMatchesAnswered(res *DDoSResult) metrics.Invariant {
 		OK:     true,
 		Detail: fmt.Sprintf("rounds=%d", len(res.Latency)),
 	}
-}
-
-// sumOutcomes totals OK + SERVFAIL + NoAnswer over every tallied round.
-func sumOutcomes(res *DDoSResult) int64 {
-	var total float64
-	for r := 0; r < res.Answers.Rounds(); r++ {
-		total += res.Answers.Get(r, "OK") +
-			res.Answers.Get(r, "SERVFAIL") +
-			res.Answers.Get(r, "NoAnswer")
-	}
-	return int64(total)
 }
 
 // cachingInvariants cross-checks a §3 run: the answer totals against the

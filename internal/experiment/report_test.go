@@ -32,10 +32,10 @@ func TestTallyAnswersOverflowRound(t *testing.T) {
 	if got := len(res.Latency); got != rounds+1 {
 		t.Fatalf("len(Latency) = %d, want %d (rounds + overflow bin)", got, rounds+1)
 	}
-	if got := res.Answers.Get(rounds, "OK"); got != 1 {
+	if got := res.Answers.Get(rounds, ansOK); got != 1 {
 		t.Errorf("overflow OK = %v, want 1", got)
 	}
-	if got := res.Answers.Get(rounds, "NoAnswer"); got != 1 {
+	if got := res.Answers.Get(rounds, ansNoAnswer); got != 1 {
 		t.Errorf("overflow NoAnswer = %v, want 1", got)
 	}
 	if got := res.Latency[rounds].N; got != 1 {
@@ -79,7 +79,7 @@ func TestDDoSReportInvariantsHold(t *testing.T) {
 	// Inject a phantom answer: the outcome series no longer sums to the
 	// query total and the latency series no longer matches the answered
 	// count. The checker must flag the run.
-	res.Answers.AddRound(0, "OK", 1)
+	res.Answers.AddBin(0, ansOK, 1)
 	invs := DDoSInvariants(res, out.Report.Metrics)
 	if metrics.AllOK(invs) {
 		t.Error("injected accounting error not detected")

@@ -62,9 +62,10 @@ type RunConfig struct {
 	// implications).
 	Trace *trace.Config
 	// Timeline enables per-bucket simulated-time series collection: each
-	// cell counts into a fixed bin layout derived from the spec horizon,
-	// and the cells exact-merge, so Outcome.Timeline is byte-identical
-	// for every Shards/Workers value. DDoS scenarios only.
+	// cell counts into a fixed bin layout derived from the family's
+	// horizon, and the cells exact-merge, so Outcome.Timeline is
+	// byte-identical for every Shards/Workers value. Honoured by the
+	// families with a horizon (ddos, caching, implications).
 	Timeline *timeline.Config
 	// Progress, when non-nil, receives one CellDone per finished cell
 	// (live run telemetry). Display only — it never affects results.
@@ -126,8 +127,8 @@ type Outcome struct {
 	Trace *trace.Data
 
 	// Timeline holds the run's merged per-bucket series when
-	// RunConfig.Timeline was set (DDoS scenarios only). Identical bytes for
-	// every shard count.
+	// RunConfig.Timeline was set and the family has a horizon (ddos,
+	// caching, implications). Identical bytes for every shard count.
 	Timeline *timeline.Timeline
 
 	Report *metrics.Report
@@ -174,11 +175,12 @@ func (s ddosScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) 
 	rounds := int(spec.TotalDur / spec.ProbeInterval)
 	total := newDDoSAccum(spec, testbedStart, rounds)
 	return runCells(ctx, s.Name(), cfg, cellRun[*ddosAccum]{
+		horizon: spec.horizon(),
 		cell: func(base TestbedConfig) (*ddosAccum, *Testbed) {
 			ac := newDDoSAccum(spec, testbedStart, rounds)
 			base.Population, base.fold = cfg.Population, ac.foldAuth
 			base.KeepAuthLog = spec.Name == drillExperiment
-			tb := runDDoSTestbed(spec, base, cfg.Timeline)
+			tb := runDDoSTestbed(spec, base)
 			ac.absorb(tb)
 			if base.KeepAuthLog {
 				ac.drillDown(tb)
@@ -188,7 +190,10 @@ func (s ddosScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error) 
 		fold: total.merge,
 		finish: func(out *Outcome, snap metrics.Snapshot) (map[string]string, []metrics.Invariant) {
 			res := total.finalize()
-			out.DDoS, out.Timeline = res, res.Timeline
+			out.DDoS = res
+			if out.Timeline != nil {
+				out.Timeline.Marks = specMarks(spec)
+			}
 			return map[string]string{
 				"experiment": spec.Name,
 				"ttl":        strconv.FormatUint(uint64(spec.TTL), 10),
@@ -212,6 +217,7 @@ func (cachingScenario) run(ctx context.Context, cfg RunConfig) (*Outcome, error)
 	cc := cfg.cachingConfig()
 	total := newCachingAccum(cc, testbedStart)
 	return runCells(ctx, fmt.Sprintf("caching-ttl%d", cc.TTL), cfg, cellRun[*cachingAccum]{
+		horizon: cc.horizon(),
 		cell: func(base TestbedConfig) (*cachingAccum, *Testbed) {
 			ac := newCachingAccum(cc, testbedStart)
 			base.Population, base.fold = cc.Population, ac.foldAuth

@@ -42,15 +42,15 @@ func renderOutcome(t *testing.T, out *Outcome) []byte {
 		buf.WriteString(RenderLatency(r))
 		buf.WriteString(RenderUniqueRn(r))
 		buf.WriteString(RenderAmplification(r))
-		buf.WriteString(r.Answers.Table(nil))
-		buf.WriteString(r.Classes.Table(nil))
-		buf.WriteString(r.AuthQueries.Table(nil))
+		buf.WriteString(r.Answers.CSV())
+		buf.WriteString(r.Classes.CSV())
+		buf.WriteString(r.AuthQueries.CSV())
 	case out.Caching != nil:
 		r := out.Caching
 		buf.WriteString(RenderTable1([]*CachingResult{r}))
 		buf.WriteString(RenderTable2([]*CachingResult{r}))
 		buf.WriteString(RenderTable3([]*CachingResult{r}))
-		buf.WriteString(r.Fig13.Table(nil))
+		buf.WriteString(r.Fig13.CSV())
 	case out.Glue != nil:
 		buf.WriteString(RenderTable5(out.Glue))
 	case out.NXNS != nil:
@@ -316,7 +316,7 @@ func TestShardedPerProbe(t *testing.T) {
 		t.Fatalf("planned %v, want 3 cells", cells)
 	}
 	for i, n := range cells {
-		tb := runDDoSTestbed(spec, TestbedConfig{Probes: n, Seed: mixSeed(cfg.Seed, i), KeepAuthLog: true}, nil)
+		tb := runDDoSTestbed(spec, TestbedConfig{Probes: n, Seed: mixSeed(cfg.Seed, i), KeepAuthLog: true})
 		if id, n := busiestProbeCount(tb); n > bestN {
 			busiest, bestN = RenderTable7(ac.perProbe(tb, id)), n
 		}
@@ -333,7 +333,7 @@ func TestShardedPerProbe(t *testing.T) {
 		t.Errorf("the run's Table 7\n%s\nthe cells' busiest probe\n%s", want, busiest)
 	}
 	for r := 0; r < rounds; r++ {
-		want := int(out.DDoS.AuthQueries.Get(r, "AAAA-for-PID"))
+		want := int(out.DDoS.AuthQueries.Get(r, labelPID))
 		if perRound[r] != want {
 			t.Errorf("round %d: per-probe auth queries sum to %d, series says %d",
 				r, perRound[r], want)

@@ -3,10 +3,13 @@ package experiment
 import (
 	"context"
 	"strconv"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/parallel"
+	"repro/internal/timeline"
 	"repro/internal/trace"
+	"repro/internal/vantage"
 )
 
 // Cell decomposition for population-scale runs. A large probe population
@@ -71,6 +74,11 @@ func planCells(probes, shardProbes int) []int {
 // family's per-cell partial result; the cell's testbed dies with the
 // cell, so whatever a result needs of it goes into P.
 type cellRun[P any] struct {
+	// horizon is how long one cell runs. When it is positive and
+	// RunConfig.Timeline is set, every cell gets a run timeline over it
+	// (TestbedConfig.timeline), its fleet's client outcomes are binned at
+	// the end, and the cells merge into Outcome.Timeline.
+	horizon time.Duration
 	// cell builds and runs one cell on base — the cell's probe count,
 	// derived seed and trace config, to which the family adds its own
 	// knobs — and returns its partial plus the finished testbed. Called
@@ -98,12 +106,26 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 		part P
 		snap metrics.Snapshot
 		ct   *trace.CellTrace
+		tl   *timeline.Timeline
+	}
+	out := &Outcome{}
+	// Every cell's timeline has the grid of out.Timeline, derived only
+	// from (start, horizon, bucket), which is what makes the merge exact.
+	if cfg.Timeline != nil && fam.horizon > 0 {
+		out.Timeline = timeline.NewRun(testbedStart, fam.horizon, *cfg.Timeline)
 	}
 	cells := planCells(cfg.Probes, cfg.ShardProbes)
 	results, runErr := parallel.MapCtx(ctx, cfg.Shards, cells, func(i, n int) *cellResult {
+		var tl *timeline.Timeline
+		if out.Timeline != nil {
+			tl = timeline.NewRun(testbedStart, fam.horizon, *cfg.Timeline)
+		}
 		part, tb := fam.cell(TestbedConfig{Probes: n, Seed: mixSeed(cfg.Seed, i), Trace: cfg.Trace,
-			built: cfg.onTestbed})
-		cr := &cellResult{part: part, snap: tb.CollectMetrics().Snapshot()}
+			timeline: tl, built: cfg.onTestbed})
+		if tl != nil && tb.Fleet != nil {
+			binOutcomes(tl, tb.Fleet)
+		}
+		cr := &cellResult{part: part, snap: tb.CollectMetrics().Snapshot(), tl: tl}
 		if tr := tb.Net.Trace(); tr != nil {
 			cr.ct = &trace.CellTrace{Cell: i, Dropped: tr.Dropped(), Events: tr.Events()}
 		}
@@ -117,7 +139,6 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 		return cr
 	})
 
-	out := &Outcome{}
 	reg := metrics.NewRegistry()
 	if cfg.Trace != nil {
 		out.Trace = &trace.Data{SampleEvery: cfg.Trace.SampleEvery}
@@ -128,6 +149,7 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 		}
 		fam.fold(cr.part)
 		reg.Merge(cr.snap)
+		out.Timeline.Merge(cr.tl)
 		if cr.ct != nil {
 			// results is in cell-index order, so the merged trace is too —
 			// independent of which worker ran which cell.
@@ -153,4 +175,23 @@ func runCells[P any](ctx context.Context, reportName string, cfg RunConfig, fam 
 		return out, cancelErr(runErr)
 	}
 	return out, nil
+}
+
+// binOutcomes counts a finished cell's client outcomes into its run
+// timeline. They are derived client-side rather than emitted by the
+// probes: each answer's event time is its arrival, or the moment the
+// stub gave up (RTT is the timeout duration then).
+func binOutcomes(tl *timeline.Timeline, fleet *vantage.Fleet) {
+	for _, p := range fleet.Probes {
+		for _, a := range p.Answers() {
+			col := timeline.ServFail
+			switch {
+			case a.Timeout:
+				col = timeline.Failed
+			case a.Ok():
+				col = timeline.Answered
+			}
+			tl.Add(a.SentAt().Add(a.RTT), col, 1)
+		}
+	}
 }

@@ -27,15 +27,16 @@ type ddosAccum struct {
 	spec   DDoSSpec
 	rounds int
 
-	table4      Table4Row
-	answers     *stats.RoundSeries
-	classes     *stats.RoundSeries
-	authQueries *stats.RoundSeries
+	table4 Table4Row
+	// answers, classes and authQueries are the per-round figures, rounds+1
+	// bins at the probe interval (the last is the overflow bin).
+	answers     *timeline.Timeline // columns: the ans* enum
+	classes     *timeline.Timeline // columns: classify.Category
+	authQueries *timeline.Timeline // columns: authLabel's bins
 	latency     []*stats.Counts    // rounds+1: per-round RTTs + overflow bin
 	uniqueRn    []int              // per-round distinct resolver addresses
 	rnPerProbe  []*stats.Counts    // per-round distinct-Rn-per-probe samples
 	queriesPP   []*stats.Counts    // per-round AAAA-queries-per-probe samples
-	tl          *timeline.Timeline // nil unless the run collects a timeline
 	auth        authRound          // the round foldAuth is folding
 	// drill is the Table 7 drill-down of the busiest probe folded so far
 	// and drillN that probe's AAAA arrival count (drillExperiment only).
@@ -48,9 +49,9 @@ func newDDoSAccum(spec DDoSSpec, start time.Time, rounds int) *ddosAccum {
 		spec:        spec,
 		rounds:      rounds,
 		table4:      Table4Row{Spec: spec},
-		answers:     stats.NewRoundSeries(start, spec.ProbeInterval),
-		classes:     stats.NewRoundSeries(start, spec.ProbeInterval),
-		authQueries: stats.NewRoundSeries(start, spec.ProbeInterval),
+		answers:     timeline.New(start, spec.ProbeInterval, rounds+1, answerLabels),
+		classes:     timeline.New(start, spec.ProbeInterval, rounds+1, categoryNames),
+		authQueries: timeline.New(start, spec.ProbeInterval, rounds+1, authLabelNames[:]),
 		latency:     make([]*stats.Counts, rounds+1),
 		uniqueRn:    make([]int, rounds),
 		rnPerProbe:  make([]*stats.Counts, rounds),
@@ -71,34 +72,8 @@ func newDDoSAccum(spec DDoSSpec, start time.Time, rounds int) *ddosAccum {
 func (ac *ddosAccum) absorb(tb *Testbed) {
 	ac.table4.Probes += len(tb.Pop.Probes)
 	ac.table4.VPs += tb.Pop.VPCount()
-	tl := tb.Net.Timeline()
 	for _, p := range tb.Fleet.Probes {
 		ac.tallyAnswers(p.Answers())
-		if tl == nil {
-			continue
-		}
-		// Client outcomes are derived VP-side here rather than emitted by
-		// the probes: each answer's event time is its arrival (or the
-		// moment the stub gave up — RTT is the timeout duration then).
-		for _, a := range p.Answers() {
-			at := a.SentAt().Add(a.RTT)
-			switch {
-			case a.Timeout:
-				tl.ObserveAt(at, timeline.Failed)
-			case a.Ok():
-				tl.ObserveAt(at, timeline.Answered)
-			default:
-				tl.ObserveAt(at, timeline.ServFail)
-			}
-		}
-	}
-	if tl != nil {
-		t := tl.Finalize()
-		if ac.tl == nil {
-			ac.tl = t
-		} else {
-			ac.tl.Merge(t)
-		}
 	}
 
 	// Per-VP classification (Figure 7). EachVP visits VPs in key order:
@@ -115,7 +90,7 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 			if cat == classify.Warmup {
 				cat = classify.AA
 			}
-			ac.classes.AddRound(clampRound(int(a.Round), ac.rounds), cat.String(), 1)
+			ac.classes.AddBin(clampRound(int(a.Round), ac.rounds), int(cat), 1)
 			if tr := tb.Net.Trace(); tr != nil {
 				// Classification happens after the simulation finishes, so
 				// these events form a trailing annotation section whose
@@ -146,16 +121,16 @@ func (ac *ddosAccum) tallyAnswers(answers []vantage.Answer) {
 		r := clampRound(int(a.Round), ac.rounds)
 		switch {
 		case a.Timeout:
-			ac.answers.AddRound(r, "NoAnswer", 1)
+			ac.answers.AddBin(r, ansNoAnswer, 1)
 		case a.Ok():
 			ac.table4.TotalAnswers++
 			ac.table4.ValidAnswers++
 			probeOK = true
-			ac.answers.AddRound(r, "OK", 1)
+			ac.answers.AddBin(r, ansOK, 1)
 			ac.latency[r].Observe(a.RTT.Milliseconds())
 		default:
 			ac.table4.TotalAnswers++
-			ac.answers.AddRound(r, "SERVFAIL", 1)
+			ac.answers.AddBin(r, ansServFail, 1)
 			ac.latency[r].Observe(a.RTT.Milliseconds())
 		}
 	}
@@ -210,7 +185,7 @@ type authRound struct {
 // cell's resolvers and probe names are its own, so per-cell distinct
 // counts add without any cross-cell set union.
 func (ac *ddosAccum) foldAuth(tb *Testbed, ev AuthEvent) {
-	r := ac.authQueries.RoundOf(tb.Start.Add(ev.At))
+	r := ac.authQueries.BinOf(tb.Start.Add(ev.At))
 	if r < 0 || r >= ac.rounds {
 		return
 	}
@@ -241,9 +216,7 @@ func (ac *ddosAccum) flushAuth() {
 		return
 	}
 	for l, n := range f.labels {
-		if n > 0 {
-			ac.authQueries.AddRound(f.cur, authLabelNames[l], float64(n))
-		}
+		ac.authQueries.AddBin(f.cur, l, int64(n))
 	}
 	f.labels = [nLabels]int{}
 	slices.Sort(f.pairs)
@@ -284,13 +257,6 @@ func (ac *ddosAccum) merge(o *ddosAccum) {
 		ac.rnPerProbe[i].Merge(o.rnPerProbe[i])
 		ac.queriesPP[i].Merge(o.queriesPP[i])
 	}
-	if o.tl != nil {
-		if ac.tl == nil {
-			ac.tl = o.tl
-		} else {
-			ac.tl.Merge(o.tl)
-		}
-	}
 	if o.drill != nil && (ac.drill == nil || o.drillN > ac.drillN) {
 		ac.drill, ac.drillN = o.drill, o.drillN
 	}
@@ -314,10 +280,6 @@ func (ac *ddosAccum) finalize() *DDoSResult {
 		res.RnPerProbe = append(res.RnPerProbe, ac.rnPerProbe[r].Summary())
 		res.QueriesPerProbe = append(res.QueriesPerProbe, ac.queriesPP[r].Summary())
 	}
-	if ac.tl != nil {
-		ac.tl.Marks = specMarks(ac.spec)
-		res.Timeline = ac.tl
-	}
 	return res
 }
 
@@ -327,7 +289,7 @@ type cachingAccum struct {
 	table1 Table1
 	table2 classify.Table2
 	table3 Table3
-	fig13  *stats.RoundSeries
+	fig13  *timeline.Timeline // columns: classify.Category
 	// fetchers is the cell's set of (name, rotation round) keys a Google
 	// backend fetched from the authoritatives, filled by foldAuth.
 	fetchers map[fetcherKey]struct{}
@@ -337,7 +299,7 @@ func newCachingAccum(cfg CachingConfig, start time.Time) *cachingAccum {
 	return &cachingAccum{
 		cfg:    cfg,
 		table1: Table1{TTL: cfg.TTL},
-		fig13:  stats.NewRoundSeries(start, cfg.ProbeInterval),
+		fig13:  timeline.New(start, cfg.ProbeInterval, int(cfg.horizon()/cfg.ProbeInterval)+1, categoryNames),
 	}
 }
 
@@ -383,7 +345,7 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 			}
 			out := tracker.Classify(a, tb.SerialAt(a.SentAt()))
 			ac.table2.Add(out)
-			ac.fig13.Add(a.SentAt(), out.Category.String(), 1)
+			ac.fig13.Add(a.SentAt(), int(out.Category), 1)
 			if out.Category == classify.AC {
 				ac.absorbTable3(tb, a)
 			}

@@ -80,10 +80,9 @@ type TestbedConfig struct {
 	// one ring buffer per testbed, set on the network before anything
 	// attaches, so every engine on it inherits it.
 	Trace *trace.Config
-	// timeline is the cell's per-bucket series collector, inherited the
-	// same way. The family builds it: the bin layout needs the run's
-	// horizon, which only the family knows (DDoS scenarios only so far).
-	timeline *timeline.Collector
+	// timeline is the cell's run timeline, inherited the same way.
+	// runCells builds it over the horizon the family declares.
+	timeline *timeline.Timeline
 	// fold, when set, is handed every arrival the pre-drop tap sees, in
 	// arrival order: the family's auth-side tallies, kept as the packets
 	// arrive instead of scanned off a retained log.

@@ -12,39 +12,64 @@ import (
 	"repro/internal/trace"
 )
 
-// timelineJSON runs the short DDoS spec with timeline collection on and
-// returns the serialized merged timeline.
-func timelineJSON(t *testing.T, shards int, tr *trace.Config) []byte {
-	t.Helper()
-	cfg := RunConfig{Probes: 48, ShardProbes: 16, Shards: shards, Seed: 42,
-		Trace: tr, Timeline: &timeline.Config{}}
-	out, err := Run(context.Background(), DDoSScenario(shortSpec()), cfg)
-	if err != nil {
-		t.Fatalf("Shards=%d: %v", shards, err)
-	}
-	if out.Timeline == nil {
-		t.Fatalf("Shards=%d: no timeline collected", shards)
-	}
-	b, err := json.Marshal(out.Timeline)
-	if err != nil {
-		t.Fatalf("Shards=%d: marshal: %v", shards, err)
-	}
-	return b
+// timelineFamilies are the families with a horizon, each at a small
+// population with queries reading its client query count.
+var timelineFamilies = []struct {
+	name    string
+	sc      Scenario
+	cfg     RunConfig
+	queries func(*Outcome) int64
+}{
+	{"ddos", DDoSScenario(shortSpec()), RunConfig{Probes: 48},
+		func(o *Outcome) int64 { return int64(o.DDoS.Table4.Queries) }},
+	{"caching", CachingScenario(), RunConfig{Probes: 48, Rounds: 3},
+		func(o *Outcome) int64 { return int64(o.Caching.Table1.Queries) }},
+	{"implications", ImplicationsScenario(), RunConfig{Probes: 40},
+		func(o *Outcome) int64 {
+			s := o.Implications.Series
+			return s.Total(implRootOK) + s.Total(implRootFail) + s.Total(implCDNOK) + s.Total(implCDNFail)
+		}},
 }
 
 // TestTimelineShardInvariance extends the engine's determinism contract
-// to the timeline: the Shards concurrency knob must not change a single
-// byte of the merged series — with and without tracing riding along.
+// to the timeline of every family that collects one: the Shards
+// concurrency knob must not change a single byte of the merged series —
+// with and without tracing riding along — and the series' client
+// outcomes must count every client query once.
 func TestTimelineShardInvariance(t *testing.T) {
-	for _, tr := range []*trace.Config{nil, {SampleEvery: 3}} {
-		base := timelineJSON(t, 1, tr)
-		for _, k := range []int{2, 4, 8} {
-			got := timelineJSON(t, k, tr)
-			if !bytes.Equal(base, got) {
-				t.Fatalf("trace=%v Shards=%d timeline differs from Shards=1:\n%s\nvs\n%s",
-					tr, k, got, base)
+	for _, fam := range timelineFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			for _, tr := range []*trace.Config{nil, {SampleEvery: 3}} {
+				var base []byte
+				for _, k := range []int{1, 2, 4, 8} {
+					cfg := fam.cfg
+					cfg.ShardProbes, cfg.Shards, cfg.Seed = 16, k, 42
+					cfg.Trace, cfg.Timeline = tr, &timeline.Config{}
+					out, err := Run(context.Background(), fam.sc, cfg)
+					if err != nil {
+						t.Fatalf("Shards=%d: %v", k, err)
+					}
+					tl := out.Timeline
+					if tl == nil {
+						t.Fatalf("Shards=%d: no timeline collected", k)
+					}
+					outcomes := tl.Total(timeline.Answered) + tl.Total(timeline.Failed) + tl.Total(timeline.ServFail)
+					if want := fam.queries(out); outcomes != want || want == 0 {
+						t.Errorf("Shards=%d: timeline outcomes = %d, client queries = %d", k, outcomes, want)
+					}
+					got, err := json.Marshal(tl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if base == nil {
+						base = got
+					} else if !bytes.Equal(base, got) {
+						t.Fatalf("trace=%v Shards=%d timeline differs from Shards=1:\n%s\nvs\n%s",
+							tr, k, got, base)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

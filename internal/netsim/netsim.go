@@ -93,7 +93,7 @@ type Network struct {
 	anycast map[Addr]*anycastGroup
 	// trace and timeline are the cell's observers (see SetTrace).
 	trace    *trace.Buffer
-	timeline *timeline.Collector
+	timeline *timeline.Timeline
 	stats    Stats
 	// UDP size semantics and the TCP plane (tcp.go).
 	mtu      map[Addr]int // per-destination UDP payload limit
@@ -129,13 +129,13 @@ func Shared[T any](n *Network) *T {
 // them from it when it attaches, so set them before anything binds.
 func (n *Network) SetTrace(tr *trace.Buffer) { n.trace = tr }
 
-// SetTimeline installs the cell's per-bucket series collector (nil
-// disables collection); same ownership rule as SetTrace.
-func (n *Network) SetTimeline(c *timeline.Collector) { n.timeline = c }
+// SetTimeline installs the cell's run timeline (nil disables
+// collection); same ownership rule as SetTrace.
+func (n *Network) SetTimeline(t *timeline.Timeline) { n.timeline = t }
 
 // Trace and Timeline return the cell's observers, nil when off.
-func (n *Network) Trace() *trace.Buffer          { return n.trace }
-func (n *Network) Timeline() *timeline.Collector { return n.timeline }
+func (n *Network) Trace() *trace.Buffer         { return n.trace }
+func (n *Network) Timeline() *timeline.Timeline { return n.timeline }
 
 // New creates a network on clk with a seeded RNG; identical seeds give
 // identical packet fates.

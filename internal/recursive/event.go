@@ -39,7 +39,7 @@ const (
 )
 
 const (
-	noSeries timeline.Metric = -1 // the kind feeds no timeline series
+	noSeries = -1 // the kind feeds no timeline series
 
 	pSrc   uint8 = 1 // the trace record carries the resolver's address as Src
 	pForce uint8 = 2 // the trace record bypasses sampling
@@ -50,7 +50,7 @@ const (
 // traced) and payload flags. Counter rows are in exposition order.
 var kinds = [numKinds]struct {
 	counter string
-	series  timeline.Metric
+	series  int
 	typ     trace.Type
 	flags   uint8
 }{
@@ -91,7 +91,7 @@ func (r *Resolver) event(k kind, p payload) {
 	r.n[k].Inc()
 	d := &kinds[k]
 	if r.timeline != nil && d.series != noSeries {
-		r.timeline.ObserveAt(r.clk.Now(), d.series)
+		r.timeline.Add(r.clk.Now(), d.series, 1)
 	}
 	tr := r.trace
 	if tr == nil || d.typ == trace.EvNone {

@@ -264,7 +264,7 @@ type Resolver struct {
 	// trace and timeline are the cell's observers, read from the network
 	// at Attach; n is the live counter per event kind (see event.go).
 	trace    *trace.Buffer
-	timeline *timeline.Collector
+	timeline *timeline.Timeline
 	n        [numKinds]metrics.Counter
 	// upstreamRTTms observes every upstream round-trip sample, in
 	// milliseconds (the same samples that feed SRTT selection).

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -218,6 +219,29 @@ func TestBucketFloor(t *testing.T) {
 	wantErr(t, spec("-1m"), "observability.bucket")
 	mustParse(t, spec("1s"))
 	mustParse(t, spec("0s"))
+}
+
+// TestObservabilityFamilies: caching and implications specs may arm the
+// timeline like ddos, and their runs return it at the spec's bucket; a
+// family without a horizon still rejects the section.
+func TestObservabilityFamilies(t *testing.T) {
+	t.Parallel()
+	for _, family := range []string{"caching", "implications"} {
+		s := mustParse(t, `{"version": 1, "name": "x", "family": "`+family+`",
+			"engine": {"probes": 20}, "observability": {"timeline": true, "bucket": "5m"}}`)
+		sc, cfg, err := Compile(s)
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", family, err)
+		}
+		out, err := experiment.Run(context.Background(), sc, cfg)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", family, err)
+		}
+		if out.Timeline == nil || out.Timeline.Bucket != 5*time.Minute {
+			t.Errorf("%s: timeline = %+v, want one at 5m buckets", family, out.Timeline)
+		}
+	}
+	wantErr(t, `{"version": 1, "name": "x", "family": "glue", "observability": {"timeline": true}}`, "observability")
 }
 
 func TestExpandPaperList(t *testing.T) {

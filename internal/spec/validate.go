@@ -15,7 +15,7 @@ type familyRule struct {
 }
 
 var families = map[string]familyRule{
-	"caching":      {population: true, workload: true},
+	"caching":      {population: true, workload: true, observability: true},
 	"ddos":         {population: true, workload: true, disruption: true, paper: true, observability: true},
 	"glue":         {},
 	"nxns":         {adversary: true},
@@ -24,7 +24,7 @@ var families = map[string]familyRule{
 	"transport":    {transport: true},
 	"passive":      {},
 	"retries":      {},
-	"implications": {},
+	"implications": {observability: true},
 }
 
 // MinBucket is the narrowest timeline bin a spec may ask for: narrower

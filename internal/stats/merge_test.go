@@ -3,7 +3,6 @@ package stats
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // TestCountsSummaryMatchesSummarize is the lossless-reduction contract:
@@ -64,36 +63,5 @@ func TestCountsMergeOrderIndependent(t *testing.T) {
 	}
 	if forward.N() != whole.N() {
 		t.Fatalf("merged N = %d, want %d", forward.N(), whole.N())
-	}
-}
-
-// TestRoundSeriesMerge: a merged series must equal the series built from
-// the union of observations, for any split.
-func TestRoundSeriesMerge(t *testing.T) {
-	start := time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC)
-	whole := NewRoundSeries(start, 10*time.Minute)
-	a := NewRoundSeries(start, 10*time.Minute)
-	b := NewRoundSeries(start, 10*time.Minute)
-	rng := rand.New(rand.NewSource(3))
-	labels := []string{"OK", "SERVFAIL", "NoAnswer"}
-	for i := 0; i < 500; i++ {
-		round := rng.Intn(12)
-		label := labels[rng.Intn(len(labels))]
-		whole.AddRound(round, label, 1)
-		if rng.Intn(2) == 0 {
-			a.AddRound(round, label, 1)
-		} else {
-			b.AddRound(round, label, 1)
-		}
-	}
-	merged := NewRoundSeries(start, 10*time.Minute)
-	merged.Merge(b)
-	merged.Merge(a)
-	if merged.Table(labels) != whole.Table(labels) {
-		t.Fatalf("merged series differs from whole:\n%s\nvs\n%s",
-			merged.Table(labels), whole.Table(labels))
-	}
-	if merged.Rounds() != whole.Rounds() {
-		t.Fatalf("Rounds = %d, want %d", merged.Rounds(), whole.Rounds())
 	}
 }

@@ -1,14 +1,12 @@
 // Package stats provides the small statistical toolkit the experiment
 // harness uses to render the paper's tables and figures: quantiles, means,
-// empirical CDFs, histograms, and round-binned time series.
+// exact mergeable multisets and empirical CDFs. Time-binned counts live
+// in internal/timeline.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
-	"time"
 )
 
 // Quantile returns the q-quantile (0 <= q <= 1) of values using linear
@@ -230,114 +228,3 @@ func (e *ECDF) Points(n int) []Point {
 
 // Point is one (x, y) sample of a rendered series.
 type Point struct{ X, Y float64 }
-
-// RoundSeries accumulates per-round (time-binned) counters keyed by a
-// label, producing the "answers over time" series of Figures 6, 8, 10, 12.
-type RoundSeries struct {
-	Start    time.Time
-	Interval time.Duration
-	rounds   map[int]map[string]float64
-	maxRound int
-}
-
-// NewRoundSeries bins observations into intervals from start.
-func NewRoundSeries(start time.Time, interval time.Duration) *RoundSeries {
-	return &RoundSeries{
-		Start: start, Interval: interval,
-		rounds: make(map[int]map[string]float64),
-	}
-}
-
-// RoundOf maps a timestamp to its bin index; times before Start map to -1.
-func (s *RoundSeries) RoundOf(at time.Time) int {
-	if at.Before(s.Start) {
-		return -1
-	}
-	return int(at.Sub(s.Start) / s.Interval)
-}
-
-// Add accumulates delta into (round at, label).
-func (s *RoundSeries) Add(at time.Time, label string, delta float64) {
-	s.AddRound(s.RoundOf(at), label, delta)
-}
-
-// AddRound accumulates delta into the explicit round index.
-func (s *RoundSeries) AddRound(round int, label string, delta float64) {
-	if round < 0 {
-		return
-	}
-	m, ok := s.rounds[round]
-	if !ok {
-		m = make(map[string]float64)
-		s.rounds[round] = m
-	}
-	m[label] += delta
-	if round > s.maxRound {
-		s.maxRound = round
-	}
-}
-
-// Merge folds o's accumulated values into s, bin by bin. The two series
-// must share the same binning (callers construct both from the same
-// start and interval); every value in the repository's series is an
-// integer-valued count, so the float adds are exact and the merge is
-// order-independent — the property the sharded experiment engine's
-// deterministic reduction relies on.
-func (s *RoundSeries) Merge(o *RoundSeries) {
-	for round, m := range o.rounds {
-		for label, v := range m {
-			s.AddRound(round, label, v)
-		}
-	}
-}
-
-// Rounds returns the number of rounds (max index + 1).
-func (s *RoundSeries) Rounds() int {
-	if len(s.rounds) == 0 {
-		return 0
-	}
-	return s.maxRound + 1
-}
-
-// Get returns the accumulated value at (round, label).
-func (s *RoundSeries) Get(round int, label string) float64 {
-	return s.rounds[round][label]
-}
-
-// Labels returns all labels seen, sorted.
-func (s *RoundSeries) Labels() []string {
-	seen := make(map[string]bool)
-	for _, m := range s.rounds {
-		for l := range m {
-			seen[l] = true
-		}
-	}
-	labels := make([]string, 0, len(seen))
-	for l := range seen {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	return labels
-}
-
-// Table renders the series as an aligned text table with one row per round
-// and one column per label, in the order given (or Labels() if nil).
-func (s *RoundSeries) Table(labels []string) string {
-	if labels == nil {
-		labels = s.Labels()
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%8s", "minute")
-	for _, l := range labels {
-		fmt.Fprintf(&sb, " %12s", l)
-	}
-	sb.WriteByte('\n')
-	for r := 0; r < s.Rounds(); r++ {
-		fmt.Fprintf(&sb, "%8.0f", float64(r)*s.Interval.Minutes())
-		for _, l := range labels {
-			fmt.Fprintf(&sb, " %12.0f", s.Get(r, l))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}

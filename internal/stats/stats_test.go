@@ -3,10 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -127,32 +125,5 @@ func TestQuickQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRoundSeries(t *testing.T) {
-	start := time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
-	s := NewRoundSeries(start, 10*time.Minute)
-	s.Add(start.Add(5*time.Minute), "OK", 1)
-	s.Add(start.Add(5*time.Minute), "OK", 2)
-	s.Add(start.Add(25*time.Minute), "SERVFAIL", 4)
-	s.Add(start.Add(-time.Minute), "OK", 100) // before start: dropped
-
-	if got := s.Get(0, "OK"); got != 3 {
-		t.Errorf("round 0 OK = %v", got)
-	}
-	if got := s.Get(2, "SERVFAIL"); got != 4 {
-		t.Errorf("round 2 SERVFAIL = %v", got)
-	}
-	if s.Rounds() != 3 {
-		t.Errorf("rounds = %d", s.Rounds())
-	}
-	labels := s.Labels()
-	if len(labels) != 2 || labels[0] != "OK" {
-		t.Errorf("labels = %v", labels)
-	}
-	table := s.Table(nil)
-	if !strings.Contains(table, "OK") || !strings.Contains(table, "20") {
-		t.Errorf("table:\n%s", table)
 	}
 }

@@ -1,8 +1,9 @@
 package timeline
 
 // Text renderers: the per-bucket table and CSV the `dikes timeline`
-// subcommand prints, plus an ASCII sparkline of the answer-rate curve —
-// the shape of the paper's Figures 6/8/14, one glyph per bucket.
+// subcommand prints, an ASCII sparkline of the answer-rate curve — the
+// shape of the paper's Figures 6/8/14, one glyph per bucket — and the
+// per-round figure table and CSV (rows up to Rounds, chosen columns).
 
 import (
 	"encoding/json"
@@ -12,67 +13,80 @@ import (
 	"time"
 )
 
-// Table renders the series as an aligned text table, one row per bucket
-// with a non-zero count (fully idle buckets are skipped — a 190-minute
-// run at 1-minute buckets is mostly empty rows), with the marks as
-// in-band annotation lines.
-func (t *Timeline) Table() string {
+// Table renders the run timeline as an aligned text table, one row per
+// bucket with a non-zero count (fully idle buckets are skipped — a
+// 190-minute run at 1-minute buckets is mostly empty rows), with the
+// marks as in-band annotation lines.
+func (t *Timeline) Table() string { return t.table(t.columns(), len(t.Bins), 9, true) }
+
+// RoundTable renders rows [0, Rounds()) of the given columns as an
+// aligned text table, one row per probing round: a per-round figure.
+func (t *Timeline) RoundTable(cols ...int) string { return t.table(cols, t.Rounds(), 12, false) }
+
+// CSV renders every bucket (including empty ones — downstream plotting
+// wants a dense time axis) of every column as comma-separated rows.
+func (t *Timeline) CSV() string { return t.csv(t.columns(), len(t.Bins), "%g") }
+
+// RoundCSV renders rows [0, Rounds()) of the given columns as
+// comma-separated rows, minutes rounded to whole ones.
+func (t *Timeline) RoundCSV(cols ...int) string { return t.csv(cols, t.Rounds(), "%.0f") }
+
+// columns lists every column index, in order.
+func (t *Timeline) columns() []int {
+	cols := make([]int, len(t.Metrics))
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// table writes rows [0, rows) of cols, each column at least minWidth
+// wide, skipping all-zero rows when skipIdle is set.
+func (t *Timeline) table(cols []int, rows, minWidth int, skipIdle bool) string {
 	var b strings.Builder
-	widths := make([]int, len(t.Metrics))
+	widths := make([]int, len(cols))
 	fmt.Fprintf(&b, "%8s", "minute")
-	for j, name := range t.Metrics {
-		widths[j] = len(name)
-		if widths[j] < 9 {
-			widths[j] = 9
-		}
-		fmt.Fprintf(&b, " %*s", widths[j], name)
+	for j, c := range cols {
+		widths[j] = max(len(t.Metrics[c]), minWidth)
+		fmt.Fprintf(&b, " %*s", widths[j], t.Metrics[c])
 	}
 	b.WriteByte('\n')
+	mark := func(m Mark) { fmt.Fprintf(&b, "%8s -- %s (t=%v)\n", "", m.Label, m.At) }
 	nextMark := 0
-	for i := range t.Bins {
+	for i := 0; i < rows; i++ {
 		off := time.Duration(i) * t.Bucket
-		for nextMark < len(t.Marks) && t.Marks[nextMark].At <= off {
-			fmt.Fprintf(&b, "%8s -- %s (t=%v)\n", "", t.Marks[nextMark].Label, t.Marks[nextMark].At)
-			nextMark++
+		for ; nextMark < len(t.Marks) && t.Marks[nextMark].At <= off; nextMark++ {
+			mark(t.Marks[nextMark])
 		}
-		if rowEmpty(t.Bins[i]) {
+		if skipIdle && rowEmpty(t.Bins[i]) {
 			continue
 		}
 		fmt.Fprintf(&b, "%8.0f", off.Minutes())
-		for j := range t.Metrics {
-			fmt.Fprintf(&b, " %*d", widths[j], t.Bins[i][j])
+		for j, c := range cols {
+			fmt.Fprintf(&b, " %*d", widths[j], t.Bins[i][c])
 		}
 		b.WriteByte('\n')
 	}
-	for ; nextMark < len(t.Marks); nextMark++ {
-		fmt.Fprintf(&b, "%8s -- %s (t=%v)\n", "", t.Marks[nextMark].Label, t.Marks[nextMark].At)
+	for _, m := range t.Marks[nextMark:] {
+		mark(m)
 	}
 	return b.String()
 }
 
-func rowEmpty(row []int64) bool {
-	for _, v := range row {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// CSV renders every bucket (including empty ones — downstream plotting
-// wants a dense time axis) as comma-separated rows.
-func (t *Timeline) CSV() string {
+// csv writes rows [0, rows) of cols with a leading minute column in the
+// minute format.
+func (t *Timeline) csv(cols []int, rows int, minute string) string {
 	var b strings.Builder
 	b.WriteString("minute")
-	for _, name := range t.Metrics {
+	for _, c := range cols {
 		b.WriteByte(',')
-		b.WriteString(name)
+		b.WriteString(t.Metrics[c])
 	}
 	b.WriteByte('\n')
-	for i := range t.Bins {
-		fmt.Fprintf(&b, "%g", (time.Duration(i) * t.Bucket).Minutes())
-		for j := range t.Metrics {
-			fmt.Fprintf(&b, ",%d", t.Bins[i][j])
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, minute, (time.Duration(i) * t.Bucket).Minutes())
+		for _, c := range cols {
+			fmt.Fprintf(&b, ",%d", t.Bins[i][c])
 		}
 		b.WriteByte('\n')
 	}

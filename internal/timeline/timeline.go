@@ -1,34 +1,35 @@
-// Package timeline collects fixed simulated-time-bucket series over a
-// run: per-bucket counts of client answers, failures, SERVFAILs, stale
-// serves, cache hits, upstream retries, TCP fallbacks, and upstream
-// timeouts, annotated with the attack-phase boundaries of the run's
-// disruption spec. The paper's headline figures are exactly such series
-// — answer rate per minute across the attack event — and whole-run
-// aggregates cannot regenerate them.
+// Package timeline is the one container for counts binned by simulated
+// time: the run timeline (per-bucket client answers, failures,
+// SERVFAILs, stale serves, cache hits, upstream retries, TCP fallbacks
+// and upstream timeouts, annotated with the attack-phase boundaries) and
+// every per-round figure of the experiments (answers, answer classes and
+// authoritative queries per probing round, Figure 13's answer types,
+// the §8 per-minute outcomes). The paper's headline figures are exactly
+// such series, and whole-run aggregates cannot regenerate them.
 //
-// Collection is per cell: each cell of a sharded run owns one Collector
-// with a bin layout derived only from (testbed start, run horizon,
-// bucket width), never from the data, so every cell's Timeline has the
-// same shape and the cross-cell Merge is an element-wise integer sum —
-// commutative, associative, and therefore byte-identical for any shard
-// count, like every other accumulator in internal/experiment.
+// A Timeline's shape is fixed at construction from (start, bin width,
+// bin count, columns), never from the data, so every cell of a sharded
+// run allocates the same grid and the cross-cell Merge is an
+// element-wise integer sum — commutative, associative, and therefore
+// byte-identical for any shard count, like every other accumulator in
+// internal/experiment. Columns are a small per-family enum: column c of
+// a bin is Bins[i][c], named Metrics[c].
 package timeline
 
 import (
 	"time"
 )
 
-// Metric is one tracked per-bucket series.
-type Metric int
-
+// The run timeline's columns: the engine-wide series every family's
+// cells count into when RunConfig.Timeline is set.
 const (
-	// Answered counts VP queries answered with valid data (vantage
-	// Answer.Ok()), binned at the simulated answer arrival time.
-	Answered Metric = iota
-	// Failed counts VP queries that timed out (no answer), binned at the
-	// time the vantage point gave up.
+	// Answered counts client queries answered with valid data, binned at
+	// the simulated answer arrival time.
+	Answered = iota
+	// Failed counts client queries that timed out (no answer), binned at
+	// the time the client gave up.
 	Failed
-	// ServFail counts VP queries answered but not usable (SERVFAIL or
+	// ServFail counts client queries answered but not usable (SERVFAIL or
 	// discarded data).
 	ServFail
 	// StaleServed counts resolver answers served from expired cache
@@ -46,29 +47,15 @@ const (
 	// resolver.
 	UpstreamTimeout
 
-	// NumMetrics is the series count; bins are [NumMetrics]int64 rows.
+	// NumMetrics is the run timeline's column count.
 	NumMetrics
 )
 
-// metricNames are the stable exposition names, indexed by Metric.
+// metricNames are the run timeline's stable exposition names, indexed
+// by column.
 var metricNames = [NumMetrics]string{
 	"answered", "failed", "servfail", "stale_served",
 	"cache_hit", "retries", "tcp_fallback", "upstream_timeouts",
-}
-
-// Name returns the metric's stable exposition name.
-func (m Metric) Name() string {
-	if m < 0 || m >= NumMetrics {
-		return "unknown"
-	}
-	return metricNames[m]
-}
-
-// MetricNames returns the exposition names in Metric order.
-func MetricNames() []string {
-	out := make([]string, NumMetrics)
-	copy(out, metricNames[:])
-	return out
 }
 
 // DefaultBucket is the paper's figure resolution.
@@ -81,70 +68,6 @@ type Config struct {
 	Bucket time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.Bucket <= 0 {
-		c.Bucket = DefaultBucket
-	}
-	return c
-}
-
-// Collector accumulates per-bucket counts for one cell. It is used from
-// the cell's single simulator goroutine, so plain integers suffice. The
-// bin count is fixed at construction from the run horizon: every cell of
-// a run allocates the same shape, which is what makes the merged series
-// independent of how the population was cut into cells.
-type Collector struct {
-	start  time.Time
-	bucket time.Duration
-	bins   [][NumMetrics]int64
-}
-
-// NewCollector builds a collector covering [start, start+horizon] in
-// cfg.Bucket-wide bins. Observations outside the window clamp to the
-// first/last bin, so a late answer can never grow the series shape.
-func NewCollector(start time.Time, horizon time.Duration, cfg Config) *Collector {
-	cfg = cfg.withDefaults()
-	n := int(horizon/cfg.Bucket) + 1
-	if n < 1 {
-		n = 1
-	}
-	return &Collector{
-		start:  start,
-		bucket: cfg.Bucket,
-		bins:   make([][NumMetrics]int64, n),
-	}
-}
-
-// ObserveAt counts one event of metric m at simulated time at. Safe on a
-// nil collector (timeline off).
-func (c *Collector) ObserveAt(at time.Time, m Metric) {
-	if c == nil {
-		return
-	}
-	i := int(at.Sub(c.start) / c.bucket)
-	if i < 0 {
-		i = 0
-	} else if i >= len(c.bins) {
-		i = len(c.bins) - 1
-	}
-	c.bins[i][m]++
-}
-
-// Finalize renders the collector as a mergeable Timeline.
-func (c *Collector) Finalize() *Timeline {
-	t := &Timeline{
-		Bucket:  c.bucket,
-		Metrics: MetricNames(),
-		Bins:    make([][]int64, len(c.bins)),
-	}
-	for i := range c.bins {
-		row := make([]int64, NumMetrics)
-		copy(row, c.bins[i][:])
-		t.Bins[i] = row
-	}
-	return t
-}
-
 // Mark is one attack-phase boundary annotation, at an offset from the
 // run start.
 type Mark struct {
@@ -152,27 +75,74 @@ type Mark struct {
 	Label string        `json:"label"`
 }
 
-// Timeline is one run's merged per-bucket series. Bins is indexed
-// [bucket][metric] with metrics in Metric order (the Metrics field names
-// them for consumers that only see the JSON). Marks carry the disruption
-// boundaries; they describe the spec, not the data, so Merge leaves them
-// alone.
+// Timeline is a fixed grid of counts: Bins[i][c] counts the events of
+// column c in the i-th Bucket-wide bin from the start. Metrics names the
+// columns for consumers that only see the JSON. Marks carry a run's
+// disruption boundaries; they describe the spec, not the data, so Merge
+// leaves them alone. A cell's simulator goroutine is its only writer,
+// so plain integers suffice.
 type Timeline struct {
 	Bucket  time.Duration `json:"bucket"`
 	Metrics []string      `json:"metrics"`
 	Bins    [][]int64     `json:"bins"`
 	Marks   []Mark        `json:"marks,omitempty"`
+	start   time.Time
 }
 
+// New builds an all-zero timeline of n bins of width bucket from start,
+// one column per name (n < 1 is one bin).
+func New(start time.Time, bucket time.Duration, n int, columns []string) *Timeline {
+	n = max(n, 1)
+	w := len(columns)
+	cells := make([]int64, n*w)
+	t := &Timeline{Bucket: bucket, Metrics: columns, Bins: make([][]int64, n), start: start}
+	for i := range t.Bins {
+		t.Bins[i] = cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	return t
+}
+
+// NewRun builds a run timeline covering [start, start+horizon] in
+// cfg.Bucket-wide bins (default DefaultBucket). Every cell of a run
+// derives the same grid from the same arguments.
+func NewRun(start time.Time, horizon time.Duration, cfg Config) *Timeline {
+	if cfg.Bucket <= 0 {
+		cfg.Bucket = DefaultBucket
+	}
+	return New(start, cfg.Bucket, int(horizon/cfg.Bucket)+1, metricNames[:])
+}
+
+// BinOf returns the index of the bin holding at: -1 before the start,
+// and len(Bins) or more after the last bin.
+func (t *Timeline) BinOf(at time.Time) int {
+	if at.Before(t.start) {
+		return -1
+	}
+	return int(at.Sub(t.start) / t.Bucket)
+}
+
+// Add counts n events of column col at simulated time at. An
+// observation outside the window clamps to the first or last bin, so a
+// late answer can never grow the grid. Safe on a nil timeline
+// (collection off).
+func (t *Timeline) Add(at time.Time, col int, n int64) {
+	if t == nil {
+		return
+	}
+	t.Bins[min(max(t.BinOf(at), 0), len(t.Bins)-1)][col] += n
+}
+
+// AddBin counts n events of column col in bin i.
+func (t *Timeline) AddBin(i, col int, n int64) { t.Bins[i][col] += n }
+
 // Merge folds another cell's timeline into t, element-wise. Cells of one
-// run share bucket width and bin count by construction; a shape mismatch
-// is a programming error and panics like a mismatched RoundSeries merge
-// would.
+// run share the grid by construction; a shape mismatch is a programming
+// error and panics.
 func (t *Timeline) Merge(o *Timeline) {
 	if o == nil {
 		return
 	}
-	if t.Bucket != o.Bucket || len(t.Bins) != len(o.Bins) {
+	if t.Bucket != o.Bucket || len(t.Bins) != len(o.Bins) || len(t.Metrics) != len(o.Metrics) {
 		panic("timeline: merging timelines of different shapes")
 	}
 	for i := range t.Bins {
@@ -182,25 +152,45 @@ func (t *Timeline) Merge(o *Timeline) {
 	}
 }
 
-// Get returns the count of metric m in bucket i (0 when out of range).
-func (t *Timeline) Get(i int, m Metric) int64 {
-	if i < 0 || i >= len(t.Bins) || int(m) >= len(t.Bins[i]) {
+// Get returns the count of column col in bin i (0 when out of range).
+func (t *Timeline) Get(i, col int) int64 {
+	if i < 0 || i >= len(t.Bins) || col >= len(t.Bins[i]) {
 		return 0
 	}
-	return t.Bins[i][m]
+	return t.Bins[i][col]
 }
 
-// Total sums metric m over every bucket.
-func (t *Timeline) Total(m Metric) int64 {
+// Total sums column col over every bin.
+func (t *Timeline) Total(col int) int64 {
 	var sum int64
 	for i := range t.Bins {
-		sum += t.Get(i, m)
+		sum += t.Get(i, col)
 	}
 	return sum
 }
 
-// AnswerRate returns answered/(answered+failed+servfail) for bucket i,
-// and false when the bucket saw no client outcomes at all.
+// Rounds returns the index of the last bin with a non-zero count, plus
+// one (0 when every bin is empty): the rows a per-round figure prints.
+func (t *Timeline) Rounds() int {
+	for i := len(t.Bins) - 1; i >= 0; i-- {
+		if !rowEmpty(t.Bins[i]) {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+func rowEmpty(row []int64) bool {
+	for _, v := range row {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// AnswerRate returns answered/(answered+failed+servfail) for bin i of a
+// run timeline, and false when the bin saw no client outcomes at all.
 func (t *Timeline) AnswerRate(i int) (float64, bool) {
 	a := t.Get(i, Answered)
 	total := a + t.Get(i, Failed) + t.Get(i, ServFail)

@@ -3,9 +3,9 @@
 # (DESIGN.md §14.1-14.2), kept true by grep:
 #
 #   - non-test internal/recursive reaches the trace buffer and the
-#     timeline collector only from the event hook in event.go (one
-#     tr.Emit, one tr.Force, one ObserveAt), so a new counter, series or
-#     trace record is a row of the kinds table, not another emit site;
+#     cell's timeline only from the event hook in event.go (one tr.Emit,
+#     one tr.Force, one timeline.Add), so a new counter, series or trace
+#     record is a row of the kinds table, not another emit site;
 #   - non-test internal/experiment sets the observers on the cell's
 #     network once (one SetTrace and one SetTimeline call, in
 #     NewTestbed); actors inherit them from the network they attach to;
@@ -48,7 +48,12 @@
 #     internal/clock), cmd/ and examples/ name none of AfterFuncArg(,
 #     RefScheduler or clock.Real, so every timer goes through
 #     Clock.AfterFuncRef or the clock.AfterFunc helper and a recorder
-#     wrapping that one method sees them all.
+#     wrapping that one method sees them all;
+#   - one time-series container (DESIGN.md §14.3): non-test internal/
+#     names no RoundSeries and declares no map[int]map[string], and
+#     only internal/timeline declares a 2-D int64 grid ([][]int64 or
+#     [][N]int64), so every count binned by simulated time is a
+#     timeline.Timeline and a second series container cannot come back.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -67,11 +72,11 @@ count() {
 
 hook=internal/recursive/event.go
 rest="$(ls internal/recursive/*.go | grep -v -e '_test\.go$' -e "^$hook\$")"
-for pat in 'tr\.Emit(' 'tr\.Force(' 'observe(' 'ObserveAt('; do
+for pat in 'tr\.Emit(' 'tr\.Force(' 'observe(' 'timeline\.Add('; do
     # shellcheck disable=SC2086
     [ "$(count "$pat" $rest)" -eq 0 ] || fail "$pat outside $hook: $(grep -n "$pat" $rest)"
 done
-for pat in 'tr\.Emit(' 'tr\.Force(' 'ObserveAt('; do
+for pat in 'tr\.Emit(' 'tr\.Force(' 'timeline\.Add('; do
     [ "$(count "$pat" "$hook")" -le 1 ] || fail "more than one $pat in $hook: the hook is the only emit site"
 done
 
@@ -172,5 +177,16 @@ for pat in 'AfterFuncArg(' 'RefScheduler' 'clock\.Real'; do
     [ "$(count "$pat" $timers)" -eq 0 ] ||
         fail "$pat outside internal/clock (schedule with AfterFuncRef or clock.AfterFunc): $(grep -n "$pat" $timers)"
 done
+
+series="$(find internal -name '*.go' ! -name '*_test.go')"
+for pat in 'RoundSeries' 'map\[int\]map\[string\]'; do
+    # shellcheck disable=SC2086
+    [ "$(count "$pat" $series)" -eq 0 ] ||
+        fail "$pat in non-test internal/ (bin counts in a timeline.Timeline): $(grep -n "$pat" $series)"
+done
+grids="$(echo "$series" | grep -v '^internal/timeline/')"
+# shellcheck disable=SC2086
+[ "$(count '\[\]\[[A-Za-z0-9_.]*\]int64' $grids)" -eq 0 ] ||
+    fail "time bins allocated outside internal/timeline (use timeline.New): $(grep -n '\[\]\[[A-Za-z0-9_.]*\]int64' $grids)"
 
 echo "obs-guard OK" >&2

@@ -3,8 +3,10 @@
 # budget. Guards against committing build artifacts and run logs (a
 # repro.test binary and a rec2.log once slipped in); report tables,
 # snapshots, and fuzz corpora are all far below the limit. CHANGES.md has
-# its own budget, so the change log stays a log: an entry is a few lines
-# pointing at its bench file and tests, not a second DESIGN. DESIGN.md's,
+# its own budget, so the change log stays a log: an entry is at most four
+# lines of about 150 characters, pointing at its bench file and tests,
+# not a second DESIGN (FOUND:/MENDED: lines are one line each and do not
+# count against their entry). DESIGN.md's,
 # EXPERIMENTS.md's and README.md's budgets are their sizes when each
 # budget came in, so they can only shrink: a paragraph that changes
 # replaces its text rather than growing it.
