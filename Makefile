@@ -43,9 +43,11 @@ check: vet obs-guard facade-guard build cross race
 # over the client's limit (the TC=1 decision; authd's byte path repacks it
 # truncated), the reflector to count a request's size, the stub never;
 # one timer call: no AfterFuncArg, RefScheduler or clock.Real outside
-# internal/clock; and one time-series container: no RoundSeries or
+# internal/clock; one time-series container: no RoundSeries or
 # map[int]map[string] in internal/, and 2-D int64 bins only in
-# internal/timeline. See scripts/obs_guard.sh.
+# internal/timeline; and one upstream loop: one pickServer call in
+# internal/recursive, in tryNextServer, and no fwd bit. See
+# scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 	"testing/quick"
 	"time"
@@ -463,23 +464,30 @@ func TestEntryBytes(t *testing.T) {
 	}
 	var data dnswire.RData = dnswire.AAAA{Addr: dnswire.MustAddr("2001:db8::1")}
 	rr := make([]dnswire.RR, 1)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := liveHeap()
 	c := New(clock.NewVirtual(epoch), Config{})
 	for _, name := range names {
 		rr[0] = dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: 300, Data: data}
 		c.Put(Key{Name: name, Type: dnswire.TypeAAAA}, Entry{Records: rr, Rank: RankAnswer}, 0)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	after := liveHeap()
 	if c.Len() != n {
 		t.Fatalf("Len = %d, want %d", c.Len(), n)
 	}
-	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	per := float64(int64(after)-int64(before)) / n
 	if per > 160 {
 		t.Errorf("a one-record entry costs %.1f heap bytes, want ≤ 160", per)
 	}
 	t.Logf("a one-record entry costs %.1f heap bytes (node %d)", per, unsafe.Sizeof(cached{}))
 	runtime.KeepAlive(c)
+}
+
+// liveHeap collects and returns the heap bytes that collection marked
+// live. Unlike MemStats.HeapAlloc read after runtime.GC, it does not count
+// what other goroutines allocate between the collection and the read.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/zone"
@@ -235,15 +236,67 @@ func TestHandleQueryTransportIndependent(t *testing.T) {
 	if len(got.Answers) != 1 {
 		t.Errorf("answers = %v", got.Answers)
 	}
-	// Malformed shapes answer immediately.
-	var notimp *dnswire.Message
-	bad := dnswire.NewQuery(1, "x.nl.", dnswire.TypeA)
-	bad.Opcode = dnswire.OpcodeUpdate
-	w.res.HandleQuery(bad, func(m *dnswire.Message) { notimp = m })
-	if notimp == nil || notimp.RCode != dnswire.RCodeNotImp {
-		t.Errorf("update query: %v", notimp)
+}
+
+// TestClientRefusals holds both client entries, the packet path (Deliver)
+// and the parsed-query API (HandleQuery), to one answer for what the
+// resolver does not serve: NOTIMP for anything but a single-question
+// QUERY, REFUSED outside class IN, each with RA set and the query's ID,
+// and nothing at all for a response.
+func TestClientRefusals(t *testing.T) {
+	const client = netsim.Addr("10.0.0.7")
+	cases := []struct {
+		name  string
+		edit  func(q *dnswire.Message)
+		rcode dnswire.RCode
+		reply bool
+	}{
+		{"update", func(q *dnswire.Message) { q.Opcode = dnswire.OpcodeUpdate }, dnswire.RCodeNotImp, true},
+		{"no question", func(q *dnswire.Message) { q.Questions = nil }, dnswire.RCodeNotImp, true},
+		{"two questions", func(q *dnswire.Message) { q.Questions = append(q.Questions, q.Questions[0]) }, dnswire.RCodeNotImp, true},
+		{"class CH", func(q *dnswire.Message) { q.Questions[0].Class = 3 }, dnswire.RCodeRefused, true},
+		{"response", func(q *dnswire.Message) { q.Response = true }, 0, false},
 	}
-	// Responses are ignored outright.
-	resp := dnswire.NewResponse(q)
-	w.res.HandleQuery(resp, func(*dnswire.Message) { t.Error("handled a response") })
+	entries := []struct {
+		name string
+		ask  func(r *Resolver, q *dnswire.Message, reply func(*dnswire.Message))
+	}{
+		{"Deliver", func(r *Resolver, q *dnswire.Message, _ func(*dnswire.Message)) { r.Deliver(client, q) }},
+		{"HandleQuery", func(r *Resolver, q *dnswire.Message, reply func(*dnswire.Message)) { r.HandleQuery(q, reply) }},
+	}
+	for _, e := range entries {
+		for _, tc := range cases {
+			t.Run(e.name+"/"+tc.name, func(t *testing.T) {
+				clk := clock.NewVirtual(epoch)
+				net := netsim.New(clk, 1)
+				r := NewResolver(clk, Config{RootHints: []ServerHint{{Name: "a.root-servers.net.", Addr: rootAddr}}})
+				r.Attach(net, resAddr)
+				var replies []*dnswire.Message
+				net.AddMsgTap(func(ev netsim.Event) {
+					if ev.Src != resAddr || ev.Dst != client {
+						t.Errorf("sent %v -> %v: a refusal asks nobody upstream", ev.Src, ev.Dst)
+						return
+					}
+					m := *ev.Msg // the packet's copy is recycled after delivery
+					replies = append(replies, &m)
+				})
+				q := dnswire.NewQuery(42, "x.example.nl.", dnswire.TypeA)
+				tc.edit(q)
+				e.ask(r, q, func(m *dnswire.Message) { replies = append(replies, m) })
+				clk.RunFor(time.Minute)
+				if !tc.reply {
+					if len(replies) != 0 {
+						t.Fatalf("answered a response: %v", replies)
+					}
+					return
+				}
+				if len(replies) != 1 {
+					t.Fatalf("%d messages sent, want the one reply", len(replies))
+				}
+				if m := replies[0]; m.RCode != tc.rcode || m.ID != 42 || !m.Response || !m.RecursionAvailable {
+					t.Errorf("reply %v %+v, want %v", m.RCode, m.Header, tc.rcode)
+				}
+			})
+		}
+	}
 }

@@ -154,10 +154,6 @@ func (t *task) run() {
 	}
 	t.r.event(kCacheMiss, payload{})
 	t.armStaleTimer()
-	if len(t.r.cfg.Forwarders) > 0 {
-		t.forward()
-		return
-	}
 	if !t.initFetch() {
 		t.fail()
 		return
@@ -338,17 +334,26 @@ func (t *task) cachedAnswers(v cache.View) []dnswire.RR {
 	return answers
 }
 
-// initFetch seeds the fetch state from the deepest cached delegation with
-// usable addresses, falling back to the root hints.
+// initFetch seeds the fetch state. A forwarder's servers are its
+// forwarders in a random rotation (R1 of the paper's Figure 1: during a
+// DDoS its retries fan one client query out over many Rn resolvers, §6.2,
+// Figure 11), each first asked with twice InitialTimeout since the
+// upstream resolves in full. Otherwise they are the deepest cached
+// delegation with usable addresses, falling back to the root hints.
 func (t *task) initFetch() bool {
-	t.timeout = t.r.cfg.InitialTimeout
-	t.attempt = 0
-
-	if !t.r.cfg.NoCache {
+	r := t.r
+	if r.forwarding() {
+		servers := append(t.serverBuf(), r.cfg.Forwarders...)
+		r.rng.Shuffle(len(servers), func(i, j int) {
+			servers[i], servers[j] = servers[j], servers[i]
+		})
+		t.fetch(".", servers, r.cfg.InitialTimeout*2)
+		return true
+	}
+	if !r.cfg.NoCache {
 		for z := t.name; ; z = dnswire.Parent(z) {
 			if addrs := t.zoneServersFromCache(z); len(addrs) > 0 {
-				t.zoneName, t.servers = z, addrs
-				t.resetTried(len(t.servers))
+				t.fetch(z, addrs, r.cfg.InitialTimeout)
 				return true
 			}
 			if z == "." {
@@ -356,16 +361,22 @@ func (t *task) initFetch() bool {
 			}
 		}
 	}
-	if len(t.r.cfg.RootHints) == 0 {
+	if len(r.cfg.RootHints) == 0 {
 		return false
 	}
-	t.zoneName = "."
-	t.servers = t.serverBuf()
-	for _, h := range t.r.cfg.RootHints {
-		t.servers = append(t.servers, h.Addr)
+	servers := t.serverBuf()
+	for _, h := range r.cfg.RootHints {
+		servers = append(servers, h.Addr)
 	}
-	t.resetTried(len(t.servers))
+	t.fetch(".", servers, r.cfg.InitialTimeout)
 	return true
+}
+
+// fetch starts the fetch of zone from servers: none tried, no attempt
+// made, the first round's per-query timeout set.
+func (t *task) fetch(zone string, servers []netsim.Addr, timeout time.Duration) {
+	t.zoneName, t.servers, t.attempt, t.timeout = zone, servers, 0, timeout
+	t.resetTried(len(servers))
 }
 
 // zoneServersFromCache returns cached addresses for zone's NS set, built
@@ -389,87 +400,66 @@ func (t *task) zoneServersFromCache(zone string) []netsim.Addr {
 	return addrs
 }
 
-// rotate moves a task whose exchange failed (or was never sent) on.
-func (t *task) rotate(fwd bool) {
-	if fwd {
-		t.forwardNext()
-	} else {
-		t.tryNextServer()
-	}
-}
-
-// tryNextServer sends the query to the next candidate for the current
-// zone, handling retry bookkeeping.
+// tryNextServer sends the query to the next candidate of the current
+// fetch: the one retry loop of both modes. Every exchange that fails, or
+// is never sent, comes back here.
 func (t *task) tryNextServer() {
 	if t.done {
 		return
 	}
-	if t.attempt >= t.r.cfg.MaxAttempts {
+	if t.spent() {
 		t.fail()
 		return
 	}
-	if *t.budget <= 0 {
-		t.fail()
-		return
-	}
-	idx, ok := t.r.pickServer(t.servers, t.tried)
+	idx, ok := t.pickServer()
 	if !ok {
-		// All candidates tried this round; start another round with a
-		// doubled timeout. The per-query timeout grows only here, so every
-		// server within one round of the list is probed with the same
-		// deadline — exponential backoff across rounds, as the
-		// Config.InitialTimeout contract documents.
-		t.resetTried(len(t.servers))
-		t.timeout *= 2
-		if t.timeout > maxTimeout {
-			t.timeout = maxTimeout
-		}
-		idx, ok = t.r.pickServer(t.servers, t.tried)
-		if !ok {
-			t.fail()
-			return
-		}
+		t.fail()
+		return
 	}
 	t.markTried(idx)
+	t.try(t.servers[idx], false)
+}
+
+// spent reports whether the fetch has used its attempts or the task tree
+// its work budget.
+func (t *task) spent() bool { return t.attempt >= t.r.cfg.MaxAttempts || *t.budget <= 0 }
+
+// try spends an attempt and a unit of budget on one exchange with server.
+func (t *task) try(server netsim.Addr, tcp bool) {
 	t.attempt++
 	*t.budget--
 	if t.attempt > 1 {
 		t.r.event(kUpstreamRetry, payload{})
 	}
-
-	t.r.send(t, t.servers[idx], false)
+	t.r.send(t, server, tcp)
 }
 
 // handleTruncated reacts to a TC=1 upstream response (routed here by
-// handleUpstream before the per-mode handlers, so neither mode can
-// mistake an answer-stripped response for data): retry the same server
-// over TCP when fallback is enabled and this attempt was UDP, otherwise
-// rotate to the next candidate.
-func (t *task) handleTruncated(server netsim.Addr, fwd, tcp bool) {
+// handleUpstream before handleResponse, so no answer-stripped response is
+// mistaken for data): retry the same server over TCP when fallback is
+// enabled and this attempt was UDP, otherwise move to the next candidate.
+func (t *task) handleTruncated(server netsim.Addr, tcp bool) {
 	r := t.r
 	r.event(kTruncated, payload{name: t.name, dst: server})
 	if t.done {
 		return // late TC response: nothing cacheable to absorb
 	}
 	if !tcp && r.cfg.TCPFallback && r.tcpConn != nil {
-		if t.attempt >= r.cfg.MaxAttempts || *t.budget <= 0 {
+		if t.spent() {
 			t.fail()
 			return
 		}
-		t.attempt++
-		*t.budget--
-		r.event(kUpstreamRetry, payload{})
 		r.event(kTCPFallback, payload{name: t.name, dst: server})
-		r.sendVia(t, server, fwd, true)
+		t.try(server, true)
 		return
 	}
 	// Fallback disabled (or TCP itself claimed truncation): the stripped
 	// response is unusable, treat the server like a lame one.
-	t.rotate(fwd)
+	t.tryNextServer()
 }
 
 // handleResponse processes an upstream reply for the current fetch.
-func (t *task) handleResponse(server netsim.Addr, m *dnswire.Message) {
+func (t *task) handleResponse(m *dnswire.Message) {
 	if t.done {
 		// The client was already answered (stale data or a timeout
 		// SERVFAIL) but this fetch was still in flight. The refresh
@@ -491,7 +481,10 @@ func (t *task) handleResponse(server netsim.Addr, m *dnswire.Message) {
 		t.tryNextServer()
 		return
 	}
-
+	if t.r.forwarding() {
+		t.relay(m)
+		return
+	}
 	if len(m.Answers) > 0 {
 		t.handleAnswer(m)
 		return
@@ -509,6 +502,21 @@ func (t *task) handleResponse(server netsim.Addr, m *dnswire.Message) {
 	// Empty, non-authoritative, no referral: lame.
 	t.r.event(kLame, payload{})
 	t.tryNextServer()
+}
+
+// relay finishes a forwarder's fetch with its upstream's NOERROR: the
+// upstream resolved in full, so its answer, or its NODATA with the SOA,
+// is final.
+func (t *task) relay(m *dnswire.Message) {
+	if len(m.Answers) > 0 {
+		t.cacheRRs(m.Answers, cache.RankAnswer)
+		// Copy: m is the working set's scratch message.
+		answers := append(t.answerBuf(len(m.Answers)), m.Answers...)
+		t.finish(Result{RCode: dnswire.RCodeNoError, Answers: answers})
+		return
+	}
+	t.cacheNegative(m, false)
+	t.finish(Result{RCode: dnswire.RCodeNoError, SOA: soaOf(m)})
 }
 
 // absorbLateResponse caches what a late upstream reply teaches without
@@ -538,7 +546,7 @@ func (t *task) absorbLateResponse(m *dnswire.Message) {
 	}
 	// NODATA: trustworthy from an authoritative source, or from the
 	// upstream recursive when forwarding (forwarders never set AA).
-	if m.Authoritative || len(t.r.cfg.Forwarders) > 0 {
+	if m.Authoritative || t.r.forwarding() {
 		if soaOf(m).Data != nil {
 			t.cacheNegative(m, false)
 			t.r.event(kLateAnswer, payload{})
@@ -688,18 +696,14 @@ func (t *task) handleReferral(m *dnswire.Message, ns []dnswire.RR) {
 func (t *task) descend(newZone string, addrs []netsim.Addr) {
 	// Callers descend only into a zone they hold an address for.
 	t.r.event(kReferral, payload{name: newZone, probe: t.name, a: uint32(len(addrs)), dst: addrs[0]})
-	t.zoneName = newZone
-	t.servers = addrs
-	t.resetTried(len(addrs))
-	// Referral progress resets the attempt counter; the shared budget
-	// still bounds total work.
-	t.attempt = 0
-	t.timeout = t.r.cfg.InitialTimeout
+	// Referral progress starts a new fetch, its attempts counted afresh;
+	// the shared budget still bounds total work.
+	t.fetch(newZone, addrs, t.r.cfg.InitialTimeout)
 	// The client's own query goes out before any background harvesting,
 	// so a tight work budget is spent on the answer first.
 	t.tryNextServer()
 	if t.r.cfg.Harvest != HarvestNone {
-		t.r.maybeHarvest(newZone, t.shard, t.budget)
+		t.r.maybeHarvest(newZone, t.shard)
 	}
 }
 
@@ -758,7 +762,7 @@ func (t *task) resolveNSAddrs(hosts []string, newZone string) {
 // do not exist, so their negative entries expire quickly and the harvest
 // repeats. The harvest runs on its own bounded budget so it never starves
 // the client's query.
-func (r *Resolver) maybeHarvest(zone string, shard int, _ *int) {
+func (r *Resolver) maybeHarvest(zone string, shard int) {
 	const harvestInterval = 60 * time.Second
 	ws := r.work()
 	now, k := r.clk.Now(), ridZone{r.rid, zone}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
+	"repro/internal/netsim"
 )
 
 // TestPrefetchKeepsEntryWarm: with prefetch on, a name queried every
@@ -32,6 +33,32 @@ func TestPrefetchKeepsEntryWarm(t *testing.T) {
 	// And the prefetches actually reached the authoritatives.
 	if got := w.ns1.Stats().Queries + w.ns2.Stats().Queries; got < 3 {
 		t.Errorf("authoritative saw %d queries, want prefetch refreshes", got)
+	}
+}
+
+// TestForwarderPrefetchForwards: a caching forwarder's prefetch goes to
+// its forwarders like its misses do. Its refresh carries the upstream's
+// remaining TTL, so hits are not asserted; that the refresh reached the
+// upstream is.
+func TestForwarderPrefetchForwards(t *testing.T) {
+	w := newWorld(t, Config{})
+	r1 := NewResolver(w.clk, Config{Forwarders: []netsim.Addr{resAddr}, Prefetch: 0.5})
+	r1.Attach(w.net, "10.0.0.1")
+	for i := 0; i < 6; i++ {
+		var done bool
+		r1.Resolve("1414.cachetest.nl.", dnswire.TypeAAAA, 0, func(Result) { done = true })
+		w.clk.RunFor(35 * time.Second)
+		if !done {
+			t.Fatalf("query %d never completed", i)
+		}
+	}
+	st := r1.Stats()
+	t.Logf("%d upstream queries for %d misses", st.UpstreamQueries, st.CacheMisses)
+	if st.UpstreamQueries <= st.CacheMisses {
+		t.Errorf("%d upstream queries for %d misses: no prefetch was forwarded", st.UpstreamQueries, st.CacheMisses)
+	}
+	if got := w.res.Stats().ClientQueries; got != st.UpstreamQueries {
+		t.Errorf("upstream saw %d queries, the forwarder sent %d", got, st.UpstreamQueries)
 	}
 }
 

@@ -351,6 +351,10 @@ func (r *Resolver) work() *workingSet {
 	return r.ws
 }
 
+// forwarding reports whether r relays to its forwarders instead of
+// iterating from the root.
+func (r *Resolver) forwarding() bool { return len(r.cfg.Forwarders) > 0 }
+
 // oqKey is r's key for query id in ws.inflight.
 func (r *Resolver) oqKey(id uint16) uint64 { return uint64(r.rid)<<16 | uint64(id) }
 
@@ -553,11 +557,10 @@ func (r *Resolver) landed(oq *outquery) {
 
 // outquery is one upstream query awaiting a response or timeout. Nodes
 // are pooled on the working set (see getOQ/putOQ): the continuation is the
-// owning task plus a mode bit instead of per-send closures, so a query
-// burst allocates nothing after the first rotation.
+// owning task instead of per-send closures, so a query burst allocates
+// nothing after the first rotation.
 type outquery struct {
 	id     uint16
-	fwd    bool // forward-mode continuation (forwardNext vs tryNextServer)
 	tcp    bool // sent over the TCP plane (a TC=1 fallback retry)
 	server netsim.Addr
 	sentAt time.Time
@@ -602,24 +605,17 @@ func (r *Resolver) putOQ(oq *outquery, timerDone bool) {
 	t.release()
 }
 
-// send transmits the task's (name, qtype) to server and arms a timeout.
-// fwd marks forwarding mode: the recursion-desired bit is set (the
-// upstream is itself a recursive) and failures continue the forwarder
-// rotation instead of the iterative one.
-func (r *Resolver) send(t *task, server netsim.Addr, fwd bool) {
-	r.sendVia(t, server, fwd, false)
-}
-
-// sendVia is send with an explicit transport: tcp routes the query over
-// the TCP plane (the TC=1 fallback retry path).
-func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
+// send transmits the task's (name, qtype) to server and arms a timeout;
+// tcp routes the query over the TCP plane (the TC=1 fallback retry). A
+// forwarder sets the recursion-desired bit: its upstream is a recursive.
+func (r *Resolver) send(t *task, server netsim.Addr, tcp bool) {
 	id, ok := r.allocID()
 	if !ok {
-		t.rotate(fwd)
+		t.tryNextServer()
 		return
 	}
 	oq := r.getOQ()
-	oq.id, oq.fwd, oq.tcp, oq.server, oq.sentAt, oq.t = id, fwd, tcp, server, r.clk.Now(), t
+	oq.id, oq.tcp, oq.server, oq.sentAt, oq.t = id, tcp, server, r.clk.Now(), t
 	t.refs++
 	ws := r.work()
 	if ws.inflight == nil {
@@ -631,7 +627,7 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 
 	q := &ws.qMsg
 	q.ResetQuery(id, t.name, t.qtype)
-	q.RecursionDesired = fwd
+	q.RecursionDesired = r.forwarding()
 	do := len(r.cfg.TrustAnchors) > 0
 	if size := r.cfg.EDNSSize; size > 0 {
 		q.AddEDNS(size, do)
@@ -643,7 +639,7 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 	if _, err := q.WireLenBound(); err != nil {
 		r.landed(oq)
 		r.putOQ(oq, true) // no timer armed yet
-		t.rotate(fwd)
+		t.tryNextServer()
 		return
 	}
 	oq.timer = r.clk.AfterFuncRef(t.timeout, outqueryTimeout, oq)
@@ -658,7 +654,7 @@ func (r *Resolver) sendVia(t *task, server netsim.Addr, fwd, tcp bool) {
 // the answer retired first (see putOQ) is empty or no longer in flight.
 func outqueryTimeout(arg any) {
 	oq := arg.(*outquery)
-	t, server, fwd := oq.t, oq.server, oq.fwd
+	t, server := oq.t, oq.server
 	if t == nil || t.r.outqueryOf(oq.id) != oq {
 		return
 	}
@@ -668,7 +664,7 @@ func outqueryTimeout(arg any) {
 	r.event(kTimeout, payload{name: t.name, dst: server})
 	r.srttPenalty(server)
 	r.putOQ(oq, true)
-	t.rotate(fwd)
+	t.tryNextServer()
 	r.leave()
 }
 
@@ -682,20 +678,16 @@ func (r *Resolver) handleUpstream(m *dnswire.Message) {
 	sample := r.clk.Now().Sub(oq.sentAt)
 	r.upstreamRTTms.Observe(float64(sample) / float64(time.Millisecond))
 	r.srttUpdate(oq.server, sample)
-	t, server, fwd, tcp := oq.t, oq.server, oq.fwd, oq.tcp
+	t, server, tcp := oq.t, oq.server, oq.tcp
 	r.putOQ(oq, oq.timer.Stop())
 	if m.Truncated {
 		// TC=1 never carries a usable answer: the data sections were
 		// stripped to fit the UDP limit. Retry over TCP (or rotate) —
 		// consuming it as data is the bug the transport family measures.
-		t.handleTruncated(server, fwd, tcp)
+		t.handleTruncated(server, tcp)
 		return
 	}
-	if fwd {
-		t.handleForwardResponse(m)
-	} else {
-		t.handleResponse(server, m)
-	}
+	t.handleResponse(m)
 }
 
 // srttTable returns the working set's SRTT map, made on first use.
@@ -730,11 +722,16 @@ func (r *Resolver) srttPenalty(server netsim.Addr) {
 	}
 }
 
-// pickServer chooses the next candidate index, preferring low SRTT but
-// exploring randomly with ExplorationProb, and skipping indices whose bit
-// is set in tried.
-func (r *Resolver) pickServer(candidates []netsim.Addr, tried []uint64) (int, bool) {
-	isTried := func(i int) bool { return tried[i>>6]&(1<<(uint(i)&63)) != 0 }
+// pickServer chooses the fetch's next candidate index, preferring low
+// SRTT but exploring randomly with ExplorationProb, and skipping indices
+// tried this round. When every candidate has been, it starts another
+// round with a doubled timeout: the per-query timeout grows only here, so
+// every server of a round is probed with the same deadline, exponential
+// backoff across rounds as Config.InitialTimeout documents. ok is false
+// only for an empty list.
+func (t *task) pickServer() (int, bool) {
+	r, candidates := t.r, t.servers
+	isTried := func(i int) bool { return t.tried[i>>6]&(1<<(uint(i)&63)) != 0 }
 	n := 0
 	for i := range candidates {
 		if !isTried(i) {
@@ -742,7 +739,11 @@ func (r *Resolver) pickServer(candidates []netsim.Addr, tried []uint64) (int, bo
 		}
 	}
 	if n == 0 {
-		return 0, false
+		t.resetTried(len(candidates))
+		t.timeout = min(t.timeout*2, maxTimeout)
+		if n = len(candidates); n == 0 {
+			return 0, false
+		}
 	}
 	if r.rng.Float64() < r.cfg.ExplorationProb {
 		k := r.rng.Intn(n)

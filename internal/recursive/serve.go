@@ -76,29 +76,14 @@ func (r *Resolver) answer(w *waiter, key coalesceKey, res Result) {
 // tcp marks queries that arrived over the TCP plane. q is the packet's
 // message or the scratch decode target: nothing keeps it past this call.
 func (r *Resolver) serveClient(src netsim.Addr, q *dnswire.Message, tcp bool) {
-	if q.Opcode != dnswire.OpcodeQuery || len(q.Questions) != 1 {
-		resp := dnswire.NewResponse(q)
-		resp.RecursionAvailable = true
-		resp.RCode = dnswire.RCodeNotImp
+	if resp := refusal(q); resp != nil {
 		r.respond(src, resp, q, tcp)
 		return
 	}
 	question := q.Questions[0]
-	if question.Class != dnswire.ClassIN {
-		resp := dnswire.NewResponse(q)
-		resp.RecursionAvailable = true
-		resp.RCode = dnswire.RCodeRefused
-		r.respond(src, resp, q, tcp)
-		return
-	}
 	name := dnswire.CanonicalName(question.Name)
-
-	// Fragmented deployments land each query on an arbitrary backend
-	// cache (§3.5): pick the shard here so coalescing is per-backend.
-	shard := 0
-	if n := r.cache.Shards(); n > 1 {
-		shard = r.rng.Intn(n)
-	}
+	// Pick the shard before coalescing, so coalescing is per-backend.
+	shard := r.pickShard()
 
 	ws := r.work()
 	key := coalesceKey{name: name, qtype: question.Type, rid: r.rid, shard: shard}
@@ -124,27 +109,39 @@ func (r *Resolver) HandleQuery(q *dnswire.Message, cb func(*dnswire.Message)) {
 	if q.Response {
 		return
 	}
-	if q.Opcode != dnswire.OpcodeQuery || len(q.Questions) != 1 {
-		resp := dnswire.NewResponse(q)
-		resp.RecursionAvailable = true
-		resp.RCode = dnswire.RCodeNotImp
+	if resp := refusal(q); resp != nil {
 		cb(resp)
 		return
 	}
 	question := q.Questions[0]
-	if question.Class != dnswire.ClassIN {
-		resp := dnswire.NewResponse(q)
-		resp.RecursionAvailable = true
-		resp.RCode = dnswire.RCodeRefused
-		cb(resp)
-		return
-	}
-	shard := 0
-	if n := r.cache.Shards(); n > 1 {
-		shard = r.rng.Intn(n)
-	}
-	r.Resolve(dnswire.CanonicalName(question.Name), question.Type, shard,
+	r.Resolve(dnswire.CanonicalName(question.Name), question.Type, r.pickShard(),
 		func(res Result) { cb(r.buildResponse(q, res)) })
+}
+
+// refusal returns the answer to a query the resolver does not serve,
+// nil for one it does: NOTIMP for anything but a single-question QUERY,
+// REFUSED outside class IN.
+func refusal(q *dnswire.Message) *dnswire.Message {
+	rcode := dnswire.RCodeNotImp
+	if q.Opcode == dnswire.OpcodeQuery && len(q.Questions) == 1 {
+		if q.Questions[0].Class == dnswire.ClassIN {
+			return nil
+		}
+		rcode = dnswire.RCodeRefused
+	}
+	resp := dnswire.NewResponse(q)
+	resp.RecursionAvailable = true
+	resp.RCode = rcode
+	return resp
+}
+
+// pickShard lands a client query on a backend cache: an arbitrary one in
+// a fragmented deployment (§3.5).
+func (r *Resolver) pickShard() int {
+	if n := r.cache.Shards(); n > 1 {
+		return r.rng.Intn(n)
+	}
+	return 0
 }
 
 // buildResponse renders a Result as a DNS response to q.

@@ -53,7 +53,12 @@
 #     names no RoundSeries and declares no map[int]map[string], and
 #     only internal/timeline declares a 2-D int64 grid ([][]int64 or
 #     [][N]int64), so every count binned by simulated time is a
-#     timeline.Timeline and a second series container cannot come back.
+#     timeline.Timeline and a second series container cannot come back;
+#   - one upstream loop (DESIGN.md §10): non-test internal/recursive
+#     calls pickServer at one site (tryNextServer, the retry loop of both
+#     modes) and names no fwd field, parameter or variable, so a forwarder
+#     stays a fetch whose servers are its forwarders and a second retry
+#     loop beside the iterative one cannot come back.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -188,5 +193,13 @@ grids="$(echo "$series" | grep -v '^internal/timeline/')"
 # shellcheck disable=SC2086
 [ "$(count '\[\]\[[A-Za-z0-9_.]*\]int64' $grids)" -eq 0 ] ||
     fail "time bins allocated outside internal/timeline (use timeline.New): $(grep -n '\[\]\[[A-Za-z0-9_.]*\]int64' $grids)"
+
+rec="$(nondir internal/recursive)"
+# shellcheck disable=SC2086
+[ "$(count '\.pickServer(' $rec)" -eq 1 ] && [ "$(body internal/recursive/iterate.go '(t \*task) tryNextServer(' | count '\.pickServer(')" -eq 1 ] ||
+    fail "want one pickServer call in non-test internal/recursive, in tryNextServer: $(grep -n 'pickServer(' $rec)"
+# shellcheck disable=SC2086
+[ "$(count '\<fwd\>' $rec)" -eq 0 ] ||
+    fail "fwd in non-test internal/recursive (forwarding is per resolver: Resolver.forwarding): $(grep -nw 'fwd' $rec)"
 
 echo "obs-guard OK" >&2
