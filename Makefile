@@ -45,8 +45,9 @@ check: vet obs-guard facade-guard build cross race
 # one timer call: no AfterFuncArg, RefScheduler or clock.Real outside
 # internal/clock; one time-series container: no RoundSeries or
 # map[int]map[string] in internal/, and 2-D int64 bins only in
-# internal/timeline; and one upstream loop: one pickServer call in
-# internal/recursive, in tryNextServer, and no fwd bit. See
+# internal/timeline; one upstream loop: one pickServer call in
+# internal/recursive, in tryNextServer, and no fwd bit; and one host
+# table: one map[Addr] and no map[[2]Addr] in internal/netsim. See
 # scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh

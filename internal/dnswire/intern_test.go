@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"unsafe"
@@ -69,18 +70,12 @@ func TestInternBounded(t *testing.T) {
 			AddrString(scratch.Answers[0].Data.(A).Addr)
 		}
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	const total = 1_000_000
 	const warm = 6 * internSlots // leaves ~0.25% of the slots still empty
 	decode(0, warm)
-	before := heap()
+	before := liveHeap()
 	decode(warm, total)
-	after := heap()
+	after := liveHeap()
 	// An unbounded table would hold (total-warm) x 4 more entries here,
 	// upwards of 100 MiB.
 	if growth := int64(after) - int64(before); growth > 1<<20 {
@@ -191,4 +186,14 @@ func TestUnpackBorrowLeavesInternTable(t *testing.T) {
 			t.Fatalf("slot %d of the name table was written by a borrowed decode", i)
 		}
 	}
+}
+
+// liveHeap collects and returns the heap bytes that collection marked
+// live. Unlike MemStats.HeapAlloc read after runtime.GC, it does not count
+// what other goroutines allocate between the collection and the read.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }

@@ -11,6 +11,7 @@ import "hash/fnv"
 // anycastGroup routes one shared address to its member sites.
 type anycastGroup struct {
 	sites     []Addr
+	slots     []int32 // the sites' records
 	catchment func(src Addr) int
 }
 
@@ -35,19 +36,9 @@ func (n *Network) BindAnycast(addr Addr, sites []Addr, catchment func(src Addr) 
 		}
 	}
 	group := &anycastGroup{sites: append([]Addr(nil), sites...), catchment: catchment}
-	if n.anycast == nil {
-		n.anycast = make(map[Addr]*anycastGroup)
+	for _, site := range sites {
+		group.slots = append(group.slots, n.slot(site))
 	}
-	n.anycast[addr] = group
+	n.record(addr).anycast = group
 	return &Port{net: n, addr: addr}
-}
-
-// anycastSite resolves dst to the concrete site for src, if dst is an
-// anycast address. The site's own inbound loss governs the drop decision.
-func (n *Network) anycastSite(src, dst Addr) (Addr, bool) {
-	group, ok := n.anycast[dst]
-	if !ok {
-		return dst, false
-	}
-	return group.sites[group.catchment(src)], true
 }

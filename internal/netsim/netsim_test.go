@@ -309,9 +309,7 @@ func TestSendMsgCarriesCopy(t *testing.T) {
 
 // TestPackOnlyForByteReaders: a message stays unpacked on its way to a
 // message host and a message tap, traced or not; a raw host receives
-// exactly Pack(m) as m was at send, though the sender changed m at once;
-// and a path MTU, set at send or while the packet is in flight, is
-// applied to the packed size.
+// exactly Pack(m) as m was at send, though the sender changed m at once.
 func TestPackOnlyForByteReaders(t *testing.T) {
 	clk, net := newNet()
 	tr := trace.NewBuffer(clk, epoch, trace.Config{})
@@ -353,18 +351,6 @@ func TestPackOnlyForByteReaders(t *testing.T) {
 		t.Errorf("%d trace records, want 2", tr.Len())
 	}
 
-	m.ID, m.Questions[0].Name = 7, "1414.example."
-	net.SetPathMTU("c", len(want)-1)
-	net.SendMsg("a", "c", m) // packed at send for the MTU
-	net.SetPathMTU("b", 0)
-	net.SendMsg("a", "b", m)
-	net.SetPathMTU("b", len(want)-1) // set while the packet is in flight
-	clk.Run()
-	if s := net.Stats(); s.MTUDropped != 2 || len(raw) != 1 || len(h.got) != 1 {
-		t.Errorf("MTU drops %d, raw deliveries %d, message deliveries %d; want 2, 1, 1", s.MTUDropped, len(raw), len(h.got))
-	}
-
-	net.SetPathMTU("b", 0)
 	net.SetTrace(nil)
 	net.BindHost("b", nopHost{})
 	if n := testing.AllocsPerRun(100, func() {

@@ -37,16 +37,6 @@ import (
 // open for a few seconds to tens of seconds.
 const tcpIdleTimeout = 30 * time.Second
 
-// connKey normalizes a host pair so both directions of an exchange share
-// one simulated connection (the responder answers on the connection the
-// initiator opened, it does not dial back).
-func connKey(a, b Addr) [2]Addr {
-	if b < a {
-		a, b = b, a
-	}
-	return [2]Addr{a, b}
-}
-
 // BindTCP attaches recv as addr's TCP-plane receiver and returns a
 // TCPPort for sending from it. recv is handed the packet's message, under
 // Host.Deliver's rules. The UDP and TCP planes are separate namespaces:
@@ -55,10 +45,7 @@ func (n *Network) BindTCP(addr Addr, recv func(src Addr, m *dnswire.Message)) *T
 	if addr == "" {
 		panic("netsim: empty address")
 	}
-	if n.tcpHosts == nil {
-		n.tcpHosts = make(map[Addr]func(src Addr, m *dnswire.Message), 16)
-	}
-	n.tcpHosts[addr] = recv
+	n.record(addr).tcp = recv
 	return &TCPPort{net: n, addr: addr}
 }
 
@@ -70,38 +57,7 @@ func (n *Network) SetInboundLossTCP(dst Addr, p float64) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("netsim: tcp loss probability %v out of range", p))
 	}
-	if p == 0 {
-		delete(n.tcpLoss, dst)
-	} else {
-		if n.tcpLoss == nil {
-			n.tcpLoss = make(map[Addr]float64)
-		}
-		n.tcpLoss[dst] = p
-	}
-}
-
-// SetPathMTU limits the UDP payload size deliverable to dst: larger
-// datagrams are dropped at arrival (the collapsed model of
-// fragmentation loss — fragments filtered or never reassembled), counted
-// in Stats.MTUDropped as well as Dropped. Zero removes the limit. The
-// TCP plane ignores path MTU: a byte stream segments below it.
-func (n *Network) SetPathMTU(dst Addr, bytes int) {
-	if bytes < 0 {
-		panic(fmt.Sprintf("netsim: path mtu %d out of range", bytes))
-	}
-	if bytes == 0 {
-		delete(n.mtu, dst)
-	} else {
-		if n.mtu == nil {
-			n.mtu = make(map[Addr]int)
-		}
-		n.mtu[dst] = bytes
-	}
-}
-
-// PathMTU returns the UDP payload limit toward dst (0 = unlimited).
-func (n *Network) PathMTU(dst Addr) int {
-	return n.mtu[dst]
+	n.record(dst).tcpLoss = p
 }
 
 // SendTCP schedules delivery of m from src to dst over the TCP plane. A
@@ -110,22 +66,22 @@ func (n *Network) PathMTU(dst Addr) int {
 // its last message. Like SendMsg, the packet carries a copy of m and the
 // loss decision is made at arrival.
 func (n *Network) SendTCP(src, dst Addr, m *dnswire.Message) {
-	oneWay := n.pairDelay(src, dst)
+	p := n.newPacket(src, dst, n.slot(dst), true)
+	p.carry(m)
+	oneWay := n.delay(p)
 	delay := oneWay
-	key := connKey(src, dst)
+	// Both directions of an exchange share one simulated connection: the
+	// responder answers on the connection the initiator opened.
+	s := n.slot(src)
+	key := [2]int32{min(s, p.slot), max(s, p.slot)}
 	now := n.clk.Now()
 	if exp, ok := n.tcpConns[key]; !ok || now.After(exp) {
 		delay += 2 * oneWay // SYN + SYN-ACK before the data segment
 		n.stats.TCPConnects++
 		n.event(trace.EvTCPConnect, src, dst, m)
 	}
-	if n.tcpConns == nil {
-		n.tcpConns = make(map[[2]Addr]time.Time, 16)
-	}
 	n.tcpConns[key] = now.Add(delay + tcpIdleTimeout)
 	n.stats.TCPSent++
-	p := n.newPacket(src, dst, true)
-	p.carry(m)
 	n.clk.AfterFuncRef(delay, deliverPacket, p)
 }
 
@@ -133,17 +89,13 @@ func (n *Network) SendTCP(src, dst Addr, m *dnswire.Message) {
 // bound receiver. Lazy hosts materialize exactly as on the UDP plane, so
 // population builders need no TCP-specific wiring.
 func (n *Network) arriveTCP(p *packet) {
+	h := n.host(p.slot)
 	src, dst := p.src, p.dst
-	loss := n.tcpLoss[dst]
-	dropped := loss > 0 && n.rng.Float64() < loss
-	recv := n.tcpHosts[dst]
-	if recv == nil && !dropped && n.lazy != nil {
-		if h := n.lazy[dst]; h != nil {
-			delete(n.lazy, dst)
-			h.Materialize()
-			recv = n.tcpHosts[dst]
-		}
+	dropped := h.tcpLoss > 0 && n.rng.Float64() < h.tcpLoss
+	if !dropped && h.tcp == nil {
+		h.materialize()
 	}
+	recv := h.tcp
 	switch {
 	case dropped:
 		n.stats.TCPDropped++

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -95,40 +94,6 @@ func TestTCPSeparateLoss(t *testing.T) {
 	}
 	if s.Dropped != 10 || s.Delivered != 10 {
 		t.Errorf("udp stats = %+v", s)
-	}
-}
-
-// TestPathMTUDropsOversizedUDP checks the collapsed fragmentation model:
-// UDP datagrams over the path MTU are dropped at arrival, TCP ignores
-// the limit, and clearing the limit restores delivery.
-func TestPathMTUDropsOversizedUDP(t *testing.T) {
-	clk, net := newNet()
-	var udp, tcp int
-	net.Bind("b", func(Addr, []byte) { udp++ })
-	net.BindTCP("b", func(Addr, *dnswire.Message) { tcp++ })
-
-	net.SetPathMTU("b", 100)
-	if got := net.PathMTU("b"); got != 100 {
-		t.Fatalf("PathMTU = %d", got)
-	}
-	net.Send("a", "b", make([]byte, 101)) // over: dropped
-	net.Send("a", "b", make([]byte, 100)) // exactly at: delivered
-	long := strings.Repeat(strings.Repeat("x", 60)+".", 4)
-	net.SendTCP("a", "b", dnswire.NewQuery(2, long, dnswire.TypeA)) // over 100 octets packed
-	clk.Run()
-	if udp != 1 || tcp != 1 {
-		t.Fatalf("udp=%d tcp=%d, want 1/1", udp, tcp)
-	}
-	s := net.Stats()
-	if s.MTUDropped != 1 || s.Dropped != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-
-	net.SetPathMTU("b", 0)
-	net.Send("a", "b", make([]byte, 4096))
-	clk.Run()
-	if udp != 2 {
-		t.Errorf("delivery after clearing MTU: udp=%d, want 2", udp)
 	}
 }
 

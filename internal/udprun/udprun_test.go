@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -408,16 +409,10 @@ func TestPeerMemoBounded(t *testing.T) {
 			}
 		}
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	flood(0, 2*maxPeers) // the maps reach their full size
-	before := heap()
+	before := liveHeap()
 	flood(2*maxPeers, 100000)
-	after := heap()
+	after := liveHeap()
 	if len(conn.srcs) > maxPeers || len(conn.dsts) > maxPeers {
 		t.Errorf("memo sizes %d / %d, cap %d", len(conn.srcs), len(conn.dsts), maxPeers)
 	}
@@ -557,4 +552,14 @@ func TestRecursiveOverRealUDP(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("recursive resolution over UDP timed out")
 	}
+}
+
+// liveHeap collects and returns the heap bytes that collection marked
+// live. Unlike MemStats.HeapAlloc read after runtime.GC, it does not count
+// what other goroutines allocate between the collection and the read.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -213,17 +214,14 @@ func TestParseAllocsPerRecord(t *testing.T) {
 func liveBytes(t *testing.T, parse func() (*Zone, error)) (live float64, records, names int) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := liveHeap()
 	z, err := parse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	after := liveHeap()
 	runtime.KeepAlive(z)
-	return float64(after.HeapAlloc) - float64(before.HeapAlloc), z.Len(), len(z.Names())
+	return float64(after) - float64(before), z.Len(), len(z.Names())
 }
 
 // TestZoneBytesPerName pins what a parsed zone of the benchmark's shape
@@ -401,3 +399,13 @@ func BenchmarkParse(b *testing.B) {
 
 // parsed keeps BenchmarkParse's result, so the parse is not optimized away.
 var parsed *Zone
+
+// liveHeap collects and returns the heap bytes that collection marked
+// live. Unlike MemStats.HeapAlloc read after runtime.GC, it does not count
+// what other goroutines allocate between the collection and the read.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}

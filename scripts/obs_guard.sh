@@ -58,7 +58,11 @@
 #     calls pickServer at one site (tryNextServer, the retry loop of both
 #     modes) and names no fwd field, parameter or variable, so a forwarder
 #     stays a fetch whose servers are its forwarders and a second retry
-#     loop beside the iterative one cannot come back.
+#     loop beside the iterative one cannot come back;
+#   - one host table (DESIGN.md §11.2): non-test internal/netsim declares
+#     one map[Addr] (Network.slots, the index of the host records) and no
+#     map[[2]Addr], so a per-address setting is a field of host and a
+#     per-pair one is keyed by slots, not a new map beside the table.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -201,5 +205,11 @@ rec="$(nondir internal/recursive)"
 # shellcheck disable=SC2086
 [ "$(count '\<fwd\>' $rec)" -eq 0 ] ||
     fail "fwd in non-test internal/recursive (forwarding is per resolver: Resolver.forwarding): $(grep -nw 'fwd' $rec)"
+
+ns="$(nondir internal/netsim)"
+# shellcheck disable=SC2086
+[ "$(cat $ns | grep -v '^[[:space:]]*//' | grep 'map\[Addr\]' | grep -vc 'make(' || true)" -eq 1 ] &&
+    [ "$(count 'map\[\[2\]Addr\]' $ns)" -eq 0 ] ||
+    fail "want one map[Addr] declared in non-test internal/netsim (Network.slots) and no map[[2]Addr]: a per-address setting is a field of host: $(grep -n 'map\[\(\[2\]\)\{0,1\}Addr\]' $ns)"
 
 echo "obs-guard OK" >&2
