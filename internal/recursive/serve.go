@@ -1,6 +1,7 @@
 package recursive
 
 import (
+	"repro/internal/cache"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 )
@@ -69,7 +70,7 @@ func (r *Resolver) answer(w *waiter, key coalesceKey, res Result) {
 	if w.edns {
 		q.AddEDNS(w.udpSize, w.do)
 	}
-	r.respond(w.src, r.buildResponseInto(&ws.respMsg, q, res), q, w.tcp)
+	r.respond(w.src, r.buildResponseInto(&ws.respMsg, q, res, key.shard), q, w.tcp)
 }
 
 // serveClient answers a query received from a stub (or a downstream R1).
@@ -114,8 +115,9 @@ func (r *Resolver) HandleQuery(q *dnswire.Message, cb func(*dnswire.Message)) {
 		return
 	}
 	question := q.Questions[0]
-	r.Resolve(dnswire.CanonicalName(question.Name), question.Type, r.pickShard(),
-		func(res Result) { cb(r.buildResponse(q, res)) })
+	shard := r.pickShard()
+	r.Resolve(dnswire.CanonicalName(question.Name), question.Type, shard,
+		func(res Result) { cb(r.buildResponseInto(&dnswire.Message{}, q, res, shard)) })
 }
 
 // refusal returns the answer to a query the resolver does not serve,
@@ -144,14 +146,10 @@ func (r *Resolver) pickShard() int {
 	return 0
 }
 
-// buildResponse renders a Result as a DNS response to q.
-func (r *Resolver) buildResponse(q *dnswire.Message, res Result) *dnswire.Message {
-	return r.buildResponseInto(&dnswire.Message{}, q, res)
-}
-
-// buildResponseInto renders the response into resp (typically the
-// working set's scratch message) and returns it.
-func (r *Resolver) buildResponseInto(resp, q *dnswire.Message, res Result) *dnswire.Message {
+// buildResponseInto renders a Result as the response to q into resp
+// (typically the working set's scratch message) and returns it. shard is
+// the backend cache the query was resolved on.
+func (r *Resolver) buildResponseInto(resp, q *dnswire.Message, res Result, shard int) *dnswire.Message {
 	resp.ResetResponse(q)
 	resp.RecursionAvailable = true
 	resp.RCode = res.RCode
@@ -160,11 +158,50 @@ func (r *Resolver) buildResponseInto(resp, q *dnswire.Message, res Result) *dnsw
 		resp.Authorities = append(resp.Authorities, res.SOA)
 	}
 	if _, do, ok := q.EDNS(); ok {
+		if do {
+			resp.Answers = r.appendSigs(resp.Answers, shard)
+		}
 		// The client speaks EDNS0: echo an OPT advertising our own
 		// receive budget (RFC 6891 §6.2.1).
 		resp.AddEDNS(4096, do)
 	}
 	return resp
+}
+
+// appendSigs appends the cached RRSIGs covering a DO client's answers, so
+// a validating downstream (a forwarder with TrustAnchors) can check what
+// it is relayed. Only a resolver that itself asks with DO caches
+// signatures, and a NoCache one keeps none to pass on.
+func (r *Resolver) appendSigs(answers []dnswire.RR, shard int) []dnswire.RR {
+	if r.cfg.NoCache {
+		return answers
+	}
+	n := len(answers)
+	for i := 0; i < n; i++ {
+		name := dnswire.CanonicalName(answers[i].Name)
+		if ownerIndex(answers[:i], name, 0) >= 0 {
+			continue // this owner's signatures are already in
+		}
+		v := r.cache.Peek(cache.Key{Name: name, Type: dnswire.TypeRRSIG}, shard)
+		for _, sig := range v.Records {
+			if s, ok := sig.Data.(dnswire.RRSIG); ok && ownerIndex(answers[:n], name, s.TypeCovered) >= 0 {
+				sig.TTL = v.TTL
+				answers = append(answers, sig)
+			}
+		}
+	}
+	return answers
+}
+
+// ownerIndex returns the index of the first record of rrs owned by name
+// (of type typ, or of any type for 0), -1 if there is none.
+func ownerIndex(rrs []dnswire.RR, name string, typ dnswire.Type) int {
+	for i := range rrs {
+		if (typ == 0 || rrs[i].Type() == typ) && dnswire.CanonicalName(rrs[i].Name) == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // respond transmits resp to dst as its message. TCP responses are never
