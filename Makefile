@@ -46,9 +46,11 @@ check: vet obs-guard facade-guard build cross race
 # internal/clock; one time-series container: no RoundSeries or
 # map[int]map[string] in internal/, and 2-D int64 bins only in
 # internal/timeline; one upstream loop: one pickServer call in
-# internal/recursive, in tryNextServer, and no fwd bit; and one host
-# table: one map[Addr] and no map[[2]Addr] in internal/netsim. See
-# scripts/obs_guard.sh.
+# internal/recursive, in tryNextServer, and no fwd bit; one host table:
+# one map[Addr] and no map[[2]Addr] in internal/netsim; and cell-owned
+# resolver state: one make([]cached site in internal/cache, in the
+# arena, and srtt/harvests keyed map[uint64] with no ridAddr or ridZone
+# in internal/recursive. See scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
 

@@ -116,9 +116,16 @@ type Cache struct {
 	seed   maphash.Seed
 	shards []shard
 	shard0 [1]shard // inline backing for the common single-shard case
-	trace  *trace.Buffer
-	m      counters
+	// arena supplies the nodes: the one UseArena set, else the cache's
+	// own, made on first Put.
+	arena *Arena
+	trace *trace.Buffer
+	m     counters
 }
+
+// UseArena makes the cache take its nodes from a, which it shares with
+// every other cache on a.
+func (c *Cache) UseArena(a *Arena) { c.arena = a }
 
 // SetTrace enables lookup-outcome tracing (nil disables). Only Get,
 // GetStale and Lookup emit; Peek stays uninstrumented — it serves
@@ -210,9 +217,9 @@ func (n *cached) set(e *Entry, now, ttl int64) {
 }
 
 // shard is a single backend cache: an intrusive hash table and LRU list
-// over slab-allocated nodes. The zero value is empty and ready; the
-// bucket array and the first slab chunk are allocated on first Put, so
-// idle shards stay allocation-free.
+// over nodes taken from its cache's arena. The zero value is empty and
+// ready; the bucket array is allocated on first Put, so idle shards stay
+// allocation-free.
 type shard struct {
 	// buckets is a power-of-two table of hash chains (linked through
 	// hnext), grown so it holds at most one node per bucket on average.
@@ -221,39 +228,40 @@ type shard struct {
 	// head/tail of the recency list; head = most recent.
 	head, tail *cached
 	count      int
-	// Node arena: fresh nodes come from slab chunks and evicted nodes are
-	// recycled through free (linked via next), so a steady-state shard
-	// allocates one chunk per slabChunk insertions instead of one node
-	// per Put. Capacity (reserved) grows 4 → 8 → 16 → 32 nodes, then
-	// slabChunk at a time: most of a population's caches hold a handful.
-	slab     []cached
-	used     int
-	reserved int
-	free     *cached
 }
 
-// slabChunk is the node-arena growth quantum once the arena is grown.
-const slabChunk = 32
+// Arena is the node store of a set of caches: a cell's resolvers share
+// one, so a population of small caches reserves no per-cache slack. Fresh
+// nodes are carved from chunks of arenaChunk, and a node a cache drops
+// (eviction, Flush, FlushShard) goes on the free list for the next Put of
+// any cache on the arena. The zero value is ready. Like the caches, an
+// arena is not safe for concurrent use.
+type Arena struct {
+	chunk []cached // the current chunk's unused nodes
+	free  *cached  // dropped nodes, linked through next
+}
 
-func (sh *shard) newNode() *cached {
-	if n := sh.free; n != nil {
-		sh.free, n.next = n.next, nil
+// arenaChunk is how many nodes an arena allocates at once: 63 nodes and
+// the allocator's 8-byte header of a pointerful object fill its 8 KiB
+// size class, where 64 would spill into the 9 472-byte one.
+const arenaChunk = 63
+
+func (a *Arena) node() *cached {
+	if n := a.free; n != nil {
+		a.free, n.next = n.next, nil
 		return n
 	}
-	if sh.used == len(sh.slab) {
-		chunk := min(max(sh.reserved, 4), slabChunk)
-		sh.slab = make([]cached, chunk)
-		sh.used = 0
-		sh.reserved += chunk
+	if len(a.chunk) == 0 {
+		a.chunk = make([]cached, arenaChunk)
 	}
-	n := &sh.slab[sh.used]
-	sh.used++
+	n := &a.chunk[0]
+	a.chunk = a.chunk[1:]
 	return n
 }
 
-func (sh *shard) freeNode(n *cached) {
-	*n = cached{next: sh.free}
-	sh.free = n
+func (a *Arena) drop(n *cached) {
+	*n = cached{next: a.free}
+	a.free = n
 }
 
 // find returns the node for (name, typ) with hash h, or nil.
@@ -408,8 +416,8 @@ func (c *Cache) effectiveTTL(ttl time.Duration) time.Duration {
 
 // Put stores a copy of e under key in the hinted shard. Data of lower
 // rank does not replace unexpired data of higher rank. Views returned by
-// Peek and Lookup for the key are valid until the next Put: an overwrite
-// rewrites the stored set in place.
+// Peek and Lookup for the key are valid until the next Put or Flush: an
+// overwrite rewrites the stored set in place.
 func (c *Cache) Put(key Key, e Entry, shardHint int) {
 	key.Name = dnswire.CanonicalName(key.Name)
 	sh := c.shard(shardHint)
@@ -453,7 +461,10 @@ func (c *Cache) Put(key Key, e Entry, shardHint int) {
 		sh.moveToFront(item)
 		return
 	}
-	item = sh.newNode()
+	if c.arena == nil {
+		c.arena = new(Arena)
+	}
+	item = c.arena.node()
 	item.name, item.typ, item.hash = key.Name, key.Type, h
 	item.set(&e, now, int64(ttl))
 	sh.insert(item)
@@ -463,7 +474,7 @@ func (c *Cache) Put(key Key, e Entry, shardHint int) {
 			oldest := sh.tail
 			sh.unlink(oldest)
 			sh.remove(oldest)
-			sh.freeNode(oldest)
+			c.arena.drop(oldest)
 			c.m.evictions.Inc()
 		}
 	}
@@ -608,13 +619,23 @@ func view(item *cached, now int64) View {
 // §3.1).
 func (c *Cache) Flush() {
 	for i := range c.shards {
-		c.shards[i] = shard{}
+		c.empty(&c.shards[i])
 	}
 }
 
 // FlushShard empties a single backend cache.
-func (c *Cache) FlushShard(hint int) {
-	c.shards[shardIndex(hint, len(c.shards))] = shard{}
+func (c *Cache) FlushShard(hint int) { c.empty(c.shard(hint)) }
+
+// empty returns sh's nodes to the arena and clears its buckets, which it
+// keeps for the refill.
+func (c *Cache) empty(sh *shard) {
+	for n := sh.head; n != nil; {
+		next := n.next
+		c.arena.drop(n)
+		n = next
+	}
+	clear(sh.buckets)
+	sh.head, sh.tail, sh.count = nil, nil, 0
 }
 
 // Len returns the total number of entries across shards, including expired

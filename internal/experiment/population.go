@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -319,31 +320,29 @@ func BuildPopulation(clk clock.Clock, net *netsim.Network, probes int, domain st
 	return b.pop
 }
 
-// addrIntern caches generated host addresses. The builder's address
-// sequence is deterministic, so same-shaped testbeds (every shard of a
-// run, every benchmark iteration) produce the same strings; interning
-// makes the steady-state cost zero allocations.
+// addrIntern caches generated host addresses, one per value of the
+// builder's address counter. The builder's address sequence is
+// deterministic, so same-shaped testbeds (every shard of a run, every
+// benchmark iteration) produce the same strings; interning makes the
+// steady-state cost zero allocations. A slot holding another prefix's
+// address is overwritten.
 var addrIntern struct {
-	mu sync.Mutex
-	m  map[addrKey]netsim.Addr
-}
-
-type addrKey struct {
-	prefix string
-	n      int
+	mu    sync.Mutex
+	addrs []netsim.Addr
 }
 
 func (b *builder) addr(prefix string) netsim.Addr {
 	b.nextAddr++
-	k := addrKey{prefix, b.nextAddr}
+	n := b.nextAddr
 	addrIntern.mu.Lock()
-	a, ok := addrIntern.m[k]
-	if !ok {
-		a = netsim.Addr(prefix + "-" + itoa(k.n))
-		if addrIntern.m == nil {
-			addrIntern.m = make(map[addrKey]netsim.Addr)
-		}
-		addrIntern.m[k] = a
+	if n >= len(addrIntern.addrs) {
+		addrIntern.addrs = append(addrIntern.addrs, make([]netsim.Addr, n+1-len(addrIntern.addrs))...)
+	}
+	a := addrIntern.addrs[n]
+	// The suffix is n's digits, so the last '-' ends the prefix.
+	if i := strings.LastIndexByte(string(a), '-'); i != len(prefix) || string(a[:i]) != prefix {
+		a = netsim.Addr(prefix + "-" + itoa(n))
+		addrIntern.addrs[n] = a
 	}
 	addrIntern.mu.Unlock()
 	return a

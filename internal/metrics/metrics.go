@@ -139,21 +139,42 @@ func (s Scope) Add(name string, v int64) {
 // layouts under one name, so different bounds panic. Sum is a float
 // accumulator: callers that need determinism observe in a fixed order.
 func (s Scope) Observe(name string, h HistogramSnapshot) {
-	cur, ok := s.snap.Histograms[name]
-	if !ok {
-		if s.snap.Histograms == nil {
-			s.snap.Histograms = make(map[string]HistogramSnapshot)
-		}
-		cur = HistogramSnapshot{Bounds: h.Bounds, Counts: make([]int64, len(h.Counts))}
-	} else if !slices.Equal(cur.Bounds, h.Bounds) {
-		panic("metrics: observing histograms with different bounds")
-	}
+	cur := s.histogram(name, h.Bounds, len(h.Counts))
 	for i, c := range h.Counts {
 		cur.Counts[i] += c
 	}
 	cur.Count += h.Count
 	cur.Sum += h.Sum
 	s.snap.Histograms[name] = cur
+}
+
+// ObserveLive is Observe(name, h.Snapshot()) without the snapshot: h's
+// bins, count and sum are added as they stand, in the same order, so a
+// collection over many components allocates nothing per component.
+func (s Scope) ObserveLive(name string, h *Histogram) {
+	cur := s.histogram(name, h.bounds, len(h.bounds)+1)
+	for i := range cur.Counts {
+		cur.Counts[i] += h.counts[i].Load()
+	}
+	cur.Count += h.n.Load()
+	cur.Sum += math.Float64frombits(h.sum.Load())
+	s.snap.Histograms[name] = cur
+}
+
+// histogram returns the named histogram, empty with bounds and bins bins
+// on first use.
+func (s Scope) histogram(name string, bounds []float64, bins int) HistogramSnapshot {
+	cur, ok := s.snap.Histograms[name]
+	if !ok {
+		if s.snap.Histograms == nil {
+			s.snap.Histograms = make(map[string]HistogramSnapshot)
+		}
+		return HistogramSnapshot{Bounds: bounds, Counts: make([]int64, bins)}
+	}
+	if !slices.Equal(cur.Bounds, bounds) {
+		panic("metrics: observing histograms with different bounds")
+	}
+	return cur
 }
 
 // Merge folds a snapshot into the registry: scopes union, counters sum,

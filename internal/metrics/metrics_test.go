@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -65,6 +68,33 @@ func TestHistogramMerge(t *testing.T) {
 	var c Histogram
 	c.Init([]float64{1, 2})
 	r.Scope("s").Observe("h", c.Snapshot())
+}
+
+// TestObserveLiveMatchesSnapshot: folding live histograms gives the
+// histogram that observing their snapshots gives, bit for bit, Sum (a
+// float accumulator, so order-sensitive) included.
+func TestObserveLiveMatchesSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	hs := make([]Histogram, 50)
+	for i := range hs {
+		hs[i].Init(DefaultLatencyBucketsMs)
+		for j := rng.Intn(20); j > 0; j-- {
+			hs[i].Observe(rng.ExpFloat64() * 300)
+		}
+	}
+	snap, live := NewRegistry(), NewRegistry()
+	for i := range hs {
+		snap.Scope("s").Observe("h", hs[i].Snapshot())
+		live.Scope("s").ObserveLive("h", &hs[i])
+	}
+	want, got := snap.Snapshot().Scope("s").Histograms["h"], live.Snapshot().Scope("s").Histograms["h"]
+	if !reflect.DeepEqual(got, want) || math.Float64bits(got.Sum) != math.Float64bits(want.Sum) {
+		t.Errorf("ObserveLive folded %+v, Observe of snapshots %+v", got, want)
+	}
+	sc := live.Scope("s")
+	if n := testing.AllocsPerRun(10, func() { sc.ObserveLive("h", &hs[0]) }); n != 0 {
+		t.Errorf("ObserveLive into an existing histogram allocates %.1f objects, want 0", n)
+	}
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {

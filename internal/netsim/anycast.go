@@ -39,6 +39,6 @@ func (n *Network) BindAnycast(addr Addr, sites []Addr, catchment func(src Addr) 
 	for _, site := range sites {
 		group.slots = append(group.slots, n.slot(site))
 	}
-	n.record(addr).anycast = group
+	n.extra(addr).anycast = group
 	return &Port{net: n, addr: addr}
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/dnswire"
@@ -106,5 +107,41 @@ func TestReadsAddNoRecord(t *testing.T) {
 	}
 	if len(net.slots) != 0 || len(net.hosts) != 0 {
 		t.Errorf("reads added %d records", len(net.slots))
+	}
+}
+
+// TestSendsAddNoRecord: a packet on either plane to an address the
+// network has no record of adds none and arrives Dead, unless the address
+// binds while it is in flight; and a record carries no side record until
+// the address uses the TCP plane or anycast.
+func TestSendsAddNoRecord(t *testing.T) {
+	clk, net := newNet()
+	net.Bind("a", func(Addr, []byte) {})
+	net.Send("a", "x", nil)
+	net.SendTCP("a", "x", tcpQuery)
+	clk.Run()
+	if len(net.slots) != 1 {
+		t.Errorf("sends to an unknown address added %d records", len(net.slots)-1)
+	}
+	if net.host(0).extra != nil {
+		t.Error("a UDP-only address has a side record")
+	}
+	if got, want := net.Stats(), (Stats{Sent: 1, Dead: 1, TCPSent: 1, TCPDead: 1, TCPConnects: 1}); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
+	}
+
+	// Unknown pairs are at least 2 ms apart, so 1 ms after the sends
+	// both packets are in flight when y binds.
+	y := &countingHost{net: net, addr: "y"}
+	net.Send("a", "y", nil)
+	net.SendTCP("a", "y", tcpQuery)
+	clk.RunFor(time.Millisecond)
+	y.Materialize()
+	clk.Run()
+	if y.udp != 1 || y.tcp != 1 {
+		t.Errorf("bound in flight: %d UDP and %d TCP deliveries, want 1 and 1", y.udp, y.tcp)
+	}
+	if unsafe.Sizeof(host{}) > 48 {
+		t.Errorf("a host record is %d bytes, want ≤ 48", unsafe.Sizeof(host{}))
 	}
 }

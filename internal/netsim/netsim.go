@@ -77,8 +77,8 @@ type Stats struct {
 type Network struct {
 	clk clock.Clock
 	rng *rand.Rand
-	// slots indexes hosts: every address the network has been told of or
-	// sent to has one record, which it keeps for the network's life.
+	// slots indexes hosts: every address the network has been told of has
+	// one record, which it keeps for the network's life.
 	slots    map[Addr]int32
 	hosts    [][]host                   // chunks of hostChunk records, see slot
 	pairs    map[[2]int32]time.Duration // fixed delays, see SetPairDelay
@@ -96,14 +96,37 @@ type Network struct {
 }
 
 // host is the record of one address: what receives there on each plane,
-// and the dials that apply to packets arriving there.
+// and the dials that apply to packets arriving there. What only some
+// addresses use (the TCP plane, an anycast group) is in extra, set on
+// first use, so a record is 48 bytes.
 type host struct {
-	udp     Host
-	lazy    LazyHost // pending constructor, see BindLazy
+	udp   Host
+	lazy  LazyHost // pending constructor, see BindLazy
+	loss  float64  // UDP inbound loss, see SetInboundLoss
+	extra *hostExtra
+}
+
+// hostExtra is the side record of an address that binds the TCP plane,
+// has a TCP loss dial or is an anycast service address.
+type hostExtra struct {
 	tcp     func(src Addr, m *dnswire.Message)
-	loss    float64 // UDP inbound loss, see SetInboundLoss
 	tcpLoss float64
-	anycast *anycastGroup // set on a service address, see BindAnycast
+	anycast *anycastGroup // see BindAnycast
+}
+
+// noHost and noExtra stand for a record that is not there: nothing
+// receives and no dial applies. Neither is ever written.
+var (
+	noHost  host
+	noExtra hostExtra
+)
+
+// x returns h's side record, noExtra if it has none, for reading.
+func (h *host) x() *hostExtra {
+	if h.extra != nil {
+		return h.extra
+	}
+	return &noExtra
 }
 
 // hostChunk is how many records the table allocates at once. Records are
@@ -130,6 +153,35 @@ func (n *Network) host(i int32) *host { return &n.hosts[i/hostChunk][i%hostChunk
 
 // record returns addr's record, added on first sight.
 func (n *Network) record(addr Addr) *host { return n.host(n.slot(addr)) }
+
+// extra returns addr's side record, added with its record on first use.
+func (n *Network) extra(addr Addr) *hostExtra {
+	h := n.record(addr)
+	if h.extra == nil {
+		h.extra = new(hostExtra)
+	}
+	return h.extra
+}
+
+// find returns addr's slot, -1 if it has no record.
+func (n *Network) find(addr Addr) int32 {
+	if i, ok := n.slots[addr]; ok {
+		return i
+	}
+	return -1
+}
+
+// dest returns the record of p's destination, noHost if there is none.
+// A packet sent to an address with no record adds none: it takes the
+// record the address has gained by its arrival, if any.
+func (n *Network) dest(p *packet) *host {
+	if p.slot < 0 {
+		if p.slot = n.find(p.dst); p.slot < 0 {
+			return &noHost
+		}
+	}
+	return n.host(p.slot)
+}
 
 // Shared returns the network's one *T, made zero on first request. It is
 // the cell's working set for engines of one kind: every engine on a
@@ -355,7 +407,7 @@ func (n *Network) CollectMetrics(s metrics.Scope) {
 type packet struct {
 	net      *Network
 	src, dst Addr   // dst is the anycast site for a service address
-	slot     int32  // dst's record
+	slot     int32  // dst's record, -1 while it has none (see dest)
 	payload  []byte // aliases buf, nil until packed; valid until recycled
 	buf      []byte // owned storage, reused across packets
 	// msg is the packet's message when hasMsg: the copy of the sender's,
@@ -474,8 +526,11 @@ func (n *Network) SendMsg(src, dst Addr, m *dnswire.Message) {
 // inbound loss then apply.
 func (n *Network) route(src, dst Addr) *packet {
 	n.stats.Sent++
-	i := n.slot(dst)
-	if g := n.host(i).anycast; g != nil {
+	i := n.find(dst)
+	if i < 0 {
+		return n.newPacket(src, dst, i, false)
+	}
+	if g := n.host(i).x().anycast; g != nil {
 		k := g.catchment(src)
 		dst, i = g.sites[k], g.slots[k]
 	}
@@ -487,7 +542,7 @@ func (n *Network) route(src, dst Addr) *packet {
 // needed them before, and a Host the message, decoded here if the packet
 // came as bytes.
 func (n *Network) arrive(p *packet) {
-	h := n.host(p.slot)
+	h := n.dest(p)
 	src, dst := p.src, p.dst
 	dropped := h.loss > 0 && n.rng.Float64() < h.loss
 	if !dropped && h.udp == nil {

@@ -45,7 +45,7 @@ func (n *Network) BindTCP(addr Addr, recv func(src Addr, m *dnswire.Message)) *T
 	if addr == "" {
 		panic("netsim: empty address")
 	}
-	n.record(addr).tcp = recv
+	n.extra(addr).tcp = recv
 	return &TCPPort{net: n, addr: addr}
 }
 
@@ -57,16 +57,17 @@ func (n *Network) SetInboundLossTCP(dst Addr, p float64) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("netsim: tcp loss probability %v out of range", p))
 	}
-	n.record(dst).tcpLoss = p
+	n.extra(dst).tcpLoss = p
 }
 
 // SendTCP schedules delivery of m from src to dst over the TCP plane. A
 // cold host pair pays one extra round trip for the handshake before the
 // data segment; the connection then stays warm for tcpIdleTimeout after
 // its last message. Like SendMsg, the packet carries a copy of m and the
-// loss decision is made at arrival.
+// loss decision is made at arrival; an address with no record gains none
+// and keeps no connection, so each send to it pays the handshake.
 func (n *Network) SendTCP(src, dst Addr, m *dnswire.Message) {
-	p := n.newPacket(src, dst, n.slot(dst), true)
+	p := n.newPacket(src, dst, n.find(dst), true)
 	p.carry(m)
 	oneWay := n.delay(p)
 	delay := oneWay
@@ -75,12 +76,14 @@ func (n *Network) SendTCP(src, dst Addr, m *dnswire.Message) {
 	s := n.slot(src)
 	key := [2]int32{min(s, p.slot), max(s, p.slot)}
 	now := n.clk.Now()
-	if exp, ok := n.tcpConns[key]; !ok || now.After(exp) {
+	if exp, ok := n.tcpConns[key]; p.slot < 0 || !ok || now.After(exp) {
 		delay += 2 * oneWay // SYN + SYN-ACK before the data segment
 		n.stats.TCPConnects++
 		n.event(trace.EvTCPConnect, src, dst, m)
 	}
-	n.tcpConns[key] = now.Add(delay + tcpIdleTimeout)
+	if p.slot >= 0 {
+		n.tcpConns[key] = now.Add(delay + tcpIdleTimeout)
+	}
 	n.stats.TCPSent++
 	n.clk.AfterFuncRef(delay, deliverPacket, p)
 }
@@ -89,13 +92,14 @@ func (n *Network) SendTCP(src, dst Addr, m *dnswire.Message) {
 // bound receiver. Lazy hosts materialize exactly as on the UDP plane, so
 // population builders need no TCP-specific wiring.
 func (n *Network) arriveTCP(p *packet) {
-	h := n.host(p.slot)
+	h := n.dest(p)
 	src, dst := p.src, p.dst
-	dropped := h.tcpLoss > 0 && n.rng.Float64() < h.tcpLoss
-	if !dropped && h.tcp == nil {
+	loss := h.x().tcpLoss
+	dropped := loss > 0 && n.rng.Float64() < loss
+	if !dropped && h.x().tcp == nil {
 		h.materialize()
 	}
-	recv := h.tcp
+	recv := h.x().tcp
 	switch {
 	case dropped:
 		n.stats.TCPDropped++

@@ -121,5 +121,5 @@ func (r *Resolver) CollectMetrics(s metrics.Scope) {
 			s.Add(name, r.n[k].Value())
 		}
 	}
-	s.Observe("upstream_rtt_ms", r.upstreamRTTms.Snapshot())
+	s.ObserveLive("upstream_rtt_ms", &r.upstreamRTTms)
 }

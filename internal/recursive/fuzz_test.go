@@ -111,7 +111,7 @@ func FuzzResolverUpstream(f *testing.F) {
 		st := r.Stats()
 		zones := 0
 		for k := range r.work().harvests {
-			if k.rid == r.rid {
+			if uint32(k>>32) == r.rid {
 				zones++
 			}
 		}

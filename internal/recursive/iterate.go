@@ -771,13 +771,13 @@ func (t *task) resolveNSAddrs(hosts []string, newZone string) {
 // the client's query.
 func (r *Resolver) maybeHarvest(zone string, shard int) {
 	const harvestInterval = 60 * time.Second
-	ws := r.work()
-	now, k := r.clk.Now(), ridZone{r.rid, zone}
-	if last, ok := ws.harvests[k]; ok && now.Sub(last) < harvestInterval {
-		return
-	}
+	ws, k := r.work(), r.key(zone)
 	if ws.harvests == nil {
-		ws.harvests = make(map[ridZone]time.Time)
+		ws.harvests, ws.epoch = make(map[uint64]int64), r.clk.Now()
+	}
+	now := int64(r.clk.Now().Sub(ws.epoch))
+	if last, ok := ws.harvests[k]; ok && now-last < int64(harvestInterval) {
+		return
 	}
 	ws.harvests[k] = now
 	pool := r.cfg.WorkBudget/4 + 2

@@ -305,17 +305,24 @@ type workingSet struct {
 	oqFree            *outquery
 	jobFree           *clientJob
 	oqFreeN, jobFreeN int
+	// arena holds the nodes of every attached resolver's cache.
+	arena cache.Arena
 
 	// The resolvers' per-key state, each key led by the owner's rid
 	// (rids counts those handed out); each map is made on first use.
 	// inflight holds upstream queries awaiting an answer (rid<<16 | ID),
 	// coalesce the client jobs identical queries join, srtt the smoothed
-	// RTT per server, and harvests the last NS harvest per zone.
+	// RTT per server, and harvests the last NS harvest per zone, in
+	// nanoseconds since epoch, the clock reading when the map was made.
+	// srtt and harvests key by rid<<32 | n, where ids numbers the server
+	// addresses and zone names from 1 (see key).
 	rids     uint32
 	inflight map[uint64]*outquery
 	coalesce map[coalesceKey]*clientJob
-	srtt     map[ridAddr]time.Duration
-	harvests map[ridZone]time.Time
+	ids      map[string]uint32
+	srtt     map[uint64]time.Duration
+	harvests map[uint64]int64
+	epoch    time.Time
 }
 
 type coalesceKey struct {
@@ -323,16 +330,6 @@ type coalesceKey struct {
 	qtype dnswire.Type
 	rid   uint32
 	shard int
-}
-
-type ridAddr struct {
-	rid  uint32
-	addr netsim.Addr
-}
-
-type ridZone struct {
-	rid  uint32
-	zone string
 }
 
 // join makes r one of the working set's resolvers.
@@ -354,6 +351,21 @@ func (r *Resolver) work() *workingSet {
 // forwarding reports whether r relays to its forwarders instead of
 // iterating from the root.
 func (r *Resolver) forwarding() bool { return len(r.cfg.Forwarders) > 0 }
+
+// key is r's key for the server address or zone name s in ws.srtt and
+// ws.harvests, numbering s on first use.
+func (r *Resolver) key(s string) uint64 {
+	ws := r.work()
+	n, ok := ws.ids[s]
+	if !ok {
+		if ws.ids == nil {
+			ws.ids = make(map[string]uint32)
+		}
+		n = uint32(len(ws.ids)) + 1
+		ws.ids[s] = n
+	}
+	return uint64(r.rid)<<32 | uint64(n)
+}
 
 // oqKey is r's key for query id in ws.inflight.
 func (r *Resolver) oqKey(id uint16) uint64 { return uint64(r.rid)<<16 | uint64(id) }
@@ -441,6 +453,7 @@ func (r *Resolver) SetConn(conn netsim.Conn) { r.conn = conn }
 func (r *Resolver) Attach(net *netsim.Network, addr netsim.Addr) {
 	r.trace, r.timeline = net.Trace(), net.Timeline()
 	r.join(netsim.Shared[workingSet](net))
+	r.cache.UseArena(&r.ws.arena)
 	r.cache.SetTrace(r.trace)
 	r.port = net.BindHost(addr, r)
 	r.conn = &r.port
@@ -691,18 +704,17 @@ func (r *Resolver) handleUpstream(m *dnswire.Message) {
 }
 
 // srttTable returns the working set's SRTT map, made on first use.
-func (r *Resolver) srttTable() map[ridAddr]time.Duration {
+func (r *Resolver) srttTable() map[uint64]time.Duration {
 	ws := r.work()
 	if ws.srtt == nil {
-		ws.srtt = make(map[ridAddr]time.Duration)
+		ws.srtt = make(map[uint64]time.Duration)
 	}
 	return ws.srtt
 }
 
 // srttUpdate folds a new RTT sample into the server's smoothed RTT.
 func (r *Resolver) srttUpdate(server netsim.Addr, sample time.Duration) {
-	srtt := r.srttTable()
-	k := ridAddr{r.rid, server}
+	srtt, k := r.srttTable(), r.key(string(server))
 	if old, ok := srtt[k]; ok {
 		srtt[k] = (old*7 + sample*3) / 10
 	} else {
@@ -713,8 +725,7 @@ func (r *Resolver) srttUpdate(server netsim.Addr, sample time.Duration) {
 // srttPenalty doubles a server's SRTT after a timeout so selection drifts
 // away from unresponsive servers (BIND-style decay).
 func (r *Resolver) srttPenalty(server netsim.Addr) {
-	srtt := r.srttTable()
-	k := ridAddr{r.rid, server}
+	srtt, k := r.srttTable(), r.key(string(server))
 	if old, ok := srtt[k]; ok {
 		srtt[k] = min(old*2, 10*time.Second)
 	} else {
@@ -761,12 +772,14 @@ func (t *task) pickServer() (int, bool) {
 	// eagerly, matching the exploration contract for unknown servers.
 	best := -1
 	var bestRTT time.Duration
-	srtt := r.work().srtt
+	ws := r.work()
 	for i, a := range candidates {
 		if isTried(i) {
 			continue
 		}
-		rtt, ok := srtt[ridAddr{r.rid, a}]
+		// An unnumbered address reads n = 0, which no key holds: the
+		// lookup numbers nothing.
+		rtt, ok := ws.srtt[uint64(r.rid)<<32|uint64(ws.ids[string(a)])]
 		if !ok {
 			return i, true
 		}

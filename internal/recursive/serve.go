@@ -211,7 +211,8 @@ func ownerIndex(rrs []dnswire.RR, name string, typ dnswire.Type) int {
 // and if it is still over the limit it is truncated in place (resp is
 // the caller's scratch, discarded after): data sections stripped, TC
 // set, and the OPT record kept so the client can renegotiate or fall
-// back to TCP.
+// back to TCP. A measured response that fits goes to a byte conn (a real
+// socket) as the bytes already packed.
 func (r *Resolver) respond(dst netsim.Addr, resp, q *dnswire.Message, tcp bool) {
 	bound, err := resp.WireLenBound()
 	if err != nil {
@@ -232,7 +233,23 @@ func (r *Resolver) respond(dst netsim.Addr, resp, q *dnswire.Message, tcp bool) 
 			}
 			r.event(kClientTruncated, payload{probe: qname, a: uint32(len(wire)), b: uint32(limit), dst: dst})
 			resp.Truncate()
+		} else if r.sendPacked(dst, wire) {
+			return
 		}
 	}
 	r.conn.SendMsg(dst, resp)
+}
+
+// sendPacked sends wire, a response respond packed, if r's conn carries
+// bytes: a real socket (udprun.Conn), whose SendMsg would pack it again.
+// The simulated Port carries messages, so it is never handed bytes.
+func (r *Resolver) sendPacked(dst netsim.Addr, wire []byte) bool {
+	if _, sim := r.conn.(*netsim.Port); sim {
+		return false
+	}
+	bc, ok := r.conn.(interface{ Send(netsim.Addr, []byte) })
+	if ok {
+		bc.Send(dst, wire)
+	}
+	return ok
 }

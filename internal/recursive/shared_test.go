@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/dnswire"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
 
@@ -55,9 +56,43 @@ func TestWorkingSetKeysByResolver(t *testing.T) {
 			a.inflight, b.inflight, len(a.work().inflight), len(a.work().coalesce))
 	}
 	srtt := a.work().srtt
-	sa, sb := srtt[ridAddr{a.rid, rootAddr}], srtt[ridAddr{b.rid, rootAddr}]
+	sa, sb := srtt[a.key(rootAddr)], srtt[b.key(rootAddr)]
 	if sa != 20*time.Millisecond || sb != 400*time.Millisecond {
 		t.Errorf("root SRTT: a %v, b %v; want each its own round trip, 20ms and 400ms", sa, sb)
+	}
+}
+
+// TestCollectMetricsAllocatesNothing: a run folds every resolver of a
+// cell into one scope, so collecting 1 000 resolvers allocates nothing
+// per resolver, and their RTT histograms fold to what observing each
+// one's snapshot gives.
+func TestCollectMetricsAllocatesNothing(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	cfg := Config{RootHints: []ServerHint{{Name: "a.root-servers.net.", Addr: rootAddr}}}.WithDefaults()
+	rs := make([]*Resolver, 1000)
+	want := metrics.NewRegistry()
+	for i := range rs {
+		rs[i] = New(clk, &cfg, int64(i))
+		for j := 0; j < i%4; j++ {
+			rs[i].upstreamRTTms.Observe(float64(i*7+j) / 3)
+		}
+		want.Scope("resolver").Observe("upstream_rtt_ms", rs[i].upstreamRTTms.Snapshot())
+	}
+	got := metrics.NewRegistry()
+	sc := got.Scope("resolver")
+	for _, r := range rs {
+		r.CollectMetrics(sc)
+	}
+	w, g := want.Snapshot().Scope("resolver").Histograms["upstream_rtt_ms"], got.Snapshot().Scope("resolver").Histograms["upstream_rtt_ms"]
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("collected RTT histogram %+v, want %+v", g, w)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		for _, r := range rs {
+			r.CollectMetrics(sc)
+		}
+	}); n != 0 {
+		t.Errorf("collecting %d resolvers allocates %.0f objects, want 0", len(rs), n)
 	}
 }
 

@@ -151,6 +151,60 @@ func TestTruncationBoundary(t *testing.T) {
 	}
 }
 
+// byteConn is a real socket's shape: SendMsg packs (counted), Send takes
+// bytes as they are.
+type byteConn struct {
+	packs int
+	sent  [][]byte
+}
+
+func (c *byteConn) Addr() netsim.Addr { return resAddr }
+func (c *byteConn) SendMsg(dst netsim.Addr, m *dnswire.Message) {
+	c.packs++
+	wire, err := m.Pack()
+	if err == nil {
+		c.Send(dst, wire)
+	}
+}
+func (c *byteConn) Send(_ netsim.Addr, wire []byte) { c.sent = append(c.sent, append([]byte(nil), wire...)) }
+
+// TestOverBoundReplyPackedOnce: a UDP reply over the query's size bound
+// (dnswire.Message.WireLenBound) that fits once packed goes to a byte
+// conn as the bytes respond packed to measure it, so it is packed once,
+// not again by the socket.
+func TestOverBoundReplyPackedOnce(t *testing.T) {
+	w := newFatWorld(t, Config{EDNSSize: 4096})
+	q := dnswire.NewQuery(12, fatName, dnswire.TypeTXT)
+	q.AddEDNS(4096, false)
+	full := askWire(t, w, q) // warms the cache
+	wire, err := full.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound, _ := full.WireLenBound(); bound <= len(wire) {
+		t.Fatalf("bound %d ≤ packed %d: the test needs a reply that compresses", bound, len(wire))
+	}
+
+	conn := &byteConn{}
+	w.res.SetConn(conn)
+	q = dnswire.NewQuery(13, fatName, dnswire.TypeTXT)
+	q.AddEDNS(uint16(len(wire)), false)
+	qw, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.res.Receive("10.9.9.9", qw)
+	w.clk.RunFor(time.Second)
+	if conn.packs != 0 || len(conn.sent) != 1 {
+		t.Fatalf("the byte conn packed %d replies and sent %d; want 0 and 1", conn.packs, len(conn.sent))
+	}
+	resp, err := dnswire.Unpack(conn.sent[0])
+	if err != nil || resp.Truncated || len(resp.Answers) != 8 || len(conn.sent[0]) != len(wire) {
+		t.Errorf("sent %d bytes (err %v): %d answers, TC %v; want the %d-byte full reply",
+			len(conn.sent[0]), err, len(resp.Answers), resp.Truncated, len(wire))
+	}
+}
+
 // TestIteratorReactsToUpstreamTC is the upstream-leg regression test:
 // without EDNS the authoritative truncates the fat answer at 512, and
 // the resolver must not treat the stripped TC=1 response as an answer.

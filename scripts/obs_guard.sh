@@ -61,8 +61,16 @@
 #     loop beside the iterative one cannot come back;
 #   - one host table (DESIGN.md §11.2): non-test internal/netsim declares
 #     one map[Addr] (Network.slots, the index of the host records) and no
-#     map[[2]Addr], so a per-address setting is a field of host and a
-#     per-pair one is keyed by slots, not a new map beside the table.
+#     map[[2]Addr], so a per-address setting is a field of host (or of
+#     its side record) and a per-pair one is keyed by slots, not a new map
+#     beside the table;
+#   - cell-owned resolver state (DESIGN.md §9-10): non-test
+#     internal/cache makes []cached at one site, Arena.node, so no cache
+#     grows a private slab beside its cell's arena; non-test
+#     internal/recursive declares srtt and harvests as map[uint64]
+#     (rid<<32 | the working set's number of the server or zone) and no
+#     ridAddr or ridZone key type, so per-resolver tables stay
+#     fixed-width.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -211,5 +219,18 @@ ns="$(nondir internal/netsim)"
 [ "$(cat $ns | grep -v '^[[:space:]]*//' | grep 'map\[Addr\]' | grep -vc 'make(' || true)" -eq 1 ] &&
     [ "$(count 'map\[\[2\]Addr\]' $ns)" -eq 0 ] ||
     fail "want one map[Addr] declared in non-test internal/netsim (Network.slots) and no map[[2]Addr]: a per-address setting is a field of host: $(grep -n 'map\[\(\[2\]\)\{0,1\}Addr\]' $ns)"
+
+cachefiles="$(nondir internal/cache)"
+# shellcheck disable=SC2086
+[ "$(count 'make(\[\]cached' $cachefiles)" -eq 1 ] && [ "$(body internal/cache/cache.go '(a \*Arena) node(' | count 'make(\[\]cached')" -eq 1 ] ||
+    fail "want one make([]cached site in non-test internal/cache, in Arena.node: $(grep -n 'make(\[\]cached' $cachefiles)"
+for tab in srtt harvests; do
+    # shellcheck disable=SC2086
+    [ "$(count "^[[:space:]]*$tab[[:space:]]\+map\[uint64\]" $rec)" -eq 1 ] ||
+        fail "want $tab declared as map[uint64]... in non-test internal/recursive: $(grep -n "^[[:space:]]*$tab[[:space:]]" $rec)"
+done
+# shellcheck disable=SC2086
+[ "$(count 'type[[:space:]]\+rid\(Addr\|Zone\)\>' $rec)" -eq 0 ] ||
+    fail "ridAddr/ridZone key type in non-test internal/recursive (key by rid<<32 | n): $(grep -n 'rid\(Addr\|Zone\)' $rec)"
 
 echo "obs-guard OK" >&2
