@@ -50,7 +50,9 @@ check: vet obs-guard facade-guard build cross race
 # one map[Addr] and no map[[2]Addr] in internal/netsim; and cell-owned
 # resolver state: one make([]cached site in internal/cache, in the
 # arena, and srtt/harvests keyed map[uint64] with no ridAddr or ridZone
-# in internal/recursive. See scripts/obs_guard.sh.
+# in internal/recursive; and a resolver that validates nothing: no
+# internal/dnssec import and no TrustAnchors in internal/recursive. See
+# scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
 

@@ -269,16 +269,15 @@ func TestClientHitAllocBudget(t *testing.T) {
 // RunCampaign. A client miss or a background fetch is a recycled job, a
 // stub query and a scheduled round nothing; a closure per query, a job per
 // miss or a distinct-count set per probe comes back as tens of objects per
-// probe. 69.0 measured (81.9 while every resolver kept up to four maps of
+// probe. 55.8 measured (69.0 with a node slab per cache and string-keyed
+// SRTT and harvest maps; 81.9 while every resolver kept up to four maps of
 // its own; 82.2 with every round timer armed at the start and
-// the auth-side tallies scanning a retained tap log; 89.8 with per-round
-// maps in the auth-side tallies
-// and a server list grown afresh by every forwarded miss; 141 while every
+// the auth-side tallies scanning a retained tap log; 141 while every
 // resolver kept its own scratch messages and free lists; 225 with a cloned
 // set per cache hit, a fresh set per cacheRRs group and a map slot per
 // cache entry; 335 with a job per miss and a task per fetch besides),
 // pinned at measured + 5 %.
-const cellAllocsPerProbeBudget = 72
+const cellAllocsPerProbeBudget = 59
 
 // cellBytesPerProbeBudget is the ceiling on heap bytes per probe
 // (experiment.alloc_bytes_per_probe) of a 256-probe cell of each simulator
@@ -286,8 +285,7 @@ const cellAllocsPerProbeBudget = 72
 // state, a 32-node cache slab — costs kilobytes per probe, because most
 // of a population's resolvers serve a probe or two (H 82.3 and calm
 // 36.2 KB with both); so do a 416-byte job per client miss and an 80-byte
-// tap event holding strings (71.4 and 23.3 KB), and a 168-byte cache node
-// with a map slot and a cloned set per hit (37.6 and 16.9 KB), and scratch
+// tap event holding strings (71.4 and 23.3 KB), and scratch
 // messages and free lists on every resolver and stub instead of one
 // working set per cell (31.6 and 15.2 KB), and an 80-byte answer record,
 // per-round maps in the auth-side tallies, a string-keyed Table 3 fetcher
@@ -295,9 +293,10 @@ const cellAllocsPerProbeBudget = 72
 // 11.2 KB), and a tap log of every arrival kept to the end of the cell and
 // a timer per (probe, round) armed at its start (18.2 and 9.3 KB), and a
 // 216-byte Config copied into every lazy handle and every resolver, each
-// resolver with up to four maps of its own (14.85 and 8.68 KB). 13.31 and
-// 7.32 KB measured, pinned at measured + 5 %.
-var cellBytesPerProbeBudget = map[string]float64{"H": 13980, "calm": 7690}
+// resolver with up to four maps of its own (14.85 and 8.68 KB), and a node
+// slab per cache with string-keyed SRTT and harvest maps (13.31 and
+// 7.32 KB). 10.88 and 6.19 KB measured, pinned at measured + 5 %.
+var cellBytesPerProbeBudget = map[string]float64{"H": 11424, "calm": 6500}
 
 // cells are one 256-probe cell of each simulator workload of ./benchmark.
 var cells = map[string]string{

@@ -25,11 +25,8 @@ import (
 // AlgorithmEd25519 is the DNSSEC algorithm number for Ed25519 (RFC 8080).
 const AlgorithmEd25519 = 15
 
-// Flags for DNSKEY records.
-const (
-	FlagZone = 256 // ZSK
-	FlagSEP  = 257 // KSK (zone + secure entry point)
-)
+// FlagZone is the DNSKEY flags value of a zone-signing key.
+const FlagZone = 256
 
 // Validation errors.
 var (

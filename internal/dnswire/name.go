@@ -151,12 +151,3 @@ func IsSubdomain(child, parent string) bool {
 	}
 	return n > 0 && child[n-1] == '.' && child[n:] == parent
 }
-
-// Join prepends label to name, producing a canonical child name.
-func Join(label, name string) string {
-	name = CanonicalName(name)
-	if name == "." {
-		return CanonicalName(label + ".")
-	}
-	return CanonicalName(label + "." + name)
-}

@@ -112,12 +112,3 @@ func TestIsSubdomain(t *testing.T) {
 		}
 	}
 }
-
-func TestJoin(t *testing.T) {
-	if got := Join("www", "example.nl."); got != "www.example.nl." {
-		t.Errorf("Join = %q", got)
-	}
-	if got := Join("nl", "."); got != "nl." {
-		t.Errorf("Join at root = %q", got)
-	}
-}

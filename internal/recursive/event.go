@@ -26,7 +26,6 @@ const (
 	kTimeout
 	kServFail
 	kLame
-	kBogus
 	kTruncated
 	kClientTruncated
 	// Kinds without a counter: a second record at a site another kind
@@ -66,7 +65,6 @@ var kinds = [numKinds]struct {
 	kTimeout:         {"timeouts", timeline.UpstreamTimeout, trace.EvUpstreamTimeout, pSrc},
 	kServFail:        {"servfails", noSeries, trace.EvNone, 0},
 	kLame:            {"lame", noSeries, trace.EvNone, 0},
-	kBogus:           {"bogus", noSeries, trace.EvNone, 0},
 	kTruncated:       {"truncated", noSeries, trace.EvTruncate, pSrc},
 	kClientTruncated: {"client_truncated", noSeries, trace.EvTruncate, pSrc},
 	kClientServFail:  {"", noSeries, trace.EvServFail, pSrc | pForce},

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/clock"
-	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 )
@@ -481,13 +480,6 @@ func (t *task) handleResponse(m *dnswire.Message) {
 		t.tryNextServer()
 		return
 	}
-	if len(m.Answers) > 0 && !t.validateAnswer(m) {
-		// Bogus data, relayed or authoritative: a validating resolver
-		// refuses it and tries another server, then fails hard.
-		t.r.event(kBogus, payload{})
-		t.tryNextServer()
-		return
-	}
 	if t.r.forwarding() {
 		t.relay(m)
 		return
@@ -512,20 +504,13 @@ func (t *task) handleResponse(m *dnswire.Message) {
 }
 
 // relay finishes a forwarder's fetch with its upstream's NOERROR: the
-// upstream resolved in full, so its answer (validated, see
-// handleResponse), or its NODATA with the SOA, is final.
+// upstream resolved in full, so its answer, or its NODATA with the SOA,
+// is final.
 func (t *task) relay(m *dnswire.Message) {
 	if len(m.Answers) > 0 {
 		t.cacheRRs(m.Answers, cache.RankAnswer)
-		// Copy: m is the working set's scratch message. The signatures
-		// stay in the cache, which hands them to DO clients, as on the
-		// iterative path.
-		answers := t.answerBuf(len(m.Answers))
-		for _, rr := range m.Answers {
-			if rr.Type() != dnswire.TypeRRSIG || t.qtype == dnswire.TypeRRSIG {
-				answers = append(answers, rr)
-			}
-		}
+		// Copy: m is the working set's scratch message.
+		answers := append(t.answerBuf(len(m.Answers)), m.Answers...)
 		t.finish(Result{RCode: dnswire.RCodeNoError, Answers: answers})
 		return
 	}
@@ -550,9 +535,6 @@ func (t *task) absorbLateResponse(m *dnswire.Message) {
 		return
 	}
 	if len(m.Answers) > 0 {
-		if !t.validateAnswer(m) {
-			return
-		}
 		t.cacheRRs(m.Answers, cache.RankAnswer)
 		t.cacheAuthorityAndGlue(m)
 		t.r.event(kLateAnswer, payload{})
@@ -585,7 +567,7 @@ func (t *task) answerBuf(n int) []dnswire.RR {
 	return ws.rrScratch[:0]
 }
 
-// handleAnswer caches the validated answer RRsets and finishes or
+// handleAnswer caches the answer RRsets and finishes or
 // restarts on a dangling CNAME.
 func (t *task) handleAnswer(m *dnswire.Message) {
 	t.cacheRRs(m.Answers, cache.RankAnswer)
@@ -843,54 +825,6 @@ func (r *Resolver) background(name string, qtype dnswire.Type, shard int, budget
 		return
 	}
 	t.tryNextServer()
-}
-
-// validateAnswer checks the DNSSEC signatures of every answer RRset whose
-// signer zone has a trust anchor. Unsigned data from unanchored zones
-// passes (insecure), matching a validator without a chain to it; signed
-// or anchored data must verify.
-func (t *task) validateAnswer(m *dnswire.Message) bool {
-	anchors := t.r.cfg.TrustAnchors
-	if len(anchors) == 0 {
-		return true
-	}
-	type setKey struct {
-		name string
-		typ  dnswire.Type
-	}
-	sets := make(map[setKey][]dnswire.RR)
-	sigs := make(map[setKey]dnswire.RR)
-	for _, rr := range m.Answers {
-		name := dnswire.CanonicalName(rr.Name)
-		if sig, ok := rr.Data.(dnswire.RRSIG); ok {
-			sigs[setKey{name, sig.TypeCovered}] = rr
-			continue
-		}
-		k := setKey{name, rr.Type()}
-		sets[k] = append(sets[k], rr)
-	}
-	for k, rrs := range sets {
-		// Which anchor zone encloses this owner?
-		anchorZone, key, found := "", dnswire.DNSKEY{}, false
-		for zone, dk := range anchors {
-			zone = dnswire.CanonicalName(zone)
-			if dnswire.IsSubdomain(k.name, zone) &&
-				(!found || dnswire.CountLabels(zone) > dnswire.CountLabels(anchorZone)) {
-				anchorZone, key, found = zone, dk, true
-			}
-		}
-		if !found {
-			continue // no anchor: insecure, accepted
-		}
-		sig, ok := sigs[k]
-		if !ok {
-			return false // anchored zone data without a signature: bogus
-		}
-		if err := dnssec.Verify(key, sig, rrs, t.r.clk.Now()); err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // cacheRRs groups records into RRsets and stores them at the given rank,

@@ -115,13 +115,6 @@ type Config struct {
 	// names continuously cached, which extends DDoS protection past one
 	// TTL — an extension experiment beyond the paper. 0 disables.
 	Prefetch float64
-	// TrustAnchors enables DNSSEC validation: upstream queries carry the
-	// EDNS0 DO bit, and answers from any zone listed here must carry an
-	// RRSIG that verifies against the anchored DNSKEY (simplified
-	// validation: per-zone anchors instead of DS-chain chasing; no
-	// authenticated denial). Bogus answers become SERVFAIL, as validating
-	// resolvers do.
-	TrustAnchors map[string]dnswire.DNSKEY
 	// Harvest controls background fetching of a newly learned zone's
 	// NS / A-for-NS / AAAA-for-NS records, the behavior that produces the
 	// paper's Figure 10 query mix at the authoritatives.
@@ -158,8 +151,7 @@ type Config struct {
 	// EDNSSize, when non-zero, advertises this EDNS0 UDP payload size on
 	// upstream queries (RFC 6891), raising the truncation threshold at
 	// the authoritatives above the classic 512 octets. Zero sends no OPT
-	// record unless DNSSEC validation needs one (TrustAnchors, which
-	// advertises 4096).
+	// record.
 	EDNSSize uint16
 	// TCPFallback retries a TC=1 upstream response over the simulated
 	// TCP plane against the same server (RFC 7766) instead of rotating
@@ -211,7 +203,6 @@ type Stats struct {
 	Timeouts        int64
 	ServFails       int64
 	Lame            int64
-	Bogus           int64
 	// Truncated counts TC=1 responses received from upstreams (each one
 	// either retried over TCP or rotated past, never consumed as data).
 	Truncated int64
@@ -426,7 +417,6 @@ func (r *Resolver) Stats() Stats {
 		Timeouts:        n(kTimeout),
 		ServFails:       n(kServFail),
 		Lame:            n(kLame),
-		Bogus:           n(kBogus),
 		Truncated:       n(kTruncated),
 		ClientTruncated: n(kClientTruncated),
 	}
@@ -641,11 +631,8 @@ func (r *Resolver) send(t *task, server netsim.Addr, tcp bool) {
 	q := &ws.qMsg
 	q.ResetQuery(id, t.name, t.qtype)
 	q.RecursionDesired = r.forwarding()
-	do := len(r.cfg.TrustAnchors) > 0
 	if size := r.cfg.EDNSSize; size > 0 {
-		q.AddEDNS(size, do)
-	} else if do {
-		q.AddEDNS(4096, true)
+		q.AddEDNS(size, false)
 	}
 	// The query goes as its message (the transport packs it if it needs
 	// bytes); the bound refuses exactly what packing would.

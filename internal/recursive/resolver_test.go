@@ -383,8 +383,9 @@ func TestResolverClientTimeout(t *testing.T) {
 // resolver that is built and attached but idle must hold no scratch and
 // no map of its own (the working set is the network's) and no copy of
 // its kind's Config (New shares one). The struct stays in the 768-byte
-// size class. 945 live bytes measured alone and 950-952 in the package's
-// run, its network's 48-byte host record included (968 and 973 with a
+// size class. 952 live bytes measured alone and in the package's run,
+// its network's 48-byte host record included, once liveHeap settles the
+// heap (945-954 alone and 950-952 in the package before; 968 and 973 with a
 // 64-byte record holding the TCP plane and anycast group, 920 before
 // netsim kept one record per address), under a bound pinned at 955
 // (1 187 with a 968-byte struct holding its Config and four maps; 1 955,
@@ -456,12 +457,23 @@ func TestMalformedResponseLeavesQueryInFlight(t *testing.T) {
 	}
 }
 
-// liveHeap collects and returns the heap bytes that collection marked
-// live. Unlike MemStats.HeapAlloc read after runtime.GC, it does not count
-// what other goroutines allocate between the collection and the read.
+// liveHeap collects until the heap marked live stops changing and returns
+// it. Unlike MemStats.HeapAlloc read after runtime.GC, it does not count
+// what other goroutines allocate between the collection and the read, and
+// settling keeps out of a measured window both the tables the first
+// metrics.Read allocates and what earlier tests left for a later
+// collection to free.
 func liveHeap() uint64 {
-	runtime.GC()
 	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
-	metrics.Read(s)
-	return s[0].Value.Uint64()
+	var last uint64
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		metrics.Read(s)
+		v := s[0].Value.Uint64()
+		if v == last {
+			break
+		}
+		last = v
+	}
+	return last
 }

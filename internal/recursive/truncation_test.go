@@ -166,7 +166,9 @@ func (c *byteConn) SendMsg(dst netsim.Addr, m *dnswire.Message) {
 		c.Send(dst, wire)
 	}
 }
-func (c *byteConn) Send(_ netsim.Addr, wire []byte) { c.sent = append(c.sent, append([]byte(nil), wire...)) }
+func (c *byteConn) Send(_ netsim.Addr, wire []byte) {
+	c.sent = append(c.sent, append([]byte(nil), wire...))
+}
 
 // TestOverBoundReplyPackedOnce: a UDP reply over the query's size bound
 // (dnswire.Message.WireLenBound) that fits once packed goes to a byte

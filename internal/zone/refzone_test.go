@@ -6,7 +6,8 @@ package zone
 // query for another type with that CNAME, owned by the query name (RFC 1034
 // §4.3.2 step 3c, RFC 4592 §2.2.1). Everything else — an RRset map keyed
 // by (name, type), a per-name count of records at or below the name, a
-// wildcard name built by dnswire.Join — is kept as it was.
+// wildcard name built by refJoin (the body of the dnswire.Join it once
+// called) — is kept as it was.
 
 import (
 	"fmt"
@@ -331,9 +332,18 @@ func (z *refZone) appendGlueLocked(glue *[]dnswire.RR, ns []dnswire.RR) {
 	}
 }
 
+// refJoin prepends label to name, producing a canonical child name.
+func refJoin(label, name string) string {
+	name = dnswire.CanonicalName(name)
+	if name == "." {
+		return dnswire.CanonicalName(label + ".")
+	}
+	return dnswire.CanonicalName(label + "." + name)
+}
+
 func (z *refZone) appendWildcardLocked(name string, qtype dnswire.Type, recs *[]dnswire.RR) (ResultKind, bool) {
 	for n := dnswire.Parent(name); dnswire.IsSubdomain(n, z.origin); n = dnswire.Parent(n) {
-		wc := dnswire.Join("*", n)
+		wc := refJoin("*", n)
 		if set := z.rrsets[refKey{Name: wc, Type: qtype}]; len(set) > 0 {
 			start := len(*recs)
 			*recs = append(*recs, set...)

@@ -70,7 +70,11 @@
 #     internal/recursive declares srtt and harvests as map[uint64]
 #     (rid<<32 | the working set's number of the server or zone) and no
 #     ridAddr or ridZone key type, so per-resolver tables stay
-#     fixed-width.
+#     fixed-width;
+#   - the resolver validates nothing (DESIGN.md §2, row 18): non-test
+#     internal/recursive neither imports repro/internal/dnssec nor names
+#     TrustAnchors, so DNSSEC stays the authoritatives' signing and DO=1
+#     serving and a per-zone validator does not grow back.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -232,5 +236,8 @@ done
 # shellcheck disable=SC2086
 [ "$(count 'type[[:space:]]\+rid\(Addr\|Zone\)\>' $rec)" -eq 0 ] ||
     fail "ridAddr/ridZone key type in non-test internal/recursive (key by rid<<32 | n): $(grep -n 'rid\(Addr\|Zone\)' $rec)"
+# shellcheck disable=SC2086
+[ "$(count '"repro/internal/dnssec"\|TrustAnchors' $rec)" -eq 0 ] ||
+    fail "DNSSEC validation in non-test internal/recursive (the resolver validates nothing): $(grep -n 'repro/internal/dnssec\|TrustAnchors' $rec)"
 
 echo "obs-guard OK" >&2
