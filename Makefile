@@ -50,9 +50,10 @@ check: vet obs-guard facade-guard build cross race
 # one map[Addr] and no map[[2]Addr] in internal/netsim; and cell-owned
 # resolver state: one make([]cached site in internal/cache, in the
 # arena, and srtt/harvests keyed map[uint64] with no ridAddr or ridZone
-# in internal/recursive; and a resolver that validates nothing: no
-# internal/dnssec import and no TrustAnchors in internal/recursive. See
-# scripts/obs_guard.sh.
+# in internal/recursive; a resolver that validates nothing: no
+# internal/dnssec import and no TrustAnchors in internal/recursive; and
+# records at their natural width: no map in internal/stub, and
+# cache.Cache declares cfg *Config. See scripts/obs_guard.sh.
 obs-guard:
 	./scripts/obs_guard.sh
 
@@ -84,13 +85,14 @@ fuzz:
 # Sharded-engine scale gate: one 100k-probe 4-shard DDoS run (spec H)
 # under the race detector with a peak-RSS ceiling. Small cells keep the
 # resident set inside CI-runner memory even with the race detector's
-# shadow overhead. The ceiling tightened 6144 -> 4096 with the
-# timing-wheel engine (DESIGN.md §11): this configuration peaked at
-# ~1.9 GiB pre-wheel.
+# shadow overhead. This configuration peaked at ~1.9 GiB before the
+# timing-wheel engine (DESIGN.md §11), at 484-485 MiB with 712-byte
+# resolvers and 48-byte answers, and at 475-513 MiB since (2 vCPUs,
+# go 1.24); the ceiling is 768.
 SCALE_PROBES ?= 100000
 SCALE_SHARDS ?= 4
 SCALE_SHARD_PROBES ?= 2048
-SCALE_RSS_MB ?= 4096
+SCALE_RSS_MB ?= 768
 scale-smoke:
 	SCALE_SMOKE=1 SCALE_PROBES=$(SCALE_PROBES) SCALE_SHARDS=$(SCALE_SHARDS) \
 	SCALE_SHARD_PROBES=$(SCALE_SHARD_PROBES) SCALE_RSS_MB=$(SCALE_RSS_MB) \

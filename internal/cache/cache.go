@@ -105,23 +105,31 @@ const defaultStaleWindow = time.Hour
 // Cache is a sharded DNS cache. It is not safe for concurrent use; the
 // simulation is single-threaded and real-server callers wrap it in a lock.
 type Cache struct {
-	cfg Config
-	clk clock.Clock
+	// cfg is shared, never written: every resolver of a kind points at its
+	// kind's. serveStale stands in for its ServeStale.
+	cfg        *Config
+	serveStale bool
+	clk        clock.Clock
 	// epoch is the clock reading at Init: stored and expiry times are
 	// nanosecond offsets from it (clk.Now().Sub(epoch), so a real clock's
 	// monotonic reading is what they measure).
 	epoch time.Time
-	// seed keys the bucket hash: recursived hashes names its clients
-	// choose, so chain placement must not be predictable.
-	seed   maphash.Seed
-	shards []shard
-	shard0 [1]shard // inline backing for the common single-shard case
+	// shard0 is the one shard of a single-shard cache, the common shape;
+	// a multi-shard cache keeps its shards out of line in multi and leaves
+	// shard0 unused.
+	shard0 [1]shard
+	multi  *[]shard
 	// arena supplies the nodes: the one UseArena set, else the cache's
 	// own, made on first Put.
 	arena *Arena
 	trace *trace.Buffer
 	m     counters
 }
+
+// seed keys the bucket hash: recursived hashes names its clients choose,
+// so chain placement must not be predictable. One random seed per process
+// is no more predictable than one per cache.
+var seed = maphash.MakeSeed()
 
 // UseArena makes the cache take its nodes from a, which it shares with
 // every other cache on a.
@@ -225,9 +233,10 @@ type shard struct {
 	// hnext), grown so it holds at most one node per bucket on average.
 	// Chain order never decides a lookup: the key does.
 	buckets []*cached
-	// head/tail of the recency list; head = most recent.
-	head, tail *cached
-	count      int
+	// head is the most recent node of the recency list, which runs on
+	// through next to nil; head.prev is the least recent, the tail.
+	head  *cached
+	count int
 }
 
 // Arena is the node store of a set of caches: a cell's resolvers share
@@ -315,62 +324,70 @@ func (sh *shard) moveToFront(item *cached) {
 }
 
 func (sh *shard) pushFront(item *cached) {
-	item.prev = nil
-	item.next = sh.head
-	if sh.head != nil {
+	if sh.head == nil {
+		item.prev, item.next = item, nil
+	} else {
+		item.prev, item.next = sh.head.prev, sh.head
 		sh.head.prev = item
 	}
 	sh.head = item
-	if sh.tail == nil {
-		sh.tail = item
-	}
 	sh.count++
 }
 
 func (sh *shard) unlink(item *cached) {
-	if item.prev != nil {
+	switch {
+	case item == sh.head:
+		if sh.head = item.next; sh.head != nil {
+			sh.head.prev = item.prev
+		}
+	case item.next == nil: // the tail
+		item.prev.next = nil
+		sh.head.prev = item.prev
+	default:
 		item.prev.next = item.next
-	} else {
-		sh.head = item.next
-	}
-	if item.next != nil {
 		item.next.prev = item.prev
-	} else {
-		sh.tail = item.prev
 	}
 	item.prev, item.next = nil, nil
 	sh.count--
 }
 
-// New creates a cache on clk with the given configuration. Shards are
-// value-typed and lazily initialized: an idle shard (most of a large
-// population's caches, most of the time) costs its struct header and
-// nothing else until the first Put.
+// New creates a cache on clk with the given configuration, which it keeps
+// in the same allocation. Shards are value-typed and lazily initialized:
+// an idle shard (most of a large population's caches, most of the time)
+// costs its struct header and nothing else until the first Put.
 func New(clk clock.Clock, cfg Config) *Cache {
-	c := &Cache{}
-	c.Init(clk, cfg)
-	return c
+	own := &struct {
+		Cache
+		cfg Config
+	}{cfg: cfg}
+	own.Init(clk, &own.cfg, cfg.ServeStale)
+	return &own.Cache
 }
 
 // Init prepares a Cache in place (the embedded-by-value twin of New, for
-// callers that arena-allocate the enclosing struct). Single-shard caches
-// (the overwhelmingly common shape) use the inline shard0 buffer and
-// allocate nothing.
-func (c *Cache) Init(clk clock.Clock, cfg Config) {
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	*c = Cache{cfg: cfg, clk: clk, epoch: clk.Now(), seed: maphash.MakeSeed()}
-	if n == 1 {
-		c.shards = c.shard0[:]
-	} else {
-		c.shards = make([]shard, n)
+// callers that arena-allocate the enclosing struct). The cache reads cfg,
+// never writes it, and keeps the pointer, so caches of one kind share one
+// Config; serveStale stands in for cfg.ServeStale. Single-shard caches
+// (the overwhelmingly common shape) use the inline shard0 and allocate
+// nothing.
+func (c *Cache) Init(clk clock.Clock, cfg *Config, serveStale bool) {
+	*c = Cache{cfg: cfg, serveStale: serveStale, clk: clk, epoch: clk.Now()}
+	if cfg.Shards > 1 {
+		shards := make([]shard, cfg.Shards)
+		c.multi = &shards
 	}
 }
 
+// all returns the cache's shards.
+func (c *Cache) all() []shard {
+	if c.multi != nil {
+		return *c.multi
+	}
+	return c.shard0[:]
+}
+
 // Shards returns the number of independent shards.
-func (c *Cache) Shards() int { return len(c.shards) }
+func (c *Cache) Shards() int { return len(c.all()) }
 
 // shardIndex maps a possibly-negative hint onto [0, n). Negating the hint
 // would overflow for math.MinInt (-MinInt == MinInt), so the reduction is
@@ -384,7 +401,8 @@ func shardIndex(hint, n int) int {
 }
 
 func (c *Cache) shard(hint int) *shard {
-	return &c.shards[shardIndex(hint, len(c.shards))]
+	shards := c.all()
+	return &shards[shardIndex(hint, len(shards))]
 }
 
 // now is the clock's reading as an offset from the epoch.
@@ -392,15 +410,15 @@ func (c *Cache) now() int64 { return int64(c.clk.Now().Sub(c.epoch)) }
 
 // hash places a canonical key in a bucket. The type is folded in with an
 // odd multiplier so a name's several types spread over the low bits.
-func (c *Cache) hash(name string, typ dnswire.Type) uint32 {
-	return uint32(maphash.String(c.seed, name)) ^ uint32(typ)*0x9e3779b9
+func hash(name string, typ dnswire.Type) uint32 {
+	return uint32(maphash.String(seed, name)) ^ uint32(typ)*0x9e3779b9
 }
 
 // lookup canonicalizes key and returns its shard and node (nil if absent).
 func (c *Cache) lookup(key *Key, shardHint int) (*shard, *cached) {
 	key.Name = dnswire.CanonicalName(key.Name)
 	sh := c.shard(shardHint)
-	return sh, sh.find(key.Name, key.Type, c.hash(key.Name, key.Type))
+	return sh, sh.find(key.Name, key.Type, hash(key.Name, key.Type))
 }
 
 // effectiveTTL applies the configured floor/cap to a record TTL.
@@ -421,7 +439,7 @@ func (c *Cache) effectiveTTL(ttl time.Duration) time.Duration {
 func (c *Cache) Put(key Key, e Entry, shardHint int) {
 	key.Name = dnswire.CanonicalName(key.Name)
 	sh := c.shard(shardHint)
-	h := c.hash(key.Name, key.Type)
+	h := hash(key.Name, key.Type)
 	now := c.now()
 
 	c.m.puts.Inc()
@@ -471,7 +489,7 @@ func (c *Cache) Put(key Key, e Entry, shardHint int) {
 	sh.pushFront(item)
 	if c.cfg.Capacity > 0 {
 		for sh.count > c.cfg.Capacity {
-			oldest := sh.tail
+			oldest := sh.head.prev
 			sh.unlink(oldest)
 			sh.remove(oldest)
 			c.arena.drop(oldest)
@@ -551,7 +569,7 @@ func (c *Cache) get(key Key, shardHint int, stale, clone bool) View {
 		if window == 0 {
 			window = defaultStaleWindow
 		}
-		if !stale || !c.cfg.ServeStale || time.Duration(now-item.expires) > window {
+		if !stale || !c.serveStale || time.Duration(now-item.expires) > window {
 			c.m.misses.Inc()
 			if c.trace != nil {
 				c.emit(trace.EvCacheExpired, key)
@@ -618,8 +636,9 @@ func view(item *cached, now int64) View {
 // Flush empties every shard (an operator flush or a resolver restart,
 // §3.1).
 func (c *Cache) Flush() {
-	for i := range c.shards {
-		c.empty(&c.shards[i])
+	shards := c.all()
+	for i := range shards {
+		c.empty(&shards[i])
 	}
 }
 
@@ -635,15 +654,15 @@ func (c *Cache) empty(sh *shard) {
 		n = next
 	}
 	clear(sh.buckets)
-	sh.head, sh.tail, sh.count = nil, nil, 0
+	sh.head, sh.count = nil, 0
 }
 
 // Len returns the total number of entries across shards, including expired
 // ones not yet evicted.
 func (c *Cache) Len() int {
 	n := 0
-	for i := range c.shards {
-		n += c.shards[i].count
+	for _, sh := range c.all() {
+		n += sh.count
 	}
 	return n
 }

@@ -215,9 +215,10 @@ func TestSmallCachesBytes(t *testing.T) {
 	}
 	clk := clock.NewVirtual(epoch)
 	var arena Arena
+	var cfg Config
 	caches := make([]Cache, n)
 	for i := range caches {
-		caches[i].Init(clk, Config{})
+		caches[i].Init(clk, &cfg, false)
 		caches[i].UseArena(&arena)
 	}
 	before := liveHeap()

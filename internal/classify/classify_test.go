@@ -12,9 +12,9 @@ var epoch = time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
 // ans builds an answer at minute m with the given serial and TTLs.
 func ans(m int, serial uint16, encTTL, answerTTL uint32) vantage.Answer {
 	return vantage.Answer{
-		Valid:  true,
-		Sent:   epoch.Add(time.Duration(m) * time.Minute).UnixNano(),
-		Serial: serial, EncTTL: encTTL, AnswerTTL: answerTTL,
+		Outcome: vantage.Valid,
+		Sent:    epoch.Add(time.Duration(m) * time.Minute).UnixNano(),
+		Serial:  serial, EncTTL: encTTL, AnswerTTL: answerTTL,
 	}
 }
 
@@ -99,7 +99,7 @@ func TestSerialDecreaseDetected(t *testing.T) {
 
 func TestInvalidAnswersUnclassified(t *testing.T) {
 	tr := NewTracker()
-	bad := vantage.Answer{Timeout: true}
+	bad := vantage.Answer{Outcome: vantage.Timeout}
 	if o := tr.Classify(bad, 1); o.Category != Unclassified {
 		t.Errorf("timeout classified as %v", o.Category)
 	}

@@ -16,8 +16,8 @@ import (
 func TestSeriesCSV(t *testing.T) {
 	ac := newDDoSAccum(DDoSSpec{ProbeInterval: 10 * time.Minute}, testbedStart, 4)
 	ac.tallyAnswers([]vantage.Answer{
-		{Round: 0, Valid: true}, {Round: 0, Valid: true}, {Round: 1, Timeout: true},
-		{Round: 2, Discard: true}, {Round: 2, Valid: true},
+		{Round: 0, Outcome: vantage.Valid}, {Round: 0, Outcome: vantage.Valid}, {Round: 1, Outcome: vantage.Timeout},
+		{Round: 2, Outcome: vantage.Discard}, {Round: 2, Outcome: vantage.Valid},
 	})
 	want := "minute,OK,SERVFAIL,NoAnswer\n0,2,0,0\n10,0,0,1\n20,1,1,0\n"
 	if got := ac.answers.RoundCSV(answerCols...); got != want {

@@ -90,11 +90,13 @@ func TestAuthEventPointerFree(t *testing.T) {
 
 // TestAnswerBytes: every probe keeps one answer per query it sends, and
 // the log is live until the cell's tallies finish, so the record stays at
-// 48 bytes: a probe pointer and a recursive index instead of an ID and an
-// address string, Unix nanoseconds instead of a time.Time.
+// 32 bytes: no probe at all (the log's owner is it) and a one-byte
+// recursive index instead of an ID and an address string, Unix
+// nanoseconds instead of a time.Time, one outcome byte instead of three
+// bools (48 bytes with a probe pointer and the bools).
 func TestAnswerBytes(t *testing.T) {
-	if size := unsafe.Sizeof(vantage.Answer{}); size > 48 {
-		t.Errorf("vantage.Answer is %d bytes, want at most 48", size)
+	if size := unsafe.Sizeof(vantage.Answer{}); size > 32 {
+		t.Errorf("vantage.Answer is %d bytes, want at most 32", size)
 	}
 }
 

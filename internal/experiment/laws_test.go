@@ -73,7 +73,7 @@ func cellLaws(tb *Testbed) []string {
 	for _, a := range tb.Fleet.AllAnswers() {
 		if a.Ok() && a.AnswerTTL > a.EncTTL {
 			problems = append(problems, fmt.Sprintf("probe %d via %s: answer TTL %d above the zone's %d",
-				a.ProbeID(), a.Recursive(), a.AnswerTTL, a.EncTTL))
+				a.ProbeID, a.Recursive, a.AnswerTTL, a.EncTTL))
 		}
 	}
 	for _, l := range tb.Pop.Resolvers {

@@ -70,7 +70,7 @@ func (ac *ddosAccum) perProbe(tb *Testbed, probeID uint16) Table7 {
 		row.ClientQueries++
 		if a.Ok() {
 			row.ClientAnswers++
-			r1Used[a.Round][a.Recursive()] = true
+			r1Used[a.Round][probe.Recursives[a.Rec]] = true
 		}
 	}
 	for r := range out.Rounds {

@@ -21,10 +21,10 @@ func TestTallyAnswersOverflowRound(t *testing.T) {
 	start := time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC)
 	ac := newDDoSAccum(DDoSSpec{ProbeInterval: 10 * time.Minute}, start, rounds)
 	answers := []vantage.Answer{
-		{Round: 0, Valid: true, RTT: 20 * time.Millisecond},
-		{Round: 1, Discard: true, RTT: 35 * time.Millisecond}, // SERVFAIL-class
-		{Round: rounds, Valid: true, RTT: 42 * time.Millisecond},
-		{Round: rounds + 5, Timeout: true}, // clamps into the overflow bin
+		{Round: 0, Outcome: vantage.Valid, RTT: 20 * time.Millisecond},
+		{Round: 1, Outcome: vantage.Discard, RTT: 35 * time.Millisecond}, // SERVFAIL-class
+		{Round: rounds, Outcome: vantage.Valid, RTT: 42 * time.Millisecond},
+		{Round: rounds + 5, Outcome: vantage.Timeout}, // clamps into the overflow bin
 	}
 	ac.tallyAnswers(answers)
 	res := ac.finalize()

@@ -185,10 +185,10 @@ func binOutcomes(tl *timeline.Timeline, fleet *vantage.Fleet) {
 	for _, p := range fleet.Probes {
 		for _, a := range p.Answers() {
 			col := timeline.ServFail
-			switch {
-			case a.Timeout:
+			switch a.Outcome {
+			case vantage.Timeout:
 				col = timeline.Failed
-			case a.Ok():
+			case vantage.Valid:
 				col = timeline.Answered
 			}
 			tl.Add(a.SentAt().Add(a.RTT), col, 1)

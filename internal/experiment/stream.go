@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dnswire"
+	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/timeline"
 	"repro/internal/trace"
@@ -79,7 +80,7 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 	// Per-VP classification (Figure 7). EachVP visits VPs in key order:
 	// the tallies are order-independent, but the trace's classify section
 	// must come out in the same order on every run.
-	tb.Fleet.EachVP(func(k vantage.VPKey, answers []vantage.Answer) {
+	tb.Fleet.EachVP(func(p *vantage.Probe, rec netsim.Addr, answers []vantage.Answer) {
 		tracker := classify.NewTracker()
 		for _, a := range answers {
 			if !a.Ok() {
@@ -97,8 +98,8 @@ func (ac *ddosAccum) absorb(tb *Testbed) {
 				// timestamps rewind to each answer's send time (EmitAt).
 				tr.EmitAt(trace.Event{
 					At: a.SentAt().Sub(tb.Start), Type: trace.EvClassify,
-					Probe: a.ProbeID(), A: uint32(clampRound(int(a.Round), ac.rounds)),
-					B: uint32(out.Category), Src: string(k.Recursive),
+					Probe: p.ID, A: uint32(clampRound(int(a.Round), ac.rounds)),
+					B: uint32(out.Category), Src: string(rec),
 				})
 			}
 		}
@@ -119,10 +120,10 @@ func (ac *ddosAccum) tallyAnswers(answers []vantage.Answer) {
 	for _, a := range answers {
 		ac.table4.Queries++
 		r := clampRound(int(a.Round), ac.rounds)
-		switch {
-		case a.Timeout:
+		switch a.Outcome {
+		case vantage.Timeout:
 			ac.answers.AddBin(r, ansNoAnswer, 1)
-		case a.Ok():
+		case vantage.Valid:
 			ac.table4.TotalAnswers++
 			ac.table4.ValidAnswers++
 			probeOK = true
@@ -311,7 +312,7 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 		probeOK := false
 		for _, a := range p.Answers() {
 			ac.table1.Queries++
-			if a.Timeout {
+			if a.Outcome == vantage.Timeout {
 				continue
 			}
 			ac.table1.Answers++
@@ -327,7 +328,7 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 		}
 	}
 
-	tb.Fleet.EachVP(func(_ vantage.VPKey, list []vantage.Answer) {
+	tb.Fleet.EachVP(func(p *vantage.Probe, rec netsim.Addr, list []vantage.Answer) {
 		valid := 0
 		for _, a := range list {
 			if a.Ok() {
@@ -347,7 +348,7 @@ func (ac *cachingAccum) absorb(tb *Testbed) {
 			ac.table2.Add(out)
 			ac.fig13.Add(a.SentAt(), int(out.Category), 1)
 			if out.Category == classify.AC {
-				ac.absorbTable3(tb, a)
+				ac.absorbTable3(tb, p, rec, a)
 			}
 		}
 	})
@@ -366,10 +367,11 @@ func (ac *cachingAccum) foldAuth(tb *Testbed, ev AuthEvent) {
 	}
 }
 
-// absorbTable3 attributes one AC answer to its entry path.
-func (ac *cachingAccum) absorbTable3(tb *Testbed, a vantage.Answer) {
+// absorbTable3 attributes one AC answer, probe p's via rec, to its entry
+// path.
+func (ac *cachingAccum) absorbTable3(tb *Testbed, p *vantage.Probe, rec netsim.Addr, a vantage.Answer) {
 	ac.table3.ACAnswers++
-	meta := tb.Pop.R1Meta[a.Recursive()]
+	meta := tb.Pop.R1Meta[rec]
 	if meta.Public {
 		ac.table3.PublicR1++
 		if meta.Google {
@@ -382,7 +384,7 @@ func (ac *cachingAccum) absorbTable3(tb *Testbed, a vantage.Answer) {
 	ac.table3.NonPublicR1++
 	// Did the fetch emerge from a Google backend?
 	viaGoogle := false
-	if qname, ok := tb.authNames.idx[a.Probe.QName()]; ok {
+	if qname, ok := tb.authNames.idx[p.QName()]; ok {
 		_, viaGoogle = ac.fetchers[fetcherKey{qname: qname, round: rotationRound(a.SentAt().Sub(tb.Start))}]
 	}
 	if viaGoogle {

@@ -386,14 +386,13 @@ func (r *Resolver) init(clk clock.Clock, cfg *Config, seed int64) {
 	if !cfg.ready {
 		panic("recursive: New needs a Config with its defaults applied (Profile or WithDefaults)")
 	}
-	// The RTT histogram and the per-key state in the working set are
-	// made on first use: a large population builds thousands of
-	// resolvers per cell but exercises only the handful its probes query,
-	// so an idle resolver must cost a couple of allocations, not dozens.
+	// The RTT histogram is an inline field and the cache points at its
+	// kind's Config; only the per-key maps of the working set are made on
+	// first use: a large population builds thousands of resolvers per cell
+	// but exercises only the handful its probes query, so an idle resolver
+	// must cost a couple of allocations, not dozens.
 	r.clk, r.cfg, r.rng = clk, cfg, lazyrand.New(seed)
-	cc := cfg.Cache
-	cc.ServeStale = cfg.ServeStale
-	r.cache.Init(clk, cc)
+	r.cache.Init(clk, &cfg.Cache, cfg.ServeStale)
 	r.upstreamRTTms.Init(metrics.DefaultLatencyBucketsMs) // aliases shared bounds; no allocation
 }
 

@@ -72,8 +72,10 @@ type Client struct {
 	tcpConn netsim.Conn
 	nextID  uint16
 	trace   *trace.Buffer
-	// inflight maps message IDs to pending queries.
-	inflight map[uint16]*pending
+	// inflight lists the queries awaiting an answer, linked through
+	// pending.next: a probe has at most a few in flight, so a scan by ID
+	// needs no map.
+	inflight *pending
 	// ws is the working set this client borrows (see work).
 	ws *workingSet
 }
@@ -114,7 +116,7 @@ type pending struct {
 	qtype   dnswire.Type
 	started time.Time
 	h       Handler
-	next    *pending // free-list link
+	next    *pending // in-flight or free-list link
 }
 
 // Handler receives a query's outcome, exactly once. A caller with
@@ -145,7 +147,7 @@ func New(clk clock.Clock, cfg Config) *Client {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = DefaultTimeout
 	}
-	return &Client{clk: clk, cfg: cfg, inflight: make(map[uint16]*pending)}
+	return &Client{clk: clk, cfg: cfg}
 }
 
 // Attach binds the client at addr on the simulated network; with
@@ -197,15 +199,36 @@ func (c *Client) Receive(src netsim.Addr, payload []byte) {
 
 // awaiting returns the query in flight to src under id, nil if none.
 func (c *Client) awaiting(src netsim.Addr, id uint16) *pending {
-	if p := c.inflight[id]; p != nil && p.server == src {
+	if p := c.lookup(id); p != nil && p.server == src {
 		return p
 	}
 	return nil
 }
 
+// lookup returns the query in flight under id, nil if none.
+func (c *Client) lookup(id uint16) *pending {
+	for p := c.inflight; p != nil; p = p.next {
+		if p.id == id {
+			return p
+		}
+	}
+	return nil
+}
+
+// take unlinks p from the in-flight list and reports whether it was there.
+func (c *Client) take(p *pending) bool {
+	for l := &c.inflight; *l != nil; l = &(*l).next {
+		if *l == p {
+			*l, p.next = p.next, nil
+			return true
+		}
+	}
+	return false
+}
+
 // complete ends p's attempt with its response m.
 func (c *Client) complete(p *pending, src netsim.Addr, m *dnswire.Message) {
-	delete(c.inflight, m.ID)
+	c.take(p)
 	stopped := p.timer.Stop()
 	if m.Truncated && !p.tcp {
 		// TC=1 is not an answer: the server stripped the data sections to
@@ -272,13 +295,13 @@ func (c *Client) sendAttempt(p *pending) {
 			// on every wraparound, including mid-busy-scan.
 			continue
 		}
-		if _, busy := c.inflight[c.nextID]; !busy {
+		if c.lookup(c.nextID) == nil {
 			break
 		}
 	}
 	p.id = c.nextID
 	p.sentAt = c.clk.Now()
-	c.inflight[p.id] = p
+	p.next, c.inflight = c.inflight, p
 	p.attempt++
 	if p.attempt == 1 {
 		p.span = p.id
@@ -298,7 +321,7 @@ func (c *Client) sendAttempt(p *pending) {
 	// The query goes as its message (the transport packs it if it needs
 	// bytes); the bound refuses exactly what packing would.
 	if _, err := q.WireLenBound(); err != nil {
-		delete(c.inflight, p.id)
+		c.take(p)
 		p.h.Done(Result{Err: err, Server: p.server})
 		c.release(p, true) // no timer armed for this attempt
 		return
@@ -317,10 +340,9 @@ func (c *Client) sendAttempt(p *pending) {
 func attemptTimeout(arg any) {
 	p := arg.(*pending)
 	c := p.c
-	if c == nil || c.inflight[p.id] != p {
+	if c == nil || !c.take(p) {
 		return
 	}
-	delete(c.inflight, p.id)
 	if p.retries > 0 {
 		p.retries--
 		c.sendAttempt(p)

@@ -128,19 +128,19 @@ func TestIDWraparoundSkipsZero(t *testing.T) {
 	c := New(clk, Config{})
 	c.Attach(net, "10.9.0.1")
 
-	blocker := &pending{}
+	blocker := &pending{id: 65535}
 	c.nextID = 65534
-	c.inflight[65535] = blocker
+	c.inflight = blocker
 
 	var got Result
 	c.Query("10.0.0.53", "wrap.cachetest.nl.", dnswire.TypeAAAA, func(r Result) { got = r })
-	if _, busy := c.inflight[0]; busy {
+	if c.lookup(0) != nil {
 		t.Fatal("allocator assigned the reserved ID 0")
 	}
-	if p, busy := c.inflight[1]; !busy || p == blocker {
-		t.Fatalf("expected the query at ID 1 after wraparound; got %v", c.inflight)
+	if p := c.lookup(1); p == nil || p == blocker || c.inflight != p {
+		t.Fatalf("expected the query at ID 1 after wraparound; got %+v", c.inflight)
 	}
-	delete(c.inflight, 65535)
+	c.take(blocker)
 	clk.Run()
 	if got.Err != nil || got.Msg == nil {
 		t.Fatalf("query did not complete: %+v", got)
@@ -233,8 +233,8 @@ func TestLateTimerAfterRecycle(t *testing.T) {
 			t.Errorf("query %d: err %v, RTT %v", i+1, r.Err, r.RTT)
 		}
 	}
-	if len(c.inflight) != 0 {
-		t.Errorf("%d left in flight", len(c.inflight))
+	if c.inflight != nil {
+		t.Errorf("query %d left in flight", c.inflight.id)
 	}
 }
 

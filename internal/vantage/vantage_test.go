@@ -110,8 +110,8 @@ func TestProbeRoundAndFleet(t *testing.T) {
 		if a.Serial != 3 || a.EncTTL != 60 || a.AnswerTTL != 60 {
 			t.Errorf("decoded fields wrong: %+v", a)
 		}
-		if a.Recursive() != "10.0.0.53" || a.ProbeID() == 0 || a.ProbeID() > 2 {
-			t.Errorf("answer from probe %d via %s", a.ProbeID(), a.Recursive())
+		if a.Recursive != "10.0.0.53" || a.ProbeID == 0 || a.ProbeID > 2 {
+			t.Errorf("answer from probe %d via %s", a.ProbeID, a.Recursive)
 		}
 		if at := a.SentAt(); at.Before(epoch) || !at.Before(epoch.Add(15*time.Minute)) {
 			t.Errorf("sent at %v, outside the two rounds", at)
@@ -143,9 +143,28 @@ func TestMultipleRecursivesAreSeparateVPs(t *testing.T) {
 		[]netsim.Addr{"10.0.0.53", "10.0.0.54"}, "cachetest.nl.")
 	p.QueryRound(0)
 	clk.RunFor(time.Minute)
-	if got := len(ByVP(p.Answers())); got != 2 {
+	if got := len(ByVP(NewFleet(clk, []*Probe{p}, 0).AllAnswers())); got != 2 {
 		t.Errorf("VPs = %d, want 2", got)
 	}
+}
+
+// TestNewProbeBoundsRecursives: Answer.Rec is a uint8, so a probe with
+// more recursives than it can index is refused, not logged under the
+// wrong one.
+func TestNewProbeBoundsRecursives(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	net := netsim.New(clk, 1)
+	recs := make([]netsim.Addr, MaxRecursives+1)
+	for i := range recs {
+		recs[i] = netsim.Addr("10.1." + strconv.Itoa(i>>8) + "." + strconv.Itoa(i&255))
+	}
+	NewProbe(clk, net, 1, "10.9.0.1", recs[:MaxRecursives], "cachetest.nl.")
+	defer func() {
+		if recover() == nil {
+			t.Error("NewProbe took more than MaxRecursives recursives")
+		}
+	}()
+	NewProbe(clk, net, 2, "10.9.0.2", recs, "cachetest.nl.")
 }
 
 func TestProbeTimeout(t *testing.T) {
@@ -156,7 +175,7 @@ func TestProbeTimeout(t *testing.T) {
 	p.QueryRound(0)
 	clk.RunFor(10 * time.Second)
 	answers := p.Answers()
-	if len(answers) != 1 || !answers[0].Timeout || answers[0].Ok() {
+	if len(answers) != 1 || answers[0].Outcome != Timeout || answers[0].Ok() {
 		t.Fatalf("answers = %+v", answers)
 	}
 	if answers[0].RTT != 5*time.Second {
@@ -172,7 +191,7 @@ func TestProbeDiscardsErrors(t *testing.T) {
 	p.QueryRound(0)
 	clk.RunFor(time.Minute)
 	a := p.Answers()[0]
-	if !a.Discard || a.Ok() || a.RCode != dnswire.RCodeServFail {
+	if a.Outcome != Discard || a.Ok() || a.RCode != dnswire.RCodeServFail {
 		t.Errorf("answer = %+v", a)
 	}
 }
@@ -196,7 +215,7 @@ func TestProbeDiscardsForeignAAAA(t *testing.T) {
 	p.QueryRound(0)
 	clk.RunFor(time.Minute)
 	a := p.Answers()[0]
-	if a.Valid || !a.Discard {
+	if a.Outcome != Discard {
 		t.Errorf("foreign AAAA accepted: %+v", a)
 	}
 }
@@ -232,7 +251,7 @@ func TestEachVPMatchesByVP(t *testing.T) {
 			}
 			for i, n := 0, rng.Intn(20); i < n; i++ {
 				p.answers = append(p.answers, Answer{
-					Probe: p, Rec: uint16(rng.Intn(len(p.Recursives))), Round: uint16(i),
+					Rec: uint8(rng.Intn(len(p.Recursives))), Round: uint16(i),
 					Sent: epoch.Add(time.Duration(rng.Intn(8)) * time.Minute).UnixNano(), RTT: time.Duration(i),
 				})
 			}
@@ -243,7 +262,8 @@ func TestEachVPMatchesByVP(t *testing.T) {
 		byVP := ByVP(fleet.AllAnswers())
 		want := sortedVPKeys(byVP)
 		var got []VPKey
-		fleet.EachVP(func(k VPKey, list []Answer) {
+		fleet.EachVP(func(p *Probe, rec netsim.Addr, list []Answer) {
+			k := VPKey{p.ID, rec}
 			got = append(got, k)
 			if !reflect.DeepEqual(list, byVP[k]) {
 				t.Fatalf("trial %d VP %v:\n got %+v\nwant %+v", trial, k, list, byVP[k])

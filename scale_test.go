@@ -84,9 +84,11 @@ func runScale(tb testing.TB, probes, shards, shardProbes int) (*dikes.Outcome, t
 // TestScaleSmoke is the CI scale gate. Enable with SCALE_SMOKE=1; tune
 // with SCALE_PROBES / SCALE_SHARDS / SCALE_SHARD_PROBES, and enforce a
 // peak-RSS ceiling (MiB) with SCALE_RSS_MB (0 disables the ceiling).
-// The Makefile's default ceiling is 4096 MiB for the 100k/4-shard race
-// run; for calibration, the timing-wheel engine peaks at ~2.9 GiB on a
-// 10^6-probe 8-shard run without the race detector.
+// The Makefile's default ceiling is 768 MiB for the 100k/4-shard race
+// run, which peaked at 475 and 513 MiB in two runs (485 with 712-byte
+// resolvers and 48-byte answers; 2 vCPUs, go 1.24); for calibration, the
+// timing-wheel engine peaks at ~2.9 GiB on a 10^6-probe 8-shard run
+// without the race detector.
 func TestScaleSmoke(t *testing.T) {
 	if os.Getenv("SCALE_SMOKE") != "1" {
 		t.Skip("set SCALE_SMOKE=1 to run the scale smoke test")

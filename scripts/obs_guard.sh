@@ -74,7 +74,12 @@
 #   - the resolver validates nothing (DESIGN.md §2, row 18): non-test
 #     internal/recursive neither imports repro/internal/dnssec nor names
 #     TrustAnchors, so DNSSEC stays the authoritatives' signing and DO=1
-#     serving and a per-zone validator does not grow back.
+#     serving and a per-zone validator does not grow back;
+#   - per-entity records at their natural width (DESIGN.md §9-10):
+#     non-test internal/stub declares no map (a client's few queries in
+#     flight are a list scanned by ID), and cache.Cache declares
+#     cfg *Config, so a resolver's cache points at its kind's Config
+#     instead of copying it into every resolver.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -239,5 +244,12 @@ done
 # shellcheck disable=SC2086
 [ "$(count '"repro/internal/dnssec"\|TrustAnchors' $rec)" -eq 0 ] ||
     fail "DNSSEC validation in non-test internal/recursive (the resolver validates nothing): $(grep -n 'repro/internal/dnssec\|TrustAnchors' $rec)"
+
+stub="$(nondir internal/stub)"
+# shellcheck disable=SC2086
+[ "$(count 'map\[' $stub)" -eq 0 ] ||
+    fail "map in non-test internal/stub (queries in flight are a list scanned by ID): $(grep -n 'map\[' $stub)"
+[ "$(sed -n '/^type Cache struct/,/^}/p' internal/cache/cache.go | count '^[[:space:]]*cfg[[:space:]]\+\*Config\>')" -eq 1 ] ||
+    fail "want cache.Cache to declare cfg *Config (point at the kind's Config, do not copy it): $(sed -n '/^type Cache struct/,/^}/p' internal/cache/cache.go | grep -n 'cfg')"
 
 echo "obs-guard OK" >&2
